@@ -13,132 +13,139 @@
 //! OPTgen trains its counter towards "averse", and Hawkeye then treats *all*
 //! property accesses — including the hot ones — as cache-averse, performing
 //! worse than the RRIP baseline.
+//!
+//! Only every `sets / 64`-th set feeds OPTgen, and only those sets own a
+//! window. The rule samples *every* set of an LLC with fewer than 128 sets
+//! (the `Tiny` and `Small` scales), so there OPTgen runs on every access and
+//! its cost is the policy's cost: each window is a flat buffer whose
+//! previous-use lookup follows a short same-fingerprint chain and whose
+//! interval passes run over one dense byte column at a constant width.
 
 use super::rrip::{RrpvArray, RRPV_MAX};
 use super::ReplacementPolicy;
-use crate::addr::BlockAddr;
+use crate::addr::{block_of, BlockAddr};
 use crate::request::{AccessInfo, AccessSite};
-use std::collections::VecDeque;
 
 /// Number of 3-bit counter states; counters ≥ `FRIENDLY_THRESHOLD` predict
 /// cache-friendly behaviour.
 const COUNTER_MAX: u8 = 7;
 const FRIENDLY_THRESHOLD: u8 = 4;
 
+/// `Hawkeye::window_of` value of a set that is not sampled.
+const UNSAMPLED: u32 = u32::MAX;
+
+/// One access in an OPTgen window.
+#[derive(Debug, Clone, Copy, Default)]
+struct WindowEntry {
+    block: BlockAddr,
+    /// The site that performed the access.
+    site: AccessSite,
+    /// Sequence-number distance back to the previous entry with the same
+    /// block fingerprint; 0 when there is none within `u16` reach (which
+    /// exceeds every window capacity).
+    back: u16,
+    /// Whether a later access to the same block was observed while the entry
+    /// was inside the window (it started a usage interval).
+    reused: bool,
+}
+
 /// OPTgen for a single sampled set: a sliding window of past accesses with an
 /// occupancy vector that answers "would OPT have hit this access?".
 ///
-/// Finding a block's previous use — once the dominant cost of sampled
-/// accesses — is gated by a counting presence filter: a zero count for the
-/// block's fingerprint proves the block is not in the window, so the exact
-/// backward search (which is fast when it succeeds: reused blocks recur
-/// within a few entries) only runs for present-or-colliding blocks. Cold
-/// single-use blocks — the bulk of a graph workload's stream — pay one byte
-/// load instead of a full-window scan.
-#[derive(Debug, Clone, Default)]
+/// The window is flat: the live entries are `entries[start..start + len]`,
+/// appended at the end and retired from the front, and copied back to the
+/// start of the buffer once per `capacity` accesses when they reach its end.
+/// Every access gets a sequence number; `latest` maps a block fingerprint to
+/// the sequence number of the newest entry carrying it and each entry links
+/// back to the previous one, so finding a block's previous use walks only
+/// the entries sharing its fingerprint (newest first) instead of the window.
+/// Links are never unlinked: one that points before the oldest live sequence
+/// number is stale, which also makes `clear` a matter of emptying the window.
+#[derive(Debug, Clone)]
 struct OptGen {
-    blocks: VecDeque<BlockAddr>,
-    /// Per-entry: the site that performed the access.
-    sites: VecDeque<AccessSite>,
+    entries: Vec<WindowEntry>,
     /// Per-entry: number of liveness intervals overlapping this position.
-    /// Kept as its own byte deque so the interval check (`max < ways`) and
-    /// the interval bump (`+= 1`) run over dense byte slices the compiler
-    /// vectorizes, instead of striding over wide mixed entries.
-    occupancy: VecDeque<u8>,
-    /// Per-entry: whether a later access to the same block was observed while
-    /// the entry was inside the window (it started a usage interval).
-    reused: VecDeque<bool>,
-    /// Counting presence filter over the window, indexed by the block
-    /// fingerprint (256 counters; `u16` so even a maximum-associativity
-    /// window of `64 * 8` entries hashing to one fingerprint cannot
-    /// overflow).
-    filter: Vec<u16>,
+    /// Its own byte column so the interval check (`max < ways`) and the
+    /// interval bump (`+= 1`) run over one dense slice; `capacity` longer
+    /// than `entries` so a full-width pass from any live entry is in bounds.
+    occupancy: Vec<u8>,
+    /// Fingerprint → sequence number of the newest entry with it (0: none).
+    latest: Vec<u64>,
+    start: usize,
+    len: usize,
+    /// Sequence number of the next access; starts at 1 and never resets.
+    next_seq: u64,
     capacity: usize,
     ways: u8,
 }
 
-/// 8-bit block fingerprint for the presence filter. The low 6+ bits of a
-/// block address encode the set index (constant within one OPTgen instance),
-/// so the fingerprint folds the higher bits.
+/// 8-bit block fingerprint (the top byte of a multiplicative hash, so every
+/// block-address bit above the set index contributes).
 #[inline]
 fn fingerprint(block: BlockAddr) -> usize {
-    (((block >> 6) ^ (block >> 14) ^ (block >> 22)) & 0xFF) as usize
+    (block.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize
 }
+
+/// Largest window: 8x the 64 ways a set's friendly-block mask can hold.
+const MAX_CAPACITY: usize = 512;
+
+/// `MAX_CAPACITY` bytes of `0xFF`, then as many of zero, so that
+/// `INSIDE[MAX_CAPACITY - span..]` starts with exactly `span` set bytes. The
+/// two interval passes of [`OptGen::record`] always run `capacity` lanes with
+/// the lanes past the interval masked off by this table: a constant trip
+/// count and no per-lane compare, which is what lets them compile to a
+/// handful of vector operations without a mispredicted loop exit.
+static INSIDE: [u8; 2 * MAX_CAPACITY] = {
+    let mut inside = [0; 2 * MAX_CAPACITY];
+    let mut lane = 0;
+    while lane < MAX_CAPACITY {
+        inside[lane] = 0xFF;
+        lane += 1;
+    }
+    inside
+};
 
 impl OptGen {
     fn new(ways: usize) -> Self {
+        // The ISCA'16 design tracks 8x the associativity of usage
+        // intervals per sampled set.
+        let capacity = ways * 8;
+        assert!(capacity <= MAX_CAPACITY, "at most 64 ways");
         Self {
-            blocks: VecDeque::new(),
-            sites: VecDeque::new(),
-            occupancy: VecDeque::new(),
-            reused: VecDeque::new(),
-            filter: vec![0; 256],
-            // The ISCA'16 design tracks 8x the associativity of usage
-            // intervals per sampled set.
-            capacity: ways * 8,
+            entries: vec![WindowEntry::default(); 2 * capacity],
+            occupancy: vec![0; 3 * capacity],
+            latest: vec![0; 256],
+            start: 0,
+            len: 0,
+            next_seq: 1,
+            capacity,
             ways: ways as u8,
         }
     }
 
-    /// Returns `true` when no position in `[from..]` is already at full
-    /// occupancy (OPT would have room for the whole usage interval). A
-    /// max-reduce over the byte slices: branch-free, so it vectorizes.
+    /// Buffer position of the most recent window entry for `block`.
     #[inline]
-    fn interval_fits(&self, from: usize) -> bool {
-        let (a, b) = self.occupancy.as_slices();
-        let max = if from < a.len() {
-            let ma = a[from..].iter().copied().fold(0, u8::max);
-            let mb = b.iter().copied().fold(0, u8::max);
-            ma.max(mb)
-        } else {
-            b[from - a.len()..].iter().copied().fold(0, u8::max)
-        };
-        max < self.ways
-    }
-
-    /// Adds one liveness interval over `[from..]`.
-    #[inline]
-    fn occupy_interval(&mut self, from: usize) {
-        let split = {
-            let (a, _) = self.occupancy.as_slices();
-            a.len()
-        };
-        let (a, b) = self.occupancy.as_mut_slices();
-        if from < split {
-            for slot in &mut a[from..] {
-                *slot += 1;
+    fn previous_use(&self, block: BlockAddr) -> Option<usize> {
+        let oldest = self.next_seq - self.len as u64;
+        let mut seq = self.latest[fingerprint(block)];
+        while seq >= oldest {
+            let at = self.start + (seq - oldest) as usize;
+            let entry = &self.entries[at];
+            if entry.block == block {
+                return Some(at);
             }
-            for slot in b {
-                *slot += 1;
+            if entry.back == 0 {
+                break;
             }
-        } else {
-            for slot in &mut b[from - split..] {
-                *slot += 1;
-            }
+            seq -= u64::from(entry.back);
         }
-    }
-
-    /// Logical index of the most recent history entry for `block` (`None`
-    /// proven cheaply by the presence filter for most cold blocks).
-    #[inline]
-    fn rposition_block(&self, block: BlockAddr) -> Option<usize> {
-        if self.filter[fingerprint(block)] == 0 {
-            return None;
-        }
-        let (front, back) = self.blocks.as_slices();
-        if let Some(pos) = back.iter().rposition(|&b| b == block) {
-            return Some(front.len() + pos);
-        }
-        front.iter().rposition(|&b| b == block)
+        None
     }
 
     /// Drops every window entry (used on a hierarchy flush).
     fn clear(&mut self) {
-        self.blocks.clear();
-        self.sites.clear();
-        self.occupancy.clear();
-        self.reused.clear();
-        self.filter.fill(0);
+        self.start = 0;
+        self.len = 0;
     }
 
     /// Records an access to `block` by `site`. Returns up to two training
@@ -154,30 +161,53 @@ impl OptGen {
     /// sampled fill and hit, so it must not allocate.
     fn record(&mut self, block: BlockAddr, site: AccessSite) -> TrainingEvents {
         let mut events = TrainingEvents::default();
-        if let Some(prev_pos) = self.rposition_block(block) {
-            let prev_site = self.sites[prev_pos];
-            let interval_fits = self.interval_fits(prev_pos);
-            if interval_fits {
-                self.occupy_interval(prev_pos);
+        if let Some(prev) = self.previous_use(block) {
+            // OPT would have kept the block over its usage interval iff no
+            // position since the previous use is at full occupancy.
+            let span = self.start + self.len - prev;
+            let lanes = &mut self.occupancy[prev..prev + self.capacity];
+            let inside = &INSIDE[MAX_CAPACITY - span..][..self.capacity];
+            let max = lanes
+                .iter()
+                .zip(inside)
+                .fold(0, |max, (&lane, &inside)| max.max(lane & inside));
+            let fits = max < self.ways;
+            if fits {
+                for (lane, &inside) in lanes.iter_mut().zip(inside) {
+                    // `0xFF` is -1: the interval's lanes gain one.
+                    *lane = lane.wrapping_sub(inside);
+                }
             }
-            self.reused[prev_pos] = true;
-            events.push(prev_site, interval_fits);
+            self.entries[prev].reused = true;
+            events.push(self.entries[prev].site, fits);
         }
-        self.filter[fingerprint(block)] += 1;
-        self.blocks.push_back(block);
-        self.sites.push_back(site);
-        self.occupancy.push_back(0);
-        self.reused.push_back(false);
-        if self.blocks.len() > self.capacity {
-            if let Some(evicted_block) = self.blocks.pop_front() {
-                self.filter[fingerprint(evicted_block)] -= 1;
+        if self.len == self.capacity {
+            let oldest = self.entries[self.start];
+            if !oldest.reused {
+                events.push(oldest.site, false);
             }
-            let evicted_site = self.sites.pop_front();
-            self.occupancy.pop_front();
-            if let (Some(evicted_site), Some(false)) = (evicted_site, self.reused.pop_front()) {
-                events.push(evicted_site, false);
-            }
+            self.start += 1;
+            self.len -= 1;
         }
+        if self.start + self.len == self.entries.len() {
+            let live = self.start..self.start + self.len;
+            self.entries.copy_within(live.clone(), 0);
+            self.occupancy.copy_within(live, 0);
+            self.start = 0;
+        }
+        let at = self.start + self.len;
+        let newest = &mut self.latest[fingerprint(block)];
+        let back = u16::try_from(self.next_seq - *newest).unwrap_or(0);
+        *newest = self.next_seq;
+        self.entries[at] = WindowEntry {
+            block,
+            site,
+            back,
+            reused: false,
+        };
+        self.occupancy[at] = 0;
+        self.len += 1;
+        self.next_seq += 1;
         events
     }
 }
@@ -215,12 +245,13 @@ impl TrainingEvents {
 pub struct Hawkeye {
     rrpv: RrpvArray,
     ways: usize,
-    /// Which sets are sampled for OPTgen training (precomputed so the
-    /// per-access check is an indexed load, not a division).
-    sampled: Vec<bool>,
-    /// Per-set OPTgen windows (only sampled sets ever receive entries; the
-    /// deques of unsampled sets never allocate).
+    /// Per set: the index of its OPTgen window in `optgen`, [`UNSAMPLED`]
+    /// for the sets that do not train (precomputed so the per-access check
+    /// is an indexed load, not a division).
+    window_of: Vec<u32>,
+    /// One OPTgen window per sampled set.
     optgen: Vec<OptGen>,
+    block_bytes: u64,
     /// Site-indexed 3-bit predictor counters. `AccessSite` is 16-bit, so the
     /// "unlimited entries" methodology of the paper is a flat 64 Ki table —
     /// a direct indexed load instead of a hash lookup per access.
@@ -234,16 +265,25 @@ pub struct Hawkeye {
 }
 
 impl Hawkeye {
-    /// Creates a Hawkeye policy for a cache of `sets` × `ways`.
-    pub fn new(sets: usize, ways: usize) -> Self {
+    /// Creates a Hawkeye policy for a cache of `sets` × `ways` blocks of
+    /// `block_bytes` bytes.
+    pub fn new(sets: usize, ways: usize, block_bytes: u64) -> Self {
         // Sample roughly 64 sets (every `sets/64`-th set), at least every set
         // for tiny caches.
         let sample_interval = (sets / 64).max(1);
+        let window_of: Vec<u32> = (0..sets)
+            .map(|set| match set % sample_interval {
+                0 => (set / sample_interval) as u32,
+                _ => UNSAMPLED,
+            })
+            .collect();
+        let windows = sets.div_ceil(sample_interval);
         Self {
             rrpv: RrpvArray::new(sets, ways),
             ways,
-            sampled: (0..sets).map(|set| set % sample_interval == 0).collect(),
-            optgen: (0..sets).map(|_| OptGen::new(ways)).collect(),
+            window_of,
+            optgen: vec![OptGen::new(ways); windows],
+            block_bytes,
             predictor: vec![FRIENDLY_THRESHOLD; usize::from(u16::MAX) + 1],
             loader: vec![0; sets * ways],
             friendly: vec![0; sets],
@@ -253,11 +293,6 @@ impl Hawkeye {
     #[inline]
     fn idx(&self, set: usize, way: usize) -> usize {
         set * self.ways + way
-    }
-
-    #[inline]
-    fn is_sampled(&self, set: usize) -> bool {
-        self.sampled[set]
     }
 
     /// Predicted friendliness of a site.
@@ -282,11 +317,10 @@ impl Hawkeye {
 
     /// Feeds OPTgen on sampled sets and trains the predictor with its verdict.
     fn observe(&mut self, set: usize, info: &AccessInfo) {
-        if !self.is_sampled(set) {
+        let Some(optgen) = self.optgen.get_mut(self.window_of[set] as usize) else {
             return;
-        }
-        let block = info.addr >> 6;
-        let events = self.optgen[set].record(block, info.site);
+        };
+        let events = optgen.record(block_of(info.addr, self.block_bytes), info.site);
         for (site, friendly) in events.iter() {
             self.train(site, friendly);
         }
@@ -374,9 +408,110 @@ impl ReplacementPolicy for Hawkeye {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     fn req(addr: u64, site: AccessSite) -> AccessInfo {
         AccessInfo::read(addr).with_site(site)
+    }
+
+    /// The differential oracle: OPTgen as the paper describes it, every step
+    /// a plain scan of one deque of `(block, site, occupancy, reused)`.
+    struct OracleOptGen {
+        window: VecDeque<(BlockAddr, AccessSite, usize, bool)>,
+        ways: usize,
+    }
+
+    impl OracleOptGen {
+        fn record(&mut self, block: BlockAddr, site: AccessSite) -> Vec<(AccessSite, bool)> {
+            let mut events = Vec::new();
+            if let Some(prev) = self.window.iter().rposition(|entry| entry.0 == block) {
+                let fits = self.window.range(prev..).all(|entry| entry.2 < self.ways);
+                if fits {
+                    self.window.range_mut(prev..).for_each(|entry| entry.2 += 1);
+                }
+                self.window[prev].3 = true;
+                events.push((self.window[prev].1, fits));
+            }
+            self.window.push_back((block, site, 0, false));
+            if self.window.len() > self.ways * 8 {
+                let (_, site, _, reused) = self.window.pop_front().expect("non-empty");
+                if !reused {
+                    events.push((site, false));
+                }
+            }
+            events
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The flat window emits the oracle's training events, access for
+        /// access, on streams long enough to slide the window several times
+        /// (`2 * capacity` is 1024 at 64 ways), with flushes in between.
+        #[test]
+        fn optgen_matches_the_oracle(
+            stream in proptest::collection::vec((0u64..1 << 16, 0u16..6, 0u32..1500), 1100..2600)
+        ) {
+            for ways in [1usize, 2, 16, 64] {
+                let mut optgen = OptGen::new(ways);
+                let mut oracle = OracleOptGen { window: VecDeque::new(), ways };
+                // Reuse distances on both sides of the window capacity, and
+                // block addresses with high bits set.
+                let distinct = ways as u64 * 6 + 3;
+                for (step, &(raw, site, flush)) in stream.iter().enumerate() {
+                    if flush == 0 {
+                        optgen.clear();
+                        oracle.window.clear();
+                    }
+                    let block = (raw % distinct) * 0x0001_0000_0100_0001;
+                    prop_assert_eq!(
+                        optgen.record(block, site).to_vec(),
+                        oracle.record(block, site),
+                        "ways {} step {}", ways, step
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn only_sampled_sets_hold_a_window() {
+        // The paper's 16 MiB / 16-way LLC: every 256th set trains OPTgen.
+        let h = Hawkeye::new(16_384, 16, 64);
+        assert_eq!(h.optgen.len(), 64);
+        let sampled: Vec<usize> = (0..16_384)
+            .filter(|&s| h.window_of[s] != UNSAMPLED)
+            .collect();
+        assert_eq!(sampled.len(), 64);
+        for (window, &set) in sampled.iter().enumerate() {
+            assert_eq!(set, window * 256);
+            assert_eq!(h.window_of[set] as usize, window);
+        }
+        // Below 128 sets every set is sampled.
+        assert_eq!(Hawkeye::new(32, 16, 64).optgen.len(), 32);
+        assert_eq!(Hawkeye::new(128, 16, 64).optgen.len(), 64);
+    }
+
+    #[test]
+    fn optgen_tracks_blocks_of_the_configured_size() {
+        // Both halves of one 128-byte block are the same block to OPTgen:
+        // the second access is a reuse that fits, so the site trains up.
+        let mut wide = Hawkeye::new(1, 4, 128);
+        wide.observe(0, &req(0x1000, 3));
+        wide.observe(0, &req(0x1040, 3));
+        assert_eq!(wide.counter(3), FRIENDLY_THRESHOLD + 1);
+        // With 64-byte blocks they are two blocks, and nothing trains.
+        let mut narrow = Hawkeye::new(1, 4, 64);
+        narrow.observe(0, &req(0x1000, 3));
+        narrow.observe(0, &req(0x1040, 3));
+        assert_eq!(narrow.counter(3), FRIENDLY_THRESHOLD);
+        // 32-byte blocks no longer alias two blocks into one.
+        let mut fine = Hawkeye::new(1, 4, 32);
+        fine.observe(0, &req(0x1000, 3));
+        fine.observe(0, &req(0x1020, 3));
+        assert_eq!(fine.counter(3), FRIENDLY_THRESHOLD);
     }
 
     #[test]
@@ -423,7 +558,7 @@ mod tests {
 
     #[test]
     fn friendly_sites_insert_at_mru_averse_at_lru() {
-        let mut h = Hawkeye::new(64, 4);
+        let mut h = Hawkeye::new(64, 4, 64);
         // Manually bias the predictor.
         h.predictor[1] = COUNTER_MAX;
         h.predictor[2] = 0;
@@ -435,7 +570,7 @@ mod tests {
 
     #[test]
     fn averse_hit_demotes_instead_of_promoting() {
-        let mut h = Hawkeye::new(64, 4);
+        let mut h = Hawkeye::new(64, 4, 64);
         h.predictor[2] = 0;
         h.on_fill(3, 0, &req(0x40, 2));
         h.on_hit(3, 0, &req(0x40, 2));
@@ -444,7 +579,7 @@ mod tests {
 
     #[test]
     fn victim_prefers_averse_blocks() {
-        let mut h = Hawkeye::new(64, 2);
+        let mut h = Hawkeye::new(64, 2, 64);
         h.predictor[1] = COUNTER_MAX;
         h.predictor[2] = 0;
         h.on_fill(3, 0, &req(0x40, 1)); // friendly
@@ -454,7 +589,7 @@ mod tests {
 
     #[test]
     fn evicting_a_friendly_block_detrains_its_loader() {
-        let mut h = Hawkeye::new(64, 2);
+        let mut h = Hawkeye::new(64, 2, 64);
         h.predictor[1] = COUNTER_MAX;
         h.on_fill(3, 0, &req(0x40, 1));
         h.on_fill(3, 1, &req(0x80, 1));
@@ -468,7 +603,7 @@ mod tests {
         // One site touches many blocks, most of which are never reused within
         // the window — exactly the Property Array pattern. The counter should
         // fall below the friendly threshold.
-        let mut h = Hawkeye::new(1, 4); // every set sampled
+        let mut h = Hawkeye::new(1, 4, 64); // every set sampled
         let site = 7;
         // A stream of single-use blocks with occasional reuse of block 0.
         for i in 0..200u64 {

@@ -18,11 +18,18 @@
 //! rare, and Leeway degrades gracefully to its base policy (an SRRIP-style
 //! scheme). That is exactly the behaviour the paper reports: small gains,
 //! small losses, unlike SHiP and Hawkeye.
+//!
+//! Ages and live distances saturate at 255, so they are byte columns: a fill
+//! ages its set with one saturating add over the set's slice, and the victim
+//! search is a single pass of selects over the set's RRPV / age / loader
+//! slices — whether a block has outlived its prediction is data the branch
+//! predictor cannot learn.
 
 use super::rrip::{DuelWinner, RrpvArray, SetDueling, BRRIP_LONG_ONE_IN, RRPV_LONG, RRPV_MAX};
 use super::{PolicyRng, ReplacementPolicy};
 use crate::addr::BlockAddr;
 use crate::request::{AccessInfo, AccessSite};
+use std::hint::select_unpredictable;
 
 /// How many consecutive smaller observations it takes to shrink a predicted
 /// live distance by one step (the "shrink slowly" half of the conservative
@@ -30,7 +37,7 @@ use crate::request::{AccessInfo, AccessSite};
 const SHRINK_VOTES: u8 = 8;
 
 /// Live distances are capped at this value (ages saturate here).
-const LIVE_DISTANCE_CAP: u16 = 255;
+const LIVE_DISTANCE_CAP: u8 = u8::MAX;
 
 /// Fixed seed of the dueling tie-breaker RNG (Leeway takes no seed
 /// parameter, so resets reuse this constant).
@@ -42,16 +49,17 @@ pub struct Leeway {
     rrpv: RrpvArray,
     ways: usize,
     /// Age of each block: number of fills its set has seen since the block
-    /// was last filled or hit.
-    age: Vec<u16>,
+    /// was last filled or hit, saturating at [`LIVE_DISTANCE_CAP`]. A byte
+    /// column, so ageing a set is one saturating add over its slice.
+    age: Vec<u8>,
     /// Largest age at which each block received a hit during its residency.
-    observed_live: Vec<u16>,
+    observed_live: Vec<u8>,
     /// The site that loaded each block.
     loader: Vec<AccessSite>,
     /// Predictor: site → (predicted live distance, shrink votes).
     /// `AccessSite` is 16-bit, so the table is flat — a direct indexed load
     /// per check instead of a hash lookup.
-    predictor: Vec<(u16, u8)>,
+    predictor: Vec<(u8, u8)>,
     /// Only a subset of sets trains the predictor, as in the original
     /// design (precomputed so the per-eviction check is an indexed load).
     sampled: Vec<bool>,
@@ -86,6 +94,12 @@ impl Leeway {
         set * self.ways + way
     }
 
+    /// The per-block columns' index range of one set.
+    #[inline]
+    fn blocks_of(&self, set: usize) -> std::ops::Range<usize> {
+        self.idx(set, 0)..self.idx(set + 1, 0)
+    }
+
     #[inline]
     fn is_sampled(&self, set: usize) -> bool {
         self.sampled[set]
@@ -95,12 +109,12 @@ impl Leeway {
     /// nothing is predicted dead before any evidence exists.
     #[inline]
     pub fn predicted_live_distance(&self, site: AccessSite) -> u16 {
-        self.predictor[usize::from(site)].0
+        u16::from(self.predictor[usize::from(site)].0)
     }
 
     /// Conservative predictor update on eviction: grow immediately, shrink
     /// only after [`SHRINK_VOTES`] consecutive smaller observations.
-    fn train(&mut self, site: AccessSite, observed: u16) {
+    fn train(&mut self, site: AccessSite, observed: u8) {
         let entry = &mut self.predictor[usize::from(site)];
         if observed >= entry.0 {
             entry.0 = observed;
@@ -117,22 +131,11 @@ impl Leeway {
     }
 
     /// Returns `true` when the block at (`set`, `way`) is predicted dead
-    /// (the victim search inlines this check with a memoized predictor
-    /// lookup; kept for tests and diagnostics).
+    /// (the victim search inlines this check; kept for tests).
     #[cfg(test)]
     fn is_expired(&self, set: usize, way: usize) -> bool {
         let idx = self.idx(set, way);
-        self.age[idx] > self.predicted_live_distance(self.loader[idx])
-    }
-
-    /// Ages every other block of the set by one fill event.
-    fn bump_ages(&mut self, set: usize, except_way: usize) {
-        for way in 0..self.ways {
-            if way != except_way {
-                let idx = self.idx(set, way);
-                self.age[idx] = (self.age[idx] + 1).min(LIVE_DISTANCE_CAP);
-            }
-        }
+        self.age[idx] > self.predictor[usize::from(self.loader[idx])].0
     }
 }
 
@@ -147,34 +150,21 @@ impl ReplacementPolicy for Leeway {
         // reproduction of Leeway's variability-aware rate control, which keeps
         // the scheme anchored to its base policy when predictions are shaky.
         //
-        // Graph kernels load most of a set's blocks from one or two sites, so
-        // the predicted live distance of the previous way's loader is
-        // memoized instead of looked up per way.
-        let mut expired: Option<(u16, usize)> = None;
-        let mut memo: Option<(AccessSite, u16)> = None;
-        for way in 0..self.ways {
-            if self.rrpv.get(set, way) < RRPV_LONG {
-                continue;
-            }
-            let idx = self.idx(set, way);
-            let loader = self.loader[idx];
-            let distance = match memo {
-                Some((site, distance)) if site == loader => distance,
-                _ => {
-                    let distance = self.predicted_live_distance(loader);
-                    memo = Some((loader, distance));
-                    distance
-                }
-            };
-            if self.age[idx] > distance {
-                let age = self.age[idx];
-                if expired.is_none_or(|(a, _)| age > a) {
-                    expired = Some((age, way));
-                }
-            }
+        // One pass of selects, no data-dependent branch: a candidate competes
+        // with its age (at least 1, since it exceeds a distance), every other
+        // block with 0, and the oldest candidate wins — the lowest way among
+        // equals.
+        let rrpvs = self.rrpv.of_set(set);
+        let ages = &self.age[self.blocks_of(set)];
+        let loaders = &self.loader[self.blocks_of(set)];
+        let (mut oldest, mut victim) = (0u8, 0usize);
+        for (way, ((&rrpv, &age), &loader)) in rrpvs.iter().zip(ages).zip(loaders).enumerate() {
+            let expired = (rrpv >= RRPV_LONG) & (age > self.predictor[usize::from(loader)].0);
+            let key = select_unpredictable(expired, age, 0);
+            (oldest, victim) = select_unpredictable(key > oldest, (key, way), (oldest, victim));
         }
-        if let Some((_, way)) = expired {
-            return way;
+        if oldest > 0 {
+            return victim;
         }
         self.rrpv.find_victim(set)
     }
@@ -182,7 +172,6 @@ impl ReplacementPolicy for Leeway {
     fn on_fill(&mut self, set: usize, way: usize, info: &AccessInfo) {
         let idx = self.idx(set, way);
         self.loader[idx] = info.site;
-        self.age[idx] = 0;
         self.observed_live[idx] = 0;
         self.dueling.record_miss(set);
         let value = match self.dueling.policy_for_set(set) {
@@ -196,14 +185,17 @@ impl ReplacementPolicy for Leeway {
             }
         };
         self.rrpv.set(set, way, value);
-        self.bump_ages(set, way);
+        // One fill event ages every other block of the set.
+        let set_blocks = self.blocks_of(set);
+        for age in &mut self.age[set_blocks] {
+            *age = age.saturating_add(1);
+        }
+        self.age[idx] = 0;
     }
 
     fn on_hit(&mut self, set: usize, way: usize, _info: &AccessInfo) {
         let idx = self.idx(set, way);
-        if self.age[idx] > self.observed_live[idx] {
-            self.observed_live[idx] = self.age[idx];
-        }
+        self.observed_live[idx] = self.observed_live[idx].max(self.age[idx]);
         self.age[idx] = 0;
         self.rrpv.set(set, way, 0);
     }
@@ -231,9 +223,162 @@ impl ReplacementPolicy for Leeway {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn req(addr: u64, site: AccessSite) -> AccessInfo {
         AccessInfo::read(addr).with_site(site)
+    }
+
+    /// The differential oracle: the per-access state as it was before the
+    /// byte columns — `u16` ages capped by `min`, a per-way ageing loop, and
+    /// a branching victim search.
+    struct OracleLeeway {
+        rrpv: RrpvArray,
+        ways: usize,
+        age: Vec<u16>,
+        observed_live: Vec<u16>,
+        loader: Vec<AccessSite>,
+        predictor: Vec<(u16, u8)>,
+        dueling: SetDueling,
+        rng: PolicyRng,
+    }
+
+    impl OracleLeeway {
+        fn new(sets: usize, ways: usize) -> Self {
+            Self {
+                rrpv: RrpvArray::new(sets, ways),
+                ways,
+                age: vec![0; sets * ways],
+                observed_live: vec![0; sets * ways],
+                loader: vec![0; sets * ways],
+                predictor: vec![(255, 0); usize::from(u16::MAX) + 1],
+                dueling: SetDueling::new(sets),
+                rng: PolicyRng::new(LEEWAY_SEED),
+            }
+        }
+
+        fn choose_victim(&mut self, set: usize) -> usize {
+            let mut expired: Option<(u16, usize)> = None;
+            for way in 0..self.ways {
+                if self.rrpv.get(set, way) < RRPV_LONG {
+                    continue;
+                }
+                let idx = set * self.ways + way;
+                let age = self.age[idx];
+                if age > self.predictor[usize::from(self.loader[idx])].0
+                    && expired.is_none_or(|(oldest, _)| age > oldest)
+                {
+                    expired = Some((age, way));
+                }
+            }
+            match expired {
+                Some((_, way)) => way,
+                None => self.rrpv.find_victim(set),
+            }
+        }
+
+        fn on_fill(&mut self, set: usize, way: usize, site: AccessSite) {
+            let idx = set * self.ways + way;
+            self.loader[idx] = site;
+            self.age[idx] = 0;
+            self.observed_live[idx] = 0;
+            self.dueling.record_miss(set);
+            let value = match self.dueling.policy_for_set(set) {
+                DuelWinner::Srrip => RRPV_LONG,
+                DuelWinner::Brrip if self.rng.one_in(BRRIP_LONG_ONE_IN) => RRPV_LONG,
+                DuelWinner::Brrip => RRPV_MAX,
+            };
+            self.rrpv.set(set, way, value);
+            for other in (0..self.ways).filter(|&other| other != way) {
+                let idx = set * self.ways + other;
+                self.age[idx] = (self.age[idx] + 1).min(255);
+            }
+        }
+
+        fn on_hit(&mut self, set: usize, way: usize) {
+            let idx = set * self.ways + way;
+            if self.age[idx] > self.observed_live[idx] {
+                self.observed_live[idx] = self.age[idx];
+            }
+            self.age[idx] = 0;
+            self.rrpv.set(set, way, 0);
+        }
+
+        /// Every set of the small test geometries is sampled.
+        fn on_evict(&mut self, set: usize, way: usize) {
+            let idx = set * self.ways + way;
+            let observed = self.observed_live[idx];
+            let entry = &mut self.predictor[usize::from(self.loader[idx])];
+            if observed >= entry.0 {
+                *entry = (observed, 0);
+            } else {
+                entry.1 += 1;
+                if entry.1 >= SHRINK_VOTES {
+                    *entry = (entry.0 - ((entry.0 - observed) / 4).max(1), 0);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Same victims, ages, live distances, predictions and RRPVs as the
+        /// oracle on random fill / hit / evict sequences. Each case first
+        /// fills one way over and over, which walks the ages of the others
+        /// up to (and, past 255 fills, into) saturation.
+        #[test]
+        fn leeway_matches_the_oracle(
+            case in (
+                0usize..400,
+                proptest::collection::vec((0u8..8, 0usize..64, 0u16..4), 200..900),
+            )
+        ) {
+            const SETS: usize = 4;
+            let widen = |column: &[u8]| column.iter().map(|&v| u16::from(v)).collect::<Vec<_>>();
+            let (ageing_fills, ops) = case;
+            for ways in [4usize, 16] {
+                let mut leeway = Leeway::new(SETS, ways);
+                let mut oracle = OracleLeeway::new(SETS, ways);
+                for _ in 0..ageing_fills {
+                    leeway.on_fill(0, ways - 1, &req(0, 1));
+                    oracle.on_fill(0, ways - 1, 1);
+                }
+                for &(op, pick, site) in &ops {
+                    let (set, way) = (pick % SETS, pick / SETS % ways);
+                    let info = req(0, site);
+                    match op {
+                        // A miss in a full set: evict the victim, fill it.
+                        0..=3 => {
+                            let victim = leeway.choose_victim(set, &info);
+                            prop_assert_eq!(victim, oracle.choose_victim(set));
+                            leeway.on_evict(set, victim, 0, false);
+                            oracle.on_evict(set, victim);
+                            leeway.on_fill(set, victim, &info);
+                            oracle.on_fill(set, victim, site);
+                        }
+                        4..=6 => {
+                            leeway.on_hit(set, way, &info);
+                            oracle.on_hit(set, way);
+                        }
+                        // A fill of a way the cache found invalid.
+                        _ => {
+                            leeway.on_fill(set, way, &info);
+                            oracle.on_fill(set, way, site);
+                        }
+                    }
+                    prop_assert_eq!(widen(&leeway.age), oracle.age.clone());
+                    prop_assert_eq!(widen(&leeway.observed_live), oracle.observed_live.clone());
+                    prop_assert_eq!(leeway.rrpv.of_set(set), oracle.rrpv.of_set(set));
+                    for site in 0..4 {
+                        prop_assert_eq!(
+                            leeway.predicted_live_distance(site),
+                            oracle.predictor[usize::from(site)].0
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -248,7 +393,7 @@ mod tests {
         // With nothing expired, the victim follows the RRIP substrate (all
         // blocks at RRPV_LONG; ageing makes way 0 the victim).
         assert_eq!(l.choose_victim(0, &req(0x400, 9)), 0);
-        assert_eq!(l.predicted_live_distance(9), LIVE_DISTANCE_CAP);
+        assert_eq!(l.predicted_live_distance(9), u16::from(LIVE_DISTANCE_CAP));
     }
 
     #[test]
@@ -275,7 +420,7 @@ mod tests {
             l.train(5, 0);
         }
         let lowered = l.predicted_live_distance(5);
-        assert!(lowered < LIVE_DISTANCE_CAP);
+        assert!(lowered < u16::from(LIVE_DISTANCE_CAP));
         l.train(5, 40);
         assert_eq!(l.predicted_live_distance(5), 40);
         // A single small observation does not shrink it.
@@ -333,12 +478,12 @@ mod tests {
             l.on_fill(1, 0, &req(0, 3));
             l.on_evict(1, 0, 0, false);
         }
-        assert_eq!(l.predicted_live_distance(3), LIVE_DISTANCE_CAP);
+        assert_eq!(l.predicted_live_distance(3), u16::from(LIVE_DISTANCE_CAP));
         // Set 0 is sampled: the same stream shrinks the prediction.
         for _ in 0..SHRINK_VOTES + 1 {
             l.on_fill(0, 0, &req(0, 3));
             l.on_evict(0, 0, 0, false);
         }
-        assert!(l.predicted_live_distance(3) < LIVE_DISTANCE_CAP);
+        assert!(l.predicted_live_distance(3) < u16::from(LIVE_DISTANCE_CAP));
     }
 }

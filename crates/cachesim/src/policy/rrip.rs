@@ -67,6 +67,12 @@ impl RrpvArray {
         self.rrpv[idx] = value;
     }
 
+    /// The RRPVs of one set, by way.
+    #[inline]
+    pub(crate) fn of_set(&self, set: usize) -> &[u8] {
+        &self.rrpv[self.idx(set, 0)..self.idx(set + 1, 0)]
+    }
+
     /// Resets every RRPV to the distant value (the just-constructed state).
     pub fn reset(&mut self) {
         self.rrpv.fill(RRPV_MAX);
@@ -76,8 +82,7 @@ impl RrpvArray {
     /// time (used by policies that treat distant blocks as preferred
     /// victims).
     pub fn first_distant(&self, set: usize) -> Option<usize> {
-        let base = self.idx(set, 0);
-        let slice = &self.rrpv[base..base + self.ways];
+        let slice = self.of_set(set);
         let pattern = crate::swar::broadcast(RRPV_MAX);
         let mut offset = 0;
         while offset + 8 <= slice.len() {

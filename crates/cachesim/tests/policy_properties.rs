@@ -32,7 +32,7 @@ fn all_policies(cfg: &CacheConfig) -> Vec<Box<dyn ReplacementPolicy>> {
         Box::new(Brrip::new(sets, ways, 7)),
         Box::new(Drrip::new(sets, ways, 7)),
         Box::new(ShipMem::new(sets, ways, cfg.block_bytes)),
-        Box::new(Hawkeye::new(sets, ways)),
+        Box::new(Hawkeye::new(sets, ways, cfg.block_bytes)),
         Box::new(Leeway::new(sets, ways)),
         Box::new(PinX::new(sets, ways, 50)),
         Box::new(Grasp::new(sets, ways, 7)),

@@ -147,7 +147,7 @@ impl PolicyKind {
             PolicyKind::Brrip => Brrip::new(sets, ways, POLICY_SEED).into(),
             PolicyKind::Rrip => Drrip::new(sets, ways, POLICY_SEED).into(),
             PolicyKind::ShipMem => ShipMem::new(sets, ways, config.block_bytes).into(),
-            PolicyKind::Hawkeye => Hawkeye::new(sets, ways).into(),
+            PolicyKind::Hawkeye => Hawkeye::new(sets, ways, config.block_bytes).into(),
             PolicyKind::Leeway => Leeway::new(sets, ways).into(),
             PolicyKind::Pin(percent) => PinX::new(sets, ways, percent).into(),
             PolicyKind::GraspHintsOnly => {
@@ -175,7 +175,7 @@ impl PolicyKind {
             PolicyKind::Brrip => Box::new(Brrip::new(sets, ways, POLICY_SEED)),
             PolicyKind::Rrip => Box::new(Drrip::new(sets, ways, POLICY_SEED)),
             PolicyKind::ShipMem => Box::new(ShipMem::new(sets, ways, config.block_bytes)),
-            PolicyKind::Hawkeye => Box::new(Hawkeye::new(sets, ways)),
+            PolicyKind::Hawkeye => Box::new(Hawkeye::new(sets, ways, config.block_bytes)),
             PolicyKind::Leeway => Box::new(Leeway::new(sets, ways)),
             PolicyKind::Pin(percent) => Box::new(PinX::new(sets, ways, percent)),
             PolicyKind::GraspHintsOnly => Box::new(Grasp::with_mode(

@@ -4,6 +4,7 @@
 //! reproducing complete `HierarchyStats` — not just LLC miss counts.
 
 use grasp_suite::analytics::apps::AppKind;
+use grasp_suite::cachesim::config::HierarchyConfig;
 use grasp_suite::core::campaign::{Campaign, ExecutionMode};
 use grasp_suite::core::datasets::{DatasetKind, Scale};
 use grasp_suite::core::experiment::Experiment;
@@ -315,4 +316,68 @@ fn replayed_hierarchy_stats_carry_upper_levels_and_memory_traffic() {
     );
     assert_eq!(direct.stats.memory_accesses, replayed.stats.memory_accesses);
     assert!(replayed.stats.llc.accesses > 0);
+}
+
+#[test]
+fn sampling_policies_agree_across_replay_paths_when_only_some_sets_train() {
+    // Hawkeye and Leeway train on every `sets / 64`-th set, which is every
+    // set of the <= 64-set LLCs the other tests use. A 128-set LLC has
+    // sampled and unsampled sets side by side: batched == scalar == direct
+    // must hold there too.
+    let hierarchy = HierarchyConfig::scaled_with_llc(128 * 1024);
+    assert_eq!(hierarchy.llc.sets(), 128);
+    let dataset = DatasetKind::Twitter.build(SCALE);
+    let exp = Experiment::new(dataset.graph, AppKind::PageRankDelta)
+        .with_hierarchy(hierarchy)
+        .with_reordering(TechniqueKind::Dbg);
+    let recorded = exp.record();
+    for policy in [PolicyKind::Hawkeye, PolicyKind::Leeway, PolicyKind::Rrip] {
+        let batched = recorded.replay(policy);
+        assert_eq!(
+            batched.stats,
+            recorded.replay_scalar(policy).stats,
+            "{policy}: batched replay diverged from the per-event path"
+        );
+        assert_eq!(
+            batched.stats,
+            exp.run(policy).stats,
+            "{policy}: batched replay diverged from direct simulation"
+        );
+    }
+}
+
+#[test]
+fn hawkeye_and_leeway_llc_stats_are_pinned() {
+    // Golden LLC statistics `(misses, evictions, bypasses)` of the two
+    // policies with the most per-access state, captured on the commit before
+    // their state was re-laid out (PR 12). A kernel change that moves any
+    // of them changed a victim or a training event somewhere.
+    const PINNED: [(AppKind, PolicyKind, (u64, u64, u64)); 4] = [
+        (AppKind::PageRank, PolicyKind::Hawkeye, (804, 8062, 0)),
+        (AppKind::PageRank, PolicyKind::Leeway, (934, 8218, 0)),
+        (
+            AppKind::PageRankDelta,
+            PolicyKind::Hawkeye,
+            (28245, 44814, 0),
+        ),
+        (
+            AppKind::PageRankDelta,
+            PolicyKind::Leeway,
+            (23391, 39524, 0),
+        ),
+    ];
+    let dataset = DatasetKind::Twitter.build(SCALE);
+    for (app, policy, pinned) in PINNED {
+        let llc = Experiment::new(dataset.graph.clone(), app)
+            .with_hierarchy(SCALE.hierarchy())
+            .with_reordering(TechniqueKind::Dbg)
+            .run(policy)
+            .stats
+            .llc;
+        assert_eq!(
+            (llc.misses, llc.evictions, llc.bypasses),
+            pinned,
+            "tw/{app}/{policy}"
+        );
+    }
 }
