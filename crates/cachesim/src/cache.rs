@@ -10,6 +10,11 @@
 //! statically-dispatched [`PolicyDispatch`], so hit and fill notifications
 //! inline instead of paying a virtual call.
 //!
+//! This is the LLC's cache (and the reference any cache model in the crate is
+//! tested against). The L1 and L2 above it are always LRU and need none of
+//! the per-way metadata a policy indexes, so [`crate::stage::UpperLevels`]
+//! runs them on the much smaller `lru_filter` instead.
+//!
 //! # Batched lookups
 //!
 //! Trace replay drives the cache with whole **tiles** of requests at once
@@ -32,8 +37,7 @@
 use crate::addr::{block_of, BlockAddr};
 use crate::config::CacheConfig;
 use crate::policy::{PolicyDispatch, ReplacementPolicy};
-use crate::prefetch::StridePrefetcher;
-use crate::request::{AccessInfo, AccessKind, RegionLabel};
+use crate::request::{AccessInfo, RegionLabel};
 use crate::stats::CacheStats;
 use crate::swar::{broadcast, broadcast_column, eq_byte_lanes, first_lane};
 
@@ -210,26 +214,8 @@ impl CacheCore {
         pattern: u64,
         info: &AccessInfo,
     ) -> OneOutcome {
-        self.access_one_way(policy, block, set, pattern, info, &mut 0)
-    }
-
-    /// [`CacheCore::access_one`] that additionally reports which way served
-    /// the request (hit way or fill way) through `way_out`; untouched on a
-    /// bypass. Lets the fused record kernel maintain its way memo without
-    /// widening [`OneOutcome`] for every other caller.
-    #[inline]
-    fn access_one_way<P: ReplacementPolicy + ?Sized>(
-        &mut self,
-        policy: &mut P,
-        block: BlockAddr,
-        set: usize,
-        pattern: u64,
-        info: &AccessInfo,
-        way_out: &mut usize,
-    ) -> OneOutcome {
         // Hit path: fused valid-mask + tag scan.
         if let Some(way) = self.find_way(set, block, pattern) {
-            *way_out = way;
             let bit = 1u64 << way;
             self.reused[set] |= bit;
             if info.is_write() {
@@ -253,7 +239,6 @@ impl CacheCore {
             policy.choose_victim(set, info)
         };
 
-        *way_out = way;
         let bit = 1u64 << way;
         let idx = set * self.ways + way;
         let mut evicted = None;
@@ -273,109 +258,6 @@ impl CacheCore {
         policy.on_fill(set, way, info);
 
         OneOutcome::Filled { evicted }
-    }
-
-    /// [`CacheCore::access_one`] fronted by the fused record kernel's way
-    /// memo. A memo hit is proof of residency (see [`WayMemo`]), so the hit
-    /// bookkeeping runs without the partial-tag broadcast or the SWAR tag
-    /// scan — the dominant cost of the run-heavy record stream, where the
-    /// same 64-byte block is touched word by word. The slow path resolves
-    /// through `access_one_way` and teaches the memo the serving way.
-    #[inline]
-    fn access_one_memo<P: ReplacementPolicy + ?Sized>(
-        &mut self,
-        policy: &mut P,
-        block: BlockAddr,
-        set: usize,
-        info: &AccessInfo,
-        memo: &mut WayMemo,
-    ) -> OneOutcome {
-        if let Some(way) = memo.probe(block) {
-            // Mirrors the hit path of `access_one_way` exactly.
-            let bit = 1u64 << way;
-            self.reused[set] |= bit;
-            if info.is_write() {
-                self.dirty[set] |= bit;
-            }
-            policy.on_hit(set, way, info);
-            return OneOutcome::Hit;
-        }
-        let pattern = broadcast(self.partial_of(block));
-        let mut way = 0;
-        let outcome = self.access_one_way(policy, block, set, pattern, info, &mut way);
-        match &outcome {
-            OneOutcome::Bypassed => {}
-            OneOutcome::Hit => memo.insert(block, way),
-            OneOutcome::Filled { evicted } => {
-                if let Some((victim, _)) = evicted {
-                    memo.forget(*victim);
-                }
-                memo.insert(block, way);
-            }
-        }
-        outcome
-    }
-}
-
-/// A two-entry block-to-way memo for the fused record kernel's L1 stage.
-///
-/// Record streams touch the same 64-byte block for runs of consecutive word
-/// accesses, and each demand interleaves at most one prefetch request to a
-/// neighbouring block — two entries capture that alternation. The invariant:
-/// every live entry names a block the kernel itself just placed or found in
-/// the cache, and the only way a block leaves L1 mid-kernel is eviction by a
-/// fill, whose victim is immediately forgotten. A probe hit is therefore a
-/// *proof* of residency at the recorded way, never a heuristic.
-#[derive(Debug, Clone, Copy)]
-struct WayMemo {
-    blocks: [BlockAddr; 2],
-    ways: [usize; 2],
-    live: [bool; 2],
-    mru: usize,
-}
-
-impl WayMemo {
-    fn new() -> Self {
-        Self {
-            blocks: [0; 2],
-            ways: [0; 2],
-            live: [false; 2],
-            mru: 0,
-        }
-    }
-
-    #[inline]
-    fn probe(&mut self, block: BlockAddr) -> Option<usize> {
-        if self.live[0] && self.blocks[0] == block {
-            self.mru = 0;
-            return Some(self.ways[0]);
-        }
-        if self.live[1] && self.blocks[1] == block {
-            self.mru = 1;
-            return Some(self.ways[1]);
-        }
-        None
-    }
-
-    /// Records `block` at `way`, displacing the least-recently-probed entry.
-    /// Only called on a probe miss, so `block` is never already present.
-    #[inline]
-    fn insert(&mut self, block: BlockAddr, way: usize) {
-        let slot = 1 - self.mru;
-        self.blocks[slot] = block;
-        self.ways[slot] = way;
-        self.live[slot] = true;
-        self.mru = slot;
-    }
-
-    #[inline]
-    fn forget(&mut self, block: BlockAddr) {
-        if self.blocks[0] == block {
-            self.live[0] = false;
-        }
-        if self.blocks[1] == block {
-            self.live[1] = false;
-        }
     }
 }
 
@@ -625,207 +507,6 @@ fn replay_kernel<P, F>(
             }
         }
     }
-}
-
-/// One record escaping the upper levels toward the LLC, reported by
-/// [`record_filter_fused`] in the exact emission order of the scalar
-/// record path (request record first, then the L1 victim its fill
-/// forwarded, then the L2 victim).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RecordEscape {
-    /// A demand or prefetch request that missed (or bypassed) both levels.
-    Request {
-        /// The request as the upper levels saw it (hint still `Default`;
-        /// the caller classifies and encodes).
-        info: AccessInfo,
-        /// `true` for a prefetcher-issued request.
-        prefetch: bool,
-    },
-    /// A dirty-victim writeback bound for the LLC (byte address).
-    Writeback(u64),
-}
-
-/// The fused two-level filtering kernel of the batched *record* path: one
-/// in-order pass drives each demand of `tile` (and the prefetch it triggers)
-/// through L1 and, on a miss, through L2 — block/set/pattern arithmetic in
-/// registers, both policy dispatches hoisted out of the loop, statistics
-/// deferred to per-tile sums, and every post-L2 record handed to `emit` in
-/// scalar order. A staged columnar variant (L1 pass, dense survivor re-pack,
-/// L2 pass) measured *slower* than the per-event path on record streams —
-/// they are overwhelmingly L1 hits, so materializing request columns costs
-/// more than the passes save — which is why this kernel fuses the levels
-/// instead and keeps only the batching wins that are free at hit time.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn fused_record_kernel<P1, P2, F>(
-    l1: &mut CacheCore,
-    p1: &mut P1,
-    l1_totals: &mut BatchTotals,
-    l2: &mut CacheCore,
-    p2: &mut P2,
-    l2_totals: &mut BatchTotals,
-    mut prefetcher: Option<&mut StridePrefetcher>,
-    tile: &[AccessInfo],
-    emit: &mut F,
-) where
-    P1: ReplacementPolicy + ?Sized,
-    P2: ReplacementPolicy + ?Sized,
-    F: FnMut(RecordEscape),
-{
-    let mut slot_hint = usize::MAX;
-    let mut memo = WayMemo::new();
-    for info in tile {
-        // The incoming hint is ignored exactly as the scalar entry point
-        // rebuilds it: requests reach the caches hint-free.
-        let demand = AccessInfo {
-            hint: crate::hint::ReuseHint::Default,
-            ..*info
-        };
-        request_one::<false, _, _, _>(
-            l1, p1, l1_totals, l2, p2, l2_totals, &mut memo, &demand, emit,
-        );
-        if let Some(p) = prefetcher.as_mut() {
-            if let Some(addr) = p.observe_with_hint(info.site, info.addr, &mut slot_hint) {
-                let pf = AccessInfo {
-                    addr,
-                    kind: AccessKind::Read,
-                    site: info.site,
-                    hint: crate::hint::ReuseHint::Default,
-                    region: info.region,
-                };
-                request_one::<true, _, _, _>(
-                    l1, p1, l1_totals, l2, p2, l2_totals, &mut memo, &pf, emit,
-                );
-            }
-        }
-    }
-}
-
-/// Drives one request (demand, or prefetch when `PREFETCH`) through both
-/// levels, mirroring the scalar `UpperLevels::demand`/`prefetch` +
-/// `drain_writebacks` sequence exactly: L1 lookup; on a miss the request and
-/// then its dirty L1 victim go to L2 (the victim forwarded to the LLC when
-/// L2 does not hold it), and the L2 victim trails last.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn request_one<const PREFETCH: bool, P1, P2, F>(
-    l1: &mut CacheCore,
-    p1: &mut P1,
-    l1_totals: &mut BatchTotals,
-    l2: &mut CacheCore,
-    p2: &mut P2,
-    l2_totals: &mut BatchTotals,
-    memo: &mut WayMemo,
-    info: &AccessInfo,
-    emit: &mut F,
-) where
-    P1: ReplacementPolicy + ?Sized,
-    P2: ReplacementPolicy + ?Sized,
-    F: FnMut(RecordEscape),
-{
-    let block = info.addr >> l1.block_shift;
-    let set = (block & l1.set_mask) as usize;
-    let outcome = l1.access_one_memo(p1, block, set, info, memo);
-    if PREFETCH {
-        l1_totals.tally_prefetch(&outcome);
-    } else {
-        l1_totals.tally_demand(info, &outcome);
-    }
-    let l1_victim = match outcome {
-        OneOutcome::Hit => return,
-        OneOutcome::Bypassed => None,
-        OneOutcome::Filled { evicted } => {
-            evicted.and_then(|(victim, dirty)| dirty.then_some(victim << l1.block_shift))
-        }
-    };
-
-    let block = info.addr >> l2.block_shift;
-    let set = (block & l2.set_mask) as usize;
-    let pattern = broadcast(l2.partial_of(block));
-    let outcome = l2.access_one(p2, block, set, pattern, info);
-    if PREFETCH {
-        l2_totals.tally_prefetch(&outcome);
-    } else {
-        l2_totals.tally_demand(info, &outcome);
-    }
-    let l2_victim = match outcome {
-        OneOutcome::Hit => None,
-        OneOutcome::Bypassed => {
-            emit(RecordEscape::Request {
-                info: *info,
-                prefetch: PREFETCH,
-            });
-            None
-        }
-        OneOutcome::Filled { evicted } => {
-            emit(RecordEscape::Request {
-                info: *info,
-                prefetch: PREFETCH,
-            });
-            evicted.and_then(|(victim, dirty)| dirty.then_some(victim << l2.block_shift))
-        }
-    };
-
-    if let Some(addr) = l1_victim {
-        // The L1 victim is written back into L2 and forwarded to the LLC
-        // only when L2 does not hold the block (scalar `drain_writebacks`).
-        let block = addr >> l2.block_shift;
-        let set = (block & l2.set_mask) as usize;
-        let pattern = broadcast(l2.partial_of(block));
-        l2_totals.writeback_accesses += 1;
-        if let Some(way) = l2.find_way(set, block, pattern) {
-            l2.dirty[set] |= 1u64 << way;
-            l2_totals.writeback_hits += 1;
-        } else {
-            emit(RecordEscape::Writeback(addr));
-        }
-    }
-    if let Some(addr) = l2_victim {
-        emit(RecordEscape::Writeback(addr));
-    }
-}
-
-/// Filters one tile of demand accesses through an L1/L2 pair with the fused
-/// record kernel, hoisting both policy dispatches for the pair the upper
-/// levels actually run (LRU at both levels); any other pairing falls back to
-/// the same kernel with the per-call dispatch the scalar path uses.
-/// Statistics are flushed once per call, bit-identical to the scalar
-/// sequence by construction.
-pub(crate) fn record_filter_fused(
-    l1: &mut SetAssocCache,
-    l2: &mut SetAssocCache,
-    prefetcher: Option<&mut StridePrefetcher>,
-    tile: &[AccessInfo],
-    emit: &mut impl FnMut(RecordEscape),
-) {
-    let mut l1_totals = BatchTotals::default();
-    let mut l2_totals = BatchTotals::default();
-    match (&mut l1.policy, &mut l2.policy) {
-        (PolicyDispatch::Lru(p1), PolicyDispatch::Lru(p2)) => fused_record_kernel(
-            &mut l1.core,
-            p1,
-            &mut l1_totals,
-            &mut l2.core,
-            p2,
-            &mut l2_totals,
-            prefetcher,
-            tile,
-            emit,
-        ),
-        (p1, p2) => fused_record_kernel(
-            &mut l1.core,
-            p1,
-            &mut l1_totals,
-            &mut l2.core,
-            p2,
-            &mut l2_totals,
-            prefetcher,
-            tile,
-            emit,
-        ),
-    }
-    l1_totals.flush(&mut l1.stats);
-    l2_totals.flush(&mut l2.stats);
 }
 
 /// Expands `$body` once per [`PolicyDispatch`] variant with `$p` bound to the
@@ -1514,97 +1195,6 @@ mod tests {
             assert_eq!(misses, scalar_misses);
             assert_eq!(scalar.resident_blocks(), batched.resident_blocks());
         }
-    }
-
-    #[test]
-    fn fused_record_filter_matches_the_scalar_two_level_sequence() {
-        // The fused record kernel must route every request exactly like the
-        // scalar two-level sequence: the same L1/L2 verdicts, the same
-        // escaping records in the same order, the same statistics at both
-        // levels.
-        let run = mixed_run(600);
-        let l1_config = CacheConfig::new(1024, 4, 64);
-        let l2_config = CacheConfig::new(4096, 8, 64);
-        let make = |config: CacheConfig| {
-            SetAssocCache::new("test", config, Lru::new(config.sets(), config.ways))
-        };
-
-        // Scalar reference: per-request L1 access, L2 on a miss, the L1
-        // victim probed into L2 before the L2 victim escapes.
-        let mut l1 = make(l1_config);
-        let mut l2 = make(l2_config);
-        let mut prefetcher = StridePrefetcher::default();
-        let mut expected = Vec::new();
-        for info in &run {
-            let demand = AccessInfo {
-                hint: crate::hint::ReuseHint::Default,
-                ..*info
-            };
-            let mut requests = vec![(demand, false)];
-            if let Some(addr) = prefetcher.observe(info.site, info.addr) {
-                requests.push((
-                    AccessInfo {
-                        addr,
-                        kind: AccessKind::Read,
-                        site: info.site,
-                        hint: crate::hint::ReuseHint::Default,
-                        region: info.region,
-                    },
-                    true,
-                ));
-            }
-            for (req, is_prefetch) in requests {
-                let out1 = if is_prefetch {
-                    l1.prefetch(&req)
-                } else {
-                    l1.access(&req)
-                };
-                if out1.hit {
-                    continue;
-                }
-                let l1_victim = out1.evicted.filter(|_| out1.evicted_dirty).map(|b| b * 64);
-                let out2 = if is_prefetch {
-                    l2.prefetch(&req)
-                } else {
-                    l2.access(&req)
-                };
-                if !out2.hit {
-                    expected.push(RecordEscape::Request {
-                        info: req,
-                        prefetch: is_prefetch,
-                    });
-                }
-                let l2_victim = out2.evicted.filter(|_| out2.evicted_dirty).map(|b| b * 64);
-                if let Some(addr) = l1_victim {
-                    if !l2.writeback(addr) {
-                        expected.push(RecordEscape::Writeback(addr));
-                    }
-                }
-                if let Some(addr) = l2_victim {
-                    expected.push(RecordEscape::Writeback(addr));
-                }
-            }
-        }
-
-        let mut fused_l1 = make(l1_config);
-        let mut fused_l2 = make(l2_config);
-        let mut fused_prefetcher = StridePrefetcher::default();
-        let mut got = Vec::new();
-        // Uneven tile boundaries exercise the per-tile stats flush.
-        for tile in run.chunks(77) {
-            record_filter_fused(
-                &mut fused_l1,
-                &mut fused_l2,
-                Some(&mut fused_prefetcher),
-                tile,
-                &mut |escape| got.push(escape),
-            );
-        }
-        assert_eq!(expected, got);
-        assert_eq!(l1.stats(), fused_l1.stats());
-        assert_eq!(l2.stats(), fused_l2.stats());
-        assert_eq!(l1.resident_blocks(), fused_l1.resident_blocks());
-        assert_eq!(l2.resident_blocks(), fused_l2.resident_blocks());
     }
 
     #[test]

@@ -249,35 +249,6 @@ impl RegionClassifier {
         }
         ReuseHint::Low
     }
-
-    /// Classifies a whole address column in one pass, appending one hint per
-    /// address to `hints` (cleared first). The disabled check is hoisted out
-    /// of the loop; classification is pure, so this is identical to calling
-    /// [`RegionClassifier::classify`] per element.
-    pub fn classify_column(
-        &self,
-        addrs: impl IntoIterator<Item = Address>,
-        hints: &mut Vec<ReuseHint>,
-    ) {
-        hints.clear();
-        if !self.is_enabled() {
-            hints.extend(addrs.into_iter().map(|_| ReuseHint::Default));
-            return;
-        }
-        hints.extend(addrs.into_iter().map(|addr| {
-            for region in &self.high_regions {
-                if region.contains(addr) {
-                    return ReuseHint::High;
-                }
-            }
-            for region in &self.moderate_regions {
-                if region.contains(addr) {
-                    return ReuseHint::Moderate;
-                }
-            }
-            ReuseHint::Low
-        }));
-    }
 }
 
 #[cfg(test)]
@@ -376,22 +347,6 @@ mod tests {
         // Addresses past the array are Low even though the "share" is larger.
         assert_eq!(c.classify(0x800), ReuseHint::Low);
         assert!(c.moderate_regions()[0].is_empty());
-    }
-
-    #[test]
-    fn columnar_classification_matches_per_address_calls() {
-        let mut abrs = AddressBoundRegisters::new();
-        abrs.program(0x1000, 0x1000 + 1024 * 1024);
-        for classifier in [
-            RegionClassifier::new(abrs, 64 * 1024),
-            RegionClassifier::disabled(),
-        ] {
-            let addrs: Vec<Address> = (0..512u64).map(|i| i * 769).collect();
-            let mut hints = Vec::new();
-            classifier.classify_column(addrs.iter().copied(), &mut hints);
-            let expected: Vec<ReuseHint> = addrs.iter().map(|&a| classifier.classify(a)).collect();
-            assert_eq!(expected, hints);
-        }
     }
 
     #[test]

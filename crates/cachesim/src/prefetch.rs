@@ -21,11 +21,22 @@ struct Stream {
     valid: bool,
 }
 
+/// Entries of the direct-mapped `site → slot` memo (a power of two).
+const MEMO_ENTRIES: usize = 64;
+
 /// A site-keyed stride prefetcher.
 #[derive(Debug, Clone)]
 pub struct StridePrefetcher {
     streams: Vec<Stream>,
     confidence_threshold: u8,
+    /// Direct-mapped memo of the stream slot last resolved for a site,
+    /// indexed by `site % MEMO_ENTRIES`. An entry is only trusted while the
+    /// slot it names still holds a valid stream of that site, and valid
+    /// streams have unique sites, so a trusted entry is exactly the slot the
+    /// linear scan would find. Applications interleave a handful of sites,
+    /// which makes consecutive accesses switch site almost every time; the
+    /// memo keeps the stream lookup O(1) regardless.
+    memo: [u8; MEMO_ENTRIES],
 }
 
 impl StridePrefetcher {
@@ -33,39 +44,42 @@ impl StridePrefetcher {
     ///
     /// # Panics
     ///
-    /// Panics if `streams` is zero.
+    /// Panics if `streams` is zero or exceeds 256 (a memo entry is a `u8`
+    /// slot index).
     pub fn new(streams: usize) -> Self {
         assert!(streams > 0, "streams must be non-zero");
+        assert!(
+            streams <= usize::from(u8::MAX) + 1,
+            "streams ({streams}) must not exceed 256"
+        );
         Self {
             streams: vec![Stream::default(); streams],
             confidence_threshold: 2,
+            memo: [0; MEMO_ENTRIES],
         }
     }
 
     /// Observes a demand access and returns the predicted next address when
     /// the stream has a confident, stable stride.
+    #[inline]
     pub fn observe(&mut self, site: AccessSite, addr: Address) -> Option<Address> {
-        let slot = self.find_or_allocate(site);
+        let entry = usize::from(site) % MEMO_ENTRIES;
+        let mut slot = usize::from(self.memo[entry]);
+        match self.streams.get(slot) {
+            Some(stream) if stream.valid && stream.site == site => {}
+            _ => {
+                slot = self.find_or_allocate(site);
+                self.memo[entry] = slot as u8;
+            }
+        }
         self.observe_in_slot(slot, site, addr)
     }
 
-    /// [`StridePrefetcher::observe`] with a memoized stream slot: `slot_hint`
-    /// carries the slot of the previous call, skipping the stream scan when
-    /// consecutive accesses come from the same site (the common case in the
-    /// scan-heavy record stream). Exact because valid streams have unique
-    /// sites — a hint that still names a valid stream for `site` is the slot
-    /// the scan would find. Seed the hint with `usize::MAX`.
-    pub fn observe_with_hint(
-        &mut self,
-        site: AccessSite,
-        addr: Address,
-        slot_hint: &mut usize,
-    ) -> Option<Address> {
-        let slot = match self.streams.get(*slot_hint) {
-            Some(s) if s.valid && s.site == site => *slot_hint,
-            _ => self.find_or_allocate(site),
-        };
-        *slot_hint = slot;
+    /// [`StridePrefetcher::observe`] without the memo: the reference the
+    /// memoized lookup is tested against.
+    #[cfg(test)]
+    fn observe_linear(&mut self, site: AccessSite, addr: Address) -> Option<Address> {
+        let slot = self.find_or_allocate(site);
         self.observe_in_slot(slot, site, addr)
     }
 
@@ -97,25 +111,6 @@ impl StridePrefetcher {
             }
         }
         None
-    }
-
-    /// Observes a whole demand column in one pass, appending one prediction
-    /// slot per access to `predictions` (cleared first). The prefetcher is a
-    /// pure function of the observed `(site, addr)` sequence — issued
-    /// prefetches are never observed and no cache outcome feeds back — so
-    /// the batched record kernel can compute every tile's predictions up
-    /// front, identical to interleaved [`StridePrefetcher::observe`] calls.
-    pub fn observe_batch(
-        &mut self,
-        accesses: &[crate::request::AccessInfo],
-        predictions: &mut Vec<Option<Address>>,
-    ) {
-        predictions.clear();
-        predictions.extend(
-            accesses
-                .iter()
-                .map(|access| self.observe(access.site, access.addr)),
-        );
     }
 
     /// Clears every stream (used between experiment phases so no stride
@@ -206,33 +201,67 @@ mod tests {
     }
 
     #[test]
-    fn batched_observation_matches_interleaved_observe_calls() {
-        use crate::request::AccessInfo;
-        let accesses: Vec<AccessInfo> = (0..200u64)
-            .map(|i| {
-                let site = (i % 3) as AccessSite;
-                let addr = match site {
-                    0 => i * 64,         // unit stride: trains
-                    1 => (i * i) % 4096, // irregular: never trains
-                    _ => 1 << 20,        // constant: zero stride
-                };
-                AccessInfo::read(addr).with_site(site)
-            })
-            .collect();
-        let mut scalar = StridePrefetcher::new(4);
-        let expected: Vec<Option<Address>> = accesses
-            .iter()
-            .map(|a| scalar.observe(a.site, a.addr))
-            .collect();
-        let mut batched = StridePrefetcher::new(4);
-        let mut predictions = Vec::new();
-        let mut got = Vec::new();
-        for tile in accesses.chunks(33) {
-            batched.observe_batch(tile, &mut predictions);
-            got.extend_from_slice(&predictions);
+    #[should_panic(expected = "must not exceed 256")]
+    fn more_streams_than_a_memo_entry_can_name_panics() {
+        let _ = StridePrefetcher::new(257);
+    }
+
+    #[test]
+    fn memoized_lookup_matches_the_linear_scan_while_sites_thrash_the_table() {
+        // 40 sites over 16 slots (and over 64 memo entries once sites pass
+        // 64): streams are evicted and re-allocated constantly, memo entries
+        // go stale and alias. Predictions and the slot every site occupies
+        // must match the linear scan after every single access.
+        let mut memoized = StridePrefetcher::default();
+        let mut linear = StridePrefetcher::default();
+        let mut predictions = 0;
+        let mut touches = [0u64; 88];
+        let mut x = 5u64;
+        for i in 0..20_000u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // Mostly a rotating working set of strided sites, sometimes a
+            // far site that aliases a memo entry.
+            let site = match (x >> 60) as u16 {
+                0..=11 => ((x >> 33) % 24) as AccessSite,
+                12..=14 => 24 + ((x >> 33) % 16) as AccessSite,
+                _ => 64 + ((x >> 33) % 24) as AccessSite,
+            };
+            touches[usize::from(site)] += 1;
+            let addr = (u64::from(site) << 24) + touches[usize::from(site)] * 64;
+            let got = memoized.observe(site, addr);
+            assert_eq!(got, linear.observe_linear(site, addr), "access {i}");
+            predictions += usize::from(got.is_some());
+            let slots = |p: &StridePrefetcher| -> Vec<Option<AccessSite>> {
+                p.streams
+                    .iter()
+                    .map(|s| s.valid.then_some(s.site))
+                    .collect()
+            };
+            assert_eq!(slots(&memoized), slots(&linear), "evictions, access {i}");
+            if i % 5000 == 4999 {
+                memoized.reset();
+                linear.reset();
+            }
         }
-        assert_eq!(expected, got);
-        assert!(expected.iter().any(Option::is_some), "stream must train");
+        assert!(predictions > 100, "streams must train ({predictions})");
+    }
+
+    #[test]
+    fn a_memo_entry_naming_a_cleared_stream_is_not_trusted() {
+        // Site 0 is also the site field of a cleared stream, so after a
+        // reset only `valid` tells the slot its memo entry still names from
+        // a live stream of that site.
+        let mut p = StridePrefetcher::new(4);
+        p.observe(7, 0);
+        p.observe(0, 64); // site 0 -> slot 1
+        p.reset();
+        p.observe(0, 64);
+        assert!(
+            p.streams[0].valid && !p.streams[1].valid,
+            "the lowest free slot, as the scan allocates"
+        );
     }
 
     #[test]

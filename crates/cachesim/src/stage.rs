@@ -21,6 +21,16 @@
 //!              └───────────────────────────┘
 //! ```
 //!
+//! L1 and L2 are the private `lru_filter` module's recency-ordered LRU sets, not
+//! [`SetAssocCache`]s: the filter is where a recording spends its time — at
+//! the scales campaigns run, 36–60 % of the demand accesses an application
+//! issues miss L1 and 0.39–0.57 post-L2 records are emitted per demand
+//! access (`record.pass_ratio` on the `pipeline` ledger), so there is no
+//! "mostly L1 hits" fast path to lean on and what counts is the work per
+//! lookup. Both entry points ([`UpperLevels::access`] per event,
+//! [`UpperLevels::access_batch`] per column) run the same private request
+//! routine.
+//!
 //! [`crate::Hierarchy`] composes the two stages back into the classic
 //! three-level simulator; [`crate::trace::LlcTrace`] implements [`LlcSink`] as
 //! a pure recorder, and [`LlcTrace::replay`](crate::trace::LlcTrace::replay)
@@ -29,13 +39,10 @@
 //! simulation.
 
 use crate::addr::Address;
-use crate::cache::{
-    record_filter_fused, AccessOutcome, BatchOp, BatchScratch, RecordEscape, SetAssocCache,
-    BATCH_TILE,
-};
+use crate::cache::{BatchOp, BatchScratch, SetAssocCache};
 use crate::config::{CacheConfig, HierarchyConfig};
 use crate::hint::{RegionClassifier, ReuseHint};
-use crate::policy::lru::Lru;
+use crate::lru_filter::LruFilter;
 use crate::policy::PolicyDispatch;
 use crate::prefetch::StridePrefetcher;
 use crate::request::{AccessInfo, AccessKind, AccessSite, RegionLabel};
@@ -79,12 +86,39 @@ pub trait LlcSink {
     }
 }
 
-/// Reusable encoded sink columns of [`UpperLevels::access_batch`], kept
-/// across batches so bulk emission never reallocates in steady state.
+/// The encoded sink columns [`UpperLevels::access_batch`] collects one call's
+/// escaping records into before its single bulk push; kept across calls so
+/// emission never reallocates in steady state.
 #[derive(Debug, Default)]
-struct RecordBatchScratch {
-    sink_addrs: Vec<Address>,
-    sink_meta: Vec<u32>,
+struct SinkColumns {
+    addrs: Vec<Address>,
+    meta: Vec<u32>,
+}
+
+impl SinkColumns {
+    #[inline]
+    fn push(&mut self, addr: Address, meta: u32) {
+        self.addrs.push(addr);
+        self.meta.push(meta);
+    }
+}
+
+impl LlcSink for SinkColumns {
+    #[inline]
+    fn demand(&mut self, info: &AccessInfo) -> bool {
+        self.push(info.addr, encode_meta(info, 0));
+        false
+    }
+
+    #[inline]
+    fn prefetch(&mut self, info: &AccessInfo) {
+        self.push(info.addr, encode_meta(info, META_PREFETCH_BIT));
+    }
+
+    #[inline]
+    fn writeback(&mut self, addr: Address) {
+        self.push(addr, META_WRITEBACK_BIT);
+    }
 }
 
 /// The policy-independent upper levels of the hierarchy: L1-D and L2 (both
@@ -92,12 +126,12 @@ struct RecordBatchScratch {
 /// GRASP's reuse hint to every request on its way to the LLC.
 pub struct UpperLevels {
     config: HierarchyConfig,
-    l1: SetAssocCache,
-    l2: SetAssocCache,
+    l1: LruFilter,
+    l2: LruFilter,
     classifier: RegionClassifier,
     prefetcher: Option<StridePrefetcher>,
     abr_bounds: Vec<(Address, Address)>,
-    record_batch: RecordBatchScratch,
+    columns: SinkColumns,
 }
 
 impl std::fmt::Debug for UpperLevels {
@@ -111,21 +145,20 @@ impl std::fmt::Debug for UpperLevels {
 
 impl UpperLevels {
     /// Creates the filter stage with the given configuration and classifier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the L1 or L2 block size is below four bytes (their lines
+    /// pack the block address and the dirty bit into one word).
     pub fn new(config: HierarchyConfig, classifier: RegionClassifier) -> Self {
-        let l1 = SetAssocCache::new(
-            "L1-D",
-            config.l1,
-            Lru::new(config.l1.sets(), config.l1.ways),
-        );
-        let l2 = SetAssocCache::new("L2", config.l2, Lru::new(config.l2.sets(), config.l2.ways));
         Self {
             config,
-            l1,
-            l2,
+            l1: LruFilter::new("L1-D", config.l1),
+            l2: LruFilter::new("L2", config.l2),
             classifier,
             prefetcher: config.prefetch.then(StridePrefetcher::default),
             abr_bounds: Vec::new(),
-            record_batch: RecordBatchScratch::default(),
+            columns: SinkColumns::default(),
         }
     }
 
@@ -189,150 +222,91 @@ impl UpperLevels {
         region: RegionLabel,
         sink: &mut impl LlcSink,
     ) -> bool {
-        let base = AccessInfo {
+        let demand = AccessInfo {
             addr,
             kind,
             site,
             hint: ReuseHint::Default,
             region,
         };
-
-        let on_chip = self.demand(&base, sink);
+        let on_chip = self.request::<false>(&demand, sink);
 
         // The prefetcher observes the demand stream at L1 and issues at most
         // one prefetch per access.
         if let Some(prefetcher) = self.prefetcher.as_mut() {
             if let Some(predicted) = prefetcher.observe(site, addr) {
-                let pf = AccessInfo {
+                let prefetch = AccessInfo {
                     addr: predicted,
                     kind: AccessKind::Read,
-                    site,
-                    hint: ReuseHint::Default,
-                    region,
+                    ..demand
                 };
-                self.prefetch(&pf, sink);
+                self.request::<true>(&prefetch, sink);
             }
         }
         on_chip
     }
 
-    /// Batched counterpart of [`UpperLevels::access`]: filters a whole run
-    /// of demand accesses through L1 and L2 with the fused record kernel and
-    /// appends whatever escapes L2 into `sink` column-wise through
-    /// [`LlcSink::push_batch`]. Bit-identical to calling
+    /// Batched counterpart of [`UpperLevels::access`]: runs every element
+    /// through the same request path, collects whatever escapes L2 into
+    /// encoded columns and appends them to `sink` with one
+    /// [`LlcSink::push_batch`] per call. Bit-identical to calling
     /// [`UpperLevels::access`] once per element, in order — same cache
     /// decisions and statistics, same sink record sequence. The incoming
     /// `hint` of each request is ignored, exactly as the scalar entry point
     /// rebuilds it from scratch.
-    ///
-    /// The run is processed in fixed-size (`BATCH_TILE`) tiles. Each tile makes
-    /// one fused pass over both levels with the policy dispatches and the
-    /// prefetcher presence check hoisted out of the loop and statistics
-    /// deferred to per-tile sums; escaping records are classified and
-    /// encoded straight into the reusable sink columns and appended with one
-    /// bulk push per tile. (Record streams are overwhelmingly L1 hits, so a
-    /// staged columnar variant — interleave, L1 pass, dense re-pack, L2 pass
-    /// — measures slower than per-event: the kernel fuses the levels
-    /// instead.)
     pub fn access_batch(&mut self, batch: &[AccessInfo], sink: &mut impl LlcSink) {
-        let Self {
-            l1,
-            l2,
-            classifier,
-            prefetcher,
-            record_batch: scratch,
-            ..
-        } = self;
-        let RecordBatchScratch {
-            sink_addrs,
-            sink_meta,
-        } = scratch;
-        for start in (0..batch.len()).step_by(BATCH_TILE) {
-            let tile = &batch[start..batch.len().min(start + BATCH_TILE)];
-            sink_addrs.clear();
-            sink_meta.clear();
-            {
-                let mut emit = |escape: RecordEscape| match escape {
-                    RecordEscape::Request { info, prefetch } => {
-                        let hinted = info.with_hint(classifier.classify(info.addr));
-                        let kind_bit = if prefetch { META_PREFETCH_BIT } else { 0 };
-                        sink_addrs.push(hinted.addr);
-                        sink_meta.push(encode_meta(&hinted, kind_bit));
-                    }
-                    RecordEscape::Writeback(addr) => {
-                        sink_addrs.push(addr);
-                        sink_meta.push(META_WRITEBACK_BIT);
-                    }
-                };
-                record_filter_fused(l1, l2, prefetcher.as_mut(), tile, &mut emit);
-            }
-            if !sink_addrs.is_empty() {
-                sink.push_batch(sink_addrs, sink_meta);
-            }
+        let mut columns = std::mem::take(&mut self.columns);
+        columns.addrs.clear();
+        columns.meta.clear();
+        for info in batch {
+            self.access(info.addr, info.kind, info.site, info.region, &mut columns);
         }
+        if !columns.addrs.is_empty() {
+            sink.push_batch(&columns.addrs, &columns.meta);
+        }
+        self.columns = columns;
     }
 
-    fn demand(&mut self, info: &AccessInfo, sink: &mut impl LlcSink) -> bool {
-        let l1 = self.l1.access(info);
-        if l1.is_hit() {
+    /// Drives one request (demand, or prefetch when `PREFETCH`) through both
+    /// levels: L1 lookup; on a miss the request goes to L2 and, missing
+    /// there too, to `sink` with the 2-bit reuse hint computed by GRASP's
+    /// classification logic (Fig. 4); then the dirty L1 victim is written
+    /// back into L2 (and forwarded to `sink` when L2 does not hold the
+    /// block), and the dirty L2 victim trails last. Returns `true` if the
+    /// request hit somewhere on chip.
+    #[inline]
+    fn request<const PREFETCH: bool>(
+        &mut self,
+        info: &AccessInfo,
+        sink: &mut impl LlcSink,
+    ) -> bool {
+        let l1 = self.l1.request::<PREFETCH>(info);
+        if l1.hit {
             return true;
         }
-        let l2 = self.l2.access(info);
-        let mut on_chip = l2.is_hit();
-        if !on_chip {
-            // The LLC request carries the 2-bit reuse hint computed by
-            // GRASP's classification logic (Fig. 4).
+        let l2 = self.l2.request::<PREFETCH>(info);
+        let mut on_chip = l2.hit;
+        if !l2.hit {
             let llc_info = info.with_hint(self.classifier.classify(info.addr));
-            on_chip = sink.demand(&llc_info);
+            if PREFETCH {
+                sink.prefetch(&llc_info);
+            } else {
+                on_chip = sink.demand(&llc_info);
+            }
         }
-        self.drain_writebacks(&l1, &l2, sink);
+        if let Some((block, true)) = l1.victim() {
+            let addr = self.l1.addr_of(block);
+            if !self.l2.writeback(addr) {
+                sink.writeback(addr);
+            }
+        }
+        if let Some((block, true)) = l2.victim() {
+            sink.writeback(self.l2.addr_of(block));
+        }
         on_chip
     }
 
-    fn prefetch(&mut self, info: &AccessInfo, sink: &mut impl LlcSink) {
-        let l1 = self.l1.prefetch(info);
-        let mut l2 = AccessOutcome {
-            hit: true,
-            evicted: None,
-            evicted_dirty: false,
-            bypassed: false,
-        };
-        if !l1.is_hit() {
-            l2 = self.l2.prefetch(info);
-            if !l2.is_hit() {
-                let llc_info = info.with_hint(self.classifier.classify(info.addr));
-                sink.prefetch(&llc_info);
-            }
-        }
-        self.drain_writebacks(&l1, &l2, sink);
-    }
-
-    /// Routes the dirty victims of one access down the hierarchy: an L1
-    /// victim is written back into L2 (and forwarded to the LLC when L2 does
-    /// not hold the block), an L2 victim goes straight to the LLC.
-    fn drain_writebacks(
-        &mut self,
-        l1: &AccessOutcome,
-        l2: &AccessOutcome,
-        sink: &mut impl LlcSink,
-    ) {
-        if l1.evicted_dirty {
-            if let Some(block) = l1.evicted {
-                let addr = block * self.config.l1.block_bytes;
-                if !self.l2.writeback(addr) {
-                    sink.writeback(addr);
-                }
-            }
-        }
-        if l2.evicted_dirty {
-            if let Some(block) = l2.evicted {
-                sink.writeback(block * self.config.l2.block_bytes);
-            }
-        }
-    }
-
-    /// Invalidates both levels, resets their LRU state and clears the
-    /// prefetcher's stride training.
+    /// Invalidates both levels and clears the prefetcher's stride training.
     pub fn flush(&mut self) {
         self.l1.flush();
         self.l2.flush();
@@ -653,6 +627,90 @@ mod tests {
         assert_eq!(scalar_upper.l1_stats(), batched_upper.l1_stats());
         assert_eq!(scalar_upper.l2_stats(), batched_upper.l2_stats());
         assert!(!batched_trace.is_empty(), "the mix must escape L2");
+    }
+
+    #[test]
+    fn upper_levels_route_like_a_two_level_set_assoc_lru_reference() {
+        // The oracle for the whole request path, not just one level: L1 and
+        // L2 as `SetAssocCache` + `Lru`, the routing spelled out per request
+        // (L1, then L2, the request escaping on an L2 miss, the dirty L1
+        // victim probed into L2 before the dirty L2 victim escapes), the
+        // prefetcher on. Uneven sub-batches exercise the per-call bulk push.
+        use crate::policy::lru::Lru;
+        use crate::trace::LlcTrace;
+        let config = HierarchyConfig::scaled_default();
+        let level = |name, c: CacheConfig| SetAssocCache::new(name, c, Lru::new(c.sets(), c.ways));
+        let mut l1 = level("L1-D", config.l1);
+        let mut l2 = level("L2", config.l2);
+        let mut prefetcher = StridePrefetcher::default();
+        let mut expected = LlcTrace::new();
+        // `record_mix` streams past L2; every other access instead rewrites
+        // a 6 KiB ring (larger than L1, resident in L2), whose dirty L1
+        // victims are the writebacks L2 absorbs.
+        let mut mix = record_mix(6000);
+        for (i, info) in mix.iter_mut().enumerate().step_by(2) {
+            *info = AccessInfo::write(0x40_0000 + (i as u64 / 2 % 96) * 64).with_site(9);
+        }
+        for info in &mix {
+            let mut requests = vec![(*info, false)];
+            if let Some(addr) = prefetcher.observe(info.site, info.addr) {
+                let prefetch = AccessInfo {
+                    addr,
+                    kind: AccessKind::Read,
+                    ..*info
+                };
+                requests.push((prefetch, true));
+            }
+            for (request, is_prefetch) in requests {
+                let out1 = if is_prefetch {
+                    l1.prefetch(&request)
+                } else {
+                    l1.access(&request)
+                };
+                if out1.hit {
+                    continue;
+                }
+                let out2 = if is_prefetch {
+                    l2.prefetch(&request)
+                } else {
+                    l2.access(&request)
+                };
+                match (out2.hit, is_prefetch) {
+                    (true, _) => {}
+                    (false, false) => expected.push(&request),
+                    (false, true) => expected.push_prefetch(&request),
+                }
+                let dirty_victim = |out: &crate::cache::AccessOutcome| {
+                    out.evicted.filter(|_| out.evicted_dirty).map(|b| b * 64)
+                };
+                if let Some(addr) = dirty_victim(&out1) {
+                    if !l2.writeback(addr) {
+                        expected.push_writeback(addr);
+                    }
+                }
+                if let Some(addr) = dirty_victim(&out2) {
+                    expected.push_writeback(addr);
+                }
+            }
+        }
+
+        let mut upper = upper();
+        let mut got = LlcTrace::new();
+        for window in mix.chunks(77) {
+            upper.access_batch(window, &mut got);
+        }
+        assert_eq!(expected, got, "post-L2 record sequence");
+        assert_eq!(l1.stats(), upper.l1_stats());
+        assert_eq!(l2.stats(), upper.l2_stats());
+        assert!(l2.stats().writeback_hits > 0 && l2.stats().prefetch_fills > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "L2 block size (2) must be at least 4 bytes")]
+    fn sub_word_upper_level_blocks_are_rejected() {
+        let mut config = HierarchyConfig::scaled_default();
+        config.l2 = CacheConfig::new(config.l2.size_bytes, config.l2.ways, 2);
+        let _ = UpperLevels::new(config, RegionClassifier::disabled());
     }
 
     #[test]

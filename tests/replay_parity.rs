@@ -381,3 +381,73 @@ fn hawkeye_and_leeway_llc_stats_are_pinned() {
         );
     }
 }
+
+#[test]
+fn upper_level_streams_are_pinned() {
+    // Golden L1/L2 statistics `(accesses, misses, evictions,
+    // prefetch_accesses, prefetch_fills, writeback_accesses,
+    // writeback_hits)`, stream lengths and FNV-1a of the persisted v2 bytes,
+    // captured on the commit before the upper levels moved from
+    // `SetAssocCache` + `Lru` to the recency-ordered filter (PR 13). The
+    // other record tests compare two paths of the *current* implementation;
+    // this one fails when the recorded stream itself moves — and a moved
+    // stream silently invalidates every store recorded before it.
+    type Level = (u64, u64, u64, u64, u64, u64, u64);
+    const PINNED: [(AppKind, Level, Level, usize, usize, u64); 3] = [
+        (
+            AppKind::PageRank,
+            (239646, 54645, 65615, 128481, 11034, 0, 0),
+            (54645, 14124, 22727, 11034, 8859, 3218, 3215),
+            25778,
+            14124,
+            0x9ec168cf73910c0e,
+        ),
+        (
+            AppKind::PageRankDelta,
+            (706123, 259674, 287241, 277393, 27631, 0, 0),
+            (259674, 112650, 133985, 27631, 21591, 11192, 11180),
+            144324,
+            112650,
+            0x0249079e2c17d68a,
+        ),
+        (
+            AppKind::Radii,
+            (404286, 133136, 147094, 170030, 14022, 0, 0),
+            (133136, 51224, 62334, 14022, 11366, 3929, 3922),
+            65590,
+            51224,
+            0xebb411311bdb0afa,
+        ),
+    ];
+    let level = |s: &grasp_suite::cachesim::stats::CacheStats| -> Level {
+        (
+            s.accesses,
+            s.misses,
+            s.evictions,
+            s.prefetch_accesses,
+            s.prefetch_fills,
+            s.writeback_accesses,
+            s.writeback_hits,
+        )
+    };
+    let dataset = DatasetKind::Twitter.build(SCALE);
+    for (app, l1, l2, len, demand_len, fnv) in PINNED {
+        let recorded = Experiment::new(dataset.graph.clone(), app)
+            .with_hierarchy(SCALE.hierarchy())
+            .with_reordering(TechniqueKind::Dbg)
+            .record();
+        let trace = recorded.trace();
+        assert_eq!(level(&trace.context().l1), l1, "tw/{app}: L1");
+        assert_eq!(level(&trace.context().l2), l2, "tw/{app}: L2");
+        assert_eq!(trace.len(), len, "tw/{app}: records");
+        assert_eq!(trace.demand_len(), demand_len, "tw/{app}: demand records");
+        let mut bytes = Vec::new();
+        trace
+            .write_to(&mut bytes)
+            .expect("in-memory persist cannot fail");
+        let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!(hash, fnv, "tw/{app}: persisted v2 bytes");
+    }
+}
