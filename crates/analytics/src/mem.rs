@@ -4,9 +4,9 @@ use grasp_cachesim::addr::Address;
 use grasp_cachesim::config::HierarchyConfig;
 use grasp_cachesim::hint::RegionClassifier;
 use grasp_cachesim::request::{AccessInfo, AccessKind, AccessSite, RegionLabel};
-use grasp_cachesim::stage::{LlcSink, UpperLevels};
+use grasp_cachesim::stage::UpperLevels;
 use grasp_cachesim::stats::HierarchyStats;
-use grasp_cachesim::trace::{LlcTrace, TraceStreamer, TraceTap};
+use grasp_cachesim::trace::LlcTrace;
 use grasp_cachesim::Hierarchy;
 
 /// A sink for the memory accesses an application performs.
@@ -128,30 +128,20 @@ impl MemoryModel for TracedMemory {
 /// The recording model of the record-once / replay-many pipeline: accesses
 /// run through the policy-independent upper levels
 /// ([`grasp_cachesim::stage::UpperLevels`]) only, and everything that escapes
-/// L2 goes into the post-L2 sink `S` instead of being simulated. No LLC
+/// L2 is buffered in an [`LlcTrace`] instead of being simulated. No LLC
 /// exists during recording — the stream is replayed under each LLC policy of
 /// interest.
-///
-/// Two sinks are supported:
-///
-/// * [`LlcTrace`] (the default) **buffers** the whole stream; recording
-///   finishes before any replay starts.
-/// * [`TraceStreamer`] **streams**: each completed trace chunk is frozen and
-///   broadcast through a bounded [`grasp_cachesim::trace::chunk_channel`]
-///   while the application is still running, so policy replays overlap the
-///   record phase and the trace never exists in full.
 #[derive(Debug)]
-pub struct RecordingMemory<S: LlcSink = LlcTrace> {
+pub struct RecordingMemory {
     upper: UpperLevels,
-    sink: S,
+    sink: LlcTrace,
     accesses: u64,
 }
 
-impl RecordingMemory<LlcTrace> {
-    /// Creates a buffering recording model for the given hierarchy
-    /// configuration (the LLC geometry still matters: it sizes the
-    /// classifier's High/Moderate regions and is the default geometry
-    /// replays use).
+impl RecordingMemory {
+    /// Creates a recording model for the given hierarchy configuration (the
+    /// LLC geometry still matters: it sizes the classifier's High/Moderate
+    /// regions and is the default geometry replays use).
     pub fn new(config: HierarchyConfig) -> Self {
         Self {
             upper: UpperLevels::new(config, RegionClassifier::disabled()),
@@ -174,26 +164,7 @@ impl RecordingMemory<LlcTrace> {
     }
 }
 
-impl RecordingMemory<TraceStreamer> {
-    /// Creates a streaming recording model: completed chunks are handed off
-    /// through `tap` as they fill instead of being retained.
-    pub fn streaming(config: HierarchyConfig, tap: TraceTap) -> Self {
-        Self {
-            upper: UpperLevels::new(config, RegionClassifier::disabled()),
-            sink: TraceStreamer::new(tap),
-            accesses: 0,
-        }
-    }
-
-    /// Finishes the stream: flushes the in-progress chunk and broadcasts the
-    /// end-of-stream marker carrying the recording run's context, which is
-    /// what lets every consumer assemble full hierarchy statistics.
-    pub fn finish_stream(self) {
-        self.sink.finish(self.upper.record_context());
-    }
-}
-
-impl<S: LlcSink + std::fmt::Debug> MemoryModel for RecordingMemory<S> {
+impl MemoryModel for RecordingMemory {
     #[inline]
     fn touch(&mut self, addr: Address, kind: AccessKind, site: AccessSite, region: RegionLabel) {
         self.accesses += 1;
@@ -265,36 +236,6 @@ mod tests {
             &[(0x8000_0000, 0x8000_0000 + (1 << 21))],
             "programmed bounds travel with the trace"
         );
-    }
-
-    #[test]
-    fn streaming_memory_matches_buffered_recording() {
-        use grasp_cachesim::policy::lru::Lru;
-        use grasp_cachesim::trace::{chunk_channel_with, replay_stream, ChunkReplayer};
-
-        let config = HierarchyConfig::scaled_default().without_prefetch();
-        let drive = |m: &mut dyn MemoryModel| {
-            m.program_property_bounds(&[(0, 1 << 21)]);
-            for i in 0..500u64 {
-                m.touch(i % 170 * 64, AccessKind::Write, 3, RegionLabel::Property);
-            }
-        };
-
-        let mut buffered = RecordingMemory::new(config);
-        drive(&mut buffered);
-        let trace = buffered.finish();
-        let llc = config.llc;
-        let expected = trace.replay(llc, Box::new(Lru::new(llc.sets(), llc.ways)));
-
-        // Small chunks + ample depth: the whole stream fits in the channel,
-        // so no consumer thread is needed for this equivalence check.
-        let (tap, receivers) = chunk_channel_with(1, trace.len().div_ceil(16) + 2, 16);
-        let mut streaming = RecordingMemory::streaming(config, tap);
-        drive(&mut streaming);
-        streaming.finish_stream();
-        let replayer = ChunkReplayer::new(llc, Box::new(Lru::new(llc.sets(), llc.ways)));
-        let streamed = replay_stream(&receivers[0], vec![replayer]).remove(0);
-        assert_eq!(streamed, expected, "streamed replay must be bit-identical");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fig. 11 and Table VII — GRASP vs Belady's optimal replacement (OPT).
 //!
 //! Each workload's post-L2 stream is captured once by the record phase of a
-//! replay-mode campaign. Online policies (LRU, RRIP, GRASP) and Belady's MIN
+//! campaign. Online policies (LRU, RRIP, GRASP) and Belady's MIN
 //! then replay the same **demand** stream — OPT cannot model prefetches, so
 //! giving them only to the online policies would break its lower bound — for
 //! several LLC sizes, with reuse hints recomputed from the Address Bound
@@ -72,7 +72,7 @@ fn main() {
     banner("Fig. 11 / Table VII: GRASP vs Belady's OPT");
     let scale = harness_scale();
 
-    // Record one post-L2 stream per (app, dataset) pair: the replay-mode
+    // Record one post-L2 stream per (app, dataset) pair: the
     // campaign runs each application exactly once and hands the trace back.
     let started = std::time::Instant::now();
     let recordings = figure_campaign(scale, &DatasetKind::HIGH_SKEW, &AppKind::ALL, &[])

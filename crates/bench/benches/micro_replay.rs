@@ -1,16 +1,15 @@
 //! Micro-benchmark of the record/replay pipeline: policy sweeps on one
-//! (dataset, reordering, application) cell, comparing three execution plans:
+//! (dataset, reordering, application) cell, comparing two ways to get them:
 //!
 //! 1. **direct** — re-execute the application and re-simulate L1/L2 for
 //!    every policy;
-//! 2. **buffered replay** (PR 2) — record the post-L2 stream once
-//!    ([`Experiment::record`]), then replay the finished buffer per policy;
-//! 3. **streaming** — record and replay **concurrently**
-//!    ([`Experiment::sweep_streaming`]): frozen trace chunks flow through a
-//!    bounded channel to one replayer per policy while the application is
-//!    still running, so the fan-out overlaps the record phase instead of
-//!    barriering on it, and the peak trace footprint is channel-depth ×
-//!    chunk-size instead of the whole stream.
+//! 2. **replay** — record the post-L2 stream once ([`Experiment::record`]),
+//!    then replay the finished buffer per policy.
+//!
+//! How well a whole *campaign* schedules those records and replays is not
+//! measured here: `campaign.sched_efficiency` / `campaign.residual_s` on the
+//! `pipeline` ledger (`perfbench/`) are the measure for that, with
+//! repetitions and spread.
 //!
 //! The sweeps run under two hierarchies: the paper's Table VI geometry
 //! (`paper`), where the 32 KiB L1 filters most traffic, and the
@@ -52,25 +51,15 @@
 //! encodings are asserted to load back equal to the in-memory trace with a
 //! bit-identical replay.
 //!
-//! Acceptance bars, both with bit-identical statistics asserted per cell:
-//!
-//! * buffered replay ≥ 3x over direct on the paper-scale 8-policy sweep
-//!   (PR 2's bar);
-//! * streaming ≥ 1.5x end-to-end over buffered replay on the paper-scale
-//!   wide sweep. The streaming win comes from overlap and concurrent
-//!   consumers, and the serial record phase bounds the ideal at ~1.7x on
-//!   this workload, so the bar only applies where the margin is physically
-//!   available: ≥ 4 hardware threads (recorder + at least three replay
-//!   consumers). Below that — and under `GRASP_BENCH_NO_SPEEDUP_BARS=1`,
-//!   which CI's trajectory job sets for shared runners — the mode still
-//!   runs and is asserted bit-identical, but the bar is reported, not
-//!   enforced.
+//! Acceptance bar, with bit-identical statistics asserted per cell: replay
+//! ≥ 3x over direct on the paper-scale 8-policy sweep (reported, not
+//! enforced, under `GRASP_BENCH_NO_SPEEDUP_BARS=1`, which CI's trajectory
+//! job sets for shared runners).
 
 use grasp_analytics::apps::AppKind;
 use grasp_bench::{banner, dataset, dump_json, harness_scale};
 use grasp_cachesim::config::HierarchyConfig;
 use grasp_cachesim::{Codec, LlcTrace};
-use grasp_core::campaign::{Campaign, ExecutionMode};
 use grasp_core::datasets::DatasetKind;
 use grasp_core::experiment::Experiment;
 use grasp_core::policy::PolicyKind;
@@ -106,35 +95,8 @@ const SWEEP: [PolicyKind; 8] = [
     PolicyKind::Grasp,
 ];
 
-/// The streaming comparison sweeps the full policy zoo plus a PIN-X
-/// parameter ladder — the shape of a real design-space exploration, and wide
-/// enough that the replay fan-out is a meaningful share of the buffered
-/// pipeline's end-to-end time.
-const WIDE_SWEEP: [PolicyKind; 20] = [
-    PolicyKind::Lru,
-    PolicyKind::Random,
-    PolicyKind::Srrip,
-    PolicyKind::Brrip,
-    PolicyKind::Rrip,
-    PolicyKind::ShipMem,
-    PolicyKind::Hawkeye,
-    PolicyKind::Leeway,
-    PolicyKind::Pin(10),
-    PolicyKind::Pin(25),
-    PolicyKind::Pin(30),
-    PolicyKind::Pin(40),
-    PolicyKind::Pin(50),
-    PolicyKind::Pin(60),
-    PolicyKind::Pin(75),
-    PolicyKind::Pin(90),
-    PolicyKind::Pin(100),
-    PolicyKind::GraspHintsOnly,
-    PolicyKind::GraspInsertionOnly,
-    PolicyKind::Grasp,
-];
-
 fn main() {
-    banner("micro: direct vs buffered replay vs streaming policy sweeps on one cell");
+    banner("micro: direct vs record-once / replay-many policy sweeps on one cell");
     let scale = harness_scale();
     let ds = dataset(DatasetKind::Twitter, scale);
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -148,16 +110,6 @@ fn main() {
             "speed-up",
             "trace records",
         ],
-    );
-    // The worker count is machine-dependent, so it is reported in prose
-    // below, never in the table (the bench-diff trajectory gate compares
-    // titles and non-timing cells across machines).
-    let mut streaming_table = Table::new(
-        format!(
-            "Streaming vs buffered replay ({}-policy sweep)",
-            WIDE_SWEEP.len()
-        ),
-        &["hierarchy", "buffered ms", "streaming ms", "speed-up"],
     );
     let mut batched_table = Table::new(
         "Batched replay: chunk-native kernel vs per-event feed (8-policy fan-out)",
@@ -195,7 +147,6 @@ fn main() {
     let store = TraceStore::open(&store_dir).expect("bench trace store opens");
     let mut total_ms = 0u128;
     let mut paper_speedup = 0.0;
-    let mut paper_streaming_speedup = 0.0;
     let mut paper_batched_speedup = 0.0;
     let mut paper_record_speedup = 0.0;
     for (label, hierarchy) in [
@@ -323,43 +274,6 @@ fn main() {
             format!("{:.1}", record_persist_time.as_secs_f64() * 1e3),
         ]);
 
-        // The streaming comparison: the same wide sweep, once as PR 2's
-        // buffered record-then-fan-out barrier, once through the streaming
-        // pipeline with the record phase overlapped by concurrent consumers.
-        let started = Instant::now();
-        let wide_recorded = exp.record();
-        let wide_buffered: Vec<_> = WIDE_SWEEP
-            .iter()
-            .map(|&p| wide_recorded.replay(p))
-            .collect();
-        drop(wide_recorded);
-        let buffered_time = started.elapsed();
-
-        let started = Instant::now();
-        let streamed = exp.sweep_streaming(&WIDE_SWEEP, workers.saturating_sub(1).max(1));
-        let streaming_time = started.elapsed();
-
-        for (a, b) in wide_buffered.iter().zip(&streamed) {
-            assert_eq!(
-                a.stats, b.stats,
-                "{label}/{}: streaming diverged from buffered replay",
-                a.policy
-            );
-        }
-
-        let streaming_speedup =
-            buffered_time.as_secs_f64() / streaming_time.as_secs_f64().max(1e-9);
-        if label.starts_with("paper") {
-            paper_streaming_speedup = streaming_speedup;
-        }
-        total_ms += (buffered_time + streaming_time).as_millis();
-        streaming_table.push_row(vec![
-            label.into(),
-            format!("{:.1}", buffered_time.as_secs_f64() * 1e3),
-            format!("{:.1}", streaming_time.as_secs_f64() * 1e3),
-            format!("{streaming_speedup:.2}x"),
-        ]);
-
         // The trace-store comparison: cold = record the stream (application
         // + upper levels) + persist it + fan out the sweep; warm = load the
         // persisted entry — the record phase skipped entirely — and fan out
@@ -461,82 +375,6 @@ fn main() {
             "{label}: v2 compression {ratio:.2}x fell below the 2.5x bar on the recorded stream"
         );
     }
-    // The campaign-scheduling comparison: a many-stream grid (4 datasets ×
-    // 2 apps = 8 unique streams, 8-policy sweep = 64 cells) run under the
-    // three campaign plans. All three pay the same dataset build + reorder
-    // inside `run()`, so the gap is purely scheduling:
-    //
-    // * **barrier** — `ExecutionMode::Replay`: all records, hard barrier,
-    //   then all replays;
-    // * **sequential streaming** — `streaming_pipelines(1)`: the
-    //   historical one-stream-at-a-time streaming loop;
-    // * **pipelined** — the default dependency-driven scheduler: replay
-    //   cells drain while later streams still record, LPT cost ordering.
-    let mut campaign_table = Table::new(
-        "Pipelined campaign: dependency-driven scheduler vs barrier replay vs \
-         sequential streaming",
-        &[
-            "grid",
-            "barrier ms",
-            "sequential ms",
-            "pipelined ms",
-            "vs barrier speed-up",
-            "vs sequential speed-up",
-        ],
-    );
-    let grid = |mode: ExecutionMode| {
-        Campaign::new(scale)
-            .datasets(&[
-                DatasetKind::Twitter,
-                DatasetKind::Kron,
-                DatasetKind::Uniform,
-                DatasetKind::LiveJournal,
-            ])
-            .apps(&[AppKind::PageRank, AppKind::Sssp])
-            .policies(&SWEEP)
-            .execution(mode)
-    };
-    let started = Instant::now();
-    let barrier = grid(ExecutionMode::Replay).run();
-    let barrier_time = started.elapsed();
-    let started = Instant::now();
-    let sequential = grid(ExecutionMode::Streaming).streaming_pipelines(1).run();
-    let sequential_time = started.elapsed();
-    let started = Instant::now();
-    let pipelined = grid(ExecutionMode::Pipelined).run();
-    let pipelined_time = started.elapsed();
-    assert_eq!(pipelined.len(), 4 * 2 * SWEEP.len());
-    assert!(
-        !pipelined.scheduler_events().is_empty(),
-        "the pipelined plan must log its schedule"
-    );
-    for ((a, b), c) in pipelined.iter().zip(barrier.iter()).zip(sequential.iter()) {
-        assert_eq!(a.cell, b.cell, "grid order must not depend on the plan");
-        assert_eq!(a.cell, c.cell, "grid order must not depend on the plan");
-        assert_eq!(
-            a.result.stats, b.result.stats,
-            "{}/{}/{}: pipelined diverged from the barrier plan",
-            a.cell.dataset, a.cell.app, a.cell.policy
-        );
-        assert_eq!(
-            a.result.stats, c.result.stats,
-            "{}/{}/{}: pipelined diverged from sequential streaming",
-            a.cell.dataset, a.cell.app, a.cell.policy
-        );
-    }
-    let pipelined_vs_barrier = barrier_time.as_secs_f64() / pipelined_time.as_secs_f64().max(1e-9);
-    let pipelined_vs_sequential =
-        sequential_time.as_secs_f64() / pipelined_time.as_secs_f64().max(1e-9);
-    total_ms += (barrier_time + sequential_time + pipelined_time).as_millis();
-    campaign_table.push_row(vec![
-        format!("8 streams x {} policies", SWEEP.len()),
-        format!("{:.1}", barrier_time.as_secs_f64() * 1e3),
-        format!("{:.1}", sequential_time.as_secs_f64() * 1e3),
-        format!("{:.1}", pipelined_time.as_secs_f64() * 1e3),
-        format!("{pipelined_vs_barrier:.2}x"),
-        format!("{pipelined_vs_sequential:.2}x"),
-    ]);
-
     let store_stats = store.stats();
     assert_eq!(
         store_stats.hits, 2,
@@ -546,16 +384,12 @@ fn main() {
     println!("{table}");
     println!("{batched_table}");
     println!("{record_table}");
-    println!("{streaming_table}");
-    println!("{campaign_table}");
     println!("{store_table}");
     println!("{compression_table}");
     println!("trace store traffic: {store_stats}");
     println!(
-        "stats bit-identical across all {} + {} policies on both hierarchies \
-         ({workers} worker(s) for the streaming sweep)",
-        SWEEP.len(),
-        WIDE_SWEEP.len()
+        "stats bit-identical across all {} policies on both hierarchies",
+        SWEEP.len()
     );
     // GRASP_BENCH_NO_SPEEDUP_BARS demotes the speed-up bars to reports: CI's
     // bench-trajectory job sets it because shared runners make hard perf
@@ -569,31 +403,8 @@ fn main() {
     } else {
         println!("buffered-replay bar (>=3x) reported only: measured {paper_speedup:.2}x");
     }
-    // The streaming bar needs headroom, not just parallelism: the serial
-    // record phase bounds the ideal at ~(record + fan-out)/record ≈ 1.7x on
-    // this workload, so with fewer than three replay consumers (4 hardware
-    // threads) channel overhead and the consumer tail eat the margin and
-    // the bar would flake without any real regression.
-    if enforce_bars && workers >= 4 {
-        assert!(
-            paper_streaming_speedup >= 1.5,
-            "paper-scale streaming speed-up {paper_streaming_speedup:.2}x fell below the \
-             1.5x acceptance bar ({workers} workers)"
-        );
-    } else {
-        println!(
-            "streaming speed-up bar (>=1.5x, measured {paper_streaming_speedup:.2}x) \
-             {}: needs >=4 hardware threads (recorder + >=3 replay consumers) and \
-             enforcement enabled ({workers} worker(s))",
-            if enforce_bars {
-                "skipped"
-            } else {
-                "reported only"
-            }
-        );
-    }
-    // The batched-kernel bar rides the same gate as the streaming one:
-    // single-core shared runners (CI's trajectory box) time too noisily for a
+    // The batched-kernel bar is enforced only on a multi-core box: single-core
+    // shared runners (CI's trajectory box) time too noisily for a
     // hard perf assert, so the bar is enforced only where a dedicated
     // multi-core box makes the measurement stable.
     if enforce_bars && workers >= 4 {
@@ -607,29 +418,6 @@ fn main() {
             "batched-replay bar (>=1.5x vs per-event feed, measured \
              {paper_batched_speedup:.2}x) {}: needs >=4 hardware threads and enforcement \
              enabled ({workers} worker(s))",
-            if enforce_bars {
-                "skipped"
-            } else {
-                "reported only"
-            }
-        );
-    }
-    // The pipelined-campaign bar rides the same gate: on a single worker
-    // every plan degenerates to the same serial work (the scheduler can
-    // only win wall-clock where workers can actually overlap record and
-    // replay), so the bar is enforced only at >= 4 hardware threads.
-    if enforce_bars && workers >= 4 {
-        assert!(
-            pipelined_vs_barrier >= 1.3,
-            "pipelined campaign speed-up {pipelined_vs_barrier:.2}x fell below the 1.3x \
-             acceptance bar over the barrier plan ({workers} workers)"
-        );
-    } else {
-        println!(
-            "pipelined-campaign bar (>=1.3x vs barrier replay, measured \
-             {pipelined_vs_barrier:.2}x; vs sequential streaming \
-             {pipelined_vs_sequential:.2}x) {}: needs >=4 hardware threads and \
-             enforcement enabled ({workers} worker(s))",
             if enforce_bars {
                 "skipped"
             } else {
@@ -665,8 +453,6 @@ fn main() {
             &table,
             &batched_table,
             &record_table,
-            &streaming_table,
-            &campaign_table,
             &store_table,
             &compression_table,
         ],

@@ -13,9 +13,8 @@
 //!
 //! Three workflows use recorded traces:
 //!
-//! 1. **Replay-mode campaigns** (`grasp-core`): record each
-//!    (dataset, reordering, application) cell once, fan the stream out across
-//!    the policy grid.
+//! 1. **Campaigns** (`grasp-core`): record each (dataset, reordering,
+//!    application) stream once, fan it out across the policy grid.
 //! 2. **OPT comparison (Fig. 11 / Table VII).**
 //!    [`crate::policy::opt::optimal_misses`] computes the minimum achievable
 //!    misses on the demand stream ([`LlcTrace::demand_vec`]) while the online
@@ -35,31 +34,10 @@
 //! never relocates more than one chunk, so a long recording costs neither the
 //! 2× transient footprint nor the O(len) copy of `Vec` doubling — the trace
 //! spills gracefully as it grows. Completed chunks are **frozen behind an
-//! `Arc`**, which makes cloning a trace (and handing chunks to concurrent
-//! consumers) free of record copies.
-//!
-//! # Streaming
-//!
-//! The record → replay barrier is optional. A [`TraceStreamer`] is the
-//! streaming counterpart of the recording [`LlcTrace`]: it implements
-//! [`LlcSink`], packs the post-L2 stream into the same frozen chunks, and
-//! pushes each completed chunk through a **bounded single-producer,
-//! multi-consumer chunk channel** ([`chunk_channel`]) instead of retaining
-//! it. Every consumer drives a [`ChunkReplayer`] — the incremental,
-//! chunk-at-a-time entry point to [`LlcStage`] — so an N-policy sweep
-//! replays *while recording is still running*, sharing one stream with zero
-//! copies, and the peak trace footprint is channel-depth × chunk-size
-//! instead of the whole trace:
-//!
-//! ```text
-//!  UpperLevels ──► TraceStreamer ──► [Arc<TraceChunk>; depth] ──► ChunkReplayer (policy A)
-//!   (recorder)      freeze+send       bounded broadcast     ├──► ChunkReplayer (policy B)
-//!                                                           └──► ...
-//! ```
-//!
-//! The buffered and streaming paths replay through the *same*
-//! [`ChunkReplayer`] code, so their statistics are bit-identical (pinned by
-//! `tests/trace_properties.rs`).
+//! `Arc`**, which makes cloning a trace free of record copies. Replay walks
+//! the chunks through a [`ChunkReplayer`] — the incremental, chunk-at-a-time
+//! entry point to [`LlcStage`] — or, for a whole policy sweep in one pass, a
+//! [`FanoutReplayer`].
 
 pub mod persist;
 
@@ -72,7 +50,6 @@ use crate::request::{AccessInfo, AccessKind, RegionLabel};
 use crate::stage::{LlcSink, LlcStage};
 use crate::stats::{CacheStats, HierarchyStats};
 use crate::swar::kind_run_len;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 
 /// Records per storage chunk (a 64 Ki-record chunk is 768 KiB).
@@ -165,9 +142,8 @@ pub(crate) fn count_demand_records(meta: &[u32]) -> usize {
 
 /// One fixed-capacity struct-of-arrays storage chunk of the post-L2 stream.
 ///
-/// Chunks are the unit of sharing in the streaming pipeline: a completed
-/// chunk is frozen behind an `Arc` and either kept by the recording
-/// [`LlcTrace`] or broadcast through a [`chunk_channel`] to concurrent
+/// Chunks are the unit of sharing and of replay: a completed chunk is
+/// frozen behind an `Arc` by the recording [`LlcTrace`] and fed whole to
 /// [`ChunkReplayer`]s. A frozen chunk is never mutated again.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceChunk {
@@ -247,8 +223,7 @@ pub struct RecordContext {
 /// module docs for the role it plays in the record/replay pipeline).
 ///
 /// Completed chunks are frozen behind `Arc`s, so cloning a trace shares the
-/// bulk of the storage, and [`LlcTrace::stream_into`] can re-broadcast an
-/// already-buffered trace through a [`chunk_channel`] with zero copies.
+/// bulk of the storage.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LlcTrace {
     frozen: Vec<Arc<TraceChunk>>,
@@ -562,21 +537,6 @@ impl LlcTrace {
     ) -> CacheStats {
         replay_demand_reclassified(self.demand_accesses(), config, policy, classifier)
     }
-
-    /// Re-broadcasts an already-buffered trace through a [`chunk_channel`]:
-    /// frozen chunks are shared (`Arc` clones, no record copies), the
-    /// in-progress tail is frozen on the fly, and the recorded context is
-    /// sent as the end-of-stream marker. Lets streaming consumers replay a
-    /// retained trace through the exact pipeline live recording uses.
-    pub fn stream_into(&self, tap: &TraceTap) {
-        for chunk in &self.frozen {
-            tap.send_chunk(Arc::clone(chunk));
-        }
-        if !self.current.is_empty() {
-            tap.send_chunk(Arc::new(self.current.clone()));
-        }
-        tap.send_end(Arc::new(self.context.clone()));
-    }
 }
 
 /// Recording sink: the trace consumes the post-L2 stream produced by
@@ -611,249 +571,12 @@ impl FromIterator<AccessInfo> for LlcTrace {
     }
 }
 
-/// Default bound of the streaming chunk channel, in chunks per consumer.
-/// Eight full chunks are ~6 MiB of records — the peak per-cell trace
-/// footprint of a streaming replay, independent of trace length.
-pub const DEFAULT_STREAM_DEPTH: usize = 8;
-
-/// One item of the streaming chunk channel.
-#[derive(Debug, Clone)]
-pub enum StreamItem {
-    /// A frozen chunk of the post-L2 stream, in stream order.
-    Chunk(Arc<TraceChunk>),
-    /// End of stream: the recording run's upper-level context, after which
-    /// no more chunks follow.
-    End(Arc<RecordContext>),
-}
-
-/// The producer half of a [`chunk_channel`]: broadcasts frozen chunks (and
-/// the end-of-stream context) to every consumer. Sending blocks once a
-/// consumer falls `depth` chunks behind, which is what bounds the pipeline's
-/// memory.
-#[derive(Debug)]
-pub struct TraceTap {
-    senders: Vec<SyncSender<StreamItem>>,
-    chunk_records: usize,
-}
-
-impl TraceTap {
-    fn broadcast(&self, item: StreamItem) {
-        // A disconnected receiver means its consumer is gone (e.g. it
-        // panicked and the scope is unwinding); dropping the send keeps the
-        // recorder alive so the joins can report the real failure.
-        let Some((last, rest)) = self.senders.split_last() else {
-            return;
-        };
-        for sender in rest {
-            let _ = sender.send(item.clone());
-        }
-        let _ = last.send(item);
-    }
-
-    /// Broadcasts one frozen chunk to every consumer.
-    pub fn send_chunk(&self, chunk: Arc<TraceChunk>) {
-        self.broadcast(StreamItem::Chunk(chunk));
-    }
-
-    /// Broadcasts the end-of-stream marker carrying the recorded context.
-    pub fn send_end(&self, context: Arc<RecordContext>) {
-        self.broadcast(StreamItem::End(context));
-    }
-
-    /// Records per chunk produced through this tap.
-    pub fn chunk_records(&self) -> usize {
-        self.chunk_records
-    }
-}
-
-/// The consumer half of a [`chunk_channel`]: yields the stream items of one
-/// consumer, in stream order.
-#[derive(Debug)]
-pub struct ChunkReceiver {
-    inner: Receiver<StreamItem>,
-}
-
-impl ChunkReceiver {
-    /// Receives the next stream item, blocking until the producer sends one.
-    /// Returns `None` when the producer disconnected without an
-    /// [`StreamItem::End`] marker (it panicked or was dropped mid-record).
-    pub fn recv(&self) -> Option<StreamItem> {
-        self.inner.recv().ok()
-    }
-}
-
-/// Creates a bounded single-producer, multi-consumer chunk channel:
-/// everything sent through the returned [`TraceTap`] is delivered to each of
-/// the `consumers` receivers, and the producer blocks once any consumer is
-/// `depth` chunks behind. Chunks hold [`CHUNK_RECORDS`] records.
-pub fn chunk_channel(consumers: usize, depth: usize) -> (TraceTap, Vec<ChunkReceiver>) {
-    chunk_channel_with(consumers, depth, CHUNK_RECORDS)
-}
-
-/// [`chunk_channel`] with an explicit chunk size (tests use tiny chunks to
-/// exercise freeze boundaries without multi-million-record streams).
-pub fn chunk_channel_with(
-    consumers: usize,
-    depth: usize,
-    chunk_records: usize,
-) -> (TraceTap, Vec<ChunkReceiver>) {
-    assert!(depth > 0, "chunk channel depth must be positive");
-    assert!(chunk_records > 0, "chunk size must be positive");
-    let mut senders = Vec::with_capacity(consumers);
-    let mut receivers = Vec::with_capacity(consumers);
-    for _ in 0..consumers {
-        let (sender, receiver) = sync_channel(depth);
-        senders.push(sender);
-        receivers.push(ChunkReceiver { inner: receiver });
-    }
-    (
-        TraceTap {
-            senders,
-            chunk_records,
-        },
-        receivers,
-    )
-}
-
-/// The streaming recorder: packs the post-L2 stream into frozen chunks and
-/// broadcasts each completed chunk through its [`TraceTap`] instead of
-/// retaining it — the producer end of the streaming record/replay pipeline.
-/// Event encoding is identical to [`LlcTrace`], so a streamed replay is
-/// bit-identical to a buffered one.
-#[derive(Debug)]
-pub struct TraceStreamer {
-    current: TraceChunk,
-    tap: TraceTap,
-    len: usize,
-    demand_len: usize,
-}
-
-impl TraceStreamer {
-    /// Creates a streaming recorder producing into `tap`.
-    pub fn new(tap: TraceTap) -> Self {
-        Self {
-            current: TraceChunk::with_capacity(tap.chunk_records()),
-            tap,
-            len: 0,
-            demand_len: 0,
-        }
-    }
-
-    #[inline]
-    fn push_raw(&mut self, addr: Address, meta: u32) {
-        self.current.push(addr, meta);
-        self.len += 1;
-        if self.current.len() == self.tap.chunk_records() {
-            let full = std::mem::replace(
-                &mut self.current,
-                TraceChunk::with_capacity(self.tap.chunk_records()),
-            );
-            self.tap.send_chunk(Arc::new(full));
-        }
-    }
-
-    /// Appends one demand record.
-    #[inline]
-    pub fn push(&mut self, info: &AccessInfo) {
-        self.push_raw(info.addr, encode_meta(info, 0));
-        self.demand_len += 1;
-    }
-
-    /// Appends one prefetch record.
-    #[inline]
-    pub fn push_prefetch(&mut self, info: &AccessInfo) {
-        self.push_raw(info.addr, encode_meta(info, META_PREFETCH_BIT));
-    }
-
-    /// Appends one writeback record.
-    #[inline]
-    pub fn push_writeback(&mut self, addr: Address) {
-        self.push_raw(addr, META_WRITEBACK_BIT);
-    }
-
-    /// Appends a flush marker.
-    pub fn push_flush(&mut self) {
-        self.push_raw(0, META_FLUSH_BIT);
-    }
-
-    /// Appends a whole flush-free record batch column-wise, broadcasting each
-    /// chunk the batch completes (the streaming counterpart of
-    /// [`LlcTrace::push_batch_raw`]; encoding and chunk boundaries are
-    /// identical, so a streamed recording stays bit-identical to a buffered
-    /// one).
-    pub(crate) fn push_batch_raw(&mut self, addrs: &[Address], meta: &[u32]) {
-        debug_assert_eq!(addrs.len(), meta.len(), "index-aligned columns");
-        self.len += addrs.len();
-        self.demand_len += count_demand_records(meta);
-        let records = self.tap.chunk_records();
-        let (mut addrs, mut meta) = (addrs, meta);
-        while !addrs.is_empty() {
-            let take = (records - self.current.len()).min(addrs.len());
-            self.current.addrs.extend_from_slice(&addrs[..take]);
-            self.current.meta.extend_from_slice(&meta[..take]);
-            if self.current.len() == records {
-                let full = std::mem::replace(&mut self.current, TraceChunk::with_capacity(records));
-                self.tap.send_chunk(Arc::new(full));
-            }
-            addrs = &addrs[take..];
-            meta = &meta[take..];
-        }
-    }
-
-    /// Total number of events streamed so far.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` when nothing has been streamed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of demand records streamed so far.
-    pub fn demand_len(&self) -> usize {
-        self.demand_len
-    }
-
-    /// Finishes the stream: flushes the in-progress chunk and broadcasts the
-    /// end-of-stream marker carrying the recording run's context.
-    pub fn finish(mut self, context: RecordContext) {
-        if !self.current.is_empty() {
-            let tail = std::mem::take(&mut self.current);
-            self.tap.send_chunk(Arc::new(tail));
-        }
-        self.tap.send_end(Arc::new(context));
-    }
-}
-
-/// Streaming-recording sink: like the [`LlcSink`] impl of [`LlcTrace`], the
-/// streamer consumes the post-L2 stream without simulating an LLC.
-impl LlcSink for TraceStreamer {
-    fn demand(&mut self, info: &AccessInfo) -> bool {
-        self.push(info);
-        false
-    }
-
-    fn prefetch(&mut self, info: &AccessInfo) {
-        self.push_prefetch(info);
-    }
-
-    fn writeback(&mut self, addr: Address) {
-        self.push_writeback(addr);
-    }
-
-    fn push_batch(&mut self, addrs: &[Address], meta: &[u32]) {
-        self.push_batch_raw(addrs, meta);
-    }
-}
-
 /// The incremental, chunk-driven entry point to [`LlcStage`]: feed it trace
-/// chunks as they arrive (from a [`ChunkReceiver`] or a buffered trace's
-/// [`LlcTrace::chunks`]), then [`ChunkReplayer::finish`] with the recorded
-/// context to obtain the full hierarchy statistics. Both
-/// [`LlcTrace::replay`] and the streaming consumers drive this same type,
-/// which is what pins streamed and buffered replay bit-for-bit to each
-/// other (and to direct simulation).
+/// chunks in stream order ([`LlcTrace::chunks`]), then
+/// [`ChunkReplayer::finish`] with the recorded context to obtain the full
+/// hierarchy statistics. [`LlcTrace::replay`] and its scalar and
+/// reclassifying variants all drive this one type, which is what pins them
+/// bit-for-bit to each other (and to direct simulation).
 ///
 /// [`ChunkReplayer::feed`] is the batched replay kernel: it splits the chunk
 /// into maximal flush-free tiles (the flush bit of the metadata column is
@@ -1105,37 +828,6 @@ impl FanoutReplayer {
     }
 }
 
-/// Drives a group of [`ChunkReplayer`]s from one [`ChunkReceiver`] until the
-/// end-of-stream marker arrives, then finishes each replayer with the
-/// received context. Every chunk is fed to every replayer, so one consumer
-/// thread can serve several policies of a sweep.
-///
-/// # Panics
-///
-/// Panics when the producer disconnects without an end-of-stream marker
-/// (the recording side panicked or was dropped mid-record).
-pub fn replay_stream(
-    receiver: &ChunkReceiver,
-    mut replayers: Vec<ChunkReplayer>,
-) -> Vec<HierarchyStats> {
-    loop {
-        match receiver.recv() {
-            Some(StreamItem::Chunk(chunk)) => {
-                for replayer in &mut replayers {
-                    replayer.feed(&chunk);
-                }
-            }
-            Some(StreamItem::End(context)) => {
-                return replayers
-                    .into_iter()
-                    .map(|replayer| replayer.finish(&context))
-                    .collect();
-            }
-            None => panic!("trace stream ended without an end-of-stream marker"),
-        }
-    }
-}
-
 /// Replays a demand-access trace through a standalone LLC with the given
 /// policy and returns the resulting statistics (synthetic-trace workflows;
 /// recorded runs should prefer [`LlcTrace::replay`]). The trace is driven
@@ -1376,54 +1068,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_bulk_appends_chunk_identically_to_per_event_pushes() {
-        let collect = |rx: &ChunkReceiver| {
-            let mut chunks = Vec::new();
-            while let Some(item) = rx.recv() {
-                match item {
-                    StreamItem::Chunk(chunk) => chunks.push(chunk),
-                    StreamItem::End(_) => break,
-                }
-            }
-            chunks
-        };
-        let total = 77usize;
-        // Tiny 32-record chunks; few enough that the bounded channel never
-        // blocks a single-threaded test.
-        let (tap, receivers) = chunk_channel_with(1, 64, 32);
-        let mut per_event = TraceStreamer::new(tap);
-        for i in 0..total {
-            chunk_test_push_streamer(&mut per_event, i);
-        }
-        per_event.finish(RecordContext::default());
-        let expected = collect(&receivers[0]);
-
-        let (tap, receivers) = chunk_channel_with(1, 64, 32);
-        let mut bulk = TraceStreamer::new(tap);
-        for i in 0..10 {
-            chunk_test_push_streamer(&mut bulk, i);
-        }
-        let (addrs, meta): (Vec<Address>, Vec<u32>) = (10..total).map(chunk_test_encoded).unzip();
-        bulk.push_batch_raw(&addrs, &meta);
-        assert_eq!(bulk.len(), total);
-        assert_eq!(bulk.demand_len(), total.div_ceil(3));
-        bulk.finish(RecordContext::default());
-        let got = collect(&receivers[0]);
-        assert_eq!(expected.len(), got.len());
-        for (a, b) in expected.iter().zip(&got) {
-            assert_eq!(a.as_ref(), b.as_ref());
-        }
-    }
-
-    fn chunk_test_push_streamer(sink: &mut TraceStreamer, i: usize) {
-        match i % 3 {
-            0 => sink.push(&chunk_test_demand(i)),
-            1 => sink.push_prefetch(&chunk_test_prefetch(i)),
-            _ => sink.push_writeback(i as u64 * 64),
-        }
-    }
-
-    #[test]
     fn llc_trace_round_trips_every_field() {
         let infos = [
             AccessInfo::read(0x1234)
@@ -1537,83 +1181,6 @@ mod tests {
         assert_eq!(stats.l1.accesses, 1, "recorded upper stats are carried");
         assert_eq!(stats.llc.accesses as usize, trace.demand_len());
         assert_eq!(stats.memory_accesses, stats.llc.misses);
-    }
-
-    #[test]
-    fn streamed_replay_matches_buffered_replay() {
-        let trace: LlcTrace = thrashy_trace(32, 200, 6).into_iter().collect();
-        let config = llc_config();
-        let buffered = trace.replay(config, Box::new(Lru::new(config.sets(), config.ways)));
-
-        // Tiny chunks force freeze boundaries; the depth is generous enough
-        // to re-broadcast the whole trace without a consumer thread.
-        let records = trace.len();
-        let (tap, receivers) = chunk_channel_with(1, records.div_ceil(5) + 2, 5);
-        let mut streamer = TraceStreamer::new(tap);
-        for event in trace.iter() {
-            match event {
-                TraceEvent::Demand(info) => streamer.push(&info),
-                TraceEvent::Prefetch(info) => streamer.push_prefetch(&info),
-                TraceEvent::Writeback(addr) => streamer.push_writeback(addr),
-                TraceEvent::Flush => streamer.push_flush(),
-            }
-        }
-        assert_eq!(streamer.len(), records);
-        streamer.finish(trace.context().clone());
-
-        let replayer = ChunkReplayer::new(config, Box::new(Lru::new(config.sets(), config.ways)));
-        let streamed = replay_stream(&receivers[0], vec![replayer]);
-        assert_eq!(streamed.len(), 1);
-        assert_eq!(streamed[0], buffered);
-    }
-
-    #[test]
-    fn stream_into_rebroadcasts_a_buffered_trace_to_many_consumers() {
-        let trace: LlcTrace = thrashy_trace(16, 64, 3).into_iter().collect();
-        let config = llc_config();
-        let consumers = 3;
-        let (tap, receivers) = chunk_channel(consumers, DEFAULT_STREAM_DEPTH);
-        trace.stream_into(&tap);
-        for receiver in &receivers {
-            let replayer =
-                ChunkReplayer::new(config, Box::new(Lru::new(config.sets(), config.ways)));
-            let streamed = replay_stream(receiver, vec![replayer]);
-            let buffered = trace.replay(config, Box::new(Lru::new(config.sets(), config.ways)));
-            assert_eq!(streamed[0], buffered);
-        }
-    }
-
-    #[test]
-    fn bounded_channel_applies_backpressure_across_threads() {
-        // A depth-1 channel with chunk size 4: the producer must block until
-        // the consumer drains, and every record still arrives in order.
-        let events: Vec<AccessInfo> = (0..257u64).map(|i| AccessInfo::read(i * 64)).collect();
-        let config = llc_config();
-        let expected: LlcTrace = events.iter().copied().collect();
-        let expected = expected.replay(config, Box::new(Lru::new(config.sets(), config.ways)));
-
-        let (tap, mut receivers) = chunk_channel_with(2, 1, 4);
-        let receiver_a = receivers.remove(0);
-        let receiver_b = receivers.remove(0);
-        let stats = std::thread::scope(|scope| {
-            let consume = |receiver: ChunkReceiver| {
-                scope.spawn(move || {
-                    let replayer =
-                        ChunkReplayer::new(config, Box::new(Lru::new(config.sets(), config.ways)));
-                    replay_stream(&receiver, vec![replayer]).remove(0)
-                })
-            };
-            let a = consume(receiver_a);
-            let b = consume(receiver_b);
-            let mut streamer = TraceStreamer::new(tap);
-            for info in &events {
-                streamer.push(info);
-            }
-            streamer.finish(RecordContext::default());
-            (a.join().expect("consumer a"), b.join().expect("consumer b"))
-        });
-        assert_eq!(stats.0, expected);
-        assert_eq!(stats.1, expected);
     }
 
     #[test]

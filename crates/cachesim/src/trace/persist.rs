@@ -48,9 +48,9 @@
 //! [`TraceChunk`] page behind its `Arc` — no per-event
 //! materialization, no re-push through the recording path — and the loaded
 //! trace compares equal (`==`) to the trace that was written, chunk layout
-//! included. A loaded trace therefore streams through
-//! [`LlcTrace::stream_into`](super::LlcTrace::stream_into) exactly like a
-//! freshly recorded one.
+//! included. A loaded trace therefore replays chunk by chunk
+//! ([`LlcTrace::chunks`](super::LlcTrace::chunks)) exactly like a freshly
+//! recorded one.
 //!
 //! [`LlcTrace::read_from`] dispatches on **version + codec**: v1 files (and
 //! `Raw`-codec writes, which still emit the v1 byte format) load exactly as

@@ -1,9 +1,9 @@
 //! Property tests for the canonical post-L2 trace: the chunked SoA storage
 //! must round-trip arbitrary event sequences exactly (`push`/`get`/`iter`/
-//! `to_vec` always agree), replay must be deterministic, and the streaming
-//! pipeline (chunk channel + incremental replayer) must reproduce buffered
-//! replay bit-for-bit for arbitrary event sequences — flushes and
-//! writebacks included.
+//! `to_vec` always agree), replay must be deterministic, and the batched
+//! chunk replayer must reproduce the per-event path bit-for-bit for
+//! arbitrary event sequences — flushes and writebacks included — within a
+//! chunk and across a chunk boundary.
 
 use grasp_cachesim::config::CacheConfig;
 use grasp_cachesim::hint::ReuseHint;
@@ -12,10 +12,8 @@ use grasp_cachesim::policy::lru::Lru;
 use grasp_cachesim::policy::rrip::Drrip;
 use grasp_cachesim::policy::PolicyDispatch;
 use grasp_cachesim::request::{AccessInfo, RegionLabel};
-use grasp_cachesim::trace::{
-    chunk_channel_with, replay_stream, ChunkReceiver, ChunkReplayer, LlcTrace, RecordContext,
-    TraceEvent, TraceStreamer,
-};
+use grasp_cachesim::stats::HierarchyStats;
+use grasp_cachesim::trace::{ChunkReplayer, LlcTrace, TraceEvent, CHUNK_RECORDS};
 use proptest::prelude::*;
 
 /// An arbitrary event: selector (demand read / demand write / prefetch /
@@ -25,7 +23,7 @@ fn arb_events() -> impl Strategy<Value = Vec<TraceEvent>> {
 }
 
 /// Like [`arb_events`], but selector values ≥ 4 become flush markers when
-/// `kinds` is 5 (the streaming parity property exercises them; the storage
+/// `kinds` is 5 (the batched-vs-scalar properties exercise them; the storage
 /// round-trip keeps the historical distribution).
 fn arb_events_with_flushes(kinds: u8) -> impl Strategy<Value = Vec<TraceEvent>> {
     proptest::collection::vec((0u8..kinds, 0u64..4096, 0u16..32, 0u8..4, 0u8..5), 1..800).prop_map(
@@ -112,114 +110,20 @@ proptest! {
     }
 
     #[test]
-    fn streaming_replay_is_bit_identical_to_buffered_replay(events in arb_events_with_flushes(5)) {
-        let trace = {
-            let mut trace = build(&events);
-            // A non-trivial recorded context must be carried to every
-            // streaming consumer through the end-of-stream marker.
-            let mut context = RecordContext::default();
-            context.l1.record(RegionLabel::Property, false);
-            context.l2.record(RegionLabel::EdgeArray, true);
-            context.abr_bounds = vec![(0, 1 << 20)];
-            trace.set_context(context);
-            trace
-        };
-        let config = CacheConfig::new(64 * 128, 8, 64);
-        let buffered_lru = trace.replay(config, Lru::new(config.sets(), config.ways));
-        let buffered_rrip = trace.replay(config, Drrip::new(config.sets(), config.ways, 1));
-
-        // Drive the streaming pipeline with a deliberately tiny chunk size so
-        // every case crosses several freeze boundaries, and a producer thread
-        // against a shallow (depth-2) channel so backpressure is exercised.
-        // Consumer 0 replays both policies off one receiver; consumer 1
-        // double-checks LRU from its own copy of the stream.
-        let (tap, mut receivers) = chunk_channel_with(2, 2, 7);
-        let receiver_b = receivers.pop().expect("two receivers");
-        let receiver_a = receivers.pop().expect("two receivers");
-        let (streamed_a, streamed_b) = std::thread::scope(|scope| {
-            let worker_a = scope.spawn(move || {
-                replay_stream(
-                    &receiver_a,
-                    vec![
-                        ChunkReplayer::new(config, Lru::new(config.sets(), config.ways)),
-                        ChunkReplayer::new(config, Drrip::new(config.sets(), config.ways, 1)),
-                    ],
-                )
-            });
-            let worker_b = scope.spawn(move || {
-                replay_stream(
-                    &receiver_b,
-                    vec![ChunkReplayer::new(
-                        config,
-                        Lru::new(config.sets(), config.ways),
-                    )],
-                )
-            });
-            let mut streamer = TraceStreamer::new(tap);
-            for event in &events {
-                match event {
-                    TraceEvent::Demand(info) => streamer.push(info),
-                    TraceEvent::Prefetch(info) => streamer.push_prefetch(info),
-                    TraceEvent::Writeback(addr) => streamer.push_writeback(*addr),
-                    TraceEvent::Flush => streamer.push_flush(),
-                }
-            }
-            streamer.finish(trace.context().clone());
-            (
-                worker_a.join().expect("consumer a"),
-                worker_b.join().expect("consumer b"),
-            )
-        });
-        prop_assert_eq!(&streamed_a[0], &buffered_lru);
-        prop_assert_eq!(&streamed_a[1], &buffered_rrip);
-        prop_assert_eq!(&streamed_b[0], &buffered_lru);
-        prop_assert_eq!(streamed_a[0].l1.accesses, 1, "recorded L1 stats carried");
-    }
-
-    #[test]
     fn batched_feed_is_bit_identical_to_per_event_feed(events in arb_events_with_flushes(5)) {
         // The batched chunk-native kernel against the per-event reference
         // path, over arbitrary event mixes: demand reads and writes, dirty
         // writebacks, prefetches and flushes, across several policies
-        // (bypassing GRASP included). Tiny chunks put run boundaries at
-        // chunk edges: a run cut mid-stream by a freeze must replay exactly
-        // like the same records fed one by one.
+        // (bypassing GRASP included). These traces fit one chunk; the
+        // boundary case is `feed_matches_feed_scalar_across_a_real_chunk_boundary`.
         let trace = build(&events);
         let config = CacheConfig::new(64 * 128, 8, 64);
-        for chunk_records in [1usize, 7, events.len().max(1)] {
-            let (tap, receivers) = chunk_channel_with(
-                1,
-                events.len().div_ceil(chunk_records) + 1,
-                chunk_records,
-            );
-            trace.stream_into(&tap);
-            let mut batched_lru = ChunkReplayer::new(config, Lru::new(config.sets(), config.ways));
-            let mut scalar_lru = ChunkReplayer::new(config, Lru::new(config.sets(), config.ways));
-            let mut batched_grasp =
-                ChunkReplayer::new(config, Grasp::new(config.sets(), config.ways, 7));
-            let mut scalar_grasp =
-                ChunkReplayer::new(config, Grasp::new(config.sets(), config.ways, 7));
-            loop {
-                match receivers[0].recv() {
-                    Some(grasp_cachesim::trace::StreamItem::Chunk(chunk)) => {
-                        batched_lru.feed(&chunk);
-                        scalar_lru.feed_scalar(&chunk);
-                        batched_grasp.feed(&chunk);
-                        scalar_grasp.feed_scalar(&chunk);
-                    }
-                    Some(grasp_cachesim::trace::StreamItem::End(context)) => {
-                        let batched = batched_lru.finish(&context);
-                        let scalar = scalar_lru.finish(&context);
-                        prop_assert_eq!(&batched, &scalar, "LRU, {} rec/chunk", chunk_records);
-                        let batched = batched_grasp.finish(&context);
-                        let scalar = scalar_grasp.finish(&context);
-                        prop_assert_eq!(&batched, &scalar, "GRASP, {} rec/chunk", chunk_records);
-                        break;
-                    }
-                    None => panic!("stream ended without end-of-stream marker"),
-                }
-            }
-        }
+        let lru = || Lru::new(config.sets(), config.ways);
+        let grasp = || Grasp::new(config.sets(), config.ways, 7);
+        let (batched, scalar) = feed_both_ways(&trace, config, lru);
+        prop_assert_eq!(&batched, &scalar, "LRU");
+        let (batched, scalar) = feed_both_ways(&trace, config, grasp);
+        prop_assert_eq!(&batched, &scalar, "GRASP");
     }
 
     #[test]
@@ -251,30 +155,32 @@ proptest! {
         }
     }
 
-    #[test]
-    fn rebroadcasting_a_buffered_trace_streams_bit_identically(events in arb_events_with_flushes(5)) {
-        let trace = build(&events);
-        let config = CacheConfig::new(64 * 64, 4, 64);
-        let buffered = trace.replay(config, Grasp::new(config.sets(), config.ways, 7));
-        // Depth covers the whole trace, so no producer thread is needed.
-        let chunks = events.len().div_ceil(grasp_cachesim::trace::CHUNK_RECORDS) + 1;
-        let (tap, receivers) = chunk_channel_with(1, chunks, grasp_cachesim::trace::CHUNK_RECORDS);
-        trace.stream_into(&tap);
-        let receiver: &ChunkReceiver = &receivers[0];
-        let streamed = replay_stream(
-            receiver,
-            vec![ChunkReplayer::new(
-                config,
-                Grasp::new(config.sets(), config.ways, 7),
-            )],
-        );
-        prop_assert_eq!(&streamed[0], &buffered);
-    }
 }
 
-/// Degenerate scalar-only chunks: a chunk that is 100% writebacks and
-/// flushes contains no batchable run at all, so the batched kernel must
-/// reduce entirely to the scalar fallback.
+/// Replays `trace` chunk by chunk through the batched kernel
+/// ([`ChunkReplayer::feed`]) and through the per-event reference
+/// ([`ChunkReplayer::feed_scalar`]), each on a fresh replayer.
+fn feed_both_ways<P: Into<PolicyDispatch>>(
+    trace: &LlcTrace,
+    config: CacheConfig,
+    policy: impl Fn() -> P,
+) -> (HierarchyStats, HierarchyStats) {
+    let mut batched = ChunkReplayer::new(config, policy());
+    let mut scalar = ChunkReplayer::new(config, policy());
+    for chunk in trace.chunks() {
+        batched.feed(chunk);
+        scalar.feed_scalar(chunk);
+    }
+    (
+        batched.finish(trace.context()),
+        scalar.finish(trace.context()),
+    )
+}
+
+/// A degenerate stretch: after a short warm-up the chunk is 100% writebacks
+/// cut by flushes, so every tile the batched kernel forms holds no demand or
+/// prefetch record at all, and the flushes between them take the per-event
+/// path.
 #[test]
 fn all_writeback_and_flush_chunks_replay_identically() {
     let mut events = Vec::new();
@@ -282,7 +188,7 @@ fn all_writeback_and_flush_chunks_replay_identically() {
     for blk in 0..64u64 {
         events.push(TraceEvent::Demand(AccessInfo::write(blk * 64)));
     }
-    // One chunk's worth of pure writebacks with a flush sprinkled in.
+    // A long stretch of pure writebacks with a flush sprinkled in.
     for blk in 0..512u64 {
         if blk % 97 == 0 {
             events.push(TraceEvent::Flush);
@@ -291,26 +197,60 @@ fn all_writeback_and_flush_chunks_replay_identically() {
     }
     let trace = build(&events);
     let config = CacheConfig::new(64 * 128, 8, 64);
-    // Chunk size 64 makes the writeback/flush tail span whole chunks with no
-    // demand or prefetch record in them.
-    let (tap, receivers) = chunk_channel_with(1, events.len().div_ceil(64) + 1, 64);
-    trace.stream_into(&tap);
-    let mut batched = ChunkReplayer::new(config, Lru::new(config.sets(), config.ways));
-    let mut scalar = ChunkReplayer::new(config, Lru::new(config.sets(), config.ways));
-    loop {
-        match receivers[0].recv() {
-            Some(grasp_cachesim::trace::StreamItem::Chunk(chunk)) => {
-                batched.feed(&chunk);
-                scalar.feed_scalar(&chunk);
+    let (batched, scalar) = feed_both_ways(&trace, config, || Lru::new(config.sets(), config.ways));
+    assert_eq!(batched, scalar);
+    assert!(
+        batched.llc.writeback_accesses >= 512,
+        "writebacks all replayed"
+    );
+}
+
+/// A trace that really spans two storage chunks: `CHUNK_RECORDS + 64` events
+/// with a dense demand/prefetch run straddling record `CHUNK_RECORDS`, so
+/// the batched kernel has to cut that run at the chunk edge and pick it up
+/// again in a second chunk that is shorter than one tile. An early flush
+/// knocks the tiles off their natural alignment, so the first chunk also
+/// ends in a partial tile.
+#[test]
+fn feed_matches_feed_scalar_across_a_real_chunk_boundary() {
+    let straddle = CHUNK_RECORDS - 40..CHUNK_RECORDS + 40;
+    let events: Vec<TraceEvent> = (0..CHUNK_RECORDS + 64)
+        .map(|i| {
+            let addr = (i as u64).wrapping_mul(2_654_435_761) % 4096 * 64;
+            let info = AccessInfo::read(addr)
+                .with_site((i % 32) as u16)
+                .with_hint(ReuseHint::decode((i % 4) as u8))
+                .with_region(RegionLabel::ALL[i % 5]);
+            if i == 1000 {
+                return TraceEvent::Flush;
             }
-            Some(grasp_cachesim::trace::StreamItem::End(context)) => {
-                let a = batched.finish(&context);
-                let b = scalar.finish(&context);
-                assert_eq!(a, b);
-                assert!(a.llc.writeback_accesses >= 512, "writebacks all replayed");
-                break;
+            let kind = if straddle.contains(&i) {
+                i % 2 * 5
+            } else {
+                i % 8
+            };
+            match kind {
+                0..=3 => TraceEvent::Demand(info),
+                4 => TraceEvent::Demand(AccessInfo {
+                    kind: grasp_cachesim::AccessKind::Write,
+                    ..info
+                }),
+                5 | 6 => TraceEvent::Prefetch(info),
+                _ => TraceEvent::Writeback(addr),
             }
-            None => panic!("stream ended without end-of-stream marker"),
-        }
-    }
+        })
+        .collect();
+    let trace = build(&events);
+    assert_eq!(
+        trace.chunks().count(),
+        2,
+        "the trace must cross a chunk edge"
+    );
+    let config = CacheConfig::new(64 * 128, 8, 64);
+    let (batched, scalar) = feed_both_ways(&trace, config, || Lru::new(config.sets(), config.ways));
+    assert_eq!(batched, scalar, "LRU");
+    assert_eq!(batched.llc.accesses as usize, trace.demand_len());
+    let (batched, scalar) =
+        feed_both_ways(&trace, config, || Grasp::new(config.sets(), config.ways, 7));
+    assert_eq!(batched, scalar, "GRASP");
 }

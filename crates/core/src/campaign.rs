@@ -4,7 +4,7 @@
 //! application × LLC-policy simulations. The bench harness used to walk that
 //! grid serially, rebuilding and re-reordering the dataset for every cell. A
 //! [`Campaign`] expresses the whole grid declaratively and runs it on a
-//! thread pool according to an execution plan:
+//! thread pool:
 //!
 //! * each dataset is **generated once**,
 //! * each (dataset, technique, traversal-direction) graph is **reordered
@@ -14,27 +14,25 @@
 //!   post-L2 stream is recorded ([`Experiment::record`]) — and the policy
 //!   axis is served by **replaying** the recorded stream, so an N-policy
 //!   sweep pays the application and L1/L2 cost once instead of N times,
-//! * in the default [`ExecutionMode::Pipelined`] plan there is **no barrier
-//!   between phases**: a dependency-driven scheduler keeps one shared ready
-//!   queue of typed tasks (`Record(stream)` / `Load(stream)` /
-//!   `Replay(cell)`) where each replay cell becomes runnable the moment its
-//!   stream's recording — or trace-store load — completes, so workers drain
-//!   the replays of stream *N* while stream *N + 1* is still recording,
+//! * there is **no barrier between phases**: a dependency-driven scheduler
+//!   keeps one shared ready queue of typed tasks (`Record(stream)` /
+//!   `Load(stream)` / `Replay(cell)`) where each replay cell becomes
+//!   runnable the moment its stream's recording — or trace-store load —
+//!   completes, so workers drain the replays of stream *N* while stream
+//!   *N + 1* is still recording,
 //! * placement is **cost-aware**: task costs are seeded from
 //!   instruction/record counts and refined online from measured wall times
 //!   within the run ([`SchedulerEvent`] logs the resulting interleaving),
 //!   and the ready queues are drained longest-processing-time-first, and
 //! * results are collected **deterministically in grid order** regardless of
-//!   mode, thread count or scheduling.
+//!   thread count or scheduling.
 //!
 //! Per-cell statistics are bit-identical to running [`Experiment::run`]
-//! serially — in pipelined/replay mode because the recorded stream is
-//! replayed through the same LLC-stage code the direct path simulates
-//! (pinned by `tests/replay_parity.rs` and `tests/scheduler_parity.rs`).
-//! [`ExecutionMode::Replay`] keeps the two-phase barrier plan as a
-//! reference, and [`ExecutionMode::Direct`] the original run-every-cell
-//! plan, for workloads where recording is undesirable (e.g. single-policy
-//! grids dominated by trace volume).
+//! serially, because the recorded stream is replayed through the same
+//! LLC-stage code a full-hierarchy run simulates. [`Campaign::run_direct`]
+//! — every cell through the full hierarchy, nothing recorded — is the
+//! oracle `tests/replay_parity.rs` and `tests/scheduler_parity.rs` pin that
+//! against.
 //!
 //! ```no_run
 //! use grasp_core::campaign::Campaign;
@@ -70,82 +68,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
-
-/// How a campaign turns its grid into simulations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionMode {
-    /// The dependency-driven scheduler (the default): records, trace-store
-    /// loads and policy replays share one ready queue, each replay cell
-    /// becoming runnable the moment its stream's recording (or load)
-    /// completes. There is no record→replay barrier and no sequential
-    /// stream loop — workers drain replays of one stream while later
-    /// streams are still recording — and placement is cost-aware
-    /// (longest-processing-time-first over online-refined per-(app, policy)
-    /// cost estimates). Results are bit-identical to every other plan and
-    /// arrive in deterministic grid order.
-    #[default]
-    Pipelined,
-    /// Record each (dataset, technique, application) stream once, replay it
-    /// under every policy of the grid, with a hard barrier between the two
-    /// phases. Kept as the reference two-phase plan the pipelined scheduler
-    /// is pinned against.
-    Replay,
-    /// Run every cell through the full hierarchy independently (the original
-    /// plan; no traces are kept alive beyond a cell).
-    Direct,
-    /// Stream each (dataset, technique, application) cell: the recording run
-    /// and the policy replays execute **concurrently**, sharing frozen trace
-    /// chunks through a bounded channel
-    /// ([`Experiment::sweep_streaming`]). The record phase's wall-clock is
-    /// overlapped instead of serialized against the fan-out, and the peak
-    /// trace footprint per cell is channel-depth × chunk-size instead of the
-    /// whole stream. On a budget of ≥ 4 workers, streams are claimed by
-    /// several concurrent **gang pipelines** (each a dedicated recorder
-    /// thread plus its replay consumers; tune with
-    /// [`Campaign::streaming_pipelines`]), so stream *N + 1* records while
-    /// stream *N*'s fan-out tail drains; below that, streams run one at a
-    /// time with the full worker budget. Results stay bit-identical to the
-    /// other plans in every configuration.
-    ///
-    /// Campaigns that request per-cell traces
-    /// ([`Campaign::recording_llc_trace`]) **fall back to [`ExecutionMode::Pipelined`]**,
-    /// since streaming never materializes a trace to hand back. The
-    /// fallback is observable: [`CampaignResult::executed_mode`] reports
-    /// the plan that actually ran, not the one requested.
-    Streaming,
-}
-
-impl ExecutionMode {
-    /// The wire slug used by [`CampaignSpec`] documents (`pipelined`,
-    /// `replay`, `direct`, `streaming`).
-    pub fn label(self) -> &'static str {
-        match self {
-            ExecutionMode::Pipelined => "pipelined",
-            ExecutionMode::Replay => "replay",
-            ExecutionMode::Direct => "direct",
-            ExecutionMode::Streaming => "streaming",
-        }
-    }
-
-    /// Parses an [`ExecutionMode::label`] back to the mode (case-sensitive,
-    /// exact).
-    pub fn from_label(label: &str) -> Option<Self> {
-        [
-            ExecutionMode::Pipelined,
-            ExecutionMode::Replay,
-            ExecutionMode::Direct,
-            ExecutionMode::Streaming,
-        ]
-        .into_iter()
-        .find(|mode| mode.label() == label)
-    }
-}
-
-impl std::fmt::Display for ExecutionMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// One entry of the scheduler's event log: what happened, in the order it
 /// happened (entries are appended under the scheduler lock, so the log is a
@@ -347,9 +269,7 @@ pub struct Campaign {
     policies: Vec<PolicyKind>,
     hierarchy: Option<HierarchyConfig>,
     record_trace: bool,
-    mode: ExecutionMode,
     threads: usize,
-    pipelines: usize,
     store: Option<Arc<TraceStore>>,
     codec: Option<Codec>,
     flights: Option<Arc<FlightRegistry>>,
@@ -359,8 +279,8 @@ impl Campaign {
     /// Creates an empty campaign at the given scale.
     ///
     /// Defaults: the DBG reordering of the headline figures, the
-    /// scale-appropriate hierarchy, no trace recording, the record/replay
-    /// execution plan, and one worker per available CPU.
+    /// scale-appropriate hierarchy, no trace recording, and one worker per
+    /// available CPU.
     pub fn new(scale: Scale) -> Self {
         Self {
             scale,
@@ -371,9 +291,7 @@ impl Campaign {
             policies: Vec::new(),
             hierarchy: None,
             record_trace: false,
-            mode: ExecutionMode::default(),
-            threads: 0,   // auto: resolved to available_parallelism at run time
-            pipelines: 0, // auto: resolved from the worker budget at run time
+            threads: 0, // auto: resolved to available_parallelism at run time
             store: None,
             codec: None, // resolved from GRASP_TRACE_CODEC (default delta-varint)
             flights: None,
@@ -397,9 +315,7 @@ impl Campaign {
             .techniques(&spec.techniques)
             .apps(&spec.apps)
             .policies(&spec.policies)
-            .execution(spec.mode)
-            .threads(spec.threads)
-            .streaming_pipelines(spec.pipelines);
+            .threads(spec.threads);
         if let Some(hierarchy) = spec.hierarchy {
             campaign = campaign.hierarchy(hierarchy);
         }
@@ -429,9 +345,7 @@ impl Campaign {
             policies: self.policies.clone(),
             hierarchy: self.hierarchy,
             record_trace: self.record_trace,
-            mode: self.mode,
             threads: self.threads,
-            pipelines: self.pipelines,
             store: self
                 .store
                 .as_ref()
@@ -592,41 +506,6 @@ impl Campaign {
         self.codec.unwrap_or_else(codec_from_env)
     }
 
-    /// Selects the execution plan (default: [`ExecutionMode::Replay`]).
-    #[must_use]
-    pub fn execution(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Shorthand for selecting the direct (run-every-cell) plan.
-    #[must_use]
-    pub fn direct(self) -> Self {
-        self.execution(ExecutionMode::Direct)
-    }
-
-    /// Shorthand for selecting the streaming (overlapped record/replay)
-    /// plan.
-    #[must_use]
-    pub fn streaming(self) -> Self {
-        self.execution(ExecutionMode::Streaming)
-    }
-
-    /// Forces the number of concurrent gang pipelines the
-    /// [`ExecutionMode::Streaming`] plan runs (each pipeline is one
-    /// dedicated recorder thread plus its share of replay consumers). `0`
-    /// (the default) resolves from the worker budget — one pipeline below 4
-    /// workers, `max(2, workers / 4)` at or above — and any request is
-    /// clamped to the stream count. `streaming_pipelines(1)` reproduces the
-    /// historical sequential-stream plan exactly (full worker budget, one
-    /// stream at a time), which is what the bench harness uses as its
-    /// sequential-streaming baseline. Ignored by the other plans.
-    #[must_use]
-    pub fn streaming_pipelines(mut self, pipelines: usize) -> Self {
-        self.pipelines = pipelines;
-        self
-    }
-
     /// Sets the worker-thread count. `0` (the default) means one worker per
     /// available CPU; degenerate requests (zero, or absurdly many workers)
     /// are clamped at run time to `available_parallelism`, and every budget
@@ -660,8 +539,7 @@ impl Campaign {
         self.to_spec().cells()
     }
 
-    /// Runs the campaign under its execution plan and returns the results in
-    /// grid order.
+    /// Runs the campaign and returns the results in grid order.
     pub fn run(&self) -> CampaignResult {
         self.run_observed(None)
     }
@@ -669,11 +547,9 @@ impl Campaign {
     /// Runs the campaign, invoking `observer` once per completed cell with
     /// the cell's grid index and its finished run. Results still come back
     /// in grid order; the *observer* sees cells in **completion order** —
-    /// under the pipelined plan that means incrementally, from the worker
-    /// that finished the cell, while the rest of the grid is still running
-    /// (the campaign service streams its per-cell result frames from here).
-    /// The barrier and streaming plans notify in grid order once the plan
-    /// completes.
+    /// incrementally, from the worker that finished the cell, while the
+    /// rest of the grid is still running (the campaign service streams its
+    /// per-cell result frames from here).
     pub fn run_with_observer(
         &self,
         observer: &(dyn Fn(usize, &CampaignRun) + Sync),
@@ -695,28 +571,7 @@ impl Campaign {
         } else {
             self
         };
-        let budget = this.worker_budget(this.cells().len());
-        let result = match this.mode {
-            ExecutionMode::Pipelined => return this.run_pipelined(budget, observer),
-            ExecutionMode::Replay => this.run_replay(budget),
-            ExecutionMode::Direct => this.run_direct(budget),
-            // Streaming never materializes a trace, so trace-requesting
-            // campaigns (the OPT study) fall back to the pipelined plan,
-            // which hands traces back natively. The detour is surfaced via
-            // `CampaignResult::executed_mode`.
-            ExecutionMode::Streaming if this.record_trace => {
-                return this.run_pipelined(budget, observer)
-            }
-            ExecutionMode::Streaming => this.run_streaming(budget),
-        };
-        // The barrier plans have no per-cell completion points to hook, so
-        // the observer sees the finished grid in grid order.
-        if let Some(observer) = observer {
-            for (index, run) in result.iter().enumerate() {
-                observer(index, run);
-            }
-        }
-        result
+        this.run_scheduled(this.worker_budget(this.cells().len()), observer)
     }
 
     /// Builds the experiment of one (dataset, technique, app) coordinate,
@@ -752,8 +607,13 @@ impl Campaign {
         Experiment::shared(Arc::<Csr>::clone(graph), app).with_hierarchy(hierarchy)
     }
 
-    /// The direct plan: every cell simulates the full hierarchy.
-    fn run_direct(&self, threads: usize) -> CampaignResult {
+    /// The parity oracle: every cell simulates the full hierarchy
+    /// independently ([`Experiment::run`]) — nothing is recorded, replayed,
+    /// stored or deduplicated, and the scheduler is not involved (the event
+    /// log is empty). Tests compare [`Campaign::run`] against this; it is
+    /// not reachable from a [`CampaignSpec`].
+    pub fn run_direct(&self) -> CampaignResult {
+        let threads = self.worker_budget(self.cells().len());
         let mut base = HashMap::new();
         let mut reordered = HashMap::new();
         let work: Vec<(CampaignCell, Experiment)> = self
@@ -777,13 +637,15 @@ impl Campaign {
             cell: *cell,
             result: experiment.run(cell.policy),
         });
-        CampaignResult::new(runs, ExecutionMode::Direct)
+        CampaignResult {
+            runs,
+            events: Vec::new(),
+        }
     }
 
     /// Collects the unique (dataset, technique, app) streams of the grid in
-    /// first-seen grid order, plus each cell's index into the stream list
-    /// (shared by the replay and streaming plans). Each stream carries its
-    /// grid identity so the trace store can key it.
+    /// first-seen grid order, plus each cell's index into the stream list.
+    /// Each stream carries its grid identity so the trace store can key it.
     fn stream_plan(&self) -> (Vec<(CampaignCell, usize)>, Vec<StreamJob>) {
         let mut base = HashMap::new();
         let mut reordered = HashMap::new();
@@ -896,33 +758,9 @@ impl Campaign {
             .is_some_and(|store| store.probe(&self.store_key(job)))
     }
 
-    /// The record-once / replay-many plan: one recording per unique
-    /// (dataset, technique, app) stream — loaded from the trace store when
-    /// possible — then one cheap replay per cell.
-    fn run_replay(&self, threads: usize) -> CampaignResult {
-        let (cells, streams) = self.stream_plan();
-
-        // Phase 1: obtain each stream once (application + upper levels, or a
-        // store hit / shared flight that skips both).
-        let records: Vec<Arc<RecordedRun>> =
-            parallel_map(&streams, threads, |job| self.obtain(job).0);
-
-        // Phase 2: fan each recorded stream out across its policies.
-        let runs = parallel_map(&cells, threads, |&(cell, index)| {
-            let recorded = &records[index];
-            let result = if self.record_trace {
-                recorded.replay_with_trace(cell.policy)
-            } else {
-                recorded.replay(cell.policy)
-            };
-            CampaignRun { cell, result }
-        });
-        CampaignResult::new(runs, ExecutionMode::Replay)
-    }
-
-    /// The dependency-driven plan: one shared ready queue of typed tasks —
-    /// `Record(stream)` / `Load(stream)` / `Replay(cell)` — drained by
-    /// `workers` threads with no phase barrier and no sequential stream
+    /// The dependency-driven scheduler: one shared ready queue of typed
+    /// tasks — `Record(stream)` / `Load(stream)` / `Replay(cell)` — drained
+    /// by `workers` threads with no phase barrier and no sequential stream
     /// loop. Each stream's replay cells become runnable the moment its
     /// obtain task completes, so workers drain replays of stream *N* while
     /// stream *N + 1* is still recording.
@@ -943,15 +781,13 @@ impl Campaign {
     ///   last cell completes, so peak trace memory is bounded by the
     ///   streams with in-flight cells, not the whole grid.
     ///
-    /// Each cell's replay is the same [`RecordedRun::replay`] (or
-    /// [`RecordedRun::replay_with_trace`]) call the barrier plan makes, so
-    /// results are bit-identical; result slots are indexed by cell, so grid
-    /// order never depends on scheduling.
-    fn run_pipelined(&self, workers: usize, observer: Option<CellObserver<'_>>) -> CampaignResult {
+    /// Each cell's replay is one [`RecordedRun::replay`] (or
+    /// [`RecordedRun::replay_with_trace`]) call on its stream's recording,
+    /// whichever worker runs it and whenever, so results never depend on
+    /// scheduling; result slots are indexed by cell, so neither does grid
+    /// order.
+    fn run_scheduled(&self, workers: usize, observer: Option<CellObserver<'_>>) -> CampaignResult {
         let (cells, streams) = self.stream_plan();
-        if cells.is_empty() {
-            return CampaignResult::new(Vec::new(), ExecutionMode::Pipelined);
-        }
         let record_work: Vec<f64> = streams.iter().map(StreamJob::record_work).collect();
         let probed_load: Vec<bool> = streams.iter().map(|job| self.probes_as_load(job)).collect();
         let mut stream_cells: Vec<Vec<usize>> = vec![Vec::new(); streams.len()];
@@ -1002,14 +838,13 @@ impl Campaign {
             .collect();
         CampaignResult {
             runs,
-            executed: ExecutionMode::Pipelined,
             events: state.events,
         }
     }
 
-    /// One worker of the pipelined scheduler: loop picking tasks under the
-    /// lock, executing them unlocked, and folding results + measured rates
-    /// back in. Exits when every cell is done (or a sibling aborted).
+    /// One worker of the scheduler: loop picking tasks under the lock,
+    /// executing them unlocked, and folding results + measured rates back
+    /// in. Exits when every cell is done (or a sibling aborted).
     fn scheduler_worker(&self, state: &Mutex<SchedState>, ready: &Condvar, plan: &SchedPlan<'_>) {
         // On panic (unlocked task execution), wake and release the siblings
         // so the scope join can propagate instead of deadlocking on the
@@ -1151,199 +986,6 @@ impl Campaign {
         drop(guard);
         ready.notify_all();
     }
-
-    /// The gang pipeline count the streaming plan actually runs (see
-    /// [`Campaign::streaming_pipelines`]): the explicit request, or — when
-    /// auto — one pipeline below 4 workers and `max(2, workers / 4)` at or
-    /// above, always clamped to the stream count.
-    fn resolved_pipelines(&self, workers: usize, streams: usize) -> usize {
-        let auto = if workers >= 4 {
-            (workers / 4).max(2)
-        } else {
-            1
-        };
-        let requested = if self.pipelines == 0 {
-            auto
-        } else {
-            self.pipelines
-        };
-        requested.clamp(1, streams.max(1))
-    }
-
-    /// The streaming plan: each stream's recorder and policy replayers run
-    /// concurrently, sharing frozen trace chunks through a bounded channel.
-    /// Streams are claimed longest-record-first by `G` **gang pipelines**
-    /// ([`Campaign::resolved_pipelines`]) — each gang is one recorder
-    /// thread (the gang leader) driving `max(1, workers / G − 1)` replay
-    /// consumers ([`Experiment::sweep_streaming`]) — so with `G > 1` the
-    /// fan-out tail of one stream overlaps the next stream's recorder
-    /// across gangs, while within a gang the recorder and consumers
-    /// already overlap through the channel. `G = 1` reproduces the
-    /// historical sequential plan: one stream at a time, full worker
-    /// budget. Per-stream statistics never depend on the consumer count or
-    /// the gang count, so results stay bit-identical in every
-    /// configuration.
-    ///
-    /// With a trace store attached, a stream whose recording is stored skips
-    /// its record phase: the loaded trace is **re-broadcast** through the
-    /// same bounded chunk channel via [`grasp_cachesim::LlcTrace::stream_into`]
-    /// ([`RecordedRun::sweep_streaming`]), so the consumer pipeline is
-    /// identical and so are the statistics. A store miss records buffered
-    /// (so the stream can be published) and then re-broadcasts it the same
-    /// way — the cold run trades record/replay overlap for warm runs that
-    /// skip recording altogether.
-    fn run_streaming(&self, threads: usize) -> CampaignResult {
-        let (cells, streams) = self.stream_plan();
-        if cells.is_empty() {
-            return CampaignResult::new(Vec::new(), ExecutionMode::Streaming);
-        }
-        let gangs = self.resolved_pipelines(threads, streams.len());
-        let consumers = (threads / gangs).saturating_sub(1).max(1);
-        let record_work: Vec<f64> = streams.iter().map(StreamJob::record_work).collect();
-        let probed_load: Vec<bool> = streams.iter().map(|job| self.probes_as_load(job)).collect();
-
-        struct StreamingState {
-            /// Stream indices not yet claimed by a gang.
-            queue: Vec<usize>,
-            /// Per-stream policy sweeps, filled as gangs finish.
-            swept: Vec<Option<Vec<RunResult>>>,
-            /// The interleaving log (coarse: streaming fuses each stream's
-            /// record and replays into one task).
-            events: Vec<SchedulerEvent>,
-            /// Online-refined obtain rates for LPT stream claiming.
-            model: CostModel,
-        }
-        let state = Mutex::new(StreamingState {
-            queue: (0..streams.len()).collect(),
-            swept: streams.iter().map(|_| None).collect(),
-            events: Vec::new(),
-            model: CostModel::default(),
-        });
-
-        std::thread::scope(|scope| {
-            for _ in 0..gangs {
-                scope.spawn(|| loop {
-                    let mut guard = state.lock().expect("streaming state never poisoned");
-                    if guard.queue.is_empty() {
-                        return;
-                    }
-                    let StreamingState { queue, model, .. } = &mut *guard;
-                    let stream = lpt_pop(queue, |stream| {
-                        let app = streams[stream].app;
-                        let work = record_work[stream];
-                        if probed_load[stream] {
-                            model.load_cost(app, work)
-                        } else {
-                            model.record_cost(app, work)
-                        }
-                    });
-                    let as_load = probed_load[stream];
-                    guard.events.push(if as_load {
-                        SchedulerEvent::LoadStarted { stream }
-                    } else {
-                        SchedulerEvent::RecordStarted { stream }
-                    });
-                    drop(guard);
-
-                    let job = &streams[stream];
-                    let started = Instant::now();
-                    let (results, served) = if self.store.is_some() || self.flights.is_some() {
-                        let (recorded, served) = self.obtain(job);
-                        (recorded.sweep_streaming(&self.policies, consumers), served)
-                    } else {
-                        (
-                            job.experiment.sweep_streaming(&self.policies, consumers),
-                            FlightServed::Recorded,
-                        )
-                    };
-                    let elapsed = started.elapsed().as_secs_f64();
-
-                    let mut guard = state.lock().expect("streaming state never poisoned");
-                    if as_load {
-                        guard
-                            .model
-                            .observe_load(job.app, record_work[stream], elapsed);
-                        guard.events.push(SchedulerEvent::LoadFinished {
-                            stream,
-                            hit: served != FlightServed::Recorded,
-                        });
-                    } else {
-                        guard
-                            .model
-                            .observe_record(job.app, record_work[stream], elapsed);
-                        guard.events.push(if served == FlightServed::Recorded {
-                            SchedulerEvent::RecordFinished { stream }
-                        } else {
-                            SchedulerEvent::RecordDeduped { stream }
-                        });
-                    }
-                    guard.events.push(SchedulerEvent::StreamRetired { stream });
-                    guard.swept[stream] = Some(results);
-                });
-            }
-        });
-
-        let state = state.into_inner().expect("no gang panicked past the scope");
-        let swept = state
-            .swept
-            .into_iter()
-            .map(|sweep| sweep.expect("every stream is swept exactly once"))
-            .collect();
-        let runs = self.assemble_grid_order(cells, swept);
-        CampaignResult {
-            runs,
-            executed: ExecutionMode::Streaming,
-            events: state.events,
-        }
-    }
-
-    /// Reassembles per-stream policy sweeps into grid-ordered runs,
-    /// **moving** each `RunResult` into its cell instead of cloning (they
-    /// carry per-run statistics tables). Duplicate policies in the grid
-    /// resolve to the same sweep slot — a pre-pass counts slot uses so
-    /// every cell before the last borrows a clone and the last takes the
-    /// value.
-    fn assemble_grid_order(
-        &self,
-        cells: Vec<(CampaignCell, usize)>,
-        swept: Vec<Vec<RunResult>>,
-    ) -> Vec<CampaignRun> {
-        let slot_of = |cell: &CampaignCell| {
-            self.policies
-                .iter()
-                .position(|&policy| policy == cell.policy)
-                .expect("cell policies come from the campaign's policy list")
-        };
-        let mut uses: HashMap<(usize, usize), usize> = HashMap::new();
-        for (cell, stream) in &cells {
-            *uses.entry((*stream, slot_of(cell))).or_insert(0) += 1;
-        }
-        let mut swept: Vec<Vec<Option<RunResult>>> = swept
-            .into_iter()
-            .map(|sweep| sweep.into_iter().map(Some).collect())
-            .collect();
-        cells
-            .into_iter()
-            .map(|(cell, stream)| {
-                let slot = slot_of(&cell);
-                let remaining = uses
-                    .get_mut(&(stream, slot))
-                    .expect("every cell was counted");
-                *remaining -= 1;
-                let result = if *remaining == 0 {
-                    swept[stream][slot]
-                        .take()
-                        .expect("each slot's last user takes the value")
-                } else {
-                    swept[stream][slot]
-                        .as_ref()
-                        .expect("earlier users only borrow the value")
-                        .clone()
-                };
-                CampaignRun { cell, result }
-            })
-            .collect()
-    }
 }
 
 /// A per-cell completion callback (see [`Campaign::run_with_observer`]):
@@ -1351,7 +993,7 @@ impl Campaign {
 /// worker finished it.
 type CellObserver<'a> = &'a (dyn Fn(usize, &CampaignRun) + Sync);
 
-/// The immutable plan the pipelined scheduler's workers share: the grid,
+/// The immutable plan the scheduler's workers share: the grid,
 /// the task classification and the admission parameters. Splitting this
 /// from [`SchedState`] keeps the mutable state (and the lock) minimal.
 struct SchedPlan<'a> {
@@ -1374,7 +1016,7 @@ struct SchedPlan<'a> {
     observer: Option<CellObserver<'a>>,
 }
 
-/// The mutable state of the pipelined scheduler, shared under one mutex.
+/// The mutable state of the scheduler, shared under one mutex.
 struct SchedState {
     /// Stream indices whose obtain task has not been claimed yet.
     obtain_queue: Vec<usize>,
@@ -1488,33 +1130,12 @@ fn parallel_map<T: Sync, R: Send, F: Fn(&T) -> R + Sync>(
 #[derive(Debug, Clone)]
 pub struct CampaignResult {
     runs: Vec<CampaignRun>,
-    executed: ExecutionMode,
     events: Vec<SchedulerEvent>,
 }
 
 impl CampaignResult {
-    /// A result set with no scheduler log (the barrier plans).
-    fn new(runs: Vec<CampaignRun>, executed: ExecutionMode) -> Self {
-        Self {
-            runs,
-            executed,
-            events: Vec::new(),
-        }
-    }
-
-    /// The execution plan that actually ran — not necessarily the one
-    /// requested: [`ExecutionMode::Streaming`] campaigns that also request
-    /// per-cell traces ([`Campaign::recording_llc_trace`]) execute as
-    /// [`ExecutionMode::Pipelined`], since streaming never materializes a
-    /// trace to hand back.
-    pub fn executed_mode(&self) -> ExecutionMode {
-        self.executed
-    }
-
-    /// The scheduler's event log, in true interleaving order (empty for
-    /// the barrier plans, which have no scheduler). The pipelined plan
-    /// logs per-task events; the streaming plan logs per-stream events
-    /// (record and replays are fused into one gang task there).
+    /// The scheduler's per-task event log, in true interleaving order
+    /// (empty for [`Campaign::run_direct`], which has no scheduler).
     pub fn scheduler_events(&self) -> &[SchedulerEvent] {
         &self.events
     }
@@ -1622,56 +1243,24 @@ mod tests {
 
     #[test]
     fn replay_and_direct_plans_agree_bit_for_bit() {
-        let replayed = tiny_campaign().threads(4).run();
-        let direct = tiny_campaign().direct().threads(4).run();
+        // With traces requested: the scheduler hands back each stream's
+        // recording, the oracle the trace its own LLC captured.
+        let campaign = tiny_campaign().recording_llc_trace().threads(4);
+        let replayed = campaign.run();
+        let direct = campaign.run_direct();
         assert_eq!(replayed.len(), direct.len());
         for (a, b) in replayed.iter().zip(direct.iter()) {
             assert_eq!(a.cell, b.cell);
             assert_eq!(a.result.stats, b.result.stats, "{:?}", a.cell);
-            assert_eq!(a.result.app.values, b.result.app.values, "{:?}", a.cell);
-            assert!((a.result.cycles - b.result.cycles).abs() < 1e-12);
+            assert_eq!(a.result.llc_trace, b.result.llc_trace, "{:?}", a.cell);
+            assert!(a.result.llc_trace.is_some(), "{:?}", a.cell);
         }
-    }
-
-    #[test]
-    fn streaming_plan_agrees_with_direct_bit_for_bit() {
-        let streamed = tiny_campaign().streaming().threads(4).run();
-        let direct = tiny_campaign().direct().threads(4).run();
-        assert_eq!(streamed.len(), direct.len());
-        for (a, b) in streamed.iter().zip(direct.iter()) {
-            assert_eq!(a.cell, b.cell);
-            assert_eq!(a.result.stats, b.result.stats, "{:?}", a.cell);
-            assert_eq!(a.result.app.values, b.result.app.values, "{:?}", a.cell);
-            assert!((a.result.cycles - b.result.cycles).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn streaming_with_trace_request_falls_back_to_pipelined() {
-        let streamed = tiny_campaign().streaming().recording_llc_trace().run();
-        assert_eq!(
-            streamed.executed_mode(),
-            ExecutionMode::Pipelined,
-            "streaming cannot hand back traces, so the run must detour"
-        );
-        for run in streamed.iter() {
-            assert!(
-                run.result.llc_trace.is_some(),
-                "requested traces must still be delivered: {:?}",
-                run.cell
-            );
-        }
-        // Without the trace request, streaming runs as requested.
-        let streamed = tiny_campaign().streaming().run();
-        assert_eq!(streamed.executed_mode(), ExecutionMode::Streaming);
     }
 
     #[test]
     fn pipelined_plan_agrees_with_direct_bit_for_bit() {
         let pipelined = tiny_campaign().threads(4).run();
-        assert_eq!(pipelined.executed_mode(), ExecutionMode::Pipelined);
-        let direct = tiny_campaign().direct().threads(4).run();
-        assert_eq!(direct.executed_mode(), ExecutionMode::Direct);
+        let direct = tiny_campaign().threads(4).run_direct();
         assert_eq!(pipelined.len(), direct.len());
         for (a, b) in pipelined.iter().zip(direct.iter()) {
             assert_eq!(a.cell, b.cell);
@@ -1715,30 +1304,22 @@ mod tests {
             count(|e| matches!(e, SchedulerEvent::LoadStarted { .. })),
             0
         );
-        // Barrier plans have no scheduler, hence no log.
-        assert!(tiny_campaign().direct().run().scheduler_events().is_empty());
-        assert!(tiny_campaign()
-            .execution(ExecutionMode::Replay)
-            .run()
-            .scheduler_events()
-            .is_empty());
+        // The oracle has no scheduler, hence no log.
+        assert!(tiny_campaign().run_direct().scheduler_events().is_empty());
     }
 
     #[test]
     fn duplicate_policies_assemble_correctly() {
-        // Duplicate grid policies resolve to the same sweep slot; the
-        // move-based assembly must serve every duplicate cell (clones for
-        // all but the last user).
+        // Duplicate grid policies are distinct cells of the same stream;
+        // each gets its own replay and its own result slot.
         let campaign = Campaign::new(Scale::Tiny)
             .datasets(&[DatasetKind::Twitter])
             .apps(&[AppKind::PageRank])
             .policies(&[PolicyKind::Rrip, PolicyKind::Rrip, PolicyKind::Grasp]);
-        for mode in [ExecutionMode::Pipelined, ExecutionMode::Streaming] {
-            let results = campaign.clone().execution(mode).threads(2).run();
-            assert_eq!(results.len(), 3, "{mode:?}");
-            let runs: Vec<_> = results.iter().collect();
-            assert_eq!(runs[0].result.stats, runs[1].result.stats, "{mode:?}");
-        }
+        let results = campaign.threads(2).run();
+        assert_eq!(results.len(), 3);
+        let runs: Vec<_> = results.iter().collect();
+        assert_eq!(runs[0].result.stats, runs[1].result.stats);
     }
 
     #[test]
@@ -1785,27 +1366,8 @@ mod tests {
     }
 
     #[test]
-    fn execution_mode_labels_round_trip() {
-        for mode in [
-            ExecutionMode::Pipelined,
-            ExecutionMode::Replay,
-            ExecutionMode::Direct,
-            ExecutionMode::Streaming,
-        ] {
-            assert_eq!(ExecutionMode::from_label(mode.label()), Some(mode));
-            assert_eq!(mode.to_string(), mode.label());
-        }
-        assert_eq!(ExecutionMode::from_label("warp"), None);
-        assert_eq!(ExecutionMode::from_label("Pipelined"), None);
-    }
-
-    #[test]
     fn spec_round_trips_through_campaign_and_json() {
-        let campaign = tiny_campaign()
-            .streaming()
-            .streaming_pipelines(2)
-            .threads(3)
-            .trace_codec(Codec::Raw);
+        let campaign = tiny_campaign().threads(3).trace_codec(Codec::Raw);
         let spec = campaign.to_spec();
         let rebuilt = Campaign::from_spec(&spec).expect("spec rebuilds");
         assert_eq!(rebuilt.to_spec(), spec, "from_spec/to_spec round-trip");
@@ -1822,24 +1384,17 @@ mod tests {
 
     #[test]
     fn observer_sees_every_cell_exactly_once_in_every_plan() {
-        for mode in [
-            ExecutionMode::Pipelined,
-            ExecutionMode::Replay,
-            ExecutionMode::Direct,
-            ExecutionMode::Streaming,
-        ] {
-            let campaign = tiny_campaign().execution(mode).threads(3);
-            let cells = campaign.cells();
-            let seen: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-            let results = campaign.run_with_observer(&|index, run| {
-                assert_eq!(cells[index], run.cell, "{mode:?}");
-                seen.lock().unwrap().push(index);
-            });
-            let mut seen = seen.into_inner().unwrap();
-            seen.sort_unstable();
-            let expected: Vec<usize> = (0..results.len()).collect();
-            assert_eq!(seen, expected, "{mode:?}");
-        }
+        let campaign = tiny_campaign().threads(3);
+        let cells = campaign.cells();
+        let seen: Mutex<Vec<usize>> = Mutex::new(Vec::new());
+        let results = campaign.run_with_observer(&|index, run| {
+            assert_eq!(cells[index], run.cell);
+            seen.lock().unwrap().push(index);
+        });
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_unstable();
+        let expected: Vec<usize> = (0..results.len()).collect();
+        assert_eq!(seen, expected);
     }
 
     #[test]

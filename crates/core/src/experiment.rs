@@ -7,10 +7,7 @@ use grasp_analytics::Workspace;
 use grasp_cachesim::config::{CacheConfig, HierarchyConfig};
 use grasp_cachesim::hint::RegionClassifier;
 use grasp_cachesim::stats::HierarchyStats;
-use grasp_cachesim::trace::{
-    chunk_channel, replay_stream, ChunkReceiver, ChunkReplayer, LlcTrace, TraceTap,
-    DEFAULT_STREAM_DEPTH,
-};
+use grasp_cachesim::trace::LlcTrace;
 use grasp_cachesim::{Hierarchy, TimingModel};
 use grasp_graph::{Csr, GraphView};
 use grasp_reorder::TechniqueKind;
@@ -60,9 +57,9 @@ pub struct NativeRunResult {
 /// under any number of LLC policies.
 ///
 /// Produced by [`Experiment::record`]. The trace is behind an [`Arc`], so
-/// cloning a `RecordedRun` — the way the replay-mode campaign fans one
-/// recording out across policy workers — shares the stream instead of
-/// copying it.
+/// cloning a `RecordedRun` shares the stream instead of copying it; the
+/// campaign scheduler shares one recording across its replay workers the
+/// same way, behind an `Arc<RecordedRun>`.
 #[derive(Debug, Clone)]
 pub struct RecordedRun {
     trace: Arc<LlcTrace>,
@@ -89,41 +86,6 @@ impl RecordedRun {
     /// timing model).
     pub fn instructions(&self) -> u64 {
         self.instructions
-    }
-
-    /// Runs an N-policy sweep by **re-broadcasting** the recorded stream
-    /// through a bounded chunk channel ([`LlcTrace::stream_into`]) to up to
-    /// `consumers` concurrent replay workers — the exact consumer pipeline
-    /// live streaming recording uses, fed from a buffered (or store-loaded)
-    /// trace instead of a running application. Results come back in
-    /// `policies` order, bit-identical to [`RecordedRun::replay`] per
-    /// policy.
-    pub fn sweep_streaming(&self, policies: &[PolicyKind], consumers: usize) -> Vec<RunResult> {
-        if policies.is_empty() {
-            return Vec::new();
-        }
-        let ((), stats) = fan_out_stream(self.llc, policies, consumers, |tap| {
-            self.trace.stream_into(&tap)
-        });
-        let streamed = self.as_streamed();
-        policies
-            .iter()
-            .zip(stats)
-            .map(|(&policy, stats)| streamed.assemble(policy, stats))
-            .collect()
-    }
-
-    /// The streaming-assembly view of this buffered recording: what a
-    /// scheduler needs to re-broadcast the trace through its own consumer
-    /// tasks ([`StreamConsumerTask`]) and assemble their statistics exactly
-    /// like a live [`Experiment::record_streaming`] run would.
-    pub fn as_streamed(&self) -> StreamedRecord {
-        StreamedRecord {
-            app: self.app.clone(),
-            instructions: self.instructions,
-            llc: self.llc,
-            timing: self.timing,
-        }
     }
 
     /// Replays the stream under `policy` and returns a [`RunResult`]
@@ -194,40 +156,6 @@ impl RecordedRun {
             app: self.app.clone(),
             llc_trace: with_trace.then(|| (*self.trace).clone()),
         }
-    }
-}
-
-/// The completion record of one **streaming** recording run
-/// ([`Experiment::record_streaming`]): the application output plus what the
-/// timing model needs, with the post-L2 stream already gone — it was
-/// consumed chunk-by-chunk while the run executed.
-#[derive(Debug, Clone)]
-pub struct StreamedRecord {
-    /// The application output of the recording run.
-    pub app: AppResult,
-    instructions: u64,
-    llc: CacheConfig,
-    timing: TimingModel,
-}
-
-impl StreamedRecord {
-    /// Combines one consumer's replayed hierarchy statistics with the
-    /// recording run's outputs into a [`RunResult`] bit-identical to
-    /// [`Experiment::run`] under `policy`.
-    pub fn assemble(&self, policy: PolicyKind, stats: HierarchyStats) -> RunResult {
-        let cycles = self.timing.cycles(&stats, self.instructions);
-        RunResult {
-            policy,
-            stats,
-            cycles,
-            app: self.app.clone(),
-            llc_trace: None,
-        }
-    }
-
-    /// The LLC geometry streaming consumers should replay with.
-    pub fn llc(&self) -> CacheConfig {
-        self.llc
     }
 }
 
@@ -465,51 +393,6 @@ impl Experiment {
         }
     }
 
-    /// The streaming counterpart of [`Experiment::record`]: runs the
-    /// application once through the upper levels, broadcasting each frozen
-    /// trace chunk through `tap` as it fills instead of buffering the
-    /// stream. Consumers (one [`ChunkReplayer`] per policy, typically via
-    /// [`replay_stream`]) replay **while this records**; the returned
-    /// [`StreamedRecord`] assembles their statistics into [`RunResult`]s
-    /// bit-identical to [`Experiment::run`].
-    ///
-    /// Blocks whenever a consumer falls a channel-depth behind, so it must
-    /// run concurrently with the consumers (see
-    /// [`Experiment::sweep_streaming`] for the packaged pattern).
-    pub fn record_streaming(&self, tap: TraceTap) -> StreamedRecord {
-        let memory = RecordingMemory::streaming(self.hierarchy, tap);
-        let mut ws = Workspace::new(memory);
-        let app = self.app.run(&*self.graph, &mut ws, &self.app_config);
-        let instructions = app.instruction_estimate();
-        ws.into_memory().finish_stream();
-        StreamedRecord {
-            app,
-            instructions,
-            llc: self.hierarchy.llc,
-            timing: self.timing,
-        }
-    }
-
-    /// Runs an N-policy sweep through the streaming pipeline: the recording
-    /// run and up to `consumers` replay workers execute concurrently on
-    /// scoped threads, sharing the post-L2 stream through a bounded chunk
-    /// channel. Results come back in `policies` order, bit-identical to
-    /// [`Experiment::run`] per policy, and the peak trace footprint is
-    /// channel-depth × chunk-size per consumer instead of the whole trace.
-    pub fn sweep_streaming(&self, policies: &[PolicyKind], consumers: usize) -> Vec<RunResult> {
-        if policies.is_empty() {
-            return Vec::new();
-        }
-        let (streamed, stats) = fan_out_stream(self.hierarchy.llc, policies, consumers, |tap| {
-            self.record_streaming(tap)
-        });
-        policies
-            .iter()
-            .zip(stats)
-            .map(|(&policy, stats)| streamed.assemble(policy, stats))
-            .collect()
-    }
-
     /// Runs the application natively (no cache simulation) and measures
     /// wall-clock time. Used by the Fig. 10a reordering study.
     pub fn run_native(&self) -> NativeRunResult {
@@ -519,114 +402,6 @@ impl Experiment {
         let runtime = start.elapsed();
         NativeRunResult { app, runtime }
     }
-}
-
-/// One independently spawnable consumer of a decomposed streaming fan-out:
-/// replays its assigned policy subset off one [`ChunkReceiver`] until the
-/// end-of-stream marker arrives.
-///
-/// Produced by [`streaming_fanout`]. A task is self-contained — receiver,
-/// policy slots and pre-built replayers — so any thread (a scoped helper
-/// inside [`Experiment::sweep_streaming`], or a campaign scheduler's worker)
-/// can run it to completion independently of where the recorder and the
-/// other consumers execute. The only coupling is the bounded chunk channel
-/// itself: the producer must run concurrently, since it blocks once any
-/// consumer falls a channel-depth behind.
-#[derive(Debug)]
-pub struct StreamConsumerTask {
-    receiver: ChunkReceiver,
-    llc: CacheConfig,
-    slots: Vec<(usize, PolicyKind)>,
-}
-
-impl StreamConsumerTask {
-    /// Drains the stream, returning `(policy index, statistics)` for each
-    /// policy slot this consumer served. Replayers are built here, on the
-    /// thread that runs the task — policy state is not `Send`, so the task
-    /// carries only the plain `(slot, policy)` assignments across threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the producer disconnects without an end-of-stream marker
-    /// (the recording side panicked or was dropped mid-record).
-    pub fn run(self) -> Vec<(usize, HierarchyStats)> {
-        let replayers = self
-            .slots
-            .iter()
-            .map(|&(_, policy)| ChunkReplayer::new(self.llc, policy.build_dispatch(&self.llc)))
-            .collect();
-        let stats = replay_stream(&self.receiver, replayers);
-        self.slots
-            .into_iter()
-            .map(|(slot, _)| slot)
-            .zip(stats)
-            .collect()
-    }
-}
-
-/// Decomposes an N-policy streaming fan-out into its producer tap and up to
-/// `consumers` independently spawnable [`StreamConsumerTask`]s (policy `i`
-/// served by consumer `i % consumers`, every chunk fed to all of a
-/// consumer's replayers). The caller decides where each half runs: feed the
-/// tap on one thread ([`Experiment::record_streaming`] live, or
-/// [`grasp_cachesim::LlcTrace::stream_into`] for a buffered re-broadcast)
-/// while the consumer tasks execute on any others.
-pub fn streaming_fanout(
-    llc: CacheConfig,
-    policies: &[PolicyKind],
-    consumers: usize,
-) -> (TraceTap, Vec<StreamConsumerTask>) {
-    let consumers = consumers.clamp(1, policies.len().max(1));
-    let (tap, receivers) = chunk_channel(consumers, DEFAULT_STREAM_DEPTH);
-    let tasks = receivers
-        .into_iter()
-        .enumerate()
-        .map(|(c, receiver)| StreamConsumerTask {
-            receiver,
-            llc,
-            slots: (c..policies.len())
-                .step_by(consumers)
-                .map(|i| (i, policies[i]))
-                .collect(),
-        })
-        .collect();
-    (tap, tasks)
-}
-
-/// The shared streaming consumer harness behind [`Experiment::sweep_streaming`]
-/// (live recording) and [`RecordedRun::sweep_streaming`] (re-broadcast of a
-/// buffered or store-loaded trace): spawns the [`streaming_fanout`] consumer
-/// tasks on scoped threads, runs `produce` with the tap on the calling
-/// thread, and returns its output together with the per-policy hierarchy
-/// statistics in `policies` order.
-fn fan_out_stream<R>(
-    llc: CacheConfig,
-    policies: &[PolicyKind],
-    consumers: usize,
-    produce: impl FnOnce(TraceTap) -> R,
-) -> (R, Vec<HierarchyStats>) {
-    let (tap, tasks) = streaming_fanout(llc, policies, consumers);
-    let (produced, gathered) = std::thread::scope(|scope| {
-        let workers: Vec<_> = tasks
-            .into_iter()
-            .map(|task| scope.spawn(move || task.run()))
-            .collect();
-        let produced = produce(tap);
-        let gathered: Vec<Vec<(usize, HierarchyStats)>> = workers
-            .into_iter()
-            .map(|worker| worker.join().expect("streaming replay worker panicked"))
-            .collect();
-        (produced, gathered)
-    });
-    let mut slots: Vec<Option<HierarchyStats>> = (0..policies.len()).map(|_| None).collect();
-    for (i, stats) in gathered.into_iter().flatten() {
-        slots[i] = Some(stats);
-    }
-    let stats = slots
-        .into_iter()
-        .map(|slot| slot.expect("every policy is assigned to exactly one consumer"))
-        .collect();
-    (produced, stats)
 }
 
 #[cfg(test)]
@@ -696,50 +471,6 @@ mod tests {
             assert!((direct.cycles - replayed.cycles).abs() < 1e-12, "{policy}");
             assert!(replayed.llc_trace.is_none());
         }
-    }
-
-    #[test]
-    fn streaming_sweep_matches_direct_execution_bit_for_bit() {
-        let exp = small_experiment(AppKind::PageRank);
-        let policies = [PolicyKind::Lru, PolicyKind::Rrip, PolicyKind::Grasp];
-        // More consumers than policies, and fewer, both work.
-        for consumers in [1, 2, 5] {
-            let streamed = exp.sweep_streaming(&policies, consumers);
-            assert_eq!(streamed.len(), policies.len());
-            for (policy, replayed) in policies.iter().zip(&streamed) {
-                let direct = exp.run(*policy);
-                assert_eq!(replayed.policy, *policy);
-                assert_eq!(direct.stats, replayed.stats, "{policy} x{consumers}");
-                assert_eq!(direct.app.values, replayed.app.values, "{policy}");
-                assert!((direct.cycles - replayed.cycles).abs() < 1e-12, "{policy}");
-                assert!(replayed.llc_trace.is_none());
-            }
-        }
-        assert!(exp.sweep_streaming(&[], 4).is_empty());
-    }
-
-    #[test]
-    fn rebroadcast_sweep_matches_buffered_replay_bit_for_bit() {
-        // The store-hit streaming path: a buffered RecordedRun re-broadcast
-        // through the chunk channel must equal per-policy buffered replays.
-        let exp = small_experiment(AppKind::PageRank);
-        let recorded = exp.record();
-        let policies = [PolicyKind::Lru, PolicyKind::Rrip, PolicyKind::Grasp];
-        for consumers in [1, 2, 5] {
-            let streamed = recorded.sweep_streaming(&policies, consumers);
-            assert_eq!(streamed.len(), policies.len());
-            for (policy, rebroadcast) in policies.iter().zip(&streamed) {
-                let buffered = recorded.replay(*policy);
-                assert_eq!(rebroadcast.policy, *policy);
-                assert_eq!(buffered.stats, rebroadcast.stats, "{policy} x{consumers}");
-                assert_eq!(buffered.app.values, rebroadcast.app.values, "{policy}");
-                assert!(
-                    (buffered.cycles - rebroadcast.cycles).abs() < 1e-12,
-                    "{policy}"
-                );
-            }
-        }
-        assert!(recorded.sweep_streaming(&[], 4).is_empty());
     }
 
     #[test]

@@ -15,10 +15,8 @@
 //! * the **campaign runner** ([`campaign`]) — a whole figure's grid of
 //!   experiments under a record-once / replay-many execution plan, with
 //!   graphs shared and reordered once and the record/load/replay tasks
-//!   drained barrier-free by a dependency-driven, cost-aware scheduler
-//!   (two-phase barrier, direct per-cell, and streaming gang-pipeline
-//!   plans remain selectable), results always in deterministic grid
-//!   order,
+//!   drained barrier-free by a dependency-driven, cost-aware scheduler,
+//!   results always in deterministic grid order,
 //! * the **serializable campaign spec** ([`spec`]) — [`spec::CampaignSpec`]
 //!   round-trips a campaign through hand-rolled JSON ([`json`]), shared by
 //!   the library builder and the `grasp-serve` service wire protocol,
@@ -62,9 +60,7 @@ pub mod report;
 pub mod spec;
 pub mod trace_store;
 
-pub use campaign::{
-    Campaign, CampaignCell, CampaignResult, CampaignRun, ExecutionMode, SchedulerEvent,
-};
+pub use campaign::{Campaign, CampaignCell, CampaignResult, CampaignRun, SchedulerEvent};
 pub use compare::{geometric_mean_speedup, miss_reduction_pct, speedup_pct};
 pub use datasets::{
     CatalogEntry, Dataset, DatasetCatalog, DatasetId, DatasetKind, GraphBacking, GraphHash, Scale,

@@ -2,7 +2,7 @@
 //! builder and the service wire protocol.
 //!
 //! A [`CampaignSpec`] is the declarative content of a [`Campaign`] —
-//! datasets, techniques, apps, policies, hierarchy, scale, mode, codec,
+//! datasets, techniques, apps, policies, hierarchy, scale, codec,
 //! trace-store path, thread budget — with hand-rolled JSON encode/decode
 //! (the vendored `serde` stub has no JSON backend). The contract:
 //!
@@ -21,15 +21,15 @@
 //!
 //! Wire vocabulary: datasets use their store slugs (`tw`, `g<hash:016x>`),
 //! techniques/apps/policies their paper labels (`DBG`, `PR`, `RRIP`; any
-//! pin fraction is spelled `PIN-<n>`), scale and mode lowercase slugs, the
-//! codec its `GRASP_TRACE_CODEC` vocabulary.
+//! pin fraction is spelled `PIN-<n>`), scale a lowercase slug, the codec
+//! its `GRASP_TRACE_CODEC` vocabulary.
 //!
 //! [`Campaign`]: crate::campaign::Campaign
 //! [`Campaign::to_spec`]: crate::campaign::Campaign::to_spec
 //! [`Campaign::from_spec`]: crate::campaign::Campaign::from_spec
 //! [`Campaign::cells`]: crate::campaign::Campaign::cells
 
-use crate::campaign::{CampaignCell, ExecutionMode};
+use crate::campaign::CampaignCell;
 use crate::datasets::{DatasetId, Scale};
 use crate::error::Error;
 use crate::json::{self, Json};
@@ -60,12 +60,8 @@ pub struct CampaignSpec {
     pub hierarchy: Option<HierarchyConfig>,
     /// Whether every cell's result carries an LLC trace (the OPT study).
     pub record_trace: bool,
-    /// The execution plan.
-    pub mode: ExecutionMode,
     /// Worker-thread budget; `0` means one worker per available CPU.
     pub threads: usize,
-    /// Streaming gang-pipeline count; `0` resolves from the worker budget.
-    pub pipelines: usize,
     /// Trace-store directory. `None` runs without persistence (unless the
     /// campaign is later pointed at a store explicitly; the
     /// `GRASP_TRACE_STORE` environment variable is the documented fallback
@@ -90,9 +86,7 @@ impl CampaignSpec {
             policies: Vec::new(),
             hierarchy: None,
             record_trace: false,
-            mode: ExecutionMode::default(),
             threads: 0,
-            pipelines: 0,
             store: None,
             codec: None,
         }
@@ -186,9 +180,7 @@ impl CampaignSpec {
             map.insert("hierarchy".to_owned(), hierarchy_to_value(hierarchy));
         }
         map.insert("record_trace".to_owned(), Json::Bool(self.record_trace));
-        map.insert("mode".to_owned(), Json::string(self.mode.label()));
         map.insert("threads".to_owned(), Json::integer(self.threads as u64));
-        map.insert("pipelines".to_owned(), Json::integer(self.pipelines as u64));
         if let Some(store) = &self.store {
             map.insert("store".to_owned(), Json::string(store.clone()));
         }
@@ -212,7 +204,7 @@ impl CampaignSpec {
             .as_object()
             .ok_or_else(|| spec_err("spec must be a JSON object"))?;
         for key in object.keys() {
-            const KNOWN: [&str; 12] = [
+            const KNOWN: [&str; 10] = [
                 "scale",
                 "datasets",
                 "techniques",
@@ -220,9 +212,7 @@ impl CampaignSpec {
                 "policies",
                 "hierarchy",
                 "record_trace",
-                "mode",
                 "threads",
-                "pipelines",
                 "store",
                 "codec",
             ];
@@ -264,15 +254,7 @@ impl CampaignSpec {
                 .as_bool()
                 .ok_or_else(|| spec_err("record_trace must be a boolean"))?;
         }
-        if let Some(mode) = value.get("mode") {
-            let label = mode
-                .as_str()
-                .ok_or_else(|| spec_err("mode must be a string"))?;
-            spec.mode = ExecutionMode::from_label(label)
-                .ok_or_else(|| spec_err(format!("unknown mode {label:?}")))?;
-        }
         spec.threads = parse_count(value, "threads")?.unwrap_or(0);
-        spec.pipelines = parse_count(value, "pipelines")?.unwrap_or(0);
         if let Some(store) = value.get("store") {
             spec.store = Some(
                 store
@@ -489,9 +471,7 @@ mod tests {
         ];
         spec.hierarchy = Some(Scale::Small.hierarchy().without_prefetch());
         spec.record_trace = true;
-        spec.mode = ExecutionMode::Streaming;
         spec.threads = 6;
-        spec.pipelines = 2;
         spec.store = Some("/tmp/grasp store \"quoted\"".to_owned());
         spec.codec = Some(Codec::Raw);
         spec
@@ -544,7 +524,8 @@ mod tests {
                 r#"{"scale":"tiny","policies":["PIN-101"]}"#,
                 "unknown policy",
             ),
-            (r#"{"scale":"tiny","mode":"warp"}"#, "unknown mode"),
+            (r#"{"scale":"tiny","mode":"pipelined"}"#, "unknown field"),
+            (r#"{"scale":"tiny","pipelines":2}"#, "unknown field"),
             (r#"{"scale":"tiny","threads":-1}"#, "threads must be"),
             (r#"{"scale":"tiny","threads":1.5}"#, "threads must be"),
             (r#"{"scale":"tiny","codec":"zstd"}"#, "unknown codec"),
@@ -584,7 +565,7 @@ mod tests {
     }
 
     /// Deterministic spec generator for the property test: every field is
-    /// drawn from the seed, covering all scales/modes/techniques/apps,
+    /// drawn from the seed, covering all scales/techniques/apps,
     /// ingested datasets, arbitrary pin fractions and optional fields.
     fn arbitrary_spec(seed: u64) -> CampaignSpec {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
@@ -595,12 +576,6 @@ mod tests {
             state % bound
         };
         let scales = [Scale::Tiny, Scale::Small, Scale::Medium, Scale::Large];
-        let modes = [
-            ExecutionMode::Pipelined,
-            ExecutionMode::Replay,
-            ExecutionMode::Direct,
-            ExecutionMode::Streaming,
-        ];
         let mut spec = CampaignSpec::new(scales[next(4) as usize]);
         spec.datasets = (0..next(4))
             .map(|_| match next(8) {
@@ -634,9 +609,7 @@ mod tests {
             spec.hierarchy = Some(hierarchy);
         }
         spec.record_trace = next(2) == 0;
-        spec.mode = modes[next(4) as usize];
         spec.threads = next(9) as usize;
-        spec.pipelines = next(5) as usize;
         if next(2) == 0 {
             spec.store = Some(format!("/tmp/store-{}", next(1000)));
         }

@@ -25,9 +25,7 @@
 //! binary format of [`grasp_cachesim::trace::persist`], so a store hit
 //! reconstructs a complete [`RecordedRun`](crate::experiment::RecordedRun) —
 //! the campaign skips the record phase entirely and fans the loaded stream
-//! out across policies (buffered replay or
-//! [`LlcTrace::stream_into`](grasp_cachesim::LlcTrace::stream_into)
-//! re-broadcast), bit-identical to a fresh recording.
+//! out across policies, bit-identical to a fresh recording.
 //!
 //! Publication is **atomic**: entries are written to a temp file in the
 //! store directory and `rename`d into place, so concurrent campaigns (or a

@@ -146,7 +146,6 @@ pub fn cell_frame(index: usize, run: &CampaignRun) -> Json {
 /// campaign (the single-flight dedup), and store loads.
 pub fn done_frame(
     cells: usize,
-    mode: &str,
     recorded: u64,
     deduped: u64,
     loads: u64,
@@ -155,7 +154,6 @@ pub fn done_frame(
     let mut members = vec![
         ("type", Json::string("done")),
         ("cells", Json::integer(cells as u64)),
-        ("mode", Json::string(mode)),
         ("recorded", Json::integer(recorded)),
         ("deduped", Json::integer(deduped)),
         ("loads", Json::integer(loads)),

@@ -250,7 +250,6 @@ fn run_campaign(daemon: &Daemon, writer: &mut UnixStream, spec: CampaignSpec) {
     }
     let frame = protocol::done_frame(
         result.len(),
-        result.executed_mode().label(),
         recorded,
         deduped,
         loads,

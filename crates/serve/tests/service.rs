@@ -3,7 +3,7 @@
 //! error frames for malformed requests, admission control and clean
 //! shutdown.
 
-use grasp_core::campaign::{Campaign, ExecutionMode};
+use grasp_core::campaign::Campaign;
 use grasp_core::datasets::{DatasetKind, Scale};
 use grasp_core::json::Json;
 use grasp_core::policy::PolicyKind;
@@ -33,7 +33,6 @@ fn small_grid() -> CampaignSpec {
         grasp_analytics::apps::AppKind::Sssp,
     ];
     spec.policies = vec![PolicyKind::Rrip, PolicyKind::Grasp];
-    spec.mode = ExecutionMode::Pipelined;
     spec.threads = 2;
     spec.codec = Some(Codec::DeltaVarint);
     spec
@@ -186,6 +185,15 @@ fn malformed_requests_get_stable_error_kinds() {
         ("{\"type\":\"run\"}", "request/invalid"),
         (
             "{\"type\":\"run\",\"spec\":{\"scale\":\"galactic\"}}",
+            "spec/invalid",
+        ),
+        (
+            // The retired plan-selection fields are unknown fields now.
+            "{\"type\":\"run\",\"spec\":{\"scale\":\"tiny\",\"mode\":\"pipelined\"}}",
+            "spec/invalid",
+        ),
+        (
+            "{\"type\":\"run\",\"spec\":{\"scale\":\"tiny\",\"pipelines\":2}}",
             "spec/invalid",
         ),
         (

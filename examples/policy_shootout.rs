@@ -48,7 +48,7 @@ fn main() {
         PolicyKind::GraspInsertionOnly,
         PolicyKind::Grasp,
     ];
-    // One replay-mode campaign: the dataset is generated and DBG-reordered
+    // One campaign: the dataset is generated and DBG-reordered
     // once, the application executes once to record the post-L2 stream, and
     // every policy is evaluated by replaying that stream — bit-identical to
     // simulating each policy from scratch, at a fraction of the cost.

@@ -1,11 +1,11 @@
 //! The record-once / replay-many pipeline must be a pure wall-clock
-//! optimization: replay-mode campaign results bit-identical to serial
+//! optimization: campaign results bit-identical to serial
 //! `Experiment::run` across the full policy grid, and `LlcTrace::replay`
 //! reproducing complete `HierarchyStats` — not just LLC miss counts.
 
 use grasp_suite::analytics::apps::AppKind;
 use grasp_suite::cachesim::config::HierarchyConfig;
-use grasp_suite::core::campaign::{Campaign, ExecutionMode};
+use grasp_suite::core::campaign::Campaign;
 use grasp_suite::core::datasets::{DatasetKind, Scale};
 use grasp_suite::core::experiment::Experiment;
 use grasp_suite::core::policy::PolicyKind;
@@ -70,18 +70,14 @@ fn replay_campaign_matches_serial_experiments_across_the_full_policy_grid() {
 #[test]
 fn replay_and_direct_modes_agree_for_every_technique() {
     for technique in [TechniqueKind::Identity, TechniqueKind::Dbg] {
-        let campaign = |mode: ExecutionMode| {
-            Campaign::new(SCALE)
-                .datasets(&[DatasetKind::Kron])
-                .techniques(&[technique])
-                .apps(&[AppKind::PageRankDelta])
-                .policies(&[PolicyKind::Rrip, PolicyKind::Hawkeye, PolicyKind::Grasp])
-                .execution(mode)
-                .threads(4)
-                .run()
-        };
-        let replayed = campaign(ExecutionMode::Replay);
-        let direct = campaign(ExecutionMode::Direct);
+        let campaign = Campaign::new(SCALE)
+            .datasets(&[DatasetKind::Kron])
+            .techniques(&[technique])
+            .apps(&[AppKind::PageRankDelta])
+            .policies(&[PolicyKind::Rrip, PolicyKind::Hawkeye, PolicyKind::Grasp])
+            .threads(4);
+        let replayed = campaign.run();
+        let direct = campaign.run_direct();
         assert_eq!(replayed.len(), direct.len());
         for (a, b) in replayed.iter().zip(direct.iter()) {
             assert_eq!(a.cell, b.cell);
@@ -91,104 +87,46 @@ fn replay_and_direct_modes_agree_for_every_technique() {
 }
 
 #[test]
-fn pipelined_campaign_matches_both_barrier_plans_across_the_full_policy_grid() {
-    // The dependency-driven scheduler (the default plan) against the
-    // two-phase barrier plan and the direct plan, for all 13 policies over
-    // a multi-stream grid: pipelining may only move wall-clock, never
+fn pipelined_campaign_matches_run_direct_across_the_full_policy_grid() {
+    // The dependency-driven scheduler against the run-every-cell oracle,
+    // for all 13 policies over a multi-stream grid: record-once /
+    // replay-many and pipelining may only move wall-clock, never
     // statistics, app output or timing.
-    let campaign = |mode: ExecutionMode| {
-        Campaign::new(SCALE)
-            .datasets(&[DatasetKind::Twitter, DatasetKind::Kron])
-            .apps(&[AppKind::PageRank, AppKind::Sssp])
-            .policies(&FULL_GRID)
-            .execution(mode)
-            .threads(4)
-            .run()
-    };
-    let pipelined = campaign(ExecutionMode::Pipelined);
-    let replayed = campaign(ExecutionMode::Replay);
-    let direct = campaign(ExecutionMode::Direct);
+    let campaign = Campaign::new(SCALE)
+        .datasets(&[DatasetKind::Twitter, DatasetKind::Kron])
+        .apps(&[AppKind::PageRank, AppKind::Sssp])
+        .policies(&FULL_GRID)
+        .threads(4);
+    let pipelined = campaign.run();
+    let direct = campaign.run_direct();
     assert_eq!(pipelined.len(), 4 * FULL_GRID.len());
-    assert_eq!(pipelined.len(), replayed.len());
     assert_eq!(pipelined.len(), direct.len());
-    for ((a, b), c) in pipelined.iter().zip(replayed.iter()).zip(direct.iter()) {
+    for (a, b) in pipelined.iter().zip(direct.iter()) {
         assert_eq!(a.cell, b.cell);
-        assert_eq!(a.cell, c.cell);
         assert_eq!(
             a.result.stats, b.result.stats,
-            "{}/{}/{}: pipelined diverged from the barrier replay plan",
-            a.cell.dataset, a.cell.app, a.cell.policy
-        );
-        assert_eq!(
-            a.result.stats, c.result.stats,
             "{}/{}/{}: pipelined diverged from direct simulation",
             a.cell.dataset, a.cell.app, a.cell.policy
         );
         assert_eq!(a.result.app.values, b.result.app.values);
-        assert_eq!(a.result.app.values, c.result.app.values);
-        assert!((a.result.cycles - b.result.cycles).abs() < 1e-9);
-        assert!((a.result.cycles - c.result.cycles).abs() < 1e-9);
-    }
-}
-
-#[test]
-fn streaming_campaign_matches_the_replay_plan_across_the_full_policy_grid() {
-    let campaign = |mode: ExecutionMode| {
-        Campaign::new(SCALE)
-            .datasets(&[DatasetKind::Twitter])
-            .apps(&[AppKind::PageRank])
-            .policies(&FULL_GRID)
-            .execution(mode)
-            .threads(4)
-            .run()
-    };
-    let streamed = campaign(ExecutionMode::Streaming);
-    let replayed = campaign(ExecutionMode::Replay);
-    assert_eq!(streamed.len(), FULL_GRID.len());
-    for (a, b) in streamed.iter().zip(replayed.iter()) {
-        assert_eq!(a.cell, b.cell);
-        assert_eq!(
-            a.result.stats, b.result.stats,
-            "{}: streaming diverged from buffered replay",
-            a.cell.policy
-        );
-        assert_eq!(a.result.app.values, b.result.app.values);
         assert!((a.result.cycles - b.result.cycles).abs() < 1e-9);
     }
 }
 
 #[test]
-fn streaming_sweep_matches_buffered_replays_of_one_recording() {
-    let dataset = DatasetKind::Kron.build(SCALE);
-    let exp = Experiment::new(dataset.graph, AppKind::PageRankDelta)
-        .with_hierarchy(SCALE.hierarchy())
-        .with_reordering(TechniqueKind::Dbg);
-    let recorded = exp.record();
-    let streamed = exp.sweep_streaming(&FULL_GRID, 3);
-    for (&policy, stream_run) in FULL_GRID.iter().zip(&streamed) {
-        let buffered = recorded.replay(policy);
-        assert_eq!(stream_run.policy, policy);
-        assert_eq!(buffered.stats, stream_run.stats, "{policy}");
-        assert_eq!(buffered.app.values, stream_run.app.values, "{policy}");
-    }
-}
-
-#[test]
-fn batched_scalar_streamed_and_direct_replays_agree_across_the_full_policy_grid() {
+fn batched_scalar_fanout_and_direct_replays_agree_across_the_full_policy_grid() {
     // The batched chunk-native replay kernel against every other execution
-    // path, for all 13 policies: batched buffered replay (the default), the
-    // per-event scalar reference, the shared-decode policy fan-out, the
-    // streaming pipeline (which feeds the batched kernel chunk by chunk),
-    // and direct simulation.
+    // path, for all 13 policies: batched replay (the default), the
+    // per-event scalar reference, the shared-decode policy fan-out, and
+    // direct simulation.
     let dataset = DatasetKind::Twitter.build(SCALE);
     let exp = Experiment::new(dataset.graph, AppKind::PageRank)
         .with_hierarchy(SCALE.hierarchy())
         .with_reordering(TechniqueKind::Dbg);
     let recorded = exp.record();
-    let streamed = exp.sweep_streaming(&FULL_GRID, 3);
     let fanout = recorded.replay_fanout(&FULL_GRID);
     assert_eq!(fanout.len(), FULL_GRID.len());
-    for ((&policy, stream_run), fanout_run) in FULL_GRID.iter().zip(&streamed).zip(&fanout) {
+    for (&policy, fanout_run) in FULL_GRID.iter().zip(&fanout) {
         let batched = recorded.replay(policy);
         let scalar = recorded.replay_scalar(policy);
         let direct = exp.run(policy);
@@ -199,10 +137,6 @@ fn batched_scalar_streamed_and_direct_replays_agree_across_the_full_policy_grid(
         assert_eq!(
             batched.stats, fanout_run.stats,
             "{policy}: batched replay diverged from the shared-decode fan-out"
-        );
-        assert_eq!(
-            batched.stats, stream_run.stats,
-            "{policy}: batched replay diverged from streaming"
         );
         assert_eq!(
             batched.stats, direct.stats,
