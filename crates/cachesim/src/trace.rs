@@ -131,12 +131,13 @@ pub(crate) fn decode_record(addr: Address, meta: u32) -> (AccessInfo, BatchOp) {
     }
 }
 
-/// Number of demand records in a flush-free metadata column (records with
-/// neither the prefetch nor the writeback bit set).
+/// Number of demand records in a metadata column: records with none of the
+/// prefetch, writeback and flush bits set — the predicate [`decode_event`]
+/// applies per event, evaluated on the column without decoding anything.
 #[inline]
 pub(crate) fn count_demand_records(meta: &[u32]) -> usize {
     meta.iter()
-        .filter(|&&m| m & (META_PREFETCH_BIT | META_WRITEBACK_BIT) == 0)
+        .filter(|&&m| m & (META_PREFETCH_BIT | META_WRITEBACK_BIT | META_FLUSH_BIT) == 0)
         .count()
 }
 

@@ -63,7 +63,7 @@
 //! the trace that was saved (property-tested in
 //! `tests/persist_properties.rs` for both codecs).
 
-use super::{LlcTrace, RecordContext, TraceChunk, CHUNK_RECORDS};
+use super::{count_demand_records, LlcTrace, RecordContext, TraceChunk, CHUNK_RECORDS};
 use crate::addr::Address;
 use crate::request::RegionLabel;
 use crate::stats::CacheStats;
@@ -916,7 +916,10 @@ impl LlcTrace {
         // The header's demand count is covered by the checksum, but cross-check
         // it against the records so a *writer* bug can never produce a trace
         // whose demand view disagrees with its stream.
-        let actual_demands = trace.demand_accesses().count();
+        let actual_demands: usize = trace
+            .chunks()
+            .map(|chunk| count_demand_records(&chunk.meta))
+            .sum();
         if actual_demands != trace.demand_len {
             return Err(PersistError::Corrupt(format!(
                 "header demand count {} disagrees with the {} demand records in the stream",

@@ -6,9 +6,11 @@
 //! [`Campaign`] expresses the whole grid declaratively and runs it on a
 //! thread pool:
 //!
-//! * each dataset is **generated once**,
-//! * each (dataset, technique, traversal-direction) graph is **reordered
-//!   once** and shared across cells via `Arc<Csr>`,
+//! * each dataset is **generated (or opened) at most once** and each
+//!   (dataset, technique, traversal-direction) graph **reordered at most
+//!   once**, shared via `Arc<Csr>` — *pulled* by the first worker whose
+//!   record task needs it, never prepared by the plan: a campaign the trace
+//!   store (or a sibling's in-flight recording) serves builds no graph,
 //! * each (dataset, technique, application) cell is **executed once** — the
 //!   application runs through the policy-independent upper levels and the
 //!   post-L2 stream is recorded ([`Experiment::record`]) — and the policy
@@ -58,15 +60,16 @@ use crate::flight::{FlightRegistry, FlightServed};
 use crate::policy::PolicyKind;
 use crate::spec::CampaignSpec;
 use crate::trace_store::{codec_from_env, TraceStore, TraceStoreKey};
-use grasp_analytics::apps::AppKind;
+use grasp_analytics::apps::{AppConfig, AppKind};
 use grasp_cachesim::config::HierarchyConfig;
-use grasp_cachesim::Codec;
+use grasp_cachesim::{Codec, TimingModel};
 use grasp_graph::types::Direction;
 use grasp_graph::{Csr, GraphView};
 use grasp_reorder::TechniqueKind;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 /// One entry of the scheduler's event log: what happened, in the order it
@@ -234,28 +237,64 @@ pub struct CampaignRun {
     pub result: RunResult,
 }
 
-/// One unique (dataset, technique, app) stream of a campaign grid: the
-/// prepared experiment plus the grid identity the trace store keys it by.
+/// One unique (dataset, technique, app) stream of a campaign grid: its grid
+/// identity plus what the trace store keys it by. It holds **no graph** — a
+/// stream that has to record pulls one from the run's [`GraphMemo`].
 #[derive(Debug, Clone)]
 struct StreamJob {
     dataset: DatasetId,
     technique: TechniqueKind,
     app: AppKind,
-    experiment: Experiment,
-}
-
-impl StreamJob {
+    hierarchy: HierarchyConfig,
+    app_config: AppConfig,
     /// Instruction-proportional work estimate for recording this stream:
     /// each iteration walks the vertex and edge arrays, so
     /// `(V + E) × max_iterations` tracks the recorded instruction count
-    /// without executing anything. Only the *relative* size matters — it
-    /// seeds the scheduler's longest-processing-time-first ordering until
-    /// measured wall times refine the rates.
-    fn record_work(&self) -> f64 {
-        let graph = self.experiment.graph();
-        let size = graph.vertex_count() as f64 + graph.edge_count() as f64;
-        size * self.experiment.app_config().max_iterations.max(1) as f64
+    /// without executing — or building — anything (`V + E` is the `.gcsr`
+    /// header's, or the generator's nominal size). Only the *relative* size
+    /// matters — it seeds the scheduler's longest-processing-time-first
+    /// ordering until measured wall times refine the rates.
+    record_work: f64,
+}
+
+impl StreamJob {
+    /// The stream's experiment over its prepared `graph`.
+    fn experiment(&self, graph: Arc<Csr>) -> Experiment {
+        Experiment::shared(graph, self.app)
+            .with_hierarchy(self.hierarchy)
+            .with_app_config(self.app_config)
     }
+}
+
+/// A build-at-most-once map: the first caller of a key runs `build`, its
+/// concurrent callers block and share the value, distinct keys build
+/// concurrently. A `build` that panics leaves the key empty and releases
+/// the blocked callers (the next retries with its own closure), so an
+/// unwinding worker never strands its siblings.
+struct Memo<K, V>(Mutex<HashMap<K, Arc<OnceLock<V>>>>);
+
+impl<K, V> Default for Memo<K, V> {
+    fn default() -> Self {
+        Self(Mutex::default())
+    }
+}
+
+impl<K: Eq + Hash, V: Clone> Memo<K, V> {
+    fn get(&self, key: K, build: impl FnOnce() -> V) -> V {
+        let mut map = self.0.lock().expect("never poisoned: builds run unlocked");
+        let cell = Arc::clone(map.entry(key).or_default());
+        drop(map);
+        cell.get_or_init(build).clone()
+    }
+}
+
+/// The graphs one run has prepared so far, **pulled by the tasks that need
+/// them** ([`Campaign::prepared_graph`]): on whichever worker first records
+/// a stream over one. A run that records nothing leaves this empty.
+#[derive(Default)]
+struct GraphMemo {
+    base: Memo<DatasetId, Arc<dyn GraphView>>,
+    reordered: Memo<(DatasetId, TechniqueKind, Direction), Arc<Csr>>,
 }
 
 /// A declarative dataset × technique × app × policy grid.
@@ -574,37 +613,53 @@ impl Campaign {
         this.run_scheduled(this.worker_budget(this.cells().len()), observer)
     }
 
-    /// Builds the experiment of one (dataset, technique, app) coordinate,
-    /// sharing generated datasets and reordered graphs through the caches.
-    fn experiment_for(
-        &self,
-        base: &mut HashMap<DatasetId, Arc<dyn GraphView>>,
-        reordered: &mut HashMap<(DatasetId, TechniqueKind, Direction), Arc<Csr>>,
-        dataset: DatasetId,
-        technique: TechniqueKind,
-        app: AppKind,
-    ) -> Experiment {
-        let hierarchy = self.hierarchy.unwrap_or_else(|| self.scale.hierarchy());
-        let source = base.entry(dataset).or_insert_with(|| match dataset {
-            DatasetId::Synthetic(kind) => Arc::new(kind.build(self.scale).graph),
-            DatasetId::Ingested(hash) => self
-                .catalog
-                .load(hash)
-                .unwrap_or_else(|e| panic!("cannot open ingested dataset {dataset}: {e}")),
-        });
-        let source = Arc::clone(source);
+    /// The graph-free job of one (dataset, technique, app) coordinate.
+    /// Panics on an ingested hash the catalog does not hold — here, on the
+    /// planning thread, so a misnamed dataset fails the same way whether or
+    /// not a warm store would have hidden it from the workers.
+    fn stream_job(&self, dataset: DatasetId, technique: TechniqueKind, app: AppKind) -> StreamJob {
+        let size = match dataset {
+            DatasetId::Synthetic(kind) => self.scale.vertices() * (1 + kind.average_degree()),
+            DatasetId::Ingested(hash) => {
+                let entry = self
+                    .catalog
+                    .entry(hash)
+                    .unwrap_or_else(|e| open_failed(dataset, &e));
+                entry.vertex_count + entry.edge_count
+            }
+        };
+        let app_config = Experiment::traced_app_config(app);
+        StreamJob {
+            dataset,
+            technique,
+            app,
+            hierarchy: self.hierarchy.unwrap_or_else(|| self.scale.hierarchy()),
+            app_config,
+            record_work: size as f64 * app_config.max_iterations.max(1) as f64,
+        }
+    }
+
+    /// The reordered graph of one (dataset, technique, app) coordinate,
+    /// built on the calling thread unless `graphs` already holds it.
+    fn prepared_graph(&self, graphs: &GraphMemo, job: &StreamJob) -> Arc<Csr> {
         // Reorder once per (dataset, technique, hotness direction) — the
         // direction is a property of the application, but most applications
         // share one, so the permutation work collapses across the app axis.
-        let direction = app.hotness_direction();
-        let graph = reordered
-            .entry((dataset, technique, direction))
-            .or_insert_with(|| {
-                let boxed = technique.instantiate();
-                let perm = boxed.compute(&*source, direction);
-                Arc::new(grasp_reorder::relabel(&*source, &perm))
+        let direction = job.app.hotness_direction();
+        let build = || {
+            let source = graphs.base.get(job.dataset, || match job.dataset {
+                DatasetId::Synthetic(kind) => Arc::new(kind.build(self.scale).graph),
+                DatasetId::Ingested(hash) => self
+                    .catalog
+                    .load(hash)
+                    .unwrap_or_else(|e| open_failed(job.dataset, &e)),
             });
-        Experiment::shared(Arc::<Csr>::clone(graph), app).with_hierarchy(hierarchy)
+            let perm = job.technique.instantiate().compute(&*source, direction);
+            Arc::new(grasp_reorder::relabel(&*source, &perm))
+        };
+        graphs
+            .reordered
+            .get((job.dataset, job.technique, direction), build)
     }
 
     /// The parity oracle: every cell simulates the full hierarchy
@@ -614,19 +669,13 @@ impl Campaign {
     /// not reachable from a [`CampaignSpec`].
     pub fn run_direct(&self) -> CampaignResult {
         let threads = self.worker_budget(self.cells().len());
-        let mut base = HashMap::new();
-        let mut reordered = HashMap::new();
+        let graphs = GraphMemo::default();
         let work: Vec<(CampaignCell, Experiment)> = self
             .cells()
             .into_iter()
             .map(|cell| {
-                let mut experiment = self.experiment_for(
-                    &mut base,
-                    &mut reordered,
-                    cell.dataset,
-                    cell.technique,
-                    cell.app,
-                );
+                let job = self.stream_job(cell.dataset, cell.technique, cell.app);
+                let mut experiment = job.experiment(self.prepared_graph(&graphs, &job));
                 if self.record_trace {
                     experiment = experiment.recording_llc_trace();
                 }
@@ -645,10 +694,9 @@ impl Campaign {
 
     /// Collects the unique (dataset, technique, app) streams of the grid in
     /// first-seen grid order, plus each cell's index into the stream list.
-    /// Each stream carries its grid identity so the trace store can key it.
+    /// Each stream carries its grid identity so the trace store can key it;
+    /// no graph is generated, opened or reordered here.
     fn stream_plan(&self) -> (Vec<(CampaignCell, usize)>, Vec<StreamJob>) {
-        let mut base = HashMap::new();
-        let mut reordered = HashMap::new();
         let mut stream_index: HashMap<(DatasetId, TechniqueKind, AppKind), usize> = HashMap::new();
         let mut streams: Vec<StreamJob> = Vec::new();
         let cells: Vec<(CampaignCell, usize)> = self
@@ -657,18 +705,7 @@ impl Campaign {
             .map(|cell| {
                 let key = (cell.dataset, cell.technique, cell.app);
                 let index = *stream_index.entry(key).or_insert_with(|| {
-                    streams.push(StreamJob {
-                        dataset: cell.dataset,
-                        technique: cell.technique,
-                        app: cell.app,
-                        experiment: self.experiment_for(
-                            &mut base,
-                            &mut reordered,
-                            cell.dataset,
-                            cell.technique,
-                            cell.app,
-                        ),
-                    });
+                    streams.push(self.stream_job(cell.dataset, cell.technique, cell.app));
                     streams.len() - 1
                 });
                 (cell, index)
@@ -687,41 +724,53 @@ impl Campaign {
             self.scale,
             job.technique,
             job.app,
-            job.experiment.hierarchy(),
-            job.experiment.app_config(),
+            &job.hierarchy,
+            &job.app_config,
         )
         .with_codec(self.resolved_codec())
     }
 
     /// Produces one stream's [`RecordedRun`]: loaded from the trace store
-    /// when an entry exists (the record phase is skipped entirely), recorded
-    /// freshly — and published back to the store — otherwise. The flag
-    /// reports whether the store served the stream (a corrupt entry counts
-    /// as a miss and is overwritten).
+    /// when an entry exists (the record phase is skipped entirely, no graph
+    /// is touched), recorded freshly over a graph pulled from `graphs` —
+    /// and published back to the store — otherwise. The flag reports
+    /// whether the store served the stream (a corrupt entry counts as a
+    /// miss and is overwritten); `prep_s` receives the seconds spent on the
+    /// graph, which are not record time.
     ///
     /// This is the *uncoordinated* path; [`Campaign::obtain`] wraps it in
     /// the shared [`FlightRegistry`] when one is attached.
-    fn obtain_local(&self, job: &StreamJob) -> (RecordedRun, bool) {
-        let Some(store) = &self.store else {
-            return (job.experiment.record(), false);
-        };
-        let key = self.store_key(job);
-        if let Some(stored) = store.load(&key) {
+    fn obtain_local(
+        &self,
+        job: &StreamJob,
+        graphs: &GraphMemo,
+        prep_s: &mut f64,
+    ) -> (RecordedRun, bool) {
+        let keyed = self
+            .store
+            .as_deref()
+            .map(|store| (store, self.store_key(job)));
+        if let Some(stored) = keyed.as_ref().and_then(|(store, key)| store.load(key)) {
+            let (llc, timing) = (job.hierarchy.llc, TimingModel::default());
             let recorded =
-                job.experiment
-                    .recorded_from_parts(stored.trace, stored.app, stored.instructions);
+                RecordedRun::from_parts(stored.trace, stored.app, stored.instructions, llc, timing);
             return (recorded, true);
         }
-        let recorded = job.experiment.record();
-        if let Err(err) = store.publish(
-            &key,
-            recorded.trace(),
-            recorded.app(),
-            recorded.instructions(),
-        ) {
-            // Publication failures cost future runs the reuse, never this
-            // run its results.
-            eprintln!("trace store: could not publish {key}: {err}");
+        let started = Instant::now();
+        let graph = self.prepared_graph(graphs, job);
+        *prep_s = started.elapsed().as_secs_f64();
+        let recorded = job.experiment(graph).record();
+        if let Some((store, key)) = &keyed {
+            if let Err(err) = store.publish(
+                key,
+                recorded.trace(),
+                recorded.app(),
+                recorded.instructions(),
+            ) {
+                // Publication failures cost future runs the reuse, never
+                // this run its results.
+                eprintln!("trace store: could not publish {key}: {err}");
+            }
         }
         (recorded, false)
     }
@@ -731,12 +780,16 @@ impl Campaign {
     /// `Arc`; with one, concurrent obtains of the same store key — from
     /// this campaign or any sibling sharing the registry — collapse to a
     /// single recording that every caller attaches to
-    /// ([`FlightServed::Attached`]).
-    fn obtain(&self, job: &StreamJob) -> (Arc<RecordedRun>, FlightServed) {
-        match &self.flights {
-            Some(registry) => registry.obtain(self.store_key(job), || self.obtain_local(job)),
+    /// ([`FlightServed::Attached`]) without preparing a graph of its own.
+    /// The third element is `obtain_local`'s `prep_s`.
+    fn obtain(&self, job: &StreamJob, graphs: &GraphMemo) -> (Arc<RecordedRun>, FlightServed, f64) {
+        let mut prep_s = 0.0;
+        let (recorded, served) = match &self.flights {
+            Some(registry) => registry.obtain(self.store_key(job), || {
+                self.obtain_local(job, graphs, &mut prep_s)
+            }),
             None => {
-                let (recorded, hit) = self.obtain_local(job);
+                let (recorded, hit) = self.obtain_local(job, graphs, &mut prep_s);
                 let served = if hit {
                     FlightServed::StoreHit
                 } else {
@@ -744,7 +797,8 @@ impl Campaign {
                 };
                 (Arc::new(recorded), served)
             }
-        }
+        };
+        (recorded, served, prep_s)
     }
 
     /// Whether the trace store would serve this stream without recording —
@@ -788,7 +842,7 @@ impl Campaign {
     /// order.
     fn run_scheduled(&self, workers: usize, observer: Option<CellObserver<'_>>) -> CampaignResult {
         let (cells, streams) = self.stream_plan();
-        let record_work: Vec<f64> = streams.iter().map(StreamJob::record_work).collect();
+        let graphs = GraphMemo::default();
         let probed_load: Vec<bool> = streams.iter().map(|job| self.probes_as_load(job)).collect();
         let mut stream_cells: Vec<Vec<usize>> = vec![Vec::new(); streams.len()];
         for (index, &(_, stream)) in cells.iter().enumerate() {
@@ -816,7 +870,7 @@ impl Campaign {
         let plan = SchedPlan {
             cells: &cells,
             streams: &streams,
-            record_work: &record_work,
+            graphs: &graphs,
             probed_load: &probed_load,
             stream_cells: &stream_cells,
             obtain_cap,
@@ -866,7 +920,7 @@ impl Campaign {
                     } = &mut *guard;
                     lpt_pop(obtain_queue, |stream| {
                         let app = plan.streams[stream].app;
-                        let work = plan.record_work[stream];
+                        let work = plan.streams[stream].record_work;
                         if plan.probed_load[stream] {
                             model.load_cost(app, work)
                         } else {
@@ -883,24 +937,23 @@ impl Campaign {
                 });
                 drop(guard);
 
+                let job = &plan.streams[stream];
                 let started = Instant::now();
-                let (recorded, served) = self.obtain(&plan.streams[stream]);
-                let elapsed = started.elapsed().as_secs_f64();
+                let (recorded, served, prep_s) = self.obtain(job, plan.graphs);
+                // Building (or waiting for) the graph is not record time:
+                // the rates must not depend on which stream pulled it first.
+                let elapsed = started.elapsed().as_secs_f64() - prep_s;
 
                 guard = state.lock().expect("scheduler state never poisoned");
-                let app = plan.streams[stream].app;
+                let (app, work) = (job.app, job.record_work);
                 if as_load {
-                    guard
-                        .model
-                        .observe_load(app, plan.record_work[stream], elapsed);
+                    guard.model.observe_load(app, work, elapsed);
                     guard.events.push(SchedulerEvent::LoadFinished {
                         stream,
                         hit: served != FlightServed::Recorded,
                     });
                 } else {
-                    guard
-                        .model
-                        .observe_record(app, plan.record_work[stream], elapsed);
+                    guard.model.observe_record(app, work, elapsed);
                     // A planned Record that was served without recording —
                     // another campaign's in-flight recording, or a store
                     // entry published since the plan-time probe — logs as
@@ -1001,8 +1054,8 @@ struct SchedPlan<'a> {
     cells: &'a [(CampaignCell, usize)],
     /// The unique streams in first-seen grid order.
     streams: &'a [StreamJob],
-    /// Per-stream record work estimate (see [`StreamJob::record_work`]).
-    record_work: &'a [f64],
+    /// The run's demand-built graphs (see [`GraphMemo`]).
+    graphs: &'a GraphMemo,
     /// Per-stream plan-time classification: `true` when the trace store
     /// probe saw an entry, making the obtain task a `Load`.
     probed_load: &'a [bool],
@@ -1043,6 +1096,12 @@ struct SchedState {
     /// Set when a worker panicked, so sleeping siblings exit instead of
     /// waiting for a notification that will never come.
     aborted: bool,
+}
+
+/// An ingested graph cannot be opened: an unregistered hash at plan time,
+/// an unreadable directory when a record demands it.
+fn open_failed(dataset: DatasetId, err: &dyn std::fmt::Display) -> ! {
+    panic!("cannot open ingested dataset {dataset}: {err}")
 }
 
 /// Pops the highest-cost entry of `queue` (longest-processing-time-first).
@@ -1239,6 +1298,108 @@ mod tests {
         let results = Campaign::new(Scale::Tiny).run();
         assert!(results.is_empty());
         assert_eq!(results.len(), 0);
+    }
+
+    #[test]
+    fn memo_builds_each_key_once_across_threads() {
+        let memo: Memo<u32, Arc<u32>> = Memo::default();
+        let builds = AtomicUsize::new(0);
+        let threads = 6;
+        let gate = std::sync::Barrier::new(threads);
+        let values: Vec<Arc<u32>> = std::thread::scope(|scope| {
+            let demands: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        gate.wait(); // all demand the same key at once
+                        memo.get(7, || {
+                            builds.fetch_add(1, Ordering::SeqCst);
+                            // Hold the build open so the others pile up.
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            Arc::new(49)
+                        })
+                    })
+                })
+                .collect();
+            demands.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(builds.load(Ordering::SeqCst), 1, "one build per key");
+        assert!(values.iter().all(|v| Arc::ptr_eq(v, &values[0])));
+        // A second key builds on its own; the first is served from the memo.
+        assert_eq!(*memo.get(8, || Arc::new(64)), 64);
+        assert!(Arc::ptr_eq(
+            &memo.get(7, || unreachable!("already built")),
+            &values[0]
+        ));
+    }
+
+    #[test]
+    fn memo_build_that_panics_releases_its_waiters() {
+        let memo: Memo<u32, u32> = Memo::default();
+        let (building, built) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let builder = scope.spawn(|| {
+                memo.get(1, || {
+                    building.send(()).expect("the waiter listens");
+                    // Give the waiter time to park on this build.
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    panic!("graph cannot be opened");
+                })
+            });
+            built.recv().expect("the build started");
+            // Parked behind the doomed build (or arriving just after it
+            // unwound): either way this caller runs its own closure instead
+            // of waiting forever on a value that will never land.
+            assert_eq!(memo.get(1, || 11), 11);
+            assert!(builder.join().is_err(), "the builder's panic propagates");
+        });
+        assert_eq!(memo.get(1, || unreachable!("the retry landed")), 11);
+    }
+
+    #[test]
+    fn recording_campaign_prepares_each_graph_once_and_a_warm_one_none() {
+        let dir = std::env::temp_dir().join(format!("grasp-campaign-memo-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = Arc::new(TraceStore::open(&dir).expect("store opens"));
+        let campaign = Campaign::new(Scale::Tiny)
+            .datasets(&[DatasetKind::Twitter])
+            .apps(&AppKind::ALL)
+            .policies(&[PolicyKind::Rrip])
+            .threads(3)
+            .with_trace_store(store);
+        let (_, streams) = campaign.stream_plan();
+        let graphs = GraphMemo::default();
+        let prepared: Vec<Arc<Csr>> = std::thread::scope(|scope| {
+            let demands: Vec<_> = streams
+                .iter()
+                .map(|job| scope.spawn(|| campaign.prepared_graph(&graphs, job)))
+                .collect();
+            demands.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        // Five streams, two hotness directions, one base dataset.
+        let prepared_counts = |graphs: &GraphMemo| {
+            let base = graphs.base.0.lock().unwrap().len();
+            (base, graphs.reordered.0.lock().unwrap().len())
+        };
+        assert_eq!(prepared_counts(&graphs), (1, 2));
+        for (job, graph) in streams.iter().zip(&prepared) {
+            let same_direction = streams
+                .iter()
+                .position(|other| other.app.hotness_direction() == job.app.hotness_direction())
+                .expect("the job itself");
+            assert!(Arc::ptr_eq(graph, &prepared[same_direction]), "{}", job.app);
+        }
+
+        // Cold: every stream records. Warm: every obtain is a store hit and
+        // `obtain` is handed a memo that must stay empty.
+        campaign.run();
+        let warm = GraphMemo::default();
+        for job in &streams {
+            let (_, served, prep_s) = campaign.obtain(job, &warm);
+            assert_eq!(served, FlightServed::StoreHit);
+            assert_eq!(prep_s, 0.0);
+        }
+        assert_eq!(prepared_counts(&warm), (0, 0));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

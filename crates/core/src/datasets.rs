@@ -374,6 +374,10 @@ pub struct CatalogEntry {
     pub path: PathBuf,
     /// Backing used when the graph is opened for an experiment.
     pub backing: GraphBacking,
+    /// Number of vertices, from the header read at registration.
+    pub vertex_count: u64,
+    /// Number of directed edges, from the header read at registration.
+    pub edge_count: u64,
 }
 
 /// Registry of ingested on-disk graphs, keyed by content hash.
@@ -409,13 +413,31 @@ impl DatasetCatalog {
         let path = path.as_ref().to_path_buf();
         let header = ingest::read_header(&path)?;
         let hash = GraphHash(header.content_hash);
-        self.entries.insert(hash, CatalogEntry { path, backing });
+        self.entries.insert(
+            hash,
+            CatalogEntry {
+                path,
+                backing,
+                vertex_count: header.vertex_count,
+                edge_count: header.edge_count,
+            },
+        );
         Ok(hash)
     }
 
     /// Looks up a registered graph.
     pub fn get(&self, hash: GraphHash) -> Option<&CatalogEntry> {
         self.entries.get(&hash)
+    }
+
+    /// [`DatasetCatalog::get`], with the error [`DatasetCatalog::load`]
+    /// reports for an unregistered hash.
+    pub(crate) fn entry(&self, hash: GraphHash) -> Result<&CatalogEntry, DiskCsrError> {
+        self.entries.get(&hash).ok_or_else(|| {
+            DiskCsrError::Corrupt(format!(
+                "graph {hash} is not registered in the dataset catalog"
+            ))
+        })
     }
 
     /// Whether `hash` is registered.
@@ -444,11 +466,7 @@ impl DatasetCatalog {
     /// in-memory backing additionally verifies every column checksum while
     /// decoding.
     pub fn load(&self, hash: GraphHash) -> Result<Arc<dyn GraphView>, DiskCsrError> {
-        let entry = self.entries.get(&hash).ok_or_else(|| {
-            DiskCsrError::Corrupt(format!(
-                "graph {hash} is not registered in the dataset catalog"
-            ))
-        })?;
+        let entry = self.entry(hash)?;
         let graph: Arc<dyn GraphView> = match entry.backing {
             GraphBacking::Mapped => Arc::new(ingest::MappedCsr::open(&entry.path)?),
             GraphBacking::InMemory => Arc::new(ingest::load_csr(&entry.path)?),

@@ -70,6 +70,26 @@ pub struct RecordedRun {
 }
 
 impl RecordedRun {
+    /// Reassembles a recording from a trace-store entry — the persisted
+    /// stream, application output and instruction estimate — joined with the
+    /// LLC geometry and timing model to replay it under. Needs no graph: a
+    /// stored stream replays without the dataset it was recorded over.
+    pub fn from_parts(
+        trace: LlcTrace,
+        app: AppResult,
+        instructions: u64,
+        llc: CacheConfig,
+        timing: TimingModel,
+    ) -> Self {
+        Self {
+            trace: Arc::new(trace),
+            app,
+            instructions,
+            llc,
+            timing,
+        }
+    }
+
     /// The recorded post-L2 stream.
     pub fn trace(&self) -> &LlcTrace {
         &self.trace
@@ -295,13 +315,7 @@ impl Experiment {
         app: AppResult,
         instructions: u64,
     ) -> RecordedRun {
-        RecordedRun {
-            trace: Arc::new(trace),
-            app,
-            instructions,
-            llc: self.hierarchy.llc,
-            timing: self.timing,
-        }
+        RecordedRun::from_parts(trace, app, instructions, self.hierarchy.llc, self.timing)
     }
 
     /// Runs the application through the simulated hierarchy with `policy`

@@ -14,8 +14,8 @@
 //!   evaluated by replay,
 //! * the **campaign runner** ([`campaign`]) — a whole figure's grid of
 //!   experiments under a record-once / replay-many execution plan, with
-//!   graphs shared and reordered once and the record/load/replay tasks
-//!   drained barrier-free by a dependency-driven, cost-aware scheduler,
+//!   graphs built on demand (at most once, only when a stream has to be
+//!   recorded) and the record/load/replay tasks drained barrier-free by a dependency-driven, cost-aware scheduler,
 //!   results always in deterministic grid order,
 //! * the **serializable campaign spec** ([`spec`]) — [`spec::CampaignSpec`]
 //!   round-trips a campaign through hand-rolled JSON ([`json`]), shared by

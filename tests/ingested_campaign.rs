@@ -4,9 +4,16 @@
 //! graph's content hash must be visible in the trace store's entry file
 //! names, so a re-ingested (different) graph can never be served a stale
 //! trace.
+//!
+//! Graph prep is demand-driven: a stream the trace store serves never opens
+//! (or reorders) its graph, a stream that has to record opens it on the
+//! worker that records — and a hash the catalog never held is still a
+//! caller-thread panic at plan time, warm store or not. The memo behind
+//! that is a cross-worker hand-off, so CI also runs this suite at forced
+//! worker counts (`GRASP_SCHED_WORKERS`, as `tests/scheduler_parity.rs`).
 
 use grasp_suite::analytics::apps::AppKind;
-use grasp_suite::core::campaign::{Campaign, CampaignResult};
+use grasp_suite::core::campaign::{Campaign, CampaignResult, SchedulerEvent};
 use grasp_suite::core::datasets::{DatasetCatalog, DatasetId, GraphBacking, GraphHash, Scale};
 use grasp_suite::core::policy::PolicyKind;
 use grasp_suite::core::trace_store::TraceStore;
@@ -42,13 +49,79 @@ fn ingest_sample_graph(dir: &Path) -> GraphHash {
     GraphHash(report.content_hash)
 }
 
+/// The worker count CI forces via `GRASP_SCHED_WORKERS`, when set.
+fn workers() -> usize {
+    std::env::var("GRASP_SCHED_WORKERS")
+        .ok()
+        .and_then(|workers| workers.parse().ok())
+        .unwrap_or(2)
+}
+
 fn campaign(catalog: DatasetCatalog, hash: GraphHash) -> Campaign {
     Campaign::new(SCALE)
         .catalog(catalog)
         .ingested_dataset(hash)
         .apps(&[AppKind::PageRank, AppKind::Sssp])
         .policies(&POLICIES)
-        .threads(2)
+        .threads(workers())
+}
+
+/// A graph ingested and catalogued, and a store a five-app campaign over it
+/// has populated: the starting point of every warm-store test.
+struct WarmStore {
+    graph_dir: PathBuf,
+    store_dir: PathBuf,
+    store: Arc<TraceStore>,
+    catalog: DatasetCatalog,
+    hash: GraphHash,
+}
+
+impl WarmStore {
+    /// Returns the fixture and the cold (recording) run that populated it.
+    fn populate(tag: &str) -> (Self, CampaignResult) {
+        let graph_dir = temp_dir(&format!("{tag}-graph"));
+        let store_dir = temp_dir(&format!("{tag}-store"));
+        let hash = ingest_sample_graph(&graph_dir);
+        let store = Arc::new(TraceStore::open(&store_dir).expect("store opens"));
+        let mut catalog = DatasetCatalog::new();
+        catalog.register(&graph_dir).expect("registers");
+        let warm = Self {
+            graph_dir,
+            store_dir,
+            store,
+            catalog,
+            hash,
+        };
+        let cold = warm.sweep(warm.catalog.clone()).run();
+        assert_eq!(finished_loads(&cold), (0, 0), "the populating run");
+        (warm, cold)
+    }
+
+    /// All five applications (both hotness directions) against the store.
+    fn sweep(&self, catalog: DatasetCatalog) -> Campaign {
+        campaign(catalog, self.hash)
+            .apps(&AppKind::ALL)
+            .with_trace_store(Arc::clone(&self.store))
+    }
+}
+
+impl Drop for WarmStore {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.graph_dir).ok();
+        std::fs::remove_dir_all(&self.store_dir).ok();
+    }
+}
+
+/// `LoadFinished` census of a run: (store hits, corrupt-entry fallbacks).
+fn finished_loads(result: &CampaignResult) -> (usize, usize) {
+    let count = |wanted: bool| {
+        result
+            .scheduler_events()
+            .iter()
+            .filter(|e| matches!(e, SchedulerEvent::LoadFinished { hit, .. } if *hit == wanted))
+            .count()
+    };
+    (count(true), count(false))
 }
 
 fn assert_bit_identical(a: &CampaignResult, b: &CampaignResult, what: &str) {
@@ -147,4 +220,66 @@ fn content_hash_lands_in_trace_store_entry_names_and_store_hits_are_identical() 
 
     std::fs::remove_dir_all(&graph_dir).ok();
     std::fs::remove_dir_all(&store_dir).ok();
+}
+
+#[test]
+fn a_warm_campaign_never_opens_its_graph() {
+    let (warm, cold) = WarmStore::populate("graphless");
+    // The catalog still names the graph, but nothing on disk backs it: any
+    // attempt to open (let alone reorder) it would abort the run.
+    std::fs::remove_dir_all(&warm.graph_dir).expect("graph directory deletes");
+
+    let rerun = warm.sweep(warm.catalog.clone()).run();
+    assert_eq!(finished_loads(&rerun), (AppKind::ALL.len(), 0));
+    assert_bit_identical(&cold, &rerun, "warm run without the .gcsr directory");
+}
+
+#[test]
+fn a_corrupt_entry_opens_the_graph_on_demand_and_republishes() {
+    let (warm, cold) = WarmStore::populate("on-demand");
+    let entries = warm.store.entries().expect("entries list");
+    let victim = entries
+        .iter()
+        .find(|entry| entry.file.contains("-sssp-"))
+        .expect("the SSSP stream was published");
+    let path = warm.store_dir.join(&victim.file);
+    let bytes = std::fs::read(&path).expect("entry reads");
+    std::fs::write(&path, &bytes[..bytes.len() / 2]).expect("entry truncates");
+
+    let campaign = warm.sweep(warm.catalog.clone());
+    let recovered = campaign.run();
+    // Exactly the truncated stream fell back to recording — which is what
+    // pulled the graph in; the other four were served graph-free.
+    let sssp = AppKind::ALL
+        .iter()
+        .position(|&app| app == AppKind::Sssp)
+        .expect("SSSP is on the axis");
+    assert_eq!(finished_loads(&recovered), (AppKind::ALL.len() - 1, 1));
+    assert!(recovered
+        .scheduler_events()
+        .contains(&SchedulerEvent::LoadFinished {
+            stream: sssp,
+            hit: false
+        }));
+    assert_bit_identical(
+        &campaign.run_direct(),
+        &recovered,
+        "on-demand record vs oracle",
+    );
+    assert_bit_identical(&cold, &recovered, "on-demand record vs cold run");
+
+    // The fallback republished the entry: the next run is all hits again.
+    let rewarmed = warm.sweep(warm.catalog.clone()).run();
+    assert_eq!(finished_loads(&rewarmed), (AppKind::ALL.len(), 0));
+    assert_bit_identical(&cold, &rewarmed, "post-republish warm run");
+}
+
+#[test]
+#[should_panic(expected = "cannot open ingested dataset")]
+fn an_unregistered_hash_panics_on_the_caller_even_with_a_warm_store() {
+    let (warm, _) = WarmStore::populate("unregistered");
+    // Every stream of this grid is in the store, so no worker would ever
+    // miss the graph — the plan must. (A worker abort would surface as the
+    // scope's "a scoped thread panicked", not as this message.)
+    let _ = warm.sweep(DatasetCatalog::new()).run();
 }
