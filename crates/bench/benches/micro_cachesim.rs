@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use grasp_bench::baseline::BaselineCache;
 use grasp_bench::seed_policies::build_seed_policy;
 use grasp_bench::synthetic_mixed_trace;
-use grasp_cachesim::cache::{BatchScratch, SetAssocCache};
+use grasp_cachesim::cache::SetAssocCache;
 use grasp_cachesim::config::CacheConfig;
 use grasp_core::policy::PolicyKind;
 use std::hint::black_box;
@@ -111,9 +111,9 @@ fn bench_fast_vs_baseline(_c: &mut Criterion) {
     );
 }
 
-/// Per-access `access` loop vs the batched lookup kernel on the same trace:
-/// the raw Macc/s gain from hoisted policy dispatch, column-wise set/partial
-/// precompute and deferred statistics, with stats asserted bit-identical.
+/// Per-access `access` loop vs the run kernel (`access_batch`) on the same
+/// trace: the raw Macc/s gain from one inlined loop per policy — hoisted
+/// policy dispatch, deferred statistics — with stats asserted bit-identical.
 fn bench_batched_kernel(_c: &mut Criterion) {
     let config = CacheConfig::new(256 * 1024, 16, 64);
     let trace = synthetic_mixed_trace(100_000);
@@ -144,9 +144,8 @@ fn bench_batched_kernel(_c: &mut Criterion) {
         });
         let batch_time = median_time(samples, || {
             let mut cache = SetAssocCache::new("LLC", config, policy.build_dispatch(&config));
-            let mut scratch = BatchScratch::new();
             for window in trace.chunks(batch) {
-                black_box(cache.access_batch(window, &mut scratch));
+                black_box(cache.access_batch(window));
             }
             assert_eq!(
                 cache.stats(),

@@ -17,13 +17,12 @@
 //! 4 KiB L1 passes an unusually large share of the stream through to the
 //! LLC.
 //!
-//! A second section isolates the **batched replay kernel**: the same
-//! 8-policy fan-out over the already-recorded stream, per-event feed
-//! (decode + dispatch per record, once per policy) vs the chunk-native
-//! batched fan-out (flush splitting, each flush-free run decoded
-//! column-wise once and consumed by all eight stages, hoisted policy
-//! dispatch, deferred statistics), asserted bit-identical. Acceptance bar:
-//! batched ≥ 1.5x.
+//! A second section isolates the **replay kernel**: the same 8-policy
+//! sweep over the already-recorded stream, per-event feed (decode one
+//! event, dispatch it through the stage's per-event methods) vs the
+//! chunk-native feed (flush splitting, each flush-free run handed as raw
+//! columns to one inlined loop per policy, statistics folded in once per
+//! run), asserted bit-identical. Acceptance bar: batched ≥ 1.5x.
 //!
 //! A **record phase** section measures the other half of the pipeline: the
 //! same cell recorded once through the per-event reference
@@ -190,13 +189,12 @@ fn main() {
             recorded.trace().len().to_string(),
         ]);
 
-        // The batched-kernel comparison: the same 8-policy fan-out over the
+        // The replay-kernel comparison: the same 8-policy sweep over the
         // already-recorded stream, once through the per-event scalar path
-        // (decode + dispatch per record, once per policy) and once through
-        // the chunk-native batched fan-out (flush splitting, each tile
-        // decoded column-wise once for all eight stages, hoisted policy
-        // dispatch, deferred statistics). Record time is excluded: the
-        // kernel's job is exactly the replay fan-out. Both sides take the
+        // (decode + dispatch per record) and once through the chunk-native
+        // feed (flush splitting, each run's raw columns through one inlined
+        // loop per policy). Record time is excluded: the kernel's job is
+        // exactly the replay sweep. Both sides take the
         // median of three runs — single-shot fan-out timings swing by tens
         // of percent on a loaded host.
         let mut scalar_fanout = Vec::new();

@@ -17,29 +17,36 @@
 //!
 //! # Batched lookups
 //!
-//! Trace replay drives the cache with whole **tiles** of requests at once
-//! instead of one request at a time. [`SetAssocCache::replay_batch`] takes a
-//! flush-free tile of the post-L2 stream — demand, prefetch and writeback
-//! records freely interleaved, each tagged with a [`BatchOp`] — plus a
-//! reusable [`BatchScratch`], precomputes the lookup columns (block address,
-//! set index, broadcast partial-tag pattern) in tight vectorizable loops,
-//! hoists the policy dispatch **out of the access loop** (the kernel is
-//! monomorphized per policy, so every hook call inlines with no per-access
-//! enum match), and defers all statistics to one flush per tile. Work is
-//! tiled in fixed-size (`BATCH_TILE`) request groups so the precomputed columns stay
-//! cache-resident. [`SetAssocCache::access_batch`] and
-//! [`SetAssocCache::prefetch_batch`] are the uniform-kind entry points for
-//! demand-only and prefetch-only runs (synthetic-trace replay). The batch
-//! paths and the per-access path execute the *same* per-request mutation
-//! sequence — all funnel through the private `CacheCore::access_one` — so
-//! their decisions and statistics are bit-for-bit identical by construction.
+//! Trace replay hands the cache whole **runs** of the recorded post-L2 stream
+//! instead of one request at a time: [`SetAssocCache::replay_run`] takes the
+//! raw address and metadata columns of a flush-free run — demand, prefetch
+//! and writeback records freely interleaved — and walks them in one leaf
+//! function per policy, the private `replay_columns`. That function *is* the
+//! loop, in the binary and not only in the source: it is `#[inline(never)]`
+//! so each policy's instance gets its own inlining budget, while everything
+//! it runs per record — the metadata decode, the block / set / partial-tag
+//! arithmetic (a shift, a mask and a multiply straight off the address), the
+//! tag scan, the private `CacheCore::access_one` and through it every policy
+//! hook — is forced or allowed inline, so a record costs no call. The policy
+//! dispatch match runs once per run, the statistics are summed in a local
+//! and written back once per run, and the hint-reclassification test is
+//! decided before the loop. (CI disassembles the release binary and fails
+//! when a `replay_columns` instance calls `access_one`, `find_way` or a
+//! closure.) [`SetAssocCache::access_batch`] and
+//! [`SetAssocCache::prefetch_batch`] are the same shape over already-decoded
+//! uniform-kind requests (synthetic-trace replay). The run paths and the
+//! per-access path execute the *same* per-request mutation sequence — all
+//! funnel through `CacheCore::access_one` — so their decisions and
+//! statistics are bit-for-bit identical by construction.
 
-use crate::addr::{block_of, BlockAddr};
+use crate::addr::BlockAddr;
 use crate::config::CacheConfig;
+use crate::hint::RegionClassifier;
 use crate::policy::{PolicyDispatch, ReplacementPolicy};
 use crate::request::{AccessInfo, RegionLabel};
 use crate::stats::CacheStats;
-use crate::swar::{broadcast, broadcast_column, eq_byte_lanes, first_lane};
+use crate::swar::{broadcast, eq_byte_lanes, first_lane};
+use crate::trace::{decode_info, META_FLUSH_BIT, META_PREFETCH_BIT, META_WRITEBACK_BIT};
 
 /// Outcome of a single cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +70,7 @@ impl AccessOutcome {
 }
 
 /// The geometry, tag storage and packed per-set metadata of a cache, split
-/// from the policy and statistics so the batched kernel can borrow the two
+/// from the policy and statistics so the run kernels can borrow the two
 /// halves disjointly: `CacheCore` mutates blocks while the (monomorphized)
 /// policy receives its notifications through a separate `&mut`.
 struct CacheCore {
@@ -91,8 +98,9 @@ struct CacheCore {
     reused: Vec<u64>,
 }
 
-/// What one access did to the core. The caller (scalar or batched) turns
-/// this into statistics, so both paths account identically by construction.
+/// What one access did to the core. The caller (per-access or run kernel)
+/// turns this into statistics, so both paths account identically by
+/// construction.
 enum OneOutcome {
     Hit,
     Bypassed,
@@ -133,23 +141,21 @@ impl CacheCore {
         }
     }
 
-    #[inline]
-    fn set_of(&self, block: BlockAddr) -> usize {
-        (block & self.set_mask) as usize
-    }
-
-    /// The 8-bit partial tag of a block: the low byte of its full tag.
-    #[inline]
-    fn partial_of(&self, block: BlockAddr) -> u8 {
-        (block >> self.set_bits) as u8
+    /// The lookup coordinates of a byte address: block address, set index
+    /// and the block's 8-bit partial tag (the low byte of its full tag)
+    /// broadcast to every lane of a word — a shift, a mask and a multiply.
+    #[inline(always)]
+    fn locate(&self, addr: u64) -> (BlockAddr, usize, u64) {
+        let block = addr >> self.block_shift;
+        let set = (block & self.set_mask) as usize;
+        (block, set, broadcast((block >> self.set_bits) as u8))
     }
 
     /// Fused tag scan over `set`: the SWAR pass over the packed partial tags
     /// nominates candidate ways (usually zero on a miss, one on a hit); only
     /// candidates that are valid get their full tag compared. `pattern` is
-    /// the broadcast partial tag of `block` — precomputed column-wise by the
-    /// batched path, computed inline by the scalar one.
-    #[inline]
+    /// the broadcast partial tag of `block` (see [`CacheCore::locate`]).
+    #[inline(always)]
     fn find_way(&self, set: usize, block: BlockAddr, pattern: u64) -> Option<usize> {
         let valid = self.valid[set];
         let tags = &self.tags[set * self.ways..][..self.ways];
@@ -167,45 +173,37 @@ impl CacheCore {
         None
     }
 
-    /// Hints the CPU to pull `set`'s metadata (valid mask, partial tags, the
-    /// tag row) toward L1 ahead of its lookup. The batched kernels call this
-    /// a fixed lookahead ahead of the access cursor: the precomputed set
-    /// column tells them *future* lookup targets, which is the one structural
-    /// advantage batching has over per-event dispatch — the dependent random
-    /// loads of `find_way` can be overlapped instead of serialized.
-    #[inline]
-    #[allow(unused_variables)]
-    fn prefetch_set(&self, set: usize) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            // SAFETY: prefetch is a pure hint with no program-visible memory
-            // access; the offsets are in bounds for any valid set index.
-            unsafe {
-                _mm_prefetch::<_MM_HINT_T0>(self.valid.as_ptr().add(set).cast());
-                _mm_prefetch::<_MM_HINT_T0>(self.ptags.as_ptr().add(set * self.ptag_words).cast());
-                _mm_prefetch::<_MM_HINT_T0>(self.tags.as_ptr().add(set * self.ways).cast());
+    /// A dirty-victim writeback: a non-allocating probe that marks the
+    /// resident copy dirty and never consults the policy. Returns `true` on
+    /// a hit.
+    #[inline(always)]
+    fn writeback_one(&mut self, set: usize, block: BlockAddr, pattern: u64) -> bool {
+        match self.find_way(set, block, pattern) {
+            Some(way) => {
+                self.dirty[set] |= 1u64 << way;
+                true
             }
+            None => false,
         }
     }
 
     /// Writes the partial tag of `block` into `way`'s byte lane.
-    #[inline]
+    #[inline(always)]
     fn store_partial(&mut self, set: usize, way: usize, block: BlockAddr) {
-        let partial = self.partial_of(block);
+        let partial = (block >> self.set_bits) as u8;
         let word = &mut self.ptags[set * self.ptag_words + way / 8];
         let shift = (way % 8) * 8;
         *word = (*word & !(0xFFu64 << shift)) | (u64::from(partial) << shift);
     }
 
     /// The one per-request mutation sequence of the cache, shared verbatim by
-    /// the scalar path (`P = PolicyDispatch`) and the batched kernel (`P` =
+    /// the per-access path (`P = PolicyDispatch`) and the run kernels (`P` =
     /// each concrete policy): lookup, hit bookkeeping, bypass consultation,
     /// invalid-way-first fill, victim eviction with its pre-mutation metadata
     /// snapshot, and the policy notifications in their fixed order
     /// (`should_bypass` only on a miss, `choose_victim` only when the set is
     /// full, `on_evict` before the overwrite, `on_fill` last).
-    #[inline]
+    #[inline(always)]
     fn access_one<P: ReplacementPolicy + ?Sized>(
         &mut self,
         policy: &mut P,
@@ -261,104 +259,12 @@ impl CacheCore {
     }
 }
 
-/// Reusable precomputed lookup columns for one batched run of accesses.
-///
-/// [`SetAssocCache::access_batch`] and [`SetAssocCache::prefetch_batch`] fill
-/// the columns (block address, set index, broadcast partial-tag pattern) in
-/// tight loops over the run before touching the cache, so the access kernel
-/// itself performs no per-request address arithmetic. Allocate one scratch
-/// per replay and reuse it across runs; the columns grow to the largest run
-/// fed so far and are never shrunk.
-#[derive(Debug, Default)]
-pub struct BatchScratch {
-    blocks: Vec<BlockAddr>,
-    sets: Vec<u32>,
-    patterns: Vec<u64>,
-}
-
-impl BatchScratch {
-    /// Creates an empty scratch (columns allocate on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Precomputes the lookup columns for `infos`: three vectorizable passes
-    /// (shift, mask, broadcast-multiply) with no branches.
-    fn prepare(&mut self, core: &CacheCore, infos: &[AccessInfo]) {
-        self.blocks.clear();
-        self.sets.clear();
-        self.patterns.clear();
-        self.blocks
-            .extend(infos.iter().map(|info| info.addr >> core.block_shift));
-        self.sets.extend(
-            self.blocks
-                .iter()
-                .map(|&block| (block & core.set_mask) as u32),
-        );
-        broadcast_column(
-            self.blocks.iter().map(|&block| core.partial_of(block)),
-            &mut self.patterns,
-        );
-    }
-
-    /// Like [`BatchScratch::prepare`], but straight off a raw byte-address
-    /// column (as stored in a trace chunk) — no decoded requests needed, so
-    /// fused replay can columnize before any record is decoded.
-    fn prepare_addrs(&mut self, core: &CacheCore, addrs: &[u64]) {
-        self.blocks.clear();
-        self.sets.clear();
-        self.patterns.clear();
-        self.blocks
-            .extend(addrs.iter().map(|&addr| addr >> core.block_shift));
-        self.sets.extend(
-            self.blocks
-                .iter()
-                .map(|&block| (block & core.set_mask) as u32),
-        );
-        broadcast_column(
-            self.blocks.iter().map(|&block| core.partial_of(block)),
-            &mut self.patterns,
-        );
-    }
-}
-
-/// The request kind of one record in a mixed replay batch.
-///
-/// Replay tiles mix the three non-flush record kinds of the post-L2 stream
-/// freely — demand and prefetch requests interleave densely in recorded
-/// traces (the prefetcher issues into the demand stream), so splitting
-/// batches at kind changes would degenerate to per-access dispatch. Only
-/// flushes (whole-cache invalidation, policy reset) break a batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum BatchOp {
-    /// A demand request: full demand accounting, misses reach memory.
-    Demand = 0,
-    /// A prefetch request: same placement, prefetch accounting.
-    Prefetch = 1,
-    /// A dirty-victim writeback: non-allocating, never consults the policy.
-    Writeback = 2,
-}
-
-/// Batched work is processed in tiles of at most this many requests so the
-/// decoded [`AccessInfo`] buffer and the [`BatchScratch`] columns stay
-/// cache-resident (~45 KiB per tile) instead of thrashing the host LLC the
-/// simulated accesses are also streaming through.
-pub(crate) const BATCH_TILE: usize = 1024;
-
-/// How far ahead of the access cursor the batched kernels issue
-/// [`CacheCore::prefetch_set`] hints. Far enough to hide a memory round
-/// trip at a few ns per simulated access, near enough that the warmed lines
-/// are still resident when the cursor arrives.
-const PREFETCH_LOOKAHEAD: usize = 16;
-
-/// Per-tile statistic sums deferred by the batched kernels. All counters are
-/// plain sums, so flushing them once per tile produces exactly the totals
-/// the per-access `CacheStats::record*` calls would have.
+/// Per-run statistic sums the run kernels defer. All counters are plain
+/// sums, so folding them into [`CacheStats`] once per run produces exactly
+/// the totals the per-access `CacheStats::record*` calls would have. Demand
+/// accesses and misses are kept per region only; their totals are the sums.
 #[derive(Default)]
 struct BatchTotals {
-    demand_accesses: u64,
-    demand_misses: u64,
     prefetch_accesses: u64,
     prefetch_fills: u64,
     writeback_accesses: u64,
@@ -370,49 +276,41 @@ struct BatchTotals {
 }
 
 impl BatchTotals {
-    #[inline]
-    fn tally_demand(&mut self, info: &AccessInfo, outcome: &OneOutcome) {
-        let idx = info.region.index();
-        self.demand_accesses += 1;
-        self.region_accesses[idx] += 1;
+    /// Accounts one demand (`prefetch == false`) or prefetch request. The
+    /// two kinds interleave record by record in recorded streams, so the
+    /// kind is folded in as a 0/1 addend instead of branched on.
+    #[inline(always)]
+    fn tally(&mut self, prefetch: bool, region: RegionLabel, outcome: &OneOutcome) {
+        let (demand, prefetch) = (u64::from(!prefetch), u64::from(prefetch));
+        let idx = region.index();
+        self.region_accesses[idx] += demand;
+        self.prefetch_accesses += prefetch;
         match outcome {
             OneOutcome::Hit => {}
             OneOutcome::Bypassed => {
-                self.demand_misses += 1;
                 self.bypasses += 1;
-                self.region_misses[idx] += 1;
+                self.region_misses[idx] += demand;
             }
             OneOutcome::Filled { evicted } => {
-                self.demand_misses += 1;
-                if evicted.is_some() {
-                    self.evictions += 1;
-                }
-                self.region_misses[idx] += 1;
+                self.evictions += u64::from(evicted.is_some());
+                self.prefetch_fills += prefetch;
+                self.region_misses[idx] += demand;
             }
         }
     }
 
-    #[inline]
-    fn tally_prefetch(&mut self, outcome: &OneOutcome) {
-        self.prefetch_accesses += 1;
-        match outcome {
-            OneOutcome::Hit => {}
-            OneOutcome::Bypassed => self.bypasses += 1,
-            OneOutcome::Filled { evicted } => {
-                self.prefetch_fills += 1;
-                if evicted.is_some() {
-                    self.evictions += 1;
-                }
-            }
-        }
+    fn demand_misses(&self) -> u64 {
+        self.region_misses.iter().sum()
     }
 
     fn flush(&self, stats: &mut CacheStats) {
+        let accesses: u64 = self.region_accesses.iter().sum();
+        let misses = self.demand_misses();
         stats.bypasses += self.bypasses;
         stats.evictions += self.evictions;
-        stats.accesses += self.demand_accesses;
-        stats.hits += self.demand_accesses - self.demand_misses;
-        stats.misses += self.demand_misses;
+        stats.accesses += accesses;
+        stats.hits += accesses - misses;
+        stats.misses += misses;
         for (idx, &region) in RegionLabel::ALL.iter().enumerate() {
             if self.region_accesses[idx] != 0 {
                 stats.add_region_counters(
@@ -429,84 +327,78 @@ impl BatchTotals {
     }
 }
 
-/// The monomorphized uniform-kind batched access kernel: one in-order pass
-/// over the run against the precomputed columns. Accesses must stay in
-/// order — a fill by request `i` changes what request `i + 1` sees in the
-/// same set — so the win comes from the hoisted policy dispatch, the
-/// columnized address arithmetic and the deferred statistics, not from
-/// reordering lookups.
+/// The uniform-kind run kernel behind [`SetAssocCache::access_batch`] and
+/// [`SetAssocCache::prefetch_batch`]: one in-order pass over already-decoded
+/// requests, one instance per policy. Accesses must stay in order — a fill
+/// by request `i` changes what request `i + 1` sees in the same set — so the
+/// win comes from the hoisted policy dispatch and the deferred statistics,
+/// not from reordering lookups.
+#[inline(never)]
 fn batch_kernel<const DEMAND: bool, P: ReplacementPolicy + ?Sized>(
     core: &mut CacheCore,
     policy: &mut P,
     infos: &[AccessInfo],
-    scratch: &BatchScratch,
-    totals: &mut BatchTotals,
-) {
-    let blocks = &scratch.blocks[..infos.len()];
-    let sets = &scratch.sets[..infos.len()];
-    let patterns = &scratch.patterns[..infos.len()];
-    for (i, info) in infos.iter().enumerate() {
-        if let Some(&ahead) = sets.get(i + PREFETCH_LOOKAHEAD) {
-            core.prefetch_set(ahead as usize);
-        }
-        let outcome = core.access_one(policy, blocks[i], sets[i] as usize, patterns[i], info);
-        if DEMAND {
-            totals.tally_demand(info, &outcome);
-        } else {
-            totals.tally_prefetch(&outcome);
-        }
+) -> BatchTotals {
+    let mut totals = BatchTotals::default();
+    for info in infos {
+        let (block, set, pattern) = core.locate(info.addr);
+        let outcome = core.access_one(policy, block, set, pattern, info);
+        totals.tally(!DEMAND, info.region, &outcome);
+    }
+    totals
+}
+
+/// The recorded-stream kernel: one in-order pass over the raw address and
+/// metadata columns of a flush-free run, one instance per policy (see the
+/// module docs for why it is a leaf the compiler may not merge into its
+/// 11-arm caller). Demand and prefetch records share one `access_one` call
+/// site — same placement, only the tally differs; writebacks are
+/// non-allocating probes that never touch the policy, exactly like
+/// [`SetAssocCache::writeback`]. The statistics live in a local for the
+/// whole run and are returned once.
+///
+/// Matching on `reclassify` *here* and handing each arm's literal to the
+/// inlined loop gives the compiler two copies of the loop, one that never
+/// tests for a classifier and one that always has it: only LLC-size sweeps
+/// (Table VII) reclassify, and every other replay should not ask per record.
+#[inline(never)]
+fn replay_columns<P: ReplacementPolicy + ?Sized>(
+    core: &mut CacheCore,
+    policy: &mut P,
+    addrs: &[u64],
+    meta: &[u32],
+    reclassify: Option<&RegionClassifier>,
+) -> BatchTotals {
+    match reclassify {
+        None => replay_loop(core, policy, addrs, meta, None),
+        Some(classifier) => replay_loop(core, policy, addrs, meta, Some(classifier)),
     }
 }
 
-/// The monomorphized mixed replay kernel: like [`batch_kernel`], but each
-/// request carries its own [`BatchOp`] so demand, prefetch and writeback
-/// records replay in one pass without splitting the tile at kind changes.
-/// Writebacks are non-allocating probes (hit ⇒ mark dirty) and never touch
-/// the policy, exactly like [`SetAssocCache::writeback`].
-///
-/// Requests are produced on the fly by `decode(i)` and consumed in
-/// registers, so a caller that decodes straight off a trace chunk's columns
-/// never materializes an intermediate request buffer — the closure is
-/// monomorphized into the loop alongside the policy.
-fn replay_kernel<P, F>(
+#[inline(always)]
+fn replay_loop<P: ReplacementPolicy + ?Sized>(
     core: &mut CacheCore,
     policy: &mut P,
-    decode: &F,
-    blocks: &[BlockAddr],
-    sets: &[u32],
-    patterns: &[u64],
-    totals: &mut BatchTotals,
-) where
-    P: ReplacementPolicy + ?Sized,
-    F: Fn(usize) -> (AccessInfo, BatchOp),
-{
-    let len = blocks.len();
-    let sets = &sets[..len];
-    let patterns = &patterns[..len];
-    for i in 0..len {
-        if let Some(&ahead) = sets.get(i + PREFETCH_LOOKAHEAD) {
-            core.prefetch_set(ahead as usize);
+    addrs: &[u64],
+    meta: &[u32],
+    reclassify: Option<&RegionClassifier>,
+) -> BatchTotals {
+    let mut totals = BatchTotals::default();
+    for (&addr, &word) in addrs.iter().zip(meta) {
+        let (block, set, pattern) = core.locate(addr);
+        if word & META_WRITEBACK_BIT != 0 {
+            totals.writeback_accesses += 1;
+            totals.writeback_hits += u64::from(core.writeback_one(set, block, pattern));
+            continue;
         }
-        let (info, op) = decode(i);
-        let (block, set, pattern) = (blocks[i], sets[i] as usize, patterns[i]);
-        match op {
-            BatchOp::Demand => {
-                let outcome = core.access_one(policy, block, set, pattern, &info);
-                totals.tally_demand(&info, &outcome);
-            }
-            BatchOp::Prefetch => {
-                let outcome = core.access_one(policy, block, set, pattern, &info);
-                totals.tally_prefetch(&outcome);
-            }
-            BatchOp::Writeback => {
-                totals.writeback_accesses += 1;
-                if let Some(way) = core.find_way(set, block, pattern) {
-                    core.dirty[set] |= 1u64 << way;
-                    totals.writeback_hits += 1;
-                }
-            }
+        let mut info = decode_info(addr, word);
+        if let Some(classifier) = reclassify {
+            info.hint = classifier.classify(addr);
         }
+        let outcome = core.access_one(policy, block, set, pattern, &info);
+        totals.tally(word & META_PREFETCH_BIT != 0, info.region, &outcome);
     }
+    totals
 }
 
 /// Expands `$body` once per [`PolicyDispatch`] variant with `$p` bound to the
@@ -602,9 +494,8 @@ impl SetAssocCache {
 
     /// Looks up a block without updating any state. Returns the way if present.
     pub fn probe(&self, addr: u64) -> Option<usize> {
-        let block = block_of(addr, self.config.block_bytes);
-        let pattern = broadcast(self.core.partial_of(block));
-        self.core.find_way(self.core.set_of(block), block, pattern)
+        let (block, set, pattern) = self.core.locate(addr);
+        self.core.find_way(set, block, pattern)
     }
 
     /// Performs a demand access, updating replacement state and statistics.
@@ -625,9 +516,7 @@ impl SetAssocCache {
     }
 
     fn access_inner(&mut self, info: &AccessInfo) -> AccessOutcome {
-        let block = info.addr >> self.core.block_shift;
-        let set = self.core.set_of(block);
-        let pattern = broadcast(self.core.partial_of(block));
+        let (block, set, pattern) = self.core.locate(info.addr);
         match self
             .core
             .access_one(&mut self.policy, block, set, pattern, info)
@@ -665,192 +554,64 @@ impl SetAssocCache {
         }
     }
 
-    /// Performs a whole run of demand accesses in one batched pass (see the
-    /// module docs): the lookup columns are precomputed into `scratch`, the
-    /// policy dispatch is hoisted out of the access loop, and statistics are
-    /// flushed once for the run. Bit-identical to calling
+    /// Performs a whole run of demand accesses in one pass (see the module
+    /// docs): the policy dispatch is hoisted out of the access loop and
+    /// statistics are folded in once for the run. Bit-identical to calling
     /// [`SetAssocCache::access`] per element, in order. Returns the number
     /// of demand misses in the run.
-    pub fn access_batch(&mut self, infos: &[AccessInfo], scratch: &mut BatchScratch) -> u64 {
-        self.batch_inner::<true>(infos, scratch)
+    pub fn access_batch(&mut self, infos: &[AccessInfo]) -> u64 {
+        self.batch_inner::<true>(infos).demand_misses()
     }
 
-    /// Batched counterpart of [`SetAssocCache::prefetch`]: identical block
+    /// Run counterpart of [`SetAssocCache::prefetch`]: identical block
     /// placement to [`SetAssocCache::access_batch`], accounted as prefetch
     /// traffic.
-    pub fn prefetch_batch(&mut self, infos: &[AccessInfo], scratch: &mut BatchScratch) {
-        self.batch_inner::<false>(infos, scratch);
+    pub fn prefetch_batch(&mut self, infos: &[AccessInfo]) {
+        self.batch_inner::<false>(infos);
     }
 
-    fn batch_inner<const DEMAND: bool>(
-        &mut self,
-        infos: &[AccessInfo],
-        scratch: &mut BatchScratch,
-    ) -> u64 {
-        let mut misses = 0;
-        for start in (0..infos.len()).step_by(BATCH_TILE) {
-            let tile = &infos[start..infos.len().min(start + BATCH_TILE)];
-            scratch.prepare(&self.core, tile);
-            let mut totals = BatchTotals::default();
-            let core = &mut self.core;
-            for_each_policy!(
-                &mut self.policy,
-                p => batch_kernel::<DEMAND, _>(core, p, tile, scratch, &mut totals)
-            );
-            totals.flush(&mut self.stats);
-            misses += if DEMAND {
-                totals.demand_misses
-            } else {
-                totals.prefetch_fills
-            };
-        }
-        misses
-    }
-
-    /// Replays one flush-free tile of a recorded post-L2 stream — demand,
-    /// prefetch and writeback records freely interleaved, each tagged with
-    /// its [`BatchOp`] — through the mixed batched kernel. Bit-identical to
-    /// dispatching each record through [`SetAssocCache::access`] /
-    /// [`SetAssocCache::prefetch`] / [`SetAssocCache::writeback`] in order.
-    /// Returns the number of demand misses (the requests that reach memory).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `infos` and `ops` have different lengths.
-    pub fn replay_batch(
-        &mut self,
-        infos: &[AccessInfo],
-        ops: &[BatchOp],
-        scratch: &mut BatchScratch,
-    ) -> u64 {
-        assert_eq!(infos.len(), ops.len(), "one BatchOp per request");
-        let mut misses = 0;
-        for start in (0..infos.len()).step_by(BATCH_TILE) {
-            let end = infos.len().min(start + BATCH_TILE);
-            let tile = &infos[start..end];
-            let tile_ops = &ops[start..end];
-            scratch.prepare(&self.core, tile);
-            let mut totals = BatchTotals::default();
-            let core = &mut self.core;
-            let decode = |i: usize| (tile[i], tile_ops[i]);
-            for_each_policy!(
-                &mut self.policy,
-                p => replay_kernel(
-                    core,
-                    p,
-                    &decode,
-                    &scratch.blocks,
-                    &scratch.sets,
-                    &scratch.patterns,
-                    &mut totals
-                )
-            );
-            totals.flush(&mut self.stats);
-            misses += totals.demand_misses;
-        }
-        misses
-    }
-
-    /// Precomputes the lookup columns (block, set index, SWAR partial-tag
-    /// pattern) for a whole run into `scratch` without replaying anything.
-    /// The columns depend only on the cache *geometry*, so a policy fan-out
-    /// can prepare them once on any same-geometry cache and replay them
-    /// through every stage via [`SetAssocCache::replay_batch_prepared`].
-    pub fn prepare_batch(&self, infos: &[AccessInfo], scratch: &mut BatchScratch) {
-        scratch.prepare(&self.core, infos);
-    }
-
-    /// Like [`SetAssocCache::replay_batch`], but consumes lookup columns
-    /// already prepared by [`SetAssocCache::prepare_batch`] — the column
-    /// computation is paid once for a whole fan-out instead of once per
-    /// policy stage.
-    ///
-    /// Only share scratches between same-geometry caches: the columns bake
-    /// in the preparing cache's block size and set count, and a mismatch is
-    /// not detectable here.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `infos`, `ops` and the prepared columns disagree in
-    /// length.
-    pub fn replay_batch_prepared(
-        &mut self,
-        infos: &[AccessInfo],
-        ops: &[BatchOp],
-        scratch: &BatchScratch,
-    ) -> u64 {
-        assert_eq!(infos.len(), ops.len(), "one BatchOp per request");
-        assert_eq!(
-            infos.len(),
-            scratch.blocks.len(),
-            "scratch prepared for this run"
+    fn batch_inner<const DEMAND: bool>(&mut self, infos: &[AccessInfo]) -> BatchTotals {
+        let core = &mut self.core;
+        let totals = for_each_policy!(
+            &mut self.policy,
+            p => batch_kernel::<DEMAND, _>(core, p, infos)
         );
-        let mut misses = 0;
-        for start in (0..infos.len()).step_by(BATCH_TILE) {
-            let end = infos.len().min(start + BATCH_TILE);
-            let tile = &infos[start..end];
-            let tile_ops = &ops[start..end];
-            let mut totals = BatchTotals::default();
-            let core = &mut self.core;
-            let decode = |i: usize| (tile[i], tile_ops[i]);
-            for_each_policy!(
-                &mut self.policy,
-                p => replay_kernel(
-                    core,
-                    p,
-                    &decode,
-                    &scratch.blocks[start..end],
-                    &scratch.sets[start..end],
-                    &scratch.patterns[start..end],
-                    &mut totals
-                )
-            );
-            totals.flush(&mut self.stats);
-            misses += totals.demand_misses;
-        }
-        misses
+        totals.flush(&mut self.stats);
+        totals
     }
 
-    /// The fused variant of [`SetAssocCache::replay_batch`]: the lookup
-    /// columns are precomputed straight off the raw byte-address column of a
-    /// trace tile and each record is decoded **in registers** by `decode(i)`
-    /// the moment the kernel consumes it — no intermediate request or op
-    /// buffer is ever materialized. This is the primary replay entry point;
-    /// the slice-based [`SetAssocCache::replay_batch`] is the same kernel
-    /// fed from already-decoded buffers. Returns the number of demand
-    /// misses.
-    pub fn replay_batch_fused<F>(
+    /// Replays one flush-free run of a recorded post-L2 stream — demand,
+    /// prefetch and writeback records freely interleaved — straight off its
+    /// raw columns: `addrs[i]` is the byte address and `meta[i]` the packed
+    /// metadata word of record `i`, as [`crate::trace::TraceChunk::columns`]
+    /// exposes them. With `reclassify`, every request's reuse hint is
+    /// recomputed by that classifier instead of taken from its metadata word
+    /// (LLC-size sweeps). Bit-identical to dispatching each record through
+    /// [`SetAssocCache::access`] / [`SetAssocCache::prefetch`] /
+    /// [`SetAssocCache::writeback`] in order. Returns the number of demand
+    /// misses (the requests that reach memory).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the columns differ in length.
+    pub fn replay_run(
         &mut self,
         addrs: &[u64],
-        scratch: &mut BatchScratch,
-        decode: F,
-    ) -> u64
-    where
-        F: Fn(usize) -> (AccessInfo, BatchOp),
-    {
-        let mut misses = 0;
-        for start in (0..addrs.len()).step_by(BATCH_TILE) {
-            let end = addrs.len().min(start + BATCH_TILE);
-            scratch.prepare_addrs(&self.core, &addrs[start..end]);
-            let mut totals = BatchTotals::default();
-            let core = &mut self.core;
-            let tile_decode = |i: usize| decode(start + i);
-            for_each_policy!(
-                &mut self.policy,
-                p => replay_kernel(
-                    core,
-                    p,
-                    &tile_decode,
-                    &scratch.blocks,
-                    &scratch.sets,
-                    &scratch.patterns,
-                    &mut totals
-                )
-            );
-            totals.flush(&mut self.stats);
-            misses += totals.demand_misses;
-        }
-        misses
+        meta: &[u32],
+        reclassify: Option<&RegionClassifier>,
+    ) -> u64 {
+        assert_eq!(addrs.len(), meta.len(), "index-aligned columns");
+        debug_assert!(
+            meta.iter().all(|word| word & META_FLUSH_BIT == 0),
+            "flush markers split runs, they never ride in one"
+        );
+        let core = &mut self.core;
+        let totals = for_each_policy!(
+            &mut self.policy,
+            p => replay_columns(core, p, addrs, meta, reclassify)
+        );
+        totals.flush(&mut self.stats);
+        totals.demand_misses()
     }
 
     /// Receives the writeback of a dirty victim evicted by the level above.
@@ -859,16 +620,8 @@ impl SetAssocCache {
     /// block becomes dirty here), a miss is forwarded towards memory without
     /// disturbing the replacement policy. Returns `true` on a hit.
     pub fn writeback(&mut self, addr: u64) -> bool {
-        let block = addr >> self.core.block_shift;
-        let set = self.core.set_of(block);
-        let pattern = broadcast(self.core.partial_of(block));
-        let hit = match self.core.find_way(set, block, pattern) {
-            Some(way) => {
-                self.core.dirty[set] |= 1u64 << way;
-                true
-            }
-            None => false,
-        };
+        let (block, set, pattern) = self.core.locate(addr);
+        let hit = self.core.writeback_one(set, block, pattern);
         self.stats.record_writeback(hit);
         hit
     }
@@ -900,6 +653,7 @@ mod tests {
     use crate::policy::rrip::Srrip;
     use crate::policy::ReplacementPolicy;
     use crate::request::RegionLabel;
+    use crate::trace::encode_meta;
 
     fn lru_cache(size: u64, ways: usize) -> SetAssocCache {
         let config = CacheConfig::new(size, ways, 64);
@@ -1086,11 +840,10 @@ mod tests {
                 scalar.access(info);
             }
             let mut batched = make();
-            let mut scratch = BatchScratch::new();
-            // Uneven run boundaries exercise scratch reuse across runs.
+            // Uneven run boundaries: statistics must add up across runs.
             let mut misses = 0;
             for window in run.chunks(77) {
-                misses += batched.access_batch(window, &mut scratch);
+                misses += batched.access_batch(window);
             }
             assert_eq!(scalar.stats(), batched.stats());
             assert_eq!(misses, scalar.stats().misses);
@@ -1106,9 +859,8 @@ mod tests {
             scalar.prefetch(info);
         }
         let mut batched = lru_cache(2048, 4);
-        let mut scratch = BatchScratch::new();
         for window in run.chunks(64) {
-            batched.prefetch_batch(window, &mut scratch);
+            batched.prefetch_batch(window);
         }
         assert_eq!(scalar.stats(), batched.stats());
         assert_eq!(scalar.resident_blocks(), batched.resident_blocks());
@@ -1144,22 +896,30 @@ mod tests {
             scalar.access(info);
         }
         let mut batched = make();
-        let mut scratch = BatchScratch::new();
-        batched.access_batch(&run, &mut scratch);
+        batched.access_batch(&run);
         assert_eq!(scalar.stats(), batched.stats());
     }
 
     #[test]
     fn mixed_replay_batches_match_the_scalar_dispatch_exactly() {
         // Demand, prefetch and writeback records densely interleaved — the
-        // shape recorded traces actually have — replayed through the mixed
-        // kernel vs per-record scalar dispatch.
+        // shape recorded traces actually have — replayed off their encoded
+        // columns vs per-record scalar dispatch.
         let run = mixed_run(600);
-        let ops: Vec<BatchOp> = (0..run.len())
+        let kind_bits: Vec<u32> = (0..run.len())
             .map(|i| match i % 4 {
-                1 => BatchOp::Prefetch,
-                3 => BatchOp::Writeback,
-                _ => BatchOp::Demand,
+                1 => META_PREFETCH_BIT,
+                3 => META_WRITEBACK_BIT,
+                _ => 0,
+            })
+            .collect();
+        let addrs: Vec<u64> = run.iter().map(|info| info.addr).collect();
+        let meta: Vec<u32> = run
+            .iter()
+            .zip(&kind_bits)
+            .map(|(info, &kind)| match kind {
+                META_WRITEBACK_BIT => kind,
+                _ => encode_meta(info, kind),
             })
             .collect();
         for make in [
@@ -1171,25 +931,22 @@ mod tests {
         ] {
             let mut scalar = make();
             let mut scalar_misses = 0;
-            for (info, op) in run.iter().zip(&ops) {
-                match op {
-                    BatchOp::Demand => {
-                        scalar_misses += u64::from(!scalar.access(info).is_hit());
-                    }
-                    BatchOp::Prefetch => {
+            for (info, &kind) in run.iter().zip(&kind_bits) {
+                match kind {
+                    0 => scalar_misses += u64::from(!scalar.access(info).is_hit()),
+                    META_PREFETCH_BIT => {
                         scalar.prefetch(info);
                     }
-                    BatchOp::Writeback => {
+                    _ => {
                         scalar.writeback(info.addr);
                     }
                 }
             }
             let mut batched = make();
-            let mut scratch = BatchScratch::new();
             let mut misses = 0;
-            // Uneven tile boundaries exercise scratch reuse across tiles.
-            for (infos, ops) in run.chunks(77).zip(ops.chunks(77)) {
-                misses += batched.replay_batch(infos, ops, &mut scratch);
+            // Uneven run boundaries: statistics must add up across runs.
+            for (addrs, meta) in addrs.chunks(77).zip(meta.chunks(77)) {
+                misses += batched.replay_run(addrs, meta, None);
             }
             assert_eq!(scalar.stats(), batched.stats());
             assert_eq!(misses, scalar_misses);
@@ -1200,10 +957,9 @@ mod tests {
     #[test]
     fn empty_batches_are_a_no_op() {
         let mut c = lru_cache(4096, 4);
-        let mut scratch = BatchScratch::new();
-        assert_eq!(c.access_batch(&[], &mut scratch), 0);
-        c.prefetch_batch(&[], &mut scratch);
-        assert_eq!(c.replay_batch(&[], &[], &mut scratch), 0);
+        assert_eq!(c.access_batch(&[]), 0);
+        c.prefetch_batch(&[]);
+        assert_eq!(c.replay_run(&[], &[], None), 0);
         assert_eq!(c.stats(), &CacheStats::new());
     }
 

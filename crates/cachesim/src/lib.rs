@@ -58,7 +58,7 @@ pub mod timing;
 pub mod trace;
 
 pub use addr::{block_of, Address, BlockAddr};
-pub use cache::{BatchOp, BatchScratch, SetAssocCache};
+pub use cache::SetAssocCache;
 pub use config::{CacheConfig, HierarchyConfig};
 pub use hierarchy::Hierarchy;
 pub use hint::{AddressBoundRegisters, RegionClassifier, ReuseHint};

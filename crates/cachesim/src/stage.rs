@@ -39,7 +39,7 @@
 //! simulation.
 
 use crate::addr::Address;
-use crate::cache::{BatchOp, BatchScratch, SetAssocCache};
+use crate::cache::SetAssocCache;
 use crate::config::{CacheConfig, HierarchyConfig};
 use crate::hint::{RegionClassifier, ReuseHint};
 use crate::lru_filter::LruFilter;
@@ -47,7 +47,7 @@ use crate::policy::PolicyDispatch;
 use crate::prefetch::StridePrefetcher;
 use crate::request::{AccessInfo, AccessKind, AccessSite, RegionLabel};
 use crate::stats::CacheStats;
-use crate::trace::{decode_record, encode_meta, META_PREFETCH_BIT, META_WRITEBACK_BIT};
+use crate::trace::{decode_event, encode_meta, TraceEvent, META_PREFETCH_BIT, META_WRITEBACK_BIT};
 
 /// Consumer of the post-L2 request stream produced by [`UpperLevels`].
 ///
@@ -70,17 +70,21 @@ pub trait LlcSink {
     /// (demand, prefetch and writeback records only — never flush markers),
     /// in stream order. The default implementation decodes each record and
     /// dispatches it through the per-event methods, so every sink accepts
-    /// batches; bulk-native sinks (the trace recorders, the LLC stage)
-    /// override it to consume the columns without materializing per-event
-    /// structs.
+    /// batches; the sinks that have something better to do with two column
+    /// slices override it — the trace recorders append them with
+    /// `extend_from_slice`, and [`LlcStage`] hands them to the same
+    /// recorded-stream kernel trace replay runs
+    /// ([`LlcStage::replay_run`]), so simulating while recording and
+    /// replaying afterwards are one loop.
     fn push_batch(&mut self, addrs: &[Address], meta: &[u32]) {
         for (&addr, &meta) in addrs.iter().zip(meta) {
-            match decode_record(addr, meta) {
-                (info, BatchOp::Demand) => {
+            match decode_event(addr, meta) {
+                TraceEvent::Demand(info) => {
                     self.demand(&info);
                 }
-                (info, BatchOp::Prefetch) => self.prefetch(&info),
-                (info, BatchOp::Writeback) => self.writeback(info.addr),
+                TraceEvent::Prefetch(info) => self.prefetch(&info),
+                TraceEvent::Writeback(addr) => self.writeback(addr),
+                TraceEvent::Flush => debug_assert!(false, "flush markers never batch"),
             }
         }
     }
@@ -326,8 +330,6 @@ impl UpperLevels {
 pub struct LlcStage {
     cache: SetAssocCache,
     memory_accesses: u64,
-    /// Reusable lookup columns of the bulk-sink path (simulate-while-record).
-    scratch: BatchScratch,
 }
 
 impl std::fmt::Debug for LlcStage {
@@ -345,7 +347,6 @@ impl LlcStage {
         Self {
             cache: SetAssocCache::new("LLC", config, policy),
             memory_accesses: 0,
-            scratch: BatchScratch::new(),
         }
     }
 
@@ -380,59 +381,21 @@ impl LlcStage {
         self.cache.prefetch(info);
     }
 
-    /// Replays one flush-free tile of a recorded post-L2 stream — demand,
-    /// prefetch and writeback records freely interleaved, each tagged with
-    /// its [`crate::cache::BatchOp`] — through the mixed batched kernel
-    /// ([`SetAssocCache::replay_batch`]). Every demand miss reaches memory,
-    /// so the memory-access counter advances by the tile's demand-miss
-    /// count. Bit-identical to dispatching each record through
+    /// Replays one flush-free run of a recorded post-L2 stream straight off
+    /// its raw columns ([`SetAssocCache::replay_run`]), recomputing reuse
+    /// hints with `reclassify` when given. Every demand miss reaches memory,
+    /// so the memory-access counter advances by the run's demand-miss count.
+    /// Bit-identical to dispatching each record through
     /// [`LlcStage::demand`] / [`LlcStage::prefetch`] /
     /// [`LlcStage::writeback`] in order.
     #[inline]
-    pub fn replay_batch(
-        &mut self,
-        infos: &[AccessInfo],
-        ops: &[crate::cache::BatchOp],
-        scratch: &mut crate::cache::BatchScratch,
-    ) {
-        self.memory_accesses += self.cache.replay_batch(infos, ops, scratch);
-    }
-
-    /// Precomputes the lookup columns of a run for
-    /// [`LlcStage::replay_batch_prepared`] (see
-    /// [`SetAssocCache::prepare_batch`]).
-    #[inline]
-    pub fn prepare_batch(&self, infos: &[AccessInfo], scratch: &mut crate::cache::BatchScratch) {
-        self.cache.prepare_batch(infos, scratch);
-    }
-
-    /// Like [`LlcStage::replay_batch`], but over columns already prepared
-    /// by [`LlcStage::prepare_batch`] on any same-geometry stage (see
-    /// [`SetAssocCache::replay_batch_prepared`]).
-    #[inline]
-    pub fn replay_batch_prepared(
-        &mut self,
-        infos: &[AccessInfo],
-        ops: &[crate::cache::BatchOp],
-        scratch: &crate::cache::BatchScratch,
-    ) {
-        self.memory_accesses += self.cache.replay_batch_prepared(infos, ops, scratch);
-    }
-
-    /// Fused counterpart of [`LlcStage::replay_batch`]
-    /// ([`SetAssocCache::replay_batch_fused`]): the tile arrives as its raw
-    /// byte-address column plus an in-register record decoder, so nothing is
-    /// buffered between decode and lookup.
-    #[inline]
-    pub fn replay_batch_fused<F>(
+    pub fn replay_run(
         &mut self,
         addrs: &[Address],
-        scratch: &mut crate::cache::BatchScratch,
-        decode: F,
-    ) where
-        F: Fn(usize) -> (AccessInfo, crate::cache::BatchOp),
-    {
-        self.memory_accesses += self.cache.replay_batch_fused(addrs, scratch, decode);
+        meta: &[u32],
+        reclassify: Option<&RegionClassifier>,
+    ) {
+        self.memory_accesses += self.cache.replay_run(addrs, meta, reclassify);
     }
 
     /// Receives the writeback of a dirty victim from the upper levels.
@@ -467,15 +430,8 @@ impl LlcSink for LlcStage {
         LlcStage::writeback(self, addr);
     }
 
-    /// Bulk records drive the same fused mixed kernel trace replay uses:
-    /// lookup columns straight off the raw address column, each record
-    /// decoded in registers as the policy-monomorphized loop consumes it.
     fn push_batch(&mut self, addrs: &[Address], meta: &[u32]) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.memory_accesses += self
-            .cache
-            .replay_batch_fused(addrs, &mut scratch, |i| decode_record(addrs[i], meta[i]));
-        self.scratch = scratch;
+        self.replay_run(addrs, meta, None);
     }
 }
 
@@ -618,7 +574,7 @@ mod tests {
         }
         let mut batched_upper = upper();
         let mut batched_trace = LlcTrace::new();
-        // Uneven sub-batches exercise tile boundaries and scratch reuse.
+        // Uneven sub-batches: one bulk push per call, whatever its length.
         for window in mix.chunks(997) {
             batched_upper.access_batch(window, &mut batched_trace);
         }

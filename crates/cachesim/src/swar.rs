@@ -1,11 +1,9 @@
 //! SWAR (SIMD-within-a-register) helpers shared by the cache's fused
-//! partial-tag scan, the RRIP victim search and the batched replay kernel.
+//! partial-tag scan, the RRIP victim search and replay's flush splitting.
 //!
 //! The single-lane helpers ([`broadcast`], [`eq_byte_lanes`], [`first_lane`])
-//! serve the per-access path; the multi-lane helpers below operate on whole
-//! record columns at once — eight records per step — and exist for the
-//! chunk-native replay kernel, whose decode stage wants tight, vectorizable
-//! loops over the trace's struct-of-arrays storage.
+//! serve the per-access path; [`kind_run_len`] scans a whole metadata column
+//! eight records per step.
 
 /// Broadcasts a byte to all eight lanes of a `u64`.
 #[inline]
@@ -28,8 +26,8 @@ pub(crate) fn first_lane(lanes: u64) -> usize {
 }
 
 /// Length of the prefix of `meta` whose masked kind bits equal `kind`
-/// (`meta[i] & mask == kind`) — the run-splitting primitive of the batched
-/// replay kernel. Groups of eight records are rejected or accepted with one
+/// (`meta[i] & mask == kind`) — the run-splitting primitive of chunk
+/// replay. Groups of eight records are rejected or accepted with one
 /// OR-folded comparison (a wide op the compiler vectorizes), so scanning a
 /// multi-thousand-record demand run costs a fraction of a per-record loop;
 /// the mismatching tail is then located with a scalar scan.
@@ -49,15 +47,6 @@ pub(crate) fn kind_run_len(meta: &[u32], kind: u32, mask: u32) -> usize {
         len += 1;
     }
     len
-}
-
-/// Column-wise counterpart of [`broadcast`]: extends `out` with the SWAR
-/// broadcast pattern of each partial tag, in one tight multiply-only loop
-/// (the batched lookup precomputes every pattern of a run up front instead
-/// of re-broadcasting per access).
-#[inline]
-pub(crate) fn broadcast_column(partials: impl Iterator<Item = u8>, out: &mut Vec<u64>) {
-    out.extend(partials.map(broadcast));
 }
 
 #[cfg(test)]
@@ -95,14 +84,5 @@ mod tests {
         // Low bits outside the mask never break a run.
         let meta = [A, A | 0xF, A | (0xFFFF_FC0F & !MASK)];
         assert_eq!(kind_run_len(&meta, A, MASK), 3);
-    }
-
-    #[test]
-    fn broadcast_column_matches_scalar_broadcast() {
-        let partials = [0u8, 1, 7, 0xFF, 0x80];
-        let mut out = Vec::new();
-        broadcast_column(partials.iter().copied(), &mut out);
-        let expected: Vec<u64> = partials.iter().map(|&p| broadcast(p)).collect();
-        assert_eq!(out, expected);
     }
 }

@@ -36,13 +36,12 @@
 //! spills gracefully as it grows. Completed chunks are **frozen behind an
 //! `Arc`**, which makes cloning a trace free of record copies. Replay walks
 //! the chunks through a [`ChunkReplayer`] — the incremental, chunk-at-a-time
-//! entry point to [`LlcStage`] — or, for a whole policy sweep in one pass, a
-//! [`FanoutReplayer`].
+//! entry point to [`LlcStage`].
 
 pub mod persist;
 
 use crate::addr::Address;
-use crate::cache::{BatchOp, BatchScratch, SetAssocCache, BATCH_TILE};
+use crate::cache::SetAssocCache;
 use crate::config::CacheConfig;
 use crate::hint::{RegionClassifier, ReuseHint};
 use crate::policy::PolicyDispatch;
@@ -63,7 +62,10 @@ const META_REGION_SHIFT: u32 = 3;
 /// Event-kind bits (mutually exclusive; all clear = demand).
 pub(crate) const META_PREFETCH_BIT: u32 = 1 << 6;
 pub(crate) const META_WRITEBACK_BIT: u32 = 1 << 7;
-const META_FLUSH_BIT: u32 = 1 << 8;
+pub(crate) const META_FLUSH_BIT: u32 = 1 << 8;
+const META_KIND_BITS: u32 = META_PREFETCH_BIT | META_WRITEBACK_BIT | META_FLUSH_BIT;
+/// Bits 9–15: between the kind bits and the site field, never written.
+const META_UNDEFINED_BITS: u32 = 0xFE00;
 const META_SITE_SHIFT: u32 = 16;
 
 /// One event of the recorded post-L2 stream.
@@ -90,7 +92,23 @@ pub(crate) fn encode_meta(info: &AccessInfo, kind_bit: u32) -> u32 {
     meta
 }
 
-fn decode_info(addr: Address, meta: u32) -> AccessInfo {
+/// Whether `meta` is a word [`encode_meta`] (or a writeback / flush push)
+/// can have produced: a region index that names a [`RegionLabel`], at most
+/// one event-kind bit, no undefined bit. Everything that decodes a word
+/// relies on it, so the loaders check it where bytes enter
+/// ([`persist`]) — in-memory words are valid by construction.
+pub(crate) fn meta_is_valid(meta: u32) -> bool {
+    ((meta >> META_REGION_SHIFT) & 0b111) < RegionLabel::ALL.len() as u32
+        && (meta & META_KIND_BITS).count_ones() <= 1
+        && meta & META_UNDEFINED_BITS == 0
+}
+
+/// Decodes the request a demand or prefetch word describes. Total over all
+/// words — the replay kernel inlines it per record and wants no panic site —
+/// so the region indices no valid word carries (5–7, see [`meta_is_valid`])
+/// read as [`RegionLabel::Other`].
+#[inline(always)]
+pub(crate) fn decode_info(addr: Address, meta: u32) -> AccessInfo {
     AccessInfo {
         addr,
         kind: if meta & META_WRITE_BIT != 0 {
@@ -100,34 +118,25 @@ fn decode_info(addr: Address, meta: u32) -> AccessInfo {
         },
         site: (meta >> META_SITE_SHIFT) as u16,
         hint: ReuseHint::decode(((meta >> META_HINT_SHIFT) & 0b11) as u8),
-        region: RegionLabel::ALL[((meta >> META_REGION_SHIFT) & 0b111) as usize],
+        region: RegionLabel::ALL
+            .get(((meta >> META_REGION_SHIFT) & 0b111) as usize)
+            .copied()
+            .unwrap_or(RegionLabel::Other),
     }
 }
 
-fn decode_event(addr: Address, meta: u32) -> TraceEvent {
-    if meta & META_WRITEBACK_BIT != 0 {
-        TraceEvent::Writeback(addr)
-    } else if meta & META_FLUSH_BIT != 0 {
+/// Decodes one record. The kind bits are tested in the order every other
+/// consumer splits on them — flush first (it is what cuts a chunk into
+/// runs), then writeback, then prefetch.
+pub(crate) fn decode_event(addr: Address, meta: u32) -> TraceEvent {
+    if meta & META_FLUSH_BIT != 0 {
         TraceEvent::Flush
+    } else if meta & META_WRITEBACK_BIT != 0 {
+        TraceEvent::Writeback(addr)
     } else if meta & META_PREFETCH_BIT != 0 {
         TraceEvent::Prefetch(decode_info(addr, meta))
     } else {
         TraceEvent::Demand(decode_info(addr, meta))
-    }
-}
-
-/// Decodes one record of a flush-free batch (as emitted by
-/// [`crate::UpperLevels::access_batch`] into [`LlcSink::push_batch`]) into
-/// the request/op pair the batched LLC kernels consume.
-#[inline]
-pub(crate) fn decode_record(addr: Address, meta: u32) -> (AccessInfo, BatchOp) {
-    debug_assert_eq!(meta & META_FLUSH_BIT, 0, "flush markers never batch");
-    if meta & META_WRITEBACK_BIT != 0 {
-        (AccessInfo::read(addr), BatchOp::Writeback)
-    } else if meta & META_PREFETCH_BIT != 0 {
-        (decode_info(addr, meta), BatchOp::Prefetch)
-    } else {
-        (decode_info(addr, meta), BatchOp::Demand)
     }
 }
 
@@ -136,9 +145,7 @@ pub(crate) fn decode_record(addr: Address, meta: u32) -> (AccessInfo, BatchOp) {
 /// applies per event, evaluated on the column without decoding anything.
 #[inline]
 pub(crate) fn count_demand_records(meta: &[u32]) -> usize {
-    meta.iter()
-        .filter(|&&m| m & (META_PREFETCH_BIT | META_WRITEBACK_BIT | META_FLUSH_BIT) == 0)
-        .count()
+    meta.iter().filter(|&&m| m & META_KIND_BITS == 0).count()
 }
 
 /// One fixed-capacity struct-of-arrays storage chunk of the post-L2 stream.
@@ -181,8 +188,8 @@ impl TraceChunk {
     }
 
     /// The chunk's raw struct-of-arrays columns (addresses and packed
-    /// metadata words, index-aligned) — the view the batched replay kernel
-    /// splits into runs and decodes column-wise.
+    /// metadata words, index-aligned) — the view replay splits into
+    /// flush-free runs and hands to the cache's column kernel as is.
     pub fn columns(&self) -> (&[Address], &[u32]) {
         (&self.addrs, &self.meta)
     }
@@ -463,23 +470,28 @@ impl LlcTrace {
         self.replay_impl(config, policy, None, false)
     }
 
-    /// Replays the recorded stream through **every** policy of a sweep in
-    /// one pass over the chunks, decoding each tile once for the whole
-    /// fan-out (see [`FanoutReplayer`]). Element `i` of the result is
-    /// bit-identical to `self.replay(config, policies[i])`.
+    /// Replays the recorded stream through **every** policy of a sweep, one
+    /// policy after the other: element `i` of the result *is*
+    /// `self.replay(config, policies[i])`. The replays share no work —
+    /// decoding a record is a few ALU operations inside the kernel, not a
+    /// pass worth amortizing — so a fan-out costs what its replays cost
+    /// (`replay.fanout_ratio` reads ≈ 1.0 on the ledger, by design), and
+    /// running each policy over the whole stream keeps its simulated-cache
+    /// arrays warm in the host cache, which interleaving the policies chunk
+    /// by chunk does not once those arrays outgrow it (0.8x of the
+    /// per-event path on the 16 MiB paper hierarchy, against 1.2x this way).
     pub fn replay_fanout<P: Into<PolicyDispatch>>(
         &self,
         config: CacheConfig,
         policies: impl IntoIterator<Item = P>,
     ) -> Vec<HierarchyStats> {
-        let mut replayer = FanoutReplayer::new(config, policies);
-        for chunk in self.chunks() {
-            replayer.feed(chunk);
-        }
-        replayer.finish(&self.context)
+        policies
+            .into_iter()
+            .map(|policy| self.replay(config, policy))
+            .collect()
     }
 
-    /// Replays through the per-event scalar path instead of the batched
+    /// Replays through the per-event scalar path instead of the column
     /// kernel. The two are bit-identical; this entry point exists as the
     /// reference for parity tests and the batched-replay benchmark table.
     pub fn replay_scalar(
@@ -579,24 +591,24 @@ impl FromIterator<AccessInfo> for LlcTrace {
 /// reclassifying variants all drive this one type, which is what pins them
 /// bit-for-bit to each other (and to direct simulation).
 ///
-/// [`ChunkReplayer::feed`] is the batched replay kernel: it splits the chunk
-/// into maximal flush-free tiles (the flush bit of the metadata column is
-/// scanned eight records per step), columnizes each tile's lookup work
-/// (block, set index, SWAR partial-tag pattern) straight off the raw
-/// address column, and drives the tile through the cache's **fused** mixed
-/// batched kernel — each record is decoded in registers the moment the
-/// policy-monomorphized loop consumes it, so no intermediate request buffer
-/// is ever materialized. Kind changes do **not** break a tile: demand
-/// and prefetch records interleave densely in recorded streams (median
-/// same-kind run length is 1 on the paper workloads), so only flushes — rare,
-/// whole-cache resets — fall back to the per-event scalar path. Tiles are
-/// capped so the lookup columns stay cache-resident.
+/// [`ChunkReplayer::feed`] is flush splitting plus one call per run: the
+/// chunk is cut at its flush markers (the flush bit of the metadata column
+/// is scanned eight records per step) and each flush-free run goes, as the
+/// two raw column slices it already is, to [`LlcStage::replay_run`] — the
+/// recorded-stream kernel of [`crate::cache`], one compiled loop per policy
+/// that decodes, looks up and accounts every record inline. Nothing is
+/// copied, tiled or buffered on the way. Kind changes do **not** break a
+/// run: demand and prefetch records interleave densely in recorded streams
+/// (median same-kind run length is 1 on the paper workloads), so only
+/// flushes — rare, whole-cache resets — do.
+/// [`ChunkReplayer::feed_scalar`] replays the same chunk one decoded event
+/// at a time through the stage's per-event methods; it is the oracle `feed`
+/// is pinned against, and what the column path has to beat to earn its
+/// keep (`micro_replay`'s batched-replay table).
 #[derive(Debug)]
 pub struct ChunkReplayer {
     stage: LlcStage,
     reclassify: Option<RegionClassifier>,
-    /// Reusable precomputed lookup columns of the batched kernel.
-    scratch: BatchScratch,
 }
 
 impl ChunkReplayer {
@@ -606,7 +618,6 @@ impl ChunkReplayer {
         Self {
             stage: LlcStage::new(config, policy),
             reclassify: None,
-            scratch: BatchScratch::new(),
         }
     }
 
@@ -642,8 +653,8 @@ impl ChunkReplayer {
         }
     }
 
-    /// Replays one chunk of the stream through the fused batched kernel (see
-    /// the type docs). Bit-identical to [`ChunkReplayer::feed_scalar`].
+    /// Replays one chunk of the stream through the column kernel (see the
+    /// type docs). Bit-identical to [`ChunkReplayer::feed_scalar`].
     pub fn feed(&mut self, chunk: &TraceChunk) {
         let (addrs, meta) = chunk.columns();
         let reclassify = self.reclassify.as_ref();
@@ -654,37 +665,16 @@ impl ChunkReplayer {
                 offset += 1;
                 continue;
             }
-            // The flush-free scan is windowed to one tile so a long run is
-            // not rescanned once per tile.
-            let window = &meta[offset..meta.len().min(offset + BATCH_TILE)];
-            let len = kind_run_len(window, 0, META_FLUSH_BIT);
-            let tile_addrs = &addrs[offset..offset + len];
-            let tile_meta = &window[..len];
-            // Records decode in registers the moment the kernel consumes
-            // them — no intermediate request buffer (see the type docs).
-            // Writeback records decode like any other (the kernel only reads
-            // their address), which keeps the decode branch-free.
+            let end = offset + kind_run_len(&meta[offset..], 0, META_FLUSH_BIT);
             self.stage
-                .replay_batch_fused(tile_addrs, &mut self.scratch, |i| {
-                    let word = tile_meta[i];
-                    let mut info = decode_info(tile_addrs[i], word);
-                    if let Some(classifier) = reclassify {
-                        info.hint = classifier.classify(info.addr);
-                    }
-                    let op = match (word >> META_PREFETCH_BIT.trailing_zeros()) & 0b11 {
-                        0 => BatchOp::Demand,
-                        1 => BatchOp::Prefetch,
-                        _ => BatchOp::Writeback,
-                    };
-                    (info, op)
-                });
-            offset += len;
+                .replay_run(&addrs[offset..end], &meta[offset..end], reclassify);
+            offset = end;
         }
     }
 
     /// Replays one chunk event-by-event through [`ChunkReplayer::feed_event`]
-    /// — the reference path the batched [`ChunkReplayer::feed`] is pinned
-    /// against (property tests, the micro_replay batched-replay table).
+    /// — the reference path [`ChunkReplayer::feed`] is pinned against
+    /// (property tests, the micro_replay batched-replay table).
     pub fn feed_scalar(&mut self, chunk: &TraceChunk) {
         for event in chunk.events() {
             self.feed_event(event);
@@ -703,147 +693,16 @@ impl ChunkReplayer {
     }
 }
 
-/// Replays one recorded stream through **several** policies in a single
-/// pass over the chunks: each flush-free tile is decoded column-wise once
-/// into shared request/op buffers, then consumed by every policy's stage
-/// through the batched kernel. The per-event path has nowhere to park a
-/// decoded tile, so it pays the decode once *per policy* — amortizing it
-/// across the fan-out is structural headroom only batch replay can reach,
-/// and policy sweeps (the paper's Table VI shape) are exactly where replay
-/// time concentrates. Per stage, the result is bit-identical to a
-/// standalone [`ChunkReplayer`] fed the same chunk sequence.
-#[derive(Debug)]
-pub struct FanoutReplayer {
-    stages: Vec<LlcStage>,
-    reclassify: Option<RegionClassifier>,
-    /// Shared decoded-tile buffer, written once per tile, read per stage.
-    infos: Vec<AccessInfo>,
-    /// Shared per-record request kinds of the decoded tile.
-    ops: Vec<BatchOp>,
-    /// Reusable precomputed lookup columns of the batched kernel.
-    scratch: BatchScratch,
-}
-
-impl FanoutReplayer {
-    /// Creates a replayer driving one fresh [`LlcStage`] per policy, all
-    /// with the same geometry.
-    pub fn new<P: Into<PolicyDispatch>>(
-        config: CacheConfig,
-        policies: impl IntoIterator<Item = P>,
-    ) -> Self {
-        Self {
-            stages: policies
-                .into_iter()
-                .map(|policy| LlcStage::new(config, policy))
-                .collect(),
-            reclassify: None,
-            infos: Vec::new(),
-            ops: Vec::new(),
-            scratch: BatchScratch::new(),
-        }
-    }
-
-    /// Recomputes reuse hints with `classifier` during replay (LLC-size
-    /// sweeps; see [`LlcTrace::replay_with_classifier`]).
-    #[must_use]
-    pub fn with_classifier(mut self, classifier: RegionClassifier) -> Self {
-        self.reclassify = Some(classifier);
-        self
-    }
-
-    /// Decodes one flush-free tile column-wise into the shared buffers and
-    /// applies the optional hint reclassification as a second pass.
-    /// Writeback records decode like any other (the kernel only reads their
-    /// address), which keeps the decode loop branch-free.
-    fn decode_tile(&mut self, addrs: &[Address], meta: &[u32]) {
-        self.infos.clear();
-        self.infos.extend(
-            addrs
-                .iter()
-                .zip(meta)
-                .map(|(&addr, &word)| decode_info(addr, word)),
-        );
-        self.ops.clear();
-        self.ops.extend(meta.iter().map(|&word| {
-            match (word >> META_PREFETCH_BIT.trailing_zeros()) & 0b11 {
-                0 => BatchOp::Demand,
-                1 => BatchOp::Prefetch,
-                _ => BatchOp::Writeback,
-            }
-        }));
-        if let Some(classifier) = &self.reclassify {
-            for info in &mut self.infos {
-                info.hint = classifier.classify(info.addr);
-            }
-        }
-    }
-
-    /// Replays one chunk into every stage, decoding each flush-free run
-    /// once. Unlike [`ChunkReplayer::feed`], runs are **not** capped at the
-    /// kernel tile size: each stage should process as long a contiguous
-    /// stretch as possible per visit so its simulated-cache arrays stay
-    /// warm in the host cache between accesses — interleaving the stages at
-    /// fine grain makes them evict each other. The decoded buffers exceed
-    /// the host cache for a full chunk, but they are re-read sequentially
-    /// (prefetcher-friendly), while the per-stage lookup columns are still
-    /// tiled cache-resident inside [`SetAssocCache::replay_batch`].
-    pub fn feed(&mut self, chunk: &TraceChunk) {
-        if self.stages.is_empty() {
-            return;
-        }
-        let (addrs, meta) = chunk.columns();
-        let mut offset = 0;
-        while offset < meta.len() {
-            if meta[offset] & META_FLUSH_BIT != 0 {
-                for stage in &mut self.stages {
-                    stage.flush();
-                }
-                offset += 1;
-                continue;
-            }
-            let window = &meta[offset..];
-            let len = kind_run_len(window, 0, META_FLUSH_BIT);
-            self.decode_tile(&addrs[offset..offset + len], &window[..len]);
-            // All stages share the geometry, so the lookup columns are
-            // prepared once (on the first stage) for the whole fan-out.
-            self.stages[0].prepare_batch(&self.infos, &mut self.scratch);
-            for stage in &mut self.stages {
-                stage.replay_batch_prepared(&self.infos, &self.ops, &self.scratch);
-            }
-            offset += len;
-        }
-    }
-
-    /// Consumes the replayer and assembles per-policy hierarchy statistics,
-    /// in the order the policies were given to [`FanoutReplayer::new`].
-    pub fn finish(self, context: &RecordContext) -> Vec<HierarchyStats> {
-        self.stages
-            .into_iter()
-            .map(|stage| HierarchyStats {
-                l1: context.l1.clone(),
-                l2: context.l2.clone(),
-                memory_accesses: stage.memory_accesses(),
-                llc: stage.into_stats(),
-            })
-            .collect()
-    }
-}
-
 /// Replays a demand-access trace through a standalone LLC with the given
 /// policy and returns the resulting statistics (synthetic-trace workflows;
-/// recorded runs should prefer [`LlcTrace::replay`]). The trace is driven
-/// through the batched cache kernel in chunk-sized windows, which bounds the
-/// precomputed-column scratch to one chunk regardless of trace length.
+/// recorded runs should prefer [`LlcTrace::replay`]).
 pub fn replay(
     trace: &[AccessInfo],
     config: CacheConfig,
     policy: impl Into<PolicyDispatch>,
 ) -> CacheStats {
     let mut cache = SetAssocCache::new("LLC", config, policy);
-    let mut scratch = BatchScratch::new();
-    for window in trace.chunks(CHUNK_RECORDS) {
-        cache.access_batch(window, &mut scratch);
-    }
+    cache.access_batch(trace);
     cache.stats().clone()
 }
 
@@ -863,7 +722,7 @@ pub fn replay_with_classifier(
 /// The one demand-only reclassifying replay loop both the slice and the
 /// chunk-native entry points share, so their hint semantics can never
 /// diverge. The stream is reclassified into a chunk-sized window and driven
-/// through the batched cache kernel window by window.
+/// through the cache's run kernel window by window.
 fn replay_demand_reclassified(
     demands: impl Iterator<Item = AccessInfo>,
     config: CacheConfig,
@@ -871,7 +730,6 @@ fn replay_demand_reclassified(
     classifier: &RegionClassifier,
 ) -> CacheStats {
     let mut cache = SetAssocCache::new("LLC", config, policy);
-    let mut scratch = BatchScratch::new();
     let mut window = Vec::new();
     let mut demands = demands.map(|info| info.with_hint(classifier.classify(info.addr)));
     loop {
@@ -880,7 +738,7 @@ fn replay_demand_reclassified(
         if window.is_empty() {
             break;
         }
-        cache.access_batch(&window, &mut scratch);
+        cache.access_batch(&window);
     }
     cache.stats().clone()
 }
@@ -1122,6 +980,29 @@ mod tests {
             ]
         );
         assert_eq!(trace.demand_vec(), vec![demand]);
+    }
+
+    #[test]
+    fn every_recordable_word_is_valid_and_decodes_to_itself() {
+        for region in RegionLabel::ALL {
+            for hint in 0..4 {
+                for kind_bit in [0, META_PREFETCH_BIT] {
+                    let info = AccessInfo::write(0x40)
+                        .with_site(u16::MAX)
+                        .with_hint(ReuseHint::decode(hint))
+                        .with_region(region);
+                    let word = encode_meta(&info, kind_bit);
+                    assert!(meta_is_valid(word), "{word:#x}");
+                    assert_eq!(decode_info(0x40, word), info);
+                }
+            }
+        }
+        assert!(meta_is_valid(META_WRITEBACK_BIT) && meta_is_valid(META_FLUSH_BIT));
+        // What no push produces: the loaders refuse it, the decoder (which
+        // the replay kernel inlines, panic-free) reads it as `Other`.
+        let forged = 7 << META_REGION_SHIFT;
+        assert!(!meta_is_valid(forged));
+        assert_eq!(decode_info(0, forged).region, RegionLabel::Other);
     }
 
     #[test]

@@ -63,7 +63,9 @@
 //! the trace that was saved (property-tested in
 //! `tests/persist_properties.rs` for both codecs).
 
-use super::{count_demand_records, LlcTrace, RecordContext, TraceChunk, CHUNK_RECORDS};
+use super::{
+    count_demand_records, meta_is_valid, LlcTrace, RecordContext, TraceChunk, CHUNK_RECORDS,
+};
 use crate::addr::Address;
 use crate::request::RegionLabel;
 use crate::stats::CacheStats;
@@ -510,18 +512,69 @@ fn chunk_payload_raw(chunk: &TraceChunk, buf: &mut Vec<u8>) {
     }
 }
 
+/// The per-chunk metadata dictionary under construction: the distinct words
+/// in first-occurrence order, and the word → index lookup the encoder makes
+/// once per record. The column's cardinality is tiny (a handful of sites ×
+/// event kinds) while its length is the chunk's, so a direct-mapped memo
+/// answers nearly every lookup with one compare; the hash map behind it
+/// keeps the worst case (every word distinct) linear. Lives across chunks to
+/// reuse its allocations.
+struct MetaDictionary {
+    words: Vec<u32>,
+    index_of: HashMap<u32, u32>,
+    /// `(word, index)` of the last word that mapped to each slot;
+    /// `MEMO_EMPTY` marks a slot no word of this chunk has used.
+    memo: [(u32, u32); MEMO_SLOTS],
+}
+
+const MEMO_SLOTS: usize = 256;
+const MEMO_EMPTY: u32 = u32::MAX;
+
+impl MetaDictionary {
+    fn new() -> Self {
+        Self {
+            words: Vec::new(),
+            index_of: HashMap::new(),
+            memo: [(0, MEMO_EMPTY); MEMO_SLOTS],
+        }
+    }
+
+    fn clear(&mut self) {
+        self.words.clear();
+        self.index_of.clear();
+        self.memo = [(0, MEMO_EMPTY); MEMO_SLOTS];
+    }
+
+    /// The dictionary index of `word`, appending it on first occurrence.
+    #[inline]
+    fn index(&mut self, word: u32) -> u32 {
+        // The site field (high half) and the kind/hint/region bits (low
+        // half) both vary, so fold them before taking the top bits.
+        let slot = (word ^ (word >> 16)).wrapping_mul(0x9E37_79B1)
+            >> (u32::BITS - MEMO_SLOTS.trailing_zeros());
+        let memo = &mut self.memo[slot as usize];
+        if memo.0 == word && memo.1 != MEMO_EMPTY {
+            return memo.1;
+        }
+        let next = self.words.len() as u32;
+        let index = *self.index_of.entry(word).or_insert_with(|| {
+            self.words.push(word);
+            next
+        });
+        *memo = (word, index);
+        index
+    }
+}
+
 /// Serializes one chunk as a v2 delta+varint frame (length prefix included)
-/// into `buf`. `dict_scratch` carries the dictionary map across chunks to
-/// reuse its allocation; it is cleared per chunk.
-fn chunk_payload_delta_varint(
-    chunk: &TraceChunk,
-    buf: &mut Vec<u8>,
-    dict_scratch: &mut HashMap<u32, u32>,
-) {
+/// into `buf`. `dict` carries the dictionary's allocations across chunks; it
+/// is cleared per chunk.
+fn chunk_payload_delta_varint(chunk: &TraceChunk, buf: &mut Vec<u8>, dict: &mut MetaDictionary) {
     buf.clear();
     buf.extend_from_slice(&[0u8; 4]); // frame length, patched below
-                                      // Address column: zigzag wrapping deltas, LEB128. The previous-address
-                                      // state starts at 0 in every chunk, so chunks decode independently.
+
+    // Address column: zigzag wrapping deltas, LEB128. The previous-address
+    // state starts at 0 in every chunk, so chunks decode independently.
     let mut prev: Address = 0;
     for &addr in &chunk.addrs {
         put_varint(buf, zigzag(addr.wrapping_sub(prev)));
@@ -529,19 +582,11 @@ fn chunk_payload_delta_varint(
     }
     // Metadata column: dictionary of distinct words in first-occurrence
     // order, then one bit-packed dictionary index per record.
-    dict_scratch.clear();
-    let mut dict: Vec<u32> = Vec::new();
-    let mut indices: Vec<u32> = Vec::with_capacity(chunk.meta.len());
-    for &meta in &chunk.meta {
-        let next = dict.len() as u32;
-        let index = *dict_scratch.entry(meta).or_insert_with(|| {
-            dict.push(meta);
-            next
-        });
-        indices.push(index);
-    }
+    dict.clear();
+    let indices: Vec<u32> = chunk.meta.iter().map(|&meta| dict.index(meta)).collect();
+    let dict = &dict.words;
     put_varint(buf, dict.len() as u64);
-    for &word in &dict {
+    for &word in dict {
         put_varint(buf, u64::from(word));
     }
     if !dict.is_empty() {
@@ -575,6 +620,20 @@ fn max_frame_len(records: usize) -> usize {
     records * (10 + 5 + 2) + 10
 }
 
+/// Rejects a metadata word no writer of this format can have produced (see
+/// [`meta_is_valid`]). Replay decodes words without looking back, so this is
+/// the one place a forged word — in a file whose checksum was recomputed to
+/// match — is stopped.
+fn check_meta(word: u32) -> Result<u32, PersistError> {
+    if meta_is_valid(word) {
+        Ok(word)
+    } else {
+        Err(PersistError::Corrupt(format!(
+            "metadata word {word:#010x} encodes no record (region, kind or undefined bits)"
+        )))
+    }
+}
+
 fn read_exact(
     reader: &mut impl Read,
     buf: &mut [u8],
@@ -591,7 +650,8 @@ fn read_exact(
     })
 }
 
-/// Reads one raw v1 chunk (two SoA pages) into a fresh chunk.
+/// Reads one raw v1 chunk (two SoA pages) into a fresh chunk, checking
+/// every metadata word on the way in.
 fn read_chunk_raw(
     reader: &mut impl Read,
     hasher: &mut Fnv64,
@@ -609,17 +669,17 @@ fn read_chunk_raw(
             .chunks_exact(8)
             .map(|b| Address::from_le_bytes(b.try_into().expect("8 bytes"))),
     );
-    chunk.meta.extend(
-        meta_bytes
-            .chunks_exact(4)
-            .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes"))),
-    );
+    for word in meta_bytes.chunks_exact(4) {
+        let word = u32::from_le_bytes(word.try_into().expect("4 bytes"));
+        chunk.meta.push(check_meta(word)?);
+    }
     Ok(chunk)
 }
 
 /// Reads one v2 delta+varint frame and decompresses it into a fresh chunk.
 /// Every structural defect — an implausible frame length, a malformed
-/// varint, a dictionary index past the dictionary, leftover payload bytes —
+/// varint, a dictionary entry that encodes no record, a dictionary index
+/// past the dictionary, leftover payload bytes —
 /// is a typed error, and nothing is allocated beyond the frame's own bytes
 /// plus one bounded chunk.
 fn read_chunk_delta_varint(
@@ -662,7 +722,7 @@ fn read_chunk_delta_varint(
         let word = u32::try_from(word).map_err(|_| {
             PersistError::Corrupt("metadata dictionary entry exceeds u32".to_owned())
         })?;
-        dict.push(word);
+        dict.push(check_meta(word)?);
     }
     let width = index_width(dict_len);
     if width == 0 {
@@ -765,9 +825,9 @@ impl LlcTrace {
                 // Single compression pass into the body buffer, then emit.
                 let mut body = Vec::new();
                 let mut frame = Vec::new();
-                let mut dict_scratch = HashMap::new();
+                let mut dict = MetaDictionary::new();
                 for chunk in self.chunks() {
-                    chunk_payload_delta_varint(chunk, &mut frame, &mut dict_scratch);
+                    chunk_payload_delta_varint(chunk, &mut frame, &mut dict);
                     body.extend_from_slice(&frame);
                 }
                 hasher.update(&body);
@@ -1368,6 +1428,46 @@ mod tests {
             match LlcTrace::read_from(&mut bytes.as_slice()) {
                 Err(PersistError::Corrupt(msg)) => assert!(msg.contains("demand")),
                 other => panic!("{codec}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    /// The writer checksums whatever it is handed, so persisting a trace
+    /// that holds a forged word yields what an attacker (or a writer bug)
+    /// would: a file that is wrong *and* checksum-consistent. Today's other
+    /// corruption tests flip bytes under a stale checksum and never reach
+    /// the metadata column.
+    #[test]
+    fn forged_metadata_words_are_corrupt_under_a_valid_checksum() {
+        use super::super::{META_FLUSH_BIT, META_PREFETCH_BIT, META_WRITEBACK_BIT};
+        let forged = [
+            5 << 3, // a region index past RegionLabel::ALL ...
+            6 << 3,
+            7 << 3 | META_PREFETCH_BIT,
+            META_FLUSH_BIT | META_WRITEBACK_BIT, // ... two event kinds at once ...
+            META_PREFETCH_BIT | META_WRITEBACK_BIT,
+            META_PREFETCH_BIT | META_FLUSH_BIT,
+            1 << 9, // ... and the bits between the kinds and the site.
+            1 << 15,
+        ];
+        for codec in Codec::ALL {
+            for word in forged {
+                let mut trace = LlcTrace::new();
+                for i in 0..10u64 {
+                    if i == 6 {
+                        trace.push_raw(i * 64, word);
+                    } else {
+                        trace.push(&AccessInfo::read(i * 64).with_site(3));
+                    }
+                }
+                trace.demand_len = count_demand_records(&trace.current.meta);
+                let bytes = write_to_vec_with(&trace, codec);
+                match LlcTrace::read_from(&mut bytes.as_slice()) {
+                    Err(PersistError::Corrupt(msg)) => {
+                        assert!(msg.contains("metadata word"), "{codec}: {msg}")
+                    }
+                    other => panic!("{codec}: {word:#x}: expected Corrupt, got {other:?}"),
+                }
             }
         }
     }

@@ -1,12 +1,13 @@
 //! Property tests for the canonical post-L2 trace: the chunked SoA storage
 //! must round-trip arbitrary event sequences exactly (`push`/`get`/`iter`/
-//! `to_vec` always agree), replay must be deterministic, and the batched
-//! chunk replayer must reproduce the per-event path bit-for-bit for
-//! arbitrary event sequences — flushes and writebacks included — within a
-//! chunk and across a chunk boundary.
+//! `to_vec` always agree), replay must be deterministic, and the chunk
+//! replayer's column kernel must reproduce the per-event path bit-for-bit
+//! for arbitrary event sequences — flushes and writebacks included — within
+//! a chunk and across a chunk boundary, with and without hint
+//! reclassification, on power-of-two and odd associativities.
 
 use grasp_cachesim::config::CacheConfig;
-use grasp_cachesim::hint::ReuseHint;
+use grasp_cachesim::hint::{AddressBoundRegisters, RegionClassifier, ReuseHint};
 use grasp_cachesim::policy::grasp::Grasp;
 use grasp_cachesim::policy::lru::Lru;
 use grasp_cachesim::policy::rrip::Drrip;
@@ -19,37 +20,46 @@ use proptest::prelude::*;
 /// An arbitrary event: selector (demand read / demand write / prefetch /
 /// writeback), block index, site, hint selector, region selector.
 fn arb_events() -> impl Strategy<Value = Vec<TraceEvent>> {
-    arb_events_with_flushes(4)
+    arb_events_over(0, 4096)
 }
 
-/// Like [`arb_events`], but selector values ≥ 4 become flush markers when
-/// `kinds` is 5 (the batched-vs-scalar properties exercise them; the storage
-/// round-trip keeps the historical distribution).
-fn arb_events_with_flushes(kinds: u8) -> impl Strategy<Value = Vec<TraceEvent>> {
-    proptest::collection::vec((0u8..kinds, 0u64..4096, 0u16..32, 0u8..4, 0u8..5), 1..800).prop_map(
-        |entries| {
-            entries
-                .into_iter()
-                .map(|(kind, blk, site, hint, region)| {
-                    let addr = blk * 64;
-                    let info = AccessInfo::read(addr)
-                        .with_site(site)
-                        .with_hint(ReuseHint::decode(hint))
-                        .with_region(RegionLabel::ALL[region as usize]);
-                    match kind {
-                        0 => TraceEvent::Demand(info),
-                        1 => TraceEvent::Demand(AccessInfo {
-                            kind: grasp_cachesim::AccessKind::Write,
-                            ..info
-                        }),
-                        2 => TraceEvent::Prefetch(info),
-                        3 => TraceEvent::Writeback(addr),
-                        _ => TraceEvent::Flush,
-                    }
-                })
-                .collect()
-        },
-    )
+/// Like [`arb_events`], with one event in five a flush marker (the
+/// batched-vs-scalar properties exercise them; the storage round-trip keeps
+/// the historical flush-free distribution). A cache flushed that often never
+/// fills, so these streams test the run splitting, not the policies.
+fn arb_events_with_flushes() -> impl Strategy<Value = Vec<TraceEvent>> {
+    arb_events_over(5, 4096)
+}
+
+/// Events over the first `blocks` cache blocks, one in `flush_one_in` a
+/// flush marker (0: none). Few blocks and rare flushes make a stream with
+/// reuse in a full cache, where *which* block a policy evicted shows in the
+/// hit counts and not only in how many were evicted.
+fn arb_events_over(flush_one_in: u8, blocks: u64) -> impl Strategy<Value = Vec<TraceEvent>> {
+    let kind = (0u8..4, 0..flush_one_in.max(1));
+    let event = (kind, 0..blocks, 0u16..32, 0u8..4, 0u8..5);
+    proptest::collection::vec(event, 1..800).prop_map(move |entries| {
+        entries
+            .into_iter()
+            .map(|((kind, flush), blk, site, hint, region)| {
+                let addr = blk * 64;
+                let info = AccessInfo::read(addr)
+                    .with_site(site)
+                    .with_hint(ReuseHint::decode(hint))
+                    .with_region(RegionLabel::ALL[region as usize]);
+                match kind {
+                    _ if flush_one_in > 0 && flush == 0 => TraceEvent::Flush,
+                    0 => TraceEvent::Demand(info),
+                    1 => TraceEvent::Demand(AccessInfo {
+                        kind: grasp_cachesim::AccessKind::Write,
+                        ..info
+                    }),
+                    2 => TraceEvent::Prefetch(info),
+                    _ => TraceEvent::Writeback(addr),
+                }
+            })
+            .collect()
+    })
 }
 
 fn build(events: &[TraceEvent]) -> LlcTrace {
@@ -110,7 +120,7 @@ proptest! {
     }
 
     #[test]
-    fn batched_feed_is_bit_identical_to_per_event_feed(events in arb_events_with_flushes(5)) {
+    fn batched_feed_is_bit_identical_to_per_event_feed(events in arb_events_with_flushes()) {
         // The batched chunk-native kernel against the per-event reference
         // path, over arbitrary event mixes: demand reads and writes, dirty
         // writebacks, prefetches and flushes, across several policies
@@ -120,14 +130,53 @@ proptest! {
         let config = CacheConfig::new(64 * 128, 8, 64);
         let lru = || Lru::new(config.sets(), config.ways);
         let grasp = || Grasp::new(config.sets(), config.ways, 7);
-        let (batched, scalar) = feed_both_ways(&trace, config, lru);
+        let (batched, scalar) = feed_both_ways(&trace, config, lru, None);
         prop_assert_eq!(&batched, &scalar, "LRU");
-        let (batched, scalar) = feed_both_ways(&trace, config, grasp);
+        let (batched, scalar) = feed_both_ways(&trace, config, grasp, None);
         prop_assert_eq!(&batched, &scalar, "GRASP");
     }
 
     #[test]
-    fn batched_and_scalar_buffered_replays_agree(events in arb_events_with_flushes(5)) {
+    fn feed_matches_feed_scalar_on_one_eleven_way_set(events in arb_events_over(100, 64)) {
+        // An associativity that fills neither a partial-tag word nor a rank
+        // word, and a single set: every record contends for the same 11
+        // ways, 64 blocks between rare flushes keep them full.
+        let trace = build(&events);
+        let config = CacheConfig::new(64 * 11, 11, 64);
+        let lru = || Lru::new(config.sets(), config.ways);
+        let rrip = || Drrip::new(config.sets(), config.ways, 1);
+        let grasp = || Grasp::new(config.sets(), config.ways, 7);
+        let (batched, scalar) = feed_both_ways(&trace, config, lru, None);
+        prop_assert_eq!(&batched, &scalar, "LRU");
+        let (batched, scalar) = feed_both_ways(&trace, config, rrip, None);
+        prop_assert_eq!(&batched, &scalar, "RRIP");
+        let (batched, scalar) = feed_both_ways(&trace, config, grasp, None);
+        prop_assert_eq!(&batched, &scalar, "GRASP");
+    }
+
+    #[test]
+    fn reclassifying_feed_is_bit_identical_to_per_event_feed(events in arb_events_over(200, 384)) {
+        // An LLC-size sweep replays with hints recomputed for the new size
+        // (`LlcTrace::replay_with_classifier`): here for twice the 8 KiB the
+        // other properties replay at, over a property array covering 20 of
+        // the 24 KiB the events touch — so High, Moderate and Low all occur
+        // and most recorded hints are wrong for the replayed cache. Flushes
+        // are rare and the footprint is 1.5x the cache, so a kernel that
+        // ignored the classifier would evict other blocks *and* lose hits.
+        let trace = build(&events);
+        let config = CacheConfig::new(2 * 64 * 128, 8, 64);
+        let mut abrs = AddressBoundRegisters::new();
+        abrs.program(0, 20 * 1024);
+        let classifier = RegionClassifier::new(abrs, config.size_bytes);
+        let grasp = || Grasp::new(config.sets(), config.ways, 7);
+        let (batched, scalar) = feed_both_ways(&trace, config, grasp, Some(&classifier));
+        prop_assert_eq!(&batched, &scalar);
+        // The public entry point is that same replayer.
+        prop_assert_eq!(&batched, &trace.replay_with_classifier(config, grasp(), &classifier));
+    }
+
+    #[test]
+    fn batched_and_scalar_buffered_replays_agree(events in arb_events_with_flushes()) {
         let trace = build(&events);
         let config = CacheConfig::new(64 * 128, 8, 64);
         let batched = trace.replay(config, Drrip::new(config.sets(), config.ways, 1));
@@ -136,7 +185,7 @@ proptest! {
     }
 
     #[test]
-    fn fanout_replay_matches_per_policy_replays(events in arb_events_with_flushes(5)) {
+    fn fanout_replay_matches_per_policy_replays(events in arb_events_with_flushes()) {
         let trace = build(&events);
         let config = CacheConfig::new(64 * 128, 8, 64);
         let fanout = trace.replay_fanout(config, [
@@ -157,16 +206,24 @@ proptest! {
 
 }
 
-/// Replays `trace` chunk by chunk through the batched kernel
+/// Replays `trace` chunk by chunk through the column kernel
 /// ([`ChunkReplayer::feed`]) and through the per-event reference
-/// ([`ChunkReplayer::feed_scalar`]), each on a fresh replayer.
+/// ([`ChunkReplayer::feed_scalar`]), each on a fresh replayer — both with
+/// hints recomputed by `reclassify` when given.
 fn feed_both_ways<P: Into<PolicyDispatch>>(
     trace: &LlcTrace,
     config: CacheConfig,
     policy: impl Fn() -> P,
+    reclassify: Option<&RegionClassifier>,
 ) -> (HierarchyStats, HierarchyStats) {
-    let mut batched = ChunkReplayer::new(config, policy());
-    let mut scalar = ChunkReplayer::new(config, policy());
+    let replayer = || {
+        let replayer = ChunkReplayer::new(config, policy());
+        match reclassify {
+            Some(classifier) => replayer.with_classifier(classifier.clone()),
+            None => replayer,
+        }
+    };
+    let (mut batched, mut scalar) = (replayer(), replayer());
     for chunk in trace.chunks() {
         batched.feed(chunk);
         scalar.feed_scalar(chunk);
@@ -197,7 +254,12 @@ fn all_writeback_and_flush_chunks_replay_identically() {
     }
     let trace = build(&events);
     let config = CacheConfig::new(64 * 128, 8, 64);
-    let (batched, scalar) = feed_both_ways(&trace, config, || Lru::new(config.sets(), config.ways));
+    let (batched, scalar) = feed_both_ways(
+        &trace,
+        config,
+        || Lru::new(config.sets(), config.ways),
+        None,
+    );
     assert_eq!(batched, scalar);
     assert!(
         batched.llc.writeback_accesses >= 512,
@@ -247,10 +309,25 @@ fn feed_matches_feed_scalar_across_a_real_chunk_boundary() {
         "the trace must cross a chunk edge"
     );
     let config = CacheConfig::new(64 * 128, 8, 64);
-    let (batched, scalar) = feed_both_ways(&trace, config, || Lru::new(config.sets(), config.ways));
+    let (batched, scalar) = feed_both_ways(
+        &trace,
+        config,
+        || Lru::new(config.sets(), config.ways),
+        None,
+    );
     assert_eq!(batched, scalar, "LRU");
     assert_eq!(batched.llc.accesses as usize, trace.demand_len());
-    let (batched, scalar) =
-        feed_both_ways(&trace, config, || Grasp::new(config.sets(), config.ways, 7));
+    let grasp = || Grasp::new(config.sets(), config.ways, 7);
+    let (batched, scalar) = feed_both_ways(&trace, config, grasp, None);
     assert_eq!(batched, scalar, "GRASP");
+    // Reclassified for a property array over the first half of the blocks:
+    // still feed == feed_scalar, and not the statistics of the recorded
+    // hints — a replay that dropped the classifier on both paths would pass
+    // the first assertion, not the second.
+    let mut abrs = AddressBoundRegisters::new();
+    abrs.program(0, 2048 * 64);
+    let classifier = RegionClassifier::new(abrs, config.size_bytes);
+    let (reclassified, scalar) = feed_both_ways(&trace, config, grasp, Some(&classifier));
+    assert_eq!(reclassified, scalar, "GRASP, reclassified");
+    assert_ne!(reclassified.llc, batched.llc, "the classifier must matter");
 }

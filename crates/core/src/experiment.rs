@@ -120,11 +120,10 @@ impl RecordedRun {
         self.replay_inner(policy, true)
     }
 
-    /// Replays the stream under every policy of a sweep in one pass over
-    /// the recorded chunks: each tile is decoded once and consumed by all
-    /// policy stages through the batched kernel, so the decode cost is paid
-    /// once for the whole fan-out instead of once per policy. Element `i`
-    /// is bit-identical to [`RecordedRun::replay`] with `policies[i]`.
+    /// Replays the stream under every policy of a sweep, one policy after
+    /// the other. The replays share no work, so this costs what they cost
+    /// one by one. Element `i` is bit-identical to [`RecordedRun::replay`]
+    /// with `policies[i]`.
     pub fn replay_fanout(&self, policies: &[PolicyKind]) -> Vec<RunResult> {
         let dispatches: Vec<_> = policies
             .iter()
@@ -147,8 +146,8 @@ impl RecordedRun {
             .collect()
     }
 
-    /// Replays through the per-event scalar path instead of the batched
-    /// chunk-native kernel. Bit-identical to [`RecordedRun::replay`]; exists
+    /// Replays through the per-event scalar path instead of the column
+    /// kernel. Bit-identical to [`RecordedRun::replay`]; exists
     /// as the reference side of batched-replay parity tests and benchmarks.
     pub fn replay_scalar(&self, policy: PolicyKind) -> RunResult {
         let stats = self

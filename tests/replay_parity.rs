@@ -4,7 +4,9 @@
 //! reproducing complete `HierarchyStats` — not just LLC miss counts.
 
 use grasp_suite::analytics::apps::AppKind;
-use grasp_suite::cachesim::config::HierarchyConfig;
+use grasp_suite::cachesim::config::{CacheConfig, HierarchyConfig};
+use grasp_suite::cachesim::hint::{AddressBoundRegisters, RegionClassifier};
+use grasp_suite::cachesim::stats::CacheStats;
 use grasp_suite::core::campaign::Campaign;
 use grasp_suite::core::datasets::{DatasetKind, Scale};
 use grasp_suite::core::experiment::Experiment;
@@ -281,38 +283,81 @@ fn sampling_policies_agree_across_replay_paths_when_only_some_sets_train() {
 }
 
 #[test]
-fn hawkeye_and_leeway_llc_stats_are_pinned() {
-    // Golden LLC statistics `(misses, evictions, bypasses)` of the two
-    // policies with the most per-access state, captured on the commit before
-    // their state was re-laid out (PR 12). A kernel change that moves any
-    // of them changed a victim or a training event somewhere.
-    const PINNED: [(AppKind, PolicyKind, (u64, u64, u64)); 4] = [
-        (AppKind::PageRank, PolicyKind::Hawkeye, (804, 8062, 0)),
-        (AppKind::PageRank, PolicyKind::Leeway, (934, 8218, 0)),
-        (
-            AppKind::PageRankDelta,
-            PolicyKind::Hawkeye,
-            (28245, 44814, 0),
-        ),
-        (
-            AppKind::PageRankDelta,
-            PolicyKind::Leeway,
-            (23391, 39524, 0),
-        ),
+fn llc_stats_are_pinned_across_the_full_policy_grid() {
+    // Golden LLC statistics `(misses, evictions, bypasses, prefetch_fills,
+    // writeback_hits)` of every policy on tw x DBG, replayed from the
+    // recorded stream, captured on the commit before replay's inner loop
+    // became one leaf kernel per policy (PR 17; the Hawkeye and Leeway rows
+    // date from PR 12 and did not move). Every replay path funnels through
+    // the same per-access routine, so their agreeing with each other cannot
+    // catch an edit that breaks all of them; these can. A kernel change that
+    // moves any of them changed a victim, a fill or a training event
+    // somewhere.
+    type Pin = (u64, u64, u64, u64, u64);
+    // (policy, PageRank, PageRankDelta)
+    #[rustfmt::skip]
+    const PINNED: [(PolicyKind, Pin, Pin); 13] = [
+        (PolicyKind::Lru, (4782, 12730, 0, 8460, 2429), (43624, 61661, 0, 18549, 9730)),
+        (PolicyKind::Random, (6642, 14618, 0, 8488, 1797), (54343, 72614, 0, 18783, 6959)),
+        (PolicyKind::Srrip, (1980, 9614, 0, 8146, 2564), (26109, 42635, 0, 17038, 6703)),
+        (PolicyKind::Brrip, (2001, 9300, 0, 7811, 2154), (22649, 38896, 0, 16759, 5082)),
+        (PolicyKind::Rrip, (2008, 9473, 0, 7977, 2322), (24733, 41149, 0, 16928, 5880)),
+        (PolicyKind::ShipMem, (1694, 9027, 0, 7845, 2147), (22324, 38316, 0, 16504, 5038)),
+        (PolicyKind::Hawkeye, (804, 8062, 0, 7770, 2694), (28245, 44814, 0, 17081, 5998)),
+        (PolicyKind::Leeway, (934, 8218, 0, 7796, 2639), (23391, 39524, 0, 16645, 5335)),
+        (PolicyKind::Pin(50), (1108, 8581, 0, 7985, 2743), (30257, 46861, 0, 17116, 7793)),
+        (PolicyKind::Pin(100), (695, 7872, 0, 7689, 2654), (45052, 62621, 0, 18081, 5798)),
+        (PolicyKind::GraspHintsOnly, (681, 7873, 0, 7704, 2711), (25760, 42099, 0, 16851, 5638)),
+        (PolicyKind::GraspInsertionOnly, (757, 7976, 0, 7731, 2709), (40924, 57965, 0, 17553, 8236)),
+        (PolicyKind::Grasp, (757, 7976, 0, 7731, 2709), (44136, 61087, 0, 17463, 7863)),
     ];
+    // GRASP on the PageRankDelta stream replayed for an LLC twice the
+    // recorded size, hints recomputed for it (the Table VII shape).
+    const RECLASSIFIED: Pin = (2783, 16892, 0, 15133, 10043);
+    let pin = |llc: &CacheStats| -> Pin {
+        (
+            llc.misses,
+            llc.evictions,
+            llc.bypasses,
+            llc.prefetch_fills,
+            llc.writeback_hits,
+        )
+    };
     let dataset = DatasetKind::Twitter.build(SCALE);
-    for (app, policy, pinned) in PINNED {
-        let llc = Experiment::new(dataset.graph.clone(), app)
+    assert!(PINNED.iter().map(|row| row.0).eq(FULL_GRID), "every policy");
+    for app in [AppKind::PageRank, AppKind::PageRankDelta] {
+        let exp = Experiment::new(dataset.graph.clone(), app)
             .with_hierarchy(SCALE.hierarchy())
-            .with_reordering(TechniqueKind::Dbg)
-            .run(policy)
-            .stats
-            .llc;
-        assert_eq!(
-            (llc.misses, llc.evictions, llc.bypasses),
-            pinned,
-            "tw/{app}/{policy}"
-        );
+            .with_reordering(TechniqueKind::Dbg);
+        let recorded = exp.record();
+        for (policy, page_rank, page_rank_delta) in PINNED {
+            let llc = recorded.replay(policy).stats.llc;
+            let pinned = match app {
+                AppKind::PageRank => page_rank,
+                _ => page_rank_delta,
+            };
+            assert_eq!(pin(&llc), pinned, "tw/{app}/{policy}");
+            assert_eq!(exp.run(policy).stats.llc, llc, "tw/{app}/{policy}: direct");
+        }
+        if app == AppKind::PageRankDelta {
+            let recorded_llc = SCALE.hierarchy().llc;
+            let llc = CacheConfig::new(
+                2 * recorded_llc.size_bytes,
+                recorded_llc.ways,
+                recorded_llc.block_bytes,
+            );
+            let mut abrs = AddressBoundRegisters::new();
+            for &(start, end) in recorded.trace().abr_bounds() {
+                abrs.program(start, end);
+            }
+            let classifier = RegionClassifier::new(abrs, llc.size_bytes);
+            let stats = recorded.trace().replay_with_classifier(
+                llc,
+                PolicyKind::Grasp.build_dispatch(&llc),
+                &classifier,
+            );
+            assert_eq!(pin(&stats.llc), RECLASSIFIED, "tw/{app}/GRASP at 2x LLC");
+        }
     }
 }
 
@@ -353,7 +398,7 @@ fn upper_level_streams_are_pinned() {
             0xebb411311bdb0afa,
         ),
     ];
-    let level = |s: &grasp_suite::cachesim::stats::CacheStats| -> Level {
+    let level = |s: &CacheStats| -> Level {
         (
             s.accesses,
             s.misses,

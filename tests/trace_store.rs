@@ -5,6 +5,8 @@
 //! statistics.
 
 use grasp_suite::analytics::apps::AppKind;
+use grasp_suite::cachesim::trace::persist::Fnv64;
+use grasp_suite::cachesim::trace::CHUNK_RECORDS;
 use grasp_suite::core::campaign::{Campaign, CampaignResult};
 use grasp_suite::core::datasets::{DatasetKind, Scale};
 use grasp_suite::core::policy::PolicyKind;
@@ -308,38 +310,72 @@ fn recompress_migration_shrinks_the_store_and_keeps_serving_hits() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn corrupt_entries_fall_back_to_fresh_recording() {
-    let dir = temp_store_dir("corrupt");
+/// Populates a store under `codec`, applies `damage` to the bytes of every
+/// entry, and checks what a damaged store owes its campaigns: the damage is
+/// detected and counted, the cells come from a fresh recording
+/// bit-identically, and that recording overwrote the bad entry.
+fn assert_recovers_from(tag: &str, codec: Codec, damage: impl Fn(&mut [u8])) {
+    let dir = temp_store_dir(tag);
     let store = Arc::new(TraceStore::open(&dir).expect("store opens"));
+    let campaign = || {
+        grid_campaign()
+            .trace_codec(codec)
+            .with_trace_store(Arc::clone(&store))
+    };
     let fresh = grid_campaign().run();
-    let _ = grid_campaign().with_trace_store(Arc::clone(&store)).run();
+    let _ = campaign().run();
 
-    // Flip a byte in every entry.
     for entry in store.entries().expect("entries") {
         let path = dir.join(&entry.file);
         let mut bytes = std::fs::read(&path).expect("read entry");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&path, &bytes).expect("write corrupted");
+        damage(&mut bytes);
+        std::fs::write(&path, &bytes).expect("write damaged");
     }
 
-    let recovered = grid_campaign().with_trace_store(Arc::clone(&store)).run();
-    assert_bit_identical(&fresh, &recovered, "corrupt-entry recovery");
+    let recovered = campaign().run();
+    assert_bit_identical(&fresh, &recovered, "damaged-entry recovery");
     let stats = store.stats();
     assert_eq!(stats.hits, 0);
-    assert_eq!(stats.corrupt, 1, "the corrupt entry must be detected");
+    assert_eq!(stats.corrupt, 1, "the damaged entry must be detected");
     assert_eq!(stats.misses, 2);
 
-    // The fresh recording overwrote the corrupt entry: verify passes and
+    // The fresh recording overwrote the damaged entry: verify passes and
     // the next run hits again.
     assert!(store
         .verify()
         .expect("verify")
         .iter()
         .all(|(_, outcome)| outcome.is_ok()));
-    let warm = grid_campaign().with_trace_store(Arc::clone(&store)).run();
+    let warm = campaign().run();
     assert_bit_identical(&fresh, &warm, "post-recovery warm run");
     assert_eq!(store.stats().hits, 1);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn corrupt_entries_fall_back_to_fresh_recording() {
+    // A flipped byte under a stale checksum.
+    assert_recovers_from("corrupt", Codec::default(), |bytes| {
+        bytes[bytes.len() / 2] ^= 0xFF;
+    });
+}
+
+#[test]
+fn forged_entries_with_recomputed_checksums_fall_back_to_fresh_recording() {
+    // A metadata word no recorder writes (region index 7), in an entry whose
+    // trace checksum was recomputed to match: nothing but the loader's own
+    // validation of the word stands between this file and a replay worker.
+    // Raw entries, because their metadata page can be addressed directly.
+    assert_recovers_from("forged", Codec::Raw, |bytes| {
+        let meta_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+        let block = &mut bytes[24 + meta_len..]; // the persisted trace
+        let records = u64::from_le_bytes(block[16..24].try_into().unwrap()) as usize;
+        assert!(records <= CHUNK_RECORDS, "one chunk: one address page");
+        let context_len = u32::from_le_bytes(block[32..36].try_into().unwrap()) as usize;
+        let word_at = 48 + context_len + records * 8 + records / 2 * 4;
+        block[word_at] |= 0b111 << 3;
+        block[40..48].fill(0);
+        let checksum = Fnv64::digest(block);
+        block[40..48].copy_from_slice(&checksum.to_le_bytes());
+    });
 }
