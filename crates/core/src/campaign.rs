@@ -56,7 +56,7 @@
 use crate::datasets::{DatasetCatalog, DatasetId, DatasetKind, GraphHash, Scale};
 use crate::error::Error;
 use crate::experiment::{Experiment, RecordedRun, RunResult};
-use crate::flight::{FlightRegistry, FlightServed};
+use crate::flight::{CellInterest, CellKey, Claim, FlightRegistry, FlightServed, Wake};
 use crate::policy::PolicyKind;
 use crate::spec::CampaignSpec;
 use crate::trace_store::{codec_from_env, TraceStore, TraceStoreKey};
@@ -132,7 +132,22 @@ pub enum SchedulerEvent {
         cell: usize,
     },
     /// One cell's replay completed (its result slot is filled).
+    ///
+    /// Like [`SchedulerEvent::RecordFinished`] this is an exact census:
+    /// it counts replays **this campaign executed**. Among campaigns that
+    /// overlap on a shared [`FlightRegistry`] the entries total one per
+    /// unique (stream, policy) cell.
     ReplayFinished {
+        /// Cell index in grid order.
+        cell: usize,
+    },
+    /// One cell completed **without this campaign replaying it**: a
+    /// campaign sharing the [`FlightRegistry`] replayed the same policy over
+    /// the same stream while this one ran, and the cell took those
+    /// statistics (its result slot is filled, over this campaign's own
+    /// recording of the stream). No [`SchedulerEvent::ReplayStarted`]
+    /// precedes it.
+    ReplayShared {
         /// Cell index in grid order.
         cell: usize,
     },
@@ -500,17 +515,33 @@ impl Campaign {
         self
     }
 
-    /// Shares an in-flight recording registry with this campaign, so
-    /// concurrent campaigns holding the same registry never record the same
-    /// (dataset, technique, app, config) stream twice — the first campaign
-    /// to reach a stream records it (or loads it from the store) and every
-    /// concurrent sibling attaches to that recording in memory. The
-    /// campaign service wires one registry across all client campaigns;
-    /// library users can do the same across threads.
+    /// Shares an in-flight registry with this campaign, so campaigns holding
+    /// the same registry that **overlap in time** do each common piece of
+    /// work once. The campaign service wires one registry across all client
+    /// campaigns; library users can do the same across threads.
     ///
-    /// Deduplicated streams log [`SchedulerEvent::RecordDeduped`] instead
-    /// of [`SchedulerEvent::RecordFinished`], and the registry's
-    /// [`FlightRegistry::stats`] count how each flight was served.
+    /// * **Streams.** Concurrent campaigns never record the same
+    ///   (dataset, technique, app, config) stream twice — the first to reach
+    ///   a stream records it (or loads it from the store) and every
+    ///   concurrent sibling attaches to that recording in memory. Every
+    ///   campaign still runs one obtain task per stream; a deduplicated one
+    ///   logs [`SchedulerEvent::RecordDeduped`] instead of
+    ///   [`SchedulerEvent::RecordFinished`].
+    /// * **Cells.** The campaign enlists its grid in the registry for the
+    ///   duration of [`Campaign::run`]. The first worker, of any campaign,
+    ///   to reach a (stream, policy) cell replays it; every other enlisted
+    ///   campaign takes those statistics and assembles the cell's
+    ///   [`RunResult`] over its own recording
+    ///   ([`SchedulerEvent::ReplayShared`] instead of
+    ///   [`SchedulerEvent::ReplayFinished`]) — bit-identical to replaying.
+    ///   A worker that finds its cell being replayed elsewhere runs the
+    ///   campaign's other tasks meanwhile and parks only when there are
+    ///   none; a replay whose leader unwound is replayed by the first
+    ///   follower to come back to it. Results are held only while a
+    ///   campaign that enlisted the cell is running — nothing is cached.
+    ///
+    /// [`FlightRegistry::stats`] counts how each flight was served. Without
+    /// a registry a campaign computes no keys and shares nothing.
     #[must_use]
     pub fn with_single_flight(mut self, registry: Arc<FlightRegistry>) -> Self {
         self.flights = Some(registry);
@@ -853,20 +884,23 @@ impl Campaign {
         // the rest keeps the replay tail draining. See the policy note
         // above.
         let obtain_cap = workers.div_ceil(2).max(1);
-        let state = Mutex::new(SchedState {
-            obtain_queue: (0..streams.len()).collect(),
-            replay_queue: Vec::new(),
-            obtains_inflight: 0,
-            recorded: streams.iter().map(|_| None).collect(),
-            trace_records: vec![0.0; streams.len()],
-            remaining_cells: stream_cells.iter().map(Vec::len).collect(),
-            results: (0..total).map(|_| None).collect(),
-            done_cells: 0,
-            events: Vec::new(),
-            model: CostModel::default(),
-            aborted: false,
+        let sched = Arc::new(Sched {
+            state: Mutex::new(SchedState::new(&stream_cells)),
+            ready: Condvar::new(),
         });
-        let ready = Condvar::new();
+        // Enlisted from here until this function returns or unwinds: what
+        // any overlapping campaign replays of this grid, this one does not.
+        let shared = self.flights.as_deref().map(|registry| {
+            let stream_keys: Vec<TraceStoreKey> =
+                streams.iter().map(|job| self.store_key(job)).collect();
+            SharedCells {
+                interest: registry.enlist_cells(cells.iter().map(|&(cell, stream)| CellKey {
+                    stream: stream_keys[stream],
+                    policy: cell.policy,
+                })),
+                wake: sched.waker(),
+            }
+        });
         let plan = SchedPlan {
             cells: &cells,
             streams: &streams,
@@ -876,40 +910,56 @@ impl Campaign {
             obtain_cap,
             total,
             observer,
+            shared,
         };
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| self.scheduler_worker(&state, &ready, &plan));
+                scope.spawn(|| self.scheduler_worker(&sched, &plan));
             }
         });
-        let state = state
-            .into_inner()
+        let mut state = sched
+            .state
+            .lock()
             .expect("no worker panicked past the scope");
-        let runs = state
-            .results
+        let runs = std::mem::take(&mut state.results)
             .into_iter()
             .map(|slot| slot.expect("the scheduler fills every cell slot exactly once"))
             .collect();
         CampaignResult {
             runs,
-            events: state.events,
+            events: std::mem::take(&mut state.events),
         }
     }
 
     /// One worker of the scheduler: loop picking tasks under the lock,
     /// executing them unlocked, and folding results + measured rates back
     /// in. Exits when every cell is done (or a sibling aborted).
-    fn scheduler_worker(&self, state: &Mutex<SchedState>, ready: &Condvar, plan: &SchedPlan<'_>) {
+    fn scheduler_worker(&self, sched: &Sched, plan: &SchedPlan<'_>) {
         // On panic (unlocked task execution), wake and release the siblings
         // so the scope join can propagate instead of deadlocking on the
         // condvar.
-        let _abort = AbortGuard { state, ready };
+        let _abort = AbortGuard { sched };
+        let Sched { state, ready } = sched;
         let mut guard = state.lock().expect("scheduler state never poisoned");
         loop {
             if guard.aborted || guard.done_cells == plan.total {
                 break;
             }
-            let take_obtain = !guard.obtain_queue.is_empty()
+            // A cell that was being replayed by another campaign when this
+            // one reached it is the next task the moment that replay has
+            // resolved: landed, it is a result for free; abandoned by an
+            // unwinding leader, it is a replay again. The claim below tells
+            // which.
+            let mut next_cell = None;
+            if let Some(shared) = &plan.shared {
+                let resolved = guard
+                    .deferred
+                    .iter()
+                    .position(|&cell| !shared.interest.in_flight(cell));
+                next_cell = resolved.map(|at| guard.deferred.swap_remove(at));
+            }
+            let take_obtain = next_cell.is_none()
+                && !guard.obtain_queue.is_empty()
                 && (guard.obtains_inflight < plan.obtain_cap || guard.replay_queue.is_empty());
             if take_obtain {
                 let stream = {
@@ -974,36 +1024,54 @@ impl Campaign {
                 ready.notify_all();
                 continue;
             }
-            if !guard.replay_queue.is_empty() {
-                let cell_index = {
-                    let SchedState {
-                        replay_queue,
-                        model,
-                        trace_records,
-                        ..
-                    } = &mut *guard;
-                    lpt_pop(replay_queue, |index| {
-                        let (cell, stream) = plan.cells[index];
-                        model.replay_cost(cell.app, cell.policy, trace_records[stream])
-                    })
-                };
+            if next_cell.is_none() && !guard.replay_queue.is_empty() {
+                let SchedState {
+                    replay_queue,
+                    model,
+                    trace_records,
+                    ..
+                } = &mut *guard;
+                next_cell = Some(lpt_pop(replay_queue, |index| {
+                    let (cell, stream) = plan.cells[index];
+                    model.replay_cost(cell.app, cell.policy, trace_records[stream])
+                }));
+            }
+            if let Some(cell_index) = next_cell {
                 let (cell, stream) = plan.cells[cell_index];
+                // With a shared registry, either this worker leads the
+                // cell's replay or another campaign's has landed already.
+                let (mut lead, mut landed) = (None, None);
+                if let Some(shared) = &plan.shared {
+                    match shared.interest.claim(cell_index, &shared.wake) {
+                        Claim::Lead(claimed) => lead = Some(claimed),
+                        Claim::Landed(stats) => landed = Some(stats),
+                        Claim::InFlight => {
+                            // Being replayed by another campaign, which now
+                            // holds this one's waker: on with the rest.
+                            guard.deferred.push(cell_index);
+                            continue;
+                        }
+                    }
+                }
                 let recorded = Arc::clone(
                     guard.recorded[stream]
                         .as_ref()
                         .expect("replay tasks only queue after their stream is obtained"),
                 );
-                guard
-                    .events
-                    .push(SchedulerEvent::ReplayStarted { cell: cell_index });
+                let replayed = landed.is_none();
+                if replayed {
+                    guard
+                        .events
+                        .push(SchedulerEvent::ReplayStarted { cell: cell_index });
+                }
                 drop(guard);
 
                 let started = Instant::now();
-                let result = if self.record_trace {
-                    recorded.replay_with_trace(cell.policy)
-                } else {
-                    recorded.replay(cell.policy)
-                };
+                let stats = landed.unwrap_or_else(|| recorded.replay_stats(cell.policy));
+                if let (Some(shared), Some(lead)) = (&plan.shared, lead) {
+                    shared.interest.land(lead, stats.clone());
+                }
+                let result = recorded.result(cell.policy, stats, self.record_trace);
                 let elapsed = started.elapsed().as_secs_f64();
                 drop(recorded);
                 let run = CampaignRun { cell, result };
@@ -1015,25 +1083,14 @@ impl Campaign {
                 }
 
                 guard = state.lock().expect("scheduler state never poisoned");
-                let records = guard.trace_records[stream];
-                guard
-                    .model
-                    .observe_replay(cell.app, cell.policy, records, elapsed);
-                guard
-                    .events
-                    .push(SchedulerEvent::ReplayFinished { cell: cell_index });
-                guard.results[cell_index] = Some(run);
-                guard.done_cells += 1;
-                guard.remaining_cells[stream] -= 1;
-                if guard.remaining_cells[stream] == 0 {
-                    guard.recorded[stream] = None;
-                    guard.events.push(SchedulerEvent::StreamRetired { stream });
-                }
+                guard.finish_cell(cell_index, stream, run, replayed.then_some(elapsed));
                 ready.notify_all();
                 continue;
             }
-            // Both queues empty but obtains are in flight: their completion
-            // will refill the replay queue. Sleep until state changes.
+            // Nothing runnable: obtains are in flight, whose completion
+            // refills the replay queue, or other campaigns are replaying
+            // this one's remaining cells, whose landing rings `ready`
+            // through the waker. Sleep until state changes.
             guard = ready.wait(guard).expect("scheduler state never poisoned");
         }
         drop(guard);
@@ -1067,6 +1124,36 @@ struct SchedPlan<'a> {
     total: usize,
     /// Per-cell completion callback, invoked unlocked as each cell lands.
     observer: Option<CellObserver<'a>>,
+    /// The campaign's enlistment in a shared [`FlightRegistry`]'s cell
+    /// replays, when it has one.
+    shared: Option<SharedCells<'a>>,
+}
+
+/// A campaign's side of single-flight replay: its grid's flights, by cell
+/// index, and the waker it leaves with the ones other campaigns are leading.
+struct SharedCells<'a> {
+    interest: CellInterest<'a>,
+    wake: Wake,
+}
+
+/// The scheduler's shared state and the condvar its idle workers park on.
+/// Behind an `Arc` because the waker other campaigns ring holds it too.
+struct Sched {
+    state: Mutex<SchedState>,
+    ready: Condvar,
+}
+
+impl Sched {
+    /// A [`Wake`] that gets parked workers to look at the state again. It
+    /// goes through the lock, so a worker that found a flight pending cannot
+    /// miss the ring on its way to parking.
+    fn waker(self: &Arc<Self>) -> Wake {
+        let sched = Arc::clone(self);
+        Arc::new(move || {
+            drop(sched.state.lock());
+            sched.ready.notify_all();
+        })
+    }
 }
 
 /// The mutable state of the scheduler, shared under one mutex.
@@ -1076,6 +1163,10 @@ struct SchedState {
     /// Cell indices whose stream is obtained and whose replay has not been
     /// claimed yet.
     replay_queue: Vec<usize>,
+    /// Cell indices another campaign was replaying when a worker claimed
+    /// them (see [`SharedCells`]): neither queued nor done until that replay
+    /// resolves.
+    deferred: Vec<usize>,
     /// Obtain tasks currently executing (admission-cap accounting).
     obtains_inflight: usize,
     /// Per-stream recording, present from obtain completion to retirement.
@@ -1096,6 +1187,58 @@ struct SchedState {
     /// Set when a worker panicked, so sleeping siblings exit instead of
     /// waiting for a notification that will never come.
     aborted: bool,
+}
+
+impl SchedState {
+    /// The state before any task ran: every stream to obtain, no cell
+    /// runnable. `stream_cells[s]` lists stream `s`'s cell indices.
+    fn new(stream_cells: &[Vec<usize>]) -> Self {
+        let streams = stream_cells.len();
+        let total = stream_cells.iter().map(Vec::len).sum();
+        Self {
+            obtain_queue: (0..streams).collect(),
+            replay_queue: Vec::new(),
+            deferred: Vec::new(),
+            obtains_inflight: 0,
+            recorded: (0..streams).map(|_| None).collect(),
+            trace_records: vec![0.0; streams],
+            remaining_cells: stream_cells.iter().map(Vec::len).collect(),
+            results: (0..total).map(|_| None).collect(),
+            done_cells: 0,
+            events: Vec::new(),
+            model: CostModel::default(),
+            aborted: false,
+        }
+    }
+
+    /// Folds one finished cell in. `replay_s` is what this campaign spent
+    /// replaying it — `None` for a cell served with another campaign's
+    /// statistics, whose ≈ 0 s must never reach the cost model: it would
+    /// halve the (app, policy) rate the LPT order ranks real replays by.
+    fn finish_cell(
+        &mut self,
+        cell_index: usize,
+        stream: usize,
+        run: CampaignRun,
+        replay_s: Option<f64>,
+    ) {
+        self.events.push(match replay_s {
+            Some(elapsed) => {
+                let records = self.trace_records[stream];
+                self.model
+                    .observe_replay(run.cell.app, run.cell.policy, records, elapsed);
+                SchedulerEvent::ReplayFinished { cell: cell_index }
+            }
+            None => SchedulerEvent::ReplayShared { cell: cell_index },
+        });
+        self.results[cell_index] = Some(run);
+        self.done_cells += 1;
+        self.remaining_cells[stream] -= 1;
+        if self.remaining_cells[stream] == 0 {
+            self.recorded[stream] = None;
+            self.events.push(SchedulerEvent::StreamRetired { stream });
+        }
+    }
 }
 
 /// An ingested graph cannot be opened: an unregistered hash at plan time,
@@ -1124,17 +1267,16 @@ fn lpt_pop(queue: &mut Vec<usize>, cost: impl Fn(usize) -> f64) -> usize {
 /// worker unwinds, so the thread-scope join propagates the panic instead of
 /// deadlocking on workers parked in [`Condvar::wait`].
 struct AbortGuard<'a> {
-    state: &'a Mutex<SchedState>,
-    ready: &'a Condvar,
+    sched: &'a Sched,
 }
 
 impl Drop for AbortGuard<'_> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            if let Ok(mut guard) = self.state.lock() {
+            if let Ok(mut guard) = self.sched.state.lock() {
                 guard.aborted = true;
             }
-            self.ready.notify_all();
+            self.sched.ready.notify_all();
         }
     }
 }
@@ -1252,6 +1394,8 @@ impl IntoIterator for CampaignResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flight::Lead;
+    use grasp_cachesim::stats::HierarchyStats;
 
     fn tiny_campaign() -> Campaign {
         Campaign::new(Scale::Tiny)
@@ -1617,5 +1761,192 @@ mod tests {
         }
         assert_eq!(store.stats().corrupt, 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn assert_matches_direct(campaign: &Campaign, result: &CampaignResult) {
+        let direct = campaign.run_direct();
+        assert_eq!(result.len(), direct.len());
+        for (a, b) in result.iter().zip(direct.iter()) {
+            assert_eq!(a.cell, b.cell);
+            assert_eq!(a.result.policy, b.result.policy, "{:?}", a.cell);
+            assert_eq!(a.result.stats, b.result.stats, "{:?}", a.cell);
+            assert_eq!(a.result.app.values, b.result.app.values, "{:?}", a.cell);
+            assert_eq!(a.result.cycles.to_bits(), b.result.cycles.to_bits());
+        }
+    }
+
+    fn count_events(result: &CampaignResult, matcher: fn(&SchedulerEvent) -> bool) -> usize {
+        result
+            .scheduler_events()
+            .iter()
+            .filter(|e| matcher(e))
+            .count()
+    }
+
+    #[test]
+    fn overlapping_campaigns_replay_each_common_cell_once() {
+        let registry = Arc::new(FlightRegistry::new());
+        let sweep = |policies: &[PolicyKind]| {
+            Campaign::new(Scale::Tiny)
+                .datasets(&[DatasetKind::Twitter])
+                .apps(&[AppKind::PageRank, AppKind::Sssp])
+                .policies(policies)
+                .threads(2)
+                .trace_codec(Codec::DeltaVarint)
+                .with_single_flight(Arc::clone(&registry))
+        };
+        let a = sweep(&[PolicyKind::Lru, PolicyKind::Rrip, PolicyKind::Grasp]);
+        let b = sweep(&[PolicyKind::Rrip, PolicyKind::Grasp, PolicyKind::Hawkeye]);
+        // Force the overlap sharing is defined over: each campaign holds its
+        // first finished cell until the other has one too, so neither
+        // returns before both are enlisted.
+        let both_running = std::sync::Barrier::new(2);
+        let run = |campaign: &Campaign| {
+            let first = std::sync::atomic::AtomicBool::new(true);
+            campaign.run_with_observer(&|_, _| {
+                if first.swap(false, Ordering::SeqCst) {
+                    both_running.wait();
+                }
+            })
+        };
+        let (ra, rb) = std::thread::scope(|scope| {
+            let ha = scope.spawn(|| run(&a));
+            let hb = scope.spawn(|| run(&b));
+            (ha.join().unwrap(), hb.join().unwrap())
+        });
+
+        // Taking another campaign's statistics is bit-identical to replaying
+        // — in particular it never takes another *policy's*.
+        assert_matches_direct(&a, &ra);
+        assert_matches_direct(&b, &rb);
+        // 2 streams x {LRU, RRIP, GRASP, Hawkeye}: 8 unique cells among 12.
+        let replayed = |r| count_events(r, |e| matches!(e, SchedulerEvent::ReplayFinished { .. }));
+        let shared = |r| count_events(r, |e| matches!(e, SchedulerEvent::ReplayShared { .. }));
+        let started = |r| count_events(r, |e| matches!(e, SchedulerEvent::ReplayStarted { .. }));
+        assert_eq!(
+            replayed(&ra) + replayed(&rb),
+            8,
+            "one replay per unique cell"
+        );
+        assert_eq!(shared(&ra) + shared(&rb), 4, "the rest are shared");
+        assert_eq!(started(&ra) + started(&rb), 8);
+        for result in [&ra, &rb] {
+            assert_eq!(replayed(result) + shared(result), result.len());
+        }
+        let stats = registry.stats();
+        assert_eq!((stats.cells_replayed, stats.cells_shared), (8, 4));
+        assert_eq!(stats.cells_inflight, 0, "nothing outlives the campaigns");
+    }
+
+    /// Runs a one-worker, one-stream, three-policy campaign whose cell 0 is
+    /// being replayed "elsewhere" — by the test, playing the overlapping
+    /// campaign that got there first. Once the campaign has finished its
+    /// other cells, `resolve` ends that replay (handed the true statistics,
+    /// to land or not). Returns the campaign, its result and the order its
+    /// cells finished in.
+    fn run_with_cell_0_led_elsewhere(
+        resolve: impl FnOnce(&CellInterest<'_>, Lead<'_, HierarchyStats>, HierarchyStats),
+    ) -> (Campaign, CampaignResult, Vec<usize>) {
+        const STRANDED: std::time::Duration = std::time::Duration::from_secs(60);
+        let registry = Arc::new(FlightRegistry::new());
+        let campaign = Campaign::new(Scale::Tiny)
+            .datasets(&[DatasetKind::Twitter])
+            .apps(&[AppKind::PageRank])
+            .policies(&[PolicyKind::Rrip, PolicyKind::Grasp, PolicyKind::Lru])
+            .threads(1)
+            .trace_codec(Codec::DeltaVarint)
+            .with_single_flight(Arc::clone(&registry));
+        let (cells, streams) = campaign.stream_plan();
+        let elsewhere = registry.enlist_cells([CellKey {
+            stream: campaign.store_key(&streams[0]),
+            policy: cells[0].0.policy,
+        }]);
+        let unwatched: Wake = Arc::new(|| ());
+        let Claim::Lead(lead) = elsewhere.claim(0, &unwatched) else {
+            panic!("nobody else is enlisted yet");
+        };
+        let true_stats = campaign.run_direct().into_runs().remove(0).result.stats;
+
+        // A detached thread, not a scope: if the campaign strands, the test
+        // fails on the timeouts below instead of hanging on a join.
+        let (finished, order) = mpsc::channel();
+        let (returned, result) = mpsc::channel();
+        let runner = campaign.clone();
+        std::thread::spawn(move || {
+            let finished = Mutex::new(finished);
+            let result = runner.run_with_observer(&|index, _| {
+                finished.lock().unwrap().send(index).ok();
+            });
+            returned.send(result).ok();
+        });
+        // The lone worker reaches cell 0 first (equal seed costs pop in grid
+        // order). It must leave it and finish cells 1 and 2 — while the
+        // replay it would otherwise wait for is still held here.
+        let mut order_seen = vec![
+            order
+                .recv_timeout(STRANDED)
+                .expect("no parking while runnable"),
+            order
+                .recv_timeout(STRANDED)
+                .expect("no parking while runnable"),
+        ];
+        assert!(elsewhere.in_flight(0));
+        resolve(&elsewhere, lead, true_stats);
+        order_seen.push(order.recv_timeout(STRANDED).expect("cell 0 resolves"));
+        let result = result.recv_timeout(STRANDED).expect("the campaign returns");
+        drop(elsewhere);
+        assert_eq!(registry.stats().cells_inflight, 0);
+        (campaign, result, order_seen)
+    }
+
+    #[test]
+    fn a_cell_replaying_elsewhere_is_collected_after_the_runnable_ones() {
+        let (campaign, result, order) =
+            run_with_cell_0_led_elsewhere(|elsewhere, lead, stats| elsewhere.land(lead, stats));
+        assert_eq!(order[2], 0, "the shared cell lands last: {order:?}");
+        assert_matches_direct(&campaign, &result);
+        let events = result.scheduler_events();
+        assert!(events.contains(&SchedulerEvent::ReplayShared { cell: 0 }));
+        assert!(!events.contains(&SchedulerEvent::ReplayStarted { cell: 0 }));
+        for cell in [1, 2] {
+            assert!(events.contains(&SchedulerEvent::ReplayFinished { cell }));
+        }
+    }
+
+    #[test]
+    fn a_cell_abandoned_elsewhere_is_replayed_here() {
+        // The leader unwinds instead of landing: its follower replays.
+        let (campaign, result, order) = run_with_cell_0_led_elsewhere(|_, lead, _| drop(lead));
+        assert_eq!(order[2], 0);
+        assert_matches_direct(&campaign, &result);
+        let replayed = count_events(&result, |e| {
+            matches!(e, SchedulerEvent::ReplayFinished { .. })
+        });
+        assert_eq!(replayed, 3, "nothing was shared");
+    }
+
+    #[test]
+    fn shared_cells_never_feed_the_replay_rates() {
+        let mut runs = tiny_campaign().run().into_runs();
+        let (second, first) = (runs.pop().unwrap(), runs.pop().unwrap());
+        let mut state = SchedState::new(&[vec![0, 1]]);
+        state.trace_records[0] = 1000.0;
+        // A shared cell costs this campaign nothing, which says nothing
+        // about what a replay costs.
+        state.finish_cell(0, 0, first, None);
+        assert!(state.model.replay_rate.is_empty());
+        state.finish_cell(1, 0, second.clone(), Some(2.0));
+        let key = (second.cell.app, second.cell.policy);
+        // One EWMA step from the 1.0 seed towards 2.0 s / 1000 records.
+        assert_eq!(state.model.replay_rate[&key], 1.0 + 0.5 * (0.002 - 1.0));
+        assert_eq!(state.done_cells, 2);
+        assert_eq!(
+            state.events,
+            [
+                SchedulerEvent::ReplayShared { cell: 0 },
+                SchedulerEvent::ReplayFinished { cell: 1 },
+                SchedulerEvent::StreamRetired { stream: 0 },
+            ]
+        );
     }
 }

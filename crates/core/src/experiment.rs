@@ -111,13 +111,13 @@ impl RecordedRun {
     /// Replays the stream under `policy` and returns a [`RunResult`]
     /// bit-identical to [`Experiment::run`] with the same policy.
     pub fn replay(&self, policy: PolicyKind) -> RunResult {
-        self.replay_inner(policy, false)
+        self.result(policy, self.replay_stats(policy), false)
     }
 
     /// Like [`RecordedRun::replay`], but the result also carries a copy of
     /// the recorded trace (the OPT study asks for it).
     pub fn replay_with_trace(&self, policy: PolicyKind) -> RunResult {
-        self.replay_inner(policy, true)
+        self.result(policy, self.replay_stats(policy), true)
     }
 
     /// Replays the stream under every policy of a sweep, one policy after
@@ -133,16 +133,7 @@ impl RecordedRun {
         policies
             .iter()
             .zip(stats)
-            .map(|(&policy, stats)| {
-                let cycles = self.timing.cycles(&stats, self.instructions);
-                RunResult {
-                    policy,
-                    stats,
-                    cycles,
-                    app: self.app.clone(),
-                    llc_trace: None,
-                }
-            })
+            .map(|(&policy, stats)| self.result(policy, stats, false))
             .collect()
     }
 
@@ -153,20 +144,30 @@ impl RecordedRun {
         let stats = self
             .trace
             .replay_scalar(self.llc, policy.build_dispatch(&self.llc));
-        let cycles = self.timing.cycles(&stats, self.instructions);
-        RunResult {
-            policy,
-            stats,
-            cycles,
-            app: self.app.clone(),
-            llc_trace: None,
-        }
+        self.result(policy, stats, false)
     }
 
-    fn replay_inner(&self, policy: PolicyKind, with_trace: bool) -> RunResult {
-        let stats = self
-            .trace
-            .replay(self.llc, policy.build_dispatch(&self.llc));
+    /// The policy-dependent half of a replay: the hierarchy statistics of
+    /// the stream under `policy`. [`RecordedRun::result`] turns them into a
+    /// [`RunResult`] — on this recording or on any other recording of the
+    /// same stream, which is how campaigns sharing a
+    /// [`FlightRegistry`](crate::flight::FlightRegistry) replay a common
+    /// cell once.
+    pub(crate) fn replay_stats(&self, policy: PolicyKind) -> HierarchyStats {
+        self.trace
+            .replay(self.llc, policy.build_dispatch(&self.llc))
+    }
+
+    /// Assembles the [`RunResult`] of `policy` from its replay statistics:
+    /// cycles under this recording's timing model and instruction estimate,
+    /// this recording's application output, and — `with_trace` — a handle to
+    /// the recorded stream.
+    pub(crate) fn result(
+        &self,
+        policy: PolicyKind,
+        stats: HierarchyStats,
+        with_trace: bool,
+    ) -> RunResult {
         let cycles = self.timing.cycles(&stats, self.instructions);
         RunResult {
             policy,

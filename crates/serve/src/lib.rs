@@ -12,6 +12,10 @@
 //!   grids overlap trigger exactly one recording per unique
 //!   (dataset, technique, app) stream; the loser attaches to the winner's
 //!   in-flight recording instead of re-running the application.
+//! * **Single-flight replay** — the same registry keys in-flight cell
+//!   replays by (stream, policy): campaigns that overlap in time replay
+//!   each common cell once, the others take the leader's statistics (the
+//!   `done` frame's `replayed` / `shared`).
 //! * **Shared persistence** — one [`TraceStore`](grasp_core::TraceStore)
 //!   across all clients, swept back under a byte budget after each
 //!   campaign ([`ServeConfig::store_budget`]).
@@ -35,5 +39,5 @@ pub mod protocol;
 pub mod server;
 
 pub use gate::{AdmissionGate, Overloaded, Permit};
-pub use protocol::{Request, KIND_OVERLOADED, KIND_REQUEST_INVALID};
+pub use protocol::{Request, KIND_OVERLOADED, KIND_REQUEST_INVALID, KIND_TOO_LARGE};
 pub use server::{ServeConfig, Server};

@@ -18,15 +18,16 @@
 //! Any failure is a terminal `{"type":"error","kind":...,"message":...}`
 //! frame. `kind` is machine-readable and stable: spec/store/trace/graph
 //! failures carry [`grasp_core::Error::kind`] verbatim
-//! ([`grasp_core::error`] documents the vocabulary); the two service-level
-//! kinds are [`KIND_REQUEST_INVALID`] and [`KIND_OVERLOADED`].
+//! ([`grasp_core::error`] documents the vocabulary); the three
+//! service-level kinds are [`KIND_REQUEST_INVALID`], [`KIND_TOO_LARGE`] and
+//! [`KIND_OVERLOADED`].
 //!
 //! Cell frames identify results exactly — floating-point members are
 //! carried as bit patterns (`cycles_bits`) or FNV-1a fingerprints over bit
 //! patterns (`values_fnv`), so "the service returns the same result as a
 //! library run" is byte-comparable, not approximately-equal.
 
-use grasp_core::campaign::CampaignRun;
+use grasp_core::campaign::{CampaignRun, SchedulerEvent};
 use grasp_core::json::Json;
 use grasp_core::spec::{self, CampaignSpec};
 use grasp_core::{FlightStats, TraceStoreStats};
@@ -34,6 +35,10 @@ use grasp_core::{FlightStats, TraceStoreStats};
 /// Error-frame kind for requests the daemon cannot parse at all: bad JSON,
 /// a missing or unknown `type`, a missing `spec` member.
 pub const KIND_REQUEST_INVALID: &str = "request/invalid";
+
+/// Error-frame kind for a request line longer than the daemon buffers (it
+/// never saw the terminating newline, so it never parsed anything).
+pub const KIND_TOO_LARGE: &str = "request/too-large";
 
 /// Error-frame kind for runs rejected by admission control (all campaign
 /// slots and queue positions taken).
@@ -140,23 +145,52 @@ pub fn cell_frame(index: usize, run: &CampaignRun) -> Json {
     ])
 }
 
-/// The terminal frame of a successful run. `recorded` / `deduped` /
-/// `loads` recount the campaign's scheduler event log: recordings this
-/// campaign executed, planned recordings served by another in-flight
-/// campaign (the single-flight dedup), and store loads.
-pub fn done_frame(
-    cells: usize,
-    recorded: u64,
-    deduped: u64,
-    loads: u64,
-    store: Option<TraceStoreStats>,
-) -> Json {
+/// What one campaign's scheduler event log says it did itself and what it
+/// was handed: the census members of the `done` frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Census {
+    /// Recordings this campaign executed.
+    pub recorded: u64,
+    /// Planned recordings served by another in-flight campaign (the
+    /// single-flight dedup).
+    pub deduped: u64,
+    /// Streams loaded from the trace store.
+    pub loads: u64,
+    /// Cell replays this campaign executed.
+    pub replayed: u64,
+    /// Cells served with an overlapping campaign's replay statistics.
+    pub shared: u64,
+}
+
+impl Census {
+    /// Recounts a campaign's event log.
+    pub fn of(events: &[SchedulerEvent]) -> Self {
+        let mut census = Self::default();
+        for event in events {
+            match event {
+                SchedulerEvent::RecordFinished { .. } => census.recorded += 1,
+                SchedulerEvent::RecordDeduped { .. } => census.deduped += 1,
+                SchedulerEvent::LoadFinished { .. } => census.loads += 1,
+                SchedulerEvent::ReplayFinished { .. } => census.replayed += 1,
+                SchedulerEvent::ReplayShared { .. } => census.shared += 1,
+                _ => {}
+            }
+        }
+        census
+    }
+}
+
+/// The terminal frame of a successful run: the cell count, the campaign's
+/// [`Census`] and, when the daemon persists, the store's counters.
+pub fn done_frame(cells: usize, census: Census, store: Option<TraceStoreStats>) -> Json {
     let mut members = vec![
         ("type", Json::string("done")),
         ("cells", Json::integer(cells as u64)),
-        ("recorded", Json::integer(recorded)),
-        ("deduped", Json::integer(deduped)),
-        ("loads", Json::integer(loads)),
+        ("recorded", Json::integer(census.recorded)),
+        ("deduped", Json::integer(census.deduped)),
+        ("loads", Json::integer(census.loads)),
+        ("replayed", Json::integer(census.replayed)),
+        ("shared", Json::integer(census.shared)),
     ];
     if let Some(stats) = store {
         members.push(("store", store_value(stats)));
@@ -180,6 +214,9 @@ pub fn stats_frame(
                 ("recorded", Json::integer(flights.recorded)),
                 ("store_hits", Json::integer(flights.store_hits)),
                 ("attached", Json::integer(flights.attached)),
+                ("cells_replayed", Json::integer(flights.cells_replayed)),
+                ("cells_shared", Json::integer(flights.cells_shared)),
+                ("cells_inflight", Json::integer(flights.cells_inflight)),
             ]),
         ),
         ("active", Json::integer(active as u64)),

@@ -2,15 +2,15 @@
 
 use crate::gate::AdmissionGate;
 use crate::protocol::{self, Request};
-use grasp_core::campaign::{Campaign, SchedulerEvent};
+use grasp_core::campaign::Campaign;
 use grasp_core::datasets::DatasetId;
 use grasp_core::json::Json;
 use grasp_core::spec::CampaignSpec;
 use grasp_core::{Error, FlightRegistry, TraceStore};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// How a [`Server`] is wired: where it listens, how many campaigns it runs
@@ -56,7 +56,15 @@ struct Daemon {
     flights: Arc<FlightRegistry>,
     gate: AdmissionGate,
     running: AtomicBool,
+    /// Connection threads the accept loop has not reaped yet, as of its
+    /// last accept (for the tests; not on the wire).
+    unreaped: AtomicUsize,
 }
+
+/// Longest request line the daemon buffers, newline included: a thousand
+/// times the largest real spec. A client that sends more without a newline
+/// is answered [`protocol::KIND_TOO_LARGE`] and hung up on.
+const MAX_REQUEST_BYTES: u64 = 1 << 20;
 
 /// A bound campaign service. [`Server::bind`] claims the socket and opens
 /// the store; [`Server::run`] serves until a client sends `shutdown`.
@@ -94,6 +102,7 @@ impl Server {
                 flights: Arc::new(FlightRegistry::new()),
                 gate,
                 running: AtomicBool::new(true),
+                unreaped: AtomicUsize::new(0),
             }),
         })
     }
@@ -106,16 +115,21 @@ impl Server {
     /// Serves connections until a `shutdown` request arrives, then drains
     /// in-flight connections, removes the socket file and returns.
     pub fn run(self) -> std::io::Result<()> {
-        let mut workers = Vec::new();
+        let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
             if !self.daemon.running.load(Ordering::SeqCst) {
                 break;
             }
             let stream = stream?;
+            // Reap what has finished, so a long-lived daemon holds handles
+            // for its live connections only, not for every ping it ever
+            // answered.
+            workers.retain(|worker| !worker.is_finished());
             let daemon = Arc::clone(&self.daemon);
             workers.push(std::thread::spawn(move || {
                 handle_connection(&daemon, stream)
             }));
+            self.daemon.unreaped.store(workers.len(), Ordering::Relaxed);
         }
         for worker in workers {
             worker.join().ok();
@@ -142,7 +156,19 @@ fn handle_connection(daemon: &Daemon, stream: UnixStream) {
     });
     let mut writer = stream;
     let mut line = String::new();
-    if reader.read_line(&mut line).is_err() {
+    if (&mut reader)
+        .take(MAX_REQUEST_BYTES)
+        .read_line(&mut line)
+        .is_err()
+    {
+        return;
+    }
+    if line.len() as u64 == MAX_REQUEST_BYTES && !line.ends_with('\n') {
+        let message = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+        write_frame(
+            &mut writer,
+            &protocol::error_frame(protocol::KIND_TOO_LARGE, &message),
+        );
         return;
     }
     match protocol::parse_request(line.trim_end()) {
@@ -237,22 +263,9 @@ fn run_campaign(daemon: &Daemon, writer: &mut UnixStream, spec: CampaignSpec) {
         }
     });
 
-    let mut recorded = 0u64;
-    let mut deduped = 0u64;
-    let mut loads = 0u64;
-    for event in result.scheduler_events() {
-        match event {
-            SchedulerEvent::RecordFinished { .. } => recorded += 1,
-            SchedulerEvent::RecordDeduped { .. } => deduped += 1,
-            SchedulerEvent::LoadFinished { .. } => loads += 1,
-            _ => {}
-        }
-    }
     let frame = protocol::done_frame(
         result.len(),
-        recorded,
-        deduped,
-        loads,
+        protocol::Census::of(result.scheduler_events()),
         daemon.store.as_ref().map(|s| s.stats()),
     );
     {
@@ -270,5 +283,31 @@ fn run_campaign(daemon: &Daemon, writer: &mut UnixStream, spec: CampaignSpec) {
         if let Err(err) = store.gc(budget) {
             eprintln!("grasp-serve: store sweep failed: {err}");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client;
+
+    #[test]
+    fn finished_connections_are_reaped_while_serving() {
+        let socket =
+            std::env::temp_dir().join(format!("grasp-serve-reap-{}.sock", std::process::id()));
+        let server = Server::bind(ServeConfig::new(&socket)).expect("bind");
+        let daemon = Arc::clone(&server.daemon);
+        let serving = std::thread::spawn(move || server.run().expect("serve"));
+        let mut peak = 0;
+        for _ in 0..200 {
+            let frames = client::request(&socket, &protocol::simple_request("ping")).expect("ping");
+            assert_eq!(frames.len(), 1);
+            peak = peak.max(daemon.unreaped.load(Ordering::Relaxed));
+        }
+        // Each ping's thread is done by the time the next few connect; an
+        // accept loop that only joined at shutdown would hold all 200.
+        assert!(peak <= 16, "{peak} connection threads held at once");
+        client::request(&socket, &protocol::simple_request("shutdown")).expect("bye");
+        serving.join().expect("daemon thread");
     }
 }

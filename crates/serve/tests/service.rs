@@ -77,9 +77,18 @@ fn concurrent_overlapping_grids_record_each_stream_once() {
     let spec = small_grid();
     let request = protocol::run_request(&spec);
     let clients = 3;
+    // All three submit at the same instant, so their campaigns overlap: the
+    // first to arrive leads the recordings, which takes it far longer than
+    // the others take to be admitted and enlisted.
+    let go = std::sync::Barrier::new(clients);
     let responses: Vec<Vec<Json>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
-            .map(|_| scope.spawn(|| client::request(&socket, &request).expect("run request")))
+            .map(|_| {
+                scope.spawn(|| {
+                    go.wait();
+                    client::request(&socket, &request).expect("run request")
+                })
+            })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
@@ -88,8 +97,13 @@ fn concurrent_overlapping_grids_record_each_stream_once() {
     // exact census of executed recordings, so summing the done frames'
     // `recorded` across clients counts real recordings globally — exactly
     // one per unique (dataset, technique, app) stream.
+    // The same holds one level down: ReplayFinished is an exact census of
+    // executed replays, so `replayed` sums to one per unique cell and every
+    // other cell a client was sent is `shared`.
     let mut recorded = 0;
     let mut served = 0;
+    let mut replayed = 0;
+    let mut shared = 0;
     for frames in &responses {
         let (accepted, cells, done) = split_run_response(frames);
         assert_eq!(member(accepted, "cells"), 4);
@@ -98,9 +112,14 @@ fn concurrent_overlapping_grids_record_each_stream_once() {
         assert_eq!(member(done, "cells"), 4);
         recorded += member(done, "recorded");
         served += member(done, "recorded") + member(done, "deduped") + member(done, "loads");
+        assert_eq!(member(done, "replayed") + member(done, "shared"), 4);
+        replayed += member(done, "replayed");
+        shared += member(done, "shared");
     }
     assert_eq!(recorded, 2, "one recording per unique stream, fleet-wide");
     assert_eq!(served, 6, "every client had each of its 2 streams served");
+    assert_eq!(replayed, 4, "one replay per unique cell, fleet-wide");
+    assert_eq!(shared, 8, "the other two clients' cells were shared");
 
     // Every client saw bit-identical per-cell results...
     let reference = &responses[0];
@@ -138,6 +157,9 @@ fn concurrent_overlapping_grids_record_each_stream_once() {
     let (_, cells, done) = split_run_response(&frames);
     assert_eq!(member(done, "recorded"), 0, "warm pass records nothing");
     assert_eq!(member(done, "loads"), 2, "both streams load from the store");
+    // Nobody overlaps it and nothing was retained: it replays every cell.
+    assert_eq!(member(done, "replayed"), 4);
+    assert_eq!(member(done, "shared"), 0);
     for (index, frame) in &reference_cells {
         assert_eq!(
             cells[index].to_string(),
@@ -151,6 +173,13 @@ fn concurrent_overlapping_grids_record_each_stream_once() {
     assert_eq!(frames.len(), 1);
     let flights = frames[0].get("flights").expect("flight counters");
     assert_eq!(member(flights, "recorded"), 2);
+    assert_eq!(member(flights, "cells_replayed"), 4 + 4);
+    assert_eq!(member(flights, "cells_shared"), 8);
+    assert_eq!(
+        member(flights, "cells_inflight"),
+        0,
+        "no campaign is running"
+    );
 
     let frames = client::request(&socket, &protocol::simple_request("shutdown")).expect("bye");
     assert_eq!(frame_type(&frames[0]), "bye");
@@ -218,6 +247,24 @@ fn malformed_requests_get_stable_error_kinds() {
             "error frames carry a human-readable message"
         );
     }
+
+    // A request line that never ends is cut off at the daemon's cap instead
+    // of being buffered for as long as the client cares to send. The daemon
+    // hangs up with most of the line unread, so the tail of the send may
+    // fail with a broken pipe; the answer is already queued either way.
+    let mut stream = std::os::unix::net::UnixStream::connect(&socket).expect("connect");
+    stream.write_all(&vec![b'x'; 2 << 20]).ok();
+    let mut answer = String::new();
+    BufReader::new(stream)
+        .read_line(&mut answer)
+        .expect("the error frame arrives before the hang-up");
+    let frame = grasp_core::json::parse(answer.trim_end()).expect("error frame is valid JSON");
+    assert_eq!(frame_type(&frame), "error", "{frame}");
+    assert_eq!(
+        frame.get("kind").and_then(Json::as_str),
+        Some(protocol::KIND_TOO_LARGE),
+        "{frame}"
+    );
 
     // A liveness probe still answers after all that abuse.
     let frames = client::request(&socket, &protocol::simple_request("ping")).expect("ping");
