@@ -26,20 +26,23 @@ pub(crate) struct CsrDirection {
 }
 
 impl CsrDirection {
-    fn from_edges(vertex_count: usize, edges: &[Edge], use_src_as_owner: bool) -> Self {
-        let mut degrees = vec![0u64; vertex_count];
+    /// One direction from a checked edge list: a stable counting sort by
+    /// owner (every row receives its edges in list order), then each
+    /// adjacency list sorted for deterministic traversal order and better
+    /// binary-search behaviour.
+    pub(crate) fn from_edges(vertex_count: usize, edges: &[Edge], use_src_as_owner: bool) -> Self {
+        let mut offsets = vec![0u64; vertex_count + 1];
         for e in edges {
             let owner = if use_src_as_owner { e.src } else { e.dst };
-            degrees[owner as usize] += 1;
+            offsets[owner as usize + 1] += 1;
         }
-        let mut offsets = vec![0u64; vertex_count + 1];
         for v in 0..vertex_count {
-            offsets[v + 1] = offsets[v] + degrees[v];
+            offsets[v + 1] += offsets[v];
         }
         let edge_total = offsets[vertex_count] as usize;
         let mut targets = vec![0 as VertexId; edge_total];
         let mut weights = vec![0 as EdgeWeight; edge_total];
-        let mut cursor = offsets.clone();
+        let mut cursor = offsets[..vertex_count].to_vec();
         for e in edges {
             let (owner, other) = if use_src_as_owner {
                 (e.src, e.dst)
@@ -51,22 +54,16 @@ impl CsrDirection {
             weights[idx] = e.weight;
             cursor[owner as usize] += 1;
         }
-        // Sort each adjacency list for deterministic traversal order and
-        // better binary-search behaviour.
-        let mut dir = Self {
+        let mut scratch = Vec::new();
+        for v in 0..vertex_count {
+            let lo = offsets[v] as usize;
+            let hi = offsets[v + 1] as usize;
+            sort_adjacency(&mut targets[lo..hi], &mut weights[lo..hi], &mut scratch);
+        }
+        Self {
             offsets,
             targets,
             weights,
-        };
-        dir.sort_adjacency_lists(vertex_count);
-        dir
-    }
-
-    fn sort_adjacency_lists(&mut self, vertex_count: usize) {
-        for v in 0..vertex_count {
-            let lo = self.offsets[v] as usize;
-            let hi = self.offsets[v + 1] as usize;
-            sort_adjacency(&mut self.targets[lo..hi], &mut self.weights[lo..hi]);
         }
     }
 
@@ -93,22 +90,53 @@ impl CsrDirection {
 /// Sorts one adjacency list (parallel target/weight slices) by target.
 ///
 /// This is the single canonical adjacency ordering used by every CSR builder
-/// in the crate — [`Csr::from_edge_list`] and the chunked parallel builder in
+/// in the crate — [`Csr::from_edge_list`] and the parallel builder in
 /// [`crate::ingest`] both funnel through it, which is what makes their
 /// outputs bit-identical for the same scatter order.
-pub(crate) fn sort_adjacency(targets: &mut [VertexId], weights: &mut [EdgeWeight]) {
-    if targets.len() > 1 {
-        let mut pairs: Vec<(VertexId, EdgeWeight)> = targets
-            .iter()
-            .copied()
-            .zip(weights.iter().copied())
-            .collect();
-        pairs.sort_unstable_by_key(|&(t, _)| t);
-        for (k, (t, w)) in pairs.into_iter().enumerate() {
-            targets[k] = t;
-            weights[k] = w;
+///
+/// A row whose targets already increase strictly is left alone: its keys are
+/// unique, so every correct sort is the identity on it. Any other row goes
+/// through `sort_unstable_by_key` on its pairs in their current order, which
+/// fixes where equal targets (parallel edges) end up. `scratch` is the pair
+/// buffer, kept by the caller across rows.
+fn sort_adjacency(
+    targets: &mut [VertexId],
+    weights: &mut [EdgeWeight],
+    scratch: &mut Vec<(VertexId, EdgeWeight)>,
+) {
+    if targets.windows(2).all(|pair| pair[0] < pair[1]) {
+        return;
+    }
+    scratch.clear();
+    scratch.extend(targets.iter().copied().zip(weights.iter().copied()));
+    scratch.sort_unstable_by_key(|&(t, _)| t);
+    for (k, &(t, w)) in scratch.iter().enumerate() {
+        targets[k] = t;
+        weights[k] = w;
+    }
+}
+
+/// What every builder checks before it touches a row: a non-zero vertex
+/// count that fits `usize`, and every endpoint inside it — reported for the
+/// first offending edge in list order, `src` before `dst`.
+pub(crate) fn checked_vertex_count(edges: &EdgeList) -> Result<usize> {
+    let vertex_count = edges.vertex_count();
+    if vertex_count == 0 {
+        return Err(GraphError::EmptyGraph);
+    }
+    let vertex_count_usize = usize::try_from(vertex_count)
+        .map_err(|_| GraphError::Format("vertex count exceeds usize".into()))?;
+    for e in edges.iter() {
+        for v in [e.src, e.dst] {
+            if u64::from(v) >= vertex_count {
+                return Err(GraphError::VertexOutOfBounds {
+                    vertex: u64::from(v),
+                    vertex_count,
+                });
+            }
         }
     }
+    Ok(vertex_count_usize)
 }
 
 /// A directed graph in Compressed Sparse Row form, storing both out- and
@@ -146,30 +174,26 @@ impl Csr {
     /// unchecked construction paths) and [`GraphError::EmptyGraph`] if the
     /// vertex count is zero.
     pub fn from_edge_list(edges: &EdgeList) -> Result<Self> {
-        let vertex_count = edges.vertex_count();
-        if vertex_count == 0 {
-            return Err(GraphError::EmptyGraph);
-        }
-        let vertex_count_usize = usize::try_from(vertex_count)
-            .map_err(|_| GraphError::Format("vertex count exceeds usize".into()))?;
-        for e in edges.iter() {
-            for v in [e.src, e.dst] {
-                if u64::from(v) >= vertex_count {
-                    return Err(GraphError::VertexOutOfBounds {
-                        vertex: u64::from(v),
-                        vertex_count,
-                    });
-                }
-            }
-        }
-        let out = CsrDirection::from_edges(vertex_count_usize, edges.edges(), true);
-        let inc = CsrDirection::from_edges(vertex_count_usize, edges.edges(), false);
-        Ok(Self {
-            vertex_count: vertex_count_usize,
-            edge_count: edges.edge_count() as u64,
+        let vertex_count = checked_vertex_count(edges)?;
+        let out = CsrDirection::from_edges(vertex_count, edges.edges(), true);
+        let inc = CsrDirection::from_edges(vertex_count, edges.edges(), false);
+        Ok(Self::from_directions(vertex_count, out, inc))
+    }
+
+    /// Assembles a graph from two directions a builder in this crate has
+    /// produced from the same checked edge list.
+    pub(crate) fn from_directions(
+        vertex_count: usize,
+        out: CsrDirection,
+        inc: CsrDirection,
+    ) -> Self {
+        debug_assert_eq!(out.targets.len(), inc.targets.len());
+        Self {
+            vertex_count,
+            edge_count: out.targets.len() as u64,
             out,
             inc,
-        })
+        }
     }
 
     /// Builds a CSR graph directly from `(src, dst)` pairs.

@@ -33,6 +33,17 @@ impl EdgeList {
         }
     }
 
+    /// Adopts `edges` as they are, without the per-edge bounds check of
+    /// [`EdgeList::push_edge`]: the text parser derives `vertex_count` from
+    /// the largest endpoint it saw, and the CSR builders check every
+    /// endpoint again in any case.
+    pub(crate) fn from_parts(vertex_count: u64, edges: Vec<Edge>) -> Self {
+        Self {
+            vertex_count,
+            edges,
+        }
+    }
+
     /// Number of vertices (including isolated vertices).
     pub fn vertex_count(&self) -> u64 {
         self.vertex_count

@@ -4,13 +4,19 @@
 //! graphs are where GRASP's claims actually live. This module provides the
 //! out-of-core path for them:
 //!
-//! 1. **Chunked parallel CSR build** ([`build_csr_parallel`]) — partition the
-//!    edge list, count degrees with per-chunk workers, prefix-sum, scatter
-//!    into per-vertex-range partitions (the same worker-pool shape as the
-//!    campaign scheduler), and sort adjacency lists through the *same* code
-//!    path as [`Csr::from_edge_list`]. The result is bit-identical to the
-//!    sequential builder (property-tested), so everything downstream — traces,
-//!    cache stats, app outputs — is independent of how the graph was built.
+//! 1. **Parallel CSR build** ([`build_csr_parallel`]) — check the endpoints
+//!    once in list order, then build the two directions at the same time,
+//!    each the sequential counting sort of [`Csr::from_edge_list`] on a
+//!    thread of its own: private histogram and cursors, no atomics, nothing
+//!    shared while a thread writes. It is the *same* code path as the
+//!    sequential builder, so the result is bit-identical to it
+//!    (property-tested) and everything downstream — traces, cache stats, app
+//!    outputs — is independent of how the graph was built. Two is as wide
+//!    as the build goes: splitting a direction over chunks of the list
+//!    (per-chunk histograms, rows concatenated in chunk order) was written
+//!    and measured slower than this at 4 and 8 threads on the two cores
+//!    available, for one more copy of the edge columns, so it was left out
+//!    until a wider machine says otherwise (ROADMAP item 5).
 //!
 //! 2. **On-disk binary CSR** ([`write_disk_csr`]) — a directory of
 //!    little-endian column files (`out.offsets`, `out.targets`, optional
@@ -19,7 +25,10 @@
 //!    layer: magic, version, FNV-1a checksums per column, a FNV-1a **content
 //!    hash** identifying the graph, and ingest-time degree-skew statistics
 //!    ([`GraphStats`]: max/mean degree, Gini coefficient, hot-vertex edge
-//!    mass at the paper's 90/10 threshold).
+//!    mass at the paper's 90/10 threshold). Each column is walked once for
+//!    both digests (two independent multiply chains cost what one costs)
+//!    while a second thread converts it to bytes a block at a time and
+//!    writes the file; no column is ever copied whole.
 //!
 //! 3. **mmap-backed view** ([`MappedCsr`]) — opens the column files with
 //!    `mmap(2)` (no external crates; a buffered in-memory fallback covers
@@ -44,15 +53,13 @@
 //! └── in.weights      E × u32 LE — omitted when weights are uniform
 //! ```
 
-use crate::csr::sort_adjacency;
+use crate::csr::{checked_vertex_count, CsrDirection};
 use crate::edgelist::EdgeList;
 use crate::types::{Direction, EdgeWeight, VertexId};
 use crate::view::GraphView;
-use crate::{Csr, GraphError};
+use crate::{on_scoped_threads, Csr};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Magic bytes opening every binary-CSR header.
 pub const GCSR_MAGIC: [u8; 8] = *b"GRSPCSR\0";
@@ -390,8 +397,9 @@ pub struct IngestReport {
 }
 
 /// Default ingest worker count: `GRASP_INGEST_THREADS` if set, else the
-/// available parallelism capped at 8 (the scatter phase re-scans the edge
-/// list once per worker, so very wide pools stop paying off).
+/// available parallelism capped at 8. Only the text parse uses more than
+/// two: the CSR build runs one thread per direction and [`write_disk_csr`]
+/// one hashing and one writing thread.
 pub fn default_ingest_threads() -> usize {
     if let Ok(text) = std::env::var(INGEST_THREADS_ENV_VAR) {
         if let Ok(n) = text.trim().parse::<usize>() {
@@ -404,162 +412,104 @@ pub fn default_ingest_threads() -> usize {
         .min(8)
 }
 
-/// Builds a [`Csr`] from an edge list using a chunked parallel pipeline:
-/// per-chunk degree counting, prefix-sum, per-vertex-range scatter, and the
-/// canonical adjacency sort.
+/// Builds a [`Csr`] from an edge list, on two threads when `threads >= 2`.
+///
+/// The endpoints are checked once, in list order. Then the two directions
+/// are built at the same time — the out-direction on the caller's thread,
+/// the in-direction on a second one — each by the sequential counting sort
+/// [`Csr::from_edge_list`] runs. A direction is not split any further:
+/// threads past the second are not used (see the module docs).
 ///
 /// The output is **bit-identical** to [`Csr::from_edge_list`] for every
-/// input (property-tested): the scatter preserves edge-list order per owner
-/// and the adjacency sort is the same code path, so the two builders differ
-/// only in wall time.
+/// input (property-tested): it is the same code per direction, so the two
+/// builders differ only in wall time.
 ///
 /// # Errors
 ///
-/// Same contract as [`Csr::from_edge_list`]: [`GraphError::EmptyGraph`] for
-/// zero vertices, [`GraphError::VertexOutOfBounds`] for stray endpoints.
+/// Exactly those of [`Csr::from_edge_list`]:
+/// [`EmptyGraph`](crate::GraphError::EmptyGraph) for zero vertices,
+/// [`VertexOutOfBounds`](crate::GraphError::VertexOutOfBounds) naming the
+/// first stray endpoint in list order.
 pub fn build_csr_parallel(edges: &EdgeList, threads: usize) -> crate::Result<Csr> {
     if threads <= 1 {
         return Csr::from_edge_list(edges);
     }
-    let vertex_count = edges.vertex_count();
-    if vertex_count == 0 {
-        return Err(GraphError::EmptyGraph);
-    }
-    let vertex_count = usize::try_from(vertex_count)
-        .map_err(|_| GraphError::Format("vertex count exceeds usize".into()))?;
-    let edge_slice = edges.edges();
+    let vertex_count = checked_vertex_count(edges)?;
+    let list = edges.edges();
+    let [out, inc]: [CsrDirection; 2] = on_scoped_threads([true, false], |use_src_as_owner| {
+        CsrDirection::from_edges(vertex_count, list, use_src_as_owner)
+    })
+    .try_into()
+    .expect("one result per direction");
+    Ok(Csr::from_directions(vertex_count, out, inc))
+}
 
-    // Phase 1: parallel degree counting for both directions in one pass.
-    let out_counts: Vec<AtomicU64> = (0..vertex_count).map(|_| AtomicU64::new(0)).collect();
-    let in_counts: Vec<AtomicU64> = (0..vertex_count).map(|_| AtomicU64::new(0)).collect();
-    let first_error: Mutex<Option<GraphError>> = Mutex::new(None);
-    let chunk_len = edge_slice.len().div_ceil(threads).max(1);
-    std::thread::scope(|scope| {
-        for chunk in edge_slice.chunks(chunk_len) {
-            let (out_counts, in_counts, first_error) = (&out_counts, &in_counts, &first_error);
-            scope.spawn(move || {
-                for e in chunk {
-                    for v in [e.src, e.dst] {
-                        if v as usize >= vertex_count {
-                            let mut slot = first_error.lock().unwrap();
-                            if slot.is_none() {
-                                *slot = Some(GraphError::VertexOutOfBounds {
-                                    vertex: u64::from(v),
-                                    vertex_count: vertex_count as u64,
-                                });
-                            }
-                            return;
-                        }
-                    }
-                    out_counts[e.src as usize].fetch_add(1, Ordering::Relaxed);
-                    in_counts[e.dst as usize].fetch_add(1, Ordering::Relaxed);
+/// One column of a graph about to be written: a borrowed slice of either
+/// width, so the writer thread and the hashing thread can both walk it.
+#[derive(Clone, Copy)]
+enum Column<'a> {
+    U64(&'a [u64]),
+    U32(&'a [u32]),
+}
+
+impl Column<'_> {
+    /// Folds the column's little-endian bytes into the graph's
+    /// `content_hash` and, in the same pass, into the column's own checksum.
+    /// The two FNV-1a chains are independent, so they advance together at
+    /// the latency of one; the bytes come straight out of the values and are
+    /// never laid out in memory.
+    fn fold_into(self, content_hash: &mut u64) -> ColumnMeta {
+        fn fold<T: Copy, const N: usize>(
+            values: &[T],
+            le_bytes: impl Fn(T) -> [u8; N],
+            content_hash: &mut u64,
+        ) -> ColumnMeta {
+            let mut content = *content_hash;
+            let mut checksum = FNV_OFFSET;
+            for &value in values {
+                for b in le_bytes(value) {
+                    content = (content ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+                    checksum = (checksum ^ u64::from(b)).wrapping_mul(FNV_PRIME);
                 }
-            });
-        }
-    });
-    if let Some(e) = first_error.into_inner().unwrap() {
-        return Err(e);
-    }
-
-    let build_direction = |counts: &[AtomicU64], use_src_as_owner: bool| {
-        // Phase 2: sequential prefix sum into the offsets column.
-        let mut offsets = vec![0u64; vertex_count + 1];
-        for v in 0..vertex_count {
-            offsets[v + 1] = offsets[v] + counts[v].load(Ordering::Relaxed);
-        }
-        let edge_total = offsets[vertex_count] as usize;
-        let mut targets = vec![0 as VertexId; edge_total];
-        let mut weights = vec![0 as EdgeWeight; edge_total];
-
-        // Phase 3: pick contiguous vertex ranges with balanced edge mass, so
-        // power-law hubs don't serialize one worker.
-        let mut bounds = vec![0usize];
-        for w in 1..threads {
-            let target_mass = (edge_total as u64).saturating_mul(w as u64) / threads as u64;
-            let v = offsets.partition_point(|&o| o < target_mass);
-            let v = v.clamp(*bounds.last().unwrap(), vertex_count);
-            bounds.push(v);
-        }
-        bounds.push(vertex_count);
-
-        // Phase 4: scatter + sort. Each worker owns a contiguous vertex range
-        // and therefore a contiguous, disjoint span of the edge columns, so
-        // the columns are split with `split_at_mut` — no synchronization in
-        // the hot loop. Scanning the full edge list per worker keeps the
-        // per-owner scatter order identical to the sequential builder's.
-        std::thread::scope(|scope| {
-            let mut t_rest: &mut [VertexId] = &mut targets;
-            let mut w_rest: &mut [EdgeWeight] = &mut weights;
-            let mut consumed = 0usize;
-            for win in bounds.windows(2) {
-                let (lo_v, hi_v) = (win[0], win[1]);
-                let span = (offsets[hi_v] - offsets[lo_v]) as usize;
-                let (t_mine, t_next) = std::mem::take(&mut t_rest).split_at_mut(span);
-                let (w_mine, w_next) = std::mem::take(&mut w_rest).split_at_mut(span);
-                t_rest = t_next;
-                w_rest = w_next;
-                let base = consumed as u64;
-                consumed += span;
-                let offsets = &offsets;
-                scope.spawn(move || {
-                    if lo_v == hi_v {
-                        return;
-                    }
-                    let mut cursor: Vec<u64> = offsets[lo_v..hi_v].to_vec();
-                    for e in edge_slice {
-                        let (owner, other) = if use_src_as_owner {
-                            (e.src, e.dst)
-                        } else {
-                            (e.dst, e.src)
-                        };
-                        let owner = owner as usize;
-                        if owner < lo_v || owner >= hi_v {
-                            continue;
-                        }
-                        let idx = (cursor[owner - lo_v] - base) as usize;
-                        t_mine[idx] = other;
-                        w_mine[idx] = e.weight;
-                        cursor[owner - lo_v] += 1;
-                    }
-                    for v in lo_v..hi_v {
-                        let a = (offsets[v] - base) as usize;
-                        let b = (offsets[v + 1] - base) as usize;
-                        sort_adjacency(&mut t_mine[a..b], &mut w_mine[a..b]);
-                    }
-                });
             }
-        });
-        (offsets, targets, weights)
-    };
-
-    let (out_offsets, out_targets, out_weights) = build_direction(&out_counts, true);
-    let (in_offsets, in_targets, in_weights) = build_direction(&in_counts, false);
-    Csr::from_raw_columns(
-        vertex_count,
-        edge_slice.len() as u64,
-        out_offsets,
-        out_targets,
-        out_weights,
-        in_offsets,
-        in_targets,
-        in_weights,
-    )
-}
-
-fn u64s_to_le_bytes(values: &[u64]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(values.len() * 8);
-    for v in values {
-        buf.extend_from_slice(&v.to_le_bytes());
+            *content_hash = content;
+            ColumnMeta {
+                byte_len: (values.len() * N) as u64,
+                checksum,
+            }
+        }
+        match self {
+            Column::U64(values) => fold(values, u64::to_le_bytes, content_hash),
+            Column::U32(values) => fold(values, u32::to_le_bytes, content_hash),
+        }
     }
-    buf
-}
 
-fn u32s_to_le_bytes(values: &[u32]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(values.len() * 4);
-    for v in values {
-        buf.extend_from_slice(&v.to_le_bytes());
+    /// Writes the column's little-endian bytes to `path`, converting one
+    /// block at a time: the column is never copied whole.
+    fn write_to(self, path: &Path) -> std::io::Result<()> {
+        /// Values converted per `write` call.
+        const BLOCK_VALUES: usize = 8 * 1024;
+        fn write<T: Copy, const N: usize>(
+            path: &Path,
+            values: &[T],
+            le_bytes: impl Fn(T) -> [u8; N],
+        ) -> std::io::Result<()> {
+            let mut file = std::fs::File::create(path)?;
+            let mut block = vec![0u8; BLOCK_VALUES.min(values.len()) * N];
+            for chunk in values.chunks(BLOCK_VALUES) {
+                let bytes = &mut block[..chunk.len() * N];
+                for (slot, &value) in bytes.chunks_exact_mut(N).zip(chunk) {
+                    slot.copy_from_slice(&le_bytes(value));
+                }
+                file.write_all(bytes)?;
+            }
+            Ok(())
+        }
+        match self {
+            Column::U64(values) => write(path, values, u64::to_le_bytes),
+            Column::U32(values) => write(path, values, u32::to_le_bytes),
+        }
     }
-    buf
 }
 
 /// Writes `graph` as an on-disk binary CSR directory at `dir`.
@@ -574,9 +524,13 @@ fn u32s_to_le_bytes(values: &[u32]) -> Vec<u8> {
 /// and the value is recorded in the header instead (`uniform_weight`) — for
 /// unweighted graphs this cuts the edge payload by a third.
 ///
+/// The column files are written on a second thread while the caller's
+/// hashes them; there is no thread argument, so this holds for
+/// `ingest_file(.., 1)` too.
+///
 /// # Errors
 ///
-/// Returns [`GraphError::Io`] on filesystem failures.
+/// Returns [`GraphError::Io`](crate::GraphError::Io) on filesystem failures.
 pub fn write_disk_csr(graph: &Csr, dir: &Path) -> crate::Result<IngestReport> {
     std::fs::create_dir_all(dir)?;
     let (out_offsets, out_targets, out_weights) = graph.raw_columns(Direction::Out);
@@ -586,19 +540,6 @@ pub fn write_disk_csr(graph: &Csr, dir: &Path) -> crate::Result<IngestReport> {
         Some(&w) if out_weights.iter().all(|&x| x == w) => Some(w),
         Some(_) => None,
     };
-
-    let column_bytes: [Option<Vec<u8>>; 6] = [
-        Some(u64s_to_le_bytes(out_offsets)),
-        Some(u32s_to_le_bytes(out_targets)),
-        uniform_weight
-            .is_none()
-            .then(|| u32s_to_le_bytes(out_weights)),
-        Some(u64s_to_le_bytes(in_offsets)),
-        Some(u32s_to_le_bytes(in_targets)),
-        uniform_weight
-            .is_none()
-            .then(|| u32s_to_le_bytes(in_weights)),
-    ];
 
     let mut content_hash = FNV_OFFSET;
     fnv1a(
@@ -613,32 +554,43 @@ pub fn write_disk_csr(graph: &Csr, dir: &Path) -> crate::Result<IngestReport> {
         }
         None => fnv1a(&mut content_hash, &[0]),
     }
-    let mut columns = [ColumnMeta::default(); 6];
-    let mut bytes_written = HEADER_LEN as u64;
-    for (i, bytes) in column_bytes.iter().enumerate() {
-        if let Some(bytes) = bytes {
-            fnv1a(&mut content_hash, bytes);
-            columns[i] = ColumnMeta {
-                byte_len: bytes.len() as u64,
-                checksum: fnv1a_of(bytes),
-            };
-            bytes_written += bytes.len() as u64;
-        }
-    }
-
-    for (i, bytes) in column_bytes.iter().enumerate() {
-        let path = dir.join(COLUMN_FILES[i]);
-        match bytes {
-            Some(bytes) => std::fs::write(&path, bytes)?,
-            // Stale weight columns from a previous non-uniform write would
-            // make the directory ambiguous; remove them.
-            None => match std::fs::remove_file(&path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e.into()),
-            },
-        }
-    }
+    let explicit = uniform_weight.is_none();
+    let columns: [Option<Column>; 6] = [
+        Some(Column::U64(out_offsets)),
+        Some(Column::U32(out_targets)),
+        explicit.then_some(Column::U32(out_weights)),
+        Some(Column::U64(in_offsets)),
+        Some(Column::U32(in_targets)),
+        explicit.then_some(Column::U32(in_weights)),
+    ];
+    // Hashing is one serial multiply chain over every byte and writing is
+    // page-cache copies and syscalls: neither needs the other's output, so
+    // the files are written on a second thread while this one hashes.
+    let (columns, written) = std::thread::scope(|scope| {
+        let writer = scope.spawn(|| -> std::io::Result<()> {
+            for (column, name) in columns.iter().zip(COLUMN_FILES) {
+                let path = dir.join(name);
+                match column {
+                    Some(column) => column.write_to(&path)?,
+                    // Stale weight columns from a previous non-uniform write
+                    // would make the directory ambiguous; remove them.
+                    None => match std::fs::remove_file(&path) {
+                        Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+                        _ => {}
+                    },
+                }
+            }
+            Ok(())
+        });
+        let metas = columns
+            .map(|column| column.map_or(ColumnMeta::default(), |c| c.fold_into(&mut content_hash)));
+        let written = writer
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (metas, written)
+    });
+    written?;
+    let bytes_written = HEADER_LEN as u64 + columns.iter().map(|c| c.byte_len).sum::<u64>();
 
     let stats = GraphStats::compute(graph);
     let header = DiskCsrHeader {
@@ -687,13 +639,14 @@ pub fn ingest_edge_list(
 }
 
 /// Ingests an edge-list file (text or `.bin`, see [`crate::io`]) into an
-/// on-disk binary CSR directory.
+/// on-disk binary CSR directory. `threads` covers the text parse as well as
+/// the CSR build.
 ///
 /// # Errors
 ///
 /// Propagates parse, build and I/O errors.
 pub fn ingest_file(src: &Path, dir: &Path, threads: usize) -> crate::Result<IngestReport> {
-    let edges = crate::io::read_edge_list_file(src)?;
+    let edges = crate::io::read_edge_list_file_on(src, threads)?;
     ingest_edge_list(&edges, dir, threads)
 }
 
@@ -1267,6 +1220,7 @@ mod tests {
     use super::*;
     use crate::generators::{GraphGenerator, Rmat};
     use crate::types::Edge;
+    use crate::GraphError;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("grasp_ingest_{tag}_{}", std::process::id()));
@@ -1332,6 +1286,32 @@ mod tests {
             build_csr_parallel(&el, 4),
             Err(GraphError::EmptyGraph)
         ));
+    }
+
+    #[test]
+    fn bounds_error_is_the_first_offender_in_list_order() {
+        // Two stray endpoints far apart in the list, the later one near the
+        // end, where a builder that splits the list over racing workers
+        // would reach it first.
+        let mut list: Vec<Edge> = (0..64u32).map(|i| Edge::new(i % 8, (i * 5) % 8)).collect();
+        list[9] = Edge::new(3, 77);
+        list[56] = Edge::new(99, 2);
+        let el = EdgeList::from_parts(8, list);
+        let expected = Csr::from_edge_list(&el).unwrap_err().to_string();
+        assert!(expected.contains("vertex 77"), "{expected}");
+        for threads in 2..=8 {
+            for _ in 0..50 {
+                let err = build_csr_parallel(&el, threads).unwrap_err();
+                assert!(matches!(
+                    err,
+                    GraphError::VertexOutOfBounds {
+                        vertex: 77,
+                        vertex_count: 8
+                    }
+                ));
+                assert_eq!(err.to_string(), expected, "threads={threads}");
+            }
+        }
     }
 
     #[test]

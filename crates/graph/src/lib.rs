@@ -117,6 +117,32 @@ impl From<std::io::Error> for GraphError {
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, GraphError>;
 
+/// Applies `work` to every item — the first on the calling thread, each
+/// further one on a scoped thread of its own — and returns the results in
+/// item order. A worker's panic resumes on the caller.
+pub(crate) fn on_scoped_threads<T: Send, R: Send>(
+    items: impl IntoIterator<Item = T>,
+    work: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
+    };
+    let work = &work;
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = items.map(|item| scope.spawn(move || work(item))).collect();
+        let mut results = vec![work(first)];
+        for worker in spawned {
+            results.push(
+                worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        results
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

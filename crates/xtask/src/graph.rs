@@ -6,7 +6,8 @@
 //! * `ingest <edge-list> --out <dir> [--threads <N>]` — parse a text
 //!   (`src dst [weight]` per line) or binary (`.bin`) edge list, build the
 //!   CSR in parallel and write the checksummed `.gcsr` directory. Prints
-//!   the content hash and the ingest-time skew statistics; the hash is what
+//!   how long it took (wall seconds, edges per second), the content hash
+//!   and the ingest-time skew statistics; the hash is what
 //!   a campaign registers in its `DatasetCatalog` and what shows up in
 //!   trace-store entry file names (`g<hash:016x>-…`).
 //! * `info <dir>` — decode the header (validating its checksum) and print
@@ -105,9 +106,10 @@ pub fn run(args: &[String]) -> ExitCode {
 fn run_ingest(args: &GraphArgs) -> ExitCode {
     let out = args.out.as_ref().expect("parse_args enforces --out");
     let threads = args.threads.unwrap_or_else(default_ingest_threads);
+    let started = std::time::Instant::now();
     match ingest::ingest_file(&args.input, out, threads) {
         Ok(report) => {
-            print_report(&report, threads);
+            print_report(&report, threads, started.elapsed().as_secs_f64());
             ExitCode::SUCCESS
         }
         Err(err) => {
@@ -158,8 +160,12 @@ fn run_verify(args: &GraphArgs) -> ExitCode {
     }
 }
 
-fn print_report(report: &IngestReport, threads: usize) {
+fn print_report(report: &IngestReport, threads: usize, wall_s: f64) {
     println!("ingested {} ({threads} threads)", report.path.display());
+    println!(
+        "  wall            {wall_s:.4} s ({:.3} M edges/s: read, parse, build, write)",
+        report.edge_count as f64 / wall_s / 1e6
+    );
     println!("  vertices        {}", report.vertex_count);
     println!("  edges           {}", report.edge_count);
     println!("  content hash    g{:016x}", report.content_hash);
