@@ -80,7 +80,7 @@ impl CsrArrays {
     /// Activates `v` for the next round: models the frontier-bitmap write
     /// and records the membership in `next`. One call site for the
     /// (write, add) pair every application emits, so each app contributes
-    /// the identical access sequence to the record batch.
+    /// the identical access sequence to the recording.
     #[inline]
     pub fn activate<M: MemoryModel>(
         &self,

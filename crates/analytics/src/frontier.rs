@@ -83,7 +83,7 @@ impl Frontier {
     /// Empties the frontier in O(len) time while keeping both allocations,
     /// so a round loop can reuse two frontiers (`clear` + `swap`) instead of
     /// reallocating the membership bitmap every round — allocator traffic
-    /// that would otherwise sit in the middle of the batched record phase.
+    /// that would otherwise sit in the middle of the record phase.
     pub fn clear(&mut self) {
         for &v in &self.list {
             self.members[v as usize] = false;

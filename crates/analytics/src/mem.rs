@@ -3,7 +3,7 @@
 use grasp_cachesim::addr::Address;
 use grasp_cachesim::config::HierarchyConfig;
 use grasp_cachesim::hint::RegionClassifier;
-use grasp_cachesim::request::{AccessInfo, AccessKind, AccessSite, RegionLabel};
+use grasp_cachesim::request::{AccessKind, AccessSite, RegionLabel};
 use grasp_cachesim::stage::UpperLevels;
 use grasp_cachesim::stats::HierarchyStats;
 use grasp_cachesim::trace::LlcTrace;
@@ -13,17 +13,6 @@ use grasp_cachesim::Hierarchy;
 pub trait MemoryModel: std::fmt::Debug {
     /// Reports one memory access.
     fn touch(&mut self, addr: Address, kind: AccessKind, site: AccessSite, region: RegionLabel);
-
-    /// Reports a whole column of accesses in program order. The default
-    /// implementation replays the column through [`MemoryModel::touch`];
-    /// models backed by a batched kernel override it. The `hint` field of
-    /// each element is ignored, exactly as the scalar path ignores it (the
-    /// hierarchy's own classifier assigns hints).
-    fn touch_batch(&mut self, batch: &[AccessInfo]) {
-        for info in batch {
-            self.touch(info.addr, info.kind, info.site, info.region);
-        }
-    }
 
     /// Programs the GRASP Address Bound Registers with the application's
     /// Property Array bounds. The default implementation ignores the call
@@ -58,11 +47,6 @@ impl MemoryModel for NativeMemory {
         _region: RegionLabel,
     ) {
         self.accesses += 1;
-    }
-
-    #[inline]
-    fn touch_batch(&mut self, batch: &[AccessInfo]) {
-        self.accesses += batch.len() as u64;
     }
 
     fn access_count(&self) -> u64 {
@@ -108,12 +92,6 @@ impl MemoryModel for TracedMemory {
     fn touch(&mut self, addr: Address, kind: AccessKind, site: AccessSite, region: RegionLabel) {
         self.accesses += 1;
         self.hierarchy.access(addr, kind, site, region);
-    }
-
-    #[inline]
-    fn touch_batch(&mut self, batch: &[AccessInfo]) {
-        self.accesses += batch.len() as u64;
-        self.hierarchy.access_batch(batch);
     }
 
     fn program_property_bounds(&mut self, bounds: &[(Address, Address)]) {
@@ -169,12 +147,6 @@ impl MemoryModel for RecordingMemory {
     fn touch(&mut self, addr: Address, kind: AccessKind, site: AccessSite, region: RegionLabel) {
         self.accesses += 1;
         self.upper.access(addr, kind, site, region, &mut self.sink);
-    }
-
-    #[inline]
-    fn touch_batch(&mut self, batch: &[AccessInfo]) {
-        self.accesses += batch.len() as u64;
-        self.upper.access_batch(batch, &mut self.sink);
     }
 
     fn program_property_bounds(&mut self, bounds: &[(Address, Address)]) {

@@ -3,81 +3,24 @@
 use crate::layout::{AddressSpace, ArrayHandle};
 use crate::mem::MemoryModel;
 use grasp_cachesim::addr::Address;
-use grasp_cachesim::hint::ReuseHint;
-use grasp_cachesim::request::{AccessInfo, AccessKind, AccessSite, RegionLabel};
-
-/// Number of accesses the workspace buffers before handing the column to
-/// [`MemoryModel::touch_batch`]. One tile of the batched record kernel.
-const WORKSPACE_BATCH: usize = 1024;
+use grasp_cachesim::request::{AccessKind, AccessSite, RegionLabel};
 
 /// Couples a simulated [`AddressSpace`] with a [`MemoryModel`]: applications
 /// allocate their arrays here and report every element access through the
-/// `read_*`/`write_*` methods.
-///
-/// Accesses are buffered (preserving program order) and delivered to the
-/// model in fixed-size columns (`WORKSPACE_BATCH`) via
-/// [`MemoryModel::touch_batch`], which batched models turn into one kernel
-/// invocation per column. The buffer drains automatically whenever the model
-/// is observed ([`Workspace::memory`], [`Workspace::memory_mut`],
-/// [`Workspace::into_memory`], [`Workspace::program_property_bounds`]), so
-/// ordering against model-level operations is preserved. Use
-/// [`Workspace::unbuffered`] for the per-event reference path.
+/// `read_*`/`write_*` methods, each of which reaches
+/// [`MemoryModel::touch`] before it returns.
 #[derive(Debug)]
 pub struct Workspace<M> {
     space: AddressSpace,
     mem: M,
-    buf: Vec<AccessInfo>,
-    batch_limit: usize,
 }
 
 impl<M: MemoryModel> Workspace<M> {
-    /// Creates an empty workspace over the given memory model, buffering
-    /// accesses into [`MemoryModel::touch_batch`] columns.
+    /// Creates an empty workspace over the given memory model.
     pub fn new(mem: M) -> Self {
         Self {
             space: AddressSpace::new(),
             mem,
-            buf: Vec::with_capacity(WORKSPACE_BATCH),
-            batch_limit: WORKSPACE_BATCH,
-        }
-    }
-
-    /// Creates a workspace that forwards every access to
-    /// [`MemoryModel::touch`] immediately — the per-event reference side of
-    /// record-parity tests and benchmarks.
-    pub fn unbuffered(mem: M) -> Self {
-        Self {
-            space: AddressSpace::new(),
-            mem,
-            buf: Vec::new(),
-            batch_limit: 0,
-        }
-    }
-
-    /// Drains any buffered accesses into the memory model.
-    #[inline]
-    pub fn drain_accesses(&mut self) {
-        if !self.buf.is_empty() {
-            self.mem.touch_batch(&self.buf);
-            self.buf.clear();
-        }
-    }
-
-    #[inline]
-    fn touch(&mut self, addr: Address, kind: AccessKind, site: AccessSite, region: RegionLabel) {
-        if self.batch_limit == 0 {
-            self.mem.touch(addr, kind, site, region);
-            return;
-        }
-        self.buf.push(AccessInfo {
-            addr,
-            kind,
-            site,
-            hint: ReuseHint::Default,
-            region,
-        });
-        if self.buf.len() >= self.batch_limit {
-            self.drain_accesses();
         }
     }
 
@@ -97,32 +40,24 @@ impl<M: MemoryModel> Workspace<M> {
         &self.space
     }
 
-    /// The underlying memory model, with any buffered accesses drained
-    /// first so the model's own counters are up to date.
-    pub fn memory(&mut self) -> &M {
-        self.drain_accesses();
+    /// The underlying memory model.
+    pub fn memory(&self) -> &M {
         &self.mem
     }
 
-    /// Mutable access to the memory model (buffered accesses drained first,
-    /// so model-level operations observe every access issued so far).
+    /// Mutable access to the memory model.
     pub fn memory_mut(&mut self) -> &mut M {
-        self.drain_accesses();
         &mut self.mem
     }
 
-    /// Consumes the workspace and returns the memory model (buffered
-    /// accesses drained first).
-    pub fn into_memory(mut self) -> M {
-        self.drain_accesses();
+    /// Consumes the workspace and returns the memory model.
+    pub fn into_memory(self) -> M {
         self.mem
     }
 
     /// Programs the GRASP Address Bound Registers with the bounds of the
-    /// given Property Arrays. Buffered accesses are drained first so the
-    /// classifier rebuild lands at the right stream position.
+    /// given Property Arrays.
     pub fn program_property_bounds(&mut self, handles: &[ArrayHandle]) {
-        self.drain_accesses();
         let bounds: Vec<(Address, Address)> =
             handles.iter().map(|&h| self.space.bounds(h)).collect();
         self.mem.program_property_bounds(&bounds);
@@ -134,7 +69,7 @@ impl<M: MemoryModel> Workspace<M> {
         let region = self.space.region(handle);
         let addr = region.base + index * region.element_bytes;
         let label = region.label;
-        self.touch(addr, AccessKind::Read, site, label);
+        self.mem.touch(addr, AccessKind::Read, site, label);
     }
 
     /// Models a write of element `index` of `handle`.
@@ -143,7 +78,7 @@ impl<M: MemoryModel> Workspace<M> {
         let region = self.space.region(handle);
         let addr = region.base + index * region.element_bytes;
         let label = region.label;
-        self.touch(addr, AccessKind::Write, site, label);
+        self.mem.touch(addr, AccessKind::Write, site, label);
     }
 
     /// Models a read of a field at `byte_offset` within element `index`.
@@ -158,7 +93,7 @@ impl<M: MemoryModel> Workspace<M> {
         let region = self.space.region(handle);
         let addr = region.base + index * region.element_bytes + byte_offset;
         let label = region.label;
-        self.touch(addr, AccessKind::Read, site, label);
+        self.mem.touch(addr, AccessKind::Read, site, label);
     }
 
     /// Models a write of a field at `byte_offset` within element `index`.
@@ -173,13 +108,12 @@ impl<M: MemoryModel> Workspace<M> {
         let region = self.space.region(handle);
         let addr = region.base + index * region.element_bytes + byte_offset;
         let label = region.label;
-        self.touch(addr, AccessKind::Write, site, label);
+        self.mem.touch(addr, AccessKind::Write, site, label);
     }
 
-    /// Total number of accesses issued so far (including any still buffered
-    /// ahead of the next [`MemoryModel::touch_batch`] column).
+    /// Total number of accesses issued so far.
     pub fn access_count(&self) -> u64 {
-        self.mem.access_count() + self.buf.len() as u64
+        self.mem.access_count()
     }
 }
 
@@ -198,47 +132,6 @@ mod tests {
         ws.write_field(a, 3, 4, 1);
         assert_eq!(ws.access_count(), 4);
         assert_eq!(ws.address_space().regions().len(), 1);
-    }
-
-    #[test]
-    fn buffered_access_counts_include_the_pending_column() {
-        let mut ws = Workspace::new(NativeMemory::new());
-        let a = ws.allocate("a", RegionLabel::Property, 16, 8);
-        let total = WORKSPACE_BATCH as u64 + 3;
-        for i in 0..total {
-            ws.read(a, i % 16, 1);
-        }
-        // One full column drained, three accesses still buffered — both are
-        // visible, and observing the model drains the tail.
-        assert_eq!(ws.access_count(), total);
-        assert_eq!(ws.memory().access_count(), total);
-    }
-
-    #[test]
-    fn buffered_workspace_records_the_per_event_trace() {
-        use crate::mem::RecordingMemory;
-        use grasp_cachesim::config::HierarchyConfig;
-        let config = HierarchyConfig::scaled_default();
-        let drive = |ws: &mut Workspace<RecordingMemory>| {
-            let a = ws.allocate("a", RegionLabel::Property, 4096, 8);
-            ws.program_property_bounds(&[a]);
-            for i in 0..30_000u64 {
-                let idx = (i * 37) % 4096;
-                if i % 3 == 0 {
-                    ws.write(a, idx, 2);
-                } else {
-                    ws.read(a, idx, 1);
-                }
-            }
-        };
-        let mut buffered = Workspace::new(RecordingMemory::new(config));
-        drive(&mut buffered);
-        let batched = buffered.into_memory().finish();
-        let mut unbuffered = Workspace::unbuffered(RecordingMemory::new(config));
-        drive(&mut unbuffered);
-        let scalar = unbuffered.into_memory().finish();
-        assert_eq!(batched, scalar, "buffering must not change the recording");
-        assert_eq!(batched.context(), scalar.context());
     }
 
     #[test]

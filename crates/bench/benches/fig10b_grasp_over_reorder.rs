@@ -27,14 +27,12 @@ fn main() {
         TechniqueKind::Dbg,
         TechniqueKind::GorderDbg,
     ];
-    let started = std::time::Instant::now();
     let results = Campaign::new(scale)
         .datasets(&DatasetKind::HIGH_SKEW)
         .techniques(&techniques)
         .apps(&AppKind::ALL)
         .policies(&[PolicyKind::Rrip, PolicyKind::Grasp])
         .run();
-    let wall_ms = started.elapsed().as_millis();
 
     let mut table = Table::new(
         "Fig. 10b — GRASP speed-up (%) over RRIP per reordering technique",
@@ -73,5 +71,5 @@ fn main() {
     table.push_row(mean_row);
     println!("{table}");
     println!("Paper averages: +4.4 (Sort), +4.2 (HubSort), +5.2 (DBG), +5.0 (Gorder).");
-    dump_json("fig10b", wall_ms, &[&table]);
+    dump_json("fig10b", &[&table]);
 }

@@ -74,7 +74,6 @@ fn main() {
 
     // Record one post-L2 stream per (app, dataset) pair: the
     // campaign runs each application exactly once and hands the trace back.
-    let started = std::time::Instant::now();
     let recordings = figure_campaign(scale, &DatasetKind::HIGH_SKEW, &AppKind::ALL, &[])
         .recording_llc_trace()
         .run();
@@ -92,7 +91,6 @@ fn main() {
             });
         }
     }
-    let wall_ms = started.elapsed().as_millis();
 
     // Fig. 11: per-workload miss elimination over LRU at the default LLC size.
     let default_llc = scale.llc_bytes();
@@ -165,5 +163,5 @@ fn main() {
     }
     println!("{table7}");
     println!("Paper (1->32 MB): RRIP ~16% flat, GRASP 15.4% -> 21.2%, OPT 27.5% -> 34.5%.");
-    dump_json("fig11_table7", wall_ms, &[&fig11, &table7]);
+    dump_json("fig11_table7", &[&fig11, &table7]);
 }

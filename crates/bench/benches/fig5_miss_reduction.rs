@@ -21,9 +21,7 @@ fn main() {
     banner("Fig. 5: LLC misses eliminated over the RRIP baseline");
     let scale = harness_scale();
     let schemes = PolicyKind::FIG5_SCHEMES;
-    let started = std::time::Instant::now();
     let results = figure_campaign(scale, &DatasetKind::HIGH_SKEW, &AppKind::ALL, &schemes).run();
-    let wall_ms = started.elapsed().as_millis();
 
     let mut table = Table::new(
         "Fig. 5 — % LLC misses eliminated vs RRIP (positive is better)",
@@ -55,5 +53,5 @@ fn main() {
     table.push_row(mean_row);
     println!("{table}");
     println!("Paper averages: SHiP-MEM -4.8, Hawkeye -22.7, Leeway +1.1, GRASP +6.4.");
-    dump_json("fig5", wall_ms, &[&table]);
+    dump_json("fig5", &[&table]);
 }

@@ -21,9 +21,7 @@ fn main() {
     banner("Fig. 6: speed-up over the RRIP baseline");
     let scale = harness_scale();
     let schemes = PolicyKind::FIG5_SCHEMES;
-    let started = std::time::Instant::now();
     let results = figure_campaign(scale, &DatasetKind::HIGH_SKEW, &AppKind::ALL, &schemes).run();
-    let wall_ms = started.elapsed().as_millis();
 
     let mut table = Table::new(
         "Fig. 6 — speed-up (%) vs RRIP under the analytic timing model",
@@ -55,5 +53,5 @@ fn main() {
     table.push_row(mean_row);
     println!("{table}");
     println!("Paper GM: SHiP-MEM -5.5, Hawkeye -16.2, Leeway +0.9, GRASP +5.2.");
-    dump_json("fig6", wall_ms, &[&table]);
+    dump_json("fig6", &[&table]);
 }

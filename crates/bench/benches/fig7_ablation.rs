@@ -18,9 +18,7 @@ fn main() {
     banner("Fig. 7: impact of GRASP features on performance");
     let scale = harness_scale();
     let ablations = PolicyKind::ABLATIONS;
-    let started = std::time::Instant::now();
     let results = figure_campaign(scale, &DatasetKind::HIGH_SKEW, &AppKind::ALL, &ablations).run();
-    let wall_ms = started.elapsed().as_millis();
 
     let mut table = Table::new(
         "Fig. 7 — speed-up (%) over RRIP for GRASP's ablations",
@@ -58,5 +56,5 @@ fn main() {
     table.push_row(mean_row);
     println!("{table}");
     println!("Paper GM: RRIP+Hints +3.3, Insertion-Only +5.0, Hit-Promotion +5.2.");
-    dump_json("fig7", wall_ms, &[&table]);
+    dump_json("fig7", &[&table]);
 }

@@ -23,9 +23,7 @@ fn main() {
         PolicyKind::Pin(100),
         PolicyKind::Grasp,
     ];
-    let started = std::time::Instant::now();
     let results = figure_campaign(scale, &DatasetKind::HIGH_SKEW, &AppKind::ALL, &schemes).run();
-    let wall_ms = started.elapsed().as_millis();
 
     let mut table = Table::new(
         "Fig. 8 — speed-up (%) over RRIP",
@@ -59,5 +57,5 @@ fn main() {
     table.push_row(mean_row);
     println!("{table}");
     println!("Paper GM: PIN-25 +0.4, PIN-50 +1.1, PIN-75 +2.0, PIN-100 +2.5, GRASP +5.2.");
-    dump_json("fig8", wall_ms, &[&table]);
+    dump_json("fig8", &[&table]);
 }

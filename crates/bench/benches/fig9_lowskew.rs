@@ -18,9 +18,7 @@ fn main() {
     banner("Fig. 9: robustness on low-/no-skew datasets");
     let scale = harness_scale();
     let schemes = [PolicyKind::Pin(75), PolicyKind::Pin(100), PolicyKind::Grasp];
-    let started = std::time::Instant::now();
     let results = figure_campaign(scale, &DatasetKind::ADVERSARIAL, &AppKind::ALL, &schemes).run();
-    let wall_ms = started.elapsed().as_millis();
 
     let mut table = Table::new(
         "Fig. 9 — speed-up (%) over RRIP on fr (low skew) and uni (no skew)",
@@ -54,5 +52,5 @@ fn main() {
     println!(
         "Paper: GRASP between -0.1% and +4.3%; PIN-75/PIN-100 slow down on almost all datapoints."
     );
-    dump_json("fig9", wall_ms, &[&table]);
+    dump_json("fig9", &[&table]);
 }

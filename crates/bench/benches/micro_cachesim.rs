@@ -1,13 +1,8 @@
 //! Micro-benchmarks for the cache simulator: raw demand-access throughput of
-//! each replacement policy, measured on the fast-path `SetAssocCache`
-//! (static `PolicyDispatch`, packed bitmask metadata) and on the frozen
-//! dyn-dispatch [`grasp_bench::baseline::BaselineCache`] copied from the
-//! seed implementation. The final table reports accesses/s for both and the
-//! resulting speed-up per policy.
+//! each replacement policy on `SetAssocCache` (static `PolicyDispatch`,
+//! packed bitmask metadata), per access and through the run kernel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use grasp_bench::baseline::BaselineCache;
-use grasp_bench::seed_policies::build_seed_policy;
 use grasp_bench::synthetic_mixed_trace;
 use grasp_cachesim::cache::SetAssocCache;
 use grasp_cachesim::config::CacheConfig;
@@ -61,54 +56,6 @@ fn median_time<F: FnMut()>(samples: usize, mut f: F) -> std::time::Duration {
         .collect();
     times.sort();
     times[times.len() / 2]
-}
-
-/// Head-to-head: fast path vs the seed's dyn-dispatch implementation.
-fn bench_fast_vs_baseline(_c: &mut Criterion) {
-    let config = CacheConfig::new(256 * 1024, 16, 64);
-    let trace = synthetic_mixed_trace(100_000);
-    let samples = 10;
-
-    println!("fast path (PolicyDispatch + packed metadata) vs dyn-dispatch baseline:");
-    println!(
-        "{:<10} {:>15} {:>15} {:>9}",
-        "policy", "baseline Macc/s", "fast Macc/s", "speed-up"
-    );
-    let mut worst = f64::INFINITY;
-    let mut base_total = std::time::Duration::ZERO;
-    let mut fast_total = std::time::Duration::ZERO;
-    for policy in POLICIES {
-        let base_time = median_time(samples, || {
-            let mut cache = BaselineCache::new(config, build_seed_policy(policy, &config));
-            for info in &trace {
-                black_box(cache.access(info));
-            }
-            black_box(cache.stats().misses);
-        });
-        let fast_time = median_time(samples, || {
-            let mut cache = SetAssocCache::new("LLC", config, policy.build_dispatch(&config));
-            for info in &trace {
-                black_box(cache.access(info));
-            }
-            black_box(cache.stats().misses);
-        });
-        let to_rate = |d: std::time::Duration| trace.len() as f64 / d.as_secs_f64() / 1e6;
-        let speedup = base_time.as_secs_f64() / fast_time.as_secs_f64();
-        worst = worst.min(speedup);
-        base_total += base_time;
-        fast_total += fast_time;
-        println!(
-            "{:<10} {:>15.1} {:>15.1} {:>8.2}x",
-            policy.label(),
-            to_rate(base_time),
-            to_rate(fast_time),
-            speedup
-        );
-    }
-    let aggregate = base_total.as_secs_f64() / fast_total.as_secs_f64();
-    println!(
-        "aggregate demand-access throughput speed-up: {aggregate:.2}x (worst single policy {worst:.2}x)"
-    );
 }
 
 /// Per-access `access` loop vs the run kernel (`access_batch`) on the same
@@ -169,10 +116,5 @@ fn bench_batched_kernel(_c: &mut Criterion) {
     println!("aggregate batched-kernel speed-up over per-access loop: {aggregate:.2}x");
 }
 
-criterion_group!(
-    benches,
-    bench_policies,
-    bench_fast_vs_baseline,
-    bench_batched_kernel
-);
+criterion_group!(benches, bench_policies, bench_batched_kernel);
 criterion_main!(benches);

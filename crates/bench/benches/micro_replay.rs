@@ -24,15 +24,6 @@
 //! columns to one inlined loop per policy, statistics folded in once per
 //! run), asserted bit-identical. Acceptance bar: batched ≥ 1.5x.
 //!
-//! A **record phase** section measures the other half of the pipeline: the
-//! same cell recorded once through the per-event reference
-//! ([`Experiment::record_scalar`] — unbuffered workspace, one upper-level
-//! access per event) and once through the batched record kernel
-//! ([`Experiment::record`] — the workspace buffers columns that flow through
-//! `UpperLevels::access_batch` into a bulk sink), asserted bit-identical,
-//! plus the cold end-to-end cost (batched record + v2 persist) that a
-//! store-cold campaign pays. Acceptance bar: batched record ≥ 1.3x.
-//!
 //! A third section exercises the **persistent trace store**: cold = record
 //! the stream and persist it (plus the 8-policy fan-out), warm = load the
 //! entry back — the record phase skipped entirely — and run the same
@@ -42,13 +33,12 @@
 //! the default codec (v2 delta+varint), so the entry-bytes column tracks the
 //! compressed format.
 //!
-//! A fourth section measures **trace compression** (format v2): the same
-//! recorded stream is persisted raw (v1, 12 B/record) and delta+varint
-//! (v2), comparing bytes/record and the v1→v2 ratio — both fully
-//! deterministic — plus the encode/decode wall-clock against the raw load
-//! time (the warm-path overhead the compression must not squander). Both
-//! encodings are asserted to load back equal to the in-memory trace with a
-//! bit-identical replay.
+//! A fourth section measures **trace compression** (format v2): the
+//! recorded stream is persisted delta+varint (v2) and its bytes/record
+//! compared with the 12 B/record the retired raw format (v1) spent — the
+//! ratio is fully deterministic — plus the encode/decode wall-clock (the
+//! warm-path overhead the compression must not squander). The encoding is
+//! asserted to load back equal to the in-memory trace.
 //!
 //! Acceptance bar, with bit-identical statistics asserted per cell: replay
 //! ≥ 3x over direct on the paper-scale 8-policy sweep (reported, not
@@ -58,7 +48,7 @@
 use grasp_analytics::apps::AppKind;
 use grasp_bench::{banner, dataset, dump_json, harness_scale};
 use grasp_cachesim::config::HierarchyConfig;
-use grasp_cachesim::{Codec, LlcTrace};
+use grasp_cachesim::LlcTrace;
 use grasp_core::datasets::DatasetKind;
 use grasp_core::experiment::Experiment;
 use grasp_core::policy::PolicyKind;
@@ -114,16 +104,6 @@ fn main() {
         "Batched replay: chunk-native kernel vs per-event feed (8-policy fan-out)",
         &["hierarchy", "per-event ms", "batched ms", "speed-up"],
     );
-    let mut record_table = Table::new(
-        "Record phase: batched kernel vs per-event record",
-        &[
-            "hierarchy",
-            "per-event ms",
-            "batched ms",
-            "speed-up",
-            "record+persist ms",
-        ],
-    );
     let mut store_table = Table::new(
         "Trace store: cold (record + persist) vs warm (load + replay, record skipped)",
         &["hierarchy", "cold ms", "warm ms", "speed-up", "entry bytes"],
@@ -135,7 +115,6 @@ fn main() {
             "raw B/rec",
             "v2 B/rec",
             "ratio",
-            "raw load ms",
             "encode ms",
             "decode ms",
         ],
@@ -144,10 +123,8 @@ fn main() {
         std::env::temp_dir().join(format!("grasp-micro-replay-store-{}", std::process::id()));
     std::fs::remove_dir_all(&store_dir).ok();
     let store = TraceStore::open(&store_dir).expect("bench trace store opens");
-    let mut total_ms = 0u128;
     let mut paper_speedup = 0.0;
     let mut paper_batched_speedup = 0.0;
-    let mut paper_record_speedup = 0.0;
     for (label, hierarchy) in [
         ("paper (Table VI)", HierarchyConfig::paper_scale()),
         ("scaled", scale.hierarchy()),
@@ -180,7 +157,6 @@ fn main() {
         if label.starts_with("paper") {
             paper_speedup = speedup;
         }
-        total_ms += (direct_time + replay_time).as_millis();
         table.push_row(vec![
             label.into(),
             format!("{:.1}", direct_time.as_secs_f64() * 1e3),
@@ -219,57 +195,11 @@ fn main() {
         if label.starts_with("paper") {
             paper_batched_speedup = batched_speedup;
         }
-        total_ms += (scalar_time + batched_time).as_millis();
         batched_table.push_row(vec![
             label.into(),
             format!("{:.1}", scalar_time.as_secs_f64() * 1e3),
             format!("{:.1}", batched_time.as_secs_f64() * 1e3),
             format!("{batched_speedup:.2}x"),
-        ]);
-
-        // The record-phase comparison: the same cell recorded once through
-        // the per-event reference (unbuffered workspace, one
-        // `UpperLevels::access` per event) and once through the batched
-        // record kernel (buffered workspace → `access_batch` → bulk sink).
-        // Both sides run the full application, so this measures exactly what
-        // a store-cold campaign pays before any replay can start. The final
-        // column adds the v2 persist to the batched record — the whole cold
-        // end-to-end cost of populating a trace-store entry.
-        let mut scalar_recorded = None;
-        let record_scalar_time = median_time(|| {
-            scalar_recorded = Some(exp.record_scalar());
-        });
-        let mut batched_recorded = None;
-        let record_batched_time = median_time(|| {
-            batched_recorded = Some(exp.record());
-        });
-        let scalar_recorded = scalar_recorded.expect("timed at least once");
-        let batched_recorded = batched_recorded.expect("timed at least once");
-        assert_eq!(
-            scalar_recorded.trace(),
-            batched_recorded.trace(),
-            "{label}: batched recording diverged from the per-event record"
-        );
-        let started = Instant::now();
-        let cold_end_to_end = exp.record();
-        let mut persisted = Vec::new();
-        cold_end_to_end
-            .trace()
-            .write_to(&mut persisted)
-            .expect("v2 persist of the cold recording");
-        let record_persist_time = started.elapsed();
-        let record_speedup =
-            record_scalar_time.as_secs_f64() / record_batched_time.as_secs_f64().max(1e-9);
-        if label.starts_with("paper") {
-            paper_record_speedup = record_speedup;
-        }
-        total_ms += (record_scalar_time + record_batched_time + record_persist_time).as_millis();
-        record_table.push_row(vec![
-            label.into(),
-            format!("{:.1}", record_scalar_time.as_secs_f64() * 1e3),
-            format!("{:.1}", record_batched_time.as_secs_f64() * 1e3),
-            format!("{record_speedup:.2}x"),
-            format!("{:.1}", record_persist_time.as_secs_f64() * 1e3),
         ]);
 
         // The trace-store comparison: cold = record the stream (application
@@ -318,7 +248,6 @@ fn main() {
         }
 
         let store_speedup = cold_time.as_secs_f64() / warm_time.as_secs_f64().max(1e-9);
-        total_ms += (cold_time + warm_time).as_millis();
         store_table.push_row(vec![
             label.into(),
             format!("{:.1}", cold_time.as_secs_f64() * 1e3),
@@ -327,44 +256,27 @@ fn main() {
             entry_bytes.to_string(),
         ]);
 
-        // The compression comparison: persist the recorded stream under both
-        // codecs, compare bytes/record and the decode overhead against the
-        // raw load (the price the warm path pays for the smaller store).
+        // The compression comparison: persist the recorded stream and
+        // compare its bytes/record with the 12 B/record of the raw column
+        // pages format v1 wrote, and time the encode and the decode (the
+        // price the warm path pays for the smaller store).
         let trace = recorded.trace();
         let records = trace.len().max(1) as f64;
-        let mut raw_bytes = Vec::new();
-        trace
-            .write_to_with(&mut raw_bytes, Codec::Raw)
-            .expect("raw encode");
+        let raw_bytes = 12.0 * records;
         let started = Instant::now();
         let mut v2_bytes = Vec::new();
-        trace
-            .write_to_with(&mut v2_bytes, Codec::DeltaVarint)
-            .expect("delta-varint encode");
+        trace.write_to(&mut v2_bytes).expect("delta-varint encode");
         let encode_time = started.elapsed();
-        let started = Instant::now();
-        let raw_loaded = LlcTrace::read_from(&mut raw_bytes.as_slice()).expect("raw load");
-        let raw_load_time = started.elapsed();
         let started = Instant::now();
         let v2_loaded = LlcTrace::read_from(&mut v2_bytes.as_slice()).expect("v2 decode");
         let decode_time = started.elapsed();
-        assert_eq!(&raw_loaded, trace, "{label}: raw roundtrip diverged");
         assert_eq!(&v2_loaded, trace, "{label}: v2 roundtrip diverged");
-        let llc = exp.hierarchy().llc;
-        let from_v2 = v2_loaded.replay(llc, PolicyKind::Grasp.build_dispatch(&llc));
-        let from_raw = raw_loaded.replay(llc, PolicyKind::Grasp.build_dispatch(&llc));
-        assert_eq!(
-            from_raw, from_v2,
-            "{label}: decompressed replay diverged from the raw replay"
-        );
-        let ratio = raw_bytes.len() as f64 / v2_bytes.len().max(1) as f64;
-        total_ms += (encode_time + raw_load_time + decode_time).as_millis();
+        let ratio = raw_bytes / v2_bytes.len().max(1) as f64;
         compression_table.push_row(vec![
             label.into(),
-            format!("{:.2}", raw_bytes.len() as f64 / records),
+            format!("{:.2}", raw_bytes / records),
             format!("{:.2}", v2_bytes.len() as f64 / records),
             format!("{ratio:.2}x"),
-            format!("{:.1}", raw_load_time.as_secs_f64() * 1e3),
             format!("{:.1}", encode_time.as_secs_f64() * 1e3),
             format!("{:.1}", decode_time.as_secs_f64() * 1e3),
         ]);
@@ -381,7 +293,6 @@ fn main() {
     std::fs::remove_dir_all(&store_dir).ok();
     println!("{table}");
     println!("{batched_table}");
-    println!("{record_table}");
     println!("{store_table}");
     println!("{compression_table}");
     println!("trace store traffic: {store_stats}");
@@ -423,36 +334,8 @@ fn main() {
             }
         );
     }
-    // The record-phase bar rides the same gate: the comparison is two full
-    // application runs, so shared single-core runners time it too noisily
-    // for a hard assert.
-    if enforce_bars && workers >= 4 {
-        assert!(
-            paper_record_speedup >= 1.3,
-            "paper-scale batched record speed-up {paper_record_speedup:.2}x fell below \
-             the 1.3x acceptance bar over the per-event record"
-        );
-    } else {
-        println!(
-            "batched-record bar (>=1.3x vs per-event record, measured \
-             {paper_record_speedup:.2}x) {}: needs >=4 hardware threads and enforcement \
-             enabled ({workers} worker(s))",
-            if enforce_bars {
-                "skipped"
-            } else {
-                "reported only"
-            }
-        );
-    }
     dump_json(
         "micro_replay",
-        total_ms,
-        &[
-            &table,
-            &batched_table,
-            &record_table,
-            &store_table,
-            &compression_table,
-        ],
+        &[&table, &batched_table, &store_table, &compression_table],
     );
 }

@@ -7,9 +7,6 @@
 //! same code can be run quickly for smoke tests or at larger scales for
 //! higher-fidelity shapes.
 
-pub mod baseline;
-pub mod seed_policies;
-
 use grasp_analytics::apps::AppKind;
 use grasp_core::datasets::{Dataset, DatasetKind, Scale};
 use grasp_core::experiment::Experiment;
@@ -118,24 +115,20 @@ pub fn hardware_threads() -> usize {
 
 /// Writes a figure's tables as machine-readable JSON to
 /// `BENCH_<figure>.json` (in `GRASP_BENCH_JSON_DIR`, default the current
-/// directory), so per-figure results and campaign wall-clock times can be
-/// tracked across PRs. Each dump embeds the measurement environment —
-/// hardware thread count and speedup-bar state — so bar-demoted CI runs
-/// are distinguishable in the trajectory. Failures are reported but never
-/// abort a bench run.
-pub fn dump_json(figure: &str, wall_ms: u128, tables: &[&grasp_core::report::Table]) {
+/// directory), so per-figure results can be tracked across PRs. Each dump
+/// embeds the measurement environment — hardware thread count and
+/// speedup-bar state — so bar-demoted CI runs are distinguishable in the
+/// trajectory. Failures are reported but never abort a bench run.
+pub fn dump_json(figure: &str, tables: &[&grasp_core::report::Table]) {
     let dir = std::env::var("GRASP_BENCH_JSON_DIR").unwrap_or_else(|_| ".".to_owned());
     let path = std::path::Path::new(&dir).join(format!("BENCH_{figure}.json"));
     let meta = grasp_core::report::BenchMeta {
         hardware_threads: hardware_threads(),
         speedup_bars_enforced: speedup_bars_enforced(),
     };
-    let json = grasp_core::report::to_json_with_meta(figure, wall_ms, Some(meta), tables);
+    let json = grasp_core::report::to_json_with_meta(figure, Some(meta), tables);
     match std::fs::write(&path, json) {
-        Ok(()) => println!(
-            "results written to {} ({wall_ms} ms campaign)",
-            path.display()
-        ),
+        Ok(()) => println!("results written to {}", path.display()),
         Err(err) => eprintln!("could not write {}: {err}", path.display()),
     }
 }
@@ -170,6 +163,70 @@ mod tests {
         let (rrip, grasp) = run_against_rrip(&ds, AppKind::PageRank, scale, PolicyKind::Grasp);
         assert!(rrip.llc_accesses() > 0);
         assert!(grasp.llc_accesses() > 0);
+    }
+
+    /// What the seed repository's simulator — its dyn-dispatch
+    /// `SetAssocCache` under its own policy implementations, kept in this
+    /// crate as a frozen copy until it was deleted — produced on
+    /// `synthetic_mixed_trace(30_000)` through a 64 KiB 16-way cache: per
+    /// policy, `[hits, misses, evictions, bypasses]` and the FNV-1a digest
+    /// of the per-access `AccessOutcome` sequence (`[hit, evicted.is_some(),
+    /// evicted_dirty, bypassed]` as bytes, then the evicted block, or 0,
+    /// little-endian). Captured from the frozen copy, never regenerated from
+    /// the code under test.
+    #[rustfmt::skip]
+    const SEED_GOLDENS: [(PolicyKind, [u64; 4], u64); 12] = [
+        (PolicyKind::Lru,                [5389, 24611, 23587, 0], 0xa7ddb1654b3f95c4),
+        (PolicyKind::Random,             [4766, 25234, 24210, 0], 0xe5355e50ea2fa4e9),
+        (PolicyKind::Srrip,              [8684, 21316, 20292, 0], 0x453028de87d0ebcd),
+        (PolicyKind::Brrip,              [7372, 22628, 21604, 0], 0x3ce9b40e9e1f6704),
+        (PolicyKind::Rrip,               [8023, 21977, 20953, 0], 0x16da2cf1e50e672b),
+        (PolicyKind::ShipMem,            [9517, 20483, 19459, 0], 0x8505612b35661e08),
+        (PolicyKind::Hawkeye,            [3440, 26560, 25536, 0], 0x206434ca70e30c1c),
+        (PolicyKind::Leeway,             [9044, 20956, 19932, 0], 0xc6a2207d2e98a7b3),
+        (PolicyKind::Pin(75),            [9659, 20341, 19317, 0], 0x1d2a2a82ba053ff8),
+        (PolicyKind::GraspHintsOnly,     [9648, 20352, 19328, 0], 0xb0cab2386edad965),
+        (PolicyKind::GraspInsertionOnly, [9648, 20352, 19328, 0], 0xb0cab2386edad965),
+        (PolicyKind::Grasp,              [9648, 20352, 19328, 0], 0xb0cab2386edad965),
+    ];
+
+    #[test]
+    fn fast_path_matches_the_frozen_seed_for_every_policy() {
+        use grasp_cachesim::request::RegionLabel;
+        use grasp_cachesim::stats::RegionCounters;
+        use grasp_cachesim::trace::persist::Fnv64;
+        use grasp_cachesim::{CacheConfig, SetAssocCache};
+        let config = CacheConfig::new(64 * 1024, 16, 64);
+        let trace = synthetic_mixed_trace(30_000);
+        for (policy, [hits, misses, evictions, bypasses], outcomes) in SEED_GOLDENS {
+            let mut fast = SetAssocCache::new("LLC", config, policy.build_dispatch(&config));
+            let mut digest = Fnv64::new();
+            for info in &trace {
+                let outcome = fast.access(info);
+                digest.update(&[
+                    outcome.hit as u8,
+                    outcome.evicted.is_some() as u8,
+                    outcome.evicted_dirty as u8,
+                    outcome.bypassed as u8,
+                ]);
+                digest.update(&outcome.evicted.unwrap_or(0).to_le_bytes());
+            }
+            assert_eq!(digest.finish(), outcomes, "{policy}: outcome diverged");
+            let stats = fast.stats();
+            assert_eq!(
+                [stats.hits, stats.misses, stats.evictions, stats.bypasses],
+                [hits, misses, evictions, bypasses],
+                "{policy}: stats diverged"
+            );
+            assert_eq!(stats.accesses, trace.len() as u64, "{policy}");
+            let property = RegionCounters {
+                accesses: stats.accesses,
+                misses,
+            };
+            assert_eq!(stats.region(RegionLabel::Property), property, "{policy}");
+            let other_traffic = stats.prefetch_accesses + stats.writeback_accesses;
+            assert_eq!(other_traffic, 0, "{policy}: a demand-only trace");
+        }
     }
 
     #[test]

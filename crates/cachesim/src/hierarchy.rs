@@ -67,13 +67,6 @@ impl LlcSink for SimulateAndRecord<'_> {
         }
         self.llc.writeback(addr);
     }
-
-    fn push_batch(&mut self, addrs: &[u64], meta: &[u32]) {
-        if self.recording {
-            self.trace.push_batch_raw(addrs, meta);
-        }
-        self.llc.push_batch(addrs, meta);
-    }
 }
 
 impl Hierarchy {
@@ -145,20 +138,6 @@ impl Hierarchy {
             recording: self.recording,
         };
         self.upper.access(addr, kind, site, region, &mut sink)
-    }
-
-    /// Performs a whole run of demand accesses through the batched kernel
-    /// ([`UpperLevels::access_batch`]): the upper levels filter the run
-    /// column-wise and whatever escapes L2 is appended to the trace (when
-    /// recording) and simulated by the LLC in bulk. Bit-identical to calling
-    /// [`Hierarchy::access`] once per element, in order.
-    pub fn access_batch(&mut self, batch: &[AccessInfo]) {
-        let mut sink = SimulateAndRecord {
-            llc: &mut self.llc,
-            trace: &mut self.llc_trace,
-            recording: self.recording,
-        };
-        self.upper.access_batch(batch, &mut sink);
     }
 
     /// Convenience wrapper for a read access.
@@ -365,43 +344,6 @@ mod tests {
             .filter(|e| matches!(e, TraceEvent::Writeback(_)))
             .count() as u64;
         assert_eq!(recorded, stats.llc.writeback_accesses);
-    }
-
-    #[test]
-    fn batched_hierarchy_accesses_match_scalar_ones_bit_for_bit() {
-        let mix: Vec<AccessInfo> = {
-            let mut x = 11u64;
-            (0..25_000u64)
-                .map(|i| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(13);
-                    let addr = match i % 3 {
-                        0 => i * 8,
-                        _ => (x >> 22) % (4 * 1024 * 1024),
-                    };
-                    AccessInfo {
-                        addr,
-                        kind: if i % 4 == 1 {
-                            AccessKind::Write
-                        } else {
-                            AccessKind::Read
-                        },
-                        site: (i % 6) as u16,
-                        hint: ReuseHint::Default,
-                        region: RegionLabel::ALL[(i % 5) as usize],
-                    }
-                })
-                .collect()
-        };
-        let mut scalar = hierarchy(RegionClassifier::disabled());
-        for info in &mix {
-            scalar.access(info.addr, info.kind, info.site, info.region);
-        }
-        let mut batched = hierarchy(RegionClassifier::disabled());
-        for window in mix.chunks(1777) {
-            batched.access_batch(window);
-        }
-        assert_eq!(scalar.stats(), batched.stats());
-        assert_eq!(scalar.llc_trace(), batched.llc_trace());
     }
 
     #[test]

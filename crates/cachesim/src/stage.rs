@@ -27,9 +27,8 @@
 //! issues miss L1 and 0.39–0.57 post-L2 records are emitted per demand
 //! access (`record.pass_ratio` on the `pipeline` ledger), so there is no
 //! "mostly L1 hits" fast path to lean on and what counts is the work per
-//! lookup. Both entry points ([`UpperLevels::access`] per event,
-//! [`UpperLevels::access_batch`] per column) run the same private request
-//! routine.
+//! lookup. [`UpperLevels::access`] is the one way in, for recording and for
+//! direct simulation alike.
 //!
 //! [`crate::Hierarchy`] composes the two stages back into the classic
 //! three-level simulator; [`crate::trace::LlcTrace`] implements [`LlcSink`] as
@@ -47,7 +46,6 @@ use crate::policy::PolicyDispatch;
 use crate::prefetch::StridePrefetcher;
 use crate::request::{AccessInfo, AccessKind, AccessSite, RegionLabel};
 use crate::stats::CacheStats;
-use crate::trace::{decode_event, encode_meta, TraceEvent, META_PREFETCH_BIT, META_WRITEBACK_BIT};
 
 /// Consumer of the post-L2 request stream produced by [`UpperLevels`].
 ///
@@ -64,65 +62,6 @@ pub trait LlcSink {
     /// The writeback of a dirty victim evicted from L2 (or evicted from L1
     /// and absent in L2).
     fn writeback(&mut self, addr: Address);
-
-    /// Consumes a whole flush-free run of post-L2 records at once: `addrs`
-    /// and `meta` are the index-aligned encoded columns of the trace format
-    /// (demand, prefetch and writeback records only — never flush markers),
-    /// in stream order. The default implementation decodes each record and
-    /// dispatches it through the per-event methods, so every sink accepts
-    /// batches; the sinks that have something better to do with two column
-    /// slices override it — the trace recorders append them with
-    /// `extend_from_slice`, and [`LlcStage`] hands them to the same
-    /// recorded-stream kernel trace replay runs
-    /// ([`LlcStage::replay_run`]), so simulating while recording and
-    /// replaying afterwards are one loop.
-    fn push_batch(&mut self, addrs: &[Address], meta: &[u32]) {
-        for (&addr, &meta) in addrs.iter().zip(meta) {
-            match decode_event(addr, meta) {
-                TraceEvent::Demand(info) => {
-                    self.demand(&info);
-                }
-                TraceEvent::Prefetch(info) => self.prefetch(&info),
-                TraceEvent::Writeback(addr) => self.writeback(addr),
-                TraceEvent::Flush => debug_assert!(false, "flush markers never batch"),
-            }
-        }
-    }
-}
-
-/// The encoded sink columns [`UpperLevels::access_batch`] collects one call's
-/// escaping records into before its single bulk push; kept across calls so
-/// emission never reallocates in steady state.
-#[derive(Debug, Default)]
-struct SinkColumns {
-    addrs: Vec<Address>,
-    meta: Vec<u32>,
-}
-
-impl SinkColumns {
-    #[inline]
-    fn push(&mut self, addr: Address, meta: u32) {
-        self.addrs.push(addr);
-        self.meta.push(meta);
-    }
-}
-
-impl LlcSink for SinkColumns {
-    #[inline]
-    fn demand(&mut self, info: &AccessInfo) -> bool {
-        self.push(info.addr, encode_meta(info, 0));
-        false
-    }
-
-    #[inline]
-    fn prefetch(&mut self, info: &AccessInfo) {
-        self.push(info.addr, encode_meta(info, META_PREFETCH_BIT));
-    }
-
-    #[inline]
-    fn writeback(&mut self, addr: Address) {
-        self.push(addr, META_WRITEBACK_BIT);
-    }
 }
 
 /// The policy-independent upper levels of the hierarchy: L1-D and L2 (both
@@ -135,7 +74,6 @@ pub struct UpperLevels {
     classifier: RegionClassifier,
     prefetcher: Option<StridePrefetcher>,
     abr_bounds: Vec<(Address, Address)>,
-    columns: SinkColumns,
 }
 
 impl std::fmt::Debug for UpperLevels {
@@ -162,7 +100,6 @@ impl UpperLevels {
             classifier,
             prefetcher: config.prefetch.then(StridePrefetcher::default),
             abr_bounds: Vec::new(),
-            columns: SinkColumns::default(),
         }
     }
 
@@ -248,27 +185,6 @@ impl UpperLevels {
             }
         }
         on_chip
-    }
-
-    /// Batched counterpart of [`UpperLevels::access`]: runs every element
-    /// through the same request path, collects whatever escapes L2 into
-    /// encoded columns and appends them to `sink` with one
-    /// [`LlcSink::push_batch`] per call. Bit-identical to calling
-    /// [`UpperLevels::access`] once per element, in order — same cache
-    /// decisions and statistics, same sink record sequence. The incoming
-    /// `hint` of each request is ignored, exactly as the scalar entry point
-    /// rebuilds it from scratch.
-    pub fn access_batch(&mut self, batch: &[AccessInfo], sink: &mut impl LlcSink) {
-        let mut columns = std::mem::take(&mut self.columns);
-        columns.addrs.clear();
-        columns.meta.clear();
-        for info in batch {
-            self.access(info.addr, info.kind, info.site, info.region, &mut columns);
-        }
-        if !columns.addrs.is_empty() {
-            sink.push_batch(&columns.addrs, &columns.meta);
-        }
-        self.columns = columns;
     }
 
     /// Drives one request (demand, or prefetch when `PREFETCH`) through both
@@ -429,10 +345,6 @@ impl LlcSink for LlcStage {
     fn writeback(&mut self, addr: Address) {
         LlcStage::writeback(self, addr);
     }
-
-    fn push_batch(&mut self, addrs: &[Address], meta: &[u32]) {
-        self.replay_run(addrs, meta, None);
-    }
 }
 
 #[cfg(test)]
@@ -558,40 +470,12 @@ mod tests {
     }
 
     #[test]
-    fn batched_access_records_the_scalar_trace_bit_for_bit() {
-        use crate::trace::LlcTrace;
-        let mix = record_mix(6000);
-        let mut scalar_upper = upper();
-        let mut scalar_trace = LlcTrace::new();
-        for info in &mix {
-            scalar_upper.access(
-                info.addr,
-                info.kind,
-                info.site,
-                info.region,
-                &mut scalar_trace,
-            );
-        }
-        let mut batched_upper = upper();
-        let mut batched_trace = LlcTrace::new();
-        // Uneven sub-batches: one bulk push per call, whatever its length.
-        for window in mix.chunks(997) {
-            batched_upper.access_batch(window, &mut batched_trace);
-        }
-        assert_eq!(scalar_trace, batched_trace, "recorded streams must match");
-        assert_eq!(scalar_trace.demand_len(), batched_trace.demand_len());
-        assert_eq!(scalar_upper.l1_stats(), batched_upper.l1_stats());
-        assert_eq!(scalar_upper.l2_stats(), batched_upper.l2_stats());
-        assert!(!batched_trace.is_empty(), "the mix must escape L2");
-    }
-
-    #[test]
     fn upper_levels_route_like_a_two_level_set_assoc_lru_reference() {
         // The oracle for the whole request path, not just one level: L1 and
         // L2 as `SetAssocCache` + `Lru`, the routing spelled out per request
         // (L1, then L2, the request escaping on an L2 miss, the dirty L1
         // victim probed into L2 before the dirty L2 victim escapes), the
-        // prefetcher on. Uneven sub-batches exercise the per-call bulk push.
+        // prefetcher on.
         use crate::policy::lru::Lru;
         use crate::trace::LlcTrace;
         let config = HierarchyConfig::scaled_default();
@@ -652,8 +536,8 @@ mod tests {
 
         let mut upper = upper();
         let mut got = LlcTrace::new();
-        for window in mix.chunks(77) {
-            upper.access_batch(window, &mut got);
+        for info in &mix {
+            upper.access(info.addr, info.kind, info.site, info.region, &mut got);
         }
         assert_eq!(expected, got, "post-L2 record sequence");
         assert_eq!(l1.stats(), upper.l1_stats());
@@ -667,35 +551,6 @@ mod tests {
         let mut config = HierarchyConfig::scaled_default();
         config.l2 = CacheConfig::new(config.l2.size_bytes, config.l2.ways, 2);
         let _ = UpperLevels::new(config, RegionClassifier::disabled());
-    }
-
-    #[test]
-    fn batched_access_drives_a_simulated_llc_identically() {
-        let mix = record_mix(5000);
-        let config = CacheConfig::new(64 * 512, 16, 64);
-        let mut scalar_upper = upper();
-        let mut scalar_stage = LlcStage::new(config, Drrip::new(config.sets(), config.ways, 1));
-        for info in &mix {
-            scalar_upper.access(
-                info.addr,
-                info.kind,
-                info.site,
-                info.region,
-                &mut scalar_stage,
-            );
-        }
-        let mut batched_upper = upper();
-        let mut batched_stage = LlcStage::new(config, Drrip::new(config.sets(), config.ways, 1));
-        for window in mix.chunks(1203) {
-            batched_upper.access_batch(window, &mut batched_stage);
-        }
-        assert_eq!(scalar_stage.stats(), batched_stage.stats());
-        assert_eq!(
-            scalar_stage.memory_accesses(),
-            batched_stage.memory_accesses()
-        );
-        assert_eq!(scalar_upper.l1_stats(), batched_upper.l1_stats());
-        assert_eq!(scalar_upper.l2_stats(), batched_upper.l2_stats());
     }
 
     #[test]

@@ -298,38 +298,6 @@ impl LlcTrace {
         }
     }
 
-    /// Appends a whole flush-free record batch column-wise: the encoded
-    /// address/metadata columns are copied into the chunked storage with
-    /// `extend_from_slice` runs, splitting at chunk boundaries, so bulk
-    /// recording materializes no per-record structs and takes no per-record
-    /// branches. A chunk pre-sized short by [`LlcTrace::reserve`] is topped
-    /// up with `reserve_exact` toward its fixed extent — a bulk append never
-    /// `Vec`-doubles a chunk mid-record.
-    pub(crate) fn push_batch_raw(&mut self, addrs: &[Address], meta: &[u32]) {
-        debug_assert_eq!(addrs.len(), meta.len(), "index-aligned columns");
-        self.len += addrs.len();
-        self.demand_len += count_demand_records(meta);
-        let (mut addrs, mut meta) = (addrs, meta);
-        while !addrs.is_empty() {
-            let take = (CHUNK_RECORDS - self.current.len()).min(addrs.len());
-            if self.current.addrs.capacity() == 0 {
-                self.current.addrs.reserve(CHUNK_RECORDS);
-                self.current.meta.reserve(CHUNK_RECORDS);
-            } else {
-                self.current.addrs.reserve_exact(take);
-                self.current.meta.reserve_exact(take);
-            }
-            self.current.addrs.extend_from_slice(&addrs[..take]);
-            self.current.meta.extend_from_slice(&meta[..take]);
-            if self.current.len() == CHUNK_RECORDS {
-                let full = std::mem::take(&mut self.current);
-                self.frozen.push(Arc::new(full));
-            }
-            addrs = &addrs[take..];
-            meta = &meta[take..];
-        }
-    }
-
     /// Appends one demand record.
     #[inline]
     pub fn push(&mut self, info: &AccessInfo) {
@@ -567,10 +535,6 @@ impl LlcSink for LlcTrace {
 
     fn writeback(&mut self, addr: Address) {
         self.push_writeback(addr);
-    }
-
-    fn push_batch(&mut self, addrs: &[Address], meta: &[u32]) {
-        self.push_batch_raw(addrs, meta);
     }
 }
 
@@ -850,80 +814,6 @@ mod tests {
         ] {
             assert!(opt.misses <= policy.misses);
         }
-    }
-
-    fn chunk_test_demand(i: usize) -> AccessInfo {
-        AccessInfo::read(i as u64 * 64)
-            .with_site((i % 100) as u16)
-            .with_region(RegionLabel::ALL[i % 5])
-    }
-
-    fn chunk_test_prefetch(i: usize) -> AccessInfo {
-        AccessInfo::read(i as u64 * 64 + 8).with_hint(ReuseHint::High)
-    }
-
-    fn chunk_test_push(sink: &mut LlcTrace, i: usize) {
-        match i % 3 {
-            0 => sink.push(&chunk_test_demand(i)),
-            1 => sink.push_prefetch(&chunk_test_prefetch(i)),
-            _ => sink.push_writeback(i as u64 * 64),
-        }
-    }
-
-    fn chunk_test_encoded(i: usize) -> (Address, u32) {
-        match i % 3 {
-            0 => (
-                chunk_test_demand(i).addr,
-                encode_meta(&chunk_test_demand(i), 0),
-            ),
-            1 => (
-                chunk_test_prefetch(i).addr,
-                encode_meta(&chunk_test_prefetch(i), META_PREFETCH_BIT),
-            ),
-            _ => (i as u64 * 64, META_WRITEBACK_BIT),
-        }
-    }
-
-    #[test]
-    fn bulk_appends_straddle_chunk_boundaries_exactly() {
-        // A batch that crosses the frozen-chunk boundary must split exactly
-        // like per-event pushes: same frozen/current layout, same counters.
-        let total = CHUNK_RECORDS + 11;
-        let mut reference = LlcTrace::new();
-        for i in 0..total {
-            chunk_test_push(&mut reference, i);
-        }
-        let mut bulk = LlcTrace::new();
-        let batch_start = CHUNK_RECORDS - 5;
-        for i in 0..batch_start {
-            chunk_test_push(&mut bulk, i);
-        }
-        let (addrs, meta): (Vec<Address>, Vec<u32>) =
-            (batch_start..total).map(chunk_test_encoded).unzip();
-        bulk.push_batch_raw(&addrs, &meta);
-        assert_eq!(reference, bulk);
-        assert_eq!(reference.demand_len(), bulk.demand_len());
-        assert_eq!(bulk.len(), total);
-        let chunk_lens: Vec<usize> = bulk.chunks().map(TraceChunk::len).collect();
-        assert_eq!(chunk_lens, vec![CHUNK_RECORDS, 11]);
-    }
-
-    #[test]
-    fn bulk_appends_top_up_a_short_reservation_without_doubling() {
-        // A trace pre-sized by a short estimate must grow toward the fixed
-        // chunk extent with exact reservations, never a `Vec` doubling past
-        // it.
-        let mut trace = LlcTrace::new();
-        trace.reserve(100);
-        let records = 5000usize;
-        let (addrs, meta): (Vec<Address>, Vec<u32>) = (0..records).map(chunk_test_encoded).unzip();
-        trace.push_batch_raw(&addrs, &meta);
-        assert_eq!(trace.len(), records);
-        assert!(
-            trace.current.addrs.capacity() <= CHUNK_RECORDS,
-            "bulk append must not allocate past the chunk extent (capacity {})",
-            trace.current.addrs.capacity()
-        );
     }
 
     #[test]

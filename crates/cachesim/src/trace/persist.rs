@@ -7,7 +7,7 @@
 //! ┌──────────────────────────────────────────────────────────────────────┐
 //! │ header (48 bytes, little-endian)                                     │
 //! │   0  magic          8 B   "GRSPTRC\0"                                │
-//! │   8  version        u32   1 (raw) or 2 (codec-framed)                │
+//! │   8  version        u32   2 (codec-framed); 1 (raw) is read-only      │
 //! │  12  chunk_records  u32   records per full chunk (CHUNK_RECORDS)     │
 //! │  16  record_count   u64   total events                               │
 //! │  24  demand_count   u64   demand events (≤ record_count)             │
@@ -28,11 +28,13 @@
 //! The body is encoded per chunk, per column, by the [`Codec`] named in the
 //! header:
 //!
-//! * **`Raw`** (format **v1**, the PR 4 layout, written byte-for-byte
-//!   unchanged): each chunk is one page of `n × u64` addresses followed by
-//!   one page of `n × u32` metadata words — 12 B/record.
-//! * **`DeltaVarint`** (format **v2**): each chunk is a `u32` frame length
-//!   followed by that many payload bytes, holding
+//! * **`Raw`** (format **v1**, **read-only**: no writer emits it any more,
+//!   stores that still hold it migrate with `cargo xtask trace recompress`):
+//!   each chunk is one page of `n × u64` addresses followed by one page of
+//!   `n × u32` metadata words — 12 B/record.
+//! * **`DeltaVarint`** (format **v2**, what [`LlcTrace::write_to`] writes):
+//!   each chunk is a `u32` frame length followed by that many payload
+//!   bytes, holding
 //!   1. the **address column** as zigzag-encoded wrapping deltas in LEB128
 //!      varints (graph-analytics streams are heavily clustered, so most
 //!      deltas fit 1–3 bytes; the delta state resets at every chunk
@@ -52,9 +54,8 @@
 //! ([`LlcTrace::chunks`](super::LlcTrace::chunks)) exactly like a freshly
 //! recorded one.
 //!
-//! [`LlcTrace::read_from`] dispatches on **version + codec**: v1 files (and
-//! `Raw`-codec writes, which still emit the v1 byte format) load exactly as
-//! before, v2 frames decompress chunk-at-a-time.
+//! [`LlcTrace::read_from`] dispatches on **version + codec**: v1 files load
+//! exactly as they always did, v2 frames decompress chunk-at-a-time.
 //!
 //! Corruption is never silent: the checksum covers the header (with the
 //! checksum field zeroed), the context block and the chunk payload — frame
@@ -77,13 +78,12 @@ use std::sync::Arc;
 /// Magic bytes opening every persisted trace.
 pub const TRACE_MAGIC: [u8; 8] = *b"GRSPTRC\0";
 
-/// Newest version of the on-disk trace format. Loaders read every version up
-/// to this one; writers emit the version their [`Codec`] belongs to
-/// ([`Codec::format_version`]). Bump on any layout change.
+/// Newest version of the on-disk trace format, and the one writers emit.
+/// Loaders read every version up to this one. Bump on any layout change.
 pub const TRACE_FORMAT_VERSION: u32 = 2;
 
-/// The raw (uncompressed) v1 layout, kept bit-compatible with PR 4 so
-/// pre-codec stores and CI caches stay loadable.
+/// The raw (uncompressed) v1 layout of PR 4: read so pre-codec stores stay
+/// loadable (and migratable), never written.
 const TRACE_FORMAT_V1: u32 = 1;
 
 const HEADER_LEN: usize = 48;
@@ -97,22 +97,17 @@ const MAX_CONTEXT_LEN: u32 = 1 << 24;
 /// docs for the per-codec layout).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Codec {
-    /// 12 B/record SoA pages — the v1 format, written byte-for-byte as PR 4
-    /// did.
+    /// 12 B/record SoA pages — the v1 format. Read-only.
     Raw,
     /// Per-chunk delta + LEB128 varint addresses and dictionary + bit-packed
-    /// metadata — the v2 format, several times smaller on clustered
-    /// graph-analytics streams.
+    /// metadata — the v2 format every writer emits, several times smaller
+    /// on clustered graph-analytics streams.
     #[default]
     DeltaVarint,
 }
 
 impl Codec {
-    /// Every codec, the default (preferred) one first — the order store
-    /// lookups fall back through.
-    pub const ALL: [Codec; 2] = [Codec::DeltaVarint, Codec::Raw];
-
-    /// Stable human-readable name (the `GRASP_TRACE_CODEC` vocabulary).
+    /// Stable human-readable name (what `cargo xtask trace ls` prints).
     pub fn label(self) -> &'static str {
         match self {
             Codec::Raw => "raw",
@@ -120,19 +115,8 @@ impl Codec {
         }
     }
 
-    /// Parses a label as accepted from environment knobs and CLI flags.
-    pub fn from_label(label: &str) -> Option<Codec> {
-        match label.trim().to_ascii_lowercase().as_str() {
-            "raw" | "v1" => Some(Codec::Raw),
-            "delta-varint" | "deltavarint" | "delta_varint" | "dv" | "v2" => {
-                Some(Codec::DeltaVarint)
-            }
-            _ => None,
-        }
-    }
-
-    /// The format version files written with this codec carry (and the
-    /// version suffix store entries are keyed by).
+    /// The format version files encoded with this codec carry (and the
+    /// version suffix store entries are named by).
     pub fn format_version(self) -> u32 {
         match self {
             Codec::Raw => TRACE_FORMAT_V1,
@@ -480,36 +464,18 @@ fn decode_context(bytes: &[u8]) -> Result<RecordContext, PersistError> {
     Ok(RecordContext { l1, l2, abr_bounds })
 }
 
-fn header_bytes(
-    trace: &LlcTrace,
-    codec: Codec,
-    context_len: u32,
-    checksum: u64,
-) -> [u8; HEADER_LEN] {
+fn header_bytes(trace: &LlcTrace, context_len: u32, checksum: u64) -> [u8; HEADER_LEN] {
     let mut header = [0u8; HEADER_LEN];
     header[0..8].copy_from_slice(&TRACE_MAGIC);
-    header[8..12].copy_from_slice(&codec.format_version().to_le_bytes());
+    header[8..12].copy_from_slice(&TRACE_FORMAT_VERSION.to_le_bytes());
     header[12..16].copy_from_slice(&(CHUNK_RECORDS as u32).to_le_bytes());
     header[16..24].copy_from_slice(&(trace.len() as u64).to_le_bytes());
     header[24..32].copy_from_slice(&(trace.demand_len() as u64).to_le_bytes());
     header[32..36].copy_from_slice(&context_len.to_le_bytes());
-    // The codec field doubles as v1's reserved-zero word: Codec::Raw is 0.
-    header[CODEC_OFFSET..CODEC_OFFSET + 4].copy_from_slice(&codec.code().to_le_bytes());
+    header[CODEC_OFFSET..CODEC_OFFSET + 4]
+        .copy_from_slice(&Codec::DeltaVarint.code().to_le_bytes());
     header[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&checksum.to_le_bytes());
     header
-}
-
-/// Serializes one chunk's raw v1 pages (addresses then metadata words) into
-/// `buf`.
-fn chunk_payload_raw(chunk: &TraceChunk, buf: &mut Vec<u8>) {
-    buf.clear();
-    buf.reserve(chunk.len() * 12);
-    for &addr in &chunk.addrs {
-        buf.extend_from_slice(&addr.to_le_bytes());
-    }
-    for &meta in &chunk.meta {
-        buf.extend_from_slice(&meta.to_le_bytes());
-    }
 }
 
 /// The per-chunk metadata dictionary under construction: the distinct words
@@ -768,83 +734,41 @@ fn read_chunk_delta_varint(
 }
 
 impl LlcTrace {
-    /// Writes the trace with the default codec ([`Codec::DeltaVarint`]) —
-    /// see [`LlcTrace::write_to_with`].
-    pub fn write_to(&self, writer: &mut impl Write) -> Result<u64, PersistError> {
-        self.write_to_with(writer, Codec::default())
-    }
-
     /// Writes the trace (records and recorded context) to `writer` in the
-    /// versioned binary format under `codec` and returns the number of bytes
-    /// written. [`Codec::Raw`] emits the v1 byte format unchanged;
-    /// [`Codec::DeltaVarint`] emits v2 compressed frames.
+    /// versioned binary format — v2, [`Codec::DeltaVarint`] frames — and
+    /// returns the number of bytes written.
     ///
     /// The checksum lands in the header, so the payload is produced before
-    /// the header can be emitted. Raw frames are a cheap copy of the SoA
-    /// pages: they are encoded twice (checksum pass, emit pass) so nothing
-    /// beyond one chunk's payload is ever buffered. Compressed frames are
-    /// expensive to produce, so they are encoded **once** into a body buffer
-    /// (the compressed size — several times smaller than the in-memory trace
-    /// this method is called on) and emitted from it.
-    pub fn write_to_with(
-        &self,
-        writer: &mut impl Write,
-        codec: Codec,
-    ) -> Result<u64, PersistError> {
+    /// the header can be emitted. Compressed frames are expensive to
+    /// produce, so they are encoded **once** into a body buffer (the
+    /// compressed size — several times smaller than the in-memory trace this
+    /// method is called on) and emitted from it.
+    pub fn write_to(&self, writer: &mut impl Write) -> Result<u64, PersistError> {
         let context = encode_context(&self.context);
         let context_len = u32::try_from(context.len()).map_err(|_| {
             PersistError::Corrupt("context block exceeds u32::MAX bytes".to_owned())
         })?;
 
-        let mut hasher = Fnv64::new();
-        hasher.update(&header_bytes(self, codec, context_len, 0));
-        hasher.update(&context);
-
-        let mut written = 0u64;
-        match codec {
-            Codec::Raw => {
-                // Pass 1: checksum the raw frames chunk-by-chunk.
-                let mut buf = Vec::new();
-                for chunk in self.chunks() {
-                    chunk_payload_raw(chunk, &mut buf);
-                    hasher.update(&buf);
-                }
-                // Pass 2: emit header, context, and the re-encoded frames.
-                let header = header_bytes(self, codec, context_len, hasher.finish());
-                writer.write_all(&header)?;
-                written += header.len() as u64;
-                writer.write_all(&context)?;
-                written += context.len() as u64;
-                for chunk in self.chunks() {
-                    chunk_payload_raw(chunk, &mut buf);
-                    writer.write_all(&buf)?;
-                    written += buf.len() as u64;
-                }
-            }
-            Codec::DeltaVarint => {
-                // Single compression pass into the body buffer, then emit.
-                let mut body = Vec::new();
-                let mut frame = Vec::new();
-                let mut dict = MetaDictionary::new();
-                for chunk in self.chunks() {
-                    chunk_payload_delta_varint(chunk, &mut frame, &mut dict);
-                    body.extend_from_slice(&frame);
-                }
-                hasher.update(&body);
-                let header = header_bytes(self, codec, context_len, hasher.finish());
-                writer.write_all(&header)?;
-                written += header.len() as u64;
-                writer.write_all(&context)?;
-                written += context.len() as u64;
-                writer.write_all(&body)?;
-                written += body.len() as u64;
-            }
+        let mut body = Vec::new();
+        let mut frame = Vec::new();
+        let mut dict = MetaDictionary::new();
+        for chunk in self.chunks() {
+            chunk_payload_delta_varint(chunk, &mut frame, &mut dict);
+            body.extend_from_slice(&frame);
         }
-        Ok(written)
+        let mut hasher = Fnv64::new();
+        hasher.update(&header_bytes(self, context_len, 0));
+        hasher.update(&context);
+        hasher.update(&body);
+        let header = header_bytes(self, context_len, hasher.finish());
+        writer.write_all(&header)?;
+        writer.write_all(&context)?;
+        writer.write_all(&body)?;
+        Ok((header.len() + context.len() + body.len()) as u64)
     }
 
-    /// Reads a trace previously written by [`LlcTrace::write_to_with`] (any
-    /// supported version and codec) — see [`LlcTrace::read_from_with_codec`].
+    /// Reads a persisted trace (any supported version and codec) — see
+    /// [`LlcTrace::read_from_with_codec`].
     pub fn read_from(reader: &mut impl Read) -> Result<LlcTrace, PersistError> {
         Self::read_from_with_codec(reader).map(|(trace, _)| trace)
     }
@@ -989,18 +913,12 @@ impl LlcTrace {
         Ok((trace, codec))
     }
 
-    /// Writes the trace to `path` with the default codec — see
-    /// [`LlcTrace::save_with`].
+    /// Writes the trace to `path` via [`LlcTrace::write_to`] (buffered).
+    /// Returns the number of bytes written.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<u64, PersistError> {
-        self.save_with(path, Codec::default())
-    }
-
-    /// Writes the trace to `path` via [`LlcTrace::write_to_with`]
-    /// (buffered). Returns the number of bytes written.
-    pub fn save_with(&self, path: impl AsRef<Path>, codec: Codec) -> Result<u64, PersistError> {
         let file = std::fs::File::create(path)?;
         let mut writer = std::io::BufWriter::new(file);
-        let written = self.write_to_with(&mut writer, codec)?;
+        let written = self.write_to(&mut writer)?;
         writer.flush()?;
         Ok(written)
     }
@@ -1055,22 +973,29 @@ mod tests {
         trace
     }
 
-    fn write_to_vec_with(trace: &LlcTrace, codec: Codec) -> Vec<u8> {
+    include!("../../tests/support/v1_fixture.rs");
+
+    /// Every encoding the reader accepts: what the writer emits, and v1.
+    const CODECS: [Codec; 2] = [Codec::DeltaVarint, Codec::Raw];
+
+    fn write_to_vec(trace: &LlcTrace) -> Vec<u8> {
         let mut bytes = Vec::new();
-        let written = trace
-            .write_to_with(&mut bytes, codec)
-            .expect("write succeeds");
+        let written = trace.write_to(&mut bytes).expect("write succeeds");
         assert_eq!(written as usize, bytes.len());
         bytes
     }
 
-    fn write_to_vec(trace: &LlcTrace) -> Vec<u8> {
-        write_to_vec_with(trace, Codec::default())
+    /// `trace` as a file in `codec`: written, or built by the v1 fixture.
+    fn write_to_vec_with(trace: &LlcTrace, codec: Codec) -> Vec<u8> {
+        match codec {
+            Codec::DeltaVarint => write_to_vec(trace),
+            Codec::Raw => v1_trace_bytes(trace),
+        }
     }
 
     #[test]
     fn roundtrip_preserves_everything_including_chunk_layout() {
-        for codec in Codec::ALL {
+        for codec in CODECS {
             for events in [0, 1, 5, CHUNK_RECORDS - 1, CHUNK_RECORDS, CHUNK_RECORDS + 3] {
                 let trace = sample_trace(events);
                 let bytes = write_to_vec_with(&trace, codec);
@@ -1106,7 +1031,7 @@ mod tests {
     #[test]
     fn loaded_trace_replays_bit_identically() {
         let trace = sample_trace(4000);
-        for codec in Codec::ALL {
+        for codec in CODECS {
             let bytes = write_to_vec_with(&trace, codec);
             let loaded = LlcTrace::read_from(&mut bytes.as_slice()).expect("roundtrip");
             let config = CacheConfig::new(64 * 128, 8, 64);
@@ -1119,55 +1044,26 @@ mod tests {
     #[test]
     fn save_and_load_via_files() {
         let trace = sample_trace(300);
-        for codec in Codec::ALL {
-            let path = std::env::temp_dir().join(format!(
-                "grasp-persist-test-{}-{:?}-{}.trace",
-                std::process::id(),
-                std::thread::current().id(),
-                codec
-            ));
-            let written = trace.save_with(&path, codec).expect("save");
-            assert_eq!(written, std::fs::metadata(&path).expect("metadata").len());
-            let loaded = LlcTrace::load(&path).expect("load");
-            std::fs::remove_file(&path).ok();
-            assert_eq!(loaded, trace, "{codec}");
-        }
-    }
-
-    #[test]
-    fn raw_codec_still_writes_the_v1_format() {
-        // Compatibility promise: Codec::Raw emits the PR 4 byte layout —
-        // version 1, reserved/codec word 0, 12 B/record pages — so pre-codec
-        // stores and caches keep loading (and old builds can read new raw
-        // files).
-        let trace = sample_trace(200);
-        let bytes = write_to_vec_with(&trace, Codec::Raw);
-        assert_eq!(
-            u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
-            TRACE_FORMAT_V1
-        );
-        assert_eq!(u32::from_le_bytes(bytes[36..40].try_into().unwrap()), 0);
-        let context_len = u32::from_le_bytes(bytes[32..36].try_into().unwrap()) as usize;
-        assert_eq!(
-            bytes.len(),
-            HEADER_LEN + context_len + trace.len() * 12,
-            "raw bodies are exactly 12 B/record"
-        );
-        let (loaded, codec) =
-            LlcTrace::read_from_with_codec(&mut bytes.as_slice()).expect("v1 loads");
-        assert_eq!(codec, Codec::Raw);
+        let path = std::env::temp_dir().join(format!(
+            "grasp-persist-test-{}-{:?}.trace",
+            std::process::id(),
+            std::thread::current().id(),
+        ));
+        let written = trace.save(&path).expect("save");
+        assert_eq!(written, std::fs::metadata(&path).expect("metadata").len());
+        let loaded = LlcTrace::load(&path).expect("load");
+        std::fs::remove_file(&path).ok();
         assert_eq!(loaded, trace);
     }
 
     #[test]
     fn codec_labels_round_trip() {
-        for codec in Codec::ALL {
-            assert_eq!(Codec::from_label(codec.label()), Some(codec));
+        for codec in CODECS {
             assert_eq!(Codec::from_code(codec.code()), Some(codec));
+            assert_eq!(codec.to_string(), codec.label());
         }
-        assert_eq!(Codec::from_label("DV"), Some(Codec::DeltaVarint));
-        assert_eq!(Codec::from_label(" raw "), Some(Codec::Raw));
-        assert_eq!(Codec::from_label("zstd"), None);
+        assert_eq!(Codec::Raw.label(), "raw");
+        assert_eq!(Codec::DeltaVarint.label(), "delta-varint");
         assert_eq!(Codec::from_code(7), None);
         assert_eq!(Codec::Raw.format_version(), 1);
         assert_eq!(Codec::DeltaVarint.format_version(), 2);
@@ -1277,7 +1173,7 @@ mod tests {
 
     #[test]
     fn truncation_is_a_typed_error_at_every_boundary() {
-        for codec in Codec::ALL {
+        for codec in CODECS {
             let bytes = write_to_vec_with(&sample_trace(200), codec);
             // Header, context and payload truncations all surface as Truncated.
             for cut in [0, 10, HEADER_LEN - 1, HEADER_LEN + 4, bytes.len() - 1] {
@@ -1293,7 +1189,7 @@ mod tests {
 
     #[test]
     fn payload_bit_flip_is_a_typed_error() {
-        for codec in Codec::ALL {
+        for codec in CODECS {
             let trace = sample_trace(500);
             let bytes = write_to_vec_with(&trace, codec);
             let mut flipped = bytes.clone();
@@ -1311,7 +1207,7 @@ mod tests {
         // Shrinking the record count re-frames the payload; the checksum
         // (which covers the header) must catch it even though the framing
         // itself stays structurally valid.
-        for codec in Codec::ALL {
+        for codec in CODECS {
             let bytes = write_to_vec_with(&sample_trace(CHUNK_RECORDS + 100), codec);
             let mut tampered = bytes.clone();
             tampered[16..24].copy_from_slice(&(100u64).to_le_bytes());
@@ -1328,7 +1224,7 @@ mod tests {
         // `record_count` is unvalidated until the checksum passes, so the
         // reader must never size an allocation from it: a corrupted count in
         // the exabyte range has to surface as a typed error.
-        for codec in Codec::ALL {
+        for codec in CODECS {
             let mut bytes = write_to_vec_with(&sample_trace(100), codec);
             bytes[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
             bytes[24..32].copy_from_slice(&0u64.to_le_bytes());
@@ -1367,7 +1263,7 @@ mod tests {
 
     #[test]
     fn trace_block_is_embeddable_in_a_larger_stream() {
-        for codec in Codec::ALL {
+        for codec in CODECS {
             let trace = sample_trace(150);
             let mut bytes = write_to_vec_with(&trace, codec);
             let trailer = b"store metadata lives here";
@@ -1384,7 +1280,7 @@ mod tests {
 
     #[test]
     fn empty_trace_roundtrips() {
-        for codec in Codec::ALL {
+        for codec in CODECS {
             let trace = LlcTrace::new();
             let bytes = write_to_vec_with(&trace, codec);
             assert_eq!(
@@ -1423,7 +1319,7 @@ mod tests {
         // Corrupt the in-memory counter, then persist: the file is
         // checksum-consistent but internally wrong.
         trace.demand_len += 1;
-        for codec in Codec::ALL {
+        for codec in CODECS {
             let bytes = write_to_vec_with(&trace, codec);
             match LlcTrace::read_from(&mut bytes.as_slice()) {
                 Err(PersistError::Corrupt(msg)) => assert!(msg.contains("demand")),
@@ -1450,7 +1346,7 @@ mod tests {
             1 << 9, // ... and the bits between the kinds and the site.
             1 << 15,
         ];
-        for codec in Codec::ALL {
+        for codec in CODECS {
             for word in forged {
                 let mut trace = LlcTrace::new();
                 for i in 0..10u64 {
@@ -1498,7 +1394,7 @@ mod tests {
         let info = AccessInfo::read(0x1240).with_site(3);
         let mut trace = LlcTrace::new();
         trace.push(&info);
-        for codec in Codec::ALL {
+        for codec in CODECS {
             let bytes = write_to_vec_with(&trace, codec);
             let loaded = LlcTrace::read_from(&mut bytes.as_slice()).expect("roundtrip");
             assert_eq!(loaded.get(0), trace.get(0), "{codec}");

@@ -1,20 +1,22 @@
-//! Property tests for the on-disk trace format, covering **both codecs** of
-//! format v2: persist → load → replay must equal the in-memory trace for
-//! arbitrary event sequences (flushes and dirty writebacks included), and a
-//! damaged file — truncated anywhere, or with any bit flipped, in the raw
-//! pages or the compressed frames — must surface a typed [`PersistError`],
-//! never a silently wrong replay. `Codec::Raw` doubles as the v1 format
-//! (byte-for-byte), so the v1-compatibility promise rides the same
-//! properties.
+//! Property tests for the on-disk trace format, covering **both encodings
+//! the reader accepts** — the v2 files the writer emits and the read-only v1
+//! files older stores hold (built by `support/v1_fixture.rs`): persist →
+//! load → replay must equal the in-memory trace for arbitrary event
+//! sequences (flushes and dirty writebacks included), and a damaged file —
+//! truncated anywhere, or with any bit flipped, in the raw pages or the
+//! compressed frames — must surface a typed [`PersistError`], never a
+//! silently wrong replay.
 
 use grasp_cachesim::config::CacheConfig;
 use grasp_cachesim::hint::ReuseHint;
 use grasp_cachesim::policy::grasp::Grasp;
 use grasp_cachesim::policy::lru::Lru;
 use grasp_cachesim::request::{AccessInfo, RegionLabel};
-use grasp_cachesim::trace::persist::{Codec, PersistError};
+use grasp_cachesim::trace::persist::{Codec, Fnv64, PersistError};
 use grasp_cachesim::trace::{LlcTrace, RecordContext, TraceEvent};
 use proptest::prelude::*;
+
+include!("support/v1_fixture.rs");
 
 /// Arbitrary post-L2 event sequences: demand reads/writes, prefetches,
 /// dirty writebacks and flush markers, with varying sites, hints and
@@ -77,12 +79,18 @@ fn build(events: &[TraceEvent], abr_bounds: usize) -> LlcTrace {
     trace
 }
 
+/// `trace` as a file in `codec`: written, or built by the v1 fixture.
 fn persist(trace: &LlcTrace, codec: Codec) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    trace
-        .write_to_with(&mut bytes, codec)
-        .expect("in-memory write succeeds");
-    bytes
+    match codec {
+        Codec::Raw => v1_trace_bytes(trace),
+        Codec::DeltaVarint => {
+            let mut bytes = Vec::new();
+            trace
+                .write_to(&mut bytes)
+                .expect("in-memory write succeeds");
+            bytes
+        }
+    }
 }
 
 proptest! {
@@ -123,7 +131,8 @@ proptest! {
     ) {
         // The codec is an encoding choice, never a semantic one: a raw file
         // and a compressed file of the same trace load to *equal* traces
-        // (chunk layout included), so store hits may be served cross-codec.
+        // (chunk layout included), which is what lets `recompress` migrate
+        // a v1 store in place.
         let (events, abr_bounds) = case;
         let trace = build(&events, abr_bounds);
         let from_raw = LlcTrace::read_from(&mut persist(&trace, Codec::Raw).as_slice())
@@ -187,8 +196,7 @@ proptest! {
         case in (arb_events(), 0u8..2)
     ) {
         // Byte-for-byte determinism is what lets CI cache the store across
-        // pushes and lets `publish` skip nothing: same trace, same codec,
-        // same file.
+        // pushes and lets `publish` skip nothing: same trace, same file.
         let (events, codec_selector) = case;
         let codec = codec_of(codec_selector);
         let trace = build(&events, 3);
@@ -197,10 +205,10 @@ proptest! {
 
     #[test]
     fn v1_files_still_load_byte_for_byte(events in arb_events()) {
-        // Raw writes *are* the v1 format: version field 1, reserved word 0,
-        // 12 B/record SoA pages. A build that ever stops reading them breaks
-        // every pre-codec store, so the shape is pinned as a property over
-        // arbitrary traces, not just one golden file.
+        // The v1 format: version field 1, reserved word 0, 12 B/record SoA
+        // pages. A build that ever stops reading it strands every pre-codec
+        // store short of its `recompress`, so the shape is pinned as a
+        // property over arbitrary traces, not just one golden file.
         let trace = build(&events, 2);
         let bytes = persist(&trace, Codec::Raw);
         prop_assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 1);

@@ -1,17 +1,24 @@
-//! Property tests for the batched record kernel: `UpperLevels::access_batch`
-//! against the per-event `UpperLevels::access` reference over arbitrary
-//! read/write/flush sequences. The recorded traces must be byte-identical
-//! (address and meta columns, persisted v2 bytes) and the upper-level L1/L2
-//! statistics carried in the record context must match exactly — the whole
-//! trace store keys on recordings being deterministic, so any divergence
-//! here would poison every store hit.
+//! Property tests for the record path: `UpperLevels::access` against a
+//! two-level `SetAssocCache` + `Lru` reference whose routing is spelled out
+//! per request, over arbitrary read/write/flush sequences. The recorded
+//! traces must be identical (address and meta columns) and the upper-level
+//! L1/L2 statistics carried in the record context must match exactly — the
+//! whole trace store keys on recordings being deterministic, so any
+//! divergence here would poison every store hit.
 
-use grasp_cachesim::config::HierarchyConfig;
-use grasp_cachesim::hint::RegionClassifier;
+use grasp_cachesim::cache::{AccessOutcome, SetAssocCache};
+use grasp_cachesim::config::{CacheConfig, HierarchyConfig};
+use grasp_cachesim::hint::{AddressBoundRegisters, RegionClassifier, ReuseHint};
+use grasp_cachesim::policy::lru::Lru;
+use grasp_cachesim::prefetch::StridePrefetcher;
 use grasp_cachesim::request::{AccessInfo, AccessKind, RegionLabel};
 use grasp_cachesim::stage::UpperLevels;
-use grasp_cachesim::trace::LlcTrace;
+use grasp_cachesim::trace::{LlcTrace, RecordContext};
 use proptest::prelude::*;
+
+/// The ABR bounds both sides program, so the classifier is live and hints
+/// land in the recorded meta column.
+const ABR_BOUNDS: [(u64, u64); 1] = [(0, 1 << 18)];
 
 /// An arbitrary record-phase event: a demand access (read or write) issued
 /// to the upper levels, or a full-hierarchy flush.
@@ -42,7 +49,7 @@ fn arb_events() -> impl Strategy<Value = Vec<Event>> {
                         addr: slot * 8,
                         kind,
                         site,
-                        hint: grasp_cachesim::hint::ReuseHint::Default,
+                        hint: ReuseHint::Default,
                         region: RegionLabel::ALL[region as usize],
                     })
                 })
@@ -51,17 +58,10 @@ fn arb_events() -> impl Strategy<Value = Vec<Event>> {
     )
 }
 
-fn fresh_upper(config: HierarchyConfig) -> UpperLevels {
+/// The path under test: every access through `UpperLevels::access`.
+fn record(events: &[Event], config: HierarchyConfig) -> LlcTrace {
     let mut upper = UpperLevels::new(config, RegionClassifier::disabled());
-    // Program the ABRs so the classifier is live and hints land in the
-    // recorded meta column.
-    upper.program_abrs(&[(0, 1 << 18)]);
-    upper
-}
-
-/// The per-event reference: every access through `UpperLevels::access`.
-fn record_per_event(events: &[Event], config: HierarchyConfig) -> LlcTrace {
-    let mut upper = fresh_upper(config);
+    upper.program_abrs(&ABR_BOUNDS);
     let mut trace = LlcTrace::new();
     for event in events {
         match event {
@@ -78,78 +78,104 @@ fn record_per_event(events: &[Event], config: HierarchyConfig) -> LlcTrace {
     trace
 }
 
-/// The batched path: accesses accumulate into columns of up to `window`
-/// and go through `UpperLevels::access_batch`; a flush drains the pending
-/// column first (exactly what the buffered workspace does).
-fn record_batched(events: &[Event], config: HierarchyConfig, window: usize) -> LlcTrace {
-    let mut upper = fresh_upper(config);
-    let mut trace = LlcTrace::new();
-    let mut column: Vec<AccessInfo> = Vec::new();
-    let drain = |upper: &mut UpperLevels, trace: &mut LlcTrace, column: &mut Vec<AccessInfo>| {
-        if !column.is_empty() {
-            upper.access_batch(column, trace);
-            column.clear();
-        }
+/// The oracle: L1 and L2 as `SetAssocCache` + `Lru`, the routing written out
+/// per request — L1, then L2, the request escaping with its reuse hint on an
+/// L2 miss, the dirty L1 victim probed into L2 before the dirty L2 victim
+/// escapes — and at most one prefetch request behind every demand access.
+fn record_reference(events: &[Event], config: HierarchyConfig) -> LlcTrace {
+    let level = |name, c: CacheConfig| SetAssocCache::new(name, c, Lru::new(c.sets(), c.ways));
+    let mut l1 = level("L1-D", config.l1);
+    let mut l2 = level("L2", config.l2);
+    let mut prefetcher = config.prefetch.then(StridePrefetcher::default);
+    let mut abrs = AddressBoundRegisters::new();
+    for (start, end) in ABR_BOUNDS {
+        abrs.program(start, end);
+    }
+    let classifier = RegionClassifier::new(abrs, config.llc.size_bytes);
+    let dirty_victim = |out: &AccessOutcome, c: &CacheConfig| {
+        out.evicted
+            .filter(|_| out.evicted_dirty)
+            .map(|block| block * c.block_bytes)
     };
+    let mut trace = LlcTrace::new();
     for event in events {
-        match event {
-            Event::Access(info) => {
-                column.push(*info);
-                if column.len() >= window {
-                    drain(&mut upper, &mut trace, &mut column);
+        let info = match event {
+            Event::Access(info) => *info,
+            Event::Flush => {
+                l1.flush();
+                l2.flush();
+                if let Some(prefetcher) = prefetcher.as_mut() {
+                    prefetcher.reset();
+                }
+                trace.push_flush();
+                continue;
+            }
+        };
+        let predicted = prefetcher
+            .as_mut()
+            .and_then(|prefetcher| prefetcher.observe(info.site, info.addr));
+        let prefetch = predicted.map(|addr| AccessInfo {
+            addr,
+            kind: AccessKind::Read,
+            ..info
+        });
+        for (request, is_prefetch) in [(Some(info), false), (prefetch, true)] {
+            let Some(request) = request else { continue };
+            let out1 = if is_prefetch {
+                l1.prefetch(&request)
+            } else {
+                l1.access(&request)
+            };
+            if out1.hit {
+                continue;
+            }
+            let out2 = if is_prefetch {
+                l2.prefetch(&request)
+            } else {
+                l2.access(&request)
+            };
+            let hinted = request.with_hint(classifier.classify(request.addr));
+            match (out2.hit, is_prefetch) {
+                (true, _) => {}
+                (false, false) => trace.push(&hinted),
+                (false, true) => trace.push_prefetch(&hinted),
+            }
+            if let Some(addr) = dirty_victim(&out1, &config.l1) {
+                if !l2.writeback(addr) {
+                    trace.push_writeback(addr);
                 }
             }
-            Event::Flush => {
-                drain(&mut upper, &mut trace, &mut column);
-                upper.flush();
-                trace.push_flush();
+            if let Some(addr) = dirty_victim(&out2, &config.l2) {
+                trace.push_writeback(addr);
             }
         }
     }
-    drain(&mut upper, &mut trace, &mut column);
-    trace.set_context(upper.record_context());
+    trace.set_context(RecordContext {
+        l1: l1.stats().clone(),
+        l2: l2.stats().clone(),
+        abr_bounds: ABR_BOUNDS.to_vec(),
+    });
     trace
-}
-
-fn persisted_bytes(trace: &LlcTrace) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    trace
-        .write_to(&mut bytes)
-        .expect("in-memory persist cannot fail");
-    bytes
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn batched_record_is_bit_identical_to_per_event_record(events in arb_events()) {
+    fn upper_levels_record_what_the_two_level_lru_reference_records(events in arb_events()) {
         let config = HierarchyConfig::scaled_default();
-        let reference = record_per_event(&events, config);
-        // Window sizes straddling every interesting boundary: single-element
-        // columns, odd windows smaller and larger than one kernel tile, and
-        // one column holding the entire sequence.
-        for window in [1usize, 13, 1024, 1699, events.len().max(1)] {
-            let batched = record_batched(&events, config, window);
-            prop_assert_eq!(&batched, &reference, "window {}", window);
-            prop_assert_eq!(batched.context(), reference.context(), "window {}", window);
-            prop_assert_eq!(
-                persisted_bytes(&batched),
-                persisted_bytes(&reference),
-                "persisted v2 bytes, window {}",
-                window
-            );
-        }
+        let recorded = record(&events, config);
+        let reference = record_reference(&events, config);
+        prop_assert_eq!(&recorded, &reference);
+        prop_assert_eq!(recorded.context(), reference.context());
     }
 
     #[test]
-    fn batched_record_parity_holds_without_prefetcher(events in arb_events()) {
-        // The prefetcher pre-pass is the subtlest part of the batched kernel;
-        // parity must also hold when it is absent entirely.
+    fn reference_parity_holds_without_prefetcher(events in arb_events()) {
         let config = HierarchyConfig::scaled_default().without_prefetch();
-        let reference = record_per_event(&events, config);
-        let batched = record_batched(&events, config, 97);
-        prop_assert_eq!(&batched, &reference);
-        prop_assert_eq!(batched.context(), reference.context());
+        let recorded = record(&events, config);
+        let reference = record_reference(&events, config);
+        prop_assert_eq!(&recorded, &reference);
+        prop_assert_eq!(recorded.context(), reference.context());
     }
 }

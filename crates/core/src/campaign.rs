@@ -59,10 +59,10 @@ use crate::experiment::{Experiment, RecordedRun, RunResult};
 use crate::flight::{CellInterest, CellKey, Claim, FlightRegistry, FlightServed, Wake};
 use crate::policy::PolicyKind;
 use crate::spec::CampaignSpec;
-use crate::trace_store::{codec_from_env, TraceStore, TraceStoreKey};
+use crate::trace_store::{TraceStore, TraceStoreKey};
 use grasp_analytics::apps::{AppConfig, AppKind};
 use grasp_cachesim::config::HierarchyConfig;
-use grasp_cachesim::{Codec, TimingModel};
+use grasp_cachesim::TimingModel;
 use grasp_graph::types::Direction;
 use grasp_graph::{Csr, GraphView};
 use grasp_reorder::TechniqueKind;
@@ -160,23 +160,27 @@ pub enum SchedulerEvent {
     },
 }
 
-/// Exponential-moving-average weight for online cost refinement: a fresh
+/// Exponential-moving-average weight for online cost refinement: a repeat
 /// measurement moves the estimate halfway — quick to adapt within a run,
 /// yet one outlier (a descheduled worker) can't wreck the ordering.
 const COST_EWMA_ALPHA: f64 = 0.5;
 
-/// Seed rate for a trace-store load, relative to recording the same stream:
-/// loads are ordered among the obtain tasks as cheap records (they unlock
-/// the same replays at a fraction of the cost) until a measured load
-/// refines the estimate.
+/// What a trace-store load is costed at, relative to recording the same
+/// stream, until a load has been measured: loads are ordered among the
+/// obtain tasks as cheap records (they unlock the same replays at a fraction
+/// of the cost).
 const LOAD_SEED_DISCOUNT: f64 = 1.0 / 16.0;
 
-/// The scheduler's cost model: per-task-kind unit rates, seeded at 1.0 (so
-/// initial ordering is purely by work size — instruction-proportional
-/// `(V + E) × iterations` for records, trace record count for replays) and
-/// refined online from measured wall times via an EWMA. Records/loads and
-/// replays queue separately, so their rates never need a common unit; the
-/// units only rank tasks *within* a queue.
+/// The scheduler's cost model: measured seconds per work unit
+/// (instruction-proportional `(V + E) × iterations` for records and loads,
+/// trace record count for replays), per task kind. A kind's first
+/// measurement *is* its rate and later ones refine it through an EWMA; a
+/// kind not measured yet is costed at the mean measured rate of its task
+/// type, so the tasks a queue ranks always share a unit, and — before
+/// anything is measured — at a seed of 1.0, which orders purely by work
+/// size. Records and loads share the obtain queue, so an unmeasured load is
+/// [`LOAD_SEED_DISCOUNT`] of what recording its stream would cost; replays
+/// queue separately and never need a unit in common with either.
 #[derive(Debug, Default)]
 struct CostModel {
     /// Seconds per record work unit, per application.
@@ -188,43 +192,48 @@ struct CostModel {
 }
 
 impl CostModel {
+    /// The rate `key` is costed at: measured, else the mean of what has been
+    /// measured, else `seed`.
+    fn rate<K: Eq + Hash>(rates: &HashMap<K, f64>, key: &K, seed: f64) -> f64 {
+        match rates.get(key) {
+            Some(&measured) => measured,
+            None if rates.is_empty() => seed,
+            None => rates.values().sum::<f64>() / rates.len() as f64,
+        }
+    }
+
+    fn observe<K: Eq + Hash>(rates: &mut HashMap<K, f64>, key: K, measured: f64) {
+        rates
+            .entry(key)
+            .and_modify(|rate| *rate += COST_EWMA_ALPHA * (measured - *rate))
+            .or_insert(measured);
+    }
+
     fn record_cost(&self, app: AppKind, work: f64) -> f64 {
-        work * self.record_rate.get(&app).copied().unwrap_or(1.0)
+        work * Self::rate(&self.record_rate, &app, 1.0)
     }
 
     fn load_cost(&self, app: AppKind, work: f64) -> f64 {
-        work * self
-            .load_rate
-            .get(&app)
-            .copied()
-            .unwrap_or(LOAD_SEED_DISCOUNT)
+        let seed = LOAD_SEED_DISCOUNT * Self::rate(&self.record_rate, &app, 1.0);
+        work * Self::rate(&self.load_rate, &app, seed)
     }
 
     fn replay_cost(&self, app: AppKind, policy: PolicyKind, records: f64) -> f64 {
-        records * self.replay_rate.get(&(app, policy)).copied().unwrap_or(1.0)
-    }
-
-    fn observe(entry: &mut f64, measured_rate: f64) {
-        *entry += COST_EWMA_ALPHA * (measured_rate - *entry);
+        records * Self::rate(&self.replay_rate, &(app, policy), 1.0)
     }
 
     fn observe_record(&mut self, app: AppKind, work: f64, elapsed: f64) {
-        Self::observe(
-            self.record_rate.entry(app).or_insert(1.0),
-            elapsed / work.max(1.0),
-        );
+        Self::observe(&mut self.record_rate, app, elapsed / work.max(1.0));
     }
 
     fn observe_load(&mut self, app: AppKind, work: f64, elapsed: f64) {
-        Self::observe(
-            self.load_rate.entry(app).or_insert(LOAD_SEED_DISCOUNT),
-            elapsed / work.max(1.0),
-        );
+        Self::observe(&mut self.load_rate, app, elapsed / work.max(1.0));
     }
 
     fn observe_replay(&mut self, app: AppKind, policy: PolicyKind, records: f64, elapsed: f64) {
         Self::observe(
-            self.replay_rate.entry((app, policy)).or_insert(1.0),
+            &mut self.replay_rate,
+            (app, policy),
             elapsed / records.max(1.0),
         );
     }
@@ -325,7 +334,6 @@ pub struct Campaign {
     record_trace: bool,
     threads: usize,
     store: Option<Arc<TraceStore>>,
-    codec: Option<Codec>,
     flights: Option<Arc<FlightRegistry>>,
 }
 
@@ -347,7 +355,6 @@ impl Campaign {
             record_trace: false,
             threads: 0, // auto: resolved to available_parallelism at run time
             store: None,
-            codec: None, // resolved from GRASP_TRACE_CODEC (default delta-varint)
             flights: None,
         }
     }
@@ -380,9 +387,6 @@ impl Campaign {
             let store = TraceStore::open(path.as_str()).map_err(Error::from)?;
             campaign = campaign.with_trace_store(Arc::new(store));
         }
-        if let Some(codec) = spec.codec {
-            campaign = campaign.trace_codec(codec);
-        }
         Ok(campaign)
     }
 
@@ -404,7 +408,6 @@ impl Campaign {
                 .store
                 .as_ref()
                 .map(|store| store.dir().display().to_string()),
-            codec: self.codec,
         }
     }
 
@@ -489,32 +492,6 @@ impl Campaign {
         self
     }
 
-    /// Attaches the store named by the `GRASP_TRACE_STORE` environment
-    /// variable, when set.
-    ///
-    /// This is the documented **fallback** for campaigns whose
-    /// [`CampaignSpec`] leaves the `store` field unset — prefer the spec
-    /// field (or [`Campaign::with_trace_store`]), which makes the store an
-    /// explicit, serializable part of the campaign. When the variable is
-    /// unset the call is a no-op, and says so once per process on stderr
-    /// (the silent no-op used to make "why is every run re-recording?"
-    /// needlessly hard to diagnose).
-    #[must_use]
-    pub fn trace_store_from_env(mut self) -> Self {
-        if let Some(store) = TraceStore::from_env() {
-            self.store = Some(Arc::new(store));
-        } else {
-            static UNSET: std::sync::Once = std::sync::Once::new();
-            UNSET.call_once(|| {
-                eprintln!(
-                    "trace store: GRASP_TRACE_STORE is not set; campaign runs without \
-                     a persistent trace store (every stream records fresh)"
-                );
-            });
-        }
-        self
-    }
-
     /// Shares an in-flight registry with this campaign, so campaigns holding
     /// the same registry that **overlap in time** do each common piece of
     /// work once. The campaign service wires one registry across all client
@@ -560,22 +537,6 @@ impl Campaign {
         self.store.as_ref()
     }
 
-    /// Selects the [`Codec`] newly recorded streams are **published** with
-    /// (default: the `GRASP_TRACE_CODEC` environment variable, falling back
-    /// to [`Codec::DeltaVarint`]). Loads are codec-agnostic — an entry in
-    /// any codec serves a hit — so changing this never invalidates a store.
-    #[must_use]
-    pub fn trace_codec(mut self, codec: Codec) -> Self {
-        self.codec = Some(codec);
-        self
-    }
-
-    /// The publication codec a run actually uses (see
-    /// [`Campaign::trace_codec`]).
-    fn resolved_codec(&self) -> Codec {
-        self.codec.unwrap_or_else(codec_from_env)
-    }
-
     /// Sets the worker-thread count. `0` (the default) means one worker per
     /// available CPU; degenerate requests (zero, or absurdly many workers)
     /// are clamped at run time to `available_parallelism`, and every budget
@@ -611,7 +572,7 @@ impl Campaign {
 
     /// Runs the campaign and returns the results in grid order.
     pub fn run(&self) -> CampaignResult {
-        self.run_observed(None)
+        self.run_scheduled(None)
     }
 
     /// Runs the campaign, invoking `observer` once per completed cell with
@@ -624,24 +585,7 @@ impl Campaign {
         &self,
         observer: &(dyn Fn(usize, &CampaignRun) + Sync),
     ) -> CampaignResult {
-        self.run_observed(Some(observer))
-    }
-
-    /// [`Campaign::run`] with an optional per-cell completion observer.
-    fn run_observed(&self, observer: Option<CellObserver<'_>>) -> CampaignResult {
-        // Pin the publication codec up front when a store or a shared
-        // flight registry is attached: store keys are built per stream job
-        // (possibly on worker threads), and the environment should be
-        // consulted — and a bad value warned about — exactly once per run,
-        // not once per stream.
-        let pinned;
-        let this = if self.codec.is_none() && (self.store.is_some() || self.flights.is_some()) {
-            pinned = self.clone().trace_codec(codec_from_env());
-            &pinned
-        } else {
-            self
-        };
-        this.run_scheduled(this.worker_budget(this.cells().len()), observer)
+        self.run_scheduled(Some(observer))
     }
 
     /// The graph-free job of one (dataset, technique, app) coordinate.
@@ -746,9 +690,7 @@ impl Campaign {
     }
 
     /// The trace-store key of one stream: its grid coordinate plus the
-    /// experiment's hierarchy/app-config fingerprint and the campaign's
-    /// publication codec (which also picks the entry file name's format
-    /// version).
+    /// experiment's hierarchy/app-config fingerprint.
     fn store_key(&self, job: &StreamJob) -> TraceStoreKey {
         TraceStoreKey::new(
             job.dataset,
@@ -758,7 +700,6 @@ impl Campaign {
             &job.hierarchy,
             &job.app_config,
         )
-        .with_codec(self.resolved_codec())
     }
 
     /// Produces one stream's [`RecordedRun`]: loaded from the trace store
@@ -845,10 +786,10 @@ impl Campaign {
 
     /// The dependency-driven scheduler: one shared ready queue of typed
     /// tasks — `Record(stream)` / `Load(stream)` / `Replay(cell)` — drained
-    /// by `workers` threads with no phase barrier and no sequential stream
-    /// loop. Each stream's replay cells become runnable the moment its
-    /// obtain task completes, so workers drain replays of stream *N* while
-    /// stream *N + 1* is still recording.
+    /// by [`Campaign::threads`] workers with no phase barrier and no
+    /// sequential stream loop. Each stream's replay cells become runnable
+    /// the moment its obtain task completes, so workers drain replays of
+    /// stream *N* while stream *N + 1* is still recording.
     ///
     /// Scheduling policy:
     ///
@@ -871,8 +812,9 @@ impl Campaign {
     /// whichever worker runs it and whenever, so results never depend on
     /// scheduling; result slots are indexed by cell, so neither does grid
     /// order.
-    fn run_scheduled(&self, workers: usize, observer: Option<CellObserver<'_>>) -> CampaignResult {
+    fn run_scheduled(&self, observer: Option<CellObserver<'_>>) -> CampaignResult {
         let (cells, streams) = self.stream_plan();
+        let workers = self.worker_budget(cells.len());
         let graphs = GraphMemo::default();
         let probed_load: Vec<bool> = streams.iter().map(|job| self.probes_as_load(job)).collect();
         let mut stream_cells: Vec<Vec<usize>> = vec![Vec::new(); streams.len()];
@@ -1214,7 +1156,7 @@ impl SchedState {
     /// Folds one finished cell in. `replay_s` is what this campaign spent
     /// replaying it — `None` for a cell served with another campaign's
     /// statistics, whose ≈ 0 s must never reach the cost model: it would
-    /// halve the (app, policy) rate the LPT order ranks real replays by.
+    /// drag down the (app, policy) rate the LPT order ranks real replays by.
     fn finish_cell(
         &mut self,
         cell_index: usize,
@@ -1628,20 +1570,33 @@ mod tests {
     }
 
     #[test]
-    fn explicit_trace_codec_overrides_the_environment_default() {
-        // The builder wins over GRASP_TRACE_CODEC; the resolved codec lands
-        // in every stream's store key (and thereby the entry file name).
-        let campaign = tiny_campaign().trace_codec(Codec::Raw);
-        assert_eq!(campaign.resolved_codec(), Codec::Raw);
-        let (_, streams) = campaign.stream_plan();
-        assert!(streams
-            .iter()
-            .all(|job| campaign.store_key(job).codec == Codec::Raw));
-        let dv = tiny_campaign().trace_codec(Codec::DeltaVarint);
-        let (_, streams) = dv.stream_plan();
-        assert!(streams
-            .iter()
-            .all(|job| dv.store_key(job).file_name().ends_with(".v2.trace")));
+    fn lpt_ranks_seen_and_unseen_tasks_in_one_unit() {
+        // Dataset 1 measured record(BC) slow and record(PR) fast. On dataset
+        // 2, at equal work, BC goes first and the never-measured SSSP — at
+        // the mean of the two — ahead of PR, however many times either of
+        // them was measured.
+        let (slow, fast, unseen) = (AppKind::Bc, AppKind::PageRank, AppKind::Sssp);
+        let mut model = CostModel::default();
+        assert_eq!(model.record_cost(unseen, 100.0), 100.0, "seed: work alone");
+        model.observe_record(slow, 1e6, 8e-3);
+        for _ in 0..3 {
+            model.observe_record(fast, 1e6, 2e-3);
+        }
+        assert_eq!(model.record_cost(slow, 1e6), 8e-3);
+        assert_eq!(model.record_cost(fast, 1e6), 2e-3);
+        assert_eq!(model.record_cost(unseen, 1e6), 5e-3);
+        // An unmeasured load is a discount on recording the same stream,
+        // until one load is measured for any application.
+        assert_eq!(model.load_cost(slow, 1e6), 8e-3 / 16.0);
+        model.observe_load(fast, 1e6, 1e-4);
+        assert_eq!(model.load_cost(slow, 1e6), 1e-4);
+
+        let apps = [fast, unseen, slow];
+        let mut queue = vec![0, 1, 2];
+        let order: Vec<AppKind> = (0..3)
+            .map(|_| apps[lpt_pop(&mut queue, |task| model.record_cost(apps[task], 1e6))])
+            .collect();
+        assert_eq!(order, [slow, unseen, fast]);
     }
 
     #[test]
@@ -1672,7 +1627,7 @@ mod tests {
 
     #[test]
     fn spec_round_trips_through_campaign_and_json() {
-        let campaign = tiny_campaign().threads(3).trace_codec(Codec::Raw);
+        let campaign = tiny_campaign().threads(3);
         let spec = campaign.to_spec();
         let rebuilt = Campaign::from_spec(&spec).expect("spec rebuilds");
         assert_eq!(rebuilt.to_spec(), spec, "from_spec/to_spec round-trip");
@@ -1714,7 +1669,6 @@ mod tests {
             .apps(&[AppKind::PageRank, AppKind::Sssp])
             .policies(&[PolicyKind::Rrip, PolicyKind::Grasp])
             .threads(2)
-            .trace_codec(Codec::DeltaVarint)
             .with_trace_store(Arc::clone(&store))
             .with_single_flight(Arc::clone(&registry));
         let streams = campaign.stream_plan().1.len();
@@ -1792,7 +1746,6 @@ mod tests {
                 .apps(&[AppKind::PageRank, AppKind::Sssp])
                 .policies(policies)
                 .threads(2)
-                .trace_codec(Codec::DeltaVarint)
                 .with_single_flight(Arc::clone(&registry))
         };
         let a = sweep(&[PolicyKind::Lru, PolicyKind::Rrip, PolicyKind::Grasp]);
@@ -1854,7 +1807,6 @@ mod tests {
             .apps(&[AppKind::PageRank])
             .policies(&[PolicyKind::Rrip, PolicyKind::Grasp, PolicyKind::Lru])
             .threads(1)
-            .trace_codec(Codec::DeltaVarint)
             .with_single_flight(Arc::clone(&registry));
         let (cells, streams) = campaign.stream_plan();
         let elsewhere = registry.enlist_cells([CellKey {
@@ -1937,8 +1889,8 @@ mod tests {
         assert!(state.model.replay_rate.is_empty());
         state.finish_cell(1, 0, second.clone(), Some(2.0));
         let key = (second.cell.app, second.cell.policy);
-        // One EWMA step from the 1.0 seed towards 2.0 s / 1000 records.
-        assert_eq!(state.model.replay_rate[&key], 1.0 + 0.5 * (0.002 - 1.0));
+        // The first measurement replaces the seed: 2.0 s / 1000 records.
+        assert_eq!(state.model.replay_rate[&key], 0.002);
         assert_eq!(state.done_cells, 2);
         assert_eq!(
             state.events,

@@ -384,29 +384,6 @@ impl Experiment {
         }
     }
 
-    /// Like [`Experiment::record`], but every access goes through the
-    /// per-event scalar path (an unbuffered workspace feeding
-    /// [`grasp_cachesim::stage::UpperLevels::access`]) instead of the
-    /// batched record kernel. Bit-identical to [`Experiment::record`];
-    /// exists as the reference side of record-parity tests and benchmarks.
-    pub fn record_scalar(&self) -> RecordedRun {
-        let mut config = self.hierarchy;
-        config.record_llc_trace = true;
-        let mut memory = RecordingMemory::new(config);
-        memory.reserve_trace(self.trace_capacity_estimate());
-        let mut ws = Workspace::unbuffered(memory);
-        let app = self.app.run(&*self.graph, &mut ws, &self.app_config);
-        let instructions = app.instruction_estimate();
-        let trace = ws.into_memory().finish();
-        RecordedRun {
-            trace: Arc::new(trace),
-            app,
-            instructions,
-            llc: self.hierarchy.llc,
-            timing: self.timing,
-        }
-    }
-
     /// Runs the application natively (no cache simulation) and measures
     /// wall-clock time. Used by the Fig. 10a reordering study.
     pub fn run_native(&self) -> NativeRunResult {

@@ -1,7 +1,7 @@
 //! Report tables printed by the bench harness, plus the machine-readable
 //! JSON writer the benches use to dump per-figure results
-//! (`BENCH_<figure>.json`) so the performance trajectory can be tracked
-//! across PRs.
+//! (`BENCH_<figure>.json`) so a change to any figure's table shows up as a
+//! diff against the committed file.
 
 use serde::{Deserialize, Serialize};
 
@@ -96,32 +96,23 @@ pub struct BenchMeta {
 /// document:
 ///
 /// ```json
-/// {"figure":"fig5","wall_ms":1234,
+/// {"figure":"fig5",
 ///  "tables":[{"title":"...","headers":[...],"rows":[[...],[...]]}]}
 /// ```
 ///
-/// `wall_ms` is the wall-clock time the figure's campaign took, so the
-/// per-PR `BENCH_<figure>.json` dumps double as a performance trajectory.
-pub fn to_json(figure: &str, wall_ms: u128, tables: &[&Table]) -> String {
-    to_json_with_meta(figure, wall_ms, None, tables)
+/// Everything in it is a simulation result or names the host; how long the
+/// figure took is the `pipeline` ledger's business, not this file's.
+pub fn to_json(figure: &str, tables: &[&Table]) -> String {
+    to_json_with_meta(figure, None, tables)
 }
 
 /// [`to_json`] with environment metadata: adds `"hardware_threads"` and
-/// `"speedup_bars_enforced"` members after `wall_ms`. Trajectory readers
-/// that predate the fields ignore unknown keys, so dumps with and without
-/// metadata diff cleanly against each other.
-pub fn to_json_with_meta(
-    figure: &str,
-    wall_ms: u128,
-    meta: Option<BenchMeta>,
-    tables: &[&Table],
-) -> String {
+/// `"speedup_bars_enforced"` members after `figure`. Trajectory readers
+/// ignore unknown keys, so dumps with and without metadata diff cleanly
+/// against each other.
+pub fn to_json_with_meta(figure: &str, meta: Option<BenchMeta>, tables: &[&Table]) -> String {
     let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"figure\":\"{}\",\"wall_ms\":{}",
-        json_escape(figure),
-        wall_ms
-    ));
+    out.push_str(&format!("{{\"figure\":\"{}\"", json_escape(figure)));
     if let Some(meta) = meta {
         out.push_str(&format!(
             ",\"hardware_threads\":{},\"speedup_bars_enforced\":{}",
@@ -210,8 +201,8 @@ mod tests {
     fn json_output_is_wellformed_and_escaped() {
         let mut t = Table::new("Fig \"5\"", &["dataset", "GRASP"]);
         t.push_numeric_row("lj\n", &[6.4]);
-        let json = to_json("fig5", 42, &[&t]);
-        assert!(json.starts_with("{\"figure\":\"fig5\",\"wall_ms\":42,"));
+        let json = to_json("fig5", &[&t]);
+        assert!(json.starts_with("{\"figure\":\"fig5\",\"tables\":["));
         assert!(json.contains("\"title\":\"Fig \\\"5\\\"\""));
         assert!(json.contains("\"headers\":[\"dataset\",\"GRASP\"]"));
         assert!(json.contains("\"rows\":[[\"lj\\n\",\"6.4\"]]"));
@@ -225,23 +216,17 @@ mod tests {
             hardware_threads: 8,
             speedup_bars_enforced: true,
         };
-        let json = to_json_with_meta("fig", 7, Some(meta), &[&t]);
-        assert!(json.contains("\"wall_ms\":7,\"hardware_threads\":8,"));
+        let json = to_json_with_meta("fig", Some(meta), &[&t]);
+        assert!(json.contains("\"figure\":\"fig\",\"hardware_threads\":8,"));
         assert!(json.contains("\"speedup_bars_enforced\":true,\"tables\":["));
-        // Without metadata the document is byte-identical to the legacy
-        // shape, so committed baselines stay diffable.
-        assert_eq!(
-            to_json_with_meta("fig", 7, None, &[&t]),
-            to_json("fig", 7, &[&t])
-        );
-        assert!(to_json("fig", 7, &[&t]).contains("\"wall_ms\":7,\"tables\":["));
+        assert_eq!(to_json_with_meta("fig", None, &[&t]), to_json("fig", &[&t]));
     }
 
     #[test]
     fn json_output_joins_multiple_tables() {
         let a = Table::new("a", &["x"]);
         let b = Table::new("b", &["y"]);
-        let json = to_json("combo", 0, &[&a, &b]);
+        let json = to_json("combo", &[&a, &b]);
         assert_eq!(json.matches("\"title\"").count(), 2);
         assert!(json.contains("\"rows\":[]"));
     }

@@ -2,8 +2,8 @@
 //! builder and the service wire protocol.
 //!
 //! A [`CampaignSpec`] is the declarative content of a [`Campaign`] —
-//! datasets, techniques, apps, policies, hierarchy, scale, codec,
-//! trace-store path, thread budget — with hand-rolled JSON encode/decode
+//! datasets, techniques, apps, policies, hierarchy, scale, trace-store
+//! path, thread budget — with hand-rolled JSON encode/decode
 //! (the vendored `serde` stub has no JSON backend). The contract:
 //!
 //! * [`Campaign::to_spec`] / [`Campaign::from_spec`] round-trip, so any
@@ -13,16 +13,13 @@
 //! * [`CampaignSpec::cells`] is the **single definition of the grid**:
 //!   [`Campaign::cells`] delegates here, so a library run and a service run
 //!   of the same spec provably walk identical cells in identical order.
-//! * The spec's `store` / `codec` fields are the first-class way to
-//!   configure trace persistence; the `GRASP_TRACE_STORE` /
-//!   `GRASP_TRACE_CODEC` environment variables remain as documented
-//!   fallbacks for specs that leave them unset (see
+//! * The spec's `store` field is how a campaign is given a trace store: no
+//!   environment variable stands in for a field the spec leaves unset (see
 //!   `docs/configuration.md`).
 //!
 //! Wire vocabulary: datasets use their store slugs (`tw`, `g<hash:016x>`),
 //! techniques/apps/policies their paper labels (`DBG`, `PR`, `RRIP`; any
-//! pin fraction is spelled `PIN-<n>`), scale a lowercase slug, the codec
-//! its `GRASP_TRACE_CODEC` vocabulary.
+//! pin fraction is spelled `PIN-<n>`), scale a lowercase slug.
 //!
 //! [`Campaign`]: crate::campaign::Campaign
 //! [`Campaign::to_spec`]: crate::campaign::Campaign::to_spec
@@ -36,7 +33,6 @@ use crate::json::{self, Json};
 use crate::policy::PolicyKind;
 use grasp_analytics::apps::AppKind;
 use grasp_cachesim::config::{CacheConfig, HierarchyConfig, LatencyConfig};
-use grasp_cachesim::Codec;
 use grasp_reorder::TechniqueKind;
 use std::collections::BTreeMap;
 
@@ -63,15 +59,11 @@ pub struct CampaignSpec {
     /// Worker-thread budget; `0` means one worker per available CPU.
     pub threads: usize,
     /// Trace-store directory. `None` runs without persistence (unless the
-    /// campaign is later pointed at a store explicitly; the
-    /// `GRASP_TRACE_STORE` environment variable is the documented fallback
-    /// via [`Campaign::trace_store_from_env`]).
+    /// campaign is later handed a store with
+    /// [`Campaign::with_trace_store`]).
     ///
-    /// [`Campaign::trace_store_from_env`]: crate::campaign::Campaign::trace_store_from_env
+    /// [`Campaign::with_trace_store`]: crate::campaign::Campaign::with_trace_store
     pub store: Option<String>,
-    /// Publication codec for newly recorded streams; `None` falls back to
-    /// the `GRASP_TRACE_CODEC` environment variable (default delta-varint).
-    pub codec: Option<Codec>,
 }
 
 impl CampaignSpec {
@@ -88,7 +80,6 @@ impl CampaignSpec {
             record_trace: false,
             threads: 0,
             store: None,
-            codec: None,
         }
     }
 
@@ -184,9 +175,6 @@ impl CampaignSpec {
         if let Some(store) = &self.store {
             map.insert("store".to_owned(), Json::string(store.clone()));
         }
-        if let Some(codec) = self.codec {
-            map.insert("codec".to_owned(), Json::string(codec.label()));
-        }
         Json::Object(map)
     }
 
@@ -204,7 +192,7 @@ impl CampaignSpec {
             .as_object()
             .ok_or_else(|| spec_err("spec must be a JSON object"))?;
         for key in object.keys() {
-            const KNOWN: [&str; 10] = [
+            const KNOWN: [&str; 9] = [
                 "scale",
                 "datasets",
                 "techniques",
@@ -214,7 +202,6 @@ impl CampaignSpec {
                 "record_trace",
                 "threads",
                 "store",
-                "codec",
             ];
             if !KNOWN.contains(&key.as_str()) {
                 return Err(spec_err(format!("unknown field {key:?}")));
@@ -261,15 +248,6 @@ impl CampaignSpec {
                     .as_str()
                     .ok_or_else(|| spec_err("store must be a string path"))?
                     .to_owned(),
-            );
-        }
-        if let Some(codec) = value.get("codec") {
-            let label = codec
-                .as_str()
-                .ok_or_else(|| spec_err("codec must be a string"))?;
-            spec.codec = Some(
-                Codec::from_label(label)
-                    .ok_or_else(|| spec_err(format!("unknown codec {label:?}")))?,
             );
         }
         Ok(spec)
@@ -473,7 +451,6 @@ mod tests {
         spec.record_trace = true;
         spec.threads = 6;
         spec.store = Some("/tmp/grasp store \"quoted\"".to_owned());
-        spec.codec = Some(Codec::Raw);
         spec
     }
 
@@ -493,7 +470,6 @@ mod tests {
         let text = spec.to_json();
         assert!(!text.contains("hierarchy"));
         assert!(!text.contains("store"));
-        assert!(!text.contains("codec"));
         assert_eq!(CampaignSpec::from_json(&text).unwrap(), spec);
     }
 
@@ -528,7 +504,7 @@ mod tests {
             (r#"{"scale":"tiny","pipelines":2}"#, "unknown field"),
             (r#"{"scale":"tiny","threads":-1}"#, "threads must be"),
             (r#"{"scale":"tiny","threads":1.5}"#, "threads must be"),
-            (r#"{"scale":"tiny","codec":"zstd"}"#, "unknown codec"),
+            (r#"{"scale":"tiny","codec":"raw"}"#, "unknown field"),
             (r#"{"scale":"tiny","frobnicate":1}"#, "unknown field"),
         ];
         for (doc, needle) in cases {
@@ -612,9 +588,6 @@ mod tests {
         spec.threads = next(9) as usize;
         if next(2) == 0 {
             spec.store = Some(format!("/tmp/store-{}", next(1000)));
-        }
-        if next(2) == 0 {
-            spec.codec = Some(Codec::ALL[next(2) as usize]);
         }
         spec
     }

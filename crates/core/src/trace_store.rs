@@ -6,19 +6,18 @@
 //! persisted recordings keyed by everything that determines the stream:
 //!
 //! ```text
-//! (dataset, scale, technique, app, hierarchy/app-config hash, codec)
+//! (dataset, scale, technique, app, hierarchy/app-config hash)
 //!   └──► <dataset>-<scale>-<technique>-<app>-<confighash>.v<version>.trace
 //! ```
 //!
-//! The `<version>` suffix is the **codec's** format version
-//! ([`Codec::format_version`]): raw entries are `.v1.trace` (byte-identical
-//! to the pre-codec store, so old stores stay warm), delta+varint entries
-//! are `.v2.trace`. The codec changes only the entry's *encoding*, never the
-//! recorded stream, so lookups fall back across codecs: a campaign keyed for
-//! `DeltaVarint` that finds only a `.v1.trace` raw entry still hits (and a
-//! raw-keyed campaign reads `.v2.trace` entries just as happily) — the trace
-//! header names its own codec and [`LlcTrace::read_from`] dispatches on it.
-//! `cargo xtask trace recompress` migrates a store to one codec in place.
+//! The `<version>` suffix is the trace format version of the entry's
+//! encoding ([`Codec::format_version`]). Every publication is a
+//! delta+varint `.v2.trace` entry, and `.v2.trace` is the only name a
+//! campaign looks up. Raw `.v1.trace` entries — what stores written before
+//! the v2 format hold — are read-only: `cargo xtask trace ls` / `verify` /
+//! `gc` still list, check and evict them, and `cargo xtask trace recompress`
+//! re-encodes each one to v2 in place (the codec changes only an entry's
+//! *encoding*, never the recorded stream), after which it serves hits again.
 //!
 //! Each entry carries the recording run's **metadata** (application output,
 //! instruction estimate) followed by the trace itself in the versioned
@@ -35,9 +34,8 @@
 //! advisory — the `*.trace` files are the source of truth, and readers fall
 //! back to filesystem metadata when the index is missing or stale.
 //!
-//! The store location comes from the builder
-//! ([`Campaign::with_trace_store`](crate::campaign::Campaign::with_trace_store))
-//! or the `GRASP_TRACE_STORE` environment variable ([`TraceStore::from_env`]).
+//! The store location comes from the spec's `store` field or the builder
+//! ([`Campaign::with_trace_store`](crate::campaign::Campaign::with_trace_store)).
 
 use crate::datasets::{DatasetId, Scale};
 use grasp_analytics::apps::{AppConfig, AppKind, AppResult};
@@ -45,7 +43,7 @@ use grasp_analytics::props::PropertyLayout;
 use grasp_cachesim::config::HierarchyConfig;
 pub use grasp_cachesim::trace::persist::Codec;
 
-use grasp_cachesim::trace::persist::{Fnv64, PersistError};
+use grasp_cachesim::trace::persist::{Fnv64, PersistError, TRACE_FORMAT_VERSION};
 use grasp_cachesim::LlcTrace;
 use grasp_reorder::TechniqueKind;
 use std::io::{Read, Seek, Write};
@@ -65,33 +63,6 @@ pub const STORE_ENTRY_VERSION: u32 = 1;
 
 /// Upper bound on a metadata block; anything larger is corruption, not data.
 const MAX_META_LEN: u32 = 1 << 28;
-
-/// The environment variable naming the store directory campaigns and the
-/// bench harness pick up by default.
-pub const STORE_ENV_VAR: &str = "GRASP_TRACE_STORE";
-
-/// The environment variable selecting the [`Codec`] campaigns persist new
-/// recordings with (`raw` or `delta-varint`; default: `delta-varint`).
-/// Only *publications* are affected — loads read whatever codec an entry
-/// carries.
-pub const CODEC_ENV_VAR: &str = "GRASP_TRACE_CODEC";
-
-/// Resolves the publication codec from [`CODEC_ENV_VAR`]: unset or empty
-/// means the default ([`Codec::DeltaVarint`]); an unparsable value is
-/// reported and treated as unset (a typo must never break a campaign).
-pub fn codec_from_env() -> Codec {
-    match std::env::var(CODEC_ENV_VAR) {
-        Ok(raw) if !raw.is_empty() => Codec::from_label(&raw).unwrap_or_else(|| {
-            eprintln!(
-                "{CODEC_ENV_VAR}={raw}: unknown codec (expected one of: raw, delta-varint); \
-                 using {}",
-                Codec::default()
-            );
-            Codec::default()
-        }),
-        _ => Codec::default(),
-    }
-}
 
 /// Why a store entry could not be read or written.
 #[derive(Debug)]
@@ -142,7 +113,7 @@ impl From<PersistError> for StoreError {
 /// key, so bumping it invalidates all persisted recordings at once. **Bump
 /// this whenever a change can alter a recorded stream's contents**; the
 /// trace *format* version (file layout) is tracked separately by
-/// [`TRACE_FORMAT_VERSION`](grasp_cachesim::trace::persist::TRACE_FORMAT_VERSION).
+/// [`TRACE_FORMAT_VERSION`].
 pub const RECORDING_CODE_VERSION: u32 = 1;
 
 /// FNV-1a over the configuration words that determine a recorded stream —
@@ -216,11 +187,9 @@ fn slugify(label: &str) -> String {
 }
 
 /// The identity of one recorded stream: everything that determines its
-/// contents, plus the [`Codec`] new publications are encoded with. The
-/// codec's format version is folded into the file name, so a format bump
-/// cold-starts the store instead of erroring on every entry — but because
-/// the codec never changes the stream's *contents*, lookups fall back to the
-/// other codecs' file names before declaring a miss.
+/// contents, plus the [`Codec`] whose entry file the key names. The codec's
+/// format version is folded into the file name, so a format bump cold-starts
+/// the store instead of erroring on every entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceStoreKey {
     /// Dataset the stream was recorded over.
@@ -233,8 +202,8 @@ pub struct TraceStoreKey {
     pub app: AppKind,
     /// Fingerprint of the hierarchy + application configuration.
     pub config_hash: u64,
-    /// Codec publications under this key are encoded with (default:
-    /// [`Codec::DeltaVarint`]).
+    /// Codec of the entry file this key names (default:
+    /// [`Codec::DeltaVarint`], the one publications are encoded with).
     pub codec: Codec,
 }
 
@@ -262,21 +231,16 @@ impl TraceStoreKey {
         }
     }
 
-    /// Selects the codec publications under this key use.
+    /// Names the entry file of another codec — [`Codec::Raw`] addresses the
+    /// `.v1.trace` entry of a store written before the v2 format.
     #[must_use]
     pub fn with_codec(mut self, codec: Codec) -> Self {
         self.codec = codec;
         self
     }
 
-    /// The entry file name this key publishes to.
+    /// The entry file name this key looks up and publishes to.
     pub fn file_name(&self) -> String {
-        self.file_name_for(self.codec)
-    }
-
-    /// The entry file name this key would resolve to under `codec` (lookup
-    /// fallbacks walk these).
-    fn file_name_for(&self, codec: Codec) -> String {
         format!(
             "{}-{}-{}-{}-{:016x}.v{}.trace",
             self.dataset.slug(),
@@ -284,16 +248,8 @@ impl TraceStoreKey {
             slugify(self.technique.label()),
             slugify(self.app.label()),
             self.config_hash,
-            codec.format_version(),
+            self.codec.format_version(),
         )
-    }
-
-    /// Every file name a lookup may be served from: the key's own codec
-    /// first, then the remaining codecs in preference order.
-    fn lookup_file_names(&self) -> impl Iterator<Item = String> + '_ {
-        std::iter::once(self.codec)
-            .chain(Codec::ALL.into_iter().filter(|&c| c != self.codec))
-            .map(|codec| self.file_name_for(codec))
     }
 }
 
@@ -313,8 +269,7 @@ pub struct StoredRecording {
     pub app: AppResult,
     /// The recording run's instruction estimate (timing-model input).
     pub instructions: u64,
-    /// The codec the entry's trace block was encoded with (may differ from
-    /// the key's codec on a cross-codec fallback hit).
+    /// The codec the entry's trace block was encoded with.
     pub codec: Codec,
 }
 
@@ -416,13 +371,13 @@ pub struct RecompressReport {
     pub bytes_after: u64,
 }
 
-/// Swaps the `.v<N>.trace` suffix of an entry file name for `target`'s
-/// format version (`None` when the name has no such suffix).
-fn retarget_file_name(file: &str, target: Codec) -> Option<String> {
+/// Swaps the `.v<N>.trace` suffix of an entry file name for the format
+/// version publications carry (`None` when the name has no such suffix).
+fn retarget_file_name(file: &str) -> Option<String> {
     let base = file.strip_suffix(".trace")?;
     let (base, version) = base.rsplit_once(".v")?;
     version.parse::<u32>().ok()?;
-    Some(format!("{base}.v{}.trace", target.format_version()))
+    Some(format!("{base}.v{TRACE_FORMAT_VERSION}.trace"))
 }
 
 /// The result of a [`TraceStore::gc`] sweep.
@@ -464,23 +419,6 @@ impl TraceStore {
         })
     }
 
-    /// Opens the store named by the `GRASP_TRACE_STORE` environment variable,
-    /// or `None` when the variable is unset/empty. Creation failures are
-    /// reported and treated as unset (a missing store must never break a
-    /// campaign).
-    pub fn from_env() -> Option<Self> {
-        let dir = std::env::var(STORE_ENV_VAR)
-            .ok()
-            .filter(|s| !s.is_empty())?;
-        match Self::open(&dir) {
-            Ok(store) => Some(store),
-            Err(err) => {
-                eprintln!("{STORE_ENV_VAR}={dir}: cannot open trace store: {err}");
-                None
-            }
-        }
-    }
-
     /// The store's root directory.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -497,16 +435,15 @@ impl TraceStore {
         }
     }
 
-    /// Whether *some* entry file exists for `key` (any codec), without
-    /// reading or validating it. This is how a scheduler classifies a
-    /// stream's obtain task up front — a probe hit plans a cheap `Load`
-    /// task, a probe miss plans a full `Record` task — so loads and records
-    /// can be cost-ordered and overlapped. Probing never touches the
+    /// Whether `key`'s entry file exists, without reading or validating it.
+    /// This is how a scheduler classifies a stream's obtain task up front —
+    /// a probe hit plans a cheap `Load` task, a probe miss plans a full
+    /// `Record` task — so loads and records can be cost-ordered and
+    /// overlapped. Probing never touches the
     /// traffic counters, and a probe hit is only a *plan*: the load itself
     /// still falls back to recording when the entry turns out corrupt.
     pub fn probe(&self, key: &TraceStoreKey) -> bool {
-        key.lookup_file_names()
-            .any(|file| self.dir.join(file).exists())
+        self.dir.join(key.file_name()).exists()
     }
 
     /// Looks `key` up, counting the outcome. A present, valid entry is a
@@ -525,9 +462,7 @@ impl TraceStore {
         match self.try_load(key) {
             Ok(Some(stored)) => {
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                // Touch the file the lookup actually resolved (a cross-codec
-                // fallback hit lives under the fallback codec's name).
-                self.touch(&key.file_name_for(stored.codec));
+                self.touch(&key.file_name());
                 Some(stored)
             }
             Ok(None) => {
@@ -550,34 +485,22 @@ impl TraceStore {
     /// means no entry exists; decode failures are returned, never masked.
     /// [`TraceStore::load`] is the counting wrapper over this.
     pub fn try_load(&self, key: &TraceStoreKey) -> Result<Option<StoredRecording>, StoreError> {
-        Ok(self.lookup(key)?.map(|(_, stored)| stored))
+        let handle = match std::fs::File::open(self.dir.join(key.file_name())) {
+            Ok(handle) => handle,
+            Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(err) => return Err(err.into()),
+        };
+        let bytes = handle.metadata().map(|m| m.len()).unwrap_or(0);
+        let mut reader = std::io::BufReader::new(handle);
+        let stored = read_entry(&mut reader, Some(key.app))?;
+        self.counters.bytes_read.fetch_add(bytes, Ordering::Relaxed);
+        Ok(Some(stored))
     }
 
-    /// The lookup walk: the key's own codec file first, then the other
-    /// codecs' names (cross-codec reuse — the stream is identical, only the
-    /// encoding differs). The first file that *exists* decides the outcome;
-    /// a corrupt primary is an error (the caller re-records and overwrites),
-    /// never silently shadowed by a fallback.
-    fn lookup(&self, key: &TraceStoreKey) -> Result<Option<(String, StoredRecording)>, StoreError> {
-        for file in key.lookup_file_names() {
-            let path = self.dir.join(&file);
-            let handle = match std::fs::File::open(&path) {
-                Ok(handle) => handle,
-                Err(err) if err.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(err) => return Err(err.into()),
-            };
-            let bytes = handle.metadata().map(|m| m.len()).unwrap_or(0);
-            let mut reader = std::io::BufReader::new(handle);
-            let stored = read_entry(&mut reader, Some(key.app))?;
-            self.counters.bytes_read.fetch_add(bytes, Ordering::Relaxed);
-            return Ok(Some((file, stored)));
-        }
-        Ok(None)
-    }
-
-    /// Atomically publishes a recording under `key`, encoded with the key's
-    /// [`Codec`] (write to a temp file in the store directory, then rename).
-    /// Returns the entry size in bytes.
+    /// Atomically publishes a recording under `key` (write to a temp file in
+    /// the store directory, then rename), v2-encoded like every publication —
+    /// so under a key that names the default codec's file. Returns the entry
+    /// size in bytes.
     pub fn publish(
         &self,
         key: &TraceStoreKey,
@@ -585,8 +508,8 @@ impl TraceStore {
         app: &AppResult,
         instructions: u64,
     ) -> Result<u64, StoreError> {
-        let written =
-            self.write_entry_file(&key.file_name(), key.codec, trace, app, instructions)?;
+        debug_assert_eq!(key.codec, Codec::default(), "publications are v2");
+        let written = self.write_entry_file(&key.file_name(), trace, app, instructions)?;
         self.counters
             .bytes_written
             .fetch_add(written, Ordering::Relaxed);
@@ -601,7 +524,6 @@ impl TraceStore {
     fn write_entry_file(
         &self,
         file: &str,
-        codec: Codec,
         trace: &LlcTrace,
         app: &AppResult,
         instructions: u64,
@@ -620,7 +542,7 @@ impl TraceStore {
         let result = (|| -> Result<u64, StoreError> {
             let handle = std::fs::File::create(&tmp_path)?;
             let mut writer = std::io::BufWriter::new(handle);
-            let written = write_entry(&mut writer, trace, app, instructions, codec)?;
+            let written = write_entry(&mut writer, trace, app, instructions)?;
             writer.flush()?;
             drop(writer);
             std::fs::rename(&tmp_path, &final_path)?;
@@ -785,34 +707,35 @@ impl TraceStore {
         })
     }
 
-    /// Re-encodes every entry to `target` in place: each foreign-codec entry
-    /// is fully decoded (checksums verified), re-written atomically
-    /// (temp + rename) under the target codec's file name, and the old file
-    /// removed once the new one is in place. Entries already in the target
-    /// codec are left untouched; undecodable entries are reported and kept
-    /// (gc or a fresh recording deals with them). The migration path for a
-    /// codec rollout: `cargo xtask trace recompress`.
-    pub fn recompress(&self, target: Codec) -> std::io::Result<RecompressReport> {
+    /// Re-encodes every entry to the format publications carry, in place:
+    /// each v1 entry is fully decoded (checksums verified), re-written
+    /// atomically (temp + rename) under its `.v2.trace` name, and the old
+    /// file removed once the new one is in place. Entries already v2 are
+    /// left untouched; undecodable entries are reported and kept (gc or a
+    /// fresh recording deals with them). The migration path for a store
+    /// written before the v2 format: `cargo xtask trace recompress`.
+    pub fn recompress(&self) -> std::io::Result<RecompressReport> {
         let mut report = RecompressReport::default();
         for entry in self.entries()? {
             report.examined += 1;
             let outcome = (|| -> Result<Option<u64>, StoreError> {
-                if self.peek(&entry.file)?.codec == target {
-                    return Ok(None); // already in the target encoding
+                if self.peek(&entry.file)?.codec == Codec::default() {
+                    return Ok(None); // already in the published encoding
                 }
                 let handle = std::fs::File::open(self.dir.join(&entry.file))?;
                 let mut reader = std::io::BufReader::new(handle);
                 let stored = read_entry(&mut reader, None)?;
-                let new_file = retarget_file_name(&entry.file, target).ok_or_else(|| {
+                let new_file = retarget_file_name(&entry.file).ok_or_else(|| {
                     StoreError::Corrupt(format!(
                         "entry name {:?} has no .v<N>.trace suffix",
                         entry.file
                     ))
                 })?;
                 if new_file != entry.file && self.dir.join(&new_file).exists() {
-                    // Both codecs' files exist for this key (two campaigns
-                    // published under different codecs). The key names one
-                    // recorded stream, so the source file is redundant —
+                    // Both codecs' files exist for this key (a campaign has
+                    // re-recorded the stream since the v1 entry was written).
+                    // The key names one recorded stream, so the source file
+                    // is redundant —
                     // deduplicate it instead of clobbering the existing
                     // target entry (which would also double its index row).
                     std::fs::remove_file(self.dir.join(&entry.file))?;
@@ -821,7 +744,6 @@ impl TraceStore {
                 }
                 let written = self.write_entry_file(
                     &new_file,
-                    target,
                     &stored.trace,
                     &stored.app,
                     stored.instructions,
@@ -985,7 +907,6 @@ fn write_entry(
     trace: &LlcTrace,
     app: &AppResult,
     instructions: u64,
-    codec: Codec,
 ) -> Result<u64, StoreError> {
     let meta = encode_meta(app, instructions);
     let mut header = Vec::with_capacity(24);
@@ -995,7 +916,7 @@ fn write_entry(
     put_u64(&mut header, meta_checksum(&meta));
     writer.write_all(&header).map_err(StoreError::Io)?;
     writer.write_all(&meta).map_err(StoreError::Io)?;
-    let trace_bytes = trace.write_to_with(writer, codec)?;
+    let trace_bytes = trace.write_to(writer)?;
     Ok(header.len() as u64 + meta.len() as u64 + trace_bytes)
 }
 
@@ -1163,6 +1084,28 @@ mod tests {
         )
     }
 
+    include!("../../cachesim/tests/support/v1_fixture.rs");
+
+    /// Plants the entry a store written before the v2 format holds for
+    /// `key`: the metadata wrapper around a v1 trace block, under the
+    /// `.v1.trace` name. Returns its size.
+    fn plant_v1_entry(
+        store: &TraceStore,
+        key: &TraceStoreKey,
+        trace: &LlcTrace,
+        app: &AppResult,
+        instructions: u64,
+    ) -> u64 {
+        let mut bytes = Vec::new();
+        write_entry(&mut bytes, trace, app, instructions).expect("in-memory write");
+        let meta_len = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
+        bytes.truncate(24 + meta_len);
+        bytes.extend(v1_trace_bytes(trace));
+        let file = key.with_codec(Codec::Raw).file_name();
+        std::fs::write(store.dir().join(file), &bytes).expect("write v1 entry");
+        bytes.len() as u64
+    }
+
     fn sample_recording(events: u64) -> (LlcTrace, AppResult) {
         let mut trace = LlcTrace::new();
         for i in 0..events {
@@ -1226,50 +1169,47 @@ mod tests {
     #[test]
     fn retargeting_file_names_swaps_only_the_version_suffix() {
         assert_eq!(
-            retarget_file_name("tw-tiny-dbg-pr-00ff.v1.trace", Codec::DeltaVarint).as_deref(),
+            retarget_file_name("tw-tiny-dbg-pr-00ff.v1.trace").as_deref(),
             Some("tw-tiny-dbg-pr-00ff.v2.trace")
         );
         assert_eq!(
-            retarget_file_name("tw-tiny-dbg-pr-00ff.v2.trace", Codec::Raw).as_deref(),
-            Some("tw-tiny-dbg-pr-00ff.v1.trace")
+            retarget_file_name("tw-tiny-dbg-pr-00ff.v2.trace").as_deref(),
+            Some("tw-tiny-dbg-pr-00ff.v2.trace")
         );
         // Dots in the base never confuse the suffix parse.
         assert_eq!(
-            retarget_file_name("a.b.v9.trace", Codec::DeltaVarint).as_deref(),
+            retarget_file_name("a.b.v9.trace").as_deref(),
             Some("a.b.v2.trace")
         );
-        assert_eq!(retarget_file_name("no-suffix.trace", Codec::Raw), None);
-        assert_eq!(retarget_file_name("plain", Codec::Raw), None);
+        assert_eq!(retarget_file_name("no-suffix.trace"), None);
+        assert_eq!(retarget_file_name("plain"), None);
     }
 
     #[test]
-    fn cross_codec_lookup_falls_back_to_the_other_codecs_entry() {
-        // An entry published raw (a pre-rollout store) must serve a
-        // delta-varint-keyed lookup, and vice versa: the codec changes the
-        // encoding, never the stream.
-        let store = temp_store("cross-codec");
+    fn v1_only_entries_are_invisible_until_recompressed() {
+        // A store written before the v2 format: the campaign-side lookups
+        // address `.v2.trace` names only, so the entry neither probes nor
+        // loads — and one `recompress` later it serves the same key.
+        let store = temp_store("v1-only");
         let (trace, app) = sample_recording(400);
-        let raw_key = sample_key(0).with_codec(Codec::Raw);
-        store.publish(&raw_key, &trace, &app, 7).expect("publish");
+        let key = sample_key(0);
+        plant_v1_entry(&store, &key, &trace, &app, 7);
+        assert!(!store.probe(&key));
+        assert!(store.load(&key).is_none());
+        assert_eq!(store.stats().misses, 1);
+        assert_eq!(store.stats().corrupt, 0, "missed, not misread");
+        // The v1 name itself is still addressable (and readable).
+        let raw_key = key.with_codec(Codec::Raw);
+        assert!(store.probe(&raw_key));
+        let stored = store.try_load(&raw_key).expect("v1 decodes").expect("hit");
+        assert_eq!(stored.codec, Codec::Raw);
 
-        let dv_key = sample_key(0).with_codec(Codec::DeltaVarint);
-        let stored = store.load(&dv_key).expect("fallback hit");
+        let report = store.recompress().expect("recompress");
+        assert_eq!(report.converted, vec![raw_key.file_name()]);
+        assert!(store.probe(&key));
+        let stored = store.load(&key).expect("hit after the migration");
         assert_eq!(stored.trace, trace);
-        assert_eq!(stored.codec, Codec::Raw, "served from the raw entry");
-        assert_eq!(store.stats().hits, 1);
-        assert_eq!(store.stats().misses, 0);
-
-        // And the reverse direction, from a fresh handle.
-        let store2 = TraceStore::open(store.dir()).expect("reopen");
-        let (trace2, app2) = sample_recording(300);
-        let dv_key2 = sample_key(3).with_codec(Codec::DeltaVarint);
-        store2
-            .publish(&dv_key2, &trace2, &app2, 9)
-            .expect("publish");
-        let stored = store2
-            .load(&sample_key(3).with_codec(Codec::Raw))
-            .expect("raw lookup served from the dv entry");
-        assert_eq!(stored.trace, trace2);
+        assert_eq!(stored.instructions, 7);
         assert_eq!(stored.codec, Codec::DeltaVarint);
         std::fs::remove_dir_all(store.dir()).ok();
     }
@@ -1278,10 +1218,10 @@ mod tests {
     fn peek_reports_codec_records_and_raw_equivalent() {
         let store = temp_store("peek");
         let (trace, app) = sample_recording(500);
-        let dv_key = sample_key(0); // default codec: delta-varint
+        let dv_key = sample_key(0);
         let dv_bytes = store.publish(&dv_key, &trace, &app, 1).expect("publish");
         let raw_key = sample_key(1).with_codec(Codec::Raw);
-        let raw_bytes = store.publish(&raw_key, &trace, &app, 1).expect("publish");
+        let raw_bytes = plant_v1_entry(&store, &raw_key, &trace, &app, 1);
 
         let dv_info = store.peek(&dv_key.file_name()).expect("peek dv");
         assert_eq!(dv_info.codec, Codec::DeltaVarint);
@@ -1305,14 +1245,16 @@ mod tests {
     fn recompress_migrates_entries_in_place() {
         let store = temp_store("recompress");
         let (trace, app) = sample_recording(2000);
-        let raw_key = sample_key(0).with_codec(Codec::Raw);
-        let raw_size = store.publish(&raw_key, &trace, &app, 42).expect("publish");
-        let dv_key = sample_key(1).with_codec(Codec::DeltaVarint);
-        store.publish(&dv_key, &trace, &app, 43).expect("publish");
+        let key = sample_key(0);
+        let raw_name = key.with_codec(Codec::Raw).file_name();
+        let raw_size = plant_v1_entry(&store, &key, &trace, &app, 42);
+        store
+            .publish(&sample_key(1), &trace, &app, 43)
+            .expect("publish");
 
-        let report = store.recompress(Codec::DeltaVarint).expect("recompress");
+        let report = store.recompress().expect("recompress");
         assert_eq!(report.examined, 2);
-        assert_eq!(report.converted, vec![raw_key.file_name()]);
+        assert_eq!(report.converted, vec![raw_name.clone()]);
         assert_eq!(report.skipped, 1, "the dv entry is already migrated");
         assert!(report.failed.is_empty());
         assert!(
@@ -1322,10 +1264,9 @@ mod tests {
             report.bytes_after
         );
 
-        // The raw file is gone, its v2 replacement loads bit-identically —
-        // through the *raw*-codec key, via the cross-codec fallback.
-        assert!(!store.dir().join(raw_key.file_name()).exists());
-        let migrated = store.load(&raw_key).expect("migrated entry hits");
+        // The raw file is gone, its v2 replacement loads bit-identically.
+        assert!(!store.dir().join(raw_name).exists());
+        let migrated = store.load(&key).expect("migrated entry hits");
         assert_eq!(migrated.trace, trace);
         assert_eq!(migrated.instructions, 42);
         assert_eq!(migrated.codec, Codec::DeltaVarint);
@@ -1333,7 +1274,7 @@ mod tests {
             .entries()
             .expect("entries")
             .iter()
-            .find(|e| e.file == raw_key.with_codec(Codec::DeltaVarint).file_name())
+            .find(|e| e.file == key.file_name())
             .expect("migrated entry listed")
             .bytes;
         assert!(new_size < raw_size);
@@ -1348,32 +1289,25 @@ mod tests {
 
     #[test]
     fn recompress_deduplicates_when_both_codec_files_exist() {
-        // Two campaigns published the same key under different codecs: two
-        // files, one recorded stream. Migration must keep the existing
-        // target entry (never clobber it) and drop the redundant source,
-        // leaving one file and one index row.
+        // A campaign re-recorded a stream the store still held a v1 entry
+        // of: two files, one recorded stream. Migration must keep the
+        // existing v2 entry (never clobber it) and drop the redundant
+        // source, leaving one file and one index row.
         let store = temp_store("dedup");
         let (trace, app) = sample_recording(800);
         let key = sample_key(0);
-        store
-            .publish(&key.with_codec(Codec::Raw), &trace, &app, 1)
-            .expect("publish raw");
-        let dv_size = store
-            .publish(&key.with_codec(Codec::DeltaVarint), &trace, &app, 1)
-            .expect("publish dv");
+        plant_v1_entry(&store, &key, &trace, &app, 1);
+        let dv_size = store.publish(&key, &trace, &app, 1).expect("publish dv");
         assert_eq!(store.entries().expect("entries").len(), 2);
 
-        let report = store.recompress(Codec::DeltaVarint).expect("recompress");
+        let report = store.recompress().expect("recompress");
         assert_eq!(report.examined, 2);
         assert_eq!(report.converted.len(), 1, "the raw file is deduplicated");
         assert_eq!(report.skipped, 1);
         assert!(report.failed.is_empty());
         let entries = store.entries().expect("entries");
         assert_eq!(entries.len(), 1);
-        assert_eq!(
-            entries[0].file,
-            key.with_codec(Codec::DeltaVarint).file_name()
-        );
+        assert_eq!(entries[0].file, key.file_name());
         assert_eq!(entries[0].bytes, dv_size, "the survivor is untouched");
         let index = store.read_index();
         assert_eq!(

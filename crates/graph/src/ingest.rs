@@ -88,9 +88,6 @@ pub const COLUMN_FILES: [&str; 6] = [
     "in.weights",
 ];
 
-/// Environment variable overriding the ingest worker count.
-pub const INGEST_THREADS_ENV_VAR: &str = "GRASP_INGEST_THREADS";
-
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 
@@ -396,16 +393,10 @@ pub struct IngestReport {
     pub bytes_written: u64,
 }
 
-/// Default ingest worker count: `GRASP_INGEST_THREADS` if set, else the
-/// available parallelism capped at 8. Only the text parse uses more than
-/// two: the CSR build runs one thread per direction and [`write_disk_csr`]
-/// one hashing and one writing thread.
+/// Default ingest worker count: the available parallelism capped at 8. Only
+/// the text parse uses more than two: the CSR build runs one thread per
+/// direction and [`write_disk_csr`] one hashing and one writing thread.
 pub fn default_ingest_threads() -> usize {
-    if let Ok(text) = std::env::var(INGEST_THREADS_ENV_VAR) {
-        if let Ok(n) = text.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

@@ -214,12 +214,11 @@ fn run_campaign(daemon: &Daemon, writer: &mut UnixStream, spec: CampaignSpec) {
         write_frame(writer, &frame);
         return;
     }
-    // The daemon owns persistence: the spec's own store/codec choice is for
+    // The daemon owns persistence: the spec's own store choice is for
     // library runs, service campaigns all share the daemon's store so
     // single-flight and eviction see every recording.
     let mut local = spec;
     local.store = None;
-    local.codec = None;
     let campaign = match Campaign::from_spec(&local) {
         Ok(campaign) => campaign,
         Err(err) => {

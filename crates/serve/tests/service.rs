@@ -8,7 +8,6 @@ use grasp_core::datasets::{DatasetKind, Scale};
 use grasp_core::json::Json;
 use grasp_core::policy::PolicyKind;
 use grasp_core::spec::CampaignSpec;
-use grasp_core::Codec;
 use grasp_reorder::TechniqueKind;
 use grasp_serve::{client, protocol, ServeConfig, Server};
 use std::collections::BTreeMap;
@@ -34,7 +33,6 @@ fn small_grid() -> CampaignSpec {
     ];
     spec.policies = vec![PolicyKind::Rrip, PolicyKind::Grasp];
     spec.threads = 2;
-    spec.codec = Some(Codec::DeltaVarint);
     spec
 }
 

@@ -15,8 +15,7 @@
 //! * `verify <dir>` — re-checksum the header and every column file and
 //!   validate CSR structure; non-zero exit on any corruption.
 //!
-//! Thread count defaults to `GRASP_INGEST_THREADS` or the available
-//! parallelism (capped at 8).
+//! Thread count defaults to the available parallelism (capped at 8).
 
 use grasp_graph::ingest::{self, default_ingest_threads, GraphStats, IngestReport};
 use std::path::PathBuf;

@@ -3,7 +3,7 @@
 //! * `bench-diff` — the CI bench-trajectory gate (below).
 //! * `trace` — hygiene, codec migration and CI exercise for the persistent
 //!   trace store (`ls [--json]` / `verify` / `gc --max-bytes` /
-//!   `recompress [--codec]` / `exercise`; see [`trace`]).
+//!   `recompress` / `exercise`; see [`trace`]).
 //! * `graph` — ingest/inspect on-disk binary CSR graphs
 //!   (`ingest --out` / `info` / `verify`; see [`graph`]).
 //! * `serve` / `client` — the campaign service daemon and its
@@ -11,14 +11,11 @@
 //!   [`service`]).
 //!
 //! `bench-diff` compares freshly dumped `BENCH_<figure>.json` files against
-//! the committed baselines and fails when
-//!
-//! * a figure's campaign wall-clock (`wall_ms`) regressed by more than the
-//!   tolerance (default 10%, `GRASP_BENCH_TOLERANCE=0.25` for 25%), or
-//! * any **table content** changed — titles, headers, or row cells, except
-//!   cells in timing columns (headers ending in ` ms`, or speed-up columns),
-//!   which are machine-dependent measurements rather than simulation results
-//!   and are covered by the wall-clock check instead.
+//! the committed baselines and fails when any **table content** changed —
+//! titles, headers, or row cells, except cells in timing columns (headers
+//! ending in ` ms`, or speed-up columns), which are machine-dependent
+//! measurements rather than simulation results. Speed is gated by the
+//! `pipeline` ledger (`perfbench/`), not here.
 //!
 //! Simulation tables are fully deterministic (fixed seeds end to end), so a
 //! changed cell means a behaviour change that must be acknowledged by
@@ -32,8 +29,6 @@ use grasp_core::json::{self, Json};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const DEFAULT_TOLERANCE: f64 = 0.10;
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -46,7 +41,6 @@ fn main() -> ExitCode {
             eprintln!("usage: cargo xtask <bench-diff|trace|graph|serve|client> [options]");
             eprintln!();
             eprintln!("bench-diff   compare fresh BENCH_*.json dumps against committed baselines");
-            eprintln!("             (tolerance via GRASP_BENCH_TOLERANCE, default 0.10 = 10%)");
             eprintln!(
                 "             options: [--baseline <dir>] [--fresh <dir>] \
                  (defaults: baseline = repo root, fresh = target/bench-fresh)"
@@ -76,11 +70,6 @@ fn bench_diff(args: &[String]) -> ExitCode {
             }
         }
     }
-    let tolerance = std::env::var("GRASP_BENCH_TOLERANCE")
-        .ok()
-        .and_then(|raw| raw.parse::<f64>().ok())
-        .unwrap_or(DEFAULT_TOLERANCE);
-
     let baselines = match list_bench_files(&baseline) {
         Ok(files) if !files.is_empty() => files,
         Ok(_) => {
@@ -100,7 +89,7 @@ fn bench_diff(args: &[String]) -> ExitCode {
     for name in &baselines {
         let base_path = baseline.join(name);
         let fresh_path = fresh.join(name);
-        match diff_figure(&base_path, &fresh_path, tolerance) {
+        match diff_figure(&base_path, &fresh_path) {
             Ok(report) => println!("{name}: {report}"),
             Err(problems) => {
                 for problem in &problems {
@@ -139,9 +128,8 @@ fn bench_diff(args: &[String]) -> ExitCode {
     }
     if failures.is_empty() {
         println!(
-            "bench trajectory OK: {} figure(s) within {:.0}% wall-clock tolerance, tables unchanged",
-            baselines.len(),
-            tolerance * 100.0
+            "bench trajectory OK: {} figure(s), tables unchanged",
+            baselines.len()
         );
         ExitCode::SUCCESS
     } else {
@@ -172,7 +160,7 @@ fn list_bench_files(dir: &Path) -> std::io::Result<Vec<String>> {
 
 /// Compares one figure's fresh dump against its baseline. Returns a one-line
 /// summary on success, or the list of violations.
-fn diff_figure(base_path: &Path, fresh_path: &Path, tolerance: f64) -> Result<String, Vec<String>> {
+fn diff_figure(base_path: &Path, fresh_path: &Path) -> Result<String, Vec<String>> {
     let base = load(base_path).map_err(|e| vec![e])?;
     let fresh = load(fresh_path).map_err(|e| {
         vec![format!(
@@ -182,25 +170,9 @@ fn diff_figure(base_path: &Path, fresh_path: &Path, tolerance: f64) -> Result<St
     })?;
 
     let mut problems = Vec::new();
-
-    let base_wall = wall_ms(&base).unwrap_or(0.0);
-    let fresh_wall = wall_ms(&fresh).unwrap_or(0.0);
-    let limit = base_wall * (1.0 + tolerance);
-    if base_wall > 0.0 && fresh_wall > limit {
-        problems.push(format!(
-            "campaign wall-clock regressed: {fresh_wall:.0} ms vs baseline {base_wall:.0} ms \
-             (>{:.0}% over)",
-            tolerance * 100.0
-        ));
-    }
-
     diff_tables(&base, &fresh, &mut problems);
-
     if problems.is_empty() {
-        Ok(format!(
-            "wall {fresh_wall:.0} ms vs baseline {base_wall:.0} ms, tables identical{}",
-            bench_meta_summary(&fresh)
-        ))
+        Ok(format!("tables identical{}", bench_meta_summary(&fresh)))
     } else {
         Err(problems)
     }
@@ -226,10 +198,6 @@ fn load(path: &Path) -> Result<Json, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     json::parse(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
-}
-
-fn wall_ms(doc: &Json) -> Option<f64> {
-    doc.get("wall_ms")?.as_f64()
 }
 
 /// A column is a timing column when its header names a measured duration or
@@ -333,51 +301,42 @@ fn rows_of(table: &Json) -> Vec<Vec<String>> {
 mod tests {
     use super::*;
 
-    fn doc(wall: u64, cell: &str, timing: &str) -> Json {
+    fn doc(cell: &str, timing: &str) -> Json {
         json::parse(&format!(
-            r#"{{"figure":"f","wall_ms":{wall},"tables":[{{"title":"t","headers":["app","GRASP","direct ms","speed-up"],"rows":[["PR","{cell}","{timing}","9.99x"]]}}]}}"#
+            r#"{{"figure":"f","tables":[{{"title":"t","headers":["app","GRASP","direct ms","speed-up"],"rows":[["PR","{cell}","{timing}","9.99x"]]}}]}}"#
         ))
         .expect("valid test doc")
     }
 
-    fn problems(base: &Json, fresh: &Json, tolerance: f64) -> Vec<String> {
+    fn problems(base: &Json, fresh: &Json) -> Vec<String> {
         let mut out = Vec::new();
-        let base_wall = wall_ms(base).unwrap();
-        let fresh_wall = wall_ms(fresh).unwrap();
-        if base_wall > 0.0 && fresh_wall > base_wall * (1.0 + tolerance) {
-            out.push("wall regression".to_owned());
-        }
         diff_tables(base, fresh, &mut out);
         out
     }
 
     #[test]
     fn identical_dumps_pass() {
-        let base = doc(1000, "+7.5", "12.3");
-        assert!(problems(&base, &base, 0.10).is_empty());
+        let base = doc("+7.5", "12.3");
+        assert!(problems(&base, &base).is_empty());
     }
 
     #[test]
     fn timing_columns_and_small_wall_drift_are_tolerated() {
-        let base = doc(1000, "+7.5", "12.3");
-        let fresh = doc(1099, "+7.5", "99.9");
-        assert!(problems(&base, &fresh, 0.10).is_empty());
-    }
-
-    #[test]
-    fn wall_clock_regression_fails() {
-        let base = doc(1000, "+7.5", "12.3");
-        let fresh = doc(1200, "+7.5", "12.3");
-        let found = problems(&base, &fresh, 0.10);
-        assert_eq!(found.len(), 1);
-        assert!(found[0].contains("wall"));
+        // Timing cells are measurements, and a dump written before `wall_ms`
+        // was dropped still diffs clean against one written after.
+        let base = json::parse(
+            r#"{"figure":"f","wall_ms":1000,"tables":[{"title":"t","headers":["app","GRASP","direct ms","speed-up"],"rows":[["PR","+7.5","12.3","9.99x"]]}]}"#,
+        )
+        .expect("valid test doc");
+        let fresh = doc("+7.5", "99.9");
+        assert!(problems(&base, &fresh).is_empty());
     }
 
     #[test]
     fn any_result_cell_change_fails() {
-        let base = doc(1000, "+7.5", "12.3");
-        let fresh = doc(1000, "+7.4", "12.3");
-        let found = problems(&base, &fresh, 0.10);
+        let base = doc("+7.5", "12.3");
+        let fresh = doc("+7.4", "12.3");
+        let found = problems(&base, &fresh);
         assert_eq!(found.len(), 1);
         assert!(found[0].contains("GRASP"), "{found:?}");
     }
@@ -396,12 +355,12 @@ mod tests {
 
     #[test]
     fn truncated_rows_fail_instead_of_passing_silently() {
-        let base = doc(1000, "+7.5", "12.3");
+        let base = doc("+7.5", "12.3");
         let fresh = json::parse(
-            r#"{"figure":"f","wall_ms":1000,"tables":[{"title":"t","headers":["app","GRASP","direct ms","speed-up"],"rows":[["PR"]]}]}"#,
+            r#"{"figure":"f","tables":[{"title":"t","headers":["app","GRASP","direct ms","speed-up"],"rows":[["PR"]]}]}"#,
         )
         .expect("valid test doc");
-        let found = problems(&base, &fresh, 0.10);
+        let found = problems(&base, &fresh);
         assert_eq!(found.len(), 1);
         assert!(found[0].contains("cell count"), "{found:?}");
     }

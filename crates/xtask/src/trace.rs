@@ -12,37 +12,34 @@
 //!   the store fits the budget (stale temp files are always swept). Sizes
 //!   are statted from the files, never taken from `index.tsv` stamps, so
 //!   recompressed entries are credited at their true size.
-//! * `recompress [--codec <raw|delta-varint>]` — migrate every entry to the
-//!   target codec (default delta-varint) in place, atomically (temp +
-//!   rename); v1 raw entries become v2 compressed entries.
+//! * `recompress` — migrate every v1 raw entry to a v2 delta-varint entry in
+//!   place, atomically (temp + rename); campaigns only look up v2 names, so
+//!   this is what makes a store written before the v2 format warm again.
 //! * `exercise` — the CI `trace-store` job's gate: run a small campaign grid
 //!   against the store twice, assert both runs are bit-identical to a fresh
 //!   record, and assert the warm pass is served from the store (one hit per
 //!   stream, no re-records).
 //!
-//! The store directory comes from `--store <dir>` or the
-//! `GRASP_TRACE_STORE` environment variable.
+//! The store directory comes from `--store <dir>`.
 
 use grasp_analytics::apps::AppKind;
 use grasp_core::campaign::{Campaign, CampaignResult};
 use grasp_core::datasets::{DatasetKind, Scale};
 use grasp_core::policy::PolicyKind;
-use grasp_core::trace_store::{Codec, EntryInfo, StoreEntry, TraceStore};
+use grasp_core::trace_store::{EntryInfo, StoreEntry, TraceStore};
 use std::process::ExitCode;
 use std::sync::Arc;
 
 pub fn usage() -> &'static str {
-    "usage: cargo xtask trace <ls|verify|gc|recompress|exercise> [--store <dir>]\n\
-     \u{20}                      [--max-bytes <N[K|M|G]>] [--codec <raw|delta-varint>] [--json]\n\
+    "usage: cargo xtask trace <ls|verify|gc|recompress|exercise> --store <dir>\n\
+     \u{20}                      [--max-bytes <N[K|M|G]>] [--json]\n\
      \n\
      ls          list store entries, most recently used first (--json for the\n\
      \u{20}            machine-readable summary incl. compression ratio)\n\
      verify      checksum-verify every entry (exit 1 on corruption)\n\
      gc          evict LRU entries until the store fits --max-bytes\n\
-     recompress  migrate every entry to --codec (default delta-varint) in place\n\
-     exercise    record a small grid, reload it, assert bit-identical stats\n\
-     \n\
-     the store directory comes from --store or GRASP_TRACE_STORE"
+     recompress  migrate every v1 (raw) entry to v2 (delta-varint) in place\n\
+     exercise    record a small grid, reload it, assert bit-identical stats"
 }
 
 /// Parsed `trace` invocation (kept separate from execution for testing).
@@ -51,11 +48,10 @@ pub struct TraceArgs {
     pub command: String,
     pub store: Option<String>,
     pub max_bytes: Option<u64>,
-    pub codec: Option<Codec>,
     pub json: bool,
 }
 
-/// Parses `<subcommand> [--store dir] [--max-bytes N] [--codec c] [--json]`.
+/// Parses `<subcommand> [--store dir] [--max-bytes N] [--json]`.
 pub fn parse_args(args: &[String]) -> Result<TraceArgs, String> {
     let mut iter = args.iter();
     let command = iter
@@ -66,7 +62,6 @@ pub fn parse_args(args: &[String]) -> Result<TraceArgs, String> {
         command,
         store: None,
         max_bytes: None,
-        codec: None,
         json: false,
     };
     while let Some(arg) = iter.next() {
@@ -83,15 +78,6 @@ pub fn parse_args(args: &[String]) -> Result<TraceArgs, String> {
                     .next()
                     .ok_or_else(|| "--max-bytes needs a size argument".to_owned())?;
                 parsed.max_bytes = Some(parse_size(raw)?);
-            }
-            "--codec" => {
-                let raw = iter
-                    .next()
-                    .ok_or_else(|| "--codec needs a codec argument".to_owned())?;
-                parsed.codec = Some(
-                    Codec::from_label(raw)
-                        .ok_or_else(|| format!("unknown codec {raw:?} (raw, delta-varint)"))?,
-                );
             }
             "--json" => parsed.json = true,
             other => return Err(format!("unknown argument {other}")),
@@ -135,16 +121,9 @@ pub fn human_bytes(bytes: u64) -> String {
 
 fn open_store(arg: &Option<String>) -> Result<TraceStore, String> {
     let dir = arg
-        .clone()
-        .or_else(|| {
-            std::env::var("GRASP_TRACE_STORE")
-                .ok()
-                .filter(|s| !s.is_empty())
-        })
-        .ok_or_else(|| {
-            "no store directory: pass --store <dir> or set GRASP_TRACE_STORE".to_owned()
-        })?;
-    TraceStore::open(&dir).map_err(|err| format!("cannot open trace store {dir}: {err}"))
+        .as_ref()
+        .ok_or_else(|| "no store directory: pass --store <dir>".to_owned())?;
+    TraceStore::open(dir).map_err(|err| format!("cannot open trace store {dir}: {err}"))
 }
 
 pub fn run(args: &[String]) -> ExitCode {
@@ -173,7 +152,7 @@ pub fn run(args: &[String]) -> ExitCode {
                 ExitCode::from(2)
             }
         },
-        "recompress" => recompress(&store, parsed.codec.unwrap_or_default()),
+        "recompress" => recompress(&store),
         "exercise" => exercise(store),
         other => {
             eprintln!("trace: unknown subcommand {other}");
@@ -297,8 +276,8 @@ fn ls(store: &TraceStore, json: bool) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn recompress(store: &TraceStore, target: Codec) -> ExitCode {
-    match store.recompress(target) {
+fn recompress(store: &TraceStore) -> ExitCode {
+    match store.recompress() {
         Ok(report) => {
             for file in &report.converted {
                 println!("recompressed {file}");
@@ -312,7 +291,7 @@ fn recompress(store: &TraceStore, target: Codec) -> ExitCode {
                 1.0
             };
             println!(
-                "recompress to {target}: {} of {} entr{} converted ({} skipped), \
+                "recompress: {} of {} entr{} converted ({} skipped), \
                  {} -> {} ({ratio:.2}x)",
                 report.converted.len(),
                 report.examined,
@@ -547,16 +526,9 @@ mod tests {
         assert_eq!(parsed.command, "ls");
         assert_eq!(parsed.store, None);
         assert_eq!(parsed.max_bytes, None);
-        assert_eq!(parsed.codec, None);
 
         let parsed = parse_args(&args(&["ls", "--json"])).expect("json flag");
         assert!(parsed.json);
-
-        let parsed = parse_args(&args(&["recompress", "--codec", "raw"])).expect("codec flag");
-        assert_eq!(parsed.codec, Some(Codec::Raw));
-        let parsed =
-            parse_args(&args(&["recompress", "--codec", "delta-varint"])).expect("codec flag");
-        assert_eq!(parsed.codec, Some(Codec::DeltaVarint));
     }
 
     #[test]
@@ -565,8 +537,7 @@ mod tests {
         assert!(parse_args(&args(&["ls", "--store"])).is_err());
         assert!(parse_args(&args(&["gc", "--max-bytes"])).is_err());
         assert!(parse_args(&args(&["ls", "--what"])).is_err());
-        assert!(parse_args(&args(&["recompress", "--codec"])).is_err());
-        assert!(parse_args(&args(&["recompress", "--codec", "zstd"])).is_err());
+        assert!(parse_args(&args(&["recompress", "--codec", "raw"])).is_err());
     }
 
     #[test]
@@ -598,7 +569,7 @@ mod tests {
         assert_eq!(ls(&store, false), ExitCode::SUCCESS);
         assert_eq!(ls(&store, true), ExitCode::SUCCESS);
         assert_eq!(verify(&store), ExitCode::SUCCESS);
-        assert_eq!(recompress(&store, Codec::DeltaVarint), ExitCode::SUCCESS);
+        assert_eq!(recompress(&store), ExitCode::SUCCESS);
         assert_eq!(gc(&store, 0), ExitCode::SUCCESS);
         let summary = StoreSummary::collect(&store).expect("summary");
         assert_eq!(summary.total_bytes, 0);

@@ -153,57 +153,6 @@ fn batched_scalar_fanout_and_direct_replays_agree_across_the_full_policy_grid() 
 }
 
 #[test]
-fn batched_recording_matches_per_event_recording_across_the_full_policy_grid() {
-    // The record side of the pipeline: the batched record kernel (buffered
-    // workspace → `UpperLevels::access_batch` → bulk sink) against the
-    // per-event reference. The recordings must be byte-identical — trace
-    // columns and persisted v2 bytes — and every policy of the full grid
-    // must replay them to the same statistics whether the replay side is
-    // batched or scalar, so record-batched → replay-batched equals the
-    // all-scalar pipeline end to end.
-    for (dataset, app) in [
-        (DatasetKind::Twitter, AppKind::PageRank),
-        (DatasetKind::Kron, AppKind::Sssp),
-    ] {
-        let built = dataset.build(SCALE);
-        let exp = Experiment::new(built.graph, app)
-            .with_hierarchy(SCALE.hierarchy())
-            .with_reordering(TechniqueKind::Dbg);
-        let batched = exp.record();
-        let scalar = exp.record_scalar();
-        assert_eq!(
-            batched.trace(),
-            scalar.trace(),
-            "{dataset}/{app}: batched recording diverged from per-event"
-        );
-        assert_eq!(batched.app().values, scalar.app().values, "{dataset}/{app}");
-        assert_eq!(batched.instructions(), scalar.instructions());
-        let bytes = |run: &grasp_suite::core::experiment::RecordedRun| {
-            let mut bytes = Vec::new();
-            run.trace()
-                .write_to(&mut bytes)
-                .expect("in-memory persist cannot fail");
-            bytes
-        };
-        assert_eq!(
-            bytes(&batched),
-            bytes(&scalar),
-            "{dataset}/{app}: persisted v2 bytes diverged"
-        );
-        for &policy in &FULL_GRID {
-            let from_batched = batched.replay(policy);
-            let from_scalar = scalar.replay_scalar(policy);
-            assert_eq!(
-                from_batched.stats, from_scalar.stats,
-                "{dataset}/{app}/{policy}: record-batched → replay-batched \
-                 diverged from the all-scalar pipeline"
-            );
-            assert!((from_batched.cycles - from_scalar.cycles).abs() < 1e-12);
-        }
-    }
-}
-
-#[test]
 fn recorded_stream_replays_deterministically() {
     let dataset = DatasetKind::Twitter.build(SCALE);
     let exp = Experiment::new(dataset.graph, AppKind::PageRank)

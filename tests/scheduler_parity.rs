@@ -187,6 +187,36 @@ fn replays_finish_before_the_last_record_starts() {
     );
 }
 
+/// With one worker, and a grid in which no task kind occurs twice (one
+/// dataset: each app records once, each (app, policy) replays once), the
+/// schedule depends on work sizes alone — never on a measured time — so it
+/// is deterministic, and it is pinned here as the scheduler produced it
+/// before its cost model costed unmeasured kinds in measured units: every
+/// record first (SSSP's 64-iteration budget, then PRD, then PR), then the
+/// replays, longest stream first.
+#[test]
+fn one_worker_single_dataset_task_order_is_pinned() {
+    let result = Campaign::new(SCALE)
+        .datasets(&DATASETS[..1])
+        .apps(&APPS)
+        .policies(&POLICIES)
+        .threads(1)
+        .run();
+    let started: Vec<String> = result
+        .scheduler_events()
+        .iter()
+        .filter_map(|event| match event {
+            SchedulerEvent::RecordStarted { stream } => Some(format!("R{stream}")),
+            SchedulerEvent::ReplayStarted { cell } => Some(cell.to_string()),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        started.join(" "),
+        "R1 R2 R0 12 13 14 15 16 17 5 0 1 2 3 4 6 11 10 9 8 7"
+    );
+}
+
 /// Grid order must be identical across worker counts — the scheduler only
 /// moves wall-clock, never results or their order.
 #[test]

@@ -6,13 +6,15 @@
 
 use grasp_suite::analytics::apps::AppKind;
 use grasp_suite::cachesim::trace::persist::Fnv64;
-use grasp_suite::cachesim::trace::CHUNK_RECORDS;
+use grasp_suite::cachesim::trace::{LlcTrace, CHUNK_RECORDS};
 use grasp_suite::core::campaign::{Campaign, CampaignResult};
 use grasp_suite::core::datasets::{DatasetKind, Scale};
 use grasp_suite::core::policy::PolicyKind;
-use grasp_suite::core::trace_store::{Codec, TraceStore};
+use grasp_suite::core::trace_store::TraceStore;
 use std::path::PathBuf;
 use std::sync::Arc;
+
+include!("../crates/cachesim/tests/support/v1_fixture.rs");
 
 const SCALE: Scale = Scale::Tiny;
 
@@ -207,45 +209,67 @@ fn hierarchy_changes_never_reuse_a_stale_entry() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Where an entry's persisted trace block starts: past the 24-byte entry
+/// header and the metadata block whose length it declares.
+fn trace_block_offset(entry: &[u8]) -> usize {
+    24 + u32::from_le_bytes(entry[12..16].try_into().unwrap()) as usize
+}
+
+/// `entry` with its trace block re-encoded in format v1, as a store written
+/// before the v2 format holds it.
+fn entry_as_v1(entry: &[u8]) -> Vec<u8> {
+    let (wrapper, block) = entry.split_at(trace_block_offset(entry));
+    let trace = LlcTrace::read_from(&mut &block[..]).expect("entry decodes");
+    [wrapper, &v1_trace_bytes(&trace)].concat()
+}
+
+/// Turns `store` into one written before the v2 format: every entry a v1
+/// entry under its `.v1.trace` name.
+fn downgrade_to_v1(store: &TraceStore) {
+    for entry in store.entries().expect("entries") {
+        let path = store.dir().join(&entry.file);
+        let v1 = entry_as_v1(&std::fs::read(&path).expect("read entry"));
+        let v1_name = entry.file.replace(".v2.trace", ".v1.trace");
+        std::fs::write(store.dir().join(v1_name), v1).expect("write v1 entry");
+        std::fs::remove_file(path).expect("remove v2 entry");
+    }
+}
+
 #[test]
-fn cross_codec_reuse_spans_the_v2_rollout() {
-    // A store populated before the codec rollout holds raw `.v1.trace`
-    // entries. A campaign publishing v2 delta-varint entries must still be
-    // *served* by them (the stream is identical, only the encoding differs)
-    // — no re-record, bit-identical stats — and vice versa: v2 entries
-    // serve a raw-codec campaign.
-    let dir = temp_store_dir("cross-codec");
+fn a_v1_only_store_is_cold_until_recompressed() {
+    // A store populated before the v2 format holds raw `.v1.trace` entries.
+    // Campaigns look up `.v2.trace` names only, so such a store is cold —
+    // the stream is re-recorded, bit-identically — until `recompress`
+    // migrates it; the re-record's v2 entry and the v1 original then name
+    // the same stream and deduplicate to one.
+    let dir = temp_store_dir("v1-only");
     let store = Arc::new(TraceStore::open(&dir).expect("store opens"));
     let fresh = grid_campaign().run();
+    let campaign = || grid_campaign().with_trace_store(Arc::clone(&store));
+    let _ = campaign().run();
+    downgrade_to_v1(&store);
 
-    // Cold pass publishing raw (the pre-rollout world).
-    let cold = grid_campaign()
-        .trace_codec(Codec::Raw)
-        .with_trace_store(Arc::clone(&store))
-        .run();
-    assert_bit_identical(&fresh, &cold, "raw cold run");
-    let raw_entries = store.entries().expect("entries");
-    assert_eq!(raw_entries.len(), 1);
-    assert!(
-        raw_entries[0].file.ends_with(".v1.trace"),
-        "{}",
-        raw_entries[0].file
-    );
-
-    // Warm pass keyed for delta-varint: served from the v1 entry.
-    let warm = grid_campaign()
-        .trace_codec(Codec::DeltaVarint)
-        .with_trace_store(Arc::clone(&store))
-        .run();
-    assert_bit_identical(&fresh, &warm, "delta-varint warm run over a v1 store");
+    let rerun = campaign().run();
+    assert_bit_identical(&fresh, &rerun, "run over a v1-only store");
     let stats = store.stats();
-    assert_eq!(stats.hits, 1, "the v1 entry must serve the v2-keyed lookup");
-    assert_eq!(stats.misses, 1, "only the cold pass may record");
-    assert_eq!(
-        store.entries().expect("entries").len(),
-        1,
-        "a fallback hit must not publish a duplicate entry"
+    assert_eq!(stats.hits, 0, "a v1 entry must not serve a lookup");
+    assert_eq!(stats.misses, 2, "the populating pass and the re-record");
+    assert_eq!(stats.corrupt, 0);
+    assert_eq!(store.entries().expect("entries").len(), 2);
+
+    let report = store.recompress().expect("recompress");
+    assert_eq!(report.converted.len(), 1);
+    assert!(report.failed.is_empty());
+    let entries = store.entries().expect("entries");
+    assert_eq!(entries.len(), 1, "one stream, one entry");
+    assert!(
+        entries[0].file.ends_with(".v2.trace"),
+        "{}",
+        entries[0].file
     );
+    let warm = campaign().run();
+    assert_bit_identical(&fresh, &warm, "warm run after the migration");
+    assert_eq!(store.stats().hits, 1);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -254,19 +278,18 @@ fn recompress_migration_shrinks_the_store_and_keeps_serving_hits() {
     let dir = temp_store_dir("recompress");
     let store = Arc::new(TraceStore::open(&dir).expect("store opens"));
     let fresh = grid_campaign().run();
+    let campaign = || grid_campaign().with_trace_store(Arc::clone(&store));
 
-    // Publish raw, then migrate the store to delta-varint in place.
-    let _ = grid_campaign()
-        .trace_codec(Codec::Raw)
-        .with_trace_store(Arc::clone(&store))
-        .run();
+    // A store written before the v2 format, migrated in place.
+    let _ = campaign().run();
+    downgrade_to_v1(&store);
     let before: u64 = store
         .entries()
         .expect("entries")
         .iter()
         .map(|e| e.bytes)
         .sum();
-    let report = store.recompress(Codec::DeltaVarint).expect("recompress");
+    let report = store.recompress().expect("recompress");
     assert_eq!(report.converted.len(), 1);
     assert!(report.failed.is_empty());
     let after: u64 = store
@@ -292,17 +315,11 @@ fn recompress_migration_shrinks_the_store_and_keeps_serving_hits() {
         .iter()
         .all(|(_, outcome)| outcome.is_ok()));
 
-    // Campaigns under either codec key are served by the migrated entry,
-    // bit-identically.
-    for codec in [Codec::DeltaVarint, Codec::Raw] {
-        let warm = grid_campaign()
-            .trace_codec(codec)
-            .with_trace_store(Arc::clone(&store))
-            .run();
-        assert_bit_identical(&fresh, &warm, "post-migration warm run");
-    }
+    // The migrated entry serves the campaign, bit-identically.
+    let warm = campaign().run();
+    assert_bit_identical(&fresh, &warm, "post-migration warm run");
     let stats = store.stats();
-    assert_eq!(stats.hits, 2);
+    assert_eq!(stats.hits, 1);
     assert_eq!(
         stats.misses, 1,
         "only the cold pass misses — migration must never cost a re-record"
@@ -310,18 +327,14 @@ fn recompress_migration_shrinks_the_store_and_keeps_serving_hits() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Populates a store under `codec`, applies `damage` to the bytes of every
-/// entry, and checks what a damaged store owes its campaigns: the damage is
-/// detected and counted, the cells come from a fresh recording
-/// bit-identically, and that recording overwrote the bad entry.
-fn assert_recovers_from(tag: &str, codec: Codec, damage: impl Fn(&mut [u8])) {
+/// Populates a store, applies `damage` to the bytes of every entry, and
+/// checks what a damaged store owes its campaigns: the damage is detected
+/// and counted, the cells come from a fresh recording bit-identically, and
+/// that recording overwrote the bad entry.
+fn assert_recovers_from(tag: &str, damage: impl Fn(&mut Vec<u8>)) {
     let dir = temp_store_dir(tag);
     let store = Arc::new(TraceStore::open(&dir).expect("store opens"));
-    let campaign = || {
-        grid_campaign()
-            .trace_codec(codec)
-            .with_trace_store(Arc::clone(&store))
-    };
+    let campaign = || grid_campaign().with_trace_store(Arc::clone(&store));
     let fresh = grid_campaign().run();
     let _ = campaign().run();
 
@@ -355,8 +368,9 @@ fn assert_recovers_from(tag: &str, codec: Codec, damage: impl Fn(&mut [u8])) {
 #[test]
 fn corrupt_entries_fall_back_to_fresh_recording() {
     // A flipped byte under a stale checksum.
-    assert_recovers_from("corrupt", Codec::default(), |bytes| {
-        bytes[bytes.len() / 2] ^= 0xFF;
+    assert_recovers_from("corrupt", |bytes| {
+        let middle = bytes.len() / 2;
+        bytes[middle] ^= 0xFF;
     });
 }
 
@@ -365,10 +379,12 @@ fn forged_entries_with_recomputed_checksums_fall_back_to_fresh_recording() {
     // A metadata word no recorder writes (region index 7), in an entry whose
     // trace checksum was recomputed to match: nothing but the loader's own
     // validation of the word stands between this file and a replay worker.
-    // Raw entries, because their metadata page can be addressed directly.
-    assert_recovers_from("forged", Codec::Raw, |bytes| {
-        let meta_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-        let block = &mut bytes[24 + meta_len..]; // the persisted trace
+    // A v1 trace block, because its metadata page can be addressed directly
+    // (the reader goes by the block's own header, whatever the file's name).
+    assert_recovers_from("forged", |bytes| {
+        *bytes = entry_as_v1(bytes);
+        let at = trace_block_offset(bytes);
+        let block = &mut bytes[at..]; // the persisted trace
         let records = u64::from_le_bytes(block[16..24].try_into().unwrap()) as usize;
         assert!(records <= CHUNK_RECORDS, "one chunk: one address page");
         let context_len = u32::from_le_bytes(block[32..36].try_into().unwrap()) as usize;
