@@ -32,12 +32,10 @@
 //! and written back once per run, and the hint-reclassification test is
 //! decided before the loop. (CI disassembles the release binary and fails
 //! when a `replay_columns` instance calls `access_one`, `find_way` or a
-//! closure.) [`SetAssocCache::access_batch`] and
-//! [`SetAssocCache::prefetch_batch`] are the same shape over already-decoded
-//! uniform-kind requests (synthetic-trace replay). The run paths and the
-//! per-access path execute the *same* per-request mutation sequence — all
-//! funnel through `CacheCore::access_one` — so their decisions and
-//! statistics are bit-for-bit identical by construction.
+//! closure.) The run path and the per-access path execute the *same*
+//! per-request mutation sequence — both funnel through
+//! `CacheCore::access_one` — so their decisions and statistics are
+//! bit-for-bit identical by construction.
 
 use crate::addr::BlockAddr;
 use crate::config::CacheConfig;
@@ -327,27 +325,6 @@ impl BatchTotals {
     }
 }
 
-/// The uniform-kind run kernel behind [`SetAssocCache::access_batch`] and
-/// [`SetAssocCache::prefetch_batch`]: one in-order pass over already-decoded
-/// requests, one instance per policy. Accesses must stay in order — a fill
-/// by request `i` changes what request `i + 1` sees in the same set — so the
-/// win comes from the hoisted policy dispatch and the deferred statistics,
-/// not from reordering lookups.
-#[inline(never)]
-fn batch_kernel<const DEMAND: bool, P: ReplacementPolicy + ?Sized>(
-    core: &mut CacheCore,
-    policy: &mut P,
-    infos: &[AccessInfo],
-) -> BatchTotals {
-    let mut totals = BatchTotals::default();
-    for info in infos {
-        let (block, set, pattern) = core.locate(info.addr);
-        let outcome = core.access_one(policy, block, set, pattern, info);
-        totals.tally(!DEMAND, info.region, &outcome);
-    }
-    totals
-}
-
 /// The recorded-stream kernel: one in-order pass over the raw address and
 /// metadata columns of a flush-free run, one instance per policy (see the
 /// module docs for why it is a leaf the compiler may not merge into its
@@ -552,32 +529,6 @@ impl SetAssocCache {
                 }
             }
         }
-    }
-
-    /// Performs a whole run of demand accesses in one pass (see the module
-    /// docs): the policy dispatch is hoisted out of the access loop and
-    /// statistics are folded in once for the run. Bit-identical to calling
-    /// [`SetAssocCache::access`] per element, in order. Returns the number
-    /// of demand misses in the run.
-    pub fn access_batch(&mut self, infos: &[AccessInfo]) -> u64 {
-        self.batch_inner::<true>(infos).demand_misses()
-    }
-
-    /// Run counterpart of [`SetAssocCache::prefetch`]: identical block
-    /// placement to [`SetAssocCache::access_batch`], accounted as prefetch
-    /// traffic.
-    pub fn prefetch_batch(&mut self, infos: &[AccessInfo]) {
-        self.batch_inner::<false>(infos);
-    }
-
-    fn batch_inner<const DEMAND: bool>(&mut self, infos: &[AccessInfo]) -> BatchTotals {
-        let core = &mut self.core;
-        let totals = for_each_policy!(
-            &mut self.policy,
-            p => batch_kernel::<DEMAND, _>(core, p, infos)
-        );
-        totals.flush(&mut self.stats);
-        totals
     }
 
     /// Replays one flush-free run of a recorded post-L2 stream — demand,
@@ -825,45 +776,58 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn batched_demand_accesses_match_the_scalar_path_exactly() {
-        let run = mixed_run(500);
-        for make in [
-            || -> SetAssocCache { lru_cache(2048, 4) },
-            || -> SetAssocCache {
-                let config = CacheConfig::new(2048, 8, 64);
-                SetAssocCache::new("test", config, Srrip::new(config.sets(), config.ways))
-            },
-        ] {
-            let mut scalar = make();
-            for info in &run {
-                scalar.access(info);
+    /// Demand, prefetch and writeback records densely interleaved — the
+    /// shape recorded traces actually have — replayed off their encoded
+    /// columns through `replay_run` must equal per-record scalar dispatch.
+    fn assert_replay_run_matches_scalar_dispatch(make: impl Fn() -> SetAssocCache) {
+        let run = mixed_run(600);
+        let kind_bits: Vec<u32> = (0..run.len())
+            .map(|i| match i % 4 {
+                1 => META_PREFETCH_BIT,
+                3 => META_WRITEBACK_BIT,
+                _ => 0,
+            })
+            .collect();
+        let addrs: Vec<u64> = run.iter().map(|info| info.addr).collect();
+        let meta: Vec<u32> = run
+            .iter()
+            .zip(&kind_bits)
+            .map(|(info, &kind)| match kind {
+                META_WRITEBACK_BIT => kind,
+                _ => encode_meta(info, kind),
+            })
+            .collect();
+        let mut scalar = make();
+        let mut scalar_misses = 0;
+        for (info, &kind) in run.iter().zip(&kind_bits) {
+            match kind {
+                0 => scalar_misses += u64::from(!scalar.access(info).is_hit()),
+                META_PREFETCH_BIT => {
+                    scalar.prefetch(info);
+                }
+                _ => {
+                    scalar.writeback(info.addr);
+                }
             }
-            let mut batched = make();
-            // Uneven run boundaries: statistics must add up across runs.
-            let mut misses = 0;
-            for window in run.chunks(77) {
-                misses += batched.access_batch(window);
-            }
-            assert_eq!(scalar.stats(), batched.stats());
-            assert_eq!(misses, scalar.stats().misses);
-            assert_eq!(scalar.resident_blocks(), batched.resident_blocks());
         }
+        let mut batched = make();
+        let mut misses = 0;
+        // Uneven run boundaries: statistics must add up across runs.
+        for (addrs, meta) in addrs.chunks(77).zip(meta.chunks(77)) {
+            misses += batched.replay_run(addrs, meta, None);
+        }
+        assert_eq!(scalar.stats(), batched.stats());
+        assert_eq!(misses, scalar_misses);
+        assert_eq!(scalar.resident_blocks(), batched.resident_blocks());
     }
 
     #[test]
-    fn batched_prefetches_match_the_scalar_path_exactly() {
-        let run = mixed_run(300);
-        let mut scalar = lru_cache(2048, 4);
-        for info in &run {
-            scalar.prefetch(info);
-        }
-        let mut batched = lru_cache(2048, 4);
-        for window in run.chunks(64) {
-            batched.prefetch_batch(window);
-        }
-        assert_eq!(scalar.stats(), batched.stats());
-        assert_eq!(scalar.resident_blocks(), batched.resident_blocks());
+    fn mixed_replay_batches_match_the_scalar_dispatch_exactly() {
+        assert_replay_run_matches_scalar_dispatch(|| lru_cache(2048, 4));
+        assert_replay_run_matches_scalar_dispatch(|| {
+            let config = CacheConfig::new(2048, 8, 64);
+            SetAssocCache::new("test", config, Srrip::new(config.sets(), config.ways))
+        });
     }
 
     #[test]
@@ -885,80 +849,16 @@ mod tests {
             fn on_hit(&mut self, _set: usize, _way: usize, _info: &AccessInfo) {}
         }
 
-        let run = mixed_run(200);
-        let config = CacheConfig::new(1024, 4, 64);
-        let make = || {
+        assert_replay_run_matches_scalar_dispatch(|| {
+            let config = CacheConfig::new(1024, 4, 64);
             let boxed: Box<dyn ReplacementPolicy> = Box::new(EvictHighestWay(config.ways));
             SetAssocCache::new("test", config, boxed)
-        };
-        let mut scalar = make();
-        for info in &run {
-            scalar.access(info);
-        }
-        let mut batched = make();
-        batched.access_batch(&run);
-        assert_eq!(scalar.stats(), batched.stats());
-    }
-
-    #[test]
-    fn mixed_replay_batches_match_the_scalar_dispatch_exactly() {
-        // Demand, prefetch and writeback records densely interleaved — the
-        // shape recorded traces actually have — replayed off their encoded
-        // columns vs per-record scalar dispatch.
-        let run = mixed_run(600);
-        let kind_bits: Vec<u32> = (0..run.len())
-            .map(|i| match i % 4 {
-                1 => META_PREFETCH_BIT,
-                3 => META_WRITEBACK_BIT,
-                _ => 0,
-            })
-            .collect();
-        let addrs: Vec<u64> = run.iter().map(|info| info.addr).collect();
-        let meta: Vec<u32> = run
-            .iter()
-            .zip(&kind_bits)
-            .map(|(info, &kind)| match kind {
-                META_WRITEBACK_BIT => kind,
-                _ => encode_meta(info, kind),
-            })
-            .collect();
-        for make in [
-            || -> SetAssocCache { lru_cache(2048, 4) },
-            || -> SetAssocCache {
-                let config = CacheConfig::new(2048, 8, 64);
-                SetAssocCache::new("test", config, Srrip::new(config.sets(), config.ways))
-            },
-        ] {
-            let mut scalar = make();
-            let mut scalar_misses = 0;
-            for (info, &kind) in run.iter().zip(&kind_bits) {
-                match kind {
-                    0 => scalar_misses += u64::from(!scalar.access(info).is_hit()),
-                    META_PREFETCH_BIT => {
-                        scalar.prefetch(info);
-                    }
-                    _ => {
-                        scalar.writeback(info.addr);
-                    }
-                }
-            }
-            let mut batched = make();
-            let mut misses = 0;
-            // Uneven run boundaries: statistics must add up across runs.
-            for (addrs, meta) in addrs.chunks(77).zip(meta.chunks(77)) {
-                misses += batched.replay_run(addrs, meta, None);
-            }
-            assert_eq!(scalar.stats(), batched.stats());
-            assert_eq!(misses, scalar_misses);
-            assert_eq!(scalar.resident_blocks(), batched.resident_blocks());
-        }
+        });
     }
 
     #[test]
     fn empty_batches_are_a_no_op() {
         let mut c = lru_cache(4096, 4);
-        assert_eq!(c.access_batch(&[]), 0);
-        c.prefetch_batch(&[]);
         assert_eq!(c.replay_run(&[], &[], None), 0);
         assert_eq!(c.stats(), &CacheStats::new());
     }

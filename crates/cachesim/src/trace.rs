@@ -23,7 +23,7 @@
 //!    hints for the new High/Moderate region extents (the recorded ABR bounds
 //!    make that classifier reconstructible from the trace alone).
 //! 3. **Policy micro-benchmarks**, which measure simulator throughput on
-//!    synthetic traces (the [`replay`] free function).
+//!    synthetic traces (collected into an [`LlcTrace`] and replayed).
 //!
 //! # Layout
 //!
@@ -508,15 +508,29 @@ impl LlcTrace {
     /// Replays the **demand** stream only through a standalone LLC, with
     /// reuse hints recomputed by `classifier` — the online-policy side of the
     /// OPT comparison (Fig. 11 / Table VII), which must give every scheme the
-    /// same stream Belady's bound is computed on. Streams straight off the
-    /// chunked storage; no `Vec<AccessInfo>` is materialized.
+    /// same stream Belady's bound is computed on. Each chunk's demand
+    /// records are filtered into one reused pair of column windows and go
+    /// through the cache's run kernel; no `AccessInfo` is materialized.
     pub fn replay_demand_with_classifier(
         &self,
         config: CacheConfig,
         policy: impl Into<PolicyDispatch>,
         classifier: &RegionClassifier,
     ) -> CacheStats {
-        replay_demand_reclassified(self.demand_accesses(), config, policy, classifier)
+        let mut cache = SetAssocCache::new("LLC", config, policy);
+        let (mut addrs, mut meta) = (Vec::new(), Vec::new());
+        for chunk in self.chunks() {
+            addrs.clear();
+            meta.clear();
+            for (&addr, &word) in chunk.addrs.iter().zip(&chunk.meta) {
+                if word & META_KIND_BITS == 0 {
+                    addrs.push(addr);
+                    meta.push(word);
+                }
+            }
+            cache.replay_run(&addrs, &meta, Some(classifier));
+        }
+        cache.stats().clone()
     }
 }
 
@@ -657,56 +671,6 @@ impl ChunkReplayer {
     }
 }
 
-/// Replays a demand-access trace through a standalone LLC with the given
-/// policy and returns the resulting statistics (synthetic-trace workflows;
-/// recorded runs should prefer [`LlcTrace::replay`]).
-pub fn replay(
-    trace: &[AccessInfo],
-    config: CacheConfig,
-    policy: impl Into<PolicyDispatch>,
-) -> CacheStats {
-    let mut cache = SetAssocCache::new("LLC", config, policy);
-    cache.access_batch(trace);
-    cache.stats().clone()
-}
-
-/// Replays a demand-access trace with reuse hints *recomputed* by
-/// `classifier` (LLC-size sweeps over synthetic or decoded traces; recorded
-/// traces should prefer [`LlcTrace::replay_demand_with_classifier`], which
-/// feeds the same loop straight off the chunked storage).
-pub fn replay_with_classifier(
-    trace: &[AccessInfo],
-    config: CacheConfig,
-    policy: impl Into<PolicyDispatch>,
-    classifier: &RegionClassifier,
-) -> CacheStats {
-    replay_demand_reclassified(trace.iter().copied(), config, policy, classifier)
-}
-
-/// The one demand-only reclassifying replay loop both the slice and the
-/// chunk-native entry points share, so their hint semantics can never
-/// diverge. The stream is reclassified into a chunk-sized window and driven
-/// through the cache's run kernel window by window.
-fn replay_demand_reclassified(
-    demands: impl Iterator<Item = AccessInfo>,
-    config: CacheConfig,
-    policy: impl Into<PolicyDispatch>,
-    classifier: &RegionClassifier,
-) -> CacheStats {
-    let mut cache = SetAssocCache::new("LLC", config, policy);
-    let mut window = Vec::new();
-    let mut demands = demands.map(|info| info.with_hint(classifier.classify(info.addr)));
-    loop {
-        window.clear();
-        window.extend(demands.by_ref().take(CHUNK_RECORDS));
-        if window.is_empty() {
-            break;
-        }
-        cache.access_batch(&window);
-    }
-    cache.stats().clone()
-}
-
 /// Percentage of misses eliminated by `candidate` relative to `baseline`
 /// (positive = fewer misses). This is the metric of Figs. 5 and 11.
 pub fn misses_eliminated_pct(baseline_misses: u64, candidate_misses: u64) -> f64 {
@@ -754,6 +718,17 @@ mod tests {
 
     fn llc_config() -> CacheConfig {
         CacheConfig::new(64 * 256, 16, 64) // 256 blocks, 16 ways
+    }
+
+    /// LLC statistics of a demand-only trace replayed under `policy`.
+    fn replay(
+        trace: &[AccessInfo],
+        config: CacheConfig,
+        policy: impl Into<PolicyDispatch>,
+    ) -> CacheStats {
+        LlcTrace::from_iter(trace.iter().copied())
+            .replay(config, policy)
+            .llc
     }
 
     #[test]
@@ -983,18 +958,18 @@ mod tests {
         abrs.program(0, 1 << 20);
         let classifier = RegionClassifier::new(abrs, 128 * 1024);
         let config = llc_config();
-        let sliced = replay_with_classifier(
-            &demands,
-            config,
-            Box::new(Grasp::new(config.sets(), config.ways, 1)),
-            &classifier,
-        );
+        // The oracle: the demand slice, re-hinted and fed one access at a time.
+        let mut scalar =
+            SetAssocCache::new("LLC", config, Grasp::new(config.sets(), config.ways, 1));
+        for info in &demands {
+            scalar.access(&info.with_hint(classifier.classify(info.addr)));
+        }
         let chunked = trace.replay_demand_with_classifier(
             config,
             Box::new(Grasp::new(config.sets(), config.ways, 1)),
             &classifier,
         );
-        assert_eq!(sliced, chunked);
+        assert_eq!(scalar.stats(), &chunked);
     }
 
     #[test]

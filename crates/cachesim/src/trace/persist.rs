@@ -7,13 +7,12 @@
 //! ┌──────────────────────────────────────────────────────────────────────┐
 //! │ header (48 bytes, little-endian)                                     │
 //! │   0  magic          8 B   "GRSPTRC\0"                                │
-//! │   8  version        u32   2 (codec-framed); 1 (raw) is read-only      │
+//! │   8  version        u32   2 — the only version this build reads       │
 //! │  12  chunk_records  u32   records per full chunk (CHUNK_RECORDS)     │
 //! │  16  record_count   u64   total events                               │
 //! │  24  demand_count   u64   demand events (≤ record_count)             │
 //! │  32  context_len    u32   bytes of the context block                 │
-//! │  36  codec          u32   [`Codec`] of the body (v1: reserved = 0,   │
-//! │                           which reads as `Codec::Raw`)               │
+//! │  36  codec          u32   [`Codec`] of the body (1 = delta-varint)   │
 //! │  40  checksum       u64   FNV-1a over header (checksum zeroed),      │
 //! │                           context block and chunk payload            │
 //! ├──────────────────────────────────────────────────────────────────────┤
@@ -23,46 +22,40 @@
 //! └──────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! # Codecs
+//! # Body
 //!
-//! The body is encoded per chunk, per column, by the [`Codec`] named in the
-//! header:
+//! The body is encoded per chunk, per column, by the one [`Codec`] there is,
+//! **`DeltaVarint`**: each chunk is a `u32` frame length followed by that
+//! many payload bytes, holding
+//! 1. the **address column** as zigzag-encoded wrapping deltas in LEB128
+//!    varints (graph-analytics streams are heavily clustered, so most
+//!    deltas fit 1–3 bytes; the delta state resets at every chunk
+//!    boundary, keeping chunks independently decodable),
+//! 2. the **metadata column** as a per-chunk dictionary (the distinct
+//!    kind/flag/hint/region/site words in first-occurrence order, LEB128)
+//!    followed by one `⌈log₂ dict⌉`-bit index per record, bit-packed
+//!    LSB-first (the column's cardinality is tiny — a handful of sites ×
+//!    event kinds — so indices cost a fraction of a byte).
 //!
-//! * **`Raw`** (format **v1**, **read-only**: no writer emits it any more,
-//!   stores that still hold it migrate with `cargo xtask trace recompress`):
-//!   each chunk is one page of `n × u64` addresses followed by one page of
-//!   `n × u32` metadata words — 12 B/record.
-//! * **`DeltaVarint`** (format **v2**, what [`LlcTrace::write_to`] writes):
-//!   each chunk is a `u32` frame length followed by that many payload
-//!   bytes, holding
-//!   1. the **address column** as zigzag-encoded wrapping deltas in LEB128
-//!      varints (graph-analytics streams are heavily clustered, so most
-//!      deltas fit 1–3 bytes; the delta state resets at every chunk
-//!      boundary, keeping chunks independently decodable),
-//!   2. the **metadata column** as a per-chunk dictionary (the distinct
-//!      kind/flag/hint/region/site words in first-occurrence order, LEB128)
-//!      followed by one `⌈log₂ dict⌉`-bit index per record, bit-packed
-//!      LSB-first (the column's cardinality is tiny — a handful of sites ×
-//!      event kinds — so indices cost a fraction of a byte).
+//! The in-memory struct-of-arrays layout stays **chunk-aligned**: every
+//! chunk decodes as one unit straight into a frozen [`TraceChunk`] page
+//! behind its `Arc` — no per-event materialization, no re-push through the
+//! recording path — and the loaded trace compares equal (`==`) to the trace
+//! that was written, chunk layout included. A loaded trace therefore replays
+//! chunk by chunk ([`LlcTrace::chunks`](super::LlcTrace::chunks)) exactly
+//! like a freshly recorded one.
 //!
-//! Both codecs keep the in-memory struct-of-arrays layout **chunk-aligned**:
-//! every chunk decodes as one unit straight into a frozen
-//! [`TraceChunk`] page behind its `Arc` — no per-event
-//! materialization, no re-push through the recording path — and the loaded
-//! trace compares equal (`==`) to the trace that was written, chunk layout
-//! included. A loaded trace therefore replays chunk by chunk
-//! ([`LlcTrace::chunks`](super::LlcTrace::chunks)) exactly like a freshly
-//! recorded one.
-//!
-//! [`LlcTrace::read_from`] dispatches on **version + codec**: v1 files load
-//! exactly as they always did, v2 frames decompress chunk-at-a-time.
+//! [`LlcTrace::read_from`] checks the version once, up front: any other
+//! version — the raw 12 B/record v1 layout of old stores included — is
+//! [`PersistError::UnsupportedVersion`], and a v2 header naming any other
+//! codec is [`PersistError::Corrupt`].
 //!
 //! Corruption is never silent: the checksum covers the header (with the
 //! checksum field zeroed), the context block and the chunk payload — frame
 //! lengths included — so a truncated, bit-flipped or short-read file
 //! surfaces as a typed [`PersistError`] — a successful load is byte-for-byte
 //! the trace that was saved (property-tested in
-//! `tests/persist_properties.rs` for both codecs).
+//! `tests/persist_properties.rs`).
 
 use super::{
     count_demand_records, meta_is_valid, LlcTrace, RecordContext, TraceChunk, CHUNK_RECORDS,
@@ -78,13 +71,9 @@ use std::sync::Arc;
 /// Magic bytes opening every persisted trace.
 pub const TRACE_MAGIC: [u8; 8] = *b"GRSPTRC\0";
 
-/// Newest version of the on-disk trace format, and the one writers emit.
-/// Loaders read every version up to this one. Bump on any layout change.
+/// The version of the on-disk trace format: what writers emit and the only
+/// one loaders read. Bump on any layout change.
 pub const TRACE_FORMAT_VERSION: u32 = 2;
-
-/// The raw (uncompressed) v1 layout of PR 4: read so pre-codec stores stay
-/// loadable (and migratable), never written.
-const TRACE_FORMAT_V1: u32 = 1;
 
 const HEADER_LEN: usize = 48;
 const CODEC_OFFSET: usize = 36;
@@ -93,15 +82,14 @@ const CHECKSUM_OFFSET: usize = 40;
 /// anything near this limit is corruption, not data).
 const MAX_CONTEXT_LEN: u32 = 1 << 24;
 
-/// How the chunk payload encodes the struct-of-arrays body (see the module
-/// docs for the per-codec layout).
+/// How the chunk payload encodes the struct-of-arrays body — the name of
+/// header word 36. One variant: the field exists so a future encoding is a
+/// new code, not a new format version.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Codec {
-    /// 12 B/record SoA pages — the v1 format. Read-only.
-    Raw,
     /// Per-chunk delta + LEB128 varint addresses and dictionary + bit-packed
-    /// metadata — the v2 format every writer emits, several times smaller
-    /// on clustered graph-analytics streams.
+    /// metadata (see the module docs), several times smaller than the
+    /// 12 B/record columns on clustered graph-analytics streams.
     #[default]
     DeltaVarint,
 }
@@ -109,37 +97,18 @@ pub enum Codec {
 impl Codec {
     /// Stable human-readable name (what `cargo xtask trace ls` prints).
     pub fn label(self) -> &'static str {
-        match self {
-            Codec::Raw => "raw",
-            Codec::DeltaVarint => "delta-varint",
-        }
-    }
-
-    /// The format version files encoded with this codec carry (and the
-    /// version suffix store entries are named by).
-    pub fn format_version(self) -> u32 {
-        match self {
-            Codec::Raw => TRACE_FORMAT_V1,
-            Codec::DeltaVarint => TRACE_FORMAT_VERSION,
-        }
+        "delta-varint"
     }
 
     /// The header's codec field value (byte 36 of the trace header).
     pub fn code(self) -> u32 {
-        match self {
-            Codec::Raw => 0,
-            Codec::DeltaVarint => 1,
-        }
+        1
     }
 
     /// The inverse of [`Codec::code`] — the one place the header field maps
     /// back to a codec (store layers peeking at entry headers reuse it).
     pub fn from_code(code: u32) -> Option<Codec> {
-        match code {
-            0 => Some(Codec::Raw),
-            1 => Some(Codec::DeltaVarint),
-            _ => None,
-        }
+        (code == Codec::DeltaVarint.code()).then_some(Codec::DeltaVarint)
     }
 }
 
@@ -193,7 +162,7 @@ impl std::fmt::Display for PersistError {
             PersistError::UnsupportedVersion(found) => write!(
                 f,
                 "unsupported trace format version {found} (this build reads \
-                 versions 1..={TRACE_FORMAT_VERSION})"
+                 version {TRACE_FORMAT_VERSION})"
             ),
             PersistError::IncompatibleChunkSize { found, expected } => write!(
                 f,
@@ -616,32 +585,6 @@ fn read_exact(
     })
 }
 
-/// Reads one raw v1 chunk (two SoA pages) into a fresh chunk, checking
-/// every metadata word on the way in.
-fn read_chunk_raw(
-    reader: &mut impl Read,
-    hasher: &mut Fnv64,
-    records: usize,
-    buf: &mut Vec<u8>,
-) -> Result<TraceChunk, PersistError> {
-    buf.resize(records * 12, 0);
-    let bytes = &mut buf[..records * 12];
-    read_exact(reader, bytes, "chunk payload")?;
-    hasher.update(bytes);
-    let (addr_bytes, meta_bytes) = bytes.split_at(records * 8);
-    let mut chunk = TraceChunk::with_capacity(records);
-    chunk.addrs.extend(
-        addr_bytes
-            .chunks_exact(8)
-            .map(|b| Address::from_le_bytes(b.try_into().expect("8 bytes"))),
-    );
-    for word in meta_bytes.chunks_exact(4) {
-        let word = u32::from_le_bytes(word.try_into().expect("4 bytes"));
-        chunk.meta.push(check_meta(word)?);
-    }
-    Ok(chunk)
-}
-
 /// Reads one v2 delta+varint frame and decompresses it into a fresh chunk.
 /// Every structural defect — an implausible frame length, a malformed
 /// varint, a dictionary entry that encodes no record, a dictionary index
@@ -767,28 +710,18 @@ impl LlcTrace {
         Ok((header.len() + context.len() + body.len()) as u64)
     }
 
-    /// Reads a persisted trace (any supported version and codec) — see
-    /// [`LlcTrace::read_from_with_codec`].
-    pub fn read_from(reader: &mut impl Read) -> Result<LlcTrace, PersistError> {
-        Self::read_from_with_codec(reader).map(|(trace, _)| trace)
-    }
-
-    /// Reads a trace and reports the [`Codec`] the file was encoded with.
-    ///
-    /// Dispatches on the header's version + codec: v1 files are raw SoA
-    /// pages; v2 files decompress per-chunk frames. Chunks are rebuilt
-    /// chunk-at-a-time straight into frozen `Arc<TraceChunk>`s — no
-    /// per-event materialization — and the loaded trace is `==` to the
-    /// written one, chunk layout included. Every structural problem (wrong
-    /// magic, foreign version, codec or chunk geometry, truncation,
-    /// malformed compression, bit flips anywhere in the file) surfaces as a
-    /// typed [`PersistError`]; a trace is only returned when the checksum
-    /// over everything read matches.
+    /// Reads a persisted trace. Chunks are rebuilt chunk-at-a-time straight
+    /// into frozen `Arc<TraceChunk>`s — no per-event materialization — and
+    /// the loaded trace is `==` to the written one, chunk layout included.
+    /// Every structural problem (wrong magic, foreign version, codec or
+    /// chunk geometry, truncation, malformed compression, bit flips anywhere
+    /// in the file) surfaces as a typed [`PersistError`]; a trace is only
+    /// returned when the checksum over everything read matches.
     ///
     /// Reads exactly the persisted bytes and no further, so a trace block
     /// can be embedded inside a larger stream (the trace store appends its
     /// own metadata around it).
-    pub fn read_from_with_codec(reader: &mut impl Read) -> Result<(LlcTrace, Codec), PersistError> {
+    pub fn read_from(reader: &mut impl Read) -> Result<LlcTrace, PersistError> {
         let mut header = [0u8; HEADER_LEN];
         read_exact(reader, &mut header, "header")?;
 
@@ -797,7 +730,7 @@ impl LlcTrace {
             return Err(PersistError::BadMagic(magic));
         }
         let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-        if version == 0 || version > TRACE_FORMAT_VERSION {
+        if version != TRACE_FORMAT_VERSION {
             return Err(PersistError::UnsupportedVersion(version));
         }
         let chunk_records = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
@@ -827,21 +760,11 @@ impl LlcTrace {
                 .try_into()
                 .expect("4 bytes"),
         );
-        let codec = match version {
-            // v1 predates the codec field: the word was reserved-zero, which
-            // deliberately coincides with Codec::Raw.
-            TRACE_FORMAT_V1 => {
-                if codec_field != 0 {
-                    return Err(PersistError::Corrupt(format!(
-                        "reserved header field is {codec_field}, expected 0"
-                    )));
-                }
-                Codec::Raw
-            }
-            _ => Codec::from_code(codec_field).ok_or_else(|| {
-                PersistError::Corrupt(format!("unknown codec {codec_field} in a v{version} file"))
-            })?,
-        };
+        if Codec::from_code(codec_field).is_none() {
+            return Err(PersistError::Corrupt(format!(
+                "unknown codec {codec_field} in a v{version} file"
+            )));
+        }
         let stored_checksum = u64::from_le_bytes(
             header[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8]
                 .try_into()
@@ -869,15 +792,12 @@ impl LlcTrace {
         let tail = record_count % CHUNK_RECORDS;
         let mut frozen = Vec::new();
         let mut buf = Vec::new();
-        let mut read_chunk = |records: usize, buf: &mut Vec<u8>, hasher: &mut Fnv64| match codec {
-            Codec::Raw => read_chunk_raw(reader, hasher, records, buf),
-            Codec::DeltaVarint => read_chunk_delta_varint(reader, hasher, records, buf),
-        };
         for _ in 0..full_chunks {
-            frozen.push(Arc::new(read_chunk(CHUNK_RECORDS, &mut buf, &mut hasher)?));
+            let chunk = read_chunk_delta_varint(reader, &mut hasher, CHUNK_RECORDS, &mut buf)?;
+            frozen.push(Arc::new(chunk));
         }
         let current = if tail > 0 {
-            read_chunk(tail, &mut buf, &mut hasher)?
+            read_chunk_delta_varint(reader, &mut hasher, tail, &mut buf)?
         } else {
             TraceChunk::default()
         };
@@ -910,7 +830,7 @@ impl LlcTrace {
                 trace.demand_len, actual_demands
             )));
         }
-        Ok((trace, codec))
+        Ok(trace)
     }
 
     /// Writes the trace to `path` via [`LlcTrace::write_to`] (buffered).
@@ -973,11 +893,6 @@ mod tests {
         trace
     }
 
-    include!("../../tests/support/v1_fixture.rs");
-
-    /// Every encoding the reader accepts: what the writer emits, and v1.
-    const CODECS: [Codec; 2] = [Codec::DeltaVarint, Codec::Raw];
-
     fn write_to_vec(trace: &LlcTrace) -> Vec<u8> {
         let mut bytes = Vec::new();
         let written = trace.write_to(&mut bytes).expect("write succeeds");
@@ -985,60 +900,47 @@ mod tests {
         bytes
     }
 
-    /// `trace` as a file in `codec`: written, or built by the v1 fixture.
-    fn write_to_vec_with(trace: &LlcTrace, codec: Codec) -> Vec<u8> {
-        match codec {
-            Codec::DeltaVarint => write_to_vec(trace),
-            Codec::Raw => v1_trace_bytes(trace),
-        }
-    }
-
     #[test]
     fn roundtrip_preserves_everything_including_chunk_layout() {
-        for codec in CODECS {
-            for events in [0, 1, 5, CHUNK_RECORDS - 1, CHUNK_RECORDS, CHUNK_RECORDS + 3] {
-                let trace = sample_trace(events);
-                let bytes = write_to_vec_with(&trace, codec);
-                let (loaded, read_codec) =
-                    LlcTrace::read_from_with_codec(&mut bytes.as_slice()).expect("roundtrip");
-                assert_eq!(read_codec, codec, "{events} events");
-                assert_eq!(loaded, trace, "{codec}: {events} events");
-                assert_eq!(loaded.len(), trace.len());
-                assert_eq!(loaded.demand_len(), trace.demand_len());
-                assert_eq!(loaded.context(), trace.context());
-                assert_eq!(
-                    loaded.chunks().count(),
-                    trace.chunks().count(),
-                    "chunk layout must be reproduced"
-                );
-            }
+        for events in [0, 1, 5, CHUNK_RECORDS - 1, CHUNK_RECORDS, CHUNK_RECORDS + 3] {
+            let trace = sample_trace(events);
+            let bytes = write_to_vec(&trace);
+            let loaded = LlcTrace::read_from(&mut bytes.as_slice()).expect("roundtrip");
+            assert_eq!(loaded, trace, "{events} events");
+            assert_eq!(loaded.len(), trace.len());
+            assert_eq!(loaded.demand_len(), trace.demand_len());
+            assert_eq!(loaded.context(), trace.context());
+            assert_eq!(
+                loaded.chunks().count(),
+                trace.chunks().count(),
+                "chunk layout must be reproduced"
+            );
         }
     }
 
     #[test]
     fn delta_varint_compresses_the_sample_stream() {
         let trace = sample_trace(50_000);
-        let raw = write_to_vec_with(&trace, Codec::Raw);
-        let compressed = write_to_vec_with(&trace, Codec::DeltaVarint);
+        // What the in-memory columns would occupy written out as they are:
+        // 12 B/record after the same header and context block.
+        let raw = HEADER_LEN + encode_context(trace.context()).len() + 12 * trace.len();
+        let compressed = write_to_vec(&trace);
         assert!(
-            compressed.len() * 2 < raw.len(),
-            "delta+varint must at least halve the raw size: {} vs {}",
-            compressed.len(),
-            raw.len()
+            compressed.len() * 2 < raw,
+            "delta+varint must at least halve the raw size: {} vs {raw}",
+            compressed.len()
         );
     }
 
     #[test]
     fn loaded_trace_replays_bit_identically() {
         let trace = sample_trace(4000);
-        for codec in CODECS {
-            let bytes = write_to_vec_with(&trace, codec);
-            let loaded = LlcTrace::read_from(&mut bytes.as_slice()).expect("roundtrip");
-            let config = CacheConfig::new(64 * 128, 8, 64);
-            let original = trace.replay(config, Lru::new(config.sets(), config.ways));
-            let reloaded = loaded.replay(config, Lru::new(config.sets(), config.ways));
-            assert_eq!(original, reloaded, "{codec}");
-        }
+        let bytes = write_to_vec(&trace);
+        let loaded = LlcTrace::read_from(&mut bytes.as_slice()).expect("roundtrip");
+        let config = CacheConfig::new(64 * 128, 8, 64);
+        let original = trace.replay(config, Lru::new(config.sets(), config.ways));
+        let reloaded = loaded.replay(config, Lru::new(config.sets(), config.ways));
+        assert_eq!(original, reloaded);
     }
 
     #[test]
@@ -1058,15 +960,13 @@ mod tests {
 
     #[test]
     fn codec_labels_round_trip() {
-        for codec in CODECS {
-            assert_eq!(Codec::from_code(codec.code()), Some(codec));
-            assert_eq!(codec.to_string(), codec.label());
-        }
-        assert_eq!(Codec::Raw.label(), "raw");
-        assert_eq!(Codec::DeltaVarint.label(), "delta-varint");
+        let codec = Codec::default();
+        assert_eq!(Codec::from_code(codec.code()), Some(codec));
+        assert_eq!(codec.to_string(), codec.label());
+        assert_eq!(codec.label(), "delta-varint");
+        // Code 0 was v1's reserved word; it names no codec.
+        assert_eq!(Codec::from_code(0), None);
         assert_eq!(Codec::from_code(7), None);
-        assert_eq!(Codec::Raw.format_version(), 1);
-        assert_eq!(Codec::DeltaVarint.format_version(), 2);
     }
 
     #[test]
@@ -1146,15 +1046,29 @@ mod tests {
             LlcTrace::read_from(&mut bytes.as_slice()),
             Err(PersistError::UnsupportedVersion(0))
         ));
+        // So is the raw v1 layout old stores hold: its 48-byte header alone
+        // (reserved word 0 where v2 names its codec) is refused by version,
+        // before anything behind it is read.
+        let mut v1_header = [0u8; HEADER_LEN];
+        v1_header[0..8].copy_from_slice(&TRACE_MAGIC);
+        v1_header[8..12].copy_from_slice(&1u32.to_le_bytes());
+        v1_header[12..16].copy_from_slice(&(CHUNK_RECORDS as u32).to_le_bytes());
+        assert!(matches!(
+            LlcTrace::read_from(&mut v1_header.as_slice()),
+            Err(PersistError::UnsupportedVersion(1))
+        ));
     }
 
     #[test]
     fn unknown_codec_in_a_v2_file_is_rejected() {
-        let mut bytes = write_to_vec_with(&sample_trace(10), Codec::DeltaVarint);
-        bytes[CODEC_OFFSET..CODEC_OFFSET + 4].copy_from_slice(&99u32.to_le_bytes());
-        match LlcTrace::read_from(&mut bytes.as_slice()) {
-            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("codec"), "{msg}"),
-            other => panic!("expected Corrupt, got {other:?}"),
+        // 99 never named a codec; 0 named v1's raw pages.
+        for code in [99u32, 0] {
+            let mut bytes = write_to_vec(&sample_trace(10));
+            bytes[CODEC_OFFSET..CODEC_OFFSET + 4].copy_from_slice(&code.to_le_bytes());
+            match LlcTrace::read_from(&mut bytes.as_slice()) {
+                Err(PersistError::Corrupt(msg)) => assert!(msg.contains("codec"), "{msg}"),
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
         }
     }
 
@@ -1173,33 +1087,25 @@ mod tests {
 
     #[test]
     fn truncation_is_a_typed_error_at_every_boundary() {
-        for codec in CODECS {
-            let bytes = write_to_vec_with(&sample_trace(200), codec);
-            // Header, context and payload truncations all surface as Truncated.
-            for cut in [0, 10, HEADER_LEN - 1, HEADER_LEN + 4, bytes.len() - 1] {
-                match LlcTrace::read_from(&mut &bytes[..cut]) {
-                    Err(PersistError::Truncated { .. }) => {}
-                    other => {
-                        panic!("{codec}: cut at {cut}: expected Truncated, got {other:?}")
-                    }
-                }
+        let bytes = write_to_vec(&sample_trace(200));
+        // Header, context and payload truncations all surface as Truncated.
+        for cut in [0, 10, HEADER_LEN - 1, HEADER_LEN + 4, bytes.len() - 1] {
+            match LlcTrace::read_from(&mut &bytes[..cut]) {
+                Err(PersistError::Truncated { .. }) => {}
+                other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
             }
         }
     }
 
     #[test]
     fn payload_bit_flip_is_a_typed_error() {
-        for codec in CODECS {
-            let trace = sample_trace(500);
-            let bytes = write_to_vec_with(&trace, codec);
-            let mut flipped = bytes.clone();
-            let last = flipped.len() - 1;
-            flipped[last] ^= 0x01;
-            assert!(
-                LlcTrace::read_from(&mut flipped.as_slice()).is_err(),
-                "{codec}: a flipped payload byte must never load"
-            );
-        }
+        let mut flipped = write_to_vec(&sample_trace(500));
+        let last = flipped.len() - 1;
+        flipped[last] ^= 0x01;
+        assert!(
+            LlcTrace::read_from(&mut flipped.as_slice()).is_err(),
+            "a flipped payload byte must never load"
+        );
     }
 
     #[test]
@@ -1207,16 +1113,13 @@ mod tests {
         // Shrinking the record count re-frames the payload; the checksum
         // (which covers the header) must catch it even though the framing
         // itself stays structurally valid.
-        for codec in CODECS {
-            let bytes = write_to_vec_with(&sample_trace(CHUNK_RECORDS + 100), codec);
-            let mut tampered = bytes.clone();
-            tampered[16..24].copy_from_slice(&(100u64).to_le_bytes());
-            tampered[24..32].copy_from_slice(&(50u64).to_le_bytes());
-            assert!(
-                LlcTrace::read_from(&mut tampered.as_slice()).is_err(),
-                "{codec}: tampered counts must never load"
-            );
-        }
+        let mut tampered = write_to_vec(&sample_trace(CHUNK_RECORDS + 100));
+        tampered[16..24].copy_from_slice(&(100u64).to_le_bytes());
+        tampered[24..32].copy_from_slice(&(50u64).to_le_bytes());
+        assert!(
+            LlcTrace::read_from(&mut tampered.as_slice()).is_err(),
+            "tampered counts must never load"
+        );
     }
 
     #[test]
@@ -1224,14 +1127,12 @@ mod tests {
         // `record_count` is unvalidated until the checksum passes, so the
         // reader must never size an allocation from it: a corrupted count in
         // the exabyte range has to surface as a typed error.
-        for codec in CODECS {
-            let mut bytes = write_to_vec_with(&sample_trace(100), codec);
-            bytes[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
-            bytes[24..32].copy_from_slice(&0u64.to_le_bytes());
-            match LlcTrace::read_from(&mut bytes.as_slice()) {
-                Err(PersistError::Truncated { .. }) | Err(PersistError::Corrupt(_)) => {}
-                other => panic!("{codec}: expected a typed error, got {other:?}"),
-            }
+        let mut bytes = write_to_vec(&sample_trace(100));
+        bytes[16..24].copy_from_slice(&u64::MAX.to_le_bytes());
+        bytes[24..32].copy_from_slice(&0u64.to_le_bytes());
+        match LlcTrace::read_from(&mut bytes.as_slice()) {
+            Err(PersistError::Truncated { .. }) | Err(PersistError::Corrupt(_)) => {}
+            other => panic!("expected a typed error, got {other:?}"),
         }
     }
 
@@ -1241,7 +1142,7 @@ mod tests {
         // claiming more bytes than any valid encoding of its records must
         // die in the plausibility check, before any allocation.
         let trace = sample_trace(50);
-        let mut bytes = write_to_vec_with(&trace, Codec::DeltaVarint);
+        let mut bytes = write_to_vec(&trace);
         let context_len = u32::from_le_bytes(bytes[32..36].try_into().unwrap()) as usize;
         let frame_at = HEADER_LEN + context_len;
         bytes[frame_at..frame_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -1252,46 +1153,29 @@ mod tests {
     }
 
     #[test]
-    fn reserved_field_must_be_zero_in_v1() {
-        let mut bytes = write_to_vec_with(&sample_trace(10), Codec::Raw);
-        bytes[36] = 1;
-        assert!(matches!(
-            LlcTrace::read_from(&mut bytes.as_slice()),
-            Err(PersistError::Corrupt(_))
-        ));
-    }
-
-    #[test]
     fn trace_block_is_embeddable_in_a_larger_stream() {
-        for codec in CODECS {
-            let trace = sample_trace(150);
-            let mut bytes = write_to_vec_with(&trace, codec);
-            let trailer = b"store metadata lives here";
-            bytes.extend_from_slice(trailer);
-            let mut reader = bytes.as_slice();
-            let loaded = LlcTrace::read_from(&mut reader).expect("embedded read");
-            assert_eq!(loaded, trace);
-            assert_eq!(
-                reader, trailer,
-                "{codec}: reader must stop exactly after the trace"
-            );
-        }
+        let trace = sample_trace(150);
+        let mut bytes = write_to_vec(&trace);
+        let trailer = b"store metadata lives here";
+        bytes.extend_from_slice(trailer);
+        let mut reader = bytes.as_slice();
+        let loaded = LlcTrace::read_from(&mut reader).expect("embedded read");
+        assert_eq!(loaded, trace);
+        assert_eq!(reader, trailer, "reader must stop exactly after the trace");
     }
 
     #[test]
     fn empty_trace_roundtrips() {
-        for codec in CODECS {
-            let trace = LlcTrace::new();
-            let bytes = write_to_vec_with(&trace, codec);
-            assert_eq!(
-                bytes.len(),
-                HEADER_LEN + encode_context(trace.context()).len(),
-                "{codec}: an empty trace has no chunk frames at all"
-            );
-            let loaded = LlcTrace::read_from(&mut bytes.as_slice()).expect("roundtrip");
-            assert_eq!(loaded, trace);
-            assert!(loaded.is_empty());
-        }
+        let trace = LlcTrace::new();
+        let bytes = write_to_vec(&trace);
+        assert_eq!(
+            bytes.len(),
+            HEADER_LEN + encode_context(trace.context()).len(),
+            "an empty trace has no chunk frames at all"
+        );
+        let loaded = LlcTrace::read_from(&mut bytes.as_slice()).expect("roundtrip");
+        assert_eq!(loaded, trace);
+        assert!(loaded.is_empty());
     }
 
     #[test]
@@ -1319,12 +1203,10 @@ mod tests {
         // Corrupt the in-memory counter, then persist: the file is
         // checksum-consistent but internally wrong.
         trace.demand_len += 1;
-        for codec in CODECS {
-            let bytes = write_to_vec_with(&trace, codec);
-            match LlcTrace::read_from(&mut bytes.as_slice()) {
-                Err(PersistError::Corrupt(msg)) => assert!(msg.contains("demand")),
-                other => panic!("{codec}: expected Corrupt, got {other:?}"),
-            }
+        let bytes = write_to_vec(&trace);
+        match LlcTrace::read_from(&mut bytes.as_slice()) {
+            Err(PersistError::Corrupt(msg)) => assert!(msg.contains("demand")),
+            other => panic!("expected Corrupt, got {other:?}"),
         }
     }
 
@@ -1346,24 +1228,20 @@ mod tests {
             1 << 9, // ... and the bits between the kinds and the site.
             1 << 15,
         ];
-        for codec in CODECS {
-            for word in forged {
-                let mut trace = LlcTrace::new();
-                for i in 0..10u64 {
-                    if i == 6 {
-                        trace.push_raw(i * 64, word);
-                    } else {
-                        trace.push(&AccessInfo::read(i * 64).with_site(3));
-                    }
+        for word in forged {
+            let mut trace = LlcTrace::new();
+            for i in 0..10u64 {
+                if i == 6 {
+                    trace.push_raw(i * 64, word);
+                } else {
+                    trace.push(&AccessInfo::read(i * 64).with_site(3));
                 }
-                trace.demand_len = count_demand_records(&trace.current.meta);
-                let bytes = write_to_vec_with(&trace, codec);
-                match LlcTrace::read_from(&mut bytes.as_slice()) {
-                    Err(PersistError::Corrupt(msg)) => {
-                        assert!(msg.contains("metadata word"), "{codec}: {msg}")
-                    }
-                    other => panic!("{codec}: {word:#x}: expected Corrupt, got {other:?}"),
-                }
+            }
+            trace.demand_len = count_demand_records(&trace.current.meta);
+            let bytes = write_to_vec(&trace);
+            match LlcTrace::read_from(&mut bytes.as_slice()) {
+                Err(PersistError::Corrupt(msg)) => assert!(msg.contains("metadata word"), "{msg}"),
+                other => panic!("{word:#x}: expected Corrupt, got {other:?}"),
             }
         }
     }
@@ -1384,7 +1262,6 @@ mod tests {
         // deliberate format bump, not a refactor side-effect.
         assert_eq!(TRACE_MAGIC, *b"GRSPTRC\0");
         assert_eq!(TRACE_FORMAT_VERSION, 2);
-        assert_eq!(TRACE_FORMAT_V1, 1);
         assert_eq!(HEADER_LEN, 48);
     }
 
@@ -1394,10 +1271,8 @@ mod tests {
         let info = AccessInfo::read(0x1240).with_site(3);
         let mut trace = LlcTrace::new();
         trace.push(&info);
-        for codec in CODECS {
-            let bytes = write_to_vec_with(&trace, codec);
-            let loaded = LlcTrace::read_from(&mut bytes.as_slice()).expect("roundtrip");
-            assert_eq!(loaded.get(0), trace.get(0), "{codec}");
-        }
+        let bytes = write_to_vec(&trace);
+        let loaded = LlcTrace::read_from(&mut bytes.as_slice()).expect("roundtrip");
+        assert_eq!(loaded.get(0), trace.get(0));
     }
 }

@@ -1,22 +1,18 @@
-//! Property tests for the on-disk trace format, covering **both encodings
-//! the reader accepts** — the v2 files the writer emits and the read-only v1
-//! files older stores hold (built by `support/v1_fixture.rs`): persist →
-//! load → replay must equal the in-memory trace for arbitrary event
-//! sequences (flushes and dirty writebacks included), and a damaged file —
-//! truncated anywhere, or with any bit flipped, in the raw pages or the
-//! compressed frames — must surface a typed [`PersistError`], never a
-//! silently wrong replay.
+//! Property tests for the on-disk trace format: persist → load → replay
+//! must equal the in-memory trace for arbitrary event sequences (flushes and
+//! dirty writebacks included), and a damaged file — truncated anywhere, or
+//! with any bit flipped, in the header, the context block or the compressed
+//! frames — must surface a typed [`PersistError`], never a silently wrong
+//! replay.
 
 use grasp_cachesim::config::CacheConfig;
 use grasp_cachesim::hint::ReuseHint;
 use grasp_cachesim::policy::grasp::Grasp;
 use grasp_cachesim::policy::lru::Lru;
 use grasp_cachesim::request::{AccessInfo, RegionLabel};
-use grasp_cachesim::trace::persist::{Codec, Fnv64, PersistError};
+use grasp_cachesim::trace::persist::PersistError;
 use grasp_cachesim::trace::{LlcTrace, RecordContext, TraceEvent};
 use proptest::prelude::*;
-
-include!("support/v1_fixture.rs");
 
 /// Arbitrary post-L2 event sequences: demand reads/writes, prefetches,
 /// dirty writebacks and flush markers, with varying sites, hints and
@@ -48,14 +44,6 @@ fn arb_events() -> impl Strategy<Value = Vec<TraceEvent>> {
     )
 }
 
-fn codec_of(selector: u8) -> Codec {
-    if selector.is_multiple_of(2) {
-        Codec::Raw
-    } else {
-        Codec::DeltaVarint
-    }
-}
-
 /// Builds a trace carrying a non-trivial recorded context, so the context
 /// block round-trip is exercised alongside the records.
 fn build(events: &[TraceEvent], abr_bounds: usize) -> LlcTrace {
@@ -79,36 +67,26 @@ fn build(events: &[TraceEvent], abr_bounds: usize) -> LlcTrace {
     trace
 }
 
-/// `trace` as a file in `codec`: written, or built by the v1 fixture.
-fn persist(trace: &LlcTrace, codec: Codec) -> Vec<u8> {
-    match codec {
-        Codec::Raw => v1_trace_bytes(trace),
-        Codec::DeltaVarint => {
-            let mut bytes = Vec::new();
-            trace
-                .write_to(&mut bytes)
-                .expect("in-memory write succeeds");
-            bytes
-        }
-    }
+fn persist(trace: &LlcTrace) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    trace
+        .write_to(&mut bytes)
+        .expect("in-memory write succeeds");
+    bytes
 }
 
 proptest! {
     #[test]
     fn persist_load_replay_equals_the_in_memory_trace(
         // The vendored proptest! macro supports one binding: tuple up.
-        case in (arb_events(), 0usize..4, 0u8..2)
+        case in (arb_events(), 0usize..4)
     ) {
-        let (events, abr_bounds, codec_selector) = case;
-        let codec = codec_of(codec_selector);
+        let (events, abr_bounds) = case;
         let trace = build(&events, abr_bounds);
-        let bytes = persist(&trace, codec);
-        let (loaded, read_codec) = LlcTrace::read_from_with_codec(&mut bytes.as_slice())
-            .expect("clean file loads");
+        let bytes = persist(&trace);
+        let loaded = LlcTrace::read_from(&mut bytes.as_slice()).expect("clean file loads");
 
-        // Structural equality: records, counts, context, chunk layout — and
-        // the header reports the codec it was written with.
-        prop_assert_eq!(read_codec, codec);
+        // Structural equality: records, counts, context, chunk layout.
         prop_assert_eq!(&loaded, &trace);
         prop_assert_eq!(loaded.len(), events.len());
         prop_assert_eq!(loaded.context(), trace.context());
@@ -126,30 +104,12 @@ proptest! {
     }
 
     #[test]
-    fn codecs_agree_with_each_other(
-        case in (arb_events(), 0usize..3)
-    ) {
-        // The codec is an encoding choice, never a semantic one: a raw file
-        // and a compressed file of the same trace load to *equal* traces
-        // (chunk layout included), which is what lets `recompress` migrate
-        // a v1 store in place.
-        let (events, abr_bounds) = case;
-        let trace = build(&events, abr_bounds);
-        let from_raw = LlcTrace::read_from(&mut persist(&trace, Codec::Raw).as_slice())
-            .expect("raw loads");
-        let from_dv = LlcTrace::read_from(&mut persist(&trace, Codec::DeltaVarint).as_slice())
-            .expect("delta-varint loads");
-        prop_assert_eq!(&from_raw, &from_dv);
-        prop_assert_eq!(&from_raw, &trace);
-    }
-
-    #[test]
     fn truncation_at_any_length_is_a_typed_error(
-        case in (arb_events(), 0usize..10_000, 0u8..2)
+        case in (arb_events(), 0usize..10_000)
     ) {
-        let (events, cut_selector, codec_selector) = case;
+        let (events, cut_selector) = case;
         let trace = build(&events, 2);
-        let bytes = persist(&trace, codec_of(codec_selector));
+        let bytes = persist(&trace);
         // Any strict prefix must fail to load — there is no length at which
         // a truncated file silently parses.
         let cut = cut_selector % bytes.len();
@@ -167,11 +127,11 @@ proptest! {
 
     #[test]
     fn any_single_bit_flip_is_a_typed_error_never_a_wrong_replay(
-        case in (arb_events(), 0usize..100_000, 0u8..8, 0u8..2)
+        case in (arb_events(), 0usize..100_000, 0u8..8)
     ) {
-        let (events, byte_selector, bit, codec_selector) = case;
+        let (events, byte_selector, bit) = case;
         let trace = build(&events, 1);
-        let mut bytes = persist(&trace, codec_of(codec_selector));
+        let mut bytes = persist(&trace);
         let index = byte_selector % bytes.len();
         bytes[index] ^= 1 << bit;
         // Every bit of the file is covered: magic/version/codec/geometry
@@ -192,33 +152,11 @@ proptest! {
     }
 
     #[test]
-    fn persisted_bytes_are_deterministic(
-        case in (arb_events(), 0u8..2)
-    ) {
+    fn persisted_bytes_are_deterministic(events in arb_events()) {
         // Byte-for-byte determinism is what lets CI cache the store across
         // pushes and lets `publish` skip nothing: same trace, same file.
-        let (events, codec_selector) = case;
-        let codec = codec_of(codec_selector);
         let trace = build(&events, 3);
-        prop_assert_eq!(persist(&trace, codec), persist(&trace, codec));
-    }
-
-    #[test]
-    fn v1_files_still_load_byte_for_byte(events in arb_events()) {
-        // The v1 format: version field 1, reserved word 0, 12 B/record SoA
-        // pages. A build that ever stops reading it strands every pre-codec
-        // store short of its `recompress`, so the shape is pinned as a
-        // property over arbitrary traces, not just one golden file.
-        let trace = build(&events, 2);
-        let bytes = persist(&trace, Codec::Raw);
-        prop_assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 1);
-        prop_assert_eq!(u32::from_le_bytes(bytes[36..40].try_into().unwrap()), 0);
-        let context_len = u32::from_le_bytes(bytes[32..36].try_into().unwrap()) as usize;
-        prop_assert_eq!(bytes.len(), 48 + context_len + trace.len() * 12);
-        let (loaded, codec) = LlcTrace::read_from_with_codec(&mut bytes.as_slice())
-            .expect("v1 file loads");
-        prop_assert_eq!(codec, Codec::Raw);
-        prop_assert_eq!(&loaded, &trace);
+        prop_assert_eq!(persist(&trace), persist(&trace));
     }
 
     #[test]
@@ -227,12 +165,13 @@ proptest! {
         // must stay within the frame-length plausibility bound the reader
         // enforces — otherwise valid files would be rejected as corrupt.
         let trace = build(&events, 1);
-        let raw = persist(&trace, Codec::Raw);
-        let dv = persist(&trace, Codec::DeltaVarint);
+        let dv = persist(&trace);
         // Worst-case expansion is bounded: 10-byte address varints + the
-        // dictionary + 2-byte indices vs 12 raw bytes per record, plus the
-        // 4-byte frame prefix per chunk.
-        prop_assert!(dv.len() <= raw.len() * 2 + 64,
-            "delta-varint exploded: {} vs raw {}", dv.len(), raw.len());
+        // dictionary + 2-byte indices vs the 12 bytes per record the columns
+        // occupy in memory, plus the 4-byte frame prefix per chunk.
+        let context_len = u32::from_le_bytes(dv[32..36].try_into().unwrap()) as usize;
+        let raw = 48 + context_len + trace.len() * 12;
+        prop_assert!(dv.len() <= raw * 2 + 64,
+            "delta-varint exploded: {} vs raw {}", dv.len(), raw);
     }
 }

@@ -352,28 +352,11 @@ impl std::fmt::Display for DatasetId {
     }
 }
 
-/// How an ingested on-disk graph is backed when an experiment runs over it.
-///
-/// Both backings produce bit-identical results — [`GraphBacking::Mapped`]
-/// serves adjacency slices straight from the mmapped column files, while
-/// [`GraphBacking::InMemory`] decodes the same files into a [`Csr`] up
-/// front.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum GraphBacking {
-    /// mmap the column files and traverse them in place (out-of-core).
-    #[default]
-    Mapped,
-    /// Decode the columns into an in-memory [`Csr`] before running.
-    InMemory,
-}
-
-/// One catalog entry: where an ingested graph lives and how to back it.
+/// One catalog entry: where an ingested graph lives.
 #[derive(Debug, Clone)]
 pub struct CatalogEntry {
     /// Directory holding `graph.gcsr` and the column files.
     pub path: PathBuf,
-    /// Backing used when the graph is opened for an experiment.
-    pub backing: GraphBacking,
     /// Number of vertices, from the header read at registration.
     pub vertex_count: u64,
     /// Number of directed edges, from the header read at registration.
@@ -384,8 +367,7 @@ pub struct CatalogEntry {
 ///
 /// A campaign that lists [`DatasetId::Ingested`] coordinates resolves them
 /// here: registration reads (and checksums) the on-disk header to learn the
-/// hash, and [`DatasetCatalog::load`] opens the graph with the registered
-/// backing.
+/// hash, and [`DatasetCatalog::load`] mmaps the graph.
 #[derive(Debug, Clone, Default)]
 pub struct DatasetCatalog {
     entries: HashMap<GraphHash, CatalogEntry>,
@@ -397,19 +379,9 @@ impl DatasetCatalog {
         Self::default()
     }
 
-    /// Registers the on-disk graph at `path` with the default (mmap)
-    /// backing. Returns its content hash, read from the checksummed header.
+    /// Registers the on-disk graph at `path`. Returns its content hash, read
+    /// from the checksummed header.
     pub fn register(&mut self, path: impl AsRef<Path>) -> Result<GraphHash, DiskCsrError> {
-        self.register_with_backing(path, GraphBacking::default())
-    }
-
-    /// Registers the on-disk graph at `path`, choosing the backing
-    /// experiments open it with.
-    pub fn register_with_backing(
-        &mut self,
-        path: impl AsRef<Path>,
-        backing: GraphBacking,
-    ) -> Result<GraphHash, DiskCsrError> {
         let path = path.as_ref().to_path_buf();
         let header = ingest::read_header(&path)?;
         let hash = GraphHash(header.content_hash);
@@ -417,7 +389,6 @@ impl DatasetCatalog {
             hash,
             CatalogEntry {
                 path,
-                backing,
                 vertex_count: header.vertex_count,
                 edge_count: header.edge_count,
             },
@@ -460,18 +431,11 @@ impl DatasetCatalog {
         self.entries.keys().copied()
     }
 
-    /// Opens a registered graph with its registered backing.
-    ///
-    /// The mmap backing validates the header and column sizes on open; the
-    /// in-memory backing additionally verifies every column checksum while
-    /// decoding.
+    /// Opens a registered graph: mmaps its column files, validating the
+    /// header and column sizes, and serves adjacency slices in place.
     pub fn load(&self, hash: GraphHash) -> Result<Arc<dyn GraphView>, DiskCsrError> {
         let entry = self.entry(hash)?;
-        let graph: Arc<dyn GraphView> = match entry.backing {
-            GraphBacking::Mapped => Arc::new(ingest::MappedCsr::open(&entry.path)?),
-            GraphBacking::InMemory => Arc::new(ingest::load_csr(&entry.path)?),
-        };
-        Ok(graph)
+        Ok(Arc::new(ingest::MappedCsr::open(&entry.path)?))
     }
 }
 

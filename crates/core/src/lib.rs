@@ -63,7 +63,7 @@ pub mod trace_store;
 pub use campaign::{Campaign, CampaignCell, CampaignResult, CampaignRun, SchedulerEvent};
 pub use compare::{geometric_mean_speedup, miss_reduction_pct, speedup_pct};
 pub use datasets::{
-    CatalogEntry, Dataset, DatasetCatalog, DatasetId, DatasetKind, GraphBacking, GraphHash, Scale,
+    CatalogEntry, Dataset, DatasetCatalog, DatasetId, DatasetKind, GraphHash, Scale,
 };
 pub use error::Error;
 pub use experiment::{Experiment, RecordedRun, RunResult};

@@ -10,14 +10,12 @@
 //!   └──► <dataset>-<scale>-<technique>-<app>-<confighash>.v<version>.trace
 //! ```
 //!
-//! The `<version>` suffix is the trace format version of the entry's
-//! encoding ([`Codec::format_version`]). Every publication is a
-//! delta+varint `.v2.trace` entry, and `.v2.trace` is the only name a
-//! campaign looks up. Raw `.v1.trace` entries — what stores written before
-//! the v2 format hold — are read-only: `cargo xtask trace ls` / `verify` /
-//! `gc` still list, check and evict them, and `cargo xtask trace recompress`
-//! re-encodes each one to v2 in place (the codec changes only an entry's
-//! *encoding*, never the recorded stream), after which it serves hits again.
+//! The `<version>` suffix is [`TRACE_FORMAT_VERSION`], so a format bump
+//! cold-starts the store instead of erroring on every entry: `.v2.trace` is
+//! the only name a campaign publishes or looks up. A file of another version
+//! left behind by an older build (`.v1.trace`) is never looked up;
+//! `cargo xtask trace ls` still lists it, `verify` reports it as an
+//! unsupported version and `gc` evicts it in LRU order like any entry.
 //!
 //! Each entry carries the recording run's **metadata** (application output,
 //! instruction estimate) followed by the trace itself in the versioned
@@ -29,10 +27,11 @@
 //! Publication is **atomic**: entries are written to a temp file in the
 //! store directory and `rename`d into place, so concurrent campaigns (or a
 //! campaign racing `cargo xtask trace gc`) never observe half-written
-//! entries. A human-readable `index.tsv` tracks per-entry sizes and
-//! last-used timestamps (the LRU order `gc` evicts by); the index is
-//! advisory — the `*.trace` files are the source of truth, and readers fall
-//! back to filesystem metadata when the index is missing or stale.
+//! entries. The directory of entry files is all there is: an entry's
+//! **modification time is its last-used stamp** — set at publication and
+//! again on every hit — and that is the LRU order `gc` evicts by, the same
+//! from every handle and every process. (Copy a store with `cp -p` or `tar`,
+//! or the order restarts from the copy's timestamps.)
 //!
 //! The store location comes from the spec's `store` field or the builder
 //! ([`Campaign::with_trace_store`](crate::campaign::Campaign::with_trace_store)).
@@ -46,11 +45,11 @@ pub use grasp_cachesim::trace::persist::Codec;
 use grasp_cachesim::trace::persist::{Fnv64, PersistError, TRACE_FORMAT_VERSION};
 use grasp_cachesim::LlcTrace;
 use grasp_reorder::TechniqueKind;
+use std::fs::File;
 use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::{SystemTime, UNIX_EPOCH};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Magic bytes opening every store entry (the metadata wrapper around the
 /// trace block).
@@ -187,9 +186,7 @@ fn slugify(label: &str) -> String {
 }
 
 /// The identity of one recorded stream: everything that determines its
-/// contents, plus the [`Codec`] whose entry file the key names. The codec's
-/// format version is folded into the file name, so a format bump cold-starts
-/// the store instead of erroring on every entry.
+/// contents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceStoreKey {
     /// Dataset the stream was recorded over.
@@ -202,14 +199,10 @@ pub struct TraceStoreKey {
     pub app: AppKind,
     /// Fingerprint of the hierarchy + application configuration.
     pub config_hash: u64,
-    /// Codec of the entry file this key names (default:
-    /// [`Codec::DeltaVarint`], the one publications are encoded with).
-    pub codec: Codec,
 }
 
 impl TraceStoreKey {
-    /// Builds the key for one campaign stream coordinate (with the default
-    /// codec; see [`TraceStoreKey::with_codec`]).
+    /// Builds the key for one campaign stream coordinate.
     pub fn new(
         dataset: impl Into<DatasetId>,
         scale: Scale,
@@ -227,15 +220,14 @@ impl TraceStoreKey {
             technique,
             app,
             config_hash: hasher.finish(),
-            codec: Codec::default(),
         }
     }
 
-    /// Names the entry file of another codec — [`Codec::Raw`] addresses the
-    /// `.v1.trace` entry of a store written before the v2 format.
+    // An identity kept for `perfbench/src/ledger.rs:326`, its only caller,
+    // which this crate's PRs may not edit; goes when that line does.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_codec(mut self, codec: Codec) -> Self {
-        self.codec = codec;
+    pub fn with_codec(self, _: Codec) -> Self {
         self
     }
 
@@ -248,7 +240,7 @@ impl TraceStoreKey {
             slugify(self.technique.label()),
             slugify(self.app.label()),
             self.config_hash,
-            self.codec.format_version(),
+            TRACE_FORMAT_VERSION,
         )
     }
 }
@@ -269,23 +261,37 @@ pub struct StoredRecording {
     pub app: AppResult,
     /// The recording run's instruction estimate (timing-model input).
     pub instructions: u64,
-    /// The codec the entry's trace block was encoded with.
-    pub codec: Codec,
 }
+
+/// A temp file this much older than now belongs to a writer that died: no
+/// publication takes that long, and a live one's must never be swept.
+const STALE_TEMP_AGE: Duration = Duration::from_secs(15 * 60);
 
 /// Microseconds since the Unix epoch, strictly monotonic within this process
 /// so that publications landing in the same clock instant still have a
 /// defined LRU order.
 fn now_unix_micros() -> u64 {
     static LAST: AtomicU64 = AtomicU64::new(0);
-    let now = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_micros() as u64)
-        .unwrap_or(0);
-    LAST.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |last| {
-        Some(now.max(last + 1))
-    })
-    .expect("fetch_update closure always returns Some")
+    let now = unix_micros(SystemTime::now());
+    let last = LAST
+        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |last| {
+            Some(now.max(last + 1))
+        })
+        .expect("fetch_update closure always returns Some");
+    now.max(last + 1) // what the closure just stored; `last` is the value before
+}
+
+/// Stamps `file` as used now — the store's LRU clock. Best-effort: a stamp
+/// that cannot be written costs `gc` some eviction accuracy, nothing else.
+fn stamp_used(file: &File) {
+    file.set_modified(UNIX_EPOCH + Duration::from_micros(now_unix_micros()))
+        .ok();
+}
+
+/// `time` as microseconds since the Unix epoch (0 for anything earlier).
+fn unix_micros(time: SystemTime) -> u64 {
+    time.duration_since(UNIX_EPOCH)
+        .map_or(0, |d| d.as_micros() as u64)
 }
 
 /// Counters of one store handle's traffic (process-lifetime, shared across
@@ -333,9 +339,8 @@ pub struct StoreEntry {
     pub file: String,
     /// Entry size in bytes.
     pub bytes: u64,
-    /// Unix timestamp (microseconds) of the last recorded use (publication
-    /// or hit); falls back to the file's modification time when the index
-    /// has no record.
+    /// Unix timestamp (microseconds) of the last use (publication or hit):
+    /// the file's modification time.
     pub last_used: u64,
 }
 
@@ -343,41 +348,12 @@ pub struct StoreEntry {
 /// [`TraceStore::peek`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntryInfo {
-    /// Trace format version of the embedded trace block.
-    pub trace_version: u32,
-    /// Codec the trace block is encoded with.
-    pub codec: Codec,
     /// Recorded events in the trace block.
     pub records: u64,
-    /// The bytes this entry would occupy under [`Codec::Raw`] (12 B/record
-    /// plus headers) — the denominator of the store's compression ratio.
+    /// The bytes this entry would occupy with its columns written out as
+    /// they sit in memory (12 B/record plus headers) — the numerator of the
+    /// store's compression ratio.
     pub raw_bytes: u64,
-}
-
-/// The result of a [`TraceStore::recompress`] migration.
-#[derive(Debug, Clone, Default)]
-pub struct RecompressReport {
-    /// Entries examined.
-    pub examined: usize,
-    /// File names re-encoded (their pre-migration names).
-    pub converted: Vec<String>,
-    /// Entries already in the target codec, left untouched.
-    pub skipped: usize,
-    /// Entries that could not be migrated: `(file, error)`, left in place.
-    pub failed: Vec<(String, String)>,
-    /// Total entry bytes before the migration (excluding failures).
-    pub bytes_before: u64,
-    /// Total entry bytes after the migration (excluding failures).
-    pub bytes_after: u64,
-}
-
-/// Swaps the `.v<N>.trace` suffix of an entry file name for the format
-/// version publications carry (`None` when the name has no such suffix).
-fn retarget_file_name(file: &str) -> Option<String> {
-    let base = file.strip_suffix(".trace")?;
-    let (base, version) = base.rsplit_once(".v")?;
-    version.parse::<u32>().ok()?;
-    Some(format!("{base}.v{TRACE_FORMAT_VERSION}.trace"))
 }
 
 /// The result of a [`TraceStore::gc`] sweep.
@@ -399,13 +375,7 @@ pub struct GcReport {
 pub struct TraceStore {
     dir: PathBuf,
     counters: Counters,
-    /// Serializes index rewrites within this process. Cross-process index
-    /// races are benign: the index is advisory and rebuilt from the entry
-    /// files on read.
-    index_lock: Mutex<()>,
 }
-
-const INDEX_FILE: &str = "index.tsv";
 
 impl TraceStore {
     /// Opens (creating if necessary) a store rooted at `dir`.
@@ -415,7 +385,6 @@ impl TraceStore {
         Ok(Self {
             dir,
             counters: Counters::default(),
-            index_lock: Mutex::new(()),
         })
     }
 
@@ -459,10 +428,10 @@ impl TraceStore {
     /// than silently re-recording — should call [`TraceStore::try_load`]
     /// and inspect the [`StoreError`] themselves.
     pub fn load(&self, key: &TraceStoreKey) -> Option<StoredRecording> {
-        match self.try_load(key) {
-            Ok(Some(stored)) => {
+        match self.read_keyed(key) {
+            Ok(Some((stored, handle))) => {
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                self.touch(&key.file_name());
+                stamp_used(&handle);
                 Some(stored)
             }
             Ok(None) => {
@@ -485,22 +454,28 @@ impl TraceStore {
     /// means no entry exists; decode failures are returned, never masked.
     /// [`TraceStore::load`] is the counting wrapper over this.
     pub fn try_load(&self, key: &TraceStoreKey) -> Result<Option<StoredRecording>, StoreError> {
-        let handle = match std::fs::File::open(self.dir.join(key.file_name())) {
+        Ok(self.read_keyed(key)?.map(|(stored, _)| stored))
+    }
+
+    /// Reads `key`'s entry, returning it with the handle it was read from.
+    fn read_keyed(
+        &self,
+        key: &TraceStoreKey,
+    ) -> Result<Option<(StoredRecording, File)>, StoreError> {
+        let handle = match File::open(self.dir.join(key.file_name())) {
             Ok(handle) => handle,
             Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(err) => return Err(err.into()),
         };
         let bytes = handle.metadata().map(|m| m.len()).unwrap_or(0);
-        let mut reader = std::io::BufReader::new(handle);
-        let stored = read_entry(&mut reader, Some(key.app))?;
+        let stored = read_entry(&mut std::io::BufReader::new(&handle), Some(key.app))?;
         self.counters.bytes_read.fetch_add(bytes, Ordering::Relaxed);
-        Ok(Some(stored))
+        Ok(Some((stored, handle)))
     }
 
-    /// Atomically publishes a recording under `key` (write to a temp file in
-    /// the store directory, then rename), v2-encoded like every publication —
-    /// so under a key that names the default codec's file. Returns the entry
-    /// size in bytes.
+    /// Atomically publishes a recording under `key`: written to a temp file
+    /// in the store directory, stamped as used now, then renamed into place.
+    /// Returns the entry size in bytes.
     pub fn publish(
         &self,
         key: &TraceStoreKey,
@@ -508,27 +483,7 @@ impl TraceStore {
         app: &AppResult,
         instructions: u64,
     ) -> Result<u64, StoreError> {
-        debug_assert_eq!(key.codec, Codec::default(), "publications are v2");
-        let written = self.write_entry_file(&key.file_name(), trace, app, instructions)?;
-        self.counters
-            .bytes_written
-            .fetch_add(written, Ordering::Relaxed);
-        self.record_in_index(&key.file_name(), written);
-        Ok(written)
-    }
-
-    /// Writes one entry file atomically (temp + rename) and returns its
-    /// size. Shared by [`TraceStore::publish`] and
-    /// [`TraceStore::recompress`]; counters and index are the callers'
-    /// business.
-    fn write_entry_file(
-        &self,
-        file: &str,
-        trace: &LlcTrace,
-        app: &AppResult,
-        instructions: u64,
-    ) -> Result<u64, StoreError> {
-        let final_path = self.dir.join(file);
+        let file = key.file_name();
         // Unique per process *and* per publication: two threads publishing
         // the same key concurrently (campaigns sharing one store) must never
         // interleave writes into one temp file.
@@ -539,25 +494,26 @@ impl TraceStore {
             std::process::id(),
             PUBLICATION.fetch_add(1, Ordering::Relaxed)
         ));
-        let result = (|| -> Result<u64, StoreError> {
-            let handle = std::fs::File::create(&tmp_path)?;
-            let mut writer = std::io::BufWriter::new(handle);
+        let written = (|| -> Result<u64, StoreError> {
+            let mut writer = std::io::BufWriter::new(File::create(&tmp_path)?);
             let written = write_entry(&mut writer, trace, app, instructions)?;
-            writer.flush()?;
-            drop(writer);
-            std::fs::rename(&tmp_path, &final_path)?;
+            let handle = writer.into_inner().map_err(|err| err.into_error())?;
+            stamp_used(&handle);
+            std::fs::rename(&tmp_path, self.dir.join(&file))?;
             Ok(written)
-        })();
-        if result.is_err() {
+        })()
+        .inspect_err(|_| {
             std::fs::remove_file(&tmp_path).ok();
-        }
-        result
+        })?;
+        self.counters
+            .bytes_written
+            .fetch_add(written, Ordering::Relaxed);
+        Ok(written)
     }
 
-    /// Lists the store's entries (directory scan merged with the index's
-    /// last-used timestamps), most recently used first.
+    /// Lists the store's entries (one directory scan), most recently used
+    /// first.
     pub fn entries(&self) -> std::io::Result<Vec<StoreEntry>> {
-        let index = self.read_index();
         let mut entries = Vec::new();
         for item in std::fs::read_dir(&self.dir)? {
             let item = item?;
@@ -568,24 +524,10 @@ impl TraceStore {
                 continue;
             }
             let metadata = item.metadata()?;
-            let fs_mtime = metadata
-                .modified()
-                .ok()
-                .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
-                .map(|d| d.as_micros() as u64)
-                .unwrap_or(0);
-            // Only the last-used stamp comes from the index; sizes are
-            // always statted so entries rewritten in place (recompress)
-            // are credited at their true size, never a stale byte stamp.
-            let last_used = index
-                .iter()
-                .find(|(name, _, _)| *name == file)
-                .map(|&(_, used, _)| used)
-                .unwrap_or(fs_mtime);
             entries.push(StoreEntry {
                 file,
                 bytes: metadata.len(),
-                last_used,
+                last_used: metadata.modified().map_or(0, unix_micros),
             });
         }
         entries.sort_by(|a, b| b.last_used.cmp(&a.last_used).then(a.file.cmp(&b.file)));
@@ -599,9 +541,7 @@ impl TraceStore {
         for entry in self.entries()? {
             let path = self.dir.join(&entry.file);
             let outcome = (|| -> Result<(), StoreError> {
-                let file = std::fs::File::open(&path)?;
-                let mut reader = std::io::BufReader::new(file);
-                read_entry(&mut reader, None)?;
+                read_entry(&mut std::io::BufReader::new(File::open(&path)?), None)?;
                 Ok(())
             })();
             report.push((entry.file, outcome));
@@ -610,16 +550,25 @@ impl TraceStore {
     }
 
     /// Evicts least-recently-used entries until the store holds at most
-    /// `max_bytes` of entries. Corrupt or orphaned temp files are always
-    /// removed.
+    /// `max_bytes` of entries. Temp files older than 15 minutes (a crashed
+    /// writer's leftovers — a younger one may be a live writer's, about to
+    /// be renamed) and the `index.tsv` older builds kept beside the entries
+    /// are removed too.
     pub fn gc(&self, max_bytes: u64) -> std::io::Result<GcReport> {
-        // Sweep stale temp files first (a crashed writer's leftovers).
+        let now = SystemTime::now();
         for item in std::fs::read_dir(&self.dir)? {
             let item = item?;
-            if let Ok(name) = item.file_name().into_string() {
-                if name.starts_with('.') && name.contains(".tmp.") {
-                    std::fs::remove_file(item.path()).ok();
-                }
+            let Ok(name) = item.file_name().into_string() else {
+                continue;
+            };
+            let stale_temp = name.starts_with('.')
+                && name.contains(".tmp.")
+                && item
+                    .metadata()
+                    .and_then(|m| m.modified())
+                    .is_ok_and(|at| now.duration_since(at).is_ok_and(|age| age > STALE_TEMP_AGE));
+            if stale_temp || name == "index.tsv" {
+                std::fs::remove_file(item.path()).ok();
             }
         }
         let mut entries = self.entries()?; // most recently used first
@@ -646,16 +595,15 @@ impl TraceStore {
             report.evicted.push(victim.file);
         }
         report.kept_bytes = total;
-        self.rewrite_index(&entries);
         Ok(report)
     }
 
-    /// Reads one entry's self-description — codec, trace format version,
-    /// record count and the raw-equivalent size — from its headers alone
-    /// (~130 bytes of I/O, no checksum pass). Advisory: `verify` is the
-    /// integrity check.
+    /// Reads one entry's self-description — record count and the
+    /// raw-equivalent size — from its headers alone (~130 bytes of I/O, no
+    /// checksum pass), refusing a version or codec the loader would refuse.
+    /// Advisory: `verify` is the integrity check.
     pub fn peek(&self, file: &str) -> Result<EntryInfo, StoreError> {
-        let mut handle = std::fs::File::open(self.dir.join(file))?;
+        let mut handle = File::open(self.dir.join(file))?;
         let mut entry_header = [0u8; 24];
         handle
             .read_exact(&mut entry_header)
@@ -683,194 +631,18 @@ impl TraceStore {
             ));
         }
         let trace_version = u32::from_le_bytes(trace_header[8..12].try_into().expect("4 bytes"));
+        if trace_version != TRACE_FORMAT_VERSION {
+            return Err(PersistError::UnsupportedVersion(trace_version).into());
+        }
         let records = u64::from_le_bytes(trace_header[16..24].try_into().expect("8 bytes"));
         let context_len = u32::from_le_bytes(trace_header[32..36].try_into().expect("4 bytes"));
         let codec_field = u32::from_le_bytes(trace_header[36..40].try_into().expect("4 bytes"));
-        // Mirror the loader's dispatch: v1 predates the codec field (its
-        // reserved word must be 0 = raw); later versions name their codec.
-        if trace_version == 1 && codec_field != 0 {
-            return Err(StoreError::Corrupt(format!(
-                "reserved trace header field is {codec_field}, expected 0"
-            )));
+        if Codec::from_code(codec_field).is_none() {
+            return Err(StoreError::Corrupt(format!("unknown codec {codec_field}")));
         }
-        let codec = Codec::from_code(codec_field)
-            .ok_or_else(|| StoreError::Corrupt(format!("unknown codec {codec_field}")))?;
-        // What the same entry would occupy under Codec::Raw (12 B/record) —
-        // the denominator of the store's compression ratio.
         let raw_bytes =
             24 + u64::from(meta_len) + 48 + u64::from(context_len) + records.saturating_mul(12);
-        Ok(EntryInfo {
-            trace_version,
-            codec,
-            records,
-            raw_bytes,
-        })
-    }
-
-    /// Re-encodes every entry to the format publications carry, in place:
-    /// each v1 entry is fully decoded (checksums verified), re-written
-    /// atomically (temp + rename) under its `.v2.trace` name, and the old
-    /// file removed once the new one is in place. Entries already v2 are
-    /// left untouched; undecodable entries are reported and kept (gc or a
-    /// fresh recording deals with them). The migration path for a store
-    /// written before the v2 format: `cargo xtask trace recompress`.
-    pub fn recompress(&self) -> std::io::Result<RecompressReport> {
-        let mut report = RecompressReport::default();
-        for entry in self.entries()? {
-            report.examined += 1;
-            let outcome = (|| -> Result<Option<u64>, StoreError> {
-                if self.peek(&entry.file)?.codec == Codec::default() {
-                    return Ok(None); // already in the published encoding
-                }
-                let handle = std::fs::File::open(self.dir.join(&entry.file))?;
-                let mut reader = std::io::BufReader::new(handle);
-                let stored = read_entry(&mut reader, None)?;
-                let new_file = retarget_file_name(&entry.file).ok_or_else(|| {
-                    StoreError::Corrupt(format!(
-                        "entry name {:?} has no .v<N>.trace suffix",
-                        entry.file
-                    ))
-                })?;
-                if new_file != entry.file && self.dir.join(&new_file).exists() {
-                    // Both codecs' files exist for this key (a campaign has
-                    // re-recorded the stream since the v1 entry was written).
-                    // The key names one recorded stream, so the source file
-                    // is redundant —
-                    // deduplicate it instead of clobbering the existing
-                    // target entry (which would also double its index row).
-                    std::fs::remove_file(self.dir.join(&entry.file))?;
-                    self.remove_from_index(&entry.file);
-                    return Ok(Some(0));
-                }
-                let written = self.write_entry_file(
-                    &new_file,
-                    &stored.trace,
-                    &stored.app,
-                    stored.instructions,
-                )?;
-                if new_file != entry.file {
-                    std::fs::remove_file(self.dir.join(&entry.file))?;
-                    self.rename_in_index(&entry.file, &new_file);
-                }
-                Ok(Some(written))
-            })();
-            match outcome {
-                Ok(Some(written)) => {
-                    report.converted.push(entry.file);
-                    report.bytes_before += entry.bytes;
-                    report.bytes_after += written;
-                }
-                Ok(None) => {
-                    report.skipped += 1;
-                    report.bytes_before += entry.bytes;
-                    report.bytes_after += entry.bytes;
-                }
-                Err(err) => report.failed.push((entry.file, err.to_string())),
-            }
-        }
-        Ok(report)
-    }
-
-    // ---- index maintenance (advisory; best-effort) ----
-
-    fn index_path(&self) -> PathBuf {
-        self.dir.join(INDEX_FILE)
-    }
-
-    /// Index rows are `file \t last_used \t bytes`. The byte stamp is purely
-    /// advisory — a human-readable size at last publication. **All
-    /// accounting (`entries`, `gc`, `ls`) stats the files instead**: an
-    /// in-place `recompress` (or any out-of-band rewrite) changes sizes
-    /// without rewriting the index, and crediting stale stamps would make gc
-    /// evict against phantom bytes. Rows written by the two-column pre-codec
-    /// format parse with an unknown (zero) byte stamp.
-    fn read_index(&self) -> Vec<(String, u64, u64)> {
-        let Ok(text) = std::fs::read_to_string(self.index_path()) else {
-            return Vec::new();
-        };
-        text.lines()
-            .filter_map(|line| {
-                let mut fields = line.split('\t');
-                let file = fields.next()?.to_owned();
-                let last_used = fields.next()?.parse().ok()?;
-                let bytes = fields.next().and_then(|f| f.parse().ok()).unwrap_or(0);
-                Some((file, last_used, bytes))
-            })
-            .collect()
-    }
-
-    fn write_index(&self, entries: &[(String, u64, u64)]) {
-        let mut text = String::new();
-        for (file, last_used, bytes) in entries {
-            text.push_str(file);
-            text.push('\t');
-            text.push_str(&last_used.to_string());
-            text.push('\t');
-            text.push_str(&bytes.to_string());
-            text.push('\n');
-        }
-        let tmp = self
-            .dir
-            .join(format!(".{INDEX_FILE}.tmp.{}", std::process::id()));
-        if std::fs::write(&tmp, text).is_ok() && std::fs::rename(&tmp, self.index_path()).is_err() {
-            std::fs::remove_file(&tmp).ok();
-        }
-    }
-
-    fn update_index_entry(&self, file: &str, bytes: Option<u64>) {
-        let _guard = self.index_lock.lock().expect("index lock");
-        let mut index = self.read_index();
-        let now = now_unix_micros();
-        match index.iter_mut().find(|(name, _, _)| name == file) {
-            Some(entry) => {
-                entry.1 = now;
-                if let Some(bytes) = bytes {
-                    entry.2 = bytes;
-                }
-            }
-            None => index.push((file.to_owned(), now, bytes.unwrap_or(0))),
-        }
-        self.write_index(&index);
-    }
-
-    fn touch(&self, file: &str) {
-        self.update_index_entry(file, None);
-    }
-
-    fn record_in_index(&self, file: &str, bytes: u64) {
-        self.update_index_entry(file, Some(bytes));
-    }
-
-    /// Replaces `old` with `new` (recompress migration) under the lock,
-    /// carrying the last-used stamp over so the migration does not promote
-    /// the entry in LRU order. A stale row already holding the new name is
-    /// dropped first — one file, one row.
-    fn rename_in_index(&self, old: &str, new: &str) {
-        let _guard = self.index_lock.lock().expect("index lock");
-        let mut index = self.read_index();
-        index.retain(|(name, _, _)| name != new);
-        if let Some(entry) = index.iter_mut().find(|(name, _, _)| name == old) {
-            entry.0 = new.to_owned();
-            entry.2 = 0; // restated on the next publication; stat is truth
-        }
-        self.write_index(&index);
-    }
-
-    /// Drops `file`'s row (recompress deduplication) under the lock.
-    fn remove_from_index(&self, file: &str) {
-        let _guard = self.index_lock.lock().expect("index lock");
-        let mut index = self.read_index();
-        index.retain(|(name, _, _)| name != file);
-        self.write_index(&index);
-    }
-
-    fn rewrite_index(&self, entries: &[StoreEntry]) {
-        let _guard = self.index_lock.lock().expect("index lock");
-        let index: Vec<(String, u64, u64)> = entries
-            .iter()
-            .map(|e| (e.file.clone(), e.last_used, e.bytes))
-            .collect();
-        self.write_index(&index);
+        Ok(EntryInfo { records, raw_bytes })
     }
 }
 
@@ -1033,9 +805,8 @@ fn read_entry(
         ));
     }
 
-    let (trace, codec) = LlcTrace::read_from_with_codec(reader)?;
     Ok(StoredRecording {
-        trace,
+        trace: LlcTrace::read_from(reader)?,
         app: AppResult {
             app: app_kind.label(),
             values,
@@ -1043,7 +814,6 @@ fn read_entry(
             edges_processed,
         },
         instructions,
-        codec,
     })
 }
 
@@ -1084,26 +854,24 @@ mod tests {
         )
     }
 
-    include!("../../cachesim/tests/support/v1_fixture.rs");
-
-    /// Plants the entry a store written before the v2 format holds for
-    /// `key`: the metadata wrapper around a v1 trace block, under the
-    /// `.v1.trace` name. Returns its size.
-    fn plant_v1_entry(
-        store: &TraceStore,
-        key: &TraceStoreKey,
-        trace: &LlcTrace,
-        app: &AppResult,
-        instructions: u64,
-    ) -> u64 {
-        let mut bytes = Vec::new();
-        write_entry(&mut bytes, trace, app, instructions).expect("in-memory write");
+    /// Plants what an older build left behind for `key`: its published
+    /// entry copied to the `.v1.trace` name with the trace block's version
+    /// word set to 1. Returns the file name.
+    fn plant_v1_file(store: &TraceStore, key: &TraceStoreKey) -> String {
+        let mut bytes = std::fs::read(store.dir().join(key.file_name())).expect("read entry");
         let meta_len = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
-        bytes.truncate(24 + meta_len);
-        bytes.extend(v1_trace_bytes(trace));
-        let file = key.with_codec(Codec::Raw).file_name();
-        std::fs::write(store.dir().join(file), &bytes).expect("write v1 entry");
-        bytes.len() as u64
+        let version_at = 24 + meta_len + 8;
+        bytes[version_at..version_at + 4].copy_from_slice(&1u32.to_le_bytes());
+        let file = key.file_name().replace(".v2.trace", ".v1.trace");
+        std::fs::write(store.dir().join(&file), &bytes).expect("write v1 file");
+        file
+    }
+
+    fn backdate(path: &Path, age: Duration) {
+        let handle = File::options().write(true).open(path).expect("open");
+        handle
+            .set_modified(SystemTime::now() - age)
+            .expect("set mtime");
     }
 
     fn sample_recording(events: u64) -> (LlcTrace, AppResult) {
@@ -1150,67 +918,56 @@ mod tests {
         let b = sample_key(7);
         assert_ne!(a.config_hash, b.config_hash);
         assert_ne!(a.file_name(), b.file_name());
-        // Every axis of the key lands in the file name, and the version
-        // suffix tracks the key's codec.
+        // Every axis of the key lands in the file name, under the format
+        // version's suffix.
         let name = a.file_name();
         assert!(name.contains("tw-"), "{name}");
         assert!(name.contains("-tiny-"), "{name}");
         assert!(name.contains("-dbg-"), "{name}");
         assert!(name.contains("-pr-"), "{name}");
         assert!(name.ends_with(".v2.trace"), "{name}");
-        let raw = a.with_codec(Codec::Raw).file_name();
-        assert!(raw.ends_with(".v1.trace"), "{raw}");
-        assert_eq!(
-            raw.strip_suffix(".v1.trace"),
-            name.strip_suffix(".v2.trace")
-        );
     }
 
     #[test]
-    fn retargeting_file_names_swaps_only_the_version_suffix() {
-        assert_eq!(
-            retarget_file_name("tw-tiny-dbg-pr-00ff.v1.trace").as_deref(),
-            Some("tw-tiny-dbg-pr-00ff.v2.trace")
-        );
-        assert_eq!(
-            retarget_file_name("tw-tiny-dbg-pr-00ff.v2.trace").as_deref(),
-            Some("tw-tiny-dbg-pr-00ff.v2.trace")
-        );
-        // Dots in the base never confuse the suffix parse.
-        assert_eq!(
-            retarget_file_name("a.b.v9.trace").as_deref(),
-            Some("a.b.v2.trace")
-        );
-        assert_eq!(retarget_file_name("no-suffix.trace"), None);
-        assert_eq!(retarget_file_name("plain"), None);
+    fn with_codec_changes_nothing_about_a_key() {
+        use std::hash::{BuildHasher, RandomState};
+        let key = sample_key(0);
+        let same = key.with_codec(Codec::default());
+        assert_eq!(same, key);
+        assert_eq!(same.file_name(), key.file_name());
+        let hasher = RandomState::new();
+        assert_eq!(hasher.hash_one(same), hasher.hash_one(key));
     }
 
     #[test]
-    fn v1_only_entries_are_invisible_until_recompressed() {
-        // A store written before the v2 format: the campaign-side lookups
-        // address `.v2.trace` names only, so the entry neither probes nor
-        // loads — and one `recompress` later it serves the same key.
-        let store = temp_store("v1-only");
+    fn files_of_another_version_are_listed_refused_and_evictable() {
+        // What a store written before the v2 format holds: never looked up,
+        // so the key misses (not "corrupt"); `ls` / `verify` / `gc` still
+        // see the file.
+        let store = temp_store("v1-file");
         let (trace, app) = sample_recording(400);
         let key = sample_key(0);
-        plant_v1_entry(&store, &key, &trace, &app, 7);
+        store.publish(&key, &trace, &app, 7).expect("publish");
+        let v1_file = plant_v1_file(&store, &key);
+        std::fs::remove_file(store.dir().join(key.file_name())).expect("drop the v2 entry");
         assert!(!store.probe(&key));
         assert!(store.load(&key).is_none());
         assert_eq!(store.stats().misses, 1);
         assert_eq!(store.stats().corrupt, 0, "missed, not misread");
-        // The v1 name itself is still addressable (and readable).
-        let raw_key = key.with_codec(Codec::Raw);
-        assert!(store.probe(&raw_key));
-        let stored = store.try_load(&raw_key).expect("v1 decodes").expect("hit");
-        assert_eq!(stored.codec, Codec::Raw);
 
-        let report = store.recompress().expect("recompress");
-        assert_eq!(report.converted, vec![raw_key.file_name()]);
-        assert!(store.probe(&key));
-        let stored = store.load(&key).expect("hit after the migration");
-        assert_eq!(stored.trace, trace);
-        assert_eq!(stored.instructions, 7);
-        assert_eq!(stored.codec, Codec::DeltaVarint);
+        let entries = store.entries().expect("entries");
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].file, v1_file);
+        assert!(matches!(
+            store.peek(&v1_file),
+            Err(StoreError::Trace(PersistError::UnsupportedVersion(1)))
+        ));
+        let verify = store.verify().expect("verify");
+        assert!(matches!(
+            verify.as_slice(),
+            [(file, Err(StoreError::Trace(PersistError::UnsupportedVersion(1))))] if *file == v1_file
+        ));
+        assert_eq!(store.gc(0).expect("gc").evicted, vec![v1_file]);
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
@@ -1218,138 +975,71 @@ mod tests {
     fn peek_reports_codec_records_and_raw_equivalent() {
         let store = temp_store("peek");
         let (trace, app) = sample_recording(500);
-        let dv_key = sample_key(0);
-        let dv_bytes = store.publish(&dv_key, &trace, &app, 1).expect("publish");
-        let raw_key = sample_key(1).with_codec(Codec::Raw);
-        let raw_bytes = plant_v1_entry(&store, &raw_key, &trace, &app, 1);
-
-        let dv_info = store.peek(&dv_key.file_name()).expect("peek dv");
-        assert_eq!(dv_info.codec, Codec::DeltaVarint);
-        assert_eq!(dv_info.trace_version, 2);
-        assert_eq!(dv_info.records, trace.len() as u64);
-        let raw_info = store.peek(&raw_key.file_name()).expect("peek raw");
-        assert_eq!(raw_info.codec, Codec::Raw);
-        assert_eq!(raw_info.trace_version, 1);
-        // The raw-equivalent size is exact: it equals the raw entry's true
-        // size (same trace, same metadata), for both codecs' entries.
-        assert_eq!(raw_info.raw_bytes, raw_bytes);
-        assert_eq!(dv_info.raw_bytes, raw_bytes);
+        let key = sample_key(0);
+        let written = store.publish(&key, &trace, &app, 1).expect("publish");
+        let info = store.peek(&key.file_name()).expect("peek");
+        assert_eq!(info.records, trace.len() as u64);
+        // The raw-equivalent size is exact: the entry's own headers,
+        // metadata and context block around 12 B per record.
+        let path = store.dir().join(key.file_name());
+        let mut bytes = std::fs::read(&path).expect("read entry");
+        let meta_len = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
+        let trace_at = 24 + meta_len;
+        let context_len = u32::from_le_bytes(
+            bytes[trace_at + 32..trace_at + 36]
+                .try_into()
+                .expect("4 bytes"),
+        );
+        assert_eq!(
+            info.raw_bytes,
+            (trace_at + 48) as u64 + u64::from(context_len) + 12 * trace.len() as u64
+        );
         assert!(
-            dv_bytes < raw_bytes,
+            written < info.raw_bytes,
             "delta-varint must beat raw on the sample stream"
         );
-        std::fs::remove_dir_all(store.dir()).ok();
-    }
-
-    #[test]
-    fn recompress_migrates_entries_in_place() {
-        let store = temp_store("recompress");
-        let (trace, app) = sample_recording(2000);
-        let key = sample_key(0);
-        let raw_name = key.with_codec(Codec::Raw).file_name();
-        let raw_size = plant_v1_entry(&store, &key, &trace, &app, 42);
-        store
-            .publish(&sample_key(1), &trace, &app, 43)
-            .expect("publish");
-
-        let report = store.recompress().expect("recompress");
-        assert_eq!(report.examined, 2);
-        assert_eq!(report.converted, vec![raw_name.clone()]);
-        assert_eq!(report.skipped, 1, "the dv entry is already migrated");
-        assert!(report.failed.is_empty());
-        assert!(
-            report.bytes_after < report.bytes_before,
-            "migration must shrink the store ({} -> {})",
-            report.bytes_before,
-            report.bytes_after
-        );
-
-        // The raw file is gone, its v2 replacement loads bit-identically.
-        assert!(!store.dir().join(raw_name).exists());
-        let migrated = store.load(&key).expect("migrated entry hits");
-        assert_eq!(migrated.trace, trace);
-        assert_eq!(migrated.instructions, 42);
-        assert_eq!(migrated.codec, Codec::DeltaVarint);
-        let new_size = store
-            .entries()
-            .expect("entries")
-            .iter()
-            .find(|e| e.file == key.file_name())
-            .expect("migrated entry listed")
-            .bytes;
-        assert!(new_size < raw_size);
-        // Everything still checksum-verifies.
-        assert!(store
-            .verify()
-            .expect("verify")
-            .iter()
-            .all(|(_, outcome)| outcome.is_ok()));
-        std::fs::remove_dir_all(store.dir()).ok();
-    }
-
-    #[test]
-    fn recompress_deduplicates_when_both_codec_files_exist() {
-        // A campaign re-recorded a stream the store still held a v1 entry
-        // of: two files, one recorded stream. Migration must keep the
-        // existing v2 entry (never clobber it) and drop the redundant
-        // source, leaving one file and one index row.
-        let store = temp_store("dedup");
-        let (trace, app) = sample_recording(800);
-        let key = sample_key(0);
-        plant_v1_entry(&store, &key, &trace, &app, 1);
-        let dv_size = store.publish(&key, &trace, &app, 1).expect("publish dv");
-        assert_eq!(store.entries().expect("entries").len(), 2);
-
-        let report = store.recompress().expect("recompress");
-        assert_eq!(report.examined, 2);
-        assert_eq!(report.converted.len(), 1, "the raw file is deduplicated");
-        assert_eq!(report.skipped, 1);
-        assert!(report.failed.is_empty());
-        let entries = store.entries().expect("entries");
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].file, key.file_name());
-        assert_eq!(entries[0].bytes, dv_size, "the survivor is untouched");
-        let index = store.read_index();
-        assert_eq!(
-            index
-                .iter()
-                .filter(|(name, _, _)| *name == entries[0].file)
-                .count(),
-            1,
-            "exactly one index row for the surviving entry"
-        );
-        assert!(store.load(&key).is_some());
+        // A codec word the loader would refuse, peek refuses too.
+        bytes[trace_at + 36..trace_at + 40].copy_from_slice(&0u32.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("write");
+        assert!(matches!(
+            store.peek(&key.file_name()),
+            Err(StoreError::Corrupt(msg)) if msg.contains("codec")
+        ));
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
     #[test]
     fn gc_and_entries_credit_statted_sizes_never_index_stamps() {
-        // An in-place recompress (or any out-of-band rewrite) changes entry
-        // sizes without republishing; a gc that believed the index's byte
-        // stamps would evict against phantom bytes. The index byte column is
-        // advisory only — sizes must always come from a stat.
+        // The `index.tsv` an older build kept beside the entries is not
+        // read any more: whatever it claims, sizes are statted and the
+        // order is the mtimes' — and the first `gc` removes it.
         let store = temp_store("stat-sizes");
         let (trace, app) = sample_recording(1500);
-        let key = sample_key(0);
-        let published = store.publish(&key, &trace, &app, 1).expect("publish");
-
-        // Forge an index claiming the entry is enormous *and* stale-size it
-        // the other way round too.
-        let bogus = format!("{}\t{}\t{}\n", key.file_name(), 12345, u64::MAX);
-        std::fs::write(store.dir().join(INDEX_FILE), bogus).expect("forge index");
+        let keys = [sample_key(0), sample_key(1)];
+        let published = store.publish(&keys[0], &trace, &app, 1).expect("publish");
+        store.publish(&keys[1], &trace, &app, 1).expect("publish");
+        // The older entry claimed enormous and freshly used, the newer one
+        // ancient.
+        let index = store.dir().join("index.tsv");
+        let forged = format!(
+            "{}\t{}\t{}\n{}\t1\t1\n",
+            keys[0].file_name(),
+            u64::MAX,
+            u64::MAX,
+            keys[1].file_name()
+        );
+        std::fs::write(&index, forged).expect("forge index");
 
         let entries = store.entries().expect("entries");
-        assert_eq!(entries.len(), 1);
-        assert_eq!(
-            entries[0].bytes, published,
-            "sizes must be statted, not read from the index"
-        );
-        // A budget the real size fits comfortably: nothing may be evicted,
-        // even though the forged index claims u64::MAX bytes.
-        let report = store.gc(published + 10).expect("gc");
+        assert_eq!(entries.len(), 2, "the index is not an entry");
+        assert_eq!(entries[0].file, keys[1].file_name(), "MRU by mtime");
+        assert_eq!(entries[1].bytes, published, "sizes are statted");
+        // A budget the real sizes fit: nothing may be evicted, whatever the
+        // forged rows claim.
+        let report = store.gc(2 * published).expect("gc");
         assert!(report.evicted.is_empty(), "{report:?}");
-        assert_eq!(report.kept_bytes, published);
-        assert!(store.dir().join(key.file_name()).exists());
+        assert_eq!(report.kept_bytes, 2 * published);
+        assert!(!index.exists(), "gc removes the leftover index");
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
@@ -1434,18 +1124,27 @@ mod tests {
         for key in &keys {
             sizes.push(store.publish(key, &trace, &app, 1).expect("publish"));
         }
-        // Touch entry 0 so it is the most recently used.
+        // Publication order is LRU order, oldest last ...
+        let order = |store: &TraceStore| -> Vec<String> {
+            let entries = store.entries().expect("entries");
+            entries.into_iter().map(|e| e.file).collect()
+        };
+        let name = |i: usize| keys[i].file_name();
+        assert_eq!(order(&store), [name(2), name(1), name(0)]);
+        // ... until a hit moves the oldest entry to the MRU end.
         assert!(store.load(&keys[0]).is_some());
-        let entries = store.entries().expect("entries");
-        assert_eq!(entries.len(), 3);
-        assert_eq!(entries[0].file, keys[0].file_name(), "MRU first");
+        assert_eq!(order(&store), [name(0), name(2), name(1)]);
+        // The order lives in the files' mtimes, so a second handle on the
+        // directory (another process's view) sees the same one.
+        let other = TraceStore::open(store.dir()).expect("second handle");
+        assert_eq!(order(&other), order(&store));
         let verify = store.verify().expect("verify");
         assert!(verify.iter().all(|(_, outcome)| outcome.is_ok()));
-        // Budget for one entry: the two least-recently-used are evicted.
-        let report = store.gc(sizes[0] + 1).expect("gc");
+        // Budget for one entry: the two least-recently-used are evicted,
+        // least recent first.
+        let report = other.gc(sizes[0] + 1).expect("gc");
         assert_eq!(report.examined, 3);
-        assert_eq!(report.evicted.len(), 2);
-        assert!(!report.evicted.contains(&keys[0].file_name()));
+        assert_eq!(report.evicted, [name(1), name(2)]);
         assert_eq!(report.kept_bytes, sizes[0]);
         assert_eq!(store.entries().expect("entries").len(), 1);
         // gc(0) clears the store.
@@ -1456,26 +1155,79 @@ mod tests {
     }
 
     #[test]
+    fn stamps_keep_up_with_the_clock_and_never_repeat() {
+        // Stamps are compared across processes now (they are mtimes), so
+        // one may not lag the wall clock — not even a process's first.
+        let wall = unix_micros(SystemTime::now());
+        let first = now_unix_micros();
+        let second = now_unix_micros();
+        assert!(first >= wall, "{first} is behind the clock ({wall})");
+        assert!(second > first);
+    }
+
+    #[test]
     fn gc_sweeps_stale_temp_files() {
+        // A crashed writer's leftover: older than any publication takes.
         let store = temp_store("tmp-sweep");
-        std::fs::write(store.dir().join(".orphan.trace.tmp.999"), b"junk").expect("write");
+        let orphan = store.dir().join(".orphan.v2.trace.tmp.999.0");
+        std::fs::write(&orphan, b"junk").expect("write");
+        backdate(&orphan, STALE_TEMP_AGE + Duration::from_secs(60));
         let report = store.gc(u64::MAX).expect("gc");
         assert_eq!(report.examined, 0);
-        assert!(!store.dir().join(".orphan.trace.tmp.999").exists());
+        assert!(!orphan.exists());
         std::fs::remove_dir_all(store.dir()).ok();
     }
 
     #[test]
-    fn index_survives_deletion() {
-        let store = temp_store("index");
+    fn gc_leaves_a_live_writers_temp_file_alone() {
+        // A publication caught between its write and its rename — by the
+        // daemon's end-of-campaign sweep, or a CLI `trace gc` — must find
+        // its temp file still there.
+        let store = temp_store("tmp-live");
         let key = sample_key(0);
-        let (trace, app) = sample_recording(30);
-        store.publish(&key, &trace, &app, 1).expect("publish");
-        std::fs::remove_file(store.dir().join(INDEX_FILE)).expect("drop index");
-        // entries() falls back to filesystem metadata.
-        let entries = store.entries().expect("entries");
-        assert_eq!(entries.len(), 1);
-        assert!(entries[0].last_used > 0, "falls back to fs mtime");
+        let (trace, app) = sample_recording(200);
+        let tmp_path = store.dir().join(format!(".{}.tmp.1.0", key.file_name()));
+        let mut writer = std::io::BufWriter::new(File::create(&tmp_path).expect("create"));
+        write_entry(&mut writer, &trace, &app, 9).expect("write");
+        drop(writer.into_inner().expect("flush"));
+
+        let report = store.gc(0).expect("gc");
+        assert_eq!(report.examined, 0, "a temp file is not an entry");
+        assert!(tmp_path.exists(), "a fresh temp file survives even gc(0)");
+        std::fs::rename(&tmp_path, store.dir().join(key.file_name()))
+            .expect("the publication's rename still finds its file");
+        assert_eq!(store.load(&key).expect("published").instructions, 9);
+        std::fs::remove_dir_all(store.dir()).ok();
+    }
+
+    #[test]
+    fn publishers_racing_a_sweeper_all_land() {
+        let store = temp_store("gc-race");
+        let (trace, app) = sample_recording(3000);
+        let keys: Vec<TraceStoreKey> = (0..8).map(sample_key).collect();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let written: u64 = std::thread::scope(|scope| {
+            let sweeper = scope.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    store.gc(u64::MAX).expect("gc");
+                }
+            });
+            let publishers: Vec<_> = keys
+                .iter()
+                .map(|key| scope.spawn(|| store.publish(key, &trace, &app, 1).expect("publish")))
+                .collect();
+            // Stop the sweeper before looking at any outcome, so a failed
+            // publication fails the test instead of hanging the scope.
+            let outcomes: Vec<_> = publishers.into_iter().map(|p| p.join()).collect();
+            done.store(true, Ordering::Release);
+            sweeper.join().expect("sweeper");
+            outcomes.into_iter().map(|o| o.expect("publisher")).sum()
+        });
+        assert_eq!(store.stats().bytes_written, written);
+        assert_eq!(store.entries().expect("entries").len(), 8);
+        for key in &keys {
+            assert_eq!(store.load(key).expect("loadable").trace, trace);
+        }
         std::fs::remove_dir_all(store.dir()).ok();
     }
 

@@ -1,9 +1,9 @@
 //! Repository automation tasks (`cargo xtask <task>`).
 //!
 //! * `bench-diff` — the CI bench-trajectory gate (below).
-//! * `trace` — hygiene, codec migration and CI exercise for the persistent
-//!   trace store (`ls [--json]` / `verify` / `gc --max-bytes` /
-//!   `recompress` / `exercise`; see [`trace`]).
+//! * `trace` — hygiene and CI exercise for the persistent trace store
+//!   (`ls [--json]` / `verify` / `gc --max-bytes` / `exercise`; see
+//!   [`trace`]).
 //! * `graph` — ingest/inspect on-disk binary CSR graphs
 //!   (`ingest --out` / `info` / `verify`; see [`graph`]).
 //! * `serve` / `client` — the campaign service daemon and its

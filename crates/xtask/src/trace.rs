@@ -3,18 +3,14 @@
 //!
 //! Subcommands:
 //!
-//! * `ls [--json]` — list entries (size, codec, last use), most recently
-//!   used first; `--json` emits a machine-readable summary with total store
+//! * `ls [--json]` — list entries (size, codec), most recently used first
+//!   (an entry's modification time is its last use); `--json` emits a machine-readable summary with total store
 //!   bytes, the raw-equivalent bytes and the resulting compression ratio
 //!   (the CI store-budget gate's input).
 //! * `verify` — checksum-verify every entry; non-zero exit on any corruption.
 //! * `gc --max-bytes <N[K|M|G]>` — evict least-recently-used entries until
-//!   the store fits the budget (stale temp files are always swept). Sizes
-//!   are statted from the files, never taken from `index.tsv` stamps, so
-//!   recompressed entries are credited at their true size.
-//! * `recompress` — migrate every v1 raw entry to a v2 delta-varint entry in
-//!   place, atomically (temp + rename); campaigns only look up v2 names, so
-//!   this is what makes a store written before the v2 format warm again.
+//!   the store fits the budget; temp files a crashed writer left behind are
+//!   swept too.
 //! * `exercise` — the CI `trace-store` job's gate: run a small campaign grid
 //!   against the store twice, assert both runs are bit-identical to a fresh
 //!   record, and assert the warm pass is served from the store (one hit per
@@ -26,19 +22,18 @@ use grasp_analytics::apps::AppKind;
 use grasp_core::campaign::{Campaign, CampaignResult};
 use grasp_core::datasets::{DatasetKind, Scale};
 use grasp_core::policy::PolicyKind;
-use grasp_core::trace_store::{EntryInfo, StoreEntry, TraceStore};
+use grasp_core::trace_store::{Codec, EntryInfo, StoreEntry, TraceStore};
 use std::process::ExitCode;
 use std::sync::Arc;
 
 pub fn usage() -> &'static str {
-    "usage: cargo xtask trace <ls|verify|gc|recompress|exercise> --store <dir>\n\
+    "usage: cargo xtask trace <ls|verify|gc|exercise> --store <dir>\n\
      \u{20}                      [--max-bytes <N[K|M|G]>] [--json]\n\
      \n\
      ls          list store entries, most recently used first (--json for the\n\
      \u{20}            machine-readable summary incl. compression ratio)\n\
      verify      checksum-verify every entry (exit 1 on corruption)\n\
      gc          evict LRU entries until the store fits --max-bytes\n\
-     recompress  migrate every v1 (raw) entry to v2 (delta-varint) in place\n\
      exercise    record a small grid, reload it, assert bit-identical stats"
 }
 
@@ -56,7 +51,7 @@ pub fn parse_args(args: &[String]) -> Result<TraceArgs, String> {
     let mut iter = args.iter();
     let command = iter
         .next()
-        .ok_or_else(|| "missing subcommand (ls, verify, gc, recompress, exercise)".to_owned())?
+        .ok_or_else(|| "missing subcommand (ls, verify, gc, exercise)".to_owned())?
         .clone();
     let mut parsed = TraceArgs {
         command,
@@ -152,7 +147,6 @@ pub fn run(args: &[String]) -> ExitCode {
                 ExitCode::from(2)
             }
         },
-        "recompress" => recompress(&store),
         "exercise" => exercise(store),
         other => {
             eprintln!("trace: unknown subcommand {other}");
@@ -204,8 +198,8 @@ impl StoreSummary {
     }
 
     /// Raw-equivalent size over actual size (1.0 for an empty store): how
-    /// many times smaller the store is than the same corpus under
-    /// `Codec::Raw`.
+    /// many times smaller the store is than the same corpus at the
+    /// 12 B/record its columns occupy in memory.
     fn compression_ratio(&self) -> f64 {
         if self.described_bytes == 0 {
             1.0
@@ -238,10 +232,14 @@ fn ls(store: &TraceStore, json: bool) -> ExitCode {
                 json_escape(&entry.file),
                 entry.bytes
             ));
+            // An entry whose headers parse is in the one format there is
+            // (`peek` refuses every other): codec and version are constants.
             match info {
                 Some(info) => out.push_str(&format!(
-                    ",\"codec\":\"{}\",\"trace_version\":{},\"records\":{},\"raw_bytes\":{}}}",
-                    info.codec, info.trace_version, info.records, info.raw_bytes
+                    ",\"codec\":\"{}\",\"trace_version\":2,\"records\":{},\"raw_bytes\":{}}}",
+                    Codec::default(),
+                    info.records,
+                    info.raw_bytes
                 )),
                 None => out.push_str(",\"codec\":null}"),
             }
@@ -256,7 +254,7 @@ fn ls(store: &TraceStore, json: bool) -> ExitCode {
         return ExitCode::SUCCESS;
     }
     for (entry, info) in &summary.rows {
-        let codec = info.map_or("?", |info| info.codec.label());
+        let codec = info.map_or("?", |_| Codec::default().label());
         println!(
             "{:>10}  {:<13} {}",
             human_bytes(entry.bytes),
@@ -274,43 +272,6 @@ fn ls(store: &TraceStore, json: bool) -> ExitCode {
         summary.compression_ratio()
     );
     ExitCode::SUCCESS
-}
-
-fn recompress(store: &TraceStore) -> ExitCode {
-    match store.recompress() {
-        Ok(report) => {
-            for file in &report.converted {
-                println!("recompressed {file}");
-            }
-            for (file, err) in &report.failed {
-                eprintln!("FAILED {file}: {err}");
-            }
-            let ratio = if report.bytes_after > 0 {
-                report.bytes_before as f64 / report.bytes_after as f64
-            } else {
-                1.0
-            };
-            println!(
-                "recompress: {} of {} entr{} converted ({} skipped), \
-                 {} -> {} ({ratio:.2}x)",
-                report.converted.len(),
-                report.examined,
-                if report.examined == 1 { "y" } else { "ies" },
-                report.skipped,
-                human_bytes(report.bytes_before),
-                human_bytes(report.bytes_after),
-            );
-            if report.failed.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(err) => {
-            eprintln!("trace recompress: {err}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 fn verify(store: &TraceStore) -> ExitCode {
@@ -537,7 +498,7 @@ mod tests {
         assert!(parse_args(&args(&["ls", "--store"])).is_err());
         assert!(parse_args(&args(&["gc", "--max-bytes"])).is_err());
         assert!(parse_args(&args(&["ls", "--what"])).is_err());
-        assert!(parse_args(&args(&["recompress", "--codec", "raw"])).is_err());
+        assert!(parse_args(&args(&["gc", "--codec", "raw"])).is_err());
     }
 
     #[test]
@@ -557,10 +518,9 @@ mod tests {
     }
 
     #[test]
-    fn ls_verify_gc_recompress_run_against_a_real_store() {
+    fn ls_verify_gc_run_against_a_real_store() {
         // Plumbing smoke test: an empty store lists (text and JSON),
-        // verifies, recompresses and gcs cleanly through the command
-        // functions, and the JSON summary of an empty store reports a
+        // verifies and gcs cleanly through the command functions, and the JSON summary of an empty store reports a
         // neutral 1.0 ratio.
         let dir =
             std::env::temp_dir().join(format!("grasp-xtask-trace-test-{}", std::process::id()));
@@ -569,7 +529,6 @@ mod tests {
         assert_eq!(ls(&store, false), ExitCode::SUCCESS);
         assert_eq!(ls(&store, true), ExitCode::SUCCESS);
         assert_eq!(verify(&store), ExitCode::SUCCESS);
-        assert_eq!(recompress(&store), ExitCode::SUCCESS);
         assert_eq!(gc(&store, 0), ExitCode::SUCCESS);
         let summary = StoreSummary::collect(&store).expect("summary");
         assert_eq!(summary.total_bytes, 0);

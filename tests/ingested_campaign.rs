@@ -1,9 +1,8 @@
 //! Acceptance test for real-graph ingestion: a campaign over an ingested
-//! on-disk graph must behave exactly like one over the same graph held in
-//! memory — the mmap backing is a pure representation change — and the
-//! graph's content hash must be visible in the trace store's entry file
-//! names, so a re-ingested (different) graph can never be served a stale
-//! trace.
+//! on-disk graph keys its streams by the graph's content hash — visible in
+//! the trace store's entry file names, so a re-ingested (different) graph
+//! can never be served a stale trace. (That the mmap view equals the decoded
+//! graph is `crates/graph/tests/ingest_properties.rs`' business.)
 //!
 //! Graph prep is demand-driven: a stream the trace store serves never opens
 //! (or reorders) its graph, a stream that has to record opens it on the
@@ -14,7 +13,7 @@
 
 use grasp_suite::analytics::apps::AppKind;
 use grasp_suite::core::campaign::{Campaign, CampaignResult, SchedulerEvent};
-use grasp_suite::core::datasets::{DatasetCatalog, DatasetId, GraphBacking, GraphHash, Scale};
+use grasp_suite::core::datasets::{DatasetCatalog, DatasetId, GraphHash, Scale};
 use grasp_suite::core::policy::PolicyKind;
 use grasp_suite::core::trace_store::TraceStore;
 use grasp_suite::graph::ingest;
@@ -145,47 +144,26 @@ fn assert_bit_identical(a: &CampaignResult, b: &CampaignResult, what: &str) {
 }
 
 #[test]
-fn mmap_and_in_memory_backings_are_bit_identical() {
-    let graph_dir = temp_dir("backing-graph");
-    let hash = ingest_sample_graph(&graph_dir);
-
-    let mut mapped = DatasetCatalog::new();
-    mapped
-        .register_with_backing(&graph_dir, GraphBacking::Mapped)
-        .expect("registers mmap-backed");
-    let mut in_memory = DatasetCatalog::new();
-    in_memory
-        .register_with_backing(&graph_dir, GraphBacking::InMemory)
-        .expect("registers in-memory");
-
-    let via_mmap = campaign(mapped, hash).run();
-    let via_memory = campaign(in_memory, hash).run();
-    assert_eq!(via_mmap.len(), 2 * POLICIES.len());
-    for run in via_mmap.iter() {
-        assert_eq!(run.cell.dataset, DatasetId::Ingested(hash));
-    }
-    assert_bit_identical(&via_mmap, &via_memory, "mmap vs in-memory backing");
-
-    std::fs::remove_dir_all(&graph_dir).ok();
-}
-
-#[test]
 fn content_hash_lands_in_trace_store_entry_names_and_store_hits_are_identical() {
     let graph_dir = temp_dir("store-graph");
     let store_dir = temp_dir("store");
     let hash = ingest_sample_graph(&graph_dir);
     let store = Arc::new(TraceStore::open(&store_dir).expect("store opens"));
 
-    let catalog = |backing| {
+    let catalog = || {
         let mut c = DatasetCatalog::new();
-        c.register_with_backing(&graph_dir, backing).unwrap();
+        c.register(&graph_dir).unwrap();
         c
     };
 
-    // Cold run over the mmap backing records and publishes every stream.
-    let cold = campaign(catalog(GraphBacking::Mapped), hash)
+    // The cold run records and publishes every stream.
+    let cold = campaign(catalog(), hash)
         .with_trace_store(Arc::clone(&store))
         .run();
+    assert_eq!(cold.len(), 2 * POLICIES.len());
+    for run in cold.iter() {
+        assert_eq!(run.cell.dataset, DatasetId::Ingested(hash));
+    }
 
     // The graph's content hash is the dataset coordinate of every entry
     // file name (`g<hash:016x>-<scale>-<technique>-<app>-<cfg>.v<N>.trace`).
@@ -205,18 +183,13 @@ fn content_hash_lands_in_trace_store_entry_names_and_store_hits_are_identical() 
         );
     }
 
-    // Warm run — served from the store — and a warm run over the *other*
-    // backing must both be bit-identical to the cold record.
-    let warm = campaign(catalog(GraphBacking::Mapped), hash)
+    // The warm run — served from the store — is bit-identical to the cold
+    // record.
+    let warm = campaign(catalog(), hash)
         .with_trace_store(Arc::clone(&store))
         .run();
     assert_bit_identical(&cold, &warm, "warm store run");
     assert!(store.stats().hits > 0, "warm run should hit the store");
-
-    let warm_in_memory = campaign(catalog(GraphBacking::InMemory), hash)
-        .with_trace_store(Arc::clone(&store))
-        .run();
-    assert_bit_identical(&cold, &warm_in_memory, "warm in-memory run");
 
     std::fs::remove_dir_all(&graph_dir).ok();
     std::fs::remove_dir_all(&store_dir).ok();

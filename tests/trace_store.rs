@@ -5,16 +5,14 @@
 //! statistics.
 
 use grasp_suite::analytics::apps::AppKind;
-use grasp_suite::cachesim::trace::persist::Fnv64;
-use grasp_suite::cachesim::trace::{LlcTrace, CHUNK_RECORDS};
+use grasp_suite::cachesim::trace::persist::{Fnv64, PersistError};
+use grasp_suite::cachesim::trace::CHUNK_RECORDS;
 use grasp_suite::core::campaign::{Campaign, CampaignResult};
 use grasp_suite::core::datasets::{DatasetKind, Scale};
 use grasp_suite::core::policy::PolicyKind;
-use grasp_suite::core::trace_store::TraceStore;
+use grasp_suite::core::trace_store::{StoreError, TraceStore};
 use std::path::PathBuf;
 use std::sync::Arc;
-
-include!("../crates/cachesim/tests/support/v1_fixture.rs");
 
 const SCALE: Scale = Scale::Tiny;
 
@@ -215,115 +213,55 @@ fn trace_block_offset(entry: &[u8]) -> usize {
     24 + u32::from_le_bytes(entry[12..16].try_into().unwrap()) as usize
 }
 
-/// `entry` with its trace block re-encoded in format v1, as a store written
-/// before the v2 format holds it.
-fn entry_as_v1(entry: &[u8]) -> Vec<u8> {
-    let (wrapper, block) = entry.split_at(trace_block_offset(entry));
-    let trace = LlcTrace::read_from(&mut &block[..]).expect("entry decodes");
-    [wrapper, &v1_trace_bytes(&trace)].concat()
-}
-
-/// Turns `store` into one written before the v2 format: every entry a v1
-/// entry under its `.v1.trace` name.
-fn downgrade_to_v1(store: &TraceStore) {
-    for entry in store.entries().expect("entries") {
-        let path = store.dir().join(&entry.file);
-        let v1 = entry_as_v1(&std::fs::read(&path).expect("read entry"));
-        let v1_name = entry.file.replace(".v2.trace", ".v1.trace");
-        std::fs::write(store.dir().join(v1_name), v1).expect("write v1 entry");
-        std::fs::remove_file(path).expect("remove v2 entry");
-    }
-}
-
 #[test]
-fn a_v1_only_store_is_cold_until_recompressed() {
-    // A store populated before the v2 format holds raw `.v1.trace` entries.
-    // Campaigns look up `.v2.trace` names only, so such a store is cold —
-    // the stream is re-recorded, bit-identically — until `recompress`
-    // migrates it; the re-record's v2 entry and the v1 original then name
-    // the same stream and deduplicate to one.
-    let dir = temp_store_dir("v1-only");
+fn leftovers_of_an_older_build_do_not_disturb_a_store() {
+    // What a store last written before the v2 format (and before mtimes
+    // were the LRU stamps) still holds: a `.v1.trace` file and an
+    // `index.tsv`. The file is listed and reported, never looked up; the
+    // campaign records and publishes beside it; `gc` drops the index.
+    let dir = temp_store_dir("leftovers");
     let store = Arc::new(TraceStore::open(&dir).expect("store opens"));
     let fresh = grid_campaign().run();
     let campaign = || grid_campaign().with_trace_store(Arc::clone(&store));
     let _ = campaign().run();
-    downgrade_to_v1(&store);
+    let entry = store.entries().expect("entries").remove(0);
+    let mut bytes = std::fs::read(dir.join(&entry.file)).expect("read entry");
+    let version_at = trace_block_offset(&bytes) + 8;
+    bytes[version_at..version_at + 4].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(dir.join("foo.v1.trace"), &bytes).expect("write the v1 file");
+    std::fs::remove_file(dir.join(&entry.file)).expect("remove the v2 entry");
+    std::fs::write(dir.join("index.tsv"), "foo.v1.trace\t1\t1\n").expect("write the index");
+
+    let listed = store.entries().expect("entries");
+    assert_eq!(listed.len(), 1, "the index is not an entry");
+    assert_eq!(listed[0].file, "foo.v1.trace");
+    let verify = store.verify().expect("verify");
+    assert!(matches!(
+        verify.as_slice(),
+        [(file, Err(StoreError::Trace(PersistError::UnsupportedVersion(1))))]
+            if file == "foo.v1.trace"
+    ));
 
     let rerun = campaign().run();
-    assert_bit_identical(&fresh, &rerun, "run over a v1-only store");
+    assert_bit_identical(&fresh, &rerun, "run over a store of leftovers");
     let stats = store.stats();
-    assert_eq!(stats.hits, 0, "a v1 entry must not serve a lookup");
+    assert_eq!(stats.hits, 0, "a v1 file must not serve a lookup");
     assert_eq!(stats.misses, 2, "the populating pass and the re-record");
-    assert_eq!(stats.corrupt, 0);
-    assert_eq!(store.entries().expect("entries").len(), 2);
+    assert_eq!(stats.corrupt, 0, "never looked up, so never misread");
+    let files: Vec<String> = store
+        .entries()
+        .expect("entries")
+        .into_iter()
+        .map(|e| e.file)
+        .collect();
+    assert_eq!(files, [entry.file.as_str(), "foo.v1.trace"], "MRU first");
 
-    let report = store.recompress().expect("recompress");
-    assert_eq!(report.converted.len(), 1);
-    assert!(report.failed.is_empty());
-    let entries = store.entries().expect("entries");
-    assert_eq!(entries.len(), 1, "one stream, one entry");
-    assert!(
-        entries[0].file.ends_with(".v2.trace"),
-        "{}",
-        entries[0].file
-    );
+    let report = store.gc(u64::MAX).expect("gc");
+    assert!(report.evicted.is_empty());
+    assert!(!dir.join("index.tsv").exists(), "gc removes the old index");
     let warm = campaign().run();
-    assert_bit_identical(&fresh, &warm, "warm run after the migration");
+    assert_bit_identical(&fresh, &warm, "warm run beside the v1 file");
     assert_eq!(store.stats().hits, 1);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn recompress_migration_shrinks_the_store_and_keeps_serving_hits() {
-    let dir = temp_store_dir("recompress");
-    let store = Arc::new(TraceStore::open(&dir).expect("store opens"));
-    let fresh = grid_campaign().run();
-    let campaign = || grid_campaign().with_trace_store(Arc::clone(&store));
-
-    // A store written before the v2 format, migrated in place.
-    let _ = campaign().run();
-    downgrade_to_v1(&store);
-    let before: u64 = store
-        .entries()
-        .expect("entries")
-        .iter()
-        .map(|e| e.bytes)
-        .sum();
-    let report = store.recompress().expect("recompress");
-    assert_eq!(report.converted.len(), 1);
-    assert!(report.failed.is_empty());
-    let after: u64 = store
-        .entries()
-        .expect("entries")
-        .iter()
-        .map(|e| e.bytes)
-        .sum();
-    assert!(
-        after * 2 < before,
-        "migration must at least halve the paper-workload store: {before} -> {after}"
-    );
-    let entries = store.entries().expect("entries");
-    assert_eq!(entries.len(), 1);
-    assert!(
-        entries[0].file.ends_with(".v2.trace"),
-        "{}",
-        entries[0].file
-    );
-    assert!(store
-        .verify()
-        .expect("verify")
-        .iter()
-        .all(|(_, outcome)| outcome.is_ok()));
-
-    // The migrated entry serves the campaign, bit-identically.
-    let warm = campaign().run();
-    assert_bit_identical(&fresh, &warm, "post-migration warm run");
-    let stats = store.stats();
-    assert_eq!(stats.hits, 1);
-    assert_eq!(
-        stats.misses, 1,
-        "only the cold pass misses — migration must never cost a re-record"
-    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -379,17 +317,23 @@ fn forged_entries_with_recomputed_checksums_fall_back_to_fresh_recording() {
     // A metadata word no recorder writes (region index 7), in an entry whose
     // trace checksum was recomputed to match: nothing but the loader's own
     // validation of the word stands between this file and a replay worker.
-    // A v1 trace block, because its metadata page can be addressed directly
-    // (the reader goes by the block's own header, whatever the file's name).
     assert_recovers_from("forged", |bytes| {
-        *bytes = entry_as_v1(bytes);
         let at = trace_block_offset(bytes);
         let block = &mut bytes[at..]; // the persisted trace
         let records = u64::from_le_bytes(block[16..24].try_into().unwrap()) as usize;
-        assert!(records <= CHUNK_RECORDS, "one chunk: one address page");
+        assert!(records <= CHUNK_RECORDS, "one chunk: one frame");
         let context_len = u32::from_le_bytes(block[32..36].try_into().unwrap()) as usize;
-        let word_at = 48 + context_len + records * 8 + records / 2 * 4;
-        block[word_at] |= 0b111 << 3;
+        // The frame: its u32 length, one address varint per record, the
+        // dictionary length varint, then the dictionary's first word — whose
+        // low byte holds the region bits.
+        let mut pos = 48 + context_len + 4;
+        for _ in 0..records + 1 {
+            while block[pos] & 0x80 != 0 {
+                pos += 1;
+            }
+            pos += 1;
+        }
+        block[pos] |= 0b111 << 3;
         block[40..48].fill(0);
         let checksum = Fnv64::digest(block);
         block[40..48].copy_from_slice(&checksum.to_le_bytes());
