@@ -2,10 +2,10 @@
 # Counts the non-test source lines ROADMAP.md quotes — for every
 # crates/*/src/**/*.rs, the lines before its first top-level `#[cfg(test)]` —
 # prints them per file and fails when the total, or one of the files ROADMAP
-# item 3 names, is over the ceiling committed below. The total's and
-# campaign.rs's ceilings sit just above what the tree holds; trace_store.rs
-# and persist.rs are held to the roadmap's < 900 target, which they have
-# reached. A change that needs more raises a ceiling in its own diff, where a
+# item 3 names, is over the ceiling committed below. The total's,
+# campaign.rs's and ingest.rs's ceilings sit just above what the tree holds;
+# trace_store.rs and persist.rs are held to the roadmap's < 900 target, which
+# they have reached. A change that needs more raises a ceiling in its own diff, where a
 # reviewer sees it, instead of the counts drifting up unnoticed (campaign.rs
 # once went 1 192 -> 1 393 that way).
 #
@@ -16,8 +16,9 @@ find crates/*/src -name '*.rs' | sort | while read -r file; do
   awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0, FILENAME }' "$file"
 done | awk '
   BEGIN {
-    total_ceiling = 19199
-    ceiling["crates/core/src/campaign.rs"] = 1334
+    total_ceiling = 18835
+    ceiling["crates/core/src/campaign.rs"] = 1287
+    ceiling["crates/graph/src/ingest.rs"] = 1177
     ceiling["crates/core/src/trace_store.rs"] = 899
     ceiling["crates/cachesim/src/trace/persist.rs"] = 899
   }

@@ -79,12 +79,6 @@ impl TracedMemory {
     pub fn stats(&self) -> HierarchyStats {
         self.hierarchy.stats()
     }
-
-    /// Consumes the model and returns the hierarchy (e.g. to extract the
-    /// recorded LLC trace).
-    pub fn into_hierarchy(self) -> Hierarchy {
-        self.hierarchy
-    }
 }
 
 impl MemoryModel for TracedMemory {
@@ -195,13 +189,10 @@ mod tests {
 
     #[test]
     fn programming_bounds_enables_classification() {
-        let config = HierarchyConfig::scaled_default().with_llc_trace();
-        let llc = Box::new(Drrip::new(config.llc.sets(), config.llc.ways, 1));
-        let hierarchy = Hierarchy::new(config, llc, RegionClassifier::disabled());
-        let mut m = TracedMemory::new(hierarchy);
+        let mut m = RecordingMemory::new(HierarchyConfig::scaled_default());
         m.program_property_bounds(&[(0x8000_0000, 0x8000_0000 + (1 << 21))]);
         m.touch(0x8000_0000, AccessKind::Read, 1, RegionLabel::Property);
-        let trace = m.into_hierarchy().into_llc_trace();
+        let trace = m.finish();
         assert_eq!(trace.demand_vec()[0].hint, ReuseHint::High);
         assert_eq!(
             trace.abr_bounds(),

@@ -1,13 +1,13 @@
 //! Fig. 11 and Table VII — GRASP vs Belady's optimal replacement (OPT).
 //!
-//! Each workload's post-L2 stream is captured once by the record phase of a
-//! campaign. Online policies (LRU, RRIP, GRASP) and Belady's MIN
-//! then replay the same **demand** stream — OPT cannot model prefetches, so
-//! giving them only to the online policies would break its lower bound — for
-//! several LLC sizes, with reuse hints recomputed from the Address Bound
-//! Register bounds that travel with the trace. The figure reports the
-//! percentage of misses each scheme eliminates relative to LRU; Table VII
-//! repeats the average over a sweep of LLC sizes.
+//! Each workload's post-L2 stream is captured once (`Experiment::record`).
+//! Online policies (LRU, RRIP, GRASP) and Belady's MIN then replay the same
+//! **demand** stream — OPT cannot model prefetches, so giving them only to
+//! the online policies would break its lower bound — for several LLC sizes,
+//! with reuse hints recomputed from the Address Bound Register bounds that
+//! travel with the trace. The figure reports the percentage of misses each
+//! scheme eliminates relative to LRU; Table VII repeats the average over a
+//! sweep of LLC sizes.
 //!
 //! Every replay is **chunk-native**: the online policies stream the demand
 //! view straight off the recorded trace's 12-byte-per-record storage
@@ -20,13 +20,14 @@
 //! of LRU's misses; the gap between GRASP and OPT is the remaining headroom.
 
 use grasp_analytics::apps::AppKind;
-use grasp_bench::{banner, dump_json, figure_campaign, harness_scale, pct};
+use grasp_bench::{banner, dataset, dump_json, experiment, harness_scale, pct};
 use grasp_cachesim::config::CacheConfig;
 use grasp_cachesim::hint::{AddressBoundRegisters, RegionClassifier};
 use grasp_cachesim::policy::opt::optimal_misses_trace;
-use grasp_cachesim::trace::{misses_eliminated_pct, LlcTrace};
+use grasp_cachesim::trace::misses_eliminated_pct;
 use grasp_core::compare::arithmetic_mean;
 use grasp_core::datasets::DatasetKind;
+use grasp_core::experiment::RecordedRun;
 use grasp_core::policy::PolicyKind;
 use grasp_core::report::Table;
 use grasp_reorder::TechniqueKind;
@@ -37,7 +38,7 @@ use grasp_reorder::TechniqueKind;
 struct Recording {
     app: AppKind,
     dataset: DatasetKind,
-    trace: LlcTrace,
+    recorded: RecordedRun,
 }
 
 /// Rebuilds the region classifier for a given LLC size from the ABR bounds
@@ -53,18 +54,18 @@ fn classifier_for(bounds: &[(u64, u64)], llc_bytes: u64) -> RegionClassifier {
 
 fn replay_all(recording: &Recording, llc_bytes: u64) -> (u64, u64, u64, u64) {
     let config = CacheConfig::new(llc_bytes, 16, 64);
-    let classifier = classifier_for(recording.trace.abr_bounds(), llc_bytes);
+    let trace = recording.recorded.trace();
+    let classifier = classifier_for(trace.abr_bounds(), llc_bytes);
     let mut misses = [0u64; 3];
     for (slot, policy) in [PolicyKind::Lru, PolicyKind::Rrip, PolicyKind::Grasp]
         .into_iter()
         .enumerate()
     {
-        misses[slot] = recording
-            .trace
+        misses[slot] = trace
             .replay_demand_with_classifier(config, policy.build_dispatch(&config), &classifier)
             .misses;
     }
-    let opt = optimal_misses_trace(&recording.trace, &config);
+    let opt = optimal_misses_trace(trace, &config);
     (misses[0], misses[1], misses[2], opt.misses)
 }
 
@@ -72,22 +73,16 @@ fn main() {
     banner("Fig. 11 / Table VII: GRASP vs Belady's OPT");
     let scale = harness_scale();
 
-    // Record one post-L2 stream per (app, dataset) pair: the
-    // campaign runs each application exactly once and hands the trace back.
-    let recordings = figure_campaign(scale, &DatasetKind::HIGH_SKEW, &AppKind::ALL, &[])
-        .recording_llc_trace()
-        .run();
+    // Record one post-L2 stream per (app, dataset) pair: each application
+    // runs exactly once.
+    let datasets = DatasetKind::HIGH_SKEW.map(|kind| dataset(kind, scale));
     let mut workloads: Vec<Recording> = Vec::new();
     for app in AppKind::ALL {
-        for kind in DatasetKind::HIGH_SKEW {
-            let run = recordings
-                .get(kind, TechniqueKind::Dbg, app, PolicyKind::Rrip)
-                .expect("recording cell");
+        for (kind, built) in DatasetKind::HIGH_SKEW.into_iter().zip(&datasets) {
             workloads.push(Recording {
                 app,
                 dataset: kind,
-                // Cloning shares the Arc-frozen chunks — no record copies.
-                trace: run.llc_trace.clone().unwrap_or_default(),
+                recorded: experiment(built, app, scale, TechniqueKind::Dbg).record(),
             });
         }
     }

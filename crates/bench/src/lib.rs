@@ -73,8 +73,7 @@ pub fn run_against_rrip(
 
 /// A synthetic LLC trace mixing a hot working set (hinted High-Reuse, every
 /// third access) with a cold miss stream (hinted Low-Reuse), the way the
-/// analytics layer would hint them. Shared by the simulator micro-benchmark
-/// and the seed-parity test so both always measure/pin the same distribution.
+/// analytics layer would hint them: the input of the seed-parity test.
 pub fn synthetic_mixed_trace(len: usize) -> Vec<grasp_cachesim::AccessInfo> {
     use grasp_cachesim::hint::ReuseHint;
     use grasp_cachesim::request::RegionLabel;
@@ -100,33 +99,15 @@ pub fn synthetic_mixed_trace(len: usize) -> Vec<grasp_cachesim::AccessInfo> {
     trace
 }
 
-/// Whether this process enforces the benches' speedup bars: they are gated
-/// on ≥ 4 hardware threads (overlap can't win on a saturated small box) and
-/// demotable outright via `GRASP_BENCH_NO_SPEEDUP_BARS=1`. Exposed so every
-/// bench gates the same way and `dump_json` records the same answer.
-pub fn speedup_bars_enforced() -> bool {
-    std::env::var("GRASP_BENCH_NO_SPEEDUP_BARS").is_err() && hardware_threads() >= 4
-}
-
-/// Hardware threads available to this process.
-pub fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// Writes a figure's tables as machine-readable JSON to
 /// `BENCH_<figure>.json` (in `GRASP_BENCH_JSON_DIR`, default the current
-/// directory), so per-figure results can be tracked across PRs. Each dump
-/// embeds the measurement environment — hardware thread count and
-/// speedup-bar state — so bar-demoted CI runs are distinguishable in the
-/// trajectory. Failures are reported but never abort a bench run.
+/// directory), so per-figure results can be tracked across PRs. A dump is a
+/// pure function of the tables: regenerating a figure rewrites the committed
+/// file byte for byte. Failures are reported but never abort a bench run.
 pub fn dump_json(figure: &str, tables: &[&grasp_core::report::Table]) {
     let dir = std::env::var("GRASP_BENCH_JSON_DIR").unwrap_or_else(|_| ".".to_owned());
     let path = std::path::Path::new(&dir).join(format!("BENCH_{figure}.json"));
-    let meta = grasp_core::report::BenchMeta {
-        hardware_threads: hardware_threads(),
-        speedup_bars_enforced: speedup_bars_enforced(),
-    };
-    let json = grasp_core::report::to_json_with_meta(figure, Some(meta), tables);
+    let json = grasp_core::report::to_json(figure, tables);
     match std::fs::write(&path, json) {
         Ok(()) => println!("results written to {}", path.display()),
         Err(err) => eprintln!("could not write {}: {err}", path.display()),

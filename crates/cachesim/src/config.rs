@@ -99,9 +99,6 @@ pub struct HierarchyConfig {
     /// Enable the L1 stride prefetcher (Table VI: stride prefetchers with 16
     /// streams).
     pub prefetch: bool,
-    /// Record the post-L2 LLC access trace (needed for Belady's OPT and for
-    /// replaying the same trace through multiple LLC policies).
-    pub record_llc_trace: bool,
 }
 
 impl HierarchyConfig {
@@ -114,7 +111,6 @@ impl HierarchyConfig {
             llc: CacheConfig::new(16 * 1024 * 1024, 16, 64),
             latency: LatencyConfig::default(),
             prefetch: true,
-            record_llc_trace: false,
         }
     }
 
@@ -140,15 +136,7 @@ impl HierarchyConfig {
             llc: CacheConfig::new(llc_bytes, 16, 64),
             latency: LatencyConfig::default(),
             prefetch: true,
-            record_llc_trace: false,
         }
-    }
-
-    /// Enables LLC trace recording.
-    #[must_use]
-    pub fn with_llc_trace(mut self) -> Self {
-        self.record_llc_trace = true;
-        self
     }
 
     /// Disables the L1 stride prefetcher.
@@ -208,8 +196,6 @@ mod tests {
         assert!(h.l1.size_bytes < h.l2.size_bytes);
         assert!(h.l2.size_bytes < h.llc.size_bytes);
         assert_eq!(h.llc.ways, 16);
-        assert!(!h.record_llc_trace);
-        assert!(h.with_llc_trace().record_llc_trace);
         assert!(!h.without_prefetch().prefetch);
     }
 

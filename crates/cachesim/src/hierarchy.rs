@@ -5,27 +5,25 @@
 //! [`crate::stage`]: the policy-independent upper levels
 //! ([`UpperLevels`]: L1 + L2 + prefetcher + GRASP's region classification,
 //! exactly as in Fig. 4 of the paper) and the LLC stage ([`LlcStage`]) under
-//! whichever replacement policy the experiment is evaluating. When trace
-//! recording is enabled, every post-L2 request is appended to an
-//! [`LlcTrace`] *and* simulated — the same stream that, replayed through
-//! [`LlcTrace::replay`], reproduces this hierarchy's statistics bit-for-bit.
+//! whichever replacement policy the experiment is evaluating. It only
+//! simulates: the one recorder of the post-L2 stream is [`UpperLevels`]
+//! feeding an [`LlcTrace`](crate::trace::LlcTrace), whose
+//! [`replay`](crate::trace::LlcTrace::replay) reproduces this hierarchy's
+//! statistics bit-for-bit.
 
 use crate::config::HierarchyConfig;
 use crate::hint::RegionClassifier;
 use crate::policy::PolicyDispatch;
-use crate::request::{AccessInfo, AccessKind, AccessSite, RegionLabel};
-use crate::stage::{LlcSink, LlcStage, UpperLevels};
+use crate::request::{AccessKind, AccessSite, RegionLabel};
+use crate::stage::{LlcStage, UpperLevels};
 use crate::stats::HierarchyStats;
 use crate::timing::TimingModel;
-use crate::trace::LlcTrace;
 
 /// A three-level cache hierarchy with an L1 stride prefetcher and GRASP's
 /// address classification in front of the LLC.
 pub struct Hierarchy {
     upper: UpperLevels,
     llc: LlcStage,
-    recording: bool,
-    llc_trace: LlcTrace,
 }
 
 impl std::fmt::Debug for Hierarchy {
@@ -35,37 +33,6 @@ impl std::fmt::Debug for Hierarchy {
             .field("llc_policy", &self.llc.policy_name())
             .field("memory_accesses", &self.llc.memory_accesses())
             .finish()
-    }
-}
-
-/// Sink used on the direct simulation path: optionally records each post-L2
-/// request, then forwards it into the LLC stage.
-struct SimulateAndRecord<'a> {
-    llc: &'a mut LlcStage,
-    trace: &'a mut LlcTrace,
-    recording: bool,
-}
-
-impl LlcSink for SimulateAndRecord<'_> {
-    fn demand(&mut self, info: &AccessInfo) -> bool {
-        if self.recording {
-            self.trace.push(info);
-        }
-        self.llc.demand(info)
-    }
-
-    fn prefetch(&mut self, info: &AccessInfo) {
-        if self.recording {
-            self.trace.push_prefetch(info);
-        }
-        self.llc.prefetch(info);
-    }
-
-    fn writeback(&mut self, addr: u64) {
-        if self.recording {
-            self.trace.push_writeback(addr);
-        }
-        self.llc.writeback(addr);
     }
 }
 
@@ -83,17 +50,6 @@ impl Hierarchy {
         Self {
             upper: UpperLevels::new(config, classifier),
             llc: LlcStage::new(config.llc, llc_policy),
-            recording: config.record_llc_trace,
-            llc_trace: LlcTrace::new(),
-        }
-    }
-
-    /// Pre-sizes the LLC trace for roughly `expected_records` records so the
-    /// recording loop does not reallocate (only meaningful when
-    /// [`HierarchyConfig::record_llc_trace`] is set).
-    pub fn reserve_llc_trace(&mut self, expected_records: usize) {
-        if self.recording {
-            self.llc_trace.reserve(expected_records);
         }
     }
 
@@ -132,12 +88,7 @@ impl Hierarchy {
         site: AccessSite,
         region: RegionLabel,
     ) -> bool {
-        let mut sink = SimulateAndRecord {
-            llc: &mut self.llc,
-            trace: &mut self.llc_trace,
-            recording: self.recording,
-        };
-        self.upper.access(addr, kind, site, region, &mut sink)
+        self.upper.access(addr, kind, site, region, &mut self.llc)
     }
 
     /// Convenience wrapper for a read access.
@@ -160,22 +111,6 @@ impl Hierarchy {
         }
     }
 
-    /// The recorded post-L2 trace (empty unless
-    /// [`HierarchyConfig::record_llc_trace`] is set). The upper-level
-    /// context is only attached on [`Hierarchy::into_llc_trace`].
-    pub fn llc_trace(&self) -> &LlcTrace {
-        &self.llc_trace
-    }
-
-    /// Consumes the hierarchy and returns the recorded trace, with the
-    /// upper-level statistics and programmed ABR bounds attached so the
-    /// trace alone can reproduce full hierarchy statistics on replay.
-    pub fn into_llc_trace(self) -> LlcTrace {
-        let mut trace = self.llc_trace;
-        trace.set_context(self.upper.record_context());
-        trace
-    }
-
     /// Estimated execution cycles under `model`, given `instructions` of
     /// non-memory work.
     pub fn estimated_cycles(&self, model: &TimingModel, instructions: u64) -> f64 {
@@ -186,14 +121,10 @@ impl Hierarchy {
     /// clears the prefetcher's stride training (used between warm-up and the
     /// region of interest). Without the policy/prefetcher resets, stale RRPV
     /// counters, predictor tables and trained strides from the warm-up phase
-    /// would leak into the measured phase. When recording, a flush marker is
-    /// appended so replay reproduces the reset at the same stream position.
+    /// would leak into the measured phase.
     pub fn flush(&mut self) {
         self.upper.flush();
         self.llc.flush();
-        if self.recording {
-            self.llc_trace.push_flush();
-        }
     }
 }
 
@@ -203,12 +134,29 @@ mod tests {
     use crate::config::HierarchyConfig;
     use crate::hint::{AddressBoundRegisters, ReuseHint};
     use crate::policy::rrip::Drrip;
-    use crate::trace::TraceEvent;
+    use crate::trace::{LlcTrace, TraceEvent};
 
     fn hierarchy(classifier: RegionClassifier) -> Hierarchy {
-        let config = HierarchyConfig::scaled_default().with_llc_trace();
+        let config = HierarchyConfig::scaled_default();
         let llc = Box::new(Drrip::new(config.llc.sets(), config.llc.ways, 1));
         Hierarchy::new(config, llc, classifier)
+    }
+
+    /// Feeds `accesses` (site 1, Property) to a [`hierarchy`] and to the
+    /// recorder — the same upper levels with an [`LlcTrace`] as their sink.
+    fn simulate_and_record(
+        classifier: RegionClassifier,
+        accesses: &[(u64, AccessKind)],
+    ) -> (Hierarchy, LlcTrace) {
+        let mut h = hierarchy(classifier.clone());
+        let mut upper = UpperLevels::new(*h.config(), classifier);
+        let mut trace = LlcTrace::new();
+        for &(addr, kind) in accesses {
+            h.access(addr, kind, 1, RegionLabel::Property);
+            upper.access(addr, kind, 1, RegionLabel::Property, &mut trace);
+        }
+        trace.set_context(upper.record_context());
+        (h, trace)
     }
 
     #[test]
@@ -250,12 +198,12 @@ mod tests {
         abrs.program(0x0, 0x100000);
         let config = HierarchyConfig::scaled_default();
         let classifier = RegionClassifier::new(abrs, config.llc.size_bytes);
-        let mut h = hierarchy(classifier);
         // An address at the start of the property array is High-Reuse; one
         // far past the two LLC-sized regions is Low-Reuse.
-        h.read(0x0, 1, RegionLabel::Property);
-        h.read(0xF0000, 1, RegionLabel::Property);
-        let demands = h.llc_trace().demand_vec();
+        let accesses = [(0x0, AccessKind::Read), (0xF0000, AccessKind::Read)];
+        let (h, trace) = simulate_and_record(classifier, &accesses);
+        let demands = trace.demand_vec();
+        assert_eq!(demands.len() as u64, h.stats().llc.accesses);
         assert_eq!(demands.len(), 2);
         assert_eq!(demands[0].hint, ReuseHint::High);
         assert_eq!(demands[1].hint, ReuseHint::Low);
@@ -308,38 +256,17 @@ mod tests {
     }
 
     #[test]
-    fn flush_markers_are_recorded() {
-        let mut h = hierarchy(RegionClassifier::disabled());
-        h.read(0x40, 1, RegionLabel::Other);
-        h.flush();
-        h.read(0x40, 1, RegionLabel::Other);
-        let events = h.llc_trace().to_vec();
-        assert_eq!(events.len(), 3);
-        assert!(matches!(events[1], TraceEvent::Flush));
-    }
-
-    #[test]
-    fn trace_recording_can_be_disabled() {
-        let config = HierarchyConfig::scaled_default();
-        let llc = Box::new(Drrip::new(config.llc.sets(), config.llc.ways, 1));
-        let mut h = Hierarchy::new(config, llc, RegionClassifier::disabled());
-        h.read(0x123456, 1, RegionLabel::Property);
-        assert!(h.llc_trace().is_empty());
-    }
-
-    #[test]
     fn dirty_victims_reach_the_llc_as_writebacks() {
-        let mut h = hierarchy(RegionClassifier::disabled());
         // Touch far more distinct blocks than L1 + L2 hold, writing each:
         // dirty victims must spill past L2.
-        for i in 0..8192u64 {
-            h.write(i * 64 * 17, 1, RegionLabel::Property);
-        }
+        let accesses: Vec<_> = (0..8192u64)
+            .map(|i| (i * 64 * 17, AccessKind::Write))
+            .collect();
+        let (h, trace) = simulate_and_record(RegionClassifier::disabled(), &accesses);
         let stats = h.stats();
         assert!(stats.llc.writeback_accesses > 0);
         // The recorded trace carries the same writebacks.
-        let recorded = h
-            .llc_trace()
+        let recorded = trace
             .iter()
             .filter(|e| matches!(e, TraceEvent::Writeback(_)))
             .count() as u64;
@@ -348,23 +275,22 @@ mod tests {
 
     #[test]
     fn recorded_trace_replays_to_identical_hierarchy_stats() {
-        let config = HierarchyConfig::scaled_default().with_llc_trace();
-        let llc = Box::new(Drrip::new(config.llc.sets(), config.llc.ways, 1));
-        let mut h = Hierarchy::new(config, llc, RegionClassifier::disabled());
         let mut x = 3u64;
-        for i in 0..30_000u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(13);
-            let addr = (x >> 24) % (4 * 1024 * 1024);
-            if i % 3 == 0 {
-                h.write(addr, 2, RegionLabel::Property);
-            } else {
-                h.read(addr, 1, RegionLabel::Property);
-            }
-        }
-        let direct = h.stats();
-        let trace = h.into_llc_trace();
+        let accesses: Vec<_> = (0..30_000u64)
+            .map(|i| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(13);
+                let addr = (x >> 24) % (4 * 1024 * 1024);
+                if i % 3 == 0 {
+                    (addr, AccessKind::Write)
+                } else {
+                    (addr, AccessKind::Read)
+                }
+            })
+            .collect();
+        let (h, trace) = simulate_and_record(RegionClassifier::disabled(), &accesses);
+        let config = *h.config();
         let llc = Box::new(Drrip::new(config.llc.sets(), config.llc.ways, 1));
         let replayed = trace.replay(config.llc, llc);
-        assert_eq!(direct, replayed, "replay must be bit-identical");
+        assert_eq!(h.stats(), replayed, "replay must be bit-identical");
     }
 }

@@ -16,8 +16,8 @@
 //!             └──────────────┬─────────────────────────────────────────────────┘
 //!                            │ demand / prefetch / writeback   (LlcSink)
 //!              ┌─────────────┴─────────────┐
-//!              │  LlcStage (policy X)      │   ← simulate now (direct path)
-//!              │  LlcTrace (recorder)      │   ← or record once, replay per policy
+//!              │  LlcStage (policy X)      │   ← simulate now (crate::Hierarchy)
+//!              │  LlcTrace                 │   ← the recorder: record once, replay per policy
 //!              └───────────────────────────┘
 //! ```
 //!
@@ -31,9 +31,10 @@
 //! direct simulation alike.
 //!
 //! [`crate::Hierarchy`] composes the two stages back into the classic
-//! three-level simulator; [`crate::trace::LlcTrace`] implements [`LlcSink`] as
-//! a pure recorder, and [`LlcTrace::replay`](crate::trace::LlcTrace::replay)
-//! drives a fresh [`LlcStage`] from the recorded stream — through the *same*
+//! three-level simulator, which only simulates; [`crate::trace::LlcTrace`]
+//! implements [`LlcSink`] as the one recorder, and
+//! [`LlcTrace::replay`](crate::trace::LlcTrace::replay) drives a fresh
+//! [`LlcStage`] from the recorded stream — through the *same*
 //! code path, which is what makes replayed statistics bit-identical to direct
 //! simulation.
 
@@ -141,8 +142,7 @@ impl UpperLevels {
     }
 
     /// Snapshot of everything a recorded trace carries alongside the post-L2
-    /// stream (the single source of truth for both recording paths: the
-    /// trace-recording [`crate::Hierarchy`] and the LLC-free recorder).
+    /// stream.
     pub fn record_context(&self) -> crate::trace::RecordContext {
         crate::trace::RecordContext {
             l1: self.l1.stats().clone(),

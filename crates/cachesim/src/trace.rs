@@ -11,7 +11,7 @@
 //! [`LlcTrace::replay`] reproduces the **full** [`HierarchyStats`] of a
 //! direct simulation bit-for-bit.
 //!
-//! Three workflows use recorded traces:
+//! Two workflows use recorded traces:
 //!
 //! 1. **Campaigns** (`grasp-core`): record each (dataset, reordering,
 //!    application) stream once, fan it out across the policy grid.
@@ -22,8 +22,6 @@
 //!    in which case [`LlcTrace::replay_with_classifier`] recomputes the reuse
 //!    hints for the new High/Moderate region extents (the recorded ABR bounds
 //!    make that classifier reconstructible from the trace alone).
-//! 3. **Policy micro-benchmarks**, which measure simulator throughput on
-//!    synthetic traces (collected into an [`LlcTrace`] and replayed).
 //!
 //! # Layout
 //!
@@ -581,8 +579,7 @@ impl FromIterator<AccessInfo> for LlcTrace {
 /// flushes — rare, whole-cache resets — do.
 /// [`ChunkReplayer::feed_scalar`] replays the same chunk one decoded event
 /// at a time through the stage's per-event methods; it is the oracle `feed`
-/// is pinned against, and what the column path has to beat to earn its
-/// keep (`micro_replay`'s batched-replay table).
+/// is pinned against.
 #[derive(Debug)]
 pub struct ChunkReplayer {
     stage: LlcStage,
@@ -652,7 +649,7 @@ impl ChunkReplayer {
 
     /// Replays one chunk event-by-event through [`ChunkReplayer::feed_event`]
     /// — the reference path [`ChunkReplayer::feed`] is pinned against
-    /// (property tests, the micro_replay batched-replay table).
+    /// (property tests).
     pub fn feed_scalar(&mut self, chunk: &TraceChunk) {
         for event in chunk.events() {
             self.feed_event(event);

@@ -324,18 +324,14 @@ struct GraphMemo {
     reordered: Memo<(DatasetId, TechniqueKind, Direction), Arc<Csr>>,
 }
 
-/// A declarative dataset × technique × app × policy grid.
+/// A declarative dataset × technique × app × policy grid: a
+/// [`CampaignSpec`], which the builder methods write, plus the runtime wiring
+/// a spec cannot carry — the dataset catalog, the opened trace store and a
+/// shared [`FlightRegistry`].
 #[derive(Debug, Clone)]
 pub struct Campaign {
-    scale: Scale,
-    datasets: Vec<DatasetId>,
+    spec: CampaignSpec,
     catalog: DatasetCatalog,
-    techniques: Vec<TechniqueKind>,
-    apps: Vec<AppKind>,
-    policies: Vec<PolicyKind>,
-    hierarchy: Option<HierarchyConfig>,
-    record_trace: bool,
-    threads: usize,
     store: Option<Arc<TraceStore>>,
     flights: Option<Arc<FlightRegistry>>,
 }
@@ -343,54 +339,34 @@ pub struct Campaign {
 impl Campaign {
     /// Creates an empty campaign at the given scale.
     ///
-    /// Defaults: the DBG reordering of the headline figures, the
-    /// scale-appropriate hierarchy, no trace recording, and one worker per
+    /// Defaults ([`CampaignSpec::new`]): the DBG reordering of the headline
+    /// figures, the scale-appropriate hierarchy, and one worker per
     /// available CPU.
     pub fn new(scale: Scale) -> Self {
         Self {
-            scale,
-            datasets: Vec::new(),
+            spec: CampaignSpec::new(scale),
             catalog: DatasetCatalog::new(),
-            techniques: vec![TechniqueKind::Dbg],
-            apps: Vec::new(),
-            policies: Vec::new(),
-            hierarchy: None,
-            record_trace: false,
-            threads: 0, // auto: resolved to available_parallelism at run time
             store: None,
             flights: None,
         }
     }
 
-    /// Reconstructs a campaign from its serializable [`CampaignSpec`].
-    ///
-    /// The inverse of [`Campaign::to_spec`]: every spec field lands on the
-    /// matching builder, and `Campaign::from_spec(&c.to_spec())` builds a
-    /// campaign that runs the same grid the same way. A spec naming a trace
-    /// store directory opens (creating if needed) that store; an unopenable
-    /// path surfaces as [`Error::Store`].
+    /// Builds the campaign of a serializable [`CampaignSpec`]: the inverse
+    /// of [`Campaign::to_spec`]. A spec naming a trace store directory opens
+    /// (creating if needed) that store; an unopenable path surfaces as
+    /// [`Error::Store`].
     ///
     /// Specs carry no [`DatasetCatalog`], so a spec listing
     /// [`DatasetId::Ingested`] coordinates needs [`Campaign::catalog`]
     /// called on the result before the campaign can run.
     pub fn from_spec(spec: &CampaignSpec) -> Result<Self, Error> {
-        let mut campaign = Campaign::new(spec.scale)
-            .dataset_ids(&spec.datasets)
-            .techniques(&spec.techniques)
-            .apps(&spec.apps)
-            .policies(&spec.policies)
-            .threads(spec.threads);
-        if let Some(hierarchy) = spec.hierarchy {
-            campaign = campaign.hierarchy(hierarchy);
-        }
-        if spec.record_trace {
-            campaign = campaign.recording_llc_trace();
-        }
-        if let Some(path) = &spec.store {
-            let store = TraceStore::open(path.as_str()).map_err(Error::from)?;
-            campaign = campaign.with_trace_store(Arc::new(store));
-        }
-        Ok(campaign)
+        let store = spec.store.as_deref().map(TraceStore::open).transpose()?;
+        Ok(Self {
+            spec: spec.clone(),
+            catalog: DatasetCatalog::new(),
+            store: store.map(Arc::new),
+            flights: None,
+        })
     }
 
     /// The campaign's serializable content: everything [`Campaign::from_spec`]
@@ -398,26 +374,13 @@ impl Campaign {
     /// as its directory path). The catalog and an attached
     /// [`FlightRegistry`] are runtime wiring and are not part of the spec.
     pub fn to_spec(&self) -> CampaignSpec {
-        CampaignSpec {
-            scale: self.scale,
-            datasets: self.datasets.clone(),
-            techniques: self.techniques.clone(),
-            apps: self.apps.clone(),
-            policies: self.policies.clone(),
-            hierarchy: self.hierarchy,
-            record_trace: self.record_trace,
-            threads: self.threads,
-            store: self
-                .store
-                .as_ref()
-                .map(|store| store.dir().display().to_string()),
-        }
+        self.spec.clone()
     }
 
     /// Sets the (synthetic) datasets of the grid.
     #[must_use]
     pub fn datasets(mut self, datasets: &[DatasetKind]) -> Self {
-        self.datasets = datasets.iter().map(|&kind| kind.into()).collect();
+        self.spec.datasets = datasets.iter().map(|&kind| kind.into()).collect();
         self
     }
 
@@ -425,7 +388,7 @@ impl Campaign {
     /// stand-ins and ingested on-disk graphs freely.
     #[must_use]
     pub fn dataset_ids(mut self, datasets: &[DatasetId]) -> Self {
-        self.datasets = datasets.to_vec();
+        self.spec.datasets = datasets.to_vec();
         self
     }
 
@@ -435,7 +398,7 @@ impl Campaign {
     /// runs.
     #[must_use]
     pub fn ingested_dataset(mut self, hash: GraphHash) -> Self {
-        self.datasets.push(DatasetId::Ingested(hash));
+        self.spec.datasets.push(DatasetId::Ingested(hash));
         self
     }
 
@@ -450,35 +413,28 @@ impl Campaign {
     /// Sets the reordering techniques of the grid (default: DBG only).
     #[must_use]
     pub fn techniques(mut self, techniques: &[TechniqueKind]) -> Self {
-        self.techniques = techniques.to_vec();
+        self.spec.techniques = techniques.to_vec();
         self
     }
 
     /// Sets the applications of the grid.
     #[must_use]
     pub fn apps(mut self, apps: &[AppKind]) -> Self {
-        self.apps = apps.to_vec();
+        self.spec.apps = apps.to_vec();
         self
     }
 
     /// Sets the LLC policies of the grid.
     #[must_use]
     pub fn policies(mut self, policies: &[PolicyKind]) -> Self {
-        self.policies = policies.to_vec();
+        self.spec.policies = policies.to_vec();
         self
     }
 
     /// Overrides the hierarchy configuration (default: `scale.hierarchy()`).
     #[must_use]
     pub fn hierarchy(mut self, hierarchy: HierarchyConfig) -> Self {
-        self.hierarchy = Some(hierarchy);
-        self
-    }
-
-    /// Requests an LLC trace in every cell's [`RunResult`] (the OPT study).
-    #[must_use]
-    pub fn recording_llc_trace(mut self) -> Self {
-        self.record_trace = true;
+        self.spec.hierarchy = Some(hierarchy);
         self
     }
 
@@ -491,6 +447,7 @@ impl Campaign {
     /// the next run. Corrupt entries count as misses and are overwritten.
     #[must_use]
     pub fn with_trace_store(mut self, store: Arc<TraceStore>) -> Self {
+        self.spec.store = Some(store.dir().display().to_string());
         self.store = Some(store);
         self
     }
@@ -549,7 +506,7 @@ impl Campaign {
     /// exercisable on small machines.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.spec.threads = threads;
         self
     }
 
@@ -557,7 +514,7 @@ impl Campaign {
     fn worker_budget(&self, jobs: usize) -> usize {
         let available = std::thread::available_parallelism().map_or(1, |n| n.get());
         let sane_limit = available.saturating_mul(8);
-        let requested = match self.threads {
+        let requested = match self.spec.threads {
             0 => available,
             oversized if oversized > sane_limit => available,
             explicit => explicit,
@@ -570,7 +527,7 @@ impl Campaign {
     /// [`CampaignSpec::cells`] — the grid has exactly one definition, shared
     /// by the library and the service wire format.
     pub fn cells(&self) -> Vec<CampaignCell> {
-        self.to_spec().cells()
+        self.spec.cells()
     }
 
     /// Runs the campaign and returns the results in grid order.
@@ -596,8 +553,9 @@ impl Campaign {
     /// planning thread, so a misnamed dataset fails the same way whether or
     /// not a warm store would have hidden it from the workers.
     fn stream_job(&self, dataset: DatasetId, technique: TechniqueKind, app: AppKind) -> StreamJob {
+        let scale = self.spec.scale;
         let size = match dataset {
-            DatasetId::Synthetic(kind) => self.scale.vertices() * (1 + kind.average_degree()),
+            DatasetId::Synthetic(kind) => scale.vertices() * (1 + kind.average_degree()),
             DatasetId::Ingested(hash) => {
                 let entry = self
                     .catalog
@@ -607,14 +565,14 @@ impl Campaign {
             }
         };
         let app_config = Experiment::traced_app_config(app);
-        let hierarchy = self.hierarchy.unwrap_or_else(|| self.scale.hierarchy());
+        let hierarchy = self.spec.hierarchy.unwrap_or_else(|| scale.hierarchy());
         StreamJob {
             dataset,
             technique,
             app,
             hierarchy,
             app_config,
-            key: TraceStoreKey::new(dataset, self.scale, technique, app, &hierarchy, &app_config),
+            key: TraceStoreKey::new(dataset, scale, technique, app, &hierarchy, &app_config),
             record_work: size as f64 * app_config.max_iterations.max(1) as f64,
         }
     }
@@ -628,7 +586,7 @@ impl Campaign {
         let direction = job.app.hotness_direction();
         let build = || {
             let source = graphs.base.get(job.dataset, || match job.dataset {
-                DatasetId::Synthetic(kind) => Arc::new(kind.build(self.scale).graph),
+                DatasetId::Synthetic(kind) => Arc::new(kind.build(self.spec.scale).graph),
                 DatasetId::Ingested(hash) => self
                     .catalog
                     .load(hash)
@@ -655,11 +613,7 @@ impl Campaign {
             .into_iter()
             .map(|cell| {
                 let job = self.stream_job(cell.dataset, cell.technique, cell.app);
-                let mut experiment = job.experiment(self.prepared_graph(&graphs, &job));
-                if self.record_trace {
-                    experiment = experiment.recording_llc_trace();
-                }
-                (cell, experiment)
+                (cell, job.experiment(self.prepared_graph(&graphs, &job)))
             })
             .collect();
         let runs = parallel_map(&work, threads, |(cell, experiment)| CampaignRun {
@@ -785,11 +739,10 @@ impl Campaign {
     ///   last cell completes, so peak trace memory is bounded by the
     ///   streams with in-flight cells, not the whole grid.
     ///
-    /// Each cell's replay is one [`RecordedRun::replay`] (or
-    /// [`RecordedRun::replay_with_trace`]) call on its stream's recording,
-    /// whichever worker runs it and whenever, so results never depend on
-    /// scheduling; result slots are indexed by cell, so neither does grid
-    /// order.
+    /// Each cell's replay is one [`RecordedRun::replay`] of its stream's
+    /// recording, whichever worker runs it and whenever, so results never
+    /// depend on scheduling; result slots are indexed by cell, so neither
+    /// does grid order.
     fn run_scheduled(&self, observer: Option<CellObserver<'_>>) -> CampaignResult {
         let (cells, streams) = self.stream_plan();
         let workers = self.worker_budget(cells.len());
@@ -1006,7 +959,7 @@ impl Campaign {
                 if let (Some(shared), Some(lead)) = (&plan.shared, lead) {
                     shared.interest.land(lead, stats.clone());
                 }
-                let result = recorded.result(cell.policy, stats, self.record_trace);
+                let result = recorded.result(cell.policy, stats);
                 let elapsed = started.elapsed().as_secs_f64();
                 drop(recorded);
                 let run = CampaignRun { cell, result };
@@ -1484,18 +1437,9 @@ mod tests {
 
     #[test]
     fn replay_and_direct_plans_agree_bit_for_bit() {
-        // With traces requested: the scheduler hands back each stream's
-        // recording, the oracle the trace its own LLC captured.
-        let campaign = tiny_campaign().recording_llc_trace().threads(4);
-        let replayed = campaign.run();
-        let direct = campaign.run_direct();
-        assert_eq!(replayed.len(), direct.len());
-        for (a, b) in replayed.iter().zip(direct.iter()) {
-            assert_eq!(a.cell, b.cell);
-            assert_eq!(a.result.stats, b.result.stats, "{:?}", a.cell);
-            assert_eq!(a.result.llc_trace, b.result.llc_trace, "{:?}", a.cell);
-            assert!(a.result.llc_trace.is_some(), "{:?}", a.cell);
-        }
+        // One worker: each recording is replayed by the thread that made it.
+        let campaign = tiny_campaign().threads(1);
+        assert_matches_direct(&campaign, &campaign.run());
     }
 
     #[test]
@@ -1628,6 +1572,19 @@ mod tests {
         assert_eq!(rebuilt.cells(), campaign.cells());
         let decoded = CampaignSpec::from_json(&spec.to_json()).expect("wire round-trip");
         assert_eq!(decoded, spec);
+
+        let dir = std::env::temp_dir().join(format!("grasp-campaign-spec-{}", std::process::id()));
+        let store = Arc::new(TraceStore::open(&dir).expect("temp store opens"));
+        let stored = campaign.with_trace_store(Arc::clone(&store)).to_spec();
+        assert_eq!(stored.store, Some(store.dir().display().to_string()));
+        assert_eq!(
+            CampaignSpec {
+                store: None,
+                ..stored
+            },
+            spec
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -25,8 +25,6 @@ pub struct RunResult {
     pub cycles: f64,
     /// Application output (values, iterations, edges processed).
     pub app: AppResult,
-    /// The recorded LLC demand trace, when requested.
-    pub llc_trace: Option<LlcTrace>,
 }
 
 impl RunResult {
@@ -111,13 +109,7 @@ impl RecordedRun {
     /// Replays the stream under `policy` and returns a [`RunResult`]
     /// bit-identical to [`Experiment::run`] with the same policy.
     pub fn replay(&self, policy: PolicyKind) -> RunResult {
-        self.result(policy, self.replay_stats(policy), false)
-    }
-
-    /// Like [`RecordedRun::replay`], but the result also carries a copy of
-    /// the recorded trace (the OPT study asks for it).
-    pub fn replay_with_trace(&self, policy: PolicyKind) -> RunResult {
-        self.result(policy, self.replay_stats(policy), true)
+        self.result(policy, self.replay_stats(policy))
     }
 
     /// Replays the stream under every policy of a sweep, one policy after
@@ -133,7 +125,7 @@ impl RecordedRun {
         policies
             .iter()
             .zip(stats)
-            .map(|(&policy, stats)| self.result(policy, stats, false))
+            .map(|(&policy, stats)| self.result(policy, stats))
             .collect()
     }
 
@@ -144,7 +136,7 @@ impl RecordedRun {
         let stats = self
             .trace
             .replay_scalar(self.llc, policy.build_dispatch(&self.llc));
-        self.result(policy, stats, false)
+        self.result(policy, stats)
     }
 
     /// The policy-dependent half of a replay: the hierarchy statistics of
@@ -160,21 +152,14 @@ impl RecordedRun {
 
     /// Assembles the [`RunResult`] of `policy` from its replay statistics:
     /// cycles under this recording's timing model and instruction estimate,
-    /// this recording's application output, and — `with_trace` — a handle to
-    /// the recorded stream.
-    pub(crate) fn result(
-        &self,
-        policy: PolicyKind,
-        stats: HierarchyStats,
-        with_trace: bool,
-    ) -> RunResult {
+    /// and this recording's application output.
+    pub(crate) fn result(&self, policy: PolicyKind, stats: HierarchyStats) -> RunResult {
         let cycles = self.timing.cycles(&stats, self.instructions);
         RunResult {
             policy,
             stats,
             cycles,
             app: self.app.clone(),
-            llc_trace: with_trace.then(|| (*self.trace).clone()),
         }
     }
 }
@@ -195,7 +180,6 @@ pub struct Experiment {
     app_config: AppConfig,
     hierarchy: HierarchyConfig,
     timing: TimingModel,
-    record_trace: bool,
 }
 
 impl Experiment {
@@ -216,7 +200,6 @@ impl Experiment {
             app_config: Self::traced_app_config(app),
             hierarchy,
             timing: TimingModel::default(),
-            record_trace: false,
         }
     }
 
@@ -270,14 +253,6 @@ impl Experiment {
         self
     }
 
-    /// Requests recording of the demand LLC access trace (needed for the OPT
-    /// study).
-    #[must_use]
-    pub fn recording_llc_trace(mut self) -> Self {
-        self.record_trace = true;
-        self
-    }
-
     /// The graph under experiment (after any reordering).
     pub fn graph(&self) -> &dyn GraphView {
         &*self.graph
@@ -304,60 +279,24 @@ impl Experiment {
         &self.app_config
     }
 
-    /// Reassembles a [`RecordedRun`] from a trace-store entry: the persisted
-    /// stream, application output and instruction estimate, joined with
-    /// *this* experiment's LLC geometry and timing model. The result replays
-    /// exactly like the original [`Experiment::record`] product — the record
-    /// phase is skipped, not approximated.
-    pub fn recorded_from_parts(
-        &self,
-        trace: LlcTrace,
-        app: AppResult,
-        instructions: u64,
-    ) -> RecordedRun {
-        RecordedRun::from_parts(trace, app, instructions, self.hierarchy.llc, self.timing)
-    }
-
     /// Runs the application through the simulated hierarchy with `policy`
     /// managing the LLC.
     pub fn run(&self, policy: PolicyKind) -> RunResult {
-        let mut config = self.hierarchy;
-        if self.record_trace {
-            config.record_llc_trace = true;
-        }
-        let llc_policy = policy.build_dispatch(&config.llc);
+        let llc_policy = policy.build_dispatch(&self.hierarchy.llc);
         // The classifier starts disabled; the application programs the ABRs
         // with its Property Array bounds as part of start-up, which rebuilds
         // the classifier with the right bounds (Sec. III-A).
-        let mut hierarchy = Hierarchy::new(config, llc_policy, RegionClassifier::disabled());
-        if self.record_trace {
-            hierarchy.reserve_llc_trace(self.trace_capacity_estimate());
-        }
+        let hierarchy = Hierarchy::new(self.hierarchy, llc_policy, RegionClassifier::disabled());
         let mut ws = Workspace::new(TracedMemory::new(hierarchy));
         let app = self.app.run(&*self.graph, &mut ws, &self.app_config);
-        let instructions = app.instruction_estimate();
-        let traced = ws.into_memory();
-        let stats = traced.stats();
-        let cycles = self.timing.cycles(&stats, instructions);
-        let llc_trace = if self.record_trace {
-            Some(traced.into_hierarchy().into_llc_trace())
-        } else {
-            None
-        };
+        let stats = ws.into_memory().stats();
+        let cycles = self.timing.cycles(&stats, app.instruction_estimate());
         RunResult {
             policy,
             stats,
             cycles,
             app,
-            llc_trace,
         }
-    }
-
-    fn trace_capacity_estimate(&self) -> usize {
-        LlcTrace::estimate_capacity(
-            self.graph.edge_count(),
-            self.app_config.max_iterations as u64,
-        )
     }
 
     /// Runs the application once through the upper levels only (L1 + L2 +
@@ -367,10 +306,11 @@ impl Experiment {
     /// LLC policy, producing [`RunResult`]s bit-identical to
     /// [`Experiment::run`] at a fraction of the cost.
     pub fn record(&self) -> RecordedRun {
-        let mut config = self.hierarchy;
-        config.record_llc_trace = true;
-        let mut memory = RecordingMemory::new(config);
-        memory.reserve_trace(self.trace_capacity_estimate());
+        let mut memory = RecordingMemory::new(self.hierarchy);
+        memory.reserve_trace(LlcTrace::estimate_capacity(
+            self.graph.edge_count(),
+            self.app_config.max_iterations as u64,
+        ));
         let mut ws = Workspace::new(memory);
         let app = self.app.run(&*self.graph, &mut ws, &self.app_config);
         let instructions = app.instruction_estimate();
@@ -417,7 +357,6 @@ mod tests {
         assert!(result.llc_misses() <= result.llc_accesses());
         assert_eq!(result.stats.memory_accesses, result.llc_misses());
         assert!(result.cycles > 0.0);
-        assert!(result.llc_trace.is_none());
     }
 
     #[test]
@@ -440,9 +379,10 @@ mod tests {
 
     #[test]
     fn trace_recording_captures_llc_accesses() {
-        let exp = small_experiment(AppKind::PageRank).recording_llc_trace();
+        let exp = small_experiment(AppKind::PageRank);
         let result = exp.run(PolicyKind::Rrip);
-        let trace = result.llc_trace.as_ref().expect("trace was requested");
+        let recorded = exp.record();
+        let trace = recorded.trace();
         assert_eq!(trace.demand_len() as u64, result.llc_accesses());
         assert!(
             trace.len() >= trace.demand_len(),
@@ -460,18 +400,19 @@ mod tests {
             assert_eq!(direct.stats, replayed.stats, "{policy}");
             assert_eq!(direct.app.values, replayed.app.values, "{policy}");
             assert!((direct.cycles - replayed.cycles).abs() < 1e-12, "{policy}");
-            assert!(replayed.llc_trace.is_none());
         }
     }
 
     #[test]
-    fn recorded_from_parts_reassembles_a_replayable_run() {
+    fn from_parts_reassembles_a_replayable_run() {
         let exp = small_experiment(AppKind::PageRank);
         let recorded = exp.record();
-        let reassembled = exp.recorded_from_parts(
+        let reassembled = RecordedRun::from_parts(
             recorded.trace().clone(),
             recorded.app().clone(),
             recorded.instructions(),
+            exp.hierarchy().llc,
+            TimingModel::default(),
         );
         for policy in [PolicyKind::Rrip, PolicyKind::Grasp] {
             let a = recorded.replay(policy);
@@ -480,19 +421,6 @@ mod tests {
             assert_eq!(a.cycles, b.cycles, "{policy}");
             assert_eq!(a.app.values, b.app.values, "{policy}");
         }
-    }
-
-    #[test]
-    fn replay_with_trace_carries_the_recorded_stream() {
-        let exp = small_experiment(AppKind::PageRank);
-        let recorded = exp.record();
-        let direct = exp.recording_llc_trace().run(PolicyKind::Rrip);
-        let replayed = recorded.replay_with_trace(PolicyKind::Rrip);
-        assert_eq!(
-            direct.llc_trace.expect("direct trace"),
-            replayed.llc_trace.expect("replayed trace"),
-            "record() and a recording run() capture the same stream"
-        );
     }
 
     #[test]

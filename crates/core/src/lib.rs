@@ -8,10 +8,9 @@
 //!   covering every scheme of the evaluation, including GRASP's ablations and
 //!   the PIN-X configurations,
 //! * the **experiment runner** ([`experiment`]) — dataset × reordering ×
-//!   application × LLC policy → hierarchy statistics, estimated cycles and
-//!   (optionally) a recorded LLC trace; [`experiment::Experiment::record`]
-//!   captures the post-L2 stream once so any number of policies can be
-//!   evaluated by replay,
+//!   application × LLC policy → hierarchy statistics and estimated cycles;
+//!   [`experiment::Experiment::record`] captures the post-L2 stream once so
+//!   any number of policies can be evaluated by replay,
 //! * the **campaign runner** ([`campaign`]) — a whole figure's grid of
 //!   experiments under a record-once / replay-many execution plan, with
 //!   graphs built on demand (at most once, only when a stream has to be

@@ -9,7 +9,7 @@ use grasp_cachesim::policy::pin::PinX;
 use grasp_cachesim::policy::random::RandomReplacement;
 use grasp_cachesim::policy::rrip::{Brrip, Drrip, Srrip};
 use grasp_cachesim::policy::ship::ShipMem;
-use grasp_cachesim::policy::{PolicyDispatch, ReplacementPolicy};
+use grasp_cachesim::policy::PolicyDispatch;
 use serde::{Deserialize, Serialize};
 
 /// Seed used for the probabilistic components of the policies, fixed so every
@@ -159,40 +159,6 @@ impl PolicyKind {
             PolicyKind::Grasp => Grasp::new(sets, ways, POLICY_SEED).into(),
         }
     }
-
-    /// Instantiates the policy as a boxed trait object.
-    ///
-    /// Prefer [`PolicyKind::build_dispatch`]; this remains for callers that
-    /// need a `Box<dyn ReplacementPolicy>` (converting it into a
-    /// [`PolicyDispatch`] keeps dynamic dispatch).
-    pub fn build(self, config: &CacheConfig) -> Box<dyn ReplacementPolicy> {
-        let sets = config.sets();
-        let ways = config.ways;
-        match self {
-            PolicyKind::Lru => Box::new(Lru::new(sets, ways)),
-            PolicyKind::Random => Box::new(RandomReplacement::new(sets, ways, POLICY_SEED)),
-            PolicyKind::Srrip => Box::new(Srrip::new(sets, ways)),
-            PolicyKind::Brrip => Box::new(Brrip::new(sets, ways, POLICY_SEED)),
-            PolicyKind::Rrip => Box::new(Drrip::new(sets, ways, POLICY_SEED)),
-            PolicyKind::ShipMem => Box::new(ShipMem::new(sets, ways, config.block_bytes)),
-            PolicyKind::Hawkeye => Box::new(Hawkeye::new(sets, ways, config.block_bytes)),
-            PolicyKind::Leeway => Box::new(Leeway::new(sets, ways)),
-            PolicyKind::Pin(percent) => Box::new(PinX::new(sets, ways, percent)),
-            PolicyKind::GraspHintsOnly => Box::new(Grasp::with_mode(
-                sets,
-                ways,
-                POLICY_SEED,
-                GraspMode::HintsOnly,
-            )),
-            PolicyKind::GraspInsertionOnly => Box::new(Grasp::with_mode(
-                sets,
-                ways,
-                POLICY_SEED,
-                GraspMode::InsertionOnly,
-            )),
-            PolicyKind::Grasp => Box::new(Grasp::new(sets, ways, POLICY_SEED)),
-        }
-    }
 }
 
 impl std::fmt::Display for PolicyKind {
@@ -224,10 +190,8 @@ mod tests {
             PolicyKind::Grasp,
         ];
         for kind in all {
-            let policy = kind.build(&config);
-            assert!(!policy.name().is_empty(), "{kind}");
             let dispatch = kind.build_dispatch(&config);
-            assert_eq!(dispatch.name(), policy.name(), "{kind}");
+            assert!(!dispatch.name().is_empty(), "{kind}");
             assert!(
                 !matches!(dispatch, PolicyDispatch::Dyn(_)),
                 "{kind} must take the static dispatch path"

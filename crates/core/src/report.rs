@@ -77,21 +77,6 @@ fn json_string_array(items: &[String]) -> String {
     format!("[{}]", cells.join(","))
 }
 
-/// Environment metadata embedded in a `BENCH_*.json` dump, so trajectory
-/// readers can tell *how* a figure was measured: speedup bars are enforced
-/// only at ≥ 4 hardware threads (and demotable via
-/// `GRASP_BENCH_NO_SPEEDUP_BARS=1`), which makes a bar-demoted 1-core CI
-/// dump and a bar-enforced workstation dump different measurements of the
-/// same figure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BenchMeta {
-    /// Hardware threads available where the dump was produced.
-    pub hardware_threads: usize,
-    /// Whether the run's speedup bars were enforced (`false` = demoted:
-    /// too few threads, or `GRASP_BENCH_NO_SPEEDUP_BARS=1`).
-    pub speedup_bars_enforced: bool,
-}
-
 /// Serializes one or more tables into a stable, machine-readable JSON
 /// document:
 ///
@@ -100,26 +85,10 @@ pub struct BenchMeta {
 ///  "tables":[{"title":"...","headers":[...],"rows":[[...],[...]]}]}
 /// ```
 ///
-/// Everything in it is a simulation result or names the host; how long the
-/// figure took is the `pipeline` ledger's business, not this file's.
+/// Everything in it is a simulation result: how long the figure took, and
+/// on what host, is the `pipeline` ledger's business, not this file's.
 pub fn to_json(figure: &str, tables: &[&Table]) -> String {
-    to_json_with_meta(figure, None, tables)
-}
-
-/// [`to_json`] with environment metadata: adds `"hardware_threads"` and
-/// `"speedup_bars_enforced"` members after `figure`. Trajectory readers
-/// ignore unknown keys, so dumps with and without metadata diff cleanly
-/// against each other.
-pub fn to_json_with_meta(figure: &str, meta: Option<BenchMeta>, tables: &[&Table]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{{\"figure\":\"{}\"", json_escape(figure)));
-    if let Some(meta) = meta {
-        out.push_str(&format!(
-            ",\"hardware_threads\":{},\"speedup_bars_enforced\":{}",
-            meta.hardware_threads, meta.speedup_bars_enforced
-        ));
-    }
-    out.push_str(",\"tables\":[");
+    let mut out = format!("{{\"figure\":\"{}\",\"tables\":[", json_escape(figure));
     for (i, table) in tables.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -207,19 +176,6 @@ mod tests {
         assert!(json.contains("\"headers\":[\"dataset\",\"GRASP\"]"));
         assert!(json.contains("\"rows\":[[\"lj\\n\",\"6.4\"]]"));
         assert!(json.ends_with("]}\n"));
-    }
-
-    #[test]
-    fn json_output_embeds_bench_metadata() {
-        let t = Table::new("t", &["x"]);
-        let meta = BenchMeta {
-            hardware_threads: 8,
-            speedup_bars_enforced: true,
-        };
-        let json = to_json_with_meta("fig", Some(meta), &[&t]);
-        assert!(json.contains("\"figure\":\"fig\",\"hardware_threads\":8,"));
-        assert!(json.contains("\"speedup_bars_enforced\":true,\"tables\":["));
-        assert_eq!(to_json_with_meta("fig", None, &[&t]), to_json("fig", &[&t]));
     }
 
     #[test]

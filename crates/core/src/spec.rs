@@ -6,10 +6,11 @@
 //! path, thread budget — with hand-rolled JSON encode/decode
 //! (the vendored `serde` stub has no JSON backend). The contract:
 //!
-//! * [`Campaign::to_spec`] / [`Campaign::from_spec`] round-trip, so any
-//!   campaign a client can build it can also serialize and submit to the
-//!   service daemon (`grasp-serve`) — and the daemon reconstructs the same
-//!   campaign.
+//! * A [`Campaign`] *holds* its spec: the builder methods write it,
+//!   [`Campaign::to_spec`] hands out a copy and [`Campaign::from_spec`]
+//!   adopts one, so any campaign a client can build it can also serialize
+//!   and submit to the service daemon (`grasp-serve`) — and the daemon
+//!   reconstructs the same campaign.
 //! * [`CampaignSpec::cells`] is the **single definition of the grid**:
 //!   [`Campaign::cells`] delegates here, so a library run and a service run
 //!   of the same spec provably walk identical cells in identical order.
@@ -36,9 +37,9 @@ use grasp_cachesim::config::{CacheConfig, HierarchyConfig, LatencyConfig};
 use grasp_reorder::TechniqueKind;
 use std::collections::BTreeMap;
 
-/// A serializable experiment-grid request. Field semantics and defaults
-/// mirror the [`Campaign`](crate::campaign::Campaign) builder exactly; see
-/// the module docs for the wire vocabulary.
+/// A serializable experiment-grid request: the fields the
+/// [`Campaign`](crate::campaign::Campaign) builder methods set. See the
+/// module docs for the wire vocabulary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
     /// Scale synthetic datasets are generated at (and the default
@@ -54,8 +55,6 @@ pub struct CampaignSpec {
     pub policies: Vec<PolicyKind>,
     /// Hierarchy override; `None` uses `scale.hierarchy()`.
     pub hierarchy: Option<HierarchyConfig>,
-    /// Whether every cell's result carries an LLC trace (the OPT study).
-    pub record_trace: bool,
     /// Worker-thread budget; `0` means one worker per available CPU.
     pub threads: usize,
     /// Trace-store directory. `None` runs without persistence (unless the
@@ -67,8 +66,8 @@ pub struct CampaignSpec {
 }
 
 impl CampaignSpec {
-    /// An empty spec at the given scale, with the same defaults as
-    /// [`Campaign::new`](crate::campaign::Campaign::new).
+    /// An empty spec at the given scale: no datasets, apps or policies,
+    /// DBG reordering, the scale's hierarchy, one worker per CPU, no store.
     pub fn new(scale: Scale) -> Self {
         Self {
             scale,
@@ -77,7 +76,6 @@ impl CampaignSpec {
             apps: Vec::new(),
             policies: Vec::new(),
             hierarchy: None,
-            record_trace: false,
             threads: 0,
             store: None,
         }
@@ -170,7 +168,6 @@ impl CampaignSpec {
         if let Some(hierarchy) = &self.hierarchy {
             map.insert("hierarchy".to_owned(), hierarchy_to_value(hierarchy));
         }
-        map.insert("record_trace".to_owned(), Json::Bool(self.record_trace));
         map.insert("threads".to_owned(), Json::integer(self.threads as u64));
         if let Some(store) = &self.store {
             map.insert("store".to_owned(), Json::string(store.clone()));
@@ -192,14 +189,13 @@ impl CampaignSpec {
             .as_object()
             .ok_or_else(|| spec_err("spec must be a JSON object"))?;
         for key in object.keys() {
-            const KNOWN: [&str; 9] = [
+            const KNOWN: [&str; 8] = [
                 "scale",
                 "datasets",
                 "techniques",
                 "apps",
                 "policies",
                 "hierarchy",
-                "record_trace",
                 "threads",
                 "store",
             ];
@@ -235,11 +231,6 @@ impl CampaignSpec {
 
         if let Some(hierarchy) = value.get("hierarchy") {
             spec.hierarchy = Some(hierarchy_from_value(hierarchy)?);
-        }
-        if let Some(record_trace) = value.get("record_trace") {
-            spec.record_trace = record_trace
-                .as_bool()
-                .ok_or_else(|| spec_err("record_trace must be a boolean"))?;
         }
         spec.threads = parse_count(value, "threads")?.unwrap_or(0);
         if let Some(store) = value.get("store") {
@@ -374,7 +365,6 @@ fn hierarchy_to_value(hierarchy: &HierarchyConfig) -> Json {
             ]),
         ),
         ("prefetch", Json::Bool(hierarchy.prefetch)),
-        ("record_llc_trace", Json::Bool(hierarchy.record_llc_trace)),
     ])
 }
 
@@ -404,13 +394,11 @@ fn hierarchy_from_value(value: &Json) -> Result<HierarchyConfig, Error> {
                 ))
             })
     };
-    let flag = |name: &str| -> Result<bool, Error> {
-        value
-            .get(name)
-            .ok_or_else(|| spec_err(format!("hierarchy: missing {name:?}")))?
-            .as_bool()
-            .ok_or_else(|| spec_err(format!("hierarchy.{name} must be a boolean")))
-    };
+    let prefetch = value
+        .get("prefetch")
+        .ok_or_else(|| spec_err("hierarchy: missing \"prefetch\""))?
+        .as_bool()
+        .ok_or_else(|| spec_err("hierarchy.prefetch must be a boolean"))?;
     Ok(HierarchyConfig {
         l1: level("l1")?,
         l2: level("l2")?,
@@ -421,14 +409,14 @@ fn hierarchy_from_value(value: &Json) -> Result<HierarchyConfig, Error> {
             llc_cycles: cycles("llc_cycles")?,
             memory_cycles: cycles("memory_cycles")?,
         },
-        prefetch: flag("prefetch")?,
-        record_llc_trace: flag("record_llc_trace")?,
+        prefetch,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Campaign;
     use crate::datasets::{DatasetKind, GraphHash};
     use proptest::prelude::*;
 
@@ -448,7 +436,6 @@ mod tests {
             PolicyKind::Grasp,
         ];
         spec.hierarchy = Some(Scale::Small.hierarchy().without_prefetch());
-        spec.record_trace = true;
         spec.threads = 6;
         spec.store = Some("/tmp/grasp store \"quoted\"".to_owned());
         spec
@@ -462,6 +449,11 @@ mod tests {
         assert_eq!(decoded, spec);
         // Stable bytes: equal specs serialize identically.
         assert_eq!(decoded.to_json(), text);
+        // A document from when the hierarchy could record carries a
+        // "record_llc_trace" member: it names the same configuration.
+        let old = text.replace("\"prefetch\":", "\"record_llc_trace\":true,\"prefetch\":");
+        assert_ne!(old, text);
+        assert_eq!(CampaignSpec::from_json(&old).expect("decodes"), spec);
     }
 
     #[test]
@@ -505,6 +497,10 @@ mod tests {
             (r#"{"scale":"tiny","threads":-1}"#, "threads must be"),
             (r#"{"scale":"tiny","threads":1.5}"#, "threads must be"),
             (r#"{"scale":"tiny","codec":"raw"}"#, "unknown field"),
+            (
+                r#"{"scale":"tiny","record_trace":false}"#,
+                "unknown field \"record_trace\"",
+            ),
             (r#"{"scale":"tiny","frobnicate":1}"#, "unknown field"),
         ];
         for (doc, needle) in cases {
@@ -578,16 +574,14 @@ mod tests {
             if next(2) == 0 {
                 hierarchy = hierarchy.without_prefetch();
             }
-            if next(2) == 0 {
-                hierarchy = hierarchy.with_llc_trace();
-            }
             hierarchy.latency.memory_cycles = 100 + next(400);
             spec.hierarchy = Some(hierarchy);
         }
-        spec.record_trace = next(2) == 0;
         spec.threads = next(9) as usize;
         if next(2) == 0 {
-            spec.store = Some(format!("/tmp/store-{}", next(1000)));
+            // Under the temp directory: `Campaign::from_spec` creates it.
+            let name = format!("grasp-spec-{}-{}", std::process::id(), next(1000));
+            spec.store = Some(std::env::temp_dir().join(name).display().to_string());
         }
         spec
     }
@@ -601,6 +595,19 @@ mod tests {
                 .map_err(|e| TestCaseError::fail(format!("{e}")))?;
             prop_assert_eq!(&decoded, &spec);
             prop_assert_eq!(decoded.to_json(), text);
+        }
+
+        #[test]
+        fn a_campaign_is_its_spec(seed in 0u64..u64::MAX) {
+            let spec = arbitrary_spec(seed);
+            let campaign = Campaign::from_spec(&spec)
+                .map_err(|e| TestCaseError::fail(format!("{e}")))?;
+            if let Some(dir) = &spec.store {
+                std::fs::remove_dir(dir).ok();
+            }
+            prop_assert_eq!(campaign.trace_store().is_some(), spec.store.is_some());
+            prop_assert_eq!(campaign.cells(), spec.cells());
+            prop_assert_eq!(campaign.to_spec(), spec);
         }
     }
 }

@@ -77,7 +77,6 @@ const FLAG_UNIFORM_WEIGHTS: u32 = 1;
 /// Total header size in bytes.
 const HEADER_LEN: usize = 192;
 
-/// Column file names, in header column-table order.
 /// The column file names of a binary CSR directory, in header-table order.
 pub const COLUMN_FILES: [&str; 6] = [
     "out.offsets",
@@ -435,6 +434,39 @@ pub fn build_csr_parallel(edges: &EdgeList, threads: usize) -> crate::Result<Csr
     Ok(Csr::from_directions(vertex_count, out, inc))
 }
 
+/// A column word — `u32` or `u64`, little-endian on disk. Private, and
+/// implemented for those two only: [`DiskColumn::as_slice`] relies on every
+/// bit pattern being a valid word.
+trait LeWord: Copy {
+    /// `[u8; size_of::<Self>()]`.
+    type Bytes: AsRef<[u8]> + IntoIterator<Item = u8>;
+
+    /// The word's on-disk bytes.
+    fn to_le(self) -> Self::Bytes;
+
+    /// The word stored as `bytes` (`size_of::<Self>()` of them).
+    #[cfg(not(all(unix, target_endian = "little")))]
+    fn from_le(bytes: &[u8]) -> Self;
+}
+
+macro_rules! impl_le_word {
+    ($($word:ty),*) => {$(
+        impl LeWord for $word {
+            type Bytes = [u8; std::mem::size_of::<$word>()];
+
+            fn to_le(self) -> Self::Bytes {
+                self.to_le_bytes()
+            }
+
+            #[cfg(not(all(unix, target_endian = "little")))]
+            fn from_le(bytes: &[u8]) -> Self {
+                Self::from_le_bytes(bytes.try_into().expect("one word"))
+            }
+        }
+    )*};
+}
+impl_le_word!(u32, u64);
+
 /// One column of a graph about to be written: a borrowed slice of either
 /// width, so the writer thread and the hashing thread can both walk it.
 #[derive(Clone, Copy)]
@@ -450,28 +482,24 @@ impl Column<'_> {
     /// the latency of one; the bytes come straight out of the values and are
     /// never laid out in memory.
     fn fold_into(self, content_hash: &mut u64) -> ColumnMeta {
-        fn fold<T: Copy, const N: usize>(
-            values: &[T],
-            le_bytes: impl Fn(T) -> [u8; N],
-            content_hash: &mut u64,
-        ) -> ColumnMeta {
+        fn fold<T: LeWord>(values: &[T], content_hash: &mut u64) -> ColumnMeta {
             let mut content = *content_hash;
             let mut checksum = FNV_OFFSET;
             for &value in values {
-                for b in le_bytes(value) {
+                for b in value.to_le() {
                     content = (content ^ u64::from(b)).wrapping_mul(FNV_PRIME);
                     checksum = (checksum ^ u64::from(b)).wrapping_mul(FNV_PRIME);
                 }
             }
             *content_hash = content;
             ColumnMeta {
-                byte_len: (values.len() * N) as u64,
+                byte_len: std::mem::size_of_val(values) as u64,
                 checksum,
             }
         }
         match self {
-            Column::U64(values) => fold(values, u64::to_le_bytes, content_hash),
-            Column::U32(values) => fold(values, u32::to_le_bytes, content_hash),
+            Column::U64(values) => fold(values, content_hash),
+            Column::U32(values) => fold(values, content_hash),
         }
     }
 
@@ -480,25 +508,22 @@ impl Column<'_> {
     fn write_to(self, path: &Path) -> std::io::Result<()> {
         /// Values converted per `write` call.
         const BLOCK_VALUES: usize = 8 * 1024;
-        fn write<T: Copy, const N: usize>(
-            path: &Path,
-            values: &[T],
-            le_bytes: impl Fn(T) -> [u8; N],
-        ) -> std::io::Result<()> {
+        fn write<T: LeWord>(path: &Path, values: &[T]) -> std::io::Result<()> {
+            let word = std::mem::size_of::<T>();
             let mut file = std::fs::File::create(path)?;
-            let mut block = vec![0u8; BLOCK_VALUES.min(values.len()) * N];
+            let mut block = vec![0u8; BLOCK_VALUES.min(values.len()) * word];
             for chunk in values.chunks(BLOCK_VALUES) {
-                let bytes = &mut block[..chunk.len() * N];
-                for (slot, &value) in bytes.chunks_exact_mut(N).zip(chunk) {
-                    slot.copy_from_slice(&le_bytes(value));
+                let bytes = &mut block[..std::mem::size_of_val(chunk)];
+                for (slot, &value) in bytes.chunks_exact_mut(word).zip(chunk) {
+                    slot.copy_from_slice(value.to_le().as_ref());
                 }
                 file.write_all(bytes)?;
             }
             Ok(())
         }
         match self {
-            Column::U64(values) => write(path, values, u64::to_le_bytes),
-            Column::U32(values) => write(path, values, u32::to_le_bytes),
+            Column::U64(values) => write(path, values),
+            Column::U32(values) => write(path, values),
         }
     }
 }
@@ -737,19 +762,12 @@ impl Drop for MmapRegion {
     }
 }
 
-/// One on-disk column of `u64` values: mmap-backed where possible, owned
+/// One on-disk column of `T` words: mmap-backed where possible, owned
 /// (decoded) otherwise.
-enum U64Column {
+enum DiskColumn<T> {
     #[cfg(all(unix, target_endian = "little"))]
     Mapped(MmapRegion),
-    Owned(Vec<u64>),
-}
-
-/// One on-disk column of `u32` values.
-enum U32Column {
-    #[cfg(all(unix, target_endian = "little"))]
-    Mapped(MmapRegion),
-    Owned(Vec<u32>),
+    Owned(Vec<T>),
 }
 
 fn open_column(
@@ -785,17 +803,14 @@ fn open_column(
     Ok(Some(file))
 }
 
-impl U64Column {
+impl<T: LeWord> DiskColumn<T> {
     fn open(dir: &Path, index: usize, expected_len: u64) -> Result<Self, DiskCsrError> {
         let Some(file) = open_column(dir, index, expected_len)? else {
-            return Ok(U64Column::Owned(Vec::new()));
+            return Ok(Self::Owned(Vec::new()));
         };
         #[cfg(all(unix, target_endian = "little"))]
         {
-            Ok(U64Column::Mapped(MmapRegion::map(
-                &file,
-                expected_len as usize,
-            )?))
+            Ok(Self::Mapped(MmapRegion::map(&file, expected_len as usize)?))
         }
         #[cfg(not(all(unix, target_endian = "little")))]
         {
@@ -803,88 +818,37 @@ impl U64Column {
             use std::io::Read;
             let mut file = file;
             file.read_to_end(&mut bytes)?;
-            Ok(U64Column::Owned(
+            Ok(Self::Owned(
                 bytes
-                    .chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+                    .chunks_exact(std::mem::size_of::<T>())
+                    .map(T::from_le)
                     .collect(),
             ))
         }
     }
 
-    fn as_slice(&self) -> &[u64] {
+    fn as_slice(&self) -> &[T] {
         match self {
             #[cfg(all(unix, target_endian = "little"))]
-            // SAFETY: the mapping is page-aligned and its length is a
-            // multiple of 8 (validated against the header at open time).
-            U64Column::Mapped(m) => unsafe {
-                std::slice::from_raw_parts(m.ptr as *const u64, m.len / 8)
+            // SAFETY: the mapping is page-aligned, its length is a multiple
+            // of `size_of::<T>()` (validated against the header at open
+            // time), and `T` is a `u32` or a `u64` (see `LeWord`), which on
+            // this little-endian host is exactly what the file stores.
+            Self::Mapped(m) => unsafe {
+                std::slice::from_raw_parts(m.ptr as *const T, m.len / std::mem::size_of::<T>())
             },
-            U64Column::Owned(v) => v,
+            Self::Owned(v) => v,
         }
     }
 
     fn checksum(&self) -> u64 {
         match self {
             #[cfg(all(unix, target_endian = "little"))]
-            U64Column::Mapped(m) => fnv1a_of(m.bytes()),
-            U64Column::Owned(v) => {
+            Self::Mapped(m) => fnv1a_of(m.bytes()),
+            Self::Owned(v) => {
                 let mut h = FNV_OFFSET;
                 for x in v {
-                    fnv1a(&mut h, &x.to_le_bytes());
-                }
-                h
-            }
-        }
-    }
-}
-
-impl U32Column {
-    fn open(dir: &Path, index: usize, expected_len: u64) -> Result<Self, DiskCsrError> {
-        let Some(file) = open_column(dir, index, expected_len)? else {
-            return Ok(U32Column::Owned(Vec::new()));
-        };
-        #[cfg(all(unix, target_endian = "little"))]
-        {
-            Ok(U32Column::Mapped(MmapRegion::map(
-                &file,
-                expected_len as usize,
-            )?))
-        }
-        #[cfg(not(all(unix, target_endian = "little")))]
-        {
-            let mut bytes = Vec::new();
-            use std::io::Read;
-            let mut file = file;
-            file.read_to_end(&mut bytes)?;
-            Ok(U32Column::Owned(
-                bytes
-                    .chunks_exact(4)
-                    .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-                    .collect(),
-            ))
-        }
-    }
-
-    fn as_slice(&self) -> &[u32] {
-        match self {
-            #[cfg(all(unix, target_endian = "little"))]
-            // SAFETY: page-aligned mapping, length validated as 4-multiple.
-            U32Column::Mapped(m) => unsafe {
-                std::slice::from_raw_parts(m.ptr as *const u32, m.len / 4)
-            },
-            U32Column::Owned(v) => v,
-        }
-    }
-
-    fn checksum(&self) -> u64 {
-        match self {
-            #[cfg(all(unix, target_endian = "little"))]
-            U32Column::Mapped(m) => fnv1a_of(m.bytes()),
-            U32Column::Owned(v) => {
-                let mut h = FNV_OFFSET;
-                for x in v {
-                    fnv1a(&mut h, &x.to_le_bytes());
+                    fnv1a(&mut h, x.to_le().as_ref());
                 }
                 h
             }
@@ -905,12 +869,12 @@ pub struct MappedCsr {
     dir: PathBuf,
     header: DiskCsrHeader,
     vertex_count: usize,
-    out_offsets: U64Column,
-    out_targets: U32Column,
-    out_weights: Option<U32Column>,
-    in_offsets: U64Column,
-    in_targets: U32Column,
-    in_weights: Option<U32Column>,
+    out_offsets: DiskColumn<u64>,
+    out_targets: DiskColumn<u32>,
+    out_weights: Option<DiskColumn<u32>>,
+    in_offsets: DiskColumn<u64>,
+    in_targets: DiskColumn<u32>,
+    in_weights: Option<DiskColumn<u32>>,
     /// Shared weight slice served for every vertex when weights are uniform:
     /// `uniform_weights[..degree(v)]`. Sized to the maximum degree.
     uniform_weights: Vec<EdgeWeight>,
@@ -973,17 +937,17 @@ impl MappedCsr {
         let vertex_count = usize::try_from(header.vertex_count)
             .map_err(|_| DiskCsrError::Corrupt("vertex count exceeds usize".into()))?;
         let lens = expected_column_lens(&header)?;
-        let out_offsets = U64Column::open(dir, 0, lens[0])?;
-        let out_targets = U32Column::open(dir, 1, lens[1])?;
+        let out_offsets = DiskColumn::open(dir, 0, lens[0])?;
+        let out_targets = DiskColumn::open(dir, 1, lens[1])?;
         let out_weights = if header.uniform_weight.is_none() {
-            Some(U32Column::open(dir, 2, lens[2])?)
+            Some(DiskColumn::open(dir, 2, lens[2])?)
         } else {
             None
         };
-        let in_offsets = U64Column::open(dir, 3, lens[3])?;
-        let in_targets = U32Column::open(dir, 4, lens[4])?;
+        let in_offsets = DiskColumn::open(dir, 3, lens[3])?;
+        let in_targets = DiskColumn::open(dir, 4, lens[4])?;
         let in_weights = if header.uniform_weight.is_none() {
-            Some(U32Column::open(dir, 5, lens[5])?)
+            Some(DiskColumn::open(dir, 5, lens[5])?)
         } else {
             None
         };
@@ -1175,7 +1139,7 @@ pub fn load_csr(dir: &Path) -> Result<Csr, DiskCsrError> {
     let mapped = MappedCsr::open(dir)?;
     mapped.verify()?;
     let edge_count = mapped.header.edge_count as usize;
-    let materialize_weights = |col: &Option<U32Column>, w: Option<EdgeWeight>| match col {
+    let materialize_weights = |col: &Option<DiskColumn<u32>>, w: Option<EdgeWeight>| match col {
         Some(col) => col.as_slice().to_vec(),
         None => vec![w.unwrap_or(1); edge_count],
     };

@@ -12,10 +12,9 @@
 //!
 //! `bench-diff` compares freshly dumped `BENCH_<figure>.json` files against
 //! the committed baselines and fails when any **table content** changed —
-//! titles, headers, or row cells, except cells in timing columns (headers
-//! ending in ` ms`, or speed-up columns), which are machine-dependent
-//! measurements rather than simulation results. Speed is gated by the
-//! `pipeline` ledger (`perfbench/`), not here.
+//! titles, headers, or row cells, no column exempt: the dumps hold
+//! simulation results only. Speed is gated by the `pipeline` ledger
+//! (`perfbench/`), not here.
 //!
 //! Simulation tables are fully deterministic (fixed seeds end to end), so a
 //! changed cell means a behaviour change that must be acknowledged by
@@ -90,7 +89,7 @@ fn bench_diff(args: &[String]) -> ExitCode {
         let base_path = baseline.join(name);
         let fresh_path = fresh.join(name);
         match diff_figure(&base_path, &fresh_path) {
-            Ok(report) => println!("{name}: {report}"),
+            Ok(()) => println!("{name}: tables identical"),
             Err(problems) => {
                 for problem in &problems {
                     eprintln!("{name}: {problem}");
@@ -158,9 +157,9 @@ fn list_bench_files(dir: &Path) -> std::io::Result<Vec<String>> {
     Ok(names)
 }
 
-/// Compares one figure's fresh dump against its baseline. Returns a one-line
-/// summary on success, or the list of violations.
-fn diff_figure(base_path: &Path, fresh_path: &Path) -> Result<String, Vec<String>> {
+/// Compares one figure's fresh dump against its baseline; the error is the
+/// list of violations.
+fn diff_figure(base_path: &Path, fresh_path: &Path) -> Result<(), Vec<String>> {
     let base = load(base_path).map_err(|e| vec![e])?;
     let fresh = load(fresh_path).map_err(|e| {
         vec![format!(
@@ -172,45 +171,16 @@ fn diff_figure(base_path: &Path, fresh_path: &Path) -> Result<String, Vec<String
     let mut problems = Vec::new();
     diff_tables(&base, &fresh, &mut problems);
     if problems.is_empty() {
-        Ok(format!("tables identical{}", bench_meta_summary(&fresh)))
+        Ok(())
     } else {
         Err(problems)
     }
-}
-
-/// Renders a fresh dump's embedded measurement metadata (hardware thread
-/// count + speedup-bar state), so gated CI runs are distinguishable from
-/// bar-enforced multi-core runs in the log. Dumps that predate the fields
-/// render nothing.
-fn bench_meta_summary(doc: &Json) -> String {
-    let Some(threads) = doc.get("hardware_threads").and_then(Json::as_f64) else {
-        return String::new();
-    };
-    let bars = match doc.get("speedup_bars_enforced").and_then(Json::as_bool) {
-        Some(true) => "speedup bars enforced",
-        Some(false) => "speedup bars demoted",
-        None => "speedup bar state unknown",
-    };
-    format!(" (fresh: {} hw thread(s), {bars})", threads as u64)
 }
 
 fn load(path: &Path) -> Result<Json, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     json::parse(&text).map_err(|e| format!("cannot parse {}: {e}", path.display()))
-}
-
-/// A column is a timing column when its header names a measured duration or
-/// a ratio of durations — machine-dependent, excluded from strict equality.
-/// The match is deliberately narrow ("… ms" suffix or a speed-up header, the
-/// forms `grasp_core::report` tables actually use) so a header merely
-/// *containing* "ms" (e.g. "algorithms") is never silently exempted.
-fn is_timing_header(header: &str) -> bool {
-    let lower = header.to_ascii_lowercase();
-    lower == "ms"
-        || lower.ends_with(" ms")
-        || lower.contains("speed-up")
-        || lower.contains("speedup")
 }
 
 fn diff_tables(base: &Json, fresh: &Json, problems: &mut Vec<String>) {
@@ -263,11 +233,8 @@ fn diff_tables(base: &Json, fresh: &Json, problems: &mut Vec<String>) {
                 continue;
             }
             for (c, (bcell, fcell)) in brow.iter().zip(frow).enumerate() {
-                let header = base_headers.get(c).map(String::as_str).unwrap_or("");
-                if is_timing_header(header) {
-                    continue;
-                }
                 if bcell != fcell {
+                    let header = base_headers.get(c).map(String::as_str).unwrap_or("");
                     problems.push(format!(
                         "table {title:?} row {r} column {header:?}: {fcell:?} vs baseline {bcell:?}"
                     ));
@@ -321,15 +288,14 @@ mod tests {
     }
 
     #[test]
-    fn timing_columns_and_small_wall_drift_are_tolerated() {
-        // Timing cells are measurements, and a dump written before `wall_ms`
-        // was dropped still diffs clean against one written after.
+    fn members_beside_the_tables_are_ignored() {
+        // Dumps written while `wall_ms` and host metadata were embedded
+        // still diff clean against the ones written since.
         let base = json::parse(
-            r#"{"figure":"f","wall_ms":1000,"tables":[{"title":"t","headers":["app","GRASP","direct ms","speed-up"],"rows":[["PR","+7.5","12.3","9.99x"]]}]}"#,
+            r#"{"figure":"f","wall_ms":1000,"hardware_threads":2,"tables":[{"title":"t","headers":["app","GRASP","direct ms","speed-up"],"rows":[["PR","+7.5","12.3","9.99x"]]}]}"#,
         )
         .expect("valid test doc");
-        let fresh = doc("+7.5", "99.9");
-        assert!(problems(&base, &fresh).is_empty());
+        assert!(problems(&base, &doc("+7.5", "12.3")).is_empty());
     }
 
     #[test]
@@ -339,18 +305,10 @@ mod tests {
         let found = problems(&base, &fresh);
         assert_eq!(found.len(), 1);
         assert!(found[0].contains("GRASP"), "{found:?}");
-    }
-
-    #[test]
-    fn timing_headers_are_detected() {
-        assert!(is_timing_header("direct ms"));
-        assert!(is_timing_header("speed-up"));
-        assert!(is_timing_header("streaming ms"));
-        assert!(!is_timing_header("GRASP"));
-        assert!(!is_timing_header("trace records"));
-        // Substrings of ordinary words must not exempt a column.
-        assert!(!is_timing_header("algorithms"));
-        assert!(!is_timing_header("streams"));
+        // No column is exempt, whatever its header says.
+        let found = problems(&base, &doc("+7.5", "99.9"));
+        assert_eq!(found.len(), 1);
+        assert!(found[0].contains("direct ms"), "{found:?}");
     }
 
     #[test]

@@ -7,7 +7,9 @@ use grasp_suite::core::campaign::Campaign;
 use grasp_suite::core::datasets::{DatasetKind, Scale};
 use grasp_suite::core::experiment::Experiment;
 use grasp_suite::core::policy::PolicyKind;
+use grasp_suite::core::trace_store::{TraceStore, TraceStoreKey};
 use grasp_suite::reorder::TechniqueKind;
+use std::sync::Arc;
 
 const SCALE: Scale = Scale::Tiny;
 
@@ -83,30 +85,33 @@ fn campaign_cells_enumerate_the_grid_in_order() {
 
 #[test]
 fn recorded_traces_match_between_parallel_and_serial_runs() {
-    let results = Campaign::new(SCALE)
+    let dir = std::env::temp_dir().join(format!("grasp-parity-traces-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = Arc::new(TraceStore::open(&dir).expect("store opens"));
+    Campaign::new(SCALE)
         .datasets(&[DatasetKind::Twitter])
         .apps(&[AppKind::PageRank])
         .policies(&[PolicyKind::Rrip])
-        .recording_llc_trace()
+        .with_trace_store(Arc::clone(&store))
         .threads(4)
         .run();
-    let parallel = results
-        .get(
-            DatasetKind::Twitter,
-            TechniqueKind::Dbg,
-            AppKind::PageRank,
-            PolicyKind::Rrip,
-        )
-        .expect("cell exists");
     let dataset = DatasetKind::Twitter.build(SCALE);
     let serial = Experiment::new(dataset.graph, AppKind::PageRank)
         .with_hierarchy(SCALE.hierarchy())
-        .with_reordering(TechniqueKind::Dbg)
-        .recording_llc_trace()
-        .run(PolicyKind::Rrip);
+        .with_reordering(TechniqueKind::Dbg);
+    let key = TraceStoreKey::new(
+        DatasetKind::Twitter,
+        SCALE,
+        TechniqueKind::Dbg,
+        AppKind::PageRank,
+        serial.hierarchy(),
+        serial.app_config(),
+    );
+    let parallel = store.load(&key).expect("the campaign published its stream");
     assert_eq!(
-        serial.llc_trace.as_ref().expect("serial trace"),
-        parallel.llc_trace.as_ref().expect("parallel trace"),
+        serial.record().trace(),
+        &parallel.trace,
         "recorded LLC traces must be identical"
     );
+    std::fs::remove_dir_all(&dir).ok();
 }

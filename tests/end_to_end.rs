@@ -95,10 +95,10 @@ fn recorded_traces_are_consistent_with_opt() {
     let ds = DatasetKind::Twitter.build(SCALE);
     let exp = Experiment::new(ds.graph, AppKind::PageRank)
         .with_hierarchy(SCALE.hierarchy())
-        .with_reordering(TechniqueKind::Dbg)
-        .recording_llc_trace();
-    let run = exp.run(PolicyKind::Rrip);
-    let trace = run.llc_trace.as_ref().expect("trace requested");
+        .with_reordering(TechniqueKind::Dbg);
+    let recorded = exp.record();
+    let run = recorded.replay(PolicyKind::Rrip);
+    let trace = recorded.trace();
     assert_eq!(trace.demand_len() as u64, run.llc_accesses());
     // Belady's OPT on the demand stream can never miss more than the online
     // policy did.

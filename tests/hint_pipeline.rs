@@ -15,10 +15,9 @@ fn hint_histogram(app: AppKind, reorder: TechniqueKind) -> (u64, u64, u64, u64) 
     let ds = DatasetKind::Kron.build(SCALE);
     let exp = Experiment::new(ds.graph, app)
         .with_hierarchy(SCALE.hierarchy())
-        .with_reordering(reorder)
-        .recording_llc_trace();
-    let run = exp.run(PolicyKind::Rrip);
-    let trace = run.llc_trace.expect("trace requested");
+        .with_reordering(reorder);
+    let recorded = exp.record();
+    let trace = recorded.trace();
     let mut counts = (0u64, 0u64, 0u64, 0u64);
     for info in trace.demand_accesses() {
         match info.hint {

@@ -120,35 +120,47 @@ fn batched_scalar_fanout_and_direct_replays_agree_across_the_full_policy_grid() 
     // The batched chunk-native replay kernel against every other execution
     // path, for all 13 policies: batched replay (the default), the
     // per-event scalar reference, the shared-decode policy fan-out, and
-    // direct simulation.
+    // direct simulation. Then the same for four policies under the paper's
+    // Table VI geometry (32 KiB L1, 256 KiB L2, 16 MiB LLC), which the
+    // scaled hierarchies never reach.
+    let paper_row = [
+        PolicyKind::Lru,
+        PolicyKind::Rrip,
+        PolicyKind::Hawkeye,
+        PolicyKind::Grasp,
+    ];
+    let inputs: [(HierarchyConfig, &[PolicyKind]); 2] = [
+        (SCALE.hierarchy(), &FULL_GRID),
+        (HierarchyConfig::paper_scale(), &paper_row),
+    ];
     let dataset = DatasetKind::Twitter.build(SCALE);
-    let exp = Experiment::new(dataset.graph, AppKind::PageRank)
-        .with_hierarchy(SCALE.hierarchy())
-        .with_reordering(TechniqueKind::Dbg);
-    let recorded = exp.record();
-    let fanout = recorded.replay_fanout(&FULL_GRID);
-    assert_eq!(fanout.len(), FULL_GRID.len());
-    for (&policy, fanout_run) in FULL_GRID.iter().zip(&fanout) {
-        let batched = recorded.replay(policy);
-        let scalar = recorded.replay_scalar(policy);
-        let direct = exp.run(policy);
-        assert_eq!(
-            batched.stats, scalar.stats,
-            "{policy}: batched replay diverged from the per-event path"
-        );
-        assert_eq!(
-            batched.stats, fanout_run.stats,
-            "{policy}: batched replay diverged from the shared-decode fan-out"
-        );
-        assert_eq!(
-            batched.stats, direct.stats,
-            "{policy}: batched replay diverged from direct simulation"
-        );
-        assert!((batched.cycles - scalar.cycles).abs() < 1e-12, "{policy}");
-        assert!(
-            (batched.cycles - fanout_run.cycles).abs() < 1e-12,
-            "{policy}"
-        );
+    for (hierarchy, policies) in inputs {
+        let exp = Experiment::new(dataset.graph.clone(), AppKind::PageRank)
+            .with_hierarchy(hierarchy)
+            .with_reordering(TechniqueKind::Dbg);
+        let recorded = exp.record();
+        let fanout = recorded.replay_fanout(policies);
+        assert_eq!(fanout.len(), policies.len());
+        for (&policy, fanout_run) in policies.iter().zip(&fanout) {
+            let what = format!("{policy} at {} KiB LLC", hierarchy.llc.size_bytes / 1024);
+            let batched = recorded.replay(policy);
+            let scalar = recorded.replay_scalar(policy);
+            let direct = exp.run(policy);
+            assert_eq!(
+                batched.stats, scalar.stats,
+                "{what}: batched replay diverged from the per-event path"
+            );
+            assert_eq!(
+                batched.stats, fanout_run.stats,
+                "{what}: batched replay diverged from the shared-decode fan-out"
+            );
+            assert_eq!(
+                batched.stats, direct.stats,
+                "{what}: batched replay diverged from direct simulation"
+            );
+            assert!((batched.cycles - scalar.cycles).abs() < 1e-12, "{what}");
+            assert!((batched.cycles - fanout_run.cycles).abs() < 1e-12, "{what}");
+        }
     }
 }
 

@@ -5,6 +5,7 @@
 //! statistics.
 
 use grasp_suite::analytics::apps::AppKind;
+use grasp_suite::cachesim::config::HierarchyConfig;
 use grasp_suite::cachesim::trace::persist::{Fnv64, PersistError};
 use grasp_suite::cachesim::trace::CHUNK_RECORDS;
 use grasp_suite::core::campaign::{Campaign, CampaignResult};
@@ -70,29 +71,41 @@ fn assert_bit_identical(fresh: &CampaignResult, stored: &CampaignResult, what: &
 
 #[test]
 fn store_hit_campaign_is_bit_identical_across_the_full_policy_grid() {
-    let dir = temp_store_dir("grid");
-    let store = Arc::new(TraceStore::open(&dir).expect("store opens"));
+    // The 13-policy grid under the scaled hierarchy, then four policies
+    // under the paper's Table VI geometry (16 MiB LLC).
+    let paper_row = grid_campaign()
+        .hierarchy(HierarchyConfig::paper_scale())
+        .policies(&[
+            PolicyKind::Lru,
+            PolicyKind::Rrip,
+            PolicyKind::Hawkeye,
+            PolicyKind::Grasp,
+        ]);
+    for (tag, campaign) in [("grid", grid_campaign()), ("paper", paper_row)] {
+        let dir = temp_store_dir(tag);
+        let store = Arc::new(TraceStore::open(&dir).expect("store opens"));
 
-    // Baseline: no store involved at all.
-    let fresh = grid_campaign().run();
+        // Baseline: no store involved at all.
+        let fresh = campaign.run();
 
-    // Cold run: every stream misses, gets recorded, and is published.
-    let cold = grid_campaign().with_trace_store(Arc::clone(&store)).run();
-    assert_bit_identical(&fresh, &cold, "cold store run");
-    let stats = store.stats();
-    assert_eq!(stats.hits, 0, "cold store cannot hit");
-    assert_eq!(stats.misses, 1, "one unique stream misses once");
-    assert!(stats.bytes_written > 0);
+        // Cold run: every stream misses, gets recorded, and is published.
+        let cold = campaign.clone().with_trace_store(Arc::clone(&store)).run();
+        assert_bit_identical(&fresh, &cold, "cold store run");
+        let stats = store.stats();
+        assert_eq!(stats.hits, 0, "{tag}: cold store cannot hit");
+        assert_eq!(stats.misses, 1, "{tag}: one unique stream misses once");
+        assert!(stats.bytes_written > 0);
 
-    // Warm run: the record phase is skipped.
-    let warm = grid_campaign().with_trace_store(Arc::clone(&store)).run();
-    assert_bit_identical(&fresh, &warm, "warm run");
-    let stats = store.stats();
-    assert_eq!(stats.hits, 1, "warm run must be served by the store");
-    assert_eq!(stats.misses, 1, "warm runs must not re-record");
-    assert!(stats.bytes_read > 0);
+        // Warm run: the record phase is skipped.
+        let warm = campaign.with_trace_store(Arc::clone(&store)).run();
+        assert_bit_identical(&fresh, &warm, "warm run");
+        let stats = store.stats();
+        assert_eq!(stats.hits, 1, "{tag}: warm run must be served by the store");
+        assert_eq!(stats.misses, 1, "{tag}: warm runs must not re-record");
+        assert!(stats.bytes_read > 0);
 
-    std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
