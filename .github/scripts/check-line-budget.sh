@@ -16,7 +16,7 @@ find crates/*/src -name '*.rs' | sort | while read -r file; do
   awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0, FILENAME }' "$file"
 done | awk '
   BEGIN {
-    total_ceiling = 18835
+    total_ceiling = 18483
     ceiling["crates/core/src/campaign.rs"] = 1287
     ceiling["crates/graph/src/ingest.rs"] = 1177
     ceiling["crates/core/src/trace_store.rs"] = 899

@@ -25,10 +25,9 @@ use crate::props::PropertyLayout;
 use crate::workspace::Workspace;
 use grasp_graph::types::VertexId;
 use grasp_graph::GraphView;
-use serde::{Deserialize, Serialize};
 
 /// Configuration shared by every application.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppConfig {
     /// Maximum number of iterations (PR/PRD/Radii) or traversal rounds
     /// (BC/SSSP) to execute. The paper's simulated region of interest covers
@@ -83,7 +82,7 @@ impl AppConfig {
 }
 
 /// The output of one application run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppResult {
     /// Application name.
     pub app: &'static str,
@@ -104,7 +103,7 @@ impl AppResult {
 }
 
 /// The five applications evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AppKind {
     /// Betweenness Centrality.
     Bc,

@@ -7,14 +7,13 @@
 
 use grasp_cachesim::addr::Address;
 use grasp_cachesim::request::RegionLabel;
-use serde::{Deserialize, Serialize};
 
 /// Handle to an array placed in the address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArrayHandle(usize);
 
 /// Metadata of one placed array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrayRegion {
     /// Human-readable name ("rank", "edge_array", ...).
     pub name: String,
@@ -49,7 +48,7 @@ const HEAP_BASE: Address = 0x1000_0000;
 const ALLOC_ALIGN: u64 = 4096;
 
 /// A simple bump allocator over a simulated virtual address space.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AddressSpace {
     regions: Vec<ArrayRegion>,
     next_free: Address,

@@ -11,10 +11,9 @@ use crate::layout::ArrayHandle;
 use crate::mem::MemoryModel;
 use crate::workspace::Workspace;
 use grasp_cachesim::request::{AccessSite, RegionLabel};
-use serde::{Deserialize, Serialize};
 
 /// How multiple per-vertex fields are laid out in memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PropertyLayout {
     /// One array per field (the original Ligra layout).
     Separate,
@@ -28,7 +27,7 @@ pub enum PropertyLayout {
 pub type FieldId = usize;
 
 /// A set of per-vertex property fields allocated in a workspace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PropertySet {
     layout: PropertyLayout,
     vertex_count: u64,

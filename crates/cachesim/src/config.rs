@@ -1,9 +1,7 @@
 //! Cache and hierarchy configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// Geometry of a single set-associative cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,
@@ -62,7 +60,7 @@ impl CacheConfig {
 
 /// Latencies (in cycles) used by the analytic timing model. Defaults follow
 /// Table VI of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyConfig {
     /// L1-D hit latency.
     pub l1_cycles: u64,
@@ -86,7 +84,7 @@ impl Default for LatencyConfig {
 }
 
 /// Configuration of the simulated three-level hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HierarchyConfig {
     /// L1 data cache.
     pub l1: CacheConfig,
@@ -94,7 +92,9 @@ pub struct HierarchyConfig {
     pub l2: CacheConfig,
     /// Shared last-level cache.
     pub llc: CacheConfig,
-    /// Access latencies for the timing model.
+    /// Access latencies: the [`TimingModel`](crate::TimingModel) that prices
+    /// a run's cycles — direct, replayed or loaded from a trace store — is
+    /// built from these.
     pub latency: LatencyConfig,
     /// Enable the L1 stride prefetcher (Table VI: stride prefetchers with 16
     /// streams).

@@ -17,7 +17,6 @@ use crate::policy::PolicyDispatch;
 use crate::request::{AccessKind, AccessSite, RegionLabel};
 use crate::stage::{LlcStage, UpperLevels};
 use crate::stats::HierarchyStats;
-use crate::timing::TimingModel;
 
 /// A three-level cache hierarchy with an L1 stride prefetcher and GRASP's
 /// address classification in front of the LLC.
@@ -56,11 +55,6 @@ impl Hierarchy {
     /// The hierarchy configuration.
     pub fn config(&self) -> &HierarchyConfig {
         self.upper.config()
-    }
-
-    /// Name of the LLC replacement policy.
-    pub fn llc_policy_name(&self) -> &'static str {
-        self.llc.policy_name()
     }
 
     /// The region classifier in use.
@@ -109,12 +103,6 @@ impl Hierarchy {
             llc: self.llc.stats().clone(),
             memory_accesses: self.llc.memory_accesses(),
         }
-    }
-
-    /// Estimated execution cycles under `model`, given `instructions` of
-    /// non-memory work.
-    pub fn estimated_cycles(&self, model: &TimingModel, instructions: u64) -> f64 {
-        model.cycles(&self.stats(), instructions)
     }
 
     /// Invalidates every cache level, resets every replacement policy and

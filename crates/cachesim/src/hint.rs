@@ -2,10 +2,9 @@
 //! and the region classification logic (Sec. III-A and III-B of the paper).
 
 use crate::addr::Address;
-use serde::{Deserialize, Serialize};
 
 /// The 2-bit reuse hint GRASP forwards to the LLC with every cache request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ReuseHint {
     /// The access falls in the High Reuse Region (the LLC-sized prefix of a
     /// Property Array holding the hottest vertices).
@@ -63,7 +62,7 @@ impl std::fmt::Display for ReuseHint {
 
 /// One pair of Address Bound Registers: the start and end virtual address of
 /// a Property Array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoundPair {
     /// Inclusive start address of the Property Array.
     pub start: Address,
@@ -105,7 +104,7 @@ impl BoundPair {
 /// The registers are part of the application context; when no pair is
 /// programmed, classification returns [`ReuseHint::Default`] for every
 /// address, disabling specialized management.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AddressBoundRegisters {
     pairs: Vec<BoundPair>,
 }
@@ -175,7 +174,7 @@ impl AddressBoundRegisters {
 /// assert_eq!(classifier.classify(0x40000), ReuseHint::Low);
 /// assert_eq!(classifier.classify(0xF0000), ReuseHint::Low);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionClassifier {
     abrs: AddressBoundRegisters,
     llc_bytes: u64,

@@ -19,14 +19,13 @@
 //! [`GraspMode`] exposes the ablations of Fig. 7 (RRIP+Hints, Insertion-Only,
 //! full GRASP).
 
-use super::rrip::{DuelWinner, RrpvArray, SetDueling, BRRIP_LONG_ONE_IN, RRPV_LONG, RRPV_MAX};
+use super::rrip::{RrpvArray, SetDueling, RRPV_LONG, RRPV_MAX};
 use super::{PolicyRng, ReplacementPolicy};
 use crate::hint::ReuseHint;
 use crate::request::AccessInfo;
-use serde::{Deserialize, Serialize};
 
 /// Which subset of GRASP's features is active (the Fig. 7 ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GraspMode {
     /// `RRIP+Hints`: identical to DRRIP except that the insertion position is
     /// chosen by the hint instead of probabilistically — High-Reuse blocks are
@@ -97,21 +96,8 @@ impl Grasp {
         self.mode
     }
 
-    /// DRRIP's default insertion value (used for Default-hinted requests and
-    /// by the `HintsOnly` ablation for non-High requests).
-    fn default_insertion(&mut self, set: usize) -> u8 {
-        match self.dueling.policy_for_set(set) {
-            DuelWinner::Srrip => RRPV_LONG,
-            DuelWinner::Brrip => {
-                if self.rng.one_in(BRRIP_LONG_ONE_IN) {
-                    RRPV_LONG
-                } else {
-                    RRPV_MAX
-                }
-            }
-        }
-    }
-
+    /// Insertion value of a fill with `hint` under the active mode; a
+    /// Default-hinted fill takes DRRIP's in every mode.
     fn insertion_value(&mut self, set: usize, hint: ReuseHint) -> u8 {
         match self.mode {
             GraspMode::HintsOnly => match hint {
@@ -119,14 +105,14 @@ impl Grasp {
                 // two insertion points, everything else the unfavourable one.
                 ReuseHint::High => RRPV_LONG,
                 ReuseHint::Moderate | ReuseHint::Low => RRPV_MAX,
-                ReuseHint::Default => self.default_insertion(set),
+                ReuseHint::Default => self.dueling.insertion(set, &mut self.rng),
             },
             GraspMode::InsertionOnly | GraspMode::Full => match hint {
                 // Table II of the paper.
                 ReuseHint::High => 0,
                 ReuseHint::Moderate => RRPV_LONG,
                 ReuseHint::Low => RRPV_MAX,
-                ReuseHint::Default => self.default_insertion(set),
+                ReuseHint::Default => self.dueling.insertion(set, &mut self.rng),
             },
         }
     }

@@ -25,7 +25,7 @@
 //! slices — whether a block has outlived its prediction is data the branch
 //! predictor cannot learn.
 
-use super::rrip::{DuelWinner, RrpvArray, SetDueling, BRRIP_LONG_ONE_IN, RRPV_LONG, RRPV_MAX};
+use super::rrip::{RrpvArray, SetDueling, RRPV_LONG};
 use super::{PolicyRng, ReplacementPolicy};
 use crate::addr::BlockAddr;
 use crate::request::{AccessInfo, AccessSite};
@@ -174,16 +174,7 @@ impl ReplacementPolicy for Leeway {
         self.loader[idx] = info.site;
         self.observed_live[idx] = 0;
         self.dueling.record_miss(set);
-        let value = match self.dueling.policy_for_set(set) {
-            DuelWinner::Srrip => RRPV_LONG,
-            DuelWinner::Brrip => {
-                if self.rng.one_in(BRRIP_LONG_ONE_IN) {
-                    RRPV_LONG
-                } else {
-                    RRPV_MAX
-                }
-            }
-        };
+        let value = self.dueling.insertion(set, &mut self.rng);
         self.rrpv.set(set, way, value);
         // One fill event ages every other block of the set.
         let set_blocks = self.blocks_of(set);
@@ -223,6 +214,7 @@ impl ReplacementPolicy for Leeway {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::rrip::{DuelWinner, BRRIP_LONG_ONE_IN, RRPV_MAX};
     use proptest::prelude::*;
 
     fn req(addr: u64, site: AccessSite) -> AccessInfo {

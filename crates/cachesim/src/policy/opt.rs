@@ -13,11 +13,10 @@ use crate::addr::block_of;
 use crate::config::CacheConfig;
 use crate::request::AccessInfo;
 use crate::trace::LlcTrace;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Result of an offline OPT simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptResult {
     /// Number of accesses in the trace.
     pub accesses: u64,

@@ -209,6 +209,17 @@ impl SetDueling {
         self.leader_policy(set).unwrap_or_else(|| self.winner())
     }
 
+    /// DRRIP's insertion value for a fill in `set`: `RRPV_LONG` where SRRIP
+    /// rules, one BRRIP draw from `rng` where BRRIP does. Callers record the
+    /// fill's miss themselves.
+    #[inline]
+    pub(crate) fn insertion(&self, set: usize, rng: &mut PolicyRng) -> u8 {
+        match self.policy_for_set(set) {
+            DuelWinner::Srrip => RRPV_LONG,
+            DuelWinner::Brrip => brrip_insertion(rng),
+        }
+    }
+
     /// Records a miss in `set`; misses in a leader set vote against its
     /// policy.
     pub fn record_miss(&mut self, set: usize) {
@@ -231,6 +242,17 @@ impl SetDueling {
     /// Resets the PSEL counter to its neutral starting value.
     pub fn reset(&mut self) {
         self.psel = 0;
+    }
+}
+
+/// BRRIP's insertion value: `RRPV_LONG` once every `BRRIP_LONG_ONE_IN`
+/// fills, otherwise `RRPV_MAX`.
+#[inline]
+fn brrip_insertion(rng: &mut PolicyRng) -> u8 {
+    if rng.one_in(BRRIP_LONG_ONE_IN) {
+        RRPV_LONG
+    } else {
+        RRPV_MAX
     }
 }
 
@@ -301,12 +323,7 @@ impl ReplacementPolicy for Brrip {
     }
 
     fn on_fill(&mut self, set: usize, way: usize, _info: &AccessInfo) {
-        let value = if self.rng.one_in(BRRIP_LONG_ONE_IN) {
-            RRPV_LONG
-        } else {
-            RRPV_MAX
-        };
-        self.rrpv.set(set, way, value);
+        self.rrpv.set(set, way, brrip_insertion(&mut self.rng));
     }
 
     fn on_hit(&mut self, set: usize, way: usize, _info: &AccessInfo) {
@@ -339,20 +356,6 @@ impl Drrip {
             rng: PolicyRng::new(seed),
         }
     }
-
-    /// Insertion value for a fill in `set` according to the dueling state.
-    fn insertion_value(&mut self, set: usize) -> u8 {
-        match self.dueling.policy_for_set(set) {
-            DuelWinner::Srrip => RRPV_LONG,
-            DuelWinner::Brrip => {
-                if self.rng.one_in(BRRIP_LONG_ONE_IN) {
-                    RRPV_LONG
-                } else {
-                    RRPV_MAX
-                }
-            }
-        }
-    }
 }
 
 impl ReplacementPolicy for Drrip {
@@ -367,7 +370,7 @@ impl ReplacementPolicy for Drrip {
     fn on_fill(&mut self, set: usize, way: usize, _info: &AccessInfo) {
         // A fill means the request missed: inform the dueling monitor.
         self.dueling.record_miss(set);
-        let value = self.insertion_value(set);
+        let value = self.dueling.insertion(set, &mut self.rng);
         self.rrpv.set(set, way, value);
     }
 

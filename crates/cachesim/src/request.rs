@@ -2,10 +2,9 @@
 
 use crate::addr::Address;
 use crate::hint::ReuseHint;
-use serde::{Deserialize, Serialize};
 
 /// Whether an access reads or writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Load.
     Read,
@@ -19,7 +18,7 @@ pub enum AccessKind {
 /// (Sec. II-B/II-C of the paper) and drive the Fig. 2 access/miss breakdown:
 /// accesses to [`RegionLabel::Property`] are "within the Property Array",
 /// everything else is "outside".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegionLabel {
     /// Per-vertex Property Array elements (ranks, distances, ...).
     Property,
@@ -83,7 +82,7 @@ impl std::fmt::Display for RegionLabel {
 pub type AccessSite = u16;
 
 /// A single memory access presented to the cache hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AccessInfo {
     /// Byte address.
     pub addr: Address,

@@ -1,10 +1,9 @@
 //! Access and miss statistics.
 
 use crate::request::RegionLabel;
-use serde::{Deserialize, Serialize};
 
 /// Per-region access/miss counters (drives the Fig. 2 breakdown).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegionCounters {
     /// Demand accesses that reached this cache.
     pub accesses: u64,
@@ -20,7 +19,7 @@ impl RegionCounters {
 }
 
 /// Statistics of a single cache level.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total demand accesses.
     pub accesses: u64,
@@ -133,7 +132,7 @@ impl CacheStats {
 }
 
 /// Statistics of the full three-level hierarchy.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HierarchyStats {
     /// L1 data cache.
     pub l1: CacheStats,
@@ -149,11 +148,6 @@ impl HierarchyStats {
     /// Creates zeroed statistics.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Total demand accesses issued to the hierarchy (== L1 accesses).
-    pub fn total_accesses(&self) -> u64 {
-        self.l1.accesses
     }
 }
 

@@ -15,10 +15,9 @@
 
 use crate::config::LatencyConfig;
 use crate::stats::HierarchyStats;
-use serde::{Deserialize, Serialize};
 
 /// Latency-weighted cycle model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingModel {
     /// Per-level and memory latencies.
     pub latency: LatencyConfig,
@@ -38,30 +37,6 @@ impl TimingModel {
             cycles_per_instruction: 0.75,
             memory_level_parallelism: 2.0,
         }
-    }
-
-    /// Overrides the CPI of non-memory work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpi` is not positive.
-    #[must_use]
-    pub fn with_cpi(mut self, cpi: f64) -> Self {
-        assert!(cpi > 0.0, "cpi must be positive");
-        self.cycles_per_instruction = cpi;
-        self
-    }
-
-    /// Overrides the memory-level-parallelism factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mlp` is less than 1.
-    #[must_use]
-    pub fn with_mlp(mut self, mlp: f64) -> Self {
-        assert!(mlp >= 1.0, "mlp must be at least 1");
-        self.memory_level_parallelism = mlp;
-        self
     }
 
     /// Estimated cycles for a run with the given hierarchy statistics and
@@ -142,25 +117,6 @@ mod tests {
         assert!(TimingModel::speedup_pct(100.0, 110.0) < 0.0);
         assert!((TimingModel::speedup_pct(100.0, 100.0)).abs() < 1e-12);
         assert!((TimingModel::speedup_pct(105.0, 100.0) - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn builders_validate() {
-        let model = TimingModel::default().with_cpi(1.5).with_mlp(4.0);
-        assert!((model.cycles_per_instruction - 1.5).abs() < 1e-12);
-        assert!((model.memory_level_parallelism - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "cpi must be positive")]
-    fn zero_cpi_panics() {
-        let _ = TimingModel::default().with_cpi(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "mlp must be at least 1")]
-    fn sub_one_mlp_panics() {
-        let _ = TimingModel::default().with_mlp(0.5);
     }
 
     #[test]

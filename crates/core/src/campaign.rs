@@ -62,7 +62,6 @@ use crate::spec::CampaignSpec;
 use crate::trace_store::{TraceStore, TraceStoreKey};
 use grasp_analytics::apps::{AppConfig, AppKind};
 use grasp_cachesim::config::HierarchyConfig;
-use grasp_cachesim::TimingModel;
 use grasp_graph::types::Direction;
 use grasp_graph::{Csr, GraphView};
 use grasp_reorder::TechniqueKind;
@@ -384,14 +383,6 @@ impl Campaign {
         self
     }
 
-    /// Sets the datasets of the grid by identity, mixing synthetic
-    /// stand-ins and ingested on-disk graphs freely.
-    #[must_use]
-    pub fn dataset_ids(mut self, datasets: &[DatasetId]) -> Self {
-        self.spec.datasets = datasets.to_vec();
-        self
-    }
-
     /// Appends an ingested on-disk graph (by content hash) to the dataset
     /// axis. The hash must be registered in the campaign's
     /// [`DatasetCatalog`] (see [`Campaign::catalog`]) before the campaign
@@ -483,12 +474,6 @@ impl Campaign {
     pub fn with_single_flight(mut self, registry: Arc<FlightRegistry>) -> Self {
         self.flights = Some(registry);
         self
-    }
-
-    /// The shared in-flight registry, if any (see
-    /// [`Campaign::with_single_flight`]).
-    pub fn single_flight(&self) -> Option<&Arc<FlightRegistry>> {
-        self.flights.as_ref()
     }
 
     /// The attached trace store, if any (its [`TraceStore::stats`] report
@@ -666,9 +651,8 @@ impl Campaign {
     ) -> (RecordedRun, bool) {
         let store = self.store.as_deref();
         if let Some(stored) = store.and_then(|store| store.load(&job.key)) {
-            let (llc, timing) = (job.hierarchy.llc, TimingModel::default());
-            let recorded =
-                RecordedRun::from_parts(stored.trace, stored.app, stored.instructions, llc, timing);
+            let (trace, app, instructions) = (stored.trace, stored.app, stored.instructions);
+            let recorded = RecordedRun::from_parts(trace, app, instructions, job.hierarchy);
             return (recorded, true);
         }
         let started = Instant::now();

@@ -13,13 +13,12 @@ use grasp_graph::degree::SkewReport;
 use grasp_graph::generators::{ChungLu, GraphGenerator, Rmat, Uniform};
 use grasp_graph::ingest::{self, DiskCsrError};
 use grasp_graph::{Csr, GraphView};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Scale of a synthetic dataset (vertex count and the matching LLC size).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
     /// ~1K vertices — unit tests only.
     Tiny,
@@ -107,7 +106,7 @@ impl Scale {
 }
 
 /// The seven datasets of Table V.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// LiveJournal (`lj`) — moderate skew social network.
     LiveJournal,
@@ -248,7 +247,7 @@ impl std::fmt::Display for DatasetKind {
 /// `grasp_graph::ingest::write_disk_csr` over the graph's dimensions and
 /// column bytes. Two ingests of the same edge list — at any thread count —
 /// produce the same hash; any structural edit changes it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GraphHash(pub u64);
 
 impl GraphHash {
@@ -269,7 +268,7 @@ impl std::fmt::Display for GraphHash {
 /// synthetic stand-ins ([`DatasetKind`]) or a real graph ingested to the
 /// on-disk binary CSR format, referenced by content hash and resolved
 /// through a [`DatasetCatalog`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetId {
     /// A synthetic Table V stand-in, generated at campaign scale.
     Synthetic(DatasetKind),
@@ -310,14 +309,6 @@ impl DatasetId {
         match self {
             DatasetId::Synthetic(kind) => Some(*kind),
             DatasetId::Ingested(_) => None,
-        }
-    }
-
-    /// The content hash, if this is an ingested dataset.
-    pub fn as_ingested(&self) -> Option<GraphHash> {
-        match self {
-            DatasetId::Synthetic(_) => None,
-            DatasetId::Ingested(hash) => Some(*hash),
         }
     }
 }

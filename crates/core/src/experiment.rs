@@ -4,7 +4,7 @@ use crate::policy::PolicyKind;
 use grasp_analytics::apps::{AppConfig, AppKind, AppResult};
 use grasp_analytics::mem::{NativeMemory, RecordingMemory, TracedMemory};
 use grasp_analytics::Workspace;
-use grasp_cachesim::config::{CacheConfig, HierarchyConfig};
+use grasp_cachesim::config::HierarchyConfig;
 use grasp_cachesim::hint::RegionClassifier;
 use grasp_cachesim::stats::HierarchyStats;
 use grasp_cachesim::trace::LlcTrace;
@@ -63,28 +63,26 @@ pub struct RecordedRun {
     trace: Arc<LlcTrace>,
     app: AppResult,
     instructions: u64,
-    llc: CacheConfig,
-    timing: TimingModel,
+    hierarchy: HierarchyConfig,
 }
 
 impl RecordedRun {
     /// Reassembles a recording from a trace-store entry — the persisted
     /// stream, application output and instruction estimate — joined with the
-    /// LLC geometry and timing model to replay it under. Needs no graph: a
-    /// stored stream replays without the dataset it was recorded over.
+    /// hierarchy to replay it under (its LLC geometry and its latencies, which
+    /// price the cycles). Needs no graph: a stored stream replays without the
+    /// dataset it was recorded over.
     pub fn from_parts(
         trace: LlcTrace,
         app: AppResult,
         instructions: u64,
-        llc: CacheConfig,
-        timing: TimingModel,
+        hierarchy: HierarchyConfig,
     ) -> Self {
         Self {
             trace: Arc::new(trace),
             app,
             instructions,
-            llc,
-            timing,
+            hierarchy,
         }
     }
 
@@ -119,9 +117,9 @@ impl RecordedRun {
     pub fn replay_fanout(&self, policies: &[PolicyKind]) -> Vec<RunResult> {
         let dispatches: Vec<_> = policies
             .iter()
-            .map(|policy| policy.build_dispatch(&self.llc))
+            .map(|policy| policy.build_dispatch(&self.hierarchy.llc))
             .collect();
-        let stats = self.trace.replay_fanout(self.llc, dispatches);
+        let stats = self.trace.replay_fanout(self.hierarchy.llc, dispatches);
         policies
             .iter()
             .zip(stats)
@@ -133,9 +131,8 @@ impl RecordedRun {
     /// kernel. Bit-identical to [`RecordedRun::replay`]; exists
     /// as the reference side of batched-replay parity tests and benchmarks.
     pub fn replay_scalar(&self, policy: PolicyKind) -> RunResult {
-        let stats = self
-            .trace
-            .replay_scalar(self.llc, policy.build_dispatch(&self.llc));
+        let llc = self.hierarchy.llc;
+        let stats = self.trace.replay_scalar(llc, policy.build_dispatch(&llc));
         self.result(policy, stats)
     }
 
@@ -146,15 +143,15 @@ impl RecordedRun {
     /// [`FlightRegistry`](crate::flight::FlightRegistry) replay a common
     /// cell once.
     pub(crate) fn replay_stats(&self, policy: PolicyKind) -> HierarchyStats {
-        self.trace
-            .replay(self.llc, policy.build_dispatch(&self.llc))
+        let llc = self.hierarchy.llc;
+        self.trace.replay(llc, policy.build_dispatch(&llc))
     }
 
     /// Assembles the [`RunResult`] of `policy` from its replay statistics:
-    /// cycles under this recording's timing model and instruction estimate,
-    /// and this recording's application output.
+    /// cycles under this recording's latencies and instruction estimate, and
+    /// this recording's application output.
     pub(crate) fn result(&self, policy: PolicyKind, stats: HierarchyStats) -> RunResult {
-        let cycles = self.timing.cycles(&stats, self.instructions);
+        let cycles = TimingModel::new(self.hierarchy.latency).cycles(&stats, self.instructions);
         RunResult {
             policy,
             stats,
@@ -179,7 +176,6 @@ pub struct Experiment {
     app: AppKind,
     app_config: AppConfig,
     hierarchy: HierarchyConfig,
-    timing: TimingModel,
 }
 
 impl Experiment {
@@ -199,7 +195,6 @@ impl Experiment {
             app,
             app_config: Self::traced_app_config(app),
             hierarchy,
-            timing: TimingModel::default(),
         }
     }
 
@@ -246,21 +241,9 @@ impl Experiment {
         self
     }
 
-    /// Overrides the timing model.
-    #[must_use]
-    pub fn with_timing(mut self, timing: TimingModel) -> Self {
-        self.timing = timing;
-        self
-    }
-
     /// The graph under experiment (after any reordering).
     pub fn graph(&self) -> &dyn GraphView {
         &*self.graph
-    }
-
-    /// The shared handle to the graph under experiment.
-    pub fn graph_arc(&self) -> Arc<dyn GraphView> {
-        Arc::clone(&self.graph)
     }
 
     /// The application under experiment.
@@ -290,7 +273,8 @@ impl Experiment {
         let mut ws = Workspace::new(TracedMemory::new(hierarchy));
         let app = self.app.run(&*self.graph, &mut ws, &self.app_config);
         let stats = ws.into_memory().stats();
-        let cycles = self.timing.cycles(&stats, app.instruction_estimate());
+        let cycles =
+            TimingModel::new(self.hierarchy.latency).cycles(&stats, app.instruction_estimate());
         RunResult {
             policy,
             stats,
@@ -319,8 +303,7 @@ impl Experiment {
             trace: Arc::new(trace),
             app,
             instructions,
-            llc: self.hierarchy.llc,
-            timing: self.timing,
+            hierarchy: self.hierarchy,
         }
     }
 
@@ -411,8 +394,7 @@ mod tests {
             recorded.trace().clone(),
             recorded.app().clone(),
             recorded.instructions(),
-            exp.hierarchy().llc,
-            TimingModel::default(),
+            *exp.hierarchy(),
         );
         for policy in [PolicyKind::Rrip, PolicyKind::Grasp] {
             let a = recorded.replay(policy);

@@ -2,9 +2,9 @@
 //! [`CampaignSpec`](crate::spec::CampaignSpec) and the campaign service's
 //! wire protocol.
 //!
-//! The workspace's vendored `serde` is an offline stub without a JSON
-//! backend, and every document crossing this codebase is produced by our own
-//! writers, so a small strict parser covering objects, arrays, strings,
+//! The workspace builds offline with no serialization crate, and every
+//! document crossing this codebase is produced by our own writers, so a
+//! small strict parser covering objects, arrays, strings,
 //! numbers, booleans and null — with escapes handled exactly as the writer
 //! emits them — is all that is needed. Serialization is the [`Json`] value's
 //! `Display` impl: object keys emit in sorted (BTreeMap) order, so a given

@@ -10,7 +10,6 @@ use grasp_cachesim::policy::random::RandomReplacement;
 use grasp_cachesim::policy::rrip::{Brrip, Drrip, Srrip};
 use grasp_cachesim::policy::ship::ShipMem;
 use grasp_cachesim::policy::PolicyDispatch;
-use serde::{Deserialize, Serialize};
 
 /// Seed used for the probabilistic components of the policies, fixed so every
 /// experiment is reproducible.
@@ -18,7 +17,7 @@ const POLICY_SEED: u64 = 0xC0FFEE;
 
 /// Every LLC management scheme evaluated in the paper (plus a couple of
 /// sanity baselines).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Least Recently Used.
     Lru,

@@ -3,10 +3,8 @@
 //! (`BENCH_<figure>.json`) so a change to any figure's table shows up as a
 //! diff against the committed file.
 
-use serde::{Deserialize, Serialize};
-
 /// A simple column-aligned table with a title, headers and rows of cells.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Table {
     title: String,
     headers: Vec<String>,

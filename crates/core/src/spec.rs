@@ -3,8 +3,8 @@
 //!
 //! A [`CampaignSpec`] is the declarative content of a [`Campaign`] —
 //! datasets, techniques, apps, policies, hierarchy, scale, trace-store
-//! path, thread budget — with hand-rolled JSON encode/decode
-//! (the vendored `serde` stub has no JSON backend). The contract:
+//! path, thread budget — with hand-rolled JSON encode/decode over
+//! [`crate::json`] (the workspace has no serialization crate). The contract:
 //!
 //! * A [`Campaign`] *holds* its spec: the builder methods write it,
 //!   [`Campaign::to_spec`] hands out a copy and [`Campaign::from_spec`]

@@ -12,10 +12,9 @@ use crate::edgelist::EdgeList;
 use crate::types::{Direction, Edge, EdgeWeight, VertexId};
 use crate::view::GraphView;
 use crate::{GraphError, Result};
-use serde::{Deserialize, Serialize};
 
 /// One direction (out- or in-edges) of a CSR graph.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct CsrDirection {
     /// `offsets[v]..offsets[v+1]` is the slice of `targets` owned by `v`.
     pub offsets: Vec<u64>,
@@ -156,7 +155,7 @@ pub(crate) fn checked_vertex_count(edges: &EdgeList) -> Result<usize> {
 /// assert_eq!(g.in_degree(3), 3);
 /// assert_eq!(g.out_degree(5), 3);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Csr {
     vertex_count: usize,
     edge_count: u64,

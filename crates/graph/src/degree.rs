@@ -9,10 +9,9 @@
 
 use crate::types::{Direction, VertexId};
 use crate::view::GraphView;
-use serde::{Deserialize, Serialize};
 
 /// Degree statistics of a graph in one direction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegreeStats {
     direction: Direction,
     vertex_count: usize,
@@ -129,7 +128,7 @@ impl DegreeStats {
 /// assert!(r.hot_vertices_pct() < 50.0);
 /// assert!(r.edge_coverage_pct() > 50.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SkewReport {
     direction: Direction,
     hot_vertices_pct: f64,

@@ -141,11 +141,6 @@ impl EdgeList {
         self.sort_and_dedup();
     }
 
-    /// Consumes the list and returns the edges.
-    pub fn into_edges(self) -> Vec<Edge> {
-        self.edges
-    }
-
     /// Iterates over the edges.
     pub fn iter(&self) -> std::slice::Iter<'_, Edge> {
         self.edges.iter()

@@ -37,7 +37,6 @@
 use crate::edgelist::EdgeList;
 use crate::types::{Edge, EdgeWeight, VertexId};
 use crate::{on_scoped_threads, GraphError, Result};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
@@ -287,48 +286,48 @@ pub fn write_text_edge_list<W: Write>(writer: W, edges: &EdgeList) -> Result<()>
 }
 
 /// Serializes an edge list into the compact binary format.
-pub fn to_binary(edges: &EdgeList) -> Bytes {
-    let mut buf = BytesMut::with_capacity(24 + edges.edge_count() * 12);
-    buf.put_slice(BINARY_MAGIC);
-    buf.put_u64_le(edges.vertex_count());
-    buf.put_u64_le(edges.edge_count() as u64);
+pub fn to_binary(edges: &EdgeList) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(24 + edges.edge_count() * 12);
+    buf.extend_from_slice(BINARY_MAGIC);
+    buf.extend_from_slice(&edges.vertex_count().to_le_bytes());
+    buf.extend_from_slice(&(edges.edge_count() as u64).to_le_bytes());
     for e in edges.iter() {
-        buf.put_u32_le(e.src);
-        buf.put_u32_le(e.dst);
-        buf.put_u32_le(e.weight);
+        for field in [e.src, e.dst, e.weight] {
+            buf.extend_from_slice(&field.to_le_bytes());
+        }
     }
-    buf.freeze()
+    buf
 }
 
 /// Deserializes an edge list from the compact binary format.
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::Format`] if the magic bytes or lengths do not match.
-pub fn from_binary(mut data: &[u8]) -> Result<EdgeList> {
-    if data.len() < 24 {
+/// Returns [`GraphError::Format`] if the magic bytes or lengths do not match,
+/// including an edge count too large to address.
+pub fn from_binary(data: &[u8]) -> Result<EdgeList> {
+    let Some((header, body)) = data.split_first_chunk::<24>() else {
         return Err(GraphError::Format("binary edge list too short".into()));
-    }
-    let mut magic = [0u8; 8];
-    data.copy_to_slice(&mut magic);
-    if &magic != BINARY_MAGIC {
+    };
+    if &header[..8] != BINARY_MAGIC {
         return Err(GraphError::Format("bad magic bytes".into()));
     }
-    let vertex_count = data.get_u64_le();
-    let edge_count = data.get_u64_le() as usize;
-    if data.remaining() < edge_count * 12 {
+    let word = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+    let (vertex_count, edge_count) = (word(8), word(16));
+    let edge_bytes = usize::try_from(edge_count)
+        .ok()
+        .and_then(|count| count.checked_mul(12))
+        .ok_or_else(|| GraphError::Format(format!("edge count {edge_count} is too large")))?;
+    if body.len() < edge_bytes {
         return Err(GraphError::Format(format!(
-            "expected {} edge bytes, found {}",
-            edge_count * 12,
-            data.remaining()
+            "expected {edge_bytes} edge bytes, found {}",
+            body.len()
         )));
     }
-    let mut list = EdgeList::with_capacity(vertex_count, edge_count);
-    for _ in 0..edge_count {
-        let src = data.get_u32_le();
-        let dst = data.get_u32_le();
-        let weight = data.get_u32_le();
-        list.push_edge(Edge::weighted(src, dst, weight))?;
+    let mut list = EdgeList::with_capacity(vertex_count, edge_bytes / 12);
+    for triple in body[..edge_bytes].chunks_exact(12) {
+        let field = |at: usize| u32::from_le_bytes(triple[at..at + 4].try_into().expect("4 bytes"));
+        list.push_edge(Edge::weighted(field(0), field(4), field(8)))?;
     }
     Ok(list)
 }
@@ -423,13 +422,20 @@ mod tests {
     fn binary_round_trip() {
         let edges = sample_edges();
         let bytes = to_binary(&edges);
+        // Pinned: `.bin` files already on disk hold exactly these bytes.
+        let mut golden = b"GRASPEL1".to_vec();
+        golden.extend([5, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0]);
+        golden.extend([0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0]);
+        golden.extend([1, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0]);
+        golden.extend([4, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0]);
+        assert_eq!(bytes, golden);
         let parsed = from_binary(&bytes).unwrap();
         assert_eq!(parsed, edges);
     }
 
     #[test]
     fn binary_rejects_bad_magic() {
-        let mut bytes = to_binary(&sample_edges()).to_vec();
+        let mut bytes = to_binary(&sample_edges());
         bytes[0] = b'X';
         assert!(matches!(from_binary(&bytes), Err(GraphError::Format(_))));
     }
@@ -437,14 +443,13 @@ mod tests {
     #[test]
     fn binary_rejects_truncated_data() {
         let bytes = to_binary(&sample_edges());
-        assert!(matches!(
-            from_binary(&bytes[..bytes.len() - 4]),
-            Err(GraphError::Format(_))
-        ));
-        assert!(matches!(
-            from_binary(&bytes[..10]),
-            Err(GraphError::Format(_))
-        ));
+        // A forged edge count whose byte length wraps: × 12 is 8 modulo 2^64.
+        let mut forged = bytes[..16].to_vec();
+        forged.extend((u64::MAX / 12 + 1).to_le_bytes());
+        forged.extend([0; 16]);
+        for data in [&bytes[..bytes.len() - 4], &bytes[..10], &forged] {
+            assert!(matches!(from_binary(data), Err(GraphError::Format(_))));
+        }
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Core value types shared across the graph substrate.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a vertex.
 ///
 /// Vertices are dense integers in `0..vertex_count`, exactly as in the CSR
@@ -15,7 +13,7 @@ pub type VertexId = u32;
 pub type EdgeWeight = u32;
 
 /// A directed edge `(src, dst)` with an optional weight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Edge {
     /// Source vertex.
     pub src: VertexId,
@@ -67,7 +65,7 @@ impl From<(VertexId, VertexId, EdgeWeight)> for Edge {
 /// Pull-based computations traverse **in**-edges (a vertex pulls updates from
 /// its in-neighbours); push-based computations traverse **out**-edges (a
 /// vertex pushes updates to its out-neighbours). See Sec. II-B of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Traverse out-edges (push).
     Out,

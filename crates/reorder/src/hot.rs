@@ -8,7 +8,6 @@
 
 use grasp_graph::types::Direction;
 use grasp_graph::GraphView;
-use serde::{Deserialize, Serialize};
 
 /// The degree threshold above which a vertex counts as hot: the average
 /// degree of the graph (edges / vertices).
@@ -17,7 +16,7 @@ pub fn hot_threshold(graph: &dyn GraphView) -> f64 {
 }
 
 /// Geometry of the hot region of a (reordered) graph's Property Array.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HotRegion {
     hot_vertex_count: usize,
     prefix_covering_hot: usize,

@@ -1,7 +1,6 @@
 //! Vertex permutations.
 
 use grasp_graph::types::VertexId;
-use serde::{Deserialize, Serialize};
 
 /// A bijective mapping from old vertex IDs to new vertex IDs.
 ///
@@ -15,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// let inv = p.inverse();
 /// assert_eq!(inv.new_id(2), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Permutation {
     new_of_old: Vec<VertexId>,
 }

@@ -4,14 +4,16 @@
 //! reproducing complete `HierarchyStats` — not just LLC miss counts.
 
 use grasp_suite::analytics::apps::AppKind;
-use grasp_suite::cachesim::config::{CacheConfig, HierarchyConfig};
+use grasp_suite::cachesim::config::{CacheConfig, HierarchyConfig, LatencyConfig};
 use grasp_suite::cachesim::hint::{AddressBoundRegisters, RegionClassifier};
 use grasp_suite::cachesim::stats::CacheStats;
 use grasp_suite::core::campaign::Campaign;
 use grasp_suite::core::datasets::{DatasetKind, Scale};
 use grasp_suite::core::experiment::Experiment;
 use grasp_suite::core::policy::PolicyKind;
+use grasp_suite::core::trace_store::TraceStore;
 use grasp_suite::reorder::TechniqueKind;
+use std::sync::Arc;
 
 const SCALE: Scale = Scale::Tiny;
 
@@ -161,6 +163,67 @@ fn batched_scalar_fanout_and_direct_replays_agree_across_the_full_policy_grid() 
             assert!((batched.cycles - scalar.cycles).abs() < 1e-12, "{what}");
             assert!((batched.cycles - fanout_run.cycles).abs() < 1e-12, "{what}");
         }
+    }
+}
+
+#[test]
+fn hierarchy_latencies_price_direct_replayed_and_loaded_runs_alike() {
+    // The latencies are part of the hierarchy a stream is recorded under:
+    // they move cycles and never statistics, and a campaign's replay, a
+    // stream loaded back from the store and direct simulation price them
+    // identically.
+    let slow = HierarchyConfig {
+        latency: LatencyConfig {
+            l1_cycles: 40,
+            l2_cycles: 100,
+            llc_cycles: 300,
+            memory_cycles: 2000,
+        },
+        ..SCALE.hierarchy()
+    };
+    let campaign = |hierarchy| {
+        Campaign::new(SCALE)
+            .datasets(&[DatasetKind::Twitter])
+            .apps(&[AppKind::PageRank])
+            .policies(&[PolicyKind::Rrip, PolicyKind::Grasp])
+            .hierarchy(hierarchy)
+    };
+    let default = campaign(SCALE.hierarchy()).run();
+    let replayed = campaign(slow).run();
+    let dir = std::env::temp_dir().join(format!("grasp-latency-itest-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = Arc::new(TraceStore::open(&dir).expect("store opens"));
+    campaign(slow).with_trace_store(Arc::clone(&store)).run();
+    let loaded = campaign(slow).with_trace_store(Arc::clone(&store)).run();
+    assert_eq!(store.stats().hits, 1, "the rerun loads its stream");
+    std::fs::remove_dir_all(&dir).ok();
+    let dataset = DatasetKind::Twitter.build(SCALE);
+    assert_eq!(replayed.len(), 2);
+    for ((base, run), stored) in default.iter().zip(replayed.iter()).zip(loaded.iter()) {
+        let policy = run.cell.policy;
+        assert_eq!(
+            base.result.stats, run.result.stats,
+            "{policy}: statistics moved"
+        );
+        assert_ne!(
+            base.result.cycles, run.result.cycles,
+            "{policy}: latencies ignored"
+        );
+        let direct = Experiment::new(dataset.graph.clone(), AppKind::PageRank)
+            .with_hierarchy(slow)
+            .with_reordering(run.cell.technique)
+            .run(policy);
+        assert_eq!(
+            direct.cycles.to_bits(),
+            run.result.cycles.to_bits(),
+            "{policy}: direct"
+        );
+        assert_eq!(
+            stored.result.cycles.to_bits(),
+            run.result.cycles.to_bits(),
+            "{policy}: loaded"
+        );
+        assert_eq!(stored.result.stats, run.result.stats, "{policy}: loaded");
     }
 }
 
