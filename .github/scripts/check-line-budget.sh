@@ -7,7 +7,11 @@
 # trace_store.rs and persist.rs are held to the roadmap's < 900 target, which
 # they have reached. A change that needs more raises a ceiling in its own diff, where a
 # reviewer sees it, instead of the counts drifting up unnoticed (campaign.rs
-# once went 1 192 -> 1 393 that way).
+# once went 1 192 -> 1 393 that way). The total went 18 483 -> 18 558 (the
+# tree's 18 508 + 50) with the branch-free per-set searches: the SWAR
+# friendly-ageing pass and `swar::spread_bits`, the `#[inline(always)]` that
+# keeps the victim searches inside replay's kernel, and the docs that
+# replaced stale claims (Hawkeye's cost split, the frontier's footprint).
 #
 # usage: check-line-budget.sh   (from the repository root)
 set -euo pipefail
@@ -16,7 +20,7 @@ find crates/*/src -name '*.rs' | sort | while read -r file; do
   awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0, FILENAME }' "$file"
 done | awk '
   BEGIN {
-    total_ceiling = 18483
+    total_ceiling = 18558
     ceiling["crates/core/src/campaign.rs"] = 1287
     ceiling["crates/graph/src/ingest.rs"] = 1177
     ceiling["crates/core/src/trace_store.rs"] = 899

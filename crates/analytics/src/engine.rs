@@ -23,7 +23,8 @@ pub struct CsrArrays {
     /// The Edge Array (neighbour IDs, 4 bytes each for unweighted graphs,
     /// 8 bytes when weights are carried).
     pub edge_array: ArrayHandle,
-    /// The frontier membership bitmap (1 byte per vertex).
+    /// The frontier membership bitmap (8 bytes per vertex; see
+    /// [`CsrArrays::allocate`]).
     pub frontier_bitmap: ArrayHandle,
 }
 
@@ -34,9 +35,12 @@ impl CsrArrays {
     /// 1-byte booleans: because the reproduction scales the vertex count down
     /// by ~1000x but keeps the cache-block size fixed, a byte-per-vertex
     /// frontier would suddenly fit in the scaled LLC, which never happens at
-    /// paper scale (62 MB frontier vs a 16 MB LLC). Widening the element
-    /// keeps the frontier : LLC footprint ratio in the paper's regime (see
-    /// DESIGN.md, substitutions).
+    /// paper scale (62 MB frontier vs a 16 MB LLC, ≈ 4 : 1). The 8-byte
+    /// element gives frontier : LLC = 1 : 2 at `Scale::Tiny` (2^11 vertices,
+    /// 16 KiB against 32 KiB) and 4 : 1 at `Scale::Small` (2^15, 256 KiB
+    /// against 64 KiB). It also makes the frontier as large as one 8-byte
+    /// property field (1 : 1), where the paper's 1-byte frontier and 8-byte
+    /// property give 1 : 8.
     pub fn allocate<M: MemoryModel>(
         ws: &mut Workspace<M>,
         graph: &dyn GraphView,

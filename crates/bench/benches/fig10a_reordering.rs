@@ -5,6 +5,10 @@
 //! Paper reference: averaged over all application/dataset pairs, Sort +2.6%,
 //! HubSort +0.6%, DBG +10.8%; Gorder loses badly (-85.4%) because its
 //! reordering cost dwarfs the application runtime.
+//!
+//! The only bench without a committed `BENCH_*.json` dump: its table is
+//! native wall-clock time on the host that runs it, not a deterministic
+//! simulation, so no regenerated dump could reproduce a committed one.
 
 use grasp_analytics::apps::{AppConfig, AppKind};
 use grasp_bench::{banner, dataset, harness_scale, pct};

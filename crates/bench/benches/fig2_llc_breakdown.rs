@@ -6,7 +6,7 @@
 //! a large fraction of LLC misses.
 
 use grasp_analytics::apps::AppKind;
-use grasp_bench::{banner, dataset, experiment, harness_scale};
+use grasp_bench::{banner, dataset, dump_json, experiment, harness_scale};
 use grasp_cachesim::request::RegionLabel;
 use grasp_core::datasets::DatasetKind;
 use grasp_core::policy::PolicyKind;
@@ -48,4 +48,5 @@ fn main() {
         }
     }
     println!("{table}");
+    dump_json("fig2", &[&table]);
 }

@@ -5,7 +5,7 @@
 //! Paper reference values (Table I): hot vertices 9–26% covering 81–93% of
 //! edges for the five high-skew datasets.
 
-use grasp_bench::{banner, dataset, harness_scale};
+use grasp_bench::{banner, dataset, dump_json, harness_scale};
 use grasp_core::datasets::DatasetKind;
 use grasp_core::report::Table;
 
@@ -37,4 +37,5 @@ fn main() {
     }
     println!("{table}");
     println!("(fr and uni are the adversarial low-/no-skew datasets of Fig. 9.)");
+    dump_json("table1", &[&table]);
 }

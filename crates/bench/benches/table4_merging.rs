@@ -6,7 +6,7 @@
 
 use grasp_analytics::apps::AppKind;
 use grasp_analytics::props::PropertyLayout;
-use grasp_bench::{banner, dataset, harness_scale, pct};
+use grasp_bench::{banner, dataset, dump_json, harness_scale, pct};
 use grasp_core::compare::speedup_pct;
 use grasp_core::datasets::DatasetKind;
 use grasp_core::experiment::Experiment;
@@ -51,4 +51,5 @@ fn main() {
     }
     println!("{table}");
     println!("(BC and Radii keep a single hot Property Array and have no merging opportunity.)");
+    dump_json("table4", &[&table]);
 }

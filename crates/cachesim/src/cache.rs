@@ -31,10 +31,10 @@
 //! dispatch match runs once per run, the statistics are summed in a local
 //! and written back once per run, and the hint-reclassification test is
 //! decided before the loop. (CI disassembles the release binary and fails
-//! when a `replay_columns` instance calls `access_one`, `find_way` or a
-//! closure.) The run path and the per-access path execute the *same*
-//! per-request mutation sequence — both funnel through
-//! `CacheCore::access_one` — so their decisions and statistics are
+//! when a `replay_columns` instance calls `access_one`, `find_way`, a
+//! closure or a policy's victim search.) The run path and the per-access
+//! path execute the *same* per-request mutation sequence — both funnel
+//! through `CacheCore::access_one` — so their decisions and statistics are
 //! bit-for-bit identical by construction.
 
 use crate::addr::BlockAddr;

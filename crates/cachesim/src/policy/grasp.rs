@@ -127,6 +127,7 @@ impl ReplacementPolicy for Grasp {
         }
     }
 
+    #[inline(always)]
     fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
         // Eviction is unchanged from the base scheme (Sec. III-C): no hint is
         // consulted, so no per-block hint metadata is needed.

@@ -144,6 +144,10 @@ impl ReplacementPolicy for Leeway {
         "Leeway"
     }
 
+    // Out of line on purpose, the one victim search replay's kernel calls:
+    // forced inline, it costs Leeway 1–4 % per record on the `pipeline`
+    // benchmark's streams at `Tiny`.
+    #[inline(never)]
     fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
         // Dead-block predictions only steer the choice among blocks the base
         // policy already considers near-eviction (RRPV >= long): this is the

@@ -2,10 +2,8 @@
 
 use super::ReplacementPolicy;
 use crate::request::AccessInfo;
-use crate::swar::{broadcast, eq_byte_lanes, first_lane};
-
-/// High bit of every byte lane.
-const LANE_HIGH: u64 = 0x8080_8080_8080_8080;
+use crate::swar::{broadcast, eq_byte_lanes, first_lane, LANE_HIGH};
+use std::hint::select_unpredictable;
 
 /// True LRU, kept as a per-set recency permutation packed into `u64` words:
 /// every block holds an 8-bit rank (0 = MRU, `ways - 1` = LRU) and a hit or
@@ -98,15 +96,18 @@ impl ReplacementPolicy for Lru {
     }
 
     fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
-        let base = set * self.words_per_set;
+        // Exactly one lane of the set holds rank `ways - 1`. Every word is
+        // compared and the one match selected, with no loop exit to
+        // mispredict: a word without the rank flags no lane, and in the
+        // word with it the lowest flagged lane is the match.
+        let words = &self.ranks[set * self.words_per_set..][..self.words_per_set];
         let pattern = broadcast((self.ways - 1) as u8);
-        for word_index in 0..self.words_per_set {
-            let lanes = eq_byte_lanes(self.ranks[base + word_index], pattern);
-            if lanes != 0 {
-                return word_index * 8 + first_lane(lanes);
-            }
+        let mut victim = 0;
+        for (index, &word) in words.iter().enumerate() {
+            let lanes = eq_byte_lanes(word, pattern);
+            victim = select_unpredictable(lanes != 0, index * 8 + first_lane(lanes), victim);
         }
-        unreachable!("ranks form a permutation of 0..ways")
+        victim
     }
 
     fn on_fill(&mut self, set: usize, way: usize, _info: &AccessInfo) {
@@ -188,31 +189,33 @@ mod tests {
     #[test]
     fn matches_a_reference_timestamp_lru() {
         // Drive the SWAR implementation and a naive timestamp LRU with the
-        // same touch stream; victims must agree at every step.
-        let ways = 11usize;
-        let mut lru = Lru::new(1, ways);
-        let info = AccessInfo::read(0);
-        let mut stamps = vec![0u64; ways];
-        let mut clock = 0u64;
-        for way in 0..ways {
-            lru.on_fill(0, way, &info);
-            clock += 1;
-            stamps[way] = clock;
-        }
-        let mut x = 77u64;
-        for _ in 0..500 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let way = ((x >> 33) % ways as u64) as usize;
-            lru.on_hit(0, way, &info);
-            clock += 1;
-            stamps[way] = clock;
-            let expected = stamps
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &stamp)| stamp)
-                .map(|(w, _)| w)
-                .expect("non-empty");
-            assert_eq!(lru.choose_victim(0, &info), expected);
+        // same touch stream; victims must agree at every step. Way counts
+        // on both sides of the eight-lane word, up to the 64-way maximum.
+        for ways in [1, 2, 3, 7, 8, 11, 12, 16, 64] {
+            let mut lru = Lru::new(1, ways);
+            let info = AccessInfo::read(0);
+            let mut stamps = vec![0u64; ways];
+            let mut clock = 0u64;
+            for way in 0..ways {
+                lru.on_fill(0, way, &info);
+                clock += 1;
+                stamps[way] = clock;
+            }
+            let mut x = 77u64;
+            for _ in 0..500 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let way = ((x >> 33) % ways as u64) as usize;
+                lru.on_hit(0, way, &info);
+                clock += 1;
+                stamps[way] = clock;
+                let expected = stamps
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, &stamp)| stamp)
+                    .map(|(w, _)| w)
+                    .expect("non-empty");
+                assert_eq!(lru.choose_victim(0, &info), expected, "{ways} ways");
+            }
         }
     }
 

@@ -50,6 +50,11 @@ pub trait ReplacementPolicy: std::fmt::Debug {
     }
 
     /// Chooses the victim way for a fill in `set` when all ways are valid.
+    ///
+    /// The built-in policies force their victim search inline
+    /// (`#[inline(always)]`, down to `RrpvArray::find_victim`): left to the
+    /// inliner, several stay out of line in replay's per-policy kernel,
+    /// which CI rejects. Leeway's is the measured exception.
     fn choose_victim(&mut self, set: usize, info: &AccessInfo) -> usize;
 
     /// Notification that `way` in `set` was filled with the block of `info`.

@@ -84,6 +84,7 @@ impl ReplacementPolicy for PinX {
         }
     }
 
+    #[inline(always)]
     fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
         // Standard RRIP victim search restricted to unpinned ways. As in
         // `RrpvArray::find_victim`, the reference loop's repeated

@@ -17,6 +17,8 @@
 
 use super::{PolicyRng, ReplacementPolicy};
 use crate::request::AccessInfo;
+use crate::swar::{broadcast, eq_byte_lanes, first_lane};
+use std::hint::select_unpredictable;
 
 /// Number of RRPV bits used throughout the reproduction (3, as in the paper).
 pub const RRPV_BITS: u32 = 3;
@@ -73,30 +75,42 @@ impl RrpvArray {
         &self.rrpv[self.idx(set, 0)..self.idx(set + 1, 0)]
     }
 
+    /// The RRPVs of one set, by way, for an in-place pass over them.
+    #[inline]
+    pub(crate) fn of_set_mut(&mut self, set: usize) -> &mut [u8] {
+        let ways = self.idx(set, 0)..self.idx(set + 1, 0);
+        &mut self.rrpv[ways]
+    }
+
     /// Resets every RRPV to the distant value (the just-constructed state).
     pub fn reset(&mut self) {
         self.rrpv.fill(RRPV_MAX);
     }
 
-    /// Lowest way of `set` currently at `RRPV_MAX`, scanned eight RRPVs at a
-    /// time (used by policies that treat distant blocks as preferred
-    /// victims).
+    /// Lowest way of `set` currently at `RRPV_MAX` (used by policies that
+    /// treat distant blocks as preferred victims).
+    ///
+    /// Eight RRPVs per word, with no data-dependent branch over the words:
+    /// which word holds the first distant block is data the branch
+    /// predictor cannot learn, so every word is compared and none ends the
+    /// scan. The words are
+    /// visited from highest to lowest and each match replaces the running
+    /// answer by a select, so the lowest matching word wins (and in it the
+    /// lowest flagged lane, the one `swar::eq_byte_lanes` keeps exact). The
+    /// scalar scan of the ways past the last whole word seeds the answer.
+    #[inline(always)]
     pub fn first_distant(&self, set: usize) -> Option<usize> {
-        let slice = self.of_set(set);
-        let pattern = crate::swar::broadcast(RRPV_MAX);
-        let mut offset = 0;
-        while offset + 8 <= slice.len() {
-            let word = u64::from_le_bytes(slice[offset..offset + 8].try_into().expect("8 bytes"));
-            let lanes = crate::swar::eq_byte_lanes(word, pattern);
-            if lanes != 0 {
-                return Some(offset + crate::swar::first_lane(lanes));
-            }
-            offset += 8;
-        }
-        slice[offset..]
+        let (words, tail) = self.of_set(set).as_chunks::<8>();
+        let pattern = broadcast(RRPV_MAX);
+        let mut found = tail
             .iter()
             .position(|&v| v == RRPV_MAX)
-            .map(|tail| offset + tail)
+            .map(|way| words.len() * 8 + way);
+        for (index, &word) in words.iter().enumerate().rev() {
+            let lanes = eq_byte_lanes(u64::from_le_bytes(word), pattern);
+            found = select_unpredictable(lanes != 0, Some(index * 8 + first_lane(lanes)), found);
+        }
+        found
     }
 
     /// Decrements the RRPV of a block towards zero (gradual promotion).
@@ -118,6 +132,7 @@ impl RrpvArray {
     /// adds exactly `RRPV_MAX - max` to every block and the winner is the
     /// first way that held the maximum, so one scalar pass plus one add
     /// replaces the repeated rescans.
+    #[inline(always)]
     pub fn find_victim(&mut self, set: usize) -> usize {
         // Fast path: some block is already distant.
         if let Some(way) = self.first_distant(set) {
@@ -276,6 +291,7 @@ impl ReplacementPolicy for Srrip {
         "SRRIP"
     }
 
+    #[inline(always)]
     fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
         self.rrpv.find_victim(set)
     }
@@ -318,6 +334,7 @@ impl ReplacementPolicy for Brrip {
         "BRRIP"
     }
 
+    #[inline(always)]
     fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
         self.rrpv.find_victim(set)
     }
@@ -363,6 +380,7 @@ impl ReplacementPolicy for Drrip {
         "RRIP"
     }
 
+    #[inline(always)]
     fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
         self.rrpv.find_victim(set)
     }
@@ -401,6 +419,33 @@ mod tests {
         assert_eq!(victim, 2);
         // Other blocks have aged by the same amount.
         assert_eq!(rrpv.get(0, 0), 4);
+    }
+
+    #[test]
+    fn first_distant_matches_the_scalar_scan() {
+        // Way counts on both sides of the eight-lane word: a lone tail,
+        // whole words, words plus a tail, and the 64-way maximum.
+        let mut x = 11u64;
+        for ways in [1, 2, 3, 7, 8, 11, 12, 16, 64] {
+            let mut rrpv = RrpvArray::new(2, ways);
+            for step in 0..2000 {
+                // One distant block in `odds` on average, from "all" to
+                // "about one per set", so the first one lands in any word,
+                // the tail included, or nowhere.
+                let odds = [1, 2, 8, ways as u64 + 1][step % 4];
+                let set = step % 2;
+                for way in 0..ways {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    let value = match (x >> 33) % odds {
+                        0 => RRPV_MAX,
+                        _ => (x >> 45) as u8 % RRPV_MAX,
+                    };
+                    rrpv.set(set, way, value);
+                }
+                let oracle = rrpv.of_set(set).iter().position(|&v| v == RRPV_MAX);
+                assert_eq!(rrpv.first_distant(set), oracle, "{ways} ways, step {step}");
+            }
+        }
     }
 
     #[test]

@@ -97,6 +97,7 @@ impl ReplacementPolicy for ShipMem {
         "SHiP-MEM"
     }
 
+    #[inline(always)]
     fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
         self.rrpv.find_victim(set)
     }

@@ -386,6 +386,46 @@ fn llc_stats_are_pinned_across_the_full_policy_grid() {
 }
 
 #[test]
+fn twelve_way_llc_stats_are_pinned() {
+    // Golden LLC statistics `(accesses, misses, evictions, prefetch_fills,
+    // writeback_hits)` on tw x DBG x PageRank for a 48 KiB 12-way LLC (64
+    // sets) under the `Tiny` L1 and L2, captured on the commit before the
+    // per-set victim searches and Hawkeye's friendly ageing went
+    // branch-free. Every other pin is 16-way, two whole eight-lane words
+    // per set; twelve ways leave a four-way tail after one word.
+    type Pin = (u64, u64, u64, u64, u64);
+    const PINNED: [(PolicyKind, Pin); 6] = [
+        (PolicyKind::Lru, (14124, 1811, 9203, 8160, 2576)),
+        (PolicyKind::Rrip, (14124, 821, 7579, 7526, 2627)),
+        (PolicyKind::ShipMem, (14124, 982, 7538, 7324, 2512)),
+        (PolicyKind::Hawkeye, (14124, 460, 6912, 7220, 2768)),
+        (PolicyKind::Leeway, (14124, 438, 7261, 7591, 2793)),
+        (PolicyKind::Grasp, (14124, 424, 6867, 7211, 2795)),
+    ];
+    let hierarchy = HierarchyConfig {
+        llc: CacheConfig::new(48 * 1024, 12, 64),
+        ..SCALE.hierarchy()
+    };
+    assert_eq!(hierarchy.llc.sets(), 64);
+    let dataset = DatasetKind::Twitter.build(SCALE);
+    let recorded = Experiment::new(dataset.graph, AppKind::PageRank)
+        .with_hierarchy(hierarchy)
+        .with_reordering(TechniqueKind::Dbg)
+        .record();
+    for (policy, pinned) in PINNED {
+        let llc = recorded.replay(policy).stats.llc;
+        let pin = (
+            llc.accesses,
+            llc.misses,
+            llc.evictions,
+            llc.prefetch_fills,
+            llc.writeback_hits,
+        );
+        assert_eq!(pin, pinned, "tw/PR/{policy} at 12 ways");
+    }
+}
+
+#[test]
 fn upper_level_streams_are_pinned() {
     // Golden L1/L2 statistics `(accesses, misses, evictions,
     // prefetch_accesses, prefetch_fills, writeback_accesses,
