@@ -2,10 +2,12 @@
 # Guards the property that makes replay fast: `grasp_cachesim::cache::replay_columns`
 # — one instance per replacement policy — is the loop, with the per-record
 # work compiled into it. Disassembles <binary> and fails when any instance
-# calls `CacheCore::access_one`, `CacheCore::find_way`, a closure or one of
-# the policies' per-set searches (`first_distant`, `find_victim`,
-# `age_friendly`, `choose_victim`), i.e. when a refactor has quietly pushed
-# the loop body, or the searches replay spends its time in, back out of line.
+# calls `CacheCore::access_one`, `CacheCore::find_way`, a closure, the
+# reuse-hint `RegionClassifier::classify` (GRASP's and PIN-X's instances
+# classify every request) or one of the policies' per-set searches
+# (`first_distant`, `find_victim`, `age_friendly`, `choose_victim`), i.e.
+# when a refactor has quietly pushed the loop body, or the searches replay
+# spends its time in, back out of line.
 # One call is allowed: `Leeway::choose_victim` is `#[inline(never)]` because
 # inlining its dead-block scan measured 1–4 % slower per record.
 #
@@ -45,7 +47,7 @@ objdump -d --no-show-raw-insn -C "$binary" | awk -v relocs="$tables/relocs" -v s
   inside && /[ \t]call[ \t]/ {
     call = $0
     if (match(call, /# [0-9a-f]+ </)) call = call " -> " slot[bare(substr(call, RSTART + 2, RLENGTH - 4))]
-    if (call ~ /CacheCore::access_one|CacheCore::find_way|first_distant|find_victim|age_friendly|choose_victim|\{\{closure\}\}/ &&
+    if (call ~ /CacheCore::access_one|CacheCore::find_way|classify|first_distant|find_victim|age_friendly|choose_victim|\{\{closure\}\}/ &&
         call !~ /leeway::Leeway as grasp_cachesim::policy::ReplacementPolicy>::choose_victim$/) {
       print call
       bad++
@@ -60,5 +62,5 @@ objdump -d --no-show-raw-insn -C "$binary" | awk -v relocs="$tables/relocs" -v s
       printf "%d out-of-line call(s) in %d replay_columns instance(s)\n", bad, instances
       exit 1
     }
-    printf "%d replay_columns instance(s): no call to access_one, find_way, a closure or a per-set search\n", instances
+    printf "%d replay_columns instance(s): no call to access_one, find_way, classify, a closure or a per-set search\n", instances
   }'

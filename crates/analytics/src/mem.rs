@@ -2,7 +2,6 @@
 
 use grasp_cachesim::addr::Address;
 use grasp_cachesim::config::HierarchyConfig;
-use grasp_cachesim::hint::RegionClassifier;
 use grasp_cachesim::request::{AccessKind, AccessSite, RegionLabel};
 use grasp_cachesim::stage::UpperLevels;
 use grasp_cachesim::stats::HierarchyStats;
@@ -111,12 +110,11 @@ pub struct RecordingMemory {
 }
 
 impl RecordingMemory {
-    /// Creates a recording model for the given hierarchy configuration (the
-    /// LLC geometry still matters: it sizes the classifier's High/Moderate
-    /// regions and is the default geometry replays use).
+    /// Creates a recording model for the given hierarchy configuration (its
+    /// LLC geometry does not shape the recording).
     pub fn new(config: HierarchyConfig) -> Self {
         Self {
-            upper: UpperLevels::new(config, RegionClassifier::disabled()),
+            upper: UpperLevels::new(config),
             sink: LlcTrace::new(),
             accesses: 0,
         }
@@ -158,6 +156,13 @@ mod tests {
     use grasp_cachesim::config::HierarchyConfig;
     use grasp_cachesim::hint::{RegionClassifier, ReuseHint};
     use grasp_cachesim::policy::rrip::Drrip;
+    use grasp_cachesim::trace::LlcTrace;
+
+    /// The hint the LLC of `config` gives the trace's first demand request.
+    fn first_hint(trace: &LlcTrace, config: &HierarchyConfig) -> ReuseHint {
+        let classifier = RegionClassifier::new(&trace.context().abr_bounds, config.llc.size_bytes);
+        classifier.classify(trace.demand_vec()[0].addr)
+    }
 
     #[test]
     fn native_memory_counts_accesses() {
@@ -173,7 +178,7 @@ mod tests {
         // the way down.
         let config = HierarchyConfig::scaled_default().without_prefetch();
         let llc = Box::new(Drrip::new(config.llc.sets(), config.llc.ways, 1));
-        let hierarchy = Hierarchy::new(config, llc, RegionClassifier::disabled());
+        let hierarchy = Hierarchy::new(config, llc);
         let mut m = TracedMemory::new(hierarchy);
         for i in 0..100u64 {
             m.touch(i * 64, AccessKind::Read, 3, RegionLabel::Property);
@@ -189,13 +194,14 @@ mod tests {
 
     #[test]
     fn programming_bounds_enables_classification() {
-        let mut m = RecordingMemory::new(HierarchyConfig::scaled_default());
+        let config = HierarchyConfig::scaled_default();
+        let mut m = RecordingMemory::new(config);
         m.program_property_bounds(&[(0x8000_0000, 0x8000_0000 + (1 << 21))]);
         m.touch(0x8000_0000, AccessKind::Read, 1, RegionLabel::Property);
         let trace = m.finish();
-        assert_eq!(trace.demand_vec()[0].hint, ReuseHint::High);
+        assert_eq!(first_hint(&trace, &config), ReuseHint::High);
         assert_eq!(
-            trace.abr_bounds(),
+            &trace.context().abr_bounds,
             &[(0x8000_0000, 0x8000_0000 + (1 << 21))],
             "programmed bounds travel with the trace"
         );
@@ -217,7 +223,7 @@ mod tests {
             "distinct blocks all escape the upper levels"
         );
         assert_eq!(trace.context().l1.accesses, 100);
-        assert_eq!(trace.demand_vec()[0].hint, ReuseHint::High);
-        assert_eq!(trace.abr_bounds(), &[(0, 1 << 21)]);
+        assert_eq!(first_hint(&trace, &config), ReuseHint::High);
+        assert_eq!(&trace.context().abr_bounds, &[(0, 1 << 21)]);
     }
 }

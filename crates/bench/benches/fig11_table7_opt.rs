@@ -4,15 +4,15 @@
 //! Online policies (LRU, RRIP, GRASP) and Belady's MIN then replay the same
 //! **demand** stream — OPT cannot model prefetches, so giving them only to
 //! the online policies would break its lower bound — for several LLC sizes,
-//! with reuse hints recomputed from the Address Bound Register bounds that
-//! travel with the trace. The figure reports the percentage of misses each
-//! scheme eliminates relative to LRU; Table VII repeats the average over a
-//! sweep of LLC sizes.
+//! each replay classifying the Address Bound Register bounds that travel
+//! with the trace at its own LLC size. The figure reports the percentage of
+//! misses each scheme eliminates relative to LRU; Table VII repeats the
+//! average over a sweep of LLC sizes.
 //!
 //! Every replay is **chunk-native**: the online policies stream the demand
 //! view straight off the recorded trace's 12-byte-per-record storage
-//! ([`LlcTrace::replay_demand_with_classifier`]), and Belady's OPT consumes
-//! the chunks directly ([`optimal_misses_trace`]) — no 16-byte-per-access
+//! ([`LlcTrace::replay_demand`]), and Belady's OPT consumes the chunks
+//! directly ([`optimal_misses_trace`]) — no 16-byte-per-access
 //! `Vec<AccessInfo>` is ever materialized, which is what keeps the
 //! paper-scale (billions of accesses) sweep RAM-feasible.
 //!
@@ -22,7 +22,6 @@
 use grasp_analytics::apps::AppKind;
 use grasp_bench::{banner, dataset, dump_json, experiment, harness_scale, pct};
 use grasp_cachesim::config::CacheConfig;
-use grasp_cachesim::hint::{AddressBoundRegisters, RegionClassifier};
 use grasp_cachesim::policy::opt::optimal_misses_trace;
 use grasp_cachesim::trace::misses_eliminated_pct;
 use grasp_core::compare::arithmetic_mean;
@@ -33,36 +32,24 @@ use grasp_core::report::Table;
 use grasp_reorder::TechniqueKind;
 
 /// One recorded workload: the chunked post-L2 trace every scheme (online and
-/// OPT) replays the demand view of, with the recorded ABR bounds for
-/// reclassification travelling inside the trace.
+/// OPT) replays the demand view of, with the recorded ABR bounds every
+/// replay classifies from travelling inside the trace.
 struct Recording {
     app: AppKind,
     dataset: DatasetKind,
     recorded: RecordedRun,
 }
 
-/// Rebuilds the region classifier for a given LLC size from the ABR bounds
-/// the application programmed during the recording run (carried by the
-/// trace), mirroring what the hardware would do at that capacity.
-fn classifier_for(bounds: &[(u64, u64)], llc_bytes: u64) -> RegionClassifier {
-    let mut abrs = AddressBoundRegisters::new();
-    for &(start, end) in bounds {
-        abrs.program(start, end);
-    }
-    RegionClassifier::new(abrs, llc_bytes)
-}
-
 fn replay_all(recording: &Recording, llc_bytes: u64) -> (u64, u64, u64, u64) {
     let config = CacheConfig::new(llc_bytes, 16, 64);
     let trace = recording.recorded.trace();
-    let classifier = classifier_for(trace.abr_bounds(), llc_bytes);
     let mut misses = [0u64; 3];
     for (slot, policy) in [PolicyKind::Lru, PolicyKind::Rrip, PolicyKind::Grasp]
         .into_iter()
         .enumerate()
     {
         misses[slot] = trace
-            .replay_demand_with_classifier(config, policy.build_dispatch(&config), &classifier)
+            .replay_demand(config, policy.build_dispatch(&config))
             .misses;
     }
     let opt = optimal_misses_trace(trace, &config);

@@ -29,13 +29,13 @@
 //! tag scan, the private `CacheCore::access_one` and through it every policy
 //! hook — is forced or allowed inline, so a record costs no call. The policy
 //! dispatch match runs once per run, the statistics are summed in a local
-//! and written back once per run, and the hint-reclassification test is
-//! decided before the loop. (CI disassembles the release binary and fails
-//! when a `replay_columns` instance calls `access_one`, `find_way`, a
-//! closure or a policy's victim search.) The run path and the per-access
-//! path execute the *same* per-request mutation sequence — both funnel
-//! through `CacheCore::access_one` — so their decisions and statistics are
-//! bit-for-bit identical by construction.
+//! and written back once per run, and whether a record is classified into a
+//! reuse hint is the policy's constant. (CI disassembles the release binary
+//! and fails when a `replay_columns` instance calls `access_one`,
+//! `find_way`, `classify`, a closure or a policy's victim search.) The run
+//! path and the per-access path execute the *same* per-request mutation
+//! sequence — both funnel through `CacheCore::access_one` — so their
+//! decisions and statistics are bit-for-bit identical by construction.
 
 use crate::addr::BlockAddr;
 use crate::config::CacheConfig;
@@ -334,32 +334,19 @@ impl BatchTotals {
 /// [`SetAssocCache::writeback`]. The statistics live in a local for the
 /// whole run and are returned once.
 ///
-/// Matching on `reclassify` *here* and handing each arm's literal to the
-/// inlined loop gives the compiler two copies of the loop, one that never
-/// tests for a classifier and one that always has it: only LLC-size sweeps
-/// (Table VII) reclassify, and every other replay should not ask per record.
+/// A request's reuse hint is `classifier`'s verdict on its address, worked
+/// out only for a policy that [reads hints](ReplacementPolicy::reads_hints):
+/// a constant in every concrete instance, so the instances of the policies
+/// that ignore hints carry no classification at all.
 #[inline(never)]
 fn replay_columns<P: ReplacementPolicy + ?Sized>(
     core: &mut CacheCore,
     policy: &mut P,
     addrs: &[u64],
     meta: &[u32],
-    reclassify: Option<&RegionClassifier>,
+    classifier: &RegionClassifier,
 ) -> BatchTotals {
-    match reclassify {
-        None => replay_loop(core, policy, addrs, meta, None),
-        Some(classifier) => replay_loop(core, policy, addrs, meta, Some(classifier)),
-    }
-}
-
-#[inline(always)]
-fn replay_loop<P: ReplacementPolicy + ?Sized>(
-    core: &mut CacheCore,
-    policy: &mut P,
-    addrs: &[u64],
-    meta: &[u32],
-    reclassify: Option<&RegionClassifier>,
-) -> BatchTotals {
+    let reads_hints = policy.reads_hints();
     let mut totals = BatchTotals::default();
     for (&addr, &word) in addrs.iter().zip(meta) {
         let (block, set, pattern) = core.locate(addr);
@@ -369,7 +356,7 @@ fn replay_loop<P: ReplacementPolicy + ?Sized>(
             continue;
         }
         let mut info = decode_info(addr, word);
-        if let Some(classifier) = reclassify {
+        if reads_hints {
             info.hint = classifier.classify(addr);
         }
         let outcome = core.access_one(policy, block, set, pattern, &info);
@@ -535,12 +522,11 @@ impl SetAssocCache {
     /// prefetch and writeback records freely interleaved — straight off its
     /// raw columns: `addrs[i]` is the byte address and `meta[i]` the packed
     /// metadata word of record `i`, as [`crate::trace::TraceChunk::columns`]
-    /// exposes them. With `reclassify`, every request's reuse hint is
-    /// recomputed by that classifier instead of taken from its metadata word
-    /// (LLC-size sweeps). Bit-identical to dispatching each record through
-    /// [`SetAssocCache::access`] / [`SetAssocCache::prefetch`] /
-    /// [`SetAssocCache::writeback`] in order. Returns the number of demand
-    /// misses (the requests that reach memory).
+    /// exposes them. Each request carries the reuse hint `classifier` gives
+    /// its address (records carry none). Bit-identical to dispatching each
+    /// hinted record through [`SetAssocCache::access`] /
+    /// [`SetAssocCache::prefetch`] / [`SetAssocCache::writeback`] in order.
+    /// Returns the number of demand misses (the requests that reach memory).
     ///
     /// # Panics
     ///
@@ -549,7 +535,7 @@ impl SetAssocCache {
         &mut self,
         addrs: &[u64],
         meta: &[u32],
-        reclassify: Option<&RegionClassifier>,
+        classifier: &RegionClassifier,
     ) -> u64 {
         assert_eq!(addrs.len(), meta.len(), "index-aligned columns");
         debug_assert!(
@@ -559,7 +545,7 @@ impl SetAssocCache {
         let core = &mut self.core;
         let totals = for_each_policy!(
             &mut self.policy,
-            p => replay_columns(core, p, addrs, meta, reclassify)
+            p => replay_columns(core, p, addrs, meta, classifier)
         );
         totals.flush(&mut self.stats);
         totals.demand_misses()
@@ -814,7 +800,7 @@ mod tests {
         let mut misses = 0;
         // Uneven run boundaries: statistics must add up across runs.
         for (addrs, meta) in addrs.chunks(77).zip(meta.chunks(77)) {
-            misses += batched.replay_run(addrs, meta, None);
+            misses += batched.replay_run(addrs, meta, &RegionClassifier::disabled());
         }
         assert_eq!(scalar.stats(), batched.stats());
         assert_eq!(misses, scalar_misses);
@@ -859,7 +845,7 @@ mod tests {
     #[test]
     fn empty_batches_are_a_no_op() {
         let mut c = lru_cache(4096, 4);
-        assert_eq!(c.replay_run(&[], &[], None), 0);
+        assert_eq!(c.replay_run(&[], &[], &RegionClassifier::disabled()), 0);
         assert_eq!(c.stats(), &CacheStats::new());
     }
 

@@ -1,7 +1,7 @@
 //! Cache and hierarchy configuration.
 
 /// Geometry of a single set-associative cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,

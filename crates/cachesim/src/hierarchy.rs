@@ -2,17 +2,16 @@
 //!
 //! The hierarchy is the reproduction's stand-in for the Sniper-simulated
 //! memory system of Table VI, composed from the two stages of
-//! [`crate::stage`]: the policy-independent upper levels
-//! ([`UpperLevels`]: L1 + L2 + prefetcher + GRASP's region classification,
-//! exactly as in Fig. 4 of the paper) and the LLC stage ([`LlcStage`]) under
-//! whichever replacement policy the experiment is evaluating. It only
+//! [`crate::stage`]: the LLC-independent upper levels ([`UpperLevels`]: L1 +
+//! L2 + prefetcher) and the LLC stage ([`LlcStage`]: GRASP's region
+//! classification, as in Fig. 4 of the paper, in front of whichever
+//! replacement policy the experiment is evaluating). It only
 //! simulates: the one recorder of the post-L2 stream is [`UpperLevels`]
 //! feeding an [`LlcTrace`](crate::trace::LlcTrace), whose
 //! [`replay`](crate::trace::LlcTrace::replay) reproduces this hierarchy's
 //! statistics bit-for-bit.
 
 use crate::config::HierarchyConfig;
-use crate::hint::RegionClassifier;
 use crate::policy::PolicyDispatch;
 use crate::request::{AccessKind, AccessSite, RegionLabel};
 use crate::stage::{LlcStage, UpperLevels};
@@ -36,18 +35,13 @@ impl std::fmt::Debug for Hierarchy {
 }
 
 impl Hierarchy {
-    /// Creates a hierarchy with the given configuration, LLC replacement
-    /// policy and region classifier.
-    ///
-    /// Pass [`RegionClassifier::disabled`] to model a system without GRASP's
-    /// interface (every request carries the Default hint).
-    pub fn new(
-        config: HierarchyConfig,
-        llc_policy: impl Into<PolicyDispatch>,
-        classifier: RegionClassifier,
-    ) -> Self {
+    /// Creates a hierarchy with the given configuration and LLC replacement
+    /// policy. Its ABRs start unprogrammed, modelling a system without
+    /// GRASP's interface (every request carries the Default hint) until
+    /// [`Hierarchy::program_abrs`].
+    pub fn new(config: HierarchyConfig, llc_policy: impl Into<PolicyDispatch>) -> Self {
         Self {
-            upper: UpperLevels::new(config, classifier),
+            upper: UpperLevels::new(config),
             llc: LlcStage::new(config.llc, llc_policy),
         }
     }
@@ -57,19 +51,17 @@ impl Hierarchy {
         self.upper.config()
     }
 
-    /// The region classifier in use.
-    pub fn classifier(&self) -> &RegionClassifier {
-        self.upper.classifier()
-    }
-
     /// Programs the Address Bound Registers with the bounds of the
-    /// application's Property Arrays and rebuilds the region classifier.
+    /// application's Property Arrays, in both stages: the LLC stage
+    /// classifies requests with them, the upper levels keep them for a
+    /// recording's context.
     ///
     /// This models the software side of GRASP's interface (Sec. III-A): the
     /// graph framework calls this once at application start-up, after it has
     /// allocated its Property Arrays.
     pub fn program_abrs(&mut self, bounds: &[(u64, u64)]) {
         self.upper.program_abrs(bounds);
+        self.llc.program_abrs(bounds);
     }
 
     /// Performs one demand memory access.
@@ -120,24 +112,29 @@ impl Hierarchy {
 mod tests {
     use super::*;
     use crate::config::HierarchyConfig;
-    use crate::hint::{AddressBoundRegisters, ReuseHint};
+    use crate::hint::{RegionClassifier, ReuseHint};
+    use crate::policy::grasp::Grasp;
     use crate::policy::rrip::Drrip;
     use crate::trace::{LlcTrace, TraceEvent};
 
-    fn hierarchy(classifier: RegionClassifier) -> Hierarchy {
+    fn hierarchy() -> Hierarchy {
         let config = HierarchyConfig::scaled_default();
         let llc = Box::new(Drrip::new(config.llc.sets(), config.llc.ways, 1));
-        Hierarchy::new(config, llc, classifier)
+        Hierarchy::new(config, llc)
     }
 
-    /// Feeds `accesses` (site 1, Property) to a [`hierarchy`] and to the
-    /// recorder — the same upper levels with an [`LlcTrace`] as their sink.
+    /// Feeds `accesses` (site 1, Property) to a hierarchy under `llc` and to
+    /// the recorder — the same upper levels with an [`LlcTrace`] as their
+    /// sink — both with their ABRs programmed with `bounds`.
     fn simulate_and_record(
-        classifier: RegionClassifier,
+        llc: impl Into<PolicyDispatch>,
+        bounds: &[(u64, u64)],
         accesses: &[(u64, AccessKind)],
     ) -> (Hierarchy, LlcTrace) {
-        let mut h = hierarchy(classifier.clone());
-        let mut upper = UpperLevels::new(*h.config(), classifier);
+        let mut h = Hierarchy::new(HierarchyConfig::scaled_default(), llc);
+        h.program_abrs(bounds);
+        let mut upper = UpperLevels::new(*h.config());
+        upper.program_abrs(bounds);
         let mut trace = LlcTrace::new();
         for &(addr, kind) in accesses {
             h.access(addr, kind, 1, RegionLabel::Property);
@@ -149,7 +146,7 @@ mod tests {
 
     #[test]
     fn l1_filters_repeated_accesses() {
-        let mut h = hierarchy(RegionClassifier::disabled());
+        let mut h = hierarchy();
         h.read(0x1000, 1, RegionLabel::Property);
         for _ in 0..9 {
             h.read(0x1000, 1, RegionLabel::Property);
@@ -167,7 +164,7 @@ mod tests {
     fn spatial_locality_is_filtered_before_the_llc() {
         // Sequential 8-byte elements: 8 per 64-byte block, so the LLC sees at
         // most 1/8th of the accesses (fewer once the prefetcher kicks in).
-        let mut h = hierarchy(RegionClassifier::disabled());
+        let mut h = hierarchy();
         for i in 0..4096u64 {
             h.read(0x10000 + i * 8, 2, RegionLabel::EdgeArray);
         }
@@ -182,24 +179,25 @@ mod tests {
 
     #[test]
     fn classifier_attaches_hints_to_llc_requests() {
-        let mut abrs = AddressBoundRegisters::new();
-        abrs.program(0x0, 0x100000);
-        let config = HierarchyConfig::scaled_default();
-        let classifier = RegionClassifier::new(abrs, config.llc.size_bytes);
         // An address at the start of the property array is High-Reuse; one
-        // far past the two LLC-sized regions is Low-Reuse.
+        // far past the two LLC-sized regions is Low-Reuse — classified at the
+        // LLC, from the bounds the recording carries.
         let accesses = [(0x0, AccessKind::Read), (0xF0000, AccessKind::Read)];
-        let (h, trace) = simulate_and_record(classifier, &accesses);
+        let llc = HierarchyConfig::scaled_default().llc;
+        let drrip = Drrip::new(llc.sets(), llc.ways, 1);
+        let (h, trace) = simulate_and_record(drrip, &[(0x0, 0x100000)], &accesses);
         let demands = trace.demand_vec();
         assert_eq!(demands.len() as u64, h.stats().llc.accesses);
         assert_eq!(demands.len(), 2);
-        assert_eq!(demands[0].hint, ReuseHint::High);
-        assert_eq!(demands[1].hint, ReuseHint::Low);
+        assert!(demands.iter().all(|info| info.hint == ReuseHint::Default));
+        let classifier = RegionClassifier::new(&trace.context().abr_bounds, llc.size_bytes);
+        assert_eq!(classifier.classify(demands[0].addr), ReuseHint::High);
+        assert_eq!(classifier.classify(demands[1].addr), ReuseHint::Low);
     }
 
     #[test]
     fn memory_accesses_equal_llc_demand_misses() {
-        let mut h = hierarchy(RegionClassifier::disabled());
+        let mut h = hierarchy();
         let mut x = 7u64;
         for _ in 0..20_000 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(13);
@@ -217,7 +215,7 @@ mod tests {
             let mut config = HierarchyConfig::scaled_default();
             config.prefetch = prefetch;
             let llc = Box::new(Drrip::new(config.llc.sets(), config.llc.ways, 1));
-            let mut h = Hierarchy::new(config, llc, RegionClassifier::disabled());
+            let mut h = Hierarchy::new(config, llc);
             for i in 0..20_000u64 {
                 h.read(i * 8, 1, RegionLabel::EdgeArray);
             }
@@ -234,7 +232,7 @@ mod tests {
 
     #[test]
     fn flush_clears_all_levels() {
-        let mut h = hierarchy(RegionClassifier::disabled());
+        let mut h = hierarchy();
         h.read(0x40, 1, RegionLabel::Other);
         h.flush();
         // After a flush the same access misses all the way to memory again.
@@ -250,7 +248,9 @@ mod tests {
         let accesses: Vec<_> = (0..8192u64)
             .map(|i| (i * 64 * 17, AccessKind::Write))
             .collect();
-        let (h, trace) = simulate_and_record(RegionClassifier::disabled(), &accesses);
+        let llc = HierarchyConfig::scaled_default().llc;
+        let drrip = Drrip::new(llc.sets(), llc.ways, 1);
+        let (h, trace) = simulate_and_record(drrip, &[], &accesses);
         let stats = h.stats();
         assert!(stats.llc.writeback_accesses > 0);
         // The recorded trace carries the same writebacks.
@@ -275,10 +275,11 @@ mod tests {
                 }
             })
             .collect();
-        let (h, trace) = simulate_and_record(RegionClassifier::disabled(), &accesses);
-        let config = *h.config();
-        let llc = Box::new(Drrip::new(config.llc.sets(), config.llc.ways, 1));
-        let replayed = trace.replay(config.llc, llc);
+        // GRASP reads the hints the LLC stage derives from the bounds.
+        let llc = HierarchyConfig::scaled_default().llc;
+        let grasp = || Grasp::new(llc.sets(), llc.ways, 1);
+        let (h, trace) = simulate_and_record(grasp(), &[(0, 1 << 20)], &accesses);
+        let replayed = trace.replay(llc, grasp());
         assert_eq!(h.stats(), replayed, "replay must be bit-identical");
     }
 }

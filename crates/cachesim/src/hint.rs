@@ -1,5 +1,13 @@
 //! GRASP's software–hardware interface: reuse hints, Address Bound Registers
 //! and the region classification logic (Sec. III-A and III-B of the paper).
+//!
+//! The bounds an application programs into the ABRs are application state;
+//! the hint they yield is a function of the *LLC capacity* as well (High is
+//! the LLC-sized prefix of each Property Array, Moderate the next LLC-sized
+//! chunk). So the classifier lives at the LLC:
+//! [`LlcStage::program_abrs`](crate::stage::LlcStage::program_abrs) builds it
+//! at the stage's own size, and a recorded stream carries the bounds, never a
+//! hint.
 
 use crate::addr::Address;
 
@@ -21,33 +29,6 @@ pub enum ReuseHint {
     Default,
 }
 
-impl ReuseHint {
-    /// Encodes the hint as the 2-bit value carried with an LLC request.
-    pub fn encode(self) -> u8 {
-        match self {
-            ReuseHint::High => 0,
-            ReuseHint::Moderate => 1,
-            ReuseHint::Low => 2,
-            ReuseHint::Default => 3,
-        }
-    }
-
-    /// Decodes a 2-bit value into a hint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits > 3`.
-    pub fn decode(bits: u8) -> Self {
-        match bits {
-            0 => ReuseHint::High,
-            1 => ReuseHint::Moderate,
-            2 => ReuseHint::Low,
-            3 => ReuseHint::Default,
-            _ => panic!("reuse hint is a 2-bit value, got {bits}"),
-        }
-    }
-}
-
 impl std::fmt::Display for ReuseHint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = match self {
@@ -60,115 +41,27 @@ impl std::fmt::Display for ReuseHint {
     }
 }
 
-/// One pair of Address Bound Registers: the start and end virtual address of
-/// a Property Array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BoundPair {
-    /// Inclusive start address of the Property Array.
-    pub start: Address,
-    /// Exclusive end address of the Property Array.
-    pub end: Address,
-}
-
-impl BoundPair {
-    /// Creates a bound pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `end < start`.
-    pub fn new(start: Address, end: Address) -> Self {
-        assert!(end >= start, "end must not precede start");
-        Self { start, end }
-    }
-
-    /// Length of the bounded region in bytes.
-    pub fn len(&self) -> u64 {
-        self.end - self.start
-    }
-
-    /// Returns `true` if the region is empty.
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
-    /// Returns `true` if `addr` falls inside the region.
-    #[inline]
-    pub fn contains(&self, addr: Address) -> bool {
-        addr >= self.start && addr < self.end
-    }
-}
-
-/// The architectural register file GRASP exposes to software: a small number
-/// of [`BoundPair`]s, one per Property Array (Sec. III-A).
-///
-/// The registers are part of the application context; when no pair is
-/// programmed, classification returns [`ReuseHint::Default`] for every
-/// address, disabling specialized management.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AddressBoundRegisters {
-    pairs: Vec<BoundPair>,
-}
-
 /// Maximum number of ABR pairs the hardware provides. The paper instruments
 /// at most two Property Arrays per application; commodity implementations
 /// would provision a handful of registers.
 pub const MAX_ABR_PAIRS: usize = 8;
 
-impl AddressBoundRegisters {
-    /// Creates an empty (unprogrammed) register file.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Programs one ABR pair with the bounds of a Property Array.
-    ///
-    /// # Panics
-    ///
-    /// Panics if all [`MAX_ABR_PAIRS`] registers are already programmed.
-    pub fn program(&mut self, start: Address, end: Address) {
-        assert!(
-            self.pairs.len() < MAX_ABR_PAIRS,
-            "all {MAX_ABR_PAIRS} ABR pairs are in use"
-        );
-        self.pairs.push(BoundPair::new(start, end));
-    }
-
-    /// Clears every register (application teardown).
-    pub fn clear(&mut self) {
-        self.pairs.clear();
-    }
-
-    /// Returns `true` if at least one pair is programmed.
-    pub fn is_programmed(&self) -> bool {
-        !self.pairs.is_empty()
-    }
-
-    /// Number of programmed pairs.
-    pub fn programmed_count(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// The programmed pairs.
-    pub fn pairs(&self) -> &[BoundPair] {
-        &self.pairs
-    }
-}
-
-/// The classification logic of GRASP (Sec. III-B): given the programmed ABRs
-/// and the LLC capacity, labels every address as High-, Moderate-, Low-Reuse
-/// or Default.
+/// The Address Bound Registers as programmed — one `(start, end)` pair per
+/// Property Array (Sec. III-A) — together with the classification logic of
+/// GRASP (Sec. III-B) for one LLC capacity: labels every address as High-,
+/// Moderate-, Low-Reuse or Default.
 ///
 /// The LLC-sized region at the start of each Property Array is the High Reuse
 /// Region; the next LLC-sized region is the Moderate Reuse Region; when `n`
 /// Property Arrays are programmed, each array's regions are `LLC size / n`
-/// bytes long.
+/// bytes long. With no pair programmed, every address is
+/// [`ReuseHint::Default`], disabling specialized management.
 ///
 /// ```
-/// use grasp_cachesim::hint::{AddressBoundRegisters, RegionClassifier, ReuseHint};
+/// use grasp_cachesim::hint::{RegionClassifier, ReuseHint};
 ///
-/// let mut abrs = AddressBoundRegisters::new();
-/// abrs.program(0x10000, 0x90000); // a 512 KiB property array
-/// let classifier = RegionClassifier::new(abrs, 64 * 1024); // 64 KiB LLC
+/// // A 512 KiB property array in front of a 64 KiB LLC.
+/// let classifier = RegionClassifier::new(&[(0x10000, 0x90000)], 64 * 1024);
 /// assert_eq!(classifier.classify(0x10000), ReuseHint::High);
 /// assert_eq!(classifier.classify(0x20000), ReuseHint::Moderate);
 /// assert_eq!(classifier.classify(0x40000), ReuseHint::Low);
@@ -176,77 +69,65 @@ impl AddressBoundRegisters {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionClassifier {
-    abrs: AddressBoundRegisters,
-    llc_bytes: u64,
-    high_regions: Vec<BoundPair>,
-    moderate_regions: Vec<BoundPair>,
+    /// Per programmed Property Array: its start, then the length of its High
+    /// region and of its High and Moderate regions together.
+    arrays: Vec<(Address, u64, u64)>,
+    /// The hint of an address in no region, in a Moderate one only, in a
+    /// High one.
+    hints: [ReuseHint; 3],
 }
 
 impl RegionClassifier {
-    /// Builds the classifier from programmed ABRs and the LLC capacity in
-    /// bytes.
-    pub fn new(abrs: AddressBoundRegisters, llc_bytes: u64) -> Self {
-        let count = abrs.programmed_count().max(1) as u64;
-        let share = llc_bytes / count;
-        let mut high_regions = Vec::new();
-        let mut moderate_regions = Vec::new();
-        for pair in abrs.pairs() {
-            let high_end = (pair.start + share).min(pair.end);
-            high_regions.push(BoundPair::new(pair.start, high_end));
-            let moderate_end = (high_end + share).min(pair.end);
-            moderate_regions.push(BoundPair::new(high_end, moderate_end));
-        }
-        Self {
-            abrs,
-            llc_bytes,
-            high_regions,
-            moderate_regions,
-        }
+    /// Programs the ABRs with `bounds` (the half-open `[start, end)` of each
+    /// Property Array) and builds the classifier for an LLC of `llc_bytes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with more than [`MAX_ABR_PAIRS`] pairs, or on a pair whose end
+    /// precedes its start.
+    pub fn new(bounds: &[(Address, Address)], llc_bytes: u64) -> Self {
+        assert!(
+            bounds.len() <= MAX_ABR_PAIRS,
+            "{} ABR pairs programmed, the hardware has {MAX_ABR_PAIRS}",
+            bounds.len()
+        );
+        let share = llc_bytes / bounds.len().max(1) as u64;
+        let arrays = bounds
+            .iter()
+            .map(|&(start, end)| {
+                assert!(end >= start, "end must not precede start");
+                let len = end - start;
+                let high = share.min(len);
+                (start, high, high.saturating_add(share).min(len))
+            })
+            .collect();
+        let hints = if bounds.is_empty() {
+            [ReuseHint::Default; 3]
+        } else {
+            [ReuseHint::Low, ReuseHint::Moderate, ReuseHint::High]
+        };
+        Self { arrays, hints }
     }
 
     /// A classifier with unprogrammed ABRs: every address maps to
     /// [`ReuseHint::Default`].
     pub fn disabled() -> Self {
-        Self::new(AddressBoundRegisters::new(), 0)
-    }
-
-    /// LLC capacity the classifier was built for.
-    pub fn llc_bytes(&self) -> u64 {
-        self.llc_bytes
-    }
-
-    /// Returns `true` if specialized classification is active.
-    pub fn is_enabled(&self) -> bool {
-        self.abrs.is_programmed()
-    }
-
-    /// Bounds of the High Reuse Region of each programmed Property Array.
-    pub fn high_regions(&self) -> &[BoundPair] {
-        &self.high_regions
-    }
-
-    /// Bounds of the Moderate Reuse Region of each programmed Property Array.
-    pub fn moderate_regions(&self) -> &[BoundPair] {
-        &self.moderate_regions
+        Self::new(&[], 0)
     }
 
     /// Classifies an address into a reuse hint.
     #[inline]
     pub fn classify(&self, addr: Address) -> ReuseHint {
-        if !self.is_enabled() {
-            return ReuseHint::Default;
+        // No early exit and no branch on the address: which region it falls
+        // in is data, and a branch on it mispredicts in replay's loop. An
+        // address below an array's start wraps to an offset past its end.
+        let (mut high, mut moderate) = (false, false);
+        for &(start, high_len, moderate_len) in &self.arrays {
+            let offset = addr.wrapping_sub(start);
+            high |= offset < high_len;
+            moderate |= offset < moderate_len;
         }
-        for region in &self.high_regions {
-            if region.contains(addr) {
-                return ReuseHint::High;
-            }
-        }
-        for region in &self.moderate_regions {
-            if region.contains(addr) {
-                return ReuseHint::Moderate;
-            }
-        }
-        ReuseHint::Low
+        self.hints[usize::from(high) + usize::from(moderate)]
     }
 }
 
@@ -255,60 +136,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hint_encode_decode_round_trip() {
-        for hint in [
-            ReuseHint::High,
-            ReuseHint::Moderate,
-            ReuseHint::Low,
-            ReuseHint::Default,
-        ] {
-            assert_eq!(ReuseHint::decode(hint.encode()), hint);
-            assert!(hint.encode() <= 3, "hint must fit in 2 bits");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "2-bit value")]
-    fn decode_rejects_wide_values() {
-        let _ = ReuseHint::decode(4);
-    }
-
-    #[test]
     fn default_hint_is_default() {
         assert_eq!(ReuseHint::default(), ReuseHint::Default);
     }
 
     #[test]
     fn bound_pair_contains() {
-        let p = BoundPair::new(100, 200);
-        assert!(p.contains(100));
-        assert!(p.contains(199));
-        assert!(!p.contains(200));
-        assert!(!p.contains(99));
-        assert_eq!(p.len(), 100);
-        assert!(!p.is_empty());
-        assert!(BoundPair::new(5, 5).is_empty());
+        // An ABR pair is half-open: its start is in the array, its end not.
+        let c = RegionClassifier::new(&[(100, 200)], 1 << 20);
+        assert_eq!(c.classify(100), ReuseHint::High);
+        assert_eq!(c.classify(199), ReuseHint::High);
+        assert_eq!(c.classify(200), ReuseHint::Low);
+        assert_eq!(c.classify(99), ReuseHint::Low);
+        let empty = RegionClassifier::new(&[(5, 5)], 1 << 20);
+        assert_eq!(empty.classify(5), ReuseHint::Low);
     }
 
     #[test]
     #[should_panic(expected = "end must not precede start")]
     fn inverted_bounds_panic() {
-        let _ = BoundPair::new(10, 5);
+        let _ = RegionClassifier::new(&[(10, 5)], 64);
     }
 
     #[test]
     fn unprogrammed_registers_disable_classification() {
         let c = RegionClassifier::disabled();
-        assert!(!c.is_enabled());
         assert_eq!(c.classify(0), ReuseHint::Default);
         assert_eq!(c.classify(u64::MAX), ReuseHint::Default);
     }
 
     #[test]
     fn single_array_regions() {
-        let mut abrs = AddressBoundRegisters::new();
-        abrs.program(0x1000, 0x1000 + 1024 * 1024); // 1 MiB array
-        let c = RegionClassifier::new(abrs, 64 * 1024);
+        // A 1 MiB array.
+        let c = RegionClassifier::new(&[(0x1000, 0x1000 + 1024 * 1024)], 64 * 1024);
         // First 64 KiB -> High.
         assert_eq!(c.classify(0x1000), ReuseHint::High);
         assert_eq!(c.classify(0x1000 + 64 * 1024 - 1), ReuseHint::High);
@@ -323,10 +183,7 @@ mod tests {
 
     #[test]
     fn two_arrays_split_the_llc_share() {
-        let mut abrs = AddressBoundRegisters::new();
-        abrs.program(0x0, 0x100000);
-        abrs.program(0x400000, 0x500000);
-        let c = RegionClassifier::new(abrs, 128 * 1024);
+        let c = RegionClassifier::new(&[(0x0, 0x100000), (0x400000, 0x500000)], 128 * 1024);
         // Each array's High region is 64 KiB.
         assert_eq!(c.classify(0x0), ReuseHint::High);
         assert_eq!(c.classify(64 * 1024 - 1), ReuseHint::High);
@@ -338,32 +195,31 @@ mod tests {
 
     #[test]
     fn small_arrays_clamp_regions_to_their_length() {
-        let mut abrs = AddressBoundRegisters::new();
-        abrs.program(0x0, 0x800); // 2 KiB array, much smaller than the LLC
-        let c = RegionClassifier::new(abrs, 64 * 1024);
+        // A 2 KiB array, much smaller than the LLC.
+        let c = RegionClassifier::new(&[(0x0, 0x800)], 64 * 1024);
         assert_eq!(c.classify(0x0), ReuseHint::High);
         assert_eq!(c.classify(0x7FF), ReuseHint::High);
         // Addresses past the array are Low even though the "share" is larger.
         assert_eq!(c.classify(0x800), ReuseHint::Low);
-        assert!(c.moderate_regions()[0].is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "ABR pairs are in use")]
+    fn bounds_at_the_top_of_the_address_space_saturate() {
+        // A trace's bounds come from a file: an array ending at u64::MAX
+        // must neither overflow the region arithmetic nor panic.
+        let c = RegionClassifier::new(&[(u64::MAX - 100, u64::MAX)], 64 * 1024);
+        assert_eq!(c.classify(u64::MAX - 100), ReuseHint::High);
+        assert_eq!(c.classify(u64::MAX - 1), ReuseHint::High);
+        assert_eq!(c.classify(u64::MAX), ReuseHint::Low, "end is exclusive");
+        assert_eq!(c.classify(0), ReuseHint::Low);
+    }
+
+    #[test]
+    #[should_panic(expected = "ABR pairs programmed")]
     fn programming_too_many_pairs_panics() {
-        let mut abrs = AddressBoundRegisters::new();
-        for i in 0..=MAX_ABR_PAIRS as u64 {
-            abrs.program(i * 0x1000, i * 0x1000 + 0x100);
-        }
-    }
-
-    #[test]
-    fn clear_resets_registers() {
-        let mut abrs = AddressBoundRegisters::new();
-        abrs.program(0, 100);
-        assert!(abrs.is_programmed());
-        abrs.clear();
-        assert!(!abrs.is_programmed());
-        assert_eq!(abrs.programmed_count(), 0);
+        let bounds: Vec<_> = (0..=MAX_ABR_PAIRS as u64)
+            .map(|i| (i * 0x1000, i * 0x1000 + 0x100))
+            .collect();
+        let _ = RegionClassifier::new(&bounds, 64 * 1024);
     }
 }

@@ -17,7 +17,7 @@
 //!   ([`policy::grasp`]),
 //! * GRASP's software–hardware interface: Address Bound Registers and the
 //!   region classification logic that turns an address into a 2-bit reuse
-//!   hint ([`hint`]),
+//!   hint at the LLC ([`hint`]),
 //! * per-region access/miss statistics ([`stats`]) used to reproduce Fig. 2,
 //!   and an analytic timing model ([`timing`]) used to convert miss counts
 //!   into the speed-up numbers of Figs. 6–10.
@@ -61,7 +61,7 @@ pub use addr::{block_of, Address, BlockAddr};
 pub use cache::SetAssocCache;
 pub use config::{CacheConfig, HierarchyConfig};
 pub use hierarchy::Hierarchy;
-pub use hint::{AddressBoundRegisters, RegionClassifier, ReuseHint};
+pub use hint::{RegionClassifier, ReuseHint};
 pub use policy::PolicyDispatch;
 pub use request::{AccessInfo, AccessKind, RegionLabel};
 pub use stage::{LlcSink, LlcStage, UpperLevels};

@@ -156,6 +156,10 @@ impl ReplacementPolicy for PolicyDispatch {
     fn reset(&mut self) {
         PolicyDispatch::reset(self)
     }
+
+    fn reads_hints(&self) -> bool {
+        dispatch!(self, p => p.reads_hints())
+    }
 }
 
 impl std::fmt::Debug for PolicyDispatch {

@@ -157,6 +157,10 @@ impl ReplacementPolicy for Grasp {
         self.dueling.reset();
         self.rng = PolicyRng::new(self.seed);
     }
+
+    fn reads_hints(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -75,6 +75,15 @@ pub trait ReplacementPolicy: std::fmt::Debug {
     /// survives across a flush. The default is a no-op for stateless
     /// policies and external implementations.
     fn reset(&mut self) {}
+
+    /// Whether any hook reads [`AccessInfo::hint`]. Replay classifies a
+    /// request only for policies that say so, so a policy that reads the
+    /// hint — a [`PolicyDispatch::Dyn`] one included — must override this,
+    /// or it sees [`ReuseHint::Default`](crate::hint::ReuseHint::Default)
+    /// on every replayed request.
+    fn reads_hints(&self) -> bool {
+        false
+    }
 }
 
 /// A tiny deterministic pseudo-random generator used by probabilistic

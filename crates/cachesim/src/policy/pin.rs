@@ -156,6 +156,10 @@ impl ReplacementPolicy for PinX {
         self.rrpv.reset();
         self.pinned.fill(0);
     }
+
+    fn reads_hints(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

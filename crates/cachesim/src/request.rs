@@ -90,8 +90,10 @@ pub struct AccessInfo {
     pub kind: AccessKind,
     /// Code-site identifier (PC proxy).
     pub site: AccessSite,
-    /// GRASP reuse hint (2 bits); [`ReuseHint::Default`] for non-graph data
-    /// or when the Address Bound Registers are not programmed.
+    /// GRASP reuse hint (2 bits), set by the LLC stage
+    /// ([`crate::stage::LlcStage`]) from its classifier;
+    /// [`ReuseHint::Default`] above the LLC, for non-graph data, or when the
+    /// Address Bound Registers are not programmed.
     pub hint: ReuseHint,
     /// Logical data-structure label used for per-region statistics.
     pub region: RegionLabel,

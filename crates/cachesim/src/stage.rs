@@ -1,24 +1,28 @@
 //! The staged view of the cache hierarchy: an upper-level filter stage
-//! (L1 + L2 + stride prefetcher + GRASP's region classification) feeding a
-//! last-level-cache stage through the [`LlcSink`] interface.
+//! (L1 + L2 + stride prefetcher) feeding a last-level-cache stage through
+//! the [`LlcSink`] interface.
 //!
 //! The split exists because everything above the LLC is **independent of the
-//! LLC replacement policy**: L1 and L2 are LRU-managed, the prefetcher
-//! observes the demand stream at L1, and nothing the LLC decides flows back
-//! upward. The post-L2 request stream — demand fills, prefetch fills and
-//! dirty-victim writebacks, each demand/prefetch request carrying its 2-bit
-//! reuse hint — is therefore a pure function of the application. The
-//! record-once / replay-many experiment pipeline exploits exactly this:
+//! LLC**, its replacement policy *and* its geometry: L1 and L2 are
+//! LRU-managed, the prefetcher observes the demand stream at L1, and nothing
+//! the LLC decides flows back upward. The post-L2 request stream — demand
+//! fills, prefetch fills and dirty-victim writebacks — is therefore a pure
+//! function of the application and the upper levels. GRASP's reuse hint is
+//! not part of it: the hint depends on the LLC's capacity, so the
+//! [`LlcStage`] classifies each request from the ABR bounds the application
+//! programmed, at its own size. The record-once / replay-many experiment
+//! pipeline exploits exactly this:
 //!
 //! ```text
-//!             ┌────────────────────────── UpperLevels ─────────────────────────┐
-//!  app access │ L1-D (LRU) → L2 (LRU) → RegionClassifier (ABRs → reuse hint)   │
-//!             └──────────────┬─────────────────────────────────────────────────┘
+//!             ┌──────────── UpperLevels ────────────┐
+//!  app access │ L1-D (LRU) → L2 (LRU) → ABR bounds  │
+//!             └──────────────┬──────────────────────┘
 //!                            │ demand / prefetch / writeback   (LlcSink)
-//!              ┌─────────────┴─────────────┐
-//!              │  LlcStage (policy X)      │   ← simulate now (crate::Hierarchy)
-//!              │  LlcTrace                 │   ← the recorder: record once, replay per policy
-//!              └───────────────────────────┘
+//!              ┌─────────────┴──────────────────────────────────┐
+//!              │  LlcStage: RegionClassifier (ABRs, LLC size →  │   ← simulate now (crate::Hierarchy)
+//!              │            reuse hint) → LLC (policy X)        │
+//!              │  LlcTrace                                      │   ← the recorder: record once, replay
+//!              └────────────────────────────────────────────────┘     per policy and LLC geometry
 //! ```
 //!
 //! L1 and L2 are the private `lru_filter` module's recency-ordered LRU sets, not
@@ -65,14 +69,14 @@ pub trait LlcSink {
     fn writeback(&mut self, addr: Address);
 }
 
-/// The policy-independent upper levels of the hierarchy: L1-D and L2 (both
-/// LRU), the L1 stride prefetcher, and the region classifier that attaches
-/// GRASP's reuse hint to every request on its way to the LLC.
+/// The LLC-independent upper levels of the hierarchy: L1-D and L2 (both
+/// LRU) and the L1 stride prefetcher. They also keep the ABR bounds the
+/// application programmed, for the record context; the hint those bounds
+/// yield is the LLC stage's business.
 pub struct UpperLevels {
     config: HierarchyConfig,
     l1: LruFilter,
     l2: LruFilter,
-    classifier: RegionClassifier,
     prefetcher: Option<StridePrefetcher>,
     abr_bounds: Vec<(Address, Address)>,
 }
@@ -81,24 +85,24 @@ impl std::fmt::Debug for UpperLevels {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UpperLevels")
             .field("config", &self.config)
-            .field("classifier_enabled", &self.classifier.is_enabled())
+            .field("abr_bounds", &self.abr_bounds)
             .finish()
     }
 }
 
 impl UpperLevels {
-    /// Creates the filter stage with the given configuration and classifier.
+    /// Creates the filter stage with the given configuration (its LLC
+    /// geometry is not read).
     ///
     /// # Panics
     ///
     /// Panics if the L1 or L2 block size is below four bytes (their lines
     /// pack the block address and the dirty bit into one word).
-    pub fn new(config: HierarchyConfig, classifier: RegionClassifier) -> Self {
+    pub fn new(config: HierarchyConfig) -> Self {
         Self {
             config,
             l1: LruFilter::new("L1-D", config.l1),
             l2: LruFilter::new("L2", config.l2),
-            classifier,
             prefetcher: config.prefetch.then(StridePrefetcher::default),
             abr_bounds: Vec::new(),
         }
@@ -109,26 +113,11 @@ impl UpperLevels {
         &self.config
     }
 
-    /// The region classifier in use.
-    pub fn classifier(&self) -> &RegionClassifier {
-        &self.classifier
-    }
-
-    /// Programs the Address Bound Registers with the bounds of the
-    /// application's Property Arrays and rebuilds the region classifier
-    /// (the software side of GRASP's interface, Sec. III-A).
+    /// Keeps the bounds the application programmed into the Address Bound
+    /// Registers (the software side of GRASP's interface, Sec. III-A) for
+    /// [`UpperLevels::record_context`]. Nothing above the LLC reads them.
     pub fn program_abrs(&mut self, bounds: &[(Address, Address)]) {
-        let mut abrs = crate::hint::AddressBoundRegisters::new();
-        for &(start, end) in bounds {
-            abrs.program(start, end);
-        }
-        self.classifier = RegionClassifier::new(abrs, self.config.llc.size_bytes);
         self.abr_bounds = bounds.to_vec();
-    }
-
-    /// The most recently programmed ABR bounds (empty when unprogrammed).
-    pub fn abr_bounds(&self) -> &[(Address, Address)] {
-        &self.abr_bounds
     }
 
     /// Accumulated L1-D statistics.
@@ -189,8 +178,7 @@ impl UpperLevels {
 
     /// Drives one request (demand, or prefetch when `PREFETCH`) through both
     /// levels: L1 lookup; on a miss the request goes to L2 and, missing
-    /// there too, to `sink` with the 2-bit reuse hint computed by GRASP's
-    /// classification logic (Fig. 4); then the dirty L1 victim is written
+    /// there too, to `sink`; then the dirty L1 victim is written
     /// back into L2 (and forwarded to `sink` when L2 does not hold the
     /// block), and the dirty L2 victim trails last. Returns `true` if the
     /// request hit somewhere on chip.
@@ -207,11 +195,10 @@ impl UpperLevels {
         let l2 = self.l2.request::<PREFETCH>(info);
         let mut on_chip = l2.hit;
         if !l2.hit {
-            let llc_info = info.with_hint(self.classifier.classify(info.addr));
             if PREFETCH {
-                sink.prefetch(&llc_info);
+                sink.prefetch(info);
             } else {
-                on_chip = sink.demand(&llc_info);
+                on_chip = sink.demand(info);
             }
         }
         if let Some((block, true)) = l1.victim() {
@@ -236,15 +223,16 @@ impl UpperLevels {
     }
 }
 
-/// The LLC stage: a single set-associative cache under the replacement policy
-/// being evaluated, plus the count of demand requests that fell through to
-/// main memory.
+/// The LLC stage: GRASP's classification logic (Fig. 4) in front of a single
+/// set-associative cache under the replacement policy being evaluated, plus
+/// the count of demand requests that fell through to main memory.
 ///
 /// Both the direct simulation path ([`crate::Hierarchy`]) and trace replay
 /// ([`crate::trace::LlcTrace::replay`]) drive this same type, which is what
 /// guarantees bit-identical statistics between the two.
 pub struct LlcStage {
     cache: SetAssocCache,
+    classifier: RegionClassifier,
     memory_accesses: u64,
 }
 
@@ -258,12 +246,21 @@ impl std::fmt::Debug for LlcStage {
 }
 
 impl LlcStage {
-    /// Creates the LLC stage with the given geometry and replacement policy.
+    /// Creates the LLC stage with the given geometry and replacement policy,
+    /// its ABRs unprogrammed (every request carries the Default hint).
     pub fn new(config: CacheConfig, policy: impl Into<PolicyDispatch>) -> Self {
         Self {
             cache: SetAssocCache::new("LLC", config, policy),
+            classifier: RegionClassifier::disabled(),
             memory_accesses: 0,
         }
+    }
+
+    /// Programs the Address Bound Registers with the bounds of the
+    /// application's Property Arrays: from here on every request is
+    /// classified for this stage's LLC capacity.
+    pub fn program_abrs(&mut self, bounds: &[(Address, Address)]) {
+        self.classifier = RegionClassifier::new(bounds, self.cache.config().size_bytes);
     }
 
     /// Name of the replacement policy managing the LLC.
@@ -281,10 +278,16 @@ impl LlcStage {
         self.memory_accesses
     }
 
+    /// `info` with the reuse hint this stage's classifier gives its address.
+    #[inline]
+    fn hinted(&self, info: &AccessInfo) -> AccessInfo {
+        info.with_hint(self.classifier.classify(info.addr))
+    }
+
     /// Simulates one demand request; returns `true` on an LLC hit.
     #[inline]
     pub fn demand(&mut self, info: &AccessInfo) -> bool {
-        let hit = self.cache.access(info).is_hit();
+        let hit = self.cache.access(&self.hinted(info)).is_hit();
         if !hit {
             self.memory_accesses += 1;
         }
@@ -294,24 +297,18 @@ impl LlcStage {
     /// Simulates one prefetch request.
     #[inline]
     pub fn prefetch(&mut self, info: &AccessInfo) {
-        self.cache.prefetch(info);
+        self.cache.prefetch(&self.hinted(info));
     }
 
     /// Replays one flush-free run of a recorded post-L2 stream straight off
-    /// its raw columns ([`SetAssocCache::replay_run`]), recomputing reuse
-    /// hints with `reclassify` when given. Every demand miss reaches memory,
-    /// so the memory-access counter advances by the run's demand-miss count.
-    /// Bit-identical to dispatching each record through
-    /// [`LlcStage::demand`] / [`LlcStage::prefetch`] /
-    /// [`LlcStage::writeback`] in order.
+    /// its raw columns ([`SetAssocCache::replay_run`]) under this stage's
+    /// classifier. Every demand miss reaches memory, so the memory-access
+    /// counter advances by the run's demand-miss count. Bit-identical to
+    /// dispatching each record through [`LlcStage::demand`] /
+    /// [`LlcStage::prefetch`] / [`LlcStage::writeback`] in order.
     #[inline]
-    pub fn replay_run(
-        &mut self,
-        addrs: &[Address],
-        meta: &[u32],
-        reclassify: Option<&RegionClassifier>,
-    ) {
-        self.memory_accesses += self.cache.replay_run(addrs, meta, reclassify);
+    pub fn replay_run(&mut self, addrs: &[Address], meta: &[u32]) {
+        self.memory_accesses += self.cache.replay_run(addrs, meta, &self.classifier);
     }
 
     /// Receives the writeback of a dirty victim from the upper levels.
@@ -376,10 +373,7 @@ mod tests {
     }
 
     fn upper() -> UpperLevels {
-        UpperLevels::new(
-            HierarchyConfig::scaled_default(),
-            RegionClassifier::disabled(),
-        )
+        UpperLevels::new(HierarchyConfig::scaled_default())
     }
 
     #[test]
@@ -550,7 +544,7 @@ mod tests {
     fn sub_word_upper_level_blocks_are_rejected() {
         let mut config = HierarchyConfig::scaled_default();
         config.l2 = CacheConfig::new(config.l2.size_bytes, config.l2.ways, 2);
-        let _ = UpperLevels::new(config, RegionClassifier::disabled());
+        let _ = UpperLevels::new(config);
     }
 
     #[test]
@@ -562,6 +556,20 @@ mod tests {
         assert_eq!(stage.stats().accesses, 2);
         assert_eq!(stage.stats().misses, 1);
         assert_eq!(stage.memory_accesses(), 1);
+    }
+
+    #[test]
+    fn llc_stage_classifies_at_its_own_capacity() {
+        let hint_at = |llc_bytes| {
+            let config = CacheConfig::new(llc_bytes, 16, 64);
+            let mut stage = LlcStage::new(config, Drrip::new(config.sets(), config.ways, 1));
+            let info = AccessInfo::read(48 * 1024);
+            assert_eq!(stage.hinted(&info).hint, ReuseHint::Default, "unprogrammed");
+            stage.program_abrs(&[(0, 1 << 20)]);
+            stage.hinted(&info).hint
+        };
+        assert_eq!(hint_at(32 * 1024), ReuseHint::Moderate);
+        assert_eq!(hint_at(64 * 1024), ReuseHint::High);
     }
 
     #[test]

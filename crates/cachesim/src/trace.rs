@@ -3,13 +3,15 @@
 //! [`LlcTrace`] is the exchange format of the record-once / replay-many
 //! experiment pipeline. One recording run captures everything the LLC will
 //! ever see — demand requests, prefetch requests and dirty-victim writebacks,
-//! in program order, each demand/prefetch request carrying the reuse hint the
-//! classifier attached at record time — together with the upper-level (L1/L2)
-//! statistics and the programmed Address Bound Register bounds. Because the
-//! upper levels are independent of the LLC replacement policy, a single
-//! recording can then be replayed under any number of policies, and
-//! [`LlcTrace::replay`] reproduces the **full** [`HierarchyStats`] of a
-//! direct simulation bit-for-bit.
+//! in program order — together with the upper-level (L1/L2) statistics and
+//! the programmed Address Bound Register bounds. No record carries a reuse
+//! hint: the hint depends on the LLC's capacity, so every replay programs its
+//! [`LlcStage`] with the recorded bounds and classifies at its own size.
+//! Because the upper levels are independent of the LLC — its policy, its
+//! geometry and its latency — a single recording can then be replayed under
+//! any number of policies and LLC configurations, and [`LlcTrace::replay`]
+//! reproduces the **full** [`HierarchyStats`] of a direct simulation
+//! bit-for-bit.
 //!
 //! Two workflows use recorded traces:
 //!
@@ -18,15 +20,13 @@
 //! 2. **OPT comparison (Fig. 11 / Table VII).**
 //!    [`crate::policy::opt::optimal_misses`] computes the minimum achievable
 //!    misses on the demand stream ([`LlcTrace::demand_vec`]) while the online
-//!    policies replay the same stream — possibly for a *different* LLC size,
-//!    in which case [`LlcTrace::replay_with_classifier`] recomputes the reuse
-//!    hints for the new High/Moderate region extents (the recorded ABR bounds
-//!    make that classifier reconstructible from the trace alone).
+//!    policies replay the same stream ([`LlcTrace::replay_demand`]) at each
+//!    LLC size of the sweep.
 //!
 //! # Layout
 //!
 //! Records are packed into a struct-of-arrays pair of a 64-bit address and a
-//! 32-bit metadata word (kind, hint, region, site — 12 bytes per record), and
+//! 32-bit metadata word (kind, region, site — 12 bytes per record), and
 //! the arrays are **chunked**: storage grows in fixed-size [`TraceChunk`]s of
 //! [`CHUNK_RECORDS`] records instead of one contiguous allocation. Appending
 //! never relocates more than one chunk, so a long recording costs neither the
@@ -55,21 +55,22 @@ const CHUNK_SHIFT: u32 = CHUNK_RECORDS.trailing_zeros();
 const CHUNK_MASK: usize = CHUNK_RECORDS - 1;
 
 const META_WRITE_BIT: u32 = 1;
-const META_HINT_SHIFT: u32 = 1;
 const META_REGION_SHIFT: u32 = 3;
 /// Event-kind bits (mutually exclusive; all clear = demand).
 pub(crate) const META_PREFETCH_BIT: u32 = 1 << 6;
 pub(crate) const META_WRITEBACK_BIT: u32 = 1 << 7;
 pub(crate) const META_FLUSH_BIT: u32 = 1 << 8;
 const META_KIND_BITS: u32 = META_PREFETCH_BIT | META_WRITEBACK_BIT | META_FLUSH_BIT;
-/// Bits 9–15: between the kind bits and the site field, never written.
-const META_UNDEFINED_BITS: u32 = 0xFE00;
+/// Never written: bits 1–2 (the reuse hint, up to format v2) and bits 9–15
+/// (between the kind bits and the site field).
+const META_UNDEFINED_BITS: u32 = 0xFE06;
 const META_SITE_SHIFT: u32 = 16;
 
 /// One event of the recorded post-L2 stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
-    /// A demand request that missed L1 and L2 (hint attached at record time).
+    /// A demand request that missed L1 and L2 (its hint is
+    /// [`ReuseHint::Default`]: the LLC stage classifies).
     Demand(AccessInfo),
     /// A prefetch request that missed L1 and L2.
     Prefetch(AccessInfo),
@@ -84,7 +85,6 @@ pub(crate) fn encode_meta(info: &AccessInfo, kind_bit: u32) -> u32 {
     if info.is_write() {
         meta |= META_WRITE_BIT;
     }
-    meta |= u32::from(info.hint.encode()) << META_HINT_SHIFT;
     meta |= (info.region.index() as u32) << META_REGION_SHIFT;
     meta |= u32::from(info.site) << META_SITE_SHIFT;
     meta
@@ -115,7 +115,7 @@ pub(crate) fn decode_info(addr: Address, meta: u32) -> AccessInfo {
             AccessKind::Read
         },
         site: (meta >> META_SITE_SHIFT) as u16,
-        hint: ReuseHint::decode(((meta >> META_HINT_SHIFT) & 0b11) as u8),
+        hint: ReuseHint::Default,
         region: RegionLabel::ALL
             .get(((meta >> META_REGION_SHIFT) & 0b111) as usize)
             .copied()
@@ -212,8 +212,8 @@ impl TraceChunk {
 }
 
 /// Upper-level state recorded alongside the post-L2 stream: everything replay
-/// needs to rebuild full hierarchy statistics (and the classifier) without
-/// re-running the application.
+/// needs to rebuild full hierarchy statistics (and, at the replayed LLC's
+/// size, the classifier) without re-running the application.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecordContext {
     /// Final L1-D statistics of the recording run.
@@ -347,11 +347,6 @@ impl LlcTrace {
         self.context = context;
     }
 
-    /// The Address Bound Register bounds programmed during the recording run.
-    pub fn abr_bounds(&self) -> &[(Address, Address)] {
-        &self.context.abr_bounds
-    }
-
     /// Decodes the event at `index`.
     ///
     /// # Panics
@@ -429,11 +424,13 @@ impl LlcTrace {
     }
 
     /// Replays the recorded stream through a fresh [`LlcStage`] with the
-    /// given policy and returns the **full** hierarchy statistics of the run:
-    /// the recorded L1/L2 stats plus the replayed LLC stats, bit-identical to
-    /// having simulated the whole hierarchy directly under that policy.
+    /// given policy, its ABRs programmed with the recorded bounds at
+    /// `config`'s capacity, and returns the **full** hierarchy statistics of
+    /// the run: the recorded L1/L2 stats plus the replayed LLC stats,
+    /// bit-identical to having simulated the whole hierarchy directly with
+    /// that LLC.
     pub fn replay(&self, config: CacheConfig, policy: impl Into<PolicyDispatch>) -> HierarchyStats {
-        self.replay_impl(config, policy, None, false)
+        self.replay_impl(config, policy, false)
     }
 
     /// Replays the recorded stream through **every** policy of a sweep, one
@@ -465,34 +462,16 @@ impl LlcTrace {
         config: CacheConfig,
         policy: impl Into<PolicyDispatch>,
     ) -> HierarchyStats {
-        self.replay_impl(config, policy, None, true)
-    }
-
-    /// Replays with reuse hints *recomputed* by `classifier` (used when the
-    /// replayed LLC size differs from the size the trace was recorded with,
-    /// e.g. the Table VII LLC-size sweep — rebuild the classifier from
-    /// [`LlcTrace::abr_bounds`]). The recorded L1/L2 statistics still
-    /// describe the recording hierarchy.
-    pub fn replay_with_classifier(
-        &self,
-        config: CacheConfig,
-        policy: impl Into<PolicyDispatch>,
-        classifier: &RegionClassifier,
-    ) -> HierarchyStats {
-        self.replay_impl(config, policy, Some(classifier), false)
+        self.replay_impl(config, policy, true)
     }
 
     fn replay_impl(
         &self,
         config: CacheConfig,
         policy: impl Into<PolicyDispatch>,
-        reclassify: Option<&RegionClassifier>,
         scalar: bool,
     ) -> HierarchyStats {
-        let mut replayer = ChunkReplayer::new(config, policy);
-        if let Some(classifier) = reclassify {
-            replayer = replayer.with_classifier(classifier.clone());
-        }
+        let mut replayer = ChunkReplayer::new(config, policy, &self.context);
         for chunk in self.chunks() {
             if scalar {
                 replayer.feed_scalar(chunk);
@@ -500,21 +479,22 @@ impl LlcTrace {
                 replayer.feed(chunk);
             }
         }
-        replayer.finish(&self.context)
+        replayer.finish()
     }
 
-    /// Replays the **demand** stream only through a standalone LLC, with
-    /// reuse hints recomputed by `classifier` — the online-policy side of the
-    /// OPT comparison (Fig. 11 / Table VII), which must give every scheme the
-    /// same stream Belady's bound is computed on. Each chunk's demand
-    /// records are filtered into one reused pair of column windows and go
-    /// through the cache's run kernel; no `AccessInfo` is materialized.
-    pub fn replay_demand_with_classifier(
+    /// Replays the **demand** stream only through a standalone LLC,
+    /// classifying at `config`'s capacity like every other replay — the
+    /// online-policy side of the OPT comparison (Fig. 11 / Table VII), which
+    /// must give every scheme the same stream Belady's bound is computed
+    /// on. Each chunk's demand records are filtered into one reused pair of
+    /// column windows and go through the cache's run kernel; no
+    /// `AccessInfo` is materialized.
+    pub fn replay_demand(
         &self,
         config: CacheConfig,
         policy: impl Into<PolicyDispatch>,
-        classifier: &RegionClassifier,
     ) -> CacheStats {
+        let classifier = RegionClassifier::new(&self.context.abr_bounds, config.size_bytes);
         let mut cache = SetAssocCache::new("LLC", config, policy);
         let (mut addrs, mut meta) = (Vec::new(), Vec::new());
         for chunk in self.chunks() {
@@ -526,7 +506,7 @@ impl LlcTrace {
                     meta.push(word);
                 }
             }
-            cache.replay_run(&addrs, &meta, Some(classifier));
+            cache.replay_run(&addrs, &meta, &classifier);
         }
         cache.stats().clone()
     }
@@ -560,55 +540,48 @@ impl FromIterator<AccessInfo> for LlcTrace {
     }
 }
 
-/// The incremental, chunk-driven entry point to [`LlcStage`]: feed it trace
-/// chunks in stream order ([`LlcTrace::chunks`]), then
-/// [`ChunkReplayer::finish`] with the recorded context to obtain the full
-/// hierarchy statistics. [`LlcTrace::replay`] and its scalar and
-/// reclassifying variants all drive this one type, which is what pins them
-/// bit-for-bit to each other (and to direct simulation).
+/// The incremental, chunk-driven entry point to [`LlcStage`]: build it from
+/// the recording's context (its ABR bounds program the stage before the
+/// first chunk), feed it trace chunks in stream order
+/// ([`LlcTrace::chunks`]), then [`ChunkReplayer::finish`] to obtain the full
+/// hierarchy statistics. [`LlcTrace::replay`] and its scalar variant both
+/// drive this one type, which is what pins them bit-for-bit to each other
+/// (and to direct simulation).
 ///
 /// [`ChunkReplayer::feed`] is flush splitting plus one call per run: the
 /// chunk is cut at its flush markers (the flush bit of the metadata column
 /// is scanned eight records per step) and each flush-free run goes, as the
 /// two raw column slices it already is, to [`LlcStage::replay_run`] — the
 /// recorded-stream kernel of [`crate::cache`], one compiled loop per policy
-/// that decodes, looks up and accounts every record inline. Nothing is
-/// copied, tiled or buffered on the way. Kind changes do **not** break a
-/// run: demand and prefetch records interleave densely in recorded streams
-/// (median same-kind run length is 1 on the paper workloads), so only
-/// flushes — rare, whole-cache resets — do.
+/// that decodes, classifies (for a policy that reads hints), looks up and
+/// accounts every record inline. Nothing is copied, tiled or buffered on the
+/// way. Kind changes do **not** break a run: demand and prefetch records
+/// interleave densely in recorded streams (median same-kind run length is 1
+/// on the paper workloads), so only flushes — rare, whole-cache resets — do.
 /// [`ChunkReplayer::feed_scalar`] replays the same chunk one decoded event
 /// at a time through the stage's per-event methods; it is the oracle `feed`
 /// is pinned against.
 #[derive(Debug)]
 pub struct ChunkReplayer {
     stage: LlcStage,
-    reclassify: Option<RegionClassifier>,
+    l1: CacheStats,
+    l2: CacheStats,
 }
 
 impl ChunkReplayer {
     /// Creates a replayer driving a fresh [`LlcStage`] with the given
-    /// geometry and policy.
-    pub fn new(config: CacheConfig, policy: impl Into<PolicyDispatch>) -> Self {
+    /// geometry and policy, its ABRs programmed with `context`'s bounds.
+    pub fn new(
+        config: CacheConfig,
+        policy: impl Into<PolicyDispatch>,
+        context: &RecordContext,
+    ) -> Self {
+        let mut stage = LlcStage::new(config, policy);
+        stage.program_abrs(&context.abr_bounds);
         Self {
-            stage: LlcStage::new(config, policy),
-            reclassify: None,
-        }
-    }
-
-    /// Recomputes reuse hints with `classifier` during replay (LLC-size
-    /// sweeps; see [`LlcTrace::replay_with_classifier`]).
-    #[must_use]
-    pub fn with_classifier(mut self, classifier: RegionClassifier) -> Self {
-        self.reclassify = Some(classifier);
-        self
-    }
-
-    #[inline]
-    fn rehint(&self, info: AccessInfo) -> AccessInfo {
-        match &self.reclassify {
-            Some(classifier) => info.with_hint(classifier.classify(info.addr)),
-            None => info,
+            stage,
+            l1: context.l1.clone(),
+            l2: context.l2.clone(),
         }
     }
 
@@ -617,12 +590,9 @@ impl ChunkReplayer {
     pub fn feed_event(&mut self, event: TraceEvent) {
         match event {
             TraceEvent::Demand(info) => {
-                self.stage.demand(&self.rehint(info));
+                self.stage.demand(&info);
             }
-            TraceEvent::Prefetch(info) => {
-                let info = self.rehint(info);
-                self.stage.prefetch(&info);
-            }
+            TraceEvent::Prefetch(info) => self.stage.prefetch(&info),
             TraceEvent::Writeback(addr) => self.stage.writeback(addr),
             TraceEvent::Flush => self.stage.flush(),
         }
@@ -632,7 +602,6 @@ impl ChunkReplayer {
     /// type docs). Bit-identical to [`ChunkReplayer::feed_scalar`].
     pub fn feed(&mut self, chunk: &TraceChunk) {
         let (addrs, meta) = chunk.columns();
-        let reclassify = self.reclassify.as_ref();
         let mut offset = 0;
         while offset < meta.len() {
             if meta[offset] & META_FLUSH_BIT != 0 {
@@ -642,7 +611,7 @@ impl ChunkReplayer {
             }
             let end = offset + kind_run_len(&meta[offset..], 0, META_FLUSH_BIT);
             self.stage
-                .replay_run(&addrs[offset..end], &meta[offset..end], reclassify);
+                .replay_run(&addrs[offset..end], &meta[offset..end]);
             offset = end;
         }
     }
@@ -658,10 +627,10 @@ impl ChunkReplayer {
 
     /// Consumes the replayer and assembles the full hierarchy statistics:
     /// the recorded upper-level stats plus the replayed LLC stats.
-    pub fn finish(self, context: &RecordContext) -> HierarchyStats {
+    pub fn finish(self) -> HierarchyStats {
         HierarchyStats {
-            l1: context.l1.clone(),
-            l2: context.l2.clone(),
+            l1: self.l1,
+            l2: self.l2,
             memory_accesses: self.stage.memory_accesses(),
             llc: self.stage.into_stats(),
         }
@@ -680,7 +649,7 @@ pub fn misses_eliminated_pct(baseline_misses: u64, candidate_misses: u64) -> f64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hint::{AddressBoundRegisters, ReuseHint};
+    use crate::hint::ReuseHint;
     use crate::policy::grasp::Grasp;
     use crate::policy::lru::Lru;
     use crate::policy::opt::optimal_misses;
@@ -688,28 +657,25 @@ mod tests {
     use crate::request::RegionLabel;
 
     /// A thrash-prone trace: a hot working set that fits in the cache plus a
-    /// long stream of single-use blocks.
-    fn thrashy_trace(hot_blocks: u64, cold_blocks: u64, rounds: u64) -> Vec<AccessInfo> {
-        let mut trace = Vec::new();
+    /// long stream of single-use blocks. The hot set is the one programmed
+    /// Property Array, so every replay classifies it High and the cold
+    /// stream Low.
+    fn thrashy_trace(hot_blocks: u64, cold_blocks: u64, rounds: u64) -> LlcTrace {
+        let mut trace = LlcTrace::new();
         for r in 0..rounds {
-            for b in 0..hot_blocks {
+            let cold = (0..cold_blocks).map(|c| hot_blocks + r * cold_blocks + c);
+            for block in (0..hot_blocks).chain(cold) {
                 trace.push(
-                    AccessInfo::read(b * 64)
-                        .with_hint(ReuseHint::High)
-                        .with_region(RegionLabel::Property)
-                        .with_site(1),
-                );
-            }
-            for c in 0..cold_blocks {
-                let addr = (hot_blocks + r * cold_blocks + c) * 64;
-                trace.push(
-                    AccessInfo::read(addr)
-                        .with_hint(ReuseHint::Low)
+                    &AccessInfo::read(block * 64)
                         .with_region(RegionLabel::Property)
                         .with_site(1),
                 );
             }
         }
+        trace.set_context(RecordContext {
+            abr_bounds: vec![(0, hot_blocks * 64)],
+            ..RecordContext::default()
+        });
         trace
     }
 
@@ -719,13 +685,11 @@ mod tests {
 
     /// LLC statistics of a demand-only trace replayed under `policy`.
     fn replay(
-        trace: &[AccessInfo],
+        trace: &LlcTrace,
         config: CacheConfig,
         policy: impl Into<PolicyDispatch>,
     ) -> CacheStats {
-        LlcTrace::from_iter(trace.iter().copied())
-            .replay(config, policy)
-            .llc
+        trace.replay(config, policy).llc
     }
 
     #[test]
@@ -766,7 +730,7 @@ mod tests {
     fn opt_lower_bounds_every_online_policy() {
         let config = llc_config();
         let trace = thrashy_trace(64, 300, 10);
-        let opt = optimal_misses(&trace, &config);
+        let opt = optimal_misses(&trace.demand_vec(), &config);
         for policy in [
             replay(
                 &trace,
@@ -793,11 +757,9 @@ mod tests {
         let infos = [
             AccessInfo::read(0x1234)
                 .with_site(77)
-                .with_hint(ReuseHint::High)
                 .with_region(RegionLabel::EdgeArray),
             AccessInfo::write(u64::MAX - 63)
                 .with_site(u16::MAX)
-                .with_hint(ReuseHint::Moderate)
                 .with_region(RegionLabel::Frontier),
             AccessInfo::read(0),
         ];
@@ -813,17 +775,18 @@ mod tests {
         assert_eq!(trace.demand_vec(), infos.to_vec());
         let rebuilt: LlcTrace = trace.demand_accesses().collect();
         assert_eq!(rebuilt, trace);
+        // A hint is the LLC's to give: recording one drops it.
+        let hinted: LlcTrace = infos.iter().map(|i| i.with_hint(ReuseHint::High)).collect();
+        assert_eq!(hinted, trace);
     }
 
     #[test]
     fn every_event_kind_round_trips() {
         let demand = AccessInfo::write(0x40)
             .with_site(9)
-            .with_hint(ReuseHint::Low)
             .with_region(RegionLabel::Property);
         let prefetch = AccessInfo::read(0x80)
             .with_site(9)
-            .with_hint(ReuseHint::Moderate)
             .with_region(RegionLabel::EdgeArray);
         let mut trace = LlcTrace::new();
         trace.push(&demand);
@@ -847,16 +810,13 @@ mod tests {
     #[test]
     fn every_recordable_word_is_valid_and_decodes_to_itself() {
         for region in RegionLabel::ALL {
-            for hint in 0..4 {
-                for kind_bit in [0, META_PREFETCH_BIT] {
-                    let info = AccessInfo::write(0x40)
-                        .with_site(u16::MAX)
-                        .with_hint(ReuseHint::decode(hint))
-                        .with_region(region);
-                    let word = encode_meta(&info, kind_bit);
-                    assert!(meta_is_valid(word), "{word:#x}");
-                    assert_eq!(decode_info(0x40, word), info);
-                }
+            for kind_bit in [0, META_PREFETCH_BIT] {
+                let info = AccessInfo::write(0x40)
+                    .with_site(u16::MAX)
+                    .with_region(region);
+                let word = encode_meta(&info, kind_bit);
+                assert!(meta_is_valid(word), "{word:#x}");
+                assert_eq!(decode_info(0x40, word), info);
             }
         }
         assert!(meta_is_valid(META_WRITEBACK_BIT) && meta_is_valid(META_FLUSH_BIT));
@@ -865,6 +825,8 @@ mod tests {
         let forged = 7 << META_REGION_SHIFT;
         assert!(!meta_is_valid(forged));
         assert_eq!(decode_info(0, forged).region, RegionLabel::Other);
+        // Nor does any push write the two bits a v2 file kept its hint in.
+        assert!(!meta_is_valid(1 << 1) && !meta_is_valid(1 << 2));
     }
 
     #[test]
@@ -915,7 +877,7 @@ mod tests {
 
     #[test]
     fn trace_replay_reports_full_hierarchy_stats() {
-        let mut trace: LlcTrace = thrashy_trace(32, 128, 4).into_iter().collect();
+        let mut trace = thrashy_trace(32, 128, 4);
         let mut context = RecordContext::default();
         context.l1.record(RegionLabel::Property, false);
         context.l2.record(RegionLabel::Property, false);
@@ -943,7 +905,7 @@ mod tests {
 
     #[test]
     fn chunk_native_demand_replay_matches_the_slice_version() {
-        let demands = thrashy_trace(48, 256, 5);
+        let demands = thrashy_trace(48, 256, 5).demand_vec();
         let mut trace = LlcTrace::new();
         for (i, info) in demands.iter().enumerate() {
             trace.push(info);
@@ -951,45 +913,63 @@ mod tests {
                 trace.push_writeback(info.addr); // must be skipped by the demand view
             }
         }
-        let mut abrs = AddressBoundRegisters::new();
-        abrs.program(0, 1 << 20);
-        let classifier = RegionClassifier::new(abrs, 128 * 1024);
+        trace.set_context(RecordContext {
+            abr_bounds: vec![(0, 1 << 20)],
+            ..RecordContext::default()
+        });
         let config = llc_config();
-        // The oracle: the demand slice, re-hinted and fed one access at a time.
+        let classifier = RegionClassifier::new(&trace.context().abr_bounds, config.size_bytes);
+        // The oracle: the demand slice, hinted and fed one access at a time.
         let mut scalar =
             SetAssocCache::new("LLC", config, Grasp::new(config.sets(), config.ways, 1));
         for info in &demands {
             scalar.access(&info.with_hint(classifier.classify(info.addr)));
         }
-        let chunked = trace.replay_demand_with_classifier(
-            config,
-            Box::new(Grasp::new(config.sets(), config.ways, 1)),
-            &classifier,
-        );
+        let chunked = trace.replay_demand(config, Grasp::new(config.sets(), config.ways, 1));
         assert_eq!(scalar.stats(), &chunked);
     }
 
     #[test]
     fn reclassification_changes_hints_with_llc_size() {
-        // Record hints for a small LLC, then replay for a larger one: more of
-        // the property array becomes High-Reuse.
-        let mut abrs = AddressBoundRegisters::new();
-        abrs.program(0, 1024 * 1024);
-        let small = RegionClassifier::new(abrs.clone(), 64 * 1024);
-        let large = RegionClassifier::new(abrs, 256 * 1024);
+        // One recording replayed for a small and a large LLC: more of the
+        // property array is High-Reuse for the large one, and each replay
+        // classifies at its own size.
+        let bounds = [(0, 1024 * 1024)];
+        let small = RegionClassifier::new(&bounds, 64 * 1024);
+        let large = RegionClassifier::new(&bounds, 256 * 1024);
         let addr = 128 * 1024; // past the small High region, inside the large one
         assert_eq!(small.classify(addr), ReuseHint::Low);
         assert_eq!(large.classify(addr), ReuseHint::High);
 
-        let trace: LlcTrace = [AccessInfo::read(addr).with_hint(small.classify(addr))]
-            .into_iter()
+        let mut trace: LlcTrace = (0..20_000u64)
+            .map(|i| AccessInfo::read(i * i * 64 % (512 * 1024)))
             .collect();
-        let config = llc_config();
-        let stats = trace.replay_with_classifier(
-            config,
-            Box::new(Grasp::new(config.sets(), config.ways, 1)),
-            &large,
+        trace.set_context(RecordContext {
+            abr_bounds: bounds.to_vec(),
+            ..RecordContext::default()
+        });
+        let grasp = |config: CacheConfig| Grasp::new(config.sets(), config.ways, 1);
+        let oracle = |config: CacheConfig, classifier: &RegionClassifier| {
+            let mut cache = SetAssocCache::new("LLC", config, grasp(config));
+            for info in trace.demand_accesses() {
+                cache.access(&info.with_hint(classifier.classify(info.addr)));
+            }
+            cache.stats().clone()
+        };
+        let large_config = CacheConfig::new(256 * 1024, 16, 64);
+        for (config, classifier) in [
+            (CacheConfig::new(64 * 1024, 16, 64), &small),
+            (large_config, &large),
+        ] {
+            assert_eq!(
+                trace.replay(config, grasp(config)).llc,
+                oracle(config, classifier)
+            );
+        }
+        assert_ne!(
+            oracle(large_config, &large),
+            oracle(large_config, &small),
+            "the replay LLC's classifier must matter"
         );
-        assert_eq!(stats.llc.accesses, 1);
     }
 }

@@ -7,7 +7,7 @@
 //! ┌──────────────────────────────────────────────────────────────────────┐
 //! │ header (48 bytes, little-endian)                                     │
 //! │   0  magic          8 B   "GRSPTRC\0"                                │
-//! │   8  version        u32   2 — the only version this build reads       │
+//! │   8  version        u32   3 — the only version this build reads      │
 //! │  12  chunk_records  u32   records per full chunk (CHUNK_RECORDS)     │
 //! │  16  record_count   u64   total events                               │
 //! │  24  demand_count   u64   demand events (≤ record_count)             │
@@ -32,7 +32,7 @@
 //!    deltas fit 1–3 bytes; the delta state resets at every chunk
 //!    boundary, keeping chunks independently decodable),
 //! 2. the **metadata column** as a per-chunk dictionary (the distinct
-//!    kind/flag/hint/region/site words in first-occurrence order, LEB128)
+//!    kind/flag/region/site words in first-occurrence order, LEB128)
 //!    followed by one `⌈log₂ dict⌉`-bit index per record, bit-packed
 //!    LSB-first (the column's cardinality is tiny — a handful of sites ×
 //!    event kinds — so indices cost a fraction of a byte).
@@ -46,9 +46,12 @@
 //! like a freshly recorded one.
 //!
 //! [`LlcTrace::read_from`] checks the version once, up front: any other
-//! version — the raw 12 B/record v1 layout of old stores included — is
-//! [`PersistError::UnsupportedVersion`], and a v2 header naming any other
-//! codec is [`PersistError::Corrupt`].
+//! version — the raw 12 B/record v1 layout and the hint-carrying v2 words of
+//! old stores included — is [`PersistError::UnsupportedVersion`], and a v3
+//! header naming any other codec is [`PersistError::Corrupt`]. A v3
+//! metadata word carries no reuse hint (the LLC that replays a trace derives
+//! it from the context's ABR bounds), and the context holds at most
+//! [`MAX_ABR_PAIRS`] bound pairs, none inverted.
 //!
 //! Corruption is never silent: the checksum covers the header (with the
 //! checksum field zeroed), the context block and the chunk payload — frame
@@ -61,6 +64,7 @@ use super::{
     count_demand_records, meta_is_valid, LlcTrace, RecordContext, TraceChunk, CHUNK_RECORDS,
 };
 use crate::addr::Address;
+use crate::hint::MAX_ABR_PAIRS;
 use crate::request::RegionLabel;
 use crate::stats::CacheStats;
 use std::collections::HashMap;
@@ -72,8 +76,9 @@ use std::sync::Arc;
 pub const TRACE_MAGIC: [u8; 8] = *b"GRSPTRC\0";
 
 /// The version of the on-disk trace format: what writers emit and the only
-/// one loaders read. Bump on any layout change.
-pub const TRACE_FORMAT_VERSION: u32 = 2;
+/// one loaders read. Bump on any layout change (3: metadata words lost the
+/// reuse hint).
+pub const TRACE_FORMAT_VERSION: u32 = 3;
 
 const HEADER_LEN: usize = 48;
 const CODEC_OFFSET: usize = 36;
@@ -251,7 +256,7 @@ fn put_u64(buf: &mut Vec<u8>, value: u64) {
     buf.extend_from_slice(&value.to_le_bytes());
 }
 
-// ---- varint / zigzag / bit-packing primitives of the v2 codec ----
+// ---- varint / zigzag / bit-packing primitives of the delta-varint codec ----
 
 /// Maps a wrapping delta to a small varint for small forward *and* backward
 /// jumps: +1 → 2, −1 → 1, +64 → 128.
@@ -413,16 +418,22 @@ fn decode_context(bytes: &[u8]) -> Result<RecordContext, PersistError> {
     let l1 = decode_cache_stats(&mut cursor)?;
     let l2 = decode_cache_stats(&mut cursor)?;
     let bound_count = cursor.u32("ABR bound count")? as usize;
-    // Each bound is 16 bytes; the count must fit in what remains.
-    if bound_count > (bytes.len() - cursor.pos) / 16 {
+    // Every replay programs its LLC stage with these bounds, so what the
+    // registers cannot hold is corruption, not data.
+    if bound_count > MAX_ABR_PAIRS {
         return Err(PersistError::Corrupt(format!(
-            "ABR bound count {bound_count} exceeds the context block"
+            "{bound_count} ABR bound pairs, the registers hold {MAX_ABR_PAIRS}"
         )));
     }
     let mut abr_bounds = Vec::with_capacity(bound_count);
     for _ in 0..bound_count {
         let lo = cursor.u64("ABR bound")?;
         let hi = cursor.u64("ABR bound")?;
+        if lo > hi {
+            return Err(PersistError::Corrupt(format!(
+                "ABR bound pair ends before it starts: {lo:#x} > {hi:#x}"
+            )));
+        }
         abr_bounds.push((lo, hi));
     }
     if !cursor.finished() {
@@ -483,7 +494,7 @@ impl MetaDictionary {
     /// The dictionary index of `word`, appending it on first occurrence.
     #[inline]
     fn index(&mut self, word: u32) -> u32 {
-        // The site field (high half) and the kind/hint/region bits (low
+        // The site field (high half) and the kind/region bits (low
         // half) both vary, so fold them before taking the top bits.
         let slot = (word ^ (word >> 16)).wrapping_mul(0x9E37_79B1)
             >> (u32::BITS - MEMO_SLOTS.trailing_zeros());
@@ -501,7 +512,7 @@ impl MetaDictionary {
     }
 }
 
-/// Serializes one chunk as a v2 delta+varint frame (length prefix included)
+/// Serializes one chunk as a delta+varint frame (length prefix included)
 /// into `buf`. `dict` carries the dictionary's allocations across chunks; it
 /// is cleared per chunk.
 fn chunk_payload_delta_varint(chunk: &TraceChunk, buf: &mut Vec<u8>, dict: &mut MetaDictionary) {
@@ -547,7 +558,7 @@ fn chunk_payload_delta_varint(chunk: &TraceChunk, buf: &mut Vec<u8>, dict: &mut 
     buf[0..4].copy_from_slice(&frame_len.to_le_bytes());
 }
 
-/// Worst-case v2 frame payload for `records` records: 10-byte address
+/// Worst-case frame payload for `records` records: 10-byte address
 /// varints, a full-cardinality dictionary (≤ 5 bytes/entry) and 16-bit
 /// packed indices, plus the dictionary-length varint. Anything larger in a
 /// frame header is corruption, not data.
@@ -585,7 +596,7 @@ fn read_exact(
     })
 }
 
-/// Reads one v2 delta+varint frame and decompresses it into a fresh chunk.
+/// Reads one delta+varint frame and decompresses it into a fresh chunk.
 /// Every structural defect — an implausible frame length, a malformed
 /// varint, a dictionary entry that encodes no record, a dictionary index
 /// past the dictionary, leftover payload bytes —
@@ -678,7 +689,7 @@ fn read_chunk_delta_varint(
 
 impl LlcTrace {
     /// Writes the trace (records and recorded context) to `writer` in the
-    /// versioned binary format — v2, [`Codec::DeltaVarint`] frames — and
+    /// versioned binary format — v3, [`Codec::DeltaVarint`] frames — and
     /// returns the number of bytes written.
     ///
     /// The checksum lands in the header, so the payload is produced before
@@ -855,19 +866,17 @@ impl LlcTrace {
 mod tests {
     use super::*;
     use crate::config::CacheConfig;
-    use crate::hint::ReuseHint;
     use crate::policy::lru::Lru;
     use crate::request::AccessInfo;
 
-    /// A mixed stream: hot/cold demand reads and writes with varying hints,
-    /// sites and regions, plus periodic writebacks and flush markers.
+    /// A mixed stream: hot/cold demand reads and writes with varying sites
+    /// and regions, plus periodic writebacks and flush markers.
     fn sample_trace(events: usize) -> LlcTrace {
         let mut trace = LlcTrace::new();
         for i in 0..events {
             let block = if i % 3 == 0 { i % 64 } else { 512 + i } as u64;
             let mut info = AccessInfo::read(block * 64)
                 .with_site((i % 11) as u16)
-                .with_hint(ReuseHint::decode((i % 4) as u8))
                 .with_region(RegionLabel::ALL[i % RegionLabel::ALL.len()]);
             if i % 5 == 0 {
                 info.kind = crate::request::AccessKind::Write;
@@ -1138,7 +1147,7 @@ mod tests {
 
     #[test]
     fn absurd_frame_length_is_corrupt_not_an_allocator_abort() {
-        // The v2 frame length is also corruption-controlled: a frame
+        // The frame length is also corruption-controlled: a frame
         // claiming more bytes than any valid encoding of its records must
         // die in the plausibility check, before any allocation.
         let trace = sample_trace(50);
@@ -1225,8 +1234,10 @@ mod tests {
             META_FLUSH_BIT | META_WRITEBACK_BIT, // ... two event kinds at once ...
             META_PREFETCH_BIT | META_WRITEBACK_BIT,
             META_PREFETCH_BIT | META_FLUSH_BIT,
-            1 << 9, // ... and the bits between the kinds and the site.
+            1 << 9, // ... the bits between the kinds and the site ...
             1 << 15,
+            1 << 1, // ... and the two a v2 word kept its hint in.
+            2 << 1,
         ];
         for word in forged {
             let mut trace = LlcTrace::new();
@@ -1246,6 +1257,42 @@ mod tests {
         }
     }
 
+    /// A context whose ABR bounds no register file holds — too many pairs,
+    /// or a pair that ends before it starts — is refused under a valid
+    /// checksum: every replay programs its LLC stage with those bounds.
+    #[test]
+    fn unprogrammable_abr_bounds_are_corrupt_under_a_valid_checksum() {
+        let nine: Vec<_> = (0..9u64).map(|i| (i << 20, (i << 20) + 64)).collect();
+        for (bounds, what) in [
+            (nine, "ABR bound pairs"),
+            (vec![(0, 64), (128, 64)], "ends before"),
+        ] {
+            let mut trace = sample_trace(20);
+            let mut context = trace.context().clone();
+            context.abr_bounds = bounds;
+            trace.set_context(context);
+            let bytes = write_to_vec(&trace);
+            match LlcTrace::read_from(&mut bytes.as_slice()) {
+                Err(PersistError::Corrupt(msg)) => assert!(msg.contains(what), "{msg}"),
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+        }
+        // Eight pairs, one ending at the top of the address space, load.
+        let mut trace = sample_trace(20);
+        let mut context = trace.context().clone();
+        context.abr_bounds = (0..7u64).map(|i| (i << 20, (i << 20) + 64)).collect();
+        context.abr_bounds.push((u64::MAX - 64, u64::MAX));
+        trace.set_context(context);
+        let loaded = LlcTrace::read_from(&mut write_to_vec(&trace).as_slice()).expect("loads");
+        assert_eq!(loaded, trace);
+        let config = CacheConfig::new(64 * 128, 8, 64);
+        let grasp = crate::policy::grasp::Grasp::new(config.sets(), config.ways, 1);
+        assert_eq!(
+            loaded.replay(config, grasp).llc.accesses,
+            trace.demand_len() as u64
+        );
+    }
+
     #[test]
     fn checksum_is_split_independent() {
         let mut one = Fnv64::new();
@@ -1261,7 +1308,7 @@ mod tests {
         // These are on-disk compatibility promises; changing them must be a
         // deliberate format bump, not a refactor side-effect.
         assert_eq!(TRACE_MAGIC, *b"GRSPTRC\0");
-        assert_eq!(TRACE_FORMAT_VERSION, 2);
+        assert_eq!(TRACE_FORMAT_VERSION, 3);
         assert_eq!(HEADER_LEN, 48);
     }
 

@@ -6,7 +6,6 @@
 //! replay.
 
 use grasp_cachesim::config::CacheConfig;
-use grasp_cachesim::hint::ReuseHint;
 use grasp_cachesim::policy::grasp::Grasp;
 use grasp_cachesim::policy::lru::Lru;
 use grasp_cachesim::request::{AccessInfo, RegionLabel};
@@ -15,33 +14,30 @@ use grasp_cachesim::trace::{LlcTrace, RecordContext, TraceEvent};
 use proptest::prelude::*;
 
 /// Arbitrary post-L2 event sequences: demand reads/writes, prefetches,
-/// dirty writebacks and flush markers, with varying sites, hints and
-/// regions (the same shape `trace_properties.rs` uses).
+/// dirty writebacks and flush markers, with varying sites and regions (the
+/// same shape `trace_properties.rs` uses).
 fn arb_events() -> impl Strategy<Value = Vec<TraceEvent>> {
-    proptest::collection::vec((0u8..5, 0u64..4096, 0u16..32, 0u8..4, 0u8..5), 1..600).prop_map(
-        |entries| {
-            entries
-                .into_iter()
-                .map(|(kind, blk, site, hint, region)| {
-                    let addr = blk * 64;
-                    let info = AccessInfo::read(addr)
-                        .with_site(site)
-                        .with_hint(ReuseHint::decode(hint))
-                        .with_region(RegionLabel::ALL[region as usize]);
-                    match kind {
-                        0 => TraceEvent::Demand(info),
-                        1 => TraceEvent::Demand(AccessInfo {
-                            kind: grasp_cachesim::AccessKind::Write,
-                            ..info
-                        }),
-                        2 => TraceEvent::Prefetch(info),
-                        3 => TraceEvent::Writeback(addr),
-                        _ => TraceEvent::Flush,
-                    }
-                })
-                .collect()
-        },
-    )
+    proptest::collection::vec((0u8..5, 0u64..4096, 0u16..32, 0u8..5), 1..600).prop_map(|entries| {
+        entries
+            .into_iter()
+            .map(|(kind, blk, site, region)| {
+                let addr = blk * 64;
+                let info = AccessInfo::read(addr)
+                    .with_site(site)
+                    .with_region(RegionLabel::ALL[region as usize]);
+                match kind {
+                    0 => TraceEvent::Demand(info),
+                    1 => TraceEvent::Demand(AccessInfo {
+                        kind: grasp_cachesim::AccessKind::Write,
+                        ..info
+                    }),
+                    2 => TraceEvent::Prefetch(info),
+                    3 => TraceEvent::Writeback(addr),
+                    _ => TraceEvent::Flush,
+                }
+            })
+            .collect()
+    })
 }
 
 /// Builds a trace carrying a non-trivial recorded context, so the context

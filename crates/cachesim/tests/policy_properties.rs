@@ -18,6 +18,13 @@ use grasp_cachesim::policy::ReplacementPolicy;
 use grasp_cachesim::request::{AccessInfo, RegionLabel};
 use proptest::prelude::*;
 
+const HINTS: [ReuseHint; 4] = [
+    ReuseHint::High,
+    ReuseHint::Moderate,
+    ReuseHint::Low,
+    ReuseHint::Default,
+];
+
 fn config() -> CacheConfig {
     CacheConfig::new(64 * 64, 8, 64) // 64 blocks, 8 ways, 8 sets
 }
@@ -54,7 +61,7 @@ fn arb_trace() -> impl Strategy<Value = Vec<AccessInfo>> {
                         AccessInfo::read(blk * 64)
                     };
                     base.with_site(site)
-                        .with_hint(ReuseHint::decode(hint))
+                        .with_hint(HINTS[hint as usize])
                         .with_region(RegionLabel::Property)
                 })
                 .collect()
@@ -64,6 +71,29 @@ fn arb_trace() -> impl Strategy<Value = Vec<AccessInfo>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `reads_hints` is what replay classifies by: a policy that says it
+    /// ignores hints makes the same decisions whatever hint each access
+    /// carries. GRASP (all modes) and PIN-X are the readers.
+    #[test]
+    fn policies_that_ignore_hints_are_indifferent_to_them(trace in arb_trace()) {
+        let cfg = config();
+        let mut readers = Vec::new();
+        for (hinted, plain) in all_policies(&cfg).into_iter().zip(all_policies(&cfg)) {
+            let name = hinted.name();
+            if hinted.reads_hints() {
+                readers.push(name);
+                continue;
+            }
+            let mut hinted = SetAssocCache::new("LLC", cfg, hinted);
+            let mut plain = SetAssocCache::new("LLC", cfg, plain);
+            for info in &trace {
+                let outcome = hinted.access(info);
+                prop_assert_eq!(outcome, plain.access(&info.with_hint(ReuseHint::Default)), "{}", name);
+            }
+        }
+        prop_assert_eq!(readers, ["PIN-50", "GRASP", "RRIP+Hints", "GRASP-Insertion"]);
+    }
 
     /// Basic accounting invariants hold for every policy on any trace, and
     /// within one run the same block accessed back-to-back always hits.

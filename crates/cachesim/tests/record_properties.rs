@@ -8,7 +8,7 @@
 
 use grasp_cachesim::cache::{AccessOutcome, SetAssocCache};
 use grasp_cachesim::config::{CacheConfig, HierarchyConfig};
-use grasp_cachesim::hint::{AddressBoundRegisters, RegionClassifier, ReuseHint};
+use grasp_cachesim::hint::ReuseHint;
 use grasp_cachesim::policy::lru::Lru;
 use grasp_cachesim::prefetch::StridePrefetcher;
 use grasp_cachesim::request::{AccessInfo, AccessKind, RegionLabel};
@@ -16,8 +16,8 @@ use grasp_cachesim::stage::UpperLevels;
 use grasp_cachesim::trace::{LlcTrace, RecordContext};
 use proptest::prelude::*;
 
-/// The ABR bounds both sides program, so the classifier is live and hints
-/// land in the recorded meta column.
+/// The ABR bounds both sides program: they travel in the record context,
+/// and nothing about them reaches the recorded meta column.
 const ABR_BOUNDS: [(u64, u64); 1] = [(0, 1 << 18)];
 
 /// An arbitrary record-phase event: a demand access (read or write) issued
@@ -29,8 +29,8 @@ enum Event {
 }
 
 /// Selector 7 of 8 becomes a flush; 4..7 write, 0..4 read. Addresses span
-/// 512 KB at 8-byte granularity so L1/L2 hits, misses, dirty evictions and
-/// every classifier region all occur.
+/// 512 KB at 8-byte granularity so L1/L2 hits, misses and dirty evictions
+/// all occur, inside and outside the programmed Property Array.
 fn arb_events() -> impl Strategy<Value = Vec<Event>> {
     proptest::collection::vec((0u8..8, 0u64..(1 << 16), 0u16..32, 0u8..5), 1..800).prop_map(
         |entries| {
@@ -60,7 +60,7 @@ fn arb_events() -> impl Strategy<Value = Vec<Event>> {
 
 /// The path under test: every access through `UpperLevels::access`.
 fn record(events: &[Event], config: HierarchyConfig) -> LlcTrace {
-    let mut upper = UpperLevels::new(config, RegionClassifier::disabled());
+    let mut upper = UpperLevels::new(config);
     upper.program_abrs(&ABR_BOUNDS);
     let mut trace = LlcTrace::new();
     for event in events {
@@ -79,19 +79,14 @@ fn record(events: &[Event], config: HierarchyConfig) -> LlcTrace {
 }
 
 /// The oracle: L1 and L2 as `SetAssocCache` + `Lru`, the routing written out
-/// per request — L1, then L2, the request escaping with its reuse hint on an
-/// L2 miss, the dirty L1 victim probed into L2 before the dirty L2 victim
+/// per request — L1, then L2, the request escaping (hint-free) on an L2
+/// miss, the dirty L1 victim probed into L2 before the dirty L2 victim
 /// escapes — and at most one prefetch request behind every demand access.
 fn record_reference(events: &[Event], config: HierarchyConfig) -> LlcTrace {
     let level = |name, c: CacheConfig| SetAssocCache::new(name, c, Lru::new(c.sets(), c.ways));
     let mut l1 = level("L1-D", config.l1);
     let mut l2 = level("L2", config.l2);
     let mut prefetcher = config.prefetch.then(StridePrefetcher::default);
-    let mut abrs = AddressBoundRegisters::new();
-    for (start, end) in ABR_BOUNDS {
-        abrs.program(start, end);
-    }
-    let classifier = RegionClassifier::new(abrs, config.llc.size_bytes);
     let dirty_victim = |out: &AccessOutcome, c: &CacheConfig| {
         out.evicted
             .filter(|_| out.evicted_dirty)
@@ -134,11 +129,10 @@ fn record_reference(events: &[Event], config: HierarchyConfig) -> LlcTrace {
             } else {
                 l2.access(&request)
             };
-            let hinted = request.with_hint(classifier.classify(request.addr));
             match (out2.hit, is_prefetch) {
                 (true, _) => {}
-                (false, false) => trace.push(&hinted),
-                (false, true) => trace.push_prefetch(&hinted),
+                (false, false) => trace.push(&request),
+                (false, true) => trace.push_prefetch(&request),
             }
             if let Some(addr) = dirty_victim(&out1, &config.l1) {
                 if !l2.writeback(addr) {

@@ -3,22 +3,27 @@
 //! `to_vec` always agree), replay must be deterministic, and the chunk
 //! replayer's column kernel must reproduce the per-event path bit-for-bit
 //! for arbitrary event sequences — flushes and writebacks included — within
-//! a chunk and across a chunk boundary, with and without hint
-//! reclassification, on power-of-two and odd associativities.
+//! a chunk and across a chunk boundary, with the reuse hints the replayed
+//! LLC derives from the recorded ABR bounds, on power-of-two and odd
+//! associativities.
 
 use grasp_cachesim::config::CacheConfig;
-use grasp_cachesim::hint::{AddressBoundRegisters, RegionClassifier, ReuseHint};
 use grasp_cachesim::policy::grasp::Grasp;
 use grasp_cachesim::policy::lru::Lru;
 use grasp_cachesim::policy::rrip::Drrip;
 use grasp_cachesim::policy::PolicyDispatch;
 use grasp_cachesim::request::{AccessInfo, RegionLabel};
 use grasp_cachesim::stats::HierarchyStats;
-use grasp_cachesim::trace::{ChunkReplayer, LlcTrace, TraceEvent, CHUNK_RECORDS};
+use grasp_cachesim::trace::{ChunkReplayer, LlcTrace, RecordContext, TraceEvent, CHUNK_RECORDS};
 use proptest::prelude::*;
 
+/// The Property Array every built trace records as programmed: the first
+/// 16 KiB of the blocks the events touch, so at the 8 KiB LLC most
+/// properties replay at, GRASP sees High, Moderate and Low hints.
+const ABR_BOUNDS: [(u64, u64); 1] = [(0, 16 * 1024)];
+
 /// An arbitrary event: selector (demand read / demand write / prefetch /
-/// writeback), block index, site, hint selector, region selector.
+/// writeback), block index, site, region selector.
 fn arb_events() -> impl Strategy<Value = Vec<TraceEvent>> {
     arb_events_over(0, 4096)
 }
@@ -37,15 +42,14 @@ fn arb_events_with_flushes() -> impl Strategy<Value = Vec<TraceEvent>> {
 /// hit counts and not only in how many were evicted.
 fn arb_events_over(flush_one_in: u8, blocks: u64) -> impl Strategy<Value = Vec<TraceEvent>> {
     let kind = (0u8..4, 0..flush_one_in.max(1));
-    let event = (kind, 0..blocks, 0u16..32, 0u8..4, 0u8..5);
+    let event = (kind, 0..blocks, 0u16..32, 0u8..5);
     proptest::collection::vec(event, 1..800).prop_map(move |entries| {
         entries
             .into_iter()
-            .map(|((kind, flush), blk, site, hint, region)| {
+            .map(|((kind, flush), blk, site, region)| {
                 let addr = blk * 64;
                 let info = AccessInfo::read(addr)
                     .with_site(site)
-                    .with_hint(ReuseHint::decode(hint))
                     .with_region(RegionLabel::ALL[region as usize]);
                 match kind {
                     _ if flush_one_in > 0 && flush == 0 => TraceEvent::Flush,
@@ -72,6 +76,15 @@ fn build(events: &[TraceEvent]) -> LlcTrace {
             TraceEvent::Flush => trace.push_flush(),
         }
     }
+    with_bounds(trace, &ABR_BOUNDS)
+}
+
+/// `trace` as recorded by an application that programmed `bounds`.
+fn with_bounds(mut trace: LlcTrace, bounds: &[(u64, u64)]) -> LlcTrace {
+    trace.set_context(RecordContext {
+        abr_bounds: bounds.to_vec(),
+        ..RecordContext::default()
+    });
     trace
 }
 
@@ -130,9 +143,9 @@ proptest! {
         let config = CacheConfig::new(64 * 128, 8, 64);
         let lru = || Lru::new(config.sets(), config.ways);
         let grasp = || Grasp::new(config.sets(), config.ways, 7);
-        let (batched, scalar) = feed_both_ways(&trace, config, lru, None);
+        let (batched, scalar) = feed_both_ways(&trace, config, lru);
         prop_assert_eq!(&batched, &scalar, "LRU");
-        let (batched, scalar) = feed_both_ways(&trace, config, grasp, None);
+        let (batched, scalar) = feed_both_ways(&trace, config, grasp);
         prop_assert_eq!(&batched, &scalar, "GRASP");
     }
 
@@ -146,33 +159,30 @@ proptest! {
         let lru = || Lru::new(config.sets(), config.ways);
         let rrip = || Drrip::new(config.sets(), config.ways, 1);
         let grasp = || Grasp::new(config.sets(), config.ways, 7);
-        let (batched, scalar) = feed_both_ways(&trace, config, lru, None);
+        let (batched, scalar) = feed_both_ways(&trace, config, lru);
         prop_assert_eq!(&batched, &scalar, "LRU");
-        let (batched, scalar) = feed_both_ways(&trace, config, rrip, None);
+        let (batched, scalar) = feed_both_ways(&trace, config, rrip);
         prop_assert_eq!(&batched, &scalar, "RRIP");
-        let (batched, scalar) = feed_both_ways(&trace, config, grasp, None);
+        let (batched, scalar) = feed_both_ways(&trace, config, grasp);
         prop_assert_eq!(&batched, &scalar, "GRASP");
     }
 
     #[test]
     fn reclassifying_feed_is_bit_identical_to_per_event_feed(events in arb_events_over(200, 384)) {
-        // An LLC-size sweep replays with hints recomputed for the new size
-        // (`LlcTrace::replay_with_classifier`): here for twice the 8 KiB the
-        // other properties replay at, over a property array covering 20 of
-        // the 24 KiB the events touch — so High, Moderate and Low all occur
-        // and most recorded hints are wrong for the replayed cache. Flushes
-        // are rare and the footprint is 1.5x the cache, so a kernel that
-        // ignored the classifier would evict other blocks *and* lose hits.
-        let trace = build(&events);
+        // An LLC-size sweep replays one recording at every size, each
+        // classifying the recorded bounds at its own: here at twice the
+        // 8 KiB the other properties replay at, over a property array
+        // covering 20 of the 24 KiB the events touch — so High, Moderate and
+        // Low all occur, at extents no other size shares. Flushes are rare
+        // and the footprint is 1.5x the cache, so a kernel that ignored the
+        // classifier would evict other blocks *and* lose hits.
+        let trace = with_bounds(build(&events), &[(0, 20 * 1024)]);
         let config = CacheConfig::new(2 * 64 * 128, 8, 64);
-        let mut abrs = AddressBoundRegisters::new();
-        abrs.program(0, 20 * 1024);
-        let classifier = RegionClassifier::new(abrs, config.size_bytes);
         let grasp = || Grasp::new(config.sets(), config.ways, 7);
-        let (batched, scalar) = feed_both_ways(&trace, config, grasp, Some(&classifier));
+        let (batched, scalar) = feed_both_ways(&trace, config, grasp);
         prop_assert_eq!(&batched, &scalar);
         // The public entry point is that same replayer.
-        prop_assert_eq!(&batched, &trace.replay_with_classifier(config, grasp(), &classifier));
+        prop_assert_eq!(&batched, &trace.replay(config, grasp()));
     }
 
     #[test]
@@ -208,30 +218,20 @@ proptest! {
 
 /// Replays `trace` chunk by chunk through the column kernel
 /// ([`ChunkReplayer::feed`]) and through the per-event reference
-/// ([`ChunkReplayer::feed_scalar`]), each on a fresh replayer — both with
-/// hints recomputed by `reclassify` when given.
+/// ([`ChunkReplayer::feed_scalar`]), each on a fresh replayer programmed
+/// from the trace's context.
 fn feed_both_ways<P: Into<PolicyDispatch>>(
     trace: &LlcTrace,
     config: CacheConfig,
     policy: impl Fn() -> P,
-    reclassify: Option<&RegionClassifier>,
 ) -> (HierarchyStats, HierarchyStats) {
-    let replayer = || {
-        let replayer = ChunkReplayer::new(config, policy());
-        match reclassify {
-            Some(classifier) => replayer.with_classifier(classifier.clone()),
-            None => replayer,
-        }
-    };
+    let replayer = || ChunkReplayer::new(config, policy(), trace.context());
     let (mut batched, mut scalar) = (replayer(), replayer());
     for chunk in trace.chunks() {
         batched.feed(chunk);
         scalar.feed_scalar(chunk);
     }
-    (
-        batched.finish(trace.context()),
-        scalar.finish(trace.context()),
-    )
+    (batched.finish(), scalar.finish())
 }
 
 /// A degenerate stretch: after a short warm-up the chunk is 100% writebacks
@@ -254,12 +254,7 @@ fn all_writeback_and_flush_chunks_replay_identically() {
     }
     let trace = build(&events);
     let config = CacheConfig::new(64 * 128, 8, 64);
-    let (batched, scalar) = feed_both_ways(
-        &trace,
-        config,
-        || Lru::new(config.sets(), config.ways),
-        None,
-    );
+    let (batched, scalar) = feed_both_ways(&trace, config, || Lru::new(config.sets(), config.ways));
     assert_eq!(batched, scalar);
     assert!(
         batched.llc.writeback_accesses >= 512,
@@ -281,7 +276,6 @@ fn feed_matches_feed_scalar_across_a_real_chunk_boundary() {
             let addr = (i as u64).wrapping_mul(2_654_435_761) % 4096 * 64;
             let info = AccessInfo::read(addr)
                 .with_site((i % 32) as u16)
-                .with_hint(ReuseHint::decode((i % 4) as u8))
                 .with_region(RegionLabel::ALL[i % 5]);
             if i == 1000 {
                 return TraceEvent::Flush;
@@ -309,25 +303,21 @@ fn feed_matches_feed_scalar_across_a_real_chunk_boundary() {
         "the trace must cross a chunk edge"
     );
     let config = CacheConfig::new(64 * 128, 8, 64);
-    let (batched, scalar) = feed_both_ways(
-        &trace,
-        config,
-        || Lru::new(config.sets(), config.ways),
-        None,
-    );
+    let (batched, scalar) = feed_both_ways(&trace, config, || Lru::new(config.sets(), config.ways));
     assert_eq!(batched, scalar, "LRU");
     assert_eq!(batched.llc.accesses as usize, trace.demand_len());
     let grasp = || Grasp::new(config.sets(), config.ways, 7);
-    let (batched, scalar) = feed_both_ways(&trace, config, grasp, None);
-    assert_eq!(batched, scalar, "GRASP");
-    // Reclassified for a property array over the first half of the blocks:
-    // still feed == feed_scalar, and not the statistics of the recorded
+    let (unprogrammed, scalar) = feed_both_ways(&with_bounds(trace.clone(), &[]), config, grasp);
+    assert_eq!(unprogrammed, scalar, "GRASP, unprogrammed");
+    // Classified for a property array over the first half of the blocks:
+    // still feed == feed_scalar, and not the statistics of the Default
     // hints — a replay that dropped the classifier on both paths would pass
     // the first assertion, not the second.
-    let mut abrs = AddressBoundRegisters::new();
-    abrs.program(0, 2048 * 64);
-    let classifier = RegionClassifier::new(abrs, config.size_bytes);
-    let (reclassified, scalar) = feed_both_ways(&trace, config, grasp, Some(&classifier));
-    assert_eq!(reclassified, scalar, "GRASP, reclassified");
-    assert_ne!(reclassified.llc, batched.llc, "the classifier must matter");
+    let half = with_bounds(trace, &[(0, 2048 * 64)]);
+    let (classified, scalar) = feed_both_ways(&half, config, grasp);
+    assert_eq!(classified, scalar, "GRASP, classified");
+    assert_ne!(
+        classified.llc, unprogrammed.llc,
+        "the classifier must matter"
+    );
 }

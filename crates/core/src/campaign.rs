@@ -271,7 +271,7 @@ struct StreamJob {
     hierarchy: HierarchyConfig,
     app_config: AppConfig,
     /// What the trace store and the flight registry know this stream by:
-    /// the coordinate plus the hierarchy/app-config fingerprint.
+    /// the coordinate plus the upper-level/app-config fingerprint.
     key: TraceStoreKey,
     /// Instruction-proportional work estimate for recording this stream:
     /// each iteration walks the vertex and edge arrays, so
@@ -457,8 +457,8 @@ impl Campaign {
     ///   [`SchedulerEvent::RecordFinished`].
     /// * **Cells.** The campaign enlists its grid in the registry for the
     ///   duration of [`Campaign::run`]. The first worker, of any campaign,
-    ///   to reach a (stream, policy) cell replays it; every other enlisted
-    ///   campaign takes those statistics and assembles the cell's
+    ///   to reach a (stream, LLC, policy) cell replays it; every other
+    ///   enlisted campaign takes those statistics and assembles the cell's
     ///   [`RunResult`] over its own recording
     ///   ([`SchedulerEvent::ReplayShared`] instead of
     ///   [`SchedulerEvent::ReplayFinished`]) — bit-identical to replaying.
@@ -757,6 +757,7 @@ impl Campaign {
         let shared = self.flights.as_deref().map(|registry| SharedCells {
             interest: registry.enlist_cells(cells.iter().map(|&(cell, stream)| CellKey {
                 stream: streams[stream].key,
+                llc: streams[stream].hierarchy.llc,
                 policy: cell.policy,
             })),
             wake: sched.waker(),
@@ -939,11 +940,14 @@ impl Campaign {
                 drop(guard);
 
                 let started = Instant::now();
-                let stats = landed.unwrap_or_else(|| recorded.replay_stats(cell.policy));
+                // Under this campaign's hierarchy: an attached recording may
+                // have been obtained under another LLC or other latencies.
+                let hierarchy = &plan.streams[stream].hierarchy;
+                let stats = landed.unwrap_or_else(|| recorded.replay_stats(hierarchy, cell.policy));
                 if let (Some(shared), Some(lead)) = (&plan.shared, lead) {
                     shared.interest.land(lead, stats.clone());
                 }
-                let result = recorded.result(cell.policy, stats);
+                let result = recorded.result(hierarchy, cell.policy, stats);
                 let elapsed = started.elapsed().as_secs_f64();
                 drop(recorded);
                 let run = CampaignRun { cell, result };
@@ -1268,6 +1272,7 @@ impl IntoIterator for CampaignResult {
 mod tests {
     use super::*;
     use crate::flight::Lead;
+    use grasp_cachesim::config::CacheConfig;
     use grasp_cachesim::stats::HierarchyStats;
 
     fn tiny_campaign() -> Campaign {
@@ -1726,6 +1731,57 @@ mod tests {
         assert_eq!(stats.cells_inflight, 0, "nothing outlives the campaigns");
     }
 
+    #[test]
+    fn overlapping_campaigns_at_two_llc_sizes_share_the_stream_never_a_cell() {
+        // One stream key serves both LLCs, so the stream is recorded once;
+        // a cell's statistics depend on the LLC, so none is shared. Each
+        // campaign replays and prices the one recording under its own
+        // hierarchy, whichever of them recorded it.
+        let dir = std::env::temp_dir().join(format!("grasp-campaign-llcs-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = Arc::new(TraceStore::open(&dir).expect("store opens"));
+        let registry = Arc::new(FlightRegistry::new());
+        let tiny = Scale::Tiny.hierarchy();
+        let sweep = |llc_bytes: u64| {
+            Campaign::new(Scale::Tiny)
+                .datasets(&[DatasetKind::Twitter])
+                .apps(&[AppKind::PageRank])
+                .policies(&[PolicyKind::Rrip, PolicyKind::Grasp])
+                .hierarchy(HierarchyConfig {
+                    llc: CacheConfig::new(llc_bytes, tiny.llc.ways, tiny.llc.block_bytes),
+                    ..tiny
+                })
+                .threads(2)
+                .with_trace_store(Arc::clone(&store))
+                .with_single_flight(Arc::clone(&registry))
+        };
+        let (a, b) = (sweep(tiny.llc.size_bytes), sweep(2 * tiny.llc.size_bytes));
+        let both_running = std::sync::Barrier::new(2);
+        let run = |campaign: &Campaign| {
+            let first = std::sync::atomic::AtomicBool::new(true);
+            campaign.run_with_observer(&|_, _| {
+                if first.swap(false, Ordering::SeqCst) {
+                    both_running.wait();
+                }
+            })
+        };
+        let (ra, rb) = std::thread::scope(|scope| {
+            let ha = scope.spawn(|| run(&a));
+            let hb = scope.spawn(|| run(&b));
+            (ha.join().unwrap(), hb.join().unwrap())
+        });
+        assert_matches_direct(&a, &ra);
+        assert_matches_direct(&b, &rb);
+        let stats = registry.stats();
+        assert_eq!(stats.recorded, 1, "one recording serves both LLCs");
+        assert_eq!((stats.cells_replayed, stats.cells_shared), (4, 0));
+        assert_ne!(
+            ra.iter().next().unwrap().result.stats,
+            rb.iter().next().unwrap().result.stats
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// Runs a one-worker, one-stream, three-policy campaign whose cell 0 is
     /// being replayed "elsewhere" — by the test, playing the overlapping
     /// campaign that got there first. Once the campaign has finished its
@@ -1746,6 +1802,7 @@ mod tests {
         let (cells, streams) = campaign.stream_plan();
         let elsewhere = registry.enlist_cells([CellKey {
             stream: streams[0].key,
+            llc: streams[0].hierarchy.llc,
             policy: cells[0].0.policy,
         }]);
         let unwatched: Wake = Arc::new(|| ());

@@ -5,7 +5,6 @@ use grasp_analytics::apps::{AppConfig, AppKind, AppResult};
 use grasp_analytics::mem::{NativeMemory, RecordingMemory, TracedMemory};
 use grasp_analytics::Workspace;
 use grasp_cachesim::config::HierarchyConfig;
-use grasp_cachesim::hint::RegionClassifier;
 use grasp_cachesim::stats::HierarchyStats;
 use grasp_cachesim::trace::LlcTrace;
 use grasp_cachesim::{Hierarchy, TimingModel};
@@ -69,9 +68,10 @@ pub struct RecordedRun {
 impl RecordedRun {
     /// Reassembles a recording from a trace-store entry — the persisted
     /// stream, application output and instruction estimate — joined with the
-    /// hierarchy to replay it under (its LLC geometry and its latencies, which
-    /// price the cycles). Needs no graph: a stored stream replays without the
-    /// dataset it was recorded over.
+    /// hierarchy to replay it under (its LLC geometry, which the stream does
+    /// not depend on, and its latencies, which price the cycles). Needs no
+    /// graph: a stored stream replays without the dataset it was recorded
+    /// over.
     pub fn from_parts(
         trace: LlcTrace,
         app: AppResult,
@@ -107,7 +107,8 @@ impl RecordedRun {
     /// Replays the stream under `policy` and returns a [`RunResult`]
     /// bit-identical to [`Experiment::run`] with the same policy.
     pub fn replay(&self, policy: PolicyKind) -> RunResult {
-        self.result(policy, self.replay_stats(policy))
+        let stats = self.replay_stats(&self.hierarchy, policy);
+        self.result(&self.hierarchy, policy, stats)
     }
 
     /// Replays the stream under every policy of a sweep, one policy after
@@ -123,7 +124,7 @@ impl RecordedRun {
         policies
             .iter()
             .zip(stats)
-            .map(|(&policy, stats)| self.result(policy, stats))
+            .map(|(&policy, stats)| self.result(&self.hierarchy, policy, stats))
             .collect()
     }
 
@@ -133,25 +134,35 @@ impl RecordedRun {
     pub fn replay_scalar(&self, policy: PolicyKind) -> RunResult {
         let llc = self.hierarchy.llc;
         let stats = self.trace.replay_scalar(llc, policy.build_dispatch(&llc));
-        self.result(policy, stats)
+        self.result(&self.hierarchy, policy, stats)
     }
 
     /// The policy-dependent half of a replay: the hierarchy statistics of
-    /// the stream under `policy`. [`RecordedRun::result`] turns them into a
-    /// [`RunResult`] — on this recording or on any other recording of the
-    /// same stream, which is how campaigns sharing a
+    /// the stream under `policy` in `hierarchy`'s LLC. [`RecordedRun::result`]
+    /// turns them into a [`RunResult`] — on this recording or on any other
+    /// recording of the same stream, which is how campaigns sharing a
     /// [`FlightRegistry`](crate::flight::FlightRegistry) replay a common
-    /// cell once.
-    pub(crate) fn replay_stats(&self, policy: PolicyKind) -> HierarchyStats {
-        let llc = self.hierarchy.llc;
+    /// cell once. A campaign passes its own hierarchy, not necessarily the
+    /// one this recording was obtained under: the stream is the same.
+    pub(crate) fn replay_stats(
+        &self,
+        hierarchy: &HierarchyConfig,
+        policy: PolicyKind,
+    ) -> HierarchyStats {
+        let llc = hierarchy.llc;
         self.trace.replay(llc, policy.build_dispatch(&llc))
     }
 
     /// Assembles the [`RunResult`] of `policy` from its replay statistics:
-    /// cycles under this recording's latencies and instruction estimate, and
-    /// this recording's application output.
-    pub(crate) fn result(&self, policy: PolicyKind, stats: HierarchyStats) -> RunResult {
-        let cycles = TimingModel::new(self.hierarchy.latency).cycles(&stats, self.instructions);
+    /// cycles under `hierarchy`'s latencies and this recording's instruction
+    /// estimate, and this recording's application output.
+    pub(crate) fn result(
+        &self,
+        hierarchy: &HierarchyConfig,
+        policy: PolicyKind,
+        stats: HierarchyStats,
+    ) -> RunResult {
+        let cycles = TimingModel::new(hierarchy.latency).cycles(&stats, self.instructions);
         RunResult {
             policy,
             stats,
@@ -266,10 +277,9 @@ impl Experiment {
     /// managing the LLC.
     pub fn run(&self, policy: PolicyKind) -> RunResult {
         let llc_policy = policy.build_dispatch(&self.hierarchy.llc);
-        // The classifier starts disabled; the application programs the ABRs
-        // with its Property Array bounds as part of start-up, which rebuilds
-        // the classifier with the right bounds (Sec. III-A).
-        let hierarchy = Hierarchy::new(self.hierarchy, llc_policy, RegionClassifier::disabled());
+        // The ABRs start unprogrammed; the application programs them with its
+        // Property Array bounds as part of start-up (Sec. III-A).
+        let hierarchy = Hierarchy::new(self.hierarchy, llc_policy);
         let mut ws = Workspace::new(TracedMemory::new(hierarchy));
         let app = self.app.run(&*self.graph, &mut ws, &self.app_config);
         let stats = ws.into_memory().stats();
@@ -284,11 +294,12 @@ impl Experiment {
     }
 
     /// Runs the application once through the upper levels only (L1 + L2 +
-    /// prefetcher + classifier, no LLC) and captures the canonical post-L2
-    /// request stream — the record half of the record-once / replay-many
-    /// pipeline. The returned [`RecordedRun`] replays the stream under any
-    /// LLC policy, producing [`RunResult`]s bit-identical to
-    /// [`Experiment::run`] at a fraction of the cost.
+    /// prefetcher, no LLC) and captures the canonical post-L2 request
+    /// stream — the record half of the record-once / replay-many pipeline.
+    /// The stream depends on neither the LLC's geometry nor the latencies.
+    /// The returned [`RecordedRun`] replays it under any LLC policy,
+    /// producing [`RunResult`]s bit-identical to [`Experiment::run`] at a
+    /// fraction of the cost.
     pub fn record(&self) -> RecordedRun {
         let mut memory = RecordingMemory::new(self.hierarchy);
         memory.reserve_trace(LlcTrace::estimate_capacity(
@@ -384,6 +395,40 @@ mod tests {
             assert_eq!(direct.app.values, replayed.app.values, "{policy}");
             assert!((direct.cycles - replayed.cycles).abs() < 1e-12, "{policy}");
         }
+    }
+
+    #[test]
+    fn the_recorded_stream_and_its_key_ignore_the_llc_and_the_latencies() {
+        use crate::trace_store::TraceStoreKey;
+        use grasp_cachesim::config::CacheConfig;
+        let base = Scale::Tiny.hierarchy();
+        let llc = base.llc;
+        let mut bigger = base;
+        bigger.llc = CacheConfig::new(2 * llc.size_bytes, llc.ways, llc.block_bytes);
+        let mut narrower = base;
+        narrower.llc = CacheConfig::new(llc.size_bytes, llc.ways / 2, llc.block_bytes);
+        let mut slower = base;
+        slower.latency.llc_cycles += 7;
+        slower.latency.memory_cycles *= 3;
+        let exp = small_experiment(AppKind::PageRank);
+        let key = |hierarchy: &HierarchyConfig| {
+            TraceStoreKey::new(
+                DatasetKind::Twitter,
+                Scale::Tiny,
+                TechniqueKind::Dbg,
+                AppKind::PageRank,
+                hierarchy,
+                exp.app_config(),
+            )
+        };
+        let reference = exp.clone().with_hierarchy(base).record();
+        for hierarchy in [bigger, narrower, slower] {
+            let recorded = exp.clone().with_hierarchy(hierarchy).record();
+            assert!(recorded.trace() == reference.trace(), "{hierarchy:?}");
+            assert_eq!(key(&hierarchy), key(&base), "{hierarchy:?}");
+        }
+        // What does shape the stream still forks the key.
+        assert_ne!(key(&base.without_prefetch()), key(&base));
     }
 
     #[test]

@@ -25,12 +25,13 @@
 //!   semantics. The leader runs the real obtain (store load, else record +
 //!   publish); followers block until it lands and attach to the leader's
 //!   [`Arc<RecordedRun>`] — sharing the recording without copying the trace
-//!   and without touching the store. Interest lasts for the `obtain` call,
-//!   so once every concurrent caller has returned, later campaigns go back
-//!   to the store (and hit the published entry).
-//! * **Cells**, keyed by stream key + LLC policy — everything that
-//!   determines a replay's [`HierarchyStats`]; the store key already
-//!   fingerprints the hierarchy, LLC included. A campaign
+//!   and without touching the store. The key does not name the LLC, so a
+//!   follower may run under another LLC or other latencies than the leader:
+//!   it replays and prices the shared stream under its own. Interest lasts
+//!   for the `obtain` call, so once every concurrent caller has returned,
+//!   later campaigns go back to the store (and hit the published entry).
+//! * **Cells**, keyed by stream key + LLC geometry + LLC policy — everything
+//!   that determines a replay's [`HierarchyStats`]. A campaign
 //!   ([`Campaign::with_single_flight`](crate::campaign::Campaign::with_single_flight))
 //!   enlists its whole grid when it plans and releases it when it returns.
 //!   Its scheduler never blocks on a cell another campaign is replaying: it
@@ -45,6 +46,7 @@
 use crate::experiment::RecordedRun;
 use crate::policy::PolicyKind;
 use crate::trace_store::TraceStoreKey;
+use grasp_cachesim::config::CacheConfig;
 use grasp_cachesim::stats::HierarchyStats;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -279,11 +281,12 @@ impl<K: Eq + Hash, V> Drop for Interest<'_, K, V> {
     }
 }
 
-/// What determines one cell's replay statistics: the stream and the LLC
-/// policy replayed over it.
+/// What determines one cell's replay statistics: the stream, and the LLC
+/// (geometry and policy) replayed over it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct CellKey {
     pub(crate) stream: TraceStoreKey,
+    pub(crate) llc: CacheConfig,
     pub(crate) policy: PolicyKind,
 }
 
@@ -312,7 +315,7 @@ pub struct FlightStats {
 }
 
 /// An in-flight registry deduplicating concurrent recordings by
-/// [`TraceStoreKey`] and concurrent replays by stream key + policy. Share
+/// [`TraceStoreKey`] and concurrent replays by stream key + LLC. Share
 /// one instance (behind an `Arc`) across every campaign that should
 /// coordinate — the campaign service hands the same registry to all client
 /// campaigns via
@@ -567,6 +570,7 @@ mod tests {
     fn cell_key(policy: PolicyKind) -> CellKey {
         CellKey {
             stream: test_key(5),
+            llc: Scale::Tiny.hierarchy().llc,
             policy,
         }
     }

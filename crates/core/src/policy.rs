@@ -122,18 +122,6 @@ impl PolicyKind {
         fixed.into_iter().find(|policy| policy.label() == label)
     }
 
-    /// Whether the policy consumes GRASP's reuse hints (and therefore needs
-    /// the ABRs to be programmed for specialized behaviour).
-    pub fn uses_hints(self) -> bool {
-        matches!(
-            self,
-            PolicyKind::Pin(_)
-                | PolicyKind::GraspHintsOnly
-                | PolicyKind::GraspInsertionOnly
-                | PolicyKind::Grasp
-        )
-    }
-
     /// Instantiates the policy for an LLC with the given geometry, as a
     /// statically-dispatched [`PolicyDispatch`] (the simulation fast path).
     pub fn build_dispatch(self, config: &CacheConfig) -> PolicyDispatch {
@@ -209,10 +197,14 @@ mod tests {
 
     #[test]
     fn hint_consumers_are_flagged() {
-        assert!(PolicyKind::Grasp.uses_hints());
-        assert!(PolicyKind::Pin(50).uses_hints());
-        assert!(!PolicyKind::Rrip.uses_hints());
-        assert!(!PolicyKind::Hawkeye.uses_hints());
+        use grasp_cachesim::policy::ReplacementPolicy;
+        let config = CacheConfig::new(64 * 1024, 16, 64);
+        let reads_hints = |kind: PolicyKind| kind.build_dispatch(&config).reads_hints();
+        assert!(reads_hints(PolicyKind::Grasp));
+        assert!(reads_hints(PolicyKind::GraspHintsOnly));
+        assert!(reads_hints(PolicyKind::Pin(50)));
+        assert!(!reads_hints(PolicyKind::Rrip));
+        assert!(!reads_hints(PolicyKind::Hawkeye));
     }
 
     #[test]

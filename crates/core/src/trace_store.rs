@@ -6,14 +6,18 @@
 //! persisted recordings keyed by everything that determines the stream:
 //!
 //! ```text
-//! (dataset, scale, technique, app, hierarchy/app-config hash)
+//! (dataset, scale, technique, app, L1/L2/prefetch + app-config hash)
 //!   └──► <dataset>-<scale>-<technique>-<app>-<confighash>.v<version>.trace
 //! ```
 //!
+//! The LLC is not in the key: a stream carries no reuse hint and depends on
+//! neither the LLC's geometry nor the latencies, so one entry serves every
+//! LLC a campaign replays it into.
+//!
 //! The `<version>` suffix is [`TRACE_FORMAT_VERSION`], so a format bump
-//! cold-starts the store instead of erroring on every entry: `.v2.trace` is
+//! cold-starts the store instead of erroring on every entry: `.v3.trace` is
 //! the only name a campaign publishes or looks up. A file of another version
-//! left behind by an older build (`.v1.trace`) is never looked up;
+//! left behind by an older build (`.v2.trace`, `.v1.trace`) is never looked up;
 //! `cargo xtask trace ls` still lists it, `verify` reports it as an
 //! unsupported version and `gc` evicts it in LRU order like any entry.
 //!
@@ -108,12 +112,12 @@ impl From<PersistError> for StoreError {
 
 /// Version of the *recording code*: everything between the application and
 /// the post-L2 stream — app kernels, graph generation/reordering, L1/L2/
-/// prefetcher simulation, the region classifier. Folded into every store
-/// key, so bumping it invalidates all persisted recordings at once. **Bump
-/// this whenever a change can alter a recorded stream's contents**; the
-/// trace *format* version (file layout) is tracked separately by
-/// [`TRACE_FORMAT_VERSION`].
-pub const RECORDING_CODE_VERSION: u32 = 1;
+/// prefetcher simulation. Folded into every store key, so bumping it
+/// invalidates all persisted recordings at once. **Bump this whenever a
+/// change can alter a recorded stream's contents**; the trace *format*
+/// version (file layout) is tracked separately by [`TRACE_FORMAT_VERSION`].
+/// (2: the key stopped naming the LLC and the latencies.)
+pub const RECORDING_CODE_VERSION: u32 = 2;
 
 /// FNV-1a over the configuration words that determine a recorded stream —
 /// stable across runs, platforms and (deliberately) pointer widths. Wraps
@@ -138,19 +142,15 @@ impl ConfigHasher {
     }
 }
 
+/// The part of a hierarchy the post-L2 stream depends on: the upper levels.
+/// The LLC (which classifies at replay) and the latencies (which only price
+/// cycles) are the replay's business.
 fn hash_hierarchy(hasher: &mut ConfigHasher, hierarchy: &HierarchyConfig) {
-    for cache in [&hierarchy.l1, &hierarchy.l2, &hierarchy.llc] {
+    for cache in [&hierarchy.l1, &hierarchy.l2] {
         hasher.word(cache.size_bytes);
         hasher.word(cache.ways as u64);
         hasher.word(cache.block_bytes);
     }
-    // Latencies only shape the timing model, not the recorded stream, but
-    // folding them in keeps one key per *experiment configuration*, which is
-    // the granularity campaigns reason about.
-    hasher.word(hierarchy.latency.l1_cycles);
-    hasher.word(hierarchy.latency.l2_cycles);
-    hasher.word(hierarchy.latency.llc_cycles);
-    hasher.word(hierarchy.latency.memory_cycles);
     hasher.word(u64::from(hierarchy.prefetch));
 }
 
@@ -197,12 +197,14 @@ pub struct TraceStoreKey {
     pub technique: TechniqueKind,
     /// Application that produced the stream.
     pub app: AppKind,
-    /// Fingerprint of the hierarchy + application configuration.
+    /// Fingerprint of the upper levels (L1, L2, prefetcher) + application
+    /// configuration.
     pub config_hash: u64,
 }
 
 impl TraceStoreKey {
-    /// Builds the key for one campaign stream coordinate.
+    /// Builds the key for one campaign stream coordinate. Of `hierarchy`,
+    /// only the upper levels count.
     pub fn new(
         dataset: impl Into<DatasetId>,
         scale: Scale,
@@ -842,15 +844,17 @@ mod tests {
     }
 
     fn sample_key(config_seed: u64) -> TraceStoreKey {
-        let mut hierarchy = Scale::Tiny.hierarchy();
-        hierarchy.latency.memory_cycles += config_seed; // vary the hash
+        let app_config = AppConfig {
+            root: config_seed as u32, // vary the hash
+            ..AppConfig::default()
+        };
         TraceStoreKey::new(
             DatasetKind::Twitter,
             Scale::Tiny,
             TechniqueKind::Dbg,
             AppKind::PageRank,
-            &hierarchy,
-            &AppConfig::default(),
+            &Scale::Tiny.hierarchy(),
+            &app_config,
         )
     }
 
@@ -862,7 +866,7 @@ mod tests {
         let meta_len = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
         let version_at = 24 + meta_len + 8;
         bytes[version_at..version_at + 4].copy_from_slice(&1u32.to_le_bytes());
-        let file = key.file_name().replace(".v2.trace", ".v1.trace");
+        let file = key.file_name().replace(".v3.trace", ".v1.trace");
         std::fs::write(store.dir().join(&file), &bytes).expect("write v1 file");
         file
     }
@@ -925,7 +929,7 @@ mod tests {
         assert!(name.contains("-tiny-"), "{name}");
         assert!(name.contains("-dbg-"), "{name}");
         assert!(name.contains("-pr-"), "{name}");
-        assert!(name.ends_with(".v2.trace"), "{name}");
+        assert!(name.ends_with(".v3.trace"), "{name}");
     }
 
     #[test]
@@ -941,7 +945,7 @@ mod tests {
 
     #[test]
     fn files_of_another_version_are_listed_refused_and_evictable() {
-        // What a store written before the v2 format holds: never looked up,
+        // What a store written before the v3 format holds: never looked up,
         // so the key misses (not "corrupt"); `ls` / `verify` / `gc` still
         // see the file.
         let store = temp_store("v1-file");
@@ -949,7 +953,7 @@ mod tests {
         let key = sample_key(0);
         store.publish(&key, &trace, &app, 7).expect("publish");
         let v1_file = plant_v1_file(&store, &key);
-        std::fs::remove_file(store.dir().join(key.file_name())).expect("drop the v2 entry");
+        std::fs::remove_file(store.dir().join(key.file_name())).expect("drop the v3 entry");
         assert!(!store.probe(&key));
         assert!(store.load(&key).is_none());
         assert_eq!(store.stats().misses, 1);
@@ -1169,7 +1173,7 @@ mod tests {
     fn gc_sweeps_stale_temp_files() {
         // A crashed writer's leftover: older than any publication takes.
         let store = temp_store("tmp-sweep");
-        let orphan = store.dir().join(".orphan.v2.trace.tmp.999.0");
+        let orphan = store.dir().join(".orphan.v3.trace.tmp.999.0");
         std::fs::write(&orphan, b"junk").expect("write");
         backdate(&orphan, STALE_TEMP_AGE + Duration::from_secs(60));
         let report = store.gc(u64::MAX).expect("gc");

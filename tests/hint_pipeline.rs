@@ -1,9 +1,10 @@
 //! Integration tests for the GRASP software/hardware interface: the
-//! application programs the Address Bound Registers, the classifier attaches
-//! reuse hints, and hint-consuming policies see them at the LLC.
+//! application programs the Address Bound Registers, the recording carries
+//! the bounds, the classifier at the LLC turns them into reuse hints, and
+//! hint-consuming policies see them there.
 
 use grasp_suite::analytics::apps::AppKind;
-use grasp_suite::cachesim::hint::ReuseHint;
+use grasp_suite::cachesim::hint::{RegionClassifier, ReuseHint};
 use grasp_suite::core::datasets::{DatasetKind, Scale};
 use grasp_suite::core::experiment::Experiment;
 use grasp_suite::core::policy::PolicyKind;
@@ -18,9 +19,13 @@ fn hint_histogram(app: AppKind, reorder: TechniqueKind) -> (u64, u64, u64, u64) 
         .with_reordering(reorder);
     let recorded = exp.record();
     let trace = recorded.trace();
+    let classifier = RegionClassifier::new(
+        &trace.context().abr_bounds,
+        SCALE.hierarchy().llc.size_bytes,
+    );
     let mut counts = (0u64, 0u64, 0u64, 0u64);
     for info in trace.demand_accesses() {
-        match info.hint {
+        match classifier.classify(info.addr) {
             ReuseHint::High => counts.0 += 1,
             ReuseHint::Moderate => counts.1 += 1,
             ReuseHint::Low => counts.2 += 1,

@@ -5,7 +5,6 @@
 
 use grasp_suite::analytics::apps::AppKind;
 use grasp_suite::cachesim::config::{CacheConfig, HierarchyConfig, LatencyConfig};
-use grasp_suite::cachesim::hint::{AddressBoundRegisters, RegionClassifier};
 use grasp_suite::cachesim::stats::CacheStats;
 use grasp_suite::core::campaign::Campaign;
 use grasp_suite::core::datasets::{DatasetKind, Scale};
@@ -336,7 +335,8 @@ fn llc_stats_are_pinned_across_the_full_policy_grid() {
         (PolicyKind::Grasp, (757, 7976, 0, 7731, 2709), (44136, 61087, 0, 17463, 7863)),
     ];
     // GRASP on the PageRankDelta stream replayed for an LLC twice the
-    // recorded size, hints recomputed for it (the Table VII shape).
+    // recorded size, hints classified for it (the Table VII shape) — and
+    // identical to simulating that hierarchy directly.
     const RECLASSIFIED: Pin = (2783, 16892, 0, 15133, 10043);
     let pin = |llc: &CacheStats| -> Pin {
         (
@@ -370,17 +370,18 @@ fn llc_stats_are_pinned_across_the_full_policy_grid() {
                 recorded_llc.ways,
                 recorded_llc.block_bytes,
             );
-            let mut abrs = AddressBoundRegisters::new();
-            for &(start, end) in recorded.trace().abr_bounds() {
-                abrs.program(start, end);
-            }
-            let classifier = RegionClassifier::new(abrs, llc.size_bytes);
-            let stats = recorded.trace().replay_with_classifier(
-                llc,
-                PolicyKind::Grasp.build_dispatch(&llc),
-                &classifier,
-            );
+            let stats = recorded
+                .trace()
+                .replay(llc, PolicyKind::Grasp.build_dispatch(&llc));
             assert_eq!(pin(&stats.llc), RECLASSIFIED, "tw/{app}/GRASP at 2x LLC");
+            let direct = exp
+                .clone()
+                .with_hierarchy(HierarchyConfig {
+                    llc,
+                    ..SCALE.hierarchy()
+                })
+                .run(PolicyKind::Grasp);
+            assert_eq!(direct.stats, stats, "tw/{app}/GRASP at 2x LLC: direct");
         }
     }
 }
@@ -429,12 +430,15 @@ fn twelve_way_llc_stats_are_pinned() {
 fn upper_level_streams_are_pinned() {
     // Golden L1/L2 statistics `(accesses, misses, evictions,
     // prefetch_accesses, prefetch_fills, writeback_accesses,
-    // writeback_hits)`, stream lengths and FNV-1a of the persisted v2 bytes,
+    // writeback_hits)`, stream lengths and FNV-1a of the persisted bytes,
     // captured on the commit before the upper levels moved from
     // `SetAssocCache` + `Lru` to the recency-ordered filter (PR 13). The
-    // other record tests compare two paths of the *current* implementation;
-    // this one fails when the recorded stream itself moves — and a moved
-    // stream silently invalidates every store recorded before it.
+    // digests were re-pinned once, for format v3: the bytes that commit's
+    // recorder writes with its hint bits cleared and its version word set
+    // to 3. The other record tests compare two paths of the *current*
+    // implementation; this one fails when the recorded stream itself moves
+    // — and a moved stream silently invalidates every store recorded before
+    // it.
     type Level = (u64, u64, u64, u64, u64, u64, u64);
     const PINNED: [(AppKind, Level, Level, usize, usize, u64); 3] = [
         (
@@ -443,7 +447,7 @@ fn upper_level_streams_are_pinned() {
             (54645, 14124, 22727, 11034, 8859, 3218, 3215),
             25778,
             14124,
-            0x9ec168cf73910c0e,
+            0x9f7e4bf9390510bc,
         ),
         (
             AppKind::PageRankDelta,
@@ -451,7 +455,7 @@ fn upper_level_streams_are_pinned() {
             (259674, 112650, 133985, 27631, 21591, 11192, 11180),
             144324,
             112650,
-            0x0249079e2c17d68a,
+            0xbadce4b488c107d8,
         ),
         (
             AppKind::Radii,
@@ -459,7 +463,7 @@ fn upper_level_streams_are_pinned() {
             (133136, 51224, 62334, 14022, 11366, 3929, 3922),
             65590,
             51224,
-            0xebb411311bdb0afa,
+            0xe9264f2c516e5974,
         ),
     ];
     let level = |s: &CacheStats| -> Level {
@@ -491,6 +495,6 @@ fn upper_level_streams_are_pinned() {
         let hash = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
         });
-        assert_eq!(hash, fnv, "tw/{app}: persisted v2 bytes");
+        assert_eq!(hash, fnv, "tw/{app}: persisted bytes");
     }
 }

@@ -5,7 +5,7 @@
 //! statistics.
 
 use grasp_suite::analytics::apps::AppKind;
-use grasp_suite::cachesim::config::HierarchyConfig;
+use grasp_suite::cachesim::config::{CacheConfig, HierarchyConfig, LatencyConfig};
 use grasp_suite::cachesim::trace::persist::{Fnv64, PersistError};
 use grasp_suite::cachesim::trace::CHUNK_RECORDS;
 use grasp_suite::core::campaign::{Campaign, CampaignResult};
@@ -193,9 +193,9 @@ fn multi_stream_grids_key_streams_independently() {
 
 #[test]
 fn hierarchy_changes_never_reuse_a_stale_entry() {
-    // Same grid coordinate, different LLC size: the config hash must fork
-    // the key, so the second campaign records freshly instead of replaying
-    // the wrong stream.
+    // Same grid coordinate, different L2: the config hash must fork the
+    // key, so the second campaign records freshly instead of replaying the
+    // wrong stream.
     let dir = temp_store_dir("config-fork");
     let store = Arc::new(TraceStore::open(&dir).expect("store opens"));
     let base = || {
@@ -207,7 +207,11 @@ fn hierarchy_changes_never_reuse_a_stale_entry() {
     let _ = base().with_trace_store(Arc::clone(&store)).run();
     assert_eq!(store.stats().misses, 1);
 
-    let bigger = Scale::Small.hierarchy();
+    let tiny = SCALE.hierarchy();
+    let bigger = HierarchyConfig {
+        l2: CacheConfig::new(2 * tiny.l2.size_bytes, tiny.l2.ways, tiny.l2.block_bytes),
+        ..tiny
+    };
     let fresh = base().hierarchy(bigger).run();
     let stored = base()
         .hierarchy(bigger)
@@ -217,6 +221,53 @@ fn hierarchy_changes_never_reuse_a_stale_entry() {
     let stats = store.stats();
     assert_eq!(stats.hits, 0, "a different hierarchy must never hit");
     assert_eq!(stats.misses, 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn one_entry_serves_every_llc_geometry_and_latency() {
+    // A stream is keyed by what shapes it — the LLC and the latencies do
+    // not — so a campaign at twice the LLC, under other latencies, is
+    // served entirely by the entry a campaign at the scale's LLC published,
+    // and still equals its own direct simulation.
+    let dir = temp_store_dir("llc-sweep");
+    let store = Arc::new(TraceStore::open(&dir).expect("store opens"));
+    let campaign = || {
+        Campaign::new(SCALE)
+            .datasets(&[DatasetKind::Twitter])
+            .apps(&[AppKind::PageRank, AppKind::PageRankDelta])
+            .policies(&[PolicyKind::Lru, PolicyKind::Rrip, PolicyKind::Grasp])
+            .threads(2)
+    };
+    let _ = campaign().with_trace_store(Arc::clone(&store)).run();
+    assert_eq!(store.stats().misses, 2, "the populating pass records");
+
+    let tiny = SCALE.hierarchy();
+    let wide = HierarchyConfig {
+        llc: CacheConfig::new(2 * tiny.llc.size_bytes, tiny.llc.ways, tiny.llc.block_bytes),
+        latency: LatencyConfig {
+            llc_cycles: 45,
+            memory_cycles: 320,
+            ..tiny.latency
+        },
+        ..tiny
+    };
+    let swept = campaign().hierarchy(wide);
+    let served = swept.clone().with_trace_store(Arc::clone(&store)).run();
+    let recorded = served
+        .scheduler_events()
+        .iter()
+        .filter(|e| {
+            matches!(
+                e,
+                grasp_suite::core::campaign::SchedulerEvent::RecordFinished { .. }
+            )
+        })
+        .count();
+    assert_eq!(recorded, 0, "nothing recorded at the new LLC");
+    let stats = store.stats();
+    assert_eq!((stats.hits, stats.misses), (2, 2), "both streams served");
+    assert_bit_identical(&swept.run_direct(), &served, "2x LLC, other latencies");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -242,7 +293,7 @@ fn leftovers_of_an_older_build_do_not_disturb_a_store() {
     let version_at = trace_block_offset(&bytes) + 8;
     bytes[version_at..version_at + 4].copy_from_slice(&1u32.to_le_bytes());
     std::fs::write(dir.join("foo.v1.trace"), &bytes).expect("write the v1 file");
-    std::fs::remove_file(dir.join(&entry.file)).expect("remove the v2 entry");
+    std::fs::remove_file(dir.join(&entry.file)).expect("remove the v3 entry");
     std::fs::write(dir.join("index.tsv"), "foo.v1.trace\t1\t1\n").expect("write the index");
 
     let listed = store.entries().expect("entries");
