@@ -11,72 +11,57 @@
 //! simulation, so no regenerated dump could reproduce a committed one.
 
 use grasp_analytics::apps::{AppConfig, AppKind};
-use grasp_bench::{banner, dataset, harness_scale, pct};
+use grasp_bench::{banner, table_with_mean};
 use grasp_core::compare::geometric_mean_speedup;
-use grasp_core::datasets::DatasetKind;
+use grasp_core::datasets::{DatasetKind, Scale};
 use grasp_core::experiment::Experiment;
-use grasp_core::report::Table;
+use grasp_graph::Csr;
 use grasp_reorder::cost::run_boxed;
-use grasp_reorder::TechniqueKind;
-
-/// Native app configuration: long enough for reordering cost amortization to
-/// be meaningful, as in the paper's full-application measurements.
-fn native_config(app: AppKind) -> AppConfig {
-    let max_iterations = match app {
-        AppKind::PageRank => 20,
-        AppKind::PageRankDelta => 20,
-        AppKind::Radii => 16,
-        AppKind::Bc | AppKind::Sssp => 256,
-    };
-    AppConfig {
-        max_iterations,
-        epsilon: 0.0,
-        ..AppConfig::default()
-    }
-}
+use grasp_reorder::TechniqueKind::{Dbg, GorderDbg, HubSort, Sort};
 
 fn main() {
-    banner("Fig. 10(a): net speed-up of reordering techniques (native, wall clock)");
-    let scale = harness_scale();
-    let techniques = [
-        TechniqueKind::Sort,
-        TechniqueKind::HubSort,
-        TechniqueKind::Dbg,
-        TechniqueKind::GorderDbg,
-    ];
-    let mut table = Table::new(
-        "Fig. 10a — net speed-up (%) over the original ordering, including reordering cost",
-        &["app", "dataset", "Sort", "HubSort", "DBG", "Gorder(+DBG)"],
+    let scale = Scale::from_env();
+    banner(
+        "Fig. 10(a): net speed-up of reordering techniques (native, wall clock)",
+        scale,
     );
-    let mut per_technique: Vec<Vec<f64>> = vec![Vec::new(); techniques.len()];
-
+    let mut rows = Vec::new();
     for app in AppKind::ALL {
-        for kind in DatasetKind::HIGH_SKEW {
-            let ds = dataset(kind, scale);
-            let config = native_config(app);
-            let baseline = Experiment::new(ds.graph.clone(), app)
+        // Long enough for the reordering cost to amortize, as in the paper's
+        // full-application measurements.
+        let max_iterations = match app {
+            AppKind::PageRank | AppKind::PageRankDelta => 20,
+            AppKind::Radii => 16,
+            AppKind::Bc | AppKind::Sssp => 256,
+        };
+        let config = AppConfig {
+            max_iterations,
+            epsilon: 0.0,
+            ..AppConfig::default()
+        };
+        let native = |graph: &Csr| {
+            let run = Experiment::new(graph.clone(), app)
                 .with_app_config(config)
                 .run_native();
-            let mut cells = vec![app.label().to_owned(), kind.label().to_owned()];
-            for (i, &kind_t) in techniques.iter().enumerate() {
-                let technique = kind_t.instantiate();
-                let outcome = run_boxed(technique.as_ref(), &ds.graph, app.hotness_direction());
-                let run = Experiment::new(outcome.graph.clone(), app)
-                    .with_app_config(config)
-                    .run_native();
-                let total = outcome.total_time() + run.runtime;
-                let net = (baseline.runtime.as_secs_f64() / total.as_secs_f64() - 1.0) * 100.0;
-                per_technique[i].push(net);
-                cells.push(pct(net));
-            }
-            table.push_row(cells);
+            run.runtime
+        };
+        for kind in DatasetKind::HIGH_SKEW {
+            let graph = kind.build(scale).graph;
+            let baseline = native(&graph).as_secs_f64();
+            let values = [Sort, HubSort, Dbg, GorderDbg].map(|technique| {
+                let outcome = run_boxed(&*technique.instantiate(), &graph, app.hotness_direction());
+                let total = outcome.total_time() + native(&outcome.graph);
+                (baseline / total.as_secs_f64() - 1.0) * 100.0
+            });
+            rows.push(([app.label(), kind.label()], values.to_vec()));
         }
     }
-    let mut mean_row = vec!["GM".to_owned(), "all".to_owned()];
-    for values in &per_technique {
-        mean_row.push(pct(geometric_mean_speedup(values)));
-    }
-    table.push_row(mean_row);
+    let table = table_with_mean(
+        "Fig. 10a — net speed-up (%) over the original ordering, including reordering cost",
+        &["app", "dataset", "Sort", "HubSort", "DBG", "Gorder(+DBG)"],
+        &rows,
+        geometric_mean_speedup,
+    );
     println!("{table}");
     println!("Paper averages: Sort +2.6, HubSort +0.6, DBG +10.8, Gorder -85.4.");
     println!("(Wall-clock numbers depend on the host; the qualitative ordering is what matters.)");

@@ -47,28 +47,12 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// The schemes compared in Figs. 5 and 6 (history-based prior work +
-    /// GRASP), excluding the RRIP baseline itself.
-    pub const FIG5_SCHEMES: [PolicyKind; 4] = [
-        PolicyKind::ShipMem,
-        PolicyKind::Hawkeye,
-        PolicyKind::Leeway,
-        PolicyKind::Grasp,
-    ];
-
     /// The pinning configurations of Fig. 8.
     pub const PIN_CONFIGS: [PolicyKind; 4] = [
         PolicyKind::Pin(25),
         PolicyKind::Pin(50),
         PolicyKind::Pin(75),
         PolicyKind::Pin(100),
-    ];
-
-    /// The GRASP ablation sequence of Fig. 7.
-    pub const ABLATIONS: [PolicyKind; 3] = [
-        PolicyKind::GraspHintsOnly,
-        PolicyKind::GraspInsertionOnly,
-        PolicyKind::Grasp,
     ];
 
     /// Display label matching the paper's figures.
@@ -209,10 +193,7 @@ mod tests {
 
     #[test]
     fn figure_groups_have_the_expected_members() {
-        assert_eq!(PolicyKind::FIG5_SCHEMES.len(), 4);
         assert_eq!(PolicyKind::PIN_CONFIGS.len(), 4);
-        assert_eq!(PolicyKind::ABLATIONS.len(), 3);
-        assert!(PolicyKind::FIG5_SCHEMES.contains(&PolicyKind::Grasp));
         assert!(PolicyKind::PIN_CONFIGS.contains(&PolicyKind::Pin(100)));
     }
 }
