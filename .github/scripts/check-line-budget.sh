@@ -15,6 +15,10 @@
 # as 18 804 (the tree's 18 754 + 50) when the bench mains joined the count:
 # the tree held 18 373 src + 746 bench-main lines until ten figure mains
 # became one `figures` bench over grasp_bench (crates/bench 881 -> 532).
+# It was raised to 19 022 (the tree's 18 972 + 50) when the trace format's
+# checksum became word-at-a-time XXH64: the hash module beside persist.rs
+# (the checksum, plus FNV-1a moved out of persist.rs) and the word varint and
+# index coders add 218 lines, which buy a 1.5-1.7x faster encode and decode.
 #
 # usage: check-line-budget.sh   (from the repository root)
 set -euo pipefail
@@ -23,7 +27,7 @@ find crates/*/src crates/bench/benches -name '*.rs' | sort | while read -r file;
   awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0, FILENAME }' "$file"
 done | awk '
   BEGIN {
-    total_ceiling = 18804
+    total_ceiling = 19022
     bench_ceiling = 540
     ceiling["crates/core/src/campaign.rs"] = 1287
     ceiling["crates/graph/src/ingest.rs"] = 1177

@@ -36,6 +36,7 @@
 //! the chunks through a [`ChunkReplayer`] — the incremental, chunk-at-a-time
 //! entry point to [`LlcStage`].
 
+mod hash;
 pub mod persist;
 
 use crate::addr::Address;
@@ -158,13 +159,6 @@ pub struct TraceChunk {
 }
 
 impl TraceChunk {
-    fn with_capacity(records: usize) -> Self {
-        let mut chunk = Self::default();
-        chunk.addrs.reserve(records);
-        chunk.meta.reserve(records);
-        chunk
-    }
-
     #[inline]
     fn push(&mut self, addr: Address, meta: u32) {
         self.addrs.push(addr);

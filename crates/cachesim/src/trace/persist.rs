@@ -7,13 +7,13 @@
 //! ┌──────────────────────────────────────────────────────────────────────┐
 //! │ header (48 bytes, little-endian)                                     │
 //! │   0  magic          8 B   "GRSPTRC\0"                                │
-//! │   8  version        u32   3 — the only version this build reads      │
+//! │   8  version        u32   4 — the only version this build reads      │
 //! │  12  chunk_records  u32   records per full chunk (CHUNK_RECORDS)     │
 //! │  16  record_count   u64   total events                               │
 //! │  24  demand_count   u64   demand events (≤ record_count)             │
 //! │  32  context_len    u32   bytes of the context block                 │
 //! │  36  codec          u32   [`Codec`] of the body (1 = delta-varint)   │
-//! │  40  checksum       u64   FNV-1a over header (checksum zeroed),      │
+//! │  40  checksum       u64   XXH64 over header (checksum zeroed),       │
 //! │                           context block and chunk payload            │
 //! ├──────────────────────────────────────────────────────────────────────┤
 //! │ context block: RecordContext — L1 stats, L2 stats, ABR bounds        │
@@ -46,12 +46,12 @@
 //! like a freshly recorded one.
 //!
 //! [`LlcTrace::read_from`] checks the version once, up front: any other
-//! version — the raw 12 B/record v1 layout and the hint-carrying v2 words of
-//! old stores included — is [`PersistError::UnsupportedVersion`], and a v3
-//! header naming any other codec is [`PersistError::Corrupt`]. A v3
-//! metadata word carries no reuse hint (the LLC that replays a trace derives
-//! it from the context's ABR bounds), and the context holds at most
-//! [`MAX_ABR_PAIRS`] bound pairs, none inverted.
+//! version — the raw 12 B/record v1 layout, the hint-carrying v2 words and
+//! the FNV-1a-checksummed v3 files of old stores included — is
+//! [`PersistError::UnsupportedVersion`], and a header naming any other codec
+//! is [`PersistError::Corrupt`]. A metadata word carries no reuse hint (the
+//! LLC that replays a trace derives it from the context's ABR bounds), and
+//! the context holds at most [`MAX_ABR_PAIRS`] bound pairs, none inverted.
 //!
 //! Corruption is never silent: the checksum covers the header (with the
 //! checksum field zeroed), the context block and the chunk payload — frame
@@ -59,6 +59,14 @@
 //! surfaces as a typed [`PersistError`] — a successful load is byte-for-byte
 //! the trace that was saved (property-tested in
 //! `tests/persist_properties.rs`).
+//!
+//! # Speed
+//!
+//! Loading works a word at a time: the checksum is XXH64 ([`StripeHash`],
+//! four lanes over 32-byte stripes, where v3's FNV-1a paid a multiply per
+//! byte; v4 changed nothing else), a varint is decoded from one unaligned
+//! 8-byte load, and metadata indices are unpacked from whole words into
+//! pre-sized columns. The encoder stores varints and indices a word at a time.
 
 use super::{
     count_demand_records, meta_is_valid, LlcTrace, RecordContext, TraceChunk, CHUNK_RECORDS,
@@ -72,13 +80,15 @@ use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
+pub use super::hash::{Fnv64, StripeHash};
+
 /// Magic bytes opening every persisted trace.
 pub const TRACE_MAGIC: [u8; 8] = *b"GRSPTRC\0";
 
 /// The version of the on-disk trace format: what writers emit and the only
 /// one loaders read. Bump on any layout change (3: metadata words lost the
-/// reuse hint).
-pub const TRACE_FORMAT_VERSION: u32 = 3;
+/// reuse hint; 4: the checksum became XXH64).
+pub const TRACE_FORMAT_VERSION: u32 = 4;
 
 const HEADER_LEN: usize = 48;
 const CODEC_OFFSET: usize = 36;
@@ -201,53 +211,6 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-/// Byte-wise FNV-1a, the format's checksum. Chosen over the simulator's
-/// word-batched `FxHasher` because its digest is independent of how the byte
-/// stream is split across `update` calls, which lets the writer hash
-/// chunk-by-chunk and the reader hash buffer-by-buffer. Public so store
-/// layers building on the format (`grasp_core::trace_store`) checksum and
-/// fingerprint with the same primitive instead of re-rolling the constants.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// Creates a hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Self(Self::OFFSET)
-    }
-
-    /// Folds `bytes` into the digest (split-independent).
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut hash = self.0;
-        for &byte in bytes {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(Self::PRIME);
-        }
-        self.0 = hash;
-    }
-
-    /// The digest over everything folded in so far.
-    pub fn finish(self) -> u64 {
-        self.0
-    }
-
-    /// One-shot digest of a byte slice.
-    pub fn digest(bytes: &[u8]) -> u64 {
-        let mut hasher = Self::new();
-        hasher.update(bytes);
-        hasher.finish()
-    }
-}
-
 fn put_u32(buf: &mut Vec<u8>, value: u32) {
     buf.extend_from_slice(&value.to_le_bytes());
 }
@@ -271,25 +234,77 @@ fn unzigzag(encoded: u64) -> u64 {
     (encoded >> 1) ^ (encoded & 1).wrapping_neg()
 }
 
-/// Appends `value` as a LEB128 varint (1–10 bytes).
-#[inline]
-fn put_varint(buf: &mut Vec<u8>, mut value: u64) {
-    loop {
-        let byte = (value & 0x7f) as u8;
-        value >>= 7;
-        if value == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
+/// Spreads the low 56 bits of `value` over eight bytes, 7-bit group `k` in
+/// byte `k` with its continuation bit clear — the inverse of
+/// [`gather_groups`].
+#[inline(always)]
+fn spread_groups(value: u64) -> u64 {
+    let x = (value & 0x0000_0000_0fff_ffff) | ((value & 0x00ff_ffff_f000_0000) << 4);
+    let x = (x & 0x0000_3fff_0000_3fff) | ((x & 0x0fff_c000_0fff_c000) << 2);
+    (x & 0x007f_007f_007f_007f) | ((x & 0x3f80_3f80_3f80_3f80) << 1)
 }
 
-/// Decodes one LEB128 varint from `bytes` at `*pos`, advancing the cursor.
-/// Every malformed shape — running off the buffer, or more than 64 bits of
-/// payload — is a typed [`PersistError::Corrupt`], never a panic or a
-/// silently wrapped value.
+/// Compacts the 7-bit groups of the eight bytes of `word` (continuation bits
+/// dropped) into one 56-bit value.
+#[inline(always)]
+fn gather_groups(word: u64) -> u64 {
+    let x = word & 0x7f7f_7f7f_7f7f_7f7f;
+    let x = (x & 0x007f_007f_007f_007f) | ((x & 0x7f00_7f00_7f00_7f00) >> 1);
+    let x = (x & 0x0000_3fff_0000_3fff) | ((x & 0x3fff_0000_3fff_0000) >> 2);
+    (x & 0x0000_0000_0fff_ffff) | ((x & 0x0fff_ffff_0000_0000) >> 4)
+}
+
+/// Stores `value` as a LEB128 varint (1–10 bytes) at `out[*pos..]`,
+/// advancing the cursor. A varint of up to 8 bytes is one 8-byte store, so
+/// `out` must extend 8 bytes past the encoding's end; the bytes past the
+/// varint are overwritten by the next store or cut off with the slack.
+#[inline]
+fn put_varint(out: &mut [u8], pos: &mut usize, mut value: u64) {
+    let len = (u64::BITS - (value | 1).leading_zeros()).div_ceil(7) as usize;
+    if len <= 8 {
+        let continuation = 0x8080_8080_8080_8080 & ((1u64 << (8 * (len - 1))) - 1);
+        let word = spread_groups(value) | continuation;
+        out[*pos..*pos + 8].copy_from_slice(&word.to_le_bytes());
+        *pos += len;
+        return;
+    }
+    while value >= 0x80 {
+        out[*pos] = value as u8 | 0x80;
+        value >>= 7;
+        *pos += 1;
+    }
+    out[*pos] = value as u8;
+    *pos += 1;
+}
+
+/// Decodes one LEB128 varint from `bytes` at `*pos`, advancing the cursor,
+/// from one unaligned 8-byte load: the terminator is the lowest clear
+/// continuation bit. A varint longer than 8 bytes, or one starting in the
+/// last < 8 bytes of `bytes`, takes [`get_varint_bytewise`].
+#[inline(always)]
 fn get_varint(bytes: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, PersistError> {
+    if let Some(window) = bytes.get(*pos..*pos + 8) {
+        let word = u64::from_le_bytes(window.try_into().expect("8 bytes"));
+        let ends = !word & 0x8080_8080_8080_8080;
+        if ends != 0 {
+            *pos += (ends.trailing_zeros() / 8 + 1) as usize;
+            // `ends ^ (ends - 1)` keeps the bytes up to the terminator.
+            return Ok(gather_groups(word & (ends ^ (ends - 1))));
+        }
+    }
+    get_varint_bytewise(bytes, pos, what)
+}
+
+/// The byte-at-a-time LEB128 decoder behind [`get_varint`]. Every malformed
+/// shape — running off the buffer, or more than 64 bits of payload — is a
+/// typed [`PersistError::Corrupt`], never a panic or a silently wrapped
+/// value.
+#[cold]
+fn get_varint_bytewise(
+    bytes: &[u8],
+    pos: &mut usize,
+    what: &'static str,
+) -> Result<u64, PersistError> {
     let mut value = 0u64;
     let mut shift = 0u32;
     loop {
@@ -471,6 +486,8 @@ struct MetaDictionary {
     /// `(word, index)` of the last word that mapped to each slot;
     /// `MEMO_EMPTY` marks a slot no word of this chunk has used.
     memo: [(u32, u32); MEMO_SLOTS],
+    /// Each record's dictionary index, in record order.
+    indices: Vec<u32>,
 }
 
 const MEMO_SLOTS: usize = 256;
@@ -482,6 +499,7 @@ impl MetaDictionary {
             words: Vec::new(),
             index_of: HashMap::new(),
             memo: [(0, MEMO_EMPTY); MEMO_SLOTS],
+            indices: Vec::new(),
         }
     }
 
@@ -489,6 +507,7 @@ impl MetaDictionary {
         self.words.clear();
         self.index_of.clear();
         self.memo = [(0, MEMO_EMPTY); MEMO_SLOTS];
+        self.indices.clear();
     }
 
     /// The dictionary index of `word`, appending it on first occurrence.
@@ -512,50 +531,50 @@ impl MetaDictionary {
     }
 }
 
-/// Serializes one chunk as a delta+varint frame (length prefix included)
-/// into `buf`. `dict` carries the dictionary's allocations across chunks; it
-/// is cleared per chunk.
-fn chunk_payload_delta_varint(chunk: &TraceChunk, buf: &mut Vec<u8>, dict: &mut MetaDictionary) {
-    buf.clear();
-    buf.extend_from_slice(&[0u8; 4]); // frame length, patched below
+/// Serializes one chunk as a delta+varint frame, length prefix included,
+/// into the front of `frame` and returns the frame's length in bytes.
+/// `frame` is sized once for the worst case plus one word of slack, so the
+/// varint and index loops store whole words. `frame` and `dict` carry their
+/// allocations across chunks.
+fn encode_frame(chunk: &TraceChunk, frame: &mut Vec<u8>, dict: &mut MetaDictionary) -> usize {
+    frame.resize(4 + max_frame_len(chunk.len()) + 8, 0);
+    let mut pos = 4; // after the frame length, patched below
 
     // Address column: zigzag wrapping deltas, LEB128. The previous-address
     // state starts at 0 in every chunk, so chunks decode independently.
     let mut prev: Address = 0;
     for &addr in &chunk.addrs {
-        put_varint(buf, zigzag(addr.wrapping_sub(prev)));
+        put_varint(frame, &mut pos, zigzag(addr.wrapping_sub(prev)));
         prev = addr;
     }
     // Metadata column: dictionary of distinct words in first-occurrence
-    // order, then one bit-packed dictionary index per record.
+    // order, then one bit-packed dictionary index per record, LSB-first.
     dict.clear();
-    let indices: Vec<u32> = chunk.meta.iter().map(|&meta| dict.index(meta)).collect();
-    let dict = &dict.words;
-    put_varint(buf, dict.len() as u64);
-    for &word in dict {
-        put_varint(buf, u64::from(word));
+    for &meta in &chunk.meta {
+        let index = dict.index(meta);
+        dict.indices.push(index);
     }
-    if !dict.is_empty() {
-        let width = index_width(dict.len());
-        if width > 0 {
-            let mut acc: u64 = 0;
-            let mut filled: u32 = 0;
-            for &index in &indices {
-                acc |= u64::from(index) << filled;
-                filled += width;
-                while filled >= 8 {
-                    buf.push((acc & 0xff) as u8);
-                    acc >>= 8;
-                    filled -= 8;
-                }
-            }
-            if filled > 0 {
-                buf.push((acc & 0xff) as u8);
-            }
+    put_varint(frame, &mut pos, dict.words.len() as u64);
+    for &word in &dict.words {
+        put_varint(frame, &mut pos, u64::from(word));
+    }
+    if dict.words.len() > 1 {
+        let width = index_width(dict.words.len());
+        // Store the pending bits after every index and advance past the
+        // whole bytes; a partial byte is rewritten by the next store.
+        let (mut acc, mut filled) = (0u64, 0u32);
+        for &index in &dict.indices {
+            acc |= u64::from(index) << filled;
+            filled += width;
+            frame[pos..pos + 8].copy_from_slice(&acc.to_le_bytes());
+            pos += (filled / 8) as usize;
+            acc >>= filled & !7;
+            filled &= 7;
         }
+        pos += usize::from(filled > 0);
     }
-    let frame_len = (buf.len() - 4) as u32;
-    buf[0..4].copy_from_slice(&frame_len.to_le_bytes());
+    frame[0..4].copy_from_slice(&((pos - 4) as u32).to_le_bytes());
+    pos
 }
 
 /// Worst-case frame payload for `records` records: 10-byte address
@@ -596,15 +615,14 @@ fn read_exact(
     })
 }
 
-/// Reads one delta+varint frame and decompresses it into a fresh chunk.
-/// Every structural defect — an implausible frame length, a malformed
-/// varint, a dictionary entry that encodes no record, a dictionary index
-/// past the dictionary, leftover payload bytes —
-/// is a typed error, and nothing is allocated beyond the frame's own bytes
-/// plus one bounded chunk.
-fn read_chunk_delta_varint(
+/// Reads one delta+varint frame — its length, then its payload — into
+/// `buf`, folds both into `hasher` and decodes the payload with
+/// [`decode_frame`]. A frame length no encoding of `records` records can
+/// have is corrupt before anything is allocated for it, so nothing is
+/// allocated beyond the frame's own bytes plus one bounded chunk.
+fn read_chunk(
     reader: &mut impl Read,
-    hasher: &mut Fnv64,
+    hasher: &mut StripeHash,
     records: usize,
     buf: &mut Vec<u8>,
 ) -> Result<TraceChunk, PersistError> {
@@ -618,17 +636,38 @@ fn read_chunk_delta_varint(
         )));
     }
     buf.resize(frame_len, 0);
-    let bytes = &mut buf[..frame_len];
-    read_exact(reader, bytes, "chunk payload")?;
-    hasher.update(bytes);
+    read_exact(reader, buf, "chunk payload")?;
+    hasher.update(buf);
+    decode_frame(buf, records)
+}
 
-    let mut chunk = TraceChunk::with_capacity(records);
+/// The eight bytes of `bytes` from `at` as a little-endian word, zero past
+/// the end.
+#[inline(always)]
+fn load_word(bytes: &[u8], at: usize) -> u64 {
+    match bytes.get(at..at + 8) {
+        Some(word) => u64::from_le_bytes(word.try_into().expect("8 bytes")),
+        None => {
+            let mut word = [0u8; 8];
+            word[..bytes.len() - at].copy_from_slice(&bytes[at..]);
+            u64::from_le_bytes(word)
+        }
+    }
+}
+
+/// Decompresses one frame payload into a chunk of `records` records,
+/// written into pre-sized columns. Every structural defect — a malformed
+/// varint, a dictionary entry that encodes no record, a dictionary index
+/// past the dictionary, leftover payload bytes — is a typed error. Kept out
+/// of the reader-generic [`read_chunk`]: inlined there, decoding measured
+/// ≈ 5 % slower.
+fn decode_frame(bytes: &[u8], records: usize) -> Result<TraceChunk, PersistError> {
+    let mut addrs = vec![0; records];
     let mut pos = 0usize;
     let mut prev: Address = 0;
-    for _ in 0..records {
-        let delta = unzigzag(get_varint(bytes, &mut pos, "address delta")?);
-        prev = prev.wrapping_add(delta);
-        chunk.addrs.push(prev);
+    for addr in &mut addrs {
+        prev = prev.wrapping_add(unzigzag(get_varint(bytes, &mut pos, "address delta")?));
+        *addr = prev;
     }
     let dict_len = get_varint(bytes, &mut pos, "metadata dictionary length")? as usize;
     if dict_len == 0 || dict_len > records {
@@ -644,76 +683,65 @@ fn read_chunk_delta_varint(
         })?;
         dict.push(check_meta(word)?);
     }
-    let width = index_width(dict_len);
-    if width == 0 {
-        chunk.meta.resize(records, dict[0]);
+    let width = index_width(dict_len) as usize;
+    let meta = if width == 0 {
+        vec![dict[0]; records]
     } else {
-        let index_bytes = (records * width as usize).div_ceil(8);
-        let end = pos
-            .checked_add(index_bytes)
-            .filter(|&end| end <= bytes.len())
-            .ok_or_else(|| {
-                PersistError::Corrupt("chunk payload ends inside metadata indices".to_owned())
-            })?;
-        let packed = &bytes[pos..end];
-        pos = end;
-        let mut acc: u64 = 0;
-        let mut filled: u32 = 0;
-        let mut next_byte = 0usize;
+        let index_bytes = (records * width).div_ceil(8);
+        let packed = bytes.get(pos..pos + index_bytes).ok_or_else(|| {
+            PersistError::Corrupt("chunk payload ends inside metadata indices".to_owned())
+        })?;
+        pos += index_bytes;
         let mask = (1u64 << width) - 1;
-        for _ in 0..records {
-            while filled < width {
-                acc |= u64::from(packed[next_byte]) << filled;
-                next_byte += 1;
-                filled += 8;
-            }
-            let index = (acc & mask) as usize;
-            acc >>= width;
-            filled -= width;
-            let &word = dict.get(index).ok_or_else(|| {
+        let mut meta = vec![0; records];
+        for (i, word) in meta.iter_mut().enumerate() {
+            let bit = i * width;
+            let index = ((load_word(packed, bit / 8) >> (bit % 8)) & mask) as usize;
+            *word = *dict.get(index).ok_or_else(|| {
                 PersistError::Corrupt(format!(
                     "metadata index {index} exceeds the {dict_len}-entry dictionary"
                 ))
             })?;
-            chunk.meta.push(word);
         }
-    }
-    if pos != frame_len {
+        meta
+    };
+    if pos != bytes.len() {
         return Err(PersistError::Corrupt(format!(
             "{} trailing byte(s) after the chunk payload",
-            frame_len - pos
+            bytes.len() - pos
         )));
     }
-    Ok(chunk)
+    Ok(TraceChunk { addrs, meta })
 }
 
 impl LlcTrace {
     /// Writes the trace (records and recorded context) to `writer` in the
-    /// versioned binary format — v3, [`Codec::DeltaVarint`] frames — and
+    /// versioned binary format — v4, [`Codec::DeltaVarint`] frames — and
     /// returns the number of bytes written.
     ///
     /// The checksum lands in the header, so the payload is produced before
     /// the header can be emitted. Compressed frames are expensive to
     /// produce, so they are encoded **once** into a body buffer (the
     /// compressed size — several times smaller than the in-memory trace this
-    /// method is called on) and emitted from it.
+    /// method is called on), hashed frame by frame while in cache, and
+    /// emitted from it.
     pub fn write_to(&self, writer: &mut impl Write) -> Result<u64, PersistError> {
         let context = encode_context(&self.context);
         let context_len = u32::try_from(context.len()).map_err(|_| {
             PersistError::Corrupt("context block exceeds u32::MAX bytes".to_owned())
         })?;
 
+        let mut hasher = StripeHash::new();
+        hasher.update(&header_bytes(self, context_len, 0));
+        hasher.update(&context);
         let mut body = Vec::new();
         let mut frame = Vec::new();
         let mut dict = MetaDictionary::new();
         for chunk in self.chunks() {
-            chunk_payload_delta_varint(chunk, &mut frame, &mut dict);
-            body.extend_from_slice(&frame);
+            let len = encode_frame(chunk, &mut frame, &mut dict);
+            hasher.update(&frame[..len]);
+            body.extend_from_slice(&frame[..len]);
         }
-        let mut hasher = Fnv64::new();
-        hasher.update(&header_bytes(self, context_len, 0));
-        hasher.update(&context);
-        hasher.update(&body);
         let header = header_bytes(self, context_len, hasher.finish());
         writer.write_all(&header)?;
         writer.write_all(&context)?;
@@ -782,7 +810,7 @@ impl LlcTrace {
                 .expect("8 bytes"),
         );
 
-        let mut hasher = Fnv64::new();
+        let mut hasher = StripeHash::new();
         header[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&[0u8; 8]);
         hasher.update(&header);
 
@@ -804,11 +832,11 @@ impl LlcTrace {
         let mut frozen = Vec::new();
         let mut buf = Vec::new();
         for _ in 0..full_chunks {
-            let chunk = read_chunk_delta_varint(reader, &mut hasher, CHUNK_RECORDS, &mut buf)?;
+            let chunk = read_chunk(reader, &mut hasher, CHUNK_RECORDS, &mut buf)?;
             frozen.push(Arc::new(chunk));
         }
         let current = if tail > 0 {
-            read_chunk_delta_varint(reader, &mut hasher, tail, &mut buf)?
+            read_chunk(reader, &mut hasher, tail, &mut buf)?
         } else {
             TraceChunk::default()
         };
@@ -978,15 +1006,30 @@ mod tests {
         assert_eq!(Codec::from_code(7), None);
     }
 
+    /// `value`'s varint bytes, as the byte-at-a-time LEB128 loop writes them.
+    fn varint_bytes(mut value: u64) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        while value >= 0x80 {
+            bytes.push(value as u8 | 0x80);
+            value >>= 7;
+        }
+        bytes.push(value as u8);
+        bytes
+    }
+
     #[test]
     fn varint_and_zigzag_round_trip() {
-        let mut buf = Vec::new();
         for value in [0u64, 1, 63, 64, 127, 128, 300, 1 << 20, u64::MAX] {
-            buf.clear();
-            put_varint(&mut buf, value);
+            let mut buf = [0u8; 18];
+            let mut len = 0;
+            put_varint(&mut buf, &mut len, value);
+            assert_eq!(&buf[..len], varint_bytes(value), "{value:#x}");
             let mut pos = 0;
-            assert_eq!(get_varint(&buf, &mut pos, "test").expect("decodes"), value);
-            assert_eq!(pos, buf.len());
+            assert_eq!(
+                get_varint(&buf[..len], &mut pos, "test").expect("decodes"),
+                value
+            );
+            assert_eq!(pos, len);
             assert_eq!(unzigzag(zigzag(value)), value);
         }
         // Small deltas in either direction stay small after zigzag.
@@ -1011,11 +1054,48 @@ mod tests {
             Err(PersistError::Corrupt(_))
         ));
         // u64::MAX itself must decode (10 bytes, final byte 0x01).
-        let mut buf = Vec::new();
-        put_varint(&mut buf, u64::MAX);
+        let buf = varint_bytes(u64::MAX);
         assert_eq!(buf.len(), 10);
         let mut pos = 0;
         assert_eq!(get_varint(&buf, &mut pos, "test").unwrap(), u64::MAX);
+        // The same shapes with eight more bytes behind them (so the word
+        // path would have room) fall back to the byte loop and fail alike.
+        for bad in [&overlong[..], &[0xff; 11][..]] {
+            let mut padded = bad.to_vec();
+            padded.extend_from_slice(&[0u8; 8]);
+            let mut pos = 0;
+            assert!(matches!(
+                get_varint(&padded, &mut pos, "test"),
+                Err(PersistError::Corrupt(msg)) if msg.contains("overflow")
+            ));
+        }
+    }
+
+    /// Every varint length 1–10 at both ends of its range, decoded from the
+    /// end of a buffer (the byte loop) and from inside one (the word path,
+    /// up to 8 bytes), and written with one store: all agree with the byte
+    /// loop.
+    #[test]
+    fn word_varints_match_the_byte_loop_at_every_length() {
+        for len in 1..=10u32 {
+            let low = if len == 1 { 0 } else { 1u64 << (7 * (len - 1)) };
+            let high = 1u64.checked_shl(7 * len).map_or(u64::MAX, |v| v - 1);
+            for value in [low, low + 1, high - 1, high] {
+                let bytes = varint_bytes(value);
+                assert_eq!(bytes.len(), len as usize, "{value:#x}");
+                let mut stored = [0xAAu8; 18];
+                let mut end = 0;
+                put_varint(&mut stored, &mut end, value);
+                assert_eq!(&stored[..end], bytes, "{value:#x}");
+                for trailing in 0..=8 {
+                    let mut buf = bytes.clone();
+                    buf.resize(bytes.len() + trailing, 0x80);
+                    let mut pos = 0;
+                    assert_eq!(get_varint(&buf, &mut pos, "test").unwrap(), value);
+                    assert_eq!(pos, bytes.len());
+                }
+            }
+        }
     }
 
     #[test]
@@ -1293,6 +1373,12 @@ mod tests {
         );
     }
 
+    /// 300 bytes: nine whole 32-byte stripes and a 12-byte tail, so the
+    /// lanes, the 8-byte and the 4-byte tail steps all run.
+    fn stripe_input() -> Vec<u8> {
+        (0..300u32).map(|i| (i * 7 + 3) as u8).collect()
+    }
+
     #[test]
     fn checksum_is_split_independent() {
         let mut one = Fnv64::new();
@@ -1301,6 +1387,46 @@ mod tests {
         two.update(b"hello");
         two.update(b" world");
         assert_eq!(one.finish(), two.finish());
+
+        // The format's checksum: every split offset of a multi-stripe
+        // buffer, inside a stripe or on its edge, one byte at a time, and
+        // every pair of offsets (three pieces, so the carry buffer fills
+        // across calls) give the one-shot digest.
+        let bytes = stripe_input();
+        let whole = StripeHash::digest(&bytes);
+        for split in 0..=bytes.len() {
+            let mut hasher = StripeHash::new();
+            hasher.update(&bytes[..split]);
+            hasher.update(&bytes[split..]);
+            assert_eq!(hasher.finish(), whole, "split at {split}");
+        }
+        let mut bytewise = StripeHash::new();
+        bytes.chunks(1).for_each(|byte| bytewise.update(byte));
+        assert_eq!(bytewise.finish(), whole);
+        let bytes = &bytes[..100];
+        let whole = StripeHash::digest(bytes);
+        for first in 0..=bytes.len() {
+            for second in first..=bytes.len() {
+                let mut hasher = StripeHash::new();
+                hasher.update(&bytes[..first]);
+                hasher.update(&bytes[first..second]);
+                hasher.update(&bytes[second..]);
+                assert_eq!(hasher.finish(), whole, "split at {first} and {second}");
+            }
+        }
+    }
+
+    /// The checksum is XXH64 with seed 0: these are the reference digests.
+    /// A change here makes every store entry fail its checksum, so it can
+    /// only come with a format version bump.
+    #[test]
+    fn checksum_digests_are_pinned() {
+        assert_eq!(StripeHash::digest(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(StripeHash::digest(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(StripeHash::digest(&stripe_input()), 0x2400_04db_ee0b_a6dc);
+        // The key/metadata hash is unchanged too.
+        assert_eq!(Fnv64::digest(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(Fnv64::digest(b"abc"), 0xe71f_a219_0541_574b);
     }
 
     #[test]
@@ -1308,8 +1434,39 @@ mod tests {
         // These are on-disk compatibility promises; changing them must be a
         // deliberate format bump, not a refactor side-effect.
         assert_eq!(TRACE_MAGIC, *b"GRSPTRC\0");
-        assert_eq!(TRACE_FORMAT_VERSION, 3);
+        assert_eq!(TRACE_FORMAT_VERSION, 4);
         assert_eq!(HEADER_LEN, 48);
+    }
+
+    /// What a v3 writer made of the same trace: the same bytes with version
+    /// word 3 and an FNV-1a checksum. It is refused by version, before its
+    /// checksum is looked at.
+    #[test]
+    fn a_v3_file_is_an_unsupported_version() {
+        let mut bytes = write_to_vec(&sample_trace(CHUNK_RECORDS + 10));
+        bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+        bytes[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].fill(0);
+        let fnv = Fnv64::digest(&bytes);
+        bytes[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&fnv.to_le_bytes());
+        assert!(matches!(
+            LlcTrace::read_from(&mut bytes.as_slice()),
+            Err(PersistError::UnsupportedVersion(3))
+        ));
+    }
+
+    /// Every single-bit flip anywhere in a small persisted trace — header,
+    /// context, frame length, payload, the checksum field itself — is a
+    /// typed error.
+    #[test]
+    fn every_single_bit_flip_is_a_typed_error() {
+        let bytes = write_to_vec(&sample_trace(40));
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(loaded) = LlcTrace::read_from(&mut flipped.as_slice()) {
+                panic!("bit {bit} flipped, yet {} records loaded", loaded.len());
+            }
+        }
     }
 
     #[test]
@@ -1321,5 +1478,343 @@ mod tests {
         let bytes = write_to_vec(&trace);
         let loaded = LlcTrace::read_from(&mut bytes.as_slice()).expect("roundtrip");
         assert_eq!(loaded.get(0), trace.get(0));
+    }
+}
+
+/// The word-at-a-time frame decoder against the byte-at-a-time one format v3
+/// shipped, over generated frames and hostile mutations of them.
+#[cfg(test)]
+mod hostile_frames {
+    use super::*;
+    use proptest::prelude::*;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    /// Counts the bytes each thread allocates, so a test can bound what one
+    /// decode allocates.
+    struct CountingAllocator;
+
+    thread_local! {
+        static ALLOCATED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn allocated() -> usize {
+        ALLOCATED.with(Cell::get)
+    }
+
+    fn count(bytes: usize) {
+        ALLOCATED.with(|total| total.set(total.get() + bytes));
+    }
+
+    // SAFETY: every method forwards its arguments unchanged to `System`, so
+    // the caller's obligations under `GlobalAlloc` are exactly `System`'s and
+    // its guarantees are this allocator's. The counter is a const-initialised
+    // thread-local `Cell` with no destructor: touching it never allocates,
+    // never re-enters the allocator and cannot fail during thread teardown.
+    unsafe impl GlobalAlloc for CountingAllocator {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            count(layout.size());
+            System.alloc(layout)
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            count(layout.size());
+            System.alloc_zeroed(layout)
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            count(new_size.saturating_sub(layout.size()));
+            System.realloc(ptr, layout, new_size)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+    /// The chunk decoder of format v3, kept as the oracle: the
+    /// byte-at-a-time LEB128 loop, per-record pushes and a byte-fed index
+    /// unpacker.
+    fn oracle_read_chunk(
+        reader: &mut impl Read,
+        records: usize,
+        buf: &mut Vec<u8>,
+    ) -> Result<TraceChunk, PersistError> {
+        let mut len_bytes = [0u8; 4];
+        read_exact(reader, &mut len_bytes, "chunk frame length")?;
+        let frame_len = u32::from_le_bytes(len_bytes) as usize;
+        if (frame_len == 0 && records > 0) || frame_len > max_frame_len(records) {
+            return Err(PersistError::Corrupt(format!(
+                "chunk frame of {frame_len} bytes is implausible for {records} records"
+            )));
+        }
+        buf.resize(frame_len, 0);
+        let bytes = &mut buf[..frame_len];
+        read_exact(reader, bytes, "chunk payload")?;
+
+        let mut chunk = TraceChunk::default();
+        chunk.addrs.reserve(records);
+        chunk.meta.reserve(records);
+        let mut pos = 0usize;
+        let mut prev: Address = 0;
+        for _ in 0..records {
+            let delta = unzigzag(get_varint_bytewise(bytes, &mut pos, "address delta")?);
+            prev = prev.wrapping_add(delta);
+            chunk.addrs.push(prev);
+        }
+        let dict_len = get_varint_bytewise(bytes, &mut pos, "metadata dictionary length")? as usize;
+        if dict_len == 0 || dict_len > records {
+            return Err(PersistError::Corrupt(format!(
+                "metadata dictionary of {dict_len} entries is implausible for {records} records"
+            )));
+        }
+        let mut dict = Vec::with_capacity(dict_len);
+        for _ in 0..dict_len {
+            let word = get_varint_bytewise(bytes, &mut pos, "metadata dictionary entry")?;
+            let word = u32::try_from(word).map_err(|_| {
+                PersistError::Corrupt("metadata dictionary entry exceeds u32".to_owned())
+            })?;
+            dict.push(check_meta(word)?);
+        }
+        let width = index_width(dict_len);
+        if width == 0 {
+            chunk.meta.resize(records, dict[0]);
+        } else {
+            let index_bytes = (records * width as usize).div_ceil(8);
+            let end = pos
+                .checked_add(index_bytes)
+                .filter(|&end| end <= bytes.len())
+                .ok_or_else(|| {
+                    PersistError::Corrupt("chunk payload ends inside metadata indices".to_owned())
+                })?;
+            let packed = &bytes[pos..end];
+            pos = end;
+            let mut acc: u64 = 0;
+            let mut filled: u32 = 0;
+            let mut next_byte = 0usize;
+            let mask = (1u64 << width) - 1;
+            for _ in 0..records {
+                while filled < width {
+                    acc |= u64::from(packed[next_byte]) << filled;
+                    next_byte += 1;
+                    filled += 8;
+                }
+                let index = (acc & mask) as usize;
+                acc >>= width;
+                filled -= width;
+                let &word = dict.get(index).ok_or_else(|| {
+                    PersistError::Corrupt(format!(
+                        "metadata index {index} exceeds the {dict_len}-entry dictionary"
+                    ))
+                })?;
+                chunk.meta.push(word);
+            }
+        }
+        if pos != frame_len {
+            return Err(PersistError::Corrupt(format!(
+                "{} trailing byte(s) after the chunk payload",
+                frame_len - pos
+            )));
+        }
+        Ok(chunk)
+    }
+
+    /// The xorshift stream a case derives its chunk and mutation from.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, bound: usize) -> usize {
+            (self.next() % bound.max(1) as u64) as usize
+        }
+    }
+
+    /// A chunk of `records` records: addresses clustered, uniformly random
+    /// (9- and 10-byte deltas) or both; one metadata word (the frame then
+    /// ends in the dictionary's varints), a few, or many — now and then one
+    /// no writer produces.
+    fn generate_chunk(records: usize, addr_mode: u8, meta_mode: u8, rng: &mut Rng) -> TraceChunk {
+        let mut chunk = TraceChunk::default();
+        let mut addr = rng.next();
+        for _ in 0..records {
+            addr = match addr_mode {
+                0 => addr
+                    .wrapping_add(64 * (rng.below(9) as u64))
+                    .wrapping_sub(256),
+                1 => rng.next(),
+                2 if rng.below(8) == 0 => rng.next(),
+                2 => addr.wrapping_add(64),
+                _ => addr,
+            };
+            let word = match meta_mode {
+                0 => 3 << 16,
+                1 => (rng.below(3) as u32) << 16 | (rng.below(2) as u32),
+                2 => (rng.below(records) as u32) << 16 | (rng.below(5) as u32) << 3,
+                _ if rng.below(64) == 0 => rng.next() as u32,
+                _ => (rng.below(4) as u32) << 16,
+            };
+            chunk.push(addr, word);
+        }
+        chunk
+    }
+
+    /// Byte offset of the `k`-th address varint in a frame (after its
+    /// 4-byte length), and its length.
+    fn address_varint(frame: &[u8], k: usize) -> (usize, usize) {
+        let mut pos = 4;
+        for _ in 0..k {
+            get_varint_bytewise(frame, &mut pos, "test").expect("a generated frame");
+        }
+        let start = pos;
+        get_varint_bytewise(frame, &mut pos, "test").expect("a generated frame");
+        (start, pos - start)
+    }
+
+    fn set_frame_len(frame: &mut [u8]) {
+        let len = (frame.len() - 4) as u32;
+        frame[0..4].copy_from_slice(&len.to_le_bytes());
+    }
+
+    /// Decodes `input` with both decoders: the same chunk or the same error
+    /// variant, and the word-at-a-time decoder allocates no more than one
+    /// chunk of `records` records (12 B each) and a dictionary no longer than
+    /// it, plus an error message.
+    fn agree(input: &[u8], records: usize) -> Result<Option<TraceChunk>, TestCaseError> {
+        let mut buf = Vec::with_capacity(max_frame_len(records));
+        let before = allocated();
+        let fast = read_chunk(&mut &input[..], &mut StripeHash::new(), records, &mut buf);
+        let spent = allocated() - before;
+        let oracle = oracle_read_chunk(&mut &input[..], records, &mut Vec::new());
+        prop_assert!(
+            spent <= 16 * records + 1024,
+            "{} bytes allocated decoding {} records",
+            spent,
+            records
+        );
+        match (fast, oracle) {
+            (Ok(fast), Ok(oracle)) => {
+                prop_assert_eq!(&fast, &oracle);
+                Ok(Some(fast))
+            }
+            (Err(fast), Err(oracle)) => {
+                prop_assert_eq!(
+                    std::mem::discriminant(&fast),
+                    std::mem::discriminant(&oracle),
+                    "{} vs the oracle's {}",
+                    fast,
+                    oracle
+                );
+                Ok(None)
+            }
+            (fast, oracle) => {
+                prop_assert!(false, "{:?} vs the oracle's {:?}", fast, oracle);
+                Ok(None)
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn word_decoder_matches_the_byte_loop_on_hostile_frames(
+            case in (1usize..300, 0u8..4, 0u8..4, 0u8..9, 1u64..u64::MAX)
+        ) {
+            let (records, addr_mode, meta_mode, mutation, seed) = case;
+            let mut rng = Rng(seed);
+            let chunk = generate_chunk(records, addr_mode, meta_mode, &mut rng);
+            let mut frame = Vec::new();
+            let len = encode_frame(&chunk, &mut frame, &mut MetaDictionary::new());
+            let mut frame = frame[..len].to_vec();
+            let payload = len - 4;
+            match mutation {
+                // Untouched: a frame of valid words decodes to its chunk.
+                0 => {
+                    let valid = chunk.meta.iter().all(|&word| meta_is_valid(word));
+                    let decoded = agree(&frame, records)?;
+                    prop_assert_eq!(decoded.is_some(), valid);
+                    if let Some(decoded) = decoded {
+                        prop_assert_eq!(decoded, chunk);
+                    }
+                    return Ok(());
+                }
+                // One bit flipped anywhere, frame length included.
+                1 => {
+                    let bit = rng.below(len * 8);
+                    frame[bit / 8] ^= 1 << (bit % 8);
+                }
+                // Truncated at every byte boundary.
+                2 => {
+                    for cut in 0..len {
+                        agree(&frame[..cut], records)?;
+                    }
+                    return Ok(());
+                }
+                // A forged frame length, with stray bytes behind the frame.
+                3 => {
+                    let forged = [
+                        0,
+                        1,
+                        payload - 1,
+                        payload + 1,
+                        max_frame_len(records),
+                        max_frame_len(records) + 1,
+                        u32::MAX as usize,
+                        rng.below(2 * payload),
+                    ][rng.below(8)];
+                    frame[0..4].copy_from_slice(&(forged as u32).to_le_bytes());
+                    frame.extend((0..rng.below(64)).map(|_| rng.next() as u8));
+                }
+                // An address varint replaced by one that overflows 64 bits
+                // (ten bytes ending above 1, or eleven bytes).
+                4 => {
+                    let (start, old) = address_varint(&frame, rng.below(records));
+                    let mut overflow = vec![0xff; 9 + rng.below(2)];
+                    overflow.push(2 + rng.below(0x7e) as u8);
+                    frame.splice(start..start + old, overflow);
+                    set_frame_len(&mut frame);
+                }
+                // The payload cut short under a matching length: a varint or
+                // the indices run off the end, often in the last 1–7 bytes.
+                5 => {
+                    frame.truncate(4 + rng.below(payload));
+                    set_frame_len(&mut frame);
+                }
+                // Random payload bytes under a plausible length.
+                6 => {
+                    frame[4..].iter_mut().for_each(|byte| *byte = rng.next() as u8);
+                }
+                // One packed index (the frame's last bytes) set to all ones:
+                // past the dictionary unless its size is a power of two.
+                7 => {
+                    let mut words = chunk.meta.clone();
+                    words.sort_unstable();
+                    words.dedup();
+                    let width = index_width(words.len()) as usize;
+                    let first_bit = 8 * (len - (records * width).div_ceil(8));
+                    let index = rng.below(records);
+                    for bit in first_bit + index * width..first_bit + (index + 1) * width {
+                        frame[bit / 8] |= 1 << (bit % 8);
+                    }
+                }
+                // A record count that disagrees with the frame (a forged
+                // header count), up to a whole chunk.
+                _ => {
+                    let wrong = [records - 1, records + 1, CHUNK_RECORDS][rng.below(3)];
+                    agree(&frame, wrong.max(1))?;
+                    return Ok(());
+                }
+            }
+            agree(&frame, records)?;
+        }
     }
 }

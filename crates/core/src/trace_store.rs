@@ -15,10 +15,10 @@
 //! LLC a campaign replays it into.
 //!
 //! The `<version>` suffix is [`TRACE_FORMAT_VERSION`], so a format bump
-//! cold-starts the store instead of erroring on every entry: `.v3.trace` is
+//! cold-starts the store instead of erroring on every entry: `.v4.trace` is
 //! the only name a campaign publishes or looks up. A file of another version
-//! left behind by an older build (`.v2.trace`, `.v1.trace`) is never looked up;
-//! `cargo xtask trace ls` still lists it, `verify` reports it as an
+//! left behind by an older build (`.v3.trace` … `.v1.trace`) is never looked
+//! up; `cargo xtask trace ls` still lists it, `verify` reports it as an
 //! unsupported version and `gc` evicts it in LRU order like any entry.
 //!
 //! Each entry carries the recording run's **metadata** (application output,
@@ -121,8 +121,7 @@ pub const RECORDING_CODE_VERSION: u32 = 2;
 
 /// FNV-1a over the configuration words that determine a recorded stream —
 /// stable across runs, platforms and (deliberately) pointer widths. Wraps
-/// the persist format's [`Fnv64`] so the store and the format share one
-/// hash primitive.
+/// [`Fnv64`], the trace layer's hash for keys and entry metadata.
 #[derive(Debug, Clone, Copy)]
 struct ConfigHasher(Fnv64);
 
@@ -866,7 +865,8 @@ mod tests {
         let meta_len = u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")) as usize;
         let version_at = 24 + meta_len + 8;
         bytes[version_at..version_at + 4].copy_from_slice(&1u32.to_le_bytes());
-        let file = key.file_name().replace(".v3.trace", ".v1.trace");
+        let current = format!(".v{TRACE_FORMAT_VERSION}.trace");
+        let file = key.file_name().replace(&current, ".v1.trace");
         std::fs::write(store.dir().join(&file), &bytes).expect("write v1 file");
         file
     }
@@ -929,7 +929,7 @@ mod tests {
         assert!(name.contains("-tiny-"), "{name}");
         assert!(name.contains("-dbg-"), "{name}");
         assert!(name.contains("-pr-"), "{name}");
-        assert!(name.ends_with(".v3.trace"), "{name}");
+        assert!(name.ends_with(".v4.trace"), "{name}");
     }
 
     #[test]
@@ -945,7 +945,7 @@ mod tests {
 
     #[test]
     fn files_of_another_version_are_listed_refused_and_evictable() {
-        // What a store written before the v3 format holds: never looked up,
+        // What a store written by an older format holds: never looked up,
         // so the key misses (not "corrupt"); `ls` / `verify` / `gc` still
         // see the file.
         let store = temp_store("v1-file");
@@ -953,7 +953,7 @@ mod tests {
         let key = sample_key(0);
         store.publish(&key, &trace, &app, 7).expect("publish");
         let v1_file = plant_v1_file(&store, &key);
-        std::fs::remove_file(store.dir().join(key.file_name())).expect("drop the v3 entry");
+        std::fs::remove_file(store.dir().join(key.file_name())).expect("drop the current entry");
         assert!(!store.probe(&key));
         assert!(store.load(&key).is_none());
         assert_eq!(store.stats().misses, 1);

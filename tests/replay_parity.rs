@@ -433,12 +433,13 @@ fn upper_level_streams_are_pinned() {
     // writeback_hits)`, stream lengths and FNV-1a of the persisted bytes,
     // captured on the commit before the upper levels moved from
     // `SetAssocCache` + `Lru` to the recency-ordered filter (PR 13). The
-    // digests were re-pinned once, for format v3: the bytes that commit's
+    // digests were re-pinned for format v3 (the bytes that commit's
     // recorder writes with its hint bits cleared and its version word set
-    // to 3. The other record tests compare two paths of the *current*
-    // implementation; this one fails when the recorded stream itself moves
-    // — and a moved stream silently invalidates every store recorded before
-    // it.
+    // to 3) and for v4: the v3 bytes with version word 4 and their XXH64
+    // checksum, every other byte unchanged. The other record tests compare
+    // two paths of the *current* implementation; this one fails when the
+    // recorded stream itself moves — and a moved stream silently
+    // invalidates every store recorded before it.
     type Level = (u64, u64, u64, u64, u64, u64, u64);
     const PINNED: [(AppKind, Level, Level, usize, usize, u64); 3] = [
         (
@@ -447,7 +448,7 @@ fn upper_level_streams_are_pinned() {
             (54645, 14124, 22727, 11034, 8859, 3218, 3215),
             25778,
             14124,
-            0x9f7e4bf9390510bc,
+            0xfafc646d7d837192,
         ),
         (
             AppKind::PageRankDelta,
@@ -455,7 +456,7 @@ fn upper_level_streams_are_pinned() {
             (259674, 112650, 133985, 27631, 21591, 11192, 11180),
             144324,
             112650,
-            0xbadce4b488c107d8,
+            0x7e9d3f174019bb9b,
         ),
         (
             AppKind::Radii,
@@ -463,7 +464,7 @@ fn upper_level_streams_are_pinned() {
             (133136, 51224, 62334, 14022, 11366, 3929, 3922),
             65590,
             51224,
-            0xe9264f2c516e5974,
+            0x6881cc63174e937c,
         ),
     ];
     let level = |s: &CacheStats| -> Level {

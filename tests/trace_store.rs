@@ -6,7 +6,7 @@
 
 use grasp_suite::analytics::apps::AppKind;
 use grasp_suite::cachesim::config::{CacheConfig, HierarchyConfig, LatencyConfig};
-use grasp_suite::cachesim::trace::persist::{Fnv64, PersistError};
+use grasp_suite::cachesim::trace::persist::{PersistError, StripeHash};
 use grasp_suite::cachesim::trace::CHUNK_RECORDS;
 use grasp_suite::core::campaign::{Campaign, CampaignResult};
 use grasp_suite::core::datasets::{DatasetKind, Scale};
@@ -293,7 +293,7 @@ fn leftovers_of_an_older_build_do_not_disturb_a_store() {
     let version_at = trace_block_offset(&bytes) + 8;
     bytes[version_at..version_at + 4].copy_from_slice(&1u32.to_le_bytes());
     std::fs::write(dir.join("foo.v1.trace"), &bytes).expect("write the v1 file");
-    std::fs::remove_file(dir.join(&entry.file)).expect("remove the v3 entry");
+    std::fs::remove_file(dir.join(&entry.file)).expect("remove the current entry");
     std::fs::write(dir.join("index.tsv"), "foo.v1.trace\t1\t1\n").expect("write the index");
 
     let listed = store.entries().expect("entries");
@@ -399,7 +399,7 @@ fn forged_entries_with_recomputed_checksums_fall_back_to_fresh_recording() {
         }
         block[pos] |= 0b111 << 3;
         block[40..48].fill(0);
-        let checksum = Fnv64::digest(block);
+        let checksum = StripeHash::digest(block);
         block[40..48].copy_from_slice(&checksum.to_le_bytes());
     });
 }
