@@ -19,6 +19,9 @@
 # checksum became word-at-a-time XXH64: the hash module beside persist.rs
 # (the checksum, plus FNV-1a moved out of persist.rs) and the word varint and
 # index coders add 218 lines, which buy a 1.5-1.7x faster encode and decode.
+# It came down to 18 740 (the tree's 18 690 + 50) when the simulator lost
+# the phase flush, every policy's reset and the bypass hook — capabilities
+# no caller exercised — along with two duplicate helpers.
 #
 # usage: check-line-budget.sh   (from the repository root)
 set -euo pipefail
@@ -27,7 +30,7 @@ find crates/*/src crates/bench/benches -name '*.rs' | sort | while read -r file;
   awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0, FILENAME }' "$file"
 done | awk '
   BEGIN {
-    total_ceiling = 19022
+    total_ceiling = 18740
     bench_ceiling = 540
     ceiling["crates/core/src/campaign.rs"] = 1287
     ceiling["crates/graph/src/ingest.rs"] = 1177

@@ -11,7 +11,6 @@ use grasp_analytics::props::PropertyLayout;
 use grasp_cachesim::config::CacheConfig;
 use grasp_cachesim::policy::opt::optimal_misses_trace;
 use grasp_cachesim::request::RegionLabel;
-use grasp_cachesim::trace::misses_eliminated_pct;
 use grasp_core::campaign::{Campaign, CampaignResult};
 use grasp_core::compare::{arithmetic_mean, geometric_mean_speedup};
 use grasp_core::compare::{miss_reduction_pct, speedup_pct};
@@ -422,10 +421,7 @@ fn fig11_table7(scale: Scale) -> Vec<Table> {
             let lru = misses(PolicyKind::Lru);
             let opt = optimal_misses_trace(trace, &config).misses;
             let schemes = [misses(Rrip), misses(Grasp), opt];
-            rows.push((
-                labels,
-                schemes.map(|m| misses_eliminated_pct(lru, m)).to_vec(),
-            ));
+            rows.push((labels, schemes.map(|m| miss_reduction_pct(lru, m)).to_vec()));
         }
     }
     let mut table7 = Table::new(
@@ -462,7 +458,8 @@ mod tests {
     /// `synthetic_mixed_trace(30_000)` through a 64 KiB 16-way cache: per
     /// policy, `[hits, misses, evictions, bypasses]` and the FNV-1a digest
     /// of the per-access `AccessOutcome` sequence (`[hit, evicted.is_some(),
-    /// evicted_dirty, bypassed]` as bytes, then the evicted block, or 0,
+    /// evicted_dirty, 0]` as bytes — the last byte was the seed's bypass
+    /// flag, which no policy ever set — then the evicted block, or 0,
     /// little-endian). Captured from the frozen copy, never regenerated from
     /// the code under test.
     #[rustfmt::skip]
@@ -498,7 +495,7 @@ mod tests {
                     outcome.hit as u8,
                     outcome.evicted.is_some() as u8,
                     outcome.evicted_dirty as u8,
-                    outcome.bypassed as u8,
+                    0,
                 ]);
                 digest.update(&outcome.evicted.unwrap_or(0).to_le_bytes());
             }

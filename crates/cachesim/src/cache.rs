@@ -19,8 +19,8 @@
 //!
 //! Trace replay hands the cache whole **runs** of the recorded post-L2 stream
 //! instead of one request at a time: [`SetAssocCache::replay_run`] takes the
-//! raw address and metadata columns of a flush-free run — demand, prefetch
-//! and writeback records freely interleaved — and walks them in one leaf
+//! raw address and metadata columns of a run — demand, prefetch and
+//! writeback records freely interleaved — and walks them in one leaf
 //! function per policy, the private `replay_columns`. That function *is* the
 //! loop, in the binary and not only in the source: it is `#[inline(never)]`
 //! so each policy's instance gets its own inlining budget, while everything
@@ -44,7 +44,7 @@ use crate::policy::{PolicyDispatch, ReplacementPolicy};
 use crate::request::{AccessInfo, RegionLabel};
 use crate::stats::CacheStats;
 use crate::swar::{broadcast, eq_byte_lanes, first_lane};
-use crate::trace::{decode_info, META_FLUSH_BIT, META_PREFETCH_BIT, META_WRITEBACK_BIT};
+use crate::trace::{decode_info, META_PREFETCH_BIT, META_WRITEBACK_BIT};
 
 /// Outcome of a single cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,8 +56,6 @@ pub struct AccessOutcome {
     /// Whether the evicted block was dirty (its writeback must be sent to the
     /// next level down).
     pub evicted_dirty: bool,
-    /// Whether the fill was bypassed (miss with no allocation).
-    pub bypassed: bool,
 }
 
 impl AccessOutcome {
@@ -101,7 +99,6 @@ struct CacheCore {
 /// construction.
 enum OneOutcome {
     Hit,
-    Bypassed,
     Filled {
         /// The evicted block and whether it was dirty, if a victim was
         /// displaced.
@@ -196,11 +193,10 @@ impl CacheCore {
 
     /// The one per-request mutation sequence of the cache, shared verbatim by
     /// the per-access path (`P = PolicyDispatch`) and the run kernels (`P` =
-    /// each concrete policy): lookup, hit bookkeeping, bypass consultation,
-    /// invalid-way-first fill, victim eviction with its pre-mutation metadata
-    /// snapshot, and the policy notifications in their fixed order
-    /// (`should_bypass` only on a miss, `choose_victim` only when the set is
-    /// full, `on_evict` before the overwrite, `on_fill` last).
+    /// each concrete policy): lookup, hit bookkeeping, invalid-way-first
+    /// fill, victim eviction with its pre-mutation metadata snapshot, and the
+    /// policy notifications in their fixed order (`choose_victim` only when
+    /// the set is full, `on_evict` before the overwrite, `on_fill` last).
     #[inline(always)]
     fn access_one<P: ReplacementPolicy + ?Sized>(
         &mut self,
@@ -221,13 +217,8 @@ impl CacheCore {
             return OneOutcome::Hit;
         }
 
-        // Miss path: maybe bypass.
-        if policy.should_bypass(set, info) {
-            return OneOutcome::Bypassed;
-        }
-
-        // Fill the lowest invalid way if one exists, otherwise ask the policy
-        // for a victim.
+        // Miss path: fill the lowest invalid way if one exists, otherwise ask
+        // the policy for a victim.
         let valid = self.valid[set];
         let way = if valid != self.full_mask {
             (!valid).trailing_zeros() as usize
@@ -240,7 +231,7 @@ impl CacheCore {
         let mut evicted = None;
         if valid & bit != 0 {
             evicted = Some((self.tags[idx], self.dirty[set] & bit != 0));
-            policy.on_evict(set, way, self.tags[idx], self.reused[set] & bit != 0);
+            policy.on_evict(set, way, self.reused[set] & bit != 0);
         }
         self.tags[idx] = block;
         self.store_partial(set, way, block);
@@ -268,7 +259,6 @@ struct BatchTotals {
     writeback_accesses: u64,
     writeback_hits: u64,
     evictions: u64,
-    bypasses: u64,
     region_accesses: [u64; RegionLabel::ALL.len()],
     region_misses: [u64; RegionLabel::ALL.len()],
 }
@@ -285,10 +275,6 @@ impl BatchTotals {
         self.prefetch_accesses += prefetch;
         match outcome {
             OneOutcome::Hit => {}
-            OneOutcome::Bypassed => {
-                self.bypasses += 1;
-                self.region_misses[idx] += demand;
-            }
             OneOutcome::Filled { evicted } => {
                 self.evictions += u64::from(evicted.is_some());
                 self.prefetch_fills += prefetch;
@@ -301,10 +287,9 @@ impl BatchTotals {
         self.region_misses.iter().sum()
     }
 
-    fn flush(&self, stats: &mut CacheStats) {
+    fn add_to(&self, stats: &mut CacheStats) {
         let accesses: u64 = self.region_accesses.iter().sum();
         let misses = self.demand_misses();
-        stats.bypasses += self.bypasses;
         stats.evictions += self.evictions;
         stats.accesses += accesses;
         stats.hits += accesses - misses;
@@ -326,7 +311,7 @@ impl BatchTotals {
 }
 
 /// The recorded-stream kernel: one in-order pass over the raw address and
-/// metadata columns of a flush-free run, one instance per policy (see the
+/// metadata columns of a run, one instance per policy (see the
 /// module docs for why it is a leaf the compiler may not merge into its
 /// 11-arm caller). Demand and prefetch records share one `access_one` call
 /// site — same placement, only the tally differs; writebacks are
@@ -471,11 +456,10 @@ impl SetAssocCache {
     }
 
     /// Performs a prefetch access: identical block placement behaviour, but
-    /// accounted separately and never bypassed by the policy.
+    /// accounted separately.
     pub fn prefetch(&mut self, info: &AccessInfo) -> AccessOutcome {
         let outcome = self.access_inner(info);
-        self.stats
-            .record_prefetch(!outcome.hit && !outcome.bypassed);
+        self.stats.record_prefetch(!outcome.hit);
         outcome
     }
 
@@ -489,17 +473,7 @@ impl SetAssocCache {
                 hit: true,
                 evicted: None,
                 evicted_dirty: false,
-                bypassed: false,
             },
-            OneOutcome::Bypassed => {
-                self.stats.bypasses += 1;
-                AccessOutcome {
-                    hit: false,
-                    evicted: None,
-                    evicted_dirty: false,
-                    bypassed: true,
-                }
-            }
             OneOutcome::Filled { evicted } => {
                 if evicted.is_some() {
                     self.stats.evictions += 1;
@@ -512,13 +486,12 @@ impl SetAssocCache {
                     hit: false,
                     evicted,
                     evicted_dirty,
-                    bypassed: false,
                 }
             }
         }
     }
 
-    /// Replays one flush-free run of a recorded post-L2 stream — demand,
+    /// Replays one run of a recorded post-L2 stream — demand,
     /// prefetch and writeback records freely interleaved — straight off its
     /// raw columns: `addrs[i]` is the byte address and `meta[i]` the packed
     /// metadata word of record `i`, as [`crate::trace::TraceChunk::columns`]
@@ -538,16 +511,12 @@ impl SetAssocCache {
         classifier: &RegionClassifier,
     ) -> u64 {
         assert_eq!(addrs.len(), meta.len(), "index-aligned columns");
-        debug_assert!(
-            meta.iter().all(|word| word & META_FLUSH_BIT == 0),
-            "flush markers split runs, they never ride in one"
-        );
         let core = &mut self.core;
         let totals = for_each_policy!(
             &mut self.policy,
             p => replay_columns(core, p, addrs, meta, classifier)
         );
-        totals.flush(&mut self.stats);
+        totals.add_to(&mut self.stats);
         totals.demand_misses()
     }
 
@@ -561,16 +530,6 @@ impl SetAssocCache {
         let hit = self.core.writeback_one(set, block, pattern);
         self.stats.record_writeback(hit);
         hit
-    }
-
-    /// Invalidates every block and resets the replacement policy to its
-    /// just-constructed state (used between experiment phases). Statistics
-    /// keep accumulating across flushes.
-    pub fn flush(&mut self) {
-        self.core.valid.fill(0);
-        self.core.dirty.fill(0);
-        self.core.reused.fill(0);
-        self.policy.reset();
     }
 
     /// Number of valid blocks currently resident.
@@ -639,34 +598,6 @@ mod tests {
         assert!(c.probe(0x200).is_some());
         assert!(c.probe(0x4000).is_none());
         assert_eq!(c.stats(), &before);
-    }
-
-    #[test]
-    fn flush_invalidates_everything() {
-        let mut c = lru_cache(4096, 4);
-        c.access(&AccessInfo::read(0x200));
-        c.access(&AccessInfo::read(0x400));
-        assert_eq!(c.resident_blocks(), 2);
-        c.flush();
-        assert_eq!(c.resident_blocks(), 0);
-        assert!(!c.access(&AccessInfo::read(0x200)).is_hit());
-    }
-
-    #[test]
-    fn flush_resets_replacement_state() {
-        // After a flush the policy must not remember pre-flush recency: the
-        // fill order alone decides the next victim.
-        let mut c = lru_cache(128, 2);
-        c.access(&AccessInfo::read(0)); // A
-        c.access(&AccessInfo::read(128)); // B
-        c.access(&AccessInfo::read(0)); // touch A
-        c.flush();
-        c.access(&AccessInfo::read(0)); // A again (fills way 0)
-        c.access(&AccessInfo::read(128)); // B again (fills way 1)
-                                          // With a stale LRU clock, way 1 (B) would be older than pre-flush A
-                                          // stamps; with a proper reset, A is the LRU block now.
-        let outcome = c.access(&AccessInfo::read(256));
-        assert_eq!(outcome.evicted, Some(0), "A must be the victim after reset");
     }
 
     #[test]

@@ -96,16 +96,6 @@ impl Hierarchy {
             memory_accesses: self.llc.memory_accesses(),
         }
     }
-
-    /// Invalidates every cache level, resets every replacement policy and
-    /// clears the prefetcher's stride training (used between warm-up and the
-    /// region of interest). Without the policy/prefetcher resets, stale RRPV
-    /// counters, predictor tables and trained strides from the warm-up phase
-    /// would leak into the measured phase.
-    pub fn flush(&mut self) {
-        self.upper.flush();
-        self.llc.flush();
-    }
 }
 
 #[cfg(test)]
@@ -228,17 +218,6 @@ mod tests {
             with <= without,
             "prefetching must not increase demand memory accesses ({with} vs {without})"
         );
-    }
-
-    #[test]
-    fn flush_clears_all_levels() {
-        let mut h = hierarchy();
-        h.read(0x40, 1, RegionLabel::Other);
-        h.flush();
-        // After a flush the same access misses all the way to memory again.
-        let before = h.stats().memory_accesses;
-        h.read(0x40, 1, RegionLabel::Other);
-        assert_eq!(h.stats().memory_accesses, before + 1);
     }
 
     #[test]

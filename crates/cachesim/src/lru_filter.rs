@@ -4,21 +4,21 @@
 //! Everything above the LLC is LRU-managed and policy-independent
 //! (Table VI), so the upper levels need none of what
 //! [`crate::cache::SetAssocCache`] carries for the LLC — no pluggable policy,
-//! no bypass, no "reused since fill" bit, no per-way metadata a policy could
-//! index. What is left fits one `u64` per block: a line is
-//! `block << 1 | dirty`, a set is `ways` lines ordered MRU → LRU, and an empty
-//! way is the [`EMPTY`] sentinel. A lookup is one pass over the set's slice
-//! that shifts lines down as it scans, so a hit at position `p` (or a miss)
-//! has already moved lines `0..p` down by one when the scan ends and only
-//! the new MRU line is left to write; the line that falls off the end on a
-//! miss is the victim. The MRU line is checked first: same-block runs and a
-//! prefetch to the block just touched cost one compare.
+//! no "reused since fill" bit, no per-way metadata a policy could index.
+//! What is left fits one `u64` per block: a line is `block << 1 | dirty`, a
+//! set is `ways` lines ordered MRU → LRU, and an empty way is the [`EMPTY`]
+//! sentinel. A lookup is one pass over the set's slice that shifts lines
+//! down as it scans, so a hit at position `p` (or a miss) has already moved
+//! lines `0..p` down by one when the scan ends and only the new MRU line is
+//! left to write; the line that falls off the end on a miss is the victim.
+//! The MRU line is checked first: same-block runs and a prefetch to the
+//! block just touched cost one compare.
 //!
 //! Equivalence to `SetAssocCache` + [`crate::policy::lru::Lru`] is by
 //! construction — never-touched sentinels stay behind every touched line,
 //! which is the invalid-way-first fill; the last line is the block of rank
-//! `ways - 1`; `Lru` ignores `was_reused` and never bypasses — and is pinned
-//! bit-for-bit by `tests::matches_set_assoc_lru`.
+//! `ways - 1`; `Lru` ignores `had_reuse` — and is pinned bit-for-bit by
+//! `tests::matches_set_assoc_lru`.
 
 use crate::addr::{Address, BlockAddr};
 use crate::config::CacheConfig;
@@ -157,11 +157,6 @@ impl LruFilter {
         self.stats.record_writeback(hit);
         hit
     }
-
-    /// Invalidates every block (statistics keep accumulating).
-    pub(crate) fn flush(&mut self) {
-        self.lines.fill(EMPTY);
-    }
 }
 
 #[cfg(test)]
@@ -178,16 +173,15 @@ mod tests {
         Demand(AccessInfo),
         Prefetch(AccessInfo),
         Writeback(Address),
-        Flush,
     }
 
     /// Selector 0..6 demand (4..6 writes), 6..9 prefetch (8 a write — the
-    /// filter must not assume prefetches are reads), 9..11 writeback, 11
-    /// flush. 96 blocks of 64 bytes at 8-byte granularity: few enough that
-    /// every geometry below sees hits at every position, conflict evictions
-    /// and writeback hits.
+    /// filter must not assume prefetches are reads), 9..11 writeback. 96
+    /// blocks of 64 bytes at 8-byte granularity: few enough that every
+    /// geometry below sees hits at every position, conflict evictions and
+    /// writeback hits.
     fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-        proptest::collection::vec((0u8..12, 0u64..(96 * 8), 0u8..5), 1..600).prop_map(|entries| {
+        proptest::collection::vec((0u8..11, 0u64..(96 * 8), 0u8..5), 1..600).prop_map(|entries| {
             entries
                 .into_iter()
                 .map(|(sel, slot, region)| {
@@ -204,8 +198,7 @@ mod tests {
                     match sel {
                         0..=5 => Op::Demand(info),
                         6..=8 => Op::Prefetch(info),
-                        9 | 10 => Op::Writeback(info.addr),
-                        _ => Op::Flush,
+                        _ => Op::Writeback(info.addr),
                     }
                 })
                 .collect()
@@ -244,11 +237,6 @@ mod tests {
                             }
                             Op::Writeback(addr) => {
                                 ((filter.writeback(*addr), None), (oracle.writeback(*addr), None))
-                            }
-                            Op::Flush => {
-                                oracle.flush();
-                                filter.flush();
-                                continue;
                             }
                         };
                         prop_assert_eq!(

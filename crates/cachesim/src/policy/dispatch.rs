@@ -21,7 +21,6 @@ use super::random::RandomReplacement;
 use super::rrip::{Brrip, Drrip, Srrip};
 use super::ship::ShipMem;
 use super::ReplacementPolicy;
-use crate::addr::BlockAddr;
 use crate::request::AccessInfo;
 
 /// A replacement policy with statically-dispatched per-access methods.
@@ -81,12 +80,6 @@ impl PolicyDispatch {
         dispatch!(self, p => p.name())
     }
 
-    /// See [`ReplacementPolicy::should_bypass`].
-    #[inline]
-    pub fn should_bypass(&mut self, set: usize, info: &AccessInfo) -> bool {
-        dispatch!(self, p => p.should_bypass(set, info))
-    }
-
     /// See [`ReplacementPolicy::choose_victim`].
     #[inline]
     pub fn choose_victim(&mut self, set: usize, info: &AccessInfo) -> usize {
@@ -107,14 +100,8 @@ impl PolicyDispatch {
 
     /// See [`ReplacementPolicy::on_evict`].
     #[inline]
-    pub fn on_evict(&mut self, set: usize, way: usize, block: BlockAddr, had_reuse: bool) {
-        dispatch!(self, p => p.on_evict(set, way, block, had_reuse))
-    }
-
-    /// See [`ReplacementPolicy::reset`]: restores the policy to its
-    /// just-constructed state (used by cache flushes between phases).
-    pub fn reset(&mut self) {
-        dispatch!(self, p => p.reset())
+    pub fn on_evict(&mut self, set: usize, way: usize, had_reuse: bool) {
+        dispatch!(self, p => p.on_evict(set, way, had_reuse))
     }
 }
 
@@ -126,11 +113,6 @@ impl PolicyDispatch {
 impl ReplacementPolicy for PolicyDispatch {
     fn name(&self) -> &'static str {
         PolicyDispatch::name(self)
-    }
-
-    #[inline]
-    fn should_bypass(&mut self, set: usize, info: &AccessInfo) -> bool {
-        PolicyDispatch::should_bypass(self, set, info)
     }
 
     #[inline]
@@ -149,12 +131,8 @@ impl ReplacementPolicy for PolicyDispatch {
     }
 
     #[inline]
-    fn on_evict(&mut self, set: usize, way: usize, block: BlockAddr, had_reuse: bool) {
-        PolicyDispatch::on_evict(self, set, way, block, had_reuse)
-    }
-
-    fn reset(&mut self) {
-        PolicyDispatch::reset(self)
+    fn on_evict(&mut self, set: usize, way: usize, had_reuse: bool) {
+        PolicyDispatch::on_evict(self, set, way, had_reuse)
     }
 
     fn reads_hints(&self) -> bool {
@@ -235,21 +213,5 @@ mod tests {
         d.on_fill(0, 1, &info);
         d.on_hit(0, 0, &info);
         assert_eq!(d.choose_victim(0, &info), 1);
-        assert!(!d.should_bypass(0, &info));
-    }
-
-    #[test]
-    fn reset_restores_initial_behaviour() {
-        let mut d: PolicyDispatch = Lru::new(1, 2).into();
-        let info = AccessInfo::read(0);
-        d.on_fill(0, 0, &info);
-        d.on_fill(0, 1, &info);
-        d.on_hit(0, 0, &info);
-        d.reset();
-        // After a reset no pre-reset recency survives: the refill order alone
-        // decides the victim.
-        d.on_fill(0, 0, &info);
-        d.on_fill(0, 1, &info);
-        assert_eq!(d.choose_victim(0, &info), 0);
     }
 }

@@ -69,7 +69,6 @@ impl std::fmt::Display for GraspMode {
 pub struct Grasp {
     rrpv: RrpvArray,
     dueling: SetDueling,
-    seed: u64,
     rng: PolicyRng,
     mode: GraspMode,
 }
@@ -85,7 +84,6 @@ impl Grasp {
         Self {
             rrpv: RrpvArray::new(sets, ways),
             dueling: SetDueling::new(sets),
-            seed,
             rng: PolicyRng::new(seed),
             mode,
         }
@@ -150,12 +148,6 @@ impl ReplacementPolicy for Grasp {
                 ReuseHint::Moderate | ReuseHint::Low => self.rrpv.decrement(set, way),
             },
         }
-    }
-
-    fn reset(&mut self) {
-        self.rrpv.reset();
-        self.dueling.reset();
-        self.rng = PolicyRng::new(self.seed);
     }
 
     fn reads_hints(&self) -> bool {

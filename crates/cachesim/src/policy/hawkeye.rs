@@ -69,7 +69,7 @@ struct WindowEntry {
 /// back to the previous one, so finding a block's previous use walks only
 /// the entries sharing its fingerprint (newest first) instead of the window.
 /// Links are never unlinked: one that points before the oldest live sequence
-/// number is stale, which also makes `clear` a matter of emptying the window.
+/// number is stale.
 #[derive(Debug, Clone)]
 struct OptGen {
     entries: Vec<WindowEntry>,
@@ -82,7 +82,7 @@ struct OptGen {
     latest: Vec<u64>,
     start: usize,
     len: usize,
-    /// Sequence number of the next access; starts at 1 and never resets.
+    /// Sequence number of the next access; starts at 1.
     next_seq: u64,
     capacity: usize,
     ways: u8,
@@ -149,12 +149,6 @@ impl OptGen {
             seq -= u64::from(entry.back);
         }
         None
-    }
-
-    /// Drops every window entry (used on a hierarchy flush).
-    fn clear(&mut self) {
-        self.start = 0;
-        self.len = 0;
     }
 
     /// Records an access to `block` by `site`. Returns up to two training
@@ -413,16 +407,6 @@ impl ReplacementPolicy for Hawkeye {
             self.rrpv.set(set, way, RRPV_MAX);
         }
     }
-
-    fn reset(&mut self) {
-        self.rrpv.reset();
-        for optgen in &mut self.optgen {
-            optgen.clear();
-        }
-        self.predictor.fill(FRIENDLY_THRESHOLD);
-        self.loader.fill(0);
-        self.friendly.fill(0);
-    }
 }
 
 #[cfg(test)]
@@ -469,10 +453,10 @@ mod tests {
 
         /// The flat window emits the oracle's training events, access for
         /// access, on streams long enough to slide the window several times
-        /// (`2 * capacity` is 1024 at 64 ways), with flushes in between.
+        /// (`2 * capacity` is 1024 at 64 ways).
         #[test]
         fn optgen_matches_the_oracle(
-            stream in proptest::collection::vec((0u64..1 << 16, 0u16..6, 0u32..1500), 1100..2600)
+            stream in proptest::collection::vec((0u64..1 << 16, 0u16..6), 1100..2600)
         ) {
             for ways in [1usize, 2, 16, 64] {
                 let mut optgen = OptGen::new(ways);
@@ -480,11 +464,7 @@ mod tests {
                 // Reuse distances on both sides of the window capacity, and
                 // block addresses with high bits set.
                 let distinct = ways as u64 * 6 + 3;
-                for (step, &(raw, site, flush)) in stream.iter().enumerate() {
-                    if flush == 0 {
-                        optgen.clear();
-                        oracle.window.clear();
-                    }
+                for (step, &(raw, site)) in stream.iter().enumerate() {
                     let block = (raw % distinct) * 0x0001_0000_0100_0001;
                     prop_assert_eq!(
                         optgen.record(block, site).to_vec(),

@@ -27,7 +27,6 @@
 
 use super::rrip::{RrpvArray, SetDueling, RRPV_LONG};
 use super::{PolicyRng, ReplacementPolicy};
-use crate::addr::BlockAddr;
 use crate::request::{AccessInfo, AccessSite};
 use std::hint::select_unpredictable;
 
@@ -40,7 +39,7 @@ const SHRINK_VOTES: u8 = 8;
 const LIVE_DISTANCE_CAP: u8 = u8::MAX;
 
 /// Fixed seed of the dueling tie-breaker RNG (Leeway takes no seed
-/// parameter, so resets reuse this constant).
+/// parameter).
 const LEEWAY_SEED: u64 = 0x1EE7;
 
 /// The Leeway replacement policy.
@@ -195,23 +194,13 @@ impl ReplacementPolicy for Leeway {
         self.rrpv.set(set, way, 0);
     }
 
-    fn on_evict(&mut self, set: usize, way: usize, _block: BlockAddr, _had_reuse: bool) {
+    fn on_evict(&mut self, set: usize, way: usize, _had_reuse: bool) {
         if self.is_sampled(set) {
             let idx = self.idx(set, way);
             let observed = self.observed_live[idx];
             let loader = self.loader[idx];
             self.train(loader, observed);
         }
-    }
-
-    fn reset(&mut self) {
-        self.rrpv.reset();
-        self.age.fill(0);
-        self.observed_live.fill(0);
-        self.loader.fill(0);
-        self.predictor.fill((LIVE_DISTANCE_CAP, 0));
-        self.dueling.reset();
-        self.rng = PolicyRng::new(LEEWAY_SEED);
     }
 }
 
@@ -348,7 +337,7 @@ mod tests {
                         0..=3 => {
                             let victim = leeway.choose_victim(set, &info);
                             prop_assert_eq!(victim, oracle.choose_victim(set));
-                            leeway.on_evict(set, victim, 0, false);
+                            leeway.on_evict(set, victim, false);
                             oracle.on_evict(set, victim);
                             leeway.on_fill(set, victim, &info);
                             oracle.on_fill(set, victim, site);
@@ -472,13 +461,13 @@ mod tests {
         assert!(!l.is_sampled(1));
         for _ in 0..SHRINK_VOTES + 1 {
             l.on_fill(1, 0, &req(0, 3));
-            l.on_evict(1, 0, 0, false);
+            l.on_evict(1, 0, false);
         }
         assert_eq!(l.predicted_live_distance(3), u16::from(LIVE_DISTANCE_CAP));
         // Set 0 is sampled: the same stream shrinks the prediction.
         for _ in 0..SHRINK_VOTES + 1 {
             l.on_fill(0, 0, &req(0, 3));
-            l.on_evict(0, 0, 0, false);
+            l.on_evict(0, 0, false);
         }
         assert!(l.predicted_live_distance(3) < u16::from(LIVE_DISTANCE_CAP));
     }

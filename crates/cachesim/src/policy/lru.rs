@@ -117,13 +117,6 @@ impl ReplacementPolicy for Lru {
     fn on_hit(&mut self, set: usize, way: usize, _info: &AccessInfo) {
         self.touch(set, way);
     }
-
-    fn reset(&mut self) {
-        let identity = identity_words(self.ways, self.words_per_set);
-        for (index, word) in self.ranks.iter_mut().enumerate() {
-            *word = identity[index % self.words_per_set];
-        }
-    }
 }
 
 #[cfg(test)]
@@ -156,13 +149,6 @@ mod tests {
         lru.on_hit(1, 1, &info);
         assert_eq!(lru.choose_victim(0, &info), 1);
         assert_eq!(lru.choose_victim(1, &info), 0);
-    }
-
-    #[test]
-    fn never_bypasses() {
-        let mut lru = Lru::new(1, 2);
-        assert!(!lru.should_bypass(0, &AccessInfo::read(0)));
-        assert_eq!(lru.name(), "LRU");
     }
 
     #[test]
@@ -217,16 +203,5 @@ mod tests {
                 assert_eq!(lru.choose_victim(0, &info), expected, "{ways} ways");
             }
         }
-    }
-
-    #[test]
-    fn reset_restores_identity_order() {
-        let mut lru = Lru::new(1, 4);
-        let info = AccessInfo::read(0);
-        for way in 0..4 {
-            lru.on_fill(0, way, &info);
-        }
-        lru.reset();
-        assert_eq!(lru.choose_victim(0, &info), 3, "identity order after reset");
     }
 }

@@ -26,7 +26,6 @@ pub mod random;
 pub mod rrip;
 pub mod ship;
 
-use crate::addr::BlockAddr;
 use crate::request::AccessInfo;
 
 pub use dispatch::PolicyDispatch;
@@ -34,20 +33,14 @@ pub use dispatch::PolicyDispatch;
 /// A cache replacement policy driving one set-associative cache.
 ///
 /// The cache owns tags and valid bits; the policy owns whatever per-block or
-/// global metadata it needs (RRPV counters, predictor tables, ...). The cache
-/// fills invalid ways without consulting the policy, so
-/// [`ReplacementPolicy::choose_victim`] is only invoked when every way of the
-/// set holds a valid block.
+/// global metadata it needs (RRPV counters, predictor tables, ...). Every
+/// miss allocates, and the cache fills invalid ways without consulting the
+/// policy, so [`ReplacementPolicy::choose_victim`] is only invoked when every
+/// way of the set holds a valid block. A policy's state lives as long as its
+/// cache: nothing ever invalidates the cache or resets the policy.
 pub trait ReplacementPolicy: std::fmt::Debug {
     /// Human-readable policy name used in reports.
     fn name(&self) -> &'static str;
-
-    /// Returns `true` if the fill for `info` should be skipped entirely
-    /// (bypass). Bypassed requests are forwarded to memory without allocating
-    /// a block.
-    fn should_bypass(&mut self, _set: usize, _info: &AccessInfo) -> bool {
-        false
-    }
 
     /// Chooses the victim way for a fill in `set` when all ways are valid.
     ///
@@ -63,18 +56,10 @@ pub trait ReplacementPolicy: std::fmt::Debug {
     /// Notification that the access `info` hit `way` in `set`.
     fn on_hit(&mut self, set: usize, way: usize, info: &AccessInfo);
 
-    /// Notification that the block `block` was evicted from `way` in `set`.
+    /// Notification that the block in `way` of `set` is being evicted.
     /// `had_reuse` tells whether the block received at least one hit while
     /// resident (used by history-based predictors for negative training).
-    fn on_evict(&mut self, _set: usize, _way: usize, _block: BlockAddr, _had_reuse: bool) {}
-
-    /// Restores the policy to its just-constructed state.
-    ///
-    /// Called when the owning cache is flushed between experiment phases so
-    /// no replacement metadata (RRPV counters, predictor tables, pin bits)
-    /// survives across a flush. The default is a no-op for stateless
-    /// policies and external implementations.
-    fn reset(&mut self) {}
+    fn on_evict(&mut self, _set: usize, _way: usize, _had_reuse: bool) {}
 
     /// Whether any hook reads [`AccessInfo::hint`]. Replay classifies a
     /// request only for policies that say so, so a policy that reads the

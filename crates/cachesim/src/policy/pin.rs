@@ -11,7 +11,6 @@
 
 use super::rrip::{RrpvArray, RRPV_LONG, RRPV_MAX};
 use super::ReplacementPolicy;
-use crate::addr::BlockAddr;
 use crate::hint::ReuseHint;
 use crate::request::AccessInfo;
 
@@ -148,13 +147,8 @@ impl ReplacementPolicy for PinX {
         self.rrpv.set(set, way, 0);
     }
 
-    fn on_evict(&mut self, set: usize, way: usize, _block: BlockAddr, _had_reuse: bool) {
+    fn on_evict(&mut self, set: usize, way: usize, _had_reuse: bool) {
         self.pinned[set] &= !(1u64 << way);
-    }
-
-    fn reset(&mut self) {
-        self.rrpv.reset();
-        self.pinned.fill(0);
     }
 
     fn reads_hints(&self) -> bool {
@@ -223,7 +217,7 @@ mod tests {
         let mut p = PinX::new(1, 4, 25); // 1 reserved way
         p.on_fill(0, 0, &high(0));
         assert_eq!(p.pinned_in_set(0), 1);
-        p.on_evict(0, 0, 0, true);
+        p.on_evict(0, 0, true);
         assert_eq!(p.pinned_in_set(0), 0);
         // The freed quota can be used again.
         p.on_fill(0, 1, &high(64));
@@ -250,7 +244,7 @@ mod tests {
         p.on_fill(0, 2, &high(128));
         assert_eq!(p.pinned_in_set(0), 2);
         // Evict a pinned way, then a hit on way 2 grabs the quota.
-        p.on_evict(0, 0, 0, true);
+        p.on_evict(0, 0, true);
         p.on_hit(0, 2, &high(128));
         assert_eq!(p.pinned_in_set(0), 2);
     }

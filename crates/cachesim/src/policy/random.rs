@@ -9,7 +9,6 @@ use crate::request::AccessInfo;
 #[derive(Debug, Clone)]
 pub struct RandomReplacement {
     ways: usize,
-    seed: u64,
     rng: PolicyRng,
 }
 
@@ -18,7 +17,6 @@ impl RandomReplacement {
     pub fn new(_sets: usize, ways: usize, seed: u64) -> Self {
         Self {
             ways,
-            seed,
             rng: PolicyRng::new(seed),
         }
     }
@@ -36,10 +34,6 @@ impl ReplacementPolicy for RandomReplacement {
     fn on_fill(&mut self, _set: usize, _way: usize, _info: &AccessInfo) {}
 
     fn on_hit(&mut self, _set: usize, _way: usize, _info: &AccessInfo) {}
-
-    fn reset(&mut self) {
-        self.rng = PolicyRng::new(self.seed);
-    }
 }
 
 #[cfg(test)]

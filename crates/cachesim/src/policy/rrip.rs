@@ -82,11 +82,6 @@ impl RrpvArray {
         &mut self.rrpv[ways]
     }
 
-    /// Resets every RRPV to the distant value (the just-constructed state).
-    pub fn reset(&mut self) {
-        self.rrpv.fill(RRPV_MAX);
-    }
-
     /// Lowest way of `set` currently at `RRPV_MAX` (used by policies that
     /// treat distant blocks as preferred victims).
     ///
@@ -253,11 +248,6 @@ impl SetDueling {
     pub fn sets(&self) -> usize {
         self.sets
     }
-
-    /// Resets the PSEL counter to its neutral starting value.
-    pub fn reset(&mut self) {
-        self.psel = 0;
-    }
 }
 
 /// BRRIP's insertion value: `RRPV_LONG` once every `BRRIP_LONG_ONE_IN`
@@ -303,10 +293,6 @@ impl ReplacementPolicy for Srrip {
     fn on_hit(&mut self, set: usize, way: usize, _info: &AccessInfo) {
         self.rrpv.set(set, way, 0);
     }
-
-    fn reset(&mut self) {
-        self.rrpv.reset();
-    }
 }
 
 /// Bimodal RRIP (BRRIP): insert at `RRPV_MAX` most of the time, `RRPV_LONG`
@@ -314,7 +300,6 @@ impl ReplacementPolicy for Srrip {
 #[derive(Debug, Clone)]
 pub struct Brrip {
     rrpv: RrpvArray,
-    seed: u64,
     rng: PolicyRng,
 }
 
@@ -323,7 +308,6 @@ impl Brrip {
     pub fn new(sets: usize, ways: usize, seed: u64) -> Self {
         Self {
             rrpv: RrpvArray::new(sets, ways),
-            seed,
             rng: PolicyRng::new(seed),
         }
     }
@@ -346,11 +330,6 @@ impl ReplacementPolicy for Brrip {
     fn on_hit(&mut self, set: usize, way: usize, _info: &AccessInfo) {
         self.rrpv.set(set, way, 0);
     }
-
-    fn reset(&mut self) {
-        self.rrpv.reset();
-        self.rng = PolicyRng::new(self.seed);
-    }
 }
 
 /// Dynamic RRIP (DRRIP): set-duels SRRIP against BRRIP. This is the scheme
@@ -359,7 +338,6 @@ impl ReplacementPolicy for Brrip {
 pub struct Drrip {
     rrpv: RrpvArray,
     dueling: SetDueling,
-    seed: u64,
     rng: PolicyRng,
 }
 
@@ -369,7 +347,6 @@ impl Drrip {
         Self {
             rrpv: RrpvArray::new(sets, ways),
             dueling: SetDueling::new(sets),
-            seed,
             rng: PolicyRng::new(seed),
         }
     }
@@ -394,12 +371,6 @@ impl ReplacementPolicy for Drrip {
 
     fn on_hit(&mut self, set: usize, way: usize, _info: &AccessInfo) {
         self.rrpv.set(set, way, 0);
-    }
-
-    fn reset(&mut self) {
-        self.rrpv.reset();
-        self.dueling.reset();
-        self.rng = PolicyRng::new(self.seed);
     }
 }
 

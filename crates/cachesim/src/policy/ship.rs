@@ -11,7 +11,6 @@
 
 use super::rrip::{RrpvArray, RRPV_LONG, RRPV_MAX};
 use super::ReplacementPolicy;
-use crate::addr::BlockAddr;
 use crate::fast_hash::FxHashMap;
 use crate::request::AccessInfo;
 
@@ -127,19 +126,12 @@ impl ReplacementPolicy for ShipMem {
         self.rrpv.set(set, way, 0);
     }
 
-    fn on_evict(&mut self, set: usize, way: usize, _block: BlockAddr, had_reuse: bool) {
+    fn on_evict(&mut self, set: usize, way: usize, had_reuse: bool) {
         let idx = self.idx(set, way);
         if !had_reuse && !self.was_reused[idx] {
             let signature = self.fill_signature[idx];
             self.train_negative(signature);
         }
-    }
-
-    fn reset(&mut self) {
-        self.rrpv.reset();
-        self.shct.clear();
-        self.fill_signature.fill(0);
-        self.was_reused.fill(false);
     }
 }
 
@@ -170,9 +162,9 @@ mod tests {
         p.on_fill(0, 0, &info);
         assert_eq!(p.rrpv.get(0, 0), RRPV_LONG);
         // Evict without reuse until the counter saturates at zero.
-        p.on_evict(0, 0, 0, false);
+        p.on_evict(0, 0, false);
         p.on_fill(0, 0, &info);
-        p.on_evict(0, 0, 0, false);
+        p.on_evict(0, 0, false);
         // Counter has hit zero: the next fill is distant.
         p.on_fill(0, 0, &info);
         assert_eq!(p.rrpv.get(0, 0), RRPV_MAX);
@@ -185,7 +177,7 @@ mod tests {
         // Drive the counter to zero.
         for _ in 0..3 {
             p.on_fill(0, 0, &info);
-            p.on_evict(0, 0, 0, false);
+            p.on_evict(0, 0, false);
         }
         p.on_fill(0, 0, &info);
         assert_eq!(p.rrpv.get(0, 0), RRPV_MAX);

@@ -113,12 +113,6 @@ impl StridePrefetcher {
         None
     }
 
-    /// Clears every stream (used between experiment phases so no stride
-    /// training survives a hierarchy flush).
-    pub fn reset(&mut self) {
-        self.streams.fill(Stream::default());
-    }
-
     fn find_or_allocate(&mut self, site: AccessSite) -> usize {
         if let Some(idx) = self.streams.iter().position(|s| s.valid && s.site == site) {
             return idx;
@@ -240,28 +234,22 @@ mod tests {
                     .collect()
             };
             assert_eq!(slots(&memoized), slots(&linear), "evictions, access {i}");
-            if i % 5000 == 4999 {
-                memoized.reset();
-                linear.reset();
-            }
         }
         assert!(predictions > 100, "streams must train ({predictions})");
     }
 
     #[test]
     fn a_memo_entry_naming_a_cleared_stream_is_not_trusted() {
-        // Site 0 is also the site field of a cleared stream, so after a
-        // reset only `valid` tells the slot its memo entry still names from
-        // a live stream of that site.
+        // On a fresh prefetcher every slot is a cleared stream whose site
+        // field reads 0 and every memo entry names slot 0, so site 0's entry
+        // matches on site alone: only `valid` tells it no stream is there.
         let mut p = StridePrefetcher::new(4);
-        p.observe(7, 0);
-        p.observe(0, 64); // site 0 -> slot 1
-        p.reset();
-        p.observe(0, 64);
+        assert_eq!(p.observe(0, 64), None, "a new stream predicts nothing");
         assert!(
             p.streams[0].valid && !p.streams[1].valid,
             "the lowest free slot, as the scan allocates"
         );
+        assert_eq!((p.streams[0].last_addr, p.streams[0].confidence), (64, 0));
     }
 
     #[test]

@@ -212,15 +212,6 @@ impl UpperLevels {
         }
         on_chip
     }
-
-    /// Invalidates both levels and clears the prefetcher's stride training.
-    pub fn flush(&mut self) {
-        self.l1.flush();
-        self.l2.flush();
-        if let Some(prefetcher) = self.prefetcher.as_mut() {
-            prefetcher.reset();
-        }
-    }
 }
 
 /// The LLC stage: GRASP's classification logic (Fig. 4) in front of a single
@@ -300,7 +291,7 @@ impl LlcStage {
         self.cache.prefetch(&self.hinted(info));
     }
 
-    /// Replays one flush-free run of a recorded post-L2 stream straight off
+    /// Replays one run of a recorded post-L2 stream straight off
     /// its raw columns ([`SetAssocCache::replay_run`]) under this stage's
     /// classifier. Every demand miss reaches memory, so the memory-access
     /// counter advances by the run's demand-miss count. Bit-identical to
@@ -315,13 +306,6 @@ impl LlcStage {
     #[inline]
     pub fn writeback(&mut self, addr: Address) {
         self.cache.writeback(addr);
-    }
-
-    /// Invalidates the cache and resets the replacement policy (statistics
-    /// and the memory-access count keep accumulating, mirroring
-    /// [`crate::Hierarchy::flush`]).
-    pub fn flush(&mut self) {
-        self.cache.flush();
     }
 
     /// Consumes the stage and returns the LLC statistics.
@@ -570,16 +554,5 @@ mod tests {
         };
         assert_eq!(hint_at(32 * 1024), ReuseHint::Moderate);
         assert_eq!(hint_at(64 * 1024), ReuseHint::High);
-    }
-
-    #[test]
-    fn llc_stage_flush_keeps_counters() {
-        let config = CacheConfig::new(64 * 256, 16, 64);
-        let mut stage = LlcStage::new(config, Drrip::new(config.sets(), config.ways, 1));
-        stage.demand(&AccessInfo::read(0x40));
-        stage.flush();
-        stage.demand(&AccessInfo::read(0x40));
-        assert_eq!(stage.memory_accesses(), 2, "flush invalidates the block");
-        assert_eq!(stage.stats().accesses, 2);
     }
 }

@@ -29,7 +29,9 @@ pub struct CacheStats {
     pub misses: u64,
     /// Blocks evicted to make room for fills.
     pub evictions: u64,
-    /// Fills skipped because the policy chose to bypass.
+    /// Always 0: every miss allocates, because no policy bypasses. Kept
+    /// because the persisted record context and perfbench's `sim_digest`
+    /// both carry it.
     pub bypasses: u64,
     /// Prefetch requests that reached this level (not counted in `accesses`).
     pub prefetch_accesses: u64,
@@ -94,7 +96,7 @@ impl CacheStats {
     }
 
     /// Adds one batched run's per-region demand sums in a single step — the
-    /// deferred-statistics flush of the batched replay kernel, equivalent to
+    /// batched replay kernel's once-per-run statistics update, equivalent to
     /// the per-access [`CacheStats::record`] calls it replaces.
     #[inline]
     pub(crate) fn add_region_counters(&mut self, region: RegionLabel, accesses: u64, misses: u64) {

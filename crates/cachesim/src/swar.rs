@@ -1,10 +1,7 @@
 //! SWAR (SIMD-within-a-register) helpers shared by the cache's fused
-//! partial-tag scan, the policies' per-set searches and replay's flush
-//! splitting.
-//!
-//! The single-lane helpers ([`broadcast`], [`eq_byte_lanes`], [`first_lane`],
-//! [`spread_bits`]) serve the per-access path; [`kind_run_len`] scans a whole
-//! metadata column eight records per step.
+//! partial-tag scan and the policies' per-set searches: eight byte lanes per
+//! `u64` word ([`broadcast`], [`eq_byte_lanes`], [`first_lane`],
+//! [`spread_bits`]).
 
 /// High bit of every byte lane.
 pub(crate) const LANE_HIGH: u64 = 0x8080_8080_8080_8080;
@@ -45,30 +42,6 @@ pub(crate) fn first_lane(lanes: u64) -> usize {
     (lanes.trailing_zeros() / 8) as usize
 }
 
-/// Length of the prefix of `meta` whose masked kind bits equal `kind`
-/// (`meta[i] & mask == kind`) — the run-splitting primitive of chunk
-/// replay. Groups of eight records are rejected or accepted with one
-/// OR-folded comparison (a wide op the compiler vectorizes), so scanning a
-/// multi-thousand-record demand run costs a fraction of a per-record loop;
-/// the mismatching tail is then located with a scalar scan.
-#[inline]
-pub(crate) fn kind_run_len(meta: &[u32], kind: u32, mask: u32) -> usize {
-    let mut len = 0;
-    for group in meta.chunks_exact(8) {
-        let mismatch = group
-            .iter()
-            .fold(0u32, |acc, &word| acc | ((word & mask) ^ kind));
-        if mismatch != 0 {
-            break;
-        }
-        len += 8;
-    }
-    while len < meta.len() && meta[len] & mask == kind {
-        len += 1;
-    }
-    len
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,27 +74,5 @@ mod tests {
             let lanes = (0..8).map(|lane| u64::from(bits >> lane & 1) << (8 * lane));
             assert_eq!(spread_bits(bits), lanes.sum::<u64>(), "{bits:#010b}");
         }
-    }
-
-    #[test]
-    fn kind_run_len_handles_every_boundary() {
-        const MASK: u32 = 0b11_0000;
-        const A: u32 = 0b01_0000;
-        const B: u32 = 0b10_0000;
-        // Empty column, homogeneous column, break inside the first group,
-        // break exactly on a group boundary, break in the scalar tail.
-        assert_eq!(kind_run_len(&[], A, MASK), 0);
-        assert_eq!(kind_run_len(&[A | 1; 20], A, MASK), 20);
-        assert_eq!(kind_run_len(&[B, A, A], A, MASK), 0);
-        let mut meta = vec![A; 8];
-        meta.push(B);
-        meta.extend([A; 3]);
-        assert_eq!(kind_run_len(&meta, A, MASK), 8);
-        let mut meta = vec![A; 11];
-        meta[10] = B;
-        assert_eq!(kind_run_len(&meta, A, MASK), 10);
-        // Low bits outside the mask never break a run.
-        let meta = [A, A | 0xF, A | (0xFFFF_FC0F & !MASK)];
-        assert_eq!(kind_run_len(&meta, A, MASK), 3);
     }
 }

@@ -47,7 +47,6 @@ use crate::policy::PolicyDispatch;
 use crate::request::{AccessInfo, AccessKind, RegionLabel};
 use crate::stage::{LlcSink, LlcStage};
 use crate::stats::{CacheStats, HierarchyStats};
-use crate::swar::kind_run_len;
 use std::sync::Arc;
 
 /// Records per storage chunk (a 64 Ki-record chunk is 768 KiB).
@@ -60,11 +59,10 @@ const META_REGION_SHIFT: u32 = 3;
 /// Event-kind bits (mutually exclusive; all clear = demand).
 pub(crate) const META_PREFETCH_BIT: u32 = 1 << 6;
 pub(crate) const META_WRITEBACK_BIT: u32 = 1 << 7;
-pub(crate) const META_FLUSH_BIT: u32 = 1 << 8;
-const META_KIND_BITS: u32 = META_PREFETCH_BIT | META_WRITEBACK_BIT | META_FLUSH_BIT;
-/// Never written: bits 1–2 (the reuse hint, up to format v2) and bits 9–15
+const META_KIND_BITS: u32 = META_PREFETCH_BIT | META_WRITEBACK_BIT;
+/// Never written: bits 1–2 (the reuse hint, up to format v2) and bits 8–15
 /// (between the kind bits and the site field).
-const META_UNDEFINED_BITS: u32 = 0xFE06;
+const META_UNDEFINED_BITS: u32 = 0xFF06;
 const META_SITE_SHIFT: u32 = 16;
 
 /// One event of the recorded post-L2 stream.
@@ -77,8 +75,6 @@ pub enum TraceEvent {
     Prefetch(AccessInfo),
     /// The writeback of a dirty victim evicted past L2.
     Writeback(Address),
-    /// A hierarchy flush between experiment phases.
-    Flush,
 }
 
 pub(crate) fn encode_meta(info: &AccessInfo, kind_bit: u32) -> u32 {
@@ -91,7 +87,7 @@ pub(crate) fn encode_meta(info: &AccessInfo, kind_bit: u32) -> u32 {
     meta
 }
 
-/// Whether `meta` is a word [`encode_meta`] (or a writeback / flush push)
+/// Whether `meta` is a word [`encode_meta`] (or a writeback push)
 /// can have produced: a region index that names a [`RegionLabel`], at most
 /// one event-kind bit, no undefined bit. Everything that decodes a word
 /// relies on it, so the loaders check it where bytes enter
@@ -124,13 +120,10 @@ pub(crate) fn decode_info(addr: Address, meta: u32) -> AccessInfo {
     }
 }
 
-/// Decodes one record. The kind bits are tested in the order every other
-/// consumer splits on them — flush first (it is what cuts a chunk into
-/// runs), then writeback, then prefetch.
+/// Decodes one record. The kind bits are tested in the order the replay
+/// kernel tests them: writeback, then prefetch.
 pub(crate) fn decode_event(addr: Address, meta: u32) -> TraceEvent {
-    if meta & META_FLUSH_BIT != 0 {
-        TraceEvent::Flush
-    } else if meta & META_WRITEBACK_BIT != 0 {
+    if meta & META_WRITEBACK_BIT != 0 {
         TraceEvent::Writeback(addr)
     } else if meta & META_PREFETCH_BIT != 0 {
         TraceEvent::Prefetch(decode_info(addr, meta))
@@ -139,8 +132,8 @@ pub(crate) fn decode_event(addr: Address, meta: u32) -> TraceEvent {
     }
 }
 
-/// Number of demand records in a metadata column: records with none of the
-/// prefetch, writeback and flush bits set — the predicate [`decode_event`]
+/// Number of demand records in a metadata column: records with neither the
+/// prefetch nor the writeback bit set — the predicate [`decode_event`]
 /// applies per event, evaluated on the column without decoding anything.
 #[inline]
 pub(crate) fn count_demand_records(meta: &[u32]) -> usize {
@@ -180,8 +173,8 @@ impl TraceChunk {
     }
 
     /// The chunk's raw struct-of-arrays columns (addresses and packed
-    /// metadata words, index-aligned) — the view replay splits into
-    /// flush-free runs and hands to the cache's column kernel as is.
+    /// metadata words, index-aligned) — the view replay hands to the
+    /// cache's column kernel as is.
     pub fn columns(&self) -> (&[Address], &[u32]) {
         (&self.addrs, &self.meta)
     }
@@ -309,13 +302,7 @@ impl LlcTrace {
         self.push_raw(addr, META_WRITEBACK_BIT);
     }
 
-    /// Appends a flush marker (hierarchy flushed between experiment phases).
-    pub fn push_flush(&mut self) {
-        self.push_raw(0, META_FLUSH_BIT);
-    }
-
-    /// Total number of recorded events (demand + prefetch + writeback +
-    /// flush markers).
+    /// Total number of recorded events (demand + prefetch + writeback).
     pub fn len(&self) -> usize {
         self.len
     }
@@ -542,19 +529,16 @@ impl FromIterator<AccessInfo> for LlcTrace {
 /// drive this one type, which is what pins them bit-for-bit to each other
 /// (and to direct simulation).
 ///
-/// [`ChunkReplayer::feed`] is flush splitting plus one call per run: the
-/// chunk is cut at its flush markers (the flush bit of the metadata column
-/// is scanned eight records per step) and each flush-free run goes, as the
-/// two raw column slices it already is, to [`LlcStage::replay_run`] — the
+/// [`ChunkReplayer::feed`] is one call per chunk: the chunk's two raw
+/// column slices go, as they are, to [`LlcStage::replay_run`] — the
 /// recorded-stream kernel of [`crate::cache`], one compiled loop per policy
 /// that decodes, classifies (for a policy that reads hints), looks up and
 /// accounts every record inline. Nothing is copied, tiled or buffered on the
-/// way. Kind changes do **not** break a run: demand and prefetch records
+/// way, and kind changes do not split the chunk: demand and prefetch records
 /// interleave densely in recorded streams (median same-kind run length is 1
-/// on the paper workloads), so only flushes — rare, whole-cache resets — do.
-/// [`ChunkReplayer::feed_scalar`] replays the same chunk one decoded event
-/// at a time through the stage's per-event methods; it is the oracle `feed`
-/// is pinned against.
+/// on the paper workloads). [`ChunkReplayer::feed_scalar`] replays the same
+/// chunk one decoded event at a time through the stage's per-event methods;
+/// it is the oracle `feed` is pinned against.
 #[derive(Debug)]
 pub struct ChunkReplayer {
     stage: LlcStage,
@@ -588,7 +572,6 @@ impl ChunkReplayer {
             }
             TraceEvent::Prefetch(info) => self.stage.prefetch(&info),
             TraceEvent::Writeback(addr) => self.stage.writeback(addr),
-            TraceEvent::Flush => self.stage.flush(),
         }
     }
 
@@ -596,18 +579,7 @@ impl ChunkReplayer {
     /// type docs). Bit-identical to [`ChunkReplayer::feed_scalar`].
     pub fn feed(&mut self, chunk: &TraceChunk) {
         let (addrs, meta) = chunk.columns();
-        let mut offset = 0;
-        while offset < meta.len() {
-            if meta[offset] & META_FLUSH_BIT != 0 {
-                self.stage.flush();
-                offset += 1;
-                continue;
-            }
-            let end = offset + kind_run_len(&meta[offset..], 0, META_FLUSH_BIT);
-            self.stage
-                .replay_run(&addrs[offset..end], &meta[offset..end]);
-            offset = end;
-        }
+        self.stage.replay_run(addrs, meta);
     }
 
     /// Replays one chunk event-by-event through [`ChunkReplayer::feed_event`]
@@ -629,15 +601,6 @@ impl ChunkReplayer {
             llc: self.stage.into_stats(),
         }
     }
-}
-
-/// Percentage of misses eliminated by `candidate` relative to `baseline`
-/// (positive = fewer misses). This is the metric of Figs. 5 and 11.
-pub fn misses_eliminated_pct(baseline_misses: u64, candidate_misses: u64) -> f64 {
-    if baseline_misses == 0 {
-        return 0.0;
-    }
-    (baseline_misses as f64 - candidate_misses as f64) / baseline_misses as f64 * 100.0
 }
 
 #[cfg(test)]
@@ -720,6 +683,33 @@ mod tests {
         );
     }
 
+    /// The misses-eliminated metric of Figs. 5 and 11 on a trace whose miss
+    /// counts are known exactly: every set sees 40 distinct blocks a round
+    /// against 16 ways, so LRU misses every access, while GRASP keeps the
+    /// hot set resident after its first round and eliminates exactly the hot
+    /// re-references.
+    #[test]
+    fn misses_eliminated_pct_math() {
+        let (hot, cold, rounds) = (128, 512, 20);
+        let config = llc_config();
+        let trace = thrashy_trace(hot, cold, rounds);
+        let lru = replay(
+            &trace,
+            config,
+            Box::new(Lru::new(config.sets(), config.ways)),
+        );
+        let grasp = replay(
+            &trace,
+            config,
+            Box::new(Grasp::new(config.sets(), config.ways, 1)),
+        );
+        assert_eq!(lru.misses, (hot + cold) * rounds);
+        assert_eq!(lru.misses - grasp.misses, hot * (rounds - 1));
+        // 2432 of 12800 misses eliminated.
+        let pct = (lru.misses - grasp.misses) as f64 / lru.misses as f64 * 100.0;
+        assert!((pct - 19.0).abs() < 1e-12, "{pct}");
+    }
+
     #[test]
     fn opt_lower_bounds_every_online_policy() {
         let config = llc_config();
@@ -786,8 +776,7 @@ mod tests {
         trace.push(&demand);
         trace.push_prefetch(&prefetch);
         trace.push_writeback(0xFFC0);
-        trace.push_flush();
-        assert_eq!(trace.len(), 4);
+        assert_eq!(trace.len(), 3);
         assert_eq!(trace.demand_len(), 1);
         assert_eq!(
             trace.to_vec(),
@@ -795,7 +784,6 @@ mod tests {
                 TraceEvent::Demand(demand),
                 TraceEvent::Prefetch(prefetch),
                 TraceEvent::Writeback(0xFFC0),
-                TraceEvent::Flush,
             ]
         );
         assert_eq!(trace.demand_vec(), vec![demand]);
@@ -813,7 +801,7 @@ mod tests {
                 assert_eq!(decode_info(0x40, word), info);
             }
         }
-        assert!(meta_is_valid(META_WRITEBACK_BIT) && meta_is_valid(META_FLUSH_BIT));
+        assert!(meta_is_valid(META_WRITEBACK_BIT));
         // What no push produces: the loaders refuse it, the decoder (which
         // the replay kernel inlines, panic-free) reads it as `Other`.
         let forged = 7 << META_REGION_SHIFT;
@@ -860,13 +848,6 @@ mod tests {
             1 << 22,
             "estimate must stay capped for huge runs"
         );
-    }
-
-    #[test]
-    fn misses_eliminated_pct_math() {
-        assert!((misses_eliminated_pct(100, 80) - 20.0).abs() < 1e-12);
-        assert!((misses_eliminated_pct(100, 120) + 20.0).abs() < 1e-12);
-        assert_eq!(misses_eliminated_pct(0, 10), 0.0);
     }
 
     #[test]

@@ -50,8 +50,9 @@
 //! the FNV-1a-checksummed v3 files of old stores included — is
 //! [`PersistError::UnsupportedVersion`], and a header naming any other codec
 //! is [`PersistError::Corrupt`]. A metadata word carries no reuse hint (the
-//! LLC that replays a trace derives it from the context's ABR bounds), and
-//! the context holds at most [`MAX_ABR_PAIRS`] bound pairs, none inverted.
+//! LLC that replays a trace derives it from the context's ABR bounds) and
+//! sets none of its undefined bits (1–2 and 8–15), and the context holds at
+//! most [`MAX_ABR_PAIRS`] bound pairs, none inverted.
 //!
 //! Corruption is never silent: the checksum covers the header (with the
 //! checksum field zeroed), the context block and the chunk payload — frame
@@ -898,7 +899,7 @@ mod tests {
     use crate::request::AccessInfo;
 
     /// A mixed stream: hot/cold demand reads and writes with varying sites
-    /// and regions, plus periodic writebacks and flush markers.
+    /// and regions, plus periodic writebacks.
     fn sample_trace(events: usize) -> LlcTrace {
         let mut trace = LlcTrace::new();
         for i in 0..events {
@@ -916,9 +917,6 @@ mod tests {
             }
             if i % 13 == 0 {
                 trace.push_writeback(info.addr);
-            }
-            if i % 97 == 0 {
-                trace.push_flush();
             }
         }
         let mut context = RecordContext::default();
@@ -1306,15 +1304,15 @@ mod tests {
     /// the metadata column.
     #[test]
     fn forged_metadata_words_are_corrupt_under_a_valid_checksum() {
-        use super::super::{META_FLUSH_BIT, META_PREFETCH_BIT, META_WRITEBACK_BIT};
+        use super::super::{META_PREFETCH_BIT, META_WRITEBACK_BIT};
         let forged = [
             5 << 3, // a region index past RegionLabel::ALL ...
             6 << 3,
             7 << 3 | META_PREFETCH_BIT,
-            META_FLUSH_BIT | META_WRITEBACK_BIT, // ... two event kinds at once ...
-            META_PREFETCH_BIT | META_WRITEBACK_BIT,
-            META_PREFETCH_BIT | META_FLUSH_BIT,
-            1 << 9, // ... the bits between the kinds and the site ...
+            META_PREFETCH_BIT | META_WRITEBACK_BIT, // ... two event kinds at once ...
+            1 << 8, // ... the bits between the kinds and the site ...
+            1 << 8 | META_WRITEBACK_BIT,
+            1 << 9,
             1 << 15,
             1 << 1, // ... and the two a v2 word kept its hint in.
             2 << 1,

@@ -1,6 +1,6 @@
 //! Property tests for the on-disk trace format: persist → load → replay
-//! must equal the in-memory trace for arbitrary event sequences (flushes and
-//! dirty writebacks included), and a damaged file — truncated anywhere, or
+//! must equal the in-memory trace for arbitrary event sequences (prefetches
+//! and dirty writebacks included), and a damaged file — truncated anywhere, or
 //! with any bit flipped, in the header, the context block or the compressed
 //! frames — must surface a typed [`PersistError`], never a silently wrong
 //! replay.
@@ -13,11 +13,11 @@ use grasp_cachesim::trace::persist::PersistError;
 use grasp_cachesim::trace::{LlcTrace, RecordContext, TraceEvent};
 use proptest::prelude::*;
 
-/// Arbitrary post-L2 event sequences: demand reads/writes, prefetches,
-/// dirty writebacks and flush markers, with varying sites and regions (the
-/// same shape `trace_properties.rs` uses).
+/// Arbitrary post-L2 event sequences: demand reads/writes, prefetches and
+/// dirty writebacks, with varying sites and regions (the same shape
+/// `trace_properties.rs` uses).
 fn arb_events() -> impl Strategy<Value = Vec<TraceEvent>> {
-    proptest::collection::vec((0u8..5, 0u64..4096, 0u16..32, 0u8..5), 1..600).prop_map(|entries| {
+    proptest::collection::vec((0u8..4, 0u64..4096, 0u16..32, 0u8..5), 1..600).prop_map(|entries| {
         entries
             .into_iter()
             .map(|(kind, blk, site, region)| {
@@ -32,8 +32,7 @@ fn arb_events() -> impl Strategy<Value = Vec<TraceEvent>> {
                         ..info
                     }),
                     2 => TraceEvent::Prefetch(info),
-                    3 => TraceEvent::Writeback(addr),
-                    _ => TraceEvent::Flush,
+                    _ => TraceEvent::Writeback(addr),
                 }
             })
             .collect()
@@ -49,7 +48,6 @@ fn build(events: &[TraceEvent], abr_bounds: usize) -> LlcTrace {
             TraceEvent::Demand(info) => trace.push(info),
             TraceEvent::Prefetch(info) => trace.push_prefetch(info),
             TraceEvent::Writeback(addr) => trace.push_writeback(*addr),
-            TraceEvent::Flush => trace.push_flush(),
         }
     }
     let mut context = RecordContext::default();
@@ -88,8 +86,8 @@ proptest! {
         prop_assert_eq!(loaded.context(), trace.context());
 
         // Behavioural equality: the loaded trace replays bit-identically —
-        // flushes reset policy state and writebacks touch the writeback
-        // counters, so both paths are exercised by the event mix.
+        // prefetches and writebacks touch their own counters, so every
+        // replay path is exercised by the event mix.
         let config = CacheConfig::new(64 * 128, 8, 64);
         let original_lru = trace.replay(config, Lru::new(config.sets(), config.ways));
         let loaded_lru = loaded.replay(config, Lru::new(config.sets(), config.ways));

@@ -105,8 +105,8 @@ proptest! {
             let mut cache = SetAssocCache::new("LLC", cfg, policy);
             for info in &trace {
                 cache.access(info);
-                // A block just accessed must be resident (no policy bypasses
-                // demand fills in this suite).
+                // A block just accessed must be resident: every miss
+                // allocates.
                 prop_assert!(cache.probe(info.addr).is_some(), "{name}: block not resident");
             }
             let stats = cache.stats();

@@ -1,6 +1,6 @@
 //! Property tests for the record path: `UpperLevels::access` against a
 //! two-level `SetAssocCache` + `Lru` reference whose routing is spelled out
-//! per request, over arbitrary read/write/flush sequences. The recorded
+//! per request, over arbitrary read/write sequences. The recorded
 //! traces must be identical (address and meta columns) and the upper-level
 //! L1/L2 statistics carried in the record context must match exactly — the
 //! whole trace store keys on recordings being deterministic, so any
@@ -20,38 +20,25 @@ use proptest::prelude::*;
 /// and nothing about them reaches the recorded meta column.
 const ABR_BOUNDS: [(u64, u64); 1] = [(0, 1 << 18)];
 
-/// An arbitrary record-phase event: a demand access (read or write) issued
-/// to the upper levels, or a full-hierarchy flush.
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    Access(AccessInfo),
-    Flush,
-}
-
-/// Selector 7 of 8 becomes a flush; 4..7 write, 0..4 read. Addresses span
-/// 512 KB at 8-byte granularity so L1/L2 hits, misses and dirty evictions
-/// all occur, inside and outside the programmed Property Array.
-fn arb_events() -> impl Strategy<Value = Vec<Event>> {
-    proptest::collection::vec((0u8..8, 0u64..(1 << 16), 0u16..32, 0u8..5), 1..800).prop_map(
+/// Arbitrary demand accesses issued to the upper levels: selector 4..7
+/// writes, 0..4 reads. Addresses span 512 KB at 8-byte granularity so L1/L2
+/// hits, misses and dirty evictions all occur, inside and outside the
+/// programmed Property Array.
+fn arb_events() -> impl Strategy<Value = Vec<AccessInfo>> {
+    proptest::collection::vec((0u8..7, 0u64..(1 << 16), 0u16..32, 0u8..5), 1..800).prop_map(
         |entries| {
             entries
                 .into_iter()
-                .map(|(sel, slot, site, region)| {
-                    if sel == 7 {
-                        return Event::Flush;
-                    }
-                    let kind = if sel >= 4 {
+                .map(|(sel, slot, site, region)| AccessInfo {
+                    addr: slot * 8,
+                    kind: if sel >= 4 {
                         AccessKind::Write
                     } else {
                         AccessKind::Read
-                    };
-                    Event::Access(AccessInfo {
-                        addr: slot * 8,
-                        kind,
-                        site,
-                        hint: ReuseHint::Default,
-                        region: RegionLabel::ALL[region as usize],
-                    })
+                    },
+                    site,
+                    hint: ReuseHint::Default,
+                    region: RegionLabel::ALL[region as usize],
                 })
                 .collect()
         },
@@ -59,20 +46,12 @@ fn arb_events() -> impl Strategy<Value = Vec<Event>> {
 }
 
 /// The path under test: every access through `UpperLevels::access`.
-fn record(events: &[Event], config: HierarchyConfig) -> LlcTrace {
+fn record(events: &[AccessInfo], config: HierarchyConfig) -> LlcTrace {
     let mut upper = UpperLevels::new(config);
     upper.program_abrs(&ABR_BOUNDS);
     let mut trace = LlcTrace::new();
-    for event in events {
-        match event {
-            Event::Access(info) => {
-                upper.access(info.addr, info.kind, info.site, info.region, &mut trace);
-            }
-            Event::Flush => {
-                upper.flush();
-                trace.push_flush();
-            }
-        }
+    for info in events {
+        upper.access(info.addr, info.kind, info.site, info.region, &mut trace);
     }
     trace.set_context(upper.record_context());
     trace
@@ -82,7 +61,7 @@ fn record(events: &[Event], config: HierarchyConfig) -> LlcTrace {
 /// per request — L1, then L2, the request escaping (hint-free) on an L2
 /// miss, the dirty L1 victim probed into L2 before the dirty L2 victim
 /// escapes — and at most one prefetch request behind every demand access.
-fn record_reference(events: &[Event], config: HierarchyConfig) -> LlcTrace {
+fn record_reference(events: &[AccessInfo], config: HierarchyConfig) -> LlcTrace {
     let level = |name, c: CacheConfig| SetAssocCache::new(name, c, Lru::new(c.sets(), c.ways));
     let mut l1 = level("L1-D", config.l1);
     let mut l2 = level("L2", config.l2);
@@ -93,19 +72,7 @@ fn record_reference(events: &[Event], config: HierarchyConfig) -> LlcTrace {
             .map(|block| block * c.block_bytes)
     };
     let mut trace = LlcTrace::new();
-    for event in events {
-        let info = match event {
-            Event::Access(info) => *info,
-            Event::Flush => {
-                l1.flush();
-                l2.flush();
-                if let Some(prefetcher) = prefetcher.as_mut() {
-                    prefetcher.reset();
-                }
-                trace.push_flush();
-                continue;
-            }
-        };
+    for &info in events {
         let predicted = prefetcher
             .as_mut()
             .and_then(|prefetcher| prefetcher.observe(info.site, info.addr));

@@ -2,8 +2,8 @@
 //! must round-trip arbitrary event sequences exactly (`push`/`get`/`iter`/
 //! `to_vec` always agree), replay must be deterministic, and the chunk
 //! replayer's column kernel must reproduce the per-event path bit-for-bit
-//! for arbitrary event sequences — flushes and writebacks included — within
-//! a chunk and across a chunk boundary, with the reuse hints the replayed
+//! for arbitrary event sequences — prefetches and writebacks included —
+//! within a chunk and across a chunk boundary, with the reuse hints the replayed
 //! LLC derives from the recorded ABR bounds, on power-of-two and odd
 //! associativities.
 
@@ -25,34 +25,23 @@ const ABR_BOUNDS: [(u64, u64); 1] = [(0, 16 * 1024)];
 /// An arbitrary event: selector (demand read / demand write / prefetch /
 /// writeback), block index, site, region selector.
 fn arb_events() -> impl Strategy<Value = Vec<TraceEvent>> {
-    arb_events_over(0, 4096)
+    arb_events_over(4096)
 }
 
-/// Like [`arb_events`], with one event in five a flush marker (the
-/// batched-vs-scalar properties exercise them; the storage round-trip keeps
-/// the historical flush-free distribution). A cache flushed that often never
-/// fills, so these streams test the run splitting, not the policies.
-fn arb_events_with_flushes() -> impl Strategy<Value = Vec<TraceEvent>> {
-    arb_events_over(5, 4096)
-}
-
-/// Events over the first `blocks` cache blocks, one in `flush_one_in` a
-/// flush marker (0: none). Few blocks and rare flushes make a stream with
-/// reuse in a full cache, where *which* block a policy evicted shows in the
-/// hit counts and not only in how many were evicted.
-fn arb_events_over(flush_one_in: u8, blocks: u64) -> impl Strategy<Value = Vec<TraceEvent>> {
-    let kind = (0u8..4, 0..flush_one_in.max(1));
-    let event = (kind, 0..blocks, 0u16..32, 0u8..5);
+/// Events over the first `blocks` cache blocks. Few blocks make a stream
+/// with reuse in a full cache, where *which* block a policy evicted shows in
+/// the hit counts and not only in how many were evicted.
+fn arb_events_over(blocks: u64) -> impl Strategy<Value = Vec<TraceEvent>> {
+    let event = (0u8..4, 0..blocks, 0u16..32, 0u8..5);
     proptest::collection::vec(event, 1..800).prop_map(move |entries| {
         entries
             .into_iter()
-            .map(|((kind, flush), blk, site, region)| {
+            .map(|(kind, blk, site, region)| {
                 let addr = blk * 64;
                 let info = AccessInfo::read(addr)
                     .with_site(site)
                     .with_region(RegionLabel::ALL[region as usize]);
                 match kind {
-                    _ if flush_one_in > 0 && flush == 0 => TraceEvent::Flush,
                     0 => TraceEvent::Demand(info),
                     1 => TraceEvent::Demand(AccessInfo {
                         kind: grasp_cachesim::AccessKind::Write,
@@ -73,7 +62,6 @@ fn build(events: &[TraceEvent]) -> LlcTrace {
             TraceEvent::Demand(info) => trace.push(info),
             TraceEvent::Prefetch(info) => trace.push_prefetch(info),
             TraceEvent::Writeback(addr) => trace.push_writeback(*addr),
-            TraceEvent::Flush => trace.push_flush(),
         }
     }
     with_bounds(trace, &ABR_BOUNDS)
@@ -133,11 +121,11 @@ proptest! {
     }
 
     #[test]
-    fn batched_feed_is_bit_identical_to_per_event_feed(events in arb_events_with_flushes()) {
+    fn batched_feed_is_bit_identical_to_per_event_feed(events in arb_events()) {
         // The batched chunk-native kernel against the per-event reference
         // path, over arbitrary event mixes: demand reads and writes, dirty
-        // writebacks, prefetches and flushes, across several policies
-        // (bypassing GRASP included). These traces fit one chunk; the
+        // writebacks and prefetches, across several policies (hint-reading
+        // GRASP included). These traces fit one chunk; the
         // boundary case is `feed_matches_feed_scalar_across_a_real_chunk_boundary`.
         let trace = build(&events);
         let config = CacheConfig::new(64 * 128, 8, 64);
@@ -150,10 +138,10 @@ proptest! {
     }
 
     #[test]
-    fn feed_matches_feed_scalar_on_one_eleven_way_set(events in arb_events_over(100, 64)) {
+    fn feed_matches_feed_scalar_on_one_eleven_way_set(events in arb_events_over(64)) {
         // An associativity that fills neither a partial-tag word nor a rank
         // word, and a single set: every record contends for the same 11
-        // ways, 64 blocks between rare flushes keep them full.
+        // ways, and 64 blocks keep them full.
         let trace = build(&events);
         let config = CacheConfig::new(64 * 11, 11, 64);
         let lru = || Lru::new(config.sets(), config.ways);
@@ -168,14 +156,14 @@ proptest! {
     }
 
     #[test]
-    fn reclassifying_feed_is_bit_identical_to_per_event_feed(events in arb_events_over(200, 384)) {
+    fn reclassifying_feed_is_bit_identical_to_per_event_feed(events in arb_events_over(384)) {
         // An LLC-size sweep replays one recording at every size, each
         // classifying the recorded bounds at its own: here at twice the
         // 8 KiB the other properties replay at, over a property array
         // covering 20 of the 24 KiB the events touch — so High, Moderate and
-        // Low all occur, at extents no other size shares. Flushes are rare
-        // and the footprint is 1.5x the cache, so a kernel that ignored the
-        // classifier would evict other blocks *and* lose hits.
+        // Low all occur, at extents no other size shares. The footprint is
+        // 1.5x the cache, so a kernel that ignored the classifier would
+        // evict other blocks *and* lose hits.
         let trace = with_bounds(build(&events), &[(0, 20 * 1024)]);
         let config = CacheConfig::new(2 * 64 * 128, 8, 64);
         let grasp = || Grasp::new(config.sets(), config.ways, 7);
@@ -186,7 +174,7 @@ proptest! {
     }
 
     #[test]
-    fn batched_and_scalar_buffered_replays_agree(events in arb_events_with_flushes()) {
+    fn batched_and_scalar_buffered_replays_agree(events in arb_events()) {
         let trace = build(&events);
         let config = CacheConfig::new(64 * 128, 8, 64);
         let batched = trace.replay(config, Drrip::new(config.sets(), config.ways, 1));
@@ -195,7 +183,7 @@ proptest! {
     }
 
     #[test]
-    fn fanout_replay_matches_per_policy_replays(events in arb_events_with_flushes()) {
+    fn fanout_replay_matches_per_policy_replays(events in arb_events()) {
         let trace = build(&events);
         let config = CacheConfig::new(64 * 128, 8, 64);
         let fanout = trace.replay_fanout(config, [
@@ -234,22 +222,18 @@ fn feed_both_ways<P: Into<PolicyDispatch>>(
     (batched.finish(), scalar.finish())
 }
 
-/// A degenerate stretch: after a short warm-up the chunk is 100% writebacks
-/// cut by flushes, so every tile the batched kernel forms holds no demand or
-/// prefetch record at all, and the flushes between them take the per-event
-/// path.
+/// A degenerate stretch: after a short warm-up the chunk is 100%
+/// writebacks, so almost every record the kernel walks is a non-allocating
+/// probe that never reaches the policy.
 #[test]
-fn all_writeback_and_flush_chunks_replay_identically() {
+fn all_writeback_chunks_replay_identically() {
     let mut events = Vec::new();
     // Warm some dirty blocks so the writebacks below have residents to hit.
     for blk in 0..64u64 {
         events.push(TraceEvent::Demand(AccessInfo::write(blk * 64)));
     }
-    // A long stretch of pure writebacks with a flush sprinkled in.
+    // A long stretch of pure writebacks, half of them to resident blocks.
     for blk in 0..512u64 {
-        if blk % 97 == 0 {
-            events.push(TraceEvent::Flush);
-        }
         events.push(TraceEvent::Writeback((blk % 128) * 64));
     }
     let trace = build(&events);
@@ -265,9 +249,7 @@ fn all_writeback_and_flush_chunks_replay_identically() {
 /// A trace that really spans two storage chunks: `CHUNK_RECORDS + 64` events
 /// with a dense demand/prefetch run straddling record `CHUNK_RECORDS`, so
 /// the batched kernel has to cut that run at the chunk edge and pick it up
-/// again in a second chunk that is shorter than one tile. An early flush
-/// knocks the tiles off their natural alignment, so the first chunk also
-/// ends in a partial tile.
+/// again in a second chunk.
 #[test]
 fn feed_matches_feed_scalar_across_a_real_chunk_boundary() {
     let straddle = CHUNK_RECORDS - 40..CHUNK_RECORDS + 40;
@@ -277,9 +259,6 @@ fn feed_matches_feed_scalar_across_a_real_chunk_boundary() {
             let info = AccessInfo::read(addr)
                 .with_site((i % 32) as u16)
                 .with_region(RegionLabel::ALL[i % 5]);
-            if i == 1000 {
-                return TraceEvent::Flush;
-            }
             let kind = if straddle.contains(&i) {
                 i % 2 * 5
             } else {

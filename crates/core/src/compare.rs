@@ -67,7 +67,7 @@ mod tests {
     #[test]
     fn miss_reduction_handles_edge_cases() {
         assert!((miss_reduction_pct(200, 150) - 25.0).abs() < 1e-12);
-        assert!(miss_reduction_pct(100, 150) < 0.0);
+        assert!((miss_reduction_pct(100, 150) + 50.0).abs() < 1e-12);
         assert_eq!(miss_reduction_pct(0, 5), 0.0);
     }
 

@@ -399,10 +399,28 @@ fn hierarchy_from_value(value: &Json) -> Result<HierarchyConfig, Error> {
         .ok_or_else(|| spec_err("hierarchy: missing \"prefetch\""))?
         .as_bool()
         .ok_or_else(|| spec_err("hierarchy.prefetch must be a boolean"))?;
+    let (l1, l2, llc) = (level("l1")?, level("l2")?, level("llc")?);
+    // What the simulator would otherwise panic on: an upper-level line packs
+    // its block address and dirty bit into one word, and the LLC keeps each
+    // set's per-way flags in one `u64`.
+    for (name, config) in [("l1", &l1), ("l2", &l2)] {
+        if config.block_bytes < 4 {
+            return Err(spec_err(format!(
+                "hierarchy.{name}: block_bytes ({}) must be at least 4",
+                config.block_bytes
+            )));
+        }
+    }
+    if llc.ways > 64 {
+        return Err(spec_err(format!(
+            "hierarchy.llc: ways ({}) must be at most 64",
+            llc.ways
+        )));
+    }
     Ok(HierarchyConfig {
-        l1: level("l1")?,
-        l2: level("l2")?,
-        llc: level("llc")?,
+        l1,
+        l2,
+        llc,
         latency: LatencyConfig {
             l1_cycles: cycles("l1_cycles")?,
             l2_cycles: cycles("l2_cycles")?,
@@ -512,16 +530,32 @@ mod tests {
 
     #[test]
     fn decode_validates_hierarchy_geometry_instead_of_panicking() {
-        // CacheConfig::new panics on this geometry; the decoder must error.
-        let doc = r#"{"scale":"tiny","hierarchy":{
-            "l1":{"size_bytes":1000,"ways":3,"block_bytes":48},
-            "l2":{"size_bytes":262144,"ways":8,"block_bytes":64},
-            "llc":{"size_bytes":32768,"ways":16,"block_bytes":64},
-            "latency":{"l1_cycles":4,"l2_cycles":10,"llc_cycles":30,"memory_cycles":200},
-            "prefetch":true,"record_llc_trace":false}}"#;
-        let err = CampaignSpec::from_json(doc).expect_err("invalid geometry");
-        assert_eq!(err.kind(), "spec/invalid");
-        assert!(err.to_string().contains("power of two"), "{err}");
+        // Each geometry panics somewhere downstream — CacheConfig::new, the
+        // upper levels' line packing, the LLC's per-set flag words — so the
+        // decoder must error instead.
+        #[rustfmt::skip]
+        let cases = [
+            ("l1", r#"{"size_bytes":1000,"ways":3,"block_bytes":48}"#, "power of two"),
+            ("l1", r#"{"size_bytes":64,"ways":8,"block_bytes":2}"#, "at least 4"),
+            ("l2", r#"{"size_bytes":256,"ways":1,"block_bytes":1}"#, "at least 4"),
+            ("llc", r#"{"size_bytes":8192,"ways":128,"block_bytes":64}"#, "at most 64"),
+        ];
+        for (bad, geometry, needle) in cases {
+            let level = |name: &str, valid: &str| {
+                format!(r#""{name}":{}"#, if name == bad { geometry } else { valid })
+            };
+            let doc = format!(
+                r#"{{"scale":"tiny","hierarchy":{{{},{},{},
+                "latency":{{"l1_cycles":4,"l2_cycles":10,"llc_cycles":30,"memory_cycles":200}},
+                "prefetch":true,"record_llc_trace":false}}}}"#,
+                level("l1", r#"{"size_bytes":32768,"ways":8,"block_bytes":64}"#),
+                level("l2", r#"{"size_bytes":262144,"ways":8,"block_bytes":64}"#),
+                level("llc", r#"{"size_bytes":32768,"ways":16,"block_bytes":64}"#),
+            );
+            let err = CampaignSpec::from_json(&doc).expect_err(geometry);
+            assert_eq!(err.kind(), "spec/invalid", "{bad}: {geometry}");
+            assert!(err.to_string().contains(needle), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -44,9 +44,9 @@ use crate::datasets::{DatasetId, Scale};
 use grasp_analytics::apps::{AppConfig, AppKind, AppResult};
 use grasp_analytics::props::PropertyLayout;
 use grasp_cachesim::config::HierarchyConfig;
-pub use grasp_cachesim::trace::persist::Codec;
+pub use grasp_cachesim::trace::persist::{Codec, TRACE_FORMAT_VERSION};
 
-use grasp_cachesim::trace::persist::{Fnv64, PersistError, TRACE_FORMAT_VERSION};
+use grasp_cachesim::trace::persist::{Fnv64, PersistError};
 use grasp_cachesim::LlcTrace;
 use grasp_reorder::TechniqueKind;
 use std::fs::File;

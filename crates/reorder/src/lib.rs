@@ -48,7 +48,7 @@ pub mod perm;
 pub mod sort;
 
 pub use apply::relabel;
-pub use cost::{ReorderOutcome, TimedReorder};
+pub use cost::ReorderOutcome;
 pub use dbg::DegreeBasedGrouping;
 pub use gorder::GorderLite;
 pub use hot::HotRegion;

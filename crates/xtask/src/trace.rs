@@ -22,7 +22,7 @@ use grasp_analytics::apps::AppKind;
 use grasp_core::campaign::{Campaign, CampaignResult};
 use grasp_core::datasets::{DatasetKind, Scale};
 use grasp_core::policy::PolicyKind;
-use grasp_core::trace_store::{Codec, EntryInfo, StoreEntry, TraceStore};
+use grasp_core::trace_store::{Codec, EntryInfo, StoreEntry, TraceStore, TRACE_FORMAT_VERSION};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -218,39 +218,7 @@ fn ls(store: &TraceStore, json: bool) -> ExitCode {
         }
     };
     if json {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"store\":\"{}\",\"entries\":[",
-            json_escape(&store.dir().display().to_string())
-        ));
-        for (i, (entry, info)) in summary.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"file\":\"{}\",\"bytes\":{}",
-                json_escape(&entry.file),
-                entry.bytes
-            ));
-            // An entry whose headers parse is in the one format there is
-            // (`peek` refuses every other): codec and version are constants.
-            match info {
-                Some(info) => out.push_str(&format!(
-                    ",\"codec\":\"{}\",\"trace_version\":2,\"records\":{},\"raw_bytes\":{}}}",
-                    Codec::default(),
-                    info.records,
-                    info.raw_bytes
-                )),
-                None => out.push_str(",\"codec\":null}"),
-            }
-        }
-        out.push_str(&format!(
-            "],\"total_bytes\":{},\"raw_bytes\":{},\"compression_ratio\":{:.3}}}",
-            summary.total_bytes,
-            summary.raw_bytes,
-            summary.compression_ratio()
-        ));
-        println!("{out}");
+        println!("{}", ls_json(store, &summary));
         return ExitCode::SUCCESS;
     }
     for (entry, info) in &summary.rows {
@@ -272,6 +240,43 @@ fn ls(store: &TraceStore, json: bool) -> ExitCode {
         summary.compression_ratio()
     );
     ExitCode::SUCCESS
+}
+
+/// The `ls --json` document (see the module docs).
+fn ls_json(store: &TraceStore, summary: &StoreSummary) -> String {
+    let mut out = String::new();
+    out.push_str(&format!(
+        "{{\"store\":\"{}\",\"entries\":[",
+        json_escape(&store.dir().display().to_string())
+    ));
+    for (i, (entry, info)) in summary.rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!(
+            "{{\"file\":\"{}\",\"bytes\":{}",
+            json_escape(&entry.file),
+            entry.bytes
+        ));
+        // An entry whose headers parse is in the one format there is
+        // (`peek` refuses every other): codec and version are constants.
+        match info {
+            Some(info) => out.push_str(&format!(
+                ",\"codec\":\"{}\",\"trace_version\":{TRACE_FORMAT_VERSION},\"records\":{},\"raw_bytes\":{}}}",
+                Codec::default(),
+                info.records,
+                info.raw_bytes
+            )),
+            None => out.push_str(",\"codec\":null}"),
+        }
+    }
+    out.push_str(&format!(
+        "],\"total_bytes\":{},\"raw_bytes\":{},\"compression_ratio\":{:.3}}}",
+        summary.total_bytes,
+        summary.raw_bytes,
+        summary.compression_ratio()
+    ));
+    out
 }
 
 fn verify(store: &TraceStore) -> ExitCode {
@@ -520,12 +525,12 @@ mod tests {
     #[test]
     fn ls_verify_gc_run_against_a_real_store() {
         // Plumbing smoke test: an empty store lists (text and JSON),
-        // verifies and gcs cleanly through the command functions, and the JSON summary of an empty store reports a
-        // neutral 1.0 ratio.
+        // verifies and gcs cleanly through the command functions, and the
+        // JSON summary of an empty store reports a neutral 1.0 ratio.
         let dir =
             std::env::temp_dir().join(format!("grasp-xtask-trace-test-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let store = TraceStore::open(&dir).expect("store opens");
+        let store = Arc::new(TraceStore::open(&dir).expect("store opens"));
         assert_eq!(ls(&store, false), ExitCode::SUCCESS);
         assert_eq!(ls(&store, true), ExitCode::SUCCESS);
         assert_eq!(verify(&store), ExitCode::SUCCESS);
@@ -533,6 +538,19 @@ mod tests {
         let summary = StoreSummary::collect(&store).expect("summary");
         assert_eq!(summary.total_bytes, 0);
         assert!((summary.compression_ratio() - 1.0).abs() < 1e-12);
+        // A published entry is listed with the format version it is in.
+        Campaign::new(Scale::Tiny)
+            .datasets(&[DatasetKind::Twitter])
+            .apps(&[AppKind::PageRank])
+            .policies(&[PolicyKind::Lru])
+            .with_trace_store(Arc::clone(&store))
+            .run();
+        let summary = StoreSummary::collect(&store).expect("summary");
+        assert_eq!(summary.rows.len(), 1);
+        let json = ls_json(&store, &summary);
+        let version = format!("\"trace_version\":{TRACE_FORMAT_VERSION},");
+        assert!(json.contains(&version), "{json}");
+        assert_eq!(verify(&store), ExitCode::SUCCESS);
         std::fs::remove_dir_all(&dir).ok();
     }
 
