@@ -114,7 +114,7 @@ mod tests {
     use super::*;
     use crate::mem::NativeMemory;
     use crate::props::PropertyLayout;
-    use grasp_graph::generators::{GraphGenerator, Rmat, SmallWorld};
+    use grasp_graph::generators::{GraphGenerator, Rmat};
     use grasp_graph::Csr;
 
     fn bfs_native(graph: &dyn GraphView, root: VertexId) -> BfsOutput {
@@ -158,7 +158,13 @@ mod tests {
 
     #[test]
     fn matches_reference_on_structured_graphs() {
-        let g = SmallWorld::new(300, 4, 0.05).generate(9);
+        // A ring lattice (two neighbours on each side) with a long-range
+        // chord out of every 37th vertex.
+        let n = 300u32;
+        let lattice = (0..n)
+            .flat_map(|v| (1..=2).flat_map(move |o| [(v, (v + o) % n), (v, (v + n - o) % n)]));
+        let chords = (0..n).step_by(37).map(|v| (v, (v * 11 + 150) % n));
+        let g = Csr::from_edges(lattice.chain(chords)).unwrap();
         let ours = bfs_native(&g, 17);
         assert_eq!(ours.level, reference_bfs(&g, 17));
     }

@@ -144,11 +144,6 @@ impl AppKind {
         AppKind::ALL.into_iter().find(|app| app.label() == label)
     }
 
-    /// Whether the application traverses a weighted graph.
-    pub fn is_weighted(self) -> bool {
-        matches!(self, AppKind::Sssp)
-    }
-
     /// Which degree direction determines vertex hotness for this application:
     /// pull-based applications reuse elements proportionally to out-degree,
     /// push-based ones to in-degree (Sec. II-C).
@@ -225,8 +220,6 @@ mod tests {
 
     #[test]
     fn weighted_and_direction_metadata() {
-        assert!(AppKind::Sssp.is_weighted());
-        assert!(!AppKind::PageRank.is_weighted());
         assert_eq!(
             AppKind::Sssp.hotness_direction(),
             grasp_graph::types::Direction::In

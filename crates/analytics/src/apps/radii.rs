@@ -99,7 +99,13 @@ pub fn run<M: MemoryModel>(
 mod tests {
     use super::*;
     use crate::mem::NativeMemory;
-    use grasp_graph::generators::{GraphGenerator, Rmat, SmallWorld};
+    use grasp_graph::generators::{GraphGenerator, Rmat};
+    use grasp_graph::Csr;
+
+    /// A ring of `n` vertices, each linked to both of its neighbours.
+    fn ring(n: u32) -> Csr {
+        Csr::from_edges((0..n).flat_map(|v| [(v, (v + 1) % n), (v, (v + n - 1) % n)])).unwrap()
+    }
 
     fn run_native(graph: &dyn GraphView, config: &AppConfig) -> AppResult {
         let mut ws = Workspace::new(NativeMemory::new());
@@ -122,7 +128,7 @@ mod tests {
         // On a ring lattice, distances are well understood: the radius
         // estimate of any vertex cannot exceed the iteration count and grows
         // with distance from the sampled roots.
-        let g = SmallWorld::new(128, 2, 0.0).generate(1);
+        let g = ring(128);
         let config = AppConfig {
             max_iterations: 200,
             sample_roots: 4,
@@ -167,7 +173,7 @@ mod tests {
 
     #[test]
     fn iteration_budget_is_respected() {
-        let g = SmallWorld::new(256, 2, 0.0).generate(1);
+        let g = ring(256);
         let config = AppConfig {
             max_iterations: 3,
             ..AppConfig::default()

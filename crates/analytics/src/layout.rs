@@ -113,23 +113,10 @@ impl AddressSpace {
         region.base + index * region.element_bytes
     }
 
-    /// Address of a byte inside element `index`.
-    #[inline]
-    pub fn addr_of_field(&self, handle: ArrayHandle, index: u64, byte_offset: u64) -> Address {
-        let region = &self.regions[handle.0];
-        debug_assert!(byte_offset < region.element_bytes);
-        region.base + index * region.element_bytes + byte_offset
-    }
-
     /// `(start, end)` bounds of an array — what gets written into an ABR pair.
     pub fn bounds(&self, handle: ArrayHandle) -> (Address, Address) {
         let region = &self.regions[handle.0];
         (region.base, region.end())
-    }
-
-    /// Total allocated bytes (footprint of the simulated application).
-    pub fn footprint_bytes(&self) -> u64 {
-        self.regions.iter().map(|r| r.size_bytes()).sum()
     }
 }
 
@@ -154,7 +141,6 @@ mod tests {
         let a = space.allocate("ranks", RegionLabel::Property, 100, 8);
         assert_eq!(space.addr_of(a, 0) + 8, space.addr_of(a, 1));
         assert_eq!(space.addr_of(a, 99), space.bounds(a).0 + 99 * 8);
-        assert_eq!(space.addr_of_field(a, 3, 4), space.addr_of(a, 3) + 4);
     }
 
     #[test]
@@ -172,8 +158,8 @@ mod tests {
         let mut space = AddressSpace::new();
         space.allocate("a", RegionLabel::Property, 10, 8);
         space.allocate("b", RegionLabel::Frontier, 100, 1);
-        assert_eq!(space.footprint_bytes(), 180);
-        assert_eq!(space.regions().len(), 2);
+        let sizes: Vec<u64> = space.regions().iter().map(|r| r.size_bytes()).collect();
+        assert_eq!(sizes, [80, 100]);
     }
 
     #[test]

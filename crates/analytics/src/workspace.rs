@@ -45,11 +45,6 @@ impl<M: MemoryModel> Workspace<M> {
         &self.mem
     }
 
-    /// Mutable access to the memory model.
-    pub fn memory_mut(&mut self) -> &mut M {
-        &mut self.mem
-    }
-
     /// Consumes the workspace and returns the memory model.
     pub fn into_memory(self) -> M {
         self.mem
@@ -140,8 +135,7 @@ mod tests {
         let a = ws.allocate("a", RegionLabel::Property, 4, 8);
         ws.read(a, 0, 1);
         assert_eq!(ws.memory().access_count(), 1);
-        ws.memory_mut()
-            .touch(0, AccessKind::Read, 0, RegionLabel::Other);
+        ws.write(a, 1, 1);
         assert_eq!(ws.into_memory().access_count(), 2);
     }
 }

@@ -24,13 +24,6 @@ pub fn block_of(addr: Address, block_bytes: u64) -> BlockAddr {
     addr >> block_bytes.trailing_zeros()
 }
 
-/// Returns the number of index bits for `count` (which must be a power of two).
-#[inline]
-pub fn index_bits(count: u64) -> u32 {
-    debug_assert!(count.is_power_of_two());
-    count.trailing_zeros()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -49,12 +42,5 @@ mod tests {
         assert_eq!(block_of(128, 128), 1);
         assert_eq!(block_of(31, 32), 0);
         assert_eq!(block_of(32, 32), 1);
-    }
-
-    #[test]
-    fn index_bits_of_powers_of_two() {
-        assert_eq!(index_bits(1), 0);
-        assert_eq!(index_bits(2), 1);
-        assert_eq!(index_bits(512), 9);
     }
 }

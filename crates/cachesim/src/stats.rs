@@ -113,24 +113,6 @@ impl CacheStats {
             self.misses as f64 / self.accesses as f64
         }
     }
-
-    /// Fraction of demand accesses that fall within the Property Array.
-    pub fn property_access_fraction(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.region(RegionLabel::Property).accesses as f64 / self.accesses as f64
-        }
-    }
-
-    /// Fraction of all demand accesses that are Property Array misses.
-    pub fn property_miss_fraction(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.region(RegionLabel::Property).misses as f64 / self.accesses as f64
-        }
-    }
 }
 
 /// Statistics of the full three-level hierarchy.
@@ -183,15 +165,12 @@ mod tests {
             s.record(RegionLabel::Other, true);
         }
         assert!((s.miss_ratio() - 0.25).abs() < 1e-12);
-        assert!((s.property_access_fraction() - 0.5).abs() < 1e-12);
-        assert!((s.property_miss_fraction() - 0.25).abs() < 1e-12);
     }
 
     #[test]
     fn empty_stats_have_zero_ratios() {
         let s = CacheStats::new();
         assert_eq!(s.miss_ratio(), 0.0);
-        assert_eq!(s.property_access_fraction(), 0.0);
     }
 
     #[test]

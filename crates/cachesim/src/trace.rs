@@ -414,27 +414,6 @@ impl LlcTrace {
         self.replay_impl(config, policy, false)
     }
 
-    /// Replays the recorded stream through **every** policy of a sweep, one
-    /// policy after the other: element `i` of the result *is*
-    /// `self.replay(config, policies[i])`. The replays share no work —
-    /// decoding a record is a few ALU operations inside the kernel, not a
-    /// pass worth amortizing — so a fan-out costs what its replays cost
-    /// (`replay.fanout_ratio` reads ≈ 1.0 on the ledger, by design), and
-    /// running each policy over the whole stream keeps its simulated-cache
-    /// arrays warm in the host cache, which interleaving the policies chunk
-    /// by chunk does not once those arrays outgrow it (0.8x of the
-    /// per-event path on the 16 MiB paper hierarchy, against 1.2x this way).
-    pub fn replay_fanout<P: Into<PolicyDispatch>>(
-        &self,
-        config: CacheConfig,
-        policies: impl IntoIterator<Item = P>,
-    ) -> Vec<HierarchyStats> {
-        policies
-            .into_iter()
-            .map(|policy| self.replay(config, policy))
-            .collect()
-    }
-
     /// Replays through the per-event scalar path instead of the column
     /// kernel. The two are bit-identical; this entry point exists as the
     /// reference for parity tests and the batched-replay benchmark table.

@@ -12,7 +12,7 @@
 //! │  16  record_count   u64   total events                               │
 //! │  24  demand_count   u64   demand events (≤ record_count)             │
 //! │  32  context_len    u32   bytes of the context block                 │
-//! │  36  codec          u32   [`Codec`] of the body (1 = delta-varint)   │
+//! │  36  codec          u32   1 — the delta-varint body below            │
 //! │  40  checksum       u64   XXH64 over header (checksum zeroed),       │
 //! │                           context block and chunk payload            │
 //! ├──────────────────────────────────────────────────────────────────────┤
@@ -24,9 +24,9 @@
 //!
 //! # Body
 //!
-//! The body is encoded per chunk, per column, by the one [`Codec`] there is,
-//! **`DeltaVarint`**: each chunk is a `u32` frame length followed by that
-//! many payload bytes, holding
+//! The body is encoded per chunk, per column, as **delta + varint** frames:
+//! each chunk is a `u32` frame length followed by that many payload bytes,
+//! holding
 //! 1. the **address column** as zigzag-encoded wrapping deltas in LEB128
 //!    varints (graph-analytics streams are heavily clustered, so most
 //!    deltas fit 1–3 bytes; the delta state resets at every chunk
@@ -45,14 +45,14 @@
 //! chunk by chunk ([`LlcTrace::chunks`](super::LlcTrace::chunks)) exactly
 //! like a freshly recorded one.
 //!
-//! [`LlcTrace::read_from`] checks the version once, up front: any other
-//! version — the raw 12 B/record v1 layout, the hint-carrying v2 words and
-//! the FNV-1a-checksummed v3 files of old stores included — is
-//! [`PersistError::UnsupportedVersion`], and a header naming any other codec
-//! is [`PersistError::Corrupt`]. A metadata word carries no reuse hint (the
-//! LLC that replays a trace derives it from the context's ABR bounds) and
-//! sets none of its undefined bits (1–2 and 8–15), and the context holds at
-//! most [`MAX_ABR_PAIRS`] bound pairs, none inverted.
+//! [`TraceHeader::read`] is the one decoder of the header, and it checks the
+//! version first: any other version — the raw 12 B/record v1 layout, the
+//! hint-carrying v2 words and the FNV-1a-checksummed v3 files of old stores
+//! included — is [`PersistError::UnsupportedVersion`], and a codec word other
+//! than 1 is [`PersistError::Corrupt`]. A metadata word carries no reuse hint
+//! (the LLC that replays a trace derives it from the context's ABR bounds)
+//! and sets none of its undefined bits (1–2 and 8–15), and the context holds
+//! at most [`MAX_ABR_PAIRS`] bound pairs, none inverted.
 //!
 //! Corruption is never silent: the checksum covers the header (with the
 //! checksum field zeroed), the context block and the chunk payload — frame
@@ -78,7 +78,6 @@ use crate::request::RegionLabel;
 use crate::stats::CacheStats;
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::path::Path;
 use std::sync::Arc;
 
 pub use super::hash::{Fnv64, StripeHash};
@@ -92,45 +91,95 @@ pub const TRACE_MAGIC: [u8; 8] = *b"GRSPTRC\0";
 pub const TRACE_FORMAT_VERSION: u32 = 4;
 
 const HEADER_LEN: usize = 48;
-const CODEC_OFFSET: usize = 36;
-const CHECKSUM_OFFSET: usize = 40;
+/// Header word 36: the body encoding. The delta-varint frames are the one
+/// there is; the word stays so a future encoding is a new code, not a new
+/// format version.
+const BODY_CODEC: u32 = 1;
 /// Upper bound on the context block (the ABR bound list is tiny in practice;
 /// anything near this limit is corruption, not data).
 const MAX_CONTEXT_LEN: u32 = 1 << 24;
 
-/// How the chunk payload encodes the struct-of-arrays body — the name of
-/// header word 36. One variant: the field exists so a future encoding is a
-/// new code, not a new format version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Codec {
-    /// Per-chunk delta + LEB128 varint addresses and dictionary + bit-packed
-    /// metadata (see the module docs), several times smaller than the
-    /// 12 B/record columns on clustered graph-analytics streams.
-    #[default]
-    DeltaVarint,
+/// The fields of a trace header that vary from trace to trace; magic,
+/// version, chunk geometry and codec word are constants a reader checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceHeader {
+    /// Records in the trace.
+    pub records: usize,
+    /// Demand records among them.
+    pub demand_records: usize,
+    /// Bytes of the context block behind the header.
+    pub context_len: u32,
+    /// XXH64 over the header (this field zeroed), context block and chunk
+    /// payload.
+    pub checksum: u64,
 }
 
-impl Codec {
-    /// Stable human-readable name (what `cargo xtask trace ls` prints).
-    pub fn label(self) -> &'static str {
-        "delta-varint"
+impl TraceHeader {
+    fn encode(&self) -> [u8; HEADER_LEN] {
+        let mut header = [0u8; HEADER_LEN];
+        header[0..8].copy_from_slice(&TRACE_MAGIC);
+        header[8..12].copy_from_slice(&TRACE_FORMAT_VERSION.to_le_bytes());
+        header[12..16].copy_from_slice(&(CHUNK_RECORDS as u32).to_le_bytes());
+        header[16..24].copy_from_slice(&(self.records as u64).to_le_bytes());
+        header[24..32].copy_from_slice(&(self.demand_records as u64).to_le_bytes());
+        header[32..36].copy_from_slice(&self.context_len.to_le_bytes());
+        header[36..40].copy_from_slice(&BODY_CODEC.to_le_bytes());
+        header[40..48].copy_from_slice(&self.checksum.to_le_bytes());
+        header
     }
 
-    /// The header's codec field value (byte 36 of the trace header).
-    pub fn code(self) -> u32 {
-        1
-    }
+    /// Reads the 48-byte header at the front of `reader` — the one decoder
+    /// of its fields — and checks, in this order, the magic, the version,
+    /// the chunk geometry, the demand count against the record count, the
+    /// context length and the codec word. [`LlcTrace::read_from`] and the
+    /// trace store's entry listing both read a header through it.
+    pub fn read(reader: &mut impl Read) -> Result<Self, PersistError> {
+        let mut header = [0u8; HEADER_LEN];
+        read_exact(reader, &mut header, "header")?;
+        let word = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+        let long = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
 
-    /// The inverse of [`Codec::code`] — the one place the header field maps
-    /// back to a codec (store layers peeking at entry headers reuse it).
-    pub fn from_code(code: u32) -> Option<Codec> {
-        (code == Codec::DeltaVarint.code()).then_some(Codec::DeltaVarint)
-    }
-}
-
-impl std::fmt::Display for Codec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
+        let magic: [u8; 8] = header[0..8].try_into().expect("8 bytes");
+        if magic != TRACE_MAGIC {
+            return Err(PersistError::BadMagic(magic));
+        }
+        let version = word(8);
+        if version != TRACE_FORMAT_VERSION {
+            return Err(PersistError::UnsupportedVersion(version));
+        }
+        let chunk_records = word(12);
+        if chunk_records as usize != CHUNK_RECORDS {
+            return Err(PersistError::IncompatibleChunkSize {
+                found: chunk_records,
+                expected: CHUNK_RECORDS as u32,
+            });
+        }
+        let (records, demand_records) = (long(16), long(24));
+        if demand_records > records {
+            return Err(PersistError::Corrupt(format!(
+                "demand count {demand_records} exceeds record count {records}"
+            )));
+        }
+        let records = usize::try_from(records)
+            .map_err(|_| PersistError::Corrupt("record count exceeds usize".to_owned()))?;
+        let context_len = word(32);
+        if context_len > MAX_CONTEXT_LEN {
+            return Err(PersistError::Corrupt(format!(
+                "context block of {context_len} bytes is implausibly large"
+            )));
+        }
+        let codec = word(36);
+        if codec != BODY_CODEC {
+            return Err(PersistError::Corrupt(format!(
+                "unknown codec {codec} in a v{version} file"
+            )));
+        }
+        Ok(Self {
+            records,
+            demand_records: demand_records as usize,
+            context_len,
+            checksum: long(40),
+        })
     }
 }
 
@@ -460,20 +509,6 @@ fn decode_context(bytes: &[u8]) -> Result<RecordContext, PersistError> {
     Ok(RecordContext { l1, l2, abr_bounds })
 }
 
-fn header_bytes(trace: &LlcTrace, context_len: u32, checksum: u64) -> [u8; HEADER_LEN] {
-    let mut header = [0u8; HEADER_LEN];
-    header[0..8].copy_from_slice(&TRACE_MAGIC);
-    header[8..12].copy_from_slice(&TRACE_FORMAT_VERSION.to_le_bytes());
-    header[12..16].copy_from_slice(&(CHUNK_RECORDS as u32).to_le_bytes());
-    header[16..24].copy_from_slice(&(trace.len() as u64).to_le_bytes());
-    header[24..32].copy_from_slice(&(trace.demand_len() as u64).to_le_bytes());
-    header[32..36].copy_from_slice(&context_len.to_le_bytes());
-    header[CODEC_OFFSET..CODEC_OFFSET + 4]
-        .copy_from_slice(&Codec::DeltaVarint.code().to_le_bytes());
-    header[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&checksum.to_le_bytes());
-    header
-}
-
 /// The per-chunk metadata dictionary under construction: the distinct words
 /// in first-occurrence order, and the word → index lookup the encoder makes
 /// once per record. The column's cardinality is tiny (a handful of sites ×
@@ -717,8 +752,8 @@ fn decode_frame(bytes: &[u8], records: usize) -> Result<TraceChunk, PersistError
 
 impl LlcTrace {
     /// Writes the trace (records and recorded context) to `writer` in the
-    /// versioned binary format — v4, [`Codec::DeltaVarint`] frames — and
-    /// returns the number of bytes written.
+    /// versioned binary format — v4, delta-varint frames — and returns the
+    /// number of bytes written.
     ///
     /// The checksum lands in the header, so the payload is produced before
     /// the header can be emitted. Compressed frames are expensive to
@@ -731,9 +766,15 @@ impl LlcTrace {
         let context_len = u32::try_from(context.len()).map_err(|_| {
             PersistError::Corrupt("context block exceeds u32::MAX bytes".to_owned())
         })?;
+        let mut header = TraceHeader {
+            records: self.len(),
+            demand_records: self.demand_len(),
+            context_len,
+            checksum: 0,
+        };
 
         let mut hasher = StripeHash::new();
-        hasher.update(&header_bytes(self, context_len, 0));
+        hasher.update(&header.encode());
         hasher.update(&context);
         let mut body = Vec::new();
         let mut frame = Vec::new();
@@ -743,7 +784,8 @@ impl LlcTrace {
             hasher.update(&frame[..len]);
             body.extend_from_slice(&frame[..len]);
         }
-        let header = header_bytes(self, context_len, hasher.finish());
+        header.checksum = hasher.finish();
+        let header = header.encode();
         writer.write_all(&header)?;
         writer.write_all(&context)?;
         writer.write_all(&body)?;
@@ -762,60 +804,19 @@ impl LlcTrace {
     /// can be embedded inside a larger stream (the trace store appends its
     /// own metadata around it).
     pub fn read_from(reader: &mut impl Read) -> Result<LlcTrace, PersistError> {
-        let mut header = [0u8; HEADER_LEN];
-        read_exact(reader, &mut header, "header")?;
-
-        let magic: [u8; 8] = header[0..8].try_into().expect("8 bytes");
-        if magic != TRACE_MAGIC {
-            return Err(PersistError::BadMagic(magic));
-        }
-        let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-        if version != TRACE_FORMAT_VERSION {
-            return Err(PersistError::UnsupportedVersion(version));
-        }
-        let chunk_records = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
-        if chunk_records as usize != CHUNK_RECORDS {
-            return Err(PersistError::IncompatibleChunkSize {
-                found: chunk_records,
-                expected: CHUNK_RECORDS as u32,
-            });
-        }
-        let record_count = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
-        let demand_count = u64::from_le_bytes(header[24..32].try_into().expect("8 bytes"));
-        if demand_count > record_count {
-            return Err(PersistError::Corrupt(format!(
-                "demand count {demand_count} exceeds record count {record_count}"
-            )));
-        }
-        let record_count = usize::try_from(record_count)
-            .map_err(|_| PersistError::Corrupt("record count exceeds usize".to_owned()))?;
-        let context_len = u32::from_le_bytes(header[32..36].try_into().expect("4 bytes"));
-        if context_len > MAX_CONTEXT_LEN {
-            return Err(PersistError::Corrupt(format!(
-                "context block of {context_len} bytes is implausibly large"
-            )));
-        }
-        let codec_field = u32::from_le_bytes(
-            header[CODEC_OFFSET..CODEC_OFFSET + 4]
-                .try_into()
-                .expect("4 bytes"),
-        );
-        if Codec::from_code(codec_field).is_none() {
-            return Err(PersistError::Corrupt(format!(
-                "unknown codec {codec_field} in a v{version} file"
-            )));
-        }
-        let stored_checksum = u64::from_le_bytes(
-            header[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8]
-                .try_into()
-                .expect("8 bytes"),
-        );
-
+        let header = TraceHeader::read(reader)?;
+        // Every byte of a header that passed the checks is one of its
+        // fields or a checked constant, so this is the header as read.
         let mut hasher = StripeHash::new();
-        header[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&[0u8; 8]);
-        hasher.update(&header);
+        hasher.update(
+            &TraceHeader {
+                checksum: 0,
+                ..header
+            }
+            .encode(),
+        );
 
-        let mut context_bytes = vec![0u8; context_len as usize];
+        let mut context_bytes = vec![0u8; header.context_len as usize];
         read_exact(reader, &mut context_bytes, "context block")?;
         hasher.update(&context_bytes);
         let context = decode_context(&context_bytes)?;
@@ -828,8 +829,8 @@ impl LlcTrace {
         // every allocation must stay proportional to bytes actually read — a
         // corrupt count then dies as `Truncated` at the first short chunk
         // read instead of aborting in the allocator.
-        let full_chunks = record_count / CHUNK_RECORDS;
-        let tail = record_count % CHUNK_RECORDS;
+        let full_chunks = header.records / CHUNK_RECORDS;
+        let tail = header.records % CHUNK_RECORDS;
         let mut frozen = Vec::new();
         let mut buf = Vec::new();
         for _ in 0..full_chunks {
@@ -843,9 +844,9 @@ impl LlcTrace {
         };
 
         let computed = hasher.finish();
-        if computed != stored_checksum {
+        if computed != header.checksum {
             return Err(PersistError::ChecksumMismatch {
-                stored: stored_checksum,
+                stored: header.checksum,
                 computed,
             });
         }
@@ -853,8 +854,8 @@ impl LlcTrace {
         let trace = LlcTrace {
             frozen,
             current,
-            len: record_count,
-            demand_len: demand_count as usize,
+            len: header.records,
+            demand_len: header.demand_records,
             context,
         };
         // The header's demand count is covered by the checksum, but cross-check
@@ -871,23 +872,6 @@ impl LlcTrace {
             )));
         }
         Ok(trace)
-    }
-
-    /// Writes the trace to `path` via [`LlcTrace::write_to`] (buffered).
-    /// Returns the number of bytes written.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<u64, PersistError> {
-        let file = std::fs::File::create(path)?;
-        let mut writer = std::io::BufWriter::new(file);
-        let written = self.write_to(&mut writer)?;
-        writer.flush()?;
-        Ok(written)
-    }
-
-    /// Loads a trace from `path` via [`LlcTrace::read_from`] (buffered).
-    pub fn load(path: impl AsRef<Path>) -> Result<LlcTrace, PersistError> {
-        let file = std::fs::File::open(path)?;
-        let mut reader = std::io::BufReader::new(file);
-        LlcTrace::read_from(&mut reader)
     }
 }
 
@@ -976,32 +960,6 @@ mod tests {
         let original = trace.replay(config, Lru::new(config.sets(), config.ways));
         let reloaded = loaded.replay(config, Lru::new(config.sets(), config.ways));
         assert_eq!(original, reloaded);
-    }
-
-    #[test]
-    fn save_and_load_via_files() {
-        let trace = sample_trace(300);
-        let path = std::env::temp_dir().join(format!(
-            "grasp-persist-test-{}-{:?}.trace",
-            std::process::id(),
-            std::thread::current().id(),
-        ));
-        let written = trace.save(&path).expect("save");
-        assert_eq!(written, std::fs::metadata(&path).expect("metadata").len());
-        let loaded = LlcTrace::load(&path).expect("load");
-        std::fs::remove_file(&path).ok();
-        assert_eq!(loaded, trace);
-    }
-
-    #[test]
-    fn codec_labels_round_trip() {
-        let codec = Codec::default();
-        assert_eq!(Codec::from_code(codec.code()), Some(codec));
-        assert_eq!(codec.to_string(), codec.label());
-        assert_eq!(codec.label(), "delta-varint");
-        // Code 0 was v1's reserved word; it names no codec.
-        assert_eq!(Codec::from_code(0), None);
-        assert_eq!(Codec::from_code(7), None);
     }
 
     /// `value`'s varint bytes, as the byte-at-a-time LEB128 loop writes them.
@@ -1151,7 +1109,7 @@ mod tests {
         // 99 never named a codec; 0 named v1's raw pages.
         for code in [99u32, 0] {
             let mut bytes = write_to_vec(&sample_trace(10));
-            bytes[CODEC_OFFSET..CODEC_OFFSET + 4].copy_from_slice(&code.to_le_bytes());
+            bytes[36..40].copy_from_slice(&code.to_le_bytes());
             match LlcTrace::read_from(&mut bytes.as_slice()) {
                 Err(PersistError::Corrupt(msg)) => assert!(msg.contains("codec"), "{msg}"),
                 other => panic!("expected Corrupt, got {other:?}"),
@@ -1443,9 +1401,9 @@ mod tests {
     fn a_v3_file_is_an_unsupported_version() {
         let mut bytes = write_to_vec(&sample_trace(CHUNK_RECORDS + 10));
         bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
-        bytes[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].fill(0);
+        bytes[40..48].fill(0);
         let fnv = Fnv64::digest(&bytes);
-        bytes[CHECKSUM_OFFSET..CHECKSUM_OFFSET + 8].copy_from_slice(&fnv.to_le_bytes());
+        bytes[40..48].copy_from_slice(&fnv.to_le_bytes());
         assert!(matches!(
             LlcTrace::read_from(&mut bytes.as_slice()),
             Err(PersistError::UnsupportedVersion(3))

@@ -182,26 +182,6 @@ proptest! {
         prop_assert_eq!(&batched, &scalar);
     }
 
-    #[test]
-    fn fanout_replay_matches_per_policy_replays(events in arb_events()) {
-        let trace = build(&events);
-        let config = CacheConfig::new(64 * 128, 8, 64);
-        let fanout = trace.replay_fanout(config, [
-            PolicyDispatch::from(Lru::new(config.sets(), config.ways)),
-            PolicyDispatch::from(Drrip::new(config.sets(), config.ways, 1)),
-            PolicyDispatch::from(Grasp::new(config.sets(), config.ways, 7)),
-        ]);
-        let solo = [
-            trace.replay(config, Lru::new(config.sets(), config.ways)),
-            trace.replay(config, Drrip::new(config.sets(), config.ways, 1)),
-            trace.replay(config, Grasp::new(config.sets(), config.ways, 7)),
-        ];
-        prop_assert_eq!(fanout.len(), solo.len());
-        for (i, (shared, standalone)) in fanout.iter().zip(&solo).enumerate() {
-            prop_assert_eq!(shared, standalone, "policy #{} diverged under the fan-out", i);
-        }
-    }
-
 }
 
 /// Replays `trace` chunk by chunk through the column kernel

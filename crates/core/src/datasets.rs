@@ -35,20 +35,16 @@ impl Scale {
     /// (`tiny` / `small` / `medium` / `large`), defaulting to `Small` so that
     /// the full bench suite completes quickly out of the box.
     pub fn from_env() -> Self {
-        match std::env::var("GRASP_SCALE")
+        let name = std::env::var("GRASP_SCALE")
             .unwrap_or_default()
-            .to_lowercase()
-            .as_str()
-        {
-            "tiny" => Scale::Tiny,
-            "medium" => Scale::Medium,
-            "large" => Scale::Large,
-            "small" | "" => Scale::Small,
-            other => {
-                eprintln!("unknown GRASP_SCALE '{other}', using small");
-                Scale::Small
-            }
+            .to_lowercase();
+        if name.is_empty() {
+            return Scale::Small;
         }
+        Scale::from_slug(&name).unwrap_or_else(|| {
+            eprintln!("unknown GRASP_SCALE '{name}', using small");
+            Scale::Small
+        })
     }
 
     /// log2 of the number of vertices.
@@ -194,11 +190,6 @@ impl DatasetKind {
             DatasetKind::Friendster => 0x1006,
             DatasetKind::Uniform => 0x1007,
         }
-    }
-
-    /// Returns `true` for the high-skew datasets.
-    pub fn is_high_skew(self) -> bool {
-        !matches!(self, DatasetKind::Friendster | DatasetKind::Uniform)
     }
 
     /// Builds the synthetic stand-in graph at the given scale.
@@ -467,8 +458,17 @@ mod tests {
             DatasetKind::HIGH_SKEW.len() + DatasetKind::ADVERSARIAL.len(),
             DatasetKind::ALL.len()
         );
-        assert!(DatasetKind::HIGH_SKEW.iter().all(|d| d.is_high_skew()));
-        assert!(DatasetKind::ADVERSARIAL.iter().all(|d| !d.is_high_skew()));
+        for kind in DatasetKind::ALL {
+            assert_ne!(
+                DatasetKind::HIGH_SKEW.contains(&kind),
+                DatasetKind::ADVERSARIAL.contains(&kind),
+                "{kind:?} is in exactly one of the two lists"
+            );
+        }
+        assert_eq!(
+            DatasetKind::ADVERSARIAL,
+            [DatasetKind::Friendster, DatasetKind::Uniform]
+        );
     }
 
     #[test]

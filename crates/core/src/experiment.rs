@@ -112,20 +112,9 @@ impl RecordedRun {
     }
 
     /// Replays the stream under every policy of a sweep, one policy after
-    /// the other. The replays share no work, so this costs what they cost
-    /// one by one. Element `i` is bit-identical to [`RecordedRun::replay`]
-    /// with `policies[i]`.
+    /// the other: element `i` is [`RecordedRun::replay`] with `policies[i]`.
     pub fn replay_fanout(&self, policies: &[PolicyKind]) -> Vec<RunResult> {
-        let dispatches: Vec<_> = policies
-            .iter()
-            .map(|policy| policy.build_dispatch(&self.hierarchy.llc))
-            .collect();
-        let stats = self.trace.replay_fanout(self.hierarchy.llc, dispatches);
-        policies
-            .iter()
-            .zip(stats)
-            .map(|(&policy, stats)| self.result(&self.hierarchy, policy, stats))
-            .collect()
+        policies.iter().map(|&policy| self.replay(policy)).collect()
     }
 
     /// Replays through the per-event scalar path instead of the column

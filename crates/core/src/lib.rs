@@ -67,7 +67,6 @@ pub use datasets::{
 pub use error::Error;
 pub use experiment::{Experiment, RecordedRun, RunResult};
 pub use flight::{FlightRegistry, FlightServed, FlightStats};
-pub use grasp_cachesim::Codec;
 pub use json::Json;
 pub use policy::PolicyKind;
 pub use report::Table;

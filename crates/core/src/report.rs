@@ -43,11 +43,6 @@ impl Table {
         self.push_row(cells);
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Table title.
     pub fn title(&self) -> &str {
         &self.title
@@ -147,7 +142,7 @@ mod tests {
     fn rows_must_match_header_width() {
         let mut t = Table::new("demo", &["a", "b"]);
         t.push_row(vec!["1".into(), "2".into()]);
-        assert_eq!(t.row_count(), 1);
+        assert_eq!(t.rows().len(), 1);
     }
 
     #[test]

@@ -44,10 +44,10 @@ use crate::datasets::{DatasetId, Scale};
 use grasp_analytics::apps::{AppConfig, AppKind, AppResult};
 use grasp_analytics::props::PropertyLayout;
 use grasp_cachesim::config::HierarchyConfig;
-pub use grasp_cachesim::trace::persist::{Codec, TRACE_FORMAT_VERSION};
+pub use grasp_cachesim::trace::persist::TRACE_FORMAT_VERSION;
 
-use grasp_cachesim::trace::persist::{Fnv64, PersistError};
-use grasp_cachesim::LlcTrace;
+use grasp_cachesim::trace::persist::{Fnv64, PersistError, TraceHeader};
+use grasp_cachesim::{Codec, LlcTrace};
 use grasp_reorder::TechniqueKind;
 use std::fs::File;
 use std::io::{Read, Seek, Write};
@@ -224,8 +224,8 @@ impl TraceStoreKey {
         }
     }
 
-    // An identity kept for `perfbench/src/ledger.rs:326`, its only caller,
-    // which this crate's PRs may not edit; goes when that line does.
+    // An identity kept for `perfbench/src/ledger.rs:326`, its only caller;
+    // goes when that line does.
     #[doc(hidden)]
     #[must_use]
     pub fn with_codec(self, _: Codec) -> Self {
@@ -601,8 +601,8 @@ impl TraceStore {
 
     /// Reads one entry's self-description — record count and the
     /// raw-equivalent size — from its headers alone (~130 bytes of I/O, no
-    /// checksum pass), refusing a version or codec the loader would refuse.
-    /// Advisory: `verify` is the integrity check.
+    /// checksum pass), refusing every trace header the loader would refuse,
+    /// with the loader's error. Advisory: `verify` is the integrity check.
     pub fn peek(&self, file: &str) -> Result<EntryInfo, StoreError> {
         let mut handle = File::open(self.dir.join(file))?;
         let mut entry_header = [0u8; 24];
@@ -622,27 +622,13 @@ impl TraceStore {
             )));
         }
         handle.seek(std::io::SeekFrom::Current(i64::from(meta_len)))?;
-        let mut trace_header = [0u8; 48];
-        handle
-            .read_exact(&mut trace_header)
-            .map_err(|err| truncated(err, "trace header"))?;
-        if trace_header[0..8] != grasp_cachesim::TRACE_MAGIC {
-            return Err(StoreError::Corrupt(
-                "entry does not embed a trace block".to_owned(),
-            ));
-        }
-        let trace_version = u32::from_le_bytes(trace_header[8..12].try_into().expect("4 bytes"));
-        if trace_version != TRACE_FORMAT_VERSION {
-            return Err(PersistError::UnsupportedVersion(trace_version).into());
-        }
-        let records = u64::from_le_bytes(trace_header[16..24].try_into().expect("8 bytes"));
-        let context_len = u32::from_le_bytes(trace_header[32..36].try_into().expect("4 bytes"));
-        let codec_field = u32::from_le_bytes(trace_header[36..40].try_into().expect("4 bytes"));
-        if Codec::from_code(codec_field).is_none() {
-            return Err(StoreError::Corrupt(format!("unknown codec {codec_field}")));
-        }
-        let raw_bytes =
-            24 + u64::from(meta_len) + 48 + u64::from(context_len) + records.saturating_mul(12);
+        let header = TraceHeader::read(&mut handle)?;
+        let records = header.records as u64;
+        let raw_bytes = 24
+            + u64::from(meta_len)
+            + 48
+            + u64::from(header.context_len)
+            + records.saturating_mul(12);
         Ok(EntryInfo { records, raw_bytes })
     }
 }
@@ -936,7 +922,7 @@ mod tests {
     fn with_codec_changes_nothing_about_a_key() {
         use std::hash::{BuildHasher, RandomState};
         let key = sample_key(0);
-        let same = key.with_codec(Codec::default());
+        let same = key.with_codec(Codec);
         assert_eq!(same, key);
         assert_eq!(same.file_name(), key.file_name());
         let hasher = RandomState::new();
@@ -1002,12 +988,17 @@ mod tests {
             written < info.raw_bytes,
             "delta-varint must beat raw on the sample stream"
         );
-        // A codec word the loader would refuse, peek refuses too.
+        // A codec word the loader would refuse, peek refuses too, with the
+        // loader's error.
         bytes[trace_at + 36..trace_at + 40].copy_from_slice(&0u32.to_le_bytes());
         std::fs::write(&path, &bytes).expect("write");
         assert!(matches!(
             store.peek(&key.file_name()),
-            Err(StoreError::Corrupt(msg)) if msg.contains("codec")
+            Err(StoreError::Trace(PersistError::Corrupt(msg))) if msg.contains("codec")
+        ));
+        assert!(matches!(
+            store.verify().expect("verify").as_slice(),
+            [(_, Err(StoreError::Trace(PersistError::Corrupt(msg))))] if msg.contains("codec")
         ));
         std::fs::remove_dir_all(store.dir()).ok();
     }

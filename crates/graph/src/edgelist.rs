@@ -128,19 +128,6 @@ impl EdgeList {
         self.edges.dedup_by_key(|e| (e.src, e.dst));
     }
 
-    /// Adds the reverse of every edge, making the graph symmetric
-    /// (an undirected graph encoded as two directed edges).
-    pub fn symmetrize(&mut self) {
-        let reversed: Vec<Edge> = self
-            .edges
-            .iter()
-            .filter(|e| e.src != e.dst)
-            .map(|e| e.reversed())
-            .collect();
-        self.edges.extend(reversed);
-        self.sort_and_dedup();
-    }
-
     /// Iterates over the edges.
     pub fn iter(&self) -> std::slice::Iter<'_, Edge> {
         self.edges.iter()
@@ -234,26 +221,6 @@ mod tests {
         el.push(2, 2).unwrap();
         el.remove_self_loops();
         assert_eq!(el.edge_count(), 1);
-    }
-
-    #[test]
-    fn symmetrize_adds_reverse_edges() {
-        let mut el = EdgeList::new(3);
-        el.push(0, 1).unwrap();
-        el.push(1, 2).unwrap();
-        el.symmetrize();
-        let pairs: Vec<(u32, u32)> = el.iter().map(|e| (e.src, e.dst)).collect();
-        assert_eq!(pairs, vec![(0, 1), (1, 0), (1, 2), (2, 1)]);
-    }
-
-    #[test]
-    fn symmetrize_is_idempotent() {
-        let mut el = EdgeList::new(3);
-        el.push(0, 1).unwrap();
-        el.symmetrize();
-        let once = el.clone();
-        el.symmetrize();
-        assert_eq!(el, once);
     }
 
     #[test]

@@ -14,19 +14,15 @@
 //!   adversarial dataset.
 //! * [`ChungLu`] — configurable power-law exponent; used to produce the
 //!   lower-skew `lj`/`pl`/`fr` stand-ins.
-//! * [`SmallWorld`] — Watts–Strogatz-style ring-plus-rewiring generator with
-//!   near-constant degree; an alternative low-skew adversarial input.
 //!
 //! All generators are deterministic given a seed.
 
 mod chung_lu;
 mod rmat;
-mod smallworld;
 mod uniform;
 
 pub use chung_lu::ChungLu;
 pub use rmat::Rmat;
-pub use smallworld::SmallWorld;
 pub use uniform::Uniform;
 
 use crate::csr::Csr;
@@ -67,7 +63,6 @@ mod tests {
             Box::new(Rmat::new(8, 8)),
             Box::new(Uniform::new(256, 8)),
             Box::new(ChungLu::new(256, 8, 2.1)),
-            Box::new(SmallWorld::new(256, 8, 0.1)),
         ];
         for g in &gens {
             let a = g.generate(17);
@@ -102,7 +97,6 @@ mod tests {
             Box::new(Rmat::new(9, 8)),
             Box::new(Uniform::new(512, 8)),
             Box::new(ChungLu::new(512, 8, 2.0)),
-            Box::new(SmallWorld::new(512, 6, 0.2)),
         ];
         for g in &gens {
             let csr = g.generate(3);

@@ -26,8 +26,12 @@ pub struct Rmat {
     a: f64,
     b: f64,
     c: f64,
-    noise: f64,
 }
+
+/// The per-level perturbation of the quadrant probabilities (standard
+/// Graph500 "noise") that keeps the degree distribution from collapsing onto
+/// exact powers of two.
+const NOISE: f64 = 0.1;
 
 impl Rmat {
     /// Creates an R-MAT generator for `2^scale` vertices and
@@ -68,17 +72,7 @@ impl Rmat {
             a,
             b,
             c,
-            noise: 0.1,
         }
-    }
-
-    /// Sets the per-level probability noise (default `0.1`) that prevents the
-    /// degree distribution from collapsing onto exact powers of two.
-    #[must_use]
-    pub fn with_noise(mut self, noise: f64) -> Self {
-        assert!((0.0..=0.5).contains(&noise), "noise must be in [0, 0.5]");
-        self.noise = noise;
-        self
     }
 
     /// Number of vertices this generator produces (`2^scale`).
@@ -95,12 +89,10 @@ impl Rmat {
         let mut src: u64 = 0;
         let mut dst: u64 = 0;
         for _ in 0..self.scale {
-            // Perturb quadrant probabilities slightly per level (standard
-            // Graph500 "noise" to smooth the distribution).
-            let na = self.a * (1.0 + self.noise * (rng.next_f64() - 0.5));
-            let nb = self.b * (1.0 + self.noise * (rng.next_f64() - 0.5));
-            let nc = self.c * (1.0 + self.noise * (rng.next_f64() - 0.5));
-            let nd = (1.0 - self.a - self.b - self.c) * (1.0 + self.noise * (rng.next_f64() - 0.5));
+            let na = self.a * (1.0 + NOISE * (rng.next_f64() - 0.5));
+            let nb = self.b * (1.0 + NOISE * (rng.next_f64() - 0.5));
+            let nc = self.c * (1.0 + NOISE * (rng.next_f64() - 0.5));
+            let nd = (1.0 - self.a - self.b - self.c) * (1.0 + NOISE * (rng.next_f64() - 0.5));
             let total = na + nb + nc + nd;
             let r = rng.next_f64() * total;
             src <<= 1;
@@ -195,17 +187,5 @@ mod tests {
         let f = DegreeStats::new(&flat, Direction::Out);
         assert!(s.max_degree() > f.max_degree());
         assert!(s.hot_vertex_fraction() < f.hot_vertex_fraction());
-    }
-
-    #[test]
-    fn noise_setter_validates() {
-        let r = Rmat::new(4, 2).with_noise(0.3);
-        assert!((r.noise - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "noise must be in [0, 0.5]")]
-    fn excessive_noise_panics() {
-        let _ = Rmat::new(4, 2).with_noise(0.9);
     }
 }

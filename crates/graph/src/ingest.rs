@@ -654,9 +654,8 @@ pub fn ingest_edge_list(
     write_disk_csr(&graph, dir)
 }
 
-/// Ingests an edge-list file (text or `.bin`, see [`crate::io`]) into an
-/// on-disk binary CSR directory. `threads` covers the text parse as well as
-/// the CSR build.
+/// Ingests a text edge-list file (see [`crate::io`]) into an on-disk binary
+/// CSR directory. `threads` covers the parse as well as the CSR build.
 ///
 /// # Errors
 ///
@@ -1477,12 +1476,25 @@ mod tests {
         let out_a = dir.join("a.gcsr");
         let a = ingest_file(&txt, &out_a, 2).unwrap();
 
-        let bin = dir.join("edges.bin");
-        crate::io::write_edge_list_file(&bin, &el).unwrap();
-        let out_b = dir.join("b.gcsr");
-        let b = ingest_file(&bin, &out_b, 2).unwrap();
+        assert_eq!(a.edge_count, el.edge_count() as u64);
+        assert_eq!(load_csr(&out_a).unwrap(), Csr::from_edge_list(&el).unwrap());
 
-        assert_eq!(a.content_hash, b.content_hash);
+        // An edge list in the retired `GRASPEL1` binary format (header, then
+        // one `(src, dst, weight)` triple) is a typed error, and nothing is
+        // written for it.
+        let bin = dir.join("edges.bin");
+        let mut bytes = b"GRASPEL1".to_vec();
+        bytes.extend(2u64.to_le_bytes());
+        bytes.extend(1u64.to_le_bytes());
+        bytes.extend([0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0]);
+        std::fs::write(&bin, &bytes).unwrap();
+        let out_b = dir.join("b.gcsr");
+        assert!(matches!(
+            ingest_file(&bin, &out_b, 2),
+            Err(GraphError::Format(_))
+        ));
+        assert!(crate::io::read_edge_list_file(&bin).is_err());
+        assert!(!out_b.exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,13 +1,8 @@
-//! Graph input/output.
-//!
-//! Two formats are supported:
-//!
-//! * **Text edge list** — one `src dst [weight]` triple per line, `#`- or
-//!   `%`-prefixed comment lines ignored. This matches the format of SNAP and
-//!   KONECT downloads, so real datasets can be dropped in if available.
-//! * **Compact binary** — a little-endian binary dump (magic, vertex count,
-//!   edge count, then `(u32 src, u32 dst, u32 weight)` triples) for fast
-//!   round-tripping of generated datasets between bench runs.
+//! Graph input/output: the **text edge list**, one `src dst [weight]` triple
+//! per line, `#`- or `%`-prefixed comment lines ignored. This matches the
+//! format of SNAP and KONECT downloads, so real datasets can be dropped in
+//! if available. It is the one input format, whatever a file's extension;
+//! the cache of a parsed graph is the on-disk CSR of [`crate::ingest`].
 //!
 //! # The text parser
 //!
@@ -39,9 +34,6 @@ use crate::types::{Edge, EdgeWeight, VertexId};
 use crate::{on_scoped_threads, GraphError, Result};
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
-
-/// Magic bytes identifying the binary edge-list format.
-const BINARY_MAGIC: &[u8; 8] = b"GRASPEL1";
 
 /// Parses a text edge list from a reader.
 ///
@@ -285,55 +277,7 @@ pub fn write_text_edge_list<W: Write>(writer: W, edges: &EdgeList) -> Result<()>
     Ok(())
 }
 
-/// Serializes an edge list into the compact binary format.
-pub fn to_binary(edges: &EdgeList) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(24 + edges.edge_count() * 12);
-    buf.extend_from_slice(BINARY_MAGIC);
-    buf.extend_from_slice(&edges.vertex_count().to_le_bytes());
-    buf.extend_from_slice(&(edges.edge_count() as u64).to_le_bytes());
-    for e in edges.iter() {
-        for field in [e.src, e.dst, e.weight] {
-            buf.extend_from_slice(&field.to_le_bytes());
-        }
-    }
-    buf
-}
-
-/// Deserializes an edge list from the compact binary format.
-///
-/// # Errors
-///
-/// Returns [`GraphError::Format`] if the magic bytes or lengths do not match,
-/// including an edge count too large to address.
-pub fn from_binary(data: &[u8]) -> Result<EdgeList> {
-    let Some((header, body)) = data.split_first_chunk::<24>() else {
-        return Err(GraphError::Format("binary edge list too short".into()));
-    };
-    if &header[..8] != BINARY_MAGIC {
-        return Err(GraphError::Format("bad magic bytes".into()));
-    }
-    let word = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
-    let (vertex_count, edge_count) = (word(8), word(16));
-    let edge_bytes = usize::try_from(edge_count)
-        .ok()
-        .and_then(|count| count.checked_mul(12))
-        .ok_or_else(|| GraphError::Format(format!("edge count {edge_count} is too large")))?;
-    if body.len() < edge_bytes {
-        return Err(GraphError::Format(format!(
-            "expected {edge_bytes} edge bytes, found {}",
-            body.len()
-        )));
-    }
-    let mut list = EdgeList::with_capacity(vertex_count, edge_bytes / 12);
-    for triple in body[..edge_bytes].chunks_exact(12) {
-        let field = |at: usize| u32::from_le_bytes(triple[at..at + 4].try_into().expect("4 bytes"));
-        list.push_edge(Edge::weighted(field(0), field(4), field(8)))?;
-    }
-    Ok(list)
-}
-
-/// Reads an edge list from a file, choosing the format by extension:
-/// `.bin` is the binary format, anything else is text.
+/// Reads a text edge list from a file.
 ///
 /// # Errors
 ///
@@ -342,32 +286,18 @@ pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<EdgeList> {
     read_edge_list_file_on(path.as_ref(), 1)
 }
 
-/// [`read_edge_list_file`] with the text parser spread over `threads`
-/// threads (the binary format is a single checked copy either way).
+/// [`read_edge_list_file`] with the parser spread over `threads` threads.
 pub(crate) fn read_edge_list_file_on(path: &Path, threads: usize) -> Result<EdgeList> {
-    let data = std::fs::read(path)?;
-    if path.extension().map(|e| e == "bin").unwrap_or(false) {
-        from_binary(&data)
-    } else {
-        parse_text_edge_list(&data, threads)
-    }
+    parse_text_edge_list(&std::fs::read(path)?, threads)
 }
 
-/// Writes an edge list to a file, choosing the format by extension:
-/// `.bin` is the binary format, anything else is text.
+/// Writes a text edge list to a file.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors.
 pub fn write_edge_list_file<P: AsRef<Path>>(path: P, edges: &EdgeList) -> Result<()> {
-    let path = path.as_ref();
-    if path.extension().map(|e| e == "bin").unwrap_or(false) {
-        std::fs::write(path, to_binary(edges))?;
-        Ok(())
-    } else {
-        let file = std::fs::File::create(path)?;
-        write_text_edge_list(file, edges)
-    }
+    write_text_edge_list(std::fs::File::create(path)?, edges)
 }
 
 #[cfg(test)]
@@ -419,54 +349,19 @@ mod tests {
     }
 
     #[test]
-    fn binary_round_trip() {
-        let edges = sample_edges();
-        let bytes = to_binary(&edges);
-        // Pinned: `.bin` files already on disk hold exactly these bytes.
-        let mut golden = b"GRASPEL1".to_vec();
-        golden.extend([5, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0]);
-        golden.extend([0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0]);
-        golden.extend([1, 0, 0, 0, 2, 0, 0, 0, 7, 0, 0, 0]);
-        golden.extend([4, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0]);
-        assert_eq!(bytes, golden);
-        let parsed = from_binary(&bytes).unwrap();
-        assert_eq!(parsed, edges);
-    }
-
-    #[test]
-    fn binary_rejects_bad_magic() {
-        let mut bytes = to_binary(&sample_edges());
-        bytes[0] = b'X';
-        assert!(matches!(from_binary(&bytes), Err(GraphError::Format(_))));
-    }
-
-    #[test]
-    fn binary_rejects_truncated_data() {
-        let bytes = to_binary(&sample_edges());
-        // A forged edge count whose byte length wraps: × 12 is 8 modulo 2^64.
-        let mut forged = bytes[..16].to_vec();
-        forged.extend((u64::MAX / 12 + 1).to_le_bytes());
-        forged.extend([0; 16]);
-        for data in [&bytes[..bytes.len() - 4], &bytes[..10], &forged] {
-            assert!(matches!(from_binary(data), Err(GraphError::Format(_))));
-        }
-    }
-
-    #[test]
     fn file_round_trip_both_formats() {
         let dir = std::env::temp_dir().join("grasp_graph_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         let edges = sample_edges();
 
-        let text_path = dir.join("edges.txt");
-        write_edge_list_file(&text_path, &edges).unwrap();
-        let parsed = read_edge_list_file(&text_path).unwrap();
-        assert_eq!(parsed.edge_count(), edges.edge_count());
-
-        let bin_path = dir.join("edges.bin");
-        write_edge_list_file(&bin_path, &edges).unwrap();
-        let parsed = read_edge_list_file(&bin_path).unwrap();
-        assert_eq!(parsed, edges);
+        // Text whatever the extension: a `.bin` name no longer picks a
+        // format.
+        for name in ["edges.txt", "edges.bin"] {
+            let path = dir.join(name);
+            write_edge_list_file(&path, &edges).unwrap();
+            assert!(std::fs::read(&path).unwrap().starts_with(b"# grasp-graph"));
+            assert_eq!(read_edge_list_file(&path).unwrap(), edges, "{name}");
+        }
     }
 
     /// The parser this module had before the byte-level one — `BufRead::lines`

@@ -10,11 +10,11 @@
 //!   generators and I/O.
 //! * [`generators`] — synthetic graph generators standing in for the paper's
 //!   datasets (Table V): R-MAT/Kronecker power-law graphs, uniform
-//!   Erdős–Rényi graphs, Chung-Lu graphs with a configurable skew exponent
-//!   and a Watts–Strogatz-style low-skew generator.
+//!   Erdős–Rényi graphs and Chung-Lu graphs with a configurable skew
+//!   exponent.
 //! * [`degree`] — degree statistics and the hot-vertex / edge-coverage skew
 //!   analysis of Table I.
-//! * [`io`] — plain-text edge-list and compact binary save/load.
+//! * [`io`] — plain-text edge-list load and save.
 //! * [`prng`] — deterministic pseudo-random number generators (SplitMix64,
 //!   Xoshiro256**) so every synthetic dataset and probabilistic policy in the
 //!   workspace is exactly reproducible.

@@ -37,15 +37,6 @@ impl Edge {
     pub fn weighted(src: VertexId, dst: VertexId, weight: EdgeWeight) -> Self {
         Self { src, dst, weight }
     }
-
-    /// Returns the edge with source and destination swapped.
-    pub fn reversed(self) -> Self {
-        Self {
-            src: self.dst,
-            dst: self.src,
-            weight: self.weight,
-        }
-    }
 }
 
 impl From<(VertexId, VertexId)> for Edge {
@@ -102,12 +93,6 @@ mod tests {
         assert_eq!(e.weight, 1);
         let w = Edge::weighted(1, 2, 9);
         assert_eq!(w.weight, 9);
-    }
-
-    #[test]
-    fn edge_reversed_swaps_endpoints() {
-        let e = Edge::weighted(3, 7, 5).reversed();
-        assert_eq!((e.src, e.dst, e.weight), (7, 3, 5));
     }
 
     #[test]

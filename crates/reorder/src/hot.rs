@@ -2,9 +2,9 @@
 //!
 //! The paper classifies a vertex as hot when its degree is at least the
 //! average degree (Sec. II-A). After skew-aware reordering the hot vertices
-//! occupy a prefix of the vertex ID space; the extent of that prefix (in
-//! elements and in bytes of the Property Array) is what GRASP's software side
-//! communicates to hardware through the Address Bound Registers.
+//! occupy a prefix of the vertex ID space, which is what lets GRASP's
+//! software side describe them to hardware with one Address Bound Register
+//! pair.
 
 use grasp_graph::types::Direction;
 use grasp_graph::GraphView;
@@ -20,19 +20,16 @@ pub fn hot_threshold(graph: &dyn GraphView) -> f64 {
 pub struct HotRegion {
     hot_vertex_count: usize,
     prefix_covering_hot: usize,
-    vertex_count: usize,
-    element_bytes: usize,
 }
 
 impl HotRegion {
-    /// Analyzes `graph` using the degree in `direction` for hotness and
-    /// `element_bytes` as the per-vertex Property Array element size.
+    /// Analyzes `graph` using the degree in `direction` for hotness.
     ///
     /// `prefix_covering_hot` is the smallest prefix of the ID space that
     /// contains every hot vertex — equal to `hot_vertex_count` when the graph
     /// has been reordered by a segregating technique, potentially as large as
     /// the whole graph otherwise.
-    pub fn analyze(graph: &dyn GraphView, direction: Direction, element_bytes: usize) -> Self {
+    pub fn analyze(graph: &dyn GraphView, direction: Direction) -> Self {
         let threshold = hot_threshold(graph);
         let mut hot_vertex_count = 0usize;
         let mut last_hot: Option<usize> = None;
@@ -45,8 +42,6 @@ impl HotRegion {
         Self {
             hot_vertex_count,
             prefix_covering_hot: last_hot.map_or(0, |v| v + 1),
-            vertex_count: graph.vertex_count(),
-            element_bytes,
         }
     }
 
@@ -60,21 +55,6 @@ impl HotRegion {
         self.prefix_covering_hot
     }
 
-    /// Total number of vertices.
-    pub fn vertex_count(&self) -> usize {
-        self.vertex_count
-    }
-
-    /// Size in bytes of the Property Array region holding the hot prefix.
-    pub fn hot_prefix_bytes(&self) -> usize {
-        self.prefix_covering_hot * self.element_bytes
-    }
-
-    /// Size in bytes of the full Property Array.
-    pub fn total_bytes(&self) -> usize {
-        self.vertex_count * self.element_bytes
-    }
-
     /// How tightly the hot vertices are packed into the prefix: 1.0 means the
     /// prefix contains only hot vertices (perfect segregation), values near
     /// `hot_vertex_count / vertex_count` mean no segregation at all.
@@ -84,12 +64,6 @@ impl HotRegion {
         } else {
             self.hot_vertex_count as f64 / self.prefix_covering_hot as f64
         }
-    }
-
-    /// Returns `true` if the hot prefix would fit entirely in a cache of
-    /// `cache_bytes` bytes.
-    pub fn fits_in_cache(&self, cache_bytes: usize) -> bool {
-        self.hot_prefix_bytes() <= cache_bytes
     }
 }
 
@@ -109,24 +83,14 @@ mod tests {
     #[test]
     fn packing_improves_after_reordering() {
         let g = Rmat::new(10, 8).generate(3);
-        let before = HotRegion::analyze(&g, Direction::Out, 8);
+        let before = HotRegion::analyze(&g, Direction::Out);
         let perm = DegreeBasedGrouping::default().compute(&g, Direction::Out);
-        let after = HotRegion::analyze(&apply::relabel(&g, &perm), Direction::Out, 8);
+        let after = HotRegion::analyze(&apply::relabel(&g, &perm), Direction::Out);
         assert_eq!(before.hot_vertex_count(), after.hot_vertex_count());
         assert!(after.packing_efficiency() >= before.packing_efficiency());
         // After DBG the hot prefix is exactly the hot vertices.
         assert!((after.packing_efficiency() - 1.0).abs() < 1e-12);
         assert_eq!(after.prefix_covering_hot(), after.hot_vertex_count());
-    }
-
-    #[test]
-    fn byte_accounting() {
-        let g = Rmat::new(8, 8).generate(1);
-        let r = HotRegion::analyze(&g, Direction::Out, 8);
-        assert_eq!(r.total_bytes(), g.vertex_count() * 8);
-        assert!(r.hot_prefix_bytes() <= r.total_bytes());
-        assert!(r.fits_in_cache(usize::MAX));
-        assert!(!r.fits_in_cache(0) || r.hot_prefix_bytes() == 0);
     }
 
     #[test]
@@ -136,7 +100,7 @@ mod tests {
         let mut el = grasp_graph::EdgeList::new(100);
         el.push(0, 1).unwrap();
         let g = Csr::from_edge_list(&el).unwrap();
-        let r = HotRegion::analyze(&g, Direction::Out, 8);
+        let r = HotRegion::analyze(&g, Direction::Out);
         assert_eq!(r.hot_vertex_count(), 1);
         assert_eq!(r.prefix_covering_hot(), 1);
     }

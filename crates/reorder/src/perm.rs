@@ -134,21 +134,6 @@ impl Permutation {
                 .collect(),
         }
     }
-
-    /// Permutes a slice of per-vertex data: element at old index `v` moves to
-    /// new index `new_id(v)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != self.len()`.
-    pub fn permute<T: Clone>(&self, data: &[T]) -> Vec<T> {
-        assert_eq!(data.len(), self.len(), "data length must match permutation");
-        let mut out: Vec<T> = data.to_vec();
-        for (old, item) in data.iter().enumerate() {
-            out[self.new_of_old[old] as usize] = item.clone();
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -209,22 +194,6 @@ mod tests {
         let a = Permutation::identity(3);
         let b = Permutation::identity(4);
         let _ = a.then(&b);
-    }
-
-    #[test]
-    fn permute_moves_data_to_new_slots() {
-        let p = Permutation::from_new_ids(vec![2, 0, 1]).unwrap();
-        let data = ["a", "b", "c"];
-        let out = p.permute(&data);
-        // old 0 -> new 2, old 1 -> new 0, old 2 -> new 1
-        assert_eq!(out, vec!["b", "c", "a"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "data length must match permutation")]
-    fn permute_length_mismatch_panics() {
-        let p = Permutation::identity(3);
-        let _ = p.permute(&[1, 2]);
     }
 
     #[test]

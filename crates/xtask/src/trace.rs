@@ -3,10 +3,11 @@
 //!
 //! Subcommands:
 //!
-//! * `ls [--json]` — list entries (size, codec), most recently used first
-//!   (an entry's modification time is its last use); `--json` emits a machine-readable summary with total store
-//!   bytes, the raw-equivalent bytes and the resulting compression ratio
-//!   (the CI store-budget gate's input).
+//! * `ls [--json]` — list entries by size, most recently used first (an
+//!   entry's modification time is its last use); `--json` emits a
+//!   machine-readable summary with total store bytes, the raw-equivalent
+//!   bytes and the resulting compression ratio (the CI store-budget gate's
+//!   input).
 //! * `verify` — checksum-verify every entry; non-zero exit on any corruption.
 //! * `gc --max-bytes <N[K|M|G]>` — evict least-recently-used entries until
 //!   the store fits the budget; temp files a crashed writer left behind are
@@ -22,7 +23,7 @@ use grasp_analytics::apps::AppKind;
 use grasp_core::campaign::{Campaign, CampaignResult};
 use grasp_core::datasets::{DatasetKind, Scale};
 use grasp_core::policy::PolicyKind;
-use grasp_core::trace_store::{Codec, EntryInfo, StoreEntry, TraceStore, TRACE_FORMAT_VERSION};
+use grasp_core::trace_store::{EntryInfo, StoreEntry, TraceStore, TRACE_FORMAT_VERSION};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -221,14 +222,8 @@ fn ls(store: &TraceStore, json: bool) -> ExitCode {
         println!("{}", ls_json(store, &summary));
         return ExitCode::SUCCESS;
     }
-    for (entry, info) in &summary.rows {
-        let codec = info.map_or("?", |_| Codec::default().label());
-        println!(
-            "{:>10}  {:<13} {}",
-            human_bytes(entry.bytes),
-            codec,
-            entry.file
-        );
+    for (entry, _) in &summary.rows {
+        println!("{:>10}  {}", human_bytes(entry.bytes), entry.file);
     }
     println!(
         "{} entr{} in {} ({}; raw-equivalent {}, {:.2}x compression)",
@@ -259,15 +254,13 @@ fn ls_json(store: &TraceStore, summary: &StoreSummary) -> String {
             entry.bytes
         ));
         // An entry whose headers parse is in the one format there is
-        // (`peek` refuses every other): codec and version are constants.
+        // (`peek` refuses every other): its version is a constant.
         match info {
             Some(info) => out.push_str(&format!(
-                ",\"codec\":\"{}\",\"trace_version\":{TRACE_FORMAT_VERSION},\"records\":{},\"raw_bytes\":{}}}",
-                Codec::default(),
-                info.records,
-                info.raw_bytes
+                ",\"trace_version\":{TRACE_FORMAT_VERSION},\"records\":{},\"raw_bytes\":{}}}",
+                info.records, info.raw_bytes
             )),
-            None => out.push_str(",\"codec\":null}"),
+            None => out.push('}'),
         }
     }
     out.push_str(&format!(
