@@ -26,7 +26,12 @@
 # edge-list format, the small-world generator, the one-variant codec enum, a
 # second decoder of the trace header in the store, and every option or
 # helper only its own unit test called; persist.rs (877) and trace_store.rs
-# (814) were lowered to their new counts at the same time.
+# (814) were lowered to their new counts at the same time. It came down to
+# 18 233 (the tree's 18 183 + 50) when replay kept one entry point per job:
+# the chunk replayer type, the recorded run's scalar replay wrapper, the
+# slice-based OPT and the LLC stage's second demand-miss counter went, and
+# the trace store's two decoders of the entry header became one
+# (trace_store.rs 814 -> 808).
 #
 # usage: check-line-budget.sh   (from the repository root)
 set -euo pipefail
@@ -35,11 +40,11 @@ find crates/*/src crates/bench/benches -name '*.rs' | sort | while read -r file;
   awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0, FILENAME }' "$file"
 done | awk '
   BEGIN {
-    total_ceiling = 18354
+    total_ceiling = 18233
     bench_ceiling = 540
     ceiling["crates/core/src/campaign.rs"] = 1287
     ceiling["crates/graph/src/ingest.rs"] = 1177
-    ceiling["crates/core/src/trace_store.rs"] = 814
+    ceiling["crates/core/src/trace_store.rs"] = 808
     ceiling["crates/cachesim/src/trace/persist.rs"] = 877
   }
   { total += $1 }

@@ -9,7 +9,7 @@
 use grasp_analytics::apps::AppKind;
 use grasp_analytics::props::PropertyLayout;
 use grasp_cachesim::config::CacheConfig;
-use grasp_cachesim::policy::opt::optimal_misses_trace;
+use grasp_cachesim::policy::opt::optimal_misses;
 use grasp_cachesim::request::RegionLabel;
 use grasp_core::campaign::{Campaign, CampaignResult};
 use grasp_core::compare::{arithmetic_mean, geometric_mean_speedup};
@@ -419,7 +419,7 @@ fn fig11_table7(scale: Scale) -> Vec<Table> {
                 trace.replay_demand(config, dispatch).misses
             };
             let lru = misses(PolicyKind::Lru);
-            let opt = optimal_misses_trace(trace, &config).misses;
+            let opt = optimal_misses(trace, &config).misses;
             let schemes = [misses(Rrip), misses(Grasp), opt];
             rows.push((labels, schemes.map(|m| miss_reduction_pct(lru, m)).to_vec()));
         }

@@ -283,13 +283,9 @@ impl BatchTotals {
         }
     }
 
-    fn demand_misses(&self) -> u64 {
-        self.region_misses.iter().sum()
-    }
-
     fn add_to(&self, stats: &mut CacheStats) {
         let accesses: u64 = self.region_accesses.iter().sum();
-        let misses = self.demand_misses();
+        let misses: u64 = self.region_misses.iter().sum();
         stats.evictions += self.evictions;
         stats.accesses += accesses;
         stats.hits += accesses - misses;
@@ -494,22 +490,16 @@ impl SetAssocCache {
     /// Replays one run of a recorded post-L2 stream — demand,
     /// prefetch and writeback records freely interleaved — straight off its
     /// raw columns: `addrs[i]` is the byte address and `meta[i]` the packed
-    /// metadata word of record `i`, as [`crate::trace::TraceChunk::columns`]
-    /// exposes them. Each request carries the reuse hint `classifier` gives
-    /// its address (records carry none). Bit-identical to dispatching each
+    /// metadata word of record `i`, as a [`crate::trace::TraceChunk`] stores
+    /// them. Each request carries the reuse hint `classifier` gives its
+    /// address (records carry none). Bit-identical to dispatching each
     /// hinted record through [`SetAssocCache::access`] /
     /// [`SetAssocCache::prefetch`] / [`SetAssocCache::writeback`] in order.
-    /// Returns the number of demand misses (the requests that reach memory).
     ///
     /// # Panics
     ///
     /// Panics when the columns differ in length.
-    pub fn replay_run(
-        &mut self,
-        addrs: &[u64],
-        meta: &[u32],
-        classifier: &RegionClassifier,
-    ) -> u64 {
+    pub fn replay_run(&mut self, addrs: &[u64], meta: &[u32], classifier: &RegionClassifier) {
         assert_eq!(addrs.len(), meta.len(), "index-aligned columns");
         let core = &mut self.core;
         let totals = for_each_policy!(
@@ -517,7 +507,6 @@ impl SetAssocCache {
             p => replay_columns(core, p, addrs, meta, classifier)
         );
         totals.add_to(&mut self.stats);
-        totals.demand_misses()
     }
 
     /// Receives the writeback of a dirty victim evicted by the level above.
@@ -728,13 +717,12 @@ mod tests {
             }
         }
         let mut batched = make();
-        let mut misses = 0;
         // Uneven run boundaries: statistics must add up across runs.
         for (addrs, meta) in addrs.chunks(77).zip(meta.chunks(77)) {
-            misses += batched.replay_run(addrs, meta, &RegionClassifier::disabled());
+            batched.replay_run(addrs, meta, &RegionClassifier::disabled());
         }
         assert_eq!(scalar.stats(), batched.stats());
-        assert_eq!(misses, scalar_misses);
+        assert_eq!(batched.stats().misses, scalar_misses);
         assert_eq!(scalar.resident_blocks(), batched.resident_blocks());
     }
 
@@ -776,7 +764,8 @@ mod tests {
     #[test]
     fn empty_batches_are_a_no_op() {
         let mut c = lru_cache(4096, 4);
-        assert_eq!(c.replay_run(&[], &[], &RegionClassifier::disabled()), 0);
+        c.replay_run(&[], &[], &RegionClassifier::disabled());
+        assert_eq!(c.stats().misses, 0);
         assert_eq!(c.stats(), &CacheStats::new());
     }
 

@@ -29,7 +29,6 @@ impl std::fmt::Debug for Hierarchy {
         f.debug_struct("Hierarchy")
             .field("config", self.upper.config())
             .field("llc_policy", &self.llc.policy_name())
-            .field("memory_accesses", &self.llc.memory_accesses())
             .finish()
     }
 }
@@ -89,11 +88,12 @@ impl Hierarchy {
 
     /// Accumulated statistics of every level.
     pub fn stats(&self) -> HierarchyStats {
+        let llc = self.llc.stats().clone();
         HierarchyStats {
             l1: self.upper.l1_stats().clone(),
             l2: self.upper.l2_stats().clone(),
-            llc: self.llc.stats().clone(),
-            memory_accesses: self.llc.memory_accesses(),
+            memory_accesses: llc.misses,
+            llc,
         }
     }
 }

@@ -11,7 +11,6 @@
 
 use crate::addr::block_of;
 use crate::config::CacheConfig;
-use crate::request::AccessInfo;
 use crate::trace::LlcTrace;
 use std::collections::HashMap;
 
@@ -95,36 +94,18 @@ fn optimal_misses_blocks(
     }
 }
 
-/// Simulates Belady's OPT over `trace` for a set-associative cache described
-/// by `config` and returns the minimal achievable miss count.
+/// Simulates Belady's OPT over the **demand** stream of a recorded trace
+/// for a set-associative cache described by `config` and returns the
+/// minimal achievable miss count.
 ///
 /// The simulation is exact per set: the next-use of every access is
 /// pre-computed with a backward pass, and on every replacement the resident
-/// block with the farthest next use is evicted.
-pub fn optimal_misses(trace: &[AccessInfo], config: &CacheConfig) -> OptResult {
-    let next_use = next_use_table(
-        trace.len(),
-        trace
-            .iter()
-            .rev()
-            .map(|info| block_of(info.addr, config.block_bytes)),
-    );
-    optimal_misses_blocks(
-        trace
-            .iter()
-            .map(|info| block_of(info.addr, config.block_bytes)),
-        &next_use,
-        config,
-    )
-}
-
-/// [`optimal_misses`] over the **demand** stream of a recorded trace,
-/// consumed chunk-natively: both the backward next-use pass and the forward
-/// replacement pass stream straight off the trace's 12-byte-per-record
-/// chunked storage, so no `Vec<AccessInfo>` is ever materialized. Only the
-/// 8-byte-per-demand next-use table is allocated — what keeps the Fig. 11 /
-/// Table VII sweep out of 16-byte-per-access memory at paper scale.
-pub fn optimal_misses_trace(trace: &LlcTrace, config: &CacheConfig) -> OptResult {
+/// block with the farthest next use is evicted. Both passes stream straight
+/// off the trace's 12-byte-per-record chunked storage, so no
+/// `Vec<AccessInfo>` is ever materialized. Only the 8-byte-per-demand
+/// next-use table is allocated — what keeps the Fig. 11 / Table VII sweep
+/// out of 16-byte-per-access memory at paper scale.
+pub fn optimal_misses(trace: &LlcTrace, config: &CacheConfig) -> OptResult {
     let next_use = next_use_table(
         trace.demand_len(),
         trace
@@ -143,8 +124,9 @@ pub fn optimal_misses_trace(trace: &LlcTrace, config: &CacheConfig) -> OptResult
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::AccessInfo;
 
-    fn trace_of(addrs: &[u64]) -> Vec<AccessInfo> {
+    fn trace_of(addrs: &[u64]) -> LlcTrace {
         addrs.iter().map(|&a| AccessInfo::read(a * 64)).collect()
     }
 
@@ -183,8 +165,8 @@ mod tests {
             config,
             Box::new(Lru::new(config.sets(), config.ways)),
         );
-        for info in &trace {
-            lru.access(info);
+        for info in trace.demand_accesses() {
+            lru.access(&info);
         }
         assert!(opt.misses <= lru.stats().misses);
         // Compulsory misses are unavoidable even for OPT.
@@ -202,37 +184,35 @@ mod tests {
 
     #[test]
     fn empty_trace() {
-        let result = optimal_misses(&[], &tiny_cache(2));
+        let result = optimal_misses(&LlcTrace::new(), &tiny_cache(2));
         assert_eq!(result.accesses, 0);
         assert_eq!(result.misses, 0);
         assert_eq!(result.miss_ratio(), 0.0);
-        let chunked = optimal_misses_trace(&LlcTrace::new(), &tiny_cache(2));
-        assert_eq!(chunked, result);
     }
 
     #[test]
-    fn chunk_native_opt_matches_the_slice_version() {
-        // A pseudo-random demand stream, interleaved with prefetch and
-        // writeback events the demand-only OPT view must skip.
-        let mut slice = Vec::new();
-        let mut chunked = LlcTrace::new();
+    fn opt_skips_prefetch_and_writeback_records() {
+        // A pseudo-random demand stream, alone and interleaved with prefetch
+        // and writeback events the demand-only OPT view must skip.
+        let mut demand_only = LlcTrace::new();
+        let mut interleaved = LlcTrace::new();
         let mut x = 99u64;
         for i in 0..20_000u64 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             let info = AccessInfo::read(((x >> 33) % 2048) * 64);
-            slice.push(info);
-            chunked.push(&info);
+            demand_only.push(&info);
+            interleaved.push(&info);
             if i % 7 == 0 {
-                chunked.push_prefetch(&AccessInfo::read(((x >> 20) % 4096) * 64));
+                interleaved.push_prefetch(&AccessInfo::read(((x >> 20) % 4096) * 64));
             }
             if i % 11 == 0 {
-                chunked.push_writeback(((x >> 40) % 1024) * 64);
+                interleaved.push_writeback(((x >> 40) % 1024) * 64);
             }
         }
         for config in [tiny_cache(4), CacheConfig::new(64 * 64, 8, 64)] {
             assert_eq!(
-                optimal_misses_trace(&chunked, &config),
-                optimal_misses(&slice, &config),
+                optimal_misses(&interleaved, &config),
+                optimal_misses(&demand_only, &config),
             );
         }
     }

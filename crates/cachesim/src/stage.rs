@@ -215,8 +215,9 @@ impl UpperLevels {
 }
 
 /// The LLC stage: GRASP's classification logic (Fig. 4) in front of a single
-/// set-associative cache under the replacement policy being evaluated, plus
-/// the count of demand requests that fell through to main memory.
+/// set-associative cache under the replacement policy being evaluated. Every
+/// demand miss falls through to main memory, so the memory-access count of
+/// [`crate::stats::HierarchyStats`] is the LLC's demand-miss count.
 ///
 /// Both the direct simulation path ([`crate::Hierarchy`]) and trace replay
 /// ([`crate::trace::LlcTrace::replay`]) drive this same type, which is what
@@ -224,14 +225,12 @@ impl UpperLevels {
 pub struct LlcStage {
     cache: SetAssocCache,
     classifier: RegionClassifier,
-    memory_accesses: u64,
 }
 
 impl std::fmt::Debug for LlcStage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LlcStage")
             .field("policy", &self.cache.policy_name())
-            .field("memory_accesses", &self.memory_accesses)
             .finish()
     }
 }
@@ -243,7 +242,6 @@ impl LlcStage {
         Self {
             cache: SetAssocCache::new("LLC", config, policy),
             classifier: RegionClassifier::disabled(),
-            memory_accesses: 0,
         }
     }
 
@@ -264,11 +262,6 @@ impl LlcStage {
         self.cache.stats()
     }
 
-    /// Demand requests that had to go to main memory (== demand LLC misses).
-    pub fn memory_accesses(&self) -> u64 {
-        self.memory_accesses
-    }
-
     /// `info` with the reuse hint this stage's classifier gives its address.
     #[inline]
     fn hinted(&self, info: &AccessInfo) -> AccessInfo {
@@ -278,11 +271,7 @@ impl LlcStage {
     /// Simulates one demand request; returns `true` on an LLC hit.
     #[inline]
     pub fn demand(&mut self, info: &AccessInfo) -> bool {
-        let hit = self.cache.access(&self.hinted(info)).is_hit();
-        if !hit {
-            self.memory_accesses += 1;
-        }
-        hit
+        self.cache.access(&self.hinted(info)).is_hit()
     }
 
     /// Simulates one prefetch request.
@@ -291,15 +280,14 @@ impl LlcStage {
         self.cache.prefetch(&self.hinted(info));
     }
 
-    /// Replays one run of a recorded post-L2 stream straight off
-    /// its raw columns ([`SetAssocCache::replay_run`]) under this stage's
-    /// classifier. Every demand miss reaches memory, so the memory-access
-    /// counter advances by the run's demand-miss count. Bit-identical to
-    /// dispatching each record through [`LlcStage::demand`] /
-    /// [`LlcStage::prefetch`] / [`LlcStage::writeback`] in order.
+    /// Replays one run of a recorded post-L2 stream straight off its raw
+    /// columns ([`SetAssocCache::replay_run`]) under this stage's
+    /// classifier. Bit-identical to dispatching each record through
+    /// [`LlcStage::demand`] / [`LlcStage::prefetch`] /
+    /// [`LlcStage::writeback`] in order.
     #[inline]
     pub fn replay_run(&mut self, addrs: &[Address], meta: &[u32]) {
-        self.memory_accesses += self.cache.replay_run(addrs, meta, &self.classifier);
+        self.cache.replay_run(addrs, meta, &self.classifier);
     }
 
     /// Receives the writeback of a dirty victim from the upper levels.
@@ -539,7 +527,6 @@ mod tests {
         stage.demand(&AccessInfo::read(0x40));
         assert_eq!(stage.stats().accesses, 2);
         assert_eq!(stage.stats().misses, 1);
-        assert_eq!(stage.memory_accesses(), 1);
     }
 
     #[test]

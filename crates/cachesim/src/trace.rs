@@ -19,9 +19,9 @@
 //!    application) stream once, fan it out across the policy grid.
 //! 2. **OPT comparison (Fig. 11 / Table VII).**
 //!    [`crate::policy::opt::optimal_misses`] computes the minimum achievable
-//!    misses on the demand stream ([`LlcTrace::demand_vec`]) while the online
-//!    policies replay the same stream ([`LlcTrace::replay_demand`]) at each
-//!    LLC size of the sweep.
+//!    misses on a trace's demand stream while the online policies replay the
+//!    same stream ([`LlcTrace::replay_demand`]) at each LLC size of the
+//!    sweep.
 //!
 //! # Layout
 //!
@@ -32,9 +32,9 @@
 //! never relocates more than one chunk, so a long recording costs neither the
 //! 2× transient footprint nor the O(len) copy of `Vec` doubling — the trace
 //! spills gracefully as it grows. Completed chunks are **frozen behind an
-//! `Arc`**, which makes cloning a trace free of record copies. Replay walks
-//! the chunks through a [`ChunkReplayer`] — the incremental, chunk-at-a-time
-//! entry point to [`LlcStage`].
+//! `Arc`**, which makes cloning a trace free of record copies.
+//! [`LlcTrace::replay`] hands each chunk's two columns to one [`LlcStage`]
+//! whole.
 
 mod hash;
 pub mod persist;
@@ -143,8 +143,8 @@ pub(crate) fn count_demand_records(meta: &[u32]) -> usize {
 /// One fixed-capacity struct-of-arrays storage chunk of the post-L2 stream.
 ///
 /// Chunks are the unit of sharing and of replay: a completed chunk is
-/// frozen behind an `Arc` by the recording [`LlcTrace`] and fed whole to
-/// [`ChunkReplayer`]s. A frozen chunk is never mutated again.
+/// frozen behind an `Arc` by the recording [`LlcTrace`] and replayed whole
+/// ([`LlcTrace::replay`]). A frozen chunk is never mutated again.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceChunk {
     addrs: Vec<Address>,
@@ -170,13 +170,6 @@ impl TraceChunk {
     /// Returns `true` when the chunk holds no records.
     pub fn is_empty(&self) -> bool {
         self.addrs.is_empty()
-    }
-
-    /// The chunk's raw struct-of-arrays columns (addresses and packed
-    /// metadata words, index-aligned) — the view replay hands to the
-    /// cache's column kernel as is.
-    pub fn columns(&self) -> (&[Address], &[u32]) {
-        (&self.addrs, &self.meta)
     }
 
     /// Decodes the chunk's events in record order.
@@ -388,7 +381,7 @@ impl LlcTrace {
     }
 
     /// Iterates over the demand requests in reverse stream order (the
-    /// backward next-use pass of [`crate::policy::opt::optimal_misses_trace`]
+    /// backward next-use pass of [`crate::policy::opt::optimal_misses`]
     /// runs directly on this view — no `Vec<AccessInfo>` materialization).
     pub fn demand_accesses_rev(&self) -> impl Iterator<Item = AccessInfo> + '_ {
         self.iter_rev().filter_map(|event| match event {
@@ -410,13 +403,22 @@ impl LlcTrace {
     /// the run: the recorded L1/L2 stats plus the replayed LLC stats,
     /// bit-identical to having simulated the whole hierarchy directly with
     /// that LLC.
+    ///
+    /// Each chunk is one [`LlcStage::replay_run`] call: its two raw columns
+    /// go, as they are, to the recorded-stream kernel of [`crate::cache`],
+    /// one compiled loop per policy that decodes, classifies (for a policy
+    /// that reads hints), looks up and accounts every record inline. Nothing
+    /// is copied, tiled or buffered on the way, and kind changes do not split
+    /// the chunk: demand and prefetch records interleave densely in recorded
+    /// streams (median same-kind run length is 1 on the paper workloads).
     pub fn replay(&self, config: CacheConfig, policy: impl Into<PolicyDispatch>) -> HierarchyStats {
         self.replay_impl(config, policy, false)
     }
 
-    /// Replays through the per-event scalar path instead of the column
-    /// kernel. The two are bit-identical; this entry point exists as the
-    /// reference for parity tests and the batched-replay benchmark table.
+    /// Replays one decoded event at a time through the stage's per-event
+    /// methods instead of the column kernel — the oracle
+    /// [`LlcTrace::replay`] is pinned against bit-for-bit (parity and
+    /// property tests).
     pub fn replay_scalar(
         &self,
         config: CacheConfig,
@@ -431,15 +433,30 @@ impl LlcTrace {
         policy: impl Into<PolicyDispatch>,
         scalar: bool,
     ) -> HierarchyStats {
-        let mut replayer = ChunkReplayer::new(config, policy, &self.context);
+        let mut stage = LlcStage::new(config, policy);
+        stage.program_abrs(&self.context.abr_bounds);
         for chunk in self.chunks() {
-            if scalar {
-                replayer.feed_scalar(chunk);
-            } else {
-                replayer.feed(chunk);
+            if !scalar {
+                stage.replay_run(&chunk.addrs, &chunk.meta);
+                continue;
+            }
+            for event in chunk.events() {
+                match event {
+                    TraceEvent::Demand(info) => {
+                        stage.demand(&info);
+                    }
+                    TraceEvent::Prefetch(info) => stage.prefetch(&info),
+                    TraceEvent::Writeback(addr) => stage.writeback(addr),
+                }
             }
         }
-        replayer.finish()
+        let llc = stage.into_stats();
+        HierarchyStats {
+            l1: self.context.l1.clone(),
+            l2: self.context.l2.clone(),
+            memory_accesses: llc.misses,
+            llc,
+        }
     }
 
     /// Replays the **demand** stream only through a standalone LLC,
@@ -497,88 +514,6 @@ impl FromIterator<AccessInfo> for LlcTrace {
             trace.push(&info);
         }
         trace
-    }
-}
-
-/// The incremental, chunk-driven entry point to [`LlcStage`]: build it from
-/// the recording's context (its ABR bounds program the stage before the
-/// first chunk), feed it trace chunks in stream order
-/// ([`LlcTrace::chunks`]), then [`ChunkReplayer::finish`] to obtain the full
-/// hierarchy statistics. [`LlcTrace::replay`] and its scalar variant both
-/// drive this one type, which is what pins them bit-for-bit to each other
-/// (and to direct simulation).
-///
-/// [`ChunkReplayer::feed`] is one call per chunk: the chunk's two raw
-/// column slices go, as they are, to [`LlcStage::replay_run`] — the
-/// recorded-stream kernel of [`crate::cache`], one compiled loop per policy
-/// that decodes, classifies (for a policy that reads hints), looks up and
-/// accounts every record inline. Nothing is copied, tiled or buffered on the
-/// way, and kind changes do not split the chunk: demand and prefetch records
-/// interleave densely in recorded streams (median same-kind run length is 1
-/// on the paper workloads). [`ChunkReplayer::feed_scalar`] replays the same
-/// chunk one decoded event at a time through the stage's per-event methods;
-/// it is the oracle `feed` is pinned against.
-#[derive(Debug)]
-pub struct ChunkReplayer {
-    stage: LlcStage,
-    l1: CacheStats,
-    l2: CacheStats,
-}
-
-impl ChunkReplayer {
-    /// Creates a replayer driving a fresh [`LlcStage`] with the given
-    /// geometry and policy, its ABRs programmed with `context`'s bounds.
-    pub fn new(
-        config: CacheConfig,
-        policy: impl Into<PolicyDispatch>,
-        context: &RecordContext,
-    ) -> Self {
-        let mut stage = LlcStage::new(config, policy);
-        stage.program_abrs(&context.abr_bounds);
-        Self {
-            stage,
-            l1: context.l1.clone(),
-            l2: context.l2.clone(),
-        }
-    }
-
-    /// Replays one event.
-    #[inline]
-    pub fn feed_event(&mut self, event: TraceEvent) {
-        match event {
-            TraceEvent::Demand(info) => {
-                self.stage.demand(&info);
-            }
-            TraceEvent::Prefetch(info) => self.stage.prefetch(&info),
-            TraceEvent::Writeback(addr) => self.stage.writeback(addr),
-        }
-    }
-
-    /// Replays one chunk of the stream through the column kernel (see the
-    /// type docs). Bit-identical to [`ChunkReplayer::feed_scalar`].
-    pub fn feed(&mut self, chunk: &TraceChunk) {
-        let (addrs, meta) = chunk.columns();
-        self.stage.replay_run(addrs, meta);
-    }
-
-    /// Replays one chunk event-by-event through [`ChunkReplayer::feed_event`]
-    /// — the reference path [`ChunkReplayer::feed`] is pinned against
-    /// (property tests).
-    pub fn feed_scalar(&mut self, chunk: &TraceChunk) {
-        for event in chunk.events() {
-            self.feed_event(event);
-        }
-    }
-
-    /// Consumes the replayer and assembles the full hierarchy statistics:
-    /// the recorded upper-level stats plus the replayed LLC stats.
-    pub fn finish(self) -> HierarchyStats {
-        HierarchyStats {
-            l1: self.l1,
-            l2: self.l2,
-            memory_accesses: self.stage.memory_accesses(),
-            llc: self.stage.into_stats(),
-        }
     }
 }
 
@@ -693,7 +628,7 @@ mod tests {
     fn opt_lower_bounds_every_online_policy() {
         let config = llc_config();
         let trace = thrashy_trace(64, 300, 10);
-        let opt = optimal_misses(&trace.demand_vec(), &config);
+        let opt = optimal_misses(&trace, &config);
         for policy in [
             replay(
                 &trace,

@@ -121,7 +121,7 @@ proptest! {
     #[test]
     fn opt_is_a_lower_bound(trace in arb_trace()) {
         let cfg = config();
-        let opt = optimal_misses(&trace, &cfg);
+        let opt = optimal_misses(&trace.iter().copied().collect(), &cfg);
         for policy in all_policies(&cfg) {
             let name = policy.name();
             let mut cache = SetAssocCache::new("LLC", cfg, policy);

@@ -1,7 +1,7 @@
 //! Property tests for the canonical post-L2 trace: the chunked SoA storage
 //! must round-trip arbitrary event sequences exactly (`push`/`get`/`iter`/
-//! `to_vec` always agree), replay must be deterministic, and the chunk
-//! replayer's column kernel must reproduce the per-event path bit-for-bit
+//! `to_vec` always agree), replay must be deterministic, and replay's
+//! column kernel must reproduce the per-event path bit-for-bit
 //! for arbitrary event sequences — prefetches and writebacks included —
 //! within a chunk and across a chunk boundary, with the reuse hints the replayed
 //! LLC derives from the recorded ABR bounds, on power-of-two and odd
@@ -14,7 +14,7 @@ use grasp_cachesim::policy::rrip::Drrip;
 use grasp_cachesim::policy::PolicyDispatch;
 use grasp_cachesim::request::{AccessInfo, RegionLabel};
 use grasp_cachesim::stats::HierarchyStats;
-use grasp_cachesim::trace::{ChunkReplayer, LlcTrace, RecordContext, TraceEvent, CHUNK_RECORDS};
+use grasp_cachesim::trace::{LlcTrace, RecordContext, TraceEvent, CHUNK_RECORDS};
 use proptest::prelude::*;
 
 /// The Property Array every built trace records as programmed: the first
@@ -169,7 +169,7 @@ proptest! {
         let grasp = || Grasp::new(config.sets(), config.ways, 7);
         let (batched, scalar) = feed_both_ways(&trace, config, grasp);
         prop_assert_eq!(&batched, &scalar);
-        // The public entry point is that same replayer.
+        // A second replay at the same size classifies the same way.
         prop_assert_eq!(&batched, &trace.replay(config, grasp()));
     }
 
@@ -184,22 +184,18 @@ proptest! {
 
 }
 
-/// Replays `trace` chunk by chunk through the column kernel
-/// ([`ChunkReplayer::feed`]) and through the per-event reference
-/// ([`ChunkReplayer::feed_scalar`]), each on a fresh replayer programmed
-/// from the trace's context.
+/// Replays `trace` through the column kernel ([`LlcTrace::replay`]) and
+/// through the per-event reference ([`LlcTrace::replay_scalar`]), each on a
+/// fresh LLC programmed from the trace's context.
 fn feed_both_ways<P: Into<PolicyDispatch>>(
     trace: &LlcTrace,
     config: CacheConfig,
     policy: impl Fn() -> P,
 ) -> (HierarchyStats, HierarchyStats) {
-    let replayer = || ChunkReplayer::new(config, policy(), trace.context());
-    let (mut batched, mut scalar) = (replayer(), replayer());
-    for chunk in trace.chunks() {
-        batched.feed(chunk);
-        scalar.feed_scalar(chunk);
-    }
-    (batched.finish(), scalar.finish())
+    (
+        trace.replay(config, policy()),
+        trace.replay_scalar(config, policy()),
+    )
 }
 
 /// A degenerate stretch: after a short warm-up the chunk is 100%
@@ -269,7 +265,7 @@ fn feed_matches_feed_scalar_across_a_real_chunk_boundary() {
     let (unprogrammed, scalar) = feed_both_ways(&with_bounds(trace.clone(), &[]), config, grasp);
     assert_eq!(unprogrammed, scalar, "GRASP, unprogrammed");
     // Classified for a property array over the first half of the blocks:
-    // still feed == feed_scalar, and not the statistics of the Default
+    // still replay == replay_scalar, and not the statistics of the Default
     // hints — a replay that dropped the classifier on both paths would pass
     // the first assertion, not the second.
     let half = with_bounds(trace, &[(0, 2048 * 64)]);

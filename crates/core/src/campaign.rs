@@ -616,19 +616,19 @@ impl Campaign {
     /// Each stream carries its grid identity so the trace store can key it;
     /// no graph is generated, opened or reordered here.
     fn stream_plan(&self) -> (Vec<(CampaignCell, usize)>, Vec<StreamJob>) {
-        let mut stream_index: HashMap<(DatasetId, TechniqueKind, AppKind), usize> = HashMap::new();
-        let mut streams: Vec<StreamJob> = Vec::new();
-        let cells: Vec<(CampaignCell, usize)> = self
+        let keys = self.spec.streams();
+        let cells = self
             .cells()
             .into_iter()
             .map(|cell| {
                 let key = (cell.dataset, cell.technique, cell.app);
-                let index = *stream_index.entry(key).or_insert_with(|| {
-                    streams.push(self.stream_job(cell.dataset, cell.technique, cell.app));
-                    streams.len() - 1
-                });
-                (cell, index)
+                let index = keys.iter().position(|&k| k == key);
+                (cell, index.expect("every cell's stream is listed"))
             })
+            .collect();
+        let streams = keys
+            .into_iter()
+            .map(|(dataset, technique, app)| self.stream_job(dataset, technique, app))
             .collect();
         (cells, streams)
     }

@@ -117,15 +117,6 @@ impl RecordedRun {
         policies.iter().map(|&policy| self.replay(policy)).collect()
     }
 
-    /// Replays through the per-event scalar path instead of the column
-    /// kernel. Bit-identical to [`RecordedRun::replay`]; exists
-    /// as the reference side of batched-replay parity tests and benchmarks.
-    pub fn replay_scalar(&self, policy: PolicyKind) -> RunResult {
-        let llc = self.hierarchy.llc;
-        let stats = self.trace.replay_scalar(llc, policy.build_dispatch(&llc));
-        self.result(&self.hierarchy, policy, stats)
-    }
-
     /// The policy-dependent half of a replay: the hierarchy statistics of
     /// the stream under `policy` in `hierarchy`'s LLC. [`RecordedRun::result`]
     /// turns them into a [`RunResult`] — on this recording or on any other

@@ -601,26 +601,12 @@ impl TraceStore {
 
     /// Reads one entry's self-description — record count and the
     /// raw-equivalent size — from its headers alone (~130 bytes of I/O, no
-    /// checksum pass), refusing every trace header the loader would refuse,
-    /// with the loader's error. Advisory: `verify` is the integrity check.
+    /// checksum pass), refusing every entry or trace header the loader would
+    /// refuse, with the loader's error. Advisory: `verify` is the integrity
+    /// check.
     pub fn peek(&self, file: &str) -> Result<EntryInfo, StoreError> {
         let mut handle = File::open(self.dir.join(file))?;
-        let mut entry_header = [0u8; 24];
-        handle
-            .read_exact(&mut entry_header)
-            .map_err(|err| truncated(err, "entry header"))?;
-        if entry_header[0..8] != STORE_MAGIC {
-            return Err(StoreError::Corrupt(format!(
-                "bad entry magic {:02x?}",
-                &entry_header[0..8]
-            )));
-        }
-        let meta_len = u32::from_le_bytes(entry_header[12..16].try_into().expect("4 bytes"));
-        if meta_len > MAX_META_LEN {
-            return Err(StoreError::Corrupt(format!(
-                "metadata block of {meta_len} bytes is implausibly large"
-            )));
-        }
+        let (meta_len, _) = read_entry_header(&mut handle)?;
         handle.seek(std::io::SeekFrom::Current(i64::from(meta_len)))?;
         let header = TraceHeader::read(&mut handle)?;
         let records = header.records as u64;
@@ -679,6 +665,36 @@ fn write_entry(
     Ok(header.len() as u64 + meta.len() as u64 + trace_bytes)
 }
 
+/// Reads and checks the 24-byte entry header — the magic, then the entry
+/// version, then the metadata length's bound — and returns the metadata
+/// block's length and stored checksum.
+fn read_entry_header(reader: &mut impl Read) -> Result<(u32, u64), StoreError> {
+    let mut header = [0u8; 24];
+    reader
+        .read_exact(&mut header)
+        .map_err(|err| truncated(err, "entry header"))?;
+    if header[0..8] != STORE_MAGIC {
+        return Err(StoreError::Corrupt(format!(
+            "bad entry magic {:02x?}",
+            &header[0..8]
+        )));
+    }
+    let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
+    if version != STORE_ENTRY_VERSION {
+        return Err(StoreError::Corrupt(format!(
+            "unsupported entry version {version} (this build reads {STORE_ENTRY_VERSION})"
+        )));
+    }
+    let meta_len = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
+    if meta_len > MAX_META_LEN {
+        return Err(StoreError::Corrupt(format!(
+            "metadata block of {meta_len} bytes is implausibly large"
+        )));
+    }
+    let checksum = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
+    Ok((meta_len, checksum))
+}
+
 struct MetaCursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -720,29 +736,7 @@ fn read_entry(
     reader: &mut impl Read,
     expected_app: Option<AppKind>,
 ) -> Result<StoredRecording, StoreError> {
-    let mut header = [0u8; 24];
-    reader
-        .read_exact(&mut header)
-        .map_err(|err| truncated(err, "entry header"))?;
-    if header[0..8] != STORE_MAGIC {
-        return Err(StoreError::Corrupt(format!(
-            "bad entry magic {:02x?}",
-            &header[0..8]
-        )));
-    }
-    let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-    if version != STORE_ENTRY_VERSION {
-        return Err(StoreError::Corrupt(format!(
-            "unsupported entry version {version} (this build reads {STORE_ENTRY_VERSION})"
-        )));
-    }
-    let meta_len = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
-    if meta_len > MAX_META_LEN {
-        return Err(StoreError::Corrupt(format!(
-            "metadata block of {meta_len} bytes is implausibly large"
-        )));
-    }
-    let stored_checksum = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
+    let (meta_len, stored_checksum) = read_entry_header(reader)?;
     let mut meta = vec![0u8; meta_len as usize];
     reader
         .read_exact(&mut meta)
@@ -999,6 +993,17 @@ mod tests {
         assert!(matches!(
             store.verify().expect("verify").as_slice(),
             [(_, Err(StoreError::Trace(PersistError::Corrupt(msg))))] if msg.contains("codec")
+        ));
+        // So is a foreign entry version: peek refuses what verify refuses.
+        bytes[8..12].copy_from_slice(&(STORE_ENTRY_VERSION + 1).to_le_bytes());
+        std::fs::write(&path, &bytes).expect("write");
+        assert!(matches!(
+            store.peek(&key.file_name()),
+            Err(StoreError::Corrupt(msg)) if msg.contains("unsupported entry version")
+        ));
+        assert!(matches!(
+            store.verify().expect("verify").as_slice(),
+            [(_, Err(StoreError::Corrupt(msg)))] if msg.contains("unsupported entry version")
         ));
         std::fs::remove_dir_all(store.dir()).ok();
     }

@@ -894,19 +894,20 @@ impl std::fmt::Debug for MappedCsr {
 }
 
 fn expected_column_lens(header: &DiskCsrHeader) -> Result<[u64; 6], DiskCsrError> {
-    let v = header.vertex_count;
-    let e = header.edge_count;
-    let weights_len = if header.uniform_weight.is_some() {
-        0
-    } else {
-        e * 4
-    };
+    let (v, e) = (header.vertex_count, header.edge_count);
+    let overflow = || DiskCsrError::Corrupt(format!("counts overflow: {v} vertices, {e} edges"));
+    if v > u64::from(VertexId::MAX) + 1 {
+        return Err(overflow());
+    }
+    let offsets_len = (v + 1).checked_mul(8).ok_or_else(overflow)?;
+    let targets_len = e.checked_mul(4).ok_or_else(overflow)?;
+    let weights_len = header.uniform_weight.map_or(targets_len, |_| 0);
     let expected = [
-        (v + 1) * 8,
-        e * 4,
+        offsets_len,
+        targets_len,
         weights_len,
-        (v + 1) * 8,
-        e * 4,
+        offsets_len,
+        targets_len,
         weights_len,
     ];
     for (i, (&want, col)) in expected.iter().zip(&header.columns).enumerate() {
@@ -1428,6 +1429,30 @@ mod tests {
             MappedCsr::open(&dir),
             Err(DiskCsrError::UnsupportedVersion(v)) if v == GCSR_FORMAT_VERSION + 1
         ));
+
+        // Counts whose column sizes overflow, checksum recomputed: a vertex
+        // count past the id space (zero-length offset columns, which is
+        // what `(u64::MAX + 1) * 8` wraps to), and an edge count whose
+        // target column size does not fit a u64.
+        let forge = |count_at: usize, zero_offsets: bool| {
+            let mut forged = good.clone();
+            forged[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            if zero_offsets {
+                for len_at in [88, 88 + 3 * 16] {
+                    forged[len_at..len_at + 8].fill(0);
+                }
+            }
+            let checksum = fnv1a_of(&forged[0..HEADER_LEN - 8]);
+            forged[HEADER_LEN - 8..].copy_from_slice(&checksum.to_le_bytes());
+            forged
+        };
+        for forged in [forge(16, true), forge(24, false)] {
+            std::fs::write(&path, &forged).unwrap();
+            assert!(matches!(
+                MappedCsr::open(&dir),
+                Err(DiskCsrError::Corrupt(_))
+            ));
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -102,7 +102,7 @@ fn recorded_traces_are_consistent_with_opt() {
     assert_eq!(trace.demand_len() as u64, run.llc_accesses());
     // Belady's OPT on the demand stream can never miss more than the online
     // policy did.
-    let opt = optimal_misses(&trace.demand_vec(), &SCALE.hierarchy().llc);
+    let opt = optimal_misses(trace, &SCALE.hierarchy().llc);
     assert!(opt.misses <= run.llc_misses());
     // The demand stream is dominated by Property Array accesses (Fig. 2's
     // claim).

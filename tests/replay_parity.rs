@@ -140,15 +140,18 @@ fn batched_scalar_fanout_and_direct_replays_agree_across_the_full_policy_grid() 
             .with_hierarchy(hierarchy)
             .with_reordering(TechniqueKind::Dbg);
         let recorded = exp.record();
+        let llc = hierarchy.llc;
         let fanout = recorded.replay_fanout(policies);
         assert_eq!(fanout.len(), policies.len());
         for (&policy, fanout_run) in policies.iter().zip(&fanout) {
-            let what = format!("{policy} at {} KiB LLC", hierarchy.llc.size_bytes / 1024);
+            let what = format!("{policy} at {} KiB LLC", llc.size_bytes / 1024);
             let batched = recorded.replay(policy);
-            let scalar = recorded.replay_scalar(policy);
+            let scalar = recorded
+                .trace()
+                .replay_scalar(llc, policy.build_dispatch(&llc));
             let direct = exp.run(policy);
             assert_eq!(
-                batched.stats, scalar.stats,
+                batched.stats, scalar,
                 "{what}: batched replay diverged from the per-event path"
             );
             assert_eq!(
@@ -159,7 +162,6 @@ fn batched_scalar_fanout_and_direct_replays_agree_across_the_full_policy_grid() 
                 batched.stats, direct.stats,
                 "{what}: batched replay diverged from direct simulation"
             );
-            assert!((batched.cycles - scalar.cycles).abs() < 1e-12, "{what}");
             assert!((batched.cycles - fanout_run.cycles).abs() < 1e-12, "{what}");
         }
     }
@@ -290,11 +292,14 @@ fn sampling_policies_agree_across_replay_paths_when_only_some_sets_train() {
         .with_hierarchy(hierarchy)
         .with_reordering(TechniqueKind::Dbg);
     let recorded = exp.record();
+    let llc = hierarchy.llc;
     for policy in [PolicyKind::Hawkeye, PolicyKind::Leeway, PolicyKind::Rrip] {
         let batched = recorded.replay(policy);
         assert_eq!(
             batched.stats,
-            recorded.replay_scalar(policy).stats,
+            recorded
+                .trace()
+                .replay_scalar(llc, policy.build_dispatch(&llc)),
             "{policy}: batched replay diverged from the per-event path"
         );
         assert_eq!(
