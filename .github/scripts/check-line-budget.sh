@@ -31,7 +31,11 @@
 # the chunk replayer type, the recorded run's scalar replay wrapper, the
 # slice-based OPT and the LLC stage's second demand-miss counter went, and
 # the trace store's two decoders of the entry header became one
-# (trace_store.rs 814 -> 808).
+# (trace_store.rs 814 -> 808). It came down to 18 126 (the tree's 18 076 +
+# 50) when the LLC's policy enum kept one match: its second match macro,
+# the forwarding layer that made it a policy and its trait-object variant
+# went, and the in-memory and on-disk CSR loaders came to share one
+# structural check.
 #
 # usage: check-line-budget.sh   (from the repository root)
 set -euo pipefail
@@ -40,7 +44,7 @@ find crates/*/src crates/bench/benches -name '*.rs' | sort | while read -r file;
   awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0, FILENAME }' "$file"
 done | awk '
   BEGIN {
-    total_ceiling = 18233
+    total_ceiling = 18126
     bench_ceiling = 540
     ceiling["crates/core/src/campaign.rs"] = 1287
     ceiling["crates/graph/src/ingest.rs"] = 1177

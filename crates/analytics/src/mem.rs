@@ -177,7 +177,7 @@ mod tests {
         // Disable the prefetcher so every distinct block is a demand miss all
         // the way down.
         let config = HierarchyConfig::scaled_default().without_prefetch();
-        let llc = Box::new(Drrip::new(config.llc.sets(), config.llc.ways, 1));
+        let llc = Drrip::new(config.llc.sets(), config.llc.ways, 1);
         let hierarchy = Hierarchy::new(config, llc);
         let mut m = TracedMemory::new(hierarchy);
         for i in 0..100u64 {

@@ -28,9 +28,10 @@
 //! arithmetic (a shift, a mask and a multiply straight off the address), the
 //! tag scan, the private `CacheCore::access_one` and through it every policy
 //! hook — is forced or allowed inline, so a record costs no call. The policy
-//! dispatch match runs once per run, the statistics are summed in a local
-//! and written back once per run, and whether a record is classified into a
-//! reuse hint is the policy's constant. (CI disassembles the release binary
+//! dispatch match runs once per run in replay (once per request on the
+//! per-access path), the statistics are summed in a local and written back
+//! once per run, and whether a record is classified into a reuse hint is the
+//! policy's constant. (CI disassembles the release binary
 //! and fails when a `replay_columns` instance calls `access_one`,
 //! `find_way`, `classify`, a closure or a policy's victim search.) The run
 //! path and the per-access path execute the *same* per-request mutation
@@ -40,6 +41,7 @@
 use crate::addr::BlockAddr;
 use crate::config::CacheConfig;
 use crate::hint::RegionClassifier;
+use crate::policy::dispatch::for_each_policy;
 use crate::policy::{PolicyDispatch, ReplacementPolicy};
 use crate::request::{AccessInfo, RegionLabel};
 use crate::stats::CacheStats;
@@ -192,13 +194,13 @@ impl CacheCore {
     }
 
     /// The one per-request mutation sequence of the cache, shared verbatim by
-    /// the per-access path (`P = PolicyDispatch`) and the run kernels (`P` =
-    /// each concrete policy): lookup, hit bookkeeping, invalid-way-first
-    /// fill, victim eviction with its pre-mutation metadata snapshot, and the
-    /// policy notifications in their fixed order (`choose_victim` only when
-    /// the set is full, `on_evict` before the overwrite, `on_fill` last).
+    /// the per-access path and the run kernels (`P` is the concrete policy
+    /// either way): lookup, hit bookkeeping, invalid-way-first fill, victim
+    /// eviction with its pre-mutation metadata snapshot, and the policy
+    /// notifications in their fixed order (`choose_victim` only when the set
+    /// is full, `on_evict` before the overwrite, `on_fill` last).
     #[inline(always)]
-    fn access_one<P: ReplacementPolicy + ?Sized>(
+    fn access_one<P: ReplacementPolicy>(
         &mut self,
         policy: &mut P,
         block: BlockAddr,
@@ -309,7 +311,7 @@ impl BatchTotals {
 /// The recorded-stream kernel: one in-order pass over the raw address and
 /// metadata columns of a run, one instance per policy (see the
 /// module docs for why it is a leaf the compiler may not merge into its
-/// 11-arm caller). Demand and prefetch records share one `access_one` call
+/// 10-arm caller). Demand and prefetch records share one `access_one` call
 /// site — same placement, only the tally differs; writebacks are
 /// non-allocating probes that never touch the policy, exactly like
 /// [`SetAssocCache::writeback`]. The statistics live in a local for the
@@ -320,7 +322,7 @@ impl BatchTotals {
 /// a constant in every concrete instance, so the instances of the policies
 /// that ignore hints carry no classification at all.
 #[inline(never)]
-fn replay_columns<P: ReplacementPolicy + ?Sized>(
+fn replay_columns<P: ReplacementPolicy>(
     core: &mut CacheCore,
     policy: &mut P,
     addrs: &[u64],
@@ -344,33 +346,6 @@ fn replay_columns<P: ReplacementPolicy + ?Sized>(
         totals.tally(word & META_PREFETCH_BIT != 0, info.region, &outcome);
     }
     totals
-}
-
-/// Expands `$body` once per [`PolicyDispatch`] variant with `$p` bound to the
-/// concrete policy, hoisting the dispatch match out of whatever loop `$body`
-/// contains. Unlike the forwarding methods on `PolicyDispatch` (which match
-/// per call), one expansion of this macro matches once per *run*; the `Dyn`
-/// escape hatch re-borrows the trait object so the same generic body serves
-/// it through virtual calls.
-macro_rules! for_each_policy {
-    ($dispatch:expr, $p:ident => $body:expr) => {
-        match $dispatch {
-            PolicyDispatch::Lru($p) => $body,
-            PolicyDispatch::Random($p) => $body,
-            PolicyDispatch::Srrip($p) => $body,
-            PolicyDispatch::Brrip($p) => $body,
-            PolicyDispatch::Drrip($p) => $body,
-            PolicyDispatch::ShipMem($p) => $body,
-            PolicyDispatch::Hawkeye($p) => $body,
-            PolicyDispatch::Leeway($p) => $body,
-            PolicyDispatch::Pin($p) => $body,
-            PolicyDispatch::Grasp($p) => $body,
-            PolicyDispatch::Dyn(boxed) => {
-                let $p = boxed.as_mut();
-                $body
-            }
-        }
-    };
 }
 
 /// A set-associative cache.
@@ -399,9 +374,7 @@ impl std::fmt::Debug for SetAssocCache {
 impl SetAssocCache {
     /// Creates a cache with the given geometry and replacement policy.
     ///
-    /// Accepts anything convertible into a [`PolicyDispatch`]: a concrete
-    /// policy value, a `Box` of one (statically dispatched either way), or a
-    /// `Box<dyn ReplacementPolicy>` for policies outside the built-in roster.
+    /// Accepts a [`PolicyDispatch`] or any built-in policy value.
     ///
     /// # Panics
     ///
@@ -461,29 +434,19 @@ impl SetAssocCache {
 
     fn access_inner(&mut self, info: &AccessInfo) -> AccessOutcome {
         let (block, set, pattern) = self.core.locate(info.addr);
-        match self
-            .core
-            .access_one(&mut self.policy, block, set, pattern, info)
-        {
-            OneOutcome::Hit => AccessOutcome {
-                hit: true,
-                evicted: None,
-                evicted_dirty: false,
-            },
-            OneOutcome::Filled { evicted } => {
-                if evicted.is_some() {
-                    self.stats.evictions += 1;
-                }
-                let (evicted, evicted_dirty) = match evicted {
-                    Some((block, dirty)) => (Some(block), dirty),
-                    None => (None, false),
-                };
-                AccessOutcome {
-                    hit: false,
-                    evicted,
-                    evicted_dirty,
-                }
-            }
+        let core = &mut self.core;
+        let (hit, evicted) = match for_each_policy!(
+            &mut self.policy,
+            p => core.access_one(p, block, set, pattern, info)
+        ) {
+            OneOutcome::Hit => (true, None),
+            OneOutcome::Filled { evicted } => (false, evicted),
+        };
+        self.stats.evictions += u64::from(evicted.is_some());
+        AccessOutcome {
+            hit,
+            evicted: evicted.map(|(block, _)| block),
+            evicted_dirty: evicted.is_some_and(|(_, dirty)| dirty),
         }
     }
 
@@ -536,13 +499,12 @@ mod tests {
     use super::*;
     use crate::policy::lru::Lru;
     use crate::policy::rrip::Srrip;
-    use crate::policy::ReplacementPolicy;
     use crate::request::RegionLabel;
     use crate::trace::encode_meta;
 
     fn lru_cache(size: u64, ways: usize) -> SetAssocCache {
         let config = CacheConfig::new(size, ways, 64);
-        SetAssocCache::new("test", config, Box::new(Lru::new(config.sets(), ways)))
+        SetAssocCache::new("test", config, Lru::new(config.sets(), ways))
     }
 
     #[test]
@@ -614,11 +576,7 @@ mod tests {
     #[test]
     fn works_with_rrip_policy_too() {
         let config = CacheConfig::new(64 * 8, 4, 64);
-        let mut c = SetAssocCache::new(
-            "llc",
-            config,
-            Box::new(Srrip::new(config.sets(), config.ways)),
-        );
+        let mut c = SetAssocCache::new("llc", config, Srrip::new(config.sets(), config.ways));
         // A small working set with reuse should mostly hit.
         for _ in 0..10 {
             for b in 0..4u64 {
@@ -627,36 +585,6 @@ mod tests {
         }
         assert!(c.stats().hits > 30);
         assert_eq!(c.policy_name(), "SRRIP");
-    }
-
-    #[test]
-    fn works_with_dyn_policies() {
-        // The trait object stays the extension point for external policies.
-        #[derive(Debug)]
-        struct EvictWayZero;
-
-        impl ReplacementPolicy for EvictWayZero {
-            fn name(&self) -> &'static str {
-                "EvictWayZero"
-            }
-
-            fn choose_victim(&mut self, _set: usize, _info: &AccessInfo) -> usize {
-                0
-            }
-
-            fn on_fill(&mut self, _set: usize, _way: usize, _info: &AccessInfo) {}
-
-            fn on_hit(&mut self, _set: usize, _way: usize, _info: &AccessInfo) {}
-        }
-
-        let config = CacheConfig::new(128, 2, 64);
-        let boxed: Box<dyn ReplacementPolicy> = Box::new(EvictWayZero);
-        let mut c = SetAssocCache::new("llc", config, boxed);
-        c.access(&AccessInfo::read(0)); // way 0
-        c.access(&AccessInfo::read(128)); // way 1
-        let outcome = c.access(&AccessInfo::read(256));
-        assert_eq!(outcome.evicted, Some(0), "custom policy evicts way 0");
-        assert_eq!(c.policy_name(), "EvictWayZero");
     }
 
     #[test]
@@ -732,32 +660,6 @@ mod tests {
         assert_replay_run_matches_scalar_dispatch(|| {
             let config = CacheConfig::new(2048, 8, 64);
             SetAssocCache::new("test", config, Srrip::new(config.sets(), config.ways))
-        });
-    }
-
-    #[test]
-    fn batched_accesses_drive_dyn_policies_through_the_escape_hatch() {
-        #[derive(Debug)]
-        struct EvictHighestWay(usize);
-
-        impl ReplacementPolicy for EvictHighestWay {
-            fn name(&self) -> &'static str {
-                "EvictHighestWay"
-            }
-
-            fn choose_victim(&mut self, _set: usize, _info: &AccessInfo) -> usize {
-                self.0 - 1
-            }
-
-            fn on_fill(&mut self, _set: usize, _way: usize, _info: &AccessInfo) {}
-
-            fn on_hit(&mut self, _set: usize, _way: usize, _info: &AccessInfo) {}
-        }
-
-        assert_replay_run_matches_scalar_dispatch(|| {
-            let config = CacheConfig::new(1024, 4, 64);
-            let boxed: Box<dyn ReplacementPolicy> = Box::new(EvictHighestWay(config.ways));
-            SetAssocCache::new("test", config, boxed)
         });
     }
 

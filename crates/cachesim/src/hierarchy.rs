@@ -109,7 +109,7 @@ mod tests {
 
     fn hierarchy() -> Hierarchy {
         let config = HierarchyConfig::scaled_default();
-        let llc = Box::new(Drrip::new(config.llc.sets(), config.llc.ways, 1));
+        let llc = Drrip::new(config.llc.sets(), config.llc.ways, 1);
         Hierarchy::new(config, llc)
     }
 
@@ -204,7 +204,7 @@ mod tests {
         let run = |prefetch: bool| -> u64 {
             let mut config = HierarchyConfig::scaled_default();
             config.prefetch = prefetch;
-            let llc = Box::new(Drrip::new(config.llc.sets(), config.llc.ways, 1));
+            let llc = Drrip::new(config.llc.sets(), config.llc.ways, 1);
             let mut h = Hierarchy::new(config, llc);
             for i in 0..20_000u64 {
                 h.read(i * 8, 1, RegionLabel::EdgeArray);

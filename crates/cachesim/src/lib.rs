@@ -31,7 +31,7 @@
 //! use grasp_cachesim::request::AccessInfo;
 //!
 //! let config = CacheConfig::new(32 * 1024, 8, 64);
-//! let mut cache = SetAssocCache::new("L1-D", config, Box::new(Lru::new(config.sets(), config.ways)));
+//! let mut cache = SetAssocCache::new("L1-D", config, Lru::new(config.sets(), config.ways));
 //! let hit = cache.access(&AccessInfo::read(0x1000)).is_hit();
 //! assert!(!hit, "first access is a compulsory miss");
 //! let hit = cache.access(&AccessInfo::read(0x1000)).is_hit();

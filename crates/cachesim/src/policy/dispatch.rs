@@ -1,16 +1,11 @@
 //! Static policy dispatch for the simulation hot path.
 //!
-//! [`crate::cache::SetAssocCache`] used to store its replacement policy as a
-//! `Box<dyn ReplacementPolicy>`, paying an indirect call on every hit, fill
-//! and eviction notification — by far the hottest edges of the simulator.
-//! [`PolicyDispatch`] replaces that with a closed enum over every policy of
-//! the evaluation, so the per-access calls compile down to a jump table over
-//! inlined monomorphic bodies.
-//!
-//! The [`super::ReplacementPolicy`] trait remains the extension point:
-//! policies outside the paper's roster can still be plugged in through the
-//! [`PolicyDispatch::Dyn`] escape hatch (used by the cross-policy property
-//! suite), which keeps exactly the old virtual-call behaviour.
+//! [`PolicyDispatch`] is a closed enum over the ten built-in policies of the
+//! evaluation, held by value so every hook inlines instead of paying a
+//! virtual call. It is not itself a [`ReplacementPolicy`]: the one match over
+//! its variants is `for_each_policy!`, which hands a generic body the
+//! concrete policy, so a caller matches once per run or per request rather
+//! than once per hook call.
 
 use super::grasp::Grasp;
 use super::hawkeye::Hawkeye;
@@ -21,14 +16,12 @@ use super::random::RandomReplacement;
 use super::rrip::{Brrip, Drrip, Srrip};
 use super::ship::ShipMem;
 use super::ReplacementPolicy;
-use crate::request::AccessInfo;
 
-/// A replacement policy with statically-dispatched per-access methods.
+/// One of the built-in replacement policies, held by value.
 ///
 /// Every online policy of the paper's evaluation has a dedicated variant;
 /// Belady's OPT is offline (a trace post-processor, see
-/// [`crate::policy::opt`]) and therefore has no variant. Third-party
-/// policies ride in [`PolicyDispatch::Dyn`].
+/// [`crate::policy::opt`]) and therefore has no variant.
 pub enum PolicyDispatch {
     /// Least Recently Used.
     Lru(Lru),
@@ -50,93 +43,40 @@ pub enum PolicyDispatch {
     Pin(PinX),
     /// GRASP and its ablations.
     Grasp(Grasp),
-    /// Escape hatch for policies outside the paper's roster; keeps the
-    /// dynamic-dispatch behaviour of the trait object.
-    Dyn(Box<dyn ReplacementPolicy>),
 }
 
-/// Forwards a method call to the concrete policy in each variant.
-macro_rules! dispatch {
-    ($self:expr, $policy:pat => $call:expr) => {
-        match $self {
-            PolicyDispatch::Lru($policy) => $call,
-            PolicyDispatch::Random($policy) => $call,
-            PolicyDispatch::Srrip($policy) => $call,
-            PolicyDispatch::Brrip($policy) => $call,
-            PolicyDispatch::Drrip($policy) => $call,
-            PolicyDispatch::ShipMem($policy) => $call,
-            PolicyDispatch::Hawkeye($policy) => $call,
-            PolicyDispatch::Leeway($policy) => $call,
-            PolicyDispatch::Pin($policy) => $call,
-            PolicyDispatch::Grasp($policy) => $call,
-            PolicyDispatch::Dyn($policy) => $call,
+/// Expands `$body` once per [`PolicyDispatch`] variant with `$p` bound to the
+/// concrete policy (by reference, as `$dispatch` is borrowed), so `$body` is
+/// monomorphized per policy and whatever loop it contains runs without a
+/// match inside.
+macro_rules! for_each_policy {
+    ($dispatch:expr, $p:ident => $body:expr) => {
+        match $dispatch {
+            $crate::policy::PolicyDispatch::Lru($p) => $body,
+            $crate::policy::PolicyDispatch::Random($p) => $body,
+            $crate::policy::PolicyDispatch::Srrip($p) => $body,
+            $crate::policy::PolicyDispatch::Brrip($p) => $body,
+            $crate::policy::PolicyDispatch::Drrip($p) => $body,
+            $crate::policy::PolicyDispatch::ShipMem($p) => $body,
+            $crate::policy::PolicyDispatch::Hawkeye($p) => $body,
+            $crate::policy::PolicyDispatch::Leeway($p) => $body,
+            $crate::policy::PolicyDispatch::Pin($p) => $body,
+            $crate::policy::PolicyDispatch::Grasp($p) => $body,
         }
     };
 }
 
+pub(crate) use for_each_policy;
+
 impl PolicyDispatch {
     /// Human-readable policy name used in reports.
     pub fn name(&self) -> &'static str {
-        dispatch!(self, p => p.name())
+        for_each_policy!(self, p => p.name())
     }
 
-    /// See [`ReplacementPolicy::choose_victim`].
-    #[inline]
-    pub fn choose_victim(&mut self, set: usize, info: &AccessInfo) -> usize {
-        dispatch!(self, p => p.choose_victim(set, info))
-    }
-
-    /// See [`ReplacementPolicy::on_fill`].
-    #[inline]
-    pub fn on_fill(&mut self, set: usize, way: usize, info: &AccessInfo) {
-        dispatch!(self, p => p.on_fill(set, way, info))
-    }
-
-    /// See [`ReplacementPolicy::on_hit`].
-    #[inline]
-    pub fn on_hit(&mut self, set: usize, way: usize, info: &AccessInfo) {
-        dispatch!(self, p => p.on_hit(set, way, info))
-    }
-
-    /// See [`ReplacementPolicy::on_evict`].
-    #[inline]
-    pub fn on_evict(&mut self, set: usize, way: usize, had_reuse: bool) {
-        dispatch!(self, p => p.on_evict(set, way, had_reuse))
-    }
-}
-
-/// The dispatcher is itself a policy, so generic code — notably the shared
-/// per-access mutation path of `SetAssocCache`, which the batched replay
-/// kernel monomorphizes per concrete policy — can also run against the full
-/// dispatcher on the scalar path. Each method forwards to the inherent
-/// statically-dispatched implementation above.
-impl ReplacementPolicy for PolicyDispatch {
-    fn name(&self) -> &'static str {
-        PolicyDispatch::name(self)
-    }
-
-    #[inline]
-    fn choose_victim(&mut self, set: usize, info: &AccessInfo) -> usize {
-        PolicyDispatch::choose_victim(self, set, info)
-    }
-
-    #[inline]
-    fn on_fill(&mut self, set: usize, way: usize, info: &AccessInfo) {
-        PolicyDispatch::on_fill(self, set, way, info)
-    }
-
-    #[inline]
-    fn on_hit(&mut self, set: usize, way: usize, info: &AccessInfo) {
-        PolicyDispatch::on_hit(self, set, way, info)
-    }
-
-    #[inline]
-    fn on_evict(&mut self, set: usize, way: usize, had_reuse: bool) {
-        PolicyDispatch::on_evict(self, set, way, had_reuse)
-    }
-
-    fn reads_hints(&self) -> bool {
-        dispatch!(self, p => p.reads_hints())
+    /// See [`ReplacementPolicy::reads_hints`].
+    pub fn reads_hints(&self) -> bool {
+        for_each_policy!(self, p => p.reads_hints())
     }
 }
 
@@ -146,20 +86,12 @@ impl std::fmt::Debug for PolicyDispatch {
     }
 }
 
-/// Static-dispatch conversions: owning a concrete policy (boxed or not)
-/// yields its dedicated variant, so existing `Box::new(Lru::new(..))` call
-/// sites transparently gain the fast path.
+/// Owning a concrete policy yields its dedicated variant.
 macro_rules! impl_from_policy {
     ($($ty:ident => $variant:ident),* $(,)?) => {$(
         impl From<$ty> for PolicyDispatch {
             fn from(policy: $ty) -> Self {
                 PolicyDispatch::$variant(policy)
-            }
-        }
-
-        impl From<Box<$ty>> for PolicyDispatch {
-            fn from(policy: Box<$ty>) -> Self {
-                PolicyDispatch::$variant(*policy)
             }
         }
     )*};
@@ -178,12 +110,6 @@ impl_from_policy! {
     Grasp => Grasp,
 }
 
-impl From<Box<dyn ReplacementPolicy>> for PolicyDispatch {
-    fn from(policy: Box<dyn ReplacementPolicy>) -> Self {
-        PolicyDispatch::Dyn(policy)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,25 +119,7 @@ mod tests {
         let d: PolicyDispatch = Lru::new(4, 4).into();
         assert!(matches!(d, PolicyDispatch::Lru(_)));
         assert_eq!(d.name(), "LRU");
-        let d: PolicyDispatch = Box::new(Grasp::new(4, 4, 1)).into();
+        let d: PolicyDispatch = Grasp::new(4, 4, 1).into();
         assert!(matches!(d, PolicyDispatch::Grasp(_)));
-    }
-
-    #[test]
-    fn trait_objects_take_the_dyn_path() {
-        let boxed: Box<dyn ReplacementPolicy> = Box::new(Srrip::new(4, 4));
-        let d: PolicyDispatch = boxed.into();
-        assert!(matches!(d, PolicyDispatch::Dyn(_)));
-        assert_eq!(d.name(), "SRRIP");
-    }
-
-    #[test]
-    fn dispatch_forwards_calls() {
-        let mut d: PolicyDispatch = Lru::new(1, 2).into();
-        let info = AccessInfo::read(0);
-        d.on_fill(0, 0, &info);
-        d.on_fill(0, 1, &info);
-        d.on_hit(0, 0, &info);
-        assert_eq!(d.choose_victim(0, &info), 1);
     }
 }

@@ -63,9 +63,9 @@ pub trait ReplacementPolicy: std::fmt::Debug {
 
     /// Whether any hook reads [`AccessInfo::hint`]. Replay classifies a
     /// request only for policies that say so, so a policy that reads the
-    /// hint — a [`PolicyDispatch::Dyn`] one included — must override this,
-    /// or it sees [`ReuseHint::Default`](crate::hint::ReuseHint::Default)
-    /// on every replayed request.
+    /// hint must override this, or it sees
+    /// [`ReuseHint::Default`](crate::hint::ReuseHint::Default) on every
+    /// replayed request.
     fn reads_hints(&self) -> bool {
         false
     }

@@ -568,21 +568,9 @@ mod tests {
         let config = llc_config();
         // Hot set of 128 blocks (fits) + 512 cold blocks per round.
         let trace = thrashy_trace(128, 512, 20);
-        let lru = replay(
-            &trace,
-            config,
-            Box::new(Lru::new(config.sets(), config.ways)),
-        );
-        let rrip = replay(
-            &trace,
-            config,
-            Box::new(Drrip::new(config.sets(), config.ways, 1)),
-        );
-        let grasp = replay(
-            &trace,
-            config,
-            Box::new(Grasp::new(config.sets(), config.ways, 1)),
-        );
+        let lru = replay(&trace, config, Lru::new(config.sets(), config.ways));
+        let rrip = replay(&trace, config, Drrip::new(config.sets(), config.ways, 1));
+        let grasp = replay(&trace, config, Grasp::new(config.sets(), config.ways, 1));
         assert!(
             grasp.misses < lru.misses,
             "grasp {} should beat lru {}",
@@ -607,16 +595,8 @@ mod tests {
         let (hot, cold, rounds) = (128, 512, 20);
         let config = llc_config();
         let trace = thrashy_trace(hot, cold, rounds);
-        let lru = replay(
-            &trace,
-            config,
-            Box::new(Lru::new(config.sets(), config.ways)),
-        );
-        let grasp = replay(
-            &trace,
-            config,
-            Box::new(Grasp::new(config.sets(), config.ways, 1)),
-        );
+        let lru = replay(&trace, config, Lru::new(config.sets(), config.ways));
+        let grasp = replay(&trace, config, Grasp::new(config.sets(), config.ways, 1));
         assert_eq!(lru.misses, (hot + cold) * rounds);
         assert_eq!(lru.misses - grasp.misses, hot * (rounds - 1));
         // 2432 of 12800 misses eliminated.
@@ -630,21 +610,9 @@ mod tests {
         let trace = thrashy_trace(64, 300, 10);
         let opt = optimal_misses(&trace, &config);
         for policy in [
-            replay(
-                &trace,
-                config,
-                Box::new(Lru::new(config.sets(), config.ways)),
-            ),
-            replay(
-                &trace,
-                config,
-                Box::new(Drrip::new(config.sets(), config.ways, 1)),
-            ),
-            replay(
-                &trace,
-                config,
-                Box::new(Grasp::new(config.sets(), config.ways, 1)),
-            ),
+            replay(&trace, config, Lru::new(config.sets(), config.ways)),
+            replay(&trace, config, Drrip::new(config.sets(), config.ways, 1)),
+            replay(&trace, config, Grasp::new(config.sets(), config.ways, 1)),
         ] {
             assert!(opt.misses <= policy.misses);
         }
@@ -772,7 +740,7 @@ mod tests {
         context.l2.record(RegionLabel::Property, false);
         trace.set_context(context);
         let config = llc_config();
-        let stats = trace.replay(config, Box::new(Lru::new(config.sets(), config.ways)));
+        let stats = trace.replay(config, Lru::new(config.sets(), config.ways));
         assert_eq!(stats.l1.accesses, 1, "recorded upper stats are carried");
         assert_eq!(stats.llc.accesses as usize, trace.demand_len());
         assert_eq!(stats.memory_accesses, stats.llc.misses);

@@ -14,7 +14,7 @@ use grasp_cachesim::policy::pin::PinX;
 use grasp_cachesim::policy::random::RandomReplacement;
 use grasp_cachesim::policy::rrip::{Brrip, Drrip, Srrip};
 use grasp_cachesim::policy::ship::ShipMem;
-use grasp_cachesim::policy::ReplacementPolicy;
+use grasp_cachesim::policy::PolicyDispatch;
 use grasp_cachesim::request::{AccessInfo, RegionLabel};
 use proptest::prelude::*;
 
@@ -29,22 +29,22 @@ fn config() -> CacheConfig {
     CacheConfig::new(64 * 64, 8, 64) // 64 blocks, 8 ways, 8 sets
 }
 
-fn all_policies(cfg: &CacheConfig) -> Vec<Box<dyn ReplacementPolicy>> {
+fn all_policies(cfg: &CacheConfig) -> Vec<PolicyDispatch> {
     let sets = cfg.sets();
     let ways = cfg.ways;
     vec![
-        Box::new(Lru::new(sets, ways)),
-        Box::new(RandomReplacement::new(sets, ways, 7)),
-        Box::new(Srrip::new(sets, ways)),
-        Box::new(Brrip::new(sets, ways, 7)),
-        Box::new(Drrip::new(sets, ways, 7)),
-        Box::new(ShipMem::new(sets, ways, cfg.block_bytes)),
-        Box::new(Hawkeye::new(sets, ways, cfg.block_bytes)),
-        Box::new(Leeway::new(sets, ways)),
-        Box::new(PinX::new(sets, ways, 50)),
-        Box::new(Grasp::new(sets, ways, 7)),
-        Box::new(Grasp::with_mode(sets, ways, 7, GraspMode::HintsOnly)),
-        Box::new(Grasp::with_mode(sets, ways, 7, GraspMode::InsertionOnly)),
+        Lru::new(sets, ways).into(),
+        RandomReplacement::new(sets, ways, 7).into(),
+        Srrip::new(sets, ways).into(),
+        Brrip::new(sets, ways, 7).into(),
+        Drrip::new(sets, ways, 7).into(),
+        ShipMem::new(sets, ways, cfg.block_bytes).into(),
+        Hawkeye::new(sets, ways, cfg.block_bytes).into(),
+        Leeway::new(sets, ways).into(),
+        PinX::new(sets, ways, 50).into(),
+        Grasp::new(sets, ways, 7).into(),
+        Grasp::with_mode(sets, ways, 7, GraspMode::HintsOnly).into(),
+        Grasp::with_mode(sets, ways, 7, GraspMode::InsertionOnly).into(),
     ]
 }
 
@@ -182,16 +182,16 @@ fn grasp_protects_the_hot_working_set_under_thrashing() {
             cold_cursor += 1;
         }
     }
-    let run = |policy: Box<dyn ReplacementPolicy>| {
+    let run = |policy: PolicyDispatch| {
         let mut cache = SetAssocCache::new("LLC", cfg, policy);
         for info in &trace {
             cache.access(info);
         }
         cache.stats().clone()
     };
-    let lru = run(Box::new(Lru::new(cfg.sets(), cfg.ways)));
-    let rrip = run(Box::new(Drrip::new(cfg.sets(), cfg.ways, 3)));
-    let grasp = run(Box::new(Grasp::new(cfg.sets(), cfg.ways, 3)));
+    let lru = run(Lru::new(cfg.sets(), cfg.ways).into());
+    let rrip = run(Drrip::new(cfg.sets(), cfg.ways, 3).into());
+    let grasp = run(Grasp::new(cfg.sets(), cfg.ways, 3).into());
     assert!(grasp.misses < lru.misses);
     assert!(grasp.misses <= rrip.misses);
     // GRASP should capture most of the hot reuse: hot accesses per round
@@ -230,15 +230,15 @@ fn pinning_is_rigid_where_grasp_is_flexible() {
             );
         }
     }
-    let run = |policy: Box<dyn ReplacementPolicy>| {
+    let run = |policy: PolicyDispatch| {
         let mut cache = SetAssocCache::new("LLC", cfg, policy);
         for info in &trace {
             cache.access(info);
         }
         cache.stats().clone()
     };
-    let pin100 = run(Box::new(PinX::new(cfg.sets(), cfg.ways, 100)));
-    let grasp = run(Box::new(Grasp::new(cfg.sets(), cfg.ways, 3)));
+    let pin100 = run(PinX::new(cfg.sets(), cfg.ways, 100).into());
+    let grasp = run(Grasp::new(cfg.sets(), cfg.ways, 3).into());
     assert!(
         grasp.misses < pin100.misses,
         "grasp {} should adapt better than pin-100 {}",

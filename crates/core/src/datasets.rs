@@ -413,11 +413,13 @@ impl DatasetCatalog {
         self.entries.keys().copied()
     }
 
-    /// Opens a registered graph: mmaps its column files, validating the
-    /// header and column sizes, and serves adjacency slices in place.
+    /// Opens a registered graph: mmaps its column files, checks the header,
+    /// the column sizes and [the CSR structure](ingest::MappedCsr::check_structure)
+    /// (not the column checksums), and serves adjacency slices in place.
     pub fn load(&self, hash: GraphHash) -> Result<Arc<dyn GraphView>, DiskCsrError> {
-        let entry = self.entry(hash)?;
-        Ok(Arc::new(ingest::MappedCsr::open(&entry.path)?))
+        let graph = ingest::MappedCsr::open(&self.entry(hash)?.path)?;
+        graph.check_structure()?;
+        Ok(Arc::new(graph))
     }
 }
 
@@ -528,5 +530,35 @@ mod tests {
     #[test]
     fn display_uses_label() {
         assert_eq!(DatasetKind::Kron.to_string(), "kr");
+    }
+
+    #[test]
+    fn load_rejects_columns_that_break_the_csr_structure() {
+        let dir = std::env::temp_dir().join(format!("grasp-catalog-csr-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let graph = DatasetKind::Uniform.generate(Scale::Tiny);
+        ingest::write_disk_csr(&graph, &dir).unwrap();
+        let mut catalog = DatasetCatalog::new();
+        let hash = catalog.register(&dir).unwrap();
+        assert!(catalog.load(hash).is_ok());
+        // A target past the vertex count (which `relabel` would index
+        // with), then an offset past its successor; header and sizes intact.
+        for (file, at, bytes) in [
+            ("out.targets", 0, &u32::MAX.to_le_bytes()[..]),
+            ("in.offsets", 8, &u64::MAX.to_le_bytes()[..]),
+        ] {
+            let path = dir.join(file);
+            let good = std::fs::read(&path).unwrap();
+            let mut bad = good.clone();
+            bad[at..at + bytes.len()].copy_from_slice(bytes);
+            std::fs::write(&path, &bad).unwrap();
+            assert!(
+                matches!(catalog.load(hash), Err(DiskCsrError::Corrupt(_))),
+                "{file}"
+            );
+            std::fs::write(&path, &good).unwrap();
+        }
+        assert!(catalog.load(hash).is_ok());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -396,22 +396,7 @@ impl Csr {
                     d.weights.len()
                 )));
             }
-            if d.offsets[0] != 0 || d.offsets[vertex_count] != edge_count {
-                return Err(GraphError::Format(format!(
-                    "{name} offsets must span 0..={edge_count}"
-                )));
-            }
-            if d.offsets.windows(2).any(|w| w[0] > w[1]) {
-                return Err(GraphError::Format(format!(
-                    "{name} offsets are not monotone"
-                )));
-            }
-            if let Some(&bad) = d.targets.iter().find(|&&t| t as usize >= vertex_count) {
-                return Err(GraphError::VertexOutOfBounds {
-                    vertex: u64::from(bad),
-                    vertex_count: vertex_count as u64,
-                });
-            }
+            check_direction(name, &d.offsets, &d.targets)?;
         }
         Ok(Self {
             vertex_count,
@@ -419,6 +404,30 @@ impl Csr {
             out,
             inc,
         })
+    }
+}
+
+/// The structural invariants of one CSR direction that every traversal
+/// indexes by: `offsets` (one entry per vertex, plus one) rises from 0 to
+/// `targets.len()` without decreasing, and every target names a vertex.
+pub(crate) fn check_direction(name: &str, offsets: &[u64], targets: &[VertexId]) -> Result<()> {
+    let (vertex_count, edge_count) = (offsets.len() - 1, targets.len() as u64);
+    if offsets[0] != 0 || offsets[vertex_count] != edge_count {
+        return Err(GraphError::Format(format!(
+            "{name} offsets must span 0..={edge_count}"
+        )));
+    }
+    if offsets.windows(2).any(|w| w[0] > w[1]) {
+        return Err(GraphError::Format(format!(
+            "{name} offsets are not monotone"
+        )));
+    }
+    match targets.iter().find(|&&t| t as usize >= vertex_count) {
+        Some(&bad) => Err(GraphError::VertexOutOfBounds {
+            vertex: u64::from(bad),
+            vertex_count: vertex_count as u64,
+        }),
+        None => Ok(()),
     }
 }
 

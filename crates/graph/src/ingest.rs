@@ -53,7 +53,7 @@
 //! └── in.weights      E × u32 LE — omitted when weights are uniform
 //! ```
 
-use crate::csr::{checked_vertex_count, CsrDirection};
+use crate::csr::{check_direction, checked_vertex_count, CsrDirection};
 use crate::edgelist::EdgeList;
 use crate::types::{Direction, EdgeWeight, VertexId};
 use crate::view::GraphView;
@@ -999,9 +999,8 @@ impl MappedCsr {
         &self.dir
     }
 
-    /// Full integrity pass: every column checksum plus the CSR structural
-    /// invariants (monotone offsets spanning `0..=edge_count`, in-range
-    /// targets). Reads every byte of every column.
+    /// Full integrity pass: every column checksum, then
+    /// [`MappedCsr::check_structure`]. Reads every byte of every column.
     ///
     /// # Errors
     ///
@@ -1028,31 +1027,25 @@ impl MappedCsr {
                 });
             }
         }
+        self.check_structure()
+    }
+
+    /// The CSR structural invariants every traversal indexes by: offsets
+    /// start at 0, end at the edge count and never decrease, and every
+    /// target is below the vertex count. Reads the offset and target
+    /// columns but no checksum, so a flipped target that stays in range
+    /// passes (only [`MappedCsr::verify`] catches that).
+    ///
+    /// # Errors
+    ///
+    /// [`DiskCsrError::Corrupt`] naming the first violation.
+    pub fn check_structure(&self) -> Result<(), DiskCsrError> {
         for (name, offsets, targets) in [
-            (
-                "out",
-                self.out_offsets.as_slice(),
-                self.out_targets.as_slice(),
-            ),
-            ("in", self.in_offsets.as_slice(), self.in_targets.as_slice()),
+            ("out", &self.out_offsets, &self.out_targets),
+            ("in", &self.in_offsets, &self.in_targets),
         ] {
-            if offsets[0] != 0 || offsets[self.vertex_count] != self.header.edge_count {
-                return Err(DiskCsrError::Corrupt(format!(
-                    "{name} offsets must span 0..={}",
-                    self.header.edge_count
-                )));
-            }
-            if offsets.windows(2).any(|w| w[0] > w[1]) {
-                return Err(DiskCsrError::Corrupt(format!(
-                    "{name} offsets are not monotone"
-                )));
-            }
-            if let Some(&bad) = targets.iter().find(|&&t| t as usize >= self.vertex_count) {
-                return Err(DiskCsrError::Corrupt(format!(
-                    "{name} target {bad} out of range for {} vertices",
-                    self.vertex_count
-                )));
-            }
+            check_direction(name, offsets.as_slice(), targets.as_slice())
+                .map_err(|e| DiskCsrError::Corrupt(e.to_string()))?;
         }
         Ok(())
     }
@@ -1466,6 +1459,8 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let mapped = MappedCsr::open(&dir).unwrap();
+        // The flipped target stays in range: only the checksum sees it.
+        assert!(mapped.check_structure().is_ok());
         assert!(matches!(
             mapped.verify(),
             Err(DiskCsrError::ColumnChecksumMismatch {
