@@ -35,7 +35,12 @@
 # 50) when the LLC's policy enum kept one match: its second match macro,
 # the forwarding layer that made it a policy and its trait-object variant
 # went, and the in-memory and on-disk CSR loaders came to share one
-# structural check.
+# structural check. It was raised to 18 247 (the tree's 18 197 + 50) when
+# replay's per-set byte scans moved to 16-lane SSE2 compares: the lanes
+# module (its SSE2 and portable bodies, the multi-group scan and the padded
+# column length) and Leeway's lane-wise dead-block scan add 121 lines net of
+# the deleted SWAR equality helpers and `Xoshiro256::next_bool`, and buy
+# 18 % of `warm_sweep_noskew`'s wall time (10/10 alternating pairs).
 #
 # usage: check-line-budget.sh   (from the repository root)
 set -euo pipefail
@@ -44,7 +49,7 @@ find crates/*/src crates/bench/benches -name '*.rs' | sort | while read -r file;
   awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0, FILENAME }' "$file"
 done | awk '
   BEGIN {
-    total_ceiling = 18126
+    total_ceiling = 18247
     bench_ceiling = 540
     ceiling["crates/core/src/campaign.rs"] = 1287
     ceiling["crates/graph/src/ingest.rs"] = 1177

@@ -4,12 +4,14 @@
 # work compiled into it. Disassembles <binary> and fails when any instance
 # calls `CacheCore::access_one`, `CacheCore::find_way`, a closure, the
 # reuse-hint `RegionClassifier::classify` (GRASP's and PIN-X's instances
-# classify every request) or one of the policies' per-set searches
-# (`first_distant`, `find_victim`, `age_friendly`, `choose_victim`), i.e.
-# when a refactor has quietly pushed the loop body, or the searches replay
-# spends its time in, back out of line.
+# classify every request), one of the policies' per-set searches
+# (`first_distant`, `find_victim`, `age_friendly`, `choose_victim`) or one of
+# the byte-lane primitives those scans are built from (`grasp_cachesim::lanes`,
+# a handful of SSE2 instructions each), i.e. when a refactor has quietly
+# pushed the loop body, or the searches replay spends its time in, back out
+# of line.
 # One call is allowed: `Leeway::choose_victim` is `#[inline(never)]` because
-# inlining its dead-block scan measured 1–4 % slower per record.
+# inlining its dead-block scan measured ≈ 10 % slower per record.
 #
 # A PIE binary calls into another codegen unit through a GOT slot
 # (`call *0x..(%rip)  # <slot>`), which objdump leaves unnamed, so every slot
@@ -47,7 +49,7 @@ objdump -d --no-show-raw-insn -C "$binary" | awk -v relocs="$tables/relocs" -v s
   inside && /[ \t]call[ \t]/ {
     call = $0
     if (match(call, /# [0-9a-f]+ </)) call = call " -> " slot[bare(substr(call, RSTART + 2, RLENGTH - 4))]
-    if (call ~ /CacheCore::access_one|CacheCore::find_way|classify|first_distant|find_victim|age_friendly|choose_victim|\{\{closure\}\}/ &&
+    if (call ~ /CacheCore::access_one|CacheCore::find_way|classify|first_distant|find_victim|age_friendly|choose_victim|grasp_cachesim::lanes::|\{\{closure\}\}/ &&
         call !~ /leeway::Leeway as grasp_cachesim::policy::ReplacementPolicy>::choose_victim$/) {
       print call
       bad++
@@ -62,5 +64,5 @@ objdump -d --no-show-raw-insn -C "$binary" | awk -v relocs="$tables/relocs" -v s
       printf "%d out-of-line call(s) in %d replay_columns instance(s)\n", bad, instances
       exit 1
     }
-    printf "%d replay_columns instance(s): no call to access_one, find_way, classify, a closure or a per-set search\n", instances
+    printf "%d replay_columns instance(s): no call to access_one, find_way, classify, a closure, a per-set search or a lane primitive\n", instances
   }'

@@ -4,11 +4,12 @@
 //! laid out for it: valid/dirty/"reused since fill" flags live in packed
 //! per-set bitmask words (one `u64` per set and flag, bit = way) instead of
 //! per-block `Vec<bool>`s, the set index is a power-of-two mask instead of a
-//! `%`, and the tag scan is fused over packed 8-bit partial tags — one SWAR
-//! word comparison covers eight ways, so a miss usually rejects the whole
-//! set without loading a single full tag. The replacement policy is a
-//! statically-dispatched [`PolicyDispatch`], so hit and fill notifications
-//! inline instead of paying a virtual call.
+//! `%`, and the tag scan is fused over a byte column of 8-bit partial tags —
+//! one exact 16-lane compare (the private `lanes` module) covers sixteen
+//! ways, so a miss usually rejects the whole set without loading a single
+//! full tag. The replacement policy is a statically-dispatched
+//! [`PolicyDispatch`], so hit and fill notifications inline instead of
+//! paying a virtual call.
 //!
 //! This is the LLC's cache (and the reference any cache model in the crate is
 //! tested against). The L1 and L2 above it are always LRU and need none of
@@ -41,11 +42,11 @@
 use crate::addr::BlockAddr;
 use crate::config::CacheConfig;
 use crate::hint::RegionClassifier;
+use crate::lanes::{self, LaneOps, Lanes, LANES};
 use crate::policy::dispatch::for_each_policy;
 use crate::policy::{PolicyDispatch, ReplacementPolicy};
 use crate::request::{AccessInfo, RegionLabel};
 use crate::stats::CacheStats;
-use crate::swar::{broadcast, eq_byte_lanes, first_lane};
 use crate::trace::{decode_info, META_PREFETCH_BIT, META_WRITEBACK_BIT};
 
 /// Outcome of a single cache access.
@@ -81,13 +82,12 @@ struct CacheCore {
     block_shift: u32,
     /// All-ways-valid mask: `ways` low bits set.
     full_mask: u64,
-    /// `u64` words of packed partial tags per set (`ways.div_ceil(8)`).
-    ptag_words: usize,
     tags: Vec<BlockAddr>,
-    /// Packed 8-bit partial tags, one byte per way, `ptag_words` words per
-    /// set. The low byte of the full tag: a SWAR equality scan over these
-    /// words prunes the full-tag comparisons to (almost always) at most one.
-    ptags: Vec<u64>,
+    /// 8-bit partial tags, one byte per way, `ways` per set, padded at the
+    /// end so the last set's last 16-lane group stays in bounds. The low
+    /// byte of the full tag: an exact lane compare over these prunes the
+    /// full-tag comparisons to (almost always) at most one.
+    ptags: Vec<u8>,
     /// Per-set valid bits (bit `w` = way `w`).
     valid: Vec<u64>,
     /// Per-set dirty bits.
@@ -122,16 +122,14 @@ impl CacheCore {
         } else {
             (1u64 << config.ways) - 1
         };
-        let ptag_words = config.ways.div_ceil(8);
         Self {
             ways: config.ways,
             set_mask: sets as u64 - 1,
             set_bits: (sets as u64).trailing_zeros(),
             block_shift: config.block_bytes.trailing_zeros(),
             full_mask,
-            ptag_words,
             tags: vec![0; blocks],
-            ptags: vec![0; sets * ptag_words],
+            ptags: vec![0; lanes::column_len(sets, config.ways)],
             valid: vec![0; sets],
             dirty: vec![0; sets],
             reused: vec![0; sets],
@@ -139,33 +137,31 @@ impl CacheCore {
     }
 
     /// The lookup coordinates of a byte address: block address, set index
-    /// and the block's 8-bit partial tag (the low byte of its full tag)
-    /// broadcast to every lane of a word — a shift, a mask and a multiply.
+    /// and the block's 8-bit partial tag (the low byte of its full tag) —
+    /// two shifts and a mask.
     #[inline(always)]
-    fn locate(&self, addr: u64) -> (BlockAddr, usize, u64) {
+    fn locate(&self, addr: u64) -> (BlockAddr, usize, u8) {
         let block = addr >> self.block_shift;
         let set = (block & self.set_mask) as usize;
-        (block, set, broadcast((block >> self.set_bits) as u8))
+        (block, set, (block >> self.set_bits) as u8)
     }
 
-    /// Fused tag scan over `set`: the SWAR pass over the packed partial tags
-    /// nominates candidate ways (usually zero on a miss, one on a hit); only
-    /// candidates that are valid get their full tag compared. `pattern` is
-    /// the broadcast partial tag of `block` (see [`CacheCore::locate`]).
+    /// Fused tag scan over `set`: the lane compare over the partial tags
+    /// nominates candidate ways (usually none on a miss, one on a hit); only
+    /// candidates that are valid get their full tag compared. `partial` is
+    /// the partial tag of `block` (see [`CacheCore::locate`]).
     #[inline(always)]
-    fn find_way(&self, set: usize, block: BlockAddr, pattern: u64) -> Option<usize> {
-        let valid = self.valid[set];
-        let tags = &self.tags[set * self.ways..][..self.ways];
-        let words = &self.ptags[set * self.ptag_words..][..self.ptag_words];
-        for (word_index, &word) in words.iter().enumerate() {
-            let mut lanes = eq_byte_lanes(word, pattern);
-            while lanes != 0 {
-                let way = word_index * 8 + first_lane(lanes);
-                if way < self.ways && valid & (1u64 << way) != 0 && tags[way] == block {
-                    return Some(way);
-                }
-                lanes &= lanes - 1;
+    fn find_way(&self, set: usize, block: BlockAddr, partial: u8) -> Option<usize> {
+        let base = set * self.ways;
+        let ptags = &self.ptags[base..][..self.ways.next_multiple_of(LANES)];
+        let tags = &self.tags[base..][..self.ways];
+        let mut candidates = Lanes::eq_mask(ptags, self.ways, partial) & self.valid[set];
+        while candidates != 0 {
+            let way = candidates.trailing_zeros() as usize;
+            if tags[way] == block {
+                return Some(way);
             }
+            candidates &= candidates - 1;
         }
         None
     }
@@ -174,23 +170,14 @@ impl CacheCore {
     /// resident copy dirty and never consults the policy. Returns `true` on
     /// a hit.
     #[inline(always)]
-    fn writeback_one(&mut self, set: usize, block: BlockAddr, pattern: u64) -> bool {
-        match self.find_way(set, block, pattern) {
+    fn writeback_one(&mut self, set: usize, block: BlockAddr, partial: u8) -> bool {
+        match self.find_way(set, block, partial) {
             Some(way) => {
                 self.dirty[set] |= 1u64 << way;
                 true
             }
             None => false,
         }
-    }
-
-    /// Writes the partial tag of `block` into `way`'s byte lane.
-    #[inline(always)]
-    fn store_partial(&mut self, set: usize, way: usize, block: BlockAddr) {
-        let partial = (block >> self.set_bits) as u8;
-        let word = &mut self.ptags[set * self.ptag_words + way / 8];
-        let shift = (way % 8) * 8;
-        *word = (*word & !(0xFFu64 << shift)) | (u64::from(partial) << shift);
     }
 
     /// The one per-request mutation sequence of the cache, shared verbatim by
@@ -205,11 +192,11 @@ impl CacheCore {
         policy: &mut P,
         block: BlockAddr,
         set: usize,
-        pattern: u64,
+        partial: u8,
         info: &AccessInfo,
     ) -> OneOutcome {
         // Hit path: fused valid-mask + tag scan.
-        if let Some(way) = self.find_way(set, block, pattern) {
+        if let Some(way) = self.find_way(set, block, partial) {
             let bit = 1u64 << way;
             self.reused[set] |= bit;
             if info.is_write() {
@@ -236,7 +223,7 @@ impl CacheCore {
             policy.on_evict(set, way, self.reused[set] & bit != 0);
         }
         self.tags[idx] = block;
-        self.store_partial(set, way, block);
+        self.ptags[idx] = partial;
         self.valid[set] |= bit;
         if info.is_write() {
             self.dirty[set] |= bit;
@@ -332,17 +319,17 @@ fn replay_columns<P: ReplacementPolicy>(
     let reads_hints = policy.reads_hints();
     let mut totals = BatchTotals::default();
     for (&addr, &word) in addrs.iter().zip(meta) {
-        let (block, set, pattern) = core.locate(addr);
+        let (block, set, partial) = core.locate(addr);
         if word & META_WRITEBACK_BIT != 0 {
             totals.writeback_accesses += 1;
-            totals.writeback_hits += u64::from(core.writeback_one(set, block, pattern));
+            totals.writeback_hits += u64::from(core.writeback_one(set, block, partial));
             continue;
         }
         let mut info = decode_info(addr, word);
         if reads_hints {
             info.hint = classifier.classify(addr);
         }
-        let outcome = core.access_one(policy, block, set, pattern, &info);
+        let outcome = core.access_one(policy, block, set, partial, &info);
         totals.tally(word & META_PREFETCH_BIT != 0, info.region, &outcome);
     }
     totals
@@ -412,8 +399,8 @@ impl SetAssocCache {
 
     /// Looks up a block without updating any state. Returns the way if present.
     pub fn probe(&self, addr: u64) -> Option<usize> {
-        let (block, set, pattern) = self.core.locate(addr);
-        self.core.find_way(set, block, pattern)
+        let (block, set, partial) = self.core.locate(addr);
+        self.core.find_way(set, block, partial)
     }
 
     /// Performs a demand access, updating replacement state and statistics.
@@ -433,11 +420,11 @@ impl SetAssocCache {
     }
 
     fn access_inner(&mut self, info: &AccessInfo) -> AccessOutcome {
-        let (block, set, pattern) = self.core.locate(info.addr);
+        let (block, set, partial) = self.core.locate(info.addr);
         let core = &mut self.core;
         let (hit, evicted) = match for_each_policy!(
             &mut self.policy,
-            p => core.access_one(p, block, set, pattern, info)
+            p => core.access_one(p, block, set, partial, info)
         ) {
             OneOutcome::Hit => (true, None),
             OneOutcome::Filled { evicted } => (false, evicted),
@@ -478,8 +465,8 @@ impl SetAssocCache {
     /// block becomes dirty here), a miss is forwarded towards memory without
     /// disturbing the replacement policy. Returns `true` on a hit.
     pub fn writeback(&mut self, addr: u64) -> bool {
-        let (block, set, pattern) = self.core.locate(addr);
-        let hit = self.core.writeback_one(set, block, pattern);
+        let (block, set, partial) = self.core.locate(addr);
+        let hit = self.core.writeback_one(set, block, partial);
         self.stats.record_writeback(hit);
         hit
     }
@@ -669,6 +656,23 @@ mod tests {
         c.replay_run(&[], &[], &RegionClassifier::disabled());
         assert_eq!(c.stats().misses, 0);
         assert_eq!(c.stats(), &CacheStats::new());
+    }
+
+    #[test]
+    fn partial_tag_collisions_fall_through_to_the_full_tag() {
+        // One 32-way set: blocks 256 apart share their 8-bit partial tag, so
+        // every lookup after the first has several candidates, in both
+        // 16-lane groups, to reject.
+        let mut c = lru_cache(64 * 32, 32);
+        let addrs: Vec<u64> = (0..20).map(|i| (i * 256 + 7) * 64).collect();
+        for &addr in &addrs {
+            assert!(!c.access(&AccessInfo::read(addr)).is_hit());
+        }
+        for (way, &addr) in addrs.iter().enumerate() {
+            assert_eq!(c.probe(addr), Some(way));
+            assert!(c.access(&AccessInfo::read(addr)).is_hit());
+        }
+        assert_eq!(c.probe((20 * 256 + 7) * 64), None);
     }
 
     #[test]

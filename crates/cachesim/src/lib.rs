@@ -47,6 +47,7 @@ pub mod config;
 pub mod fast_hash;
 pub mod hierarchy;
 pub mod hint;
+mod lanes;
 mod lru_filter;
 pub mod policy;
 pub mod prefetch;

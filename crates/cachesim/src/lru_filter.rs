@@ -221,7 +221,8 @@ mod tests {
 
         #[test]
         fn matches_set_assoc_lru(ops in arb_ops()) {
-            for ways in [1usize, 2, 3, 8, 16] {
+            // Way counts on both sides of each 16-lane group boundary.
+            for ways in [1usize, 2, 3, 8, 15, 16, 17, 33, 64] {
                 for sets in [1usize, 8, 32] {
                     let config = CacheConfig::new((sets * ways * 64) as u64, ways, 64);
                     let mut oracle = SetAssocCache::new("oracle", config, Lru::new(sets, ways));

@@ -19,15 +19,14 @@
 //! (the `Tiny` and `Small` scales), so there OPTgen runs on every access:
 //! each window is a flat buffer whose previous-use lookup follows a short
 //! same-fingerprint chain and whose interval passes run over one dense byte
-//! column at a constant width. Over the five R-MAT 2^14 streams of the
-//! `pipeline` benchmark at `Tiny` (one thread, 2-vCPU Xeon VM, 5 runs),
-//! `OptGen::record` alone, fed every demand and prefetch record with one
-//! window per set, takes 34.7–40.4 ns per record fed (median 39.6). A whole
-//! Hawkeye replay takes 79.5–100.7 ns per stream record (median 96.0) and a
-//! `Random` one 21.9–29.0 ns (median 25.5), the floor every policy pays;
-//! 4 % of the records are writebacks. So OPTgen is ≈ 40 % of Hawkeye's
-//! time; the rest is predictor lookups and training, the loader column, the
-//! victim search and the friendly-ageing pass.
+//! column at a constant width. Split per hook over the five streams of the
+//! `pipeline` benchmark at `Tiny` (one thread, 2-vCPU Xeon VM): with
+//! OPTgen's training events precomputed (statistics identical), a Hawkeye
+//! replay drops from 113 to 73 ns per record on the R-MAT graph and from 84
+//! to 55 on the uniform one, where LRU runs 38 and 31. So OPTgen is ≈ 35 %
+//! of Hawkeye's time on both; the rest is predictor lookups and training,
+//! the loader column, the victim search and the friendly-ageing pass, on
+//! top of the tag scan and statistics every policy pays.
 
 use super::rrip::{RrpvArray, RRPV_MAX};
 use super::ReplacementPolicy;

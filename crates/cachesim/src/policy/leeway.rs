@@ -21,12 +21,13 @@
 //!
 //! Ages and live distances saturate at 255, so they are byte columns: a fill
 //! ages its set with one saturating add over the set's slice, and the victim
-//! search is a single pass of selects over the set's RRPV / age / loader
-//! slices — whether a block has outlived its prediction is data the branch
-//! predictor cannot learn.
+//! search is a few lane operations per sixteen ways over the set's RRPV and
+//! age columns and its gathered predictions — whether a block has outlived
+//! its prediction is data the branch predictor cannot learn.
 
 use super::rrip::{RrpvArray, SetDueling, RRPV_LONG};
 use super::{PolicyRng, ReplacementPolicy};
+use crate::lanes::{self, LaneOps, Lanes, LANES};
 use crate::request::{AccessInfo, AccessSite};
 use std::hint::select_unpredictable;
 
@@ -49,7 +50,8 @@ pub struct Leeway {
     ways: usize,
     /// Age of each block: number of fills its set has seen since the block
     /// was last filled or hit, saturating at [`LIVE_DISTANCE_CAP`]. A byte
-    /// column, so ageing a set is one saturating add over its slice.
+    /// column, so ageing a set is one saturating add over its slice; padded
+    /// at the end so the last set's last 16-lane group stays in bounds.
     age: Vec<u8>,
     /// Largest age at which each block received a hit during its residency.
     observed_live: Vec<u8>,
@@ -57,8 +59,8 @@ pub struct Leeway {
     loader: Vec<AccessSite>,
     /// Predictor: site → (predicted live distance, shrink votes).
     /// `AccessSite` is 16-bit, so the table is flat — a direct indexed load
-    /// per check instead of a hash lookup.
-    predictor: Vec<(u8, u8)>,
+    /// per check instead of a hash lookup, with no bounds check.
+    predictor: Box<[(u8, u8); 1 << 16]>,
     /// Only a subset of sets trains the predictor, as in the original
     /// design (precomputed so the per-eviction check is an indexed load).
     sampled: Vec<bool>,
@@ -75,10 +77,12 @@ impl Leeway {
         Self {
             rrpv: RrpvArray::new(sets, ways),
             ways,
-            age: vec![0; sets * ways],
+            age: vec![0; lanes::column_len(sets, ways)],
             observed_live: vec![0; sets * ways],
-            loader: vec![0; sets * ways],
-            predictor: vec![(LIVE_DISTANCE_CAP, 0); usize::from(u16::MAX) + 1],
+            loader: vec![0; lanes::column_len(sets, ways)],
+            predictor: vec![(LIVE_DISTANCE_CAP, 0); 1 << 16]
+                .try_into()
+                .expect("one entry per site"),
             sampled: {
                 let sample_interval = (sets / 64).max(1);
                 (0..sets).map(|set| set % sample_interval == 0).collect()
@@ -144,7 +148,7 @@ impl ReplacementPolicy for Leeway {
     }
 
     // Out of line on purpose, the one victim search replay's kernel calls:
-    // forced inline, it costs Leeway 1–4 % per record on the `pipeline`
+    // forced inline, it costs Leeway ≈ 10 % per record on the `pipeline`
     // benchmark's streams at `Tiny`.
     #[inline(never)]
     fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
@@ -153,17 +157,35 @@ impl ReplacementPolicy for Leeway {
         // reproduction of Leeway's variability-aware rate control, which keeps
         // the scheme anchored to its base policy when predictions are shaky.
         //
-        // One pass of selects, no data-dependent branch: a candidate competes
-        // with its age (at least 1, since it exceeds a distance), every other
-        // block with 0, and the oldest candidate wins — the lowest way among
-        // equals.
-        let rrpvs = self.rrpv.of_set(set);
-        let ages = &self.age[self.blocks_of(set)];
-        let loaders = &self.loader[self.blocks_of(set)];
+        // Lane operations per sixteen ways, no data-dependent branch: a
+        // candidate competes with its age (at least 1, since it exceeds a
+        // distance), every other block with 0, and the oldest candidate wins
+        // — the lowest way among equals, within a group by the lowest lane
+        // and across groups by the strict `>`. The predicted distances are
+        // gathered with one scalar load per lane into a 16-byte group; lanes
+        // past `ways` never expire.
+        let base = self.idx(set, 0);
+        let padded = self.ways.next_multiple_of(LANES);
+        let rrpvs = self.rrpv.lanes_of(set).as_chunks::<LANES>().0;
+        let ages = self.age[base..][..padded].as_chunks::<LANES>().0;
+        let loaders = self.loader[base..][..padded].as_chunks::<LANES>().0;
         let (mut oldest, mut victim) = (0u8, 0usize);
-        for (way, ((&rrpv, &age), &loader)) in rrpvs.iter().zip(ages).zip(loaders).enumerate() {
-            let expired = (rrpv >= RRPV_LONG) & (age > self.predictor[usize::from(loader)].0);
-            let key = select_unpredictable(expired, age, 0);
+        for (group, ((&rrpv, &age), loaders)) in rrpvs.iter().zip(ages).zip(loaders).enumerate() {
+            let mut predicted = 0u128;
+            for (lane, &loader) in loaders.iter().enumerate() {
+                predicted |= u128::from(self.predictor[usize::from(loader)].0) << (8 * lane);
+            }
+            let predicted = predicted.to_le_bytes();
+            let lane_index = core::array::from_fn(|lane| lane as u8);
+            let inside = Lanes::gt([(self.ways - group * LANES) as u8; LANES], lane_index);
+            let expired = Lanes::and(
+                Lanes::ge(rrpv, [RRPV_LONG; LANES]),
+                Lanes::gt(age, predicted),
+            );
+            let keys = Lanes::and(age, Lanes::and(expired, inside));
+            let key = Lanes::max(keys);
+            let way = group * LANES
+                + Lanes::bits(Lanes::eq(keys, [key; LANES])).trailing_zeros() as usize;
             (oldest, victim) = select_unpredictable(key > oldest, (key, way), (oldest, victim));
         }
         if oldest > 0 {
@@ -322,7 +344,7 @@ mod tests {
             const SETS: usize = 4;
             let widen = |column: &[u8]| column.iter().map(|&v| u16::from(v)).collect::<Vec<_>>();
             let (ageing_fills, ops) = case;
-            for ways in [4usize, 16] {
+            for ways in [4usize, 12, 16, 17, 64] {
                 let mut leeway = Leeway::new(SETS, ways);
                 let mut oracle = OracleLeeway::new(SETS, ways);
                 for _ in 0..ageing_fills {
@@ -352,7 +374,7 @@ mod tests {
                             oracle.on_fill(set, way, site);
                         }
                     }
-                    prop_assert_eq!(widen(&leeway.age), oracle.age.clone());
+                    prop_assert_eq!(widen(&leeway.age[..SETS * ways]), oracle.age.clone());
                     prop_assert_eq!(widen(&leeway.observed_live), oracle.observed_live.clone());
                     prop_assert_eq!(leeway.rrpv.of_set(set), oracle.rrpv.of_set(set));
                     for site in 0..4 {
@@ -416,8 +438,8 @@ mod tests {
     #[test]
     fn expired_blocks_are_preferred_victims() {
         let mut l = Leeway::new(1, 4);
-        l.predictor.insert(1, (1, 0)); // site 1: dead after one fill event
-        l.predictor.insert(2, (LIVE_DISTANCE_CAP, 0));
+        l.predictor[1] = (1, 0); // site 1: dead after one fill event
+        l.predictor[2] = (LIVE_DISTANCE_CAP, 0);
         l.on_fill(0, 0, &req(0x00, 1));
         l.on_fill(0, 1, &req(0x40, 2));
         l.on_fill(0, 2, &req(0x80, 2));
@@ -430,7 +452,7 @@ mod tests {
     #[test]
     fn hits_protect_blocks_from_expiry() {
         let mut l = Leeway::new(1, 4);
-        l.predictor.insert(1, (2, 0));
+        l.predictor[1] = (2, 0);
         l.on_fill(0, 0, &req(0x00, 1));
         l.on_fill(0, 1, &req(0x40, 1));
         l.on_fill(0, 2, &req(0x80, 1));

@@ -1,17 +1,17 @@
 //! Least-Recently-Used replacement.
 
 use super::ReplacementPolicy;
+use crate::lanes::{LaneOps, Lanes, LANES};
 use crate::request::AccessInfo;
-use crate::swar::{broadcast, eq_byte_lanes, first_lane, LANE_HIGH};
-use std::hint::select_unpredictable;
+use crate::swar::{broadcast, LANE_HIGH};
 
-/// True LRU, kept as a per-set recency permutation packed into `u64` words:
-/// every block holds an 8-bit rank (0 = MRU, `ways - 1` = LRU) and a hit or
-/// fill moves the block to rank 0, pushing the more-recent blocks down by
-/// one. The push-down is a branch-free SWAR add — one compare/add pair
-/// covers eight ways — and the victim scan is the same byte-lane equality
-/// scan the cache uses for partial tags. Victims are identical to a
-/// timestamp implementation: both realize the exact move-to-front order.
+/// True LRU, kept as a per-set recency permutation of byte ranks: every
+/// block holds an 8-bit rank (0 = MRU, `ways - 1` = LRU) and a hit or fill
+/// moves the block to rank 0, pushing the more-recent blocks down by one.
+/// The push-down is a branch-free SWAR add — one compare/add pair covers
+/// eight ways — and the victim scan is the exact lane compare the cache
+/// uses for partial tags. Victims are identical to a timestamp
+/// implementation: both realize the exact move-to-front order.
 ///
 /// LRU is the reference point of the OPT study (Fig. 11 / Table VII reports
 /// "% misses eliminated over LRU") and is also used for the L1 and L2 levels
@@ -19,22 +19,12 @@ use std::hint::select_unpredictable;
 #[derive(Debug, Clone)]
 pub struct Lru {
     ways: usize,
-    /// Packed rank bytes, `words_per_set` words per set. Lanes beyond `ways`
-    /// hold `0xFF`, which the SWAR update never increments (no carry into
-    /// neighbouring lanes) and the victim scan never matches.
-    ranks: Vec<u64>,
-    words_per_set: usize,
-}
-
-/// The identity-permutation words for one set (`0, 1, 2, ...` with `0xFF`
-/// padding lanes).
-fn identity_words(ways: usize, words_per_set: usize) -> Vec<u64> {
-    let mut words = vec![0u64; words_per_set];
-    for lane in 0..words_per_set * 8 {
-        let value = if lane < ways { lane as u64 } else { 0xFF };
-        words[lane / 8] |= value << ((lane % 8) * 8);
-    }
-    words
+    /// Rank bytes, `stride` per set. Lanes beyond `ways` hold `0xFF`, which
+    /// the SWAR update never increments (no carry into neighbouring lanes)
+    /// and the victim scan never matches.
+    ranks: Vec<u8>,
+    /// `ways` rounded up to whole 16-lane groups.
+    stride: usize,
 }
 
 impl Lru {
@@ -46,47 +36,41 @@ impl Lru {
     /// sign bit for the SWAR compare).
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(ways <= 64, "LRU supports at most 64 ways");
-        let words_per_set = ways.div_ceil(8);
-        let identity = identity_words(ways, words_per_set);
-        let mut ranks = Vec::with_capacity(sets * words_per_set);
-        for _ in 0..sets {
-            ranks.extend_from_slice(&identity);
-        }
+        let stride = ways.next_multiple_of(LANES);
+        let identity = (0..stride).map(|lane| if lane < ways { lane as u8 } else { 0xFF });
         Self {
             ways,
-            ranks,
-            words_per_set,
+            ranks: identity.cycle().take(sets * stride).collect(),
+            stride,
         }
     }
 
     /// Current rank of a way (test/diagnostic helper).
     #[cfg(test)]
     fn rank(&self, set: usize, way: usize) -> u8 {
-        let word = self.ranks[set * self.words_per_set + way / 8];
-        (word >> ((way % 8) * 8)) as u8
+        self.ranks[set * self.stride + way]
     }
 
     /// Moves `way` to rank 0, incrementing every way that was more recent.
     #[inline]
     fn touch(&mut self, set: usize, way: usize) {
-        let base = set * self.words_per_set;
-        let old_shift = (way % 8) * 8;
-        let old = (self.ranks[base + way / 8] >> old_shift) as u8;
+        let ranks = &mut self.ranks[set * self.stride..][..self.stride];
+        let old = ranks[way];
         if old == 0 {
             return; // already MRU: nothing moves
         }
         let threshold = broadcast(old);
-        for word in &mut self.ranks[base..base + self.words_per_set] {
+        for lanes in ranks.as_chunks_mut::<8>().0 {
             // Per-lane `rank < old` for lanes below 0x80: the high bit of
             // `(lane | 0x80) - old` is clear exactly when lane < old.
             // Padding lanes (0xFF) always compare "not less" and never
             // increment, so no carry crosses lanes.
-            let ge_mask = (*word | LANE_HIGH).wrapping_sub(threshold);
-            *word = word.wrapping_add((!ge_mask & LANE_HIGH) >> 7);
+            let word = u64::from_le_bytes(*lanes);
+            let ge_mask = (word | LANE_HIGH).wrapping_sub(threshold);
+            *lanes = word.wrapping_add((!ge_mask & LANE_HIGH) >> 7).to_le_bytes();
         }
         // The touched lane itself was not below its own rank: clear it.
-        let word = &mut self.ranks[base + way / 8];
-        *word &= !(0xFFu64 << old_shift);
+        ranks[way] = 0;
     }
 }
 
@@ -95,19 +79,12 @@ impl ReplacementPolicy for Lru {
         "LRU"
     }
 
+    #[inline(always)]
     fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
-        // Exactly one lane of the set holds rank `ways - 1`. Every word is
-        // compared and the one match selected, with no loop exit to
-        // mispredict: a word without the rank flags no lane, and in the
-        // word with it the lowest flagged lane is the match.
-        let words = &self.ranks[set * self.words_per_set..][..self.words_per_set];
-        let pattern = broadcast((self.ways - 1) as u8);
-        let mut victim = 0;
-        for (index, &word) in words.iter().enumerate() {
-            let lanes = eq_byte_lanes(word, pattern);
-            victim = select_unpredictable(lanes != 0, index * 8 + first_lane(lanes), victim);
-        }
-        victim
+        // Exactly one way of the set holds rank `ways - 1`: one exact lane
+        // compare per sixteen ways, with no loop exit to mispredict.
+        let ranks = &self.ranks[set * self.stride..][..self.stride];
+        Lanes::eq_mask(ranks, self.ways, (self.ways - 1) as u8).trailing_zeros() as usize
     }
 
     fn on_fill(&mut self, set: usize, way: usize, _info: &AccessInfo) {

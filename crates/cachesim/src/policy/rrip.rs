@@ -16,9 +16,8 @@
 //! The reproduction uses a 3-bit RRPV (`max = 7`) exactly as the paper does.
 
 use super::{PolicyRng, ReplacementPolicy};
+use crate::lanes::{self, LaneOps, Lanes, LANES};
 use crate::request::AccessInfo;
-use crate::swar::{broadcast, eq_byte_lanes, first_lane};
-use std::hint::select_unpredictable;
 
 /// Number of RRPV bits used throughout the reproduction (3, as in the paper).
 pub const RRPV_BITS: u32 = 3;
@@ -37,6 +36,8 @@ pub const BRRIP_LONG_ONE_IN: u64 = 32;
 #[derive(Debug, Clone)]
 pub struct RrpvArray {
     ways: usize,
+    /// `ways` RRPVs per set, padded at the end so the last set's last
+    /// 16-lane group stays in bounds.
     rrpv: Vec<u8>,
 }
 
@@ -46,7 +47,7 @@ impl RrpvArray {
     pub fn new(sets: usize, ways: usize) -> Self {
         Self {
             ways,
-            rrpv: vec![RRPV_MAX; sets * ways],
+            rrpv: vec![RRPV_MAX; lanes::column_len(sets, ways)],
         }
     }
 
@@ -70,9 +71,16 @@ impl RrpvArray {
     }
 
     /// The RRPVs of one set, by way.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn of_set(&self, set: usize) -> &[u8] {
         &self.rrpv[self.idx(set, 0)..self.idx(set + 1, 0)]
+    }
+
+    /// The RRPVs of one set, by way, followed by the lanes up to its last
+    /// whole 16-lane group (the next set's or the column's padding).
+    #[inline]
+    pub(crate) fn lanes_of(&self, set: usize) -> &[u8] {
+        &self.rrpv[self.idx(set, 0)..][..self.ways.next_multiple_of(LANES)]
     }
 
     /// The RRPVs of one set, by way, for an in-place pass over them.
@@ -85,27 +93,14 @@ impl RrpvArray {
     /// Lowest way of `set` currently at `RRPV_MAX` (used by policies that
     /// treat distant blocks as preferred victims).
     ///
-    /// Eight RRPVs per word, with no data-dependent branch over the words:
-    /// which word holds the first distant block is data the branch
-    /// predictor cannot learn, so every word is compared and none ends the
-    /// scan. The words are
-    /// visited from highest to lowest and each match replaces the running
-    /// answer by a select, so the lowest matching word wins (and in it the
-    /// lowest flagged lane, the one `swar::eq_byte_lanes` keeps exact). The
-    /// scalar scan of the ways past the last whole word seeds the answer.
+    /// One exact lane compare per sixteen ways and no data-dependent
+    /// branch: which way holds the first distant block is data the branch
+    /// predictor cannot learn, so the whole set is compared and the lowest
+    /// set bit of the mask is the answer.
     #[inline(always)]
     pub fn first_distant(&self, set: usize) -> Option<usize> {
-        let (words, tail) = self.of_set(set).as_chunks::<8>();
-        let pattern = broadcast(RRPV_MAX);
-        let mut found = tail
-            .iter()
-            .position(|&v| v == RRPV_MAX)
-            .map(|way| words.len() * 8 + way);
-        for (index, &word) in words.iter().enumerate().rev() {
-            let lanes = eq_byte_lanes(u64::from_le_bytes(word), pattern);
-            found = select_unpredictable(lanes != 0, Some(index * 8 + first_lane(lanes)), found);
-        }
-        found
+        let distant = Lanes::eq_mask(self.lanes_of(set), self.ways, RRPV_MAX);
+        (distant != 0).then(|| distant.trailing_zeros() as usize)
     }
 
     /// Decrements the RRPV of a block towards zero (gradual promotion).
@@ -122,8 +117,8 @@ impl RrpvArray {
     /// way index, as in the CRC reference implementation.
     ///
     /// Implemented without the reference loop's repeated scans. The common
-    /// case — some block already at `RRPV_MAX` — is a SWAR scan over eight
-    /// RRPVs per word. Otherwise, ageing until a block reaches `RRPV_MAX`
+    /// case — some block already at `RRPV_MAX` — is one lane compare per
+    /// sixteen RRPVs. Otherwise, ageing until a block reaches `RRPV_MAX`
     /// adds exactly `RRPV_MAX - max` to every block and the winner is the
     /// first way that held the maximum, so one scalar pass plus one add
     /// replaces the repeated rescans.
@@ -394,15 +389,15 @@ mod tests {
 
     #[test]
     fn first_distant_matches_the_scalar_scan() {
-        // Way counts on both sides of the eight-lane word: a lone tail,
-        // whole words, words plus a tail, and the 64-way maximum.
+        // Way counts inside one 16-lane group, on both sides of each group
+        // boundary, and the 64-way maximum.
         let mut x = 11u64;
-        for ways in [1, 2, 3, 7, 8, 11, 12, 16, 64] {
+        for ways in [1, 2, 3, 7, 8, 11, 12, 15, 16, 17, 31, 33, 48, 64] {
             let mut rrpv = RrpvArray::new(2, ways);
             for step in 0..2000 {
                 // One distant block in `odds` on average, from "all" to
-                // "about one per set", so the first one lands in any word,
-                // the tail included, or nowhere.
+                // "about one per set", so the first one lands in any group,
+                // or nowhere.
                 let odds = [1, 2, 8, ways as u64 + 1][step % 4];
                 let set = step % 2;
                 for way in 0..ways {

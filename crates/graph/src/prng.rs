@@ -125,12 +125,6 @@ impl Xoshiro256 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Returns `true` with probability `p` (clamped to `[0, 1]`).
-    #[inline]
-    pub fn next_bool(&mut self, p: f64) -> bool {
-        self.next_f64() < p.clamp(0.0, 1.0)
-    }
-
     /// Shuffles a slice in place (Fisher–Yates).
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         let n = slice.len();
@@ -203,24 +197,6 @@ mod tests {
             let x = rng.next_f64();
             assert!((0.0..1.0).contains(&x));
         }
-    }
-
-    #[test]
-    fn next_bool_extremes() {
-        let mut rng = Xoshiro256::seed_from_u64(5);
-        for _ in 0..100 {
-            assert!(!rng.next_bool(0.0));
-            assert!(rng.next_bool(1.0));
-        }
-    }
-
-    #[test]
-    fn next_bool_probability_roughly_matches() {
-        let mut rng = Xoshiro256::seed_from_u64(13);
-        let trials = 20_000;
-        let hits = (0..trials).filter(|_| rng.next_bool(0.25)).count();
-        let rate = hits as f64 / trials as f64;
-        assert!((rate - 0.25).abs() < 0.02, "rate was {rate}");
     }
 
     #[test]
