@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
 # Counts the non-test source lines ROADMAP.md quotes — for every
-# crates/*/src/**/*.rs, the lines before its first top-level `#[cfg(test)]`,
-# and every line of the bench mains under crates/bench/benches, so code cannot
-# leave the count by moving from src/ into a bench target — prints them per
-# file and fails when the total, the crates/bench harness (src and benches
-# together), or one of the files ROADMAP item 3 names, is over the ceiling
-# committed below. The total's, crates/bench's, campaign.rs's and
-# ingest.rs's ceilings sit just above what the tree holds; trace_store.rs and
-# persist.rs are held at exactly what they hold.
+# crates/*/src/**/*.rs and every bench main under crates/bench/benches (so
+# code cannot leave the count by moving from src/ into a bench target), each
+# line outside its top-level `#[cfg(test)]` items: an item runs from the
+# attribute to its closing `}` (or `;`) in column 0, and blank lines directly
+# after it count as part of it, so code below a test module is counted like
+# any other. The script prints them per file and fails when the total, the
+# crates/bench harness (src and benches together), or one of the files
+# ROADMAP item 3 names, is over the ceiling committed below. The total's,
+# crates/bench's, campaign.rs's and ingest.rs's ceilings sit just above what
+# the tree holds; trace_store.rs and persist.rs are held at exactly what they
+# hold.
 # A change that needs more raises a ceiling in its own diff, where it is
 # seen, instead of the counts drifting up unnoticed (campaign.rs once went
 # 1 192 -> 1 393 that way). The total came down 18 558 -> 18 423 (the tree's
@@ -40,16 +43,28 @@
 # module (its SSE2 and portable bodies, the multi-group scan and the padded
 # column length) and Leeway's lane-wise dead-block scan add 121 lines net of
 # the deleted SWAR equality helpers and `Xoshiro256::next_bool`, and buy
-# 18 % of `warm_sweep_noskew`'s wall time (10/10 alternating pairs).
+# 18 % of `warm_sweep_noskew`'s wall time (10/10 alternating pairs). It came
+# down to 18 040 (the tree's 17 990 + 50) when reordering kept one closed
+# roster behind `TechniqueKind::compute` (its trait, boxing, per-technique
+# types and settable group counts and window went), the CSR builder that sat
+# below csr.rs's test module went, and the count began to include code below
+# a test module, which it had missed since it counted only the lines before a
+# file's first one (the parent tree held 18 197 lines under that rule and
+# 18 276 under this one).
 #
 # usage: check-line-budget.sh   (from the repository root)
 set -euo pipefail
 
 find crates/*/src crates/bench/benches -name '*.rs' | sort | while read -r file; do
-  awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0, FILENAME }' "$file"
+  awk '
+    skip == 1 { if (/^}/ || /^[^#[:space:]].*;$/) skip = 2; next }
+    skip == 2 && /^[[:space:]]*$/ { next }
+    /^#\[cfg\(test\)\]/ { skip = 1; next }
+    { skip = 0; n++ }
+    END { print n + 0, FILENAME }' "$file"
 done | awk '
   BEGIN {
-    total_ceiling = 18247
+    total_ceiling = 18040
     bench_ceiling = 540
     ceiling["crates/core/src/campaign.rs"] = 1287
     ceiling["crates/graph/src/ingest.rs"] = 1177

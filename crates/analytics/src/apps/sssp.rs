@@ -96,7 +96,7 @@ mod tests {
     use grasp_graph::generators::{GraphGenerator, Rmat};
     use grasp_graph::prng::Xoshiro256;
     use grasp_graph::Csr;
-    use grasp_graph::{CsrBuilder, EdgeList};
+    use grasp_graph::EdgeList;
 
     fn run_native(graph: &dyn GraphView, root: u32, rounds: usize) -> AppResult {
         let mut ws = Workspace::new(NativeMemory::new());
@@ -133,15 +133,19 @@ mod tests {
 
     #[test]
     fn matches_dijkstra_on_a_small_weighted_graph() {
-        let g = CsrBuilder::new(5)
-            .weighted_edge(0, 1, 10)
-            .weighted_edge(0, 2, 3)
-            .weighted_edge(2, 1, 4)
-            .weighted_edge(1, 3, 2)
-            .weighted_edge(2, 3, 8)
-            .weighted_edge(3, 4, 7)
-            .build()
-            .unwrap();
+        let mut el = EdgeList::new(5);
+        let edges = [
+            (0, 1, 10),
+            (0, 2, 3),
+            (2, 1, 4),
+            (1, 3, 2),
+            (2, 3, 8),
+            (3, 4, 7),
+        ];
+        for (s, d, w) in edges {
+            el.push_weighted(s, d, w).unwrap();
+        }
+        let g = Csr::from_edge_list(&el).unwrap();
         let result = run_native(&g, 0, 10);
         assert_eq!(result.values, vec![0.0, 7.0, 3.0, 9.0, 16.0]);
     }

@@ -16,7 +16,7 @@ use grasp_core::compare::geometric_mean_speedup;
 use grasp_core::datasets::{DatasetKind, Scale};
 use grasp_core::experiment::Experiment;
 use grasp_graph::Csr;
-use grasp_reorder::cost::run_boxed;
+use grasp_reorder::cost;
 use grasp_reorder::TechniqueKind::{Dbg, GorderDbg, HubSort, Sort};
 
 fn main() {
@@ -49,7 +49,7 @@ fn main() {
             let graph = kind.build(scale).graph;
             let baseline = native(&graph).as_secs_f64();
             let values = [Sort, HubSort, Dbg, GorderDbg].map(|technique| {
-                let outcome = run_boxed(&*technique.instantiate(), &graph, app.hotness_direction());
+                let outcome = cost::run(technique, &graph, app.hotness_direction());
                 let total = outcome.total_time() + native(&outcome.graph);
                 (baseline / total.as_secs_f64() - 1.0) * 100.0
             });

@@ -39,30 +39,6 @@ pub enum GraspMode {
     Full,
 }
 
-impl GraspMode {
-    /// All ablation modes in the order of Fig. 7.
-    pub const ALL: [GraspMode; 3] = [
-        GraspMode::HintsOnly,
-        GraspMode::InsertionOnly,
-        GraspMode::Full,
-    ];
-
-    /// Display label matching Fig. 7.
-    pub fn label(self) -> &'static str {
-        match self {
-            GraspMode::HintsOnly => "RRIP+Hints",
-            GraspMode::InsertionOnly => "GRASP (Insertion-Only)",
-            GraspMode::Full => "GRASP (Hit-Promotion)",
-        }
-    }
-}
-
-impl std::fmt::Display for GraspMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 /// The GRASP replacement policy (DRRIP base + hint-specialized insertion and
 /// hit promotion).
 #[derive(Debug, Clone)]
@@ -87,11 +63,6 @@ impl Grasp {
             rng: PolicyRng::new(seed),
             mode,
         }
-    }
-
-    /// The active ablation mode.
-    pub fn mode(&self) -> GraspMode {
-        self.mode
     }
 
     /// Insertion value of a fill with `hint` under the active mode; a
@@ -234,17 +205,6 @@ mod tests {
         g.rrpv.set(0, 0, RRPV_MAX);
         g.rrpv.set(0, 1, 0);
         assert_eq!(g.choose_victim(0, &req(ReuseHint::Default)), 0);
-    }
-
-    #[test]
-    fn mode_labels_match_fig7() {
-        assert_eq!(GraspMode::HintsOnly.to_string(), "RRIP+Hints");
-        assert_eq!(
-            GraspMode::InsertionOnly.to_string(),
-            "GRASP (Insertion-Only)"
-        );
-        assert_eq!(GraspMode::Full.to_string(), "GRASP (Hit-Promotion)");
-        assert_eq!(GraspMode::ALL.len(), 3);
     }
 
     #[test]

@@ -1437,10 +1437,11 @@ mod tests {
     }
 }
 
-/// The word-at-a-time frame decoder against the byte-at-a-time one format v3
-/// shipped, over generated frames and hostile mutations of them.
 #[cfg(test)]
 mod hostile_frames {
+    //! The word-at-a-time frame decoder against the byte-at-a-time one format
+    //! v3 shipped, over generated frames and hostile mutations of them.
+
     use super::*;
     use proptest::prelude::*;
     use std::alloc::{GlobalAlloc, Layout, System};

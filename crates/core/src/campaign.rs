@@ -577,7 +577,7 @@ impl Campaign {
                     .load(hash)
                     .unwrap_or_else(|e| open_failed(job.dataset, &e)),
             });
-            let perm = job.technique.instantiate().compute(&*source, direction);
+            let perm = job.technique.compute(&*source, direction);
             Arc::new(grasp_reorder::relabel(&*source, &perm))
         };
         graphs

@@ -212,8 +212,7 @@ impl Experiment {
     /// experiment.
     #[must_use]
     pub fn with_reordering(mut self, technique: TechniqueKind) -> Self {
-        let boxed = technique.instantiate();
-        let perm = boxed.compute(&*self.graph, self.app.hotness_direction());
+        let perm = technique.compute(&*self.graph, self.app.hotness_direction());
         self.graph = Arc::new(grasp_reorder::relabel(&*self.graph, &perm));
         self
     }

@@ -618,113 +618,3 @@ mod tests {
         }
     }
 }
-
-/// A builder for incrementally assembling a CSR graph.
-///
-/// This is a thin convenience wrapper around [`EdgeList`] that exists so that
-/// downstream code can build graphs without importing both types.
-///
-/// ```
-/// use grasp_graph::CsrBuilder;
-/// let g = CsrBuilder::new(3)
-///     .edge(0, 1)
-///     .edge(1, 2)
-///     .weighted_edge(2, 0, 5)
-///     .build()
-///     .unwrap();
-/// assert_eq!(g.edge_count(), 3);
-/// ```
-#[derive(Debug, Default)]
-pub struct CsrBuilder {
-    edges: EdgeList,
-    saw_error: Option<GraphError>,
-}
-
-impl CsrBuilder {
-    /// Creates a builder for a graph over `vertex_count` vertices.
-    pub fn new(vertex_count: u64) -> Self {
-        Self {
-            edges: EdgeList::new(vertex_count),
-            saw_error: None,
-        }
-    }
-
-    /// Adds an unweighted edge. Out-of-bounds endpoints are reported by
-    /// [`CsrBuilder::build`].
-    #[must_use]
-    pub fn edge(mut self, src: VertexId, dst: VertexId) -> Self {
-        if self.saw_error.is_none() {
-            if let Err(e) = self.edges.push(src, dst) {
-                self.saw_error = Some(e);
-            }
-        }
-        self
-    }
-
-    /// Adds a weighted edge. Out-of-bounds endpoints are reported by
-    /// [`CsrBuilder::build`].
-    #[must_use]
-    pub fn weighted_edge(mut self, src: VertexId, dst: VertexId, weight: EdgeWeight) -> Self {
-        if self.saw_error.is_none() {
-            if let Err(e) = self.edges.push_weighted(src, dst, weight) {
-                self.saw_error = Some(e);
-            }
-        }
-        self
-    }
-
-    /// Adds all edges from an iterator of `(src, dst)` pairs.
-    #[must_use]
-    pub fn edges<I: IntoIterator<Item = (VertexId, VertexId)>>(mut self, iter: I) -> Self {
-        for (s, d) in iter {
-            self = self.edge(s, d);
-        }
-        self
-    }
-
-    /// Finalizes the builder into a [`Csr`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error encountered while adding edges, or any error
-    /// from [`Csr::from_edge_list`].
-    pub fn build(self) -> Result<Csr> {
-        if let Some(e) = self.saw_error {
-            return Err(e);
-        }
-        Csr::from_edge_list(&self.edges)
-    }
-}
-
-#[cfg(test)]
-mod builder_tests {
-    use super::*;
-
-    #[test]
-    fn builder_constructs_graph() {
-        let g = CsrBuilder::new(4)
-            .edges([(0, 1), (1, 2), (2, 3)])
-            .build()
-            .unwrap();
-        assert_eq!(g.vertex_count(), 4);
-        assert_eq!(g.edge_count(), 3);
-    }
-
-    #[test]
-    fn builder_reports_out_of_bounds() {
-        let res = CsrBuilder::new(2).edge(0, 5).build();
-        assert!(matches!(
-            res,
-            Err(GraphError::VertexOutOfBounds { vertex: 5, .. })
-        ));
-    }
-
-    #[test]
-    fn builder_reports_first_error_only() {
-        let res = CsrBuilder::new(2).edge(0, 5).edge(9, 9).build();
-        assert!(matches!(
-            res,
-            Err(GraphError::VertexOutOfBounds { vertex: 5, .. })
-        ));
-    }
-}

@@ -47,7 +47,7 @@ pub mod prng;
 pub mod types;
 pub mod view;
 
-pub use csr::{Csr, CsrBuilder};
+pub use csr::Csr;
 pub use degree::{DegreeStats, SkewReport};
 pub use edgelist::EdgeList;
 pub use ingest::{DiskCsrError, GraphStats, MappedCsr};

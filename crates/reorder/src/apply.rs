@@ -140,7 +140,7 @@ mod tests {
     #[test]
     fn relabel_preserves_structure() {
         let g = Rmat::new(8, 8).generate(4);
-        let perm = crate::Sort.compute_for_test(&g);
+        let perm = crate::TechniqueKind::Sort.compute(&g, Direction::Out);
         let r = relabel(&g, &perm);
         assert_eq!(r.vertex_count(), g.vertex_count());
         assert_eq!(r.edge_count(), g.edge_count());
@@ -175,11 +175,10 @@ mod tests {
 
     #[test]
     fn relabel_preserves_weights() {
-        let g = grasp_graph::CsrBuilder::new(3)
-            .weighted_edge(0, 1, 10)
-            .weighted_edge(1, 2, 20)
-            .build()
-            .unwrap();
+        let mut el = EdgeList::new(3);
+        el.push_weighted(0, 1, 10).unwrap();
+        el.push_weighted(1, 2, 20).unwrap();
+        let g = Csr::from_edge_list(&el).unwrap();
         let perm = Permutation::from_new_ids(vec![2, 1, 0]).unwrap();
         let r = relabel(&g, &perm);
         // Old edge 0->1 weight 10 becomes 2->1.
@@ -192,13 +191,11 @@ mod tests {
     fn relabel_falls_back_on_parallel_edges() {
         // 0 -> 1 twice with different weights: the direct path must decline,
         // and `relabel` must give what the edge-list path gives.
-        let g = grasp_graph::CsrBuilder::new(4)
-            .weighted_edge(0, 1, 9)
-            .weighted_edge(2, 3, 1)
-            .weighted_edge(0, 1, 4)
-            .weighted_edge(3, 0, 2)
-            .build()
-            .unwrap();
+        let mut el = EdgeList::new(4);
+        for (s, d, w) in [(0, 1, 9), (2, 3, 1), (0, 1, 4), (3, 0, 2)] {
+            el.push_weighted(s, d, w).unwrap();
+        }
+        let g = Csr::from_edge_list(&el).unwrap();
         let perm = Permutation::from_new_ids(vec![3, 0, 2, 1]).unwrap();
         let inverse = perm.inverse();
         assert!(relabel_rows(&g, &perm, &inverse, Direction::Out).is_none());
@@ -270,7 +267,7 @@ mod tests {
                     .any(|v| g.out_neighbors(v).windows(2).any(|pair| pair[0] == pair[1]));
                 for kind in TechniqueKind::ALL {
                     for hotness in [Direction::Out, Direction::In] {
-                        let perm = kind.instantiate().compute(&g, hotness);
+                        let perm = kind.compute(&g, hotness);
                         let inverse = perm.inverse();
                         let expected = relabel_via_edge_list(&g, &perm);
                         for direction in [Direction::Out, Direction::In] {
@@ -287,14 +284,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    impl crate::Sort {
-        /// Test-only convenience: compute with out-degree.
-        fn compute_for_test(&self, g: &dyn GraphView) -> Permutation {
-            use crate::ReorderTechnique;
-            self.compute(g, Direction::Out)
         }
     }
 }

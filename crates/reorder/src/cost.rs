@@ -2,12 +2,12 @@
 //!
 //! Fig. 10a of the paper reports the *net* speed-up of each reordering
 //! technique: application speed-up **after accounting for the reordering
-//! cost**. [`run_boxed`] runs any [`ReorderTechnique`] and measures the
-//! wall-clock time spent computing and applying the permutation so the bench
-//! harness can charge it against the application runtime.
+//! cost**. [`run`] runs one [`TechniqueKind`] and measures the wall-clock
+//! time spent computing and applying the permutation so the bench harness
+//! can charge it against the application runtime.
 
 use crate::perm::Permutation;
-use crate::ReorderTechnique;
+use crate::TechniqueKind;
 use grasp_graph::types::Direction;
 use grasp_graph::{Csr, GraphView};
 use std::time::{Duration, Instant};
@@ -34,10 +34,9 @@ impl ReorderOutcome {
 }
 
 /// Runs `technique` on `graph` and returns the outcome together with
-/// wall-clock timings (the bench harness iterates over boxed
-/// [`crate::TechniqueKind`] instances).
-pub fn run_boxed(
-    technique: &dyn ReorderTechnique,
+/// wall-clock timings.
+pub fn run(
+    technique: TechniqueKind,
     graph: &dyn GraphView,
     direction: Direction,
 ) -> ReorderOutcome {
@@ -58,13 +57,12 @@ pub fn run_boxed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DegreeBasedGrouping, GorderLite, Identity};
     use grasp_graph::generators::{GraphGenerator, Rmat};
 
     #[test]
     fn timed_run_produces_consistent_outcome() {
         let g = Rmat::new(8, 8).generate(3);
-        let outcome = run_boxed(&DegreeBasedGrouping::default(), &g, Direction::Out);
+        let outcome = run(TechniqueKind::Dbg, &g, Direction::Out);
         assert!(outcome.permutation.is_valid());
         assert_eq!(outcome.graph.vertex_count(), g.vertex_count());
         assert_eq!(outcome.graph.edge_count(), g.edge_count());
@@ -76,7 +74,7 @@ mod tests {
         // Not a strict timing assertion (timers are noisy), just that the
         // identity technique runs and produces the same graph.
         let g = Rmat::new(8, 8).generate(3);
-        let outcome = run_boxed(&Identity, &g, Direction::Out);
+        let outcome = run(TechniqueKind::Identity, &g, Direction::Out);
         assert!(outcome.permutation.is_identity());
         for v in g.vertices() {
             assert_eq!(outcome.graph.out_neighbors(v), g.out_neighbors(v));
@@ -88,28 +86,13 @@ mod tests {
         // Qualitative cost ordering that Fig. 10a depends on. Use a graph
         // large enough for the difference to dominate timer noise.
         let g = Rmat::new(12, 8).generate(3);
-        let dbg = run_boxed(&DegreeBasedGrouping::default(), &g, Direction::Out);
-        let gorder = run_boxed(&GorderLite::default(), &g, Direction::Out);
+        let dbg = run(TechniqueKind::Dbg, &g, Direction::Out);
+        let gorder = run(TechniqueKind::GorderDbg, &g, Direction::Out);
         assert!(
             gorder.compute_time > dbg.compute_time,
             "gorder {:?} should cost more than dbg {:?}",
             gorder.compute_time,
             dbg.compute_time
         );
-    }
-
-    #[test]
-    fn run_boxed_matches_typed_run() {
-        // A boxed technique computes and applies exactly what calling the
-        // concrete type directly does.
-        let g = Rmat::new(7, 4).generate(1);
-        let boxed: Box<dyn ReorderTechnique> = Box::new(DegreeBasedGrouping::default());
-        let outcome = run_boxed(boxed.as_ref(), &g, Direction::Out);
-        let typed = DegreeBasedGrouping::default().compute(&g, Direction::Out);
-        assert_eq!(outcome.permutation, typed);
-        let relabelled = crate::apply::relabel(&g, &typed);
-        for v in relabelled.vertices() {
-            assert_eq!(outcome.graph.out_neighbors(v), relabelled.out_neighbors(v));
-        }
     }
 }

@@ -1,103 +1,59 @@
 //! Degree-Based Grouping (Faldu, Diamond, Grot — IISWC'19).
+//!
+//! DBG coarsely partitions vertices into a small number of groups whose
+//! boundaries are geometric multiples of the average degree, places groups in
+//! descending hotness order, and preserves the original relative order
+//! **within** each group. Unlike Sort and HubSort, DBG does not sort at all,
+//! so it largely preserves the community structure present in the original
+//! vertex order — the reason the paper uses it as the default software
+//! baseline.
 
-use crate::hot::hot_threshold;
 use crate::perm::Permutation;
-use crate::ReorderTechnique;
 use grasp_graph::types::{Direction, VertexId};
 use grasp_graph::GraphView;
 
-/// Degree-Based Grouping (DBG).
-///
-/// DBG coarsely partitions vertices into a small number of groups whose
-/// boundaries are geometric multiples of the average degree, places groups in
-/// descending hotness order, and preserves the original relative order
-/// **within** each group. Unlike [`crate::Sort`] and [`crate::HubSort`], DBG
-/// does not sort at all, so it largely preserves the community structure
-/// present in the original vertex order — the reason the paper uses it as the
-/// default software baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegreeBasedGrouping {
-    /// Number of hot groups above the average-degree threshold.
-    hot_groups: usize,
-    /// Number of cold groups below the average-degree threshold.
-    cold_groups: usize,
-}
+/// Groups at or above the average degree. With [`COLD_GROUPS`], the
+/// published configuration of 8 groups in all.
+const HOT_GROUPS: usize = 4;
+/// Groups below the average degree.
+const COLD_GROUPS: usize = 4;
 
-impl DegreeBasedGrouping {
-    /// Creates a DBG instance with the given number of hot and cold groups.
-    ///
-    /// Group boundaries are `avg * 2^k` for hot groups and `avg / 2^k` for
-    /// cold groups, matching the IISWC'19 description of ~8 total groups.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either group count is zero.
-    pub fn new(hot_groups: usize, cold_groups: usize) -> Self {
-        assert!(hot_groups > 0, "hot_groups must be non-zero");
-        assert!(cold_groups > 0, "cold_groups must be non-zero");
-        Self {
-            hot_groups,
-            cold_groups,
-        }
-    }
-
-    /// Assigns a group index to a degree; group 0 is the hottest.
-    fn group_of(&self, degree: u64, avg: f64) -> usize {
-        let d = degree as f64;
-        if d >= avg {
-            // Hot side: group k covers [avg * 2^(hot_groups-1-k), ...).
-            // The hottest group (0) is unbounded above.
-            for k in 0..self.hot_groups {
-                let boundary = avg * (1u64 << (self.hot_groups - 1 - k)) as f64;
-                if d >= boundary {
-                    return k;
-                }
+/// Assigns a group index to a degree; group 0 is the hottest. Group
+/// boundaries are `avg * 2^k` for hot groups and `avg / 2^k` for cold ones.
+fn group_of(degree: u64, avg: f64) -> usize {
+    let d = degree as f64;
+    if d >= avg {
+        // Hot side: group k covers [avg * 2^(HOT_GROUPS-1-k), ...).
+        // The hottest group (0) is unbounded above.
+        for k in 0..HOT_GROUPS {
+            let boundary = avg * (1u64 << (HOT_GROUPS - 1 - k)) as f64;
+            if d >= boundary {
+                return k;
             }
-            self.hot_groups - 1
-        } else {
-            // Cold side: group hot_groups + k covers degrees in
-            // [avg / 2^(k+1), avg / 2^k); the last cold group catches the rest
-            // (including degree 0).
-            for k in 0..self.cold_groups {
-                let boundary = avg / (1u64 << (k + 1)) as f64;
-                if d >= boundary {
-                    return self.hot_groups + k;
-                }
+        }
+        HOT_GROUPS - 1
+    } else {
+        // Cold side: group HOT_GROUPS + k covers degrees in
+        // [avg / 2^(k+1), avg / 2^k); the last cold group catches the rest
+        // (including degree 0).
+        for k in 0..COLD_GROUPS {
+            let boundary = avg / (1u64 << (k + 1)) as f64;
+            if d >= boundary {
+                return HOT_GROUPS + k;
             }
-            self.hot_groups + self.cold_groups - 1
         }
-    }
-
-    /// Total number of groups.
-    pub fn group_count(&self) -> usize {
-        self.hot_groups + self.cold_groups
+        HOT_GROUPS + COLD_GROUPS - 1
     }
 }
 
-impl Default for DegreeBasedGrouping {
-    /// Default configuration: 4 hot groups + 4 cold groups (8 total),
-    /// matching the published DBG configuration.
-    fn default() -> Self {
-        Self::new(4, 4)
+pub(crate) fn compute(graph: &dyn GraphView, direction: Direction) -> Permutation {
+    let avg = graph.average_degree();
+    let mut buckets: Vec<Vec<VertexId>> = vec![Vec::new(); HOT_GROUPS + COLD_GROUPS];
+    for v in graph.vertices() {
+        buckets[group_of(graph.degree(v, direction), avg)].push(v);
     }
-}
-
-impl ReorderTechnique for DegreeBasedGrouping {
-    fn compute(&self, graph: &dyn GraphView, direction: Direction) -> Permutation {
-        let avg = hot_threshold(graph);
-        let groups = self.group_count();
-        let mut buckets: Vec<Vec<VertexId>> = vec![Vec::new(); groups];
-        for v in graph.vertices() {
-            let g = self.group_of(graph.degree(v, direction), avg);
-            buckets[g].push(v);
-        }
-        let order: Vec<VertexId> = buckets.into_iter().flatten().collect();
-        Permutation::from_order(&order).expect("every vertex lands in exactly one group")
-    }
-
-    fn name(&self) -> &'static str {
-        "DBG"
-    }
+    let order: Vec<VertexId> = buckets.into_iter().flatten().collect();
+    Permutation::from_order(&order).expect("every vertex lands in exactly one group")
 }
 
 #[cfg(test)]
@@ -107,30 +63,30 @@ mod tests {
 
     #[test]
     fn group_assignment_boundaries() {
-        let dbg = DegreeBasedGrouping::new(3, 3);
         let avg = 10.0;
-        // Hot side: >= 40 -> 0, >= 20 -> 1, >= 10 -> 2.
-        assert_eq!(dbg.group_of(100, avg), 0);
-        assert_eq!(dbg.group_of(40, avg), 0);
-        assert_eq!(dbg.group_of(25, avg), 1);
-        assert_eq!(dbg.group_of(10, avg), 2);
-        // Cold side: >= 5 -> 3, >= 2.5 -> 4, rest -> 5.
-        assert_eq!(dbg.group_of(7, avg), 3);
-        assert_eq!(dbg.group_of(3, avg), 4);
-        assert_eq!(dbg.group_of(1, avg), 5);
-        assert_eq!(dbg.group_of(0, avg), 5);
+        // Hot side: >= 80 -> 0, >= 40 -> 1, >= 20 -> 2, >= 10 -> 3.
+        assert_eq!(group_of(100, avg), 0);
+        assert_eq!(group_of(80, avg), 0);
+        assert_eq!(group_of(40, avg), 1);
+        assert_eq!(group_of(25, avg), 2);
+        assert_eq!(group_of(10, avg), 3);
+        // Cold side: >= 5 -> 4, >= 2.5 -> 5, >= 1.25 -> 6, rest -> 7.
+        assert_eq!(group_of(7, avg), 4);
+        assert_eq!(group_of(3, avg), 5);
+        assert_eq!(group_of(2, avg), 6);
+        assert_eq!(group_of(1, avg), 7);
+        assert_eq!(group_of(0, avg), 7);
     }
 
     #[test]
     fn groups_are_ordered_hot_to_cold() {
         let g = Rmat::new(9, 8).generate(2);
-        let perm = DegreeBasedGrouping::default().compute(&g, Direction::Out);
+        let perm = compute(&g, Direction::Out);
         let reordered = crate::apply::relabel(&g, &perm);
-        let dbg = DegreeBasedGrouping::default();
-        let avg = hot_threshold(&g);
+        let avg = g.average_degree();
         let mut last_group = 0usize;
         for v in reordered.vertices() {
-            let group = dbg.group_of(reordered.out_degree(v), avg);
+            let group = group_of(reordered.out_degree(v), avg);
             assert!(
                 group >= last_group,
                 "groups must be non-decreasing over new IDs"
@@ -142,15 +98,14 @@ mod tests {
     #[test]
     fn order_within_group_is_preserved() {
         let g = Rmat::new(8, 8).generate(9);
-        let dbg = DegreeBasedGrouping::default();
-        let avg = hot_threshold(&g);
-        let perm = dbg.compute(&g, Direction::Out);
+        let avg = g.average_degree();
+        let perm = compute(&g, Direction::Out);
         // For every pair of vertices in the same group, the original order
         // must be preserved.
         let mut per_group: std::collections::HashMap<usize, Vec<u32>> = Default::default();
         for v in g.vertices() {
             per_group
-                .entry(dbg.group_of(g.out_degree(v), avg))
+                .entry(group_of(g.out_degree(v), avg))
                 .or_default()
                 .push(v);
         }
@@ -159,16 +114,5 @@ mod tests {
                 assert!(perm.new_id(pair[0]) < perm.new_id(pair[1]));
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "hot_groups must be non-zero")]
-    fn zero_hot_groups_panics() {
-        let _ = DegreeBasedGrouping::new(0, 4);
-    }
-
-    #[test]
-    fn default_has_eight_groups() {
-        assert_eq!(DegreeBasedGrouping::default().group_count(), 8);
     }
 }

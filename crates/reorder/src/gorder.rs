@@ -10,183 +10,112 @@
 //!
 //! This implementation follows the published greedy algorithm with a lazy
 //! max-heap, in one pass. It is intentionally *not* optimized; its cost
-//! relative to [`crate::DegreeBasedGrouping`] mirrors the paper's
-//! qualitative finding.
+//! relative to DBG mirrors the paper's qualitative finding. It always runs
+//! followed by DBG, the configuration the paper calls "Gorder(+DBG)": that
+//! retains most of the Gorder ordering while segregating hot vertices so that
+//! GRASP's region classification applies.
 
-use crate::dbg::DegreeBasedGrouping;
 use crate::perm::Permutation;
-use crate::ReorderTechnique;
 use grasp_graph::types::{Direction, VertexId};
 use grasp_graph::GraphView;
 use std::collections::BinaryHeap;
 
-/// Gorder-lite configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GorderLite {
-    window: usize,
-    compose_dbg: bool,
+/// Sliding-window size `w` (within the 4–16 range explored by the Gorder
+/// paper).
+const WINDOW: usize = 8;
+
+pub(crate) fn compute(graph: &dyn GraphView, direction: Direction) -> Permutation {
+    let gorder = Permutation::from_order(&greedy_order(graph))
+        .expect("the greedy order visits every vertex exactly once");
+    let intermediate = crate::apply::relabel(graph, &gorder);
+    gorder.then(&crate::dbg::compute(&intermediate, direction))
 }
 
-impl GorderLite {
-    /// Creates a Gorder-lite instance with the given sliding-window size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "window must be non-zero");
-        Self {
-            window,
-            compose_dbg: false,
+/// The greedy ordering of `graph`, considering both edge directions for
+/// affinity.
+fn greedy_order(graph: &dyn GraphView) -> Vec<VertexId> {
+    let n = graph.vertex_count();
+    let mut placed = vec![false; n];
+    let mut priority = vec![0u32; n];
+    let mut heap: BinaryHeap<(u32, std::cmp::Reverse<VertexId>)> = BinaryHeap::new();
+    let mut order: Vec<VertexId> = Vec::with_capacity(n);
+    let mut window: std::collections::VecDeque<VertexId> =
+        std::collections::VecDeque::with_capacity(WINDOW + 1);
+
+    // When the heap runs dry, the lowest unplaced vertex ID seeds it, so
+    // every vertex is eventually considered even if it is unreachable
+    // from the current window.
+    let mut seed_cursor = 0usize;
+
+    while order.len() < n {
+        // Pick the unplaced vertex with the highest priority; fall back to
+        // the seed cursor when the heap holds only stale entries.
+        let next = loop {
+            match heap.pop() {
+                Some((p, std::cmp::Reverse(v))) => {
+                    if !placed[v as usize] && priority[v as usize] == p {
+                        break Some(v);
+                    }
+                }
+                None => break None,
+            }
+        };
+        let v = match next {
+            Some(v) => v,
+            None => {
+                // Advance the seed cursor to the next unplaced vertex.
+                while seed_cursor < n && placed[seed_cursor] {
+                    seed_cursor += 1;
+                }
+                if seed_cursor >= n {
+                    break;
+                }
+                seed_cursor as VertexId
+            }
+        };
+
+        placed[v as usize] = true;
+        order.push(v);
+        window.push_back(v);
+
+        // Entering the window: bump affinity of v's neighbours.
+        for &u in graph.out_neighbors(v).iter().chain(graph.in_neighbors(v)) {
+            if !placed[u as usize] {
+                priority[u as usize] += 1;
+                heap.push((priority[u as usize], std::cmp::Reverse(u)));
+            }
         }
-    }
 
-    /// Composes the Gorder ordering with a DBG pass, the configuration the
-    /// paper calls "Gorder(+DBG)": it retains most of the Gorder ordering
-    /// while segregating hot vertices so that GRASP's region classification
-    /// applies.
-    #[must_use]
-    pub fn followed_by_dbg(mut self) -> Self {
-        self.compose_dbg = true;
-        self
-    }
-
-    /// Window size.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// The greedy ordering of `graph`, considering both edge directions for
-    /// affinity.
-    fn greedy_order(&self, graph: &dyn GraphView) -> Vec<VertexId> {
-        let n = graph.vertex_count();
-        let mut placed = vec![false; n];
-        let mut priority = vec![0u32; n];
-        let mut heap: BinaryHeap<(u32, std::cmp::Reverse<VertexId>)> = BinaryHeap::new();
-        let mut order: Vec<VertexId> = Vec::with_capacity(n);
-        let mut window: std::collections::VecDeque<VertexId> =
-            std::collections::VecDeque::with_capacity(self.window + 1);
-
-        // When the heap runs dry, the lowest unplaced vertex ID seeds it, so
-        // every vertex is eventually considered even if it is unreachable
-        // from the current window.
-        let mut seed_cursor = 0usize;
-
-        while order.len() < n {
-            // Pick the unplaced vertex with the highest priority; fall back to
-            // the seed cursor when the heap holds only stale entries.
-            let next = loop {
-                match heap.pop() {
-                    Some((p, std::cmp::Reverse(v))) => {
-                        if !placed[v as usize] && priority[v as usize] == p {
-                            break Some(v);
-                        }
-                    }
-                    None => break None,
-                }
-            };
-            let v = match next {
-                Some(v) => v,
-                None => {
-                    // Advance the seed cursor to the next unplaced vertex.
-                    while seed_cursor < n && placed[seed_cursor] {
-                        seed_cursor += 1;
-                    }
-                    if seed_cursor >= n {
-                        break;
-                    }
-                    seed_cursor as VertexId
-                }
-            };
-
-            placed[v as usize] = true;
-            order.push(v);
-            window.push_back(v);
-
-            // Entering the window: bump affinity of v's neighbours.
-            for &u in graph.out_neighbors(v).iter().chain(graph.in_neighbors(v)) {
-                if !placed[u as usize] {
-                    priority[u as usize] += 1;
+        // Leaving the window: decay affinity contributed by the evicted vertex.
+        if window.len() > WINDOW {
+            let gone = window.pop_front().expect("window is non-empty");
+            for &u in graph
+                .out_neighbors(gone)
+                .iter()
+                .chain(graph.in_neighbors(gone))
+            {
+                if !placed[u as usize] && priority[u as usize] > 0 {
+                    priority[u as usize] -= 1;
                     heap.push((priority[u as usize], std::cmp::Reverse(u)));
                 }
             }
-
-            // Leaving the window: decay affinity contributed by the evicted vertex.
-            if window.len() > self.window {
-                let gone = window.pop_front().expect("window is non-empty");
-                for &u in graph
-                    .out_neighbors(gone)
-                    .iter()
-                    .chain(graph.in_neighbors(gone))
-                {
-                    if !placed[u as usize] && priority[u as usize] > 0 {
-                        priority[u as usize] -= 1;
-                        heap.push((priority[u as usize], std::cmp::Reverse(u)));
-                    }
-                }
-            }
-        }
-        order
-    }
-}
-
-impl Default for GorderLite {
-    /// Default window of 8 (within the 4–16 range explored by the Gorder
-    /// paper).
-    fn default() -> Self {
-        Self::new(8)
-    }
-}
-
-impl ReorderTechnique for GorderLite {
-    fn compute(&self, graph: &dyn GraphView, direction: Direction) -> Permutation {
-        let gorder_perm = Permutation::from_order(&self.greedy_order(graph))
-            .expect("the greedy order visits every vertex exactly once");
-        if self.compose_dbg {
-            // Apply DBG on top of the Gorder ordering, as the paper does to
-            // make Gorder compatible with GRASP.
-            let intermediate = crate::apply::relabel(graph, &gorder_perm);
-            let dbg_perm = DegreeBasedGrouping::default().compute(&intermediate, direction);
-            gorder_perm.then(&dbg_perm)
-        } else {
-            gorder_perm
         }
     }
-
-    fn name(&self) -> &'static str {
-        if self.compose_dbg {
-            "Gorder(+DBG)"
-        } else {
-            "Gorder"
-        }
-    }
-
-    fn segregates_hot_vertices(&self) -> bool {
-        // Plain Gorder orders by affinity, not degree; only the +DBG variant
-        // guarantees a hot prefix.
-        self.compose_dbg
-    }
+    order
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hot::hot_threshold;
     use grasp_graph::generators::{GraphGenerator, Rmat};
     use grasp_graph::Csr;
 
     #[test]
     fn produces_a_valid_permutation() {
         let g = Rmat::new(8, 8).generate(6);
-        let perm = GorderLite::default().compute(&g, Direction::Out);
+        let perm = Permutation::from_order(&greedy_order(&g)).expect("a bijection");
         assert!(perm.is_valid());
         assert_eq!(perm.len(), g.vertex_count());
-    }
-
-    #[test]
-    #[should_panic(expected = "window must be non-zero")]
-    fn zero_window_panics() {
-        let _ = GorderLite::new(0);
     }
 
     #[test]
@@ -218,7 +147,7 @@ mod tests {
         };
 
         let before = avg_gap(&scrambled);
-        let perm = GorderLite::new(8).compute(&scrambled, Direction::Out);
+        let perm = Permutation::from_order(&greedy_order(&scrambled)).expect("a bijection");
         let after = avg_gap(&crate::apply::relabel(&scrambled, &perm));
         assert!(
             after < before,
@@ -229,25 +158,13 @@ mod tests {
     #[test]
     fn dbg_composition_segregates_hot_vertices() {
         let g = Rmat::new(9, 8).generate(2);
-        let technique = GorderLite::default().followed_by_dbg();
-        assert!(technique.segregates_hot_vertices());
-        let perm = technique.compute(&g, Direction::Out);
+        let perm = compute(&g, Direction::Out);
         let r = crate::apply::relabel(&g, &perm);
         let region = crate::hot::HotRegion::analyze(&r, Direction::Out);
         assert!(
             region.packing_efficiency() > 0.95,
             "hot vertices should form a prefix, packing {}",
             region.packing_efficiency()
-        );
-        let _ = hot_threshold(&g);
-    }
-
-    #[test]
-    fn names_reflect_composition() {
-        assert_eq!(GorderLite::default().name(), "Gorder");
-        assert_eq!(
-            GorderLite::default().followed_by_dbg().name(),
-            "Gorder(+DBG)"
         );
     }
 }

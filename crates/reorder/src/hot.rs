@@ -9,12 +9,6 @@
 use grasp_graph::types::Direction;
 use grasp_graph::GraphView;
 
-/// The degree threshold above which a vertex counts as hot: the average
-/// degree of the graph (edges / vertices).
-pub fn hot_threshold(graph: &dyn GraphView) -> f64 {
-    graph.edge_count() as f64 / graph.vertex_count() as f64
-}
-
 /// Geometry of the hot region of a (reordered) graph's Property Array.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HotRegion {
@@ -23,14 +17,15 @@ pub struct HotRegion {
 }
 
 impl HotRegion {
-    /// Analyzes `graph` using the degree in `direction` for hotness.
+    /// Analyzes `graph` using the degree in `direction` for hotness: a vertex
+    /// is hot when that degree is at least [`GraphView::average_degree`].
     ///
     /// `prefix_covering_hot` is the smallest prefix of the ID space that
     /// contains every hot vertex — equal to `hot_vertex_count` when the graph
     /// has been reordered by a segregating technique, potentially as large as
     /// the whole graph otherwise.
     pub fn analyze(graph: &dyn GraphView, direction: Direction) -> Self {
-        let threshold = hot_threshold(graph);
+        let threshold = graph.average_degree();
         let mut hot_vertex_count = 0usize;
         let mut last_hot: Option<usize> = None;
         for v in graph.vertices() {
@@ -70,21 +65,24 @@ impl HotRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{apply, DegreeBasedGrouping, ReorderTechnique};
+    use crate::{apply, TechniqueKind};
     use grasp_graph::generators::{GraphGenerator, Rmat};
     use grasp_graph::Csr;
 
     #[test]
     fn threshold_is_average_degree() {
+        // Every vertex has exactly the average degree, and the threshold is
+        // inclusive, so every vertex is hot.
         let g = Csr::from_edges([(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
-        assert!((hot_threshold(&g) - 1.0).abs() < 1e-12);
+        assert!((g.average_degree() - 1.0).abs() < 1e-12);
+        assert_eq!(HotRegion::analyze(&g, Direction::Out).hot_vertex_count(), 4);
     }
 
     #[test]
     fn packing_improves_after_reordering() {
         let g = Rmat::new(10, 8).generate(3);
         let before = HotRegion::analyze(&g, Direction::Out);
-        let perm = DegreeBasedGrouping::default().compute(&g, Direction::Out);
+        let perm = TechniqueKind::Dbg.compute(&g, Direction::Out);
         let after = HotRegion::analyze(&apply::relabel(&g, &perm), Direction::Out);
         assert_eq!(before.hot_vertex_count(), after.hot_vertex_count());
         assert!(after.packing_efficiency() >= before.packing_efficiency());

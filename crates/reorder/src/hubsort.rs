@@ -1,42 +1,30 @@
 //! HubSort (Zhang et al., Big Data'17 — "frequency-based clustering").
+//!
+//! HubSort sorts **hot** vertices (degree ≥ average) in descending degree
+//! order at the front of the ID space while preserving the original relative
+//! order of cold vertices behind them. Compared to a full sort, HubSort
+//! disturbs the structure of the cold majority far less, at the cost of
+//! slightly less precise ordering among the hubs' tail.
 
-use crate::hot::hot_threshold;
 use crate::perm::Permutation;
-use crate::ReorderTechnique;
 use grasp_graph::types::{Direction, VertexId};
 use grasp_graph::GraphView;
 
-/// HubSort: sorts **hot** vertices (degree ≥ average) in descending degree
-/// order at the front of the ID space while preserving the original relative
-/// order of cold vertices behind them.
-///
-/// Compared to [`crate::Sort`], HubSort disturbs the structure of the cold
-/// majority far less, at the cost of slightly less precise ordering among the
-/// hubs' tail.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HubSort;
-
-impl ReorderTechnique for HubSort {
-    fn compute(&self, graph: &dyn GraphView, direction: Direction) -> Permutation {
-        let threshold = hot_threshold(graph);
-        let mut hot: Vec<VertexId> = Vec::new();
-        let mut cold: Vec<VertexId> = Vec::new();
-        for v in graph.vertices() {
-            if graph.degree(v, direction) as f64 >= threshold {
-                hot.push(v);
-            } else {
-                cold.push(v);
-            }
+pub(crate) fn compute(graph: &dyn GraphView, direction: Direction) -> Permutation {
+    let threshold = graph.average_degree();
+    let mut hot: Vec<VertexId> = Vec::new();
+    let mut cold: Vec<VertexId> = Vec::new();
+    for v in graph.vertices() {
+        if graph.degree(v, direction) as f64 >= threshold {
+            hot.push(v);
+        } else {
+            cold.push(v);
         }
-        // Hot vertices: descending degree (stable). Cold: original order.
-        hot.sort_by_key(|&v| std::cmp::Reverse(graph.degree(v, direction)));
-        let order: Vec<VertexId> = hot.into_iter().chain(cold).collect();
-        Permutation::from_order(&order).expect("hot/cold split covers every vertex exactly once")
     }
-
-    fn name(&self) -> &'static str {
-        "HubSort"
-    }
+    // Hot vertices: descending degree (stable). Cold: original order.
+    hot.sort_by_key(|&v| std::cmp::Reverse(graph.degree(v, direction)));
+    let order: Vec<VertexId> = hot.into_iter().chain(cold).collect();
+    Permutation::from_order(&order).expect("hot/cold split covers every vertex exactly once")
 }
 
 #[cfg(test)]
@@ -47,8 +35,8 @@ mod tests {
     #[test]
     fn hot_vertices_occupy_a_prefix() {
         let g = Rmat::new(9, 8).generate(5);
-        let threshold = hot_threshold(&g);
-        let perm = HubSort.compute(&g, Direction::Out);
+        let threshold = g.average_degree();
+        let perm = compute(&g, Direction::Out);
         let hot_count = g
             .vertices()
             .filter(|&v| g.out_degree(v) as f64 >= threshold)
@@ -67,8 +55,8 @@ mod tests {
     #[test]
     fn cold_vertices_keep_relative_order() {
         let g = Rmat::new(8, 8).generate(1);
-        let threshold = hot_threshold(&g);
-        let perm = HubSort.compute(&g, Direction::Out);
+        let threshold = g.average_degree();
+        let perm = compute(&g, Direction::Out);
         let cold: Vec<u32> = g
             .vertices()
             .filter(|&v| (g.out_degree(v) as f64) < threshold)
@@ -84,9 +72,9 @@ mod tests {
     #[test]
     fn hot_prefix_is_sorted_by_degree() {
         let g = Rmat::new(9, 8).generate(7);
-        let perm = HubSort.compute(&g, Direction::In);
+        let perm = compute(&g, Direction::In);
         let reordered = crate::apply::relabel(&g, &perm);
-        let threshold = hot_threshold(&g);
+        let threshold = g.average_degree();
         let hot_count = g
             .vertices()
             .filter(|&v| g.in_degree(v) as f64 >= threshold)

@@ -3,10 +3,7 @@
 use grasp_graph::generators::{ChungLu, GraphGenerator, Rmat, Uniform};
 use grasp_graph::types::Direction;
 use grasp_graph::Csr;
-use grasp_reorder::{
-    apply, DegreeBasedGrouping, HotRegion, HubSort, Identity, Permutation, ReorderTechnique, Sort,
-    TechniqueKind,
-};
+use grasp_reorder::{apply, HotRegion, Permutation, TechniqueKind};
 use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = Csr> {
@@ -27,8 +24,7 @@ proptest! {
     #[test]
     fn techniques_preserve_degree_multiset(g in arb_graph()) {
         for kind in TechniqueKind::ALL {
-            let technique = kind.instantiate();
-            let perm = technique.compute(&g, Direction::Out);
+            let perm = kind.compute(&g, Direction::Out);
             prop_assert!(perm.is_valid());
             let r = apply::relabel(&g, &perm);
             let mut before: Vec<u64> = g.vertices().map(|v| g.out_degree(v)).collect();
@@ -43,7 +39,7 @@ proptest! {
     /// Relabelling preserves adjacency under the permutation.
     #[test]
     fn relabel_preserves_adjacency(g in arb_graph()) {
-        let perm = Sort.compute(&g, Direction::In);
+        let perm = TechniqueKind::Sort.compute(&g, Direction::In);
         let r = apply::relabel(&g, &perm);
         for (s, d, _) in g.edges() {
             prop_assert!(r.has_edge(perm.new_id(s), perm.new_id(d)));
@@ -53,7 +49,7 @@ proptest! {
     /// Inverse composition gives back the identity.
     #[test]
     fn inverse_composition_is_identity(g in arb_graph()) {
-        let perm = HubSort.compute(&g, Direction::Out);
+        let perm = TechniqueKind::HubSort.compute(&g, Direction::Out);
         prop_assert!(perm.then(&perm.inverse()).is_identity());
     }
 }
@@ -66,9 +62,7 @@ fn segregating_techniques_build_a_hot_prefix() {
         TechniqueKind::HubSort,
         TechniqueKind::Dbg,
     ] {
-        let technique = kind.instantiate();
-        assert!(technique.segregates_hot_vertices());
-        let perm = technique.compute(&g, Direction::Out);
+        let perm = kind.compute(&g, Direction::Out);
         let region = HotRegion::analyze(&apply::relabel(&g, &perm), Direction::Out);
         assert!(
             region.packing_efficiency() > 0.99,
@@ -85,7 +79,6 @@ fn identity_does_not_segregate_scrambled_graphs() {
     // Hot vertices are scattered, so the covering prefix is much larger than
     // the hot count.
     assert!(region.prefix_covering_hot() > 2 * region.hot_vertex_count());
-    assert!(!Identity.segregates_hot_vertices());
 }
 
 #[test]
@@ -118,8 +111,8 @@ fn dbg_preserves_more_structure_than_sort() {
             })
             .count()
     };
-    let sort_perm = Sort.compute(&g, Direction::Out);
-    let dbg_perm = DegreeBasedGrouping::default().compute(&g, Direction::Out);
+    let sort_perm = TechniqueKind::Sort.compute(&g, Direction::Out);
+    let dbg_perm = TechniqueKind::Dbg.compute(&g, Direction::Out);
     assert!(
         count_preserved(&dbg_perm) > count_preserved(&sort_perm),
         "DBG should preserve more adjacency of the original order than Sort"

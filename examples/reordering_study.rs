@@ -12,7 +12,7 @@ use grasp_suite::analytics::apps::{AppConfig, AppKind};
 use grasp_suite::core::datasets::{DatasetKind, Scale};
 use grasp_suite::core::experiment::Experiment;
 use grasp_suite::core::report::Table;
-use grasp_suite::reorder::{cost::run_boxed, TechniqueKind};
+use grasp_suite::reorder::{cost, TechniqueKind};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -50,8 +50,7 @@ fn main() {
         TechniqueKind::Dbg,
         TechniqueKind::GorderDbg,
     ] {
-        let technique = kind.instantiate();
-        let outcome = run_boxed(technique.as_ref(), &dataset.graph, app.hotness_direction());
+        let outcome = cost::run(kind, &dataset.graph, app.hotness_direction());
         let run = Experiment::new(outcome.graph.clone(), app)
             .with_app_config(app_config)
             .run_native();
