@@ -50,7 +50,10 @@
 # below csr.rs's test module went, and the count began to include code below
 # a test module, which it had missed since it counted only the lines before a
 # file's first one (the parent tree held 18 197 lines under that rule and
-# 18 276 under this one).
+# 18 276 under this one). It came down to 17 883 (the tree's 17 833 + 50)
+# when the direct run and the recorder became one `Hierarchy<S: LlcSink>`:
+# the two memory-model wrappers, the access counters nothing read and the
+# policies' second name table went, net of the JSON parser's nesting bound.
 #
 # usage: check-line-budget.sh   (from the repository root)
 set -euo pipefail
@@ -64,7 +67,7 @@ find crates/*/src crates/bench/benches -name '*.rs' | sort | while read -r file;
     END { print n + 0, FILENAME }' "$file"
 done | awk '
   BEGIN {
-    total_ceiling = 18040
+    total_ceiling = 17883
     bench_ceiling = 540
     ceiling["crates/core/src/campaign.rs"] = 1287
     ceiling["crates/graph/src/ingest.rs"] = 1177

@@ -107,7 +107,7 @@ mod tests {
     use grasp_graph::Csr;
 
     fn run_native(graph: &dyn GraphView, root: u32) -> AppResult {
-        let mut ws = Workspace::new(NativeMemory::new());
+        let mut ws = Workspace::new(NativeMemory);
         run(
             graph,
             &mut ws,

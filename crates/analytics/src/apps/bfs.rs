@@ -118,7 +118,7 @@ mod tests {
     use grasp_graph::Csr;
 
     fn bfs_native(graph: &dyn GraphView, root: VertexId) -> BfsOutput {
-        let mut ws = Workspace::new(NativeMemory::new());
+        let mut ws = Workspace::new(NativeMemory);
         let arrays = CsrArrays::allocate(&mut ws, graph, false);
         let props = PropertySet::allocate(
             &mut ws,

@@ -88,13 +88,13 @@ pub fn run<M: MemoryModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mem::NativeMemory;
+    use crate::mem::{AccessLog, NativeMemory};
     use crate::props::PropertyLayout;
     use grasp_graph::generators::{GraphGenerator, Rmat};
     use grasp_graph::Csr;
 
     fn run_native(graph: &dyn GraphView, config: &AppConfig) -> AppResult {
-        let mut ws = Workspace::new(NativeMemory::new());
+        let mut ws = Workspace::new(NativeMemory);
         run(graph, &mut ws, config)
     }
 
@@ -185,10 +185,13 @@ mod tests {
     #[test]
     fn memory_accesses_scale_with_edges() {
         let g = Rmat::new(8, 8).generate(4);
-        let mut ws = Workspace::new(NativeMemory::new());
+        let mut ws = Workspace::new(AccessLog::default());
         let config = AppConfig::default().with_max_iterations(2);
         let result = run(&g, &mut ws, &config);
         // At least one edge-array read and one gather per processed edge.
-        assert!(ws.access_count() >= 2 * result.edges_processed);
+        let log = ws.into_memory().0;
+        let at = |site| log.iter().filter(|access| access.2 == site).count() as u64;
+        assert!(at(sites::EDGE_ARRAY) >= result.edges_processed);
+        assert!(at(sites::PROPERTY_GATHER) >= result.edges_processed);
     }
 }

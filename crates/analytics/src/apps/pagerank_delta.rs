@@ -131,7 +131,7 @@ mod tests {
     use grasp_graph::Csr;
 
     fn run_native(graph: &dyn GraphView, config: &AppConfig) -> AppResult {
-        let mut ws = Workspace::new(NativeMemory::new());
+        let mut ws = Workspace::new(NativeMemory);
         run(graph, &mut ws, config)
     }
 
@@ -157,7 +157,7 @@ mod tests {
         };
         let prd = run_native(&g, &config);
         let pr = {
-            let mut ws = Workspace::new(NativeMemory::new());
+            let mut ws = Workspace::new(NativeMemory);
             super::super::pagerank::run(&g, &mut ws, &config)
         };
         let top_prd =
@@ -193,7 +193,7 @@ mod tests {
         };
         let prd = run_native(&g, &config);
         let pr = {
-            let mut ws = Workspace::new(NativeMemory::new());
+            let mut ws = Workspace::new(NativeMemory);
             super::super::pagerank::run(
                 &g,
                 &mut ws,

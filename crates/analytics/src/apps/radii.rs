@@ -108,7 +108,7 @@ mod tests {
     }
 
     fn run_native(graph: &dyn GraphView, config: &AppConfig) -> AppResult {
-        let mut ws = Workspace::new(NativeMemory::new());
+        let mut ws = Workspace::new(NativeMemory);
         run(graph, &mut ws, config)
     }
 

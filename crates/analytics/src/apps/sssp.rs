@@ -99,7 +99,7 @@ mod tests {
     use grasp_graph::EdgeList;
 
     fn run_native(graph: &dyn GraphView, root: u32, rounds: usize) -> AppResult {
-        let mut ws = Workspace::new(NativeMemory::new());
+        let mut ws = Workspace::new(NativeMemory);
         run(
             graph,
             &mut ws,

@@ -112,13 +112,14 @@ pub fn choose_direction(graph: &dyn GraphView, frontier: &Frontier) -> Direction
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mem::NativeMemory;
+    use crate::mem::{AccessLog, NativeMemory};
+    use grasp_cachesim::request::AccessKind;
     use grasp_graph::generators::{GraphGenerator, Rmat};
 
     #[test]
     fn arrays_are_allocated_with_the_right_sizes() {
         let g = Rmat::new(8, 4).generate(1);
-        let mut ws = Workspace::new(NativeMemory::new());
+        let mut ws = Workspace::new(NativeMemory);
         let arrays = CsrArrays::allocate(&mut ws, &g, false);
         let space = ws.address_space();
         assert_eq!(
@@ -133,7 +134,7 @@ mod tests {
     #[test]
     fn weighted_edge_array_is_wider() {
         let g = Rmat::new(6, 4).generate(1);
-        let mut ws = Workspace::new(NativeMemory::new());
+        let mut ws = Workspace::new(NativeMemory);
         let arrays = CsrArrays::allocate(&mut ws, &g, true);
         assert_eq!(
             ws.address_space().region(arrays.edge_array).element_bytes,
@@ -144,26 +145,52 @@ mod tests {
     #[test]
     fn structural_reads_are_reported() {
         let g = Rmat::new(6, 4).generate(1);
-        let mut ws = Workspace::new(NativeMemory::new());
+        let mut ws = Workspace::new(AccessLog::default());
         let arrays = CsrArrays::allocate(&mut ws, &g, false);
-        arrays.read_vertex(&mut ws, 0);
-        arrays.read_edge(&mut ws, 0);
-        arrays.read_frontier(&mut ws, 0);
-        arrays.write_frontier(&mut ws, 0);
-        assert_eq!(ws.access_count(), 4);
+        arrays.read_vertex(&mut ws, 2);
+        arrays.read_edge(&mut ws, 3);
+        arrays.read_frontier(&mut ws, 4);
+        arrays.write_frontier(&mut ws, 5);
+        let base = |h| ws.address_space().region(h).base;
+        let (vertex, edge, frontier) = (
+            base(arrays.vertex_array),
+            base(arrays.edge_array),
+            base(arrays.frontier_bitmap),
+        );
+        let (read, write) = (AccessKind::Read, AccessKind::Write);
+        assert_eq!(
+            ws.into_memory().0,
+            [
+                (
+                    vertex + 16,
+                    read,
+                    sites::VERTEX_ARRAY,
+                    RegionLabel::VertexArray
+                ),
+                (edge + 12, read, sites::EDGE_ARRAY, RegionLabel::EdgeArray),
+                (frontier + 32, read, sites::FRONTIER, RegionLabel::Frontier),
+                (frontier + 40, write, sites::FRONTIER, RegionLabel::Frontier),
+            ]
+        );
     }
 
     #[test]
     fn activate_writes_the_bitmap_and_joins_the_frontier() {
         let g = Rmat::new(6, 4).generate(1);
-        let mut ws = Workspace::new(NativeMemory::new());
+        let mut ws = Workspace::new(AccessLog::default());
         let arrays = CsrArrays::allocate(&mut ws, &g, false);
         let mut next = Frontier::empty(g.vertex_count());
         arrays.activate(&mut ws, &mut next, 3);
         arrays.activate(&mut ws, &mut next, 3);
+        let store = (
+            ws.address_space().region(arrays.frontier_bitmap).base + 24,
+            AccessKind::Write,
+            sites::FRONTIER,
+            RegionLabel::Frontier,
+        );
         // Re-activation models the store again (the program performs it)
         // even though membership dedups.
-        assert_eq!(ws.access_count(), 2);
+        assert_eq!(ws.into_memory().0, [store, store]);
         assert_eq!(next.len(), 1);
         assert!(next.contains(3));
     }

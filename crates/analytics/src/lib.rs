@@ -9,12 +9,15 @@
 //! memory behaviour: per-vertex state lives in *Property Arrays* placed in a
 //! simulated virtual [`layout::AddressSpace`], and every structural access
 //! (Vertex Array, Edge Array, frontier) and property access is reported to a
-//! [`mem::MemoryModel`]. Two models are provided:
+//! [`mem::MemoryModel`]. The models are:
 //!
 //! * [`mem::NativeMemory`] — a no-op, used when measuring real wall-clock
 //!   runtimes (the Fig. 10a reordering study);
-//! * [`mem::TracedMemory`] — drives a [`grasp_cachesim::Hierarchy`], used for
-//!   all simulator-based experiments (Figs. 2, 5–9, 11).
+//! * a [`grasp_cachesim::Hierarchy`] with either LLC sink: with an
+//!   [`LlcTrace`](grasp_cachesim::LlcTrace) it records the post-L2 stream
+//!   that every simulated figure replays under each LLC policy; with an
+//!   [`LlcStage`](grasp_cachesim::LlcStage) it simulates one policy
+//!   directly, the oracle replay is checked against.
 //!
 //! The applications program the GRASP Address Bound Registers with the bounds
 //! of their Property Arrays right after allocating them, exactly as the
@@ -27,7 +30,7 @@
 //! use grasp_graph::generators::{GraphGenerator, Rmat};
 //!
 //! let graph = Rmat::new(8, 8).generate(1);
-//! let mut ws = Workspace::new(NativeMemory::new());
+//! let mut ws = Workspace::new(NativeMemory);
 //! let result = AppKind::PageRank.run(&graph, &mut ws, &AppConfig::default());
 //! assert_eq!(result.values.len(), graph.vertex_count());
 //! ```
@@ -45,7 +48,7 @@ pub mod workspace;
 
 pub use frontier::Frontier;
 pub use layout::{AddressSpace, ArrayHandle};
-pub use mem::{MemoryModel, NativeMemory, RecordingMemory, TracedMemory};
+pub use mem::{MemoryModel, NativeMemory};
 pub use props::{PropertyLayout, PropertySet};
 pub use workspace::Workspace;
 

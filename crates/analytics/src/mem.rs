@@ -1,11 +1,8 @@
 //! Memory models: where the applications' memory accesses go.
 
 use grasp_cachesim::addr::Address;
-use grasp_cachesim::config::HierarchyConfig;
 use grasp_cachesim::request::{AccessKind, AccessSite, RegionLabel};
-use grasp_cachesim::stage::UpperLevels;
-use grasp_cachesim::stats::HierarchyStats;
-use grasp_cachesim::trace::LlcTrace;
+use grasp_cachesim::stage::LlcSink;
 use grasp_cachesim::Hierarchy;
 
 /// A sink for the memory accesses an application performs.
@@ -17,24 +14,11 @@ pub trait MemoryModel: std::fmt::Debug {
     /// Property Array bounds. The default implementation ignores the call
     /// (native execution has no simulated hardware).
     fn program_property_bounds(&mut self, _bounds: &[(Address, Address)]) {}
-
-    /// Number of accesses reported so far.
-    fn access_count(&self) -> u64;
 }
 
-/// The no-op model used for native (wall-clock) runs: accesses are counted
-/// but not simulated.
+/// The no-op model used for native (wall-clock) runs: nothing is simulated.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NativeMemory {
-    accesses: u64,
-}
-
-impl NativeMemory {
-    /// Creates a native (no-op) memory model.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
+pub struct NativeMemory;
 
 impl MemoryModel for NativeMemory {
     #[inline]
@@ -45,108 +29,42 @@ impl MemoryModel for NativeMemory {
         _site: AccessSite,
         _region: RegionLabel,
     ) {
-        self.accesses += 1;
-    }
-
-    fn access_count(&self) -> u64 {
-        self.accesses
     }
 }
 
-/// The traced model: every access is simulated through a cache hierarchy.
-#[derive(Debug)]
-pub struct TracedMemory {
-    hierarchy: Hierarchy,
-    accesses: u64,
-}
-
-impl TracedMemory {
-    /// Wraps a cache hierarchy.
-    pub fn new(hierarchy: Hierarchy) -> Self {
-        Self {
-            hierarchy,
-            accesses: 0,
-        }
-    }
-
-    /// Borrow the underlying hierarchy.
-    pub fn hierarchy(&self) -> &Hierarchy {
-        &self.hierarchy
-    }
-
-    /// Accumulated hierarchy statistics.
-    pub fn stats(&self) -> HierarchyStats {
-        self.hierarchy.stats()
-    }
-}
-
-impl MemoryModel for TracedMemory {
+/// The simulated models: every access runs through the upper levels of a
+/// cache hierarchy into its LLC sink — an
+/// [`LlcStage`](grasp_cachesim::LlcStage) to simulate the LLC now, or an
+/// [`LlcTrace`](grasp_cachesim::LlcTrace) to record the post-L2 stream for
+/// replay under each LLC policy of interest.
+impl<S: LlcSink + std::fmt::Debug> MemoryModel for Hierarchy<S> {
     #[inline]
     fn touch(&mut self, addr: Address, kind: AccessKind, site: AccessSite, region: RegionLabel) {
-        self.accesses += 1;
-        self.hierarchy.access(addr, kind, site, region);
+        self.access(addr, kind, site, region);
     }
 
     fn program_property_bounds(&mut self, bounds: &[(Address, Address)]) {
-        self.hierarchy.program_abrs(bounds);
-    }
-
-    fn access_count(&self) -> u64 {
-        self.accesses
+        self.program_abrs(bounds);
     }
 }
 
-/// The recording model of the record-once / replay-many pipeline: accesses
-/// run through the policy-independent upper levels
-/// ([`grasp_cachesim::stage::UpperLevels`]) only, and everything that escapes
-/// L2 is buffered in an [`LlcTrace`] instead of being simulated. No LLC
-/// exists during recording — the stream is replayed under each LLC policy of
-/// interest.
-#[derive(Debug)]
-pub struct RecordingMemory {
-    upper: UpperLevels,
-    sink: LlcTrace,
-    accesses: u64,
-}
+/// A model that logs every access it is told of, and the bounds it was
+/// programmed with last, so tests pin which accesses an operation reports.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct AccessLog(
+    pub(crate) Vec<(Address, AccessKind, AccessSite, RegionLabel)>,
+    pub(crate) Vec<(Address, Address)>,
+);
 
-impl RecordingMemory {
-    /// Creates a recording model for the given hierarchy configuration (its
-    /// LLC geometry does not shape the recording).
-    pub fn new(config: HierarchyConfig) -> Self {
-        Self {
-            upper: UpperLevels::new(config),
-            sink: LlcTrace::new(),
-            accesses: 0,
-        }
-    }
-
-    /// Pre-sizes the trace for roughly `expected_records` post-L2 records.
-    pub fn reserve_trace(&mut self, expected_records: usize) {
-        self.sink.reserve(expected_records);
-    }
-
-    /// Finishes the recording: attaches the upper-level statistics and the
-    /// programmed ABR bounds to the trace and returns it.
-    pub fn finish(self) -> LlcTrace {
-        let mut trace = self.sink;
-        trace.set_context(self.upper.record_context());
-        trace
-    }
-}
-
-impl MemoryModel for RecordingMemory {
-    #[inline]
+#[cfg(test)]
+impl MemoryModel for AccessLog {
     fn touch(&mut self, addr: Address, kind: AccessKind, site: AccessSite, region: RegionLabel) {
-        self.accesses += 1;
-        self.upper.access(addr, kind, site, region, &mut self.sink);
+        self.0.push((addr, kind, site, region));
     }
 
     fn program_property_bounds(&mut self, bounds: &[(Address, Address)]) {
-        self.upper.program_abrs(bounds);
-    }
-
-    fn access_count(&self) -> u64 {
-        self.accesses
+        self.1 = bounds.to_vec();
     }
 }
 
@@ -156,6 +74,7 @@ mod tests {
     use grasp_cachesim::config::HierarchyConfig;
     use grasp_cachesim::hint::{RegionClassifier, ReuseHint};
     use grasp_cachesim::policy::rrip::Drrip;
+    use grasp_cachesim::stage::LlcStage;
     use grasp_cachesim::trace::LlcTrace;
 
     /// The hint the LLC of `config` gives the trace's first demand request.
@@ -164,12 +83,13 @@ mod tests {
         classifier.classify(trace.demand_vec()[0].addr)
     }
 
-    #[test]
-    fn native_memory_counts_accesses() {
-        let mut m = NativeMemory::new();
-        m.touch(0x10, AccessKind::Read, 1, RegionLabel::Property);
-        m.touch(0x20, AccessKind::Write, 2, RegionLabel::Other);
-        assert_eq!(m.access_count(), 2);
+    /// Reports 100 reads of distinct blocks to `m`, its ABRs programmed with
+    /// one 2 MiB Property Array at address 0.
+    fn touch_distinct_blocks(m: &mut impl MemoryModel) {
+        m.program_property_bounds(&[(0, 1 << 21)]);
+        for i in 0..100u64 {
+            m.touch(i * 64, AccessKind::Read, 3, RegionLabel::Property);
+        }
     }
 
     #[test]
@@ -177,25 +97,24 @@ mod tests {
         // Disable the prefetcher so every distinct block is a demand miss all
         // the way down.
         let config = HierarchyConfig::scaled_default().without_prefetch();
-        let llc = Drrip::new(config.llc.sets(), config.llc.ways, 1);
-        let hierarchy = Hierarchy::new(config, llc);
-        let mut m = TracedMemory::new(hierarchy);
-        for i in 0..100u64 {
-            m.touch(i * 64, AccessKind::Read, 3, RegionLabel::Property);
-        }
-        assert_eq!(m.access_count(), 100);
-        assert_eq!(m.stats().l1.accesses, 100);
-        assert_eq!(
-            m.stats().llc.accesses,
-            100,
-            "distinct blocks all reach the LLC"
-        );
+        let drrip = || Drrip::new(config.llc.sets(), config.llc.ways, 1);
+        let mut m = Hierarchy::new(config, LlcStage::new(config.llc, drrip()));
+        touch_distinct_blocks(&mut m);
+        let stats = m.stats();
+        assert_eq!(stats.l1.accesses, 100);
+        assert_eq!(stats.llc.accesses, 100, "distinct blocks all reach the LLC");
+        assert_eq!(stats.llc.misses, 100);
+        // The recording model, fed the same accesses, replays to the same
+        // statistics.
+        let mut recorder = Hierarchy::new(config, LlcTrace::new());
+        touch_distinct_blocks(&mut recorder);
+        assert_eq!(recorder.finish().replay(config.llc, drrip()), stats);
     }
 
     #[test]
     fn programming_bounds_enables_classification() {
         let config = HierarchyConfig::scaled_default();
-        let mut m = RecordingMemory::new(config);
+        let mut m = Hierarchy::new(config, LlcTrace::new());
         m.program_property_bounds(&[(0x8000_0000, 0x8000_0000 + (1 << 21))]);
         m.touch(0x8000_0000, AccessKind::Read, 1, RegionLabel::Property);
         let trace = m.finish();
@@ -210,12 +129,8 @@ mod tests {
     #[test]
     fn recording_memory_captures_the_post_l2_stream() {
         let config = HierarchyConfig::scaled_default().without_prefetch();
-        let mut m = RecordingMemory::new(config);
-        m.program_property_bounds(&[(0, 1 << 21)]);
-        for i in 0..100u64 {
-            m.touch(i * 64, AccessKind::Read, 3, RegionLabel::Property);
-        }
-        assert_eq!(m.access_count(), 100);
+        let mut m = Hierarchy::new(config, LlcTrace::new());
+        touch_distinct_blocks(&mut m);
         let trace = m.finish();
         assert_eq!(
             trace.demand_len(),

@@ -155,11 +155,12 @@ impl PropertySet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mem::NativeMemory;
+    use crate::mem::{AccessLog, NativeMemory};
+    use grasp_cachesim::request::AccessKind;
 
     #[test]
     fn merged_layout_uses_one_region() {
-        let mut ws = Workspace::new(NativeMemory::new());
+        let mut ws = Workspace::new(NativeMemory);
         let props = PropertySet::allocate(&mut ws, "pr", 100, &[8, 8], PropertyLayout::Merged);
         assert_eq!(props.handles().len(), 1);
         assert_eq!(props.field_count(), 2);
@@ -170,7 +171,7 @@ mod tests {
 
     #[test]
     fn separate_layout_uses_one_region_per_field() {
-        let mut ws = Workspace::new(NativeMemory::new());
+        let mut ws = Workspace::new(NativeMemory);
         let props = PropertySet::allocate(&mut ws, "pr", 100, &[8, 8], PropertyLayout::Separate);
         assert_eq!(props.handles().len(), 2);
         for &h in props.handles() {
@@ -180,7 +181,7 @@ mod tests {
 
     #[test]
     fn merged_fields_of_a_vertex_share_a_cache_block() {
-        let mut ws = Workspace::new(NativeMemory::new());
+        let mut ws = Workspace::new(NativeMemory);
         let props = PropertySet::allocate(&mut ws, "x", 64, &[8, 8], PropertyLayout::Merged);
         let space = ws.address_space();
         let base = space.bounds(props.handles()[0]).0;
@@ -192,7 +193,7 @@ mod tests {
 
     #[test]
     fn separate_fields_of_a_vertex_live_in_different_regions() {
-        let mut ws = Workspace::new(NativeMemory::new());
+        let mut ws = Workspace::new(NativeMemory);
         let props = PropertySet::allocate(&mut ws, "x", 64, &[8, 8], PropertyLayout::Separate);
         let space = ws.address_space();
         let (a_start, a_end) = space.bounds(props.handles()[0]);
@@ -202,17 +203,26 @@ mod tests {
 
     #[test]
     fn reads_and_writes_are_reported() {
-        let mut ws = Workspace::new(NativeMemory::new());
+        let mut ws = Workspace::new(AccessLog::default());
         let props = PropertySet::allocate(&mut ws, "x", 10, &[8, 4], PropertyLayout::Merged);
         props.read(&mut ws, 0, 3, 1);
-        props.write(&mut ws, 1, 3, 1);
-        assert_eq!(ws.access_count(), 2);
+        props.write(&mut ws, 1, 3, 2);
+        // Merged elements are 12 bytes: field 1 sits 8 bytes in.
+        let base = ws.address_space().region(props.handles()[0]).base;
+        let p = RegionLabel::Property;
+        assert_eq!(
+            ws.into_memory().0,
+            [
+                (base + 36, AccessKind::Read, 1, p),
+                (base + 44, AccessKind::Write, 2, p)
+            ]
+        );
     }
 
     #[test]
     #[should_panic(expected = "at least one field")]
     fn empty_field_list_panics() {
-        let mut ws = Workspace::new(NativeMemory::new());
+        let mut ws = Workspace::new(NativeMemory);
         let _ = PropertySet::allocate(&mut ws, "bad", 10, &[], PropertyLayout::Merged);
     }
 }

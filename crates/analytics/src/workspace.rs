@@ -35,16 +35,6 @@ impl<M: MemoryModel> Workspace<M> {
         self.space.allocate(name, label, elements, element_bytes)
     }
 
-    /// The underlying address space.
-    pub fn address_space(&self) -> &AddressSpace {
-        &self.space
-    }
-
-    /// The underlying memory model.
-    pub fn memory(&self) -> &M {
-        &self.mem
-    }
-
     /// Consumes the workspace and returns the memory model.
     pub fn into_memory(self) -> M {
         self.mem
@@ -105,37 +95,57 @@ impl<M: MemoryModel> Workspace<M> {
         let label = region.label;
         self.mem.touch(addr, AccessKind::Write, site, label);
     }
+}
 
-    /// Total number of accesses issued so far.
-    pub fn access_count(&self) -> u64 {
-        self.mem.access_count()
+#[cfg(test)]
+impl<M> Workspace<M> {
+    /// The underlying address space (tests check where arrays landed).
+    pub(crate) fn address_space(&self) -> &AddressSpace {
+        &self.space
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mem::NativeMemory;
+    use crate::mem::AccessLog;
 
     #[test]
     fn reads_and_writes_are_counted() {
-        let mut ws = Workspace::new(NativeMemory::new());
+        let mut ws = Workspace::new(AccessLog::default());
         let a = ws.allocate("a", RegionLabel::Property, 16, 8);
         ws.read(a, 0, 1);
-        ws.write(a, 1, 1);
-        ws.read_field(a, 2, 4, 1);
-        ws.write_field(a, 3, 4, 1);
-        assert_eq!(ws.access_count(), 4);
+        ws.write(a, 1, 2);
+        ws.read_field(a, 2, 4, 3);
+        ws.write_field(a, 3, 4, 4);
         assert_eq!(ws.address_space().regions().len(), 1);
+        let base = ws.address_space().region(a).base;
+        let p = RegionLabel::Property;
+        assert_eq!(
+            ws.into_memory().0,
+            [
+                (base, AccessKind::Read, 1, p),
+                (base + 8, AccessKind::Write, 2, p),
+                (base + 20, AccessKind::Read, 3, p),
+                (base + 28, AccessKind::Write, 4, p),
+            ]
+        );
     }
 
     #[test]
     fn memory_accessors_work() {
-        let mut ws = Workspace::new(NativeMemory::new());
+        let mut ws = Workspace::new(AccessLog::default());
         let a = ws.allocate("a", RegionLabel::Property, 4, 8);
+        let b = ws.allocate("b", RegionLabel::Property, 4, 8);
+        ws.program_property_bounds(&[b, a]);
         ws.read(a, 0, 1);
-        assert_eq!(ws.memory().access_count(), 1);
-        ws.write(a, 1, 1);
-        assert_eq!(ws.into_memory().access_count(), 2);
+        let (a_bounds, b_bounds) = (ws.address_space().bounds(a), ws.address_space().bounds(b));
+        let log = ws.into_memory();
+        assert_eq!(log.0.len(), 1);
+        assert_eq!(
+            log.1,
+            [b_bounds, a_bounds],
+            "bounds reach the model in order"
+        );
     }
 }

@@ -352,7 +352,7 @@ impl std::fmt::Debug for SetAssocCache {
         f.debug_struct("SetAssocCache")
             .field("name", &self.name)
             .field("config", &self.config)
-            .field("policy", &self.policy.name())
+            .field("policy", &self.policy)
             .field("stats", &self.stats)
             .finish()
     }
@@ -385,11 +385,6 @@ impl SetAssocCache {
     /// Cache geometry.
     pub fn config(&self) -> &CacheConfig {
         &self.config
-    }
-
-    /// Name of the replacement policy managing this cache.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Accumulated statistics.
@@ -571,7 +566,7 @@ mod tests {
             }
         }
         assert!(c.stats().hits > 30);
-        assert_eq!(c.policy_name(), "SRRIP");
+        assert!(matches!(c.policy, PolicyDispatch::Srrip(_)));
     }
 
     #[test]

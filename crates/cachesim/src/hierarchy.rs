@@ -1,145 +1,144 @@
-//! The simulated three-level cache hierarchy (L1-D → L2 → LLC).
+//! The simulated three-level cache hierarchy (L1-D → L2 → LLC sink).
 //!
 //! The hierarchy is the reproduction's stand-in for the Sniper-simulated
-//! memory system of Table VI, composed from the two stages of
-//! [`crate::stage`]: the LLC-independent upper levels ([`UpperLevels`]: L1 +
-//! L2 + prefetcher) and the LLC stage ([`LlcStage`]: GRASP's region
-//! classification, as in Fig. 4 of the paper, in front of whichever
-//! replacement policy the experiment is evaluating). It only
-//! simulates: the one recorder of the post-L2 stream is [`UpperLevels`]
-//! feeding an [`LlcTrace`](crate::trace::LlcTrace), whose
-//! [`replay`](crate::trace::LlcTrace::replay) reproduces this hierarchy's
-//! statistics bit-for-bit.
+//! memory system of Table VI: the LLC-independent upper levels
+//! ([`UpperLevels`]: L1 + L2 + prefetcher) in front of an [`LlcSink`] that
+//! receives everything escaping L2. The sink decides what the run is:
+//!
+//! * `Hierarchy<LlcStage>` simulates the LLC now — GRASP's region
+//!   classification (Fig. 4 of the paper) in front of whichever replacement
+//!   policy the experiment is evaluating — and reports
+//!   [`Hierarchy::stats`];
+//! * `Hierarchy<LlcTrace>` is the one recorder of the post-L2 stream:
+//!   [`Hierarchy::finish`] returns the [`LlcTrace`], whose
+//!   [`replay`](LlcTrace::replay) reproduces the first kind's statistics
+//!   bit-for-bit under any policy and LLC geometry.
 
+use crate::addr::Address;
 use crate::config::HierarchyConfig;
-use crate::policy::PolicyDispatch;
 use crate::request::{AccessKind, AccessSite, RegionLabel};
-use crate::stage::{LlcStage, UpperLevels};
+use crate::stage::{LlcSink, LlcStage, UpperLevels};
 use crate::stats::HierarchyStats;
+use crate::trace::LlcTrace;
 
-/// A three-level cache hierarchy with an L1 stride prefetcher and GRASP's
-/// address classification in front of the LLC.
-pub struct Hierarchy {
+/// A three-level cache hierarchy: L1-D and L2 with an L1 stride prefetcher,
+/// and `S` in the LLC's place.
+#[derive(Debug)]
+pub struct Hierarchy<S> {
     upper: UpperLevels,
-    llc: LlcStage,
+    llc: S,
 }
 
-impl std::fmt::Debug for Hierarchy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Hierarchy")
-            .field("config", self.upper.config())
-            .field("llc_policy", &self.llc.policy_name())
-            .finish()
-    }
-}
-
-impl Hierarchy {
-    /// Creates a hierarchy with the given configuration and LLC replacement
-    /// policy. Its ABRs start unprogrammed, modelling a system without
-    /// GRASP's interface (every request carries the Default hint) until
+impl<S: LlcSink> Hierarchy<S> {
+    /// Creates a hierarchy with the given configuration and LLC sink. Its
+    /// ABRs start unprogrammed, modelling a system without GRASP's interface
+    /// (every request carries the Default hint) until
     /// [`Hierarchy::program_abrs`].
-    pub fn new(config: HierarchyConfig, llc_policy: impl Into<PolicyDispatch>) -> Self {
+    pub fn new(config: HierarchyConfig, llc: S) -> Self {
         Self {
             upper: UpperLevels::new(config),
-            llc: LlcStage::new(config.llc, llc_policy),
+            llc,
         }
     }
 
-    /// The hierarchy configuration.
-    pub fn config(&self) -> &HierarchyConfig {
-        self.upper.config()
-    }
-
     /// Programs the Address Bound Registers with the bounds of the
-    /// application's Property Arrays, in both stages: the LLC stage
+    /// application's Property Arrays, in both stages: an LLC stage
     /// classifies requests with them, the upper levels keep them for a
     /// recording's context.
     ///
     /// This models the software side of GRASP's interface (Sec. III-A): the
     /// graph framework calls this once at application start-up, after it has
     /// allocated its Property Arrays.
-    pub fn program_abrs(&mut self, bounds: &[(u64, u64)]) {
+    pub fn program_abrs(&mut self, bounds: &[(Address, Address)]) {
         self.upper.program_abrs(bounds);
         self.llc.program_abrs(bounds);
     }
 
     /// Performs one demand memory access.
     ///
-    /// Returns `true` if the access hit somewhere on chip (L1, L2 or LLC).
+    /// Returns `true` if the access hit somewhere on chip (L1, L2 or, for an
+    /// LLC stage, the LLC).
+    #[inline]
     pub fn access(
         &mut self,
-        addr: u64,
+        addr: Address,
         kind: AccessKind,
         site: AccessSite,
         region: RegionLabel,
     ) -> bool {
         self.upper.access(addr, kind, site, region, &mut self.llc)
     }
+}
 
-    /// Convenience wrapper for a read access.
-    pub fn read(&mut self, addr: u64, site: AccessSite, region: RegionLabel) -> bool {
-        self.access(addr, AccessKind::Read, site, region)
-    }
-
-    /// Convenience wrapper for a write access.
-    pub fn write(&mut self, addr: u64, site: AccessSite, region: RegionLabel) -> bool {
-        self.access(addr, AccessKind::Write, site, region)
-    }
-
+impl Hierarchy<LlcStage> {
     /// Accumulated statistics of every level.
     pub fn stats(&self) -> HierarchyStats {
-        let llc = self.llc.stats().clone();
-        HierarchyStats {
-            l1: self.upper.l1_stats().clone(),
-            l2: self.upper.l2_stats().clone(),
-            memory_accesses: llc.misses,
-            llc,
-        }
+        self.upper
+            .record_context()
+            .stats_with(self.llc.stats().clone())
+    }
+}
+
+impl Hierarchy<LlcTrace> {
+    /// Finishes the recording: attaches the upper-level statistics and the
+    /// programmed ABR bounds to the trace and returns it.
+    pub fn finish(self) -> LlcTrace {
+        let mut trace = self.llc;
+        trace.set_context(self.upper.record_context());
+        trace
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::HierarchyConfig;
     use crate::hint::{RegionClassifier, ReuseHint};
     use crate::policy::grasp::Grasp;
     use crate::policy::rrip::Drrip;
-    use crate::trace::{LlcTrace, TraceEvent};
+    use crate::policy::PolicyDispatch;
+    use crate::trace::TraceEvent;
 
-    fn hierarchy() -> Hierarchy {
-        let config = HierarchyConfig::scaled_default();
+    /// A hierarchy simulating an LLC of `config`'s geometry under DRRIP.
+    fn simulating(config: HierarchyConfig) -> Hierarchy<LlcStage> {
         let llc = Drrip::new(config.llc.sets(), config.llc.ways, 1);
-        Hierarchy::new(config, llc)
+        Hierarchy::new(config, LlcStage::new(config.llc, llc))
     }
 
-    /// Feeds `accesses` (site 1, Property) to a hierarchy under `llc` and to
-    /// the recorder — the same upper levels with an [`LlcTrace`] as their
-    /// sink — both with their ABRs programmed with `bounds`.
+    fn hierarchy() -> Hierarchy<LlcStage> {
+        simulating(HierarchyConfig::scaled_default())
+    }
+
+    fn read(h: &mut Hierarchy<LlcStage>, addr: u64, site: AccessSite, region: RegionLabel) {
+        h.access(addr, AccessKind::Read, site, region);
+    }
+
+    /// Feeds `accesses` (site 1, Property) to a hierarchy simulating an LLC
+    /// under `llc` and to one recording with an [`LlcTrace`] as its sink —
+    /// the same type with the other sink — both with their ABRs programmed
+    /// with `bounds`.
     fn simulate_and_record(
         llc: impl Into<PolicyDispatch>,
         bounds: &[(u64, u64)],
         accesses: &[(u64, AccessKind)],
-    ) -> (Hierarchy, LlcTrace) {
-        let mut h = Hierarchy::new(HierarchyConfig::scaled_default(), llc);
+    ) -> (Hierarchy<LlcStage>, LlcTrace) {
+        let config = HierarchyConfig::scaled_default();
+        let mut h = Hierarchy::new(config, LlcStage::new(config.llc, llc));
+        let mut recorder = Hierarchy::new(config, LlcTrace::new());
         h.program_abrs(bounds);
-        let mut upper = UpperLevels::new(*h.config());
-        upper.program_abrs(bounds);
-        let mut trace = LlcTrace::new();
+        recorder.program_abrs(bounds);
         for &(addr, kind) in accesses {
             h.access(addr, kind, 1, RegionLabel::Property);
-            upper.access(addr, kind, 1, RegionLabel::Property, &mut trace);
+            recorder.access(addr, kind, 1, RegionLabel::Property);
         }
-        trace.set_context(upper.record_context());
-        (h, trace)
+        (h, recorder.finish())
     }
 
     #[test]
     fn l1_filters_repeated_accesses() {
         let mut h = hierarchy();
-        h.read(0x1000, 1, RegionLabel::Property);
+        read(&mut h, 0x1000, 1, RegionLabel::Property);
         for _ in 0..9 {
-            h.read(0x1000, 1, RegionLabel::Property);
+            read(&mut h, 0x1000, 1, RegionLabel::Property);
         }
         let stats = h.stats();
         assert_eq!(stats.l1.accesses, 10);
@@ -156,7 +155,7 @@ mod tests {
         // most 1/8th of the accesses (fewer once the prefetcher kicks in).
         let mut h = hierarchy();
         for i in 0..4096u64 {
-            h.read(0x10000 + i * 8, 2, RegionLabel::EdgeArray);
+            read(&mut h, 0x10000 + i * 8, 2, RegionLabel::EdgeArray);
         }
         let stats = h.stats();
         assert_eq!(stats.l1.accesses, 4096);
@@ -192,7 +191,7 @@ mod tests {
         for _ in 0..20_000 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(13);
             let addr = (x >> 20) % (8 * 1024 * 1024);
-            h.read(addr, 3, RegionLabel::Property);
+            read(&mut h, addr, 3, RegionLabel::Property);
         }
         let stats = h.stats();
         assert_eq!(stats.memory_accesses, stats.llc.misses);
@@ -204,10 +203,9 @@ mod tests {
         let run = |prefetch: bool| -> u64 {
             let mut config = HierarchyConfig::scaled_default();
             config.prefetch = prefetch;
-            let llc = Drrip::new(config.llc.sets(), config.llc.ways, 1);
-            let mut h = Hierarchy::new(config, llc);
+            let mut h = simulating(config);
             for i in 0..20_000u64 {
-                h.read(i * 8, 1, RegionLabel::EdgeArray);
+                read(&mut h, i * 8, 1, RegionLabel::EdgeArray);
             }
             // Misses seen by the core are L1 misses that also miss everywhere.
             h.stats().memory_accesses

@@ -9,7 +9,10 @@
 //!   ([`cache::SetAssocCache`], [`policy::ReplacementPolicy`]),
 //! * a three-level hierarchy (L1-D → L2 → LLC) with a stride prefetcher
 //!   ([`hierarchy::Hierarchy`]) whose default geometry mirrors Table VI of the
-//!   paper (scaled down together with the datasets),
+//!   paper (scaled down together with the datasets); the LLC's place is
+//!   taken by an [`LlcSink`]: an [`LlcStage`] simulates it now, an
+//!   [`LlcTrace`] records the post-L2 stream once for replay under every
+//!   policy and LLC geometry ([`stage`], [`trace`]),
 //! * the replacement policies compared in the paper: LRU, SRRIP/BRRIP/DRRIP
 //!   ([`policy::rrip`]), SHiP-MEM ([`policy::ship`]), Hawkeye
 //!   ([`policy::hawkeye`]), Leeway ([`policy::leeway`]), XMem-style pinning

@@ -69,11 +69,6 @@ macro_rules! for_each_policy {
 pub(crate) use for_each_policy;
 
 impl PolicyDispatch {
-    /// Human-readable policy name used in reports.
-    pub fn name(&self) -> &'static str {
-        for_each_policy!(self, p => p.name())
-    }
-
     /// See [`ReplacementPolicy::reads_hints`].
     pub fn reads_hints(&self) -> bool {
         for_each_policy!(self, p => p.reads_hints())
@@ -82,7 +77,8 @@ impl PolicyDispatch {
 
 impl std::fmt::Debug for PolicyDispatch {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("PolicyDispatch").field(&self.name()).finish()
+        let policy = for_each_policy!(self, p => std::any::type_name_of_val(p));
+        f.debug_tuple("PolicyDispatch").field(&policy).finish()
     }
 }
 
@@ -118,7 +114,6 @@ mod tests {
     fn concrete_policies_take_the_static_path() {
         let d: PolicyDispatch = Lru::new(4, 4).into();
         assert!(matches!(d, PolicyDispatch::Lru(_)));
-        assert_eq!(d.name(), "LRU");
         let d: PolicyDispatch = Grasp::new(4, 4, 1).into();
         assert!(matches!(d, PolicyDispatch::Grasp(_)));
     }

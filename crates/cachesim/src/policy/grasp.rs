@@ -88,14 +88,6 @@ impl Grasp {
 }
 
 impl ReplacementPolicy for Grasp {
-    fn name(&self) -> &'static str {
-        match self.mode {
-            GraspMode::HintsOnly => "RRIP+Hints",
-            GraspMode::InsertionOnly => "GRASP-Insertion",
-            GraspMode::Full => "GRASP",
-        }
-    }
-
     #[inline(always)]
     fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
         // Eviction is unchanged from the base scheme (Sec. III-C): no hint is

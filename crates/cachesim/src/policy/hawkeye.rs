@@ -355,10 +355,6 @@ impl Hawkeye {
 }
 
 impl ReplacementPolicy for Hawkeye {
-    fn name(&self) -> &'static str {
-        "Hawkeye"
-    }
-
     #[inline(always)]
     fn choose_victim(&mut self, set: usize, info: &AccessInfo) -> usize {
         // Prefer cache-averse blocks (RRPV == MAX); otherwise evict the oldest

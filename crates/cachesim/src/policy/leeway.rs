@@ -143,10 +143,6 @@ impl Leeway {
 }
 
 impl ReplacementPolicy for Leeway {
-    fn name(&self) -> &'static str {
-        "Leeway"
-    }
-
     // Out of line on purpose, the one victim search replay's kernel calls:
     // forced inline, it costs Leeway ≈ 10 % per record on the `pipeline`
     // benchmark's streams at `Tiny`.

@@ -75,10 +75,6 @@ impl Lru {
 }
 
 impl ReplacementPolicy for Lru {
-    fn name(&self) -> &'static str {
-        "LRU"
-    }
-
     #[inline(always)]
     fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
         // Exactly one way of the set holds rank `ways - 1`: one exact lane

@@ -39,9 +39,6 @@ pub use dispatch::PolicyDispatch;
 /// way of the set holds a valid block. A policy's state lives as long as its
 /// cache: nothing ever invalidates the cache or resets the policy.
 pub trait ReplacementPolicy: std::fmt::Debug {
-    /// Human-readable policy name used in reports.
-    fn name(&self) -> &'static str;
-
     /// Chooses the victim way for a fill in `set` when all ways are valid.
     ///
     /// The built-in policies force their victim search inline

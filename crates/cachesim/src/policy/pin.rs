@@ -73,16 +73,6 @@ impl PinX {
 }
 
 impl ReplacementPolicy for PinX {
-    fn name(&self) -> &'static str {
-        match self.reserved_percent {
-            25 => "PIN-25",
-            50 => "PIN-50",
-            75 => "PIN-75",
-            100 => "PIN-100",
-            _ => "PIN-X",
-        }
-    }
-
     #[inline(always)]
     fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
         // Standard RRIP victim search restricted to unpinned ways. As in
@@ -247,12 +237,5 @@ mod tests {
         p.on_evict(0, 0, true);
         p.on_hit(0, 2, &high(128));
         assert_eq!(p.pinned_in_set(0), 2);
-    }
-
-    #[test]
-    fn names_follow_configuration() {
-        assert_eq!(PinX::new(1, 4, 25).name(), "PIN-25");
-        assert_eq!(PinX::new(1, 4, 100).name(), "PIN-100");
-        assert_eq!(PinX::new(1, 4, 60).name(), "PIN-X");
     }
 }

@@ -23,10 +23,6 @@ impl RandomReplacement {
 }
 
 impl ReplacementPolicy for RandomReplacement {
-    fn name(&self) -> &'static str {
-        "Random"
-    }
-
     fn choose_victim(&mut self, _set: usize, _info: &AccessInfo) -> usize {
         self.rng.next_below(self.ways as u64) as usize
     }

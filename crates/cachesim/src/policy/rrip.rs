@@ -272,10 +272,6 @@ impl Srrip {
 }
 
 impl ReplacementPolicy for Srrip {
-    fn name(&self) -> &'static str {
-        "SRRIP"
-    }
-
     #[inline(always)]
     fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
         self.rrpv.find_victim(set)
@@ -309,10 +305,6 @@ impl Brrip {
 }
 
 impl ReplacementPolicy for Brrip {
-    fn name(&self) -> &'static str {
-        "BRRIP"
-    }
-
     #[inline(always)]
     fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
         self.rrpv.find_victim(set)
@@ -348,10 +340,6 @@ impl Drrip {
 }
 
 impl ReplacementPolicy for Drrip {
-    fn name(&self) -> &'static str {
-        "RRIP"
-    }
-
     #[inline(always)]
     fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
         self.rrpv.find_victim(set)

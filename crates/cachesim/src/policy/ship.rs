@@ -92,10 +92,6 @@ impl ShipMem {
 }
 
 impl ReplacementPolicy for ShipMem {
-    fn name(&self) -> &'static str {
-        "SHiP-MEM"
-    }
-
     #[inline(always)]
     fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
         self.rrpv.find_victim(set)

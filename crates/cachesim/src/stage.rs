@@ -19,10 +19,10 @@
 //!             └──────────────┬──────────────────────┘
 //!                            │ demand / prefetch / writeback   (LlcSink)
 //!              ┌─────────────┴──────────────────────────────────┐
-//!              │  LlcStage: RegionClassifier (ABRs, LLC size →  │   ← simulate now (crate::Hierarchy)
+//!              │  LlcStage: RegionClassifier (ABRs, LLC size →  │   ← Hierarchy<LlcStage>: simulate now
 //!              │            reuse hint) → LLC (policy X)        │
-//!              │  LlcTrace                                      │   ← the recorder: record once, replay
-//!              └────────────────────────────────────────────────┘     per policy and LLC geometry
+//!              │  LlcTrace                                      │   ← Hierarchy<LlcTrace>: record once,
+//!              └────────────────────────────────────────────────┘     replay per policy and LLC geometry
 //! ```
 //!
 //! L1 and L2 are the private `lru_filter` module's recency-ordered LRU sets, not
@@ -34,9 +34,9 @@
 //! lookup. [`UpperLevels::access`] is the one way in, for recording and for
 //! direct simulation alike.
 //!
-//! [`crate::Hierarchy`] composes the two stages back into the classic
-//! three-level simulator, which only simulates; [`crate::trace::LlcTrace`]
-//! implements [`LlcSink`] as the one recorder, and
+//! [`crate::Hierarchy`] is the one composition of the two: the upper levels
+//! with either sink. With an [`LlcStage`] it is the classic three-level
+//! simulator; with an [`crate::trace::LlcTrace`] it is the one recorder, and
 //! [`LlcTrace::replay`](crate::trace::LlcTrace::replay) drives a fresh
 //! [`LlcStage`] from the recorded stream — through the *same*
 //! code path, which is what makes replayed statistics bit-identical to direct
@@ -67,6 +67,12 @@ pub trait LlcSink {
     /// The writeback of a dirty victim evicted from L2 (or evicted from L1
     /// and absent in L2).
     fn writeback(&mut self, addr: Address);
+
+    /// The application programmed the Address Bound Registers with `bounds`.
+    /// An LLC stage classifies by them; a recorder ignores the call, as the
+    /// bounds reach a recording through
+    /// [`UpperLevels::record_context`].
+    fn program_abrs(&mut self, _bounds: &[(Address, Address)]) {}
 }
 
 /// The LLC-independent upper levels of the hierarchy: L1-D and L2 (both
@@ -108,26 +114,11 @@ impl UpperLevels {
         }
     }
 
-    /// The hierarchy configuration.
-    pub fn config(&self) -> &HierarchyConfig {
-        &self.config
-    }
-
     /// Keeps the bounds the application programmed into the Address Bound
     /// Registers (the software side of GRASP's interface, Sec. III-A) for
     /// [`UpperLevels::record_context`]. Nothing above the LLC reads them.
     pub fn program_abrs(&mut self, bounds: &[(Address, Address)]) {
         self.abr_bounds = bounds.to_vec();
-    }
-
-    /// Accumulated L1-D statistics.
-    pub fn l1_stats(&self) -> &CacheStats {
-        self.l1.stats()
-    }
-
-    /// Accumulated L2 statistics.
-    pub fn l2_stats(&self) -> &CacheStats {
-        self.l2.stats()
     }
 
     /// Snapshot of everything a recorded trace carries alongside the post-L2
@@ -219,7 +210,7 @@ impl UpperLevels {
 /// demand miss falls through to main memory, so the memory-access count of
 /// [`crate::stats::HierarchyStats`] is the LLC's demand-miss count.
 ///
-/// Both the direct simulation path ([`crate::Hierarchy`]) and trace replay
+/// Both the direct simulation path (`Hierarchy<LlcStage>`) and trace replay
 /// ([`crate::trace::LlcTrace::replay`]) drive this same type, which is what
 /// guarantees bit-identical statistics between the two.
 pub struct LlcStage {
@@ -230,7 +221,7 @@ pub struct LlcStage {
 impl std::fmt::Debug for LlcStage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LlcStage")
-            .field("policy", &self.cache.policy_name())
+            .field("cache", &self.cache)
             .finish()
     }
 }
@@ -250,11 +241,6 @@ impl LlcStage {
     /// classified for this stage's LLC capacity.
     pub fn program_abrs(&mut self, bounds: &[(Address, Address)]) {
         self.classifier = RegionClassifier::new(bounds, self.cache.config().size_bytes);
-    }
-
-    /// Name of the replacement policy managing the LLC.
-    pub fn policy_name(&self) -> &'static str {
-        self.cache.policy_name()
     }
 
     /// Accumulated LLC statistics.
@@ -314,6 +300,10 @@ impl LlcSink for LlcStage {
     fn writeback(&mut self, addr: Address) {
         LlcStage::writeback(self, addr);
     }
+
+    fn program_abrs(&mut self, bounds: &[(Address, Address)]) {
+        LlcStage::program_abrs(self, bounds);
+    }
 }
 
 #[cfg(test)]
@@ -356,8 +346,8 @@ mod tests {
             u.access(0x40, AccessKind::Read, 1, RegionLabel::Property, &mut sink);
         }
         assert_eq!(sink.demands, 1, "only the first access escapes L1");
-        assert_eq!(u.l1_stats().accesses, 10);
-        assert_eq!(u.l2_stats().accesses, 1);
+        assert_eq!(u.record_context().l1.accesses, 10);
+        assert_eq!(u.record_context().l2.accesses, 1);
     }
 
     #[test]
@@ -506,8 +496,8 @@ mod tests {
             upper.access(info.addr, info.kind, info.site, info.region, &mut got);
         }
         assert_eq!(expected, got, "post-L2 record sequence");
-        assert_eq!(l1.stats(), upper.l1_stats());
-        assert_eq!(l2.stats(), upper.l2_stats());
+        assert_eq!(l1.stats(), &upper.record_context().l1);
+        assert_eq!(l2.stats(), &upper.record_context().l2);
         assert!(l2.stats().writeback_hits > 0 && l2.stats().prefetch_fills > 0);
     }
 

@@ -40,9 +40,8 @@ mod hash;
 pub mod persist;
 
 use crate::addr::Address;
-use crate::cache::SetAssocCache;
 use crate::config::CacheConfig;
-use crate::hint::{RegionClassifier, ReuseHint};
+use crate::hint::ReuseHint;
 use crate::policy::PolicyDispatch;
 use crate::request::{AccessInfo, AccessKind, RegionLabel};
 use crate::stage::{LlcSink, LlcStage};
@@ -203,6 +202,20 @@ pub struct RecordContext {
     /// The Address Bound Register bounds the application programmed (empty
     /// when the ABRs stayed unprogrammed).
     pub abr_bounds: Vec<(Address, Address)>,
+}
+
+impl RecordContext {
+    /// The full hierarchy statistics of a run with these upper levels and
+    /// an LLC that ended with `llc`: every demand LLC miss is a memory
+    /// access. The one place a direct run and a replay assemble them.
+    pub fn stats_with(&self, llc: CacheStats) -> HierarchyStats {
+        HierarchyStats {
+            l1: self.l1.clone(),
+            l2: self.l2.clone(),
+            memory_accesses: llc.misses,
+            llc,
+        }
+    }
 }
 
 /// A compact, append-only record of the post-L2 request stream (see the
@@ -450,13 +463,7 @@ impl LlcTrace {
                 }
             }
         }
-        let llc = stage.into_stats();
-        HierarchyStats {
-            l1: self.context.l1.clone(),
-            l2: self.context.l2.clone(),
-            memory_accesses: llc.misses,
-            llc,
-        }
+        self.context.stats_with(stage.into_stats())
     }
 
     /// Replays the **demand** stream only through a standalone LLC,
@@ -464,15 +471,15 @@ impl LlcTrace {
     /// online-policy side of the OPT comparison (Fig. 11 / Table VII), which
     /// must give every scheme the same stream Belady's bound is computed
     /// on. Each chunk's demand records are filtered into one reused pair of
-    /// column windows and go through the cache's run kernel; no
+    /// column windows and go through the stage's run kernel; no
     /// `AccessInfo` is materialized.
     pub fn replay_demand(
         &self,
         config: CacheConfig,
         policy: impl Into<PolicyDispatch>,
     ) -> CacheStats {
-        let classifier = RegionClassifier::new(&self.context.abr_bounds, config.size_bytes);
-        let mut cache = SetAssocCache::new("LLC", config, policy);
+        let mut stage = LlcStage::new(config, policy);
+        stage.program_abrs(&self.context.abr_bounds);
         let (mut addrs, mut meta) = (Vec::new(), Vec::new());
         for chunk in self.chunks() {
             addrs.clear();
@@ -483,9 +490,9 @@ impl LlcTrace {
                     meta.push(word);
                 }
             }
-            cache.replay_run(&addrs, &meta, &classifier);
+            stage.replay_run(&addrs, &meta);
         }
-        cache.stats().clone()
+        stage.into_stats()
     }
 }
 
@@ -520,7 +527,8 @@ impl FromIterator<AccessInfo> for LlcTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hint::ReuseHint;
+    use crate::cache::SetAssocCache;
+    use crate::hint::RegionClassifier;
     use crate::policy::grasp::Grasp;
     use crate::policy::lru::Lru;
     use crate::policy::opt::optimal_misses;

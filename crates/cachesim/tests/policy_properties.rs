@@ -29,22 +29,29 @@ fn config() -> CacheConfig {
     CacheConfig::new(64 * 64, 8, 64) // 64 blocks, 8 ways, 8 sets
 }
 
-fn all_policies(cfg: &CacheConfig) -> Vec<PolicyDispatch> {
+/// Every online policy, each with the label the figures give it.
+fn all_policies(cfg: &CacheConfig) -> Vec<(&'static str, PolicyDispatch)> {
     let sets = cfg.sets();
     let ways = cfg.ways;
     vec![
-        Lru::new(sets, ways).into(),
-        RandomReplacement::new(sets, ways, 7).into(),
-        Srrip::new(sets, ways).into(),
-        Brrip::new(sets, ways, 7).into(),
-        Drrip::new(sets, ways, 7).into(),
-        ShipMem::new(sets, ways, cfg.block_bytes).into(),
-        Hawkeye::new(sets, ways, cfg.block_bytes).into(),
-        Leeway::new(sets, ways).into(),
-        PinX::new(sets, ways, 50).into(),
-        Grasp::new(sets, ways, 7).into(),
-        Grasp::with_mode(sets, ways, 7, GraspMode::HintsOnly).into(),
-        Grasp::with_mode(sets, ways, 7, GraspMode::InsertionOnly).into(),
+        ("LRU", Lru::new(sets, ways).into()),
+        ("Random", RandomReplacement::new(sets, ways, 7).into()),
+        ("SRRIP", Srrip::new(sets, ways).into()),
+        ("BRRIP", Brrip::new(sets, ways, 7).into()),
+        ("RRIP", Drrip::new(sets, ways, 7).into()),
+        ("SHiP-MEM", ShipMem::new(sets, ways, cfg.block_bytes).into()),
+        ("Hawkeye", Hawkeye::new(sets, ways, cfg.block_bytes).into()),
+        ("Leeway", Leeway::new(sets, ways).into()),
+        ("PIN-50", PinX::new(sets, ways, 50).into()),
+        ("GRASP", Grasp::new(sets, ways, 7).into()),
+        (
+            "RRIP+Hints",
+            Grasp::with_mode(sets, ways, 7, GraspMode::HintsOnly).into(),
+        ),
+        (
+            "GRASP (Insertion-Only)",
+            Grasp::with_mode(sets, ways, 7, GraspMode::InsertionOnly).into(),
+        ),
     ]
 }
 
@@ -79,8 +86,7 @@ proptest! {
     fn policies_that_ignore_hints_are_indifferent_to_them(trace in arb_trace()) {
         let cfg = config();
         let mut readers = Vec::new();
-        for (hinted, plain) in all_policies(&cfg).into_iter().zip(all_policies(&cfg)) {
-            let name = hinted.name();
+        for ((name, hinted), (_, plain)) in all_policies(&cfg).into_iter().zip(all_policies(&cfg)) {
             if hinted.reads_hints() {
                 readers.push(name);
                 continue;
@@ -92,7 +98,7 @@ proptest! {
                 prop_assert_eq!(outcome, plain.access(&info.with_hint(ReuseHint::Default)), "{}", name);
             }
         }
-        prop_assert_eq!(readers, ["PIN-50", "GRASP", "RRIP+Hints", "GRASP-Insertion"]);
+        prop_assert_eq!(readers, ["PIN-50", "GRASP", "RRIP+Hints", "GRASP (Insertion-Only)"]);
     }
 
     /// Basic accounting invariants hold for every policy on any trace, and
@@ -100,8 +106,7 @@ proptest! {
     #[test]
     fn accounting_invariants(trace in arb_trace()) {
         let cfg = config();
-        for policy in all_policies(&cfg) {
-            let name = policy.name();
+        for (name, policy) in all_policies(&cfg) {
             let mut cache = SetAssocCache::new("LLC", cfg, policy);
             for info in &trace {
                 cache.access(info);
@@ -122,8 +127,7 @@ proptest! {
     fn opt_is_a_lower_bound(trace in arb_trace()) {
         let cfg = config();
         let opt = optimal_misses(&trace.iter().copied().collect(), &cfg);
-        for policy in all_policies(&cfg) {
-            let name = policy.name();
+        for (name, policy) in all_policies(&cfg) {
             let mut cache = SetAssocCache::new("LLC", cfg, policy);
             for info in &trace {
                 cache.access(info);
@@ -145,8 +149,7 @@ proptest! {
         let cfg = config();
         let distinct: std::collections::HashSet<u64> =
             trace.iter().map(|i| i.addr / 64).collect();
-        for policy in all_policies(&cfg) {
-            let name = policy.name();
+        for (name, policy) in all_policies(&cfg) {
             let mut cache = SetAssocCache::new("LLC", cfg, policy);
             for info in &trace {
                 cache.access(info);

@@ -6,7 +6,7 @@
 //! and are not available offline, so the reproduction substitutes synthetic
 //! graphs whose *skew* (hot-vertex fraction and edge coverage, Table I)
 //! mirrors each original, scaled down together with the simulated LLC so the
-//! cache-pressure regime is preserved (see DESIGN.md).
+//! cache-pressure regime is preserved (see `docs/datasets.md`).
 
 use grasp_cachesim::config::HierarchyConfig;
 use grasp_graph::degree::SkewReport;

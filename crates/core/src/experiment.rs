@@ -2,12 +2,12 @@
 
 use crate::policy::PolicyKind;
 use grasp_analytics::apps::{AppConfig, AppKind, AppResult};
-use grasp_analytics::mem::{NativeMemory, RecordingMemory, TracedMemory};
+use grasp_analytics::mem::NativeMemory;
 use grasp_analytics::Workspace;
 use grasp_cachesim::config::HierarchyConfig;
 use grasp_cachesim::stats::HierarchyStats;
 use grasp_cachesim::trace::LlcTrace;
-use grasp_cachesim::{Hierarchy, TimingModel};
+use grasp_cachesim::{Hierarchy, LlcStage, TimingModel};
 use grasp_graph::{Csr, GraphView};
 use grasp_reorder::TechniqueKind;
 use std::sync::Arc;
@@ -255,11 +255,14 @@ impl Experiment {
     /// Runs the application through the simulated hierarchy with `policy`
     /// managing the LLC.
     pub fn run(&self, policy: PolicyKind) -> RunResult {
-        let llc_policy = policy.build_dispatch(&self.hierarchy.llc);
+        let llc = self.hierarchy.llc;
         // The ABRs start unprogrammed; the application programs them with its
         // Property Array bounds as part of start-up (Sec. III-A).
-        let hierarchy = Hierarchy::new(self.hierarchy, llc_policy);
-        let mut ws = Workspace::new(TracedMemory::new(hierarchy));
+        let hierarchy = Hierarchy::new(
+            self.hierarchy,
+            LlcStage::new(llc, policy.build_dispatch(&llc)),
+        );
+        let mut ws = Workspace::new(hierarchy);
         let app = self.app.run(&*self.graph, &mut ws, &self.app_config);
         let stats = ws.into_memory().stats();
         let cycles =
@@ -280,12 +283,11 @@ impl Experiment {
     /// producing [`RunResult`]s bit-identical to [`Experiment::run`] at a
     /// fraction of the cost.
     pub fn record(&self) -> RecordedRun {
-        let mut memory = RecordingMemory::new(self.hierarchy);
-        memory.reserve_trace(LlcTrace::estimate_capacity(
+        let trace = LlcTrace::with_capacity(LlcTrace::estimate_capacity(
             self.graph.edge_count(),
             self.app_config.max_iterations as u64,
         ));
-        let mut ws = Workspace::new(memory);
+        let mut ws = Workspace::new(Hierarchy::new(self.hierarchy, trace));
         let app = self.app.run(&*self.graph, &mut ws, &self.app_config);
         let instructions = app.instruction_estimate();
         let trace = ws.into_memory().finish();
@@ -300,7 +302,7 @@ impl Experiment {
     /// Runs the application natively (no cache simulation) and measures
     /// wall-clock time. Used by the Fig. 10a reordering study.
     pub fn run_native(&self) -> NativeRunResult {
-        let mut ws = Workspace::new(NativeMemory::new());
+        let mut ws = Workspace::new(NativeMemory);
         let start = std::time::Instant::now();
         let app = self.app.run(&*self.graph, &mut ws, &self.app_config);
         let runtime = start.elapsed();

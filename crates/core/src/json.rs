@@ -170,11 +170,19 @@ impl std::fmt::Display for Json {
     }
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so without a bound one request line of `[`s
+/// overflows the stack of the thread that reads it; the deepest document the
+/// project writes (a spec, a bench dump, a report) nests fewer than 8.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
+/// A document nested deeper than [`MAX_DEPTH`] is an error.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_ws();
     let value = parser.value()?;
@@ -188,6 +196,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -226,8 +236,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -413,6 +437,26 @@ mod tests {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("[1,]").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_overflowing_a_default_stack() {
+        // A spawned thread has the default stack a daemon connection gets, so
+        // an unbounded recursion aborts the whole test process here.
+        std::thread::spawn(|| {
+            let error = parse(&"[".repeat(100_000)).expect_err("far past the limit");
+            assert!(error.contains("nesting deeper than"), "{error}");
+            let nested = |depth: usize, open: &str, close: &str| {
+                format!("{}{}", open.repeat(depth), close.repeat(depth))
+            };
+            let at_limit = parse(&nested(MAX_DEPTH, "[", "]")).expect("at the limit");
+            assert!(at_limit.as_array().is_some());
+            assert!(parse(&nested(MAX_DEPTH, "{\"a\":", "}").replace(":}", ":1}")).is_ok());
+            assert!(parse(&nested(MAX_DEPTH + 1, "[", "]")).is_err());
+            assert!(parse(&nested(MAX_DEPTH + 1, "{\"a\":[", "]}")).is_err());
+        })
+        .join()
+        .expect("parsing deep documents must not overflow the stack");
     }
 
     #[test]

@@ -162,7 +162,21 @@ mod tests {
         ];
         for kind in all {
             let dispatch = kind.build_dispatch(&config);
-            assert!(!dispatch.name().is_empty(), "{kind}");
+            let variant_matches = match kind {
+                PolicyKind::Lru => matches!(dispatch, PolicyDispatch::Lru(_)),
+                PolicyKind::Random => matches!(dispatch, PolicyDispatch::Random(_)),
+                PolicyKind::Srrip => matches!(dispatch, PolicyDispatch::Srrip(_)),
+                PolicyKind::Brrip => matches!(dispatch, PolicyDispatch::Brrip(_)),
+                PolicyKind::Rrip => matches!(dispatch, PolicyDispatch::Drrip(_)),
+                PolicyKind::ShipMem => matches!(dispatch, PolicyDispatch::ShipMem(_)),
+                PolicyKind::Hawkeye => matches!(dispatch, PolicyDispatch::Hawkeye(_)),
+                PolicyKind::Leeway => matches!(dispatch, PolicyDispatch::Leeway(_)),
+                PolicyKind::Pin(_) => matches!(dispatch, PolicyDispatch::Pin(_)),
+                PolicyKind::GraspHintsOnly | PolicyKind::GraspInsertionOnly | PolicyKind::Grasp => {
+                    matches!(dispatch, PolicyDispatch::Grasp(_))
+                }
+            };
+            assert!(variant_matches, "{kind} built {dispatch:?}");
         }
     }
 
@@ -173,6 +187,13 @@ mod tests {
         assert_eq!(PolicyKind::Pin(75).label(), "PIN-75");
         assert_eq!(PolicyKind::Grasp.to_string(), "GRASP");
         assert_eq!(PolicyKind::GraspHintsOnly.label(), "RRIP+Hints");
+        assert_eq!(
+            PolicyKind::GraspInsertionOnly.label(),
+            "GRASP (Insertion-Only)"
+        );
+        assert_eq!(PolicyKind::Pin(25).label(), "PIN-25");
+        assert_eq!(PolicyKind::Pin(100).label(), "PIN-100");
+        assert_eq!(PolicyKind::Pin(60).label(), "PIN-X");
     }
 
     #[test]

@@ -246,6 +246,19 @@ fn malformed_requests_get_stable_error_kinds() {
         );
     }
 
+    // A line nested far deeper than any request is refused by the parser
+    // instead of overflowing the stack of the thread reading it, which would
+    // abort the daemon and this test with it.
+    let frames = raw_request(&socket, &"[".repeat(100_000));
+    let frame = grasp_core::json::parse(&frames[0]).expect("error frame is valid JSON");
+    assert_eq!(
+        frame.get("kind").and_then(Json::as_str),
+        Some(protocol::KIND_REQUEST_INVALID),
+        "{frame}"
+    );
+    let frames = client::request(&socket, &protocol::simple_request("ping")).expect("ping");
+    assert_eq!(frame_type(&frames[0]), "pong", "a new connection is served");
+
     // A request line that never ends is cut off at the daemon's cap instead
     // of being buffered for as long as the client cares to send. The daemon
     // hangs up with most of the line unread, so the tail of the send may

@@ -8,12 +8,15 @@
 //! * [`cachesim`] — cache-hierarchy simulator and replacement policies.
 //! * [`analytics`] — Ligra-style vertex-centric applications with memory
 //!   tracing.
-//! * [`core`] — GRASP itself: reuse hints, experiment orchestration,
-//!   dataset catalog and reporting.
+//! * [`core`] — experiment orchestration: dataset catalog, policy registry,
+//!   experiments, campaigns, the trace store and reporting. GRASP itself —
+//!   the reuse hints and the replacement policy — lives at the LLC, in
+//!   [`cachesim`].
 //!
-//! See the `examples/` directory for end-to-end walkthroughs and
-//! `DESIGN.md` / `EXPERIMENTS.md` for how each table and figure of the paper
-//! is regenerated.
+//! See the `examples/` directory for end-to-end walkthroughs,
+//! `docs/architecture.md` for how the pieces fit, and the README's
+//! "Regenerating the paper's figures" for how each table and figure of the
+//! paper is regenerated.
 
 pub use grasp_analytics as analytics;
 pub use grasp_cachesim as cachesim;
