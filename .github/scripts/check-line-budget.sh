@@ -54,6 +54,12 @@
 # when the direct run and the recorder became one `Hierarchy<S: LlcSink>`:
 # the two memory-model wrappers, the access counters nothing read and the
 # policies' second name table went, net of the JSON parser's nesting bound.
+# It came down to 17 732 (the tree's 17 682 + 50) when the simulator's
+# interfaces kept only what some caller reads: the upper levels' own struct
+# folded into the hierarchy, and the on-chip hit flag, the victim search's
+# request argument, the eviction hook's reuse flag (with the cache's copy of
+# SHiP's reuse bits), the cache's name, SHiP's block size and the accessors
+# only tests called went.
 #
 # usage: check-line-budget.sh   (from the repository root)
 set -euo pipefail
@@ -67,7 +73,7 @@ find crates/*/src crates/bench/benches -name '*.rs' | sort | while read -r file;
     END { print n + 0, FILENAME }' "$file"
 done | awk '
   BEGIN {
-    total_ceiling = 17883
+    total_ceiling = 17732
     bench_ceiling = 540
     ceiling["crates/core/src/campaign.rs"] = 1287
     ceiling["crates/graph/src/ingest.rs"] = 1177

@@ -487,7 +487,7 @@ mod tests {
         let config = CacheConfig::new(64 * 1024, 16, 64);
         let trace = synthetic_mixed_trace(30_000);
         for (policy, [hits, misses, evictions, bypasses], outcomes) in SEED_GOLDENS {
-            let mut fast = SetAssocCache::new("LLC", config, policy.build_dispatch(&config));
+            let mut fast = SetAssocCache::new(config, policy.build_dispatch(&config));
             let mut digest = Fnv64::new();
             for info in &trace {
                 let outcome = fast.access(info);

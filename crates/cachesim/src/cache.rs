@@ -1,8 +1,8 @@
 //! A single set-associative cache with a pluggable replacement policy.
 //!
 //! The per-access path is the hottest code in the simulator, so the cache is
-//! laid out for it: valid/dirty/"reused since fill" flags live in packed
-//! per-set bitmask words (one `u64` per set and flag, bit = way) instead of
+//! laid out for it: valid and dirty flags live in packed per-set bitmask
+//! words (one `u64` per set and flag, bit = way) instead of
 //! per-block `Vec<bool>`s, the set index is a power-of-two mask instead of a
 //! `%`, and the tag scan is fused over a byte column of 8-bit partial tags —
 //! one exact 16-lane compare (the private `lanes` module) covers sixteen
@@ -13,8 +13,8 @@
 //!
 //! This is the LLC's cache (and the reference any cache model in the crate is
 //! tested against). The L1 and L2 above it are always LRU and need none of
-//! the per-way metadata a policy indexes, so [`crate::stage::UpperLevels`]
-//! runs them on the much smaller `lru_filter` instead.
+//! the per-way metadata a policy indexes, so [`crate::Hierarchy`] runs them
+//! on the much smaller `lru_filter` instead.
 //!
 //! # Batched lookups
 //!
@@ -61,13 +61,6 @@ pub struct AccessOutcome {
     pub evicted_dirty: bool,
 }
 
-impl AccessOutcome {
-    /// Returns `true` if the access hit.
-    pub fn is_hit(&self) -> bool {
-        self.hit
-    }
-}
-
 /// The geometry, tag storage and packed per-set metadata of a cache, split
 /// from the policy and statistics so the run kernels can borrow the two
 /// halves disjointly: `CacheCore` mutates blocks while the (monomorphized)
@@ -92,8 +85,6 @@ struct CacheCore {
     valid: Vec<u64>,
     /// Per-set dirty bits.
     dirty: Vec<u64>,
-    /// Per-set "hit since fill" bits.
-    reused: Vec<u64>,
 }
 
 /// What one access did to the core. The caller (per-access or run kernel)
@@ -132,7 +123,6 @@ impl CacheCore {
             ptags: vec![0; lanes::column_len(sets, config.ways)],
             valid: vec![0; sets],
             dirty: vec![0; sets],
-            reused: vec![0; sets],
         }
     }
 
@@ -197,10 +187,8 @@ impl CacheCore {
     ) -> OneOutcome {
         // Hit path: fused valid-mask + tag scan.
         if let Some(way) = self.find_way(set, block, partial) {
-            let bit = 1u64 << way;
-            self.reused[set] |= bit;
             if info.is_write() {
-                self.dirty[set] |= bit;
+                self.dirty[set] |= 1u64 << way;
             }
             policy.on_hit(set, way, info);
             return OneOutcome::Hit;
@@ -212,7 +200,7 @@ impl CacheCore {
         let way = if valid != self.full_mask {
             (!valid).trailing_zeros() as usize
         } else {
-            policy.choose_victim(set, info)
+            policy.choose_victim(set)
         };
 
         let bit = 1u64 << way;
@@ -220,7 +208,7 @@ impl CacheCore {
         let mut evicted = None;
         if valid & bit != 0 {
             evicted = Some((self.tags[idx], self.dirty[set] & bit != 0));
-            policy.on_evict(set, way, self.reused[set] & bit != 0);
+            policy.on_evict(set, way);
         }
         self.tags[idx] = block;
         self.ptags[idx] = partial;
@@ -230,7 +218,6 @@ impl CacheCore {
         } else {
             self.dirty[set] &= !bit;
         }
-        self.reused[set] &= !bit;
         policy.on_fill(set, way, info);
 
         OneOutcome::Filled { evicted }
@@ -337,10 +324,9 @@ fn replay_columns<P: ReplacementPolicy>(
 
 /// A set-associative cache.
 ///
-/// The cache stores tags plus packed valid/dirty/"saw a hit since fill"
-/// bitmasks; all replacement state lives in the policy.
+/// The cache stores tags plus packed valid and dirty bitmasks; all
+/// replacement state lives in the policy.
 pub struct SetAssocCache {
-    name: &'static str,
     config: CacheConfig,
     core: CacheCore,
     policy: PolicyDispatch,
@@ -350,7 +336,6 @@ pub struct SetAssocCache {
 impl std::fmt::Debug for SetAssocCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SetAssocCache")
-            .field("name", &self.name)
             .field("config", &self.config)
             .field("policy", &self.policy)
             .field("stats", &self.stats)
@@ -367,19 +352,13 @@ impl SetAssocCache {
     ///
     /// Panics if the associativity exceeds 64 (the packed per-set metadata
     /// uses one `u64` word per flag).
-    pub fn new(name: &'static str, config: CacheConfig, policy: impl Into<PolicyDispatch>) -> Self {
+    pub fn new(config: CacheConfig, policy: impl Into<PolicyDispatch>) -> Self {
         Self {
-            name,
             config,
             core: CacheCore::new(config),
             policy: policy.into(),
             stats: CacheStats::new(),
         }
-    }
-
-    /// Cache name (for reports).
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// Cache geometry.
@@ -486,16 +465,16 @@ mod tests {
 
     fn lru_cache(size: u64, ways: usize) -> SetAssocCache {
         let config = CacheConfig::new(size, ways, 64);
-        SetAssocCache::new("test", config, Lru::new(config.sets(), ways))
+        SetAssocCache::new(config, Lru::new(config.sets(), ways))
     }
 
     #[test]
     fn first_access_misses_second_hits() {
         let mut c = lru_cache(4096, 4);
-        assert!(!c.access(&AccessInfo::read(0x100)).is_hit());
-        assert!(c.access(&AccessInfo::read(0x100)).is_hit());
+        assert!(!c.access(&AccessInfo::read(0x100)).hit);
+        assert!(c.access(&AccessInfo::read(0x100)).hit);
         // Same block, different offset: still a hit.
-        assert!(c.access(&AccessInfo::read(0x13F)).is_hit());
+        assert!(c.access(&AccessInfo::read(0x13F)).hit);
         assert_eq!(c.stats().accesses, 3);
         assert_eq!(c.stats().misses, 1);
     }
@@ -509,8 +488,8 @@ mod tests {
         c.access(&AccessInfo::read(0)); // touch A
         let outcome = c.access(&AccessInfo::read(256)); // block C evicts B
         assert_eq!(outcome.evicted, Some(2));
-        assert!(c.access(&AccessInfo::read(0)).is_hit(), "A must survive");
-        assert!(!c.access(&AccessInfo::read(128)).is_hit(), "B was evicted");
+        assert!(c.access(&AccessInfo::read(0)).hit, "A must survive");
+        assert!(!c.access(&AccessInfo::read(128)).hit, "B was evicted");
     }
 
     #[test]
@@ -552,13 +531,13 @@ mod tests {
         assert_eq!(c.stats().prefetch_accesses, 1);
         assert_eq!(c.stats().prefetch_fills, 1);
         // The prefetched block is resident: a demand access hits.
-        assert!(c.access(&AccessInfo::read(0x300)).is_hit());
+        assert!(c.access(&AccessInfo::read(0x300)).hit);
     }
 
     #[test]
     fn works_with_rrip_policy_too() {
         let config = CacheConfig::new(64 * 8, 4, 64);
-        let mut c = SetAssocCache::new("llc", config, Srrip::new(config.sets(), config.ways));
+        let mut c = SetAssocCache::new(config, Srrip::new(config.sets(), config.ways));
         // A small working set with reuse should mostly hit.
         for _ in 0..10 {
             for b in 0..4u64 {
@@ -573,7 +552,7 @@ mod tests {
     fn write_marks_block_dirty_and_hits_later() {
         let mut c = lru_cache(4096, 4);
         c.access(&AccessInfo::write(0x80));
-        assert!(c.access(&AccessInfo::read(0x80)).is_hit());
+        assert!(c.access(&AccessInfo::read(0x80)).hit);
     }
 
     /// A mixed run: reads and writes, conflicting sets, several regions.
@@ -617,7 +596,7 @@ mod tests {
         let mut scalar_misses = 0;
         for (info, &kind) in run.iter().zip(&kind_bits) {
             match kind {
-                0 => scalar_misses += u64::from(!scalar.access(info).is_hit()),
+                0 => scalar_misses += u64::from(!scalar.access(info).hit),
                 META_PREFETCH_BIT => {
                     scalar.prefetch(info);
                 }
@@ -641,7 +620,7 @@ mod tests {
         assert_replay_run_matches_scalar_dispatch(|| lru_cache(2048, 4));
         assert_replay_run_matches_scalar_dispatch(|| {
             let config = CacheConfig::new(2048, 8, 64);
-            SetAssocCache::new("test", config, Srrip::new(config.sets(), config.ways))
+            SetAssocCache::new(config, Srrip::new(config.sets(), config.ways))
         });
     }
 
@@ -661,11 +640,11 @@ mod tests {
         let mut c = lru_cache(64 * 32, 32);
         let addrs: Vec<u64> = (0..20).map(|i| (i * 256 + 7) * 64).collect();
         for &addr in &addrs {
-            assert!(!c.access(&AccessInfo::read(addr)).is_hit());
+            assert!(!c.access(&AccessInfo::read(addr)).hit);
         }
         for (way, &addr) in addrs.iter().enumerate() {
             assert_eq!(c.probe(addr), Some(way));
-            assert!(c.access(&AccessInfo::read(addr)).is_hit());
+            assert!(c.access(&AccessInfo::read(addr)).hit);
         }
         assert_eq!(c.probe((20 * 256 + 7) * 64), None);
     }
@@ -673,7 +652,7 @@ mod tests {
     #[test]
     fn sixty_four_way_associativity_is_supported() {
         let config = CacheConfig::new(64 * 64, 64, 64); // one 64-way set
-        let mut c = SetAssocCache::new("llc", config, Lru::new(config.sets(), config.ways));
+        let mut c = SetAssocCache::new(config, Lru::new(config.sets(), config.ways));
         for b in 0..64u64 {
             c.access(&AccessInfo::read(b * 64));
         }

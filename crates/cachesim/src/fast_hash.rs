@@ -1,9 +1,9 @@
-//! A fast, deterministic hasher for the simulator's predictor tables.
+//! A fast, deterministic hasher for SHiP-MEM's signature table.
 //!
-//! The history-based policies (SHiP-MEM, Hawkeye, Leeway) index unbounded
-//! predictor tables with small integer keys (region ids, code sites, set
-//! indices) on every fill — with the standard library's SipHash, hashing
-//! shows up prominently in the simulation hot path. [`FxHasher`] is the
+//! SHiP-MEM indexes its unbounded table with region ids on every fill and
+//! eviction (Hawkeye and Leeway index flat 64 Ki-entry site tables, with no
+//! hashing) — with the standard library's SipHash, hashing shows up
+//! prominently in the simulation hot path. [`FxHasher`] is the
 //! multiply-rotate hash used by rustc (FxHash): not DoS-resistant, which is
 //! irrelevant here, but several times faster on integer keys and fully
 //! deterministic across runs and platforms, preserving the simulator's

@@ -1,9 +1,28 @@
-//! The simulated three-level cache hierarchy (L1-D → L2 → LLC sink).
+//! The simulated three-level cache hierarchy: L1-D → L2 → an LLC sink.
 //!
 //! The hierarchy is the reproduction's stand-in for the Sniper-simulated
-//! memory system of Table VI: the LLC-independent upper levels
-//! ([`UpperLevels`]: L1 + L2 + prefetcher) in front of an [`LlcSink`] that
-//! receives everything escaping L2. The sink decides what the run is:
+//! memory system of Table VI. Everything above the LLC is **independent of
+//! the LLC**, its replacement policy *and* its geometry: L1 and L2 are
+//! LRU-managed, the prefetcher observes the demand stream at L1, and nothing
+//! the LLC decides flows back upward. The post-L2 request stream — demand
+//! fills, prefetch fills and dirty-victim writebacks — is therefore a pure
+//! function of the application and the upper levels, and [`Hierarchy`]
+//! hands it to whatever [`LlcSink`] takes the LLC's place. GRASP's reuse
+//! hint is not part of the stream: it depends on the LLC's capacity, so the
+//! [`LlcStage`] classifies each request from the ABR bounds the application
+//! programmed, at its own size. The sink decides what the run is:
+//!
+//! ```text
+//!             ┌──────────── Hierarchy<S> ───────────┐
+//!  app access │ L1-D (LRU) → L2 (LRU) → ABR bounds  │
+//!             └──────────────┬──────────────────────┘
+//!                            │ demand / prefetch / writeback   (S: LlcSink)
+//!              ┌─────────────┴──────────────────────────────────┐
+//!              │  LlcStage: RegionClassifier (ABRs, LLC size →  │   ← Hierarchy<LlcStage>: simulate now
+//!              │            reuse hint) → LLC (policy X)        │
+//!              │  LlcTrace                                      │   ← Hierarchy<LlcTrace>: record once,
+//!              └────────────────────────────────────────────────┘     replay per policy and LLC geometry
+//! ```
 //!
 //! * `Hierarchy<LlcStage>` simulates the LLC now — GRASP's region
 //!   classification (Fig. 4 of the paper) in front of whichever replacement
@@ -11,53 +30,76 @@
 //!   [`Hierarchy::stats`];
 //! * `Hierarchy<LlcTrace>` is the one recorder of the post-L2 stream:
 //!   [`Hierarchy::finish`] returns the [`LlcTrace`], whose
-//!   [`replay`](LlcTrace::replay) reproduces the first kind's statistics
+//!   [`replay`](LlcTrace::replay) drives a fresh [`LlcStage`] through the
+//!   *same* code path and so reproduces the first kind's statistics
 //!   bit-for-bit under any policy and LLC geometry.
+//!
+//! L1 and L2 are the private `lru_filter` module's recency-ordered LRU sets,
+//! not [`SetAssocCache`](crate::SetAssocCache)s: the filter is where a
+//! recording spends its time — at the scales campaigns run, 36–60 % of the
+//! demand accesses an application issues miss L1 and 0.39–0.57 post-L2
+//! records are emitted per demand access (`record.pass_ratio` on the
+//! `pipeline` ledger), so there is no "mostly L1 hits" fast path to lean on
+//! and what counts is the work per lookup. [`Hierarchy::access`] is the one
+//! way in, for recording and for direct simulation alike.
 
 use crate::addr::Address;
 use crate::config::HierarchyConfig;
-use crate::request::{AccessKind, AccessSite, RegionLabel};
-use crate::stage::{LlcSink, LlcStage, UpperLevels};
+use crate::hint::ReuseHint;
+use crate::lru_filter::LruFilter;
+use crate::prefetch::StridePrefetcher;
+use crate::request::{AccessInfo, AccessKind, AccessSite, RegionLabel};
+use crate::stage::{LlcSink, LlcStage};
 use crate::stats::HierarchyStats;
-use crate::trace::LlcTrace;
+use crate::trace::{LlcTrace, RecordContext};
 
-/// A three-level cache hierarchy: L1-D and L2 with an L1 stride prefetcher,
-/// and `S` in the LLC's place.
+/// A three-level cache hierarchy: L1-D and L2 (both LRU) with an L1 stride
+/// prefetcher, and `S` in the LLC's place. It also keeps the ABR bounds the
+/// application programmed, for a recording's context.
 #[derive(Debug)]
 pub struct Hierarchy<S> {
-    upper: UpperLevels,
+    l1: LruFilter,
+    l2: LruFilter,
+    prefetcher: Option<StridePrefetcher>,
+    abr_bounds: Vec<(Address, Address)>,
     llc: S,
 }
 
 impl<S: LlcSink> Hierarchy<S> {
-    /// Creates a hierarchy with the given configuration and LLC sink. Its
-    /// ABRs start unprogrammed, modelling a system without GRASP's interface
-    /// (every request carries the Default hint) until
-    /// [`Hierarchy::program_abrs`].
+    /// Creates a hierarchy with the given configuration and LLC sink (the
+    /// configuration's LLC geometry is the sink's business). Its ABRs start
+    /// unprogrammed, modelling a system without GRASP's interface (every
+    /// request carries the Default hint) until [`Hierarchy::program_abrs`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the L1 or L2 block size is below four bytes (their lines
+    /// pack the block address and the dirty bit into one word).
     pub fn new(config: HierarchyConfig, llc: S) -> Self {
         Self {
-            upper: UpperLevels::new(config),
+            l1: LruFilter::new("L1-D", config.l1),
+            l2: LruFilter::new("L2", config.l2),
+            prefetcher: config.prefetch.then(StridePrefetcher::default),
+            abr_bounds: Vec::new(),
             llc,
         }
     }
 
     /// Programs the Address Bound Registers with the bounds of the
-    /// application's Property Arrays, in both stages: an LLC stage
-    /// classifies requests with them, the upper levels keep them for a
-    /// recording's context.
+    /// application's Property Arrays: an LLC stage classifies requests with
+    /// them, the upper levels keep them for a recording's context.
     ///
     /// This models the software side of GRASP's interface (Sec. III-A): the
     /// graph framework calls this once at application start-up, after it has
     /// allocated its Property Arrays.
     pub fn program_abrs(&mut self, bounds: &[(Address, Address)]) {
-        self.upper.program_abrs(bounds);
+        self.abr_bounds = bounds.to_vec();
         self.llc.program_abrs(bounds);
     }
 
-    /// Performs one demand memory access.
-    ///
-    /// Returns `true` if the access hit somewhere on chip (L1, L2 or, for an
-    /// LLC stage, the LLC).
+    /// Performs one demand memory access, forwarding whatever escapes L2 —
+    /// the demand request itself, at most one prefetch request, and any
+    /// dirty victim writebacks — into the LLC sink.
     #[inline]
     pub fn access(
         &mut self,
@@ -65,17 +107,74 @@ impl<S: LlcSink> Hierarchy<S> {
         kind: AccessKind,
         site: AccessSite,
         region: RegionLabel,
-    ) -> bool {
-        self.upper.access(addr, kind, site, region, &mut self.llc)
+    ) {
+        let demand = AccessInfo {
+            addr,
+            kind,
+            site,
+            hint: ReuseHint::Default,
+            region,
+        };
+        self.request::<false>(&demand);
+
+        // The prefetcher observes the demand stream at L1 and issues at most
+        // one prefetch per access.
+        if let Some(prefetcher) = self.prefetcher.as_mut() {
+            if let Some(predicted) = prefetcher.observe(site, addr) {
+                let prefetch = AccessInfo {
+                    addr: predicted,
+                    kind: AccessKind::Read,
+                    ..demand
+                };
+                self.request::<true>(&prefetch);
+            }
+        }
+    }
+
+    /// Drives one request (demand, or prefetch when `PREFETCH`) through both
+    /// levels: L1 lookup; on a miss the request goes to L2 and, missing
+    /// there too, to the LLC sink; then the dirty L1 victim is written back
+    /// into L2 (and forwarded to the sink when L2 does not hold the block),
+    /// and the dirty L2 victim trails last.
+    #[inline]
+    fn request<const PREFETCH: bool>(&mut self, info: &AccessInfo) {
+        let l1 = self.l1.request::<PREFETCH>(info);
+        if l1.hit {
+            return;
+        }
+        let l2 = self.l2.request::<PREFETCH>(info);
+        if !l2.hit {
+            if PREFETCH {
+                self.llc.prefetch(info);
+            } else {
+                self.llc.demand(info);
+            }
+        }
+        if let Some((block, true)) = l1.victim() {
+            let addr = self.l1.addr_of(block);
+            if !self.l2.writeback(addr) {
+                self.llc.writeback(addr);
+            }
+        }
+        if let Some((block, true)) = l2.victim() {
+            self.llc.writeback(self.l2.addr_of(block));
+        }
+    }
+
+    /// Everything a recorded trace carries alongside the post-L2 stream.
+    fn record_context(&self) -> RecordContext {
+        RecordContext {
+            l1: self.l1.stats().clone(),
+            l2: self.l2.stats().clone(),
+            abr_bounds: self.abr_bounds.clone(),
+        }
     }
 }
 
 impl Hierarchy<LlcStage> {
     /// Accumulated statistics of every level.
     pub fn stats(&self) -> HierarchyStats {
-        self.upper
-            .record_context()
-            .stats_with(self.llc.stats().clone())
+        self.record_context().stats_with(self.llc.stats().clone())
     }
 }
 
@@ -83,8 +182,9 @@ impl Hierarchy<LlcTrace> {
     /// Finishes the recording: attaches the upper-level statistics and the
     /// programmed ABR bounds to the trace and returns it.
     pub fn finish(self) -> LlcTrace {
+        let context = self.record_context();
         let mut trace = self.llc;
-        trace.set_context(self.upper.record_context());
+        trace.set_context(context);
         trace
     }
 }

@@ -4,8 +4,9 @@
 //! The bounds an application programs into the ABRs are application state;
 //! the hint they yield is a function of the *LLC capacity* as well (High is
 //! the LLC-sized prefix of each Property Array, Moderate the next LLC-sized
-//! chunk). So the classifier lives at the LLC:
-//! [`LlcStage::program_abrs`](crate::stage::LlcStage::program_abrs) builds it
+//! chunk). So the classifier lives at the LLC: an
+//! [`LlcStage`](crate::stage::LlcStage) builds it when its ABRs are
+//! programmed ([`LlcSink::program_abrs`](crate::stage::LlcSink::program_abrs)),
 //! at the stage's own size, and a recorded stream carries the bounds, never a
 //! hint.
 

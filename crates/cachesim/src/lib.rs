@@ -13,11 +13,11 @@
 //!   taken by an [`LlcSink`]: an [`LlcStage`] simulates it now, an
 //!   [`LlcTrace`] records the post-L2 stream once for replay under every
 //!   policy and LLC geometry ([`stage`], [`trace`]),
-//! * the replacement policies compared in the paper: LRU, SRRIP/BRRIP/DRRIP
-//!   ([`policy::rrip`]), SHiP-MEM ([`policy::ship`]), Hawkeye
-//!   ([`policy::hawkeye`]), Leeway ([`policy::leeway`]), XMem-style pinning
-//!   ([`policy::pin`]), Belady's OPT ([`policy::opt`]) and GRASP itself
-//!   ([`policy::grasp`]),
+//! * the replacement policies compared in the paper: LRU, RRIP (DRRIP,
+//!   which duels SRRIP against BRRIP; [`policy::rrip`]), SHiP-MEM
+//!   ([`policy::ship`]), Hawkeye ([`policy::hawkeye`]), Leeway
+//!   ([`policy::leeway`]), XMem-style pinning ([`policy::pin`]), Belady's
+//!   OPT ([`policy::opt`]) and GRASP itself ([`policy::grasp`]),
 //! * GRASP's software–hardware interface: Address Bound Registers and the
 //!   region classification logic that turns an address into a 2-bit reuse
 //!   hint at the LLC ([`hint`]),
@@ -34,10 +34,10 @@
 //! use grasp_cachesim::request::AccessInfo;
 //!
 //! let config = CacheConfig::new(32 * 1024, 8, 64);
-//! let mut cache = SetAssocCache::new("L1-D", config, Lru::new(config.sets(), config.ways));
-//! let hit = cache.access(&AccessInfo::read(0x1000)).is_hit();
+//! let mut cache = SetAssocCache::new(config, Lru::new(config.sets(), config.ways));
+//! let hit = cache.access(&AccessInfo::read(0x1000)).hit;
 //! assert!(!hit, "first access is a compulsory miss");
-//! let hit = cache.access(&AccessInfo::read(0x1000)).is_hit();
+//! let hit = cache.access(&AccessInfo::read(0x1000)).hit;
 //! assert!(hit, "second access to the same block hits");
 //! ```
 
@@ -68,7 +68,7 @@ pub use hierarchy::Hierarchy;
 pub use hint::{RegionClassifier, ReuseHint};
 pub use policy::PolicyDispatch;
 pub use request::{AccessInfo, AccessKind, RegionLabel};
-pub use stage::{LlcSink, LlcStage, UpperLevels};
+pub use stage::{LlcSink, LlcStage};
 pub use stats::{CacheStats, HierarchyStats};
 pub use timing::TimingModel;
 pub use trace::persist::{PersistError, TRACE_FORMAT_VERSION};

@@ -1,4 +1,4 @@
-//! The L1/L2 filter cache of [`crate::stage::UpperLevels`]: a set-associative
+//! The L1/L2 filter cache of [`crate::Hierarchy`]: a set-associative
 //! LRU cache whose sets are kept **in recency order**.
 //!
 //! Everything above the LLC is LRU-managed and policy-independent
@@ -17,7 +17,7 @@
 //! Equivalence to `SetAssocCache` + [`crate::policy::lru::Lru`] is by
 //! construction — never-touched sentinels stay behind every touched line,
 //! which is the invalid-way-first fill; the last line is the block of rank
-//! `ways - 1`; `Lru` ignores `had_reuse` — and is pinned bit-for-bit by
+//! `ways - 1`; `Lru` has no eviction hook — and is pinned bit-for-bit by
 //! `tests::matches_set_assoc_lru`.
 
 use crate::addr::{Address, BlockAddr};
@@ -225,7 +225,7 @@ mod tests {
             for ways in [1usize, 2, 3, 8, 15, 16, 17, 33, 64] {
                 for sets in [1usize, 8, 32] {
                     let config = CacheConfig::new((sets * ways * 64) as u64, ways, 64);
-                    let mut oracle = SetAssocCache::new("oracle", config, Lru::new(sets, ways));
+                    let mut oracle = SetAssocCache::new(config, Lru::new(sets, ways));
                     let mut filter = LruFilter::new("filter", config);
                     for (step, op) in ops.iter().enumerate() {
                         // `(hit, victim block and its dirty bit)`, filter then oracle.

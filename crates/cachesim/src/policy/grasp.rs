@@ -89,7 +89,7 @@ impl Grasp {
 
 impl ReplacementPolicy for Grasp {
     #[inline(always)]
-    fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
+    fn choose_victim(&mut self, set: usize) -> usize {
         // Eviction is unchanged from the base scheme (Sec. III-C): no hint is
         // consulted, so no per-block hint metadata is needed.
         self.rrpv.find_victim(set)
@@ -191,12 +191,12 @@ mod tests {
         g.on_fill(0, 0, &req(ReuseHint::High));
         g.on_fill(0, 1, &req(ReuseHint::Low));
         // Way 1 (Low, RRPV 7) is the victim right now.
-        assert_eq!(g.choose_victim(0, &req(ReuseHint::Default)), 1);
+        assert_eq!(g.choose_victim(0), 1);
         // find_victim ages way 0 while searching; once it saturates the High
         // block is evictable like any other.
         g.rrpv.set(0, 0, RRPV_MAX);
         g.rrpv.set(0, 1, 0);
-        assert_eq!(g.choose_victim(0, &req(ReuseHint::Default)), 0);
+        assert_eq!(g.choose_victim(0), 0);
     }
 
     #[test]

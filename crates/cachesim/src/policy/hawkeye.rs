@@ -29,7 +29,7 @@
 //! top of the tag scan and statistics every policy pays.
 
 use super::rrip::{RrpvArray, RRPV_MAX};
-use super::ReplacementPolicy;
+use super::{sample_interval, ReplacementPolicy};
 use crate::addr::{block_of, BlockAddr};
 use crate::request::{AccessInfo, AccessSite};
 use crate::swar::{broadcast, spread_bits, LANE_HIGH};
@@ -270,16 +270,14 @@ impl Hawkeye {
     /// Creates a Hawkeye policy for a cache of `sets` × `ways` blocks of
     /// `block_bytes` bytes.
     pub fn new(sets: usize, ways: usize, block_bytes: u64) -> Self {
-        // Sample roughly 64 sets (every `sets/64`-th set), at least every set
-        // for tiny caches.
-        let sample_interval = (sets / 64).max(1);
+        let interval = sample_interval(sets);
         let window_of: Vec<u32> = (0..sets)
-            .map(|set| match set % sample_interval {
-                0 => (set / sample_interval) as u32,
+            .map(|set| match set % interval {
+                0 => (set / interval) as u32,
                 _ => UNSAMPLED,
             })
             .collect();
-        let windows = sets.div_ceil(sample_interval);
+        let windows = sets.div_ceil(interval);
         Self {
             rrpv: RrpvArray::new(sets, ways),
             ways,
@@ -301,11 +299,6 @@ impl Hawkeye {
     #[inline]
     fn predict_friendly(&self, site: AccessSite) -> bool {
         self.predictor[usize::from(site)] >= FRIENDLY_THRESHOLD
-    }
-
-    /// Current counter value of a site (used by tests).
-    pub fn counter(&self, site: AccessSite) -> u8 {
-        self.predictor[usize::from(site)]
     }
 
     fn train(&mut self, site: AccessSite, friendly: bool) {
@@ -356,7 +349,7 @@ impl Hawkeye {
 
 impl ReplacementPolicy for Hawkeye {
     #[inline(always)]
-    fn choose_victim(&mut self, set: usize, info: &AccessInfo) -> usize {
+    fn choose_victim(&mut self, set: usize) -> usize {
         // Prefer cache-averse blocks (RRPV == MAX); otherwise evict the oldest
         // friendly block and detrain the site that loaded it.
         if let Some(way) = self.rrpv.first_distant(set) {
@@ -367,7 +360,6 @@ impl ReplacementPolicy for Hawkeye {
             .expect("ways is non-zero");
         let loader = self.loader[self.idx(set, victim)];
         self.train(loader, false);
-        let _ = info;
         victim
     }
 
@@ -540,17 +532,17 @@ mod tests {
         let mut wide = Hawkeye::new(1, 4, 128);
         wide.observe(0, &req(0x1000, 3));
         wide.observe(0, &req(0x1040, 3));
-        assert_eq!(wide.counter(3), FRIENDLY_THRESHOLD + 1);
+        assert_eq!(wide.predictor[3], FRIENDLY_THRESHOLD + 1);
         // With 64-byte blocks they are two blocks, and nothing trains.
         let mut narrow = Hawkeye::new(1, 4, 64);
         narrow.observe(0, &req(0x1000, 3));
         narrow.observe(0, &req(0x1040, 3));
-        assert_eq!(narrow.counter(3), FRIENDLY_THRESHOLD);
+        assert_eq!(narrow.predictor[3], FRIENDLY_THRESHOLD);
         // 32-byte blocks no longer alias two blocks into one.
         let mut fine = Hawkeye::new(1, 4, 32);
         fine.observe(0, &req(0x1000, 3));
         fine.observe(0, &req(0x1020, 3));
-        assert_eq!(fine.counter(3), FRIENDLY_THRESHOLD);
+        assert_eq!(fine.predictor[3], FRIENDLY_THRESHOLD);
     }
 
     #[test]
@@ -623,7 +615,7 @@ mod tests {
         h.predictor[2] = 0;
         h.on_fill(3, 0, &req(0x40, 1)); // friendly
         h.on_fill(3, 1, &req(0x80, 2)); // averse
-        assert_eq!(h.choose_victim(3, &req(0xC0, 1)), 1);
+        assert_eq!(h.choose_victim(3), 1);
     }
 
     #[test]
@@ -632,9 +624,9 @@ mod tests {
         h.predictor[1] = COUNTER_MAX;
         h.on_fill(3, 0, &req(0x40, 1));
         h.on_fill(3, 1, &req(0x80, 1));
-        let before = h.counter(1);
-        let _ = h.choose_victim(3, &req(0xC0, 1));
-        assert_eq!(h.counter(1), before - 1);
+        let before = h.predictor[1];
+        let _ = h.choose_victim(3);
+        assert_eq!(h.predictor[1], before - 1);
     }
 
     #[test]
@@ -650,9 +642,9 @@ mod tests {
             h.observe(0, &req(addr, site));
         }
         assert!(
-            h.counter(site) < FRIENDLY_THRESHOLD,
+            h.predictor[usize::from(site)] < FRIENDLY_THRESHOLD,
             "counter {} should predict cache-averse",
-            h.counter(site)
+            h.predictor[usize::from(site)]
         );
     }
 }

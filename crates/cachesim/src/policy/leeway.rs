@@ -26,7 +26,7 @@
 //! its prediction is data the branch predictor cannot learn.
 
 use super::rrip::{RrpvArray, SetDueling, RRPV_LONG};
-use super::{PolicyRng, ReplacementPolicy};
+use super::{sample_interval, PolicyRng, ReplacementPolicy};
 use crate::lanes::{self, LaneOps, Lanes, LANES};
 use crate::request::{AccessInfo, AccessSite};
 use std::hint::select_unpredictable;
@@ -74,6 +74,7 @@ pub struct Leeway {
 impl Leeway {
     /// Creates a Leeway policy for a cache of `sets` × `ways`.
     pub fn new(sets: usize, ways: usize) -> Self {
+        let interval = sample_interval(sets);
         Self {
             rrpv: RrpvArray::new(sets, ways),
             ways,
@@ -83,10 +84,7 @@ impl Leeway {
             predictor: vec![(LIVE_DISTANCE_CAP, 0); 1 << 16]
                 .try_into()
                 .expect("one entry per site"),
-            sampled: {
-                let sample_interval = (sets / 64).max(1);
-                (0..sets).map(|set| set % sample_interval == 0).collect()
-            },
+            sampled: (0..sets).map(|set| set % interval == 0).collect(),
             dueling: SetDueling::new(sets),
             rng: PolicyRng::new(LEEWAY_SEED),
         }
@@ -106,13 +104,6 @@ impl Leeway {
     #[inline]
     fn is_sampled(&self, set: usize) -> bool {
         self.sampled[set]
-    }
-
-    /// Predicted live distance for a site. Unseen sites default to the cap so
-    /// nothing is predicted dead before any evidence exists.
-    #[inline]
-    pub fn predicted_live_distance(&self, site: AccessSite) -> u16 {
-        u16::from(self.predictor[usize::from(site)].0)
     }
 
     /// Conservative predictor update on eviction: grow immediately, shrink
@@ -147,7 +138,7 @@ impl ReplacementPolicy for Leeway {
     // forced inline, it costs Leeway ≈ 10 % per record on the `pipeline`
     // benchmark's streams at `Tiny`.
     #[inline(never)]
-    fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
+    fn choose_victim(&mut self, set: usize) -> usize {
         // Dead-block predictions only steer the choice among blocks the base
         // policy already considers near-eviction (RRPV >= long): this is the
         // reproduction of Leeway's variability-aware rate control, which keeps
@@ -212,7 +203,7 @@ impl ReplacementPolicy for Leeway {
         self.rrpv.set(set, way, 0);
     }
 
-    fn on_evict(&mut self, set: usize, way: usize, _had_reuse: bool) {
+    fn on_evict(&mut self, set: usize, way: usize) {
         if self.is_sampled(set) {
             let idx = self.idx(set, way);
             let observed = self.observed_live[idx];
@@ -353,9 +344,9 @@ mod tests {
                     match op {
                         // A miss in a full set: evict the victim, fill it.
                         0..=3 => {
-                            let victim = leeway.choose_victim(set, &info);
+                            let victim = leeway.choose_victim(set);
                             prop_assert_eq!(victim, oracle.choose_victim(set));
-                            leeway.on_evict(set, victim, false);
+                            leeway.on_evict(set, victim);
                             oracle.on_evict(set, victim);
                             leeway.on_fill(set, victim, &info);
                             oracle.on_fill(set, victim, site);
@@ -373,10 +364,10 @@ mod tests {
                     prop_assert_eq!(widen(&leeway.age[..SETS * ways]), oracle.age.clone());
                     prop_assert_eq!(widen(&leeway.observed_live), oracle.observed_live.clone());
                     prop_assert_eq!(leeway.rrpv.of_set(set), oracle.rrpv.of_set(set));
-                    for site in 0..4 {
+                    for site in 0..4usize {
                         prop_assert_eq!(
-                            leeway.predicted_live_distance(site),
-                            oracle.predictor[usize::from(site)].0
+                            u16::from(leeway.predictor[site].0),
+                            oracle.predictor[site].0
                         );
                     }
                 }
@@ -395,8 +386,8 @@ mod tests {
         }
         // With nothing expired, the victim follows the RRIP substrate (all
         // blocks at RRPV_LONG; ageing makes way 0 the victim).
-        assert_eq!(l.choose_victim(0, &req(0x400, 9)), 0);
-        assert_eq!(l.predicted_live_distance(9), u16::from(LIVE_DISTANCE_CAP));
+        assert_eq!(l.choose_victim(0), 0);
+        assert_eq!(l.predictor[9].0, LIVE_DISTANCE_CAP);
     }
 
     #[test]
@@ -422,13 +413,13 @@ mod tests {
         for _ in 0..200 {
             l.train(5, 0);
         }
-        let lowered = l.predicted_live_distance(5);
-        assert!(lowered < u16::from(LIVE_DISTANCE_CAP));
+        let lowered = l.predictor[5].0;
+        assert!(lowered < LIVE_DISTANCE_CAP);
         l.train(5, 40);
-        assert_eq!(l.predicted_live_distance(5), 40);
+        assert_eq!(l.predictor[5].0, 40);
         // A single small observation does not shrink it.
         l.train(5, 0);
-        assert_eq!(l.predicted_live_distance(5), 40);
+        assert_eq!(l.predictor[5].0, 40);
     }
 
     #[test]
@@ -442,7 +433,7 @@ mod tests {
         l.on_fill(0, 3, &req(0xC0, 2));
         // Way 0 has age 3 > predicted 1 -> expired.
         assert!(l.is_expired(0, 0));
-        assert_eq!(l.choose_victim(0, &req(0x100, 2)), 0);
+        assert_eq!(l.choose_victim(0), 0);
     }
 
     #[test]
@@ -467,7 +458,7 @@ mod tests {
         for _ in 0..20 {
             l.train(7, 0);
         }
-        assert!(l.predicted_live_distance(7) > 100);
+        assert!(l.predictor[7].0 > 100);
     }
 
     #[test]
@@ -479,14 +470,14 @@ mod tests {
         assert!(!l.is_sampled(1));
         for _ in 0..SHRINK_VOTES + 1 {
             l.on_fill(1, 0, &req(0, 3));
-            l.on_evict(1, 0, false);
+            l.on_evict(1, 0);
         }
-        assert_eq!(l.predicted_live_distance(3), u16::from(LIVE_DISTANCE_CAP));
+        assert_eq!(l.predictor[3].0, LIVE_DISTANCE_CAP);
         // Set 0 is sampled: the same stream shrinks the prediction.
         for _ in 0..SHRINK_VOTES + 1 {
             l.on_fill(0, 0, &req(0, 3));
-            l.on_evict(0, 0, false);
+            l.on_evict(0, 0);
         }
-        assert!(l.predicted_live_distance(3) < u16::from(LIVE_DISTANCE_CAP));
+        assert!(l.predictor[3].0 < LIVE_DISTANCE_CAP);
     }
 }

@@ -76,7 +76,7 @@ impl Lru {
 
 impl ReplacementPolicy for Lru {
     #[inline(always)]
-    fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
+    fn choose_victim(&mut self, set: usize) -> usize {
         // Exactly one way of the set holds rank `ways - 1`: one exact lane
         // compare per sixteen ways, with no loop exit to mispredict.
         let ranks = &self.ranks[set * self.stride..][..self.stride];
@@ -107,7 +107,7 @@ mod tests {
         lru.on_hit(0, 0, &info);
         lru.on_hit(0, 2, &info);
         lru.on_hit(0, 3, &info);
-        assert_eq!(lru.choose_victim(0, &info), 1);
+        assert_eq!(lru.choose_victim(0), 1);
     }
 
     #[test]
@@ -120,8 +120,8 @@ mod tests {
         lru.on_fill(1, 1, &info);
         lru.on_hit(0, 0, &info);
         lru.on_hit(1, 1, &info);
-        assert_eq!(lru.choose_victim(0, &info), 1);
-        assert_eq!(lru.choose_victim(1, &info), 0);
+        assert_eq!(lru.choose_victim(0), 1);
+        assert_eq!(lru.choose_victim(1), 0);
     }
 
     #[test]
@@ -173,7 +173,7 @@ mod tests {
                     .min_by_key(|&(_, &stamp)| stamp)
                     .map(|(w, _)| w)
                     .expect("non-empty");
-                assert_eq!(lru.choose_victim(0, &info), expected, "{ways} ways");
+                assert_eq!(lru.choose_victim(0), expected, "{ways} ways");
             }
         }
     }

@@ -32,12 +32,17 @@ pub use dispatch::PolicyDispatch;
 
 /// A cache replacement policy driving one set-associative cache.
 ///
-/// The cache owns tags and valid bits; the policy owns whatever per-block or
-/// global metadata it needs (RRPV counters, predictor tables, ...). Every
-/// miss allocates, and the cache fills invalid ways without consulting the
-/// policy, so [`ReplacementPolicy::choose_victim`] is only invoked when every
-/// way of the set holds a valid block. A policy's state lives as long as its
-/// cache: nothing ever invalidates the cache or resets the policy.
+/// The cache owns tags and valid and dirty bits; the policy owns whatever
+/// per-block or global metadata it needs (RRPV counters, predictor tables,
+/// whether a block was hit since its fill, ...). Every miss allocates, and
+/// the cache fills invalid ways without consulting the policy, so
+/// [`ReplacementPolicy::choose_victim`] is only invoked when every way of
+/// the set holds a valid block. A policy's state lives as long as its cache:
+/// nothing ever invalidates the cache or resets the policy.
+///
+/// Per miss in a full set the cache calls `choose_victim`, then `on_evict`
+/// for the chosen way, then `on_fill` for the incoming block; per hit it
+/// calls `on_hit`. Demand and prefetch requests take the same hooks.
 pub trait ReplacementPolicy: std::fmt::Debug {
     /// Chooses the victim way for a fill in `set` when all ways are valid.
     ///
@@ -45,7 +50,7 @@ pub trait ReplacementPolicy: std::fmt::Debug {
     /// (`#[inline(always)]`, down to `RrpvArray::find_victim`): left to the
     /// inliner, several stay out of line in replay's per-policy kernel,
     /// which CI rejects. Leeway's is the measured exception.
-    fn choose_victim(&mut self, set: usize, info: &AccessInfo) -> usize;
+    fn choose_victim(&mut self, set: usize) -> usize;
 
     /// Notification that `way` in `set` was filled with the block of `info`.
     fn on_fill(&mut self, set: usize, way: usize, info: &AccessInfo);
@@ -54,9 +59,7 @@ pub trait ReplacementPolicy: std::fmt::Debug {
     fn on_hit(&mut self, set: usize, way: usize, info: &AccessInfo);
 
     /// Notification that the block in `way` of `set` is being evicted.
-    /// `had_reuse` tells whether the block received at least one hit while
-    /// resident (used by history-based predictors for negative training).
-    fn on_evict(&mut self, _set: usize, _way: usize, _had_reuse: bool) {}
+    fn on_evict(&mut self, _set: usize, _way: usize) {}
 
     /// Whether any hook reads [`AccessInfo::hint`]. Replay classifies a
     /// request only for policies that say so, so a policy that reads the
@@ -66,6 +69,13 @@ pub trait ReplacementPolicy: std::fmt::Debug {
     fn reads_hints(&self) -> bool {
         false
     }
+}
+
+/// Every how-many-th set a sampling predictor (Hawkeye's OPTgen, Leeway's
+/// training) learns from: roughly 64 sets of a large cache, every set of
+/// one with fewer than 128 sets.
+pub(crate) fn sample_interval(sets: usize) -> usize {
+    (sets / 64).max(1)
 }
 
 /// A tiny deterministic pseudo-random generator used by probabilistic

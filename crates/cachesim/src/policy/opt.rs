@@ -160,7 +160,7 @@ mod tests {
         let trace = trace_of(&addrs);
         let config = CacheConfig::new(64 * 64, 8, 64);
         let opt = optimal_misses(&trace, &config);
-        let mut lru = SetAssocCache::new("LLC", config, Lru::new(config.sets(), config.ways));
+        let mut lru = SetAssocCache::new(config, Lru::new(config.sets(), config.ways));
         for info in trace.demand_accesses() {
             lru.access(&info);
         }

@@ -25,7 +25,6 @@ pub struct PinX {
     /// loads.
     pinned: Vec<u64>,
     reserved_ways: usize,
-    reserved_percent: u8,
 }
 
 impl PinX {
@@ -44,23 +43,7 @@ impl PinX {
             ways,
             pinned: vec![0; sets],
             reserved_ways,
-            reserved_percent: percent,
         }
-    }
-
-    /// Number of ways per set reserved for pinned blocks.
-    pub fn reserved_ways(&self) -> usize {
-        self.reserved_ways
-    }
-
-    /// The configured reservation percentage.
-    pub fn reserved_percent(&self) -> u8 {
-        self.reserved_percent
-    }
-
-    /// Number of blocks currently pinned in `set`.
-    pub fn pinned_in_set(&self, set: usize) -> usize {
-        self.pinned[set].count_ones() as usize
     }
 
     fn try_pin(&mut self, set: usize, way: usize) {
@@ -74,7 +57,7 @@ impl PinX {
 
 impl ReplacementPolicy for PinX {
     #[inline(always)]
-    fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
+    fn choose_victim(&mut self, set: usize) -> usize {
         // Standard RRIP victim search restricted to unpinned ways. As in
         // `RrpvArray::find_victim`, the reference loop's repeated
         // scan-and-age passes collapse into one pass: ageing the unpinned
@@ -137,7 +120,7 @@ impl ReplacementPolicy for PinX {
         self.rrpv.set(set, way, 0);
     }
 
-    fn on_evict(&mut self, set: usize, way: usize, _had_reuse: bool) {
+    fn on_evict(&mut self, set: usize, way: usize) {
         self.pinned[set] &= !(1u64 << way);
     }
 
@@ -163,12 +146,12 @@ mod tests {
 
     #[test]
     fn reservation_percentages_map_to_ways() {
-        assert_eq!(PinX::new(4, 16, 25).reserved_ways(), 4);
-        assert_eq!(PinX::new(4, 16, 50).reserved_ways(), 8);
-        assert_eq!(PinX::new(4, 16, 75).reserved_ways(), 12);
-        assert_eq!(PinX::new(4, 16, 100).reserved_ways(), 16);
+        assert_eq!(PinX::new(4, 16, 25).reserved_ways, 4);
+        assert_eq!(PinX::new(4, 16, 50).reserved_ways, 8);
+        assert_eq!(PinX::new(4, 16, 75).reserved_ways, 12);
+        assert_eq!(PinX::new(4, 16, 100).reserved_ways, 16);
         // At least one way is always reserved.
-        assert_eq!(PinX::new(4, 2, 25).reserved_ways(), 1);
+        assert_eq!(PinX::new(4, 2, 25).reserved_ways, 1);
     }
 
     #[test]
@@ -183,7 +166,7 @@ mod tests {
         p.on_fill(0, 0, &high(0));
         p.on_fill(0, 1, &high(64));
         p.on_fill(0, 2, &high(128));
-        assert_eq!(p.pinned_in_set(0), 2, "quota limits pinning");
+        assert_eq!(p.pinned[0].count_ones(), 2, "quota limits pinning");
     }
 
     #[test]
@@ -194,7 +177,7 @@ mod tests {
         p.on_fill(0, 2, &low(128));
         p.on_fill(0, 3, &low(192));
         for _ in 0..20 {
-            let victim = p.choose_victim(0, &low(256));
+            let victim = p.choose_victim(0);
             assert!(
                 victim == 2 || victim == 3,
                 "victim {victim} must be unpinned"
@@ -206,12 +189,12 @@ mod tests {
     fn eviction_releases_the_pin() {
         let mut p = PinX::new(1, 4, 25); // 1 reserved way
         p.on_fill(0, 0, &high(0));
-        assert_eq!(p.pinned_in_set(0), 1);
-        p.on_evict(0, 0, true);
-        assert_eq!(p.pinned_in_set(0), 0);
+        assert_eq!(p.pinned[0].count_ones(), 1);
+        p.on_evict(0, 0);
+        assert_eq!(p.pinned[0].count_ones(), 0);
         // The freed quota can be used again.
         p.on_fill(0, 1, &high(64));
-        assert_eq!(p.pinned_in_set(0), 1);
+        assert_eq!(p.pinned[0].count_ones(), 1);
     }
 
     #[test]
@@ -219,9 +202,9 @@ mod tests {
         let mut p = PinX::new(1, 2, 100);
         p.on_fill(0, 0, &high(0));
         p.on_fill(0, 1, &high(64));
-        assert_eq!(p.pinned_in_set(0), 2);
+        assert_eq!(p.pinned[0].count_ones(), 2);
         // All ways pinned: the guard still returns some victim.
-        let victim = p.choose_victim(0, &low(128));
+        let victim = p.choose_victim(0);
         assert!(victim < 2);
     }
 
@@ -232,10 +215,10 @@ mod tests {
         p.on_fill(0, 0, &high(0));
         p.on_fill(0, 1, &high(64));
         p.on_fill(0, 2, &high(128));
-        assert_eq!(p.pinned_in_set(0), 2);
+        assert_eq!(p.pinned[0].count_ones(), 2);
         // Evict a pinned way, then a hit on way 2 grabs the quota.
-        p.on_evict(0, 0, true);
+        p.on_evict(0, 0);
         p.on_hit(0, 2, &high(128));
-        assert_eq!(p.pinned_in_set(0), 2);
+        assert_eq!(p.pinned[0].count_ones(), 2);
     }
 }

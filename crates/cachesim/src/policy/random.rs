@@ -23,7 +23,7 @@ impl RandomReplacement {
 }
 
 impl ReplacementPolicy for RandomReplacement {
-    fn choose_victim(&mut self, _set: usize, _info: &AccessInfo) -> usize {
+    fn choose_victim(&mut self, _set: usize) -> usize {
         self.rng.next_below(self.ways as u64) as usize
     }
 
@@ -39,10 +39,9 @@ mod tests {
     #[test]
     fn victims_are_within_range_and_varied() {
         let mut p = RandomReplacement::new(4, 8, 7);
-        let info = AccessInfo::read(0);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..200 {
-            let v = p.choose_victim(0, &info);
+            let v = p.choose_victim(0);
             assert!(v < 8);
             seen.insert(v);
         }
@@ -51,11 +50,10 @@ mod tests {
 
     #[test]
     fn deterministic_for_a_seed() {
-        let info = AccessInfo::read(0);
         let mut a = RandomReplacement::new(1, 4, 9);
         let mut b = RandomReplacement::new(1, 4, 9);
         for _ in 0..50 {
-            assert_eq!(a.choose_victim(0, &info), b.choose_victim(0, &info));
+            assert_eq!(a.choose_victim(0), b.choose_victim(0));
         }
     }
 }

@@ -273,7 +273,7 @@ impl Srrip {
 
 impl ReplacementPolicy for Srrip {
     #[inline(always)]
-    fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
+    fn choose_victim(&mut self, set: usize) -> usize {
         self.rrpv.find_victim(set)
     }
 
@@ -306,7 +306,7 @@ impl Brrip {
 
 impl ReplacementPolicy for Brrip {
     #[inline(always)]
-    fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
+    fn choose_victim(&mut self, set: usize) -> usize {
         self.rrpv.find_victim(set)
     }
 
@@ -341,7 +341,7 @@ impl Drrip {
 
 impl ReplacementPolicy for Drrip {
     #[inline(always)]
-    fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
+    fn choose_victim(&mut self, set: usize) -> usize {
         self.rrpv.find_victim(set)
     }
 

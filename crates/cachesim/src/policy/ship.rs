@@ -32,23 +32,21 @@ pub struct ShipMem {
     /// Signature Hit Counter Table: region id → 3-bit saturating counter.
     shct: FxHashMap<u64, u8>,
     /// Per-block bookkeeping: the signature that filled the block and whether
-    /// it has been re-referenced since the fill.
+    /// it has been re-referenced (by a demand or a prefetch hit) since the
+    /// fill.
     fill_signature: Vec<u64>,
     was_reused: Vec<bool>,
-    block_bytes: u64,
 }
 
 impl ShipMem {
-    /// Creates a SHiP-MEM policy for a cache of `sets` × `ways` blocks of
-    /// `block_bytes` bytes.
-    pub fn new(sets: usize, ways: usize, block_bytes: u64) -> Self {
+    /// Creates a SHiP-MEM policy for a cache of `sets` × `ways` blocks.
+    pub fn new(sets: usize, ways: usize) -> Self {
         Self {
             rrpv: RrpvArray::new(sets, ways),
             ways,
             shct: FxHashMap::default(),
             fill_signature: vec![0; sets * ways],
             was_reused: vec![false; sets * ways],
-            block_bytes,
         }
     }
 
@@ -68,11 +66,6 @@ impl ShipMem {
         *self.shct.get(&signature).unwrap_or(&SHCT_INIT)
     }
 
-    /// Number of distinct signatures observed so far (predictor footprint).
-    pub fn table_entries(&self) -> usize {
-        self.shct.len()
-    }
-
     fn train_positive(&mut self, signature: u64) {
         let entry = self.shct.entry(signature).or_insert(SHCT_INIT);
         *entry = (*entry + 1).min(SHCT_MAX);
@@ -82,18 +75,11 @@ impl ShipMem {
         let entry = self.shct.entry(signature).or_insert(SHCT_INIT);
         *entry = entry.saturating_sub(1);
     }
-
-    /// Suppress an unused-parameter warning while documenting why the block
-    /// size is kept: signatures could alternatively be derived from block
-    /// addresses, and tests assert the configured granularity.
-    pub fn region_blocks(&self) -> u64 {
-        SHIP_REGION_BYTES / self.block_bytes
-    }
 }
 
 impl ReplacementPolicy for ShipMem {
     #[inline(always)]
-    fn choose_victim(&mut self, set: usize, _info: &AccessInfo) -> usize {
+    fn choose_victim(&mut self, set: usize) -> usize {
         self.rrpv.find_victim(set)
     }
 
@@ -122,9 +108,9 @@ impl ReplacementPolicy for ShipMem {
         self.rrpv.set(set, way, 0);
     }
 
-    fn on_evict(&mut self, set: usize, way: usize, had_reuse: bool) {
+    fn on_evict(&mut self, set: usize, way: usize) {
         let idx = self.idx(set, way);
-        if !had_reuse && !self.was_reused[idx] {
+        if !self.was_reused[idx] {
             let signature = self.fill_signature[idx];
             self.train_negative(signature);
         }
@@ -141,8 +127,7 @@ mod tests {
 
     #[test]
     fn region_signature_granularity() {
-        let p = ShipMem::new(4, 4, 64);
-        assert_eq!(p.region_blocks(), 256);
+        let p = ShipMem::new(4, 4);
         assert_eq!(
             p.signature(&req(0)),
             p.signature(&req(SHIP_REGION_BYTES - 1))
@@ -152,15 +137,15 @@ mod tests {
 
     #[test]
     fn dead_regions_insert_distant_after_negative_training() {
-        let mut p = ShipMem::new(4, 4, 64);
+        let mut p = ShipMem::new(4, 4);
         let info = req(0x100);
         // Fresh signature: inserts at the long position.
         p.on_fill(0, 0, &info);
         assert_eq!(p.rrpv.get(0, 0), RRPV_LONG);
         // Evict without reuse until the counter saturates at zero.
-        p.on_evict(0, 0, false);
+        p.on_evict(0, 0);
         p.on_fill(0, 0, &info);
-        p.on_evict(0, 0, false);
+        p.on_evict(0, 0);
         // Counter has hit zero: the next fill is distant.
         p.on_fill(0, 0, &info);
         assert_eq!(p.rrpv.get(0, 0), RRPV_MAX);
@@ -168,12 +153,12 @@ mod tests {
 
     #[test]
     fn reused_regions_recover_long_insertion() {
-        let mut p = ShipMem::new(4, 4, 64);
+        let mut p = ShipMem::new(4, 4);
         let info = req(0x40);
         // Drive the counter to zero.
         for _ in 0..3 {
             p.on_fill(0, 0, &info);
-            p.on_evict(0, 0, false);
+            p.on_evict(0, 0);
         }
         p.on_fill(0, 0, &info);
         assert_eq!(p.rrpv.get(0, 0), RRPV_MAX);
@@ -185,7 +170,7 @@ mod tests {
 
     #[test]
     fn hit_trains_positive_once_per_residency() {
-        let mut p = ShipMem::new(4, 4, 64);
+        let mut p = ShipMem::new(4, 4);
         let info = req(0x40);
         p.on_fill(0, 0, &info);
         p.on_hit(0, 0, &info);
@@ -195,13 +180,30 @@ mod tests {
     }
 
     #[test]
+    fn a_block_hit_only_by_a_prefetch_is_not_trained_dead() {
+        // The cache reports a prefetch hit through `on_hit`, like a demand
+        // hit, so a block whose only hit was a prefetch counts as reused:
+        // its eviction keeps the positive training and adds no negative.
+        let mut p = ShipMem::new(4, 4);
+        let info = req(0x40);
+        p.on_fill(0, 0, &info);
+        p.on_hit(0, 0, &info);
+        p.on_evict(0, 0);
+        assert_eq!(p.counter(p.signature(&info)), SHCT_INIT + 1);
+        // Without the hit, the same eviction trains the region negative.
+        p.on_fill(0, 0, &info);
+        p.on_evict(0, 0);
+        assert_eq!(p.counter(p.signature(&info)), SHCT_INIT);
+    }
+
+    #[test]
     fn table_grows_with_distinct_regions() {
-        let mut p = ShipMem::new(4, 4, 64);
+        let mut p = ShipMem::new(4, 4);
         for r in 0..10u64 {
             let info = req(r * SHIP_REGION_BYTES);
             p.on_fill(0, 0, &info);
             p.on_hit(0, 0, &info);
         }
-        assert_eq!(p.table_entries(), 10);
+        assert_eq!(p.shct.len(), 10);
     }
 }

@@ -1,65 +1,23 @@
-//! The staged view of the cache hierarchy: an upper-level filter stage
-//! (L1 + L2 + stride prefetcher) feeding a last-level-cache stage through
-//! the [`LlcSink`] interface.
-//!
-//! The split exists because everything above the LLC is **independent of the
-//! LLC**, its replacement policy *and* its geometry: L1 and L2 are
-//! LRU-managed, the prefetcher observes the demand stream at L1, and nothing
-//! the LLC decides flows back upward. The post-L2 request stream — demand
-//! fills, prefetch fills and dirty-victim writebacks — is therefore a pure
-//! function of the application and the upper levels. GRASP's reuse hint is
-//! not part of it: the hint depends on the LLC's capacity, so the
-//! [`LlcStage`] classifies each request from the ABR bounds the application
-//! programmed, at its own size. The record-once / replay-many experiment
-//! pipeline exploits exactly this:
-//!
-//! ```text
-//!             ┌──────────── UpperLevels ────────────┐
-//!  app access │ L1-D (LRU) → L2 (LRU) → ABR bounds  │
-//!             └──────────────┬──────────────────────┘
-//!                            │ demand / prefetch / writeback   (LlcSink)
-//!              ┌─────────────┴──────────────────────────────────┐
-//!              │  LlcStage: RegionClassifier (ABRs, LLC size →  │   ← Hierarchy<LlcStage>: simulate now
-//!              │            reuse hint) → LLC (policy X)        │
-//!              │  LlcTrace                                      │   ← Hierarchy<LlcTrace>: record once,
-//!              └────────────────────────────────────────────────┘     replay per policy and LLC geometry
-//! ```
-//!
-//! L1 and L2 are the private `lru_filter` module's recency-ordered LRU sets, not
-//! [`SetAssocCache`]s: the filter is where a recording spends its time — at
-//! the scales campaigns run, 36–60 % of the demand accesses an application
-//! issues miss L1 and 0.39–0.57 post-L2 records are emitted per demand
-//! access (`record.pass_ratio` on the `pipeline` ledger), so there is no
-//! "mostly L1 hits" fast path to lean on and what counts is the work per
-//! lookup. [`UpperLevels::access`] is the one way in, for recording and for
-//! direct simulation alike.
-//!
-//! [`crate::Hierarchy`] is the one composition of the two: the upper levels
-//! with either sink. With an [`LlcStage`] it is the classic three-level
-//! simulator; with an [`crate::trace::LlcTrace`] it is the one recorder, and
-//! [`LlcTrace::replay`](crate::trace::LlcTrace::replay) drives a fresh
-//! [`LlcStage`] from the recorded stream — through the *same*
-//! code path, which is what makes replayed statistics bit-identical to direct
-//! simulation.
+//! The LLC side of the hierarchy: the [`LlcSink`] interface that receives
+//! the post-L2 request stream, and [`LlcStage`], the sink that simulates the
+//! LLC. [`crate::hierarchy`] describes how the two sides compose and why the
+//! stream does not depend on the LLC.
 
 use crate::addr::Address;
 use crate::cache::SetAssocCache;
-use crate::config::{CacheConfig, HierarchyConfig};
-use crate::hint::{RegionClassifier, ReuseHint};
-use crate::lru_filter::LruFilter;
+use crate::config::CacheConfig;
+use crate::hint::RegionClassifier;
 use crate::policy::PolicyDispatch;
-use crate::prefetch::StridePrefetcher;
-use crate::request::{AccessInfo, AccessKind, AccessSite, RegionLabel};
+use crate::request::AccessInfo;
 use crate::stats::CacheStats;
 
-/// Consumer of the post-L2 request stream produced by [`UpperLevels`].
+/// Consumer of the post-L2 request stream of a [`crate::Hierarchy`].
 ///
 /// Implemented by [`LlcStage`] (simulate the LLC now) and by
 /// [`crate::trace::LlcTrace`] (record the stream for later replay).
 pub trait LlcSink {
-    /// A demand request that missed L1 and L2. Returns `true` when the
-    /// request hits on chip (i.e. in the LLC); recorders return `false`.
-    fn demand(&mut self, info: &AccessInfo) -> bool;
+    /// A demand request that missed L1 and L2.
+    fn demand(&mut self, info: &AccessInfo);
 
     /// A prefetch request that missed L1 and L2.
     fn prefetch(&mut self, info: &AccessInfo);
@@ -70,139 +28,9 @@ pub trait LlcSink {
 
     /// The application programmed the Address Bound Registers with `bounds`.
     /// An LLC stage classifies by them; a recorder ignores the call, as the
-    /// bounds reach a recording through
-    /// [`UpperLevels::record_context`].
+    /// bounds reach a recording through its context
+    /// ([`crate::Hierarchy::finish`]).
     fn program_abrs(&mut self, _bounds: &[(Address, Address)]) {}
-}
-
-/// The LLC-independent upper levels of the hierarchy: L1-D and L2 (both
-/// LRU) and the L1 stride prefetcher. They also keep the ABR bounds the
-/// application programmed, for the record context; the hint those bounds
-/// yield is the LLC stage's business.
-pub struct UpperLevels {
-    config: HierarchyConfig,
-    l1: LruFilter,
-    l2: LruFilter,
-    prefetcher: Option<StridePrefetcher>,
-    abr_bounds: Vec<(Address, Address)>,
-}
-
-impl std::fmt::Debug for UpperLevels {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("UpperLevels")
-            .field("config", &self.config)
-            .field("abr_bounds", &self.abr_bounds)
-            .finish()
-    }
-}
-
-impl UpperLevels {
-    /// Creates the filter stage with the given configuration (its LLC
-    /// geometry is not read).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the L1 or L2 block size is below four bytes (their lines
-    /// pack the block address and the dirty bit into one word).
-    pub fn new(config: HierarchyConfig) -> Self {
-        Self {
-            config,
-            l1: LruFilter::new("L1-D", config.l1),
-            l2: LruFilter::new("L2", config.l2),
-            prefetcher: config.prefetch.then(StridePrefetcher::default),
-            abr_bounds: Vec::new(),
-        }
-    }
-
-    /// Keeps the bounds the application programmed into the Address Bound
-    /// Registers (the software side of GRASP's interface, Sec. III-A) for
-    /// [`UpperLevels::record_context`]. Nothing above the LLC reads them.
-    pub fn program_abrs(&mut self, bounds: &[(Address, Address)]) {
-        self.abr_bounds = bounds.to_vec();
-    }
-
-    /// Snapshot of everything a recorded trace carries alongside the post-L2
-    /// stream.
-    pub fn record_context(&self) -> crate::trace::RecordContext {
-        crate::trace::RecordContext {
-            l1: self.l1.stats().clone(),
-            l2: self.l2.stats().clone(),
-            abr_bounds: self.abr_bounds.clone(),
-        }
-    }
-
-    /// Performs one demand access, forwarding whatever escapes L2 — the
-    /// demand request itself, at most one prefetch request, and any dirty
-    /// victim writebacks — into `sink`. Returns `true` if the demand access
-    /// hit somewhere on chip.
-    pub fn access(
-        &mut self,
-        addr: Address,
-        kind: AccessKind,
-        site: AccessSite,
-        region: RegionLabel,
-        sink: &mut impl LlcSink,
-    ) -> bool {
-        let demand = AccessInfo {
-            addr,
-            kind,
-            site,
-            hint: ReuseHint::Default,
-            region,
-        };
-        let on_chip = self.request::<false>(&demand, sink);
-
-        // The prefetcher observes the demand stream at L1 and issues at most
-        // one prefetch per access.
-        if let Some(prefetcher) = self.prefetcher.as_mut() {
-            if let Some(predicted) = prefetcher.observe(site, addr) {
-                let prefetch = AccessInfo {
-                    addr: predicted,
-                    kind: AccessKind::Read,
-                    ..demand
-                };
-                self.request::<true>(&prefetch, sink);
-            }
-        }
-        on_chip
-    }
-
-    /// Drives one request (demand, or prefetch when `PREFETCH`) through both
-    /// levels: L1 lookup; on a miss the request goes to L2 and, missing
-    /// there too, to `sink`; then the dirty L1 victim is written
-    /// back into L2 (and forwarded to `sink` when L2 does not hold the
-    /// block), and the dirty L2 victim trails last. Returns `true` if the
-    /// request hit somewhere on chip.
-    #[inline]
-    fn request<const PREFETCH: bool>(
-        &mut self,
-        info: &AccessInfo,
-        sink: &mut impl LlcSink,
-    ) -> bool {
-        let l1 = self.l1.request::<PREFETCH>(info);
-        if l1.hit {
-            return true;
-        }
-        let l2 = self.l2.request::<PREFETCH>(info);
-        let mut on_chip = l2.hit;
-        if !l2.hit {
-            if PREFETCH {
-                sink.prefetch(info);
-            } else {
-                on_chip = sink.demand(info);
-            }
-        }
-        if let Some((block, true)) = l1.victim() {
-            let addr = self.l1.addr_of(block);
-            if !self.l2.writeback(addr) {
-                sink.writeback(addr);
-            }
-        }
-        if let Some((block, true)) = l2.victim() {
-            sink.writeback(self.l2.addr_of(block));
-        }
-        on_chip
-    }
 }
 
 /// The LLC stage: GRASP's classification logic (Fig. 4) in front of a single
@@ -231,16 +59,9 @@ impl LlcStage {
     /// its ABRs unprogrammed (every request carries the Default hint).
     pub fn new(config: CacheConfig, policy: impl Into<PolicyDispatch>) -> Self {
         Self {
-            cache: SetAssocCache::new("LLC", config, policy),
+            cache: SetAssocCache::new(config, policy),
             classifier: RegionClassifier::disabled(),
         }
-    }
-
-    /// Programs the Address Bound Registers with the bounds of the
-    /// application's Property Arrays: from here on every request is
-    /// classified for this stage's LLC capacity.
-    pub fn program_abrs(&mut self, bounds: &[(Address, Address)]) {
-        self.classifier = RegionClassifier::new(bounds, self.cache.config().size_bytes);
     }
 
     /// Accumulated LLC statistics.
@@ -254,32 +75,14 @@ impl LlcStage {
         info.with_hint(self.classifier.classify(info.addr))
     }
 
-    /// Simulates one demand request; returns `true` on an LLC hit.
-    #[inline]
-    pub fn demand(&mut self, info: &AccessInfo) -> bool {
-        self.cache.access(&self.hinted(info)).is_hit()
-    }
-
-    /// Simulates one prefetch request.
-    #[inline]
-    pub fn prefetch(&mut self, info: &AccessInfo) {
-        self.cache.prefetch(&self.hinted(info));
-    }
-
     /// Replays one run of a recorded post-L2 stream straight off its raw
     /// columns ([`SetAssocCache::replay_run`]) under this stage's
     /// classifier. Bit-identical to dispatching each record through
-    /// [`LlcStage::demand`] / [`LlcStage::prefetch`] /
-    /// [`LlcStage::writeback`] in order.
+    /// [`LlcSink::demand`] / [`LlcSink::prefetch`] / [`LlcSink::writeback`]
+    /// in order.
     #[inline]
     pub fn replay_run(&mut self, addrs: &[Address], meta: &[u32]) {
         self.cache.replay_run(addrs, meta, &self.classifier);
-    }
-
-    /// Receives the writeback of a dirty victim from the upper levels.
-    #[inline]
-    pub fn writeback(&mut self, addr: Address) {
-        self.cache.writeback(addr);
     }
 
     /// Consumes the stage and returns the LLC statistics.
@@ -289,27 +92,42 @@ impl LlcStage {
 }
 
 impl LlcSink for LlcStage {
-    fn demand(&mut self, info: &AccessInfo) -> bool {
-        LlcStage::demand(self, info)
+    #[inline]
+    fn demand(&mut self, info: &AccessInfo) {
+        self.cache.access(&self.hinted(info));
     }
 
+    #[inline]
     fn prefetch(&mut self, info: &AccessInfo) {
-        LlcStage::prefetch(self, info);
+        self.cache.prefetch(&self.hinted(info));
     }
 
+    /// Receives the writeback of a dirty victim from the upper levels.
+    #[inline]
     fn writeback(&mut self, addr: Address) {
-        LlcStage::writeback(self, addr);
+        self.cache.writeback(addr);
     }
 
+    /// Programs the Address Bound Registers with the bounds of the
+    /// application's Property Arrays: from here on every request is
+    /// classified for this stage's LLC capacity.
     fn program_abrs(&mut self, bounds: &[(Address, Address)]) {
-        LlcStage::program_abrs(self, bounds);
+        self.classifier = RegionClassifier::new(bounds, self.cache.config().size_bytes);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    // The upper-level tests drive a whole `Hierarchy` and watch what reaches
+    // its sink: the `LlcSink` contract is what they pin.
     use super::*;
+    use crate::config::HierarchyConfig;
+    use crate::hint::ReuseHint;
     use crate::policy::rrip::Drrip;
+    use crate::prefetch::StridePrefetcher;
+    use crate::request::{AccessKind, AccessSite, RegionLabel};
+    use crate::trace::{LlcTrace, RecordContext};
+    use crate::Hierarchy;
 
     /// A sink that counts what reaches it.
     #[derive(Default)]
@@ -319,10 +137,9 @@ mod tests {
         writebacks: usize,
     }
 
-    impl LlcSink for Counter {
-        fn demand(&mut self, _info: &AccessInfo) -> bool {
+    impl LlcSink for &mut Counter {
+        fn demand(&mut self, _info: &AccessInfo) {
             self.demands += 1;
-            false
         }
 
         fn prefetch(&mut self, _info: &AccessInfo) {
@@ -334,53 +151,49 @@ mod tests {
         }
     }
 
-    fn upper() -> UpperLevels {
-        UpperLevels::new(HierarchyConfig::scaled_default())
+    /// What reaches the sink of a hierarchy when `len` accesses of `kind`
+    /// from `site` go to `addr(i)`.
+    fn count(
+        len: u64,
+        kind: AccessKind,
+        site: AccessSite,
+        addr: impl Fn(u64) -> Address,
+    ) -> Counter {
+        let mut sink = Counter::default();
+        let mut h = Hierarchy::new(HierarchyConfig::scaled_default(), &mut sink);
+        for i in 0..len {
+            h.access(addr(i), kind, site, RegionLabel::Property);
+        }
+        sink
     }
 
     #[test]
     fn repeated_accesses_are_filtered() {
-        let mut u = upper();
-        let mut sink = Counter::default();
+        let mut h = Hierarchy::new(HierarchyConfig::scaled_default(), LlcTrace::new());
         for _ in 0..10 {
-            u.access(0x40, AccessKind::Read, 1, RegionLabel::Property, &mut sink);
+            h.access(0x40, AccessKind::Read, 1, RegionLabel::Property);
         }
-        assert_eq!(sink.demands, 1, "only the first access escapes L1");
-        assert_eq!(u.record_context().l1.accesses, 10);
-        assert_eq!(u.record_context().l2.accesses, 1);
+        let trace = h.finish();
+        assert_eq!(
+            trace.demand_vec().len(),
+            1,
+            "only the first access escapes L1"
+        );
+        assert_eq!(trace.context().l1.accesses, 10);
+        assert_eq!(trace.context().l2.accesses, 1);
     }
 
     #[test]
     fn streaming_accesses_produce_prefetch_requests() {
-        let mut u = upper();
-        let mut sink = Counter::default();
-        for i in 0..4096u64 {
-            u.access(
-                i * 64,
-                AccessKind::Read,
-                2,
-                RegionLabel::EdgeArray,
-                &mut sink,
-            );
-        }
+        let sink = count(4096, AccessKind::Read, 2, |i| i * 64);
         assert!(sink.prefetches > 0, "stride stream must trigger prefetches");
     }
 
     #[test]
     fn dirty_victims_are_written_back_post_l2() {
-        let mut u = upper();
-        let mut sink = Counter::default();
         // Write far more distinct blocks than L1 + L2 hold: dirty victims
         // must eventually spill past L2 into the sink.
-        for i in 0..4096u64 {
-            u.access(
-                i * 64 * 17,
-                AccessKind::Write,
-                3,
-                RegionLabel::Property,
-                &mut sink,
-            );
-        }
+        let sink = count(4096, AccessKind::Write, 3, |i| i * 64 * 17);
         assert!(sink.writebacks > 0, "dirty evictions must reach the LLC");
         assert!(
             sink.writebacks <= 2 * (sink.demands + sink.prefetches),
@@ -390,17 +203,7 @@ mod tests {
 
     #[test]
     fn clean_traffic_produces_no_writebacks() {
-        let mut u = upper();
-        let mut sink = Counter::default();
-        for i in 0..4096u64 {
-            u.access(
-                i * 64 * 17,
-                AccessKind::Read,
-                3,
-                RegionLabel::Property,
-                &mut sink,
-            );
-        }
+        let sink = count(4096, AccessKind::Read, 3, |i| i * 64 * 17);
         assert_eq!(sink.writebacks, 0, "reads never dirty a block");
     }
 
@@ -433,11 +236,10 @@ mod tests {
         // victim probed into L2 before the dirty L2 victim escapes), the
         // prefetcher on.
         use crate::policy::lru::Lru;
-        use crate::trace::LlcTrace;
         let config = HierarchyConfig::scaled_default();
-        let level = |name, c: CacheConfig| SetAssocCache::new(name, c, Lru::new(c.sets(), c.ways));
-        let mut l1 = level("L1-D", config.l1);
-        let mut l2 = level("L2", config.l2);
+        let level = |c: CacheConfig| SetAssocCache::new(c, Lru::new(c.sets(), c.ways));
+        let mut l1 = level(config.l1);
+        let mut l2 = level(config.l2);
         let mut prefetcher = StridePrefetcher::default();
         let mut expected = LlcTrace::new();
         // `record_mix` streams past L2; every other access instead rewrites
@@ -490,14 +292,20 @@ mod tests {
             }
         }
 
-        let mut upper = upper();
-        let mut got = LlcTrace::new();
+        let mut recorder = Hierarchy::new(config, LlcTrace::new());
         for info in &mix {
-            upper.access(info.addr, info.kind, info.site, info.region, &mut got);
+            recorder.access(info.addr, info.kind, info.site, info.region);
         }
-        assert_eq!(expected, got, "post-L2 record sequence");
-        assert_eq!(l1.stats(), &upper.record_context().l1);
-        assert_eq!(l2.stats(), &upper.record_context().l2);
+        expected.set_context(RecordContext {
+            l1: l1.stats().clone(),
+            l2: l2.stats().clone(),
+            abr_bounds: Vec::new(),
+        });
+        assert_eq!(
+            expected,
+            recorder.finish(),
+            "post-L2 records and L1/L2 stats"
+        );
         assert!(l2.stats().writeback_hits > 0 && l2.stats().prefetch_fills > 0);
     }
 
@@ -506,7 +314,7 @@ mod tests {
     fn sub_word_upper_level_blocks_are_rejected() {
         let mut config = HierarchyConfig::scaled_default();
         config.l2 = CacheConfig::new(config.l2.size_bytes, config.l2.ways, 2);
-        let _ = UpperLevels::new(config);
+        let _ = Hierarchy::new(config, LlcTrace::new());
     }
 
     #[test]

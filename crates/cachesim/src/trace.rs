@@ -496,13 +496,11 @@ impl LlcTrace {
     }
 }
 
-/// Recording sink: the trace consumes the post-L2 stream produced by
-/// [`crate::stage::UpperLevels`] without simulating an LLC (demand requests
-/// report a miss, which nothing above the LLC observes).
+/// Recording sink: the trace consumes the post-L2 stream of a
+/// [`crate::Hierarchy`] without simulating an LLC.
 impl LlcSink for LlcTrace {
-    fn demand(&mut self, info: &AccessInfo) -> bool {
+    fn demand(&mut self, info: &AccessInfo) {
         self.push(info);
-        false
     }
 
     fn prefetch(&mut self, info: &AccessInfo) {
@@ -785,8 +783,7 @@ mod tests {
         let config = llc_config();
         let classifier = RegionClassifier::new(&trace.context().abr_bounds, config.size_bytes);
         // The oracle: the demand slice, hinted and fed one access at a time.
-        let mut scalar =
-            SetAssocCache::new("LLC", config, Grasp::new(config.sets(), config.ways, 1));
+        let mut scalar = SetAssocCache::new(config, Grasp::new(config.sets(), config.ways, 1));
         for info in &demands {
             scalar.access(&info.with_hint(classifier.classify(info.addr)));
         }
@@ -815,7 +812,7 @@ mod tests {
         });
         let grasp = |config: CacheConfig| Grasp::new(config.sets(), config.ways, 1);
         let oracle = |config: CacheConfig, classifier: &RegionClassifier| {
-            let mut cache = SetAssocCache::new("LLC", config, grasp(config));
+            let mut cache = SetAssocCache::new(config, grasp(config));
             for info in trace.demand_accesses() {
                 cache.access(&info.with_hint(classifier.classify(info.addr)));
             }

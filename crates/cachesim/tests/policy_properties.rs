@@ -39,7 +39,7 @@ fn all_policies(cfg: &CacheConfig) -> Vec<(&'static str, PolicyDispatch)> {
         ("SRRIP", Srrip::new(sets, ways).into()),
         ("BRRIP", Brrip::new(sets, ways, 7).into()),
         ("RRIP", Drrip::new(sets, ways, 7).into()),
-        ("SHiP-MEM", ShipMem::new(sets, ways, cfg.block_bytes).into()),
+        ("SHiP-MEM", ShipMem::new(sets, ways).into()),
         ("Hawkeye", Hawkeye::new(sets, ways, cfg.block_bytes).into()),
         ("Leeway", Leeway::new(sets, ways).into()),
         ("PIN-50", PinX::new(sets, ways, 50).into()),
@@ -91,8 +91,8 @@ proptest! {
                 readers.push(name);
                 continue;
             }
-            let mut hinted = SetAssocCache::new("LLC", cfg, hinted);
-            let mut plain = SetAssocCache::new("LLC", cfg, plain);
+            let mut hinted = SetAssocCache::new(cfg, hinted);
+            let mut plain = SetAssocCache::new(cfg, plain);
             for info in &trace {
                 let outcome = hinted.access(info);
                 prop_assert_eq!(outcome, plain.access(&info.with_hint(ReuseHint::Default)), "{}", name);
@@ -107,7 +107,7 @@ proptest! {
     fn accounting_invariants(trace in arb_trace()) {
         let cfg = config();
         for (name, policy) in all_policies(&cfg) {
-            let mut cache = SetAssocCache::new("LLC", cfg, policy);
+            let mut cache = SetAssocCache::new(cfg, policy);
             for info in &trace {
                 cache.access(info);
                 // A block just accessed must be resident: every miss
@@ -128,7 +128,7 @@ proptest! {
         let cfg = config();
         let opt = optimal_misses(&trace.iter().copied().collect(), &cfg);
         for (name, policy) in all_policies(&cfg) {
-            let mut cache = SetAssocCache::new("LLC", cfg, policy);
+            let mut cache = SetAssocCache::new(cfg, policy);
             for info in &trace {
                 cache.access(info);
             }
@@ -150,7 +150,7 @@ proptest! {
         let distinct: std::collections::HashSet<u64> =
             trace.iter().map(|i| i.addr / 64).collect();
         for (name, policy) in all_policies(&cfg) {
-            let mut cache = SetAssocCache::new("LLC", cfg, policy);
+            let mut cache = SetAssocCache::new(cfg, policy);
             for info in &trace {
                 cache.access(info);
             }
@@ -186,7 +186,7 @@ fn grasp_protects_the_hot_working_set_under_thrashing() {
         }
     }
     let run = |policy: PolicyDispatch| {
-        let mut cache = SetAssocCache::new("LLC", cfg, policy);
+        let mut cache = SetAssocCache::new(cfg, policy);
         for info in &trace {
             cache.access(info);
         }
@@ -234,7 +234,7 @@ fn pinning_is_rigid_where_grasp_is_flexible() {
         }
     }
     let run = |policy: PolicyDispatch| {
-        let mut cache = SetAssocCache::new("LLC", cfg, policy);
+        let mut cache = SetAssocCache::new(cfg, policy);
         for info in &trace {
             cache.access(info);
         }

@@ -1,4 +1,4 @@
-//! Property tests for the record path: `UpperLevels::access` against a
+//! Property tests for the record path: `Hierarchy<LlcTrace>` against a
 //! two-level `SetAssocCache` + `Lru` reference whose routing is spelled out
 //! per request, over arbitrary read/write sequences. The recorded
 //! traces must be identical (address and meta columns) and the upper-level
@@ -12,8 +12,8 @@ use grasp_cachesim::hint::ReuseHint;
 use grasp_cachesim::policy::lru::Lru;
 use grasp_cachesim::prefetch::StridePrefetcher;
 use grasp_cachesim::request::{AccessInfo, AccessKind, RegionLabel};
-use grasp_cachesim::stage::UpperLevels;
 use grasp_cachesim::trace::{LlcTrace, RecordContext};
+use grasp_cachesim::Hierarchy;
 use proptest::prelude::*;
 
 /// The ABR bounds both sides program: they travel in the record context,
@@ -45,16 +45,15 @@ fn arb_events() -> impl Strategy<Value = Vec<AccessInfo>> {
     )
 }
 
-/// The path under test: every access through `UpperLevels::access`.
+/// The path under test: every access through `Hierarchy::access` into a
+/// recording sink, the context attached by `finish`.
 fn record(events: &[AccessInfo], config: HierarchyConfig) -> LlcTrace {
-    let mut upper = UpperLevels::new(config);
-    upper.program_abrs(&ABR_BOUNDS);
-    let mut trace = LlcTrace::new();
+    let mut recorder = Hierarchy::new(config, LlcTrace::new());
+    recorder.program_abrs(&ABR_BOUNDS);
     for info in events {
-        upper.access(info.addr, info.kind, info.site, info.region, &mut trace);
+        recorder.access(info.addr, info.kind, info.site, info.region);
     }
-    trace.set_context(upper.record_context());
-    trace
+    recorder.finish()
 }
 
 /// The oracle: L1 and L2 as `SetAssocCache` + `Lru`, the routing written out
@@ -62,9 +61,9 @@ fn record(events: &[AccessInfo], config: HierarchyConfig) -> LlcTrace {
 /// miss, the dirty L1 victim probed into L2 before the dirty L2 victim
 /// escapes — and at most one prefetch request behind every demand access.
 fn record_reference(events: &[AccessInfo], config: HierarchyConfig) -> LlcTrace {
-    let level = |name, c: CacheConfig| SetAssocCache::new(name, c, Lru::new(c.sets(), c.ways));
-    let mut l1 = level("L1-D", config.l1);
-    let mut l2 = level("L2", config.l2);
+    let level = |c: CacheConfig| SetAssocCache::new(c, Lru::new(c.sets(), c.ways));
+    let mut l1 = level(config.l1);
+    let mut l2 = level(config.l2);
     let mut prefetcher = config.prefetch.then(StridePrefetcher::default);
     let dirty_victim = |out: &AccessOutcome, c: &CacheConfig| {
         out.evicted

@@ -117,7 +117,7 @@ impl PolicyKind {
             PolicyKind::Srrip => Srrip::new(sets, ways).into(),
             PolicyKind::Brrip => Brrip::new(sets, ways, POLICY_SEED).into(),
             PolicyKind::Rrip => Drrip::new(sets, ways, POLICY_SEED).into(),
-            PolicyKind::ShipMem => ShipMem::new(sets, ways, config.block_bytes).into(),
+            PolicyKind::ShipMem => ShipMem::new(sets, ways).into(),
             PolicyKind::Hawkeye => Hawkeye::new(sets, ways, config.block_bytes).into(),
             PolicyKind::Leeway => Leeway::new(sets, ways).into(),
             PolicyKind::Pin(percent) => PinX::new(sets, ways, percent).into(),
