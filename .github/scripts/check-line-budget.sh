@@ -59,7 +59,14 @@
 # folded into the hierarchy, and the on-chip hit flag, the victim search's
 # request argument, the eviction hook's reuse flag (with the cache's copy of
 # SHiP's reuse bits), the cache's name, SHiP's block size and the accessors
-# only tests called went.
+# only tests called went. It came down to 17 558 (the tree's 17 508 + 50)
+# when the recorded trace became two flat columns: its `Arc`-shared chunk
+# pages, their chunk type, the capacity estimate and reservation, and the
+# trace and cache accessors only tests called went. persist.rs rose 877 ->
+# 879 with it: a load reads every frame before decoding any, so the columns
+# are allocated once at their checksum-verified size instead of regrowing
+# frame by frame (a regrowing load took one warm_sweep_noskew run from
+# 226 k to 347 k page faults).
 #
 # usage: check-line-budget.sh   (from the repository root)
 set -euo pipefail
@@ -73,12 +80,12 @@ find crates/*/src crates/bench/benches -name '*.rs' | sort | while read -r file;
     END { print n + 0, FILENAME }' "$file"
 done | awk '
   BEGIN {
-    total_ceiling = 17732
+    total_ceiling = 17558
     bench_ceiling = 540
     ceiling["crates/core/src/campaign.rs"] = 1287
     ceiling["crates/graph/src/ingest.rs"] = 1177
     ceiling["crates/core/src/trace_store.rs"] = 808
-    ceiling["crates/cachesim/src/trace/persist.rs"] = 877
+    ceiling["crates/cachesim/src/trace/persist.rs"] = 879
   }
   { total += $1 }
   $2 ~ /^crates\/bench\// { bench += $1 }

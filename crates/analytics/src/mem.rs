@@ -80,7 +80,8 @@ mod tests {
     /// The hint the LLC of `config` gives the trace's first demand request.
     fn first_hint(trace: &LlcTrace, config: &HierarchyConfig) -> ReuseHint {
         let classifier = RegionClassifier::new(&trace.context().abr_bounds, config.llc.size_bytes);
-        classifier.classify(trace.demand_vec()[0].addr)
+        let first = trace.demand_accesses().next().expect("a demand request");
+        classifier.classify(first.addr)
     }
 
     /// Reports 100 reads of distinct blocks to `m`, its ABRs programmed with

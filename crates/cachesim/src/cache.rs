@@ -414,7 +414,7 @@ impl SetAssocCache {
     /// Replays one run of a recorded post-L2 stream — demand,
     /// prefetch and writeback records freely interleaved — straight off its
     /// raw columns: `addrs[i]` is the byte address and `meta[i]` the packed
-    /// metadata word of record `i`, as a [`crate::trace::TraceChunk`] stores
+    /// metadata word of record `i`, as a [`crate::trace::LlcTrace`] stores
     /// them. Each request carries the reuse hint `classifier` gives its
     /// address (records carry none). Bit-identical to dispatching each
     /// hinted record through [`SetAssocCache::access`] /
@@ -444,15 +444,6 @@ impl SetAssocCache {
         self.stats.record_writeback(hit);
         hit
     }
-
-    /// Number of valid blocks currently resident.
-    pub fn resident_blocks(&self) -> usize {
-        self.core
-            .valid
-            .iter()
-            .map(|v| v.count_ones() as usize)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -466,6 +457,16 @@ mod tests {
     fn lru_cache(size: u64, ways: usize) -> SetAssocCache {
         let config = CacheConfig::new(size, ways, 64);
         SetAssocCache::new(config, Lru::new(config.sets(), ways))
+    }
+
+    /// Number of valid blocks resident in `cache`.
+    fn resident_blocks(cache: &SetAssocCache) -> usize {
+        cache
+            .core
+            .valid
+            .iter()
+            .map(|v| v.count_ones() as usize)
+            .sum()
     }
 
     #[test]
@@ -498,7 +499,7 @@ mod tests {
         for i in 0..64u64 {
             c.access(&AccessInfo::read(i * 64));
         }
-        assert_eq!(c.resident_blocks(), 16);
+        assert_eq!(resident_blocks(&c), 16);
         assert_eq!(c.stats().evictions, 48);
     }
 
@@ -612,7 +613,7 @@ mod tests {
         }
         assert_eq!(scalar.stats(), batched.stats());
         assert_eq!(batched.stats().misses, scalar_misses);
-        assert_eq!(scalar.resident_blocks(), batched.resident_blocks());
+        assert_eq!(resident_blocks(&scalar), resident_blocks(&batched));
     }
 
     #[test]
@@ -656,7 +657,7 @@ mod tests {
         for b in 0..64u64 {
             c.access(&AccessInfo::read(b * 64));
         }
-        assert_eq!(c.resident_blocks(), 64);
+        assert_eq!(resident_blocks(&c), 64);
         assert_eq!(c.stats().evictions, 0);
         let outcome = c.access(&AccessInfo::read(64 * 64));
         assert_eq!(outcome.evicted, Some(0), "LRU block evicted once full");

@@ -275,7 +275,7 @@ mod tests {
         let llc = HierarchyConfig::scaled_default().llc;
         let drrip = Drrip::new(llc.sets(), llc.ways, 1);
         let (h, trace) = simulate_and_record(drrip, &[(0x0, 0x100000)], &accesses);
-        let demands = trace.demand_vec();
+        let demands: Vec<_> = trace.demand_accesses().collect();
         assert_eq!(demands.len() as u64, h.stats().llc.accesses);
         assert_eq!(demands.len(), 2);
         assert!(demands.iter().all(|info| info.hint == ReuseHint::Default));

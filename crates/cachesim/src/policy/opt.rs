@@ -101,7 +101,7 @@ fn optimal_misses_blocks(
 /// The simulation is exact per set: the next-use of every access is
 /// pre-computed with a backward pass, and on every replacement the resident
 /// block with the farthest next use is evicted. Both passes stream straight
-/// off the trace's 12-byte-per-record chunked storage, so no
+/// off the trace's two columns (12 bytes per record), so no
 /// `Vec<AccessInfo>` is ever materialized. Only the 8-byte-per-demand
 /// next-use table is allocated — what keeps the Fig. 11 / Table VII sweep
 /// out of 16-byte-per-access memory at paper scale.
@@ -109,7 +109,8 @@ pub fn optimal_misses(trace: &LlcTrace, config: &CacheConfig) -> OptResult {
     let next_use = next_use_table(
         trace.demand_len(),
         trace
-            .demand_accesses_rev()
+            .demand_accesses()
+            .rev()
             .map(|info| block_of(info.addr, config.block_bytes)),
     );
     optimal_misses_blocks(

@@ -175,7 +175,7 @@ mod tests {
         }
         let trace = h.finish();
         assert_eq!(
-            trace.demand_vec().len(),
+            trace.demand_accesses().count(),
             1,
             "only the first access escapes L1"
         );

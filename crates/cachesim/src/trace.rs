@@ -25,16 +25,11 @@
 //!
 //! # Layout
 //!
-//! Records are packed into a struct-of-arrays pair of a 64-bit address and a
-//! 32-bit metadata word (kind, region, site — 12 bytes per record), and
-//! the arrays are **chunked**: storage grows in fixed-size [`TraceChunk`]s of
-//! [`CHUNK_RECORDS`] records instead of one contiguous allocation. Appending
-//! never relocates more than one chunk, so a long recording costs neither the
-//! 2× transient footprint nor the O(len) copy of `Vec` doubling — the trace
-//! spills gracefully as it grows. Completed chunks are **frozen behind an
-//! `Arc`**, which makes cloning a trace free of record copies.
-//! [`LlcTrace::replay`] hands each chunk's two columns to one [`LlcStage`]
-//! whole.
+//! Records are packed into two columns that grow like a `Vec`: a 64-bit
+//! address and a 32-bit metadata word (kind, region, site) — 12 bytes per
+//! record. [`LlcTrace::replay`] hands both columns to one [`LlcStage`]
+//! whole. [`CHUNK_RECORDS`] is the frame size of the on-disk format
+//! ([`persist`]) and the window [`LlcTrace::replay_demand`] filters through.
 
 mod hash;
 pub mod persist;
@@ -46,12 +41,10 @@ use crate::policy::PolicyDispatch;
 use crate::request::{AccessInfo, AccessKind, RegionLabel};
 use crate::stage::{LlcSink, LlcStage};
 use crate::stats::{CacheStats, HierarchyStats};
-use std::sync::Arc;
 
-/// Records per storage chunk (a 64 Ki-record chunk is 768 KiB).
+/// Records per frame of the on-disk format and per window of
+/// [`LlcTrace::replay_demand`].
 pub const CHUNK_RECORDS: usize = 1 << 16;
-const CHUNK_SHIFT: u32 = CHUNK_RECORDS.trailing_zeros();
-const CHUNK_MASK: usize = CHUNK_RECORDS - 1;
 
 const META_WRITE_BIT: u32 = 1;
 const META_REGION_SHIFT: u32 = 3;
@@ -139,57 +132,6 @@ pub(crate) fn count_demand_records(meta: &[u32]) -> usize {
     meta.iter().filter(|&&m| m & META_KIND_BITS == 0).count()
 }
 
-/// One fixed-capacity struct-of-arrays storage chunk of the post-L2 stream.
-///
-/// Chunks are the unit of sharing and of replay: a completed chunk is
-/// frozen behind an `Arc` by the recording [`LlcTrace`] and replayed whole
-/// ([`LlcTrace::replay`]). A frozen chunk is never mutated again.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TraceChunk {
-    addrs: Vec<Address>,
-    meta: Vec<u32>,
-}
-
-impl TraceChunk {
-    #[inline]
-    fn push(&mut self, addr: Address, meta: u32) {
-        self.addrs.push(addr);
-        self.meta.push(meta);
-    }
-
-    fn get(&self, offset: usize) -> TraceEvent {
-        decode_event(self.addrs[offset], self.meta[offset])
-    }
-
-    /// Number of records in the chunk.
-    pub fn len(&self) -> usize {
-        self.addrs.len()
-    }
-
-    /// Returns `true` when the chunk holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
-    }
-
-    /// Decodes the chunk's events in record order.
-    pub fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
-        self.addrs
-            .iter()
-            .zip(&self.meta)
-            .map(|(&addr, &meta)| decode_event(addr, meta))
-    }
-
-    /// Decodes the chunk's events in reverse record order (the backward pass
-    /// of the chunk-native OPT simulation).
-    pub fn events_rev(&self) -> impl Iterator<Item = TraceEvent> + '_ {
-        self.addrs
-            .iter()
-            .rev()
-            .zip(self.meta.iter().rev())
-            .map(|(&addr, &meta)| decode_event(addr, meta))
-    }
-}
-
 /// Upper-level state recorded alongside the post-L2 stream: everything replay
 /// needs to rebuild full hierarchy statistics (and, at the replayed LLC's
 /// size, the classifier) without re-running the application.
@@ -220,14 +162,10 @@ impl RecordContext {
 
 /// A compact, append-only record of the post-L2 request stream (see the
 /// module docs for the role it plays in the record/replay pipeline).
-///
-/// Completed chunks are frozen behind `Arc`s, so cloning a trace shares the
-/// bulk of the storage.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LlcTrace {
-    frozen: Vec<Arc<TraceChunk>>,
-    current: TraceChunk,
-    len: usize,
+    addrs: Vec<Address>,
+    meta: Vec<u32>,
     demand_len: usize,
     context: RecordContext,
 }
@@ -238,55 +176,10 @@ impl LlcTrace {
         Self::default()
     }
 
-    /// Creates an empty trace with chunk slots pre-reserved for `capacity`
-    /// records.
-    pub fn with_capacity(capacity: usize) -> Self {
-        let mut trace = Self::default();
-        trace.reserve(capacity);
-        trace
-    }
-
-    /// Pre-reserves storage for at least `additional` more records. Only
-    /// bounded work is done eagerly: the chunk directory is sized and the
-    /// current chunk is grown towards its fixed capacity; further chunks are
-    /// allocated lazily as recording proceeds.
-    pub fn reserve(&mut self, additional: usize) {
-        let total_chunks = (self.len + additional).div_ceil(CHUNK_RECORDS);
-        self.frozen
-            .reserve(total_chunks.saturating_sub(self.frozen.len()));
-        let want = additional.min(CHUNK_RECORDS - self.current.len());
-        self.current.addrs.reserve(want);
-        self.current.meta.reserve(want);
-    }
-
-    /// Estimated number of post-L2 records for a run over `edges` edges and
-    /// `iterations` traced iterations.
-    ///
-    /// The edge stream dominates the access stream and the upper levels
-    /// filter most of it, so a quarter of the touched edges pre-sizes the
-    /// trace without reallocation in the common case. The cap bounds the
-    /// eager commitment (~50 MB of records) when many recording runs share a
-    /// machine — e.g. a recording campaign with one worker per core; the
-    /// trace still grows past it chunk by chunk if needed.
-    pub fn estimate_capacity(edges: u64, iterations: u64) -> usize {
-        (edges * iterations.max(1) / 4).min(1 << 22) as usize
-    }
-
     #[inline]
     fn push_raw(&mut self, addr: Address, meta: u32) {
-        // A brand-new chunk (no capacity at all) is sized to its full fixed
-        // extent up front; a chunk pre-sized by `reserve` keeps its bounded
-        // reservation and grows normally if the estimate was short.
-        if self.current.addrs.capacity() == 0 {
-            self.current.addrs.reserve(CHUNK_RECORDS);
-            self.current.meta.reserve(CHUNK_RECORDS);
-        }
-        self.current.push(addr, meta);
-        self.len += 1;
-        if self.current.len() == CHUNK_RECORDS {
-            let full = std::mem::take(&mut self.current);
-            self.frozen.push(Arc::new(full));
-        }
+        self.addrs.push(addr);
+        self.meta.push(meta);
     }
 
     /// Appends one demand record.
@@ -310,12 +203,12 @@ impl LlcTrace {
 
     /// Total number of recorded events (demand + prefetch + writeback).
     pub fn len(&self) -> usize {
-        self.len
+        self.addrs.len()
     }
 
     /// Returns `true` when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.addrs.is_empty()
     }
 
     /// Number of demand records (== the LLC's demand accesses).
@@ -334,80 +227,22 @@ impl LlcTrace {
         self.context = context;
     }
 
-    /// Decodes the event at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= len()`.
-    pub fn get(&self, index: usize) -> TraceEvent {
-        assert!(
-            index < self.len,
-            "index {index} out of bounds ({})",
-            self.len
-        );
-        let chunk_index = index >> CHUNK_SHIFT;
-        let offset = index & CHUNK_MASK;
-        if chunk_index < self.frozen.len() {
-            self.frozen[chunk_index].get(offset)
-        } else {
-            self.current.get(offset)
-        }
-    }
-
-    /// The trace's storage chunks in stream order (frozen chunks first, then
-    /// the in-progress tail when non-empty) — the view chunk-native
-    /// consumers like the streamed OPT simulation operate on.
-    pub fn chunks(&self) -> impl Iterator<Item = &TraceChunk> {
-        self.frozen
+    /// Iterates over the decoded events in record order (`.rev()` walks
+    /// them backwards).
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = TraceEvent> + '_ {
+        self.addrs
             .iter()
-            .map(Arc::as_ref)
-            .chain(std::iter::once(&self.current).filter(|chunk| !chunk.is_empty()))
+            .zip(&self.meta)
+            .map(|(&addr, &meta)| decode_event(addr, meta))
     }
 
-    /// Iterates over the decoded events in record order.
-    pub fn iter(&self) -> impl Iterator<Item = TraceEvent> + '_ {
-        self.chunks().flat_map(TraceChunk::events)
-    }
-
-    /// Iterates over the decoded events in reverse record order.
-    pub fn iter_rev(&self) -> impl Iterator<Item = TraceEvent> + '_ {
-        self.current.events_rev().chain(
-            self.frozen
-                .iter()
-                .rev()
-                .flat_map(|chunk| chunk.events_rev()),
-        )
-    }
-
-    /// Decodes the whole event stream into a `Vec`.
-    pub fn to_vec(&self) -> Vec<TraceEvent> {
-        self.iter().collect()
-    }
-
-    /// Iterates over the demand requests only (the stream Belady's OPT and
-    /// the legacy single-cache replay helpers operate on).
-    pub fn demand_accesses(&self) -> impl Iterator<Item = AccessInfo> + '_ {
+    /// Iterates over the demand requests only (the stream Belady's OPT
+    /// operates on; its backward next-use pass runs on `.rev()`).
+    pub fn demand_accesses(&self) -> impl DoubleEndedIterator<Item = AccessInfo> + '_ {
         self.iter().filter_map(|event| match event {
             TraceEvent::Demand(info) => Some(info),
             _ => None,
         })
-    }
-
-    /// Iterates over the demand requests in reverse stream order (the
-    /// backward next-use pass of [`crate::policy::opt::optimal_misses`]
-    /// runs directly on this view — no `Vec<AccessInfo>` materialization).
-    pub fn demand_accesses_rev(&self) -> impl Iterator<Item = AccessInfo> + '_ {
-        self.iter_rev().filter_map(|event| match event {
-            TraceEvent::Demand(info) => Some(info),
-            _ => None,
-        })
-    }
-
-    /// Decodes the demand requests into a `Vec<AccessInfo>` (for consumers
-    /// that need repeated random access; streaming consumers should prefer
-    /// [`LlcTrace::demand_accesses`] / [`LlcTrace::demand_accesses_rev`]).
-    pub fn demand_vec(&self) -> Vec<AccessInfo> {
-        self.demand_accesses().collect()
     }
 
     /// Replays the recorded stream through a fresh [`LlcStage`] with the
@@ -417,12 +252,12 @@ impl LlcTrace {
     /// bit-identical to having simulated the whole hierarchy directly with
     /// that LLC.
     ///
-    /// Each chunk is one [`LlcStage::replay_run`] call: its two raw columns
-    /// go, as they are, to the recorded-stream kernel of [`crate::cache`],
+    /// The whole trace is one [`LlcStage::replay_run`] call: its two raw
+    /// columns go, as they are, to the recorded-stream kernel of [`crate::cache`],
     /// one compiled loop per policy that decodes, classifies (for a policy
     /// that reads hints), looks up and accounts every record inline. Nothing
     /// is copied, tiled or buffered on the way, and kind changes do not split
-    /// the chunk: demand and prefetch records interleave densely in recorded
+    /// the run: demand and prefetch records interleave densely in recorded
     /// streams (median same-kind run length is 1 on the paper workloads).
     pub fn replay(&self, config: CacheConfig, policy: impl Into<PolicyDispatch>) -> HierarchyStats {
         self.replay_impl(config, policy, false)
@@ -448,20 +283,16 @@ impl LlcTrace {
     ) -> HierarchyStats {
         let mut stage = LlcStage::new(config, policy);
         stage.program_abrs(&self.context.abr_bounds);
-        for chunk in self.chunks() {
-            if !scalar {
-                stage.replay_run(&chunk.addrs, &chunk.meta);
-                continue;
-            }
-            for event in chunk.events() {
+        if scalar {
+            for event in self.iter() {
                 match event {
-                    TraceEvent::Demand(info) => {
-                        stage.demand(&info);
-                    }
+                    TraceEvent::Demand(info) => stage.demand(&info),
                     TraceEvent::Prefetch(info) => stage.prefetch(&info),
                     TraceEvent::Writeback(addr) => stage.writeback(addr),
                 }
             }
+        } else {
+            stage.replay_run(&self.addrs, &self.meta);
         }
         self.context.stats_with(stage.into_stats())
     }
@@ -470,9 +301,9 @@ impl LlcTrace {
     /// classifying at `config`'s capacity like every other replay — the
     /// online-policy side of the OPT comparison (Fig. 11 / Table VII), which
     /// must give every scheme the same stream Belady's bound is computed
-    /// on. Each chunk's demand records are filtered into one reused pair of
-    /// column windows and go through the stage's run kernel; no
-    /// `AccessInfo` is materialized.
+    /// on. The demand records of each [`CHUNK_RECORDS`] window are filtered
+    /// into one reused pair of columns and go through the stage's run
+    /// kernel; no `AccessInfo` is materialized.
     pub fn replay_demand(
         &self,
         config: CacheConfig,
@@ -481,10 +312,14 @@ impl LlcTrace {
         let mut stage = LlcStage::new(config, policy);
         stage.program_abrs(&self.context.abr_bounds);
         let (mut addrs, mut meta) = (Vec::new(), Vec::new());
-        for chunk in self.chunks() {
+        for (window, words) in self
+            .addrs
+            .chunks(CHUNK_RECORDS)
+            .zip(self.meta.chunks(CHUNK_RECORDS))
+        {
             addrs.clear();
             meta.clear();
-            for (&addr, &word) in chunk.addrs.iter().zip(&chunk.meta) {
+            for (&addr, &word) in window.iter().zip(words) {
                 if word & META_KIND_BITS == 0 {
                     addrs.push(addr);
                     meta.push(word);
@@ -635,16 +470,15 @@ mod tests {
                 .with_region(RegionLabel::Frontier),
             AccessInfo::read(0),
         ];
-        let mut trace = LlcTrace::with_capacity(infos.len());
+        let mut trace = LlcTrace::new();
         for info in &infos {
             trace.push(info);
         }
         assert_eq!(trace.len(), 3);
         assert_eq!(trace.demand_len(), 3);
-        for (i, expected) in infos.iter().enumerate() {
-            assert_eq!(trace.get(i), TraceEvent::Demand(*expected));
-        }
-        assert_eq!(trace.demand_vec(), infos.to_vec());
+        let events: Vec<_> = infos.iter().map(|&info| TraceEvent::Demand(info)).collect();
+        assert_eq!(trace.iter().collect::<Vec<_>>(), events);
+        assert_eq!(trace.demand_accesses().collect::<Vec<_>>(), infos);
         let rebuilt: LlcTrace = trace.demand_accesses().collect();
         assert_eq!(rebuilt, trace);
         // A hint is the LLC's to give: recording one drops it.
@@ -666,15 +500,14 @@ mod tests {
         trace.push_writeback(0xFFC0);
         assert_eq!(trace.len(), 3);
         assert_eq!(trace.demand_len(), 1);
-        assert_eq!(
-            trace.to_vec(),
-            vec![
-                TraceEvent::Demand(demand),
-                TraceEvent::Prefetch(prefetch),
-                TraceEvent::Writeback(0xFFC0),
-            ]
-        );
-        assert_eq!(trace.demand_vec(), vec![demand]);
+        let events = [
+            TraceEvent::Demand(demand),
+            TraceEvent::Prefetch(prefetch),
+            TraceEvent::Writeback(0xFFC0),
+        ];
+        assert_eq!(trace.iter().collect::<Vec<_>>(), events);
+        assert!(trace.iter().rev().eq(events.into_iter().rev()));
+        assert_eq!(trace.demand_accesses().collect::<Vec<_>>(), [demand]);
     }
 
     #[test]
@@ -707,7 +540,9 @@ mod tests {
             trace.push(&AccessInfo::read(i as u64 * 64).with_site((i % 7) as u16));
         }
         assert_eq!(trace.len(), total);
-        // Spot-check around the chunk boundary plus random access deep in.
+        let events: Vec<_> = trace.iter().collect();
+        assert_eq!(events.len(), total);
+        // Spot-check around the frame boundary plus deep in.
         for i in [
             0,
             CHUNK_RECORDS - 1,
@@ -715,7 +550,7 @@ mod tests {
             CHUNK_RECORDS + 1,
             total - 1,
         ] {
-            match trace.get(i) {
+            match events[i] {
                 TraceEvent::Demand(info) => {
                     assert_eq!(info.addr, i as u64 * 64);
                     assert_eq!(info.site, (i % 7) as u16);
@@ -723,19 +558,6 @@ mod tests {
                 other => panic!("expected demand at {i}, got {other:?}"),
             }
         }
-        assert_eq!(trace.iter().count(), total);
-    }
-
-    #[test]
-    fn capacity_estimate_scales_and_caps() {
-        assert_eq!(LlcTrace::estimate_capacity(1000, 4), 1000);
-        // Zero iterations are clamped to one traced iteration.
-        assert_eq!(LlcTrace::estimate_capacity(1000, 0), 250);
-        assert_eq!(
-            LlcTrace::estimate_capacity(u64::MAX / 8, 2),
-            1 << 22,
-            "estimate must stay capped for huge runs"
-        );
     }
 
     #[test]
@@ -753,22 +575,8 @@ mod tests {
     }
 
     #[test]
-    fn cloning_a_trace_shares_frozen_chunks() {
-        let mut trace = LlcTrace::new();
-        for i in 0..(CHUNK_RECORDS + 10) {
-            trace.push(&AccessInfo::read(i as u64 * 64));
-        }
-        let clone = trace.clone();
-        assert_eq!(clone, trace);
-        assert!(
-            Arc::ptr_eq(&trace.frozen[0], &clone.frozen[0]),
-            "frozen chunks must be shared, not copied"
-        );
-    }
-
-    #[test]
     fn chunk_native_demand_replay_matches_the_slice_version() {
-        let demands = thrashy_trace(48, 256, 5).demand_vec();
+        let demands: Vec<_> = thrashy_trace(48, 256, 5).demand_accesses().collect();
         let mut trace = LlcTrace::new();
         for (i, info) in demands.iter().enumerate() {
             trace.push(info);

@@ -37,13 +37,11 @@
 //!    LSB-first (the column's cardinality is tiny — a handful of sites ×
 //!    event kinds — so indices cost a fraction of a byte).
 //!
-//! The in-memory struct-of-arrays layout stays **chunk-aligned**: every
-//! chunk decodes as one unit straight into a frozen [`TraceChunk`] page
-//! behind its `Arc` — no per-event materialization, no re-push through the
-//! recording path — and the loaded trace compares equal (`==`) to the trace
-//! that was written, chunk layout included. A loaded trace therefore replays
-//! chunk by chunk ([`LlcTrace::chunks`](super::LlcTrace::chunks)) exactly
-//! like a freshly recorded one.
+//! Every frame holds [`CHUNK_RECORDS`] records, the last one the remainder,
+//! and decodes as one unit straight onto the end of the trace's two columns —
+//! no per-event materialization, no re-push through the recording path — so
+//! the loaded trace compares equal (`==`) to the trace that was written and
+//! replays exactly like a freshly recorded one.
 //!
 //! [`TraceHeader::read`] is the one decoder of the header, and it checks the
 //! version first: any other version — the raw 12 B/record v1 layout, the
@@ -67,18 +65,15 @@
 //! four lanes over 32-byte stripes, where v3's FNV-1a paid a multiply per
 //! byte; v4 changed nothing else), a varint is decoded from one unaligned
 //! 8-byte load, and metadata indices are unpacked from whole words into
-//! pre-sized columns. The encoder stores varints and indices a word at a time.
+//! reserved columns. The encoder stores varints and indices a word at a time.
 
-use super::{
-    count_demand_records, meta_is_valid, LlcTrace, RecordContext, TraceChunk, CHUNK_RECORDS,
-};
+use super::{count_demand_records, meta_is_valid, LlcTrace, RecordContext, CHUNK_RECORDS};
 use crate::addr::Address;
 use crate::hint::MAX_ABR_PAIRS;
 use crate::request::RegionLabel;
 use crate::stats::CacheStats;
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::sync::Arc;
 
 pub use super::hash::{Fnv64, StripeHash};
 
@@ -192,8 +187,8 @@ pub enum PersistError {
     BadMagic([u8; 8]),
     /// The file was written by an incompatible format version.
     UnsupportedVersion(u32),
-    /// The file's chunk geometry does not match this build's
-    /// [`CHUNK_RECORDS`], so its pages cannot be mapped into frozen chunks.
+    /// The file's frame size does not match this build's [`CHUNK_RECORDS`],
+    /// so its frames cannot be told apart.
     IncompatibleChunkSize {
         /// Records per chunk recorded in the file.
         found: u32,
@@ -567,27 +562,33 @@ impl MetaDictionary {
     }
 }
 
-/// Serializes one chunk as a delta+varint frame, length prefix included,
-/// into the front of `frame` and returns the frame's length in bytes.
+/// Serializes one chunk — the two columns of up to [`CHUNK_RECORDS`] records —
+/// as a delta+varint frame, length prefix included, into the front of
+/// `frame` and returns the frame's length in bytes.
 /// `frame` is sized once for the worst case plus one word of slack, so the
 /// varint and index loops store whole words. `frame` and `dict` carry their
 /// allocations across chunks.
-fn encode_frame(chunk: &TraceChunk, frame: &mut Vec<u8>, dict: &mut MetaDictionary) -> usize {
-    frame.resize(4 + max_frame_len(chunk.len()) + 8, 0);
+fn encode_frame(
+    addrs: &[Address],
+    meta: &[u32],
+    frame: &mut Vec<u8>,
+    dict: &mut MetaDictionary,
+) -> usize {
+    frame.resize(4 + max_frame_len(addrs.len()) + 8, 0);
     let mut pos = 4; // after the frame length, patched below
 
     // Address column: zigzag wrapping deltas, LEB128. The previous-address
     // state starts at 0 in every chunk, so chunks decode independently.
     let mut prev: Address = 0;
-    for &addr in &chunk.addrs {
+    for &addr in addrs {
         put_varint(frame, &mut pos, zigzag(addr.wrapping_sub(prev)));
         prev = addr;
     }
     // Metadata column: dictionary of distinct words in first-occurrence
     // order, then one bit-packed dictionary index per record, LSB-first.
     dict.clear();
-    for &meta in &chunk.meta {
-        let index = dict.index(meta);
+    for &word in meta {
+        let index = dict.index(word);
         dict.indices.push(index);
     }
     put_varint(frame, &mut pos, dict.words.len() as u64);
@@ -651,17 +652,17 @@ fn read_exact(
     })
 }
 
-/// Reads one delta+varint frame — its length, then its payload — into
-/// `buf`, folds both into `hasher` and decodes the payload with
-/// [`decode_frame`]. A frame length no encoding of `records` records can
-/// have is corrupt before anything is allocated for it, so nothing is
-/// allocated beyond the frame's own bytes plus one bounded chunk.
+/// Reads one delta+varint frame of `records` records — its length, then its
+/// payload — folds both into `hasher`, appends the payload to `body` and
+/// returns the payload's length. A frame length no encoding of `records`
+/// records can have is corrupt before anything is allocated for it, so
+/// nothing is allocated beyond the frame's own bytes.
 fn read_chunk(
     reader: &mut impl Read,
     hasher: &mut StripeHash,
     records: usize,
-    buf: &mut Vec<u8>,
-) -> Result<TraceChunk, PersistError> {
+    body: &mut Vec<u8>,
+) -> Result<usize, PersistError> {
     let mut len_bytes = [0u8; 4];
     read_exact(reader, &mut len_bytes, "chunk frame length")?;
     hasher.update(&len_bytes);
@@ -671,10 +672,11 @@ fn read_chunk(
             "chunk frame of {frame_len} bytes is implausible for {records} records"
         )));
     }
-    buf.resize(frame_len, 0);
-    read_exact(reader, buf, "chunk payload")?;
-    hasher.update(buf);
-    decode_frame(buf, records)
+    let start = body.len();
+    body.resize(start + frame_len, 0);
+    read_exact(reader, &mut body[start..], "chunk payload")?;
+    hasher.update(&body[start..]);
+    Ok(frame_len)
 }
 
 /// The eight bytes of `bytes` from `at` as a little-endian word, zero past
@@ -691,19 +693,18 @@ fn load_word(bytes: &[u8], at: usize) -> u64 {
     }
 }
 
-/// Decompresses one frame payload into a chunk of `records` records,
-/// written into pre-sized columns. Every structural defect — a malformed
-/// varint, a dictionary entry that encodes no record, a dictionary index
-/// past the dictionary, leftover payload bytes — is a typed error. Kept out
-/// of the reader-generic [`read_chunk`]: inlined there, decoding measured
-/// ≈ 5 % slower.
-fn decode_frame(bytes: &[u8], records: usize) -> Result<TraceChunk, PersistError> {
-    let mut addrs = vec![0; records];
+/// Decompresses one frame payload of `records` records onto the end of
+/// `trace`'s columns, reserved first and then appended to. Every
+/// structural defect — a malformed varint, a dictionary entry that encodes
+/// no record, a dictionary index past the dictionary, leftover payload
+/// bytes — is a typed error.
+fn decode_frame(bytes: &[u8], records: usize, trace: &mut LlcTrace) -> Result<(), PersistError> {
+    trace.addrs.reserve(records);
     let mut pos = 0usize;
     let mut prev: Address = 0;
-    for addr in &mut addrs {
+    for _ in 0..records {
         prev = prev.wrapping_add(unzigzag(get_varint(bytes, &mut pos, "address delta")?));
-        *addr = prev;
+        trace.addrs.push(prev);
     }
     let dict_len = get_varint(bytes, &mut pos, "metadata dictionary length")? as usize;
     if dict_len == 0 || dict_len > records {
@@ -720,8 +721,8 @@ fn decode_frame(bytes: &[u8], records: usize) -> Result<TraceChunk, PersistError
         dict.push(check_meta(word)?);
     }
     let width = index_width(dict_len) as usize;
-    let meta = if width == 0 {
-        vec![dict[0]; records]
+    if width == 0 {
+        trace.meta.resize(trace.addrs.len(), dict[0]);
     } else {
         let index_bytes = (records * width).div_ceil(8);
         let packed = bytes.get(pos..pos + index_bytes).ok_or_else(|| {
@@ -729,25 +730,24 @@ fn decode_frame(bytes: &[u8], records: usize) -> Result<TraceChunk, PersistError
         })?;
         pos += index_bytes;
         let mask = (1u64 << width) - 1;
-        let mut meta = vec![0; records];
-        for (i, word) in meta.iter_mut().enumerate() {
+        trace.meta.reserve(records);
+        for i in 0..records {
             let bit = i * width;
             let index = ((load_word(packed, bit / 8) >> (bit % 8)) & mask) as usize;
-            *word = *dict.get(index).ok_or_else(|| {
+            trace.meta.push(*dict.get(index).ok_or_else(|| {
                 PersistError::Corrupt(format!(
                     "metadata index {index} exceeds the {dict_len}-entry dictionary"
                 ))
-            })?;
+            })?);
         }
-        meta
-    };
+    }
     if pos != bytes.len() {
         return Err(PersistError::Corrupt(format!(
             "{} trailing byte(s) after the chunk payload",
             bytes.len() - pos
         )));
     }
-    Ok(TraceChunk { addrs, meta })
+    Ok(())
 }
 
 impl LlcTrace {
@@ -779,8 +779,9 @@ impl LlcTrace {
         let mut body = Vec::new();
         let mut frame = Vec::new();
         let mut dict = MetaDictionary::new();
-        for chunk in self.chunks() {
-            let len = encode_frame(chunk, &mut frame, &mut dict);
+        let frames = self.addrs.chunks(CHUNK_RECORDS);
+        for (addrs, meta) in frames.zip(self.meta.chunks(CHUNK_RECORDS)) {
+            let len = encode_frame(addrs, meta, &mut frame, &mut dict);
             hasher.update(&frame[..len]);
             body.extend_from_slice(&frame[..len]);
         }
@@ -792,13 +793,14 @@ impl LlcTrace {
         Ok((header.len() + context.len() + body.len()) as u64)
     }
 
-    /// Reads a persisted trace. Chunks are rebuilt chunk-at-a-time straight
-    /// into frozen `Arc<TraceChunk>`s — no per-event materialization — and
-    /// the loaded trace is `==` to the written one, chunk layout included.
-    /// Every structural problem (wrong magic, foreign version, codec or
-    /// chunk geometry, truncation, malformed compression, bit flips anywhere
-    /// in the file) surfaces as a typed [`PersistError`]; a trace is only
-    /// returned when the checksum over everything read matches.
+    /// Reads a persisted trace. The compressed frames are read and checked
+    /// first; then each is decoded straight onto the end of the trace's two
+    /// columns, allocated once at their final size — no per-event
+    /// materialization, no regrowth — and the loaded trace is `==` to the
+    /// written one. Every structural problem (wrong magic, foreign version,
+    /// codec or chunk geometry, truncation, malformed compression, bit flips
+    /// anywhere in the file) surfaces as a typed [`PersistError`]; a trace
+    /// is only returned when the checksum over everything read matches.
     ///
     /// Reads exactly the persisted bytes and no further, so a trace block
     /// can be embedded inside a larger stream (the trace store appends its
@@ -821,27 +823,21 @@ impl LlcTrace {
         hasher.update(&context_bytes);
         let context = decode_context(&context_bytes)?;
 
-        // Rebuild the chunk pages: full chunks become frozen `Arc` pages, a
-        // partial tail becomes the in-progress chunk — exactly the layout
-        // appending `record_count` events produces. The chunk directory is
-        // deliberately *not* pre-sized from the header: `record_count` is
-        // attacker/corruption-controlled until the checksum is verified, so
-        // every allocation must stay proportional to bytes actually read — a
-        // corrupt count then dies as `Truncated` at the first short chunk
-        // read instead of aborting in the allocator.
-        let full_chunks = header.records / CHUNK_RECORDS;
-        let tail = header.records % CHUNK_RECORDS;
-        let mut frozen = Vec::new();
-        let mut buf = Vec::new();
-        for _ in 0..full_chunks {
-            let chunk = read_chunk(reader, &mut hasher, CHUNK_RECORDS, &mut buf)?;
-            frozen.push(Arc::new(chunk));
+        // Every frame is read and hashed before any is decoded, so the
+        // columns are sized once, after the checksum has vouched for the
+        // record count. Until then the count is attacker/corruption-
+        // controlled and sizes nothing: the body grows with the bytes
+        // actually read, and a corrupt count dies as `Truncated` at the
+        // first short frame read instead of aborting in the allocator.
+        let mut body = Vec::new();
+        let mut frames = Vec::new();
+        let mut left = header.records;
+        while left > 0 {
+            let records = left.min(CHUNK_RECORDS);
+            let len = read_chunk(reader, &mut hasher, records, &mut body)?;
+            frames.push((len, records));
+            left -= records;
         }
-        let current = if tail > 0 {
-            read_chunk(reader, &mut hasher, tail, &mut buf)?
-        } else {
-            TraceChunk::default()
-        };
 
         let computed = hasher.finish();
         if computed != header.checksum {
@@ -851,20 +847,26 @@ impl LlcTrace {
             });
         }
 
-        let trace = LlcTrace {
-            frozen,
-            current,
-            len: header.records,
+        let mut trace = LlcTrace {
             demand_len: header.demand_records,
             context,
+            ..LlcTrace::default()
         };
+        // Every record takes at least a byte of the body, so even a count a
+        // forged checksum vouches for sizes nothing past the bytes read.
+        let capacity = header.records.min(body.len());
+        trace.addrs.reserve_exact(capacity);
+        trace.meta.reserve_exact(capacity);
+        let mut rest = body.as_slice();
+        for (len, records) in frames {
+            let (frame, tail) = rest.split_at(len);
+            decode_frame(frame, records, &mut trace)?;
+            rest = tail;
+        }
         // The header's demand count is covered by the checksum, but cross-check
         // it against the records so a *writer* bug can never produce a trace
         // whose demand view disagrees with its stream.
-        let actual_demands: usize = trace
-            .chunks()
-            .map(|chunk| count_demand_records(&chunk.meta))
-            .sum();
+        let actual_demands = count_demand_records(&trace.meta);
         if actual_demands != trace.demand_len {
             return Err(PersistError::Corrupt(format!(
                 "header demand count {} disagrees with the {} demand records in the stream",
@@ -929,11 +931,6 @@ mod tests {
             assert_eq!(loaded.len(), trace.len());
             assert_eq!(loaded.demand_len(), trace.demand_len());
             assert_eq!(loaded.context(), trace.context());
-            assert_eq!(
-                loaded.chunks().count(),
-                trace.chunks().count(),
-                "chunk layout must be reproduced"
-            );
         }
     }
 
@@ -1284,7 +1281,7 @@ mod tests {
                     trace.push(&AccessInfo::read(i * 64).with_site(3));
                 }
             }
-            trace.demand_len = count_demand_records(&trace.current.meta);
+            trace.demand_len = count_demand_records(&trace.meta);
             let bytes = write_to_vec(&trace);
             match LlcTrace::read_from(&mut bytes.as_slice()) {
                 Err(PersistError::Corrupt(msg)) => assert!(msg.contains("metadata word"), "{msg}"),
@@ -1433,7 +1430,7 @@ mod tests {
         trace.push(&info);
         let bytes = write_to_vec(&trace);
         let loaded = LlcTrace::read_from(&mut bytes.as_slice()).expect("roundtrip");
-        assert_eq!(loaded.get(0), trace.get(0));
+        assert_eq!(loaded.iter().next(), trace.iter().next());
     }
 }
 
@@ -1492,6 +1489,13 @@ mod hostile_frames {
     #[global_allocator]
     static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+    /// The two columns of one frame's records.
+    #[derive(Debug, Default, PartialEq)]
+    struct Chunk {
+        addrs: Vec<Address>,
+        meta: Vec<u32>,
+    }
+
     /// The chunk decoder of format v3, kept as the oracle: the
     /// byte-at-a-time LEB128 loop, per-record pushes and a byte-fed index
     /// unpacker.
@@ -1499,7 +1503,7 @@ mod hostile_frames {
         reader: &mut impl Read,
         records: usize,
         buf: &mut Vec<u8>,
-    ) -> Result<TraceChunk, PersistError> {
+    ) -> Result<Chunk, PersistError> {
         let mut len_bytes = [0u8; 4];
         read_exact(reader, &mut len_bytes, "chunk frame length")?;
         let frame_len = u32::from_le_bytes(len_bytes) as usize;
@@ -1512,7 +1516,7 @@ mod hostile_frames {
         let bytes = &mut buf[..frame_len];
         read_exact(reader, bytes, "chunk payload")?;
 
-        let mut chunk = TraceChunk::default();
+        let mut chunk = Chunk::default();
         chunk.addrs.reserve(records);
         chunk.meta.reserve(records);
         let mut pos = 0usize;
@@ -1599,8 +1603,8 @@ mod hostile_frames {
     /// (9- and 10-byte deltas) or both; one metadata word (the frame then
     /// ends in the dictionary's varints), a few, or many — now and then one
     /// no writer produces.
-    fn generate_chunk(records: usize, addr_mode: u8, meta_mode: u8, rng: &mut Rng) -> TraceChunk {
-        let mut chunk = TraceChunk::default();
+    fn generate_chunk(records: usize, addr_mode: u8, meta_mode: u8, rng: &mut Rng) -> Chunk {
+        let mut chunk = Chunk::default();
         let mut addr = rng.next();
         for _ in 0..records {
             addr = match addr_mode {
@@ -1619,7 +1623,8 @@ mod hostile_frames {
                 _ if rng.below(64) == 0 => rng.next() as u32,
                 _ => (rng.below(4) as u32) << 16,
             };
-            chunk.push(addr, word);
+            chunk.addrs.push(addr);
+            chunk.meta.push(word);
         }
         chunk
     }
@@ -1641,15 +1646,22 @@ mod hostile_frames {
         frame[0..4].copy_from_slice(&len.to_le_bytes());
     }
 
-    /// Decodes `input` with both decoders: the same chunk or the same error
-    /// variant, and the word-at-a-time decoder allocates no more than one
-    /// chunk of `records` records (12 B each) and a dictionary no longer than
-    /// it, plus an error message.
-    fn agree(input: &[u8], records: usize) -> Result<Option<TraceChunk>, TestCaseError> {
+    /// Decodes `input` with both decoders, the word-at-a-time one into an
+    /// empty trace: the same chunk or the same error variant, and the
+    /// word-at-a-time decoder allocates no more than one chunk of `records`
+    /// records (12 B each) and a dictionary no longer than it, plus an error
+    /// message.
+    fn agree(input: &[u8], records: usize) -> Result<Option<Chunk>, TestCaseError> {
         let mut buf = Vec::with_capacity(max_frame_len(records));
+        let mut trace = LlcTrace::new();
         let before = allocated();
-        let fast = read_chunk(&mut &input[..], &mut StripeHash::new(), records, &mut buf);
+        let fast = read_chunk(&mut &input[..], &mut StripeHash::new(), records, &mut buf)
+            .and_then(|_| decode_frame(&buf, records, &mut trace));
         let spent = allocated() - before;
+        let fast = fast.map(|()| Chunk {
+            addrs: trace.addrs,
+            meta: trace.meta,
+        });
         let oracle = oracle_read_chunk(&mut &input[..], records, &mut Vec::new());
         prop_assert!(
             spent <= 16 * records + 1024,
@@ -1690,7 +1702,7 @@ mod hostile_frames {
             let mut rng = Rng(seed);
             let chunk = generate_chunk(records, addr_mode, meta_mode, &mut rng);
             let mut frame = Vec::new();
-            let len = encode_frame(&chunk, &mut frame, &mut MetaDictionary::new());
+            let len = encode_frame(&chunk.addrs, &chunk.meta, &mut frame, &mut MetaDictionary::new());
             let mut frame = frame[..len].to_vec();
             let payload = len - 4;
             match mutation {

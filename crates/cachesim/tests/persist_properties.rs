@@ -80,7 +80,7 @@ proptest! {
         let bytes = persist(&trace);
         let loaded = LlcTrace::read_from(&mut bytes.as_slice()).expect("clean file loads");
 
-        // Structural equality: records, counts, context, chunk layout.
+        // Structural equality: records, counts, context.
         prop_assert_eq!(&loaded, &trace);
         prop_assert_eq!(loaded.len(), events.len());
         prop_assert_eq!(loaded.context(), trace.context());

@@ -117,7 +117,13 @@ proptest! {
             let stats = cache.stats();
             prop_assert_eq!(stats.accesses, trace.len() as u64, "{}", name);
             prop_assert_eq!(stats.hits + stats.misses, stats.accesses, "{}", name);
-            prop_assert!(cache.resident_blocks() <= cfg.blocks(), "{}", name);
+            // Only the trace's blocks can be resident: probing each counts
+            // the resident blocks.
+            let mut blocks: Vec<u64> = trace.iter().map(|info| info.addr / 64).collect();
+            blocks.sort_unstable();
+            blocks.dedup();
+            let resident = blocks.iter().filter(|&&b| cache.probe(b * 64).is_some()).count();
+            prop_assert!(resident <= cfg.blocks(), "{}", name);
             prop_assert!(stats.evictions <= stats.misses, "{}", name);
         }
     }

@@ -1,9 +1,9 @@
-//! Property tests for the canonical post-L2 trace: the chunked SoA storage
-//! must round-trip arbitrary event sequences exactly (`push`/`get`/`iter`/
-//! `to_vec` always agree), replay must be deterministic, and replay's
+//! Property tests for the canonical post-L2 trace: the two-column storage
+//! must round-trip arbitrary event sequences exactly (`push`/`iter`, forwards
+//! and backwards, always agree), replay must be deterministic, and replay's
 //! column kernel must reproduce the per-event path bit-for-bit
 //! for arbitrary event sequences — prefetches and writebacks included —
-//! within a chunk and across a chunk boundary, with the reuse hints the replayed
+//! within a frame and across a frame boundary, with the reuse hints the replayed
 //! LLC derives from the recorded ABR bounds, on power-of-two and odd
 //! associativities.
 
@@ -86,14 +86,10 @@ proptest! {
             .filter(|e| matches!(e, TraceEvent::Demand(_)))
             .count();
         prop_assert_eq!(trace.demand_len(), demand_count);
-        // get() agrees with the source events...
-        for (i, expected) in events.iter().enumerate() {
-            prop_assert_eq!(&trace.get(i), expected, "index {}", i);
-        }
-        // ...and with iter() / to_vec().
+        // iter() agrees with the source events, forwards and backwards...
         let iterated: Vec<TraceEvent> = trace.iter().collect();
         prop_assert_eq!(&iterated, &events);
-        prop_assert_eq!(&trace.to_vec(), &events);
+        prop_assert!(trace.iter().rev().eq(events.iter().rev().copied()));
         // The demand view is the demand subsequence, in order.
         let demands: Vec<AccessInfo> = events
             .iter()
@@ -102,7 +98,7 @@ proptest! {
                 _ => None,
             })
             .collect();
-        prop_assert_eq!(trace.demand_vec(), demands);
+        prop_assert_eq!(trace.demand_accesses().collect::<Vec<_>>(), demands);
     }
 
     #[test]
@@ -122,10 +118,10 @@ proptest! {
 
     #[test]
     fn batched_feed_is_bit_identical_to_per_event_feed(events in arb_events()) {
-        // The batched chunk-native kernel against the per-event reference
+        // The batched column kernel against the per-event reference
         // path, over arbitrary event mixes: demand reads and writes, dirty
         // writebacks and prefetches, across several policies (hint-reading
-        // GRASP included). These traces fit one chunk; the
+        // GRASP included). These traces fit one frame; the
         // boundary case is `feed_matches_feed_scalar_across_a_real_chunk_boundary`.
         let trace = build(&events);
         let config = CacheConfig::new(64 * 128, 8, 64);
@@ -198,7 +194,7 @@ fn feed_both_ways<P: Into<PolicyDispatch>>(
     )
 }
 
-/// A degenerate stretch: after a short warm-up the chunk is 100%
+/// A degenerate stretch: after a short warm-up the trace is 100%
 /// writebacks, so almost every record the kernel walks is a non-allocating
 /// probe that never reaches the policy.
 #[test]
@@ -222,10 +218,9 @@ fn all_writeback_chunks_replay_identically() {
     );
 }
 
-/// A trace that really spans two storage chunks: `CHUNK_RECORDS + 64` events
-/// with a dense demand/prefetch run straddling record `CHUNK_RECORDS`, so
-/// the batched kernel has to cut that run at the chunk edge and pick it up
-/// again in a second chunk.
+/// A trace that really spans two frames: `CHUNK_RECORDS + 64` events with a
+/// dense demand/prefetch run straddling record `CHUNK_RECORDS`, where the
+/// on-disk frames and `replay_demand`'s windows cut the stream.
 #[test]
 fn feed_matches_feed_scalar_across_a_real_chunk_boundary() {
     let straddle = CHUNK_RECORDS - 40..CHUNK_RECORDS + 40;
@@ -252,10 +247,9 @@ fn feed_matches_feed_scalar_across_a_real_chunk_boundary() {
         })
         .collect();
     let trace = build(&events);
-    assert_eq!(
-        trace.chunks().count(),
-        2,
-        "the trace must cross a chunk edge"
+    assert!(
+        trace.len() > CHUNK_RECORDS,
+        "the trace must cross a frame and a replay_demand window edge"
     );
     let config = CacheConfig::new(64 * 128, 8, 64);
     let (batched, scalar) = feed_both_ways(&trace, config, || Lru::new(config.sets(), config.ways));
@@ -271,6 +265,13 @@ fn feed_matches_feed_scalar_across_a_real_chunk_boundary() {
     let half = with_bounds(trace, &[(0, 2048 * 64)]);
     let (classified, scalar) = feed_both_ways(&half, config, grasp);
     assert_eq!(classified, scalar, "GRASP, classified");
+    // `replay_demand` filters window by window: the same statistics as
+    // replaying the demand subsequence whole.
+    let demands = with_bounds(half.demand_accesses().collect(), &[(0, 2048 * 64)]);
+    assert_eq!(
+        half.replay_demand(config, grasp()),
+        demands.replay(config, grasp()).llc
+    );
     assert_ne!(
         classified.llc, unprogrammed.llc,
         "the classifier must matter"

@@ -283,11 +283,7 @@ impl Experiment {
     /// producing [`RunResult`]s bit-identical to [`Experiment::run`] at a
     /// fraction of the cost.
     pub fn record(&self) -> RecordedRun {
-        let trace = LlcTrace::with_capacity(LlcTrace::estimate_capacity(
-            self.graph.edge_count(),
-            self.app_config.max_iterations as u64,
-        ));
-        let mut ws = Workspace::new(Hierarchy::new(self.hierarchy, trace));
+        let mut ws = Workspace::new(Hierarchy::new(self.hierarchy, LlcTrace::new()));
         let app = self.app.run(&*self.graph, &mut ws, &self.app_config);
         let instructions = app.instruction_estimate();
         let trace = ws.into_memory().finish();

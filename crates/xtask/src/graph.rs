@@ -3,9 +3,9 @@
 //!
 //! Subcommands:
 //!
-//! * `ingest <edge-list> --out <dir> [--threads <N>]` — parse a text
-//!   (`src dst [weight]` per line) or binary (`.bin`) edge list, build the
-//!   CSR in parallel and write the checksummed `.gcsr` directory. Prints
+//! * `ingest <edge-list> --out <dir> [--threads <N>]` — parse a text edge
+//!   list (`src dst [weight]` per line, whatever the file's extension),
+//!   build the CSR in parallel and write the checksummed `.gcsr` directory. Prints
 //!   how long it took (wall seconds, edges per second), the content hash
 //!   and the ingest-time skew statistics; the hash is what
 //!   a campaign registers in its `DatasetCatalog` and what shows up in
@@ -25,7 +25,7 @@ pub fn usage() -> &'static str {
     "usage: cargo xtask graph <ingest|info|verify> [options]\n\
      \n\
      ingest <edge-list> --out <dir> [--threads <N>]\n\
-     \u{20}            build an on-disk binary CSR from a text or .bin edge list\n\
+     \u{20}            build an on-disk binary CSR from a text edge list\n\
      info <dir>   print a binary CSR directory's header (dims, hash, skew)\n\
      verify <dir> checksum-verify the header, every column and the CSR shape"
 }
