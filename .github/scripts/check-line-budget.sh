@@ -8,9 +8,9 @@
 # any other. The script prints them per file and fails when the total, the
 # crates/bench harness (src and benches together), or one of the files
 # ROADMAP item 3 names, is over the ceiling committed below. The total's,
-# crates/bench's, campaign.rs's and ingest.rs's ceilings sit just above what
-# the tree holds; trace_store.rs and persist.rs are held at exactly what they
-# hold.
+# crates/bench's and campaign.rs's ceilings sit just above what the tree
+# holds; ingest.rs, trace_store.rs and persist.rs are held at exactly what
+# they hold.
 # A change that needs more raises a ceiling in its own diff, where it is
 # seen, instead of the counts drifting up unnoticed (campaign.rs once went
 # 1 192 -> 1 393 that way). The total came down 18 558 -> 18 423 (the tree's
@@ -66,7 +66,12 @@
 # 879 with it: a load reads every frame before decoding any, so the columns
 # are allocated once at their checksum-verified size instead of regrowing
 # frame by frame (a regrowing load took one warm_sweep_noskew run from
-# 226 k to 347 k page faults).
+# 226 k to 347 k page faults). It came down to 17 309 (the tree's 17 259 +
+# 50) when every public item kept a caller outside the tests: Table I's
+# degree statistics folded into its skew report, the second in-memory loader
+# of a .gcsr directory, the prefetcher's settable stream count and the
+# accessors and builders only tests called went; ingest.rs was lowered to
+# its new count (1 177 -> 1 130) at the same time.
 #
 # usage: check-line-budget.sh   (from the repository root)
 set -euo pipefail
@@ -80,10 +85,10 @@ find crates/*/src crates/bench/benches -name '*.rs' | sort | while read -r file;
     END { print n + 0, FILENAME }' "$file"
 done | awk '
   BEGIN {
-    total_ceiling = 17558
+    total_ceiling = 17309
     bench_ceiling = 540
     ceiling["crates/core/src/campaign.rs"] = 1287
-    ceiling["crates/graph/src/ingest.rs"] = 1177
+    ceiling["crates/graph/src/ingest.rs"] = 1130
     ceiling["crates/core/src/trace_store.rs"] = 808
     ceiling["crates/cachesim/src/trace/persist.rs"] = 879
   }

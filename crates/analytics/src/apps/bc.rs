@@ -111,9 +111,11 @@ mod tests {
         run(
             graph,
             &mut ws,
-            &AppConfig::default()
-                .with_root(root)
-                .with_max_iterations(1000),
+            &AppConfig {
+                root,
+                max_iterations: 1000,
+                ..AppConfig::default()
+            },
         )
     }
 

@@ -59,20 +59,6 @@ impl Default for AppConfig {
 }
 
 impl AppConfig {
-    /// Overrides the iteration budget.
-    #[must_use]
-    pub fn with_max_iterations(mut self, iterations: usize) -> Self {
-        self.max_iterations = iterations;
-        self
-    }
-
-    /// Overrides the root vertex.
-    #[must_use]
-    pub fn with_root(mut self, root: VertexId) -> Self {
-        self.root = root;
-        self
-    }
-
     /// Overrides the property layout.
     #[must_use]
     pub fn with_layout(mut self, layout: PropertyLayout) -> Self {
@@ -195,7 +181,10 @@ mod tests {
     #[test]
     fn all_apps_run_on_a_small_graph() {
         let g = Rmat::new(7, 6).generate(5);
-        let config = AppConfig::default().with_max_iterations(5);
+        let config = AppConfig {
+            max_iterations: 5,
+            ..AppConfig::default()
+        };
         for app in AppKind::ALL {
             let mut ws = Workspace::new(AccessLog::default());
             let result = app.run(&g, &mut ws, &config);
@@ -209,10 +198,12 @@ mod tests {
 
     #[test]
     fn config_builders() {
-        let c = AppConfig::default()
-            .with_max_iterations(3)
-            .with_root(7)
-            .with_layout(PropertyLayout::Separate);
+        let c = AppConfig {
+            max_iterations: 3,
+            root: 7,
+            ..AppConfig::default()
+        }
+        .with_layout(PropertyLayout::Separate);
         assert_eq!(c.max_iterations, 3);
         assert_eq!(c.root, 7);
         assert_eq!(c.layout, PropertyLayout::Separate);

@@ -186,7 +186,10 @@ mod tests {
     fn memory_accesses_scale_with_edges() {
         let g = Rmat::new(8, 8).generate(4);
         let mut ws = Workspace::new(AccessLog::default());
-        let config = AppConfig::default().with_max_iterations(2);
+        let config = AppConfig {
+            max_iterations: 2,
+            ..AppConfig::default()
+        };
         let result = run(&g, &mut ws, &config);
         // At least one edge-array read and one gather per processed edge.
         let log = ws.into_memory().0;

@@ -138,7 +138,13 @@ mod tests {
     #[test]
     fn ranks_stay_positive_and_bounded() {
         let g = Rmat::new(8, 8).generate(6);
-        let result = run_native(&g, &AppConfig::default().with_max_iterations(30));
+        let result = run_native(
+            &g,
+            &AppConfig {
+                max_iterations: 30,
+                ..AppConfig::default()
+            },
+        );
         assert!(result.values.iter().all(|&r| r >= 0.0));
         let sum: f64 = result.values.iter().sum();
         assert!(sum > 0.1 && sum <= 1.0 + 1e-6, "sum {sum}");

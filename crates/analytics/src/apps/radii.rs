@@ -115,7 +115,10 @@ mod tests {
     #[test]
     fn roots_have_radius_zero_and_reached_vertices_positive() {
         let g = Rmat::new(8, 8).generate(3);
-        let config = AppConfig::default().with_max_iterations(50);
+        let config = AppConfig {
+            max_iterations: 50,
+            ..AppConfig::default()
+        };
         let result = run_native(&g, &config);
         // Radius estimates are -1 (never reached) or >= 0.
         assert!(result.values.iter().all(|&r| r >= -1.0));

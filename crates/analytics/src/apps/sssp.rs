@@ -103,9 +103,11 @@ mod tests {
         run(
             graph,
             &mut ws,
-            &AppConfig::default()
-                .with_root(root)
-                .with_max_iterations(rounds),
+            &AppConfig {
+                root,
+                max_iterations: rounds,
+                ..AppConfig::default()
+            },
         )
     }
 

@@ -38,15 +38,6 @@ impl Frontier {
         f
     }
 
-    /// Builds a frontier from a list of vertices (duplicates are ignored).
-    pub fn from_vertices(n: usize, vertices: impl IntoIterator<Item = VertexId>) -> Self {
-        let mut f = Self::empty(n);
-        for v in vertices {
-            f.add(v);
-        }
-        f
-    }
-
     /// Number of vertices in the universe.
     pub fn universe(&self) -> usize {
         self.members.len()
@@ -127,6 +118,15 @@ impl<'a> IntoIterator for &'a Frontier {
 mod tests {
     use super::*;
 
+    /// A frontier over `n` vertices holding `vertices` (duplicates ignored).
+    fn from_vertices(n: usize, vertices: impl IntoIterator<Item = VertexId>) -> Frontier {
+        let mut f = Frontier::empty(n);
+        for v in vertices {
+            f.add(v);
+        }
+        f
+    }
+
     #[test]
     fn empty_full_single() {
         let e = Frontier::empty(10);
@@ -154,7 +154,7 @@ mod tests {
 
     #[test]
     fn clear_resets_membership_and_keeps_the_universe() {
-        let mut f = Frontier::from_vertices(8, [1, 4, 6]);
+        let mut f = from_vertices(8, [1, 4, 6]);
         f.clear();
         assert!(f.is_empty());
         assert_eq!(f.universe(), 8);
@@ -166,7 +166,7 @@ mod tests {
 
     #[test]
     fn from_vertices_dedups() {
-        let f = Frontier::from_vertices(6, [1, 1, 5, 3, 5]);
+        let f = from_vertices(6, [1, 1, 5, 3, 5]);
         assert_eq!(f.len(), 3);
         assert!((f.density() - 0.5).abs() < 1e-12);
     }
@@ -174,13 +174,13 @@ mod tests {
     #[test]
     fn degree_sum_matches_graph() {
         let g = grasp_graph::Csr::from_edges([(0, 1), (0, 2), (1, 2), (2, 0)]).unwrap();
-        let f = Frontier::from_vertices(3, [0, 2]);
+        let f = from_vertices(3, [0, 2]);
         assert_eq!(f.out_degree_sum(&g), 3);
     }
 
     #[test]
     fn into_iterator_for_reference() {
-        let f = Frontier::from_vertices(4, [0, 3]);
+        let f = from_vertices(4, [0, 3]);
         let sum: u32 = (&f).into_iter().copied().sum();
         assert_eq!(sum, 3);
     }

@@ -95,11 +95,6 @@ impl AddressSpace {
         &self.regions[handle.0]
     }
 
-    /// All allocated regions in allocation order.
-    pub fn regions(&self) -> &[ArrayRegion] {
-        &self.regions
-    }
-
     /// Address of element `index` of the array (optionally offset by
     /// `byte_offset` within the element).
     ///
@@ -156,9 +151,9 @@ mod tests {
     #[test]
     fn footprint_accumulates() {
         let mut space = AddressSpace::new();
-        space.allocate("a", RegionLabel::Property, 10, 8);
-        space.allocate("b", RegionLabel::Frontier, 100, 1);
-        let sizes: Vec<u64> = space.regions().iter().map(|r| r.size_bytes()).collect();
+        let a = space.allocate("a", RegionLabel::Property, 10, 8);
+        let b = space.allocate("b", RegionLabel::Frontier, 100, 1);
+        let sizes = [a, b].map(|h| space.region(h).size_bytes());
         assert_eq!(sizes, [80, 100]);
     }
 

@@ -97,7 +97,10 @@ mod tests {
     fn traced_memory_drives_the_hierarchy() {
         // Disable the prefetcher so every distinct block is a demand miss all
         // the way down.
-        let config = HierarchyConfig::scaled_default().without_prefetch();
+        let config = HierarchyConfig {
+            prefetch: false,
+            ..HierarchyConfig::scaled_default()
+        };
         let drrip = || Drrip::new(config.llc.sets(), config.llc.ways, 1);
         let mut m = Hierarchy::new(config, LlcStage::new(config.llc, drrip()));
         touch_distinct_blocks(&mut m);
@@ -129,7 +132,10 @@ mod tests {
 
     #[test]
     fn recording_memory_captures_the_post_l2_stream() {
-        let config = HierarchyConfig::scaled_default().without_prefetch();
+        let config = HierarchyConfig {
+            prefetch: false,
+            ..HierarchyConfig::scaled_default()
+        };
         let mut m = Hierarchy::new(config, LlcTrace::new());
         touch_distinct_blocks(&mut m);
         let trace = m.finish();

@@ -95,11 +95,6 @@ impl PropertySet {
         self.layout
     }
 
-    /// Number of fields.
-    pub fn field_count(&self) -> usize {
-        self.field_bytes.len()
-    }
-
     /// Number of vertices covered.
     pub fn vertex_count(&self) -> u64 {
         self.vertex_count
@@ -163,7 +158,7 @@ mod tests {
         let mut ws = Workspace::new(NativeMemory);
         let props = PropertySet::allocate(&mut ws, "pr", 100, &[8, 8], PropertyLayout::Merged);
         assert_eq!(props.handles().len(), 1);
-        assert_eq!(props.field_count(), 2);
+        assert_eq!(props.field_bytes, [8, 8]);
         let region = ws.address_space().region(props.handles()[0]);
         assert_eq!(region.element_bytes, 16);
         assert_eq!(region.elements, 100);

@@ -118,7 +118,7 @@ mod tests {
         ws.write(a, 1, 2);
         ws.read_field(a, 2, 4, 3);
         ws.write_field(a, 3, 4, 4);
-        assert_eq!(ws.address_space().regions().len(), 1);
+        assert_eq!(ws.address_space().region(a).name, "a");
         let base = ws.address_space().region(a).base;
         let p = RegionLabel::Property;
         assert_eq!(

@@ -371,12 +371,6 @@ impl SetAssocCache {
         &self.stats
     }
 
-    /// Looks up a block without updating any state. Returns the way if present.
-    pub fn probe(&self, addr: u64) -> Option<usize> {
-        let (block, set, partial) = self.core.locate(addr);
-        self.core.find_way(set, block, partial)
-    }
-
     /// Performs a demand access, updating replacement state and statistics.
     #[inline]
     pub fn access(&mut self, info: &AccessInfo) -> AccessOutcome {
@@ -469,6 +463,12 @@ mod tests {
             .sum()
     }
 
+    /// The way holding `addr` in `cache`, looked up without updating any state.
+    fn probe(cache: &SetAssocCache, addr: u64) -> Option<usize> {
+        let (block, set, partial) = cache.core.locate(addr);
+        cache.core.find_way(set, block, partial)
+    }
+
     #[test]
     fn first_access_misses_second_hits() {
         let mut c = lru_cache(4096, 4);
@@ -508,8 +508,8 @@ mod tests {
         let mut c = lru_cache(4096, 4);
         c.access(&AccessInfo::read(0x200));
         let before = c.stats().clone();
-        assert!(c.probe(0x200).is_some());
-        assert!(c.probe(0x4000).is_none());
+        assert!(probe(&c, 0x200).is_some());
+        assert!(probe(&c, 0x4000).is_none());
         assert_eq!(c.stats(), &before);
     }
 
@@ -644,10 +644,10 @@ mod tests {
             assert!(!c.access(&AccessInfo::read(addr)).hit);
         }
         for (way, &addr) in addrs.iter().enumerate() {
-            assert_eq!(c.probe(addr), Some(way));
+            assert_eq!(probe(&c, addr), Some(way));
             assert!(c.access(&AccessInfo::read(addr)).hit);
         }
-        assert_eq!(c.probe((20 * 256 + 7) * 64), None);
+        assert_eq!(probe(&c, (20 * 256 + 7) * 64), None);
     }
 
     #[test]

@@ -138,13 +138,6 @@ impl HierarchyConfig {
             prefetch: true,
         }
     }
-
-    /// Disables the L1 stride prefetcher.
-    #[must_use]
-    pub fn without_prefetch(mut self) -> Self {
-        self.prefetch = false;
-        self
-    }
 }
 
 impl Default for HierarchyConfig {
@@ -196,7 +189,7 @@ mod tests {
         assert!(h.l1.size_bytes < h.l2.size_bytes);
         assert!(h.l2.size_bytes < h.llc.size_bytes);
         assert_eq!(h.llc.ways, 16);
-        assert!(!h.without_prefetch().prefetch);
+        assert!(h.prefetch);
     }
 
     #[test]

@@ -128,7 +128,11 @@ mod tests {
     use crate::request::AccessInfo;
 
     fn trace_of(addrs: &[u64]) -> LlcTrace {
-        addrs.iter().map(|&a| AccessInfo::read(a * 64)).collect()
+        let mut trace = LlcTrace::new();
+        for &a in addrs {
+            trace.push(&AccessInfo::read(a * 64));
+        }
+        trace
     }
 
     fn tiny_cache(ways: usize) -> CacheConfig {

@@ -1,5 +1,7 @@
 //! A simple stride prefetcher (Table VI: "stride-based prefetchers with 16
-//! streams" at the L1-D).
+//! streams" at the L1-D). The stream count and the confidence a stride
+//! needs before it is predicted are constants: every hierarchy uses Table
+//! VI's prefetcher, and both shape the recorded LLC stream.
 //!
 //! Each stream is keyed by the access site. When a site issues accesses with a
 //! stable stride, the prefetcher predicts the next block. Streaming structures
@@ -21,14 +23,19 @@ struct Stream {
     valid: bool,
 }
 
+/// Stream slots (Table VI).
+const STREAMS: usize = 16;
+
+/// Repeats of one stride a stream must see before it predicts.
+const CONFIDENCE_THRESHOLD: u8 = 2;
+
 /// Entries of the direct-mapped `site → slot` memo (a power of two).
 const MEMO_ENTRIES: usize = 64;
 
 /// A site-keyed stride prefetcher.
 #[derive(Debug, Clone)]
 pub struct StridePrefetcher {
-    streams: Vec<Stream>,
-    confidence_threshold: u8,
+    streams: [Stream; STREAMS],
     /// Direct-mapped memo of the stream slot last resolved for a site,
     /// indexed by `site % MEMO_ENTRIES`. An entry is only trusted while the
     /// slot it names still holds a valid stream of that site, and valid
@@ -40,25 +47,6 @@ pub struct StridePrefetcher {
 }
 
 impl StridePrefetcher {
-    /// Creates a prefetcher with `streams` stream slots (16 in Table VI).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `streams` is zero or exceeds 256 (a memo entry is a `u8`
-    /// slot index).
-    pub fn new(streams: usize) -> Self {
-        assert!(streams > 0, "streams must be non-zero");
-        assert!(
-            streams <= usize::from(u8::MAX) + 1,
-            "streams ({streams}) must not exceed 256"
-        );
-        Self {
-            streams: vec![Stream::default(); streams],
-            confidence_threshold: 2,
-            memo: [0; MEMO_ENTRIES],
-        }
-    }
-
     /// Observes a demand access and returns the predicted next address when
     /// the stream has a confident, stable stride.
     #[inline]
@@ -104,7 +92,7 @@ impl StridePrefetcher {
             stream.confidence = 0;
         }
         stream.last_addr = addr;
-        if stream.confidence >= self.confidence_threshold && stream.stride != 0 {
+        if stream.confidence >= CONFIDENCE_THRESHOLD && stream.stride != 0 {
             let next = addr as i64 + stream.stride;
             if next >= 0 {
                 return Some(next as Address);
@@ -131,8 +119,12 @@ impl StridePrefetcher {
 }
 
 impl Default for StridePrefetcher {
+    /// A prefetcher with Table VI's 16 stream slots, all empty.
     fn default() -> Self {
-        Self::new(16)
+        Self {
+            streams: [Stream::default(); STREAMS],
+            memo: [0; MEMO_ENTRIES],
+        }
     }
 }
 
@@ -142,7 +134,7 @@ mod tests {
 
     #[test]
     fn sequential_stream_triggers_prefetch() {
-        let mut p = StridePrefetcher::new(4);
+        let mut p = StridePrefetcher::default();
         assert_eq!(p.observe(1, 0), None);
         assert_eq!(p.observe(1, 64), None);
         assert_eq!(p.observe(1, 128), None);
@@ -153,7 +145,7 @@ mod tests {
 
     #[test]
     fn irregular_stream_never_prefetches() {
-        let mut p = StridePrefetcher::new(4);
+        let mut p = StridePrefetcher::default();
         let addrs = [0u64, 4096, 64, 8192, 128, 73, 9999];
         for &a in &addrs {
             assert_eq!(
@@ -166,7 +158,7 @@ mod tests {
 
     #[test]
     fn streams_are_independent_per_site() {
-        let mut p = StridePrefetcher::new(4);
+        let mut p = StridePrefetcher::default();
         for i in 0..4u64 {
             p.observe(1, i * 64);
             p.observe(2, i * 128);
@@ -177,27 +169,20 @@ mod tests {
 
     #[test]
     fn stream_eviction_when_full() {
-        let mut p = StridePrefetcher::new(2);
-        // Train two confident streams.
+        let mut p = StridePrefetcher::default();
+        // Train one confident stream per slot.
+        let sites = 1..=STREAMS as AccessSite;
         for i in 0..5u64 {
-            p.observe(1, i * 64);
-            p.observe(2, i * 64);
+            for site in sites.clone() {
+                p.observe(site, i * 64);
+            }
         }
-        // A third site steals the least-confident slot without panicking.
-        assert_eq!(p.observe(3, 0), None);
-        assert_eq!(p.observe(3, 64), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "streams must be non-zero")]
-    fn zero_streams_panics() {
-        let _ = StridePrefetcher::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "must not exceed 256")]
-    fn more_streams_than_a_memo_entry_can_name_panics() {
-        let _ = StridePrefetcher::new(257);
+        // A seventeenth site steals the least-confident slot without
+        // panicking, and the last-trained stream keeps predicting.
+        let extra = STREAMS as AccessSite + 1;
+        assert_eq!(p.observe(extra, 0), None);
+        assert_eq!(p.observe(extra, 64), None);
+        assert_eq!(p.observe(STREAMS as AccessSite, 5 * 64), Some(6 * 64));
     }
 
     #[test]
@@ -243,7 +228,7 @@ mod tests {
         // On a fresh prefetcher every slot is a cleared stream whose site
         // field reads 0 and every memo entry names slot 0, so site 0's entry
         // matches on site alone: only `valid` tells it no stream is there.
-        let mut p = StridePrefetcher::new(4);
+        let mut p = StridePrefetcher::default();
         assert_eq!(p.observe(0, 64), None, "a new stream predicts nothing");
         assert!(
             p.streams[0].valid && !p.streams[1].valid,
@@ -254,7 +239,7 @@ mod tests {
 
     #[test]
     fn negative_strides_work() {
-        let mut p = StridePrefetcher::new(4);
+        let mut p = StridePrefetcher::default();
         for i in (4..10u64).rev() {
             p.observe(5, i * 64);
         }

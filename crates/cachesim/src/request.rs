@@ -42,11 +42,6 @@ impl RegionLabel {
         RegionLabel::Other,
     ];
 
-    /// Returns `true` for accesses that fall within a Property Array.
-    pub fn is_property(self) -> bool {
-        matches!(self, RegionLabel::Property)
-    }
-
     /// Index of this label in [`RegionLabel::ALL`] (declaration order), used
     /// for direct per-region counter indexing on the access hot path.
     #[inline]
@@ -159,7 +154,7 @@ mod tests {
         assert!(a.is_write());
         assert_eq!(a.site, 3);
         assert_eq!(a.hint, ReuseHint::High);
-        assert!(a.region.is_property());
+        assert_eq!(a.region, RegionLabel::Property);
     }
 
     #[test]

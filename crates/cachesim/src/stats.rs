@@ -11,13 +11,6 @@ pub struct RegionCounters {
     pub misses: u64,
 }
 
-impl RegionCounters {
-    /// Hits (accesses − misses).
-    pub fn hits(&self) -> u64 {
-        self.accesses - self.misses
-    }
-}
-
 /// Statistics of a single cache level.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -150,7 +143,6 @@ mod tests {
         assert_eq!(s.misses, 2);
         assert_eq!(s.region(RegionLabel::Property).accesses, 2);
         assert_eq!(s.region(RegionLabel::Property).misses, 1);
-        assert_eq!(s.region(RegionLabel::Property).hits(), 1);
         assert_eq!(s.region(RegionLabel::EdgeArray).misses, 1);
         assert_eq!(s.region(RegionLabel::Frontier).accesses, 0);
     }

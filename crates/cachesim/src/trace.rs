@@ -347,16 +347,6 @@ impl LlcSink for LlcTrace {
     }
 }
 
-impl FromIterator<AccessInfo> for LlcTrace {
-    fn from_iter<I: IntoIterator<Item = AccessInfo>>(iter: I) -> Self {
-        let mut trace = Self::new();
-        for info in iter {
-            trace.push(&info);
-        }
-        trace
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,10 +469,16 @@ mod tests {
         let events: Vec<_> = infos.iter().map(|&info| TraceEvent::Demand(info)).collect();
         assert_eq!(trace.iter().collect::<Vec<_>>(), events);
         assert_eq!(trace.demand_accesses().collect::<Vec<_>>(), infos);
-        let rebuilt: LlcTrace = trace.demand_accesses().collect();
+        let mut rebuilt = LlcTrace::new();
+        for info in trace.demand_accesses() {
+            rebuilt.push(&info);
+        }
         assert_eq!(rebuilt, trace);
         // A hint is the LLC's to give: recording one drops it.
-        let hinted: LlcTrace = infos.iter().map(|i| i.with_hint(ReuseHint::High)).collect();
+        let mut hinted = LlcTrace::new();
+        for info in &infos {
+            hinted.push(&info.with_hint(ReuseHint::High));
+        }
         assert_eq!(hinted, trace);
     }
 
@@ -611,9 +607,10 @@ mod tests {
         assert_eq!(small.classify(addr), ReuseHint::Low);
         assert_eq!(large.classify(addr), ReuseHint::High);
 
-        let mut trace: LlcTrace = (0..20_000u64)
-            .map(|i| AccessInfo::read(i * i * 64 % (512 * 1024)))
-            .collect();
+        let mut trace = LlcTrace::new();
+        for i in 0..20_000u64 {
+            trace.push(&AccessInfo::read(i * i * 64 % (512 * 1024)));
+        }
         trace.set_context(RecordContext {
             abr_bounds: bounds.to_vec(),
             ..RecordContext::default()

@@ -16,6 +16,7 @@ use grasp_cachesim::policy::rrip::{Brrip, Drrip, Srrip};
 use grasp_cachesim::policy::ship::ShipMem;
 use grasp_cachesim::policy::PolicyDispatch;
 use grasp_cachesim::request::{AccessInfo, RegionLabel};
+use grasp_cachesim::trace::LlcTrace;
 use proptest::prelude::*;
 
 const HINTS: [ReuseHint; 4] = [
@@ -108,22 +109,24 @@ proptest! {
         let cfg = config();
         for (name, policy) in all_policies(&cfg) {
             let mut cache = SetAssocCache::new(cfg, policy);
+            // The resident blocks, as the outcomes report them.
+            let mut resident = std::collections::HashSet::new();
             for info in &trace {
-                cache.access(info);
-                // A block just accessed must be resident: every miss
-                // allocates.
-                prop_assert!(cache.probe(info.addr).is_some(), "{name}: block not resident");
+                let block = info.addr / 64;
+                let outcome = cache.access(info);
+                // The cache hits exactly on the blocks it holds...
+                prop_assert_eq!(outcome.hit, resident.contains(&block), "{}", name);
+                if let Some(victim) = outcome.evicted {
+                    prop_assert!(resident.remove(&victim), "{name}: evicted an absent block");
+                }
+                // ...and every miss allocates, so a block just accessed is
+                // resident.
+                resident.insert(block);
             }
             let stats = cache.stats();
             prop_assert_eq!(stats.accesses, trace.len() as u64, "{}", name);
             prop_assert_eq!(stats.hits + stats.misses, stats.accesses, "{}", name);
-            // Only the trace's blocks can be resident: probing each counts
-            // the resident blocks.
-            let mut blocks: Vec<u64> = trace.iter().map(|info| info.addr / 64).collect();
-            blocks.sort_unstable();
-            blocks.dedup();
-            let resident = blocks.iter().filter(|&&b| cache.probe(b * 64).is_some()).count();
-            prop_assert!(resident <= cfg.blocks(), "{}", name);
+            prop_assert!(resident.len() <= cfg.blocks(), "{}", name);
             prop_assert!(stats.evictions <= stats.misses, "{}", name);
         }
     }
@@ -132,7 +135,11 @@ proptest! {
     #[test]
     fn opt_is_a_lower_bound(trace in arb_trace()) {
         let cfg = config();
-        let opt = optimal_misses(&trace.iter().copied().collect(), &cfg);
+        let mut recorded = LlcTrace::new();
+        for info in &trace {
+            recorded.push(info);
+        }
+        let opt = optimal_misses(&recorded, &cfg);
         for (name, policy) in all_policies(&cfg) {
             let mut cache = SetAssocCache::new(cfg, policy);
             for info in &trace {

@@ -132,7 +132,10 @@ proptest! {
 
     #[test]
     fn reference_parity_holds_without_prefetcher(events in arb_events()) {
-        let config = HierarchyConfig::scaled_default().without_prefetch();
+        let config = HierarchyConfig {
+            prefetch: false,
+            ..HierarchyConfig::scaled_default()
+        };
         let recorded = record(&events, config);
         let reference = record_reference(&events, config);
         prop_assert_eq!(&recorded, &reference);

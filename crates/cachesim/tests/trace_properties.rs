@@ -267,7 +267,11 @@ fn feed_matches_feed_scalar_across_a_real_chunk_boundary() {
     assert_eq!(classified, scalar, "GRASP, classified");
     // `replay_demand` filters window by window: the same statistics as
     // replaying the demand subsequence whole.
-    let demands = with_bounds(half.demand_accesses().collect(), &[(0, 2048 * 64)]);
+    let mut demands = LlcTrace::new();
+    for info in half.demand_accesses() {
+        demands.push(&info);
+    }
+    let demands = with_bounds(demands, &[(0, 2048 * 64)]);
     assert_eq!(
         half.replay_demand(config, grasp()),
         demands.replay(config, grasp()).llc

@@ -294,14 +294,6 @@ impl DatasetId {
             .ok()
             .map(|hash| DatasetId::Ingested(GraphHash(hash)))
     }
-
-    /// The synthetic kind, if this is a synthetic dataset.
-    pub fn as_synthetic(&self) -> Option<DatasetKind> {
-        match self {
-            DatasetId::Synthetic(kind) => Some(*kind),
-            DatasetId::Ingested(_) => None,
-        }
-    }
 }
 
 impl From<DatasetKind> for DatasetId {
@@ -500,7 +492,10 @@ mod tests {
         let tw = DatasetKind::Twitter.build(scale);
         let fr = DatasetKind::Friendster.build(scale);
         let uni = DatasetKind::Uniform.build(scale);
-        let idx = |d: &Dataset| d.skew().0.skew_index();
+        let idx = |d: &Dataset| {
+            let (in_skew, _) = d.skew();
+            in_skew.edge_coverage_pct() - in_skew.hot_vertices_pct()
+        };
         assert!(idx(&kr) > idx(&fr), "kr {} fr {}", idx(&kr), idx(&fr));
         assert!(idx(&tw) > idx(&fr), "tw {} fr {}", idx(&tw), idx(&fr));
         assert!(idx(&fr) > idx(&uni), "fr {} uni {}", idx(&fr), idx(&uni));

@@ -405,7 +405,11 @@ mod tests {
             assert_eq!(key(&hierarchy), key(&base), "{hierarchy:?}");
         }
         // What does shape the stream still forks the key.
-        assert_ne!(key(&base.without_prefetch()), key(&base));
+        let no_prefetch = HierarchyConfig {
+            prefetch: false,
+            ..base
+        };
+        assert_ne!(key(&no_prefetch), key(&base));
     }
 
     #[test]

@@ -453,7 +453,10 @@ mod tests {
             PolicyKind::GraspInsertionOnly,
             PolicyKind::Grasp,
         ];
-        spec.hierarchy = Some(Scale::Small.hierarchy().without_prefetch());
+        spec.hierarchy = Some(HierarchyConfig {
+            prefetch: false,
+            ..Scale::Small.hierarchy()
+        });
         spec.threads = 6;
         spec.store = Some("/tmp/grasp store \"quoted\"".to_owned());
         spec
@@ -606,7 +609,7 @@ mod tests {
         if next(2) == 0 {
             let mut hierarchy = scales[next(4) as usize].hierarchy();
             if next(2) == 0 {
-                hierarchy = hierarchy.without_prefetch();
+                hierarchy.prefetch = false;
             }
             hierarchy.latency.memory_cycles = 100 + next(400);
             spec.hierarchy = Some(hierarchy);

@@ -330,11 +330,6 @@ impl Csr {
         self.edge_count as f64 / self.vertex_count as f64
     }
 
-    /// Returns `true` if an edge `src -> dst` exists.
-    pub fn has_edge(&self, src: VertexId, dst: VertexId) -> bool {
-        self.out_neighbors(src).binary_search(&dst).is_ok()
-    }
-
     /// Raw CSR column arrays for `dir`: `(offsets, targets, weights)`.
     ///
     /// `offsets` has `vertex_count + 1` entries; `targets` and `weights` have
@@ -559,11 +554,12 @@ mod tests {
     #[test]
     fn has_edge_uses_sorted_adjacency() {
         let g = paper_example();
-        assert!(g.has_edge(5, 2));
-        assert!(g.has_edge(5, 3));
-        assert!(g.has_edge(5, 4));
-        assert!(!g.has_edge(5, 0));
-        assert!(!g.has_edge(0, 5));
+        assert!(g.out_neighbors(5).windows(2).all(|w| w[0] <= w[1]));
+        assert!(g.out_neighbors(5).contains(&2));
+        assert!(g.out_neighbors(5).contains(&3));
+        assert!(g.out_neighbors(5).contains(&4));
+        assert!(!g.out_neighbors(5).contains(&0));
+        assert!(!g.out_neighbors(0).contains(&5));
     }
 
     #[test]

@@ -1,122 +1,13 @@
-//! Degree statistics and skew analysis.
-//!
-//! The paper classifies a vertex as **hot** when its degree is greater than or
-//! equal to the average degree (Sec. II-A); Table I reports, per dataset and
-//! per direction, the percentage of hot vertices and the percentage of edges
-//! connected to them ("edge coverage"). [`DegreeStats`] computes those numbers
-//! for one direction and [`SkewReport`] packages them for the Table I
-//! reproduction.
+//! Degree skew analysis: the hot vertices and edge coverage of Table I.
 
-use crate::types::{Direction, VertexId};
+use crate::types::Direction;
 use crate::view::GraphView;
 
-/// Degree statistics of a graph in one direction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegreeStats {
-    direction: Direction,
-    vertex_count: usize,
-    edge_count: u64,
-    max_degree: u64,
-    hot_vertices: usize,
-    hot_edges: u64,
-    histogram: Vec<(u64, usize)>,
-}
-
-impl DegreeStats {
-    /// Computes statistics for the given direction.
-    ///
-    /// A vertex is hot when `degree >= average_degree` (the paper's
-    /// definition); `hot_edges` counts edges attached to hot vertices in this
-    /// direction.
-    pub fn new(graph: &dyn GraphView, direction: Direction) -> Self {
-        let vertex_count = graph.vertex_count();
-        let edge_count = graph.edge_count();
-        let avg = edge_count as f64 / vertex_count as f64;
-        let mut max_degree = 0u64;
-        let mut hot_vertices = 0usize;
-        let mut hot_edges = 0u64;
-        let mut hist = std::collections::BTreeMap::new();
-        for v in graph.vertices() {
-            let d = graph.degree(v, direction);
-            max_degree = max_degree.max(d);
-            if d as f64 >= avg {
-                hot_vertices += 1;
-                hot_edges += d;
-            }
-            *hist.entry(d).or_insert(0usize) += 1;
-        }
-        Self {
-            direction,
-            vertex_count,
-            edge_count,
-            max_degree,
-            hot_vertices,
-            hot_edges,
-            histogram: hist.into_iter().collect(),
-        }
-    }
-
-    /// Direction the statistics were computed for.
-    pub fn direction(&self) -> Direction {
-        self.direction
-    }
-
-    /// Number of vertices in the graph.
-    pub fn vertex_count(&self) -> usize {
-        self.vertex_count
-    }
-
-    /// Number of edges in the graph.
-    pub fn edge_count(&self) -> u64 {
-        self.edge_count
-    }
-
-    /// Average degree.
-    pub fn average_degree(&self) -> f64 {
-        self.edge_count as f64 / self.vertex_count as f64
-    }
-
-    /// Maximum degree in this direction.
-    pub fn max_degree(&self) -> u64 {
-        self.max_degree
-    }
-
-    /// Number of hot vertices (`degree >= average`).
-    pub fn hot_vertex_count(&self) -> usize {
-        self.hot_vertices
-    }
-
-    /// Fraction of vertices that are hot, in `[0, 1]`.
-    pub fn hot_vertex_fraction(&self) -> f64 {
-        self.hot_vertices as f64 / self.vertex_count as f64
-    }
-
-    /// Fraction of edges attached to hot vertices, in `[0, 1]`.
-    pub fn hot_edge_coverage(&self) -> f64 {
-        if self.edge_count == 0 {
-            0.0
-        } else {
-            self.hot_edges as f64 / self.edge_count as f64
-        }
-    }
-
-    /// Degree histogram as `(degree, vertex count)` pairs sorted by degree.
-    pub fn histogram(&self) -> &[(u64, usize)] {
-        &self.histogram
-    }
-
-    /// Returns the hot vertices (IDs with `degree >= average`) of `graph` in
-    /// `direction`, in arbitrary order.
-    pub fn hot_vertices(graph: &dyn GraphView, direction: Direction) -> Vec<VertexId> {
-        let avg = graph.edge_count() as f64 / graph.vertex_count() as f64;
-        graph
-            .vertices()
-            .filter(|&v| graph.degree(v, direction) as f64 >= avg)
-            .collect()
-    }
-}
-
 /// A Table I-style skew report for one direction of one dataset.
+///
+/// A vertex is **hot** when its degree is greater than or equal to the
+/// average degree (Sec. II-A); the report gives the percentage of hot
+/// vertices and the percentage of edges connected to them ("edge coverage").
 ///
 /// ```
 /// use grasp_graph::generators::{Rmat, GraphGenerator};
@@ -138,25 +29,42 @@ pub struct SkewReport {
 }
 
 impl SkewReport {
-    /// Builds a report from already-computed statistics.
-    pub fn from_stats(stats: &DegreeStats) -> Self {
-        Self {
-            direction: stats.direction(),
-            hot_vertices_pct: stats.hot_vertex_fraction() * 100.0,
-            edge_coverage_pct: stats.hot_edge_coverage() * 100.0,
-            average_degree: stats.average_degree(),
-            max_degree: stats.max_degree(),
-        }
-    }
-
     /// Skew of the in-edge (pull) direction — rows #2/#3 of Table I.
     pub fn for_in_edges(graph: &dyn GraphView) -> Self {
-        Self::from_stats(&DegreeStats::new(graph, Direction::In))
+        Self::new(graph, Direction::In)
     }
 
     /// Skew of the out-edge (push) direction — rows #4/#5 of Table I.
     pub fn for_out_edges(graph: &dyn GraphView) -> Self {
-        Self::from_stats(&DegreeStats::new(graph, Direction::Out))
+        Self::new(graph, Direction::Out)
+    }
+
+    /// One pass over the vertices, counting degrees in `direction`.
+    fn new(graph: &dyn GraphView, direction: Direction) -> Self {
+        let vertex_count = graph.vertex_count() as f64;
+        let edge_count = graph.edge_count();
+        let average_degree = edge_count as f64 / vertex_count;
+        let (mut hot_vertices, mut hot_edges, mut max_degree) = (0usize, 0u64, 0u64);
+        for v in graph.vertices() {
+            let d = graph.degree(v, direction);
+            max_degree = max_degree.max(d);
+            if d as f64 >= average_degree {
+                hot_vertices += 1;
+                hot_edges += d;
+            }
+        }
+        let coverage = if edge_count == 0 {
+            0.0
+        } else {
+            hot_edges as f64 / edge_count as f64
+        };
+        Self {
+            direction,
+            hot_vertices_pct: hot_vertices as f64 / vertex_count * 100.0,
+            edge_coverage_pct: coverage * 100.0,
+            average_degree,
+            max_degree,
+        }
     }
 
     /// Direction this report describes.
@@ -182,13 +90,6 @@ impl SkewReport {
     /// Maximum degree in this direction.
     pub fn max_degree(&self) -> u64 {
         self.max_degree
-    }
-
-    /// A scalar skew index in `[0, 1]`: edge coverage minus hot-vertex
-    /// fraction (both as fractions). Near 0 for uniform graphs, approaching 1
-    /// for extremely skewed graphs.
-    pub fn skew_index(&self) -> f64 {
-        ((self.edge_coverage_pct - self.hot_vertices_pct) / 100.0).max(0.0)
     }
 }
 
@@ -220,13 +121,11 @@ mod tests {
 
     #[test]
     fn chain_graph_stats() {
-        let g = chain_graph();
-        let s = DegreeStats::new(&g, Direction::Out);
-        assert_eq!(s.vertex_count(), 4);
-        assert_eq!(s.edge_count(), 3);
-        assert_eq!(s.max_degree(), 1);
-        assert_eq!(s.hot_vertex_count(), 3);
-        assert!((s.hot_edge_coverage() - 1.0).abs() < 1e-12);
+        let r = SkewReport::for_out_edges(&chain_graph());
+        assert_eq!(r.max_degree(), 1);
+        assert_eq!(r.average_degree(), 0.75);
+        assert_eq!(r.hot_vertices_pct(), 75.0);
+        assert_eq!(r.edge_coverage_pct(), 100.0);
     }
 
     #[test]
@@ -234,35 +133,10 @@ mod tests {
         // Vertex 0 points to everyone: one hot vertex covers all out-edges.
         let edges: Vec<(u32, u32)> = (1..100).map(|d| (0, d)).collect();
         let g = Csr::from_edges(edges).unwrap();
-        let s = DegreeStats::new(&g, Direction::Out);
-        assert_eq!(s.hot_vertex_count(), 1);
-        assert!((s.hot_edge_coverage() - 1.0).abs() < 1e-12);
-        let r = SkewReport::from_stats(&s);
-        assert!(r.skew_index() > 0.9);
-    }
-
-    #[test]
-    fn histogram_sums_to_vertex_count() {
-        let g = Rmat::new(10, 8).generate(2);
-        let s = DegreeStats::new(&g, Direction::In);
-        let total: usize = s.histogram().iter().map(|&(_, c)| c).sum();
-        assert_eq!(total, g.vertex_count());
-        // Histogram degrees are sorted ascending.
-        for w in s.histogram().windows(2) {
-            assert!(w[0].0 < w[1].0);
-        }
-    }
-
-    #[test]
-    fn hot_vertices_listing_matches_count() {
-        let g = Rmat::new(10, 8).generate(2);
-        let s = DegreeStats::new(&g, Direction::Out);
-        let hot = DegreeStats::hot_vertices(&g, Direction::Out);
-        assert_eq!(hot.len(), s.hot_vertex_count());
-        let avg = s.average_degree();
-        for v in hot {
-            assert!(g.out_degree(v) as f64 >= avg);
-        }
+        let r = SkewReport::for_out_edges(&g);
+        assert_eq!(r.hot_vertices_pct(), 1.0);
+        assert_eq!(r.edge_coverage_pct(), 100.0);
+        assert!(r.edge_coverage_pct() - r.hot_vertices_pct() > 90.0);
     }
 
     #[test]
@@ -277,7 +151,41 @@ mod tests {
         assert!(skew_in.hot_vertices_pct() < 40.0);
         assert!(skew_in.edge_coverage_pct() > 60.0);
         assert!(flat_in.hot_vertices_pct() > 40.0);
-        assert!(skew_in.skew_index() > flat_in.skew_index());
+        let gap = |r: SkewReport| r.edge_coverage_pct() - r.hot_vertices_pct();
+        assert!(gap(skew_in) > gap(flat_in));
+    }
+
+    #[test]
+    fn table1_fields_are_pinned_on_star_and_chain() {
+        // Exact values, so a change to the float expressions behind Table I
+        // shows here and not only in BENCH_table1.json's one decimal place.
+        fn fields(r: SkewReport) -> (Direction, f64, f64, f64, u64) {
+            (
+                r.direction(),
+                r.hot_vertices_pct(),
+                r.edge_coverage_pct(),
+                r.average_degree(),
+                r.max_degree(),
+            )
+        }
+        let star = Csr::from_edges((1..100).map(|d| (0, d))).unwrap();
+        assert_eq!(
+            fields(SkewReport::for_out_edges(&star)),
+            (Direction::Out, 1.0, 100.0, 0.99, 99)
+        );
+        assert_eq!(
+            fields(SkewReport::for_in_edges(&star)),
+            (Direction::In, 99.0, 100.0, 0.99, 1)
+        );
+        let chain = chain_graph();
+        assert_eq!(
+            fields(SkewReport::for_out_edges(&chain)),
+            (Direction::Out, 75.0, 100.0, 0.75, 1)
+        );
+        assert_eq!(
+            fields(SkewReport::for_in_edges(&chain)),
+            (Direction::In, 75.0, 100.0, 0.75, 1)
+        );
     }
 
     #[test]

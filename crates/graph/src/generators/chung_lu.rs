@@ -122,8 +122,7 @@ impl GraphGenerator for ChungLu {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::degree::DegreeStats;
-    use crate::types::Direction;
+    use crate::degree::SkewReport;
 
     #[test]
     fn counts_and_accessors() {
@@ -143,15 +142,15 @@ mod tests {
     fn lower_exponent_means_more_skew() {
         let heavy = ChungLu::new(4096, 12, 1.9).generate(5);
         let mild = ChungLu::new(4096, 12, 3.5).generate(5);
-        let h = DegreeStats::new(&heavy, Direction::Out);
-        let m = DegreeStats::new(&mild, Direction::Out);
+        let h = SkewReport::for_out_edges(&heavy);
+        let m = SkewReport::for_out_edges(&mild);
         assert!(
-            h.hot_vertex_fraction() < m.hot_vertex_fraction(),
+            h.hot_vertices_pct() < m.hot_vertices_pct(),
             "heavy {} mild {}",
-            h.hot_vertex_fraction(),
-            m.hot_vertex_fraction()
+            h.hot_vertices_pct(),
+            m.hot_vertices_pct()
         );
-        assert!(h.hot_edge_coverage() > m.hot_edge_coverage());
+        assert!(h.edge_coverage_pct() > m.edge_coverage_pct());
     }
 
     #[test]
@@ -159,7 +158,7 @@ mod tests {
         // The relabelling shuffle must prevent hot vertices from being the
         // lowest IDs (otherwise reordering would be a no-op).
         let g = ChungLu::new(2048, 16, 2.0).generate(9);
-        let stats = DegreeStats::new(&g, Direction::Out);
+        let stats = SkewReport::for_out_edges(&g);
         let avg = stats.average_degree();
         let hot_in_first_decile = (0..205u32)
             .filter(|&v| g.out_degree(v) as f64 >= avg)

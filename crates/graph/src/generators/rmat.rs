@@ -132,8 +132,7 @@ impl GraphGenerator for Rmat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::degree::DegreeStats;
-    use crate::types::Direction;
+    use crate::degree::SkewReport;
 
     #[test]
     fn vertex_and_edge_counts() {
@@ -163,7 +162,7 @@ mod tests {
     #[test]
     fn produces_skewed_degree_distribution() {
         let g = Rmat::new(12, 16).generate(11);
-        let stats = DegreeStats::new(&g, Direction::Out);
+        let stats = SkewReport::for_out_edges(&g);
         // In a power-law graph the maximum degree is far above the average.
         assert!(
             stats.max_degree() as f64 > 10.0 * stats.average_degree(),
@@ -173,19 +172,19 @@ mod tests {
         );
         // And the hot vertices (deg >= avg) should be a minority that covers
         // a large majority of edges (cf. Table I).
-        let hot_frac = stats.hot_vertex_fraction();
-        let coverage = stats.hot_edge_coverage();
-        assert!(hot_frac < 0.45, "hot fraction {hot_frac}");
-        assert!(coverage > 0.55, "coverage {coverage}");
+        let hot_pct = stats.hot_vertices_pct();
+        let coverage = stats.edge_coverage_pct();
+        assert!(hot_pct < 45.0, "hot vertices {hot_pct}%");
+        assert!(coverage > 55.0, "coverage {coverage}%");
     }
 
     #[test]
     fn uniform_probabilities_reduce_skew() {
         let skewed = Rmat::new(11, 8).generate(5);
         let flat = Rmat::with_probabilities(11, 8, 0.25, 0.25, 0.25).generate(5);
-        let s = DegreeStats::new(&skewed, Direction::Out);
-        let f = DegreeStats::new(&flat, Direction::Out);
+        let s = SkewReport::for_out_edges(&skewed);
+        let f = SkewReport::for_out_edges(&flat);
         assert!(s.max_degree() > f.max_degree());
-        assert!(s.hot_vertex_fraction() < f.hot_vertex_fraction());
+        assert!(s.hot_vertices_pct() < f.hot_vertices_pct());
     }
 }

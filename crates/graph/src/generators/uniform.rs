@@ -75,8 +75,7 @@ impl GraphGenerator for Uniform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::degree::DegreeStats;
-    use crate::types::Direction;
+    use crate::degree::SkewReport;
 
     #[test]
     fn counts() {
@@ -100,7 +99,7 @@ mod tests {
     #[test]
     fn degree_distribution_is_flat() {
         let g = Uniform::new(4096, 16).generate(9);
-        let stats = DegreeStats::new(&g, Direction::Out);
+        let stats = SkewReport::for_out_edges(&g);
         // Binomial distribution: the max degree stays within a small factor of
         // the mean, and roughly half the vertices are above average.
         assert!(
@@ -109,6 +108,6 @@ mod tests {
             stats.max_degree(),
             stats.average_degree()
         );
-        assert!(stats.hot_vertex_fraction() > 0.3);
+        assert!(stats.hot_vertices_pct() > 30.0);
     }
 }

@@ -34,13 +34,12 @@
 //!    `mmap(2)` (no external crates; a buffered in-memory fallback covers
 //!    non-Unix or big-endian hosts) and implements [`GraphView`], so apps,
 //!    reorder techniques and campaigns consume it exactly like an in-memory
-//!    [`Csr`]. [`load_csr`] is the fully-in-memory backing over the same
-//!    files; both backings produce bit-identical experiment results.
+//!    [`Csr`], with bit-identical experiment results.
 //!
 //! Corruption is never silent: the header checksum covers every header
 //! field, per-column checksums cover the payload, and structural validation
 //! (monotone offsets, in-range targets) runs on [`verify_disk_csr`] /
-//! [`load_csr`]. Failures surface as typed [`DiskCsrError`] values.
+//! [`MappedCsr::verify`]. Failures surface as typed [`DiskCsrError`] values.
 //!
 //! ```text
 //! twitter.gcsr/
@@ -1117,40 +1116,6 @@ impl GraphView for MappedCsr {
     }
 }
 
-/// Loads a binary CSR directory fully into memory as a [`Csr`] — the
-/// in-memory backing over the same files as [`MappedCsr::open`].
-///
-/// Column checksums and structural invariants are verified during the load
-/// (the data is being read end-to-end anyway). Uniform weights are
-/// materialized, so the result compares equal (`==`) to the [`Csr`] the
-/// directory was written from.
-///
-/// # Errors
-///
-/// Returns a typed [`DiskCsrError`] on any corruption.
-pub fn load_csr(dir: &Path) -> Result<Csr, DiskCsrError> {
-    let mapped = MappedCsr::open(dir)?;
-    mapped.verify()?;
-    let edge_count = mapped.header.edge_count as usize;
-    let materialize_weights = |col: &Option<DiskColumn<u32>>, w: Option<EdgeWeight>| match col {
-        Some(col) => col.as_slice().to_vec(),
-        None => vec![w.unwrap_or(1); edge_count],
-    };
-    let out_weights = materialize_weights(&mapped.out_weights, mapped.header.uniform_weight);
-    let in_weights = materialize_weights(&mapped.in_weights, mapped.header.uniform_weight);
-    Csr::from_raw_columns(
-        mapped.vertex_count,
-        mapped.header.edge_count,
-        mapped.out_offsets.as_slice().to_vec(),
-        mapped.out_targets.as_slice().to_vec(),
-        out_weights,
-        mapped.in_offsets.as_slice().to_vec(),
-        mapped.in_targets.as_slice().to_vec(),
-        in_weights,
-    )
-    .map_err(|e| DiskCsrError::Corrupt(e.to_string()))
-}
-
 /// Standalone full verification of a binary CSR directory: header checksum,
 /// column sizes, column checksums, structural invariants.
 ///
@@ -1274,9 +1239,6 @@ mod tests {
         assert!(graphs_bit_identical(&reference, &mapped));
         assert_eq!(mapped.content_hash(), report.content_hash);
         mapped.verify().unwrap();
-
-        let loaded = load_csr(&dir).unwrap();
-        assert_eq!(loaded, reference);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1294,7 +1256,7 @@ mod tests {
         let reference = Csr::from_edge_list(&el).unwrap();
         let mapped = MappedCsr::open(&dir).unwrap();
         assert!(graphs_bit_identical(&reference, &mapped));
-        assert_eq!(load_csr(&dir).unwrap(), reference);
+        mapped.verify().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1468,7 +1430,6 @@ mod tests {
                 ..
             })
         ));
-        assert!(load_csr(&dir).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1481,7 +1442,7 @@ mod tests {
 
         let mapped = MappedCsr::open(&dir).unwrap();
         assert!(graphs_bit_identical(&graph, &mapped));
-        assert_eq!(load_csr(&dir).unwrap(), graph);
+        mapped.verify().unwrap();
         // Skew stats in the header match a fresh computation.
         assert_eq!(mapped.stats(), GraphStats::compute(&graph));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1497,7 +1458,12 @@ mod tests {
         let a = ingest_file(&txt, &out_a, 2).unwrap();
 
         assert_eq!(a.edge_count, el.edge_count() as u64);
-        assert_eq!(load_csr(&out_a).unwrap(), Csr::from_edge_list(&el).unwrap());
+        let mapped = MappedCsr::open(&out_a).unwrap();
+        mapped.verify().unwrap();
+        assert!(graphs_bit_identical(
+            &Csr::from_edge_list(&el).unwrap(),
+            &mapped
+        ));
 
         // An edge list in the retired `GRASPEL1` binary format (header, then
         // one `(src, dst, weight)` triple) is a typed error, and nothing is

@@ -32,26 +32,8 @@
 use crate::edgelist::EdgeList;
 use crate::types::{Edge, EdgeWeight, VertexId};
 use crate::{on_scoped_threads, GraphError, Result};
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
-
-/// Parses a text edge list from a reader.
-///
-/// Lines starting with `#` or `%` are treated as comments; blank lines are
-/// skipped. Each remaining line must contain `src dst` or `src dst weight`
-/// separated by whitespace; further tokens are ignored. The reader is
-/// drained before parsing starts, so a read failure is reported ahead of any
-/// malformed line.
-///
-/// # Errors
-///
-/// Returns [`GraphError::Format`] on malformed lines and [`GraphError::Io`] on
-/// read failures and on lines that are not valid UTF-8.
-pub fn read_text_edge_list<R: Read>(mut reader: R) -> Result<EdgeList> {
-    let mut data = Vec::new();
-    reader.read_to_end(&mut data)?;
-    parse_text_edge_list(&data, 1)
-}
 
 /// Parses a whole text edge list held in memory on up to `threads` threads.
 pub(crate) fn parse_text_edge_list(data: &[u8], threads: usize) -> Result<EdgeList> {
@@ -303,6 +285,7 @@ pub fn write_edge_list_file<P: AsRef<Path>>(path: P, edges: &EdgeList) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Read;
 
     fn sample_edges() -> EdgeList {
         let mut el = EdgeList::new(5);
@@ -317,7 +300,7 @@ mod tests {
         let edges = sample_edges();
         let mut buf = Vec::new();
         write_text_edge_list(&mut buf, &edges).unwrap();
-        let parsed = read_text_edge_list(&buf[..]).unwrap();
+        let parsed = parse_text_edge_list(&buf[..], 1).unwrap();
         assert_eq!(parsed.edge_count(), 3);
         assert_eq!(parsed.edges()[1].weight, 7);
         assert_eq!(parsed.vertex_count(), 5);
@@ -326,24 +309,24 @@ mod tests {
     #[test]
     fn text_parser_skips_comments_and_blanks() {
         let text = "# comment\n% another\n\n0 1\n2 3 9\n";
-        let parsed = read_text_edge_list(text.as_bytes()).unwrap();
+        let parsed = parse_text_edge_list(text.as_bytes(), 1).unwrap();
         assert_eq!(parsed.edge_count(), 2);
         assert_eq!(parsed.edges()[1].weight, 9);
     }
 
     #[test]
     fn text_parser_reports_malformed_lines() {
-        let missing = read_text_edge_list("0\n".as_bytes());
+        let missing = parse_text_edge_list("0\n".as_bytes(), 1);
         assert!(matches!(missing, Err(GraphError::Format(_))));
-        let junk = read_text_edge_list("a b\n".as_bytes());
+        let junk = parse_text_edge_list("a b\n".as_bytes(), 1);
         assert!(matches!(junk, Err(GraphError::Format(_))));
-        let bad_weight = read_text_edge_list("0 1 x\n".as_bytes());
+        let bad_weight = parse_text_edge_list("0 1 x\n".as_bytes(), 1);
         assert!(matches!(bad_weight, Err(GraphError::Format(_))));
     }
 
     #[test]
     fn empty_text_gives_empty_list() {
-        let parsed = read_text_edge_list("# nothing here\n".as_bytes()).unwrap();
+        let parsed = parse_text_edge_list("# nothing here\n".as_bytes(), 1).unwrap();
         assert!(parsed.is_empty());
         assert_eq!(parsed.vertex_count(), 0);
     }
@@ -446,7 +429,11 @@ mod tests {
         ];
         for (text, expected) in cases {
             let shown = String::from_utf8_lossy(text).into_owned();
-            assert_eq!(outcome(read_text_edge_list(text)), expected, "{shown:?}");
+            assert_eq!(
+                outcome(parse_text_edge_list(text, 1)),
+                expected,
+                "{shown:?}"
+            );
             assert_eq!(
                 outcome(read_text_edge_list_by_lines(text)),
                 expected,
@@ -563,7 +550,7 @@ mod tests {
             #[test]
             fn byte_parser_matches_the_line_parser(text in arb_text()) {
                 prop_assert_eq!(
-                    outcome(read_text_edge_list(&text[..])),
+                    outcome(parse_text_edge_list(&text[..], 1)),
                     outcome(read_text_edge_list_by_lines(&text[..]))
                 );
             }

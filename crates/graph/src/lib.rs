@@ -12,7 +12,7 @@
 //!   datasets (Table V): R-MAT/Kronecker power-law graphs, uniform
 //!   Erdős–Rényi graphs and Chung-Lu graphs with a configurable skew
 //!   exponent.
-//! * [`degree`] — degree statistics and the hot-vertex / edge-coverage skew
+//! * [`degree`] — [`SkewReport`], the hot-vertex / edge-coverage skew
 //!   analysis of Table I.
 //! * [`io`] — plain-text edge-list load and save.
 //! * [`prng`] — deterministic pseudo-random number generators (SplitMix64,
@@ -48,7 +48,7 @@ pub mod types;
 pub mod view;
 
 pub use csr::Csr;
-pub use degree::{DegreeStats, SkewReport};
+pub use degree::SkewReport;
 pub use edgelist::EdgeList;
 pub use ingest::{DiskCsrError, GraphStats, MappedCsr};
 pub use types::{EdgeWeight, VertexId};

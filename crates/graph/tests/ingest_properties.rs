@@ -2,8 +2,8 @@
 //!
 //! The central property: for any edge list — including self-loops, duplicate
 //! edges and isolated vertices — ingesting to the on-disk format and reading
-//! it back through either backing (mmap view or in-memory decode) yields a
-//! graph indistinguishable from `Csr::from_edge_list` on the original list.
+//! it back through the verified mmap view yields a graph indistinguishable
+//! from `Csr::from_edge_list` on the original list.
 
 use grasp_graph::ingest::{self, DiskCsrError, MappedCsr};
 use grasp_graph::{Csr, EdgeList, GraphView};
@@ -72,14 +72,10 @@ proptest! {
         prop_assert_eq!(report.vertex_count, expected.vertex_count() as u64);
         prop_assert_eq!(report.edge_count, expected.edge_count());
 
-        // The mmap-backed view serves identical adjacency data...
+        // The verified mmap-backed view serves identical adjacency data.
         let mapped = MappedCsr::open(&dir).unwrap();
         mapped.verify().unwrap();
         assert_views_equal(&expected, &mapped);
-
-        // ...and the eager in-memory decode reconstructs the same `Csr`.
-        let loaded = ingest::load_csr(&dir).unwrap();
-        prop_assert_eq!(&loaded, &expected);
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -175,8 +171,8 @@ fn bit_flipped_column_fails_verification_with_a_typed_error() {
         }
         other => panic!("expected ColumnChecksumMismatch, got {other:?}"),
     }
-    // The eager loader refuses outright.
-    assert!(ingest::load_csr(&dir).is_err());
+    // Opening and verifying in one chain refuses it outright.
+    assert!(MappedCsr::open(&dir).and_then(|m| m.verify()).is_err());
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -152,7 +152,7 @@ mod tests {
         assert_eq!(before, after);
         // Every original edge maps to a relabelled edge.
         for (s, d, _) in g.edges() {
-            assert!(r.has_edge(perm.new_id(s), perm.new_id(d)));
+            assert!(r.out_neighbors(perm.new_id(s)).contains(&perm.new_id(d)));
         }
     }
 

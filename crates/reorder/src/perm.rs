@@ -97,14 +97,6 @@ impl Permutation {
         true
     }
 
-    /// Returns `true` if this is the identity permutation.
-    pub fn is_identity(&self) -> bool {
-        self.new_of_old
-            .iter()
-            .enumerate()
-            .all(|(old, &new)| old as VertexId == new)
-    }
-
     /// Returns the inverse permutation (new ID → old ID).
     pub fn inverse(&self) -> Self {
         let mut inv = vec![0 as VertexId; self.new_of_old.len()];
@@ -144,7 +136,7 @@ mod tests {
     fn identity_properties() {
         let p = Permutation::identity(5);
         assert!(p.is_valid());
-        assert!(p.is_identity());
+        assert!((0..5).all(|v| p.new_id(v) == v));
         assert_eq!(p.len(), 5);
         assert_eq!(p.new_id(3), 3);
         assert_eq!(p.inverse(), p);
@@ -175,7 +167,7 @@ mod tests {
         for old in 0..4u32 {
             assert_eq!(inv.new_id(p.new_id(old)), old);
         }
-        assert!(p.then(&inv).is_identity());
+        assert_eq!(p.then(&inv), Permutation::identity(4));
     }
 
     #[test]
@@ -201,6 +193,6 @@ mod tests {
         let p = Permutation::identity(0);
         assert!(p.is_empty());
         assert!(p.is_valid());
-        assert!(p.is_identity());
+        assert_eq!(p.inverse(), p);
     }
 }

@@ -4,7 +4,7 @@
 
 use grasp_suite::analytics::apps::AppKind;
 use grasp_suite::core::campaign::Campaign;
-use grasp_suite::core::datasets::{DatasetKind, Scale};
+use grasp_suite::core::datasets::{DatasetId, DatasetKind, Scale};
 use grasp_suite::core::experiment::Experiment;
 use grasp_suite::core::policy::PolicyKind;
 use grasp_suite::core::trace_store::{TraceStore, TraceStoreKey};
@@ -26,11 +26,10 @@ fn parallel_campaign_matches_serial_experiments_bit_for_bit() {
     assert_eq!(results.len(), 2 * 2 * 3);
     for run in results.iter() {
         let cell = run.cell;
-        let dataset = cell
-            .dataset
-            .as_synthetic()
-            .expect("synthetic axis")
-            .build(SCALE);
+        let DatasetId::Synthetic(kind) = cell.dataset else {
+            panic!("synthetic axis");
+        };
+        let dataset = kind.build(SCALE);
         let serial = Experiment::new(dataset.graph, cell.app)
             .with_hierarchy(SCALE.hierarchy())
             .with_reordering(cell.technique)

@@ -7,7 +7,7 @@ use grasp_suite::analytics::apps::AppKind;
 use grasp_suite::cachesim::config::{CacheConfig, HierarchyConfig, LatencyConfig};
 use grasp_suite::cachesim::stats::CacheStats;
 use grasp_suite::core::campaign::Campaign;
-use grasp_suite::core::datasets::{DatasetKind, Scale};
+use grasp_suite::core::datasets::{DatasetId, DatasetKind, Scale};
 use grasp_suite::core::experiment::Experiment;
 use grasp_suite::core::policy::PolicyKind;
 use grasp_suite::core::trace_store::TraceStore;
@@ -45,11 +45,10 @@ fn replay_campaign_matches_serial_experiments_across_the_full_policy_grid() {
     assert_eq!(results.len(), 2 * FULL_GRID.len());
     for run in results.iter() {
         let cell = run.cell;
-        let dataset = cell
-            .dataset
-            .as_synthetic()
-            .expect("synthetic axis")
-            .build(SCALE);
+        let DatasetId::Synthetic(kind) = cell.dataset else {
+            panic!("synthetic axis");
+        };
+        let dataset = kind.build(SCALE);
         let serial = Experiment::new(dataset.graph, cell.app)
             .with_hierarchy(SCALE.hierarchy())
             .with_reordering(cell.technique)

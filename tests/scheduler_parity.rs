@@ -12,7 +12,7 @@
 
 use grasp_suite::analytics::apps::AppKind;
 use grasp_suite::core::campaign::{Campaign, SchedulerEvent};
-use grasp_suite::core::datasets::{DatasetKind, Scale};
+use grasp_suite::core::datasets::{DatasetId, DatasetKind, Scale};
 use grasp_suite::core::experiment::Experiment;
 use grasp_suite::core::flight::FlightRegistry;
 use grasp_suite::core::policy::PolicyKind;
@@ -64,11 +64,10 @@ fn serial_reference(campaign: &Campaign) -> Vec<grasp_suite::core::experiment::R
         .cells()
         .iter()
         .map(|cell| {
-            let dataset = cell
-                .dataset
-                .as_synthetic()
-                .expect("synthetic axis")
-                .build(SCALE);
+            let DatasetId::Synthetic(kind) = cell.dataset else {
+                panic!("synthetic axis");
+            };
+            let dataset = kind.build(SCALE);
             Experiment::new(dataset.graph, cell.app)
                 .with_hierarchy(SCALE.hierarchy())
                 .with_reordering(cell.technique)
