@@ -71,7 +71,16 @@
 # degree statistics folded into its skew report, the second in-memory loader
 # of a .gcsr directory, the prefetcher's settable stream count and the
 # accessors and builders only tests called went; ingest.rs was lowered to
-# its new count (1 177 -> 1 130) at the same time.
+# its new count (1 177 -> 1 130) at the same time. It came down to 17 025
+# (the tree's 16 975 + 50) when a campaign's hierarchy became its scale's:
+# the spec's hierarchy override with its JSON codec and geometry checks,
+# the campaign's hierarchy builder, the LLC in the single-flight cell key
+# and the hierarchy argument of the shared replay went, along with public
+# methods only tests called that share a name with another item; campaign.rs
+# (1 270 -> 1 255) and ingest.rs (1 130 -> 1 110) were lowered to their new
+# counts at the same time, and crates/bench's ceiling (540) to 508, the
+# tree's 500 + 8, once the seed-parity test's input moved into its test
+# module.
 #
 # usage: check-line-budget.sh   (from the repository root)
 set -euo pipefail
@@ -85,10 +94,10 @@ find crates/*/src crates/bench/benches -name '*.rs' | sort | while read -r file;
     END { print n + 0, FILENAME }' "$file"
 done | awk '
   BEGIN {
-    total_ceiling = 17309
-    bench_ceiling = 540
-    ceiling["crates/core/src/campaign.rs"] = 1287
-    ceiling["crates/graph/src/ingest.rs"] = 1130
+    total_ceiling = 17025
+    bench_ceiling = 508
+    ceiling["crates/core/src/campaign.rs"] = 1255
+    ceiling["crates/graph/src/ingest.rs"] = 1110
     ceiling["crates/core/src/trace_store.rs"] = 808
     ceiling["crates/cachesim/src/trace/persist.rs"] = 879
   }

@@ -38,11 +38,6 @@ impl Frontier {
         f
     }
 
-    /// Number of vertices in the universe.
-    pub fn universe(&self) -> usize {
-        self.members.len()
-    }
-
     /// Number of member vertices.
     pub fn len(&self) -> usize {
         self.list.len()
@@ -87,16 +82,6 @@ impl Frontier {
         self.list.iter()
     }
 
-    /// Fraction of the universe that is a member (Ligra's density used for
-    /// push/pull direction switching).
-    pub fn density(&self) -> f64 {
-        if self.members.is_empty() {
-            0.0
-        } else {
-            self.list.len() as f64 / self.members.len() as f64
-        }
-    }
-
     /// Sum of the degrees of the member vertices in the given direction —
     /// Ligra's push/pull switching threshold compares this against
     /// `edges / 20`.
@@ -131,10 +116,10 @@ mod tests {
     fn empty_full_single() {
         let e = Frontier::empty(10);
         assert!(e.is_empty());
-        assert_eq!(e.universe(), 10);
+        assert!(!e.contains(9));
         let f = Frontier::full(10);
         assert_eq!(f.len(), 10);
-        assert!((f.density() - 1.0).abs() < 1e-12);
+        assert!(f.contains(9));
         let s = Frontier::single(10, 3);
         assert_eq!(s.len(), 1);
         assert!(s.contains(3));
@@ -156,9 +141,7 @@ mod tests {
     fn clear_resets_membership_and_keeps_the_universe() {
         let mut f = from_vertices(8, [1, 4, 6]);
         f.clear();
-        assert!(f.is_empty());
-        assert_eq!(f.universe(), 8);
-        assert!(!f.contains(4));
+        assert_eq!(f, Frontier::empty(8));
         f.add(4);
         assert_eq!(f.len(), 1);
         assert!(f.contains(4));
@@ -168,7 +151,7 @@ mod tests {
     fn from_vertices_dedups() {
         let f = from_vertices(6, [1, 1, 5, 3, 5]);
         assert_eq!(f.len(), 3);
-        assert!((f.density() - 0.5).abs() < 1e-12);
+        assert_eq!(f.iter().copied().collect::<Vec<_>>(), vec![1, 5, 3]);
     }
 
     #[test]

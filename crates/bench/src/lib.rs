@@ -29,34 +29,6 @@ const FIG5_SCHEMES: [PolicyKind; 4] = [ShipMem, Hawkeye, Leeway, Grasp];
 /// The GRASP ablation sequence of Fig. 7.
 const ABLATIONS: [PolicyKind; 3] = [GraspHintsOnly, GraspInsertionOnly, Grasp];
 
-/// A synthetic LLC trace mixing a hot working set (hinted High-Reuse, every
-/// third access) with a cold miss stream (hinted Low-Reuse), the way the
-/// analytics layer would hint them: the input of the seed-parity test.
-pub fn synthetic_mixed_trace(len: usize) -> Vec<grasp_cachesim::AccessInfo> {
-    use grasp_cachesim::hint::ReuseHint;
-    use grasp_cachesim::request::RegionLabel;
-    use grasp_cachesim::AccessInfo;
-    let mut trace = Vec::with_capacity(len);
-    let mut x = 0x12345678u64;
-    for i in 0..len {
-        x = x
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let (addr, hint) = if i % 3 == 0 {
-            ((x >> 33) % 512 * 64, ReuseHint::High)
-        } else {
-            (((x >> 20) % 65_536 + 1024) * 64, ReuseHint::Low)
-        };
-        trace.push(
-            AccessInfo::read(addr)
-                .with_hint(hint)
-                .with_site(1)
-                .with_region(RegionLabel::Property),
-        );
-    }
-    trace
-}
-
 /// Prints the standard harness banner (what runs, at which scale).
 pub fn banner(what: &str, scale: Scale) {
     let (vertices, llc_kib) = (scale.vertices(), scale.llc_bytes() / 1024);
@@ -451,6 +423,34 @@ fn fig11_table7(scale: Scale) -> Vec<Table> {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+
+    /// A synthetic LLC trace mixing a hot working set (hinted High-Reuse, every
+    /// third access) with a cold miss stream (hinted Low-Reuse), the way the
+    /// analytics layer would hint them: the input of the seed-parity test.
+    fn synthetic_mixed_trace(len: usize) -> Vec<grasp_cachesim::AccessInfo> {
+        use grasp_cachesim::hint::ReuseHint;
+        use grasp_cachesim::request::RegionLabel;
+        use grasp_cachesim::AccessInfo;
+        let mut trace = Vec::with_capacity(len);
+        let mut x = 0x12345678u64;
+        for i in 0..len {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let (addr, hint) = if i % 3 == 0 {
+                ((x >> 33) % 512 * 64, ReuseHint::High)
+            } else {
+                (((x >> 20) % 65_536 + 1024) * 64, ReuseHint::Low)
+            };
+            trace.push(
+                AccessInfo::read(addr)
+                    .with_hint(hint)
+                    .with_site(1)
+                    .with_region(RegionLabel::Property),
+            );
+        }
+        trace
+    }
 
     /// What the seed repository's simulator — its dyn-dispatch
     /// `SetAssocCache` under its own policy implementations, kept in this

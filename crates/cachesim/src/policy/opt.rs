@@ -26,17 +26,6 @@ pub struct OptResult {
     pub misses: u64,
 }
 
-impl OptResult {
-    /// Miss ratio in `[0, 1]`.
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-}
-
 /// The backward pass: for each access (given in **reverse** stream order),
 /// the index of the next access to the same block (`u64::MAX` when there is
 /// none). `len` must equal the number of items `rev_blocks` yields.
@@ -188,7 +177,6 @@ mod tests {
         let result = optimal_misses(&LlcTrace::new(), &tiny_cache(2));
         assert_eq!(result.accesses, 0);
         assert_eq!(result.misses, 0);
-        assert_eq!(result.miss_ratio(), 0.0);
     }
 
     #[test]
@@ -222,6 +210,7 @@ mod tests {
     fn miss_ratio_is_fractional() {
         let trace = trace_of(&[1, 1, 1, 2]);
         let result = optimal_misses(&trace, &tiny_cache(1));
-        assert!((result.miss_ratio() - 0.5).abs() < 1e-12);
+        // One line: block 1's first access and block 2's miss, the rest hit.
+        assert_eq!((result.misses, result.accesses), (2, 4));
     }
 }

@@ -60,8 +60,7 @@ use crate::flight::{CellInterest, CellKey, Claim, FlightRegistry, FlightServed, 
 use crate::policy::PolicyKind;
 use crate::spec::CampaignSpec;
 use crate::trace_store::{TraceStore, TraceStoreKey};
-use grasp_analytics::apps::{AppConfig, AppKind};
-use grasp_cachesim::config::HierarchyConfig;
+use grasp_analytics::apps::AppKind;
 use grasp_graph::types::Direction;
 use grasp_graph::{Csr, GraphView};
 use grasp_reorder::TechniqueKind;
@@ -260,18 +259,14 @@ pub struct CampaignRun {
     pub result: RunResult,
 }
 
-/// One unique (dataset, technique, app) stream of a campaign grid: its grid
-/// identity plus what the trace store keys it by. It holds **no graph** — a
-/// stream that has to record pulls one from the run's [`GraphMemo`].
+/// One unique (dataset, technique, app) stream of a campaign grid: what the
+/// trace store keys it by. It holds **no graph** — a stream that has to
+/// record pulls one from the run's [`GraphMemo`].
 #[derive(Debug, Clone)]
 struct StreamJob {
-    dataset: DatasetId,
-    technique: TechniqueKind,
-    app: AppKind,
-    hierarchy: HierarchyConfig,
-    app_config: AppConfig,
     /// What the trace store and the flight registry know this stream by:
-    /// the coordinate plus the upper-level/app-config fingerprint.
+    /// the grid coordinate and scale plus the fingerprint of the scale's
+    /// upper levels and the app's traced configuration.
     key: TraceStoreKey,
     /// Instruction-proportional work estimate for recording this stream:
     /// each iteration walks the vertex and edge arrays, so
@@ -284,11 +279,10 @@ struct StreamJob {
 }
 
 impl StreamJob {
-    /// The stream's experiment over its prepared `graph`.
+    /// The stream's experiment over its prepared `graph`: its scale's
+    /// hierarchy and the app's traced configuration.
     fn experiment(&self, graph: Arc<Csr>) -> Experiment {
-        Experiment::shared(graph, self.app)
-            .with_hierarchy(self.hierarchy)
-            .with_app_config(self.app_config)
+        Experiment::shared(graph, self.key.app).with_hierarchy(self.key.scale.hierarchy())
     }
 }
 
@@ -422,13 +416,6 @@ impl Campaign {
         self
     }
 
-    /// Overrides the hierarchy configuration (default: `scale.hierarchy()`).
-    #[must_use]
-    pub fn hierarchy(mut self, hierarchy: HierarchyConfig) -> Self {
-        self.spec.hierarchy = Some(hierarchy);
-        self
-    }
-
     /// Attaches a persistent trace store. Streams whose recording is already
     /// in the store **skip the record phase entirely** — the persisted
     /// stream, application output and instruction estimate are loaded and
@@ -457,7 +444,7 @@ impl Campaign {
     ///   [`SchedulerEvent::RecordFinished`].
     /// * **Cells.** The campaign enlists its grid in the registry for the
     ///   duration of [`Campaign::run`]. The first worker, of any campaign,
-    ///   to reach a (stream, LLC, policy) cell replays it; every other
+    ///   to reach a (stream, policy) cell replays it; every other
     ///   enlisted campaign takes those statistics and assembles the cell's
     ///   [`RunResult`] over its own recording
     ///   ([`SchedulerEvent::ReplayShared`] instead of
@@ -550,14 +537,15 @@ impl Campaign {
             }
         };
         let app_config = Experiment::traced_app_config(app);
-        let hierarchy = self.spec.hierarchy.unwrap_or_else(|| scale.hierarchy());
         StreamJob {
-            dataset,
-            technique,
-            app,
-            hierarchy,
-            app_config,
-            key: TraceStoreKey::new(dataset, scale, technique, app, &hierarchy, &app_config),
+            key: TraceStoreKey::new(
+                dataset,
+                scale,
+                technique,
+                app,
+                &scale.hierarchy(),
+                &app_config,
+            ),
             record_work: size as f64 * app_config.max_iterations.max(1) as f64,
         }
     }
@@ -568,21 +556,21 @@ impl Campaign {
         // Reorder once per (dataset, technique, hotness direction) — the
         // direction is a property of the application, but most applications
         // share one, so the permutation work collapses across the app axis.
-        let direction = job.app.hotness_direction();
+        let direction = job.key.app.hotness_direction();
         let build = || {
-            let source = graphs.base.get(job.dataset, || match job.dataset {
+            let source = graphs.base.get(job.key.dataset, || match job.key.dataset {
                 DatasetId::Synthetic(kind) => Arc::new(kind.build(self.spec.scale).graph),
                 DatasetId::Ingested(hash) => self
                     .catalog
                     .load(hash)
-                    .unwrap_or_else(|e| open_failed(job.dataset, &e)),
+                    .unwrap_or_else(|e| open_failed(job.key.dataset, &e)),
             });
-            let perm = job.technique.compute(&*source, direction);
+            let perm = job.key.technique.compute(&*source, direction);
             Arc::new(grasp_reorder::relabel(&*source, &perm))
         };
         graphs
             .reordered
-            .get((job.dataset, job.technique, direction), build)
+            .get((job.key.dataset, job.key.technique, direction), build)
     }
 
     /// The parity oracle: every cell simulates the full hierarchy
@@ -652,7 +640,8 @@ impl Campaign {
         let store = self.store.as_deref();
         if let Some(stored) = store.and_then(|store| store.load(&job.key)) {
             let (trace, app, instructions) = (stored.trace, stored.app, stored.instructions);
-            let recorded = RecordedRun::from_parts(trace, app, instructions, job.hierarchy);
+            let recorded =
+                RecordedRun::from_parts(trace, app, instructions, job.key.scale.hierarchy());
             return (recorded, true);
         }
         let started = Instant::now();
@@ -757,7 +746,6 @@ impl Campaign {
         let shared = self.flights.as_deref().map(|registry| SharedCells {
             interest: registry.enlist_cells(cells.iter().map(|&(cell, stream)| CellKey {
                 stream: streams[stream].key,
-                llc: streams[stream].hierarchy.llc,
                 policy: cell.policy,
             })),
             wake: sched.waker(),
@@ -841,7 +829,7 @@ impl Campaign {
                         ..
                     } = &mut *guard;
                     lpt_pop(obtain_queue, |stream| {
-                        let app = plan.streams[stream].app;
+                        let app = plan.streams[stream].key.app;
                         let work = plan.streams[stream].record_work;
                         if plan.probed_load[stream] {
                             model.load_cost(app, work)
@@ -868,7 +856,7 @@ impl Campaign {
 
                 offer_core();
                 guard = state.lock().expect("scheduler state never poisoned");
-                let (app, work) = (job.app, job.record_work);
+                let (app, work) = (job.key.app, job.record_work);
                 if as_load {
                     guard.model.observe_load(app, work, elapsed);
                     guard.events.push(SchedulerEvent::LoadFinished {
@@ -940,14 +928,11 @@ impl Campaign {
                 drop(guard);
 
                 let started = Instant::now();
-                // Under this campaign's hierarchy: an attached recording may
-                // have been obtained under another LLC or other latencies.
-                let hierarchy = &plan.streams[stream].hierarchy;
-                let stats = landed.unwrap_or_else(|| recorded.replay_stats(hierarchy, cell.policy));
+                let stats = landed.unwrap_or_else(|| recorded.replay_stats(cell.policy));
                 if let (Some(shared), Some(lead)) = (&plan.shared, lead) {
                     shared.interest.land(lead, stats.clone());
                 }
-                let result = recorded.result(hierarchy, cell.policy, stats);
+                let result = recorded.result(cell.policy, stats);
                 let elapsed = started.elapsed().as_secs_f64();
                 drop(recorded);
                 let run = CampaignRun { cell, result };
@@ -1272,7 +1257,6 @@ impl IntoIterator for CampaignResult {
 mod tests {
     use super::*;
     use crate::flight::Lead;
-    use grasp_cachesim::config::CacheConfig;
     use grasp_cachesim::stats::HierarchyStats;
 
     fn tiny_campaign() -> Campaign {
@@ -1406,9 +1390,15 @@ mod tests {
         for (job, graph) in streams.iter().zip(&prepared) {
             let same_direction = streams
                 .iter()
-                .position(|other| other.app.hotness_direction() == job.app.hotness_direction())
+                .position(|other| {
+                    other.key.app.hotness_direction() == job.key.app.hotness_direction()
+                })
                 .expect("the job itself");
-            assert!(Arc::ptr_eq(graph, &prepared[same_direction]), "{}", job.app);
+            assert!(
+                Arc::ptr_eq(graph, &prepared[same_direction]),
+                "{}",
+                job.key.app
+            );
         }
 
         // Cold: every stream records. Warm: every obtain is a store hit and
@@ -1731,57 +1721,6 @@ mod tests {
         assert_eq!(stats.cells_inflight, 0, "nothing outlives the campaigns");
     }
 
-    #[test]
-    fn overlapping_campaigns_at_two_llc_sizes_share_the_stream_never_a_cell() {
-        // One stream key serves both LLCs, so the stream is recorded once;
-        // a cell's statistics depend on the LLC, so none is shared. Each
-        // campaign replays and prices the one recording under its own
-        // hierarchy, whichever of them recorded it.
-        let dir = std::env::temp_dir().join(format!("grasp-campaign-llcs-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let store = Arc::new(TraceStore::open(&dir).expect("store opens"));
-        let registry = Arc::new(FlightRegistry::new());
-        let tiny = Scale::Tiny.hierarchy();
-        let sweep = |llc_bytes: u64| {
-            Campaign::new(Scale::Tiny)
-                .datasets(&[DatasetKind::Twitter])
-                .apps(&[AppKind::PageRank])
-                .policies(&[PolicyKind::Rrip, PolicyKind::Grasp])
-                .hierarchy(HierarchyConfig {
-                    llc: CacheConfig::new(llc_bytes, tiny.llc.ways, tiny.llc.block_bytes),
-                    ..tiny
-                })
-                .threads(2)
-                .with_trace_store(Arc::clone(&store))
-                .with_single_flight(Arc::clone(&registry))
-        };
-        let (a, b) = (sweep(tiny.llc.size_bytes), sweep(2 * tiny.llc.size_bytes));
-        let both_running = std::sync::Barrier::new(2);
-        let run = |campaign: &Campaign| {
-            let first = std::sync::atomic::AtomicBool::new(true);
-            campaign.run_with_observer(&|_, _| {
-                if first.swap(false, Ordering::SeqCst) {
-                    both_running.wait();
-                }
-            })
-        };
-        let (ra, rb) = std::thread::scope(|scope| {
-            let ha = scope.spawn(|| run(&a));
-            let hb = scope.spawn(|| run(&b));
-            (ha.join().unwrap(), hb.join().unwrap())
-        });
-        assert_matches_direct(&a, &ra);
-        assert_matches_direct(&b, &rb);
-        let stats = registry.stats();
-        assert_eq!(stats.recorded, 1, "one recording serves both LLCs");
-        assert_eq!((stats.cells_replayed, stats.cells_shared), (4, 0));
-        assert_ne!(
-            ra.iter().next().unwrap().result.stats,
-            rb.iter().next().unwrap().result.stats
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// Runs a one-worker, one-stream, three-policy campaign whose cell 0 is
     /// being replayed "elsewhere" — by the test, playing the overlapping
     /// campaign that got there first. Once the campaign has finished its
@@ -1802,7 +1741,6 @@ mod tests {
         let (cells, streams) = campaign.stream_plan();
         let elsewhere = registry.enlist_cells([CellKey {
             stream: streams[0].key,
-            llc: streams[0].hierarchy.llc,
             policy: cells[0].0.policy,
         }]);
         let unwatched: Wake = Arc::new(|| ());

@@ -328,13 +328,13 @@ impl std::fmt::Display for DatasetId {
 
 /// One catalog entry: where an ingested graph lives.
 #[derive(Debug, Clone)]
-pub struct CatalogEntry {
+pub(crate) struct CatalogEntry {
     /// Directory holding `graph.gcsr` and the column files.
-    pub path: PathBuf,
+    pub(crate) path: PathBuf,
     /// Number of vertices, from the header read at registration.
-    pub vertex_count: u64,
+    pub(crate) vertex_count: u64,
     /// Number of directed edges, from the header read at registration.
-    pub edge_count: u64,
+    pub(crate) edge_count: u64,
 }
 
 /// Registry of ingested on-disk graphs, keyed by content hash.
@@ -370,12 +370,7 @@ impl DatasetCatalog {
         Ok(hash)
     }
 
-    /// Looks up a registered graph.
-    pub fn get(&self, hash: GraphHash) -> Option<&CatalogEntry> {
-        self.entries.get(&hash)
-    }
-
-    /// [`DatasetCatalog::get`], with the error [`DatasetCatalog::load`]
+    /// Looks up a registered graph, with the error [`DatasetCatalog::load`]
     /// reports for an unregistered hash.
     pub(crate) fn entry(&self, hash: GraphHash) -> Result<&CatalogEntry, DiskCsrError> {
         self.entries.get(&hash).ok_or_else(|| {
@@ -383,26 +378,6 @@ impl DatasetCatalog {
                 "graph {hash} is not registered in the dataset catalog"
             ))
         })
-    }
-
-    /// Whether `hash` is registered.
-    pub fn contains(&self, hash: GraphHash) -> bool {
-        self.entries.contains_key(&hash)
-    }
-
-    /// Number of registered graphs.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the catalog is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Registered hashes, in no particular order.
-    pub fn hashes(&self) -> impl Iterator<Item = GraphHash> + '_ {
-        self.entries.keys().copied()
     }
 
     /// Opens a registered graph: mmaps its column files, checks the header,

@@ -107,8 +107,7 @@ impl RecordedRun {
     /// Replays the stream under `policy` and returns a [`RunResult`]
     /// bit-identical to [`Experiment::run`] with the same policy.
     pub fn replay(&self, policy: PolicyKind) -> RunResult {
-        let stats = self.replay_stats(&self.hierarchy, policy);
-        self.result(&self.hierarchy, policy, stats)
+        self.result(policy, self.replay_stats(policy))
     }
 
     /// Replays the stream under every policy of a sweep, one policy after
@@ -118,31 +117,21 @@ impl RecordedRun {
     }
 
     /// The policy-dependent half of a replay: the hierarchy statistics of
-    /// the stream under `policy` in `hierarchy`'s LLC. [`RecordedRun::result`]
-    /// turns them into a [`RunResult`] — on this recording or on any other
-    /// recording of the same stream, which is how campaigns sharing a
-    /// [`FlightRegistry`](crate::flight::FlightRegistry) replay a common
-    /// cell once. A campaign passes its own hierarchy, not necessarily the
-    /// one this recording was obtained under: the stream is the same.
-    pub(crate) fn replay_stats(
-        &self,
-        hierarchy: &HierarchyConfig,
-        policy: PolicyKind,
-    ) -> HierarchyStats {
-        let llc = hierarchy.llc;
+    /// the stream under `policy` in this recording's LLC.
+    /// [`RecordedRun::result`] turns them into a [`RunResult`] — on this
+    /// recording or on any other recording of the same stream, which is how
+    /// campaigns sharing a [`FlightRegistry`](crate::flight::FlightRegistry)
+    /// replay a common cell once.
+    pub(crate) fn replay_stats(&self, policy: PolicyKind) -> HierarchyStats {
+        let llc = self.hierarchy.llc;
         self.trace.replay(llc, policy.build_dispatch(&llc))
     }
 
     /// Assembles the [`RunResult`] of `policy` from its replay statistics:
-    /// cycles under `hierarchy`'s latencies and this recording's instruction
-    /// estimate, and this recording's application output.
-    pub(crate) fn result(
-        &self,
-        hierarchy: &HierarchyConfig,
-        policy: PolicyKind,
-        stats: HierarchyStats,
-    ) -> RunResult {
-        let cycles = TimingModel::new(hierarchy.latency).cycles(&stats, self.instructions);
+    /// cycles under this recording's latencies and instruction estimate,
+    /// and this recording's application output.
+    pub(crate) fn result(&self, policy: PolicyKind, stats: HierarchyStats) -> RunResult {
+        let cycles = TimingModel::new(self.hierarchy.latency).cycles(&stats, self.instructions);
         RunResult {
             policy,
             stats,
@@ -404,12 +393,27 @@ mod tests {
             assert!(recorded.trace() == reference.trace(), "{hierarchy:?}");
             assert_eq!(key(&hierarchy), key(&base), "{hierarchy:?}");
         }
-        // What does shape the stream still forks the key.
+        // What does shape the stream still forks the key: each upper level
+        // and the prefetcher.
+        let grown = |cache: CacheConfig| {
+            CacheConfig::new(2 * cache.size_bytes, cache.ways, cache.block_bytes)
+        };
+        let bigger_l1 = HierarchyConfig {
+            l1: grown(base.l1),
+            ..base
+        };
+        let bigger_l2 = HierarchyConfig {
+            l2: grown(base.l2),
+            ..base
+        };
         let no_prefetch = HierarchyConfig {
             prefetch: false,
             ..base
         };
-        assert_ne!(key(&no_prefetch), key(&base));
+        for hierarchy in [bigger_l1, bigger_l2, no_prefetch] {
+            assert_ne!(key(&hierarchy), key(&base), "{hierarchy:?}");
+        }
+        assert_ne!(key(&bigger_l1), key(&bigger_l2));
     }
 
     #[test]

@@ -19,19 +19,19 @@
 //! the registry is empty whenever nothing is running: it is not a cache, and
 //! has no eviction, persistence or size knob.
 //!
-//! * **Streams**, keyed by [`TraceStoreKey`] ([`FlightRegistry::obtain`]):
-//!   layered over [`TraceStore::probe`]/
+//! * **Streams**, keyed by [`TraceStoreKey`] (`FlightRegistry::obtain`,
+//!   which only campaigns call, so a shared recording always carries its
+//!   key's scale's hierarchy): layered over [`TraceStore::probe`]/
 //!   [`TraceStore::publish`](crate::trace_store::TraceStore::publish)
 //!   semantics. The leader runs the real obtain (store load, else record +
 //!   publish); followers block until it lands and attach to the leader's
 //!   [`Arc<RecordedRun>`] — sharing the recording without copying the trace
-//!   and without touching the store. The key does not name the LLC, so a
-//!   follower may run under another LLC or other latencies than the leader:
-//!   it replays and prices the shared stream under its own. Interest lasts
-//!   for the `obtain` call, so once every concurrent caller has returned,
-//!   later campaigns go back to the store (and hit the published entry).
-//! * **Cells**, keyed by stream key + LLC geometry + LLC policy — everything
-//!   that determines a replay's [`HierarchyStats`]. A campaign
+//!   and without touching the store. Interest lasts for the `obtain` call,
+//!   so once every concurrent caller has returned, later campaigns go back
+//!   to the store (and hit the published entry).
+//! * **Cells**, keyed by stream key + LLC policy — everything that
+//!   determines a replay's [`HierarchyStats`], since the key's scale fixes
+//!   the LLC a campaign replays under. A campaign
 //!   ([`Campaign::with_single_flight`](crate::campaign::Campaign::with_single_flight))
 //!   enlists its whole grid when it plans and releases it when it returns.
 //!   Its scheduler never blocks on a cell another campaign is replaying: it
@@ -46,7 +46,6 @@
 use crate::experiment::RecordedRun;
 use crate::policy::PolicyKind;
 use crate::trace_store::TraceStoreKey;
-use grasp_cachesim::config::CacheConfig;
 use grasp_cachesim::stats::HierarchyStats;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -55,7 +54,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// How one obtain call was ultimately served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlightServed {
+pub(crate) enum FlightServed {
     /// This caller recorded the stream itself (it led the flight and the
     /// store missed). Exactly one caller per key reports this while the
     /// flight is shared.
@@ -281,12 +280,11 @@ impl<K: Eq + Hash, V> Drop for Interest<'_, K, V> {
     }
 }
 
-/// What determines one cell's replay statistics: the stream, and the LLC
-/// (geometry and policy) replayed over it.
+/// What determines one cell's replay statistics: the stream (whose scale
+/// fixes the LLC geometry), and the LLC policy replayed over it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct CellKey {
     pub(crate) stream: TraceStoreKey,
-    pub(crate) llc: CacheConfig,
     pub(crate) policy: PolicyKind,
 }
 
@@ -315,7 +313,7 @@ pub struct FlightStats {
 }
 
 /// An in-flight registry deduplicating concurrent recordings by
-/// [`TraceStoreKey`] and concurrent replays by stream key + LLC. Share
+/// [`TraceStoreKey`] and concurrent replays by stream key + policy. Share
 /// one instance (behind an `Arc`) across every campaign that should
 /// coordinate — the campaign service hands the same registry to all client
 /// campaigns via
@@ -354,7 +352,7 @@ impl FlightRegistry {
     /// load, else record + publish) returning the recording and whether the
     /// store served it; it runs on **at most one** caller per key at a time
     /// — everyone else blocks and attaches to the winner's recording.
-    pub fn obtain(
+    pub(crate) fn obtain(
         &self,
         key: TraceStoreKey,
         produce: impl FnOnce() -> (RecordedRun, bool),
@@ -570,7 +568,6 @@ mod tests {
     fn cell_key(policy: PolicyKind) -> CellKey {
         CellKey {
             stream: test_key(5),
-            llc: Scale::Tiny.hierarchy().llc,
             policy,
         }
     }

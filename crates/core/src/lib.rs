@@ -61,12 +61,10 @@ pub mod trace_store;
 
 pub use campaign::{Campaign, CampaignCell, CampaignResult, CampaignRun, SchedulerEvent};
 pub use compare::{geometric_mean_speedup, miss_reduction_pct, speedup_pct};
-pub use datasets::{
-    CatalogEntry, Dataset, DatasetCatalog, DatasetId, DatasetKind, GraphHash, Scale,
-};
+pub use datasets::{Dataset, DatasetCatalog, DatasetId, DatasetKind, GraphHash, Scale};
 pub use error::Error;
 pub use experiment::{Experiment, RecordedRun, RunResult};
-pub use flight::{FlightRegistry, FlightServed, FlightStats};
+pub use flight::{FlightRegistry, FlightStats};
 pub use json::Json;
 pub use policy::PolicyKind;
 pub use report::Table;

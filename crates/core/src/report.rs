@@ -43,11 +43,6 @@ impl Table {
         self.push_row(cells);
     }
 
-    /// Table title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     /// Access to the raw rows (used by tests and serialization).
     pub fn rows(&self) -> &[Vec<String>] {
         &self.rows
@@ -190,6 +185,5 @@ mod tests {
         assert!(text.contains("dataset"));
         assert!(text.contains("6.4"));
         assert!(text.contains("kr"));
-        assert_eq!(t.title(), "Fig. 5");
     }
 }

@@ -2,9 +2,10 @@
 //! builder and the service wire protocol.
 //!
 //! A [`CampaignSpec`] is the declarative content of a [`Campaign`] —
-//! datasets, techniques, apps, policies, hierarchy, scale, trace-store
-//! path, thread budget — with hand-rolled JSON encode/decode over
-//! [`crate::json`] (the workspace has no serialization crate). The contract:
+//! datasets, techniques, apps, policies, scale, trace-store path, thread
+//! budget — with hand-rolled JSON encode/decode over [`crate::json`] (the
+//! workspace has no serialization crate). The scale fixes the simulated
+//! hierarchy ([`Scale::hierarchy`]); no field overrides it. The contract:
 //!
 //! * A [`Campaign`] *holds* its spec: the builder methods write it,
 //!   [`Campaign::to_spec`] hands out a copy and [`Campaign::from_spec`]
@@ -33,7 +34,6 @@ use crate::error::Error;
 use crate::json::{self, Json};
 use crate::policy::PolicyKind;
 use grasp_analytics::apps::AppKind;
-use grasp_cachesim::config::{CacheConfig, HierarchyConfig, LatencyConfig};
 use grasp_reorder::TechniqueKind;
 use std::collections::BTreeMap;
 
@@ -42,8 +42,8 @@ use std::collections::BTreeMap;
 /// module docs for the wire vocabulary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
-    /// Scale synthetic datasets are generated at (and the default
-    /// hierarchy's size class).
+    /// Scale synthetic datasets are generated at, and whose
+    /// [`Scale::hierarchy`] every cell is simulated under.
     pub scale: Scale,
     /// The dataset axis of the grid.
     pub datasets: Vec<DatasetId>,
@@ -53,8 +53,6 @@ pub struct CampaignSpec {
     pub apps: Vec<AppKind>,
     /// The LLC-policy axis.
     pub policies: Vec<PolicyKind>,
-    /// Hierarchy override; `None` uses `scale.hierarchy()`.
-    pub hierarchy: Option<HierarchyConfig>,
     /// Worker-thread budget; `0` means one worker per available CPU.
     pub threads: usize,
     /// Trace-store directory. `None` runs without persistence (unless the
@@ -67,7 +65,7 @@ pub struct CampaignSpec {
 
 impl CampaignSpec {
     /// An empty spec at the given scale: no datasets, apps or policies,
-    /// DBG reordering, the scale's hierarchy, one worker per CPU, no store.
+    /// DBG reordering, one worker per CPU, no store.
     pub fn new(scale: Scale) -> Self {
         Self {
             scale,
@@ -75,7 +73,6 @@ impl CampaignSpec {
             techniques: vec![TechniqueKind::Dbg],
             apps: Vec::new(),
             policies: Vec::new(),
-            hierarchy: None,
             threads: 0,
             store: None,
         }
@@ -165,9 +162,6 @@ impl CampaignSpec {
                     .collect(),
             ),
         );
-        if let Some(hierarchy) = &self.hierarchy {
-            map.insert("hierarchy".to_owned(), hierarchy_to_value(hierarchy));
-        }
         map.insert("threads".to_owned(), Json::integer(self.threads as u64));
         if let Some(store) = &self.store {
             map.insert("store".to_owned(), Json::string(store.clone()));
@@ -182,20 +176,19 @@ impl CampaignSpec {
     }
 
     /// Decodes a spec from a parsed [`Json`] value. Every field is
-    /// validated — unknown labels, malformed geometry and wrong types all
-    /// surface as [`Error::Spec`] (kind `spec/invalid`), never a panic.
+    /// validated — unknown fields and labels and wrong types all surface as
+    /// [`Error::Spec`] (kind `spec/invalid`), never a panic.
     pub fn from_value(value: &Json) -> Result<Self, Error> {
         let object = value
             .as_object()
             .ok_or_else(|| spec_err("spec must be a JSON object"))?;
         for key in object.keys() {
-            const KNOWN: [&str; 8] = [
+            const KNOWN: [&str; 7] = [
                 "scale",
                 "datasets",
                 "techniques",
                 "apps",
                 "policies",
-                "hierarchy",
                 "threads",
                 "store",
             ];
@@ -229,9 +222,6 @@ impl CampaignSpec {
         })?
         .unwrap_or_default();
 
-        if let Some(hierarchy) = value.get("hierarchy") {
-            spec.hierarchy = Some(hierarchy_from_value(hierarchy)?);
-        }
         spec.threads = parse_count(value, "threads")?.unwrap_or(0);
         if let Some(store) = value.get("store") {
             spec.store = Some(
@@ -301,136 +291,6 @@ fn parse_count(value: &Json, field: &str) -> Result<Option<usize>, Error> {
         .ok_or_else(|| spec_err(format!("{field} must be a non-negative integer")))
 }
 
-fn cache_to_value(config: &CacheConfig) -> Json {
-    Json::object([
-        ("size_bytes", Json::integer(config.size_bytes)),
-        ("ways", Json::integer(config.ways as u64)),
-        ("block_bytes", Json::integer(config.block_bytes)),
-    ])
-}
-
-/// Decodes one cache level, validating the geometry [`CacheConfig::new`]
-/// would otherwise panic on: non-zero parameters, power-of-two block size,
-/// and a positive power-of-two set count.
-fn cache_from_value(value: &Json, level: &str) -> Result<CacheConfig, Error> {
-    let field = |name: &str| -> Result<u64, Error> {
-        value
-            .get(name)
-            .ok_or_else(|| spec_err(format!("hierarchy.{level}: missing {name:?}")))?
-            .as_u64()
-            .ok_or_else(|| {
-                spec_err(format!(
-                    "hierarchy.{level}.{name} must be a non-negative integer"
-                ))
-            })
-    };
-    let size_bytes = field("size_bytes")?;
-    let ways = field("ways")?;
-    let block_bytes = field("block_bytes")?;
-    if size_bytes == 0 || ways == 0 || block_bytes == 0 {
-        return Err(spec_err(format!(
-            "hierarchy.{level}: parameters must be non-zero"
-        )));
-    }
-    if !block_bytes.is_power_of_two() {
-        return Err(spec_err(format!(
-            "hierarchy.{level}: block_bytes ({block_bytes}) must be a power of two"
-        )));
-    }
-    let blocks = size_bytes / block_bytes;
-    let sets = blocks / ways;
-    if sets == 0 || !sets.is_power_of_two() {
-        return Err(spec_err(format!(
-            "hierarchy.{level}: set count ({sets}) must be a positive power of two"
-        )));
-    }
-    Ok(CacheConfig::new(size_bytes, ways as usize, block_bytes))
-}
-
-fn hierarchy_to_value(hierarchy: &HierarchyConfig) -> Json {
-    Json::object([
-        ("l1", cache_to_value(&hierarchy.l1)),
-        ("l2", cache_to_value(&hierarchy.l2)),
-        ("llc", cache_to_value(&hierarchy.llc)),
-        (
-            "latency",
-            Json::object([
-                ("l1_cycles", Json::integer(hierarchy.latency.l1_cycles)),
-                ("l2_cycles", Json::integer(hierarchy.latency.l2_cycles)),
-                ("llc_cycles", Json::integer(hierarchy.latency.llc_cycles)),
-                (
-                    "memory_cycles",
-                    Json::integer(hierarchy.latency.memory_cycles),
-                ),
-            ]),
-        ),
-        ("prefetch", Json::Bool(hierarchy.prefetch)),
-    ])
-}
-
-fn hierarchy_from_value(value: &Json) -> Result<HierarchyConfig, Error> {
-    if value.as_object().is_none() {
-        return Err(spec_err("hierarchy must be a JSON object"));
-    }
-    let level = |name: &'static str| -> Result<CacheConfig, Error> {
-        cache_from_value(
-            value
-                .get(name)
-                .ok_or_else(|| spec_err(format!("hierarchy: missing level {name:?}")))?,
-            name,
-        )
-    };
-    let latency_value = value
-        .get("latency")
-        .ok_or_else(|| spec_err("hierarchy: missing \"latency\""))?;
-    let cycles = |name: &str| -> Result<u64, Error> {
-        latency_value
-            .get(name)
-            .ok_or_else(|| spec_err(format!("hierarchy.latency: missing {name:?}")))?
-            .as_u64()
-            .ok_or_else(|| {
-                spec_err(format!(
-                    "hierarchy.latency.{name} must be a non-negative integer"
-                ))
-            })
-    };
-    let prefetch = value
-        .get("prefetch")
-        .ok_or_else(|| spec_err("hierarchy: missing \"prefetch\""))?
-        .as_bool()
-        .ok_or_else(|| spec_err("hierarchy.prefetch must be a boolean"))?;
-    let (l1, l2, llc) = (level("l1")?, level("l2")?, level("llc")?);
-    // What the simulator would otherwise panic on: an upper-level line packs
-    // its block address and dirty bit into one word, and the LLC keeps each
-    // set's per-way flags in one `u64`.
-    for (name, config) in [("l1", &l1), ("l2", &l2)] {
-        if config.block_bytes < 4 {
-            return Err(spec_err(format!(
-                "hierarchy.{name}: block_bytes ({}) must be at least 4",
-                config.block_bytes
-            )));
-        }
-    }
-    if llc.ways > 64 {
-        return Err(spec_err(format!(
-            "hierarchy.llc: ways ({}) must be at most 64",
-            llc.ways
-        )));
-    }
-    Ok(HierarchyConfig {
-        l1,
-        l2,
-        llc,
-        latency: LatencyConfig {
-            l1_cycles: cycles("l1_cycles")?,
-            l2_cycles: cycles("l2_cycles")?,
-            llc_cycles: cycles("llc_cycles")?,
-            memory_cycles: cycles("memory_cycles")?,
-        },
-        prefetch,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,10 +313,6 @@ mod tests {
             PolicyKind::GraspInsertionOnly,
             PolicyKind::Grasp,
         ];
-        spec.hierarchy = Some(HierarchyConfig {
-            prefetch: false,
-            ..Scale::Small.hierarchy()
-        });
         spec.threads = 6;
         spec.store = Some("/tmp/grasp store \"quoted\"".to_owned());
         spec
@@ -470,18 +326,12 @@ mod tests {
         assert_eq!(decoded, spec);
         // Stable bytes: equal specs serialize identically.
         assert_eq!(decoded.to_json(), text);
-        // A document from when the hierarchy could record carries a
-        // "record_llc_trace" member: it names the same configuration.
-        let old = text.replace("\"prefetch\":", "\"record_llc_trace\":true,\"prefetch\":");
-        assert_ne!(old, text);
-        assert_eq!(CampaignSpec::from_json(&old).expect("decodes"), spec);
     }
 
     #[test]
     fn defaults_round_trip_and_omit_optionals() {
         let spec = CampaignSpec::new(Scale::Tiny);
         let text = spec.to_json();
-        assert!(!text.contains("hierarchy"));
         assert!(!text.contains("store"));
         assert_eq!(CampaignSpec::from_json(&text).unwrap(), spec);
     }
@@ -523,41 +373,20 @@ mod tests {
                 "unknown field \"record_trace\"",
             ),
             (r#"{"scale":"tiny","frobnicate":1}"#, "unknown field"),
+            (
+                r#"{"scale":"tiny","hierarchy":{
+                "l1":{"size_bytes":32768,"ways":8,"block_bytes":64},
+                "l2":{"size_bytes":262144,"ways":8,"block_bytes":64},
+                "llc":{"size_bytes":32768,"ways":16,"block_bytes":64},
+                "latency":{"l1_cycles":4,"l2_cycles":10,"llc_cycles":30,"memory_cycles":200},
+                "prefetch":true}}"#,
+                "unknown field \"hierarchy\"",
+            ),
         ];
         for (doc, needle) in cases {
             let err = CampaignSpec::from_json(doc).expect_err(doc);
             assert_eq!(err.kind(), "spec/invalid", "{doc}");
             assert!(err.to_string().contains(needle), "{doc}: {err}");
-        }
-    }
-
-    #[test]
-    fn decode_validates_hierarchy_geometry_instead_of_panicking() {
-        // Each geometry panics somewhere downstream — CacheConfig::new, the
-        // upper levels' line packing, the LLC's per-set flag words — so the
-        // decoder must error instead.
-        #[rustfmt::skip]
-        let cases = [
-            ("l1", r#"{"size_bytes":1000,"ways":3,"block_bytes":48}"#, "power of two"),
-            ("l1", r#"{"size_bytes":64,"ways":8,"block_bytes":2}"#, "at least 4"),
-            ("l2", r#"{"size_bytes":256,"ways":1,"block_bytes":1}"#, "at least 4"),
-            ("llc", r#"{"size_bytes":8192,"ways":128,"block_bytes":64}"#, "at most 64"),
-        ];
-        for (bad, geometry, needle) in cases {
-            let level = |name: &str, valid: &str| {
-                format!(r#""{name}":{}"#, if name == bad { geometry } else { valid })
-            };
-            let doc = format!(
-                r#"{{"scale":"tiny","hierarchy":{{{},{},{},
-                "latency":{{"l1_cycles":4,"l2_cycles":10,"llc_cycles":30,"memory_cycles":200}},
-                "prefetch":true,"record_llc_trace":false}}}}"#,
-                level("l1", r#"{"size_bytes":32768,"ways":8,"block_bytes":64}"#),
-                level("l2", r#"{"size_bytes":262144,"ways":8,"block_bytes":64}"#),
-                level("llc", r#"{"size_bytes":32768,"ways":16,"block_bytes":64}"#),
-            );
-            let err = CampaignSpec::from_json(&doc).expect_err(geometry);
-            assert_eq!(err.kind(), "spec/invalid", "{bad}: {geometry}");
-            assert!(err.to_string().contains(needle), "{bad}: {err}");
         }
     }
 
@@ -606,14 +435,6 @@ mod tests {
                 _ => PolicyKind::Hawkeye,
             })
             .collect();
-        if next(2) == 0 {
-            let mut hierarchy = scales[next(4) as usize].hierarchy();
-            if next(2) == 0 {
-                hierarchy.prefetch = false;
-            }
-            hierarchy.latency.memory_cycles = 100 + next(400);
-            spec.hierarchy = Some(hierarchy);
-        }
         spec.threads = next(9) as usize;
         if next(2) == 0 {
             // Under the temp directory: `Campaign::from_spec` creates it.

@@ -311,16 +311,6 @@ impl Csr {
         })
     }
 
-    /// Returns the transposed graph (every edge reversed).
-    pub fn transpose(&self) -> Self {
-        Self {
-            vertex_count: self.vertex_count,
-            edge_count: self.edge_count,
-            out: self.inc.clone(),
-            inc: self.out.clone(),
-        }
-    }
-
     /// Average degree (`edges / vertices`).
     ///
     /// # Panics
@@ -533,8 +523,13 @@ mod tests {
 
     #[test]
     fn transpose_swaps_directions() {
+        // The reversed edge list builds the transposed graph.
         let g = paper_example();
-        let t = g.transpose();
+        let mut reversed = EdgeList::new(g.vertex_count() as u64);
+        for (src, dst, weight) in g.edges() {
+            reversed.push_weighted(dst, src, weight).unwrap();
+        }
+        let t = Csr::from_edge_list(&reversed).unwrap();
         for v in g.vertices() {
             assert_eq!(g.out_neighbors(v), t.in_neighbors(v));
             assert_eq!(g.in_neighbors(v), t.out_neighbors(v));

@@ -978,26 +978,6 @@ impl MappedCsr {
         })
     }
 
-    /// The decoded header (stats, content hash, column table).
-    pub fn header(&self) -> &DiskCsrHeader {
-        &self.header
-    }
-
-    /// The FNV-1a content hash identifying this graph.
-    pub fn content_hash(&self) -> u64 {
-        self.header.content_hash
-    }
-
-    /// Ingest-time degree-skew statistics.
-    pub fn stats(&self) -> GraphStats {
-        self.header.stats
-    }
-
-    /// Directory this graph was opened from.
-    pub fn path(&self) -> &Path {
-        &self.dir
-    }
-
     /// Full integrity pass: every column checksum, then
     /// [`MappedCsr::check_structure`]. Reads every byte of every column.
     ///
@@ -1237,7 +1217,7 @@ mod tests {
         let reference = Csr::from_edge_list(&el).unwrap();
         let mapped = MappedCsr::open(&dir).unwrap();
         assert!(graphs_bit_identical(&reference, &mapped));
-        assert_eq!(mapped.content_hash(), report.content_hash);
+        assert_eq!(read_header(&dir).unwrap().content_hash, report.content_hash);
         mapped.verify().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1444,7 +1424,10 @@ mod tests {
         assert!(graphs_bit_identical(&graph, &mapped));
         mapped.verify().unwrap();
         // Skew stats in the header match a fresh computation.
-        assert_eq!(mapped.stats(), GraphStats::compute(&graph));
+        assert_eq!(
+            read_header(&dir).unwrap().stats,
+            GraphStats::compute(&graph)
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -47,8 +47,8 @@ pub const KIND_OVERLOADED: &str = "service/overloaded";
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Run a campaign grid. Boxed: a spec (five axis vectors plus the
-    /// hierarchy override) dwarfs the dataless control requests.
+    /// Run a campaign grid. Boxed: a spec (four axis vectors plus the
+    /// store path) dwarfs the dataless control requests.
     Run(Box<CampaignSpec>),
     /// Liveness probe.
     Ping,

@@ -224,6 +224,16 @@ fn malformed_requests_get_stable_error_kinds() {
             "spec/invalid",
         ),
         (
+            // So is the hierarchy override: the scale fixes the hierarchy.
+            "{\"type\":\"run\",\"spec\":{\"scale\":\"tiny\",\"hierarchy\":{\
+             \"l1\":{\"size_bytes\":32768,\"ways\":8,\"block_bytes\":64},\
+             \"l2\":{\"size_bytes\":262144,\"ways\":8,\"block_bytes\":64},\
+             \"llc\":{\"size_bytes\":32768,\"ways\":16,\"block_bytes\":64},\
+             \"latency\":{\"l1_cycles\":4,\"l2_cycles\":10,\
+             \"llc_cycles\":30,\"memory_cycles\":200},\"prefetch\":true}}}",
+            "spec/invalid",
+        ),
+        (
             // Spec-valid, service-refused: ingested datasets need a catalog.
             "{\"type\":\"run\",\"spec\":{\"scale\":\"tiny\",\
              \"datasets\":[\"gdeadbeef01234567\"]}}",

@@ -8,9 +8,9 @@ use grasp_suite::cachesim::config::{CacheConfig, HierarchyConfig, LatencyConfig}
 use grasp_suite::cachesim::stats::CacheStats;
 use grasp_suite::core::campaign::Campaign;
 use grasp_suite::core::datasets::{DatasetId, DatasetKind, Scale};
-use grasp_suite::core::experiment::Experiment;
+use grasp_suite::core::experiment::{Experiment, RecordedRun};
 use grasp_suite::core::policy::PolicyKind;
-use grasp_suite::core::trace_store::TraceStore;
+use grasp_suite::core::trace_store::{TraceStore, TraceStoreKey};
 use grasp_suite::reorder::TechniqueKind;
 use std::sync::Arc;
 
@@ -168,10 +168,10 @@ fn batched_scalar_fanout_and_direct_replays_agree_across_the_full_policy_grid() 
 
 #[test]
 fn hierarchy_latencies_price_direct_replayed_and_loaded_runs_alike() {
-    // The latencies are part of the hierarchy a stream is recorded under:
-    // they move cycles and never statistics, and a campaign's replay, a
-    // stream loaded back from the store and direct simulation price them
-    // identically.
+    // The latencies are part of the hierarchy a stream is replayed under:
+    // they move cycles and never statistics, and a replay, the stream the
+    // scale's hierarchy published to the store loaded back under them, and
+    // direct simulation price them identically.
     let slow = HierarchyConfig {
         latency: LatencyConfig {
             l1_cycles: 40,
@@ -181,49 +181,52 @@ fn hierarchy_latencies_price_direct_replayed_and_loaded_runs_alike() {
         },
         ..SCALE.hierarchy()
     };
-    let campaign = |hierarchy| {
-        Campaign::new(SCALE)
-            .datasets(&[DatasetKind::Twitter])
-            .apps(&[AppKind::PageRank])
-            .policies(&[PolicyKind::Rrip, PolicyKind::Grasp])
-            .hierarchy(hierarchy)
-    };
-    let default = campaign(SCALE.hierarchy()).run();
-    let replayed = campaign(slow).run();
     let dir = std::env::temp_dir().join(format!("grasp-latency-itest-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let store = Arc::new(TraceStore::open(&dir).expect("store opens"));
-    campaign(slow).with_trace_store(Arc::clone(&store)).run();
-    let loaded = campaign(slow).with_trace_store(Arc::clone(&store)).run();
-    assert_eq!(store.stats().hits, 1, "the rerun loads its stream");
+    let default = Campaign::new(SCALE)
+        .datasets(&[DatasetKind::Twitter])
+        .apps(&[AppKind::PageRank])
+        .policies(&[PolicyKind::Rrip, PolicyKind::Grasp])
+        .with_trace_store(Arc::clone(&store))
+        .run();
+    let key = TraceStoreKey::new(
+        DatasetKind::Twitter,
+        SCALE,
+        TechniqueKind::Dbg,
+        AppKind::PageRank,
+        &slow,
+        &Experiment::traced_app_config(AppKind::PageRank),
+    );
+    let stored = store.load(&key).expect("the latencies do not fork the key");
     std::fs::remove_dir_all(&dir).ok();
-    let dataset = DatasetKind::Twitter.build(SCALE);
-    assert_eq!(replayed.len(), 2);
-    for ((base, run), stored) in default.iter().zip(replayed.iter()).zip(loaded.iter()) {
-        let policy = run.cell.policy;
-        assert_eq!(
-            base.result.stats, run.result.stats,
-            "{policy}: statistics moved"
-        );
+    let loaded = RecordedRun::from_parts(stored.trace, stored.app, stored.instructions, slow);
+    let experiment = Experiment::new(DatasetKind::Twitter.build(SCALE).graph, AppKind::PageRank)
+        .with_hierarchy(slow)
+        .with_reordering(TechniqueKind::Dbg);
+    let recorded = experiment.record();
+    assert_eq!(default.len(), 2);
+    for base in default.iter() {
+        let policy = base.cell.policy;
+        let run = recorded.replay(policy);
+        assert_eq!(base.result.stats, run.stats, "{policy}: statistics moved");
         assert_ne!(
-            base.result.cycles, run.result.cycles,
+            base.result.cycles, run.cycles,
             "{policy}: latencies ignored"
         );
-        let direct = Experiment::new(dataset.graph.clone(), AppKind::PageRank)
-            .with_hierarchy(slow)
-            .with_reordering(run.cell.technique)
-            .run(policy);
+        let direct = experiment.run(policy);
         assert_eq!(
             direct.cycles.to_bits(),
-            run.result.cycles.to_bits(),
+            run.cycles.to_bits(),
             "{policy}: direct"
         );
+        let stored = loaded.replay(policy);
         assert_eq!(
-            stored.result.cycles.to_bits(),
-            run.result.cycles.to_bits(),
+            stored.cycles.to_bits(),
+            run.cycles.to_bits(),
             "{policy}: loaded"
         );
-        assert_eq!(stored.result.stats, run.result.stats, "{policy}: loaded");
+        assert_eq!(stored.stats, run.stats, "{policy}: loaded");
     }
 }
 

@@ -10,8 +10,10 @@ use grasp_suite::cachesim::trace::persist::{PersistError, StripeHash};
 use grasp_suite::cachesim::trace::CHUNK_RECORDS;
 use grasp_suite::core::campaign::{Campaign, CampaignResult};
 use grasp_suite::core::datasets::{DatasetKind, Scale};
+use grasp_suite::core::experiment::{Experiment, RecordedRun};
 use grasp_suite::core::policy::PolicyKind;
-use grasp_suite::core::trace_store::{StoreError, TraceStore};
+use grasp_suite::core::trace_store::{StoreError, TraceStore, TraceStoreKey};
+use grasp_suite::reorder::TechniqueKind;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -71,41 +73,29 @@ fn assert_bit_identical(fresh: &CampaignResult, stored: &CampaignResult, what: &
 
 #[test]
 fn store_hit_campaign_is_bit_identical_across_the_full_policy_grid() {
-    // The 13-policy grid under the scaled hierarchy, then four policies
-    // under the paper's Table VI geometry (16 MiB LLC).
-    let paper_row = grid_campaign()
-        .hierarchy(HierarchyConfig::paper_scale())
-        .policies(&[
-            PolicyKind::Lru,
-            PolicyKind::Rrip,
-            PolicyKind::Hawkeye,
-            PolicyKind::Grasp,
-        ]);
-    for (tag, campaign) in [("grid", grid_campaign()), ("paper", paper_row)] {
-        let dir = temp_store_dir(tag);
-        let store = Arc::new(TraceStore::open(&dir).expect("store opens"));
+    let dir = temp_store_dir("grid");
+    let store = Arc::new(TraceStore::open(&dir).expect("store opens"));
 
-        // Baseline: no store involved at all.
-        let fresh = campaign.run();
+    // Baseline: no store involved at all.
+    let fresh = grid_campaign().run();
 
-        // Cold run: every stream misses, gets recorded, and is published.
-        let cold = campaign.clone().with_trace_store(Arc::clone(&store)).run();
-        assert_bit_identical(&fresh, &cold, "cold store run");
-        let stats = store.stats();
-        assert_eq!(stats.hits, 0, "{tag}: cold store cannot hit");
-        assert_eq!(stats.misses, 1, "{tag}: one unique stream misses once");
-        assert!(stats.bytes_written > 0);
+    // Cold run: every stream misses, gets recorded, and is published.
+    let cold = grid_campaign().with_trace_store(Arc::clone(&store)).run();
+    assert_bit_identical(&fresh, &cold, "cold store run");
+    let stats = store.stats();
+    assert_eq!(stats.hits, 0, "cold store cannot hit");
+    assert_eq!(stats.misses, 1, "one unique stream misses once");
+    assert!(stats.bytes_written > 0);
 
-        // Warm run: the record phase is skipped.
-        let warm = campaign.with_trace_store(Arc::clone(&store)).run();
-        assert_bit_identical(&fresh, &warm, "warm run");
-        let stats = store.stats();
-        assert_eq!(stats.hits, 1, "{tag}: warm run must be served by the store");
-        assert_eq!(stats.misses, 1, "{tag}: warm runs must not re-record");
-        assert!(stats.bytes_read > 0);
+    // Warm run: the record phase is skipped.
+    let warm = grid_campaign().with_trace_store(Arc::clone(&store)).run();
+    assert_bit_identical(&fresh, &warm, "warm run");
+    let stats = store.stats();
+    assert_eq!(stats.hits, 1, "warm run must be served by the store");
+    assert_eq!(stats.misses, 1, "warm runs must not re-record");
+    assert!(stats.bytes_read > 0);
 
-        std::fs::remove_dir_all(&dir).ok();
-    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -191,20 +181,38 @@ fn multi_stream_grids_key_streams_independently() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The store key of the tw x DBG x `app` stream under `hierarchy`.
+fn stream_key(app: AppKind, hierarchy: &HierarchyConfig) -> TraceStoreKey {
+    TraceStoreKey::new(
+        DatasetKind::Twitter,
+        SCALE,
+        TechniqueKind::Dbg,
+        app,
+        hierarchy,
+        &Experiment::traced_app_config(app),
+    )
+}
+
+/// The tw x DBG x `app` experiment under `hierarchy`.
+fn experiment(app: AppKind, hierarchy: HierarchyConfig) -> Experiment {
+    Experiment::new(DatasetKind::Twitter.build(SCALE).graph, app)
+        .with_hierarchy(hierarchy)
+        .with_reordering(TechniqueKind::Dbg)
+}
+
 #[test]
 fn hierarchy_changes_never_reuse_a_stale_entry() {
     // Same grid coordinate, different L2: the config hash must fork the
-    // key, so the second campaign records freshly instead of replaying the
-    // wrong stream.
+    // key, so the store misses instead of serving the stream the scale's
+    // hierarchy recorded, which is not the stream the bigger L2 passes on.
     let dir = temp_store_dir("config-fork");
     let store = Arc::new(TraceStore::open(&dir).expect("store opens"));
-    let base = || {
-        Campaign::new(SCALE)
-            .datasets(&[DatasetKind::Twitter])
-            .apps(&[AppKind::PageRank])
-            .policies(&[PolicyKind::Grasp])
-    };
-    let _ = base().with_trace_store(Arc::clone(&store)).run();
+    let _ = Campaign::new(SCALE)
+        .datasets(&[DatasetKind::Twitter])
+        .apps(&[AppKind::PageRank])
+        .policies(&[PolicyKind::Grasp])
+        .with_trace_store(Arc::clone(&store))
+        .run();
     assert_eq!(store.stats().misses, 1);
 
     let tiny = SCALE.hierarchy();
@@ -212,35 +220,40 @@ fn hierarchy_changes_never_reuse_a_stale_entry() {
         l2: CacheConfig::new(2 * tiny.l2.size_bytes, tiny.l2.ways, tiny.l2.block_bytes),
         ..tiny
     };
-    let fresh = base().hierarchy(bigger).run();
-    let stored = base()
-        .hierarchy(bigger)
-        .with_trace_store(Arc::clone(&store))
-        .run();
-    assert_bit_identical(&fresh, &stored, "changed-hierarchy run");
+    assert!(store.probe(&stream_key(AppKind::PageRank, &tiny)));
+    assert!(
+        store
+            .load(&stream_key(AppKind::PageRank, &bigger))
+            .is_none(),
+        "a different hierarchy must never hit"
+    );
     let stats = store.stats();
-    assert_eq!(stats.hits, 0, "a different hierarchy must never hit");
-    assert_eq!(stats.misses, 2);
+    assert_eq!((stats.hits, stats.misses), (0, 2));
+    let stale = experiment(AppKind::PageRank, tiny).record();
+    let fresh = experiment(AppKind::PageRank, bigger).record();
+    assert!(stale.trace() != fresh.trace(), "the L2 shapes the stream");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn one_entry_serves_every_llc_geometry_and_latency() {
     // A stream is keyed by what shapes it — the LLC and the latencies do
-    // not — so a campaign at twice the LLC, under other latencies, is
-    // served entirely by the entry a campaign at the scale's LLC published,
-    // and still equals its own direct simulation.
+    // not — so the entry a campaign at the scale's hierarchy published
+    // serves twice the LLC under other latencies, and replayed there it
+    // equals that hierarchy's direct simulation.
     let dir = temp_store_dir("llc-sweep");
     let store = Arc::new(TraceStore::open(&dir).expect("store opens"));
-    let campaign = || {
-        Campaign::new(SCALE)
-            .datasets(&[DatasetKind::Twitter])
-            .apps(&[AppKind::PageRank, AppKind::PageRankDelta])
-            .policies(&[PolicyKind::Lru, PolicyKind::Rrip, PolicyKind::Grasp])
-            .threads(2)
-    };
-    let _ = campaign().with_trace_store(Arc::clone(&store)).run();
+    let apps = [AppKind::PageRank, AppKind::PageRankDelta];
+    let policies = [PolicyKind::Lru, PolicyKind::Rrip, PolicyKind::Grasp];
+    let _ = Campaign::new(SCALE)
+        .datasets(&[DatasetKind::Twitter])
+        .apps(&apps)
+        .policies(&policies)
+        .threads(2)
+        .with_trace_store(Arc::clone(&store))
+        .run();
     assert_eq!(store.stats().misses, 2, "the populating pass records");
+    let written = store.stats().bytes_written;
 
     let tiny = SCALE.hierarchy();
     let wide = HierarchyConfig {
@@ -252,22 +265,25 @@ fn one_entry_serves_every_llc_geometry_and_latency() {
         },
         ..tiny
     };
-    let swept = campaign().hierarchy(wide);
-    let served = swept.clone().with_trace_store(Arc::clone(&store)).run();
-    let recorded = served
-        .scheduler_events()
-        .iter()
-        .filter(|e| {
-            matches!(
-                e,
-                grasp_suite::core::campaign::SchedulerEvent::RecordFinished { .. }
-            )
-        })
-        .count();
-    assert_eq!(recorded, 0, "nothing recorded at the new LLC");
+    for app in apps {
+        let stored = store
+            .load(&stream_key(app, &wide))
+            .expect("the entry serves the new LLC");
+        let served = RecordedRun::from_parts(stored.trace, stored.app, stored.instructions, wide);
+        let direct = experiment(app, wide);
+        for policy in policies {
+            let (a, b) = (direct.run(policy), served.replay(policy));
+            assert_eq!(a.stats, b.stats, "{app}/{policy}: 2x LLC, other latencies");
+            assert_eq!(a.app.values, b.app.values, "{app}/{policy}");
+            assert_eq!(a.cycles.to_bits(), b.cycles.to_bits(), "{app}/{policy}");
+        }
+    }
     let stats = store.stats();
     assert_eq!((stats.hits, stats.misses), (2, 2), "both streams served");
-    assert_bit_identical(&swept.run_direct(), &served, "2x LLC, other latencies");
+    assert_eq!(
+        stats.bytes_written, written,
+        "nothing recorded at the new LLC"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
