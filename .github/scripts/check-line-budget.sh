@@ -80,7 +80,11 @@
 # (1 270 -> 1 255) and ingest.rs (1 130 -> 1 110) were lowered to their new
 # counts at the same time, and crates/bench's ceiling (540) to 508, the
 # tree's 500 + 8, once the seed-parity test's input moved into its test
-# module.
+# module. It came down to 16 919 (the tree's 16 869 + 50) when Table VI's
+# machine model became constants: the latency table, the timing model's
+# type with its three settings and duplicate speed-up helper, the
+# prefetcher switch, and the builders, constant and accessors only tests
+# used went.
 #
 # usage: check-line-budget.sh   (from the repository root)
 set -euo pipefail
@@ -94,7 +98,7 @@ find crates/*/src crates/bench/benches -name '*.rs' | sort | while read -r file;
     END { print n + 0, FILENAME }' "$file"
 done | awk '
   BEGIN {
-    total_ceiling = 17025
+    total_ceiling = 16919
     bench_ceiling = 508
     ceiling["crates/core/src/campaign.rs"] = 1255
     ceiling["crates/graph/src/ingest.rs"] = 1110

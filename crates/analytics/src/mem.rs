@@ -85,22 +85,25 @@ mod tests {
     }
 
     /// Reports 100 reads of distinct blocks to `m`, its ABRs programmed with
-    /// one 2 MiB Property Array at address 0.
+    /// one 2 MiB Property Array at address 0. Block `i` is the `i`-th
+    /// triangular number, so no two consecutive strides match and the stride
+    /// prefetcher never trains: every block is a demand miss all the way
+    /// down.
     fn touch_distinct_blocks(m: &mut impl MemoryModel) {
         m.program_property_bounds(&[(0, 1 << 21)]);
         for i in 0..100u64 {
-            m.touch(i * 64, AccessKind::Read, 3, RegionLabel::Property);
+            m.touch(
+                i * (i + 1) / 2 * 64,
+                AccessKind::Read,
+                3,
+                RegionLabel::Property,
+            );
         }
     }
 
     #[test]
     fn traced_memory_drives_the_hierarchy() {
-        // Disable the prefetcher so every distinct block is a demand miss all
-        // the way down.
-        let config = HierarchyConfig {
-            prefetch: false,
-            ..HierarchyConfig::scaled_default()
-        };
+        let config = HierarchyConfig::scaled_default();
         let drrip = || Drrip::new(config.llc.sets(), config.llc.ways, 1);
         let mut m = Hierarchy::new(config, LlcStage::new(config.llc, drrip()));
         touch_distinct_blocks(&mut m);
@@ -132,10 +135,7 @@ mod tests {
 
     #[test]
     fn recording_memory_captures_the_post_l2_stream() {
-        let config = HierarchyConfig {
-            prefetch: false,
-            ..HierarchyConfig::scaled_default()
-        };
+        let config = HierarchyConfig::scaled_default();
         let mut m = Hierarchy::new(config, LlcTrace::new());
         touch_distinct_blocks(&mut m);
         let trace = m.finish();

@@ -442,12 +442,12 @@ mod tests {
             } else {
                 (((x >> 20) % 65_536 + 1024) * 64, ReuseHint::Low)
             };
-            trace.push(
-                AccessInfo::read(addr)
-                    .with_hint(hint)
-                    .with_site(1)
-                    .with_region(RegionLabel::Property),
-            );
+            trace.push(AccessInfo {
+                site: 1,
+                hint,
+                region: RegionLabel::Property,
+                ..AccessInfo::read(addr)
+            });
         }
         trace
     }

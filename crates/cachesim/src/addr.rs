@@ -6,10 +6,6 @@ pub type Address = u64;
 /// A cache-block address: the byte address shifted right by the block bits.
 pub type BlockAddr = u64;
 
-/// Default cache block (line) size in bytes, matching commodity processors
-/// and Table VI of the paper.
-pub const DEFAULT_BLOCK_BYTES: u64 = 64;
-
 /// Returns the block address of `addr` for a block of `block_bytes` bytes.
 ///
 /// # Panics

@@ -516,9 +516,13 @@ mod tests {
     #[test]
     fn per_region_stats_are_recorded() {
         let mut c = lru_cache(4096, 4);
-        c.access(&AccessInfo::read(0).with_region(RegionLabel::Property));
-        c.access(&AccessInfo::read(0).with_region(RegionLabel::Property));
-        c.access(&AccessInfo::read(0x1000).with_region(RegionLabel::EdgeArray));
+        let read = |addr, region| AccessInfo {
+            region,
+            ..AccessInfo::read(addr)
+        };
+        c.access(&read(0, RegionLabel::Property));
+        c.access(&read(0, RegionLabel::Property));
+        c.access(&read(0x1000, RegionLabel::EdgeArray));
         assert_eq!(c.stats().region(RegionLabel::Property).accesses, 2);
         assert_eq!(c.stats().region(RegionLabel::Property).misses, 1);
         assert_eq!(c.stats().region(RegionLabel::EdgeArray).misses, 1);
@@ -566,8 +570,11 @@ mod tests {
                 } else {
                     AccessInfo::read(addr)
                 };
-                info.with_region(RegionLabel::ALL[(i % 5) as usize])
-                    .with_site((i % 11) as u16)
+                AccessInfo {
+                    site: (i % 11) as u16,
+                    region: RegionLabel::ALL[(i % 5) as usize],
+                    ..info
+                }
             })
             .collect()
     }

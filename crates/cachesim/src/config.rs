@@ -58,32 +58,9 @@ impl CacheConfig {
     }
 }
 
-/// Latencies (in cycles) used by the analytic timing model. Defaults follow
-/// Table VI of the paper.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyConfig {
-    /// L1-D hit latency.
-    pub l1_cycles: u64,
-    /// L2 hit latency.
-    pub l2_cycles: u64,
-    /// LLC hit latency (bank access + NoC hops).
-    pub llc_cycles: u64,
-    /// Main-memory access latency.
-    pub memory_cycles: u64,
-}
-
-impl Default for LatencyConfig {
-    fn default() -> Self {
-        Self {
-            l1_cycles: 4,
-            l2_cycles: 10,
-            llc_cycles: 30,
-            memory_cycles: 200,
-        }
-    }
-}
-
-/// Configuration of the simulated three-level hierarchy.
+/// Geometry of the simulated three-level hierarchy. Its latencies (the
+/// [`timing`](crate::timing) model's) and its L1 stride prefetcher (the
+/// [`Hierarchy`](crate::Hierarchy)'s) are Table VI's, for every geometry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HierarchyConfig {
     /// L1 data cache.
@@ -92,13 +69,6 @@ pub struct HierarchyConfig {
     pub l2: CacheConfig,
     /// Shared last-level cache.
     pub llc: CacheConfig,
-    /// Access latencies: the [`TimingModel`](crate::TimingModel) that prices
-    /// a run's cycles — direct, replayed or loaded from a trace store — is
-    /// built from these.
-    pub latency: LatencyConfig,
-    /// Enable the L1 stride prefetcher (Table VI: stride prefetchers with 16
-    /// streams).
-    pub prefetch: bool,
 }
 
 impl HierarchyConfig {
@@ -109,8 +79,6 @@ impl HierarchyConfig {
             l1: CacheConfig::new(32 * 1024, 8, 64),
             l2: CacheConfig::new(256 * 1024, 8, 64),
             llc: CacheConfig::new(16 * 1024 * 1024, 16, 64),
-            latency: LatencyConfig::default(),
-            prefetch: true,
         }
     }
 
@@ -134,15 +102,7 @@ impl HierarchyConfig {
             l1: CacheConfig::new(4 * 1024, 8, 64),
             l2: CacheConfig::new(16 * 1024, 8, 64),
             llc: CacheConfig::new(llc_bytes, 16, 64),
-            latency: LatencyConfig::default(),
-            prefetch: true,
         }
-    }
-}
-
-impl Default for HierarchyConfig {
-    fn default() -> Self {
-        Self::scaled_default()
     }
 }
 
@@ -180,16 +140,14 @@ mod tests {
         assert_eq!(h.l2.size_bytes, 256 * 1024);
         assert_eq!(h.llc.size_bytes, 16 * 1024 * 1024);
         assert_eq!(h.llc.ways, 16);
-        assert_eq!(h.latency.memory_cycles, 200);
     }
 
     #[test]
     fn scaled_default_keeps_relative_sizes() {
-        let h = HierarchyConfig::default();
+        let h = HierarchyConfig::scaled_default();
         assert!(h.l1.size_bytes < h.l2.size_bytes);
         assert!(h.l2.size_bytes < h.llc.size_bytes);
         assert_eq!(h.llc.ways, 16);
-        assert!(h.prefetch);
     }
 
     #[test]

@@ -60,7 +60,7 @@ use crate::trace::{LlcTrace, RecordContext};
 pub struct Hierarchy<S> {
     l1: LruFilter,
     l2: LruFilter,
-    prefetcher: Option<StridePrefetcher>,
+    prefetcher: StridePrefetcher,
     abr_bounds: Vec<(Address, Address)>,
     llc: S,
 }
@@ -79,7 +79,7 @@ impl<S: LlcSink> Hierarchy<S> {
         Self {
             l1: LruFilter::new("L1-D", config.l1),
             l2: LruFilter::new("L2", config.l2),
-            prefetcher: config.prefetch.then(StridePrefetcher::default),
+            prefetcher: StridePrefetcher::default(),
             abr_bounds: Vec::new(),
             llc,
         }
@@ -119,15 +119,13 @@ impl<S: LlcSink> Hierarchy<S> {
 
         // The prefetcher observes the demand stream at L1 and issues at most
         // one prefetch per access.
-        if let Some(prefetcher) = self.prefetcher.as_mut() {
-            if let Some(predicted) = prefetcher.observe(site, addr) {
-                let prefetch = AccessInfo {
-                    addr: predicted,
-                    kind: AccessKind::Read,
-                    ..demand
-                };
-                self.request::<true>(&prefetch);
-            }
+        if let Some(predicted) = self.prefetcher.observe(site, addr) {
+            let prefetch = AccessInfo {
+                addr: predicted,
+                kind: AccessKind::Read,
+                ..demand
+            };
+            self.request::<true>(&prefetch);
         }
     }
 
@@ -300,21 +298,19 @@ mod tests {
 
     #[test]
     fn prefetcher_reduces_misses_on_streaming_patterns() {
-        let run = |prefetch: bool| -> u64 {
-            let mut config = HierarchyConfig::scaled_default();
-            config.prefetch = prefetch;
-            let mut h = simulating(config);
-            for i in 0..20_000u64 {
-                read(&mut h, i * 8, 1, RegionLabel::EdgeArray);
-            }
-            // Misses seen by the core are L1 misses that also miss everywhere.
-            h.stats().memory_accesses
-        };
-        let without = run(false);
-        let with = run(true);
+        // 20 000 sequential 8-byte elements span 2 500 blocks: the stride
+        // prefetcher fills ahead of the stream, so fewer than one demand
+        // access per block reaches memory.
+        let mut h = hierarchy();
+        for i in 0..20_000u64 {
+            read(&mut h, i * 8, 1, RegionLabel::EdgeArray);
+        }
+        let stats = h.stats();
+        assert!(stats.llc.prefetch_fills > 0, "the prefetcher issues fills");
         assert!(
-            with <= without,
-            "prefetching must not increase demand memory accesses ({with} vs {without})"
+            stats.memory_accesses < 2_500,
+            "prefetching must save demand memory accesses ({})",
+            stats.memory_accesses
         );
     }
 

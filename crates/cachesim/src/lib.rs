@@ -22,8 +22,8 @@
 //!   region classification logic that turns an address into a 2-bit reuse
 //!   hint at the LLC ([`hint`]),
 //! * per-region access/miss statistics ([`stats`]) used to reproduce Fig. 2,
-//!   and an analytic timing model ([`timing`]) used to convert miss counts
-//!   into the speed-up numbers of Figs. 6–10.
+//!   and an analytic timing model at Table VI's latencies ([`timing`]) used
+//!   to convert miss counts into the speed-up numbers of Figs. 6–10.
 //!
 //! ## Quick example
 //!
@@ -70,7 +70,6 @@ pub use policy::PolicyDispatch;
 pub use request::{AccessInfo, AccessKind, RegionLabel};
 pub use stage::{LlcSink, LlcStage};
 pub use stats::{CacheStats, HierarchyStats};
-pub use timing::TimingModel;
 pub use trace::persist::{PersistError, TRACE_FORMAT_VERSION};
 pub use trace::{LlcTrace, TraceEvent};
 

@@ -124,9 +124,11 @@ mod tests {
     use crate::request::RegionLabel;
 
     fn req(hint: ReuseHint) -> AccessInfo {
-        AccessInfo::read(0)
-            .with_hint(hint)
-            .with_region(RegionLabel::Property)
+        AccessInfo {
+            hint,
+            region: RegionLabel::Property,
+            ..AccessInfo::read(0)
+        }
     }
 
     #[test]

@@ -403,7 +403,10 @@ mod tests {
     use std::collections::VecDeque;
 
     fn req(addr: u64, site: AccessSite) -> AccessInfo {
-        AccessInfo::read(addr).with_site(site)
+        AccessInfo {
+            site,
+            ..AccessInfo::read(addr)
+        }
     }
 
     /// The differential oracle: OPTgen as the paper describes it, every step

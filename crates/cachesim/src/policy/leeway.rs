@@ -220,7 +220,10 @@ mod tests {
     use proptest::prelude::*;
 
     fn req(addr: u64, site: AccessSite) -> AccessInfo {
-        AccessInfo::read(addr).with_site(site)
+        AccessInfo {
+            site,
+            ..AccessInfo::read(addr)
+        }
     }
 
     /// The differential oracle: the per-access state as it was before the

@@ -135,9 +135,11 @@ mod tests {
     use crate::request::RegionLabel;
 
     fn high(addr: u64) -> AccessInfo {
-        AccessInfo::read(addr)
-            .with_hint(ReuseHint::High)
-            .with_region(RegionLabel::Property)
+        AccessInfo {
+            hint: ReuseHint::High,
+            region: RegionLabel::Property,
+            ..AccessInfo::read(addr)
+        }
     }
 
     fn low(addr: u64) -> AccessInfo {

@@ -153,7 +153,6 @@ impl RrpvArray {
 /// which one misses less; follower sets adopt the winner.
 #[derive(Debug, Clone)]
 pub struct SetDueling {
-    sets: usize,
     /// Precomputed per-set role, so the per-fill lookups are an indexed load
     /// instead of two integer divisions.
     roles: Vec<Option<DuelWinner>>,
@@ -185,7 +184,6 @@ impl SetDueling {
             })
             .collect();
         Self {
-            sets,
             roles,
             psel: 0,
             psel_max: 512,
@@ -237,11 +235,6 @@ impl SetDueling {
             }
             None => {}
         }
-    }
-
-    /// Number of sets the monitor was built for.
-    pub fn sets(&self) -> usize {
-        self.sets
     }
 }
 

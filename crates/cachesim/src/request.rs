@@ -114,24 +114,10 @@ impl AccessInfo {
         }
     }
 
-    /// Sets the code-site identifier.
-    #[must_use]
-    pub fn with_site(mut self, site: AccessSite) -> Self {
-        self.site = site;
-        self
-    }
-
     /// Sets the reuse hint.
     #[must_use]
     pub fn with_hint(mut self, hint: ReuseHint) -> Self {
         self.hint = hint;
-        self
-    }
-
-    /// Sets the region label.
-    #[must_use]
-    pub fn with_region(mut self, region: RegionLabel) -> Self {
-        self.region = region;
         self
     }
 
@@ -147,14 +133,11 @@ mod tests {
 
     #[test]
     fn builders_set_fields() {
-        let a = AccessInfo::write(0x40)
-            .with_site(3)
-            .with_hint(ReuseHint::High)
-            .with_region(RegionLabel::Property);
+        let a = AccessInfo::write(0x40).with_hint(ReuseHint::High);
         assert!(a.is_write());
-        assert_eq!(a.site, 3);
+        assert_eq!(a.site, 0);
         assert_eq!(a.hint, ReuseHint::High);
-        assert_eq!(a.region, RegionLabel::Property);
+        assert_eq!(a.region, RegionLabel::Other);
     }
 
     #[test]

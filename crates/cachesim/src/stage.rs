@@ -247,7 +247,10 @@ mod tests {
         // victims are the writebacks L2 absorbs.
         let mut mix = record_mix(6000);
         for (i, info) in mix.iter_mut().enumerate().step_by(2) {
-            *info = AccessInfo::write(0x40_0000 + (i as u64 / 2 % 96) * 64).with_site(9);
+            *info = AccessInfo {
+                site: 9,
+                ..AccessInfo::write(0x40_0000 + (i as u64 / 2 % 96) * 64)
+            };
         }
         for info in &mix {
             let mut requests = vec![(*info, false)];

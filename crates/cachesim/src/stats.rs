@@ -121,13 +121,6 @@ pub struct HierarchyStats {
     pub memory_accesses: u64,
 }
 
-impl HierarchyStats {
-    /// Creates zeroed statistics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

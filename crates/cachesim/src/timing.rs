@@ -13,61 +13,35 @@
 //! between runs that differ in cache policy or data layout are used in the
 //! experiment harness (speed-up % over a baseline, as in Figs. 6–10).
 
-use crate::config::LatencyConfig;
 use crate::stats::HierarchyStats;
 
-/// Latency-weighted cycle model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimingModel {
-    /// Per-level and memory latencies.
-    pub latency: LatencyConfig,
-    /// Cycles of non-memory work charged per instruction.
-    pub cycles_per_instruction: f64,
-    /// Effective memory-level parallelism: demand DRAM latency is divided by
-    /// this factor to model overlapping of independent misses by an OoO core.
-    pub memory_level_parallelism: f64,
-}
+/// Table VI's latencies, in cycles: an L1-D hit, an L2 hit, an LLC hit (bank
+/// access + NoC hops) and a main-memory access.
+const L1_CYCLES: f64 = 4.0;
+const L2_CYCLES: f64 = 10.0;
+const LLC_CYCLES: f64 = 30.0;
+const MEMORY_CYCLES: f64 = 200.0;
 
-impl TimingModel {
-    /// Creates a timing model from a latency configuration with default core
-    /// parameters (CPI 0.75 for a 4-wide OoO core, MLP 2.0).
-    pub fn new(latency: LatencyConfig) -> Self {
-        Self {
-            latency,
-            cycles_per_instruction: 0.75,
-            memory_level_parallelism: 2.0,
-        }
-    }
+/// Cycles of non-memory work charged per instruction (a 4-wide OoO core).
+const CYCLES_PER_INSTRUCTION: f64 = 0.75;
 
-    /// Estimated cycles for a run with the given hierarchy statistics and
-    /// `instructions` of non-memory work.
-    pub fn cycles(&self, stats: &HierarchyStats, instructions: u64) -> f64 {
-        let lat = &self.latency;
-        let l1_hits = stats.l1.hits as f64;
-        let l2_hits = stats.l2.hits as f64;
-        let llc_hits = stats.llc.hits as f64;
-        let memory = stats.memory_accesses as f64;
+/// Effective memory-level parallelism: demand DRAM latency is divided by this
+/// factor to model overlapping of independent misses by an OoO core.
+const MEMORY_LEVEL_PARALLELISM: f64 = 2.0;
 
-        let compute = instructions as f64 * self.cycles_per_instruction;
-        let l1_time = stats.l1.accesses as f64 * lat.l1_cycles as f64;
-        let l2_time = (l2_hits + llc_hits + memory) * lat.l2_cycles as f64;
-        let llc_time = (llc_hits + memory) * lat.llc_cycles as f64;
-        let memory_time = memory * lat.memory_cycles as f64 / self.memory_level_parallelism;
-        let _ = l1_hits;
-        compute + l1_time + l2_time + llc_time + memory_time
-    }
+/// Estimated cycles for a run with the given hierarchy statistics and
+/// `instructions` of non-memory work.
+pub fn cycles(stats: &HierarchyStats, instructions: u64) -> f64 {
+    let l2_hits = stats.l2.hits as f64;
+    let llc_hits = stats.llc.hits as f64;
+    let memory = stats.memory_accesses as f64;
 
-    /// Speed-up (in percent) of `candidate` relative to `baseline` cycles:
-    /// positive when the candidate is faster.
-    pub fn speedup_pct(baseline_cycles: f64, candidate_cycles: f64) -> f64 {
-        (baseline_cycles / candidate_cycles - 1.0) * 100.0
-    }
-}
-
-impl Default for TimingModel {
-    fn default() -> Self {
-        Self::new(LatencyConfig::default())
-    }
+    let compute = instructions as f64 * CYCLES_PER_INSTRUCTION;
+    let l1_time = stats.l1.accesses as f64 * L1_CYCLES;
+    let l2_time = (l2_hits + llc_hits + memory) * L2_CYCLES;
+    let llc_time = (llc_hits + memory) * LLC_CYCLES;
+    let memory_time = memory * MEMORY_CYCLES / MEMORY_LEVEL_PARALLELISM;
+    compute + l1_time + l2_time + llc_time + memory_time
 }
 
 #[cfg(test)]
@@ -77,7 +51,7 @@ mod tests {
 
     fn stats(l1_hits: u64, l2_hits: u64, llc_hits: u64, mem: u64) -> HierarchyStats {
         use crate::request::RegionLabel;
-        let mut h = HierarchyStats::new();
+        let mut h = HierarchyStats::default();
         let fill = |s: &mut CacheStats, hits: u64, misses: u64| {
             for _ in 0..hits {
                 s.record(RegionLabel::Other, true);
@@ -96,33 +70,48 @@ mod tests {
 
     #[test]
     fn fewer_llc_misses_means_fewer_cycles() {
-        let model = TimingModel::default();
         let worse = stats(1000, 100, 100, 300);
         let better = stats(1000, 100, 200, 200);
-        assert!(model.cycles(&better, 10_000) < model.cycles(&worse, 10_000));
+        assert!(cycles(&better, 10_000) < cycles(&worse, 10_000));
     }
 
     #[test]
     fn memory_latency_dominates_when_misses_dominate() {
-        let model = TimingModel::default();
         let all_miss = stats(0, 0, 0, 1000);
         let all_l1 = stats(1000, 0, 0, 0);
-        let ratio = model.cycles(&all_miss, 0) / model.cycles(&all_l1, 0);
+        let ratio = cycles(&all_miss, 0) / cycles(&all_l1, 0);
         assert!(ratio > 10.0, "DRAM-bound run must be much slower ({ratio})");
     }
 
+    /// The exact cycle bits of Table VI's model (4 / 10 / 30 / 200 cycles,
+    /// CPI 0.75, MLP 2.0) on all-L1-hit, all-memory and mixed runs, at 0
+    /// and 10 000 instructions: a run's price never moves.
     #[test]
-    fn speedup_sign_convention() {
-        assert!(TimingModel::speedup_pct(110.0, 100.0) > 0.0);
-        assert!(TimingModel::speedup_pct(100.0, 110.0) < 0.0);
-        assert!((TimingModel::speedup_pct(100.0, 100.0)).abs() < 1e-12);
-        assert!((TimingModel::speedup_pct(105.0, 100.0) - 5.0).abs() < 1e-9);
+    fn cycle_bits_are_pinned() {
+        let price = cycles;
+        let runs = [
+            stats(1000, 0, 0, 0),
+            stats(0, 0, 0, 1000),
+            stats(1234, 567, 89, 321),
+        ];
+        let bits: Vec<u64> = runs
+            .iter()
+            .flat_map(|s| [0, 10_000].map(|instructions| price(s, instructions).to_bits()))
+            .collect();
+        let pinned = [
+            0x40af_4000_0000_0000,
+            0x40c6_7600_0000_0000,
+            0x4101_9400_0000_0000,
+            0x4102_7e60_0000_0000,
+            0x40ee_c4c0_0000_0000,
+            0x40f1_3720_0000_0000,
+        ];
+        assert_eq!(bits, pinned);
     }
 
     #[test]
     fn instructions_add_compute_time() {
-        let model = TimingModel::default();
         let s = stats(100, 0, 0, 0);
-        assert!(model.cycles(&s, 1000) > model.cycles(&s, 0));
+        assert!(cycles(&s, 1000) > cycles(&s, 0));
     }
 }

@@ -7,11 +7,10 @@
 //! the programmed Address Bound Register bounds. No record carries a reuse
 //! hint: the hint depends on the LLC's capacity, so every replay programs its
 //! [`LlcStage`] with the recorded bounds and classifies at its own size.
-//! Because the upper levels are independent of the LLC — its policy, its
-//! geometry and its latency — a single recording can then be replayed under
-//! any number of policies and LLC configurations, and [`LlcTrace::replay`]
-//! reproduces the **full** [`HierarchyStats`] of a direct simulation
-//! bit-for-bit.
+//! Because the upper levels are independent of the LLC — its policy and its
+//! geometry — a single recording can then be replayed under any number of
+//! policies and LLC configurations, and [`LlcTrace::replay`] reproduces the
+//! **full** [`HierarchyStats`] of a direct simulation bit-for-bit.
 //!
 //! Two workflows use recorded traces:
 //!
@@ -367,11 +366,11 @@ mod tests {
         for r in 0..rounds {
             let cold = (0..cold_blocks).map(|c| hot_blocks + r * cold_blocks + c);
             for block in (0..hot_blocks).chain(cold) {
-                trace.push(
-                    &AccessInfo::read(block * 64)
-                        .with_region(RegionLabel::Property)
-                        .with_site(1),
-                );
+                trace.push(&AccessInfo {
+                    site: 1,
+                    region: RegionLabel::Property,
+                    ..AccessInfo::read(block * 64)
+                });
             }
         }
         trace.set_context(RecordContext {
@@ -452,12 +451,16 @@ mod tests {
     #[test]
     fn llc_trace_round_trips_every_field() {
         let infos = [
-            AccessInfo::read(0x1234)
-                .with_site(77)
-                .with_region(RegionLabel::EdgeArray),
-            AccessInfo::write(u64::MAX - 63)
-                .with_site(u16::MAX)
-                .with_region(RegionLabel::Frontier),
+            AccessInfo {
+                site: 77,
+                region: RegionLabel::EdgeArray,
+                ..AccessInfo::read(0x1234)
+            },
+            AccessInfo {
+                site: u16::MAX,
+                region: RegionLabel::Frontier,
+                ..AccessInfo::write(u64::MAX - 63)
+            },
             AccessInfo::read(0),
         ];
         let mut trace = LlcTrace::new();
@@ -484,12 +487,16 @@ mod tests {
 
     #[test]
     fn every_event_kind_round_trips() {
-        let demand = AccessInfo::write(0x40)
-            .with_site(9)
-            .with_region(RegionLabel::Property);
-        let prefetch = AccessInfo::read(0x80)
-            .with_site(9)
-            .with_region(RegionLabel::EdgeArray);
+        let demand = AccessInfo {
+            site: 9,
+            region: RegionLabel::Property,
+            ..AccessInfo::write(0x40)
+        };
+        let prefetch = AccessInfo {
+            site: 9,
+            region: RegionLabel::EdgeArray,
+            ..AccessInfo::read(0x80)
+        };
         let mut trace = LlcTrace::new();
         trace.push(&demand);
         trace.push_prefetch(&prefetch);
@@ -510,9 +517,11 @@ mod tests {
     fn every_recordable_word_is_valid_and_decodes_to_itself() {
         for region in RegionLabel::ALL {
             for kind_bit in [0, META_PREFETCH_BIT] {
-                let info = AccessInfo::write(0x40)
-                    .with_site(u16::MAX)
-                    .with_region(region);
+                let info = AccessInfo {
+                    site: u16::MAX,
+                    region,
+                    ..AccessInfo::write(0x40)
+                };
                 let word = encode_meta(&info, kind_bit);
                 assert!(meta_is_valid(word), "{word:#x}");
                 assert_eq!(decode_info(0x40, word), info);
@@ -533,7 +542,10 @@ mod tests {
         let mut trace = LlcTrace::new();
         let total = CHUNK_RECORDS + CHUNK_RECORDS / 2;
         for i in 0..total {
-            trace.push(&AccessInfo::read(i as u64 * 64).with_site((i % 7) as u16));
+            trace.push(&AccessInfo {
+                site: (i % 7) as u16,
+                ..AccessInfo::read(i as u64 * 64)
+            });
         }
         assert_eq!(trace.len(), total);
         let events: Vec<_> = trace.iter().collect();

@@ -890,9 +890,11 @@ mod tests {
         let mut trace = LlcTrace::new();
         for i in 0..events {
             let block = if i % 3 == 0 { i % 64 } else { 512 + i } as u64;
-            let mut info = AccessInfo::read(block * 64)
-                .with_site((i % 11) as u16)
-                .with_region(RegionLabel::ALL[i % RegionLabel::ALL.len()]);
+            let mut info = AccessInfo {
+                site: (i % 11) as u16,
+                region: RegionLabel::ALL[i % RegionLabel::ALL.len()],
+                ..AccessInfo::read(block * 64)
+            };
             if i % 5 == 0 {
                 info.kind = crate::request::AccessKind::Write;
             }
@@ -1278,7 +1280,10 @@ mod tests {
                 if i == 6 {
                     trace.push_raw(i * 64, word);
                 } else {
-                    trace.push(&AccessInfo::read(i * 64).with_site(3));
+                    trace.push(&AccessInfo {
+                        site: 3,
+                        ..AccessInfo::read(i * 64)
+                    });
                 }
             }
             trace.demand_len = count_demand_records(&trace.meta);
@@ -1425,7 +1430,10 @@ mod tests {
     #[test]
     fn encode_matches_access_info_roundtrip() {
         // Sanity: persisted payload words are the in-memory encoding.
-        let info = AccessInfo::read(0x1240).with_site(3);
+        let info = AccessInfo {
+            site: 3,
+            ..AccessInfo::read(0x1240)
+        };
         let mut trace = LlcTrace::new();
         trace.push(&info);
         let bytes = write_to_vec(&trace);

@@ -22,9 +22,11 @@ fn arb_events() -> impl Strategy<Value = Vec<TraceEvent>> {
             .into_iter()
             .map(|(kind, blk, site, region)| {
                 let addr = blk * 64;
-                let info = AccessInfo::read(addr)
-                    .with_site(site)
-                    .with_region(RegionLabel::ALL[region as usize]);
+                let info = AccessInfo {
+                    site,
+                    region: RegionLabel::ALL[region as usize],
+                    ..AccessInfo::read(addr)
+                };
                 match kind {
                     0 => TraceEvent::Demand(info),
                     1 => TraceEvent::Demand(AccessInfo {

@@ -68,9 +68,12 @@ fn arb_trace() -> impl Strategy<Value = Vec<AccessInfo>> {
                     } else {
                         AccessInfo::read(blk * 64)
                     };
-                    base.with_site(site)
-                        .with_hint(HINTS[hint as usize])
-                        .with_region(RegionLabel::Property)
+                    AccessInfo {
+                        site,
+                        hint: HINTS[hint as usize],
+                        region: RegionLabel::Property,
+                        ..base
+                    }
                 })
                 .collect()
         },
@@ -183,18 +186,18 @@ fn grasp_protects_the_hot_working_set_under_thrashing() {
     let mut cold_cursor = 1_000u64;
     for _round in 0..30 {
         for &b in &hot_blocks {
-            trace.push(
-                AccessInfo::read(b * 64)
-                    .with_hint(ReuseHint::High)
-                    .with_region(RegionLabel::Property),
-            );
+            trace.push(AccessInfo {
+                hint: ReuseHint::High,
+                region: RegionLabel::Property,
+                ..AccessInfo::read(b * 64)
+            });
         }
         for _ in 0..512 {
-            trace.push(
-                AccessInfo::read(cold_cursor * 64)
-                    .with_hint(ReuseHint::Low)
-                    .with_region(RegionLabel::Property),
-            );
+            trace.push(AccessInfo {
+                hint: ReuseHint::Low,
+                region: RegionLabel::Property,
+                ..AccessInfo::read(cold_cursor * 64)
+            });
             cold_cursor += 1;
         }
     }
@@ -230,20 +233,20 @@ fn pinning_is_rigid_where_grasp_is_flexible() {
     let mut trace = Vec::new();
     for _ in 0..20 {
         for b in 0..48u64 {
-            trace.push(
-                AccessInfo::read(b * 64)
-                    .with_hint(ReuseHint::High)
-                    .with_region(RegionLabel::Property),
-            );
+            trace.push(AccessInfo {
+                hint: ReuseHint::High,
+                region: RegionLabel::Property,
+                ..AccessInfo::read(b * 64)
+            });
         }
     }
     for _ in 0..40 {
         for b in 100..148u64 {
-            trace.push(
-                AccessInfo::read(b * 64)
-                    .with_hint(ReuseHint::Moderate)
-                    .with_region(RegionLabel::Property),
-            );
+            trace.push(AccessInfo {
+                hint: ReuseHint::Moderate,
+                region: RegionLabel::Property,
+                ..AccessInfo::read(b * 64)
+            });
         }
     }
     let run = |policy: PolicyDispatch| {

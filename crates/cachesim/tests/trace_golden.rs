@@ -42,9 +42,11 @@ fn golden_trace() -> LlcTrace {
         } else {
             addr.wrapping_add((state >> 8) % 9 * 64).wrapping_sub(256)
         };
-        let mut info = AccessInfo::read(addr)
-            .with_site(((state >> 20) % 40) as u16)
-            .with_region(RegionLabel::ALL[(state >> 32) as usize % RegionLabel::ALL.len()]);
+        let mut info = AccessInfo {
+            site: ((state >> 20) % 40) as u16,
+            region: RegionLabel::ALL[(state >> 32) as usize % RegionLabel::ALL.len()],
+            ..AccessInfo::read(addr)
+        };
         if (state >> 40).is_multiple_of(5) {
             info.kind = AccessKind::Write;
         }

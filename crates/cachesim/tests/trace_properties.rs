@@ -38,9 +38,11 @@ fn arb_events_over(blocks: u64) -> impl Strategy<Value = Vec<TraceEvent>> {
             .into_iter()
             .map(|(kind, blk, site, region)| {
                 let addr = blk * 64;
-                let info = AccessInfo::read(addr)
-                    .with_site(site)
-                    .with_region(RegionLabel::ALL[region as usize]);
+                let info = AccessInfo {
+                    site,
+                    region: RegionLabel::ALL[region as usize],
+                    ..AccessInfo::read(addr)
+                };
                 match kind {
                     0 => TraceEvent::Demand(info),
                     1 => TraceEvent::Demand(AccessInfo {
@@ -227,9 +229,11 @@ fn feed_matches_feed_scalar_across_a_real_chunk_boundary() {
     let events: Vec<TraceEvent> = (0..CHUNK_RECORDS + 64)
         .map(|i| {
             let addr = (i as u64).wrapping_mul(2_654_435_761) % 4096 * 64;
-            let info = AccessInfo::read(addr)
-                .with_site((i % 32) as u16)
-                .with_region(RegionLabel::ALL[i % 5]);
+            let info = AccessInfo {
+                site: (i % 32) as u16,
+                region: RegionLabel::ALL[i % 5],
+                ..AccessInfo::read(addr)
+            };
             let kind = if straddle.contains(&i) {
                 i % 2 * 5
             } else {

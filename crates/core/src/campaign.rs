@@ -641,7 +641,7 @@ impl Campaign {
         if let Some(stored) = store.and_then(|store| store.load(&job.key)) {
             let (trace, app, instructions) = (stored.trace, stored.app, stored.instructions);
             let recorded =
-                RecordedRun::from_parts(trace, app, instructions, job.key.scale.hierarchy());
+                RecordedRun::from_parts(trace, app, instructions, job.key.scale.hierarchy().llc);
             return (recorded, true);
         }
         let started = Instant::now();

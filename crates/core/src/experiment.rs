@@ -4,10 +4,11 @@ use crate::policy::PolicyKind;
 use grasp_analytics::apps::{AppConfig, AppKind, AppResult};
 use grasp_analytics::mem::NativeMemory;
 use grasp_analytics::Workspace;
-use grasp_cachesim::config::HierarchyConfig;
+use grasp_cachesim::config::{CacheConfig, HierarchyConfig};
 use grasp_cachesim::stats::HierarchyStats;
+use grasp_cachesim::timing::cycles;
 use grasp_cachesim::trace::LlcTrace;
-use grasp_cachesim::{Hierarchy, LlcStage, TimingModel};
+use grasp_cachesim::{Hierarchy, LlcStage};
 use grasp_graph::{Csr, GraphView};
 use grasp_reorder::TechniqueKind;
 use std::sync::Arc;
@@ -62,27 +63,26 @@ pub struct RecordedRun {
     trace: Arc<LlcTrace>,
     app: AppResult,
     instructions: u64,
-    hierarchy: HierarchyConfig,
+    llc: CacheConfig,
 }
 
 impl RecordedRun {
     /// Reassembles a recording from a trace-store entry — the persisted
     /// stream, application output and instruction estimate — joined with the
-    /// hierarchy to replay it under (its LLC geometry, which the stream does
-    /// not depend on, and its latencies, which price the cycles). Needs no
-    /// graph: a stored stream replays without the dataset it was recorded
-    /// over.
+    /// LLC to replay it into, whose geometry the stream does not depend on.
+    /// Needs no graph: a stored stream replays without the dataset it was
+    /// recorded over.
     pub fn from_parts(
         trace: LlcTrace,
         app: AppResult,
         instructions: u64,
-        hierarchy: HierarchyConfig,
+        llc: CacheConfig,
     ) -> Self {
         Self {
             trace: Arc::new(trace),
             app,
             instructions,
-            hierarchy,
+            llc,
         }
     }
 
@@ -123,19 +123,18 @@ impl RecordedRun {
     /// campaigns sharing a [`FlightRegistry`](crate::flight::FlightRegistry)
     /// replay a common cell once.
     pub(crate) fn replay_stats(&self, policy: PolicyKind) -> HierarchyStats {
-        let llc = self.hierarchy.llc;
-        self.trace.replay(llc, policy.build_dispatch(&llc))
+        self.trace
+            .replay(self.llc, policy.build_dispatch(&self.llc))
     }
 
     /// Assembles the [`RunResult`] of `policy` from its replay statistics:
-    /// cycles under this recording's latencies and instruction estimate,
-    /// and this recording's application output.
+    /// cycles under this recording's instruction estimate, and this
+    /// recording's application output.
     pub(crate) fn result(&self, policy: PolicyKind, stats: HierarchyStats) -> RunResult {
-        let cycles = TimingModel::new(self.hierarchy.latency).cycles(&stats, self.instructions);
         RunResult {
             policy,
+            cycles: cycles(&stats, self.instructions),
             stats,
-            cycles,
             app: self.app.clone(),
         }
     }
@@ -254,12 +253,10 @@ impl Experiment {
         let mut ws = Workspace::new(hierarchy);
         let app = self.app.run(&*self.graph, &mut ws, &self.app_config);
         let stats = ws.into_memory().stats();
-        let cycles =
-            TimingModel::new(self.hierarchy.latency).cycles(&stats, app.instruction_estimate());
         RunResult {
             policy,
+            cycles: cycles(&stats, app.instruction_estimate()),
             stats,
-            cycles,
             app,
         }
     }
@@ -267,7 +264,7 @@ impl Experiment {
     /// Runs the application once through the upper levels only (L1 + L2 +
     /// prefetcher, no LLC) and captures the canonical post-L2 request
     /// stream — the record half of the record-once / replay-many pipeline.
-    /// The stream depends on neither the LLC's geometry nor the latencies.
+    /// The stream does not depend on the LLC's geometry.
     /// The returned [`RecordedRun`] replays it under any LLC policy,
     /// producing [`RunResult`]s bit-identical to [`Experiment::run`] at a
     /// fraction of the cost.
@@ -280,7 +277,7 @@ impl Experiment {
             trace: Arc::new(trace),
             app,
             instructions,
-            hierarchy: self.hierarchy,
+            llc: self.hierarchy.llc,
         }
     }
 
@@ -373,9 +370,6 @@ mod tests {
         bigger.llc = CacheConfig::new(2 * llc.size_bytes, llc.ways, llc.block_bytes);
         let mut narrower = base;
         narrower.llc = CacheConfig::new(llc.size_bytes, llc.ways / 2, llc.block_bytes);
-        let mut slower = base;
-        slower.latency.llc_cycles += 7;
-        slower.latency.memory_cycles *= 3;
         let exp = small_experiment(AppKind::PageRank);
         let key = |hierarchy: &HierarchyConfig| {
             TraceStoreKey::new(
@@ -388,13 +382,12 @@ mod tests {
             )
         };
         let reference = exp.clone().with_hierarchy(base).record();
-        for hierarchy in [bigger, narrower, slower] {
+        for hierarchy in [bigger, narrower] {
             let recorded = exp.clone().with_hierarchy(hierarchy).record();
             assert!(recorded.trace() == reference.trace(), "{hierarchy:?}");
             assert_eq!(key(&hierarchy), key(&base), "{hierarchy:?}");
         }
-        // What does shape the stream still forks the key: each upper level
-        // and the prefetcher.
+        // What does shape the stream still forks the key: each upper level.
         let grown = |cache: CacheConfig| {
             CacheConfig::new(2 * cache.size_bytes, cache.ways, cache.block_bytes)
         };
@@ -406,11 +399,7 @@ mod tests {
             l2: grown(base.l2),
             ..base
         };
-        let no_prefetch = HierarchyConfig {
-            prefetch: false,
-            ..base
-        };
-        for hierarchy in [bigger_l1, bigger_l2, no_prefetch] {
+        for hierarchy in [bigger_l1, bigger_l2] {
             assert_ne!(key(&hierarchy), key(&base), "{hierarchy:?}");
         }
         assert_ne!(key(&bigger_l1), key(&bigger_l2));
@@ -424,7 +413,7 @@ mod tests {
             recorded.trace().clone(),
             recorded.app().clone(),
             recorded.instructions(),
-            *exp.hierarchy(),
+            exp.hierarchy().llc,
         );
         for policy in [PolicyKind::Rrip, PolicyKind::Grasp] {
             let a = recorded.replay(policy);

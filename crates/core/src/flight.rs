@@ -573,7 +573,7 @@ mod tests {
     }
 
     fn stats_with_misses(misses: u64) -> HierarchyStats {
-        let mut stats = HierarchyStats::new();
+        let mut stats = HierarchyStats::default();
         stats.llc.misses = misses;
         stats
     }

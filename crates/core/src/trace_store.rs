@@ -6,13 +6,13 @@
 //! persisted recordings keyed by everything that determines the stream:
 //!
 //! ```text
-//! (dataset, scale, technique, app, L1/L2/prefetch + app-config hash)
+//! (dataset, scale, technique, app, L1/L2 + app-config hash)
 //!   └──► <dataset>-<scale>-<technique>-<app>-<confighash>.v<version>.trace
 //! ```
 //!
-//! The LLC is not in the key: a stream carries no reuse hint and depends on
-//! neither the LLC's geometry nor the latencies, so one entry serves every
-//! LLC a campaign replays it into.
+//! The LLC is not in the key: a stream carries no reuse hint and does not
+//! depend on the LLC's geometry, so one entry serves every LLC a campaign
+//! replays it into.
 //!
 //! The `<version>` suffix is [`TRACE_FORMAT_VERSION`], so a format bump
 //! cold-starts the store instead of erroring on every entry: `.v4.trace` is
@@ -141,16 +141,16 @@ impl ConfigHasher {
     }
 }
 
-/// The part of a hierarchy the post-L2 stream depends on: the upper levels.
-/// The LLC (which classifies at replay) and the latencies (which only price
-/// cycles) are the replay's business.
+/// The part of a hierarchy the post-L2 stream depends on: the upper levels
+/// (the LLC classifies at replay). The closing `1` is the always-on L1
+/// prefetcher's word from when it could be switched off: it keeps every key.
 fn hash_hierarchy(hasher: &mut ConfigHasher, hierarchy: &HierarchyConfig) {
     for cache in [&hierarchy.l1, &hierarchy.l2] {
         hasher.word(cache.size_bytes);
         hasher.word(cache.ways as u64);
         hasher.word(cache.block_bytes);
     }
-    hasher.word(u64::from(hierarchy.prefetch));
+    hasher.word(1);
 }
 
 fn hash_app_config(hasher: &mut ConfigHasher, config: &AppConfig) {
@@ -196,8 +196,7 @@ pub struct TraceStoreKey {
     pub technique: TechniqueKind,
     /// Application that produced the stream.
     pub app: AppKind,
-    /// Fingerprint of the upper levels (L1, L2, prefetcher) + application
-    /// configuration.
+    /// Fingerprint of the upper levels (L1, L2) + application configuration.
     pub config_hash: u64,
 }
 
@@ -812,6 +811,42 @@ mod tests {
     use crate::datasets::DatasetKind;
     use grasp_cachesim::request::AccessInfo;
 
+    /// Entry names of the Tiny and Small hierarchies under every app's
+    /// traced configuration: a moved name orphans every warm store.
+    #[test]
+    fn store_file_names_are_pinned() {
+        let names: Vec<String> = [Scale::Tiny, Scale::Small]
+            .into_iter()
+            .flat_map(|scale| {
+                AppKind::ALL.into_iter().map(move |app| {
+                    let app_config = crate::experiment::Experiment::traced_app_config(app);
+                    TraceStoreKey::new(
+                        DatasetKind::Twitter,
+                        scale,
+                        TechniqueKind::Dbg,
+                        app,
+                        &scale.hierarchy(),
+                        &app_config,
+                    )
+                    .file_name()
+                })
+            })
+            .collect();
+        let pinned = [
+            "tw-tiny-dbg-bc-df5b3de965b596b3.v4.trace",
+            "tw-tiny-dbg-sssp-df5b3de965b596b3.v4.trace",
+            "tw-tiny-dbg-pr-be5578ee7c3124e8.v4.trace",
+            "tw-tiny-dbg-prd-07d40b5ee4deb8dd.v4.trace",
+            "tw-tiny-dbg-radii-d7baaa5d99e566e7.v4.trace",
+            "tw-small-dbg-bc-df5b3de965b596b3.v4.trace",
+            "tw-small-dbg-sssp-df5b3de965b596b3.v4.trace",
+            "tw-small-dbg-pr-be5578ee7c3124e8.v4.trace",
+            "tw-small-dbg-prd-07d40b5ee4deb8dd.v4.trace",
+            "tw-small-dbg-radii-d7baaa5d99e566e7.v4.trace",
+        ];
+        assert_eq!(names, pinned);
+    }
+
     fn temp_store(tag: &str) -> TraceStore {
         let dir = std::env::temp_dir().join(format!(
             "grasp-trace-store-test-{tag}-{}-{:?}",
@@ -861,7 +896,10 @@ mod tests {
     fn sample_recording(events: u64) -> (LlcTrace, AppResult) {
         let mut trace = LlcTrace::new();
         for i in 0..events {
-            trace.push(&AccessInfo::read(i * 64).with_site((i % 5) as u16));
+            trace.push(&AccessInfo {
+                site: (i % 5) as u16,
+                ..AccessInfo::read(i * 64)
+            });
             if i % 11 == 0 {
                 trace.push_writeback(i * 64);
             }

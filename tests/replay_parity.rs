@@ -4,7 +4,7 @@
 //! reproducing complete `HierarchyStats` — not just LLC miss counts.
 
 use grasp_suite::analytics::apps::AppKind;
-use grasp_suite::cachesim::config::{CacheConfig, HierarchyConfig, LatencyConfig};
+use grasp_suite::cachesim::config::{CacheConfig, HierarchyConfig};
 use grasp_suite::cachesim::stats::CacheStats;
 use grasp_suite::core::campaign::Campaign;
 use grasp_suite::core::datasets::{DatasetId, DatasetKind, Scale};
@@ -168,18 +168,14 @@ fn batched_scalar_fanout_and_direct_replays_agree_across_the_full_policy_grid() 
 
 #[test]
 fn hierarchy_latencies_price_direct_replayed_and_loaded_runs_alike() {
-    // The latencies are part of the hierarchy a stream is replayed under:
-    // they move cycles and never statistics, and a replay, the stream the
-    // scale's hierarchy published to the store loaded back under them, and
-    // direct simulation price them identically.
-    let slow = HierarchyConfig {
-        latency: LatencyConfig {
-            l1_cycles: 40,
-            l2_cycles: 100,
-            llc_cycles: 300,
-            memory_cycles: 2000,
-        },
-        ..SCALE.hierarchy()
+    // Table VI's latencies price every run alike, whatever LLC it replays
+    // into: under twice the scale's LLC, a replay, the stream the scale's
+    // hierarchy published to the store loaded back there, and direct
+    // simulation give equal statistics and equal cycle bits.
+    let tiny = SCALE.hierarchy();
+    let wide = HierarchyConfig {
+        llc: CacheConfig::new(2 * tiny.llc.size_bytes, tiny.llc.ways, tiny.llc.block_bytes),
+        ..tiny
     };
     let dir = std::env::temp_dir().join(format!("grasp-latency-itest-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -195,26 +191,28 @@ fn hierarchy_latencies_price_direct_replayed_and_loaded_runs_alike() {
         SCALE,
         TechniqueKind::Dbg,
         AppKind::PageRank,
-        &slow,
+        &wide,
         &Experiment::traced_app_config(AppKind::PageRank),
     );
-    let stored = store.load(&key).expect("the latencies do not fork the key");
+    let stored = store.load(&key).expect("the LLC does not fork the key");
     std::fs::remove_dir_all(&dir).ok();
-    let loaded = RecordedRun::from_parts(stored.trace, stored.app, stored.instructions, slow);
+    let loaded = RecordedRun::from_parts(stored.trace, stored.app, stored.instructions, wide.llc);
     let experiment = Experiment::new(DatasetKind::Twitter.build(SCALE).graph, AppKind::PageRank)
-        .with_hierarchy(slow)
+        .with_hierarchy(wide)
         .with_reordering(TechniqueKind::Dbg);
     let recorded = experiment.record();
     assert_eq!(default.len(), 2);
     for base in default.iter() {
         let policy = base.cell.policy;
         let run = recorded.replay(policy);
-        assert_eq!(base.result.stats, run.stats, "{policy}: statistics moved");
+        assert_eq!(base.result.stats.l1, run.stats.l1, "{policy}: L1 moved");
+        assert_eq!(base.result.stats.l2, run.stats.l2, "{policy}: L2 moved");
         assert_ne!(
-            base.result.cycles, run.cycles,
-            "{policy}: latencies ignored"
+            base.result.stats.llc, run.stats.llc,
+            "{policy}: LLC ignored"
         );
         let direct = experiment.run(policy);
+        assert_eq!(direct.stats, run.stats, "{policy}: direct");
         assert_eq!(
             direct.cycles.to_bits(),
             run.cycles.to_bits(),

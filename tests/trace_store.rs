@@ -5,7 +5,7 @@
 //! statistics.
 
 use grasp_suite::analytics::apps::AppKind;
-use grasp_suite::cachesim::config::{CacheConfig, HierarchyConfig, LatencyConfig};
+use grasp_suite::cachesim::config::{CacheConfig, HierarchyConfig};
 use grasp_suite::cachesim::trace::persist::{PersistError, StripeHash};
 use grasp_suite::cachesim::trace::CHUNK_RECORDS;
 use grasp_suite::core::campaign::{Campaign, CampaignResult};
@@ -237,10 +237,10 @@ fn hierarchy_changes_never_reuse_a_stale_entry() {
 
 #[test]
 fn one_entry_serves_every_llc_geometry_and_latency() {
-    // A stream is keyed by what shapes it — the LLC and the latencies do
-    // not — so the entry a campaign at the scale's hierarchy published
-    // serves twice the LLC under other latencies, and replayed there it
-    // equals that hierarchy's direct simulation.
+    // A stream is keyed by what shapes it — the LLC does not — so the
+    // entry a campaign at the scale's hierarchy published serves twice the
+    // LLC, and replayed there it equals that hierarchy's direct simulation,
+    // cycle bits included.
     let dir = temp_store_dir("llc-sweep");
     let store = Arc::new(TraceStore::open(&dir).expect("store opens"));
     let apps = [AppKind::PageRank, AppKind::PageRankDelta];
@@ -258,22 +258,18 @@ fn one_entry_serves_every_llc_geometry_and_latency() {
     let tiny = SCALE.hierarchy();
     let wide = HierarchyConfig {
         llc: CacheConfig::new(2 * tiny.llc.size_bytes, tiny.llc.ways, tiny.llc.block_bytes),
-        latency: LatencyConfig {
-            llc_cycles: 45,
-            memory_cycles: 320,
-            ..tiny.latency
-        },
         ..tiny
     };
     for app in apps {
         let stored = store
             .load(&stream_key(app, &wide))
             .expect("the entry serves the new LLC");
-        let served = RecordedRun::from_parts(stored.trace, stored.app, stored.instructions, wide);
+        let served =
+            RecordedRun::from_parts(stored.trace, stored.app, stored.instructions, wide.llc);
         let direct = experiment(app, wide);
         for policy in policies {
             let (a, b) = (direct.run(policy), served.replay(policy));
-            assert_eq!(a.stats, b.stats, "{app}/{policy}: 2x LLC, other latencies");
+            assert_eq!(a.stats, b.stats, "{app}/{policy}: 2x LLC");
             assert_eq!(a.app.values, b.app.values, "{app}/{policy}");
             assert_eq!(a.cycles.to_bits(), b.cycles.to_bits(), "{app}/{policy}");
         }
