@@ -84,7 +84,13 @@
 # machine model became constants: the latency table, the timing model's
 # type with its three settings and duplicate speed-up helper, the
 # prefetcher switch, and the builders, constant and accessors only tests
-# used went.
+# used went. It came down to 16 717 (the tree's 16 667 + 50) when every
+# graph query and app setting kept one definition with a caller: `Csr`'s
+# inherent copies of ten `GraphView` queries, `AppConfig`'s root, Radii
+# sample count, damping and threshold (now each app's constants), and the
+# public items only tests called in the graph, reorder, analytics and core
+# crates went; campaign.rs was lowered to its new count (1 255 -> 1 240)
+# and crates/bench's ceiling to 507 (the tree's 499 + 8) at the same time.
 #
 # usage: check-line-budget.sh   (from the repository root)
 set -euo pipefail
@@ -98,9 +104,9 @@ find crates/*/src crates/bench/benches -name '*.rs' | sort | while read -r file;
     END { print n + 0, FILENAME }' "$file"
 done | awk '
   BEGIN {
-    total_ceiling = 16919
-    bench_ceiling = 508
-    ceiling["crates/core/src/campaign.rs"] = 1255
+    total_ceiling = 16717
+    bench_ceiling = 507
+    ceiling["crates/core/src/campaign.rs"] = 1240
     ceiling["crates/graph/src/ingest.rs"] = 1110
     ceiling["crates/core/src/trace_store.rs"] = 808
     ceiling["crates/cachesim/src/trace/persist.rs"] = 879

@@ -6,7 +6,7 @@
 //! Array access per traversed edge, matching the description in Table III.
 
 use super::bfs;
-use super::{AppConfig, AppResult};
+use super::{AppConfig, AppResult, ROOT};
 use crate::engine::CsrArrays;
 use crate::mem::MemoryModel;
 use crate::props::PropertySet;
@@ -20,7 +20,7 @@ const FIELD_NUM_PATHS: usize = 0;
 /// Field index of the accumulated dependency scores.
 const FIELD_DEPENDENCY: usize = 1;
 
-/// Runs Betweenness Centrality from `config.root` and returns the per-vertex
+/// Runs Betweenness Centrality from vertex 0 and returns the per-vertex
 /// dependency scores.
 pub fn run<M: MemoryModel>(
     graph: &dyn GraphView,
@@ -28,7 +28,6 @@ pub fn run<M: MemoryModel>(
     config: &AppConfig,
 ) -> AppResult {
     let n = graph.vertex_count();
-    let root = config.root % n as u32;
     let arrays = CsrArrays::allocate(ws, graph, false);
     let props = PropertySet::allocate(ws, "bc", n as u64, &[8, 8], config.layout);
     props.program_abrs(ws);
@@ -39,14 +38,14 @@ pub fn run<M: MemoryModel>(
         ws,
         &arrays,
         &props,
-        root,
+        ROOT,
         config.max_iterations.max(n),
     );
     let mut edges_processed = bfs_out.edges_processed;
 
     // Phase 2: forward pass over levels accumulating shortest-path counts.
     let mut num_paths = vec![0.0f64; n];
-    num_paths[root as usize] = 1.0;
+    num_paths[ROOT as usize] = 1.0;
     for frontier in bfs_out.levels.iter().skip(1) {
         for &v in frontier {
             arrays.read_vertex(ws, v);
@@ -102,17 +101,16 @@ pub fn run<M: MemoryModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr_of;
     use crate::mem::NativeMemory;
     use grasp_graph::generators::{GraphGenerator, Rmat};
-    use grasp_graph::Csr;
 
-    fn run_native(graph: &dyn GraphView, root: u32) -> AppResult {
+    fn run_native(graph: &dyn GraphView) -> AppResult {
         let mut ws = Workspace::new(NativeMemory);
         run(
             graph,
             &mut ws,
             &AppConfig {
-                root,
                 max_iterations: 1000,
                 ..AppConfig::default()
             },
@@ -123,8 +121,8 @@ mod tests {
     fn path_graph_has_maximal_centrality_in_the_middle() {
         // 0 -> 1 -> 2 -> 3 -> 4 (directed path). From root 0, vertex 1 lies on
         // the most downstream shortest paths.
-        let g = Csr::from_edges([(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
-        let result = run_native(&g, 0);
+        let g = csr_of([(0, 1), (1, 2), (2, 3), (3, 4)]);
+        let result = run_native(&g);
         // Dependency of vertex k from a path source: number of downstream
         // vertices: dep(1)=3, dep(2)=2, dep(3)=1, dep(4)=0.
         assert!((result.values[1] - 3.0).abs() < 1e-9);
@@ -141,8 +139,8 @@ mod tests {
     fn diamond_graph_splits_paths() {
         // 0 -> {1, 2} -> 3: two shortest paths to 3, each middle vertex gets
         // dependency 0.5.
-        let g = Csr::from_edges([(0, 1), (0, 2), (1, 3), (2, 3)]).unwrap();
-        let result = run_native(&g, 0);
+        let g = csr_of([(0, 1), (0, 2), (1, 3), (2, 3)]);
+        let result = run_native(&g);
         assert!((result.values[1] - 0.5).abs() < 1e-9);
         assert!((result.values[2] - 0.5).abs() < 1e-9);
         assert!((result.values[3] - 0.0).abs() < 1e-9);
@@ -151,15 +149,15 @@ mod tests {
     #[test]
     fn dependencies_are_non_negative_and_finite() {
         let g = Rmat::new(8, 6).generate(7);
-        let result = run_native(&g, 3);
+        let result = run_native(&g);
         assert!(result.values.iter().all(|&d| d.is_finite() && d >= 0.0));
         assert!(result.edges_processed > 0);
     }
 
     #[test]
     fn unreachable_vertices_have_zero_dependency() {
-        let g = Csr::from_edges([(0, 1), (2, 3)]).unwrap();
-        let result = run_native(&g, 0);
+        let g = csr_of([(0, 1), (2, 3)]);
+        let result = run_native(&g);
         assert_eq!(result.values[2], 0.0);
         assert_eq!(result.values[3], 0.0);
     }

@@ -112,10 +112,10 @@ pub fn run<M: MemoryModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr_of;
     use crate::mem::NativeMemory;
     use crate::props::PropertyLayout;
     use grasp_graph::generators::{GraphGenerator, Rmat};
-    use grasp_graph::Csr;
 
     fn bfs_native(graph: &dyn GraphView, root: VertexId) -> BfsOutput {
         let mut ws = Workspace::new(NativeMemory);
@@ -164,7 +164,7 @@ mod tests {
         let lattice = (0..n)
             .flat_map(|v| (1..=2).flat_map(move |o| [(v, (v + o) % n), (v, (v + n - o) % n)]));
         let chords = (0..n).step_by(37).map(|v| (v, (v * 11 + 150) % n));
-        let g = Csr::from_edges(lattice.chain(chords)).unwrap();
+        let g = csr_of(lattice.chain(chords));
         let ours = bfs_native(&g, 17);
         assert_eq!(ours.level, reference_bfs(&g, 17));
     }
@@ -187,7 +187,7 @@ mod tests {
     #[test]
     fn unreachable_vertices_stay_at_max() {
         // Two disconnected edges: 0->1 and 2->3.
-        let g = Csr::from_edges([(0, 1), (2, 3)]).unwrap();
+        let g = csr_of([(0, 1), (2, 3)]);
         let out = bfs_native(&g, 0);
         assert_eq!(out.level[0], 0);
         assert_eq!(out.level[1], 1);

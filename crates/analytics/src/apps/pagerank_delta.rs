@@ -6,7 +6,7 @@
 //! in-neighbours; once the active set becomes small, the computation
 //! effectively stops changing most ranks.
 
-use super::{AppConfig, AppResult};
+use super::{AppConfig, AppResult, DAMPING};
 use crate::engine::{choose_direction, CsrArrays};
 use crate::frontier::Frontier;
 use crate::mem::MemoryModel;
@@ -23,6 +23,9 @@ const FIELD_DELTA: usize = 1;
 /// Field index of the delta accumulated for the next iteration.
 const FIELD_NEXT_DELTA: usize = 2;
 
+/// A vertex stays active while its new delta exceeds this share of its rank.
+const ACTIVATION: f64 = 1e-9;
+
 /// Runs PageRank-Delta and returns the per-vertex ranks.
 pub fn run<M: MemoryModel>(
     graph: &dyn GraphView,
@@ -34,9 +37,7 @@ pub fn run<M: MemoryModel>(
     let props = PropertySet::allocate(ws, "pagerank_delta", n as u64, &[8, 8, 8], config.layout);
     props.program_abrs(ws);
 
-    let damping = config.damping;
-    let activation = config.epsilon.max(1e-9);
-    let mut rank = vec![(1.0 - damping) / n as f64; n];
+    let mut rank = vec![(1.0 - DAMPING) / n as f64; n];
     // Initial delta: the base rank each vertex still has to propagate,
     // pre-divided by out-degree for the pull loop.
     let mut delta: Vec<f64> = (0..n)
@@ -75,7 +76,7 @@ pub fn run<M: MemoryModel>(
                     }
                     if acc != 0.0 {
                         props.write(ws, FIELD_NEXT_DELTA, u64::from(v), sites::PROPERTY_LOCAL);
-                        next_delta[v as usize] = damping * acc;
+                        next_delta[v as usize] = DAMPING * acc;
                     }
                 }
             }
@@ -89,7 +90,7 @@ pub fn run<M: MemoryModel>(
                         arrays.read_edge(ws, edge_base + k as u64);
                         props.read(ws, FIELD_NEXT_DELTA, u64::from(v), sites::PROPERTY_GATHER);
                         props.write(ws, FIELD_NEXT_DELTA, u64::from(v), sites::PROPERTY_GATHER);
-                        next_delta[v as usize] += damping * delta[u as usize];
+                        next_delta[v as usize] += DAMPING * delta[u as usize];
                         edges_processed += 1;
                     }
                 }
@@ -106,7 +107,7 @@ pub fn run<M: MemoryModel>(
                 props.write(ws, FIELD_RANK, u64::from(v), sites::PROPERTY_LOCAL);
                 rank[v as usize] += nd;
             }
-            if nd.abs() > activation * rank[v as usize] {
+            if nd.abs() > ACTIVATION * rank[v as usize] {
                 arrays.activate(ws, &mut next_frontier, v);
                 props.write(ws, FIELD_DELTA, u64::from(v), sites::PROPERTY_LOCAL);
             }
@@ -126,9 +127,9 @@ pub fn run<M: MemoryModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr_of;
     use crate::mem::NativeMemory;
     use grasp_graph::generators::{GraphGenerator, Rmat};
-    use grasp_graph::Csr;
 
     fn run_native(graph: &dyn GraphView, config: &AppConfig) -> AppResult {
         let mut ws = Workspace::new(NativeMemory);
@@ -155,10 +156,9 @@ mod tests {
         // PRD approximates PR: the top-ranked vertex should match on a graph
         // with a clear hub.
         let edges: Vec<(u32, u32)> = (1..60).map(|s| (s, 0)).chain([(0, 1)]).collect();
-        let g = Csr::from_edges(edges).unwrap();
+        let g = csr_of(edges);
         let config = AppConfig {
             max_iterations: 50,
-            epsilon: 1e-4,
             ..AppConfig::default()
         };
         let prd = run_native(&g, &config);
@@ -178,7 +178,6 @@ mod tests {
         let g = Rmat::new(8, 8).generate(1);
         let config = AppConfig {
             max_iterations: 200,
-            epsilon: 1e-3,
             ..AppConfig::default()
         };
         let result = run_native(&g, &config);
@@ -194,20 +193,12 @@ mod tests {
         let g = Rmat::new(9, 8).generate(2);
         let config = AppConfig {
             max_iterations: 12,
-            epsilon: 1e-3,
             ..AppConfig::default()
         };
         let prd = run_native(&g, &config);
         let pr = {
             let mut ws = Workspace::new(NativeMemory);
-            super::super::pagerank::run(
-                &g,
-                &mut ws,
-                &AppConfig {
-                    epsilon: 0.0,
-                    ..config
-                },
-            )
+            super::super::pagerank::run(&g, &mut ws, &config)
         };
         assert!(
             prd.edges_processed <= pr.edges_processed,

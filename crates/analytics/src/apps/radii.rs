@@ -22,6 +22,9 @@ const FIELD_NEXT: usize = 1;
 /// Field index of the radius estimates.
 const FIELD_RADII: usize = 2;
 
+/// Number of simultaneous BFS sources (bits of a visited mask).
+const SAMPLE_ROOTS: usize = 8;
+
 /// Runs Radii estimation and returns the per-vertex radius estimates
 /// (`-1` for vertices never reached by any sampled BFS).
 pub fn run<M: MemoryModel>(
@@ -34,10 +37,9 @@ pub fn run<M: MemoryModel>(
     let props = PropertySet::allocate(ws, "radii", n as u64, &[8, 8, 8], config.layout);
     props.program_abrs(ws);
 
-    let sample = config.sample_roots.clamp(1, 64);
     // Deterministic, well-spread sample of source vertices.
-    let roots: Vec<VertexId> = (0..sample)
-        .map(|k| ((k * n) / sample) as VertexId)
+    let roots: Vec<VertexId> = (0..SAMPLE_ROOTS)
+        .map(|k| ((k * n) / SAMPLE_ROOTS) as VertexId)
         .collect();
 
     let mut visited = vec![0u64; n];
@@ -104,7 +106,7 @@ mod tests {
 
     /// A ring of `n` vertices, each linked to both of its neighbours.
     fn ring(n: u32) -> Csr {
-        Csr::from_edges((0..n).flat_map(|v| [(v, (v + 1) % n), (v, (v + n - 1) % n)])).unwrap()
+        crate::csr_of((0..n).flat_map(|v| [(v, (v + 1) % n), (v, (v + n - 1) % n)]))
     }
 
     fn run_native(graph: &dyn GraphView, config: &AppConfig) -> AppResult {
@@ -134,7 +136,6 @@ mod tests {
         let g = ring(128);
         let config = AppConfig {
             max_iterations: 200,
-            sample_roots: 4,
             ..AppConfig::default()
         };
         let result = run_native(&g, &config);
@@ -147,31 +148,34 @@ mod tests {
     fn single_root_matches_bfs_levels() {
         let g = Rmat::new(7, 6).generate(11);
         let config = AppConfig {
-            sample_roots: 1,
             max_iterations: 100,
             ..AppConfig::default()
         };
         let result = run_native(&g, &config);
-        // With one root (vertex 0) the radius estimate of a reached vertex is
-        // its BFS level from vertex 0.
-        let mut level = vec![u32::MAX; g.vertex_count()];
-        level[0] = 0;
-        let mut queue = std::collections::VecDeque::from([0u32]);
-        while let Some(u) = queue.pop_front() {
-            for &v in g.out_neighbors(u) {
-                if level[v as usize] == u32::MAX {
-                    level[v as usize] = level[u as usize] + 1;
-                    queue.push_back(v);
+        // Each root's BFS reaches a vertex at that root's BFS level, so the
+        // estimate of a reached vertex is the largest of those levels.
+        let n = g.vertex_count();
+        let mut expected = vec![-1.0; n];
+        for k in 0..SAMPLE_ROOTS {
+            let root = (k * n / SAMPLE_ROOTS) as u32;
+            let mut level = vec![u32::MAX; n];
+            level[root as usize] = 0;
+            let mut queue = std::collections::VecDeque::from([root]);
+            while let Some(u) = queue.pop_front() {
+                for &v in g.out_neighbors(u) {
+                    if level[v as usize] == u32::MAX {
+                        level[v as usize] = level[u as usize] + 1;
+                        queue.push_back(v);
+                    }
+                }
+            }
+            for v in 0..n {
+                if level[v] != u32::MAX {
+                    expected[v] = f64::max(expected[v], f64::from(level[v]));
                 }
             }
         }
-        for v in 0..g.vertex_count() {
-            if level[v] != u32::MAX {
-                assert_eq!(result.values[v], level[v] as f64, "vertex {v}");
-            } else {
-                assert_eq!(result.values[v], -1.0, "vertex {v}");
-            }
-        }
+        assert_eq!(result.values, expected);
     }
 
     #[test]

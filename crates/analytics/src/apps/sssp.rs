@@ -5,7 +5,7 @@
 //! push-based throughout (Sec. IV-C), so vertex hotness follows the in-degree
 //! distribution.
 
-use super::{AppConfig, AppResult};
+use super::{AppConfig, AppResult, ROOT};
 use crate::engine::CsrArrays;
 use crate::frontier::Frontier;
 use crate::mem::MemoryModel;
@@ -18,7 +18,7 @@ use grasp_graph::GraphView;
 /// Field index of the tentative distances.
 const FIELD_DIST: usize = 0;
 
-/// Runs Bellman-Ford SSSP from `config.root` and returns per-vertex distances
+/// Runs Bellman-Ford SSSP from vertex 0 and returns per-vertex distances
 /// (`f64::INFINITY` for unreachable vertices).
 pub fn run<M: MemoryModel>(
     graph: &dyn GraphView,
@@ -26,14 +26,13 @@ pub fn run<M: MemoryModel>(
     config: &AppConfig,
 ) -> AppResult {
     let n = graph.vertex_count();
-    let root = config.root % n as u32;
     let arrays = CsrArrays::allocate(ws, graph, true);
     let props = PropertySet::allocate(ws, "sssp", n as u64, &[8], config.layout);
     props.program_abrs(ws);
 
     let mut dist = vec![u64::MAX; n];
-    dist[root as usize] = 0;
-    let mut frontier = Frontier::single(n, root);
+    dist[ROOT as usize] = 0;
+    let mut frontier = Frontier::single(n, ROOT);
     let mut edges_processed = 0u64;
     let mut iterations = 0usize;
     // Bellman-Ford terminates after at most |V| - 1 relaxation rounds.
@@ -92,19 +91,18 @@ pub fn run<M: MemoryModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr_of;
     use crate::mem::NativeMemory;
     use grasp_graph::generators::{GraphGenerator, Rmat};
     use grasp_graph::prng::Xoshiro256;
-    use grasp_graph::Csr;
-    use grasp_graph::EdgeList;
+    use grasp_graph::{Csr, EdgeList};
 
-    fn run_native(graph: &dyn GraphView, root: u32, rounds: usize) -> AppResult {
+    fn run_native(graph: &dyn GraphView, rounds: usize) -> AppResult {
         let mut ws = Workspace::new(NativeMemory);
         run(
             graph,
             &mut ws,
             &AppConfig {
-                root,
                 max_iterations: rounds,
                 ..AppConfig::default()
             },
@@ -148,7 +146,7 @@ mod tests {
             el.push_weighted(s, d, w).unwrap();
         }
         let g = Csr::from_edge_list(&el).unwrap();
-        let result = run_native(&g, 0, 10);
+        let result = run_native(&g, 10);
         assert_eq!(result.values, vec![0.0, 7.0, 3.0, 9.0, 16.0]);
     }
 
@@ -158,21 +156,23 @@ mod tests {
         let skeleton = Rmat::new(8, 6).generate(3);
         let mut rng = Xoshiro256::seed_from_u64(5);
         let mut edges = EdgeList::new(skeleton.vertex_count() as u64);
-        for (s, d, _) in skeleton.edges() {
-            edges
-                .push_weighted(s, d, 1 + rng.next_below(32) as u32)
-                .unwrap();
+        for s in skeleton.vertices() {
+            for &d in skeleton.out_neighbors(s) {
+                edges
+                    .push_weighted(s, d, 1 + rng.next_below(32) as u32)
+                    .unwrap();
+            }
         }
         let g = Csr::from_edge_list(&edges).unwrap();
-        let ours = run_native(&g, 0, g.vertex_count());
+        let ours = run_native(&g, g.vertex_count());
         let reference = reference_sssp(&g, 0);
         assert_eq!(ours.values, reference);
     }
 
     #[test]
     fn unreachable_vertices_are_infinite() {
-        let g = Csr::from_edges([(0, 1), (2, 3)]).unwrap();
-        let result = run_native(&g, 0, 10);
+        let g = csr_of([(0, 1), (2, 3)]);
+        let result = run_native(&g, 10);
         assert!(result.values[2].is_infinite());
         assert!(result.values[3].is_infinite());
     }
@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn frontier_driven_execution_terminates_early() {
         let g = Rmat::new(8, 6).generate(2);
-        let result = run_native(&g, 0, g.vertex_count());
+        let result = run_native(&g, g.vertex_count());
         assert!(result.iterations < g.vertex_count());
     }
 }

@@ -156,7 +156,7 @@ mod tests {
 
     #[test]
     fn degree_sum_matches_graph() {
-        let g = grasp_graph::Csr::from_edges([(0, 1), (0, 2), (1, 2), (2, 0)]).unwrap();
+        let g = crate::csr_of([(0, 1), (0, 2), (1, 2), (2, 0)]);
         let f = from_vertices(3, [0, 2]);
         assert_eq!(f.out_degree_sum(&g), 3);
     }

@@ -95,19 +95,6 @@ impl AddressSpace {
         &self.regions[handle.0]
     }
 
-    /// Address of element `index` of the array (optionally offset by
-    /// `byte_offset` within the element).
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `index` is out of bounds.
-    #[inline]
-    pub fn addr_of(&self, handle: ArrayHandle, index: u64) -> Address {
-        let region = &self.regions[handle.0];
-        debug_assert!(index < region.elements, "index {index} out of bounds");
-        region.base + index * region.element_bytes
-    }
-
     /// `(start, end)` bounds of an array — what gets written into an ABR pair.
     pub fn bounds(&self, handle: ArrayHandle) -> (Address, Address) {
         let region = &self.regions[handle.0];
@@ -118,6 +105,8 @@ impl AddressSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::AccessLog;
+    use crate::Workspace;
 
     #[test]
     fn allocations_do_not_overlap() {
@@ -132,10 +121,14 @@ mod tests {
 
     #[test]
     fn addresses_are_contiguous_within_an_array() {
-        let mut space = AddressSpace::new();
-        let a = space.allocate("ranks", RegionLabel::Property, 100, 8);
-        assert_eq!(space.addr_of(a, 0) + 8, space.addr_of(a, 1));
-        assert_eq!(space.addr_of(a, 99), space.bounds(a).0 + 99 * 8);
+        let mut ws = Workspace::new(AccessLog::default());
+        let a = ws.allocate("ranks", RegionLabel::Property, 100, 8);
+        for index in [0, 1, 99] {
+            ws.read(a, index, 0);
+        }
+        let start = ws.address_space().bounds(a).0;
+        let addrs: Vec<Address> = ws.into_memory().0.iter().map(|access| access.0).collect();
+        assert_eq!(addrs, [start, start + 8, start + 99 * 8]);
     }
 
     #[test]

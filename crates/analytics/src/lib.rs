@@ -31,7 +31,10 @@
 //!
 //! let graph = Rmat::new(8, 8).generate(1);
 //! let mut ws = Workspace::new(NativeMemory);
-//! let result = AppKind::PageRank.run(&graph, &mut ws, &AppConfig::default());
+//! // PR damps by 0.85 and runs its whole iteration budget.
+//! let config = AppConfig { max_iterations: 10, ..AppConfig::default() };
+//! let result = AppKind::PageRank.run(&graph, &mut ws, &config);
+//! assert_eq!(result.iterations, 10);
 //! assert_eq!(result.values.len(), graph.vertex_count());
 //! ```
 
@@ -51,6 +54,15 @@ pub use layout::{AddressSpace, ArrayHandle};
 pub use mem::{MemoryModel, NativeMemory};
 pub use props::{PropertyLayout, PropertySet};
 pub use workspace::Workspace;
+
+/// A test graph from `(src, dst)` pairs over `max(endpoint) + 1` vertices.
+#[cfg(test)]
+pub(crate) fn csr_of(
+    pairs: impl IntoIterator<Item = (grasp_graph::VertexId, grasp_graph::VertexId)>,
+) -> grasp_graph::Csr {
+    let edges = pairs.into_iter().map(grasp_graph::types::Edge::from);
+    grasp_graph::Csr::from_edge_list(&edges.collect()).unwrap()
+}
 
 /// Access-site identifiers (the PC proxies carried with every access).
 pub mod sites {

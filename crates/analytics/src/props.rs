@@ -30,8 +30,6 @@ pub type FieldId = usize;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PropertySet {
     layout: PropertyLayout,
-    vertex_count: u64,
-    field_bytes: Vec<u64>,
     field_offsets: Vec<u64>,
     /// Merged: exactly one handle. Separate: one handle per field.
     handles: Vec<ArrayHandle>,
@@ -83,28 +81,9 @@ impl PropertySet {
         };
         Self {
             layout,
-            vertex_count,
-            field_bytes: fields.to_vec(),
             field_offsets,
             handles,
         }
-    }
-
-    /// The layout this set was allocated with.
-    pub fn layout(&self) -> PropertyLayout {
-        self.layout
-    }
-
-    /// Number of vertices covered.
-    pub fn vertex_count(&self) -> u64 {
-        self.vertex_count
-    }
-
-    /// The array handles backing this set (one for merged, one per field for
-    /// separate). These are the arrays whose bounds get programmed into the
-    /// Address Bound Registers.
-    pub fn handles(&self) -> &[ArrayHandle] {
-        &self.handles
     }
 
     /// Models a read of `field` for vertex `v`.
@@ -157,9 +136,8 @@ mod tests {
     fn merged_layout_uses_one_region() {
         let mut ws = Workspace::new(NativeMemory);
         let props = PropertySet::allocate(&mut ws, "pr", 100, &[8, 8], PropertyLayout::Merged);
-        assert_eq!(props.handles().len(), 1);
-        assert_eq!(props.field_bytes, [8, 8]);
-        let region = ws.address_space().region(props.handles()[0]);
+        assert_eq!(props.handles.len(), 1);
+        let region = ws.address_space().region(props.handles[0]);
         assert_eq!(region.element_bytes, 16);
         assert_eq!(region.elements, 100);
     }
@@ -168,8 +146,8 @@ mod tests {
     fn separate_layout_uses_one_region_per_field() {
         let mut ws = Workspace::new(NativeMemory);
         let props = PropertySet::allocate(&mut ws, "pr", 100, &[8, 8], PropertyLayout::Separate);
-        assert_eq!(props.handles().len(), 2);
-        for &h in props.handles() {
+        assert_eq!(props.handles.len(), 2);
+        for &h in &props.handles {
             assert_eq!(ws.address_space().region(h).element_bytes, 8);
         }
     }
@@ -179,7 +157,7 @@ mod tests {
         let mut ws = Workspace::new(NativeMemory);
         let props = PropertySet::allocate(&mut ws, "x", 64, &[8, 8], PropertyLayout::Merged);
         let space = ws.address_space();
-        let base = space.bounds(props.handles()[0]).0;
+        let base = space.bounds(props.handles[0]).0;
         // Vertex 3, field 0 and field 1: addresses 16*3 and 16*3+8 — same 64B block.
         let a = base + 3 * 16;
         let b = base + 3 * 16 + 8;
@@ -191,8 +169,8 @@ mod tests {
         let mut ws = Workspace::new(NativeMemory);
         let props = PropertySet::allocate(&mut ws, "x", 64, &[8, 8], PropertyLayout::Separate);
         let space = ws.address_space();
-        let (a_start, a_end) = space.bounds(props.handles()[0]);
-        let (b_start, b_end) = space.bounds(props.handles()[1]);
+        let (a_start, a_end) = space.bounds(props.handles[0]);
+        let (b_start, b_end) = space.bounds(props.handles[1]);
         assert!(a_end <= b_start || b_end <= a_start);
     }
 
@@ -203,7 +181,7 @@ mod tests {
         props.read(&mut ws, 0, 3, 1);
         props.write(&mut ws, 1, 3, 2);
         // Merged elements are 12 bytes: field 1 sits 8 bytes in.
-        let base = ws.address_space().region(props.handles()[0]).base;
+        let base = ws.address_space().region(props.handles[0]).base;
         let p = RegionLabel::Property;
         assert_eq!(
             ws.into_memory().0,

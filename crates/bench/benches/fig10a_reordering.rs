@@ -36,7 +36,6 @@ fn main() {
         };
         let config = AppConfig {
             max_iterations,
-            epsilon: 0.0,
             ..AppConfig::default()
         };
         let native = |graph: &Csr| {

@@ -323,9 +323,9 @@ struct GraphMemo {
 /// shared [`FlightRegistry`].
 #[derive(Debug, Clone)]
 pub struct Campaign {
-    spec: CampaignSpec,
+    pub(crate) spec: CampaignSpec,
     catalog: DatasetCatalog,
-    store: Option<Arc<TraceStore>>,
+    pub(crate) store: Option<Arc<TraceStore>>,
     flights: Option<Arc<FlightRegistry>>,
 }
 
@@ -344,10 +344,9 @@ impl Campaign {
         }
     }
 
-    /// Builds the campaign of a serializable [`CampaignSpec`]: the inverse
-    /// of [`Campaign::to_spec`]. A spec naming a trace store directory opens
-    /// (creating if needed) that store; an unopenable path surfaces as
-    /// [`Error::Store`].
+    /// Builds the campaign of a serializable [`CampaignSpec`]. A spec naming
+    /// a trace store directory opens (creating if needed) that store; an
+    /// unopenable path surfaces as [`Error::Store`].
     ///
     /// Specs carry no [`DatasetCatalog`], so a spec listing
     /// [`DatasetId::Ingested`] coordinates needs [`Campaign::catalog`]
@@ -360,14 +359,6 @@ impl Campaign {
             store: store.map(Arc::new),
             flights: None,
         })
-    }
-
-    /// The campaign's serializable content: everything [`Campaign::from_spec`]
-    /// needs to rebuild an equivalent campaign (an attached store serializes
-    /// as its directory path). The catalog and an attached
-    /// [`FlightRegistry`] are runtime wiring and are not part of the spec.
-    pub fn to_spec(&self) -> CampaignSpec {
-        self.spec.clone()
     }
 
     /// Sets the (synthetic) datasets of the grid.
@@ -461,12 +452,6 @@ impl Campaign {
     pub fn with_single_flight(mut self, registry: Arc<FlightRegistry>) -> Self {
         self.flights = Some(registry);
         self
-    }
-
-    /// The attached trace store, if any (its [`TraceStore::stats`] report
-    /// tells how many record phases the run skipped).
-    pub fn trace_store(&self) -> Option<&Arc<TraceStore>> {
-        self.store.as_ref()
     }
 
     /// Sets the worker-thread count. `0` (the default) means one worker per
@@ -1545,16 +1530,16 @@ mod tests {
     #[test]
     fn spec_round_trips_through_campaign_and_json() {
         let campaign = tiny_campaign().threads(3);
-        let spec = campaign.to_spec();
+        let spec = campaign.spec.clone();
         let rebuilt = Campaign::from_spec(&spec).expect("spec rebuilds");
-        assert_eq!(rebuilt.to_spec(), spec, "from_spec/to_spec round-trip");
+        assert_eq!(rebuilt.spec, spec, "from_spec round-trip");
         assert_eq!(rebuilt.cells(), campaign.cells());
         let decoded = CampaignSpec::from_json(&spec.to_json()).expect("wire round-trip");
         assert_eq!(decoded, spec);
 
         let dir = std::env::temp_dir().join(format!("grasp-campaign-spec-{}", std::process::id()));
         let store = Arc::new(TraceStore::open(&dir).expect("temp store opens"));
-        let stored = campaign.with_trace_store(Arc::clone(&store)).to_spec();
+        let stored = campaign.with_trace_store(Arc::clone(&store)).spec;
         assert_eq!(stored.store, Some(store.dir().display().to_string()));
         assert_eq!(
             CampaignSpec {
@@ -1569,7 +1554,7 @@ mod tests {
     #[test]
     fn cells_delegate_to_the_spec_grid() {
         let campaign = tiny_campaign();
-        assert_eq!(campaign.cells(), campaign.to_spec().cells());
+        assert_eq!(campaign.cells(), campaign.spec.cells());
     }
 
     #[test]

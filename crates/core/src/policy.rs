@@ -47,14 +47,6 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// The pinning configurations of Fig. 8.
-    pub const PIN_CONFIGS: [PolicyKind; 4] = [
-        PolicyKind::Pin(25),
-        PolicyKind::Pin(50),
-        PolicyKind::Pin(75),
-        PolicyKind::Pin(100),
-    ];
-
     /// Display label matching the paper's figures.
     pub fn label(self) -> &'static str {
         match self {
@@ -205,11 +197,5 @@ mod tests {
         assert!(reads_hints(PolicyKind::Pin(50)));
         assert!(!reads_hints(PolicyKind::Rrip));
         assert!(!reads_hints(PolicyKind::Hawkeye));
-    }
-
-    #[test]
-    fn figure_groups_have_the_expected_members() {
-        assert_eq!(PolicyKind::PIN_CONFIGS.len(), 4);
-        assert!(PolicyKind::PIN_CONFIGS.contains(&PolicyKind::Pin(100)));
     }
 }

@@ -7,11 +7,10 @@
 //! workspace has no serialization crate). The scale fixes the simulated
 //! hierarchy ([`Scale::hierarchy`]); no field overrides it. The contract:
 //!
-//! * A [`Campaign`] *holds* its spec: the builder methods write it,
-//!   [`Campaign::to_spec`] hands out a copy and [`Campaign::from_spec`]
-//!   adopts one, so any campaign a client can build it can also serialize
-//!   and submit to the service daemon (`grasp-serve`) — and the daemon
-//!   reconstructs the same campaign.
+//! * A [`Campaign`] *holds* its spec: the builder methods write it and
+//!   [`Campaign::from_spec`] adopts one, so a client serializes the spec
+//!   it would build a campaign from and submits it to the service daemon
+//!   (`grasp-serve`) — and the daemon reconstructs the same campaign.
 //! * [`CampaignSpec::cells`] is the **single definition of the grid**:
 //!   [`Campaign::cells`] delegates here, so a library run and a service run
 //!   of the same spec provably walk identical cells in identical order.
@@ -24,7 +23,6 @@
 //! pin fraction is spelled `PIN-<n>`), scale a lowercase slug.
 //!
 //! [`Campaign`]: crate::campaign::Campaign
-//! [`Campaign::to_spec`]: crate::campaign::Campaign::to_spec
 //! [`Campaign::from_spec`]: crate::campaign::Campaign::from_spec
 //! [`Campaign::cells`]: crate::campaign::Campaign::cells
 
@@ -463,9 +461,9 @@ mod tests {
             if let Some(dir) = &spec.store {
                 std::fs::remove_dir(dir).ok();
             }
-            prop_assert_eq!(campaign.trace_store().is_some(), spec.store.is_some());
+            prop_assert_eq!(campaign.store.is_some(), spec.store.is_some());
             prop_assert_eq!(campaign.cells(), spec.cells());
-            prop_assert_eq!(campaign.to_spec(), spec);
+            prop_assert_eq!(campaign.spec, spec);
         }
     }
 }

@@ -155,10 +155,10 @@ fn hash_hierarchy(hasher: &mut ConfigHasher, hierarchy: &HierarchyConfig) {
 
 fn hash_app_config(hasher: &mut ConfigHasher, config: &AppConfig) {
     hasher.word(config.max_iterations as u64);
-    hasher.word(u64::from(config.root));
-    hasher.word(config.sample_roots as u64);
-    hasher.word(config.damping.to_bits());
-    hasher.word(config.epsilon.to_bits());
+    // Once settings, now constants that keep every key: root, sample count, damping, threshold.
+    for word in [0, 8, 0.85f64.to_bits(), 0.0f64.to_bits()] {
+        hasher.word(word);
+    }
     hasher.word(match config.layout {
         PropertyLayout::Separate => 0,
         PropertyLayout::Merged => 1,
@@ -859,7 +859,7 @@ mod tests {
 
     fn sample_key(config_seed: u64) -> TraceStoreKey {
         let app_config = AppConfig {
-            root: config_seed as u32, // vary the hash
+            max_iterations: 1 + config_seed as usize, // vary the hash
             ..AppConfig::default()
         };
         TraceStoreKey::new(

@@ -7,6 +7,11 @@
 //! directions so that pull- and push-based computations, as well as
 //! direction-switching frameworks, can be expressed without re-building the
 //! graph.
+//!
+//! [`Csr`] answers graph queries through [`GraphView`]: its trait impl
+//! holds the bodies, and only `vertex_count`, `edge_count`, `out_neighbors`
+//! and `out_weights` are inherent as well (the trait's methods delegate to
+//! them), for callers without the trait in scope.
 
 use crate::edgelist::EdgeList;
 use crate::types::{Direction, Edge, EdgeWeight, VertexId};
@@ -142,7 +147,7 @@ pub(crate) fn checked_vertex_count(edges: &EdgeList) -> Result<usize> {
 /// in-edges.
 ///
 /// ```
-/// use grasp_graph::{Csr, EdgeList};
+/// use grasp_graph::{Csr, EdgeList, GraphView};
 ///
 /// let mut edges = EdgeList::new(6);
 /// // The example graph of Fig. 1(a) in the paper.
@@ -195,21 +200,6 @@ impl Csr {
         }
     }
 
-    /// Builds a CSR graph directly from `(src, dst)` pairs.
-    ///
-    /// The vertex count is `max(endpoint) + 1`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::EmptyGraph`] if the iterator is empty.
-    pub fn from_edges<I>(edges: I) -> Result<Self>
-    where
-        I: IntoIterator<Item = (VertexId, VertexId)>,
-    {
-        let list: EdgeList = edges.into_iter().map(|(s, d)| Edge::new(s, d)).collect();
-        Self::from_edge_list(&list)
-    }
-
     /// Number of vertices.
     pub fn vertex_count(&self) -> usize {
         self.vertex_count
@@ -220,104 +210,16 @@ impl Csr {
         self.edge_count
     }
 
-    /// Iterator over all vertex IDs.
-    pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        0..self.vertex_count as VertexId
-    }
-
-    /// Out-degree of `v`.
-    #[inline]
-    pub fn out_degree(&self, v: VertexId) -> u64 {
-        self.out.degree(v)
-    }
-
-    /// In-degree of `v`.
-    #[inline]
-    pub fn in_degree(&self, v: VertexId) -> u64 {
-        self.inc.degree(v)
-    }
-
-    /// Degree of `v` in the requested direction.
-    #[inline]
-    pub fn degree(&self, v: VertexId, dir: Direction) -> u64 {
-        match dir {
-            Direction::Out => self.out_degree(v),
-            Direction::In => self.in_degree(v),
-        }
-    }
-
-    /// Out-neighbours of `v` (vertices `v` points to).
+    /// Out-neighbours of `v` (vertices `v` points to), sorted ascending.
     #[inline]
     pub fn out_neighbors(&self, v: VertexId) -> &[VertexId] {
         self.out.neighbors(v)
-    }
-
-    /// In-neighbours of `v` (vertices pointing to `v`).
-    #[inline]
-    pub fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
-        self.inc.neighbors(v)
-    }
-
-    /// Neighbours of `v` in the requested direction.
-    #[inline]
-    pub fn neighbors(&self, v: VertexId, dir: Direction) -> &[VertexId] {
-        match dir {
-            Direction::Out => self.out_neighbors(v),
-            Direction::In => self.in_neighbors(v),
-        }
     }
 
     /// Weights parallel to [`Csr::out_neighbors`].
     #[inline]
     pub fn out_weights(&self, v: VertexId) -> &[EdgeWeight] {
         self.out.neighbor_weights(v)
-    }
-
-    /// Weights parallel to [`Csr::in_neighbors`].
-    #[inline]
-    pub fn in_weights(&self, v: VertexId) -> &[EdgeWeight] {
-        self.inc.neighbor_weights(v)
-    }
-
-    /// Weights parallel to [`Csr::neighbors`].
-    #[inline]
-    pub fn weights(&self, v: VertexId, dir: Direction) -> &[EdgeWeight] {
-        match dir {
-            Direction::Out => self.out_weights(v),
-            Direction::In => self.in_weights(v),
-        }
-    }
-
-    /// Offset of vertex `v`'s first edge in the edge array for `dir`.
-    ///
-    /// This is the value the *Vertex Array* holds in the CSR encoding and is
-    /// used by the analytics engine to model Vertex Array memory accesses.
-    #[inline]
-    pub fn edge_offset(&self, v: VertexId, dir: Direction) -> u64 {
-        match dir {
-            Direction::Out => self.out.offsets[v as usize],
-            Direction::In => self.inc.offsets[v as usize],
-        }
-    }
-
-    /// Returns an iterator over all edges as `(src, dst, weight)` triples in
-    /// out-CSR order.
-    pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId, EdgeWeight)> + '_ {
-        self.vertices().flat_map(move |v| {
-            self.out_neighbors(v)
-                .iter()
-                .zip(self.out_weights(v))
-                .map(move |(&d, &w)| (v, d, w))
-        })
-    }
-
-    /// Average degree (`edges / vertices`).
-    ///
-    /// # Panics
-    ///
-    /// Never panics; an empty graph cannot be constructed.
-    pub fn average_degree(&self) -> f64 {
-        self.edge_count as f64 / self.vertex_count as f64
     }
 
     /// Raw CSR column arrays for `dir`: `(offsets, targets, weights)`.
@@ -417,45 +319,61 @@ pub(crate) fn check_direction(name: &str, offsets: &[u64], targets: &[VertexId])
 }
 
 impl GraphView for Csr {
+    #[inline]
     fn vertex_count(&self) -> usize {
         Csr::vertex_count(self)
     }
 
+    #[inline]
     fn edge_count(&self) -> u64 {
         Csr::edge_count(self)
     }
 
+    #[inline]
     fn out_degree(&self, v: VertexId) -> u64 {
-        Csr::out_degree(self, v)
+        self.out.degree(v)
     }
 
+    #[inline]
     fn in_degree(&self, v: VertexId) -> u64 {
-        Csr::in_degree(self, v)
+        self.inc.degree(v)
     }
 
+    #[inline]
     fn out_neighbors(&self, v: VertexId) -> &[VertexId] {
         Csr::out_neighbors(self, v)
     }
 
+    #[inline]
     fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
-        Csr::in_neighbors(self, v)
+        self.inc.neighbors(v)
     }
 
+    #[inline]
     fn out_weights(&self, v: VertexId) -> &[EdgeWeight] {
         Csr::out_weights(self, v)
     }
 
+    #[inline]
     fn in_weights(&self, v: VertexId) -> &[EdgeWeight] {
-        Csr::in_weights(self, v)
+        self.inc.neighbor_weights(v)
     }
 
+    #[inline]
     fn out_edge_offset(&self, v: VertexId) -> u64 {
         self.out.offsets[v as usize]
     }
 
+    #[inline]
     fn in_edge_offset(&self, v: VertexId) -> u64 {
         self.inc.offsets[v as usize]
     }
+}
+
+/// A test graph from `(src, dst)` pairs over `max(endpoint) + 1` vertices.
+#[cfg(test)]
+pub(crate) fn csr_of(pairs: impl IntoIterator<Item = (VertexId, VertexId)>) -> Csr {
+    Csr::from_edge_list(&pairs.into_iter().map(Edge::from).collect()).unwrap()
 }
 
 #[cfg(test)]
@@ -464,7 +382,7 @@ mod tests {
 
     /// The example graph of Fig. 1(a): edges are (src -> dst).
     fn paper_example() -> Csr {
-        Csr::from_edges([
+        csr_of([
             (3, 0),
             (2, 1),
             (0, 2),
@@ -475,7 +393,6 @@ mod tests {
             (5, 4),
             (2, 5),
         ])
-        .unwrap()
     }
 
     #[test]
@@ -526,8 +443,10 @@ mod tests {
         // The reversed edge list builds the transposed graph.
         let g = paper_example();
         let mut reversed = EdgeList::new(g.vertex_count() as u64);
-        for (src, dst, weight) in g.edges() {
-            reversed.push_weighted(dst, src, weight).unwrap();
+        for src in g.vertices() {
+            for (&dst, &weight) in g.out_neighbors(src).iter().zip(g.out_weights(src)) {
+                reversed.push_weighted(dst, src, weight).unwrap();
+            }
         }
         let t = Csr::from_edge_list(&reversed).unwrap();
         for v in g.vertices() {
@@ -540,7 +459,13 @@ mod tests {
     #[test]
     fn edge_iterator_covers_every_edge() {
         let g = paper_example();
-        let edges: Vec<(u32, u32, u32)> = g.edges().collect();
+        let edges: Vec<(u32, u32, u32)> = g
+            .vertices()
+            .flat_map(|v| {
+                let targets = g.out_neighbors(v).iter().zip(g.out_weights(v));
+                targets.map(move |(&d, &w)| (v, d, w))
+            })
+            .collect();
         assert_eq!(edges.len() as u64, g.edge_count());
         assert!(edges.contains(&(5, 3, 1)));
         assert!(edges.contains(&(3, 0, 1)));

@@ -21,11 +21,11 @@ use crate::view::GraphView;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SkewReport {
-    direction: Direction,
+    pub(crate) direction: Direction,
     hot_vertices_pct: f64,
     edge_coverage_pct: f64,
-    average_degree: f64,
-    max_degree: u64,
+    pub(crate) average_degree: f64,
+    pub(crate) max_degree: u64,
 }
 
 impl SkewReport {
@@ -67,11 +67,6 @@ impl SkewReport {
         }
     }
 
-    /// Direction this report describes.
-    pub fn direction(&self) -> Direction {
-        self.direction
-    }
-
     /// Percentage of vertices with degree ≥ average (lower = more skew).
     pub fn hot_vertices_pct(&self) -> f64 {
         self.hot_vertices_pct
@@ -80,16 +75,6 @@ impl SkewReport {
     /// Percentage of edges attached to hot vertices (higher = more skew).
     pub fn edge_coverage_pct(&self) -> f64 {
         self.edge_coverage_pct
-    }
-
-    /// Average degree of the graph.
-    pub fn average_degree(&self) -> f64 {
-        self.average_degree
-    }
-
-    /// Maximum degree in this direction.
-    pub fn max_degree(&self) -> u64 {
-        self.max_degree
     }
 }
 
@@ -110,20 +95,20 @@ impl std::fmt::Display for SkewReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::Csr;
+    use crate::csr::{csr_of, Csr};
     use crate::generators::{GraphGenerator, Rmat, Uniform};
 
     fn chain_graph() -> Csr {
         // 0 -> 1 -> 2 -> 3: every vertex has degree <= 1; average is 0.75 so
         // every vertex with an edge is "hot".
-        Csr::from_edges([(0, 1), (1, 2), (2, 3)]).unwrap()
+        csr_of([(0, 1), (1, 2), (2, 3)])
     }
 
     #[test]
     fn chain_graph_stats() {
         let r = SkewReport::for_out_edges(&chain_graph());
-        assert_eq!(r.max_degree(), 1);
-        assert_eq!(r.average_degree(), 0.75);
+        assert_eq!(r.max_degree, 1);
+        assert_eq!(r.average_degree, 0.75);
         assert_eq!(r.hot_vertices_pct(), 75.0);
         assert_eq!(r.edge_coverage_pct(), 100.0);
     }
@@ -131,8 +116,7 @@ mod tests {
     #[test]
     fn star_graph_is_maximally_skewed() {
         // Vertex 0 points to everyone: one hot vertex covers all out-edges.
-        let edges: Vec<(u32, u32)> = (1..100).map(|d| (0, d)).collect();
-        let g = Csr::from_edges(edges).unwrap();
+        let g = csr_of((1..100).map(|d| (0, d)));
         let r = SkewReport::for_out_edges(&g);
         assert_eq!(r.hot_vertices_pct(), 1.0);
         assert_eq!(r.edge_coverage_pct(), 100.0);
@@ -161,14 +145,14 @@ mod tests {
         // shows here and not only in BENCH_table1.json's one decimal place.
         fn fields(r: SkewReport) -> (Direction, f64, f64, f64, u64) {
             (
-                r.direction(),
+                r.direction,
                 r.hot_vertices_pct(),
                 r.edge_coverage_pct(),
-                r.average_degree(),
-                r.max_degree(),
+                r.average_degree,
+                r.max_degree,
             )
         }
-        let star = Csr::from_edges((1..100).map(|d| (0, d))).unwrap();
+        let star = csr_of((1..100).map(|d| (0, d)));
         assert_eq!(
             fields(SkewReport::for_out_edges(&star)),
             (Direction::Out, 1.0, 100.0, 0.99, 99)

@@ -54,11 +54,6 @@ impl EdgeList {
         self.edges.len()
     }
 
-    /// Returns `true` if no edges have been added.
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
     /// Borrowed view of the edges.
     pub fn edges(&self) -> &[Edge] {
         &self.edges
@@ -234,7 +229,7 @@ mod tests {
     fn from_empty_iterator() {
         let el: EdgeList = std::iter::empty::<Edge>().collect();
         assert_eq!(el.vertex_count(), 0);
-        assert!(el.is_empty());
+        assert_eq!(el.edge_count(), 0);
     }
 
     #[test]

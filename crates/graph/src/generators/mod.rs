@@ -56,6 +56,7 @@ pub trait GraphGenerator: std::fmt::Debug {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphView;
 
     #[test]
     fn all_generators_are_deterministic() {

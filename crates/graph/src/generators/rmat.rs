@@ -165,10 +165,10 @@ mod tests {
         let stats = SkewReport::for_out_edges(&g);
         // In a power-law graph the maximum degree is far above the average.
         assert!(
-            stats.max_degree() as f64 > 10.0 * stats.average_degree(),
+            stats.max_degree as f64 > 10.0 * stats.average_degree,
             "max {} avg {}",
-            stats.max_degree(),
-            stats.average_degree()
+            stats.max_degree,
+            stats.average_degree
         );
         // And the hot vertices (deg >= avg) should be a minority that covers
         // a large majority of edges (cf. Table I).
@@ -184,7 +184,7 @@ mod tests {
         let flat = Rmat::with_probabilities(11, 8, 0.25, 0.25, 0.25).generate(5);
         let s = SkewReport::for_out_edges(&skewed);
         let f = SkewReport::for_out_edges(&flat);
-        assert!(s.max_degree() > f.max_degree());
+        assert!(s.max_degree > f.max_degree);
         assert!(s.hot_vertices_pct() < f.hot_vertices_pct());
     }
 }

@@ -44,11 +44,6 @@ impl Uniform {
         }
     }
 
-    /// Number of vertices.
-    pub fn vertex_count(&self) -> u64 {
-        self.vertices
-    }
-
     /// Number of edge samples.
     pub fn edge_count(&self) -> u64 {
         self.vertices * self.average_degree
@@ -80,8 +75,8 @@ mod tests {
     #[test]
     fn counts() {
         let u = Uniform::new(100, 5);
-        assert_eq!(u.vertex_count(), 100);
         assert_eq!(u.edge_count(), 500);
+        assert_eq!(u.generate(1).vertex_count(), 100);
     }
 
     #[test]
@@ -103,10 +98,10 @@ mod tests {
         // Binomial distribution: the max degree stays within a small factor of
         // the mean, and roughly half the vertices are above average.
         assert!(
-            (stats.max_degree() as f64) < 4.0 * stats.average_degree(),
+            (stats.max_degree as f64) < 4.0 * stats.average_degree,
             "max {} avg {}",
-            stats.max_degree(),
-            stats.average_degree()
+            stats.max_degree,
+            stats.average_degree
         );
         assert!(stats.hot_vertices_pct() > 30.0);
     }

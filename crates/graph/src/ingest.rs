@@ -1288,7 +1288,7 @@ mod tests {
         assert!(stats.hot10_edge_fraction <= 1.0);
 
         // A ring is perfectly regular: gini 0, hot-10% mass exactly 10%.
-        let ring = Csr::from_edges((0..10u32).map(|v| (v, (v + 1) % 10))).unwrap();
+        let ring = crate::csr::csr_of((0..10u32).map(|v| (v, (v + 1) % 10)));
         let ring_stats = GraphStats::compute(&ring);
         assert!(ring_stats.gini.abs() < 1e-12);
         assert!((ring_stats.hot10_edge_fraction - 0.1).abs() < 1e-12);

@@ -327,7 +327,7 @@ mod tests {
     #[test]
     fn empty_text_gives_empty_list() {
         let parsed = parse_text_edge_list("# nothing here\n".as_bytes(), 1).unwrap();
-        assert!(parsed.is_empty());
+        assert_eq!(parsed.edge_count(), 0);
         assert_eq!(parsed.vertex_count(), 0);
     }
 

@@ -5,7 +5,9 @@
 //! [`crate::Csr`] type. That makes the *backing* of the adjacency data an
 //! implementation detail: the in-memory [`crate::Csr`] and the mmap-backed
 //! [`crate::ingest::MappedCsr`] both implement the trait and produce
-//! bit-identical traversal behaviour.
+//! bit-identical traversal behaviour. The trait is where `Csr` answers its
+//! queries too: code holding a concrete `Csr` imports `GraphView` (only
+//! four of the methods have inherent twins, for callers without it).
 //!
 //! The trait is deliberately object-safe (`&dyn GraphView`,
 //! `Arc<dyn GraphView>`): every method returns a concrete type, and the
@@ -103,10 +105,10 @@ pub trait GraphView: std::fmt::Debug + Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Csr;
+    use crate::csr::{csr_of, Csr};
 
     fn paper_example() -> Csr {
-        Csr::from_edges([
+        csr_of([
             (3, 0),
             (2, 1),
             (0, 2),
@@ -117,7 +119,6 @@ mod tests {
             (5, 4),
             (2, 5),
         ])
-        .unwrap()
     }
 
     #[test]

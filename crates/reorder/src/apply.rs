@@ -151,8 +151,10 @@ mod tests {
         after.sort_unstable();
         assert_eq!(before, after);
         // Every original edge maps to a relabelled edge.
-        for (s, d, _) in g.edges() {
-            assert!(r.out_neighbors(perm.new_id(s)).contains(&perm.new_id(d)));
+        for s in g.vertices() {
+            for &d in g.out_neighbors(s) {
+                assert!(r.out_neighbors(perm.new_id(s)).contains(&perm.new_id(d)));
+            }
         }
     }
 
@@ -169,7 +171,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "permutation length must match")]
     fn relabel_length_mismatch_panics() {
-        let g = Csr::from_edges([(0, 1)]).unwrap();
+        let g = crate::csr_of([(0, 1)]);
         let _ = relabel(&g, &Permutation::identity(5));
     }
 
@@ -179,7 +181,7 @@ mod tests {
         el.push_weighted(0, 1, 10).unwrap();
         el.push_weighted(1, 2, 20).unwrap();
         let g = Csr::from_edge_list(&el).unwrap();
-        let perm = Permutation::from_new_ids(vec![2, 1, 0]).unwrap();
+        let perm = Permutation::from_order(&[2, 1, 0]).unwrap();
         let r = relabel(&g, &perm);
         // Old edge 0->1 weight 10 becomes 2->1.
         assert_eq!(r.out_neighbors(2), &[1]);
@@ -196,7 +198,7 @@ mod tests {
             el.push_weighted(s, d, w).unwrap();
         }
         let g = Csr::from_edge_list(&el).unwrap();
-        let perm = Permutation::from_new_ids(vec![3, 0, 2, 1]).unwrap();
+        let perm = Permutation::from_order(&[1, 3, 2, 0]).unwrap();
         let inverse = perm.inverse();
         assert!(relabel_rows(&g, &perm, &inverse, Direction::Out).is_none());
         assert!(relabel_rows(&g, &perm, &inverse, Direction::In).is_none());

@@ -107,8 +107,8 @@ fn greedy_order(graph: &dyn GraphView) -> Vec<VertexId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr_of;
     use grasp_graph::generators::{GraphGenerator, Rmat};
-    use grasp_graph::Csr;
 
     #[test]
     fn produces_a_valid_permutation() {
@@ -126,12 +126,12 @@ mod tests {
         let n = 512u32;
         let lattice = (0..n)
             .flat_map(|v| (1..=3).flat_map(move |o| [(v, (v + o) % n), (v, (v + n - o) % n)]));
-        let g = Csr::from_edges(lattice).unwrap();
+        let g = csr_of(lattice);
         // Shuffle the IDs first so there is locality to recover.
         let mut rng = grasp_graph::prng::Xoshiro256::seed_from_u64(99);
         let mut shuffled: Vec<VertexId> = (0..g.vertex_count() as u32).collect();
         rng.shuffle(&mut shuffled);
-        let shuffle_perm = Permutation::from_new_ids(shuffled).unwrap();
+        let shuffle_perm = Permutation::from_order(&shuffled).unwrap();
         let scrambled = crate::apply::relabel(&g, &shuffle_perm);
 
         let avg_gap = |graph: &dyn GraphView| -> f64 {

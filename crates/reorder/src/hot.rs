@@ -65,7 +65,7 @@ impl HotRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{apply, TechniqueKind};
+    use crate::{apply, csr_of, TechniqueKind};
     use grasp_graph::generators::{GraphGenerator, Rmat};
     use grasp_graph::Csr;
 
@@ -73,7 +73,7 @@ mod tests {
     fn threshold_is_average_degree() {
         // Every vertex has exactly the average degree, and the threshold is
         // inclusive, so every vertex is hot.
-        let g = Csr::from_edges([(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
+        let g = csr_of([(0, 1), (1, 2), (2, 3), (3, 0)]);
         assert!((g.average_degree() - 1.0).abs() < 1e-12);
         assert_eq!(HotRegion::analyze(&g, Direction::Out).hot_vertex_count(), 4);
     }

@@ -26,6 +26,7 @@
 //! use grasp_graph::generators::{GraphGenerator, Rmat};
 //! use grasp_reorder::{apply, TechniqueKind};
 //! use grasp_graph::types::Direction;
+//! use grasp_graph::GraphView;
 //!
 //! let g = Rmat::new(10, 8).generate(1);
 //! let perm = TechniqueKind::Dbg.compute(&g, Direction::Out);
@@ -130,6 +131,15 @@ impl std::fmt::Display for TechniqueKind {
     }
 }
 
+/// A test graph from `(src, dst)` pairs over `max(endpoint) + 1` vertices.
+#[cfg(test)]
+pub(crate) fn csr_of(
+    pairs: impl IntoIterator<Item = (grasp_graph::VertexId, grasp_graph::VertexId)>,
+) -> grasp_graph::Csr {
+    let edges = pairs.into_iter().map(grasp_graph::types::Edge::from);
+    grasp_graph::Csr::from_edge_list(&edges.collect()).unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,9 +170,8 @@ mod tests {
 
     /// FNV-1a over every `new_id`, little-endian.
     fn digest(perm: &Permutation) -> u64 {
-        perm.as_slice()
-            .iter()
-            .flat_map(|id| id.to_le_bytes())
+        (0..perm.len() as u32)
+            .flat_map(|old| perm.new_id(old).to_le_bytes())
             .fold(0xcbf2_9ce4_8422_2325, |h, b| {
                 (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
             })

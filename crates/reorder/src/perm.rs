@@ -9,7 +9,8 @@ use grasp_graph::types::VertexId;
 ///
 /// ```
 /// use grasp_reorder::Permutation;
-/// let p = Permutation::from_new_ids(vec![2, 0, 1]).unwrap();
+/// // New IDs 0, 1, 2 go to old vertices 1, 2, 0.
+/// let p = Permutation::from_order(&[1, 2, 0]).unwrap();
 /// assert_eq!(p.new_id(0), 2);
 /// let inv = p.inverse();
 /// assert_eq!(inv.new_id(2), 0);
@@ -24,18 +25,6 @@ impl Permutation {
     pub fn identity(n: usize) -> Self {
         Self {
             new_of_old: (0..n as VertexId).collect(),
-        }
-    }
-
-    /// Builds a permutation from a vector where entry `old` holds the new ID.
-    ///
-    /// Returns `None` if the vector is not a permutation of `0..len`.
-    pub fn from_new_ids(new_of_old: Vec<VertexId>) -> Option<Self> {
-        let p = Self { new_of_old };
-        if p.is_valid() {
-            Some(p)
-        } else {
-            None
         }
     }
 
@@ -74,11 +63,6 @@ impl Permutation {
     #[inline]
     pub fn new_id(&self, old: VertexId) -> VertexId {
         self.new_of_old[old as usize]
-    }
-
-    /// Borrowed view of the mapping (index = old ID, value = new ID).
-    pub fn as_slice(&self) -> &[VertexId] {
-        &self.new_of_old
     }
 
     /// Verifies that the mapping is a bijection over `0..len`.
@@ -143,10 +127,10 @@ mod tests {
     }
 
     #[test]
-    fn from_new_ids_rejects_non_bijections() {
-        assert!(Permutation::from_new_ids(vec![0, 0, 1]).is_none());
-        assert!(Permutation::from_new_ids(vec![0, 5, 1]).is_none());
-        assert!(Permutation::from_new_ids(vec![2, 0, 1]).is_some());
+    fn from_order_rejects_non_bijections() {
+        assert!(Permutation::from_order(&[0, 0, 1]).is_none());
+        assert!(Permutation::from_order(&[0, 5, 1]).is_none());
+        assert!(Permutation::from_order(&[1, 2, 0]).is_some());
     }
 
     #[test]
@@ -162,7 +146,7 @@ mod tests {
 
     #[test]
     fn inverse_round_trips() {
-        let p = Permutation::from_new_ids(vec![3, 1, 0, 2]).unwrap();
+        let p = Permutation::from_order(&[2, 1, 3, 0]).unwrap();
         let inv = p.inverse();
         for old in 0..4u32 {
             assert_eq!(inv.new_id(p.new_id(old)), old);
@@ -172,8 +156,8 @@ mod tests {
 
     #[test]
     fn composition_applies_left_to_right() {
-        let first = Permutation::from_new_ids(vec![1, 2, 0]).unwrap();
-        let second = Permutation::from_new_ids(vec![2, 0, 1]).unwrap();
+        let first = Permutation::from_order(&[2, 0, 1]).unwrap();
+        let second = Permutation::from_order(&[1, 2, 0]).unwrap();
         let composed = first.then(&second);
         for old in 0..3u32 {
             assert_eq!(composed.new_id(old), second.new_id(first.new_id(old)));

@@ -22,8 +22,8 @@ pub(crate) fn compute(graph: &dyn GraphView, direction: Direction) -> Permutatio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr_of;
     use grasp_graph::generators::{GraphGenerator, Rmat};
-    use grasp_graph::Csr;
 
     #[test]
     fn degrees_are_monotone_after_sort() {
@@ -43,7 +43,7 @@ mod tests {
     fn sort_is_stable_for_equal_degrees() {
         // A graph where vertices 1, 2, 3 all have degree 1: their relative
         // order must be preserved.
-        let g = Csr::from_edges([(1, 0), (2, 0), (3, 0), (0, 1)]).unwrap();
+        let g = csr_of([(1, 0), (2, 0), (3, 0), (0, 1)]);
         let perm = compute(&g, Direction::Out);
         // Vertex 0 has out-degree 1 too, so everything has degree 1 except
         // nothing; stable sort keeps 0,1,2,3 order.
@@ -53,7 +53,7 @@ mod tests {
     #[test]
     fn direction_matters() {
         // Vertex 0 has high out-degree but zero in-degree.
-        let g = Csr::from_edges([(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1)]).unwrap();
+        let g = csr_of([(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1)]);
         let out_perm = compute(&g, Direction::Out);
         let in_perm = compute(&g, Direction::In);
         assert_eq!(out_perm.new_id(0), 0, "highest out-degree first");

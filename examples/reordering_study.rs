@@ -27,7 +27,6 @@ fn main() {
     let dataset = dataset_kind.build(scale);
     let app_config = AppConfig {
         max_iterations: 20,
-        epsilon: 0.0,
         ..AppConfig::default()
     };
 
