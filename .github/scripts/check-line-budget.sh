@@ -91,6 +91,12 @@
 # public items only tests called in the graph, reorder, analytics and core
 # crates went; campaign.rs was lowered to its new count (1 255 -> 1 240)
 # and crates/bench's ceiling to 507 (the tree's 499 + 8) at the same time.
+# It came down to 16 584 (the tree's 16 534 + 50) when the LLC policy roster
+# became the evaluation's: random replacement and the standalone SRRIP and
+# BRRIP policies (DRRIP's two duel sides, which DRRIP keeps), their dispatch
+# variants and wire labels went. ingest.rs stayed at 1 110: its structural
+# check gained the uniform-weight degree bound, paid for by opening a .gcsr
+# directory's columns without per-column if/else blocks.
 #
 # usage: check-line-budget.sh   (from the repository root)
 set -euo pipefail
@@ -104,7 +110,7 @@ find crates/*/src crates/bench/benches -name '*.rs' | sort | while read -r file;
     END { print n + 0, FILENAME }' "$file"
 done | awk '
   BEGIN {
-    total_ceiling = 16717
+    total_ceiling = 16584
     bench_ceiling = 507
     ceiling["crates/core/src/campaign.rs"] = 1240
     ceiling["crates/graph/src/ingest.rs"] = 1110

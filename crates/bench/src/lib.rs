@@ -463,11 +463,8 @@ mod tests {
     /// little-endian). Captured from the frozen copy, never regenerated from
     /// the code under test.
     #[rustfmt::skip]
-    const SEED_GOLDENS: [(PolicyKind, [u64; 4], u64); 12] = [
+    const SEED_GOLDENS: [(PolicyKind, [u64; 4], u64); 9] = [
         (PolicyKind::Lru,                [5389, 24611, 23587, 0], 0xa7ddb1654b3f95c4),
-        (PolicyKind::Random,             [4766, 25234, 24210, 0], 0xe5355e50ea2fa4e9),
-        (PolicyKind::Srrip,              [8684, 21316, 20292, 0], 0x453028de87d0ebcd),
-        (PolicyKind::Brrip,              [7372, 22628, 21604, 0], 0x3ce9b40e9e1f6704),
         (PolicyKind::Rrip,               [8023, 21977, 20953, 0], 0x16da2cf1e50e672b),
         (PolicyKind::ShipMem,            [9517, 20483, 19459, 0], 0x8505612b35661e08),
         (PolicyKind::Hawkeye,            [3440, 26560, 25536, 0], 0x206434ca70e30c1c),

@@ -444,7 +444,7 @@ impl SetAssocCache {
 mod tests {
     use super::*;
     use crate::policy::lru::Lru;
-    use crate::policy::rrip::Srrip;
+    use crate::policy::rrip::Drrip;
     use crate::request::RegionLabel;
     use crate::trace::encode_meta;
 
@@ -542,7 +542,7 @@ mod tests {
     #[test]
     fn works_with_rrip_policy_too() {
         let config = CacheConfig::new(64 * 8, 4, 64);
-        let mut c = SetAssocCache::new(config, Srrip::new(config.sets(), config.ways));
+        let mut c = SetAssocCache::new(config, Drrip::new(config.sets(), config.ways, 1));
         // A small working set with reuse should mostly hit.
         for _ in 0..10 {
             for b in 0..4u64 {
@@ -550,7 +550,7 @@ mod tests {
             }
         }
         assert!(c.stats().hits > 30);
-        assert!(matches!(c.policy, PolicyDispatch::Srrip(_)));
+        assert!(matches!(c.policy, PolicyDispatch::Drrip(_)));
     }
 
     #[test]
@@ -628,7 +628,7 @@ mod tests {
         assert_replay_run_matches_scalar_dispatch(|| lru_cache(2048, 4));
         assert_replay_run_matches_scalar_dispatch(|| {
             let config = CacheConfig::new(2048, 8, 64);
-            SetAssocCache::new(config, Srrip::new(config.sets(), config.ways))
+            SetAssocCache::new(config, Drrip::new(config.sets(), config.ways, 1))
         });
     }
 

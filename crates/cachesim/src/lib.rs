@@ -14,7 +14,7 @@
 //!   [`LlcTrace`] records the post-L2 stream once for replay under every
 //!   policy and LLC geometry ([`stage`], [`trace`]),
 //! * the replacement policies compared in the paper: LRU, RRIP (DRRIP,
-//!   which duels SRRIP against BRRIP; [`policy::rrip`]), SHiP-MEM
+//!   which duels SRRIP against BRRIP insertion; [`policy::rrip`]), SHiP-MEM
 //!   ([`policy::ship`]), Hawkeye ([`policy::hawkeye`]), Leeway
 //!   ([`policy::leeway`]), XMem-style pinning ([`policy::pin`]), Belady's
 //!   OPT ([`policy::opt`]) and GRASP itself ([`policy::grasp`]),

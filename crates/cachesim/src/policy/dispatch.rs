@@ -1,6 +1,6 @@
 //! Static policy dispatch for the simulation hot path.
 //!
-//! [`PolicyDispatch`] is a closed enum over the ten built-in policies of the
+//! [`PolicyDispatch`] is a closed enum over the seven built-in policies of the
 //! evaluation, held by value so every hook inlines instead of paying a
 //! virtual call. It is not itself a [`ReplacementPolicy`]: the one match over
 //! its variants is `for_each_policy!`, which hands a generic body the
@@ -12,8 +12,7 @@ use super::hawkeye::Hawkeye;
 use super::leeway::Leeway;
 use super::lru::Lru;
 use super::pin::PinX;
-use super::random::RandomReplacement;
-use super::rrip::{Brrip, Drrip, Srrip};
+use super::rrip::Drrip;
 use super::ship::ShipMem;
 use super::ReplacementPolicy;
 
@@ -25,12 +24,6 @@ use super::ReplacementPolicy;
 pub enum PolicyDispatch {
     /// Least Recently Used.
     Lru(Lru),
-    /// Random replacement.
-    Random(RandomReplacement),
-    /// Static RRIP.
-    Srrip(Srrip),
-    /// Bimodal RRIP.
-    Brrip(Brrip),
     /// Dynamic RRIP (the paper's baseline).
     Drrip(Drrip),
     /// SHiP-MEM.
@@ -53,9 +46,6 @@ macro_rules! for_each_policy {
     ($dispatch:expr, $p:ident => $body:expr) => {
         match $dispatch {
             $crate::policy::PolicyDispatch::Lru($p) => $body,
-            $crate::policy::PolicyDispatch::Random($p) => $body,
-            $crate::policy::PolicyDispatch::Srrip($p) => $body,
-            $crate::policy::PolicyDispatch::Brrip($p) => $body,
             $crate::policy::PolicyDispatch::Drrip($p) => $body,
             $crate::policy::PolicyDispatch::ShipMem($p) => $body,
             $crate::policy::PolicyDispatch::Hawkeye($p) => $body,
@@ -95,9 +85,6 @@ macro_rules! impl_from_policy {
 
 impl_from_policy! {
     Lru => Lru,
-    RandomReplacement => Random,
-    Srrip => Srrip,
-    Brrip => Brrip,
     Drrip => Drrip,
     ShipMem => ShipMem,
     Hawkeye => Hawkeye,

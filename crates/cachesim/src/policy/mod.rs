@@ -6,8 +6,7 @@
 //! | Module | Scheme | Paper role |
 //! |---|---|---|
 //! | [`lru`] | Least Recently Used | the classical baseline for Fig. 11 / Table VII |
-//! | [`random`] | Random | sanity baseline |
-//! | [`rrip`] | SRRIP / BRRIP / DRRIP | the paper's high-performance baseline (Sec. IV-C) |
+//! | [`rrip`] | DRRIP (set-duels SRRIP and BRRIP insertion) | the paper's high-performance baseline, "RRIP" (Sec. IV-C) |
 //! | [`ship`] | SHiP-MEM | history-based insertion keyed by memory region |
 //! | [`hawkeye`] | Hawkeye | OPTgen-trained, PC(site)-indexed predictor |
 //! | [`leeway`] | Leeway | live-distance dead-block prediction |
@@ -22,7 +21,6 @@ pub mod leeway;
 pub mod lru;
 pub mod opt;
 pub mod pin;
-pub mod random;
 pub mod rrip;
 pub mod ship;
 
@@ -78,10 +76,10 @@ pub(crate) fn sample_interval(sets: usize) -> usize {
     (sets / 64).max(1)
 }
 
-/// A tiny deterministic pseudo-random generator used by probabilistic
-/// policies (BRRIP's infrequent near-insertion, random replacement). Kept
-/// local to the crate so the simulator has no dependency on the graph
-/// substrate and produces bit-identical results across runs.
+/// A tiny deterministic pseudo-random generator for the BRRIP side of the
+/// DRRIP duel (in DRRIP, GRASP and Leeway). Kept local to the crate so the
+/// simulator has no dependency on the graph substrate and produces
+/// bit-identical results across runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PolicyRng {
     state: u64,
@@ -105,16 +103,10 @@ impl PolicyRng {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// Uniform value in `[0, bound)`.
-    #[inline]
-    pub(crate) fn next_below(&mut self, bound: u64) -> u64 {
-        self.next_u64() % bound
-    }
-
     /// Returns `true` once every `denominator` calls on average.
     #[inline]
     pub(crate) fn one_in(&mut self, denominator: u64) -> bool {
-        self.next_below(denominator) == 0
+        self.next_u64().is_multiple_of(denominator)
     }
 }
 
@@ -128,14 +120,6 @@ mod tests {
         let mut b = PolicyRng::new(1);
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
-        }
-    }
-
-    #[test]
-    fn policy_rng_bounds() {
-        let mut rng = PolicyRng::new(3);
-        for _ in 0..1000 {
-            assert!(rng.next_below(7) < 7);
         }
     }
 

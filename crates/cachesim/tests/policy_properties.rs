@@ -11,8 +11,7 @@ use grasp_cachesim::policy::leeway::Leeway;
 use grasp_cachesim::policy::lru::Lru;
 use grasp_cachesim::policy::opt::optimal_misses;
 use grasp_cachesim::policy::pin::PinX;
-use grasp_cachesim::policy::random::RandomReplacement;
-use grasp_cachesim::policy::rrip::{Brrip, Drrip, Srrip};
+use grasp_cachesim::policy::rrip::Drrip;
 use grasp_cachesim::policy::ship::ShipMem;
 use grasp_cachesim::policy::PolicyDispatch;
 use grasp_cachesim::request::{AccessInfo, RegionLabel};
@@ -36,9 +35,6 @@ fn all_policies(cfg: &CacheConfig) -> Vec<(&'static str, PolicyDispatch)> {
     let ways = cfg.ways;
     vec![
         ("LRU", Lru::new(sets, ways).into()),
-        ("Random", RandomReplacement::new(sets, ways, 7).into()),
-        ("SRRIP", Srrip::new(sets, ways).into()),
-        ("BRRIP", Brrip::new(sets, ways, 7).into()),
         ("RRIP", Drrip::new(sets, ways, 7).into()),
         ("SHiP-MEM", ShipMem::new(sets, ways).into()),
         ("Hawkeye", Hawkeye::new(sets, ways, cfg.block_bytes).into()),

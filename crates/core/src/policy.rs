@@ -6,8 +6,7 @@ use grasp_cachesim::policy::hawkeye::Hawkeye;
 use grasp_cachesim::policy::leeway::Leeway;
 use grasp_cachesim::policy::lru::Lru;
 use grasp_cachesim::policy::pin::PinX;
-use grasp_cachesim::policy::random::RandomReplacement;
-use grasp_cachesim::policy::rrip::{Brrip, Drrip, Srrip};
+use grasp_cachesim::policy::rrip::Drrip;
 use grasp_cachesim::policy::ship::ShipMem;
 use grasp_cachesim::policy::PolicyDispatch;
 
@@ -15,18 +14,12 @@ use grasp_cachesim::policy::PolicyDispatch;
 /// experiment is reproducible.
 const POLICY_SEED: u64 = 0xC0FFEE;
 
-/// Every LLC management scheme evaluated in the paper (plus a couple of
-/// sanity baselines).
+/// Every LLC management scheme of the paper's evaluation, GRASP's two
+/// Fig. 7 ablations included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Least Recently Used.
     Lru,
-    /// Random replacement (sanity baseline).
-    Random,
-    /// Static RRIP.
-    Srrip,
-    /// Bimodal RRIP.
-    Brrip,
     /// Dynamic RRIP — the paper's baseline, labelled "RRIP".
     Rrip,
     /// SHiP-MEM (memory-region signatures).
@@ -51,9 +44,6 @@ impl PolicyKind {
     pub fn label(self) -> &'static str {
         match self {
             PolicyKind::Lru => "LRU",
-            PolicyKind::Random => "Random",
-            PolicyKind::Srrip => "SRRIP",
-            PolicyKind::Brrip => "BRRIP",
             PolicyKind::Rrip => "RRIP",
             PolicyKind::ShipMem => "SHiP-MEM",
             PolicyKind::Hawkeye => "Hawkeye",
@@ -84,9 +74,6 @@ impl PolicyKind {
         }
         let fixed = [
             PolicyKind::Lru,
-            PolicyKind::Random,
-            PolicyKind::Srrip,
-            PolicyKind::Brrip,
             PolicyKind::Rrip,
             PolicyKind::ShipMem,
             PolicyKind::Hawkeye,
@@ -105,9 +92,6 @@ impl PolicyKind {
         let ways = config.ways;
         match self {
             PolicyKind::Lru => Lru::new(sets, ways).into(),
-            PolicyKind::Random => RandomReplacement::new(sets, ways, POLICY_SEED).into(),
-            PolicyKind::Srrip => Srrip::new(sets, ways).into(),
-            PolicyKind::Brrip => Brrip::new(sets, ways, POLICY_SEED).into(),
             PolicyKind::Rrip => Drrip::new(sets, ways, POLICY_SEED).into(),
             PolicyKind::ShipMem => ShipMem::new(sets, ways).into(),
             PolicyKind::Hawkeye => Hawkeye::new(sets, ways, config.block_bytes).into(),
@@ -139,9 +123,6 @@ mod tests {
         let config = CacheConfig::new(64 * 1024, 16, 64);
         let all = [
             PolicyKind::Lru,
-            PolicyKind::Random,
-            PolicyKind::Srrip,
-            PolicyKind::Brrip,
             PolicyKind::Rrip,
             PolicyKind::ShipMem,
             PolicyKind::Hawkeye,
@@ -156,9 +137,6 @@ mod tests {
             let dispatch = kind.build_dispatch(&config);
             let variant_matches = match kind {
                 PolicyKind::Lru => matches!(dispatch, PolicyDispatch::Lru(_)),
-                PolicyKind::Random => matches!(dispatch, PolicyDispatch::Random(_)),
-                PolicyKind::Srrip => matches!(dispatch, PolicyDispatch::Srrip(_)),
-                PolicyKind::Brrip => matches!(dispatch, PolicyDispatch::Brrip(_)),
                 PolicyKind::Rrip => matches!(dispatch, PolicyDispatch::Drrip(_)),
                 PolicyKind::ShipMem => matches!(dispatch, PolicyDispatch::ShipMem(_)),
                 PolicyKind::Hawkeye => matches!(dispatch, PolicyDispatch::Hawkeye(_)),

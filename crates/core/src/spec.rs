@@ -361,6 +361,14 @@ mod tests {
                 r#"{"scale":"tiny","policies":["PIN-101"]}"#,
                 "unknown policy",
             ),
+            // DRRIP's duel sides and random replacement are not policies
+            // of the evaluation.
+            (r#"{"scale":"tiny","policies":["SRRIP"]}"#, "unknown policy"),
+            (r#"{"scale":"tiny","policies":["BRRIP"]}"#, "unknown policy"),
+            (
+                r#"{"scale":"tiny","policies":["Random"]}"#,
+                "unknown policy",
+            ),
             (r#"{"scale":"tiny","mode":"pipelined"}"#, "unknown field"),
             (r#"{"scale":"tiny","pipelines":2}"#, "unknown field"),
             (r#"{"scale":"tiny","threads":-1}"#, "threads must be"),

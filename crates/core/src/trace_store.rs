@@ -421,12 +421,12 @@ impl TraceStore {
     /// records freshly and the subsequent [`TraceStore::publish`] atomically
     /// replaces the bad file.
     ///
-    /// This is a convenience wrapper over [`TraceStore::try_load`] that
-    /// folds decode failures into `None` (after counting and logging them).
-    /// Callers that must *distinguish* a corrupt entry from a missing one —
-    /// the campaign service reports `store/corrupt` error frames rather
-    /// than silently re-recording — should call [`TraceStore::try_load`]
-    /// and inspect the [`StoreError`] themselves.
+    /// The counting wrapper over [`TraceStore::try_load`]: it folds decode
+    /// failures into `None` after counting and logging them. Every
+    /// campaign calls it, the service daemon's included, so a corrupt entry
+    /// is re-recorded and replaced, never reported as an error. Only the
+    /// `pipeline` benchmark, which must stop on a bad entry, calls
+    /// [`TraceStore::try_load`] and inspects the [`StoreError`] itself.
     pub fn load(&self, key: &TraceStoreKey) -> Option<StoredRecording> {
         match self.read_keyed(key) {
             Ok(Some((stored, handle))) => {

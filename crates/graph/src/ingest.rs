@@ -936,45 +936,34 @@ impl MappedCsr {
         let vertex_count = usize::try_from(header.vertex_count)
             .map_err(|_| DiskCsrError::Corrupt("vertex count exceeds usize".into()))?;
         let lens = expected_column_lens(&header)?;
-        let out_offsets = DiskColumn::open(dir, 0, lens[0])?;
-        let out_targets = DiskColumn::open(dir, 1, lens[1])?;
-        let out_weights = if header.uniform_weight.is_none() {
-            Some(DiskColumn::open(dir, 2, lens[2])?)
-        } else {
-            None
-        };
-        let in_offsets = DiskColumn::open(dir, 3, lens[3])?;
-        let in_targets = DiskColumn::open(dir, 4, lens[4])?;
-        let in_weights = if header.uniform_weight.is_none() {
-            Some(DiskColumn::open(dir, 5, lens[5])?)
-        } else {
-            None
-        };
-        let uniform_weights = match header.uniform_weight {
-            Some(w) => {
-                let max_degree = header.stats.max_out_degree.max(header.stats.max_in_degree);
-                let max_degree = usize::try_from(max_degree)
-                    .map_err(|_| DiskCsrError::Corrupt("max degree exceeds usize".into()))?;
-                if max_degree as u64 > header.edge_count {
-                    return Err(DiskCsrError::Corrupt(
-                        "header max degree exceeds edge count".into(),
-                    ));
-                }
-                vec![w; max_degree]
-            }
-            None => Vec::new(),
-        };
+        let max_degree =
+            usize::try_from(header.stats.max_out_degree.max(header.stats.max_in_degree))
+                .map_err(|_| DiskCsrError::Corrupt("max degree exceeds usize".into()))?;
+        if header.uniform_weight.is_some() && max_degree as u64 > header.edge_count {
+            return Err(DiskCsrError::Corrupt(
+                "header max degree exceeds edge count".into(),
+            ));
+        }
+        let weighted = header.uniform_weight.is_none();
+        // Columns open in file order, so the first bad file is the one named.
         Ok(Self {
             dir: dir.to_path_buf(),
-            header,
             vertex_count,
-            out_offsets,
-            out_targets,
-            out_weights,
-            in_offsets,
-            in_targets,
-            in_weights,
-            uniform_weights,
+            out_offsets: DiskColumn::open(dir, 0, lens[0])?,
+            out_targets: DiskColumn::open(dir, 1, lens[1])?,
+            out_weights: weighted
+                .then(|| DiskColumn::open(dir, 2, lens[2]))
+                .transpose()?,
+            in_offsets: DiskColumn::open(dir, 3, lens[3])?,
+            in_targets: DiskColumn::open(dir, 4, lens[4])?,
+            in_weights: weighted
+                .then(|| DiskColumn::open(dir, 5, lens[5]))
+                .transpose()?,
+            // `check_structure` holds every degree to this column's length.
+            uniform_weights: header
+                .uniform_weight
+                .map_or_else(Vec::new, |w| vec![w; max_degree]),
+            header,
         })
     }
 
@@ -1010,21 +999,32 @@ impl MappedCsr {
     }
 
     /// The CSR structural invariants every traversal indexes by: offsets
-    /// start at 0, end at the edge count and never decrease, and every
-    /// target is below the vertex count. Reads the offset and target
-    /// columns but no checksum, so a flipped target that stays in range
-    /// passes (only [`MappedCsr::verify`] catches that).
+    /// start at 0, end at the edge count and never decrease, every target
+    /// is below the vertex count, and, when the weights are uniform, no
+    /// degree exceeds the header's max degree (the uniform weight column is
+    /// sized by it). Reads the offset and target columns but no checksum,
+    /// so a flipped target that stays in range passes (only
+    /// [`MappedCsr::verify`] catches that).
     ///
     /// # Errors
     ///
     /// [`DiskCsrError::Corrupt`] naming the first violation.
     pub fn check_structure(&self) -> Result<(), DiskCsrError> {
+        let max_degree = self.uniform_weights.len() as u64;
         for (name, offsets, targets) in [
             ("out", &self.out_offsets, &self.out_targets),
             ("in", &self.in_offsets, &self.in_targets),
         ] {
-            check_direction(name, offsets.as_slice(), targets.as_slice())
+            let offsets = offsets.as_slice();
+            check_direction(name, offsets, targets.as_slice())
                 .map_err(|e| DiskCsrError::Corrupt(e.to_string()))?;
+            if self.header.uniform_weight.is_some()
+                && offsets.windows(2).any(|w| w[1] - w[0] > max_degree)
+            {
+                return Err(DiskCsrError::Corrupt(format!(
+                    "an {name} degree exceeds the header's max degree {max_degree}"
+                )));
+            }
         }
         Ok(())
     }
@@ -1388,6 +1388,29 @@ mod tests {
                 Err(DiskCsrError::Corrupt(_))
             ));
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn understated_max_degree_fails_the_structural_check() {
+        // A header whose max degree is below a real degree, checksum
+        // recomputed (or left behind by a crash between the column writes
+        // and the header rename): uniform weights are served as a prefix
+        // of a column sized by it, so a weight read would panic.
+        let dir = temp_dir("max_degree");
+        ingest_edge_list(&skewed_edge_list(), &dir, 2).unwrap();
+        MappedCsr::open(&dir).unwrap().check_structure().unwrap();
+        let mut header = read_header(&dir).unwrap();
+        assert!(header.uniform_weight.is_some());
+        let lowered = header.stats.max_out_degree.max(header.stats.max_in_degree) - 1;
+        header.stats.max_out_degree = lowered;
+        header.stats.max_in_degree = lowered;
+        std::fs::write(dir.join(HEADER_FILE), header.encode()).unwrap();
+        let mapped = MappedCsr::open(&dir).unwrap();
+        assert!(matches!(
+            mapped.check_structure(),
+            Err(DiskCsrError::Corrupt(msg)) if msg.contains("max degree")
+        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -215,6 +215,11 @@ fn malformed_requests_get_stable_error_kinds() {
             "spec/invalid",
         ),
         (
+            // A policy outside the evaluation's roster.
+            "{\"type\":\"run\",\"spec\":{\"scale\":\"tiny\",\"policies\":[\"SRRIP\"]}}",
+            "spec/invalid",
+        ),
+        (
             // The retired plan-selection fields are unknown fields now.
             "{\"type\":\"run\",\"spec\":{\"scale\":\"tiny\",\"mode\":\"pipelined\"}}",
             "spec/invalid",

@@ -16,13 +16,10 @@ use std::sync::Arc;
 
 const SCALE: Scale = Scale::Tiny;
 
-/// The full policy roster of the evaluation (paper schemes, ablations and
-/// sanity baselines).
-const FULL_GRID: [PolicyKind; 13] = [
+/// The full policy roster of the evaluation (paper schemes and GRASP's
+/// ablations).
+const FULL_GRID: [PolicyKind; 10] = [
     PolicyKind::Lru,
-    PolicyKind::Random,
-    PolicyKind::Srrip,
-    PolicyKind::Brrip,
     PolicyKind::Rrip,
     PolicyKind::ShipMem,
     PolicyKind::Hawkeye,
@@ -91,7 +88,7 @@ fn replay_and_direct_modes_agree_for_every_technique() {
 #[test]
 fn pipelined_campaign_matches_run_direct_across_the_full_policy_grid() {
     // The dependency-driven scheduler against the run-every-cell oracle,
-    // for all 13 policies over a multi-stream grid: record-once /
+    // for all 10 policies over a multi-stream grid: record-once /
     // replay-many and pipelining may only move wall-clock, never
     // statistics, app output or timing.
     let campaign = Campaign::new(SCALE)
@@ -118,7 +115,7 @@ fn pipelined_campaign_matches_run_direct_across_the_full_policy_grid() {
 #[test]
 fn batched_scalar_fanout_and_direct_replays_agree_across_the_full_policy_grid() {
     // The batched chunk-native replay kernel against every other execution
-    // path, for all 13 policies: batched replay (the default), the
+    // path, for all 10 policies: batched replay (the default), the
     // per-event scalar reference, the shared-decode policy fan-out, and
     // direct simulation. Then the same for four policies under the paper's
     // Table VI geometry (32 KiB L1, 256 KiB L2, 16 MiB LLC), which the
@@ -324,11 +321,8 @@ fn llc_stats_are_pinned_across_the_full_policy_grid() {
     type Pin = (u64, u64, u64, u64, u64);
     // (policy, PageRank, PageRankDelta)
     #[rustfmt::skip]
-    const PINNED: [(PolicyKind, Pin, Pin); 13] = [
+    const PINNED: [(PolicyKind, Pin, Pin); 10] = [
         (PolicyKind::Lru, (4782, 12730, 0, 8460, 2429), (43624, 61661, 0, 18549, 9730)),
-        (PolicyKind::Random, (6642, 14618, 0, 8488, 1797), (54343, 72614, 0, 18783, 6959)),
-        (PolicyKind::Srrip, (1980, 9614, 0, 8146, 2564), (26109, 42635, 0, 17038, 6703)),
-        (PolicyKind::Brrip, (2001, 9300, 0, 7811, 2154), (22649, 38896, 0, 16759, 5082)),
         (PolicyKind::Rrip, (2008, 9473, 0, 7977, 2322), (24733, 41149, 0, 16928, 5880)),
         (PolicyKind::ShipMem, (1694, 9027, 0, 7845, 2147), (22324, 38316, 0, 16504, 5038)),
         (PolicyKind::Hawkeye, (804, 8062, 0, 7770, 2694), (28245, 44814, 0, 17081, 5998)),

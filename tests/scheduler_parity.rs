@@ -36,7 +36,7 @@ const DATASETS: [DatasetKind; 3] = [
 const APPS: [AppKind; 3] = [AppKind::PageRank, AppKind::Sssp, AppKind::PageRankDelta];
 
 /// Roster the property tests draw policy windows from (a slice of the full
-/// 13-policy grid `tests/replay_parity.rs` pins; windows keep case cost
+/// 10-policy grid `tests/replay_parity.rs` pins; windows keep case cost
 /// proportional to the drawn policy count).
 const POLICIES: [PolicyKind; 6] = [
     PolicyKind::Lru,

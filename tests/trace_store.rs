@@ -1,6 +1,6 @@
 //! The persistent trace store must be a pure cost optimization: a campaign
 //! served from the store (record phase skipped) produces `HierarchyStats`
-//! bit-identical to a fresh record across the full 13-policy parity grid,
+//! bit-identical to a fresh record across the full 10-policy parity grid,
 //! and corruption is surfaced as a miss — never as silently wrong
 //! statistics.
 
@@ -19,13 +19,10 @@ use std::sync::Arc;
 
 const SCALE: Scale = Scale::Tiny;
 
-/// The full policy roster of the evaluation (paper schemes, ablations and
-/// sanity baselines) — the same grid `tests/replay_parity.rs` pins.
-const FULL_GRID: [PolicyKind; 13] = [
+/// The full policy roster of the evaluation (paper schemes and GRASP's
+/// ablations) — the same grid `tests/replay_parity.rs` pins.
+const FULL_GRID: [PolicyKind; 10] = [
     PolicyKind::Lru,
-    PolicyKind::Random,
-    PolicyKind::Srrip,
-    PolicyKind::Brrip,
     PolicyKind::Rrip,
     PolicyKind::ShipMem,
     PolicyKind::Hawkeye,
