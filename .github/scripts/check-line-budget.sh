@@ -6,11 +6,13 @@
 # attribute to its closing `}` (or `;`) in column 0, and blank lines directly
 # after it count as part of it, so code below a test module is counted like
 # any other. The script prints them per file and fails when the total, the
-# crates/bench harness (src and benches together), or one of the files
-# ROADMAP item 3 names, is over the ceiling committed below. The total's,
-# crates/bench's and campaign.rs's ceilings sit just above what the tree
-# holds; ingest.rs, trace_store.rs and persist.rs are held at exactly what
-# they hold.
+# crates/bench harness (src and benches together), the crates/analytics
+# library, or one of the files ROADMAP item 3 names, is over the ceiling
+# committed below. The total's, crates/bench's, crates/analytics's and
+# campaign.rs's ceilings sit just above what the tree holds; ingest.rs,
+# trace_store.rs and persist.rs are held at exactly what they hold.
+# crates/analytics has its own ceiling so that the per-app traversal loops
+# the engine replaced cannot grow back unnoticed inside the total's slack.
 # A change that needs more raises a ceiling in its own diff, where it is
 # seen, instead of the counts drifting up unnoticed (campaign.rs once went
 # 1 192 -> 1 393 that way). The total came down 18 558 -> 18 423 (the tree's
@@ -96,7 +98,14 @@
 # BRRIP policies (DRRIP's two duel sides, which DRRIP keeps), their dispatch
 # variants and wire labels went. ingest.rs stayed at 1 110: its structural
 # check gained the uniform-weight degree bound, paid for by opening a .gcsr
-# directory's columns without per-column if/else blocks.
+# directory's columns without per-column if/else blocks. It came down to
+# 16 458 (the tree's 16 408 + 50) when the analytics' structural reads moved
+# into one traversal engine: the six kernels' hand-written vertex, edge and
+# frontier reads and edge counts, the CSR arrays' per-access helpers, the
+# workspace's three duplicate access methods, the property set's per-access
+# layout match and every array's name string went, along with the "no
+# reordering" technique, which no figure or client selected. crates/analytics
+# (1 441 -> 1 318 lines) got its own ceiling then, at the tree's count + 8.
 #
 # usage: check-line-budget.sh   (from the repository root)
 set -euo pipefail
@@ -110,8 +119,9 @@ find crates/*/src crates/bench/benches -name '*.rs' | sort | while read -r file;
     END { print n + 0, FILENAME }' "$file"
 done | awk '
   BEGIN {
-    total_ceiling = 16584
+    total_ceiling = 16458
     bench_ceiling = 507
+    analytics_ceiling = 1326
     ceiling["crates/core/src/campaign.rs"] = 1240
     ceiling["crates/graph/src/ingest.rs"] = 1110
     ceiling["crates/core/src/trace_store.rs"] = 808
@@ -119,6 +129,7 @@ done | awk '
   }
   { total += $1 }
   $2 ~ /^crates\/bench\// { bench += $1 }
+  $2 ~ /^crates\/analytics\// { analytics += $1 }
   $2 in ceiling {
     $0 = $0 " (ceiling " ceiling[$2] ")"
     if ($1 > ceiling[$2]) over = over " " $2
@@ -126,8 +137,10 @@ done | awk '
   { print }
   END {
     printf "%d crates/bench lines, src and benches (ceiling %d)\n", bench, bench_ceiling
+    printf "%d crates/analytics lines (ceiling %d)\n", analytics, analytics_ceiling
     printf "%d total non-test lines (ceiling %d)\n", total, total_ceiling
     if (bench > bench_ceiling) over = over " crates/bench"
+    if (analytics > analytics_ceiling) over = over " crates/analytics"
     if (total > total_ceiling) over = over " total"
     if (over != "") {
       print "line budget exceeded (" substr(over, 2) "): delete something, or raise the ceiling in .github/scripts/check-line-budget.sh and say why"

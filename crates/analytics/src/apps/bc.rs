@@ -7,9 +7,8 @@
 
 use super::bfs;
 use super::{AppConfig, AppResult, ROOT};
-use crate::engine::CsrArrays;
+use crate::engine::Engine;
 use crate::mem::MemoryModel;
-use crate::props::PropertySet;
 use crate::sites;
 use crate::workspace::Workspace;
 use grasp_graph::types::Direction;
@@ -21,81 +20,55 @@ const FIELD_NUM_PATHS: usize = 0;
 const FIELD_DEPENDENCY: usize = 1;
 
 /// Runs Betweenness Centrality from vertex 0 and returns the per-vertex
-/// dependency scores.
+/// dependency scores. The forward BFS runs to its last level, whatever
+/// `config.max_iterations` says.
 pub fn run<M: MemoryModel>(
     graph: &dyn GraphView,
     ws: &mut Workspace<M>,
     config: &AppConfig,
 ) -> AppResult {
     let n = graph.vertex_count();
-    let arrays = CsrArrays::allocate(ws, graph, false);
-    let props = PropertySet::allocate(ws, "bc", n as u64, &[8, 8], config.layout);
-    props.program_abrs(ws);
+    let mut eng = Engine::new(graph, ws, false, &[8, 8], config.layout);
 
     // Phase 1: BFS to establish levels.
-    let bfs_out = bfs::run(
-        graph,
-        ws,
-        &arrays,
-        &props,
-        ROOT,
-        config.max_iterations.max(n),
-    );
-    let mut edges_processed = bfs_out.edges_processed;
+    let bfs::BfsOutput { level, levels } = bfs::run(graph, &mut eng, ROOT);
 
     // Phase 2: forward pass over levels accumulating shortest-path counts.
     let mut num_paths = vec![0.0f64; n];
     num_paths[ROOT as usize] = 1.0;
-    for frontier in bfs_out.levels.iter().skip(1) {
-        for &v in frontier {
-            arrays.read_vertex(ws, v);
-            let edge_base = graph.edge_offset(v, Direction::In);
-            let mut acc = 0.0;
-            for (k, &u) in graph.in_neighbors(v).iter().enumerate() {
-                arrays.read_edge(ws, edge_base + k as u64);
-                props.read(ws, FIELD_NUM_PATHS, u64::from(u), sites::PROPERTY_GATHER);
-                edges_processed += 1;
-                if bfs_out.level[u as usize] != u32::MAX
-                    && bfs_out.level[u as usize] + 1 == bfs_out.level[v as usize]
-                {
-                    acc += num_paths[u as usize];
-                }
+    for &v in levels.iter().skip(1).flatten() {
+        eng.visit(v);
+        let mut acc = 0.0;
+        eng.scan(v, Direction::In, false, |eng, u, _| {
+            eng.read(FIELD_NUM_PATHS, u, sites::PROPERTY_GATHER);
+            if level[u as usize] != u32::MAX && level[u as usize] + 1 == level[v as usize] {
+                acc += num_paths[u as usize];
             }
-            props.write(ws, FIELD_NUM_PATHS, u64::from(v), sites::PROPERTY_LOCAL);
-            num_paths[v as usize] = acc;
-        }
+        });
+        eng.write(FIELD_NUM_PATHS, v, sites::PROPERTY_LOCAL);
+        num_paths[v as usize] = acc;
     }
 
     // Phase 3: backward pass accumulating dependencies.
     let mut dependency = vec![0.0f64; n];
-    for frontier in bfs_out.levels.iter().rev() {
-        for &u in frontier {
-            arrays.read_vertex(ws, u);
-            let edge_base = graph.edge_offset(u, Direction::Out);
-            let mut acc = 0.0;
-            for (k, &v) in graph.out_neighbors(u).iter().enumerate() {
-                arrays.read_edge(ws, edge_base + k as u64);
-                props.read(ws, FIELD_DEPENDENCY, u64::from(v), sites::PROPERTY_GATHER);
-                edges_processed += 1;
-                if bfs_out.level[u as usize] != u32::MAX
-                    && bfs_out.level[v as usize] == bfs_out.level[u as usize] + 1
-                    && num_paths[v as usize] > 0.0
-                {
-                    acc += num_paths[u as usize] / num_paths[v as usize]
-                        * (1.0 + dependency[v as usize]);
-                }
+    for &u in levels.iter().rev().flatten() {
+        eng.visit(u);
+        let mut acc = 0.0;
+        eng.scan(u, Direction::Out, false, |eng, v, _| {
+            eng.read(FIELD_DEPENDENCY, v, sites::PROPERTY_GATHER);
+            if level[u as usize] != u32::MAX
+                && level[v as usize] == level[u as usize] + 1
+                && num_paths[v as usize] > 0.0
+            {
+                acc +=
+                    num_paths[u as usize] / num_paths[v as usize] * (1.0 + dependency[v as usize]);
             }
-            props.write(ws, FIELD_DEPENDENCY, u64::from(u), sites::PROPERTY_LOCAL);
-            dependency[u as usize] = acc;
-        }
+        });
+        eng.write(FIELD_DEPENDENCY, u, sites::PROPERTY_LOCAL);
+        dependency[u as usize] = acc;
     }
 
-    AppResult {
-        app: "BC",
-        values: dependency,
-        iterations: bfs_out.levels.len(),
-        edges_processed,
-    }
+    eng.finish("BC", dependency, levels.len())
 }
 
 #[cfg(test)]

@@ -6,12 +6,10 @@
 //! push/pull direction switching and models its memory accesses like the
 //! other applications.
 
-use crate::engine::{choose_direction, CsrArrays};
+use crate::engine::Engine;
 use crate::frontier::Frontier;
 use crate::mem::MemoryModel;
-use crate::props::PropertySet;
 use crate::sites;
-use crate::workspace::Workspace;
 use grasp_graph::types::{Direction, VertexId};
 use grasp_graph::GraphView;
 
@@ -25,51 +23,40 @@ pub struct BfsOutput {
     pub level: Vec<u32>,
     /// The frontier of every level, in order (level 0 is just the root).
     pub levels: Vec<Frontier>,
-    /// Number of edges traversed.
-    pub edges_processed: u64,
 }
 
-/// Runs BFS over the out-edges of `graph` starting at `root`, modelling the
-/// memory accesses through `ws`.
+/// Runs BFS over the out-edges of `graph` from `root` to its last level,
+/// modelling the memory accesses through `eng` with its field 0 as the
+/// level.
 pub fn run<M: MemoryModel>(
     graph: &dyn GraphView,
-    ws: &mut Workspace<M>,
-    arrays: &CsrArrays,
-    props: &PropertySet,
+    eng: &mut Engine<'_, M>,
     root: VertexId,
-    max_rounds: usize,
 ) -> BfsOutput {
     let n = graph.vertex_count();
     let mut level = vec![u32::MAX; n];
     level[root as usize] = 0;
     let mut frontier = Frontier::single(n, root);
     let mut levels = vec![frontier.clone()];
-    let mut edges_processed = 0u64;
 
     // Round-robin a single spare frontier instead of reallocating the
     // membership bitmap every round.
     let mut next = Frontier::empty(n);
-    for round in 0..max_rounds {
-        if frontier.is_empty() {
-            break;
-        }
+    for round in 1.. {
         next.clear();
-        match choose_direction(graph, &frontier) {
+        match eng.direction(&frontier) {
             Direction::Out => {
                 // Push: frontier vertices explore their out-neighbours.
                 for &u in frontier.iter() {
-                    arrays.read_vertex(ws, u);
-                    let edge_base = graph.edge_offset(u, Direction::Out);
-                    for (k, &v) in graph.out_neighbors(u).iter().enumerate() {
-                        arrays.read_edge(ws, edge_base + k as u64);
-                        props.read(ws, FIELD_LEVEL, u64::from(v), sites::PROPERTY_GATHER);
-                        edges_processed += 1;
+                    eng.visit(u);
+                    eng.scan(u, Direction::Out, false, |eng, v, _| {
+                        eng.read(FIELD_LEVEL, v, sites::PROPERTY_GATHER);
                         if level[v as usize] == u32::MAX {
-                            level[v as usize] = round as u32 + 1;
-                            props.write(ws, FIELD_LEVEL, u64::from(v), sites::PROPERTY_GATHER);
-                            arrays.activate(ws, &mut next, v);
+                            level[v as usize] = round;
+                            eng.write(FIELD_LEVEL, v, sites::PROPERTY_GATHER);
+                            eng.activate(&mut next, v);
                         }
-                    }
+                    });
                 }
             }
             Direction::In => {
@@ -78,20 +65,17 @@ pub fn run<M: MemoryModel>(
                     if level[v as usize] != u32::MAX {
                         continue;
                     }
-                    arrays.read_vertex(ws, v);
-                    let edge_base = graph.edge_offset(v, Direction::In);
-                    for (k, &u) in graph.in_neighbors(v).iter().enumerate() {
-                        arrays.read_edge(ws, edge_base + k as u64);
-                        arrays.read_frontier(ws, u);
-                        props.read(ws, FIELD_LEVEL, u64::from(u), sites::PROPERTY_GATHER);
-                        edges_processed += 1;
-                        if frontier.contains(u) {
-                            level[v as usize] = round as u32 + 1;
-                            props.write(ws, FIELD_LEVEL, u64::from(v), sites::PROPERTY_LOCAL);
-                            arrays.activate(ws, &mut next, v);
-                            break;
+                    eng.visit(v);
+                    eng.scan(v, Direction::In, true, |eng, u, _| {
+                        eng.read(FIELD_LEVEL, u, sites::PROPERTY_GATHER);
+                        let found = frontier.contains(u);
+                        if found {
+                            level[v as usize] = round;
+                            eng.write(FIELD_LEVEL, v, sites::PROPERTY_LOCAL);
+                            eng.activate(&mut next, v);
                         }
-                    }
+                        found
+                    });
                 }
             }
         }
@@ -102,11 +86,7 @@ pub fn run<M: MemoryModel>(
         levels.push(frontier.clone());
     }
 
-    BfsOutput {
-        level,
-        levels,
-        edges_processed,
-    }
+    BfsOutput { level, levels }
 }
 
 #[cfg(test)]
@@ -115,19 +95,13 @@ mod tests {
     use crate::csr_of;
     use crate::mem::NativeMemory;
     use crate::props::PropertyLayout;
+    use crate::workspace::Workspace;
     use grasp_graph::generators::{GraphGenerator, Rmat};
 
     fn bfs_native(graph: &dyn GraphView, root: VertexId) -> BfsOutput {
         let mut ws = Workspace::new(NativeMemory);
-        let arrays = CsrArrays::allocate(&mut ws, graph, false);
-        let props = PropertySet::allocate(
-            &mut ws,
-            "bfs",
-            graph.vertex_count() as u64,
-            &[8],
-            PropertyLayout::Merged,
-        );
-        run(graph, &mut ws, &arrays, &props, root, graph.vertex_count())
+        let mut eng = Engine::new(graph, &mut ws, false, &[8], PropertyLayout::Merged);
+        run(graph, &mut eng, root)
     }
 
     /// Reference BFS distances via a simple queue.

@@ -8,10 +8,11 @@
 //! | [`sssp`] (SSSP) | Bellman-Ford from a root over a weighted graph (push-based) | distances |
 //! | [`radii`] (Radii) | multiple simultaneous BFS via bit masks | visited masks, radii |
 //!
-//! Every application allocates its Property Arrays through
-//! [`crate::props::PropertySet`], programs the GRASP Address Bound Registers
-//! with their bounds, and reports every memory access it performs to the
-//! workspace's memory model.
+//! Every application traverses the graph through a
+//! [`crate::engine::Engine`], which places its structural and Property
+//! Arrays, programs the GRASP Address Bound Registers with the Property
+//! Arrays' bounds and models every structural access. The application's own
+//! code models only its Property Array traffic.
 
 pub mod bc;
 pub mod bfs;
@@ -39,9 +40,10 @@ pub(crate) const DAMPING: f64 = 0.85;
 /// change exceeds 1e-9 of its rank.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppConfig {
-    /// Maximum number of iterations (PR/PRD/Radii) or traversal rounds
-    /// (BC/SSSP) to execute. The paper's simulated region of interest covers
-    /// the dominant iterations only; the bench harness uses small values.
+    /// Maximum number of iterations (PR/PRD/Radii) or relaxation rounds
+    /// (SSSP) to execute. BC's BFS always runs to its last level, so BC
+    /// ignores it. The paper's simulated region of interest covers the
+    /// dominant iterations only; the bench harness uses small values.
     pub max_iterations: usize,
     /// Property Array layout (merged vs separate; Table IV).
     pub layout: PropertyLayout,

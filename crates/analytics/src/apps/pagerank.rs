@@ -8,9 +8,8 @@
 //! — the access pattern Fig. 1 analyses.
 
 use super::{AppConfig, AppResult, DAMPING};
-use crate::engine::CsrArrays;
+use crate::engine::Engine;
 use crate::mem::MemoryModel;
-use crate::props::PropertySet;
 use crate::sites;
 use crate::workspace::Workspace;
 use grasp_graph::types::Direction;
@@ -28,54 +27,37 @@ pub fn run<M: MemoryModel>(
     config: &AppConfig,
 ) -> AppResult {
     let n = graph.vertex_count();
-    let arrays = CsrArrays::allocate(ws, graph, false);
-    let props = PropertySet::allocate(ws, "pagerank", n as u64, &[8, 8], config.layout);
-    props.program_abrs(ws);
+    let mut eng = Engine::new(graph, ws, false, &[8, 8], config.layout);
 
     let base = (1.0 - DAMPING) / n as f64;
     let mut rank = vec![1.0 / n as f64; n];
     // Pre-divided contributions for the pull loop.
     let mut contrib: Vec<f64> = (0..n)
-        .map(|v| {
-            let d = graph.out_degree(v as u32).max(1) as f64;
-            rank[v] / d
-        })
+        .map(|v| rank[v] / graph.out_degree(v as u32).max(1) as f64)
         .collect();
 
-    let mut edges_processed = 0u64;
-    let mut iterations = 0usize;
-
     for _ in 0..config.max_iterations {
-        iterations += 1;
         for v in graph.vertices() {
-            arrays.read_vertex(ws, v);
-            let edge_base = graph.edge_offset(v, Direction::In);
+            eng.visit(v);
             let mut acc = 0.0f64;
-            for (k, &u) in graph.in_neighbors(v).iter().enumerate() {
-                arrays.read_edge(ws, edge_base + k as u64);
+            eng.scan(v, Direction::In, false, |eng, u, _| {
                 // The irregular gather: contribution of the in-neighbour.
-                props.read(ws, FIELD_CONTRIB, u64::from(u), sites::PROPERTY_GATHER);
+                eng.read(FIELD_CONTRIB, u, sites::PROPERTY_GATHER);
                 acc += contrib[u as usize];
-                edges_processed += 1;
-            }
-            props.write(ws, FIELD_NEXT, u64::from(v), sites::PROPERTY_LOCAL);
+            });
+            eng.write(FIELD_NEXT, v, sites::PROPERTY_LOCAL);
             rank[v as usize] = base + DAMPING * acc;
         }
         // Refresh the pre-divided contributions (sequential pass).
         for v in graph.vertices() {
-            props.read(ws, FIELD_NEXT, u64::from(v), sites::PROPERTY_LOCAL);
-            props.write(ws, FIELD_CONTRIB, u64::from(v), sites::PROPERTY_LOCAL);
+            eng.read(FIELD_NEXT, v, sites::PROPERTY_LOCAL);
+            eng.write(FIELD_CONTRIB, v, sites::PROPERTY_LOCAL);
             let d = graph.out_degree(v).max(1) as f64;
             contrib[v as usize] = rank[v as usize] / d;
         }
     }
 
-    AppResult {
-        app: "PR",
-        values: rank,
-        iterations,
-        edges_processed,
-    }
+    eng.finish("PR", rank, config.max_iterations)
 }
 
 #[cfg(test)]

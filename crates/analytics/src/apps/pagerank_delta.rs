@@ -7,10 +7,9 @@
 //! effectively stops changing most ranks.
 
 use super::{AppConfig, AppResult, DAMPING};
-use crate::engine::{choose_direction, CsrArrays};
+use crate::engine::Engine;
 use crate::frontier::Frontier;
 use crate::mem::MemoryModel;
-use crate::props::PropertySet;
 use crate::sites;
 use crate::workspace::Workspace;
 use grasp_graph::types::Direction;
@@ -33,9 +32,7 @@ pub fn run<M: MemoryModel>(
     config: &AppConfig,
 ) -> AppResult {
     let n = graph.vertex_count();
-    let arrays = CsrArrays::allocate(ws, graph, false);
-    let props = PropertySet::allocate(ws, "pagerank_delta", n as u64, &[8, 8, 8], config.layout);
-    props.program_abrs(ws);
+    let mut eng = Engine::new(graph, ws, false, &[8, 8, 8], config.layout);
 
     let mut rank = vec![(1.0 - DAMPING) / n as f64; n];
     // Initial delta: the base rank each vertex still has to propagate,
@@ -46,36 +43,26 @@ pub fn run<M: MemoryModel>(
     let mut frontier = Frontier::full(n);
     let mut next_frontier = Frontier::empty(n);
 
-    let mut edges_processed = 0u64;
-    let mut iterations = 0usize;
-
-    for _ in 0..config.max_iterations {
-        if frontier.is_empty() {
-            break;
-        }
+    let mut iterations = 0;
+    while iterations < config.max_iterations && !frontier.is_empty() {
         iterations += 1;
         let mut next_delta = vec![0.0f64; n];
-        let direction = choose_direction(graph, &frontier);
 
-        match direction {
+        match eng.direction(&frontier) {
             Direction::In => {
                 // Dense pull: every vertex scans its in-neighbours and picks up
                 // deltas from the active ones.
                 for v in graph.vertices() {
-                    arrays.read_vertex(ws, v);
-                    let edge_base = graph.edge_offset(v, Direction::In);
+                    eng.visit(v);
                     let mut acc = 0.0f64;
-                    for (k, &u) in graph.in_neighbors(v).iter().enumerate() {
-                        arrays.read_edge(ws, edge_base + k as u64);
-                        arrays.read_frontier(ws, u);
+                    eng.scan(v, Direction::In, true, |eng, u, _| {
                         if frontier.contains(u) {
-                            props.read(ws, FIELD_DELTA, u64::from(u), sites::PROPERTY_GATHER);
+                            eng.read(FIELD_DELTA, u, sites::PROPERTY_GATHER);
                             acc += delta[u as usize];
                         }
-                        edges_processed += 1;
-                    }
+                    });
                     if acc != 0.0 {
-                        props.write(ws, FIELD_NEXT_DELTA, u64::from(v), sites::PROPERTY_LOCAL);
+                        eng.write(FIELD_NEXT_DELTA, v, sites::PROPERTY_LOCAL);
                         next_delta[v as usize] = DAMPING * acc;
                     }
                 }
@@ -83,16 +70,13 @@ pub fn run<M: MemoryModel>(
             Direction::Out => {
                 // Sparse push: active vertices push their delta to out-neighbours.
                 for &u in frontier.iter() {
-                    arrays.read_vertex(ws, u);
-                    props.read(ws, FIELD_DELTA, u64::from(u), sites::PROPERTY_LOCAL);
-                    let edge_base = graph.edge_offset(u, Direction::Out);
-                    for (k, &v) in graph.out_neighbors(u).iter().enumerate() {
-                        arrays.read_edge(ws, edge_base + k as u64);
-                        props.read(ws, FIELD_NEXT_DELTA, u64::from(v), sites::PROPERTY_GATHER);
-                        props.write(ws, FIELD_NEXT_DELTA, u64::from(v), sites::PROPERTY_GATHER);
+                    eng.visit(u);
+                    eng.read(FIELD_DELTA, u, sites::PROPERTY_LOCAL);
+                    eng.scan(u, Direction::Out, false, |eng, v, _| {
+                        eng.read(FIELD_NEXT_DELTA, v, sites::PROPERTY_GATHER);
+                        eng.write(FIELD_NEXT_DELTA, v, sites::PROPERTY_GATHER);
                         next_delta[v as usize] += DAMPING * delta[u as usize];
-                        edges_processed += 1;
-                    }
+                    });
                 }
             }
         }
@@ -103,25 +87,20 @@ pub fn run<M: MemoryModel>(
         for v in graph.vertices() {
             let nd = next_delta[v as usize];
             if nd.abs() > 0.0 {
-                props.read(ws, FIELD_RANK, u64::from(v), sites::PROPERTY_LOCAL);
-                props.write(ws, FIELD_RANK, u64::from(v), sites::PROPERTY_LOCAL);
+                eng.read(FIELD_RANK, v, sites::PROPERTY_LOCAL);
+                eng.write(FIELD_RANK, v, sites::PROPERTY_LOCAL);
                 rank[v as usize] += nd;
             }
             if nd.abs() > ACTIVATION * rank[v as usize] {
-                arrays.activate(ws, &mut next_frontier, v);
-                props.write(ws, FIELD_DELTA, u64::from(v), sites::PROPERTY_LOCAL);
+                eng.activate(&mut next_frontier, v);
+                eng.write(FIELD_DELTA, v, sites::PROPERTY_LOCAL);
             }
             delta[v as usize] = nd / graph.out_degree(v).max(1) as f64;
         }
         std::mem::swap(&mut frontier, &mut next_frontier);
     }
 
-    AppResult {
-        app: "PRD",
-        values: rank,
-        iterations,
-        edges_processed,
-    }
+    eng.finish("PRD", rank, iterations)
 }
 
 #[cfg(test)]

@@ -6,10 +6,9 @@
 //! in an iteration, its radius estimate is updated to that iteration number.
 
 use super::{AppConfig, AppResult};
-use crate::engine::CsrArrays;
+use crate::engine::Engine;
 use crate::frontier::Frontier;
 use crate::mem::MemoryModel;
-use crate::props::PropertySet;
 use crate::sites;
 use crate::workspace::Workspace;
 use grasp_graph::types::{Direction, VertexId};
@@ -33,68 +32,49 @@ pub fn run<M: MemoryModel>(
     config: &AppConfig,
 ) -> AppResult {
     let n = graph.vertex_count();
-    let arrays = CsrArrays::allocate(ws, graph, false);
-    let props = PropertySet::allocate(ws, "radii", n as u64, &[8, 8, 8], config.layout);
-    props.program_abrs(ws);
-
-    // Deterministic, well-spread sample of source vertices.
-    let roots: Vec<VertexId> = (0..SAMPLE_ROOTS)
-        .map(|k| ((k * n) / SAMPLE_ROOTS) as VertexId)
-        .collect();
+    let mut eng = Engine::new(graph, ws, false, &[8, 8, 8], config.layout);
 
     let mut visited = vec![0u64; n];
     let mut radii = vec![-1.0f64; n];
     let mut frontier = Frontier::empty(n);
-    for (k, &root) in roots.iter().enumerate() {
-        visited[root as usize] |= 1 << k;
-        radii[root as usize] = 0.0;
-        frontier.add(root);
+    // Deterministic, well-spread sample of source vertices.
+    for k in 0..SAMPLE_ROOTS {
+        let root = (k * n) / SAMPLE_ROOTS;
+        visited[root] |= 1 << k;
+        radii[root] = 0.0;
+        frontier.add(root as VertexId);
     }
 
-    let mut edges_processed = 0u64;
-    let mut iterations = 0usize;
-
     let mut next = Frontier::empty(n);
-    for round in 0..config.max_iterations.max(1) {
-        if frontier.is_empty() {
-            break;
-        }
+    let mut iterations = 0;
+    while iterations < config.max_iterations.max(1) && !frontier.is_empty() {
         iterations += 1;
         let mut next_visited = visited.clone();
         next.clear();
         // Dense pull iteration: every vertex ORs the masks of its in-neighbours
         // that changed in the previous round.
         for v in graph.vertices() {
-            arrays.read_vertex(ws, v);
-            let edge_base = graph.edge_offset(v, Direction::In);
+            eng.visit(v);
             let mut mask = visited[v as usize];
-            for (k, &u) in graph.in_neighbors(v).iter().enumerate() {
-                arrays.read_edge(ws, edge_base + k as u64);
-                arrays.read_frontier(ws, u);
-                edges_processed += 1;
+            eng.scan(v, Direction::In, true, |eng, u, _| {
                 if frontier.contains(u) {
-                    props.read(ws, FIELD_VISITED, u64::from(u), sites::PROPERTY_GATHER);
+                    eng.read(FIELD_VISITED, u, sites::PROPERTY_GATHER);
                     mask |= visited[u as usize];
                 }
-            }
+            });
             if mask != visited[v as usize] {
-                props.write(ws, FIELD_NEXT, u64::from(v), sites::PROPERTY_LOCAL);
-                props.write(ws, FIELD_RADII, u64::from(v), sites::PROPERTY_LOCAL);
+                eng.write(FIELD_NEXT, v, sites::PROPERTY_LOCAL);
+                eng.write(FIELD_RADII, v, sites::PROPERTY_LOCAL);
                 next_visited[v as usize] = mask;
-                radii[v as usize] = round as f64 + 1.0;
-                arrays.activate(ws, &mut next, v);
+                radii[v as usize] = iterations as f64;
+                eng.activate(&mut next, v);
             }
         }
         visited = next_visited;
         std::mem::swap(&mut frontier, &mut next);
     }
 
-    AppResult {
-        app: "Radii",
-        values: radii,
-        iterations,
-        edges_processed,
-    }
+    eng.finish("Radii", radii, iterations)
 }
 
 #[cfg(test)]

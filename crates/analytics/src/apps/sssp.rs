@@ -6,10 +6,9 @@
 //! distribution.
 
 use super::{AppConfig, AppResult, ROOT};
-use crate::engine::CsrArrays;
+use crate::engine::Engine;
 use crate::frontier::Frontier;
 use crate::mem::MemoryModel;
-use crate::props::PropertySet;
 use crate::sites;
 use crate::workspace::Workspace;
 use grasp_graph::types::Direction;
@@ -26,46 +25,31 @@ pub fn run<M: MemoryModel>(
     config: &AppConfig,
 ) -> AppResult {
     let n = graph.vertex_count();
-    let arrays = CsrArrays::allocate(ws, graph, true);
-    let props = PropertySet::allocate(ws, "sssp", n as u64, &[8], config.layout);
-    props.program_abrs(ws);
+    let mut eng = Engine::new(graph, ws, true, &[8], config.layout);
 
     let mut dist = vec![u64::MAX; n];
     dist[ROOT as usize] = 0;
     let mut frontier = Frontier::single(n, ROOT);
-    let mut edges_processed = 0u64;
-    let mut iterations = 0usize;
+    let mut next = Frontier::empty(n);
     // Bellman-Ford terminates after at most |V| - 1 relaxation rounds.
     let round_cap = config.max_iterations.max(1).min(n);
-
-    let mut next = Frontier::empty(n);
-    for _ in 0..round_cap {
-        if frontier.is_empty() {
-            break;
-        }
+    let mut iterations = 0;
+    while iterations < round_cap && !frontier.is_empty() {
         iterations += 1;
         next.clear();
         for &u in frontier.iter() {
-            arrays.read_vertex(ws, u);
-            props.read(ws, FIELD_DIST, u64::from(u), sites::PROPERTY_LOCAL);
+            eng.visit(u);
+            eng.read(FIELD_DIST, u, sites::PROPERTY_LOCAL);
             let du = dist[u as usize];
-            let edge_base = graph.edge_offset(u, Direction::Out);
-            for (k, (&v, &w)) in graph
-                .out_neighbors(u)
-                .iter()
-                .zip(graph.out_weights(u))
-                .enumerate()
-            {
-                arrays.read_edge(ws, edge_base + k as u64);
-                props.read(ws, FIELD_DIST, u64::from(v), sites::PROPERTY_GATHER);
-                edges_processed += 1;
-                let candidate = du.saturating_add(u64::from(w));
+            eng.scan(u, Direction::Out, false, |eng, v, weight| {
+                eng.read(FIELD_DIST, v, sites::PROPERTY_GATHER);
+                let candidate = du.saturating_add(u64::from(weight));
                 if candidate < dist[v as usize] {
                     dist[v as usize] = candidate;
-                    props.write(ws, FIELD_DIST, u64::from(v), sites::PROPERTY_GATHER);
-                    arrays.activate(ws, &mut next, v);
+                    eng.write(FIELD_DIST, v, sites::PROPERTY_GATHER);
+                    eng.activate(&mut next, v);
                 }
-            }
+            });
         }
         std::mem::swap(&mut frontier, &mut next);
     }
@@ -80,12 +64,7 @@ pub fn run<M: MemoryModel>(
             }
         })
         .collect();
-    AppResult {
-        app: "SSSP",
-        values,
-        iterations,
-        edges_processed,
-    }
+    eng.finish("SSSP", values, iterations)
 }
 
 #[cfg(test)]

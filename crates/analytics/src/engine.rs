@@ -1,35 +1,68 @@
-//! Engine helpers: CSR structural arrays and push/pull direction selection.
+//! The traversal engine: what every application models about walking a
+//! graph.
 //!
-//! The applications model every structural access themselves (they own the
-//! traversal loops), but the bookkeeping they share lives here: allocating the
-//! CSR Vertex/Edge arrays and the frontier bitmap in the simulated address
-//! space, and Ligra's push/pull direction-switching heuristic.
+//! Each application owns its round and vertex loops, but the structural
+//! traffic of a traversal is modelled here and nowhere else: the Vertex
+//! Array read of a visited vertex, the Edge Array read of every scanned
+//! edge, the frontier read of a neighbour whose membership a pull checks,
+//! and the frontier write that activates a vertex. The engine also counts
+//! the scanned edges and holds Ligra's push/pull switch, so an application's
+//! per-edge closure says only what that edge does to its Property Arrays.
 
+use crate::apps::AppResult;
 use crate::frontier::Frontier;
 use crate::layout::ArrayHandle;
 use crate::mem::MemoryModel;
+use crate::props::{FieldId, PropertyLayout, PropertySet};
 use crate::sites;
 use crate::workspace::Workspace;
-use grasp_cachesim::request::RegionLabel;
-use grasp_graph::types::{Direction, VertexId};
+use grasp_cachesim::request::AccessKind::{Read, Write};
+use grasp_cachesim::request::{AccessSite, RegionLabel};
+use grasp_graph::types::{Direction, EdgeWeight, VertexId};
 use grasp_graph::GraphView;
 
-/// Handles of the structural arrays of a CSR graph placed in the simulated
-/// address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CsrArrays {
-    /// The Vertex Array (per-vertex offsets, 8 bytes each).
-    pub vertex_array: ArrayHandle,
-    /// The Edge Array (neighbour IDs, 4 bytes each for unweighted graphs,
-    /// 8 bytes when weights are carried).
-    pub edge_array: ArrayHandle,
-    /// The frontier membership bitmap (8 bytes per vertex; see
-    /// [`CsrArrays::allocate`]).
-    pub frontier_bitmap: ArrayHandle,
+/// What a per-edge closure of [`Engine::scan`] returns: `()` to go on to the
+/// next edge, or a `bool` that ends the scan after this edge when `true`.
+pub trait Stop {
+    /// Whether the scan ends after this edge.
+    fn stop(self) -> bool;
 }
 
-impl CsrArrays {
-    /// Allocates the structural arrays for `graph`.
+impl Stop for () {
+    fn stop(self) -> bool {
+        false
+    }
+}
+
+impl Stop for bool {
+    fn stop(self) -> bool {
+        self
+    }
+}
+
+/// One application's traversal of `graph`: its structural arrays and
+/// Property Arrays placed in a workspace, and the edges scanned so far.
+#[derive(Debug)]
+pub struct Engine<'a, M> {
+    graph: &'a dyn GraphView,
+    ws: &'a mut Workspace<M>,
+    /// The Vertex Array (per-vertex offsets, 8 bytes each).
+    vertex_array: ArrayHandle,
+    /// The Edge Array (neighbour IDs, 4 bytes each, 8 with weights).
+    edge_array: ArrayHandle,
+    /// The frontier membership bitmap (8 bytes per vertex; see
+    /// [`Engine::new`]).
+    frontier: ArrayHandle,
+    props: PropertySet,
+    edges: u64,
+}
+
+impl<'a, M: MemoryModel> Engine<'a, M> {
+    /// Places `graph`'s Vertex Array, Edge Array (8-byte elements when the
+    /// application reads `weighted` edges) and frontier in `ws`, then one
+    /// Property Array field per entry of `fields` (its bytes) laid out as
+    /// `layout`, and programs the GRASP Address Bound Registers with the
+    /// Property Arrays' bounds.
     ///
     /// The frontier is modelled with 8-byte elements rather than Ligra's
     /// 1-byte booleans: because the reproduction scales the vertex count down
@@ -41,71 +74,115 @@ impl CsrArrays {
     /// against 64 KiB). It also makes the frontier as large as one 8-byte
     /// property field (1 : 1), where the paper's 1-byte frontier and 8-byte
     /// property give 1 : 8.
-    pub fn allocate<M: MemoryModel>(
-        ws: &mut Workspace<M>,
-        graph: &dyn GraphView,
+    pub fn new(
+        graph: &'a dyn GraphView,
+        ws: &'a mut Workspace<M>,
         weighted: bool,
+        fields: &[u64],
+        layout: PropertyLayout,
     ) -> Self {
         let n = graph.vertex_count() as u64;
-        let m = graph.edge_count();
         let edge_bytes = if weighted { 8 } else { 4 };
+        let vertex_array = ws.allocate(RegionLabel::VertexArray, n + 1, 8);
+        let edge_array = ws.allocate(
+            RegionLabel::EdgeArray,
+            graph.edge_count().max(1),
+            edge_bytes,
+        );
+        let frontier = ws.allocate(RegionLabel::Frontier, n, 8);
+        let props = PropertySet::allocate(ws, n, fields, layout);
+        props.program_abrs(ws);
         Self {
-            vertex_array: ws.allocate("vertex_array", RegionLabel::VertexArray, n + 1, 8),
-            edge_array: ws.allocate("edge_array", RegionLabel::EdgeArray, m.max(1), edge_bytes),
-            frontier_bitmap: ws.allocate("frontier", RegionLabel::Frontier, n, 8),
+            graph,
+            ws,
+            vertex_array,
+            edge_array,
+            frontier,
+            props,
+            edges: 0,
         }
     }
 
-    /// Models the Vertex Array read for vertex `v` (the offset lookup at the
-    /// start of processing a vertex).
-    #[inline]
-    pub fn read_vertex<M: MemoryModel>(&self, ws: &mut Workspace<M>, v: VertexId) {
-        ws.read(self.vertex_array, u64::from(v), sites::VERTEX_ARRAY);
+    /// The application's result: its `values` after `iterations` rounds, and
+    /// the edges this traversal scanned.
+    pub fn finish(self, app: &'static str, values: Vec<f64>, iterations: usize) -> AppResult {
+        let edges_processed = self.edges;
+        AppResult {
+            app,
+            values,
+            iterations,
+            edges_processed,
+        }
     }
 
-    /// Models the Edge Array read for global edge index `edge_idx`.
+    /// Models the Vertex Array read that starts processing `v`.
     #[inline]
-    pub fn read_edge<M: MemoryModel>(&self, ws: &mut Workspace<M>, edge_idx: u64) {
-        ws.read(self.edge_array, edge_idx, sites::EDGE_ARRAY);
+    pub fn visit(&mut self, v: VertexId) {
+        let v = u64::from(v);
+        self.ws
+            .touch(self.vertex_array, v, 0, Read, sites::VERTEX_ARRAY);
     }
 
-    /// Models a frontier-bitmap read for vertex `v`.
+    /// Scans `v`'s edges in direction `dir`: for each, models the Edge Array
+    /// read, then the frontier read of the neighbour when `check` is set,
+    /// counts the edge, and calls `edge` with the neighbour and the edge's
+    /// weight. The scan ends early when `edge` returns `true`.
     #[inline]
-    pub fn read_frontier<M: MemoryModel>(&self, ws: &mut Workspace<M>, v: VertexId) {
-        ws.read(self.frontier_bitmap, u64::from(v), sites::FRONTIER);
-    }
-
-    /// Models a frontier-bitmap write for vertex `v`.
-    #[inline]
-    pub fn write_frontier<M: MemoryModel>(&self, ws: &mut Workspace<M>, v: VertexId) {
-        ws.write(self.frontier_bitmap, u64::from(v), sites::FRONTIER);
-    }
-
-    /// Activates `v` for the next round: models the frontier-bitmap write
-    /// and records the membership in `next`. One call site for the
-    /// (write, add) pair every application emits, so each app contributes
-    /// the identical access sequence to the recording.
-    #[inline]
-    pub fn activate<M: MemoryModel>(
-        &self,
-        ws: &mut Workspace<M>,
-        next: &mut Frontier,
+    pub fn scan<R: Stop>(
+        &mut self,
         v: VertexId,
+        dir: Direction,
+        check: bool,
+        mut edge: impl FnMut(&mut Self, VertexId, EdgeWeight) -> R,
     ) {
-        self.write_frontier(ws, v);
+        let graph = self.graph;
+        let first = graph.edge_offset(v, dir);
+        let neighbors = graph.neighbors(v, dir).iter().zip(graph.weights(v, dir));
+        for (index, (&u, &weight)) in (first..).zip(neighbors) {
+            self.ws
+                .touch(self.edge_array, index, 0, Read, sites::EDGE_ARRAY);
+            if check {
+                self.ws
+                    .touch(self.frontier, u64::from(u), 0, Read, sites::FRONTIER);
+            }
+            self.edges += 1;
+            if edge(self, u, weight).stop() {
+                break;
+            }
+        }
+    }
+
+    /// Activates `v` for the next round: models the frontier write and adds
+    /// `v` to `next`. Re-activating a member models the store again (the
+    /// program performs it) though membership dedups.
+    #[inline]
+    pub fn activate(&mut self, next: &mut Frontier, v: VertexId) {
+        self.ws
+            .touch(self.frontier, u64::from(v), 0, Write, sites::FRONTIER);
         next.add(v);
     }
-}
 
-/// Ligra's direction-switching heuristic: traverse in the pull (dense)
-/// direction when the frontier's outgoing work exceeds `edges / 20`,
-/// otherwise push (sparse).
-pub fn choose_direction(graph: &dyn GraphView, frontier: &Frontier) -> Direction {
-    let threshold = graph.edge_count() / 20;
-    if frontier.out_degree_sum(graph) + frontier.len() as u64 > threshold {
-        Direction::In // dense: every vertex pulls from its in-neighbours
-    } else {
-        Direction::Out // sparse: frontier vertices push to their out-neighbours
+    /// Ligra's direction switch: pull (`In`, dense) when the frontier's
+    /// outgoing work exceeds `edges / 20`, otherwise push (`Out`, sparse).
+    pub fn direction(&self, frontier: &Frontier) -> Direction {
+        let work = frontier.out_degree_sum(self.graph) + frontier.len() as u64;
+        if work > self.graph.edge_count() / 20 {
+            Direction::In
+        } else {
+            Direction::Out
+        }
+    }
+
+    /// Models a read of `field` of vertex `v`.
+    #[inline]
+    pub fn read(&mut self, field: FieldId, v: VertexId, site: AccessSite) {
+        self.props.touch(self.ws, field, v, Read, site);
+    }
+
+    /// Models a write of `field` of vertex `v`.
+    #[inline]
+    pub fn write(&mut self, field: FieldId, v: VertexId, site: AccessSite) {
+        self.props.touch(self.ws, field, v, Write, site);
     }
 }
 
@@ -120,46 +197,50 @@ mod tests {
     fn arrays_are_allocated_with_the_right_sizes() {
         let g = Rmat::new(8, 4).generate(1);
         let mut ws = Workspace::new(NativeMemory);
-        let arrays = CsrArrays::allocate(&mut ws, &g, false);
+        let eng = Engine::new(&g, &mut ws, false, &[8], PropertyLayout::Merged);
+        let (vertex, edge, frontier) = (eng.vertex_array, eng.edge_array, eng.frontier);
         let space = ws.address_space();
-        assert_eq!(
-            space.region(arrays.vertex_array).elements,
-            g.vertex_count() as u64 + 1
-        );
-        assert_eq!(space.region(arrays.edge_array).elements, g.edge_count());
-        assert_eq!(space.region(arrays.edge_array).element_bytes, 4);
-        assert_eq!(space.region(arrays.frontier_bitmap).element_bytes, 8);
+        assert_eq!(space.region(vertex).elements, g.vertex_count() as u64 + 1);
+        assert_eq!(space.region(edge).elements, g.edge_count());
+        assert_eq!(space.region(edge).element_bytes, 4);
+        assert_eq!(space.region(frontier).element_bytes, 8);
     }
 
     #[test]
     fn weighted_edge_array_is_wider() {
         let g = Rmat::new(6, 4).generate(1);
         let mut ws = Workspace::new(NativeMemory);
-        let arrays = CsrArrays::allocate(&mut ws, &g, true);
-        assert_eq!(
-            ws.address_space().region(arrays.edge_array).element_bytes,
-            8
-        );
+        let edge = Engine::new(&g, &mut ws, true, &[8], PropertyLayout::Merged).edge_array;
+        assert_eq!(ws.address_space().region(edge).element_bytes, 8);
     }
 
     #[test]
     fn structural_reads_are_reported() {
-        let g = Rmat::new(6, 4).generate(1);
+        let g = crate::csr_of([(0, 2), (1, 2), (2, 0), (2, 1)]);
         let mut ws = Workspace::new(AccessLog::default());
-        let arrays = CsrArrays::allocate(&mut ws, &g, false);
-        arrays.read_vertex(&mut ws, 2);
-        arrays.read_edge(&mut ws, 3);
-        arrays.read_frontier(&mut ws, 4);
-        arrays.write_frontier(&mut ws, 5);
+        let mut eng = Engine::new(&g, &mut ws, false, &[8], PropertyLayout::Merged);
+        let (vertex, edge, frontier) = (eng.vertex_array, eng.edge_array, eng.frontier);
+        eng.visit(2);
+        // Vertex 2's in-edges sit at 2 and 3 of the in Edge Array, its
+        // out-edges at 2 and 3 of the out one.
+        let mut seen = Vec::new();
+        eng.scan(2, Direction::In, true, |eng, u, _| {
+            seen.push(u);
+            eng.read(0, u, sites::PROPERTY_GATHER);
+        });
+        eng.scan(2, Direction::Out, false, |_, u, _| {
+            seen.push(u);
+            true
+        });
+        assert_eq!(seen, [0, 1, 0], "the second scan stops after one edge");
+        assert_eq!(eng.edges, 3);
         let base = |h| ws.address_space().region(h).base;
-        let (vertex, edge, frontier) = (
-            base(arrays.vertex_array),
-            base(arrays.edge_array),
-            base(arrays.frontier_bitmap),
-        );
-        let (read, write) = (AccessKind::Read, AccessKind::Write);
+        let (vertex, edge, frontier) = (base(vertex), base(edge), base(frontier));
+        let (read, gather) = (AccessKind::Read, sites::PROPERTY_GATHER);
+        let log = ws.into_memory();
+        let property = log.1[0].0;
         assert_eq!(
-            ws.into_memory().0,
+            log.0,
             [
                 (
                     vertex + 16,
@@ -167,9 +248,13 @@ mod tests {
                     sites::VERTEX_ARRAY,
                     RegionLabel::VertexArray
                 ),
+                (edge + 8, read, sites::EDGE_ARRAY, RegionLabel::EdgeArray),
+                (frontier, read, sites::FRONTIER, RegionLabel::Frontier),
+                (property, read, gather, RegionLabel::Property),
                 (edge + 12, read, sites::EDGE_ARRAY, RegionLabel::EdgeArray),
-                (frontier + 32, read, sites::FRONTIER, RegionLabel::Frontier),
-                (frontier + 40, write, sites::FRONTIER, RegionLabel::Frontier),
+                (frontier + 8, read, sites::FRONTIER, RegionLabel::Frontier),
+                (property + 8, read, gather, RegionLabel::Property),
+                (edge + 8, read, sites::EDGE_ARRAY, RegionLabel::EdgeArray),
             ]
         );
     }
@@ -178,12 +263,13 @@ mod tests {
     fn activate_writes_the_bitmap_and_joins_the_frontier() {
         let g = Rmat::new(6, 4).generate(1);
         let mut ws = Workspace::new(AccessLog::default());
-        let arrays = CsrArrays::allocate(&mut ws, &g, false);
+        let mut eng = Engine::new(&g, &mut ws, false, &[8], PropertyLayout::Merged);
+        let frontier = eng.frontier;
         let mut next = Frontier::empty(g.vertex_count());
-        arrays.activate(&mut ws, &mut next, 3);
-        arrays.activate(&mut ws, &mut next, 3);
+        eng.activate(&mut next, 3);
+        eng.activate(&mut next, 3);
         let store = (
-            ws.address_space().region(arrays.frontier_bitmap).base + 24,
+            ws.address_space().region(frontier).base + 24,
             AccessKind::Write,
             sites::FRONTIER,
             RegionLabel::Frontier,
@@ -198,9 +284,11 @@ mod tests {
     #[test]
     fn direction_switching_follows_frontier_size() {
         let g = Rmat::new(10, 8).generate(3);
+        let mut ws = Workspace::new(NativeMemory);
+        let eng = Engine::new(&g, &mut ws, false, &[8], PropertyLayout::Merged);
         let small = Frontier::single(g.vertex_count(), 0);
         let large = Frontier::full(g.vertex_count());
-        assert_eq!(choose_direction(&g, &small), Direction::Out);
-        assert_eq!(choose_direction(&g, &large), Direction::In);
+        assert_eq!(eng.direction(&small), Direction::Out);
+        assert_eq!(eng.direction(&large), Direction::In);
     }
 }

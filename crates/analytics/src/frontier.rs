@@ -82,9 +82,8 @@ impl Frontier {
         self.list.iter()
     }
 
-    /// Sum of the degrees of the member vertices in the given direction —
-    /// Ligra's push/pull switching threshold compares this against
-    /// `edges / 20`.
+    /// Sum of the out-degrees of the member vertices — Ligra's push/pull
+    /// switch compares it, plus the member count, against `edges / 20`.
     pub fn out_degree_sum(&self, graph: &dyn grasp_graph::GraphView) -> u64 {
         self.list.iter().map(|&v| graph.out_degree(v)).sum()
     }

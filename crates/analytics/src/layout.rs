@@ -15,8 +15,6 @@ pub struct ArrayHandle(usize);
 /// Metadata of one placed array.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArrayRegion {
-    /// Human-readable name ("rank", "edge_array", ...).
-    pub name: String,
     /// Region label attached to every access to this array.
     pub label: RegionLabel,
     /// Base virtual address.
@@ -25,18 +23,6 @@ pub struct ArrayRegion {
     pub element_bytes: u64,
     /// Number of elements.
     pub elements: u64,
-}
-
-impl ArrayRegion {
-    /// Total size in bytes.
-    pub fn size_bytes(&self) -> u64 {
-        self.element_bytes * self.elements
-    }
-
-    /// End address (exclusive).
-    pub fn end(&self) -> Address {
-        self.base + self.size_bytes()
-    }
 }
 
 /// Base address of the first allocation. Chosen away from zero so address
@@ -70,7 +56,6 @@ impl AddressSpace {
     /// Panics if `element_bytes` is zero.
     pub fn allocate(
         &mut self,
-        name: &str,
         label: RegionLabel,
         elements: u64,
         element_bytes: u64,
@@ -81,7 +66,6 @@ impl AddressSpace {
         let aligned = size.div_ceil(ALLOC_ALIGN) * ALLOC_ALIGN;
         self.next_free += aligned.max(ALLOC_ALIGN);
         self.regions.push(ArrayRegion {
-            name: name.to_owned(),
             label,
             base,
             element_bytes,
@@ -98,7 +82,10 @@ impl AddressSpace {
     /// `(start, end)` bounds of an array — what gets written into an ABR pair.
     pub fn bounds(&self, handle: ArrayHandle) -> (Address, Address) {
         let region = &self.regions[handle.0];
-        (region.base, region.end())
+        (
+            region.base,
+            region.base + region.elements * region.element_bytes,
+        )
     }
 }
 
@@ -107,12 +94,13 @@ mod tests {
     use super::*;
     use crate::mem::AccessLog;
     use crate::Workspace;
+    use grasp_cachesim::request::AccessKind;
 
     #[test]
     fn allocations_do_not_overlap() {
         let mut space = AddressSpace::new();
-        let a = space.allocate("a", RegionLabel::Property, 1000, 8);
-        let b = space.allocate("b", RegionLabel::EdgeArray, 5000, 4);
+        let a = space.allocate(RegionLabel::Property, 1000, 8);
+        let b = space.allocate(RegionLabel::EdgeArray, 5000, 4);
         let (a_start, a_end) = space.bounds(a);
         let (b_start, b_end) = space.bounds(b);
         assert!(a_end <= b_start || b_end <= a_start, "regions overlap");
@@ -122,9 +110,9 @@ mod tests {
     #[test]
     fn addresses_are_contiguous_within_an_array() {
         let mut ws = Workspace::new(AccessLog::default());
-        let a = ws.allocate("ranks", RegionLabel::Property, 100, 8);
+        let a = ws.allocate(RegionLabel::Property, 100, 8);
         for index in [0, 1, 99] {
-            ws.read(a, index, 0);
+            ws.touch(a, index, 0, AccessKind::Read, 0);
         }
         let start = ws.address_space().bounds(a).0;
         let addrs: Vec<Address> = ws.into_memory().0.iter().map(|access| access.0).collect();
@@ -134,27 +122,27 @@ mod tests {
     #[test]
     fn bounds_cover_exactly_the_array() {
         let mut space = AddressSpace::new();
-        let a = space.allocate("x", RegionLabel::Property, 10, 16);
+        let a = space.allocate(RegionLabel::Property, 10, 16);
         let (start, end) = space.bounds(a);
         assert_eq!(end - start, 160);
-        assert_eq!(space.region(a).size_bytes(), 160);
-        assert_eq!(space.region(a).name, "x");
     }
 
     #[test]
     fn footprint_accumulates() {
         let mut space = AddressSpace::new();
-        let a = space.allocate("a", RegionLabel::Property, 10, 8);
-        let b = space.allocate("b", RegionLabel::Frontier, 100, 1);
-        let sizes = [a, b].map(|h| space.region(h).size_bytes());
+        let a = space.allocate(RegionLabel::Property, 10, 8);
+        let b = space.allocate(RegionLabel::Frontier, 100, 1);
+        let sizes = [a, b]
+            .map(|h| space.bounds(h))
+            .map(|(start, end)| end - start);
         assert_eq!(sizes, [80, 100]);
     }
 
     #[test]
     fn allocations_are_page_aligned() {
         let mut space = AddressSpace::new();
-        let a = space.allocate("a", RegionLabel::Property, 3, 8);
-        let b = space.allocate("b", RegionLabel::Property, 3, 8);
+        let a = space.allocate(RegionLabel::Property, 3, 8);
+        let b = space.allocate(RegionLabel::Property, 3, 8);
         assert_eq!(space.bounds(a).0 % ALLOC_ALIGN, 0);
         assert_eq!(space.bounds(b).0 % ALLOC_ALIGN, 0);
     }
@@ -163,6 +151,6 @@ mod tests {
     #[should_panic(expected = "element size must be non-zero")]
     fn zero_element_size_panics() {
         let mut space = AddressSpace::new();
-        space.allocate("bad", RegionLabel::Other, 10, 0);
+        space.allocate(RegionLabel::Other, 10, 0);
     }
 }

@@ -7,9 +7,11 @@
 //!
 //! Beyond producing correct analytical results, every application models its
 //! memory behaviour: per-vertex state lives in *Property Arrays* placed in a
-//! simulated virtual [`layout::AddressSpace`], and every structural access
-//! (Vertex Array, Edge Array, frontier) and property access is reported to a
-//! [`mem::MemoryModel`]. The models are:
+//! simulated virtual [`layout::AddressSpace`], and every access is reported
+//! to a [`mem::MemoryModel`]. The structural accesses (Vertex Array, Edge
+//! Array, frontier) are modelled in one place, the traversal engine
+//! ([`engine::Engine`]); each application models its property accesses. The
+//! models are:
 //!
 //! * [`mem::NativeMemory`] — a no-op, used when measuring real wall-clock
 //!   runtimes (the Fig. 10a reordering study);
@@ -19,9 +21,9 @@
 //!   [`LlcStage`](grasp_cachesim::LlcStage) it simulates one policy
 //!   directly, the oracle replay is checked against.
 //!
-//! The applications program the GRASP Address Bound Registers with the bounds
-//! of their Property Arrays right after allocating them, exactly as the
-//! instrumented Ligra applications do in the paper.
+//! The engine programs the GRASP Address Bound Registers with the bounds of
+//! an application's Property Arrays right after allocating them, exactly as
+//! the instrumented Ligra applications do in the paper.
 //!
 //! ```
 //! use grasp_analytics::apps::{AppKind, AppConfig};
@@ -52,7 +54,7 @@ pub mod workspace;
 pub use frontier::Frontier;
 pub use layout::{AddressSpace, ArrayHandle};
 pub use mem::{MemoryModel, NativeMemory};
-pub use props::{PropertyLayout, PropertySet};
+pub use props::PropertyLayout;
 pub use workspace::Workspace;
 
 /// A test graph from `(src, dst)` pairs over `max(endpoint) + 1` vertices.

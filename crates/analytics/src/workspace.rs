@@ -5,10 +5,10 @@ use crate::mem::MemoryModel;
 use grasp_cachesim::addr::Address;
 use grasp_cachesim::request::{AccessKind, AccessSite, RegionLabel};
 
-/// Couples a simulated [`AddressSpace`] with a [`MemoryModel`]: applications
-/// allocate their arrays here and report every element access through the
-/// `read_*`/`write_*` methods, each of which reaches
-/// [`MemoryModel::touch`] before it returns.
+/// Couples a simulated [`AddressSpace`] with a [`MemoryModel`]: an
+/// application's [`Engine`](crate::engine::Engine) allocates its arrays here
+/// and reports every element access, each reaching [`MemoryModel::touch`]
+/// before the engine's call returns.
 #[derive(Debug)]
 pub struct Workspace<M> {
     space: AddressSpace,
@@ -25,14 +25,13 @@ impl<M: MemoryModel> Workspace<M> {
     }
 
     /// Allocates an array and returns its handle.
-    pub fn allocate(
+    pub(crate) fn allocate(
         &mut self,
-        name: &str,
         label: RegionLabel,
         elements: u64,
         element_bytes: u64,
     ) -> ArrayHandle {
-        self.space.allocate(name, label, elements, element_bytes)
+        self.space.allocate(label, elements, element_bytes)
     }
 
     /// Consumes the workspace and returns the memory model.
@@ -42,58 +41,26 @@ impl<M: MemoryModel> Workspace<M> {
 
     /// Programs the GRASP Address Bound Registers with the bounds of the
     /// given Property Arrays.
-    pub fn program_property_bounds(&mut self, handles: &[ArrayHandle]) {
+    pub(crate) fn program_property_bounds(&mut self, handles: &[ArrayHandle]) {
         let bounds: Vec<(Address, Address)> =
             handles.iter().map(|&h| self.space.bounds(h)).collect();
         self.mem.program_property_bounds(&bounds);
     }
 
-    /// Models a read of element `index` of `handle`.
+    /// Models a `kind` access to the field `byte_offset` bytes into element
+    /// `index` of `handle`.
     #[inline]
-    pub fn read(&mut self, handle: ArrayHandle, index: u64, site: AccessSite) {
-        let region = self.space.region(handle);
-        let addr = region.base + index * region.element_bytes;
-        let label = region.label;
-        self.mem.touch(addr, AccessKind::Read, site, label);
-    }
-
-    /// Models a write of element `index` of `handle`.
-    #[inline]
-    pub fn write(&mut self, handle: ArrayHandle, index: u64, site: AccessSite) {
-        let region = self.space.region(handle);
-        let addr = region.base + index * region.element_bytes;
-        let label = region.label;
-        self.mem.touch(addr, AccessKind::Write, site, label);
-    }
-
-    /// Models a read of a field at `byte_offset` within element `index`.
-    #[inline]
-    pub fn read_field(
+    pub(crate) fn touch(
         &mut self,
         handle: ArrayHandle,
         index: u64,
         byte_offset: u64,
+        kind: AccessKind,
         site: AccessSite,
     ) {
         let region = self.space.region(handle);
         let addr = region.base + index * region.element_bytes + byte_offset;
-        let label = region.label;
-        self.mem.touch(addr, AccessKind::Read, site, label);
-    }
-
-    /// Models a write of a field at `byte_offset` within element `index`.
-    #[inline]
-    pub fn write_field(
-        &mut self,
-        handle: ArrayHandle,
-        index: u64,
-        byte_offset: u64,
-        site: AccessSite,
-    ) {
-        let region = self.space.region(handle);
-        let addr = region.base + index * region.element_bytes + byte_offset;
-        let label = region.label;
-        self.mem.touch(addr, AccessKind::Write, site, label);
+        self.mem.touch(addr, kind, site, region.label);
     }
 }
 
@@ -113,12 +80,11 @@ mod tests {
     #[test]
     fn reads_and_writes_are_counted() {
         let mut ws = Workspace::new(AccessLog::default());
-        let a = ws.allocate("a", RegionLabel::Property, 16, 8);
-        ws.read(a, 0, 1);
-        ws.write(a, 1, 2);
-        ws.read_field(a, 2, 4, 3);
-        ws.write_field(a, 3, 4, 4);
-        assert_eq!(ws.address_space().region(a).name, "a");
+        let a = ws.allocate(RegionLabel::Property, 16, 8);
+        ws.touch(a, 0, 0, AccessKind::Read, 1);
+        ws.touch(a, 1, 0, AccessKind::Write, 2);
+        ws.touch(a, 2, 4, AccessKind::Read, 3);
+        ws.touch(a, 3, 4, AccessKind::Write, 4);
         let base = ws.address_space().region(a).base;
         let p = RegionLabel::Property;
         assert_eq!(
@@ -135,10 +101,10 @@ mod tests {
     #[test]
     fn memory_accessors_work() {
         let mut ws = Workspace::new(AccessLog::default());
-        let a = ws.allocate("a", RegionLabel::Property, 4, 8);
-        let b = ws.allocate("b", RegionLabel::Property, 4, 8);
+        let a = ws.allocate(RegionLabel::Property, 4, 8);
+        let b = ws.allocate(RegionLabel::Property, 4, 8);
         ws.program_property_bounds(&[b, a]);
-        ws.read(a, 0, 1);
+        ws.touch(a, 0, 0, AccessKind::Read, 1);
         let (a_bounds, b_bounds) = (ws.address_space().bounds(a), ws.address_space().bounds(b));
         let log = ws.into_memory();
         assert_eq!(log.0.len(), 1);

@@ -20,13 +20,13 @@ use std::sync::Arc;
 /// Scale of a synthetic dataset (vertex count and the matching LLC size).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scale {
-    /// ~1K vertices — unit tests only.
+    /// 2^11 vertices — tests and smoke runs.
     Tiny,
-    /// ~8K vertices — fast experiments, CI.
+    /// 2^15 vertices — the bench harness's default ([`Scale::from_env`]).
     Small,
-    /// ~32K vertices — the default for the bench harness.
+    /// 2^17 vertices.
     Medium,
-    /// ~128K vertices — closer to the paper's regime; slower.
+    /// 2^19 vertices — closer to the paper's regime; slower.
     Large,
 }
 

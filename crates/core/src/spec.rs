@@ -303,7 +303,7 @@ mod tests {
             DatasetKind::LiveJournal.into(),
             DatasetId::Ingested(GraphHash(0xdead_beef_0123_4567)),
         ];
-        spec.techniques = vec![TechniqueKind::Identity, TechniqueKind::GorderDbg];
+        spec.techniques = vec![TechniqueKind::Sort, TechniqueKind::GorderDbg];
         spec.apps = vec![AppKind::PageRank, AppKind::Sssp];
         spec.policies = vec![
             PolicyKind::Rrip,
@@ -369,6 +369,12 @@ mod tests {
                 r#"{"scale":"tiny","policies":["Random"]}"#,
                 "unknown policy",
             ),
+            // The graph as loaded is not a technique: a campaign without
+            // reordering has nothing to name.
+            (
+                r#"{"scale":"tiny","techniques":["Original"]}"#,
+                "unknown technique",
+            ),
             (r#"{"scale":"tiny","mode":"pipelined"}"#, "unknown field"),
             (r#"{"scale":"tiny","pipelines":2}"#, "unknown field"),
             (r#"{"scale":"tiny","threads":-1}"#, "threads must be"),
@@ -428,7 +434,7 @@ mod tests {
             })
             .collect();
         spec.techniques = (0..1 + next(3))
-            .map(|_| TechniqueKind::ALL[next(5) as usize])
+            .map(|_| TechniqueKind::ALL[next(TechniqueKind::ALL.len() as u64) as usize])
             .collect();
         spec.apps = (0..next(4))
             .map(|_| AppKind::ALL[next(5) as usize])

@@ -70,18 +70,6 @@ mod tests {
     }
 
     #[test]
-    fn identity_is_cheapest() {
-        // Not a strict timing assertion (timers are noisy), just that the
-        // identity technique runs and produces the same graph.
-        let g = Rmat::new(8, 8).generate(3);
-        let outcome = run(TechniqueKind::Identity, &g, Direction::Out);
-        assert_eq!(outcome.permutation, Permutation::identity(g.vertex_count()));
-        for v in g.vertices() {
-            assert_eq!(outcome.graph.out_neighbors(v), g.out_neighbors(v));
-        }
-    }
-
-    #[test]
     fn gorder_costs_more_than_dbg() {
         // Qualitative cost ordering that Fig. 10a depends on. Use a graph
         // large enough for the difference to dominate timer noise.

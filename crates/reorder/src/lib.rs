@@ -15,7 +15,9 @@
 //!   (Faldu et al., IISWC'19).
 //! * `GorderDbg` — a bounded-work approximation of Gorder (Wei et al.,
 //!   SIGMOD'16), the expensive structure-aware baseline, followed by DBG.
-//! * `Identity` — no reordering (the paper's "no reordering" baseline).
+//!
+//! The paper's "no reordering" baseline is the graph as loaded: every caller
+//! that wants it simply does not reorder.
 //!
 //! Each technique produces a [`Permutation`] (old ID → new ID). Applying the
 //! permutation with [`apply::relabel`] yields a graph in which vertex IDs are
@@ -59,8 +61,6 @@ use grasp_graph::GraphView;
 /// Fig. 10.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TechniqueKind {
-    /// No reordering.
-    Identity,
     /// Full degree sort.
     Sort,
     /// HubSort.
@@ -73,8 +73,7 @@ pub enum TechniqueKind {
 
 impl TechniqueKind {
     /// All technique kinds, in evaluation order.
-    pub const ALL: [TechniqueKind; 5] = [
-        TechniqueKind::Identity,
+    pub const ALL: [TechniqueKind; 4] = [
         TechniqueKind::Sort,
         TechniqueKind::HubSort,
         TechniqueKind::Dbg,
@@ -90,7 +89,6 @@ impl TechniqueKind {
     /// paper).
     pub fn compute(self, graph: &dyn GraphView, direction: Direction) -> Permutation {
         match self {
-            TechniqueKind::Identity => Permutation::identity(graph.vertex_count()),
             TechniqueKind::Sort => sort::compute(graph, direction),
             TechniqueKind::HubSort => hubsort::compute(graph, direction),
             TechniqueKind::Dbg => dbg::compute(graph, direction),
@@ -109,7 +107,6 @@ impl TechniqueKind {
     /// Display label matching the paper's figures.
     pub fn label(self) -> &'static str {
         match self {
-            TechniqueKind::Identity => "Original",
             TechniqueKind::Sort => "Sort",
             TechniqueKind::HubSort => "HubSort",
             TechniqueKind::Dbg => "DBG",
@@ -184,21 +181,18 @@ mod tests {
     #[test]
     fn permutation_digests_are_pinned() {
         #[rustfmt::skip]
-        const EXPECTED: [u64; 30] = [
-            // R-MAT: Identity, Sort, HubSort, DBG, Gorder(+DBG), each Out then In.
-            0xb132_ca6c_eb3d_4c25, 0xb132_ca6c_eb3d_4c25,
+        const EXPECTED: [u64; 24] = [
+            // R-MAT: Sort, HubSort, DBG, Gorder(+DBG), each Out then In.
             0x9a9a_a06c_9f5c_bfa5, 0x88c4_00a3_2018_0ba9,
             0x2d22_9a63_4775_2d51, 0x2eae_0e8a_85b0_b475,
             0xc51d_6e73_9c7f_4445, 0x6f50_8570_287c_e151,
             0xf04d_c44b_b9ab_d33d, 0x2b12_8cda_3198_2f81,
-            // Chung-Lu: Identity, Sort, HubSort, DBG, Gorder(+DBG), each Out then In.
-            0xb132_ca6c_eb3d_4c25, 0xb132_ca6c_eb3d_4c25,
+            // Chung-Lu: Sort, HubSort, DBG, Gorder(+DBG), each Out then In.
             0x6a5e_002e_b6e9_898d, 0x373a_93f0_8a11_a901,
             0x61bc_6344_8c9b_3875, 0xa2a5_9275_8aa5_741d,
             0x7348_47f3_7538_bfdd, 0x390f_a9bf_40b6_be21,
             0x7fdc_13c1_4b05_f355, 0xb1b3_7171_a96d_15c1,
-            // Uniform: Identity, Sort, HubSort, DBG, Gorder(+DBG), each Out then In.
-            0xb132_ca6c_eb3d_4c25, 0xb132_ca6c_eb3d_4c25,
+            // Uniform: Sort, HubSort, DBG, Gorder(+DBG), each Out then In.
             0x215e_3d2a_e6fd_de79, 0xbc63_0243_e623_9da9,
             0x7df4_e078_705e_1889, 0x3cfd_31f0_3359_5169,
             0x48b8_d91e_44af_a985, 0x0130_2732_6712_acc5,

@@ -68,20 +68,30 @@ fn replay_campaign_matches_serial_experiments_across_the_full_policy_grid() {
 
 #[test]
 fn replay_and_direct_modes_agree_for_every_technique() {
-    for technique in [TechniqueKind::Identity, TechniqueKind::Dbg] {
-        let campaign = Campaign::new(SCALE)
-            .datasets(&[DatasetKind::Kron])
-            .techniques(&[technique])
-            .apps(&[AppKind::PageRankDelta])
-            .policies(&[PolicyKind::Rrip, PolicyKind::Hawkeye, PolicyKind::Grasp])
-            .threads(4);
-        let replayed = campaign.run();
-        let direct = campaign.run_direct();
-        assert_eq!(replayed.len(), direct.len());
-        for (a, b) in replayed.iter().zip(direct.iter()) {
-            assert_eq!(a.cell, b.cell);
-            assert_eq!(a.result.stats, b.result.stats, "{technique} {:?}", a.cell);
-        }
+    let policies = [PolicyKind::Rrip, PolicyKind::Hawkeye, PolicyKind::Grasp];
+    let campaign = Campaign::new(SCALE)
+        .datasets(&[DatasetKind::Kron])
+        .techniques(&[TechniqueKind::Dbg])
+        .apps(&[AppKind::PageRankDelta])
+        .policies(&policies)
+        .threads(4);
+    let replayed = campaign.run();
+    let direct = campaign.run_direct();
+    assert_eq!(replayed.len(), direct.len());
+    for (a, b) in replayed.iter().zip(direct.iter()) {
+        assert_eq!(a.cell, b.cell);
+        assert_eq!(a.result.stats, b.result.stats, "{:?}", a.cell);
+    }
+    // The control: the graph without reordering, which no campaign names.
+    let original = Experiment::new(DatasetKind::Kron.build(SCALE).graph, AppKind::PageRankDelta)
+        .with_hierarchy(SCALE.hierarchy());
+    let recorded = original.record();
+    for policy in policies {
+        assert_eq!(
+            recorded.replay(policy).stats,
+            original.run(policy).stats,
+            "{policy}"
+        );
     }
 }
 
