@@ -106,6 +106,11 @@
 # layout match and every array's name string went, along with the "no
 # reordering" technique, which no figure or client selected. crates/analytics
 # (1 441 -> 1 318 lines) got its own ceiling then, at the tree's count + 8.
+# It came down to 16 248 (the tree's 16 198 + 50), and crates/analytics to
+# 1 138 (the tree's 1 130 + 8), when the engine became the address space:
+# the workspace, the bump allocator with its per-access region lookup, the
+# property set and their handle and region types went, and an app now runs
+# on its memory model directly.
 #
 # usage: check-line-budget.sh   (from the repository root)
 set -euo pipefail
@@ -119,9 +124,9 @@ find crates/*/src crates/bench/benches -name '*.rs' | sort | while read -r file;
     END { print n + 0, FILENAME }' "$file"
 done | awk '
   BEGIN {
-    total_ceiling = 16458
+    total_ceiling = 16248
     bench_ceiling = 507
-    analytics_ceiling = 1326
+    analytics_ceiling = 1138
     ceiling["crates/core/src/campaign.rs"] = 1240
     ceiling["crates/graph/src/ingest.rs"] = 1110
     ceiling["crates/core/src/trace_store.rs"] = 808

@@ -10,7 +10,6 @@ use super::{AppConfig, AppResult, ROOT};
 use crate::engine::Engine;
 use crate::mem::MemoryModel;
 use crate::sites;
-use crate::workspace::Workspace;
 use grasp_graph::types::Direction;
 use grasp_graph::GraphView;
 
@@ -22,13 +21,9 @@ const FIELD_DEPENDENCY: usize = 1;
 /// Runs Betweenness Centrality from vertex 0 and returns the per-vertex
 /// dependency scores. The forward BFS runs to its last level, whatever
 /// `config.max_iterations` says.
-pub fn run<M: MemoryModel>(
-    graph: &dyn GraphView,
-    ws: &mut Workspace<M>,
-    config: &AppConfig,
-) -> AppResult {
+pub fn run<M: MemoryModel>(graph: &dyn GraphView, mem: &mut M, config: &AppConfig) -> AppResult {
     let n = graph.vertex_count();
-    let mut eng = Engine::new(graph, ws, false, &[8, 8], config.layout);
+    let mut eng = Engine::new(graph, mem, false, &[8, 8], config.layout);
 
     // Phase 1: BFS to establish levels.
     let bfs::BfsOutput { level, levels } = bfs::run(graph, &mut eng, ROOT);
@@ -79,10 +74,9 @@ mod tests {
     use grasp_graph::generators::{GraphGenerator, Rmat};
 
     fn run_native(graph: &dyn GraphView) -> AppResult {
-        let mut ws = Workspace::new(NativeMemory);
         run(
             graph,
-            &mut ws,
+            &mut NativeMemory,
             &AppConfig {
                 max_iterations: 1000,
                 ..AppConfig::default()

@@ -94,13 +94,12 @@ mod tests {
     use super::*;
     use crate::csr_of;
     use crate::mem::NativeMemory;
-    use crate::props::PropertyLayout;
-    use crate::workspace::Workspace;
+    use crate::PropertyLayout;
     use grasp_graph::generators::{GraphGenerator, Rmat};
 
     fn bfs_native(graph: &dyn GraphView, root: VertexId) -> BfsOutput {
-        let mut ws = Workspace::new(NativeMemory);
-        let mut eng = Engine::new(graph, &mut ws, false, &[8], PropertyLayout::Merged);
+        let mut mem = NativeMemory;
+        let mut eng = Engine::new(graph, &mut mem, false, &[8], PropertyLayout::Merged);
         run(graph, &mut eng, root)
     }
 

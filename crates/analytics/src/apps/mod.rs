@@ -2,28 +2,28 @@
 //!
 //! | Application | Computation | Per-vertex properties |
 //! |---|---|---|
-//! | [`pagerank`] (PR) | iterative pull-based rank propagation | rank, next rank |
-//! | [`pagerank_delta`] (PRD) | PR restricted to vertices with enough accumulated change | rank, delta, next delta |
-//! | [`bc`] (BC) | forward BFS counting shortest paths + backward dependency accumulation | path counts, dependencies |
-//! | [`sssp`] (SSSP) | Bellman-Ford from a root over a weighted graph (push-based) | distances |
-//! | [`radii`] (Radii) | multiple simultaneous BFS via bit masks | visited masks, radii |
+//! | `pagerank` (PR) | iterative pull-based rank propagation | rank, next rank |
+//! | `pagerank_delta` (PRD) | PR restricted to vertices with enough accumulated change | rank, delta, next delta |
+//! | `bc` (BC) | forward BFS counting shortest paths + backward dependency accumulation | path counts, dependencies |
+//! | `sssp` (SSSP) | Bellman-Ford from a root over a weighted graph (push-based) | distances |
+//! | `radii` (Radii) | multiple simultaneous BFS via bit masks | visited masks, radii |
 //!
-//! Every application traverses the graph through a
-//! [`crate::engine::Engine`], which places its structural and Property
-//! Arrays, programs the GRASP Address Bound Registers with the Property
-//! Arrays' bounds and models every structural access. The application's own
-//! code models only its Property Array traffic.
+//! An application runs on its memory model directly: it hands the model to
+//! the crate's traversal engine, which places its structural and Property
+//! Arrays in a simulated virtual address space, programs the model's GRASP
+//! Address Bound Registers with the Property Arrays' bounds and models every
+//! structural access. The application's own code models only its Property
+//! Array traffic.
 
-pub mod bc;
-pub mod bfs;
-pub mod pagerank;
-pub mod pagerank_delta;
-pub mod radii;
-pub mod sssp;
+pub(crate) mod bc;
+pub(crate) mod bfs;
+pub(crate) mod pagerank;
+pub(crate) mod pagerank_delta;
+pub(crate) mod radii;
+pub(crate) mod sssp;
 
 use crate::mem::MemoryModel;
-use crate::props::PropertyLayout;
-use crate::workspace::Workspace;
+use crate::PropertyLayout;
 use grasp_graph::types::VertexId;
 use grasp_graph::GraphView;
 
@@ -142,19 +142,20 @@ impl AppKind {
         }
     }
 
-    /// Runs the application on `graph`.
+    /// Runs the application on `graph`, reporting every memory access to
+    /// `mem`.
     pub fn run<M: MemoryModel>(
         self,
         graph: &dyn GraphView,
-        ws: &mut Workspace<M>,
+        mem: &mut M,
         config: &AppConfig,
     ) -> AppResult {
         match self {
-            AppKind::Bc => bc::run(graph, ws, config),
-            AppKind::Sssp => sssp::run(graph, ws, config),
-            AppKind::PageRank => pagerank::run(graph, ws, config),
-            AppKind::PageRankDelta => pagerank_delta::run(graph, ws, config),
-            AppKind::Radii => radii::run(graph, ws, config),
+            AppKind::Bc => bc::run(graph, mem, config),
+            AppKind::Sssp => sssp::run(graph, mem, config),
+            AppKind::PageRank => pagerank::run(graph, mem, config),
+            AppKind::PageRankDelta => pagerank_delta::run(graph, mem, config),
+            AppKind::Radii => radii::run(graph, mem, config),
         }
     }
 }
@@ -186,12 +187,12 @@ mod tests {
             ..AppConfig::default()
         };
         for app in AppKind::ALL {
-            let mut ws = Workspace::new(AccessLog::default());
-            let result = app.run(&g, &mut ws, &config);
+            let mut mem = AccessLog::default();
+            let result = app.run(&g, &mut mem, &config);
             assert_eq!(result.values.len(), g.vertex_count(), "{app}");
             assert!(result.iterations > 0, "{app}");
             assert!(result.edges_processed > 0, "{app}");
-            assert!(!ws.into_memory().0.is_empty(), "{app}");
+            assert!(!mem.0.is_empty(), "{app}");
             assert!(result.instruction_estimate() > result.edges_processed);
         }
     }

@@ -11,7 +11,6 @@ use super::{AppConfig, AppResult, DAMPING};
 use crate::engine::Engine;
 use crate::mem::MemoryModel;
 use crate::sites;
-use crate::workspace::Workspace;
 use grasp_graph::types::Direction;
 use grasp_graph::GraphView;
 
@@ -21,13 +20,9 @@ const FIELD_CONTRIB: usize = 0;
 const FIELD_NEXT: usize = 1;
 
 /// Runs PageRank and returns the per-vertex ranks.
-pub fn run<M: MemoryModel>(
-    graph: &dyn GraphView,
-    ws: &mut Workspace<M>,
-    config: &AppConfig,
-) -> AppResult {
+pub fn run<M: MemoryModel>(graph: &dyn GraphView, mem: &mut M, config: &AppConfig) -> AppResult {
     let n = graph.vertex_count();
-    let mut eng = Engine::new(graph, ws, false, &[8, 8], config.layout);
+    let mut eng = Engine::new(graph, mem, false, &[8, 8], config.layout);
 
     let base = (1.0 - DAMPING) / n as f64;
     let mut rank = vec![1.0 / n as f64; n];
@@ -65,12 +60,11 @@ mod tests {
     use super::*;
     use crate::csr_of;
     use crate::mem::{AccessLog, NativeMemory};
-    use crate::props::PropertyLayout;
+    use crate::PropertyLayout;
     use grasp_graph::generators::{GraphGenerator, Rmat};
 
     fn run_native(graph: &dyn GraphView, config: &AppConfig) -> AppResult {
-        let mut ws = Workspace::new(NativeMemory);
-        run(graph, &mut ws, config)
+        run(graph, &mut NativeMemory, config)
     }
 
     /// Straightforward reference PageRank for validation.
@@ -147,14 +141,14 @@ mod tests {
     #[test]
     fn memory_accesses_scale_with_edges() {
         let g = Rmat::new(8, 8).generate(4);
-        let mut ws = Workspace::new(AccessLog::default());
+        let mut mem = AccessLog::default();
         let config = AppConfig {
             max_iterations: 2,
             ..AppConfig::default()
         };
-        let result = run(&g, &mut ws, &config);
+        let result = run(&g, &mut mem, &config);
         // At least one edge-array read and one gather per processed edge.
-        let log = ws.into_memory().0;
+        let log = mem.0;
         let at = |site| log.iter().filter(|access| access.2 == site).count() as u64;
         assert!(at(sites::EDGE_ARRAY) >= result.edges_processed);
         assert!(at(sites::PROPERTY_GATHER) >= result.edges_processed);

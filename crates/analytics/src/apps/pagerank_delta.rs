@@ -11,7 +11,6 @@ use crate::engine::Engine;
 use crate::frontier::Frontier;
 use crate::mem::MemoryModel;
 use crate::sites;
-use crate::workspace::Workspace;
 use grasp_graph::types::Direction;
 use grasp_graph::GraphView;
 
@@ -26,13 +25,9 @@ const FIELD_NEXT_DELTA: usize = 2;
 const ACTIVATION: f64 = 1e-9;
 
 /// Runs PageRank-Delta and returns the per-vertex ranks.
-pub fn run<M: MemoryModel>(
-    graph: &dyn GraphView,
-    ws: &mut Workspace<M>,
-    config: &AppConfig,
-) -> AppResult {
+pub fn run<M: MemoryModel>(graph: &dyn GraphView, mem: &mut M, config: &AppConfig) -> AppResult {
     let n = graph.vertex_count();
-    let mut eng = Engine::new(graph, ws, false, &[8, 8, 8], config.layout);
+    let mut eng = Engine::new(graph, mem, false, &[8, 8, 8], config.layout);
 
     let mut rank = vec![(1.0 - DAMPING) / n as f64; n];
     // Initial delta: the base rank each vertex still has to propagate,
@@ -111,8 +106,7 @@ mod tests {
     use grasp_graph::generators::{GraphGenerator, Rmat};
 
     fn run_native(graph: &dyn GraphView, config: &AppConfig) -> AppResult {
-        let mut ws = Workspace::new(NativeMemory);
-        run(graph, &mut ws, config)
+        run(graph, &mut NativeMemory, config)
     }
 
     #[test]
@@ -141,10 +135,7 @@ mod tests {
             ..AppConfig::default()
         };
         let prd = run_native(&g, &config);
-        let pr = {
-            let mut ws = Workspace::new(NativeMemory);
-            super::super::pagerank::run(&g, &mut ws, &config)
-        };
+        let pr = super::super::pagerank::run(&g, &mut NativeMemory, &config);
         let top_prd =
             (0..g.vertex_count()).max_by(|&a, &b| prd.values[a].total_cmp(&prd.values[b]));
         let top_pr = (0..g.vertex_count()).max_by(|&a, &b| pr.values[a].total_cmp(&pr.values[b]));
@@ -175,10 +166,7 @@ mod tests {
             ..AppConfig::default()
         };
         let prd = run_native(&g, &config);
-        let pr = {
-            let mut ws = Workspace::new(NativeMemory);
-            super::super::pagerank::run(&g, &mut ws, &config)
-        };
+        let pr = super::super::pagerank::run(&g, &mut NativeMemory, &config);
         assert!(
             prd.edges_processed <= pr.edges_processed,
             "prd {} pr {}",

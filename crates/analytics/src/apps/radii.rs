@@ -10,7 +10,6 @@ use crate::engine::Engine;
 use crate::frontier::Frontier;
 use crate::mem::MemoryModel;
 use crate::sites;
-use crate::workspace::Workspace;
 use grasp_graph::types::{Direction, VertexId};
 use grasp_graph::GraphView;
 
@@ -26,13 +25,9 @@ const SAMPLE_ROOTS: usize = 8;
 
 /// Runs Radii estimation and returns the per-vertex radius estimates
 /// (`-1` for vertices never reached by any sampled BFS).
-pub fn run<M: MemoryModel>(
-    graph: &dyn GraphView,
-    ws: &mut Workspace<M>,
-    config: &AppConfig,
-) -> AppResult {
+pub fn run<M: MemoryModel>(graph: &dyn GraphView, mem: &mut M, config: &AppConfig) -> AppResult {
     let n = graph.vertex_count();
-    let mut eng = Engine::new(graph, ws, false, &[8, 8, 8], config.layout);
+    let mut eng = Engine::new(graph, mem, false, &[8, 8, 8], config.layout);
 
     let mut visited = vec![0u64; n];
     let mut radii = vec![-1.0f64; n];
@@ -90,8 +85,7 @@ mod tests {
     }
 
     fn run_native(graph: &dyn GraphView, config: &AppConfig) -> AppResult {
-        let mut ws = Workspace::new(NativeMemory);
-        run(graph, &mut ws, config)
+        run(graph, &mut NativeMemory, config)
     }
 
     #[test]

@@ -10,7 +10,6 @@ use crate::engine::Engine;
 use crate::frontier::Frontier;
 use crate::mem::MemoryModel;
 use crate::sites;
-use crate::workspace::Workspace;
 use grasp_graph::types::Direction;
 use grasp_graph::GraphView;
 
@@ -19,13 +18,9 @@ const FIELD_DIST: usize = 0;
 
 /// Runs Bellman-Ford SSSP from vertex 0 and returns per-vertex distances
 /// (`f64::INFINITY` for unreachable vertices).
-pub fn run<M: MemoryModel>(
-    graph: &dyn GraphView,
-    ws: &mut Workspace<M>,
-    config: &AppConfig,
-) -> AppResult {
+pub fn run<M: MemoryModel>(graph: &dyn GraphView, mem: &mut M, config: &AppConfig) -> AppResult {
     let n = graph.vertex_count();
-    let mut eng = Engine::new(graph, ws, true, &[8], config.layout);
+    let mut eng = Engine::new(graph, mem, true, &[8], config.layout);
 
     let mut dist = vec![u64::MAX; n];
     dist[ROOT as usize] = 0;
@@ -77,10 +72,9 @@ mod tests {
     use grasp_graph::{Csr, EdgeList};
 
     fn run_native(graph: &dyn GraphView, rounds: usize) -> AppResult {
-        let mut ws = Workspace::new(NativeMemory);
         run(
             graph,
-            &mut ws,
+            &mut NativeMemory,
             &AppConfig {
                 max_iterations: rounds,
                 ..AppConfig::default()

@@ -6,12 +6,11 @@
 //! Shortest Paths and Radii estimation).
 //!
 //! Beyond producing correct analytical results, every application models its
-//! memory behaviour: per-vertex state lives in *Property Arrays* placed in a
-//! simulated virtual [`layout::AddressSpace`], and every access is reported
-//! to a [`mem::MemoryModel`]. The structural accesses (Vertex Array, Edge
-//! Array, frontier) are modelled in one place, the traversal engine
-//! ([`engine::Engine`]); each application models its property accesses. The
-//! models are:
+//! memory behaviour: per-vertex state lives in *Property Arrays* placed at
+//! simulated virtual addresses, and every access is reported to a
+//! [`mem::MemoryModel`]. One traversal engine places an application's arrays
+//! and models its structural accesses (Vertex Array, Edge Array, frontier);
+//! each application models its property accesses. The models are:
 //!
 //! * [`mem::NativeMemory`] — a no-op, used when measuring real wall-clock
 //!   runtimes (the Fig. 10a reordering study);
@@ -22,20 +21,19 @@
 //!   directly, the oracle replay is checked against.
 //!
 //! The engine programs the GRASP Address Bound Registers with the bounds of
-//! an application's Property Arrays right after allocating them, exactly as
+//! an application's Property Arrays right after placing them, exactly as
 //! the instrumented Ligra applications do in the paper.
 //!
 //! ```
 //! use grasp_analytics::apps::{AppKind, AppConfig};
 //! use grasp_analytics::mem::NativeMemory;
-//! use grasp_analytics::Workspace;
 //! use grasp_graph::generators::{GraphGenerator, Rmat};
 //!
 //! let graph = Rmat::new(8, 8).generate(1);
-//! let mut ws = Workspace::new(NativeMemory);
+//! let mut mem = NativeMemory;
 //! // PR damps by 0.85 and runs its whole iteration budget.
 //! let config = AppConfig { max_iterations: 10, ..AppConfig::default() };
-//! let result = AppKind::PageRank.run(&graph, &mut ws, &config);
+//! let result = AppKind::PageRank.run(&graph, &mut mem, &config);
 //! assert_eq!(result.iterations, 10);
 //! assert_eq!(result.values.len(), graph.vertex_count());
 //! ```
@@ -44,18 +42,12 @@
 #![warn(missing_debug_implementations)]
 
 pub mod apps;
-pub mod engine;
-pub mod frontier;
-pub mod layout;
+pub(crate) mod engine;
+pub(crate) mod frontier;
 pub mod mem;
-pub mod props;
-pub mod workspace;
 
-pub use frontier::Frontier;
-pub use layout::{AddressSpace, ArrayHandle};
+pub use engine::PropertyLayout;
 pub use mem::{MemoryModel, NativeMemory};
-pub use props::PropertyLayout;
-pub use workspace::Workspace;
 
 /// A test graph from `(src, dst)` pairs over `max(endpoint) + 1` vertices.
 #[cfg(test)]

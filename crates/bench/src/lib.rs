@@ -7,7 +7,7 @@
 //! `--bench fig10a_reordering` times reordering natively and dumps nothing.
 
 use grasp_analytics::apps::AppKind;
-use grasp_analytics::props::PropertyLayout;
+use grasp_analytics::PropertyLayout;
 use grasp_cachesim::config::CacheConfig;
 use grasp_cachesim::policy::opt::optimal_misses;
 use grasp_cachesim::request::RegionLabel;

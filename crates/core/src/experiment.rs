@@ -3,7 +3,6 @@
 use crate::policy::PolicyKind;
 use grasp_analytics::apps::{AppConfig, AppKind, AppResult};
 use grasp_analytics::mem::NativeMemory;
-use grasp_analytics::Workspace;
 use grasp_cachesim::config::{CacheConfig, HierarchyConfig};
 use grasp_cachesim::stats::HierarchyStats;
 use grasp_cachesim::timing::cycles;
@@ -242,13 +241,12 @@ impl Experiment {
         let llc = self.hierarchy.llc;
         // The ABRs start unprogrammed; the application programs them with its
         // Property Array bounds as part of start-up (Sec. III-A).
-        let hierarchy = Hierarchy::new(
+        let mut hierarchy = Hierarchy::new(
             self.hierarchy,
             LlcStage::new(llc, policy.build_dispatch(&llc)),
         );
-        let mut ws = Workspace::new(hierarchy);
-        let app = self.app.run(&*self.graph, &mut ws, &self.app_config);
-        let stats = ws.into_memory().stats();
+        let app = self.app.run(&*self.graph, &mut hierarchy, &self.app_config);
+        let stats = hierarchy.stats();
         RunResult {
             policy,
             cycles: cycles(&stats, app.instruction_estimate()),
@@ -265,10 +263,10 @@ impl Experiment {
     /// producing [`RunResult`]s bit-identical to [`Experiment::run`] at a
     /// fraction of the cost.
     pub fn record(&self) -> RecordedRun {
-        let mut ws = Workspace::new(Hierarchy::new(self.hierarchy, LlcTrace::new()));
-        let app = self.app.run(&*self.graph, &mut ws, &self.app_config);
+        let mut hierarchy = Hierarchy::new(self.hierarchy, LlcTrace::new());
+        let app = self.app.run(&*self.graph, &mut hierarchy, &self.app_config);
         let instructions = app.instruction_estimate();
-        let trace = ws.into_memory().finish();
+        let trace = hierarchy.finish();
         RecordedRun {
             trace: Arc::new(trace),
             app,
@@ -280,9 +278,10 @@ impl Experiment {
     /// Runs the application natively (no cache simulation) and measures
     /// wall-clock time. Used by the Fig. 10a reordering study.
     pub fn run_native(&self) -> NativeRunResult {
-        let mut ws = Workspace::new(NativeMemory);
         let start = std::time::Instant::now();
-        let app = self.app.run(&*self.graph, &mut ws, &self.app_config);
+        let app = self
+            .app
+            .run(&*self.graph, &mut NativeMemory, &self.app_config);
         let runtime = start.elapsed();
         NativeRunResult { app, runtime }
     }

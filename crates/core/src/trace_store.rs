@@ -42,7 +42,7 @@
 
 use crate::datasets::{DatasetId, Scale};
 use grasp_analytics::apps::{AppConfig, AppKind, AppResult};
-use grasp_analytics::props::PropertyLayout;
+use grasp_analytics::PropertyLayout;
 use grasp_cachesim::config::HierarchyConfig;
 pub use grasp_cachesim::trace::persist::TRACE_FORMAT_VERSION;
 

@@ -161,7 +161,7 @@ mod tests {
     #[test]
     fn relabel_with_identity_is_a_no_op() {
         let g = Rmat::new(7, 4).generate(2);
-        let r = relabel(&g, &Permutation::identity(g.vertex_count()));
+        let r = relabel(&g, &crate::identity(g.vertex_count()));
         for v in g.vertices() {
             assert_eq!(g.out_neighbors(v), r.out_neighbors(v));
             assert_eq!(g.in_neighbors(v), r.in_neighbors(v));
@@ -172,7 +172,7 @@ mod tests {
     #[should_panic(expected = "permutation length must match")]
     fn relabel_length_mismatch_panics() {
         let g = crate::csr_of([(0, 1)]);
-        let _ = relabel(&g, &Permutation::identity(5));
+        let _ = relabel(&g, &crate::identity(5));
     }
 
     #[test]
@@ -222,7 +222,7 @@ mod tests {
             vec![1, 1],
         )
         .unwrap();
-        let _ = relabel(&g, &Permutation::identity(3));
+        let _ = relabel(&g, &crate::identity(3));
     }
 
     mod properties {

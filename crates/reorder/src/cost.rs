@@ -63,7 +63,7 @@ mod tests {
     fn timed_run_produces_consistent_outcome() {
         let g = Rmat::new(8, 8).generate(3);
         let outcome = run(TechniqueKind::Dbg, &g, Direction::Out);
-        assert!(outcome.permutation.is_valid());
+        assert!(crate::is_bijection(&outcome.permutation));
         assert_eq!(outcome.graph.vertex_count(), g.vertex_count());
         assert_eq!(outcome.graph.edge_count(), g.edge_count());
         assert!(outcome.total_time() >= outcome.compute_time);

@@ -137,6 +137,24 @@ pub(crate) fn csr_of(
     grasp_graph::Csr::from_edge_list(&edges.collect()).unwrap()
 }
 
+/// The identity permutation over `n` vertices: the order `0..n`.
+#[cfg(test)]
+pub(crate) fn identity(n: usize) -> Permutation {
+    let order: Vec<grasp_graph::VertexId> = (0..n as grasp_graph::VertexId).collect();
+    Permutation::from_order(&order).expect("0..n is a bijection")
+}
+
+/// Whether `perm` maps `0..len` one to one onto `0..len`.
+#[cfg(test)]
+pub(crate) fn is_bijection(perm: &Permutation) -> bool {
+    let n = perm.len();
+    let mut seen = vec![false; n];
+    (0..n as grasp_graph::VertexId).all(|old| {
+        let new = perm.new_id(old) as usize;
+        new < n && !std::mem::replace(&mut seen[new], true)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,7 +165,10 @@ mod tests {
         let g = Rmat::new(8, 8).generate(3);
         for kind in TechniqueKind::ALL {
             let perm = kind.compute(&g, Direction::Out);
-            assert!(perm.is_valid(), "{kind} produced an invalid permutation");
+            assert!(
+                is_bijection(&perm),
+                "{kind} produced an invalid permutation"
+            );
             assert_eq!(perm.len(), g.vertex_count());
         }
     }

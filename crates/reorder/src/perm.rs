@@ -21,13 +21,6 @@ pub struct Permutation {
 }
 
 impl Permutation {
-    /// The identity permutation over `n` vertices.
-    pub fn identity(n: usize) -> Self {
-        Self {
-            new_of_old: (0..n as VertexId).collect(),
-        }
-    }
-
     /// Builds a permutation from a *rank ordering*: `order[k]` is the old
     /// vertex ID that should receive new ID `k`.
     ///
@@ -63,22 +56,6 @@ impl Permutation {
     #[inline]
     pub fn new_id(&self, old: VertexId) -> VertexId {
         self.new_of_old[old as usize]
-    }
-
-    /// Verifies that the mapping is a bijection over `0..len`.
-    pub fn is_valid(&self) -> bool {
-        let n = self.new_of_old.len();
-        let mut seen = vec![false; n];
-        for &new in &self.new_of_old {
-            let Some(slot) = seen.get_mut(new as usize) else {
-                return false;
-            };
-            if *slot {
-                return false;
-            }
-            *slot = true;
-        }
-        true
     }
 
     /// Returns the inverse permutation (new ID → old ID).
@@ -118,8 +95,8 @@ mod tests {
 
     #[test]
     fn identity_properties() {
-        let p = Permutation::identity(5);
-        assert!(p.is_valid());
+        let p = crate::identity(5);
+        assert!(crate::is_bijection(&p));
         assert!((0..5).all(|v| p.new_id(v) == v));
         assert_eq!(p.len(), 5);
         assert_eq!(p.new_id(3), 3);
@@ -151,7 +128,7 @@ mod tests {
         for old in 0..4u32 {
             assert_eq!(inv.new_id(p.new_id(old)), old);
         }
-        assert_eq!(p.then(&inv), Permutation::identity(4));
+        assert_eq!(p.then(&inv), crate::identity(4));
     }
 
     #[test]
@@ -167,16 +144,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "different lengths")]
     fn composition_length_mismatch_panics() {
-        let a = Permutation::identity(3);
-        let b = Permutation::identity(4);
+        let a = crate::identity(3);
+        let b = crate::identity(4);
         let _ = a.then(&b);
     }
 
     #[test]
     fn empty_permutation() {
-        let p = Permutation::identity(0);
+        let p = crate::identity(0);
         assert!(p.is_empty());
-        assert!(p.is_valid());
+        assert!(crate::is_bijection(&p));
         assert_eq!(p.inverse(), p);
     }
 }

@@ -47,7 +47,7 @@ mod tests {
         let perm = compute(&g, Direction::Out);
         // Vertex 0 has out-degree 1 too, so everything has degree 1 except
         // nothing; stable sort keeps 0,1,2,3 order.
-        assert_eq!(perm, Permutation::identity(4));
+        assert_eq!(perm, crate::identity(4));
     }
 
     #[test]
