@@ -110,7 +110,16 @@
 # 1 138 (the tree's 1 130 + 8), when the engine became the address space:
 # the workspace, the bump allocator with its per-access region lookup, the
 # property set and their handle and region types went, and an app now runs
-# on its memory model directly.
+# on its memory model directly. It came down to 16 175 (the tree's 16 125 +
+# 50), and campaign.rs to its new count (1 240 -> 1 168), when the scheduler
+# kept one path: every campaign's obtains and replays go through a flight
+# registry (a private one when none is attached), so the uncoordinated
+# obtain and every Option branch on the registry went, and the test
+# oracle's own thread pool went with them. trace_store.rs was moved to its
+# new count (808 -> 814) at the same time: a metadata block is bounded by
+# the bytes the entry holds instead of a fixed 256 MiB cap, which refused
+# every graph above 2^25 vertices, and a block too large for its 32-bit
+# length is a typed error at publication instead of a truncated header.
 #
 # usage: check-line-budget.sh   (from the repository root)
 set -euo pipefail
@@ -124,12 +133,12 @@ find crates/*/src crates/bench/benches -name '*.rs' | sort | while read -r file;
     END { print n + 0, FILENAME }' "$file"
 done | awk '
   BEGIN {
-    total_ceiling = 16248
+    total_ceiling = 16175
     bench_ceiling = 507
     analytics_ceiling = 1138
-    ceiling["crates/core/src/campaign.rs"] = 1240
+    ceiling["crates/core/src/campaign.rs"] = 1168
     ceiling["crates/graph/src/ingest.rs"] = 1110
-    ceiling["crates/core/src/trace_store.rs"] = 808
+    ceiling["crates/core/src/trace_store.rs"] = 814
     ceiling["crates/cachesim/src/trace/persist.rs"] = 879
   }
   { total += $1 }

@@ -25,7 +25,11 @@
 //! * placement is **cost-aware**: task costs are seeded from
 //!   instruction/record counts and refined online from measured wall times
 //!   within the run ([`SchedulerEvent`] logs the resulting interleaving),
-//!   and the ready queues are drained longest-processing-time-first, and
+//!   and the ready queues are drained longest-processing-time-first,
+//! * every obtain and replay takes **one single-flight path**, through the
+//!   [`FlightRegistry`] attached with [`Campaign::with_single_flight`] or a
+//!   private one for the run: a cell the grid names twice is replayed once,
+//!   like a cell an overlapping campaign is replaying, and
 //! * results are collected **deterministically in grid order** regardless of
 //!   thread count or scheduling.
 //!
@@ -66,8 +70,7 @@ use grasp_graph::{Csr, GraphView};
 use grasp_reorder::TechniqueKind;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 /// One entry of the scheduler's event log: what happened, in the order it
@@ -141,7 +144,8 @@ pub enum SchedulerEvent {
     },
     /// One cell completed **without this campaign replaying it**: a
     /// campaign sharing the [`FlightRegistry`] replayed the same policy over
-    /// the same stream while this one ran, and the cell took those
+    /// the same stream while this one ran, or this campaign replayed it for
+    /// a twin cell (a policy the grid names twice), and the cell took those
     /// statistics (its result slot is filled, over this campaign's own
     /// recording of the stream). No [`SchedulerEvent::ReplayStarted`]
     /// precedes it.
@@ -447,20 +451,23 @@ impl Campaign {
     ///   campaign that enlisted the cell is running — nothing is cached.
     ///
     /// [`FlightRegistry::stats`] counts how each flight was served. Without
-    /// a registry a campaign computes no keys and shares nothing.
+    /// one a campaign runs through a private registry of its own: it still
+    /// replays a policy its grid names twice once, but shares nothing with
+    /// other campaigns, and its workers never yield between tasks.
     #[must_use]
     pub fn with_single_flight(mut self, registry: Arc<FlightRegistry>) -> Self {
         self.flights = Some(registry);
         self
     }
 
-    /// Sets the worker-thread count. `0` (the default) means one worker per
-    /// available CPU; degenerate requests (zero, or absurdly many workers)
-    /// are clamped at run time to `available_parallelism`, and every budget
-    /// is capped at the campaign's cell count — a degenerate size never
-    /// reaches the pool. Modest oversubscription (up to 8× the CPU count)
-    /// is honoured as requested, so multi-worker scheduling stays
-    /// exercisable on small machines.
+    /// Sets the scheduler's worker-thread count ([`Campaign::run_direct`]
+    /// runs on the caller and ignores it). `0` (the default) means one
+    /// worker per available CPU; degenerate requests (zero, or absurdly
+    /// many workers) are clamped at run time to `available_parallelism`,
+    /// and every budget is capped at the campaign's cell count — a
+    /// degenerate size never reaches the pool. Modest oversubscription (up
+    /// to 8× the CPU count) is honoured as requested, so multi-worker
+    /// scheduling stays exercisable on small machines.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.spec.threads = threads;
@@ -489,20 +496,7 @@ impl Campaign {
 
     /// Runs the campaign and returns the results in grid order.
     pub fn run(&self) -> CampaignResult {
-        self.run_scheduled(None)
-    }
-
-    /// Runs the campaign, invoking `observer` once per completed cell with
-    /// the cell's grid index and its finished run. Results still come back
-    /// in grid order; the *observer* sees cells in **completion order** —
-    /// incrementally, from the worker that finished the cell, while the
-    /// rest of the grid is still running (the campaign service streams its
-    /// per-cell result frames from here).
-    pub fn run_with_observer(
-        &self,
-        observer: &(dyn Fn(usize, &CampaignRun) + Sync),
-    ) -> CampaignResult {
-        self.run_scheduled(Some(observer))
+        self.run_with_observer(&|_, _| {})
     }
 
     /// The graph-free job of one (dataset, technique, app) coordinate.
@@ -559,25 +553,24 @@ impl Campaign {
     }
 
     /// The parity oracle: every cell simulates the full hierarchy
-    /// independently ([`Experiment::run`]) — nothing is recorded, replayed,
-    /// stored or deduplicated, and the scheduler is not involved (the event
-    /// log is empty). Tests compare [`Campaign::run`] against this; it is
-    /// not reachable from a [`CampaignSpec`].
+    /// independently ([`Experiment::run`]), one after another on the
+    /// calling thread — nothing is recorded, replayed, stored or
+    /// deduplicated, the scheduler is not involved (the event log is empty)
+    /// and [`Campaign::threads`] does not apply. Tests compare
+    /// [`Campaign::run`] against this; it is not reachable from a
+    /// [`CampaignSpec`].
     pub fn run_direct(&self) -> CampaignResult {
-        let threads = self.worker_budget(self.cells().len());
         let graphs = GraphMemo::default();
-        let work: Vec<(CampaignCell, Experiment)> = self
+        let runs = self
             .cells()
             .into_iter()
             .map(|cell| {
                 let job = self.stream_job(cell.dataset, cell.technique, cell.app);
-                (cell, job.experiment(self.prepared_graph(&graphs, &job)))
+                let experiment = job.experiment(self.prepared_graph(&graphs, &job));
+                let result = experiment.run(cell.policy);
+                CampaignRun { cell, result }
             })
             .collect();
-        let runs = parallel_map(&work, threads, |(cell, experiment)| CampaignRun {
-            cell: *cell,
-            result: experiment.run(cell.policy),
-        });
         CampaignResult {
             runs,
             events: Vec::new(),
@@ -614,8 +607,9 @@ impl Campaign {
     /// miss and is overwritten); `prep_s` receives the seconds spent on the
     /// graph, which are not record time.
     ///
-    /// This is the *uncoordinated* path; [`Campaign::obtain`] wraps it in
-    /// the shared [`FlightRegistry`] when one is attached.
+    /// The scheduler runs this inside [`FlightRegistry::obtain`], so
+    /// concurrent obtains of one key — from this campaign or a sibling
+    /// sharing the registry — run it once and attach to its recording.
     fn obtain_local(
         &self,
         job: &StreamJob,
@@ -648,35 +642,16 @@ impl Campaign {
         (recorded, false)
     }
 
-    /// Obtains one stream's recording, coordinated. Without a shared
-    /// [`FlightRegistry`] this is [`Campaign::obtain_local`] behind an
-    /// `Arc`; with one, concurrent obtains of the same store key — from
-    /// this campaign or any sibling sharing the registry — collapse to a
-    /// single recording that every caller attaches to
-    /// ([`FlightServed::Attached`]) without preparing a graph of its own.
-    /// The third element is `obtain_local`'s `prep_s`.
-    fn obtain(&self, job: &StreamJob, graphs: &GraphMemo) -> (Arc<RecordedRun>, FlightServed, f64) {
-        let mut prep_s = 0.0;
-        let (recorded, served) = match &self.flights {
-            Some(registry) => {
-                registry.obtain(job.key, || self.obtain_local(job, graphs, &mut prep_s))
-            }
-            None => {
-                let (recorded, hit) = self.obtain_local(job, graphs, &mut prep_s);
-                let served = if hit {
-                    FlightServed::StoreHit
-                } else {
-                    FlightServed::Recorded
-                };
-                (Arc::new(recorded), served)
-            }
-        };
-        (recorded, served, prep_s)
-    }
-
-    /// The dependency-driven scheduler: one shared ready queue of typed
-    /// tasks — `Record(stream)` / `Load(stream)` / `Replay(cell)` — drained
-    /// by [`Campaign::threads`] workers with no phase barrier and no
+    /// Runs the campaign, invoking `observer` once per completed cell with
+    /// the cell's grid index and its finished run. Results still come back
+    /// in grid order; the *observer* sees cells in **completion order** —
+    /// incrementally, from the worker that finished the cell, while the
+    /// rest of the grid is still running (the campaign service streams its
+    /// per-cell result frames from here).
+    ///
+    /// The run is a dependency-driven scheduler: one shared ready queue of
+    /// typed tasks — `Record(stream)` / `Load(stream)` / `Replay(cell)` —
+    /// drained by [`Campaign::threads`] workers with no phase barrier and no
     /// sequential stream loop. Each stream's replay cells become runnable
     /// the moment its obtain task completes, so workers drain replays of
     /// stream *N* while stream *N + 1* is still recording.
@@ -697,11 +672,14 @@ impl Campaign {
     ///   last cell completes, so peak trace memory is bounded by the
     ///   streams with in-flight cells, not the whole grid.
     ///
-    /// Each cell's replay is one [`RecordedRun::replay`] of its stream's
-    /// recording, whichever worker runs it and whenever, so results never
-    /// depend on scheduling; result slots are indexed by cell, so neither
-    /// does grid order.
-    fn run_scheduled(&self, observer: Option<CellObserver<'_>>) -> CampaignResult {
+    /// Each cell's statistics are one [`RecordedRun::replay`] of its
+    /// stream's recording, whichever worker runs it and whenever, so results
+    /// never depend on scheduling; result slots are indexed by cell, so
+    /// neither does grid order.
+    pub fn run_with_observer(
+        &self,
+        observer: &(dyn Fn(usize, &CampaignRun) + Sync),
+    ) -> CampaignResult {
         let (cells, streams) = self.stream_plan();
         let workers = self.worker_budget(cells.len());
         let graphs = GraphMemo::default();
@@ -726,15 +704,10 @@ impl Campaign {
             state: Mutex::new(SchedState::new(&stream_cells)),
             ready: Condvar::new(),
         });
-        // Enlisted from here until this function returns or unwinds: what
-        // any overlapping campaign replays of this grid, this one does not.
-        let shared = self.flights.as_deref().map(|registry| SharedCells {
-            interest: registry.enlist_cells(cells.iter().map(|&(cell, stream)| CellKey {
-                stream: streams[stream].key,
-                policy: cell.policy,
-            })),
-            wake: sched.waker(),
-        });
+        // The grid is enlisted from here until this function returns or
+        // unwinds: what any overlapping campaign (or a twin cell) replays,
+        // this one does not.
+        let registry = self.flights.clone().unwrap_or_default();
         let plan = SchedPlan {
             cells: &cells,
             streams: &streams,
@@ -744,7 +717,13 @@ impl Campaign {
             obtain_cap,
             total,
             observer,
-            shared,
+            registry: &registry,
+            interest: registry.enlist_cells(cells.iter().map(|&(cell, stream)| CellKey {
+                stream: streams[stream].key,
+                policy: cell.policy,
+            })),
+            wake: sched.waker(),
+            yields: self.flights.is_some(),
         };
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -774,14 +753,14 @@ impl Campaign {
         // condvar.
         let _abort = AbortGuard { sched };
         let Sched { state, ready } = sched;
-        // Between tasks, a worker of a campaign with siblings (a shared
+        // Between tasks, a worker of a campaign with siblings (an attached
         // registry: the daemon) offers its core to whoever is runnable. Tasks
         // never block, so with fewer cores than campaigns × workers a second
         // request's freshly spawned threads otherwise wait whole scheduler
         // slices while the first campaign runs through (`serve_overlap`
         // time-to-first-cell 6.1 ms vs 2.3 ms, same total wall-clock).
         let offer_core = || {
-            if plan.shared.is_some() {
+            if plan.yields {
                 std::thread::yield_now();
             }
         };
@@ -790,19 +769,16 @@ impl Campaign {
             if guard.aborted || guard.done_cells == plan.total {
                 break;
             }
-            // A cell that was being replayed by another campaign when this
-            // one reached it is the next task the moment that replay has
+            // A cell that was being replayed elsewhere when this campaign
+            // reached it is the next task the moment that replay has
             // resolved: landed, it is a result for free; abandoned by an
             // unwinding leader, it is a replay again. The claim below tells
             // which.
-            let mut next_cell = None;
-            if let Some(shared) = &plan.shared {
-                let resolved = guard
-                    .deferred
-                    .iter()
-                    .position(|&cell| !shared.interest.in_flight(cell));
-                next_cell = resolved.map(|at| guard.deferred.swap_remove(at));
-            }
+            let resolved = guard
+                .deferred
+                .iter()
+                .position(|&cell| !plan.interest.in_flight(cell));
+            let mut next_cell = resolved.map(|at| guard.deferred.swap_remove(at));
             let take_obtain = next_cell.is_none()
                 && !guard.obtain_queue.is_empty()
                 && (guard.obtains_inflight < plan.obtain_cap || guard.replay_queue.is_empty());
@@ -834,7 +810,10 @@ impl Campaign {
 
                 let job = &plan.streams[stream];
                 let started = Instant::now();
-                let (recorded, served, prep_s) = self.obtain(job, plan.graphs);
+                let mut prep_s = 0.0;
+                let (recorded, served) = plan
+                    .registry
+                    .obtain(job.key, || self.obtain_local(job, plan.graphs, &mut prep_s));
                 // Building (or waiting for) the graph is not record time:
                 // the rates must not depend on which stream pulled it first.
                 let elapsed = started.elapsed().as_secs_f64() - prep_s;
@@ -884,21 +863,19 @@ impl Campaign {
             }
             if let Some(cell_index) = next_cell {
                 let (cell, stream) = plan.cells[cell_index];
-                // With a shared registry, either this worker leads the
-                // cell's replay or another campaign's has landed already.
-                let (mut lead, mut landed) = (None, None);
-                if let Some(shared) = &plan.shared {
-                    match shared.interest.claim(cell_index, &shared.wake) {
-                        Claim::Lead(claimed) => lead = Some(claimed),
-                        Claim::Landed(stats) => landed = Some(stats),
-                        Claim::InFlight => {
-                            // Being replayed by another campaign, which now
-                            // holds this one's waker: on with the rest.
-                            guard.deferred.push(cell_index);
-                            continue;
-                        }
+                // Either this worker leads the cell's replay or another
+                // worker, of this campaign or an overlapping one, has landed
+                // it already.
+                let (lead, landed) = match plan.interest.claim(cell_index, &plan.wake) {
+                    Claim::Lead(lead) => (Some(lead), None),
+                    Claim::Landed(stats) => (None, Some(stats)),
+                    Claim::InFlight => {
+                        // Being replayed elsewhere, by a worker that now
+                        // holds this campaign's waker: on with the rest.
+                        guard.deferred.push(cell_index);
+                        continue;
                     }
-                }
+                };
                 let recorded = Arc::clone(
                     guard.recorded[stream]
                         .as_ref()
@@ -914,8 +891,8 @@ impl Campaign {
 
                 let started = Instant::now();
                 let stats = landed.unwrap_or_else(|| recorded.replay_stats(cell.policy));
-                if let (Some(shared), Some(lead)) = (&plan.shared, lead) {
-                    shared.interest.land(lead, stats.clone());
+                if let Some(lead) = lead {
+                    plan.interest.land(lead, stats.clone());
                 }
                 let result = recorded.result(cell.policy, stats);
                 let elapsed = started.elapsed().as_secs_f64();
@@ -924,9 +901,7 @@ impl Campaign {
                 // Completion callbacks run unlocked, from the worker that
                 // finished the cell — a slow observer (the service writing a
                 // frame to a slow client) never stalls the scheduler.
-                if let Some(observer) = plan.observer {
-                    observer(cell_index, &run);
-                }
+                (plan.observer)(cell_index, &run);
 
                 offer_core();
                 guard = state.lock().expect("scheduler state never poisoned");
@@ -935,8 +910,8 @@ impl Campaign {
                 continue;
             }
             // Nothing runnable: obtains are in flight, whose completion
-            // refills the replay queue, or other campaigns are replaying
-            // this one's remaining cells, whose landing rings `ready`
+            // refills the replay queue, or other workers are replaying this
+            // campaign's remaining cells, whose landing rings `ready`
             // through the waker. Sleep until state changes.
             guard = ready.wait(guard).expect("scheduler state never poisoned");
         }
@@ -970,17 +945,16 @@ struct SchedPlan<'a> {
     /// Total cell count (the run is done when this many results landed).
     total: usize,
     /// Per-cell completion callback, invoked unlocked as each cell lands.
-    observer: Option<CellObserver<'a>>,
-    /// The campaign's enlistment in a shared [`FlightRegistry`]'s cell
-    /// replays, when it has one.
-    shared: Option<SharedCells<'a>>,
-}
-
-/// A campaign's side of single-flight replay: its grid's flights, by cell
-/// index, and the waker it leaves with the ones other campaigns are leading.
-struct SharedCells<'a> {
+    observer: CellObserver<'a>,
+    /// The registry the run's obtains go through: the attached one, or the
+    /// run's own.
+    registry: &'a FlightRegistry,
+    /// The run's enlistment in its cells' replays, by cell index.
     interest: CellInterest<'a>,
+    /// What a flight led elsewhere rings when it resolves.
     wake: Wake,
+    /// Whether workers yield between tasks: only with an attached registry.
+    yields: bool,
 }
 
 /// The scheduler's shared state and the condvar its idle workers park on.
@@ -1010,9 +984,9 @@ struct SchedState {
     /// Cell indices whose stream is obtained and whose replay has not been
     /// claimed yet.
     replay_queue: Vec<usize>,
-    /// Cell indices another campaign was replaying when a worker claimed
-    /// them (see [`SharedCells`]): neither queued nor done until that replay
-    /// resolves.
+    /// Cell indices being replayed elsewhere when a worker claimed them
+    /// (another campaign, or a worker replaying the same policy for a twin
+    /// cell): neither queued nor done until that replay resolves.
     deferred: Vec<usize>,
     /// Obtain tasks currently executing (admission-cap accounting).
     obtains_inflight: usize,
@@ -1128,52 +1102,6 @@ impl Drop for AbortGuard<'_> {
     }
 }
 
-/// Maps `work` through `f` on up to `threads` workers, returning results in
-/// input order. With one worker (or one item) the map runs inline on the
-/// caller; otherwise items are pulled off a shared cursor and re-assembled by
-/// index, so the output order never depends on scheduling.
-fn parallel_map<T: Sync, R: Send, F: Fn(&T) -> R + Sync>(
-    work: &[T],
-    threads: usize,
-    f: F,
-) -> Vec<R> {
-    let workers = threads.min(work.len()).max(1);
-    if workers == 1 {
-        return work.iter().map(f).collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let (sender, receiver) = mpsc::channel::<(usize, R)>();
-    let cursor = &cursor;
-    let f = &f;
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let sender = sender.clone();
-            scope.spawn(move || loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = work.get(index) else {
-                    break;
-                };
-                if sender.send((index, f(item))).is_err() {
-                    break;
-                }
-            });
-        }
-    });
-    drop(sender);
-
-    // Re-assemble in input order: completion order is scheduling-dependent
-    // but every slot is filled exactly once.
-    let mut slots: Vec<Option<R>> = (0..work.len()).map(|_| None).collect();
-    for (index, result) in receiver {
-        slots[index] = Some(result);
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every item completes exactly once"))
-        .collect()
-}
-
 /// The results of a campaign, in deterministic grid order.
 #[derive(Debug, Clone)]
 pub struct CampaignResult {
@@ -1243,6 +1171,8 @@ mod tests {
     use super::*;
     use crate::flight::Lead;
     use grasp_cachesim::stats::HierarchyStats;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
 
     fn tiny_campaign() -> Campaign {
         Campaign::new(Scale::Tiny)
@@ -1387,12 +1317,13 @@ mod tests {
         }
 
         // Cold: every stream records. Warm: every obtain is a store hit and
-        // `obtain` is handed a memo that must stay empty.
+        // `obtain_local` is handed a memo that must stay empty.
         campaign.run();
         let warm = GraphMemo::default();
         for job in &streams {
-            let (_, served, prep_s) = campaign.obtain(job, &warm);
-            assert_eq!(served, FlightServed::StoreHit);
+            let mut prep_s = 0.0;
+            let (_, hit) = campaign.obtain_local(job, &warm, &mut prep_s);
+            assert!(hit);
             assert_eq!(prep_s, 0.0);
         }
         assert_eq!(prepared_counts(&warm), (0, 0));
@@ -1459,8 +1390,9 @@ mod tests {
 
     #[test]
     fn duplicate_policies_assemble_correctly() {
-        // Duplicate grid policies are distinct cells of the same stream;
-        // each gets its own replay and its own result slot.
+        // Duplicate grid policies are distinct cells of the same stream,
+        // each with its own result slot; the twin takes the first one's
+        // replay, as a sibling campaign's would.
         let campaign = Campaign::new(Scale::Tiny)
             .datasets(&[DatasetKind::Twitter])
             .apps(&[AppKind::PageRank])
@@ -1469,6 +1401,13 @@ mod tests {
         assert_eq!(results.len(), 3);
         let runs: Vec<_> = results.iter().collect();
         assert_eq!(runs[0].result.stats, runs[1].result.stats);
+        let replayed = count_events(&results, |e| {
+            matches!(e, SchedulerEvent::ReplayFinished { .. })
+        });
+        let shared = count_events(&results, |e| {
+            matches!(e, SchedulerEvent::ReplayShared { .. })
+        });
+        assert_eq!((replayed, shared), (2, 1));
     }
 
     #[test]

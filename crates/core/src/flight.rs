@@ -31,15 +31,20 @@
 //!   to the store (and hit the published entry).
 //! * **Cells**, keyed by stream key + LLC policy — everything that
 //!   determines a replay's [`HierarchyStats`], since the key's scale fixes
-//!   the LLC a campaign replays under. A campaign
-//!   ([`Campaign::with_single_flight`](crate::campaign::Campaign::with_single_flight))
-//!   enlists its whole grid when it plans and releases it when it returns.
-//!   Its scheduler never blocks on a cell another campaign is replaying: it
-//!   leaves a waker with the flight, runs its other tasks and collects the
-//!   landed statistics at a later task boundary. A landed result stays
+//!   the LLC a campaign replays under. Every campaign enlists its whole grid
+//!   when it plans and releases it when it returns. Its scheduler never
+//!   blocks on a cell replaying elsewhere: it leaves a waker with the
+//!   flight, runs its other tasks and collects the landed statistics at a
+//!   later task boundary. A landed result stays
 //!   until the last campaign that enlisted the cell returns. Only the
 //!   policy-dependent statistics are shared; every follower assembles its
 //!   `RunResult` over its own stream's application output.
+//!
+//! Every campaign runs through a registry: the one shared with
+//! [`Campaign::with_single_flight`](crate::campaign::Campaign::with_single_flight)
+//! (the campaign service hands its one registry to every client campaign),
+//! or a private one for a single run, which dedups only the run's own twin
+//! cells (a policy its grid names twice). There is no uncoordinated path.
 //!
 //! [`TraceStore::probe`]: crate::trace_store::TraceStore::probe
 

@@ -479,8 +479,17 @@ mod tests {
                 "items",
                 Json::Array(vec![Json::integer(1), Json::string("x")]),
             ),
+            (
+                "escapes",
+                Json::Array(
+                    ["plain-name.v2.trace", "a\"b\\c", "a\nb\tc", "\u{1}"]
+                        .map(Json::string)
+                        .to_vec(),
+                ),
+            ),
         ]);
         let text = doc.to_string();
+        assert!(text.contains(r#"["plain-name.v2.trace","a\"b\\c","a\nb\tc","\u0001"]"#));
         assert_eq!(parse(&text).expect("own output parses"), doc);
         // Stable: the same value always serializes to the same bytes.
         assert_eq!(text, doc.to_string());

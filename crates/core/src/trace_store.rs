@@ -64,9 +64,6 @@ pub const STORE_MAGIC: [u8; 8] = *b"GRSPSTO\0";
 /// trace-format bump naturally cold-starts the store.
 pub const STORE_ENTRY_VERSION: u32 = 1;
 
-/// Upper bound on a metadata block; anything larger is corruption, not data.
-const MAX_META_LEN: u32 = 1 << 28;
-
 /// Why a store entry could not be read or written.
 #[derive(Debug)]
 pub enum StoreError {
@@ -467,8 +464,8 @@ impl TraceStore {
             Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(err) => return Err(err.into()),
         };
-        let bytes = handle.metadata().map(|m| m.len()).unwrap_or(0);
-        let stored = read_entry(&mut std::io::BufReader::new(&handle), Some(key.app))?;
+        let bytes = handle.metadata()?.len();
+        let stored = read_entry(&mut std::io::BufReader::new(&handle), bytes, Some(key.app))?;
         self.counters.bytes_read.fetch_add(bytes, Ordering::Relaxed);
         Ok(Some((stored, handle)))
     }
@@ -541,7 +538,9 @@ impl TraceStore {
         for entry in self.entries()? {
             let path = self.dir.join(&entry.file);
             let outcome = (|| -> Result<(), StoreError> {
-                read_entry(&mut std::io::BufReader::new(File::open(&path)?), None)?;
+                let handle = File::open(&path)?;
+                let bytes = handle.metadata()?.len();
+                read_entry(&mut std::io::BufReader::new(handle), bytes, None)?;
                 Ok(())
             })();
             report.push((entry.file, outcome));
@@ -605,7 +604,8 @@ impl TraceStore {
     /// check.
     pub fn peek(&self, file: &str) -> Result<EntryInfo, StoreError> {
         let mut handle = File::open(self.dir.join(file))?;
-        let (meta_len, _) = read_entry_header(&mut handle)?;
+        let bytes = handle.metadata()?.len();
+        let (meta_len, _) = read_entry_header(&mut handle, bytes)?;
         handle.seek(std::io::SeekFrom::Current(i64::from(meta_len)))?;
         let header = TraceHeader::read(&mut handle)?;
         let records = header.records as u64;
@@ -653,10 +653,16 @@ fn write_entry(
     instructions: u64,
 ) -> Result<u64, StoreError> {
     let meta = encode_meta(app, instructions);
+    let meta_len = u32::try_from(meta.len()).map_err(|_| {
+        StoreError::Corrupt(format!(
+            "metadata block of {} bytes exceeds the entry header's 32-bit length",
+            meta.len()
+        ))
+    })?;
     let mut header = Vec::with_capacity(24);
     header.extend_from_slice(&STORE_MAGIC);
     put_u32(&mut header, STORE_ENTRY_VERSION);
-    put_u32(&mut header, meta.len() as u32);
+    put_u32(&mut header, meta_len);
     put_u64(&mut header, meta_checksum(&meta));
     writer.write_all(&header).map_err(StoreError::Io)?;
     writer.write_all(&meta).map_err(StoreError::Io)?;
@@ -664,10 +670,10 @@ fn write_entry(
     Ok(header.len() as u64 + meta.len() as u64 + trace_bytes)
 }
 
-/// Reads and checks the 24-byte entry header — the magic, then the entry
-/// version, then the metadata length's bound — and returns the metadata
-/// block's length and stored checksum.
-fn read_entry_header(reader: &mut impl Read) -> Result<(u32, u64), StoreError> {
+/// Reads and checks the 24-byte entry header of an `entry_len`-byte entry —
+/// the magic, then the entry version, then that the metadata block fits the
+/// entry — and returns the metadata block's length and stored checksum.
+fn read_entry_header(reader: &mut impl Read, entry_len: u64) -> Result<(u32, u64), StoreError> {
     let mut header = [0u8; 24];
     reader
         .read_exact(&mut header)
@@ -685,10 +691,9 @@ fn read_entry_header(reader: &mut impl Read) -> Result<(u32, u64), StoreError> {
         )));
     }
     let meta_len = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
-    if meta_len > MAX_META_LEN {
-        return Err(StoreError::Corrupt(format!(
-            "metadata block of {meta_len} bytes is implausibly large"
-        )));
+    if u64::from(meta_len) > entry_len.saturating_sub(24) {
+        let eof = std::io::ErrorKind::UnexpectedEof.into();
+        return Err(truncated(eof, "metadata block"));
     }
     let checksum = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
     Ok((meta_len, checksum))
@@ -728,14 +733,16 @@ impl<'a> MetaCursor<'a> {
     }
 }
 
-/// Reads one entry. When `expected_app` is given, the stored application
-/// label must match it (and the result reuses the canonical static label);
-/// verification passes `None` and accepts any known application.
+/// Reads one `entry_len`-byte entry. When `expected_app` is given, the
+/// stored application label must match it (and the result reuses the
+/// canonical static label); verification passes `None` and accepts any
+/// known application.
 fn read_entry(
     reader: &mut impl Read,
+    entry_len: u64,
     expected_app: Option<AppKind>,
 ) -> Result<StoredRecording, StoreError> {
-    let (meta_len, stored_checksum) = read_entry_header(reader)?;
+    let (meta_len, stored_checksum) = read_entry_header(reader, entry_len)?;
     let mut meta = vec![0u8; meta_len as usize];
     reader
         .read_exact(&mut meta)
@@ -1136,6 +1143,31 @@ mod tests {
             std::fs::write(&path, &bytes[..cut]).expect("write truncated");
             assert!(store.try_load(&key).is_err(), "cut at {cut}");
         }
+        std::fs::remove_dir_all(store.dir()).ok();
+    }
+
+    #[test]
+    fn a_metadata_length_past_the_end_of_the_entry_is_truncation() {
+        // A header claiming a 4 GiB metadata block over a few bytes: the
+        // bytes present bound the block, not a fixed cap, so no large block
+        // is refused for its size and no huge buffer is allocated.
+        let store = temp_store("meta-len");
+        let key = sample_key(0);
+        let mut bytes = STORE_MAGIC.to_vec();
+        put_u32(&mut bytes, STORE_ENTRY_VERSION);
+        put_u32(&mut bytes, u32::MAX);
+        put_u64(&mut bytes, 0);
+        bytes.extend_from_slice(&[0; 16]);
+        std::fs::write(store.dir().join(key.file_name()), &bytes).expect("write");
+        let truncation = |err: &StoreError| {
+            matches!(err, StoreError::Corrupt(msg)
+                if msg.contains("truncated") && msg.contains("metadata block"))
+        };
+        let loaded = store.try_load(&key);
+        assert!(loaded.as_ref().is_err_and(truncation), "{:?}", loaded.err());
+        assert!(store.peek(&key.file_name()).is_err_and(|e| truncation(&e)));
+        let report = store.verify().expect("verify");
+        assert!(matches!(report.as_slice(), [(_, Err(err))] if truncation(err)));
         std::fs::remove_dir_all(store.dir()).ok();
     }
 

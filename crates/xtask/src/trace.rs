@@ -22,6 +22,7 @@
 use grasp_analytics::apps::AppKind;
 use grasp_core::campaign::{Campaign, CampaignResult};
 use grasp_core::datasets::{DatasetKind, Scale};
+use grasp_core::json::Json;
 use grasp_core::policy::PolicyKind;
 use grasp_core::trace_store::{EntryInfo, StoreEntry, TraceStore, TRACE_FORMAT_VERSION};
 use std::process::ExitCode;
@@ -157,15 +158,6 @@ pub fn run(args: &[String]) -> ExitCode {
     }
 }
 
-/// JSON string escaping for file names and paths (names are ASCII slugs,
-/// paths may hold anything); delegates to the workspace's one escaping
-/// implementation in `grasp_core::json`.
-fn json_escape(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    grasp_core::json::escape_into(&mut out, raw);
-    out
-}
-
 /// The store summary `ls` prints and the CI gate parses: per-entry stats
 /// plus totals and the raw-equivalent compression ratio.
 struct StoreSummary {
@@ -238,38 +230,33 @@ fn ls(store: &TraceStore, json: bool) -> ExitCode {
 }
 
 /// The `ls --json` document (see the module docs).
-fn ls_json(store: &TraceStore, summary: &StoreSummary) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"store\":\"{}\",\"entries\":[",
-        json_escape(&store.dir().display().to_string())
-    ));
-    for (i, (entry, info)) in summary.rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"file\":\"{}\",\"bytes\":{}",
-            json_escape(&entry.file),
-            entry.bytes
-        ));
+fn ls_json(store: &TraceStore, summary: &StoreSummary) -> Json {
+    let entries = summary.rows.iter().map(|(entry, info)| {
+        let mut fields = vec![
+            ("file", Json::string(&entry.file)),
+            ("bytes", Json::integer(entry.bytes)),
+        ];
         // An entry whose headers parse is in the one format there is
         // (`peek` refuses every other): its version is a constant.
-        match info {
-            Some(info) => out.push_str(&format!(
-                ",\"trace_version\":{TRACE_FORMAT_VERSION},\"records\":{},\"raw_bytes\":{}}}",
-                info.records, info.raw_bytes
-            )),
-            None => out.push('}'),
+        if let Some(info) = info {
+            fields.extend([
+                ("trace_version", Json::integer(TRACE_FORMAT_VERSION.into())),
+                ("records", Json::integer(info.records)),
+                ("raw_bytes", Json::integer(info.raw_bytes)),
+            ]);
         }
-    }
-    out.push_str(&format!(
-        "],\"total_bytes\":{},\"raw_bytes\":{},\"compression_ratio\":{:.3}}}",
-        summary.total_bytes,
-        summary.raw_bytes,
-        summary.compression_ratio()
-    ));
-    out
+        Json::object(fields)
+    });
+    Json::object([
+        ("store", Json::string(store.dir().display().to_string())),
+        ("entries", Json::Array(entries.collect())),
+        ("total_bytes", Json::integer(summary.total_bytes)),
+        ("raw_bytes", Json::integer(summary.raw_bytes)),
+        (
+            "compression_ratio",
+            Json::Number(summary.compression_ratio()),
+        ),
+    ])
 }
 
 fn verify(store: &TraceStore) -> ExitCode {
@@ -497,14 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping_covers_the_awkward_characters() {
-        assert_eq!(json_escape("plain-name.v2.trace"), "plain-name.v2.trace");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("a\nb\tc"), "a\\nb\\tc");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
     fn human_bytes_picks_sane_units() {
         assert_eq!(human_bytes(17), "17 B");
         assert_eq!(human_bytes(2048), "2.0 KiB");
@@ -537,9 +516,22 @@ mod tests {
             .run();
         let summary = StoreSummary::collect(&store).expect("summary");
         assert_eq!(summary.rows.len(), 1);
-        let json = ls_json(&store, &summary);
-        let version = format!("\"trace_version\":{TRACE_FORMAT_VERSION},");
-        assert!(json.contains(&version), "{json}");
+        let text = ls_json(&store, &summary).to_string();
+        let json = grasp_core::json::parse(&text).expect("ls --json parses");
+        let entry = &json
+            .get("entries")
+            .and_then(Json::as_array)
+            .expect("entries")[0];
+        let field = |value: &Json, key| value.get(key).and_then(Json::as_u64);
+        assert_eq!(
+            field(entry, "trace_version"),
+            Some(TRACE_FORMAT_VERSION.into())
+        );
+        let records = summary.rows[0].1.expect("the entry peeks").records;
+        assert_eq!(field(entry, "records"), Some(records));
+        assert_eq!(field(&json, "total_bytes"), Some(summary.total_bytes));
+        let ratio = json.get("compression_ratio").and_then(Json::as_f64);
+        assert_eq!(ratio, Some(summary.compression_ratio()), "{text}");
         assert_eq!(verify(&store), ExitCode::SUCCESS);
         std::fs::remove_dir_all(&dir).ok();
     }
