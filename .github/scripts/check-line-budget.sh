@@ -120,6 +120,13 @@
 # the bytes the entry holds instead of a fixed 256 MiB cap, which refused
 # every graph above 2^25 vertices, and a block too large for its 32-bit
 # length is a typed error at publication instead of a truncated header.
+# It came down to 16 099 (the tree's 16 049 + 50), and ingest.rs to its new
+# count (1 110 -> 1 090), when a CSR direction became one value: the graph
+# trait is asked by direction (its eight per-direction required methods
+# became four), both graph backings hold their two directions as one
+# two-element array (the mmap-backed one opens, checksums, checks and serves
+# a direction once instead of six columns by hand), and the figure dumps are
+# built as a JSON value instead of by hand.
 #
 # usage: check-line-budget.sh   (from the repository root)
 set -euo pipefail
@@ -133,11 +140,11 @@ find crates/*/src crates/bench/benches -name '*.rs' | sort | while read -r file;
     END { print n + 0, FILENAME }' "$file"
 done | awk '
   BEGIN {
-    total_ceiling = 16175
+    total_ceiling = 16099
     bench_ceiling = 507
     analytics_ceiling = 1138
     ceiling["crates/core/src/campaign.rs"] = 1168
-    ceiling["crates/graph/src/ingest.rs"] = 1110
+    ceiling["crates/graph/src/ingest.rs"] = 1090
     ceiling["crates/core/src/trace_store.rs"] = 814
     ceiling["crates/cachesim/src/trace/persist.rs"] = 879
   }

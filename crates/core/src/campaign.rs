@@ -664,7 +664,7 @@ impl Campaign {
     ///   The cap is work-conserving: a worker takes an obtain task beyond
     ///   the cap rather than idling when no replay is ready.
     /// * **LPT ordering.** Both queues pop
-    ///   longest-processing-time-first, with costs from the [`CostModel`]:
+    ///   longest-processing-time-first, with costs from the `CostModel`:
     ///   expensive streams record early and expensive replays don't
     ///   straggle at the end of the run. Costs are evaluated at pop time,
     ///   so online rate refinements reorder the queues immediately.

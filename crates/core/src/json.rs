@@ -108,7 +108,7 @@ impl Json {
 /// Appends `text` to `out` with JSON string escaping (the exact escape set
 /// [`parse`] resolves: quotes, backslashes, the common control escapes, and
 /// `\u00XX` for the remaining control characters).
-pub fn escape_into(out: &mut String, text: &str) {
+fn escape_into(out: &mut String, text: &str) {
     for c in text.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -3,6 +3,8 @@
 //! (`BENCH_<figure>.json`) so a change to any figure's table shows up as a
 //! diff against the committed file.
 
+use crate::json::Json;
+
 /// A simple column-aligned table with a title, headers and rows of cells.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Table {
@@ -49,53 +51,33 @@ impl Table {
     }
 }
 
-/// Escapes a string for inclusion in a JSON document (the one escaping
-/// implementation lives in [`crate::json`]).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    crate::json::escape_into(&mut out, s);
-    out
-}
-
-fn json_string_array(items: &[String]) -> String {
-    let cells: Vec<String> = items
-        .iter()
-        .map(|c| format!("\"{}\"", json_escape(c)))
-        .collect();
-    format!("[{}]", cells.join(","))
-}
-
 /// Serializes one or more tables into a stable, machine-readable JSON
-/// document:
+/// document. It is a [`Json`] value, so keys come out sorted:
 ///
 /// ```json
 /// {"figure":"fig5",
-///  "tables":[{"title":"...","headers":[...],"rows":[[...],[...]]}]}
+///  "tables":[{"headers":[...],"rows":[[...],[...]],"title":"..."}]}
 /// ```
 ///
 /// Everything in it is a simulation result: how long the figure took, and
 /// on what host, is the `pipeline` ledger's business, not this file's.
 pub fn to_json(figure: &str, tables: &[&Table]) -> String {
-    let mut out = format!("{{\"figure\":\"{}\",\"tables\":[", json_escape(figure));
-    for (i, table) in tables.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"title\":\"{}\",\"headers\":{},\"rows\":[",
-            json_escape(&table.title),
-            json_string_array(&table.headers)
-        ));
-        for (r, row) in table.rows.iter().enumerate() {
-            if r > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_string_array(row));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}\n");
-    out
+    let strings = |cells: &[String]| Json::Array(cells.iter().map(Json::string).collect());
+    let tables = tables.iter().map(|table| {
+        Json::object([
+            ("title", Json::string(&table.title)),
+            ("headers", strings(&table.headers)),
+            (
+                "rows",
+                Json::Array(table.rows.iter().map(|row| strings(row)).collect()),
+            ),
+        ])
+    });
+    let document = Json::object([
+        ("figure", Json::string(figure)),
+        ("tables", Json::Array(tables.collect())),
+    ]);
+    format!("{document}\n")
 }
 
 impl std::fmt::Display for Table {

@@ -4,14 +4,14 @@
 //! paper): the *Vertex Array* (called `offsets` here) stores, for every
 //! vertex, the index of its first edge in the *Edge Array* (`targets`), which
 //! stores neighbour IDs grouped by owning vertex. [`Csr`] keeps **both**
-//! directions so that pull- and push-based computations, as well as
-//! direction-switching frameworks, can be expressed without re-building the
-//! graph.
+//! directions, as one two-element array of the same per-direction type, so
+//! that pull- and push-based computations, as well as direction-switching
+//! frameworks, can be expressed without re-building the graph.
 //!
 //! [`Csr`] answers graph queries through [`GraphView`]: its trait impl
-//! holds the bodies, and only `vertex_count`, `edge_count`, `out_neighbors`
-//! and `out_weights` are inherent as well (the trait's methods delegate to
-//! them), for callers without the trait in scope.
+//! answers each query once for the direction it is asked, and only
+//! `vertex_count`, `edge_count`, `out_neighbors` and `out_weights` are
+//! inherent as well, for callers without the trait in scope.
 
 use crate::edgelist::EdgeList;
 use crate::types::{Direction, Edge, EdgeWeight, VertexId};
@@ -34,7 +34,8 @@ impl CsrDirection {
     /// owner (every row receives its edges in list order), then each
     /// adjacency list sorted for deterministic traversal order and better
     /// binary-search behaviour.
-    pub(crate) fn from_edges(vertex_count: usize, edges: &[Edge], use_src_as_owner: bool) -> Self {
+    pub(crate) fn from_edges(vertex_count: usize, edges: &[Edge], dir: Direction) -> Self {
+        let use_src_as_owner = dir == Direction::Out;
         let mut offsets = vec![0u64; vertex_count + 1];
         for e in edges {
             let owner = if use_src_as_owner { e.src } else { e.dst };
@@ -71,23 +72,10 @@ impl CsrDirection {
         }
     }
 
+    /// Where `v`'s edges sit in `targets` and `weights`.
     #[inline]
-    fn degree(&self, v: VertexId) -> u64 {
-        self.offsets[v as usize + 1] - self.offsets[v as usize]
-    }
-
-    #[inline]
-    fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize;
-        &self.targets[lo..hi]
-    }
-
-    #[inline]
-    fn neighbor_weights(&self, v: VertexId) -> &[EdgeWeight] {
-        let lo = self.offsets[v as usize] as usize;
-        let hi = self.offsets[v as usize + 1] as usize;
-        &self.weights[lo..hi]
+    fn edges(&self, v: VertexId) -> std::ops::Range<usize> {
+        self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize
     }
 }
 
@@ -164,8 +152,8 @@ pub(crate) fn checked_vertex_count(edges: &EdgeList) -> Result<usize> {
 pub struct Csr {
     vertex_count: usize,
     edge_count: u64,
-    out: CsrDirection,
-    inc: CsrDirection,
+    /// The out- and in-edges, at their [`Direction::index`].
+    directions: [CsrDirection; 2],
 }
 
 impl Csr {
@@ -179,25 +167,25 @@ impl Csr {
     /// vertex count is zero.
     pub fn from_edge_list(edges: &EdgeList) -> Result<Self> {
         let vertex_count = checked_vertex_count(edges)?;
-        let out = CsrDirection::from_edges(vertex_count, edges.edges(), true);
-        let inc = CsrDirection::from_edges(vertex_count, edges.edges(), false);
-        Ok(Self::from_directions(vertex_count, out, inc))
+        let directions =
+            Direction::BOTH.map(|dir| CsrDirection::from_edges(vertex_count, edges.edges(), dir));
+        Ok(Self::from_directions(vertex_count, directions))
     }
 
-    /// Assembles a graph from two directions a builder in this crate has
-    /// produced from the same checked edge list.
-    pub(crate) fn from_directions(
-        vertex_count: usize,
-        out: CsrDirection,
-        inc: CsrDirection,
-    ) -> Self {
-        debug_assert_eq!(out.targets.len(), inc.targets.len());
+    /// Assembles a graph from the two directions (out, then in) a builder in
+    /// this crate has produced from the same checked edge list.
+    pub(crate) fn from_directions(vertex_count: usize, directions: [CsrDirection; 2]) -> Self {
+        debug_assert_eq!(directions[0].targets.len(), directions[1].targets.len());
         Self {
             vertex_count,
-            edge_count: out.targets.len() as u64,
-            out,
-            inc,
+            edge_count: directions[0].targets.len() as u64,
+            directions,
         }
+    }
+
+    #[inline]
+    fn direction(&self, dir: Direction) -> &CsrDirection {
+        &self.directions[dir.index()]
     }
 
     /// Number of vertices.
@@ -213,83 +201,69 @@ impl Csr {
     /// Out-neighbours of `v` (vertices `v` points to), sorted ascending.
     #[inline]
     pub fn out_neighbors(&self, v: VertexId) -> &[VertexId] {
-        self.out.neighbors(v)
+        self.neighbors(v, Direction::Out)
     }
 
     /// Weights parallel to [`Csr::out_neighbors`].
     #[inline]
     pub fn out_weights(&self, v: VertexId) -> &[EdgeWeight] {
-        self.out.neighbor_weights(v)
+        self.weights(v, Direction::Out)
     }
 
-    /// Raw CSR column arrays for `dir`: `(offsets, targets, weights)`.
+    /// The raw column arrays of one direction: `(offsets, targets, weights)`.
     ///
     /// `offsets` has `vertex_count + 1` entries; `targets` and `weights` have
     /// `edge_count` entries each. This is the exact layout the on-disk binary
     /// CSR ([`crate::ingest`]) persists per direction.
     pub fn raw_columns(&self, dir: Direction) -> (&[u64], &[VertexId], &[EdgeWeight]) {
-        let d = match dir {
-            Direction::Out => &self.out,
-            Direction::In => &self.inc,
-        };
+        let d = self.direction(dir);
         (&d.offsets, &d.targets, &d.weights)
     }
 
-    /// Reassembles a CSR graph from raw column arrays (the inverse of
-    /// [`Csr::raw_columns`]), validating the CSR invariants.
+    /// Reassembles a CSR graph from one `(offsets, targets, weights)` per
+    /// direction, out then in (the inverse of [`Csr::raw_columns`]),
+    /// validating the CSR invariants of each.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::EmptyGraph`] for a zero vertex count and
-    /// [`GraphError::Format`] when column lengths disagree, offsets are not
-    /// monotone, do not start at 0 / end at `edge_count`, or a target is out
-    /// of range.
-    #[allow(clippy::too_many_arguments)]
+    /// Returns [`GraphError::EmptyGraph`] for a zero vertex count,
+    /// [`GraphError::VertexOutOfBounds`] for a target out of range and
+    /// [`GraphError::Format`] when column lengths disagree, or offsets are
+    /// not monotone or do not start at 0 / end at `edge_count`.
     pub fn from_raw_columns(
         vertex_count: usize,
         edge_count: u64,
-        out_offsets: Vec<u64>,
-        out_targets: Vec<VertexId>,
-        out_weights: Vec<EdgeWeight>,
-        in_offsets: Vec<u64>,
-        in_targets: Vec<VertexId>,
-        in_weights: Vec<EdgeWeight>,
+        columns: [(Vec<u64>, Vec<VertexId>, Vec<EdgeWeight>); 2],
     ) -> Result<Self> {
         if vertex_count == 0 {
             return Err(GraphError::EmptyGraph);
         }
-        let out = CsrDirection {
-            offsets: out_offsets,
-            targets: out_targets,
-            weights: out_weights,
-        };
-        let inc = CsrDirection {
-            offsets: in_offsets,
-            targets: in_targets,
-            weights: in_weights,
-        };
-        for (name, d) in [("out", &out), ("in", &inc)] {
+        let directions = columns.map(|(offsets, targets, weights)| CsrDirection {
+            offsets,
+            targets,
+            weights,
+        });
+        for (dir, d) in Direction::BOTH.into_iter().zip(&directions) {
             if d.offsets.len() != vertex_count + 1 {
                 return Err(GraphError::Format(format!(
-                    "{name} offsets column has {} entries, expected {}",
+                    "{dir} offsets column has {} entries, expected {}",
                     d.offsets.len(),
                     vertex_count + 1
                 )));
             }
             if d.targets.len() as u64 != edge_count || d.weights.len() as u64 != edge_count {
                 return Err(GraphError::Format(format!(
-                    "{name} edge columns have {}/{} entries, expected {edge_count}",
+                    "{dir} edge columns have {}/{} entries, expected {edge_count}",
                     d.targets.len(),
                     d.weights.len()
                 )));
             }
-            check_direction(name, &d.offsets, &d.targets)?;
+            check_direction(dir, &d.offsets, &d.targets)?;
         }
         Ok(Self {
             vertex_count,
             edge_count,
-            out,
-            inc,
+            directions,
         })
     }
 }
@@ -297,16 +271,16 @@ impl Csr {
 /// The structural invariants of one CSR direction that every traversal
 /// indexes by: `offsets` (one entry per vertex, plus one) rises from 0 to
 /// `targets.len()` without decreasing, and every target names a vertex.
-pub(crate) fn check_direction(name: &str, offsets: &[u64], targets: &[VertexId]) -> Result<()> {
+pub(crate) fn check_direction(dir: Direction, offsets: &[u64], targets: &[VertexId]) -> Result<()> {
     let (vertex_count, edge_count) = (offsets.len() - 1, targets.len() as u64);
     if offsets[0] != 0 || offsets[vertex_count] != edge_count {
         return Err(GraphError::Format(format!(
-            "{name} offsets must span 0..={edge_count}"
+            "{dir} offsets must span 0..={edge_count}"
         )));
     }
     if offsets.windows(2).any(|w| w[0] > w[1]) {
         return Err(GraphError::Format(format!(
-            "{name} offsets are not monotone"
+            "{dir} offsets are not monotone"
         )));
     }
     match targets.iter().find(|&&t| t as usize >= vertex_count) {
@@ -330,43 +304,26 @@ impl GraphView for Csr {
     }
 
     #[inline]
-    fn out_degree(&self, v: VertexId) -> u64 {
-        self.out.degree(v)
+    fn degree(&self, v: VertexId, dir: Direction) -> u64 {
+        let offsets = &self.direction(dir).offsets;
+        offsets[v as usize + 1] - offsets[v as usize]
     }
 
     #[inline]
-    fn in_degree(&self, v: VertexId) -> u64 {
-        self.inc.degree(v)
+    fn neighbors(&self, v: VertexId, dir: Direction) -> &[VertexId] {
+        let d = self.direction(dir);
+        &d.targets[d.edges(v)]
     }
 
     #[inline]
-    fn out_neighbors(&self, v: VertexId) -> &[VertexId] {
-        Csr::out_neighbors(self, v)
+    fn weights(&self, v: VertexId, dir: Direction) -> &[EdgeWeight] {
+        let d = self.direction(dir);
+        &d.weights[d.edges(v)]
     }
 
     #[inline]
-    fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
-        self.inc.neighbors(v)
-    }
-
-    #[inline]
-    fn out_weights(&self, v: VertexId) -> &[EdgeWeight] {
-        Csr::out_weights(self, v)
-    }
-
-    #[inline]
-    fn in_weights(&self, v: VertexId) -> &[EdgeWeight] {
-        self.inc.neighbor_weights(v)
-    }
-
-    #[inline]
-    fn out_edge_offset(&self, v: VertexId) -> u64 {
-        self.out.offsets[v as usize]
-    }
-
-    #[inline]
-    fn in_edge_offset(&self, v: VertexId) -> u64 {
-        self.inc.offsets[v as usize]
+    fn edge_offset(&self, v: VertexId, dir: Direction) -> u64 {
+        self.direction(dir).offsets[v as usize]
     }
 }
 
@@ -519,6 +476,57 @@ mod tests {
             assert_eq!(g.weights(v, Direction::Out), g.out_weights(v));
             assert_eq!(g.weights(v, Direction::In), g.in_weights(v));
         }
+    }
+
+    #[test]
+    fn from_raw_columns_rejects_each_broken_invariant() {
+        // Two vertices and the one edge 0 -> 1: (offsets, targets, weights)
+        // out, then in. Each case breaks one invariant of that graph.
+        type Columns = (Vec<u64>, Vec<VertexId>, Vec<EdgeWeight>);
+        let good = || -> [Columns; 2] {
+            [
+                (vec![0, 1, 1], vec![1], vec![1]),
+                (vec![0, 0, 1], vec![0], vec![1]),
+            ]
+        };
+        let build =
+            |vertex_count, columns: [Columns; 2]| Csr::from_raw_columns(vertex_count, 1, columns);
+        assert_eq!(build(2, good()).unwrap(), csr_of([(0, 1)]));
+        assert!(matches!(build(0, good()), Err(GraphError::EmptyGraph)));
+        let broken = |edit: fn(&mut [Columns; 2])| {
+            let mut columns = good();
+            edit(&mut columns);
+            build(2, columns).unwrap_err()
+        };
+        for (edit, message) in [
+            (
+                (|c| c[0].0.push(1)) as fn(&mut [Columns; 2]),
+                "out offsets column has 4 entries, expected 3",
+            ),
+            (
+                |c| c[1].1.push(0),
+                "in edge columns have 2/1 entries, expected 1",
+            ),
+            (
+                |c| c[0].2.clear(),
+                "out edge columns have 1/0 entries, expected 1",
+            ),
+            (|c| c[1].0[2] = 0, "in offsets must span 0..=1"),
+            (|c| c[0].0 = vec![0, 2, 1], "out offsets are not monotone"),
+        ] {
+            let error = broken(edit);
+            assert!(
+                matches!(&error, GraphError::Format(m) if m == message),
+                "{error}"
+            );
+        }
+        assert!(matches!(
+            broken(|c| c[1].1[0] = 2),
+            GraphError::VertexOutOfBounds {
+                vertex: 2,
+                vertex_count: 2
+            }
+        ));
     }
 
     #[test]

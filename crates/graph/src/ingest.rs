@@ -425,12 +425,11 @@ pub fn build_csr_parallel(edges: &EdgeList, threads: usize) -> crate::Result<Csr
     }
     let vertex_count = checked_vertex_count(edges)?;
     let list = edges.edges();
-    let [out, inc]: [CsrDirection; 2] = on_scoped_threads([true, false], |use_src_as_owner| {
-        CsrDirection::from_edges(vertex_count, list, use_src_as_owner)
-    })
-    .try_into()
-    .expect("one result per direction");
-    Ok(Csr::from_directions(vertex_count, out, inc))
+    let directions = on_scoped_threads(Direction::BOTH, |dir| {
+        CsrDirection::from_edges(vertex_count, list, dir)
+    });
+    let directions = directions.try_into().expect("one result per direction");
+    Ok(Csr::from_directions(vertex_count, directions))
 }
 
 /// A column word — `u32` or `u64`, little-endian on disk. Private, and
@@ -548,8 +547,7 @@ impl Column<'_> {
 /// Returns [`GraphError::Io`](crate::GraphError::Io) on filesystem failures.
 pub fn write_disk_csr(graph: &Csr, dir: &Path) -> crate::Result<IngestReport> {
     std::fs::create_dir_all(dir)?;
-    let (out_offsets, out_targets, out_weights) = graph.raw_columns(Direction::Out);
-    let (in_offsets, in_targets, in_weights) = graph.raw_columns(Direction::In);
+    let out_weights = graph.raw_columns(Direction::Out).2;
     let uniform_weight = match out_weights.first() {
         None => Some(1),
         Some(&w) if out_weights.iter().all(|&x| x == w) => Some(w),
@@ -570,14 +568,19 @@ pub fn write_disk_csr(graph: &Csr, dir: &Path) -> crate::Result<IngestReport> {
         None => fnv1a(&mut content_hash, &[0]),
     }
     let explicit = uniform_weight.is_none();
-    let columns: [Option<Column>; 6] = [
-        Some(Column::U64(out_offsets)),
-        Some(Column::U32(out_targets)),
-        explicit.then_some(Column::U32(out_weights)),
-        Some(Column::U64(in_offsets)),
-        Some(Column::U32(in_targets)),
-        explicit.then_some(Column::U32(in_weights)),
-    ];
+    let columns: [Option<Column>; 6] = Direction::BOTH
+        .map(|dir| {
+            let (offsets, targets, weights) = graph.raw_columns(dir);
+            let weights = explicit.then_some(Column::U32(weights));
+            [
+                Some(Column::U64(offsets)),
+                Some(Column::U32(targets)),
+                weights,
+            ]
+        })
+        .as_flattened()
+        .try_into()
+        .expect("three columns per direction");
     // Hashing is one serial multiply chain over every byte and writing is
     // page-cache copies and syscalls: neither needs the other's output, so
     // the files are written on a second thread while this one hashes.
@@ -654,7 +657,8 @@ pub fn ingest_edge_list(
 }
 
 /// Ingests a text edge-list file (see [`crate::io`]) into an on-disk binary
-/// CSR directory. `threads` covers the parse as well as the CSR build.
+/// CSR directory. `threads` covers the parse as well as the CSR build; a
+/// count above eight per available core parses on one thread per core.
 ///
 /// # Errors
 ///
@@ -863,19 +867,35 @@ impl<T: LeWord> DiskColumn<T> {
 ///
 /// Implements [`GraphView`], so it drops into every app, reorder technique
 /// and campaign exactly like an in-memory CSR, with bit-identical results.
+/// Like [`Csr`], it holds its two directions as one two-element array of one
+/// per-direction type (the three column files of that direction), so each
+/// query, check and checksum is written once.
 pub struct MappedCsr {
     dir: PathBuf,
     header: DiskCsrHeader,
     vertex_count: usize,
-    out_offsets: DiskColumn<u64>,
-    out_targets: DiskColumn<u32>,
-    out_weights: Option<DiskColumn<u32>>,
-    in_offsets: DiskColumn<u64>,
-    in_targets: DiskColumn<u32>,
-    in_weights: Option<DiskColumn<u32>>,
+    /// The out- and in-edge columns, at their [`Direction::index`].
+    directions: [DiskDirection; 2],
     /// Shared weight slice served for every vertex when weights are uniform:
     /// `uniform_weights[..degree(v)]`. Sized to the maximum degree.
     uniform_weights: Vec<EdgeWeight>,
+}
+
+/// The column files of one direction of a `.gcsr` directory.
+struct DiskDirection {
+    offsets: DiskColumn<u64>,
+    targets: DiskColumn<u32>,
+    /// `None` when the header records uniform weights.
+    weights: Option<DiskColumn<u32>>,
+}
+
+impl DiskDirection {
+    /// Where `v`'s edges sit in the targets and weights columns.
+    #[inline]
+    fn edges(&self, v: VertexId) -> std::ops::Range<usize> {
+        let offsets = self.offsets.as_slice();
+        offsets[v as usize] as usize..offsets[v as usize + 1] as usize
+    }
 }
 
 impl std::fmt::Debug for MappedCsr {
@@ -892,7 +912,9 @@ impl std::fmt::Debug for MappedCsr {
     }
 }
 
-fn expected_column_lens(header: &DiskCsrHeader) -> Result<[u64; 6], DiskCsrError> {
+/// The byte lengths of one direction's offsets, targets and weights columns
+/// (the same for both directions), checked against the header's table.
+fn expected_column_lens(header: &DiskCsrHeader) -> Result<[u64; 3], DiskCsrError> {
     let (v, e) = (header.vertex_count, header.edge_count);
     let overflow = || DiskCsrError::Corrupt(format!("counts overflow: {v} vertices, {e} edges"));
     if v > u64::from(VertexId::MAX) + 1 {
@@ -901,20 +923,18 @@ fn expected_column_lens(header: &DiskCsrHeader) -> Result<[u64; 6], DiskCsrError
     let offsets_len = (v + 1).checked_mul(8).ok_or_else(overflow)?;
     let targets_len = e.checked_mul(4).ok_or_else(overflow)?;
     let weights_len = header.uniform_weight.map_or(targets_len, |_| 0);
-    let expected = [
-        offsets_len,
-        targets_len,
-        weights_len,
-        offsets_len,
-        targets_len,
-        weights_len,
-    ];
-    for (i, (&want, col)) in expected.iter().zip(&header.columns).enumerate() {
+    let expected = [offsets_len, targets_len, weights_len];
+    for ((&want, col), name) in expected
+        .iter()
+        .cycle()
+        .zip(&header.columns)
+        .zip(COLUMN_FILES)
+    {
         if col.byte_len != want {
             return Err(DiskCsrError::Corrupt(format!(
-                "header column table disagrees with counts: {} records {} bytes, \
+                "header column table disagrees with counts: {name} records {} bytes, \
                  counts imply {want}",
-                COLUMN_FILES[i], col.byte_len
+                col.byte_len
             )));
         }
     }
@@ -946,19 +966,19 @@ impl MappedCsr {
         }
         let weighted = header.uniform_weight.is_none();
         // Columns open in file order, so the first bad file is the one named.
+        let open = |first: usize| -> Result<DiskDirection, DiskCsrError> {
+            Ok(DiskDirection {
+                offsets: DiskColumn::open(dir, first, lens[0])?,
+                targets: DiskColumn::open(dir, first + 1, lens[1])?,
+                weights: weighted
+                    .then(|| DiskColumn::open(dir, first + 2, lens[2]))
+                    .transpose()?,
+            })
+        };
         Ok(Self {
             dir: dir.to_path_buf(),
             vertex_count,
-            out_offsets: DiskColumn::open(dir, 0, lens[0])?,
-            out_targets: DiskColumn::open(dir, 1, lens[1])?,
-            out_weights: weighted
-                .then(|| DiskColumn::open(dir, 2, lens[2]))
-                .transpose()?,
-            in_offsets: DiskColumn::open(dir, 3, lens[3])?,
-            in_targets: DiskColumn::open(dir, 4, lens[4])?,
-            in_weights: weighted
-                .then(|| DiskColumn::open(dir, 5, lens[5]))
-                .transpose()?,
+            directions: [open(0)?, open(3)?],
             // `check_structure` holds every degree to this column's length.
             uniform_weights: header
                 .uniform_weight
@@ -974,23 +994,15 @@ impl MappedCsr {
     ///
     /// Returns the first typed [`DiskCsrError`] found.
     pub fn verify(&self) -> Result<(), DiskCsrError> {
-        let checks: [(usize, u64); 6] = [
-            (0, self.out_offsets.checksum()),
-            (1, self.out_targets.checksum()),
-            (2, self.out_weights.as_ref().map_or(0, |c| c.checksum())),
-            (3, self.in_offsets.checksum()),
-            (4, self.in_targets.checksum()),
-            (5, self.in_weights.as_ref().map_or(0, |c| c.checksum())),
-        ];
-        for (i, computed) in checks {
-            if self.header.columns[i].byte_len == 0 {
-                continue;
-            }
-            let stored = self.header.columns[i].checksum;
-            if stored != computed {
+        let checksums = self.directions.iter().flat_map(|d| {
+            let weights = d.weights.as_ref().map_or(0, |c| c.checksum());
+            [d.offsets.checksum(), d.targets.checksum(), weights]
+        });
+        for ((computed, meta), column) in checksums.zip(&self.header.columns).zip(COLUMN_FILES) {
+            if meta.byte_len != 0 && meta.checksum != computed {
                 return Err(DiskCsrError::ColumnChecksumMismatch {
-                    column: COLUMN_FILES[i],
-                    stored,
+                    column,
+                    stored: meta.checksum,
                     computed,
                 });
             }
@@ -1011,18 +1023,15 @@ impl MappedCsr {
     /// [`DiskCsrError::Corrupt`] naming the first violation.
     pub fn check_structure(&self) -> Result<(), DiskCsrError> {
         let max_degree = self.uniform_weights.len() as u64;
-        for (name, offsets, targets) in [
-            ("out", &self.out_offsets, &self.out_targets),
-            ("in", &self.in_offsets, &self.in_targets),
-        ] {
-            let offsets = offsets.as_slice();
-            check_direction(name, offsets, targets.as_slice())
+        for (dir, d) in Direction::BOTH.into_iter().zip(&self.directions) {
+            let offsets = d.offsets.as_slice();
+            check_direction(dir, offsets, d.targets.as_slice())
                 .map_err(|e| DiskCsrError::Corrupt(e.to_string()))?;
             if self.header.uniform_weight.is_some()
                 && offsets.windows(2).any(|w| w[1] - w[0] > max_degree)
             {
                 return Err(DiskCsrError::Corrupt(format!(
-                    "an {name} degree exceeds the header's max degree {max_degree}"
+                    "an {dir} degree exceeds the header's max degree {max_degree}"
                 )));
             }
         }
@@ -1030,11 +1039,8 @@ impl MappedCsr {
     }
 
     #[inline]
-    fn slice_bounds(offsets: &[u64], v: VertexId) -> (usize, usize) {
-        (
-            offsets[v as usize] as usize,
-            offsets[v as usize + 1] as usize,
-        )
+    fn direction(&self, dir: Direction) -> &DiskDirection {
+        &self.directions[dir.index()]
     }
 }
 
@@ -1047,52 +1053,26 @@ impl GraphView for MappedCsr {
         self.header.edge_count
     }
 
-    fn out_degree(&self, v: VertexId) -> u64 {
-        let o = self.out_offsets.as_slice();
-        o[v as usize + 1] - o[v as usize]
+    fn degree(&self, v: VertexId, dir: Direction) -> u64 {
+        let offsets = self.direction(dir).offsets.as_slice();
+        offsets[v as usize + 1] - offsets[v as usize]
     }
 
-    fn in_degree(&self, v: VertexId) -> u64 {
-        let o = self.in_offsets.as_slice();
-        o[v as usize + 1] - o[v as usize]
+    fn neighbors(&self, v: VertexId, dir: Direction) -> &[VertexId] {
+        let d = self.direction(dir);
+        &d.targets.as_slice()[d.edges(v)]
     }
 
-    fn out_neighbors(&self, v: VertexId) -> &[VertexId] {
-        let (lo, hi) = Self::slice_bounds(self.out_offsets.as_slice(), v);
-        &self.out_targets.as_slice()[lo..hi]
-    }
-
-    fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
-        let (lo, hi) = Self::slice_bounds(self.in_offsets.as_slice(), v);
-        &self.in_targets.as_slice()[lo..hi]
-    }
-
-    fn out_weights(&self, v: VertexId) -> &[EdgeWeight] {
-        match &self.out_weights {
-            Some(col) => {
-                let (lo, hi) = Self::slice_bounds(self.out_offsets.as_slice(), v);
-                &col.as_slice()[lo..hi]
-            }
-            None => &self.uniform_weights[..self.out_degree(v) as usize],
+    fn weights(&self, v: VertexId, dir: Direction) -> &[EdgeWeight] {
+        let d = self.direction(dir);
+        match &d.weights {
+            Some(col) => &col.as_slice()[d.edges(v)],
+            None => &self.uniform_weights[..self.degree(v, dir) as usize],
         }
     }
 
-    fn in_weights(&self, v: VertexId) -> &[EdgeWeight] {
-        match &self.in_weights {
-            Some(col) => {
-                let (lo, hi) = Self::slice_bounds(self.in_offsets.as_slice(), v);
-                &col.as_slice()[lo..hi]
-            }
-            None => &self.uniform_weights[..self.in_degree(v) as usize],
-        }
-    }
-
-    fn out_edge_offset(&self, v: VertexId) -> u64 {
-        self.out_offsets.as_slice()[v as usize]
-    }
-
-    fn in_edge_offset(&self, v: VertexId) -> u64 {
-        self.in_offsets.as_slice()[v as usize]
+    fn edge_offset(&self, v: VertexId, dir: Direction) -> u64 {
+        self.direction(dir).offsets.as_slice()[v as usize]
     }
 }
 
@@ -1144,8 +1124,9 @@ mod tests {
                 && a.in_neighbors(v) == b.in_neighbors(v)
                 && a.out_weights(v) == b.out_weights(v)
                 && a.in_weights(v) == b.in_weights(v)
-                && a.out_edge_offset(v) == b.out_edge_offset(v)
-                && a.in_edge_offset(v) == b.in_edge_offset(v)
+                && Direction::BOTH
+                    .into_iter()
+                    .all(|dir| a.edge_offset(v, dir) == b.edge_offset(v, dir))
         })
     }
 

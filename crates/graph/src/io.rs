@@ -19,11 +19,12 @@
 //! lines real files consist of, and a property test holds the two to the
 //! same result on generated bytes.
 //!
-//! [`crate::ingest::ingest_file`] parses on several threads: the buffer is
-//! cut near `len · i / threads`, every cut is moved forward to the next line
-//! start, the pieces are parsed independently and concatenated in order.
-//! When a piece fails, the buffer is parsed again on one thread, so the
-//! error is the earliest line's, with its line number in the whole file.
+//! [`crate::ingest::ingest_file`] parses on several threads (at most eight
+//! per available core; a larger count falls back to one per core): the
+//! buffer is cut near `len · i / threads`, every cut is moved forward to the
+//! next line start, the pieces are parsed independently and concatenated in
+//! order. When a piece fails, the buffer is parsed again on one thread, so
+//! the error is the earliest line's, with its line number in the whole file.
 //!
 //! Memory: the file's bytes, the edges (12 B each, capacity = the piece's
 //! line count) and, on the multi-threaded path, one more copy of the edges
@@ -36,8 +37,18 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// Parses a whole text edge list held in memory on up to `threads` threads.
+///
+/// A count above eight per available core falls back to the available
+/// parallelism, as a campaign's worker count does: every cut is one step of
+/// a loop and every non-empty piece one OS thread, so an unbounded count
+/// (`usize::MAX`) would never return and a large one would start a thread
+/// per line.
 pub(crate) fn parse_text_edge_list(data: &[u8], threads: usize) -> Result<EdgeList> {
-    let threads = threads.max(1);
+    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = match threads {
+        oversized if oversized > available.saturating_mul(8) => available,
+        threads => threads.max(1),
+    };
     parse_text_at_cuts(data, (1..threads).map(|i| data.len() / threads * i))
 }
 
@@ -293,6 +304,13 @@ mod tests {
         el.push_weighted(1, 2, 7).unwrap();
         el.push(4, 0).unwrap();
         el
+    }
+
+    #[test]
+    fn an_oversized_thread_count_still_parses() {
+        // Two lines make at most two pieces, so at most two threads start.
+        let edges = parse_text_edge_list(b"0 1\n1 2\n", usize::MAX).unwrap();
+        assert_eq!(edges.edges(), &[Edge::new(0, 1), Edge::new(1, 2)]);
     }
 
     #[test]

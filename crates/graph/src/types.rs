@@ -65,6 +65,19 @@ pub enum Direction {
 }
 
 impl Direction {
+    /// Both directions, in the order a CSR stores them: out, then in.
+    pub(crate) const BOTH: [Direction; 2] = [Direction::Out, Direction::In];
+
+    /// This direction's slot in a per-direction array laid out as
+    /// [`Direction::BOTH`].
+    #[inline]
+    pub(crate) fn index(self) -> usize {
+        match self {
+            Direction::Out => 0,
+            Direction::In => 1,
+        }
+    }
+
     /// Returns the opposite direction.
     pub fn reversed(self) -> Self {
         match self {

@@ -10,23 +10,27 @@
 //! four of the methods have inherent twins, for callers without it).
 //!
 //! The trait is deliberately object-safe (`&dyn GraphView`,
-//! `Arc<dyn GraphView>`): every method returns a concrete type, and the
-//! direction-dispatching conveniences are provided methods layered on the
-//! per-direction required methods. Dynamic dispatch is not a performance
-//! concern here — the apps make O(V) trait calls per iteration and then
-//! iterate the returned adjacency slices without further calls.
+//! `Arc<dyn GraphView>`): every method returns a concrete type. A backing
+//! answers each query once, for a [`Direction`] it is given, because a CSR
+//! holds the same two arrays per direction (Sec. II-B of the paper); the
+//! `out_*` / `in_*` spellings are provided methods layered on those.
+//! Dynamic dispatch is not a performance concern here — the apps make O(V)
+//! trait calls per iteration and then iterate the returned adjacency slices
+//! without further calls.
 
 use crate::types::{Direction, EdgeWeight, VertexId};
 
 /// A read-only CSR-shaped graph: dense vertex IDs `0..vertex_count`, sorted
 /// adjacency slices in both directions, parallel weight slices.
 ///
-/// Implementations must uphold the CSR invariants the engine relies on:
+/// Implementations must uphold the CSR invariants the engine relies on, in
+/// each direction `dir`:
 ///
-/// * `out_neighbors(v)` / `in_neighbors(v)` are sorted ascending,
-/// * `out_weights(v).len() == out_neighbors(v).len()` (same for in-),
-/// * `out_edge_offset(v+1) - out_edge_offset(v) == out_degree(v)` wherever
-///   `v + 1 < vertex_count`, and the degree sums equal `edge_count`.
+/// * `neighbors(v, dir)` is sorted ascending,
+/// * `weights(v, dir).len() == neighbors(v, dir).len() == degree(v, dir)`,
+/// * `edge_offset(v + 1, dir) - edge_offset(v, dir) == degree(v, dir)`
+///   wherever `v + 1 < vertex_count`, and the degree sums equal
+///   `edge_count`.
 pub trait GraphView: std::fmt::Debug + Send + Sync {
     /// Number of vertices.
     fn vertex_count(&self) -> usize;
@@ -34,61 +38,47 @@ pub trait GraphView: std::fmt::Debug + Send + Sync {
     /// Number of directed edges.
     fn edge_count(&self) -> u64;
 
-    /// Out-degree of `v`.
-    fn out_degree(&self, v: VertexId) -> u64;
-
-    /// In-degree of `v`.
-    fn in_degree(&self, v: VertexId) -> u64;
-
-    /// Out-neighbours of `v` (vertices `v` points to), sorted ascending.
-    fn out_neighbors(&self, v: VertexId) -> &[VertexId];
-
-    /// In-neighbours of `v` (vertices pointing to `v`), sorted ascending.
-    fn in_neighbors(&self, v: VertexId) -> &[VertexId];
-
-    /// Weights parallel to [`GraphView::out_neighbors`].
-    fn out_weights(&self, v: VertexId) -> &[EdgeWeight];
-
-    /// Weights parallel to [`GraphView::in_neighbors`].
-    fn in_weights(&self, v: VertexId) -> &[EdgeWeight];
-
-    /// Offset of vertex `v`'s first edge in the out edge array (the value the
-    /// *Vertex Array* holds in the CSR encoding).
-    fn out_edge_offset(&self, v: VertexId) -> u64;
-
-    /// Offset of vertex `v`'s first edge in the in edge array.
-    fn in_edge_offset(&self, v: VertexId) -> u64;
-
     /// Degree of `v` in the requested direction.
-    fn degree(&self, v: VertexId, dir: Direction) -> u64 {
-        match dir {
-            Direction::Out => self.out_degree(v),
-            Direction::In => self.in_degree(v),
-        }
-    }
+    fn degree(&self, v: VertexId, dir: Direction) -> u64;
 
-    /// Neighbours of `v` in the requested direction.
-    fn neighbors(&self, v: VertexId, dir: Direction) -> &[VertexId] {
-        match dir {
-            Direction::Out => self.out_neighbors(v),
-            Direction::In => self.in_neighbors(v),
-        }
-    }
+    /// Neighbours of `v` in the requested direction, sorted ascending.
+    fn neighbors(&self, v: VertexId, dir: Direction) -> &[VertexId];
 
     /// Weights parallel to [`GraphView::neighbors`].
-    fn weights(&self, v: VertexId, dir: Direction) -> &[EdgeWeight] {
-        match dir {
-            Direction::Out => self.out_weights(v),
-            Direction::In => self.in_weights(v),
-        }
+    fn weights(&self, v: VertexId, dir: Direction) -> &[EdgeWeight];
+
+    /// Offset of vertex `v`'s first edge in the edge array for `dir` (the
+    /// value the *Vertex Array* holds in the CSR encoding).
+    fn edge_offset(&self, v: VertexId, dir: Direction) -> u64;
+
+    /// Out-degree of `v`.
+    fn out_degree(&self, v: VertexId) -> u64 {
+        self.degree(v, Direction::Out)
     }
 
-    /// Offset of vertex `v`'s first edge in the edge array for `dir`.
-    fn edge_offset(&self, v: VertexId, dir: Direction) -> u64 {
-        match dir {
-            Direction::Out => self.out_edge_offset(v),
-            Direction::In => self.in_edge_offset(v),
-        }
+    /// In-degree of `v`.
+    fn in_degree(&self, v: VertexId) -> u64 {
+        self.degree(v, Direction::In)
+    }
+
+    /// Out-neighbours of `v` (vertices `v` points to), sorted ascending.
+    fn out_neighbors(&self, v: VertexId) -> &[VertexId] {
+        self.neighbors(v, Direction::Out)
+    }
+
+    /// In-neighbours of `v` (vertices pointing to `v`), sorted ascending.
+    fn in_neighbors(&self, v: VertexId) -> &[VertexId] {
+        self.neighbors(v, Direction::In)
+    }
+
+    /// Weights parallel to [`GraphView::out_neighbors`].
+    fn out_weights(&self, v: VertexId) -> &[EdgeWeight] {
+        self.weights(v, Direction::Out)
+    }
+
+    /// Weights parallel to [`GraphView::in_neighbors`].
+    fn in_weights(&self, v: VertexId) -> &[EdgeWeight] {
+        self.weights(v, Direction::In)
     }
 
     /// All vertex IDs as a range (object-safe: `Range<VertexId>` is concrete).

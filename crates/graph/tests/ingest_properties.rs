@@ -6,6 +6,7 @@
 //! from `Csr::from_edge_list` on the original list.
 
 use grasp_graph::ingest::{self, DiskCsrError, MappedCsr};
+use grasp_graph::types::Direction;
 use grasp_graph::{Csr, EdgeList, GraphView};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -53,8 +54,10 @@ fn assert_views_equal(expected: &Csr, actual: &dyn GraphView) {
         assert_eq!(actual.in_neighbors(v), expected.in_neighbors(v), "v={v}");
         assert_eq!(actual.out_weights(v), expected.out_weights(v), "v={v}");
         assert_eq!(actual.in_weights(v), expected.in_weights(v), "v={v}");
-        assert_eq!(actual.out_edge_offset(v), expected.out_edge_offset(v));
-        assert_eq!(actual.in_edge_offset(v), expected.in_edge_offset(v));
+        for dir in [Direction::Out, Direction::In] {
+            assert_eq!(actual.degree(v, dir), expected.degree(v, dir), "v={v}");
+            assert_eq!(actual.edge_offset(v, dir), expected.edge_offset(v, dir));
+        }
     }
 }
 
@@ -62,22 +65,33 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// edge list → binary CSR on disk → mmap view == in-memory CSR, for any
-    /// input shape and any ingest thread count.
+    /// input shape and any ingest thread count. Each list also runs with
+    /// every weight set to 1, so the view serves its shared uniform-weight
+    /// slice (random weights almost never make a list uniform).
     #[test]
     fn disk_round_trip_matches_in_memory(input in (arb_edge_list(), 1usize..=4)) {
         let (el, threads) = input;
-        let expected = Csr::from_edge_list(&el).unwrap();
-        let dir = scratch_dir("roundtrip");
-        let report = ingest::ingest_edge_list(&el, &dir, threads).unwrap();
-        prop_assert_eq!(report.vertex_count, expected.vertex_count() as u64);
-        prop_assert_eq!(report.edge_count, expected.edge_count());
+        let mut unit = EdgeList::new(el.vertex_count());
+        for e in el.iter() {
+            unit.push(e.src, e.dst).unwrap();
+        }
+        for (el, uniform) in [(el, false), (unit, true)] {
+            let expected = Csr::from_edge_list(&el).unwrap();
+            let dir = scratch_dir("roundtrip");
+            let report = ingest::ingest_edge_list(&el, &dir, threads).unwrap();
+            prop_assert_eq!(report.vertex_count, expected.vertex_count() as u64);
+            prop_assert_eq!(report.edge_count, expected.edge_count());
+            if uniform {
+                prop_assert_eq!(report.uniform_weight, Some(1));
+            }
 
-        // The verified mmap-backed view serves identical adjacency data.
-        let mapped = MappedCsr::open(&dir).unwrap();
-        mapped.verify().unwrap();
-        assert_views_equal(&expected, &mapped);
+            // The verified mmap-backed view serves identical adjacency data.
+            let mapped = MappedCsr::open(&dir).unwrap();
+            mapped.verify().unwrap();
+            assert_views_equal(&expected, &mapped);
 
-        std::fs::remove_dir_all(&dir).ok();
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     /// The content hash identifies the graph: independent of ingest thread

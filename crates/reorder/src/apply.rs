@@ -45,22 +45,12 @@ pub fn relabel(graph: &dyn GraphView, perm: &Permutation) -> Csr {
     );
     let inverse = perm.inverse();
     let rows = |direction| relabel_rows(graph, perm, &inverse, direction);
-    let Some(((out_offsets, out_targets, out_weights), (in_offsets, in_targets, in_weights))) =
-        rows(Direction::Out).and_then(|out| Some((out, rows(Direction::In)?)))
+    let Some(columns) = rows(Direction::Out).and_then(|out| Some([out, rows(Direction::In)?]))
     else {
         return relabel_via_edge_list(graph, perm);
     };
-    Csr::from_raw_columns(
-        graph.vertex_count(),
-        graph.edge_count(),
-        out_offsets,
-        out_targets,
-        out_weights,
-        in_offsets,
-        in_targets,
-        in_weights,
-    )
-    .expect("permuted rows of a valid graph form a valid graph")
+    Csr::from_raw_columns(graph.vertex_count(), graph.edge_count(), columns)
+        .expect("permuted rows of a valid graph form a valid graph")
 }
 
 /// What `relabel` panics with when the in-rows and the out-rows of `graph`
@@ -214,12 +204,10 @@ mod tests {
         let g = Csr::from_raw_columns(
             3,
             2,
-            vec![0, 2, 2, 2],
-            vec![1, 2],
-            vec![1, 1],
-            vec![0, 0, 2, 2],
-            vec![0, 2],
-            vec![1, 1],
+            [
+                (vec![0, 2, 2, 2], vec![1, 2], vec![1, 1]),
+                (vec![0, 0, 2, 2], vec![0, 2], vec![1, 1]),
+            ],
         )
         .unwrap();
         let _ = relabel(&g, &crate::identity(3));

@@ -15,7 +15,8 @@
 //! * `verify <dir>` — re-checksum the header and every column file and
 //!   validate CSR structure; non-zero exit on any corruption.
 //!
-//! Thread count defaults to the available parallelism (capped at 8).
+//! Thread count defaults to the available parallelism (capped at 8). A
+//! `--threads` above eight per available core parses on one thread per core.
 
 use grasp_graph::ingest::{self, default_ingest_threads, GraphStats, IngestReport};
 use std::path::PathBuf;
